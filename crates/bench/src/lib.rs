@@ -11,8 +11,10 @@
 //! `SPINNING_SCALE` environment variable (default 2048, i.e. graphs are
 //! ~1/2048th of the paper's), so absolute runtimes are not comparable to the
 //! paper — the *shape* of each figure (who wins, how per-iteration work
-//! decays, where crossovers happen) is what is reproduced.  See
-//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured record.
+//! decays, where crossovers happen) is what is reproduced.  See `README.md`
+//! and `ROADMAP.md` at the repository root for the paper-vs-measured record,
+//! and `BENCHMARK.json` / `benchmark/README.md` for the tracked end-to-end
+//! workloads.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -334,8 +334,9 @@ pub trait PageChannel<P: Send + Sync>: Send + Sync {
 /// appends them in.
 pub type SourceBatches<P> = Vec<(usize, Vec<Arc<P>>)>;
 
-// --- CRC-32 (shared by the TCP frame format; same IEEE polynomial and table
-// discipline as the engine's spill-run frames) --------------------------------
+// --- CRC-32 (the one implementation: checksums the TCP frames here and,
+// re-exported as `dataflow::spill::crc32`, the engine's spill-run and
+// checkpoint page frames) -----------------------------------------------------
 
 /// The CRC-32 (IEEE) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
@@ -358,8 +359,8 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 (IEEE) over `bytes` — the per-frame checksum of the TCP framing,
-/// matching the engine's spill-run frame discipline.
+/// CRC-32 (IEEE, reflected — the zlib/PNG polynomial) over `bytes`: the
+/// per-frame checksum of the TCP framing and of the engine's run files.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {

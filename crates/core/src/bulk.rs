@@ -13,9 +13,8 @@
 //! shipped once and then served from the executor's intermediate cache, as
 //! decided by the optimizer (Section 4.3).
 
-use crate::checkpoint::{CheckpointPolicy, CheckpointStore};
+use crate::checkpoint::{run_with_recovery, CheckpointPolicy};
 use crate::stats::{IterationRunStats, IterationStats};
-use crate::workset::PendingRecoveryStats;
 use dataflow::fault::FaultInjector;
 use dataflow::prelude::{
     DataflowError, ExecConfig, ExecutionResult, Executor, IntermediateCache, MemoryBudget,
@@ -248,6 +247,13 @@ impl BulkIteration {
             .plan
             .sink_by_name(&self.output_sink)
             .ok_or_else(|| DataflowError::UnknownSink(self.output_sink.clone()))?;
+        if let TerminationCriterion::EmptySink { sink, .. } = &self.termination {
+            // Checked here, not per iteration, so a typo fails the run at
+            // once instead of being retried as if it were a transient fault.
+            self.plan
+                .sink_by_name(sink)
+                .ok_or_else(|| DataflowError::UnknownSink(sink.clone()))?;
+        }
         let max_iterations = self.termination.max_iterations();
         if max_iterations == 0 {
             return Ok(BulkIterationResult {
@@ -287,82 +293,39 @@ impl BulkIteration {
             exec_config = exec_config.with_channel_credits(credits);
         }
         let executor = Executor::with_config(exec_config);
-        let mut cache = IntermediateCache::new().with_memory_budget(config.memory_budget);
-        let mut current = Arc::new(initial);
-        let mut run_stats = IterationRunStats::default();
-        let mut converged = false;
-
-        // Bulk checkpoints snapshot the one materialized state the feedback
-        // channel carries — the partial solution — as a single partition with
-        // an empty workset.
-        let store = config
-            .checkpoint
-            .as_ref()
-            .map(|policy| CheckpointStore::new(&policy.dir, 1, config.fault.clone()));
-        let mut pending = PendingRecoveryStats::default();
-        if let Some(store) = &store {
-            match store.write(0, &[(*current).clone()], &[Vec::new()]) {
-                Ok(bytes) => {
-                    pending.checkpoints_written += 1;
-                    pending.checkpoint_bytes += bytes as usize;
-                }
-                Err(_) => pending.checkpoint_write_failures += 1,
-            }
+        // Everything an iteration reads and replaces.  Bulk checkpoints
+        // snapshot the one materialized state the feedback channel carries —
+        // the partial solution — as a single partition with an empty workset.
+        struct State {
+            current: Arc<Vec<Record>>,
+            cache: IntermediateCache,
+            converged: bool,
         }
-        let mut iteration = 0usize;
-        let mut retries_used = 0usize;
+        let fresh_cache = || IntermediateCache::new().with_memory_budget(config.memory_budget);
+        let mut state = State {
+            current: Arc::new(initial),
+            cache: fresh_cache(),
+            converged: false,
+        };
 
-        while iteration < max_iterations && !converged {
-            let attempt = iteration + 1;
+        let step = |state: &mut State, iteration: usize| -> Result<IterationStats> {
             let iter_start = Instant::now();
-            let attempt_result = physical
+            let result: ExecutionResult = physical
                 .plan
-                .replace_source_data(self.input, Arc::clone(&current))
-                .and_then(|()| executor.execute_with_cache(&physical, &mut cache));
-            let result: ExecutionResult = match attempt_result {
-                Ok(result) => result,
-                Err(error) => {
-                    // The executor reports pool panics without iteration
-                    // context; stamp the iteration number on before
-                    // surfacing or retrying.
-                    let error = match error {
-                        DataflowError::WorkerPanic {
-                            operator, message, ..
-                        } => DataflowError::WorkerPanic {
-                            operator,
-                            superstep: attempt,
-                            message,
-                        },
-                        other => other,
-                    };
-                    let (Some(store), Some(policy)) = (&store, &config.checkpoint) else {
-                        return Err(error);
-                    };
-                    retries_used += 1;
-                    pending.retries += 1;
-                    if retries_used > policy.max_retries {
-                        return Err(DataflowError::RecoveryExhausted {
-                            superstep: attempt,
-                            retries: policy.max_retries,
-                            last: Box::new(error),
-                        });
-                    }
-                    std::thread::sleep(policy.backoff_for(retries_used));
-                    let Some(restored) = store.restore_latest(iteration) else {
-                        return Err(error);
-                    };
-                    current = Arc::new(restored.solution.into_iter().flatten().collect());
-                    run_stats.per_iteration.truncate(restored.superstep);
-                    iteration = restored.superstep;
-                    // The intermediate cache may hold state from the failed
-                    // execution; rebuild it so loop-invariant inputs re-ship.
-                    cache = IntermediateCache::new().with_memory_budget(config.memory_budget);
-                    pending.recoveries += 1;
-                    continue;
-                }
-            };
-            iteration = attempt;
-            retries_used = 0;
+                .replace_source_data(self.input, Arc::clone(&state.current))
+                .and_then(|()| executor.execute_with_cache(&physical, &mut state.cache))
+                // The executor reports pool panics without iteration context;
+                // stamp the iteration number on before surfacing or retrying.
+                .map_err(|error| match error {
+                    DataflowError::WorkerPanic {
+                        operator, message, ..
+                    } => DataflowError::WorkerPanic {
+                        operator,
+                        superstep: iteration,
+                        message,
+                    },
+                    other => other,
+                })?;
 
             // Decide termination on the borrowed result, then move the next
             // partial solution out of it without copying the records.
@@ -374,8 +337,8 @@ impl BulkIteration {
             let next = result.into_sink(&self.output_sink)?;
 
             let mut stats = IterationStats::for_iteration(iteration);
-            stats.workset_size = current.len();
-            stats.elements_inspected = current.len();
+            stats.workset_size = state.current.len();
+            stats.elements_inspected = state.current.len();
             stats.elements_changed = next.len();
             stats.messages_sent = execution_stats.shipped_records + execution_stats.local_records;
             stats.messages_shipped = execution_stats.shipped_records;
@@ -384,45 +347,41 @@ impl BulkIteration {
             stats.execution = Some(execution_stats);
             stats.elapsed = iter_start.elapsed();
 
-            let done = match &self.termination {
+            state.converged = match &self.termination {
                 TerminationCriterion::FixedIterations(n) => iteration >= *n,
                 TerminationCriterion::EmptySink { .. } => empty_termination_sink,
-                TerminationCriterion::Converged { check, .. } => check(&current, &next),
+                TerminationCriterion::Converged { check, .. } => check(&state.current, &next),
             };
-            current = Arc::new(next);
-            if done {
-                converged = true;
-            }
-            if let (Some(store), Some(policy)) = (&store, &config.checkpoint) {
-                if !converged && iteration.is_multiple_of(policy.interval) {
-                    // Non-fatal, but counted: a lost checkpoint widens the
-                    // window the next recovery replays.
-                    match store.write(iteration, &[(*current).clone()], &[Vec::new()]) {
-                        Ok(bytes) => {
-                            pending.checkpoints_written += 1;
-                            pending.checkpoint_bytes += bytes as usize;
-                            store.prune(2);
-                        }
-                        Err(_) => pending.checkpoint_write_failures += 1,
-                    }
-                }
-            }
-            pending.fold_into(&mut stats);
-            run_stats.per_iteration.push(stats);
-        }
-        if let Some(last) = run_stats.per_iteration.last_mut() {
-            pending.fold_into(last);
-        }
-        if let Some(store) = &store {
-            store.clear();
-        }
-
-        run_stats.total_elapsed = start.elapsed();
+            state.current = Arc::new(next);
+            Ok(stats)
+        };
+        let per_iteration = run_with_recovery(
+            config.checkpoint.as_ref(),
+            1,
+            &config.fault,
+            max_iterations,
+            &mut state,
+            |state| !state.converged,
+            step,
+            |state| Ok((vec![(*state.current).clone()], vec![Vec::new()])),
+            |state, restored| {
+                state.current = Arc::new(restored.solution.into_iter().flatten().collect());
+                // The intermediate cache may hold state from the failed
+                // execution; rebuild it so loop-invariant inputs re-ship.
+                state.cache = fresh_cache();
+            },
+        )?;
+        let State {
+            current, converged, ..
+        } = state;
         Ok(BulkIterationResult {
             solution: Arc::try_unwrap(current).unwrap_or_else(|arc| (*arc).clone()),
-            iterations: run_stats.per_iteration.len(),
+            iterations: per_iteration.len(),
             converged,
-            stats: run_stats,
+            stats: IterationRunStats {
+                per_iteration,
+                total_elapsed: start.elapsed(),
+            },
         })
     }
 }
@@ -625,6 +584,51 @@ mod tests {
             TerminationCriterion::FixedIterations(1),
         );
         assert!(iteration.run(vec![], &BulkConfig::new(1)).is_err());
+    }
+
+    #[test]
+    fn unknown_termination_sink_is_rejected_before_the_first_iteration() {
+        let (plan, input) = increment_plan();
+        let iteration = BulkIteration::new(
+            plan,
+            input,
+            "next",
+            TerminationCriterion::EmptySink {
+                sink: "missing".into(),
+                max_iterations: 3,
+            },
+        );
+        let dir = std::env::temp_dir().join(format!("spinning-bulk-sink-{}", std::process::id()));
+        // Even with checkpointing on, the typo is not retried as a fault.
+        let err = iteration
+            .run(vec![], &BulkConfig::new(1).with_checkpoint(1, &dir))
+            .unwrap_err();
+        assert!(matches!(err, DataflowError::UnknownSink(_)), "{err}");
+        assert!(!dir.exists(), "nothing ran, nothing was checkpointed");
+    }
+
+    #[test]
+    fn failed_checkpoint_writes_are_counted_not_fatal() {
+        use dataflow::fault::FaultSite;
+        let (plan, input) = increment_plan();
+        let iteration = BulkIteration::new(
+            plan,
+            input,
+            "next",
+            TerminationCriterion::FixedIterations(4),
+        );
+        let dir = std::env::temp_dir().join(format!("spinning-bulk-ckpt-{}", std::process::id()));
+        // The initial (iteration-0) checkpoint write fails; the run proceeds,
+        // later checkpoints land, and the failure shows up in the stats.
+        let config = BulkConfig::new(2)
+            .with_checkpoint(1, &dir)
+            .with_fault(FaultInjector::failing_nth(FaultSite::CheckpointWrite, 0));
+        let result = iteration.run(vec![Record::pair(0, 0)], &config).unwrap();
+        assert_eq!(result.solution, vec![Record::pair(0, 4)]);
+        assert_eq!(result.stats.total_checkpoint_write_failures(), 1);
+        // Iterations 1-3 checkpoint; the converging fourth does not.
+        assert_eq!(result.stats.total_checkpoints_written(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //! page checksums or record count disagree with the manifest marks the whole
 //! checkpoint invalid, and recovery falls back to the next older one.
 
+use crate::stats::IterationStats;
+use dataflow::error::DataflowError;
 use dataflow::fault::{FaultInjector, FaultSite};
 use dataflow::record::Record;
 use dataflow::spill::{read_records_from, write_records_to};
@@ -250,6 +252,135 @@ impl CheckpointStore {
     pub fn clear(&self) {
         self.prune(0);
     }
+}
+
+/// Checkpoint/recovery counters accumulated between successful steps and
+/// folded into the next pushed [`IterationStats`] row.
+#[derive(Default)]
+struct PendingRecoveryStats {
+    checkpoints_written: usize,
+    checkpoint_bytes: usize,
+    checkpoint_write_failures: usize,
+    recoveries: usize,
+    retries: usize,
+}
+
+impl PendingRecoveryStats {
+    /// Moves the accumulated counters into `stats` and resets them.
+    fn fold_into(&mut self, stats: &mut IterationStats) {
+        stats.checkpoints_written += self.checkpoints_written;
+        stats.checkpoint_bytes += self.checkpoint_bytes;
+        stats.checkpoint_write_failures += self.checkpoint_write_failures;
+        stats.recoveries += self.recoveries;
+        stats.retries += self.retries;
+        *self = PendingRecoveryStats::default();
+    }
+}
+
+/// A consistent cut as a driver snapshots it: the solution records and the
+/// pending workset records of every partition.
+pub(crate) type Cut = (Vec<Vec<Record>>, Vec<Vec<Record>>);
+
+/// The checkpoint-and-recover loop both iteration drivers run.
+///
+/// Calls `step(state, attempt)` (attempts are 1-based: the step after the
+/// `completed` ones) while fewer than `max_steps` completed and `more(state)`
+/// holds, and returns the stats row of every completed step.  Without a
+/// `policy` a failed step is final and surfaces as the typed error it
+/// already is.  With one, the consistent cut `snapshot(state)` is persisted
+/// under `policy.dir` before the first step and after every
+/// `policy.interval`-th one that leaves work to do (keeping the newest two);
+/// a failed step backs off, restores the newest valid cut at or before the
+/// last completed step through `reinstall`, drops the rows past it and
+/// retries — until `policy.max_retries` consecutive failures exhaust the
+/// budget.  A failed checkpoint *write* is never fatal — it only widens the
+/// window the next recovery replays — but it is counted in the stats **and**
+/// warned about on stderr, identically for every driver.  Checkpoint and
+/// recovery counters land in the row of the next completed step (trailing
+/// ones in the last row); the run's checkpoints are removed when it ends.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_with_recovery<S>(
+    policy: Option<&CheckpointPolicy>,
+    parallelism: usize,
+    fault: &FaultInjector,
+    max_steps: usize,
+    state: &mut S,
+    more: impl Fn(&S) -> bool,
+    mut step: impl FnMut(&mut S, usize) -> Result<IterationStats, DataflowError>,
+    snapshot: impl Fn(&S) -> io::Result<Cut>,
+    mut reinstall: impl FnMut(&mut S, RestoredCheckpoint),
+) -> Result<Vec<IterationStats>, DataflowError> {
+    let store = policy.map(|policy| CheckpointStore::new(&policy.dir, parallelism, fault.clone()));
+    let mut pending = PendingRecoveryStats::default();
+    let checkpoint = |completed: usize, state: &S, pending: &mut PendingRecoveryStats| {
+        let Some(store) = &store else { return };
+        let written = snapshot(state)
+            .and_then(|(solution, workset)| store.write(completed, &solution, &workset));
+        match written {
+            Ok(bytes) => {
+                pending.checkpoints_written += 1;
+                pending.checkpoint_bytes += bytes as usize;
+                store.prune(2);
+            }
+            Err(error) => {
+                eprintln!(
+                    "warning: checkpoint write after step {completed} failed ({error}); \
+                     a recovery would replay from the previous checkpoint"
+                );
+                pending.checkpoint_write_failures += 1;
+            }
+        }
+    };
+    // The initial cut (step 0), so a failure in the very first step has
+    // something to restore.
+    checkpoint(0, state, &mut pending);
+    let mut rows: Vec<IterationStats> = Vec::new();
+    // Consecutive failed attempts at the current step (reset on success).
+    let mut retries_used = 0usize;
+    while rows.len() < max_steps && more(state) {
+        let attempt = rows.len() + 1;
+        match step(state, attempt) {
+            Ok(mut stats) => {
+                retries_used = 0;
+                if policy.is_some_and(|p| attempt.is_multiple_of(p.interval)) && more(state) {
+                    checkpoint(attempt, state, &mut pending);
+                }
+                pending.fold_into(&mut stats);
+                rows.push(stats);
+            }
+            Err(error) => {
+                let (Some(store), Some(policy)) = (&store, policy) else {
+                    return Err(error);
+                };
+                retries_used += 1;
+                pending.retries += 1;
+                if retries_used > policy.max_retries {
+                    return Err(DataflowError::RecoveryExhausted {
+                        superstep: attempt,
+                        retries: policy.max_retries,
+                        last: Box::new(error),
+                    });
+                }
+                std::thread::sleep(policy.backoff_for(retries_used));
+                // Corrupt or partial checkpoints are skipped inside
+                // `restore_latest`; with none left the failure is final.
+                let Some(restored) = store.restore_latest(attempt - 1) else {
+                    return Err(error);
+                };
+                rows.truncate(restored.superstep);
+                reinstall(state, restored);
+                pending.recoveries += 1;
+            }
+        }
+    }
+    if let Some(last) = rows.last_mut() {
+        pending.fold_into(last);
+    }
+    // The run is over; its checkpoints are dead weight on disk.
+    if let Some(store) = &store {
+        store.clear();
+    }
+    Ok(rows)
 }
 
 /// The per-partition record counts a manifest promises.

@@ -28,21 +28,38 @@
 //! — when the step function meets the conditions of Section 5.2 — fully
 //! asynchronously ([`ExecutionMode::AsynchronousMicrostep`], implemented in
 //! [`crate::microstep`]).
+//!
+//! # What this module owns, and what it does not
+//!
+//! The loop body runs on the *ordinary* runtime exchange: every partition
+//! routes its new candidates into a [`dataflow::exchange::Outbox`] and the
+//! superstep's queue switch is one call to [`dataflow::exchange::ship`] —
+//! the same layer the batch executor's repartitioning runs on — which
+//! delivers the next superstep's queues as
+//! [`dataflow::page::ExchangedPartition`]s.  Grouping candidates off their
+//! sealed pages is the shared single-`Long`-key kernel of [`dataflow::page`],
+//! and the checkpoint/retry loop is `crate::checkpoint`'s, shared with the
+//! bulk driver.  What is special to a workset iteration, and therefore lives
+//! here, is only what the paper marks as special: superstep control (one
+//! channel for the whole run, one fresh round per attempt, the per-superstep
+//! stats agreement that keeps a cluster in lockstep), the solution-set join
+//! and the cached constant path, termination (the working set drained
+//! cluster-wide), and what a consistent cut between supersteps consists of.
 
-use crate::checkpoint::{CheckpointPolicy, CheckpointStore};
+use crate::checkpoint::{run_with_recovery, CheckpointPolicy};
 use crate::solution_set::{PartitionIndex, RecordComparator, SolutionSet};
 use crate::stats::{IterationRunStats, IterationStats};
+use dataflow::exchange::{self, Outbox};
 use dataflow::fault::{FaultInjector, FaultSite};
 use dataflow::key::{group_ranges, sort_by_key, FxHashMap};
-use dataflow::page::{
-    denormalize_long, normalize_long, PageHandle, PagePool, PagedRecords, RecordPage,
-};
+use dataflow::page::{for_each_long_key_group, GroupScratch, PagePool};
 use dataflow::prelude::{
-    ChannelId, ClusterSpec, DataflowError, Key, KeyFields, MemoryBudget, PartitionRouter,
-    RangeBounds, Record, Result, RunMerger, SharedPageChannel, SpillManager, SpilledRun,
-    SpillingWriter, TransportHandle, Value,
+    ChannelId, ClusterSpec, DataflowError, ExchangedPartition, Key, KeyFields, MemoryBudget,
+    PartitionRouter, RangeBounds, Record, Result, RunMerger, SharedPageChannel, SpillManager,
+    TransportHandle,
 };
 use dataflow::range::sample_keys_into;
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -483,10 +500,11 @@ impl WorksetIteration {
     }
 
     /// Superstep-synchronised execution (both the batch-incremental and the
-    /// microstep variant).
+    /// microstep variant): superstep control, termination and checkpoint
+    /// policy.  The queue switch itself is [`exchange::ship`].
     fn run_supersteps(
         &self,
-        mut solution: SolutionSet,
+        solution: SolutionSet,
         constant_index: Vec<FxHashMap<Key, Vec<Record>>>,
         initial_workset: Vec<Record>,
         router: &PartitionRouter,
@@ -526,230 +544,148 @@ impl WorksetIteration {
             channel: config.transport.fresh_channel(parallelism),
             stats_channel: ChannelId::new(config.transport.allocate(), 0),
         };
-        let mut exchange_round: u64 = 0;
 
-        let mut queues: Vec<WorksetQueue> = Vec::with_capacity(parallelism);
-        let per_queue = initial_workset.len() / parallelism + 1;
-        for _ in 0..parallelism {
-            queues.push(WorksetQueue::with_capacity(per_queue));
-        }
         // Every process sees the full initial workset (the SPMD contract),
         // so the cluster-wide pending count is known up front without a
         // barrier — and it is what every process's loop condition starts
         // from, keeping the supersteps in lockstep from round one.
-        let mut global_pending = initial_workset.len() as u64;
+        let pending = initial_workset.len() as u64;
         // The initial workset is scattered by the driver, which co-owns it
         // with every partition: a local move, not an exchange, so it is not
         // serialized.  Partitions owned by other processes are dropped here;
         // their owners scatter the same records from their own copy.
+        let mut scattered: Vec<Vec<Record>> = (0..parallelism)
+            .map(|_| Vec::with_capacity(initial_workset.len() / parallelism + 1))
+            .collect();
         for record in initial_workset {
             let partition = router.route(&record, &self.workset_key);
             if comms.cluster.owns(partition, parallelism) {
-                queues[partition].records.push(record);
+                scattered[partition].push(record);
             }
         }
+        let mut state = SuperstepState {
+            solution,
+            queues: scattered
+                .into_iter()
+                .map(ExchangedPartition::from_records)
+                .collect(),
+            pending,
+            round: 0,
+            scratch: (0..parallelism).map(|_| StepScratch::default()).collect(),
+        };
 
-        let mut run_stats = IterationRunStats::default();
-        let mut superstep = 0usize;
-        // Per-partition scratch buffers, reused across all supersteps instead
-        // of re-allocating expansion/delta vectors inside each one.
-        let mut scratch: Vec<StepScratch> =
-            (0..parallelism).map(|_| StepScratch::default()).collect();
-        // Queue buffers recycled from the previous superstep's drained
-        // worksets, so steady-state supersteps allocate nothing for routing.
-        let mut spare_queues: Vec<Vec<Record>> = Vec::with_capacity(parallelism);
+        let per_iteration = run_with_recovery(
+            config.checkpoint.as_ref(),
+            parallelism,
+            &config.fault,
+            config.max_supersteps,
+            &mut state,
+            |state| state.pending > 0,
+            |state, superstep| {
+                self.superstep_once(
+                    superstep,
+                    state,
+                    &comms,
+                    &constant_index,
+                    &comparator,
+                    router,
+                    &spill,
+                    config,
+                )
+            },
+            // The cut between supersteps: the solution set plus the pending
+            // queues, read back into plain records (the live queues are left
+            // untouched).
+            |state| {
+                let solution = (0..parallelism)
+                    .map(|p| state.solution.partition_records(p))
+                    .collect();
+                let workset = state
+                    .queues
+                    .iter()
+                    .map(|queue| {
+                        let mut records = Vec::with_capacity(queue.record_count());
+                        queue.for_each_ref(|record| records.push(record.clone()))?;
+                        Ok(records)
+                    })
+                    .collect::<std::io::Result<_>>()?;
+                Ok((solution, workset))
+            },
+            |state, restored| {
+                let mut rebuilt = SolutionSet::new(self.solution_key.clone(), parallelism)
+                    .with_router(router.clone());
+                if let Some(cmp) = &self.comparator {
+                    rebuilt = rebuilt.with_comparator(Arc::clone(cmp));
+                }
+                rebuilt.merge_all(restored.solution.into_iter().flatten());
+                state.solution = rebuilt;
+                // Snapshotted queues were already partition-routed when they
+                // were taken, so they reload as plain local records.
+                state.queues = restored
+                    .workset
+                    .into_iter()
+                    .map(ExchangedPartition::from_records)
+                    .collect();
+                // Checkpointing is rejected in cluster mode, so this is a
+                // single-process run and the local count *is* the global one.
+                state.pending = state
+                    .queues
+                    .iter()
+                    .map(|queue| queue.record_count() as u64)
+                    .sum();
+            },
+        )?;
 
-        let store = config
-            .checkpoint
-            .as_ref()
-            .map(|policy| CheckpointStore::new(&policy.dir, parallelism, config.fault.clone()));
-        let mut pending = PendingRecoveryStats::default();
-        // Checkpoint the initial consistent cut (superstep 0) so a failure in
-        // the very first superstep has something to restore.
-        if let Some(store) = &store {
-            match write_superstep_checkpoint(store, 0, &solution, &queues) {
-                Ok(bytes) => {
-                    pending.checkpoints_written += 1;
-                    pending.checkpoint_bytes += bytes as usize;
-                }
-                Err(error) => {
-                    eprintln!(
-                        "warning: checkpoint write for superstep 0 failed ({error}); \
-                         the run continues without an initial checkpoint"
-                    );
-                    pending.checkpoint_write_failures += 1;
-                }
-            }
-        }
-        // Consecutive failed attempts at the current superstep (reset on
-        // every success); bounded by the policy's retry budget.
-        let mut retries_used = 0usize;
-
-        while global_pending > 0 && superstep < config.max_supersteps {
-            let attempt = superstep + 1;
-            exchange_round += 1;
-            match self.superstep_once(
-                attempt,
-                exchange_round,
-                &comms,
-                &mut solution,
-                &mut queues,
-                &mut spare_queues,
-                &mut scratch,
-                &constant_index,
-                &comparator,
-                router,
-                &spill,
-                config,
-            ) {
-                Ok((mut stats, next_pending)) => {
-                    superstep = attempt;
-                    global_pending = next_pending;
-                    retries_used = 0;
-                    if let (Some(store), Some(policy)) = (&store, &config.checkpoint) {
-                        if superstep.is_multiple_of(policy.interval) {
-                            // A failed checkpoint is not fatal: it only
-                            // widens the window the next recovery replays —
-                            // but it must be counted, not silently absorbed.
-                            match write_superstep_checkpoint(store, superstep, &solution, &queues) {
-                                Ok(bytes) => {
-                                    pending.checkpoints_written += 1;
-                                    pending.checkpoint_bytes += bytes as usize;
-                                    store.prune(2);
-                                }
-                                Err(error) => {
-                                    eprintln!(
-                                        "warning: checkpoint write for superstep {superstep} \
-                                         failed ({error}); a recovery would replay from the \
-                                         previous checkpoint"
-                                    );
-                                    pending.checkpoint_write_failures += 1;
-                                }
-                            }
-                        }
-                    }
-                    pending.fold_into(&mut stats);
-                    run_stats.per_iteration.push(stats);
-                }
-                Err(error) => {
-                    // Without a checkpoint policy the failure is final and
-                    // surfaces as the typed error it already is.
-                    let (Some(store), Some(policy)) = (&store, &config.checkpoint) else {
-                        return Err(error);
-                    };
-                    retries_used += 1;
-                    pending.retries += 1;
-                    if retries_used > policy.max_retries {
-                        return Err(DataflowError::RecoveryExhausted {
-                            superstep: attempt,
-                            retries: policy.max_retries,
-                            last: Box::new(error),
-                        });
-                    }
-                    std::thread::sleep(policy.backoff_for(retries_used));
-                    // Roll back to the newest checkpoint at or before the
-                    // last completed superstep; corrupt or partial
-                    // checkpoints are skipped inside `restore_latest`.
-                    let Some(restored) = store.restore_latest(superstep) else {
-                        return Err(error);
-                    };
-                    let mut rebuilt = SolutionSet::new(self.solution_key.clone(), parallelism)
-                        .with_router(router.clone());
-                    if let Some(cmp) = &self.comparator {
-                        rebuilt = rebuilt.with_comparator(Arc::clone(cmp));
-                    }
-                    rebuilt.merge_all(restored.solution.into_iter().flatten());
-                    solution = rebuilt;
-                    // Snapshotted queues were already partition-routed when
-                    // they were taken, so they reload as plain local records.
-                    queues = restored
-                        .workset
-                        .into_iter()
-                        .map(|records| WorksetQueue {
-                            records,
-                            pages: Vec::new(),
-                            runs: Vec::new(),
-                        })
-                        .collect();
-                    // Checkpointing is rejected in cluster mode, so this is
-                    // a single-process run and the local count *is* the
-                    // global one.
-                    global_pending = queues.iter().map(|q| q.len() as u64).sum();
-                    run_stats.per_iteration.truncate(restored.superstep);
-                    superstep = restored.superstep;
-                    pending.recoveries += 1;
-                }
-            }
-        }
-        // Flush counters of trailing checkpoints/recoveries that no later
-        // superstep absorbed (e.g. the superstep-0 checkpoint of a run whose
-        // workset was empty).
-        if let Some(last) = run_stats.per_iteration.last_mut() {
-            pending.fold_into(last);
-        }
-        // The run is over; its checkpoints are dead weight on disk.
-        if let Some(store) = &store {
-            store.clear();
-        }
-
-        // The loop exits either because every queue drained cluster-wide
-        // (the fixpoint) or because the superstep bound truncated the run.
-        let converged = global_pending == 0;
-        run_stats.total_elapsed = start.elapsed();
         Ok(WorksetResult {
-            solution: solution.records(),
-            supersteps: superstep,
-            converged,
-            stats: run_stats,
+            solution: state.solution.records(),
+            supersteps: per_iteration.len(),
+            // The loop exits either because every queue drained cluster-wide
+            // (the fixpoint) or because the superstep bound truncated the
+            // run.
+            converged: state.pending == 0,
+            stats: IterationRunStats {
+                per_iteration,
+                total_elapsed: start.elapsed(),
+            },
         })
     }
 
     /// Runs one superstep across all partitions: consumes the queued
     /// worksets, applies deltas to the solution set, and exchanges the next
-    /// superstep's candidates back into `queues` through the transport
-    /// channel.  Returns the superstep's (cluster-agreed) stats and the
-    /// cluster-wide count of pending candidates after the exchange.  On
-    /// failure the solution partitions are restored (the pool waits for
-    /// every sibling task), but the queue contents of the failed superstep
-    /// are consumed — the caller recovers by restoring a checkpoint or
-    /// surfacing the error.  (A failure mid-exchange abandons the round's
-    /// partial channel state; `round` is never reused, so a retry starts
-    /// clean.)
+    /// superstep's candidates back into `state.queues` through the run's
+    /// channel (one fresh round per attempt).  Returns the superstep's
+    /// cluster-agreed stats and leaves the cluster-wide count of pending
+    /// candidates in `state.pending`.  On failure the solution partitions
+    /// are restored (the pool waits for every sibling task), but the queue
+    /// contents of the failed superstep are consumed — the caller recovers
+    /// by restoring a checkpoint or surfacing the error.  (A failure
+    /// mid-exchange abandons the round's partial channel state; the round
+    /// is never reused, so a retry starts clean.)
     #[allow(clippy::too_many_arguments)]
     fn superstep_once(
         &self,
         superstep: usize,
-        round: u64,
+        state: &mut SuperstepState,
         comms: &SuperstepComms,
-        solution: &mut SolutionSet,
-        queues: &mut Vec<WorksetQueue>,
-        spare_queues: &mut Vec<Vec<Record>>,
-        scratch: &mut [StepScratch],
         constant_index: &[FxHashMap<Key, Vec<Record>>],
         comparator: &Option<RecordComparator>,
         router: &PartitionRouter,
         spill: &SpillManager,
         config: &WorksetConfig,
-    ) -> Result<(IterationStats, u64)> {
+    ) -> Result<IterationStats> {
         let parallelism = config.parallelism;
         let step_start = Instant::now();
-        let mut next_queues: Vec<WorksetQueue> = Vec::with_capacity(parallelism);
-        for _ in 0..parallelism {
-            let mut q = spare_queues.pop().unwrap_or_default();
-            q.clear();
-            next_queues.push(WorksetQueue {
-                records: q,
-                pages: Vec::new(),
-                runs: Vec::new(),
-            });
-        }
-        let worksets = std::mem::replace(queues, next_queues);
-        let workset_size: usize = worksets.iter().map(WorksetQueue::len).sum();
+        state.round += 1;
+        let worksets = std::mem::take(&mut state.queues);
+        // This process's share of the superstep's counters (see
+        // `SuperstepTotals`); the cluster-wide row is agreed on below.
+        let workset_size: usize = worksets.iter().map(ExchangedPartition::record_count).sum();
+        let mut local = SuperstepTotals {
+            workset_size: workset_size as u64,
+            ..SuperstepTotals::default()
+        };
 
-        let mut solution_partitions = solution.take_partitions();
-        let microstep = config.mode == ExecutionMode::Microstep;
-        let page_native = !config.force_materialized;
-
+        let mut solution_partitions = state.solution.take_partitions();
         // Run the step function locally in every partition, one task per
         // partition on the persistent worker pool.  On the long tail
         // (hundreds of tiny supersteps) this dispatch — a deque push per
@@ -762,7 +698,7 @@ impl WorksetIteration {
             for (partition, (((s_part, workset), scratch), slot)) in solution_partitions
                 .iter_mut()
                 .zip(worksets)
-                .zip(scratch.iter_mut())
+                .zip(state.scratch.iter_mut())
                 .zip(output_slots.iter_mut())
                 .enumerate()
             {
@@ -776,10 +712,9 @@ impl WorksetIteration {
                         workset,
                         constant,
                         &comparator,
-                        microstep,
-                        page_native,
                         router,
                         spill,
+                        config,
                         scratch,
                     ));
                 });
@@ -788,7 +723,7 @@ impl WorksetIteration {
         // The pool waits for every task before `try_scope` returns, so the
         // partitions can always be handed back — even when a sibling task
         // panicked or failed.
-        solution.restore_partitions(solution_partitions);
+        state.solution.restore_partitions(solution_partitions);
         if let Err(panic) = scope_result {
             return Err(DataflowError::WorkerPanic {
                 operator: "workset-superstep".into(),
@@ -801,110 +736,57 @@ impl WorksetIteration {
             .map(|slot| slot.expect("pool ran every superstep partition"))
             .collect::<Result<Vec<PartitionOutput>>>()?;
 
-        // Exchange the new workset records (the superstep queue switch)
-        // through the transport channel.  Records that stayed in their
-        // partition are moved as heap objects; everything that crossed a
-        // partition boundary travels as sealed pages through the channel —
-        // pointer moves on the in-process backend, framed bytes on the wire
-        // — or, past the memory budget, as spilled-run handles whose bytes
-        // stay on this node's disk (runs bound for a remote process are
-        // rematerialized into pages, since the peer can't read them).
-        let mut stats = IterationStats::for_iteration(superstep);
-        stats.workset_size = workset_size;
-        for (partition, output) in outputs.into_iter().enumerate() {
-            stats.elements_inspected += output.inspected;
-            stats.elements_changed += output.changed;
-            stats.messages_sent += output.messages_sent;
-            stats.messages_shipped += output.messages_shipped;
-            let local = output.outbox_local;
-            if !local.is_empty() && queues[partition].records.is_empty() {
-                let drained = std::mem::replace(&mut queues[partition].records, local);
-                spare_queues.push(drained);
-            } else {
-                queues[partition].records.extend(local);
-            }
-            if comms.cluster.owns(partition, parallelism) {
-                for (target, writer) in output.outbox_remote.into_iter().enumerate() {
-                    let spilled = writer.finish()?;
-                    stats.spilled_bytes += spilled.stats.spilled_bytes;
-                    stats.spilled_runs += spilled.stats.spilled_runs;
-                    stats.queue_high_water = stats.queue_high_water.max(spilled.pages_high_water);
-                    if comms.cluster.owns(target, parallelism) {
-                        comms
-                            .channel
-                            .send(round, partition, target, spilled.pages)?;
-                        queues[target].runs.extend(spilled.runs);
-                    } else {
-                        let mut pages = spilled.pages;
-                        for run in &spilled.runs {
-                            pages.extend(run.read_pages()?);
-                        }
-                        comms.channel.send(round, partition, target, pages)?;
-                    }
-                }
-                comms.channel.finish_round(round, partition)?;
-            }
-            // Source partitions owned by other processes ran as empty
-            // no-ops here; their owners ship their pages and finish their
-            // rounds.
-            spare_queues.push(output.drained_workset);
-        }
-        for target in comms.cluster.owned_range(parallelism) {
-            // Blocks until every source partition — local and remote —
-            // finished the round; batches arrive ordered by source, the
-            // same source-major order the in-process exchange appends in.
-            for (_, pages) in comms.channel.recv(round, target)? {
-                queues[target].pages.extend(pages);
-            }
-        }
-        // Keep at most one recycled buffer per partition; the rest would
-        // otherwise accumulate (with their capacities) for the whole run.
-        spare_queues.truncate(parallelism);
-
-        // Agree on the superstep cluster-wide: one all-gather sums the
-        // per-process stats and pending-candidate counts, so every process
-        // records identical rows and takes the same convergence decision.
-        let local_pending: u64 = comms
+        // The superstep queue switch: every partition's outbox ships through
+        // the shared exchange layer, and what it delivers *is* the next
+        // superstep's queues.
+        let outboxes = outputs.into_iter().map(|output| {
+            local.inspected += output.inspected as u64;
+            local.changed += output.changed as u64;
+            output.outbox
+        });
+        let (queues, shipped) = exchange::ship(
+            outboxes,
+            parallelism,
+            &*comms.channel,
+            &comms.cluster,
+            state.round,
+        )?;
+        state.queues = queues;
+        local.sent = shipped.sent_records as u64;
+        local.shipped = shipped.shipped_records as u64;
+        local.spilled_bytes = shipped.spilled_bytes as u64;
+        local.spilled_runs = shipped.spilled_runs as u64;
+        local.queue_high_water = shipped.pages_high_water as u64;
+        local.pending = comms
             .cluster
             .owned_range(parallelism)
-            .map(|p| queues[p].len() as u64)
+            .map(|p| state.queues[p].record_count() as u64)
             .sum();
-        let local = [
-            stats.workset_size as u64,
-            stats.elements_inspected as u64,
-            stats.elements_changed as u64,
-            stats.messages_sent as u64,
-            stats.messages_shipped as u64,
-            stats.spilled_bytes as u64,
-            stats.spilled_runs as u64,
-            local_pending,
-            stats.queue_high_water as u64,
-        ];
-        let mut totals = [0u64; 9];
-        for values in config
-            .transport
-            .all_gather(comms.stats_channel, round, &local)?
+
+        // Agree on the superstep cluster-wide: one all-gather merges the
+        // per-process counters and pending-candidate counts, so every
+        // process records identical rows and takes the same convergence
+        // decision.
+        let mut totals = SuperstepTotals::default();
+        for slots in
+            config
+                .transport
+                .all_gather(comms.stats_channel, state.round, &local.to_slots())?
         {
-            for (slot, (total, value)) in totals.iter_mut().zip(&values).enumerate() {
-                // Slot 8 is the queue high-water mark, a maximum over the
-                // processes; every other counter sums.
-                if slot == 8 {
-                    *total = (*total).max(*value);
-                } else {
-                    *total += value;
-                }
-            }
+            totals.merge(&SuperstepTotals::from_slots(&slots));
         }
-        stats.workset_size = totals[0] as usize;
-        stats.elements_inspected = totals[1] as usize;
-        stats.elements_changed = totals[2] as usize;
-        stats.messages_sent = totals[3] as usize;
-        stats.messages_shipped = totals[4] as usize;
-        stats.spilled_bytes = totals[5] as usize;
-        stats.spilled_runs = totals[6] as usize;
-        stats.queue_high_water = totals[8] as usize;
+        let mut stats = IterationStats::for_iteration(superstep);
+        stats.workset_size = totals.workset_size as usize;
+        stats.elements_inspected = totals.inspected as usize;
+        stats.elements_changed = totals.changed as usize;
+        stats.messages_sent = totals.sent as usize;
+        stats.messages_shipped = totals.shipped as usize;
+        stats.spilled_bytes = totals.spilled_bytes as usize;
+        stats.spilled_runs = totals.spilled_runs as usize;
+        stats.queue_high_water = totals.queue_high_water as usize;
         stats.elapsed = step_start.elapsed();
-        Ok((stats, totals[7]))
+        state.pending = totals.pending;
+        Ok(stats)
     }
 
     /// Executes one superstep inside one partition.
@@ -913,32 +795,36 @@ impl WorksetIteration {
         &self,
         partition: usize,
         s_part: &mut PartitionIndex,
-        mut workset: WorksetQueue,
+        workset: ExchangedPartition,
         constant: &FxHashMap<Key, Vec<Record>>,
         comparator: &Option<RecordComparator>,
-        microstep: bool,
-        page_native: bool,
         router: &PartitionRouter,
         spill: &SpillManager,
+        config: &WorksetConfig,
         scratch: &mut StepScratch,
     ) -> Result<PartitionOutput> {
-        let mut output = PartitionOutput::new(router.parallelism(), spill);
+        let microstep = config.mode == ExecutionMode::Microstep;
         let StepScratch {
             expand: expand_buffer,
             deltas,
             page_scratch,
             freelist,
             pool,
-            pairs,
-            group,
+            grouping,
+            local_buffer,
         } = scratch;
-        // Page buffers recovered from the workset this partition consumed
-        // *last* superstep seed this superstep's outbox writers, closing the
-        // recycling loop: at steady state the exchange writes into buffers it
-        // drained one superstep earlier instead of allocating fresh pages.
-        for writer in &mut output.outbox_remote {
-            writer.add_spare_buffers(pool.take(2));
-        }
+        // The buffers this partition drained *last* superstep — its local
+        // queue and the pages of the workset it consumed — seed this
+        // superstep's outbox, closing the recycling loop: at steady state the
+        // exchange writes into memory it emptied one superstep earlier
+        // instead of allocating.
+        let mut outbox = Outbox::new(partition, router.parallelism(), spill);
+        outbox.seed(std::mem::take(local_buffer), pool);
+        let mut output = PartitionOutput {
+            outbox,
+            inspected: 0,
+            changed: 0,
+        };
 
         let mut apply_and_expand =
             |delta: Record, s_part: &mut PartitionIndex, output: &mut PartitionOutput| {
@@ -957,28 +843,35 @@ impl WorksetIteration {
                 self.expand.expand(&delta, matches, expand_buffer);
                 for record in expand_buffer.drain(..) {
                     let target = router.route(&record, &self.workset_key);
-                    output.messages_sent += 1;
-                    if target == partition {
-                        // Stays local: moved as a heap object, like a
-                        // chained operator.
-                        output.outbox_local.push(record);
-                    } else {
-                        // Leaves the partition: serialized into the target's
-                        // open page; the exchange will move sealed pages.
-                        output.messages_shipped += 1;
-                        output.outbox_remote[target].push(&record);
-                    }
+                    output.outbox.push(target, Cow::Owned(record));
                 }
             };
 
-        if microstep {
+        let paged = !microstep
+            && !config.force_materialized
+            && self.batch_group_paged(
+                &workset,
+                s_part,
+                pool,
+                grouping,
+                &mut apply_and_expand,
+                &mut output,
+            )?;
+        let (mut records, pages, runs, _) = workset.into_pieces();
+        if paged {
+            // Page-native InnerCoGroup: the candidates were grouped straight
+            // off their sealed pages (sorted by normalized key prefix, read
+            // into a bounded group scratch) and each update's delta was
+            // applied and expanded in place; only the deltas themselves
+            // touch heap records.  The consumed pages recycle into the pool.
+            pool.recycle_all(pages);
+        } else if microstep {
             // Match variant: one workset record at a time, updates visible
             // immediately.  Records that stayed local are consumed in place;
             // shipped candidates are deserialized straight out of the
             // received pages into the update/merge path through one reused
             // scratch record — delta application reads from pages without an
             // intermediate workset copy or per-record allocation.
-            let mut records = std::mem::take(&mut workset.records);
             let mut handle =
                 |record: &Record, s_part: &mut PartitionIndex, output: &mut PartitionOutput| {
                     output.inspected += 1;
@@ -995,7 +888,7 @@ impl WorksetIteration {
             for record in records.drain(..) {
                 handle(&record, s_part, &mut output);
             }
-            for page in &workset.pages {
+            for page in &pages {
                 for view in page.reader() {
                     view.read_into(page_scratch);
                     handle(page_scratch, s_part, &mut output);
@@ -1003,38 +896,14 @@ impl WorksetIteration {
             }
             // Spilled candidates stream straight off disk through the same
             // scratch record — the queue never materializes them.
-            for run in &workset.runs {
+            for run in &runs {
                 spill.fault().io_check(FaultSite::SpillRead)?;
                 let mut cursor = run.cursor()?;
                 while cursor.next_into(page_scratch)? {
                     handle(page_scratch, s_part, &mut output);
                 }
             }
-            // The consumed pages' buffers feed the next superstep's outbox
-            // writers (see the `add_spare_buffers` call above).
-            pool.recycle_all(workset.pages.drain(..));
-            output.drained_workset = records;
-        } else if page_native
-            && self.batch_group_paged(
-                &workset,
-                s_part,
-                pool,
-                pairs,
-                group,
-                &mut apply_and_expand,
-                &mut output,
-            )
-        {
-            // Page-native InnerCoGroup: the candidates were grouped straight
-            // off their sealed pages (sorted by normalized key prefix, read
-            // into a bounded group scratch) and each update's delta was
-            // applied and expanded in place; only the deltas themselves
-            // touch heap records.  The consumed pages recycle into the pool.
-            pool.recycle_all(workset.pages.drain(..));
-            let mut records = std::mem::take(&mut workset.records);
-            freelist.append(&mut records);
-            freelist.truncate(FREELIST_RECORDS);
-            output.drained_workset = records;
+            pool.recycle_all(pages);
         } else {
             // InnerCoGroup variant: materialize the partition's workset (the
             // local records are already owned; paged candidates are read out
@@ -1043,19 +912,18 @@ impl WorksetIteration {
             // run (no per-superstep map to build), one update per key,
             // deltas applied after the whole group pass (superstep semantics
             // — every lookup sees the previous superstep's state).
-            let mut records = std::mem::take(&mut workset.records);
-            records.reserve(workset.pages.iter().map(|p| p.record_count()).sum());
-            for page in &workset.pages {
+            records.reserve(pages.iter().map(|p| p.record_count()).sum());
+            for page in &pages {
                 for view in page.reader() {
                     let mut record = freelist.pop().unwrap_or_else(Record::empty);
                     view.read_into(&mut record);
                     records.push(record);
                 }
             }
-            pool.recycle_all(workset.pages.drain(..));
+            pool.recycle_all(pages);
             sort_by_key(&mut records, &self.workset_key);
             deltas.clear();
-            if workset.runs.is_empty() {
+            if runs.is_empty() {
                 for (group_start, group_end) in group_ranges(&records, &self.workset_key) {
                     output.inspected += 1;
                     let candidates = &records[group_start..group_end];
@@ -1073,7 +941,7 @@ impl WorksetIteration {
                 // whole pass (superstep semantics are unchanged).
                 spill.fault().io_check(FaultSite::SpillRead)?;
                 let merger = RunMerger::over_runs(
-                    &workset.runs,
+                    &runs,
                     std::mem::take(&mut records),
                     self.workset_key.clone(),
                 )?;
@@ -1094,26 +962,25 @@ impl WorksetIteration {
             for delta in deltas.drain(..) {
                 apply_and_expand(delta, s_part, &mut output);
             }
-            // Consumed workset records feed the freelist (bounded) so the
-            // next superstep's page materialization reuses their buffers.
-            freelist.append(&mut records);
-            freelist.truncate(FREELIST_RECORDS);
-            output.drained_workset = records;
         }
+        // Whatever local records the batch variants left feed the freelist
+        // (bounded) so the next superstep's page materialization reuses
+        // them; the drained queue buffer becomes the next superstep's outbox
+        // buffer.  Sealing here, inside the partition's task, lets the
+        // partitions' final flushes overlap.
+        freelist.append(&mut records);
+        freelist.truncate(FREELIST_RECORDS);
+        *local_buffer = records;
+        output.outbox.seal()?;
         Ok(output)
     }
 
     /// The page-native InnerCoGroup build: groups the partition's candidates
-    /// by key without materializing a heap record per candidate.  Local
-    /// records are serialized into a scratch paged store, shipped pages are
-    /// adopted by pointer, and every candidate becomes one `(normalized key
-    /// prefix, page handle)` pair.  Sorting the pairs is the key sort
-    /// (normalization is order-preserving and, for a single-`Long` key, the
-    /// prefix *is* the full key; the handle tiebreak keeps the sort stable),
-    /// so each key's candidates are contiguous and are read into a reused
-    /// group scratch only for the update call.  Each update's delta is
-    /// handed to `apply` (the caller's apply-and-expand) immediately: a key
-    /// is updated at most once per pass, so no probe can observe another
+    /// by key without materializing a heap record per candidate, through the
+    /// shared single-`Long`-key kernel
+    /// ([`dataflow::page::for_each_long_key_group`]).  Each update's delta
+    /// is handed to `apply` (the caller's apply-and-expand) immediately: a
+    /// key is updated at most once per pass, so no probe can observe another
     /// key's fresh delta and the in-place application is observably
     /// identical to the materializing path's collect-then-apply — same
     /// groups, same candidate order, same delta and emission order — while
@@ -1123,183 +990,35 @@ impl WorksetIteration {
     /// Returns `false` without touching `output` when the workset
     /// disqualifies the paged path (composite or non-`Long` key, no shipped
     /// pages to adopt, spilled runs that need the merging path); the caller
-    /// falls back to materializing.
-    #[allow(clippy::too_many_arguments)]
+    /// falls back to materializing the untouched workset.
     fn batch_group_paged(
         &self,
-        workset: &WorksetQueue,
+        workset: &ExchangedPartition,
         s_part: &mut PartitionIndex,
         pool: &mut PagePool,
-        pairs: &mut Vec<(u64, PageHandle)>,
-        group: &mut Vec<Record>,
+        grouping: &mut GroupScratch,
         mut apply: impl FnMut(Record, &mut PartitionIndex, &mut PartitionOutput),
         output: &mut PartitionOutput,
-    ) -> bool {
-        let [key_field] = self.workset_key[..] else {
-            return false;
-        };
+    ) -> std::io::Result<bool> {
         // Without shipped pages the paged path would serialize every local
         // record just to sort handles — the in-place heap sort is cheaper.
         // Spilled runs take the streaming merge-group path instead.
-        if workset.pages.is_empty() || !workset.runs.is_empty() {
-            return false;
+        if workset.page_count() == 0 || workset.spilled_run_count() > 0 {
+            return Ok(false);
         }
-        pairs.clear();
-        let mut store = PagedRecords::new();
-        store.add_spare_buffers(pool.take(2));
-        let mut complete = true;
-        for record in &workset.records {
-            let Some(Value::Long(v)) = record.fields().get(key_field) else {
-                complete = false;
-                break;
-            };
-            pairs.push((u64::from_be_bytes(normalize_long(*v)), store.append(record)));
-        }
-        if complete {
-            for page in &workset.pages {
-                complete = store.adopt_page_scanned(page, |handle, view| {
-                    match view.long_key_prefix(key_field) {
-                        Some(prefix) => {
-                            pairs.push((prefix, handle));
-                            true
-                        }
-                        None => false,
-                    }
-                });
-                if !complete {
-                    break;
+        for_each_long_key_group(
+            workset,
+            &self.workset_key,
+            grouping,
+            pool,
+            |key, candidates| {
+                output.inspected += 1;
+                let key = Key::long(key);
+                if let Some(delta) = self.update.update(&key, s_part.get(&key), candidates) {
+                    apply(delta, s_part, output);
                 }
-            }
-        }
-        if !complete {
-            // A non-`Long` key disqualified the page path mid-ingest; no
-            // group ran yet, so the fallback re-reads the untouched workset.
-            // Locally written page buffers are still worth recovering
-            // (adopted pages fail the refcount check and are just dropped).
-            pool.recycle_all(store.into_pages());
-            return false;
-        }
-        // The pair sort *is* the candidate sort: same key order as the
-        // heap-record sort (order-preserving normalization) and same
-        // candidate order within a key (handles are insertion-ordered).
-        pairs.sort_unstable();
-        let mut start = 0;
-        while start < pairs.len() {
-            let prefix = pairs[start].0;
-            let mut end = start + 1;
-            while end < pairs.len() && pairs[end].0 == prefix {
-                end += 1;
-            }
-            let len = end - start;
-            if group.len() < len {
-                group.resize_with(len, Record::empty);
-            }
-            for (slot, &(_, handle)) in group[..len].iter_mut().zip(&pairs[start..end]) {
-                store.view(handle).read_into(slot);
-            }
-            output.inspected += 1;
-            let key = Key::long(denormalize_long(prefix.to_be_bytes()));
-            if let Some(delta) = self.update.update(&key, s_part.get(&key), &group[..len]) {
-                apply(delta, s_part, output);
-            }
-            start = end;
-        }
-        // Locally written pages recycle; adopted pages are still co-owned by
-        // the queue (the caller recycles those after draining it).
-        pool.recycle_all(store.into_pages());
-        true
-    }
-}
-
-/// Checkpoint/recovery counters accumulated between successful supersteps and
-/// folded into the next pushed [`IterationStats`] row.
-#[derive(Default)]
-pub(crate) struct PendingRecoveryStats {
-    pub(crate) checkpoints_written: usize,
-    pub(crate) checkpoint_bytes: usize,
-    pub(crate) checkpoint_write_failures: usize,
-    pub(crate) recoveries: usize,
-    pub(crate) retries: usize,
-}
-
-impl PendingRecoveryStats {
-    /// Moves the accumulated counters into `stats` and resets them.
-    pub(crate) fn fold_into(&mut self, stats: &mut IterationStats) {
-        stats.checkpoints_written += self.checkpoints_written;
-        stats.checkpoint_bytes += self.checkpoint_bytes;
-        stats.checkpoint_write_failures += self.checkpoint_write_failures;
-        stats.recoveries += self.recoveries;
-        stats.retries += self.retries;
-        *self = PendingRecoveryStats::default();
-    }
-}
-
-/// Materializes one partition's pending workset queue into plain records for
-/// a checkpoint snapshot: local records are cloned, sealed pages and spilled
-/// runs are read back.  The live queue is left untouched.
-fn snapshot_queue(queue: &WorksetQueue) -> std::io::Result<Vec<Record>> {
-    let mut records = queue.records.clone();
-    records.reserve(queue.pages.iter().map(|p| p.record_count()).sum());
-    for page in &queue.pages {
-        for view in page.reader() {
-            let mut record = Record::empty();
-            view.read_into(&mut record);
-            records.push(record);
-        }
-    }
-    let mut scratch = Record::empty();
-    for run in &queue.runs {
-        let mut cursor = run.cursor()?;
-        while cursor.next_into(&mut scratch)? {
-            records.push(scratch.clone());
-        }
-    }
-    Ok(records)
-}
-
-/// Snapshots the solution set and the pending workset queues as the given
-/// superstep's checkpoint, returning the bytes written.
-fn write_superstep_checkpoint(
-    store: &CheckpointStore,
-    superstep: usize,
-    solution: &SolutionSet,
-    queues: &[WorksetQueue],
-) -> std::io::Result<u64> {
-    let solution_parts: Vec<Vec<Record>> = (0..queues.len())
-        .map(|p| solution.partition_records(p))
-        .collect();
-    let workset_parts = queues
-        .iter()
-        .map(snapshot_queue)
-        .collect::<std::io::Result<Vec<_>>>()?;
-    store.write(superstep, &solution_parts, &workset_parts)
-}
-
-/// One partition's incoming workset for a superstep: candidate records that
-/// never left the partition (moved as heap objects), the sealed pages
-/// shipped from peer partitions, and any candidate runs that spilled to disk
-/// under the memory budget.
-#[derive(Default)]
-pub(crate) struct WorksetQueue {
-    pub(crate) records: Vec<Record>,
-    pub(crate) pages: Vec<Arc<RecordPage>>,
-    pub(crate) runs: Vec<SpilledRun>,
-}
-
-impl WorksetQueue {
-    fn with_capacity(records: usize) -> Self {
-        WorksetQueue {
-            records: Vec::with_capacity(records),
-            pages: Vec::new(),
-            runs: Vec::new(),
-        }
-    }
-
-    /// Total candidate records queued.
-    pub(crate) fn len(&self) -> usize {
-        self.records.len()
-            + self.pages.iter().map(|p| p.record_count()).sum::<usize>()
-            + self.runs.iter().map(|r| r.record_count()).sum::<usize>()
+            },
+        )
     }
 }
 
@@ -1312,7 +1031,7 @@ const FREELIST_RECORDS: usize = 4096;
 const POOL_PAGES: usize = 64;
 
 /// Per-partition buffers reused across supersteps by the workset driver.
-pub(crate) struct StepScratch {
+struct StepScratch {
     /// Buffer handed to the expand UDF.
     expand: Vec<Record>,
     /// Delta records of the current superstep (batch-incremental mode).
@@ -1326,11 +1045,14 @@ pub(crate) struct StepScratch {
     /// next superstep's outbox writers (and to the page-native grouping
     /// store), so steady-state supersteps allocate no new pages.
     pool: PagePool,
-    /// `(normalized key prefix, handle)` pairs of the page-native grouping.
-    pairs: Vec<(u64, PageHandle)>,
-    /// Group scratch records the page-native grouping deserializes each
-    /// key's candidates into (grows to the largest group, then stays).
-    group: Vec<Record>,
+    /// Pair and group buffers of the page-native grouping (grow to the
+    /// largest workset and group, then stay).
+    grouping: GroupScratch,
+    /// The local queue this partition drained last superstep (empty, its
+    /// capacity kept): the next superstep's outbox collects its local
+    /// records into it, so the two buffers alternate instead of one being
+    /// allocated per superstep.
+    local_buffer: Vec<Record>,
 }
 
 impl Default for StepScratch {
@@ -1341,8 +1063,8 @@ impl Default for StepScratch {
             page_scratch: Record::empty(),
             freelist: Vec::new(),
             pool: PagePool::with_limit(POOL_PAGES),
-            pairs: Vec::new(),
-            group: Vec::new(),
+            grouping: GroupScratch::default(),
+            local_buffer: Vec::new(),
         }
     }
 }
@@ -1361,33 +1083,85 @@ struct SuperstepComms {
     stats_channel: ChannelId,
 }
 
-/// What one partition produces during a superstep.
-pub(crate) struct PartitionOutput {
-    /// New workset records that stay in this partition (next superstep's
-    /// local queue; moved, never serialized).
-    pub(crate) outbox_local: Vec<Record>,
-    /// One budgeted page writer per peer partition; the superstep exchange
-    /// seals and moves the in-memory pages and the spilled-run handles.
-    pub(crate) outbox_remote: Vec<SpillingWriter>,
-    /// The (now empty) workset buffer, handed back for reuse as a queue.
-    pub(crate) drained_workset: Vec<Record>,
-    pub(crate) inspected: usize,
-    pub(crate) changed: usize,
-    pub(crate) messages_sent: usize,
-    pub(crate) messages_shipped: usize,
+/// Everything a superstep reads and replaces — the state a checkpoint
+/// snapshots and a recovery reinstalls, plus the buffers that ride along.
+struct SuperstepState {
+    solution: SolutionSet,
+    /// One pending workset per partition: what the last exchange delivered.
+    queues: Vec<ExchangedPartition>,
+    /// Cluster-wide count of pending candidates; the run ends at 0.
+    pending: u64,
+    /// Round of the run's channel the last attempt used; every attempt —
+    /// successful or not — takes the next one.
+    round: u64,
+    scratch: Vec<StepScratch>,
 }
 
-impl PartitionOutput {
-    pub(crate) fn new(parallelism: usize, spill: &SpillManager) -> Self {
-        PartitionOutput {
-            outbox_local: Vec::new(),
-            outbox_remote: (0..parallelism).map(|_| spill.writer()).collect(),
-            drained_workset: Vec::new(),
-            inspected: 0,
-            changed: 0,
-            messages_sent: 0,
-            messages_shipped: 0,
+/// What one partition produces during a superstep: its routed candidates
+/// plus the join counters.
+struct PartitionOutput {
+    outbox: Outbox,
+    inspected: usize,
+    changed: usize,
+}
+
+/// The per-superstep counters a cluster agrees on through one `all_gather`.
+/// The slot order is the wire format — every process of a cluster must run
+/// the same build, and the `mini_cluster` traces pin it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SuperstepTotals {
+    workset_size: u64,
+    inspected: u64,
+    changed: u64,
+    sent: u64,
+    shipped: u64,
+    spilled_bytes: u64,
+    spilled_runs: u64,
+    pending: u64,
+    queue_high_water: u64,
+}
+
+impl SuperstepTotals {
+    fn to_slots(self) -> [u64; 9] {
+        [
+            self.workset_size,
+            self.inspected,
+            self.changed,
+            self.sent,
+            self.shipped,
+            self.spilled_bytes,
+            self.spilled_runs,
+            self.pending,
+            self.queue_high_water,
+        ]
+    }
+
+    fn from_slots(slots: &[u64]) -> SuperstepTotals {
+        SuperstepTotals {
+            workset_size: slots[0],
+            inspected: slots[1],
+            changed: slots[2],
+            sent: slots[3],
+            shipped: slots[4],
+            spilled_bytes: slots[5],
+            spilled_runs: slots[6],
+            pending: slots[7],
+            queue_high_water: slots[8],
         }
+    }
+
+    /// Folds another process's counters in: every counter sums, except the
+    /// queue high-water mark, which is a maximum over the processes.
+    fn merge(&mut self, other: &SuperstepTotals) {
+        self.workset_size += other.workset_size;
+        self.inspected += other.inspected;
+        self.changed += other.changed;
+        self.sent += other.sent;
+        self.shipped += other.shipped;
+        self.spilled_bytes += other.spilled_bytes;
+        self.spilled_runs += other.spilled_runs;
+        self.pending += other.pending;
+        self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
     }
 }
 
@@ -1423,6 +1197,7 @@ impl WorksetIterationBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataflow::page::RecordPage;
 
     /// A tiny "propagate the minimum" iteration over a 4-vertex path graph
     /// 0 - 1 - 2 - 3: solution records are (vid, value), workset records are
@@ -1841,6 +1616,19 @@ mod tests {
         // Later checkpoints (the injector fires exactly once) still landed.
         assert!(result.stats.total_checkpoints_written() >= 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn superstep_totals_sum_every_counter_but_take_the_high_water_maximum() {
+        let a = SuperstepTotals::from_slots(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        let b = SuperstepTotals::from_slots(&[10, 20, 30, 40, 50, 60, 70, 80, 4]);
+        assert_eq!(a.to_slots(), [1, 2, 3, 4, 5, 6, 7, 8, 9], "slot order");
+        assert_eq!(a.queue_high_water, 9);
+        assert_eq!(a.pending, 8);
+        let mut merged = SuperstepTotals::default();
+        merged.merge(&a);
+        merged.merge(&b);
+        assert_eq!(merged.to_slots(), [11, 22, 33, 44, 55, 66, 77, 88, 9]);
     }
 
     #[test]

@@ -1,0 +1,559 @@
+//! The exchange layer: how records leave a producer partition and arrive at
+//! a consumer partition.
+//!
+//! Both engines run on this one mechanism.  The batch executor's hash/range
+//! repartitioning ([`crate::exec`]) and the workset driver's superstep queue
+//! switch (`spinning_core::workset`) each fill one [`Outbox`] per producer
+//! partition and hand them to [`ship`]; what differs between them — which
+//! router picks the target, how often the channel is reused, what happens to
+//! the delivered [`ExchangedPartition`]s — stays with the caller.  This is
+//! the paper's Figures 5–6: the loop body `Δ` is an ordinary dataflow on the
+//! ordinary runtime exchange, and only feedback and the constant-path cache
+//! are special.
+//!
+//! # Invariants
+//!
+//! The shared code keeps the properties both call sites depend on:
+//!
+//! * **Local records are never serialised.**  A record routed to its own
+//!   partition is moved into the outbox's heap buffer and delivered as a heap
+//!   [`Record`], like a chained operator; only records bound for a peer are
+//!   written into that target's budgeted [`SpillingWriter`].
+//! * **The channel and its rounds belong to the caller.**  [`ship`] sends,
+//!   finishes and receives exactly one `round` of the channel it is given.
+//!   The executor opens a fresh channel per exchange and ships round 0; the
+//!   workset driver keeps *one* channel for the whole run and passes
+//!   monotonically increasing round numbers, so a near-empty superstep costs
+//!   no channel setup and a failed attempt can never pollute its retry.
+//! * **Buffers recycle.**  [`Outbox::seed`] installs the local buffer and the
+//!   page buffers ([`PagePool`]) the previous round drained, so a
+//!   steady-state superstep writes into memory it emptied one round earlier
+//!   and allocates nothing.
+//! * **Sort-on-flush is the spill manager's decision.**  Writers come from
+//!   the caller's [`SpillManager`]: batch-incremental supersteps and executor
+//!   exchanges flush runs sorted on the exchange key, microsteps flush
+//!   unsorted.
+//! * **Delivery order is source-major.**  A consumer partition sees its own
+//!   local records, then the pages of every source in source order, then the
+//!   spilled runs of every source in source order — the order the
+//!   single-process oracle produces, on which byte-identity of solutions and
+//!   per-superstep traces rests.
+//! * **Disk is node-local.**  Spilled-run handles move directly to targets
+//!   this process owns; runs bound for a remote process are read back and
+//!   shipped as pages.  Source partitions owned by other processes are
+//!   neither shipped nor finished here — their owners do that — and a
+//!   producer narrower than the consumer still closes the round for the
+//!   sources it does not have.
+
+use crate::error::Result;
+use crate::page::{ExchangedPartition, PagePool, RecordPage};
+use crate::record::Record;
+use crate::spill::{SpillManager, SpillOutput, SpillingWriter};
+use crate::transport::PageChannel;
+use comm::ClusterSpec;
+use std::borrow::Cow;
+
+/// What one producer partition routed during one exchange round: the records
+/// that stay in the partition and one budgeted page writer per target.
+#[derive(Debug)]
+pub struct Outbox {
+    source: usize,
+    local: Vec<Record>,
+    /// One writer per target partition, indexed by target (the source's own
+    /// slot stays empty); drained into `sealed` by [`Outbox::seal`].
+    writers: Vec<SpillingWriter>,
+    sealed: Vec<SpillOutput>,
+    sent_records: usize,
+    shipped_records: usize,
+    shipped_bytes: usize,
+}
+
+impl Outbox {
+    /// An empty outbox of producer partition `source` routing to `targets`
+    /// consumer partitions under `spill`'s budget, credits and flush order.
+    pub fn new(source: usize, targets: usize, spill: &SpillManager) -> Outbox {
+        Outbox {
+            source,
+            local: Vec::new(),
+            writers: (0..targets).map(|_| spill.writer()).collect(),
+            sealed: Vec::new(),
+            sent_records: 0,
+            shipped_records: 0,
+            shipped_bytes: 0,
+        }
+    }
+
+    /// Installs buffers the previous round drained: `local` (emptied, its
+    /// capacity kept) becomes the local record buffer and every peer writer
+    /// takes up to two page buffers from `pool`.
+    pub fn seed(&mut self, mut local: Vec<Record>, pool: &mut PagePool) {
+        local.clear();
+        self.local = local;
+        for (target, writer) in self.writers.iter_mut().enumerate() {
+            if target != self.source {
+                writer.add_spare_buffers(pool.take(2));
+            }
+        }
+    }
+
+    /// Routes one record to `target`: moved into the local buffer when it
+    /// stays in the source partition (cloned only if borrowed), serialised
+    /// into the target's writer otherwise.
+    #[inline]
+    pub fn push(&mut self, target: usize, record: Cow<'_, Record>) {
+        self.sent_records += 1;
+        if target == self.source {
+            self.local.push(record.into_owned());
+        } else {
+            self.shipped_records += 1;
+            self.shipped_bytes += self.writers[target].push(&record);
+        }
+    }
+
+    /// Seals every writer, applying the budget one last time.  Producers
+    /// call this at the end of their own task so the final flushes of
+    /// different partitions overlap; [`ship`] seals whatever was left open.
+    /// Surfaces the first I/O error a mid-stream flush held back.
+    pub fn seal(&mut self) -> std::io::Result<()> {
+        self.sealed.reserve_exact(self.writers.len());
+        for writer in self.writers.drain(..) {
+            self.sealed.push(writer.finish()?);
+        }
+        Ok(())
+    }
+}
+
+/// Counters of one shipped round, summed over its outboxes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShipStats {
+    /// Records routed, local and shipped.
+    pub sent_records: usize,
+    /// Records serialised for a peer partition.
+    pub shipped_records: usize,
+    /// Exact serialised bytes of the shipped records.
+    pub shipped_bytes: usize,
+    /// In-memory pages handed to targets this process owns.
+    pub shipped_pages: usize,
+    /// Bytes the writers moved to disk.
+    pub spilled_bytes: usize,
+    /// Runs the writers created.
+    pub spilled_runs: usize,
+    /// Most sealed pages any one writer held in memory at once.
+    pub pages_high_water: usize,
+}
+
+/// Ships one round: every outbox's local records move to their own consumer
+/// partition, its pages travel through `channel`, its spilled runs move by
+/// handle (or, for a remote target, as pages), and every consumer partition
+/// this process owns gathers what all sources addressed to it.  `outboxes`
+/// arrive in source order, one per producer partition starting at 0; the
+/// result holds `targets` partitions, of which only the owned ones receive.
+pub fn ship(
+    outboxes: impl IntoIterator<Item = Outbox>,
+    targets: usize,
+    channel: &dyn PageChannel<RecordPage>,
+    cluster: &ClusterSpec,
+    round: u64,
+) -> Result<(Vec<ExchangedPartition>, ShipStats)> {
+    let mut inboxes: Vec<ExchangedPartition> = Vec::new();
+    inboxes.resize_with(targets, ExchangedPartition::default);
+    let mut stats = ShipStats::default();
+    let mut sources = 0;
+    for mut outbox in outboxes {
+        debug_assert_eq!(outbox.source, sources, "outboxes arrive in source order");
+        sources += 1;
+        outbox.seal()?;
+        let source = outbox.source;
+        stats.sent_records += outbox.sent_records;
+        stats.shipped_records += outbox.shipped_records;
+        stats.shipped_bytes += outbox.shipped_bytes;
+        if !outbox.local.is_empty() {
+            inboxes[source].receive_local(outbox.local);
+        }
+        if !cluster.owns(source, targets) {
+            continue;
+        }
+        for (target, output) in outbox.sealed.into_iter().enumerate() {
+            stats.spilled_bytes += output.stats.spilled_bytes;
+            stats.spilled_runs += output.stats.spilled_runs;
+            stats.pages_high_water = stats.pages_high_water.max(output.pages_high_water);
+            let mut pages = output.pages;
+            if cluster.owns(target, targets) {
+                stats.shipped_pages += pages.len();
+                inboxes[target].receive_runs(output.runs);
+            } else {
+                for run in &output.runs {
+                    pages.extend(run.read_pages()?);
+                }
+            }
+            channel.send(round, source, target, pages)?;
+        }
+        channel.finish_round(round, source)?;
+    }
+    for source in sources..targets {
+        if cluster.owns(source, targets) {
+            channel.finish_round(round, source)?;
+        }
+    }
+    for target in cluster.owned_range(targets) {
+        for (_, pages) in channel.recv(round, target)? {
+            inboxes[target].receive_pages(pages);
+        }
+    }
+    Ok((inboxes, stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::FaultInjector;
+    use crate::range::{sample_keys_into, PartitionRouter, RangeBounds};
+    use crate::spill::MemoryBudget;
+    use crate::transport::TransportHandle;
+    use std::path::PathBuf;
+    use std::sync::Arc;
+
+    const PARTITIONS: usize = 4;
+
+    /// The producer side: 3000 skewed keyed records, round-robin over the
+    /// source partitions.
+    fn producer() -> Vec<Vec<Record>> {
+        let mut parts = vec![Vec::new(); PARTITIONS];
+        for i in 0..3000i64 {
+            parts[i as usize % PARTITIONS].push(Record::pair((i * 7919) % 997 - 300, i));
+        }
+        parts
+    }
+
+    fn hash_router() -> PartitionRouter {
+        PartitionRouter::hash(PARTITIONS)
+    }
+
+    fn range_router() -> PartitionRouter {
+        let mut sample = Vec::new();
+        for part in &producer() {
+            sample_keys_into(&mut sample, part, &[0]);
+        }
+        PartitionRouter::range(
+            Arc::new(RangeBounds::from_sample(sample, PARTITIONS)),
+            PARTITIONS,
+        )
+    }
+
+    /// What a naive per-record exchange delivers, in the exchange's delivery
+    /// order: per target, the records that never left it, then the other
+    /// sources' records in source order.
+    fn reference(router: &PartitionRouter) -> Vec<Vec<Record>> {
+        let mut stayed = vec![Vec::new(); PARTITIONS];
+        let mut arrived = vec![Vec::new(); PARTITIONS];
+        for (source, part) in producer().into_iter().enumerate() {
+            for record in part {
+                let target = router.route(&record, &[0]);
+                if target == source {
+                    stayed[target].push(record);
+                } else {
+                    arrived[target].push(record);
+                }
+            }
+        }
+        stayed
+            .into_iter()
+            .zip(arrived)
+            .map(|(mut stayed, arrived)| {
+                stayed.extend(arrived);
+                stayed
+            })
+            .collect()
+    }
+
+    fn spill_dir(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "spinning-exchange-test-{}-{name}",
+            std::process::id()
+        ))
+    }
+
+    /// The three memory regimes of the matrix; tiny pages so every one of
+    /// them seals (and, where configured, spills) many times.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Regime {
+        Unlimited,
+        BudgetZero,
+        TwoCredits,
+    }
+
+    fn spill_manager(regime: Regime, dir: PathBuf) -> SpillManager {
+        let budget = match regime {
+            Regime::BudgetZero => MemoryBudget::bytes(0),
+            _ => MemoryBudget::unlimited(),
+        };
+        SpillManager::in_dir(dir, budget, None)
+            .with_page_bytes(256)
+            .with_page_credits((regime == Regime::TwoCredits).then_some(2))
+    }
+
+    /// Routes the producer partitions `owned` by this process into outboxes
+    /// (partitions of other processes stay empty, as in an SPMD superstep)
+    /// and ships them as `round` of `channel`.
+    fn exchange_once(
+        router: &PartitionRouter,
+        spill: &SpillManager,
+        transport: &TransportHandle,
+        round: u64,
+    ) -> (Vec<ExchangedPartition>, ShipStats) {
+        let cluster = transport.cluster();
+        let channel = transport.fresh_channel(PARTITIONS);
+        let outboxes = producer().into_iter().enumerate().map(|(source, records)| {
+            let mut outbox = Outbox::new(source, PARTITIONS, spill);
+            if cluster.owns(source, PARTITIONS) {
+                for record in records {
+                    outbox.push(router.route(&record, &[0]), Cow::Owned(record));
+                }
+            }
+            outbox
+        });
+        ship(outboxes, PARTITIONS, &*channel, &cluster, round).expect("exchange")
+    }
+
+    /// The delivered records of every partition, in delivery order.
+    fn delivered(parts: &[ExchangedPartition]) -> Vec<Vec<Record>> {
+        parts
+            .iter()
+            .map(|part| {
+                let mut records = Vec::new();
+                part.for_each_ref(|record| records.push(record.clone()))
+                    .expect("readable");
+                records
+            })
+            .collect()
+    }
+
+    fn sorted(mut parts: Vec<Vec<Record>>) -> Vec<Vec<Record>> {
+        parts.iter_mut().for_each(|part| part.sort());
+        parts
+    }
+
+    fn assert_no_spill_files(dir: &PathBuf) {
+        let leaked: Vec<_> = std::fs::read_dir(dir)
+            .map(|entries| entries.flatten().map(|e| e.path()).collect())
+            .unwrap_or_default();
+        assert!(leaked.is_empty(), "spill files leaked: {leaked:?}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Binds an ephemeral port and frees it: a coordinator address parallel
+    /// tests cannot collide on.
+    fn free_coordinator_addr() -> String {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        drop(listener);
+        addr
+    }
+
+    /// Runs the exchange as a 2-process TCP cluster (two endpoints in
+    /// threads, real sockets) and returns each target partition as its owner
+    /// received it, plus the per-process stats.
+    fn exchange_over_tcp(
+        router: &PartitionRouter,
+        regime: Regime,
+        name: &str,
+    ) -> (Vec<ExchangedPartition>, Vec<ShipStats>, Vec<PathBuf>) {
+        let coordinator = free_coordinator_addr();
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|index| {
+                    let coordinator = coordinator.clone();
+                    scope.spawn(move || {
+                        let spec = ClusterSpec::new(2, index).expect("spec");
+                        let transport = TransportHandle::tcp_cluster(
+                            spec,
+                            &coordinator,
+                            &FaultInjector::disabled(),
+                        )
+                        .expect("cluster connects");
+                        let dir = spill_dir(&format!("{name}-tcp{index}"));
+                        let spill = spill_manager(regime, dir.clone());
+                        let (parts, stats) = exchange_once(router, &spill, &transport, 1);
+                        (spec, parts, stats, dir)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("worker thread"))
+                .collect()
+        });
+        let (mut owned, mut stats, mut dirs) = (Vec::new(), Vec::new(), Vec::new());
+        for (spec, parts, process_stats, dir) in results {
+            for (target, part) in parts.into_iter().enumerate() {
+                if spec.owns(target, PARTITIONS) {
+                    owned.push(part);
+                } else {
+                    assert!(part.is_empty(), "partition {target} belongs to the peer");
+                }
+            }
+            stats.push(process_stats);
+            dirs.push(dir);
+        }
+        (owned, stats, dirs)
+    }
+
+    #[test]
+    fn every_router_regime_and_transport_delivers_the_same_records() {
+        for (router, router_name) in [(hash_router(), "hash"), (range_router(), "range")] {
+            let expected = reference(&router);
+            let total: usize = expected.iter().map(Vec::len).sum();
+            for regime in [Regime::Unlimited, Regime::BudgetZero, Regime::TwoCredits] {
+                let name = format!("{router_name}-{regime:?}");
+                let dir = spill_dir(&name);
+                let spill = spill_manager(regime, dir.clone());
+                let (local_parts, local_stats) =
+                    exchange_once(&router, &spill, &TransportHandle::local(), 0);
+                let local = delivered(&local_parts);
+                assert_eq!(sorted(local.clone()), sorted(expected.clone()), "{name}");
+                assert_eq!(local_stats.sent_records, total, "{name}");
+                match regime {
+                    Regime::Unlimited => {
+                        // Nothing spills: local records, then pages by source.
+                        assert_eq!(local, expected, "{name}");
+                        assert_eq!(local_stats.spilled_runs, 0, "{name}");
+                        assert!(local_stats.shipped_pages > 0, "{name}");
+                    }
+                    Regime::BudgetZero => {
+                        // Everything shipped spills; runs arrive by source
+                        // too, so the order is still the reference order.
+                        assert_eq!(local, expected, "{name}");
+                        assert_eq!(local_stats.shipped_pages, 0, "{name}");
+                        assert!(local_stats.spilled_runs > 0, "{name}");
+                    }
+                    Regime::TwoCredits => {
+                        assert!(local_stats.spilled_runs > 0, "{name}");
+                        assert!(local_stats.pages_high_water <= 2, "{name}");
+                    }
+                }
+
+                let (tcp_parts, tcp_stats, tcp_dirs) = exchange_over_tcp(&router, regime, &name);
+                let tcp = delivered(&tcp_parts);
+                assert_eq!(sorted(tcp.clone()), sorted(expected.clone()), "{name}");
+                if regime == Regime::Unlimited {
+                    assert_eq!(tcp, local, "{name}: the wire must not reorder");
+                }
+                // The cluster's counters add up to the single-process ones.
+                let sum = |f: fn(&ShipStats) -> usize| tcp_stats.iter().map(f).sum::<usize>();
+                assert_eq!(sum(|s| s.sent_records), local_stats.sent_records, "{name}");
+                assert_eq!(
+                    sum(|s| s.shipped_records),
+                    local_stats.shipped_records,
+                    "{name}"
+                );
+                assert_eq!(
+                    sum(|s| s.shipped_bytes),
+                    local_stats.shipped_bytes,
+                    "{name}"
+                );
+                assert_eq!(sum(|s| s.spilled_runs), local_stats.spilled_runs, "{name}");
+
+                drop((local_parts, tcp_parts));
+                for dir in tcp_dirs.iter().chain([&dir]) {
+                    assert_no_spill_files(dir);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_remote_targets_spilled_runs_arrive_as_pages() {
+        let router = hash_router();
+        let (parts, _, dirs) = exchange_over_tcp(&router, Regime::BudgetZero, "remote-runs");
+        // Budget 0 spills every shipped page.  Disk is node-local, so each
+        // partition holds run handles only from its own process's sources
+        // and received the peer's runs rematerialised as pages.
+        for (target, part) in parts.iter().enumerate() {
+            assert!(part.page_count() > 0, "partition {target} got no pages");
+            assert!(
+                part.spilled_run_count() > 0,
+                "partition {target} got no runs"
+            );
+            let from_peer: usize = part.pages().iter().map(|p| p.record_count()).sum();
+            let expected_from_peer = producer()
+                .iter()
+                .enumerate()
+                .filter(|(source, _)| source / 2 != target / 2)
+                .flat_map(|(_, records)| records)
+                .filter(|record| router.route(record, &[0]) == target)
+                .count();
+            assert_eq!(from_peer, expected_from_peer, "partition {target}");
+        }
+        drop(parts);
+        dirs.iter().for_each(assert_no_spill_files);
+    }
+
+    #[test]
+    fn a_producer_narrower_than_the_consumer_still_closes_the_round() {
+        // Two producer partitions, four consumer partitions: without the
+        // end-of-round of the two missing sources the receivers would wait
+        // for the channel timeout instead of returning.
+        let router = hash_router();
+        let spill = SpillManager::in_dir(spill_dir("narrow"), MemoryBudget::unlimited(), None);
+        let transport = TransportHandle::local();
+        let channel = transport.fresh_channel(PARTITIONS);
+        let narrow: Vec<Vec<Record>> = producer().into_iter().take(2).collect();
+        let outboxes = narrow.iter().enumerate().map(|(source, records)| {
+            let mut outbox = Outbox::new(source, PARTITIONS, &spill);
+            for record in records {
+                outbox.push(router.route(record, &[0]), Cow::Borrowed(record));
+            }
+            outbox
+        });
+        let (parts, stats) =
+            ship(outboxes, PARTITIONS, &*channel, &transport.cluster(), 0).expect("exchange");
+        assert_eq!(parts.len(), PARTITIONS);
+        let sent: usize = narrow.iter().map(Vec::len).sum();
+        assert_eq!(stats.sent_records, sent);
+        assert_eq!(
+            parts
+                .iter()
+                .map(ExchangedPartition::record_count)
+                .sum::<usize>(),
+            sent
+        );
+        for (target, records) in delivered(&parts).iter().enumerate() {
+            assert!(records.iter().all(|r| router.route(r, &[0]) == target));
+        }
+    }
+
+    #[test]
+    fn seeded_buffers_are_written_into_and_local_records_never_serialise() {
+        let spill = SpillManager::in_dir(spill_dir("seed"), MemoryBudget::unlimited(), None);
+        let mut pool = PagePool::with_limit(8);
+        let mut writer = crate::page::PageWriter::new();
+        writer.push(&Record::pair(1, 1));
+        pool.recycle_all(writer.finish());
+        assert_eq!(pool.len(), 1);
+        let local_buffer: Vec<Record> = Vec::with_capacity(64);
+        let buffer_ptr = local_buffer.as_ptr();
+
+        let mut outbox = Outbox::new(0, 2, &spill);
+        outbox.seed(local_buffer, &mut pool);
+        assert!(pool.is_empty(), "the peer writer took the pooled buffer");
+        outbox.push(0, Cow::Owned(Record::pair(7, 7)));
+        outbox.push(1, Cow::Owned(Record::pair(8, 8)));
+        let transport = TransportHandle::local();
+        let channel = transport.fresh_channel(2);
+        let (parts, stats) =
+            ship([outbox], 2, &*channel, &transport.cluster(), 0).expect("exchange");
+        assert_eq!(
+            (
+                stats.sent_records,
+                stats.shipped_records,
+                stats.shipped_pages
+            ),
+            (2, 1, 1)
+        );
+        assert_eq!(parts[0].local_records(), &[Record::pair(7, 7)]);
+        assert_eq!(parts[0].local_records().as_ptr(), buffer_ptr);
+        assert_eq!(parts[0].page_count(), 0);
+        assert!(parts[1].local_records().is_empty());
+        assert_eq!(parts[1].page_count(), 1);
+    }
+}

@@ -24,27 +24,35 @@
 //! fusion (and the page-native operator paths), pinning every streaming path
 //! byte-identical to the materializing oracle.
 //!
-//! # Exchanges move sealed pages
+//! # Exchanges
 //!
-//! Repartitioning (hash/range) and broadcast exchanges follow the paged
-//! binary model of [`crate::page`]: every producer partition routes its
-//! records in parallel on the worker pool, records that stay in their
-//! partition are *moved* as heap objects (a local forward never serializes,
-//! like a chained operator in the real runtime), and records bound for a
-//! peer partition are serialized into sealed [`RecordPage`]s.  The exchange
-//! itself — the step that stands in for the network — then only moves page
-//! pointers; the receiving local phase reads records back out of the pages
-//! lazily.  Only forward shipping keeps the records-as-objects fast path.
+//! The executor owns no exchange mechanism of its own.  A hash or range
+//! repartitioning edge routes every producer partition into an
+//! [`Outbox`] in parallel on the worker pool and hands the
+//! outboxes to [`exchange::ship`] — the same route → page → spill → ship →
+//! gather layer the iteration runtime's superstep queue switch runs on (see
+//! [`crate::exchange`] for its invariants: local records stay heap objects,
+//! peers receive sealed [`RecordPage`]s or spilled runs, delivery is
+//! source-major).  What stays here is policy: which router an edge uses
+//! (hash, or the splitter histogram frozen per operator), the per-exchange
+//! spill budget, the post-exchange sort of range edges, broadcast (serialize
+//! once, share pages by pointer), the record-based exchange of cached
+//! loop-invariant edges, and the single "distributed transport rejected"
+//! check — cluster execution enters through the iteration runtime.  Only
+//! forward shipping keeps the records-as-objects fast path; the receiving
+//! local phase reads shipped records back out of the pages lazily.
 
 use crate::contracts::{Collector, RecordSink, Udf};
 use crate::credit::{
     credit_channel, timeout_from_env, CreditReceiver, CreditSender, RecvTimeoutError, SendError,
 };
 use crate::error::{DataflowError, Result};
+use crate::exchange::{self, Outbox};
 use crate::fault::{FaultInjector, FaultSite};
 use crate::key::{group_ranges, partition_for, sort_by_key, FxHashMap, Key, KeyFields};
 use crate::page::{
-    denormalize_long, normalize_long, ExchangedPartition, PageHandle, PageWriter, PagedRecords,
+    for_each_long_key_group, long_key_group_len, long_key_prefix_of, next_long_key_group,
+    sort_by_long_key, ExchangedPartition, GroupScratch, PagePool, PageWriter, PagedRecords,
     PrefixTable, RecordPage,
 };
 use crate::physical::{
@@ -53,7 +61,7 @@ use crate::physical::{
 use crate::plan::{Operator, OperatorId, OperatorKind};
 use crate::range::{sample_keys_into, sort_by_key_normalized, RangeBounds};
 use crate::record::Record;
-use crate::spill::{write_run_in, MemoryBudget, RunMerger, SpillManager, SpillStats, SpilledRun};
+use crate::spill::{write_run_in, MemoryBudget, RunMerger, SpillManager, SpilledRun};
 use crate::stats::{ExecutionStats, OperatorStats};
 use crate::transport::TransportHandle;
 use std::borrow::Cow;
@@ -67,9 +75,6 @@ pub type Partition = Vec<Record>;
 pub type Partitions = Vec<Partition>;
 /// One partition's local-phase outcome: `(records_in, output records)`.
 type LocalOutcome = Result<(usize, Vec<Record>)>;
-/// A paged input sorted by key prefix: the adopted store plus its
-/// `(prefix, handle)` pairs in sorted order.
-type SortedPaged = (PagedRecords, Vec<(u64, PageHandle)>);
 
 /// Runtime configuration of the [`Executor`].
 #[derive(Debug, Clone, Default)]
@@ -1553,9 +1558,9 @@ fn exchange(
         ShipStrategy::PartitionHash(keys) => {
             let spill =
                 exchange_spill_manager(config, keys, producer.partitions().len(), parallelism);
-            Ok(PreparedInput::Paged(paged_exchange(
+            Ok(PreparedInput::Paged(route_paged(
                 producer,
-                keys,
+                &|record: &Record| partition_for(record, keys, parallelism),
                 parallelism,
                 &spill,
                 &config.transport,
@@ -1601,72 +1606,40 @@ fn exchange_spill_manager(
     .with_fault(config.fault.clone())
 }
 
-/// What one producer partition contributes to a paged exchange: the records
-/// that stay local, one run of sealed pages (plus any spilled runs) per peer
-/// target, and the routing counters.
-struct RoutedSource {
-    local: Vec<Record>,
-    pages: Vec<Vec<Arc<RecordPage>>>,
-    /// Runs spilled per target while routing under a memory budget.
-    runs: Vec<Vec<SpilledRun>>,
-    shipped_records: usize,
-    shipped_bytes: usize,
-    spill: SpillStats,
-}
-
-/// Routes one producer partition: records staying in `src` go to the local
-/// buffer (moved when the producer is owned, cloned when it is shared —
-/// that is the only difference the `Cow` carries); records for peer
-/// partitions are serialized into the target's budgeted page writer straight
-/// from the borrow, never cloned — sealed pages beyond the writer's budget
-/// leave for disk as sorted runs.  The routing decision itself is the
-/// `router` closure — hash for [`paged_exchange`], splitter search for
-/// [`range_exchange`].
-fn route_source<'a>(
-    src: usize,
-    records: impl Iterator<Item = Cow<'a, Record>>,
+/// Routes one producer partition into its [`Outbox`]: records staying in
+/// `source` go to the local buffer (moved when the producer is owned, cloned
+/// when it is shared — that is the only difference the `Cow` carries);
+/// records for peer partitions are serialized into the target's budgeted
+/// page writer straight from the borrow, never cloned.  The routing decision
+/// itself is the `router` closure — hash or splitter search.
+fn route_partition(
+    source: usize,
+    records: Cow<'_, [Record]>,
     router: &(impl Fn(&Record) -> usize + Sync),
     parallelism: usize,
     spill: &SpillManager,
-) -> std::io::Result<RoutedSource> {
-    let mut writers: Vec<crate::spill::SpillingWriter> =
-        (0..parallelism).map(|_| spill.writer()).collect();
-    let mut local = Vec::new();
-    let (mut shipped_records, mut shipped_bytes) = (0usize, 0usize);
-    for record in records {
-        let target = router(&record);
-        if target == src {
-            local.push(record.into_owned());
-        } else {
-            shipped_records += 1;
-            shipped_bytes += writers[target].push(&record);
+) -> std::io::Result<Outbox> {
+    let mut outbox = Outbox::new(source, parallelism, spill);
+    match records {
+        Cow::Owned(records) => {
+            for record in records {
+                outbox.push(router(&record), Cow::Owned(record));
+            }
+        }
+        Cow::Borrowed(records) => {
+            for record in records {
+                outbox.push(router(record), Cow::Borrowed(record));
+            }
         }
     }
-    let mut pages = Vec::with_capacity(parallelism);
-    let mut runs = Vec::with_capacity(parallelism);
-    let mut spill_stats = SpillStats::default();
-    for writer in writers {
-        let out = writer.finish()?;
-        spill_stats.merge(&out.stats);
-        pages.push(out.pages);
-        runs.push(out.runs);
-    }
-    Ok(RoutedSource {
-        local,
-        pages,
-        runs,
-        shipped_records,
-        shipped_bytes,
-        spill: spill_stats,
-    })
+    outbox.seal()?;
+    Ok(outbox)
 }
 
-/// The paged repartitioning skeleton shared by the hash and range exchanges.
-/// Every producer partition routes its records concurrently on the worker
-/// pool (serializing outbound records into per-target pages); the sealed
-/// pages then ship through the transport's page channel — pointer moves on
-/// the in-process backend, framed bytes on TCP — while local record buffers
-/// and spilled-run handles (disk is node-local) move directly.
+/// The repartitioning exchange shared by hash and range shipping: every
+/// producer partition routes its records into an [`Outbox`] concurrently on
+/// the worker pool, then [`exchange::ship`] delivers the round through a
+/// fresh channel of the executor's transport.
 fn route_paged(
     producer: ProducerInput,
     router: &(impl Fn(&Record) -> usize + Sync),
@@ -1675,153 +1648,53 @@ fn route_paged(
     transport: &TransportHandle,
     stats: &mut ExecutionStats,
 ) -> Result<Vec<ExchangedPartition>> {
-    let sources = producer.partitions().len();
-    let mut routed: Vec<Option<std::io::Result<RoutedSource>>> =
-        (0..sources).map(|_| None).collect();
+    let shared;
+    let parts: Vec<Cow<'_, [Record]>> = match producer {
+        ProducerInput::Owned(parts) => parts.into_iter().map(Cow::Owned).collect(),
+        ProducerInput::Shared(parts) => {
+            shared = parts;
+            shared.iter().map(|part| Cow::Borrowed(&part[..])).collect()
+        }
+    };
+    let sources = parts.len();
+    let mut routed: Vec<Option<std::io::Result<Outbox>>> = (0..sources).map(|_| None).collect();
+    let work = parts.into_iter().enumerate().zip(routed.iter_mut());
     if sources <= 1 {
-        match producer {
-            ProducerInput::Owned(parts) => {
-                for (src, records) in parts.into_iter().enumerate() {
-                    routed[src] = Some(route_source(
-                        src,
-                        records.into_iter().map(Cow::Owned),
-                        router,
-                        parallelism,
-                        spill,
-                    ));
-                }
-            }
-            ProducerInput::Shared(parts) => {
-                for (src, records) in parts.iter().enumerate() {
-                    routed[src] = Some(route_source(
-                        src,
-                        records.iter().map(Cow::Borrowed),
-                        router,
-                        parallelism,
-                        spill,
-                    ));
-                }
-            }
+        for ((source, records), slot) in work {
+            *slot = Some(route_partition(source, records, router, parallelism, spill));
         }
     } else {
-        let route_panic = |panic: spinning_pool::ScopePanic| DataflowError::WorkerPanic {
-            operator: "exchange-route".to_string(),
-            superstep: 0,
-            message: panic.message(),
-        };
-        match producer {
-            ProducerInput::Owned(parts) => {
-                spinning_pool::global()
-                    .try_scope(|scope| {
-                        for ((src, records), slot) in
-                            parts.into_iter().enumerate().zip(routed.iter_mut())
-                        {
-                            scope.spawn_labeled("exchange-route", move || {
-                                spill
-                                    .fault()
-                                    .panic_check(FaultSite::WorkerPanic, "exchange-route");
-                                *slot = Some(route_source(
-                                    src,
-                                    records.into_iter().map(Cow::Owned),
-                                    router,
-                                    parallelism,
-                                    spill,
-                                ));
-                            });
-                        }
-                    })
-                    .map_err(route_panic)?;
-            }
-            ProducerInput::Shared(parts) => {
-                let parts: &Partitions = &parts;
-                spinning_pool::global()
-                    .try_scope(|scope| {
-                        for ((src, records), slot) in
-                            parts.iter().enumerate().zip(routed.iter_mut())
-                        {
-                            scope.spawn_labeled("exchange-route", move || {
-                                spill
-                                    .fault()
-                                    .panic_check(FaultSite::WorkerPanic, "exchange-route");
-                                *slot = Some(route_source(
-                                    src,
-                                    records.iter().map(Cow::Borrowed),
-                                    router,
-                                    parallelism,
-                                    spill,
-                                ));
-                            });
-                        }
-                    })
-                    .map_err(route_panic)?;
-            }
-        }
+        spinning_pool::global()
+            .try_scope(|scope| {
+                for ((source, records), slot) in work {
+                    scope.spawn_labeled("exchange-route", move || {
+                        spill
+                            .fault()
+                            .panic_check(FaultSite::WorkerPanic, "exchange-route");
+                        *slot = Some(route_partition(source, records, router, parallelism, spill));
+                    });
+                }
+            })
+            .map_err(|panic| DataflowError::WorkerPanic {
+                operator: "exchange-route".to_string(),
+                superstep: 0,
+                message: panic.message(),
+            })?;
     }
-    let mut routed: Vec<RoutedSource> = routed
+    let outboxes = routed
         .into_iter()
-        .map(|slot| {
-            slot.expect("pool routed every producer partition")
-                .map_err(DataflowError::from)
-        })
-        .collect::<Result<_>>()?;
-
-    // Gather: partition `t` keeps the records that never left it and receives
-    // the sealed pages every producer addressed to it through the page
-    // channel; spilled-run handles move directly (the run files are
-    // node-local).  On the in-process backend this is pure pointer moves.
-    let mut result: Vec<ExchangedPartition> = routed
-        .iter_mut()
-        .map(|source| {
-            stats.shipped_records += source.shipped_records;
-            stats.shipped_bytes += source.shipped_bytes;
-            stats.local_records += source.local.len();
-            stats.shipped_pages += source.pages.iter().map(Vec::len).sum::<usize>();
-            stats.spilled_bytes += source.spill.spilled_bytes;
-            stats.spilled_runs += source.spill.spilled_runs;
-            ExchangedPartition::from_records(std::mem::take(&mut source.local))
-        })
-        .collect();
-    result.resize_with(parallelism, ExchangedPartition::default);
+        .map(|slot| slot.expect("pool routed every producer partition"))
+        .collect::<std::io::Result<Vec<Outbox>>>()?;
     let channel = transport.fresh_channel(parallelism);
-    for (src, source) in routed.into_iter().enumerate() {
-        for (target, pages) in source.pages.into_iter().enumerate() {
-            channel.send(0, src, target, pages)?;
-        }
-        channel.finish_round(0, src)?;
-        for (target, runs) in source.runs.into_iter().enumerate() {
-            result[target].receive_runs(runs);
-        }
-    }
-    // A producer narrower than the consumer still owes the channel one
-    // end-of-round per missing source, or the receivers would wait for it.
-    for src in sources..parallelism {
-        channel.finish_round(0, src)?;
-    }
-    for (target, slot) in result.iter_mut().enumerate() {
-        for (_, pages) in channel.recv(0, target)? {
-            slot.receive_pages(pages);
-        }
-    }
+    let (result, shipped) =
+        exchange::ship(outboxes, parallelism, &*channel, &transport.cluster(), 0)?;
+    stats.shipped_records += shipped.shipped_records;
+    stats.shipped_bytes += shipped.shipped_bytes;
+    stats.local_records += shipped.sent_records - shipped.shipped_records;
+    stats.shipped_pages += shipped.shipped_pages;
+    stats.spilled_bytes += shipped.spilled_bytes;
+    stats.spilled_runs += shipped.spilled_runs;
     Ok(result)
-}
-
-/// The hash repartitioning exchange (see [`route_paged`]).
-fn paged_exchange(
-    producer: ProducerInput,
-    keys: &[usize],
-    parallelism: usize,
-    spill: &SpillManager,
-    transport: &TransportHandle,
-    stats: &mut ExecutionStats,
-) -> Result<Vec<ExchangedPartition>> {
-    route_paged(
-        producer,
-        &|record: &Record| partition_for(record, keys, parallelism),
-        parallelism,
-        spill,
-        transport,
-        stats,
-    )
 }
 
 /// The range repartitioning exchange: routes by binary search over the
@@ -1841,7 +1714,7 @@ fn range_exchange(
     transport: &TransportHandle,
     stats: &mut ExecutionStats,
 ) -> Result<Vec<ExchangedPartition>> {
-    let routed = route_paged(
+    let mut parts = route_paged(
         producer,
         &|record: &Record| bounds.partition_for_record(record, keys),
         parallelism,
@@ -1849,32 +1722,27 @@ fn range_exchange(
         transport,
         stats,
     )?;
-    let mut sorted: Vec<Option<ExchangedPartition>> = routed.into_iter().map(Some).collect();
     // Sort what is in memory; anything that spilled during routing is
     // already a sorted run on disk (sorted on flush), so the delivered
     // partition is the *merge* of the sorted pieces — the sort never touches
     // the spilled bytes again.
-    let sort_one = |part: ExchangedPartition| {
-        let (mut records, runs) = part.into_mem_and_runs();
+    let sort_one = |part: &mut ExchangedPartition| {
+        let (mut records, runs) = std::mem::take(part).into_mem_and_runs();
         sort_by_key_normalized(&mut records, keys);
-        if runs.is_empty() {
+        *part = if runs.is_empty() {
             ExchangedPartition::from_sorted_records(records, keys.to_vec())
         } else {
             ExchangedPartition::from_sorted_spilled(records, runs, keys.to_vec())
-        }
+        };
     };
     if parallelism <= 1 {
-        for slot in sorted.iter_mut() {
-            *slot = Some(sort_one(slot.take().expect("partition present")));
-        }
+        parts.iter_mut().for_each(sort_one);
     } else {
         spinning_pool::global()
             .try_scope(|scope| {
-                for slot in sorted.iter_mut() {
+                for part in parts.iter_mut() {
                     let sort_one = &sort_one;
-                    scope.spawn_labeled("range-sort", move || {
-                        *slot = Some(sort_one(slot.take().expect("partition present")));
-                    });
+                    scope.spawn_labeled("range-sort", move || sort_one(part));
                 }
             })
             .map_err(|panic| DataflowError::WorkerPanic {
@@ -1883,10 +1751,7 @@ fn range_exchange(
                 message: panic.message(),
             })?;
     }
-    Ok(sorted
-        .into_iter()
-        .map(|slot| slot.expect("pool sorted every partition"))
-        .collect())
+    Ok(parts)
 }
 
 /// The paged broadcast: all records are serialized **once**, then every
@@ -2152,73 +2017,10 @@ fn into_sorted_records(input: LocalInput, key: &[usize]) -> std::io::Result<Vec<
 // spilled partitions whose merge order the materializing path preserves)
 // fall back, so both paths stay byte-identical.
 
-/// The normalized key prefix of a heap record's `Long` field, or `None` when
-/// the field is missing or not a `Long`.
-#[inline]
-fn long_prefix_of(record: &Record, field: usize) -> Option<u64> {
-    match record.fields().get(field)? {
-        crate::value::Value::Long(v) => Some(u64::from_be_bytes(normalize_long(*v))),
-        _ => None,
-    }
-}
-
-/// Ingests a paged partition into a handle-addressed store, reporting every
-/// record's `(prefix, handle)` in delivery order (local records, then pages,
-/// then spilled runs — the same order the materializing accessors visit).
-/// Local records are serialized once; pages are adopted by pointer; spilled
-/// runs are revived as pages (a read per page, no per-record work).  Returns
-/// `Ok(None)` when any record's key field is not a `Long` — the caller falls
-/// back to the materializing path — and a typed I/O error when a run cannot
-/// be read (falling back would only hit the same error again, unpaged).
-fn ingest_paged(
-    part: &ExchangedPartition,
-    key_field: usize,
-    mut on_record: impl FnMut(u64, PageHandle),
-) -> std::io::Result<Option<PagedRecords>> {
-    let mut store = PagedRecords::new();
-    for record in part.local_records() {
-        let Some(prefix) = long_prefix_of(record, key_field) else {
-            return Ok(None);
-        };
-        let handle = store.append(record);
-        on_record(prefix, handle);
-    }
-    let mut scan = |store: &mut PagedRecords, page: &Arc<RecordPage>| {
-        store.adopt_page_scanned(page, |handle, view| match view.long_key_prefix(key_field) {
-            Some(prefix) => {
-                on_record(prefix, handle);
-                true
-            }
-            None => false,
-        })
-    };
-    for page in part.pages() {
-        if !scan(&mut store, page) {
-            return Ok(None);
-        }
-    }
-    for run in part.runs() {
-        let pages = run.read_pages()?;
-        for page in &pages {
-            if !scan(&mut store, page) {
-                return Ok(None);
-            }
-        }
-    }
-    Ok(Some(store))
-}
-
 /// True when `part` is worth ingesting: it actually delivered serialized
 /// data.  An all-local partition gains nothing from being re-serialized.
 fn has_paged_data(part: &ExchangedPartition) -> bool {
     part.page_count() > 0 || part.spilled_run_count() > 0
-}
-
-/// True when the materializing accessors would *merge* this partition's
-/// sorted pieces (sorted delivery with spilled overflow) — an order the
-/// ingest-in-delivery-order path cannot reproduce, so it must fall back.
-fn is_sorted_merge_part(part: &ExchangedPartition) -> bool {
-    part.sorted_by().is_some() && part.spilled_run_count() > 0
 }
 
 /// Page-native hash join: builds a prefix-keyed handle table over the build
@@ -2241,16 +2043,16 @@ fn try_match_paged(
     let LocalInput::Paged(build_part) = build else {
         return Ok(false);
     };
-    if !has_paged_data(build_part) || is_sorted_merge_part(build_part) {
+    if !has_paged_data(build_part) || build_part.is_sorted_merge() {
         return Ok(false);
     }
     let mut table = PrefixTable::new();
-    let Some(store) = ingest_paged(build_part, build_field, |prefix, handle| {
+    let mut store = PagedRecords::new();
+    if !build_part.ingest_long_keyed(build_field, &mut store, |prefix, handle| {
         table.insert(prefix, handle)
-    })?
-    else {
+    })? {
         return Ok(false);
-    };
+    }
 
     // One probe record against the whole chain of its prefix.  Matches are
     // emitted in build insertion order, exactly like the materializing path.
@@ -2277,7 +2079,7 @@ fn try_match_paged(
     match probe {
         LocalInput::Shared(parts, p, _) => {
             for record in &parts[*p] {
-                if let Some(prefix) = long_prefix_of(record, probe_field) {
+                if let Some(prefix) = long_key_prefix_of(record, probe_field) {
                     probe_chain(
                         &store,
                         &table,
@@ -2293,7 +2095,7 @@ fn try_match_paged(
         }
         LocalInput::Paged(part) => {
             for record in part.local_records() {
-                if let Some(prefix) = long_prefix_of(record, probe_field) {
+                if let Some(prefix) = long_key_prefix_of(record, probe_field) {
                     probe_chain(
                         &store,
                         &table,
@@ -2335,7 +2137,7 @@ fn try_match_paged(
             for run in part.runs() {
                 let mut cursor = run.cursor()?;
                 while cursor.next_into(&mut scratch)? {
-                    if let Some(prefix) = long_prefix_of(&scratch, probe_field) {
+                    if let Some(prefix) = long_key_prefix_of(&scratch, probe_field) {
                         probe_chain(
                             &store,
                             &table,
@@ -2354,42 +2156,11 @@ fn try_match_paged(
     Ok(true)
 }
 
-/// Sorts a paged input by key prefix without materializing it: the returned
-/// pairs order `(prefix, handle)` with the handle (insertion position) as
-/// tiebreak, which reproduces exactly the stable record sort of the
-/// materializing path — on 16-byte items instead of heap records.
-fn sorted_pairs_paged(
-    part: &ExchangedPartition,
-    key_field: usize,
-) -> std::io::Result<Option<SortedPaged>> {
-    let mut pairs: Vec<(u64, PageHandle)> = Vec::with_capacity(part.record_count());
-    let Some(store) = ingest_paged(part, key_field, |prefix, handle| {
-        pairs.push((prefix, handle))
-    })?
-    else {
-        return Ok(None);
-    };
-    pairs.sort_unstable();
-    Ok(Some((store, pairs)))
-}
-
-/// Materializes the group `pairs[start..end]` into the reusable `group`
-/// buffer (records beyond the group keep their warm capacity for the next
-/// group) and returns the group slice length.
-fn fill_group(store: &PagedRecords, pairs: &[(u64, PageHandle)], group: &mut Vec<Record>) -> usize {
-    while group.len() < pairs.len() {
-        group.push(Record::empty());
-    }
-    for (slot, &(_, handle)) in group.iter_mut().zip(pairs) {
-        store.view(handle).read_into(slot);
-    }
-    pairs.len()
-}
-
-/// Page-native grouping: sorts `(prefix, handle)` pairs and streams each key
-/// group through one reusable record buffer into the reduce function.
-/// Groups come out in key order with records in delivery order — identical
-/// to both the hash-table and the sort-based materializing strategies.
+/// Page-native grouping: a thin caller of the shared single-`Long`-key
+/// kernel ([`for_each_long_key_group`]), which sorts `(prefix, handle)` pairs
+/// and streams each key group through one reusable record buffer into the
+/// reduce function.  Returns `Ok(false)` (nothing emitted) when the input or
+/// the key disqualifies.
 fn try_reduce_paged(
     key: &[usize],
     input: &LocalInput,
@@ -2397,13 +2168,10 @@ fn try_reduce_paged(
     udf: &dyn crate::contracts::ReduceFunction,
     out: &mut Collector,
 ) -> std::io::Result<bool> {
-    let &[field] = key else {
-        return Ok(false);
-    };
     let LocalInput::Paged(part) = input else {
         return Ok(false);
     };
-    if !has_paged_data(part) || is_sorted_merge_part(part) {
+    if !has_paged_data(part) || part.is_sorted_merge() {
         return Ok(false);
     }
     // The sort strategy merges key-sorted spilled runs out of core (one
@@ -2412,28 +2180,18 @@ fn try_reduce_paged(
     if sort_based && part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key) {
         return Ok(false);
     }
-    let Some((store, pairs)) = sorted_pairs_paged(part, field)? else {
-        return Ok(false);
-    };
-    let mut group: Vec<Record> = Vec::new();
-    let mut start = 0;
-    while start < pairs.len() {
-        let prefix = pairs[start].0;
-        let mut end = start + 1;
-        while end < pairs.len() && pairs[end].0 == prefix {
-            end += 1;
-        }
-        let len = fill_group(&store, &pairs[start..end], &mut group);
-        let k = Key::Long(denormalize_long(prefix.to_be_bytes()));
-        udf.reduce(&k.values(), &group[..len], out);
-        start = end;
-    }
-    Ok(true)
+    for_each_long_key_group(
+        part,
+        key,
+        &mut GroupScratch::default(),
+        &mut PagePool::with_limit(0),
+        |k, group| udf.reduce(&Key::Long(k).values(), group, out),
+    )
 }
 
-/// Page-native sort-merge join: both sides sort `(prefix, handle)` pairs and
-/// the two-pointer merge materializes only the current key group of each
-/// side.
+/// Page-native sort-merge join: both sides sort `(prefix, handle)` pairs
+/// through the shared kernel ([`sort_by_long_key`]) and the two-pointer merge
+/// materializes only the current key group of each side.
 fn try_sort_merge_paged(
     left_key: &[usize],
     right_key: &[usize],
@@ -2442,9 +2200,6 @@ fn try_sort_merge_paged(
     udf: &dyn crate::contracts::MatchFunction,
     out: &mut Collector,
 ) -> std::io::Result<bool> {
-    let (&[lfield], &[rfield]) = (left_key, right_key) else {
-        return Ok(false);
-    };
     let (LocalInput::Paged(lpart), LocalInput::Paged(rpart)) = (left, right) else {
         return Ok(false);
     };
@@ -2455,54 +2210,35 @@ fn try_sort_merge_paged(
     // merge in the fallback — an interleaving the delivery-order ingest
     // cannot reproduce.
     let disqualifies = |part: &ExchangedPartition, key: &[usize]| {
-        is_sorted_merge_part(part)
-            || (part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key))
+        part.is_sorted_merge() || (part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key))
     };
     if disqualifies(lpart, left_key) || disqualifies(rpart, right_key) {
         return Ok(false);
     }
-    let Some((lstore, lpairs)) = sorted_pairs_paged(lpart, lfield)? else {
+    let mut pool = PagePool::with_limit(0);
+    let (mut lpairs, mut rpairs) = (Vec::new(), Vec::new());
+    let Some(lstore) = sort_by_long_key(lpart, left_key, &mut lpairs, &mut pool)? else {
         return Ok(false);
     };
-    let Some((rstore, rpairs)) = sorted_pairs_paged(rpart, rfield)? else {
+    let Some(rstore) = sort_by_long_key(rpart, right_key, &mut rpairs, &mut pool)? else {
         return Ok(false);
     };
     let (mut lgroup, mut rgroup) = (Vec::new(), Vec::new());
-    let (mut li, mut ri) = (0usize, 0usize);
-    while li < lpairs.len() && ri < rpairs.len() {
-        let (lp, rp) = (lpairs[li].0, rpairs[ri].0);
+    let (mut lrest, mut rrest) = (&lpairs[..], &rpairs[..]);
+    while let (Some(l), Some(r)) = (lrest.first(), rrest.first()) {
         // Unsigned prefix order is the key order (normalized encoding).
-        match lp.cmp(&rp) {
-            std::cmp::Ordering::Less => {
-                li += 1;
-                while li < lpairs.len() && lpairs[li].0 == lp {
-                    li += 1;
-                }
-            }
-            std::cmp::Ordering::Greater => {
-                ri += 1;
-                while ri < rpairs.len() && rpairs[ri].0 == rp {
-                    ri += 1;
-                }
-            }
+        match l.0.cmp(&r.0) {
+            std::cmp::Ordering::Less => lrest = &lrest[long_key_group_len(lrest)..],
+            std::cmp::Ordering::Greater => rrest = &rrest[long_key_group_len(rrest)..],
             std::cmp::Ordering::Equal => {
-                let mut lend = li + 1;
-                while lend < lpairs.len() && lpairs[lend].0 == lp {
-                    lend += 1;
-                }
-                let mut rend = ri + 1;
-                while rend < rpairs.len() && rpairs[rend].0 == rp {
-                    rend += 1;
-                }
-                let llen = fill_group(&lstore, &lpairs[li..lend], &mut lgroup);
-                let rlen = fill_group(&rstore, &rpairs[ri..rend], &mut rgroup);
-                for l in &lgroup[..llen] {
-                    for r in &rgroup[..rlen] {
+                let (_, lrecords, lafter) = next_long_key_group(&lstore, lrest, &mut lgroup);
+                let (_, rrecords, rafter) = next_long_key_group(&rstore, rrest, &mut rgroup);
+                for l in lrecords {
+                    for r in rrecords {
                         udf.join(l, r, out);
                     }
                 }
-                li = lend;
-                ri = rend;
+                (lrest, rrest) = (lafter, rafter);
             }
         }
     }
@@ -3111,9 +2847,9 @@ mod tests {
                 ProducerInput::Shared(Arc::new(producer.clone()))
             };
             let spill = SpillManager::new(MemoryBudget::unlimited(), Some(vec![0]));
-            let exchanged = paged_exchange(
+            let exchanged = route_paged(
                 input,
-                &[0],
+                &|record: &Record| partition_for(record, &[0], parallelism),
                 parallelism,
                 &spill,
                 &TransportHandle::default(),

@@ -21,6 +21,9 @@
 //! * **Physical plans** — shipping strategies (forward, hash/range partition,
 //!   broadcast) per edge and local strategies (hash/sort joins and groupings)
 //!   per operator ([`physical`]).
+//! * **Exchange** — the one route → page → spill → ship → gather mechanism
+//!   under both the executor's repartitioning and the iteration runtime's
+//!   superstep queue switch ([`exchange`]).
 //! * **Executor** — a multi-threaded shared-nothing runtime where each worker
 //!   partition stands in for a cluster node; records crossing partitions are
 //!   counted as network traffic ([`exec`], [`stats`]).
@@ -57,6 +60,7 @@
 pub mod contracts;
 pub mod credit;
 pub mod error;
+pub mod exchange;
 pub mod exec;
 pub mod fault;
 pub mod key;

@@ -15,9 +15,14 @@
 //!   lazily, either materializing owned [`Record`]s or reading individual
 //!   fields straight out of the page bytes without allocating.
 //! * [`ExchangedPartition`] — what one worker partition receives from an
-//!   exchange: records that never left the partition (moved as heap objects,
-//!   like a chained local forward) plus the sealed pages shipped from peer
-//!   partitions.
+//!   exchange ([`crate::exchange`]): records that never left the partition
+//!   (moved as heap objects, like a chained local forward) plus the sealed
+//!   pages shipped from peer partitions.
+//! * [`PagedRecords`] / [`for_each_long_key_group`] — handle-addressed stores
+//!   over delivered pages, and the one kernel that groups a delivered
+//!   partition by its single-`Long` key straight off them (under the
+//!   executor's Reduce and sort-merge join and the workset driver's batch
+//!   update join alike).
 //!
 //! # Wire format
 //!
@@ -79,6 +84,17 @@ pub fn normalize_long(v: i64) -> [u8; 8] {
 #[inline]
 pub fn denormalize_long(bytes: [u8; 8]) -> i64 {
     (u64::from_be_bytes(bytes) ^ (1 << 63)) as i64
+}
+
+/// The normalized `Long` key prefix of a heap record's field — the same `u64`
+/// [`RecordView::long_key_prefix`] reads off a serialized record — or `None`
+/// when the field is missing or not a `Long`.
+#[inline]
+pub fn long_key_prefix_of(record: &Record, field: usize) -> Option<u64> {
+    match record.fields().get(field)? {
+        Value::Long(v) => Some(u64::from_be_bytes(normalize_long(*v))),
+        _ => None,
+    }
 }
 
 /// Encodes an `f64` so unsigned byte-wise comparison of the result equals
@@ -1204,6 +1220,18 @@ impl ExchangedPartition {
         self.sorted_by.as_deref()
     }
 
+    /// Receives the records that never left this partition.  An empty
+    /// partition adopts the buffer itself (the exchange's local hand-over is
+    /// a pointer move); any recorded sort order is void afterwards.
+    pub fn receive_local(&mut self, records: Vec<Record>) {
+        if self.local.is_empty() {
+            self.local = records;
+        } else {
+            self.local.extend(records);
+        }
+        self.sorted_by = None;
+    }
+
     /// Appends sealed pages received from a peer partition (pointer moves).
     /// Pages arrive in peer order, so any previously recorded sort order no
     /// longer holds and is cleared.
@@ -1259,8 +1287,10 @@ impl ExchangedPartition {
         self.runs.iter().all(|run| run.sorted_by() == Some(key))
     }
 
-    /// True when the owning accessors must merge sorted pieces.
-    fn is_sorted_merge(&self) -> bool {
+    /// True when the owning accessors *merge* this partition's sorted pieces
+    /// (sorted delivery with spilled overflow) — an order an
+    /// ingest-in-delivery-order consumer cannot reproduce.
+    pub fn is_sorted_merge(&self) -> bool {
         self.sorted_by.is_some() && !self.runs.is_empty()
     }
 
@@ -1297,6 +1327,51 @@ impl ExchangedPartition {
     /// The spilled runs backing this partition.
     pub fn runs(&self) -> &[SpilledRun] {
         &self.runs
+    }
+
+    /// Ingests the partition into the handle-addressed `store`, reporting
+    /// every record's `(key prefix, handle)` in delivery order (local
+    /// records, then pages, then spilled runs — the order the materializing
+    /// accessors visit).  Local records are serialized once; pages are
+    /// adopted by pointer; spilled runs are revived as pages (a read per
+    /// page, no per-record work).  Returns `Ok(false)` as soon as a record's
+    /// `key_field` is not a `Long` — the caller discards the store and falls
+    /// back to materializing — and a typed I/O error when a run cannot be
+    /// read (falling back would only hit the same error again, unpaged).
+    pub fn ingest_long_keyed(
+        &self,
+        key_field: usize,
+        store: &mut PagedRecords,
+        mut on_record: impl FnMut(u64, PageHandle),
+    ) -> std::io::Result<bool> {
+        for record in &self.local {
+            let Some(prefix) = long_key_prefix_of(record, key_field) else {
+                return Ok(false);
+            };
+            on_record(prefix, store.append(record));
+        }
+        let mut scan = |page: &Arc<RecordPage>| {
+            store.adopt_page_scanned(page, |handle, view| match view.long_key_prefix(key_field) {
+                Some(prefix) => {
+                    on_record(prefix, handle);
+                    true
+                }
+                None => false,
+            })
+        };
+        for page in &self.pages {
+            if !scan(page) {
+                return Ok(false);
+            }
+        }
+        for run in &self.runs {
+            for page in &run.read_pages()? {
+                if !scan(page) {
+                    return Ok(false);
+                }
+            }
+        }
+        Ok(true)
     }
 
     /// Decomposes the partition into its pieces:
@@ -1422,6 +1497,115 @@ impl ExchangedPartition {
         }
         (records, self.runs)
     }
+}
+
+// ---------------------------------------------------------------------------
+// Grouping a paged partition by its single-`Long` key
+// ---------------------------------------------------------------------------
+
+/// The reusable buffers of [`for_each_long_key_group`]: the `(key prefix,
+/// handle)` pairs and the records one key group is read into.  Both keep
+/// their capacity across calls, so a steady-state superstep groups without
+/// allocating.
+#[derive(Debug, Default)]
+pub struct GroupScratch {
+    pairs: Vec<(u64, PageHandle)>,
+    group: Vec<Record>,
+}
+
+/// Sorts a paged partition by its single-`Long` key without materializing
+/// it: the partition is ingested into a handle-addressed store (seeded with
+/// up to two buffers from `pool`) and `pairs` receives one `(normalized key
+/// prefix, handle)` per record, sorted.  Normalization is order-preserving
+/// and, for a single-`Long` key, the prefix *is* the full key; the handle
+/// tiebreak (insertion position) makes the unstable sort reproduce exactly
+/// the stable record sort of the materializing paths — on 16-byte items
+/// instead of heap records.
+///
+/// Returns `Ok(None)` — the "disqualified, fall back" signal — for a
+/// composite key or a key field that is not a `Long` on every record; the
+/// partition is untouched and the store's buffers are back in `pool`.
+pub fn sort_by_long_key(
+    part: &ExchangedPartition,
+    key: &[usize],
+    pairs: &mut Vec<(u64, PageHandle)>,
+    pool: &mut PagePool,
+) -> std::io::Result<Option<PagedRecords>> {
+    let &[field] = key else {
+        return Ok(None);
+    };
+    pairs.clear();
+    pairs.reserve(part.record_count());
+    let mut store = PagedRecords::new();
+    store.add_spare_buffers(pool.take(2));
+    if !part.ingest_long_keyed(field, &mut store, |prefix, handle| {
+        pairs.push((prefix, handle))
+    })? {
+        pool.recycle_all(store.into_pages());
+        return Ok(None);
+    }
+    pairs.sort_unstable();
+    Ok(Some(store))
+}
+
+/// Length of the key group at the front of the sorted `pairs` (0 when empty).
+pub fn long_key_group_len(pairs: &[(u64, PageHandle)]) -> usize {
+    let Some(&(prefix, _)) = pairs.first() else {
+        return 0;
+    };
+    pairs.iter().take_while(|pair| pair.0 == prefix).count()
+}
+
+/// Reads the key group at the front of the sorted `pairs` into the reusable
+/// `group` buffer (records beyond the group keep their warm capacity for the
+/// next one) and returns the group's key, its records and the pairs after
+/// it.  `pairs` must not be empty.
+pub fn next_long_key_group<'p, 'g>(
+    store: &PagedRecords,
+    pairs: &'p [(u64, PageHandle)],
+    group: &'g mut Vec<Record>,
+) -> (i64, &'g [Record], &'p [(u64, PageHandle)]) {
+    let len = long_key_group_len(pairs);
+    if group.len() < len {
+        group.resize_with(len, Record::empty);
+    }
+    for (slot, &(_, handle)) in group.iter_mut().zip(&pairs[..len]) {
+        store.view(handle).read_into(slot);
+    }
+    (
+        denormalize_long(pairs[0].0.to_be_bytes()),
+        &group[..len],
+        &pairs[len..],
+    )
+}
+
+/// Groups a paged partition by its single-`Long` key: `on_group` runs once
+/// per distinct key, in key order, with the key's records in delivery order
+/// — identical to both the hash-table and the sort-based materializing
+/// groupings.  Only the current group exists as heap records.  Returns
+/// `Ok(false)` without having invoked `on_group` when the key disqualifies
+/// the paged path (see [`sort_by_long_key`]); the caller falls back.
+pub fn for_each_long_key_group(
+    part: &ExchangedPartition,
+    key: &[usize],
+    scratch: &mut GroupScratch,
+    pool: &mut PagePool,
+    mut on_group: impl FnMut(i64, &[Record]),
+) -> std::io::Result<bool> {
+    let GroupScratch { pairs, group } = scratch;
+    let Some(store) = sort_by_long_key(part, key, pairs, pool)? else {
+        return Ok(false);
+    };
+    let mut rest = &pairs[..];
+    while !rest.is_empty() {
+        let (group_key, records, after) = next_long_key_group(&store, rest, group);
+        on_group(group_key, records);
+        rest = after;
+    }
+    // Locally written pages recycle; adopted pages are still co-owned by the
+    // partition and fail the refcount check (their owner recycles them).
+    pool.recycle_all(store.into_pages());
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -1810,5 +1994,61 @@ mod tests {
             .collect();
         assert_eq!(reread.len(), 20, "recycled buffers seal clean pages");
         assert_eq!(reread[3], Record::pair(3, -3));
+    }
+
+    #[test]
+    fn long_key_grouping_groups_in_key_order_or_signals_the_fallback() {
+        // Local records plus shipped pages, one key field each way.
+        let mut writer = PageWriter::with_page_bytes(64);
+        for i in 0..40i64 {
+            writer.push(&Record::pair(i % 5 - 2, i));
+        }
+        let part = ExchangedPartition::new(
+            vec![Record::pair(1, -1), Record::pair(-2, -2)],
+            writer.finish(),
+        );
+        let mut scratch = GroupScratch::default();
+        let mut pool = PagePool::new();
+        let mut groups: Vec<(i64, Vec<i64>)> = Vec::new();
+        let grouped = for_each_long_key_group(&part, &[0], &mut scratch, &mut pool, |key, g| {
+            groups.push((key, g.iter().map(|r| r.long(1)).collect()))
+        })
+        .unwrap();
+        assert!(grouped);
+        // Key order, and delivery order (local first) inside each group.
+        assert_eq!(
+            groups.iter().map(|g| g.0).collect::<Vec<_>>(),
+            vec![-2, -1, 0, 1, 2]
+        );
+        assert_eq!(groups[0].1, vec![-2, 0, 5, 10, 15, 20, 25, 30, 35]);
+        assert_eq!(groups[3].1[..3], [-1, 3, 8]);
+        assert!(!pool.is_empty(), "the store's own pages recycle");
+
+        // A composite key and a non-`Long` key field both return the
+        // fallback signal without having invoked the callback — even when
+        // the offending record is the very last one ingested.
+        let mut invoked = false;
+        assert!(
+            !for_each_long_key_group(&part, &[0, 1], &mut scratch, &mut pool, |_, _| {
+                invoked = true
+            })
+            .unwrap()
+        );
+        let mut writer = PageWriter::new();
+        writer.push(&Record::pair(3, 3));
+        writer.push(&Record::new(vec![Value::Text("k".into()), Value::Long(4)]));
+        let mixed = ExchangedPartition::new(vec![Record::pair(1, 1)], writer.finish());
+        assert!(
+            !for_each_long_key_group(&mixed, &[0], &mut scratch, &mut pool, |_, _| {
+                invoked = true
+            })
+            .unwrap()
+        );
+        assert!(
+            !invoked,
+            "a disqualified partition never reaches the callback"
+        );
+        // The partition is untouched: the materializing fallback reads it all.
+        assert_eq!(mixed.into_records().unwrap().len(), 3);
     }
 }

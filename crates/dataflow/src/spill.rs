@@ -178,37 +178,10 @@ const FRAME_HEADER_BYTES: usize = 12;
 /// garbage (torn or foreign file), not a page to allocate.
 const MAX_FRAME_BYTES: usize = 1 << 28;
 
-/// CRC-32 (IEEE, reflected — the zlib/PNG polynomial) lookup table, built at
-/// compile time so the dependency-free implementation still runs one table
-/// step per byte.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xedb8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ byte as u32) & 0xff) as usize];
-    }
-    !crc
-}
+/// CRC-32 (IEEE) of `bytes` — the per-page checksum of run and checkpoint
+/// frames.  One implementation serves the wire and the disk: the TCP frame
+/// checksum of `comm`.
+pub use comm::crc32;
 
 /// Typed payload of a corruption error: travels inside an [`io::Error`]
 /// through the `io::Result` plumbing and is downcast by
@@ -715,7 +688,7 @@ pub struct SpillManager {
     inner: Arc<ManagerInner>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ManagerInner {
     budget: MemoryBudget,
     dir: PathBuf,
@@ -757,17 +730,9 @@ impl SpillManager {
 
     /// Overrides the page capacity of the handed-out writers (tests force
     /// tiny pages so budgets trip on small datasets).
-    pub fn with_page_bytes(self, page_bytes: usize) -> SpillManager {
-        SpillManager {
-            inner: Arc::new(ManagerInner {
-                budget: self.inner.budget,
-                dir: self.inner.dir.clone(),
-                sort_on_flush: self.inner.sort_on_flush.clone(),
-                page_bytes,
-                page_credits: self.inner.page_credits,
-                fault: self.inner.fault.clone(),
-            }),
-        }
+    pub fn with_page_bytes(mut self, page_bytes: usize) -> SpillManager {
+        Arc::make_mut(&mut self.inner).page_bytes = page_bytes;
+        self
     }
 
     /// Caps the sealed pages a handed-out writer may buffer in memory: once
@@ -777,32 +742,16 @@ impl SpillManager {
     /// credit-based backpressure — the barrier makes blocking producers
     /// deadlock-prone, so bounding happens by spilling, not by stalling.
     /// `None` (the default) leaves only the byte budget in charge.
-    pub fn with_page_credits(self, credits: Option<usize>) -> SpillManager {
-        SpillManager {
-            inner: Arc::new(ManagerInner {
-                budget: self.inner.budget,
-                dir: self.inner.dir.clone(),
-                sort_on_flush: self.inner.sort_on_flush.clone(),
-                page_bytes: self.inner.page_bytes,
-                page_credits: credits.map(|c| c.max(1)),
-                fault: self.inner.fault.clone(),
-            }),
-        }
+    pub fn with_page_credits(mut self, credits: Option<usize>) -> SpillManager {
+        Arc::make_mut(&mut self.inner).page_credits = credits.map(|c| c.max(1));
+        self
     }
 
     /// Attaches a fault injector consulted on every budget-driven flush
     /// ([`FaultSite::SpillWrite`]).
-    pub fn with_fault(self, fault: FaultInjector) -> SpillManager {
-        SpillManager {
-            inner: Arc::new(ManagerInner {
-                budget: self.inner.budget,
-                dir: self.inner.dir.clone(),
-                sort_on_flush: self.inner.sort_on_flush.clone(),
-                page_bytes: self.inner.page_bytes,
-                page_credits: self.inner.page_credits,
-                fault,
-            }),
-        }
+    pub fn with_fault(mut self, fault: FaultInjector) -> SpillManager {
+        Arc::make_mut(&mut self.inner).fault = fault;
+        self
     }
 
     /// The per-writer budget.
@@ -1428,13 +1377,6 @@ mod tests {
         if std::env::var(MEMORY_BUDGET_ENV).is_err() {
             assert!(MemoryBudget::from_env().is_none());
         }
-    }
-
-    #[test]
-    fn crc32_matches_the_known_ieee_vector() {
-        // The canonical check value of the reflected IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     /// Asserts the error is a typed corruption error and returns the payload.

@@ -19,9 +19,9 @@
 //!   parallel region (operator local phases, superstep partitions, baseline
 //!   engines) runs on.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md`/`EXPERIMENTS.md` for the
-//! system inventory and the per-figure reproduction record.  Runnable
-//! examples live in `examples/`.
+//! See `README.md` for a quickstart and the architecture, `ROADMAP.md` for
+//! the open items, and `BENCHMARK.json` / `benchmark/README.md` for the
+//! measured workloads and metrics.  Runnable examples live in `examples/`.
 
 #![warn(missing_docs)]
 
