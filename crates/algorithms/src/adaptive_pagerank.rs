@@ -106,7 +106,7 @@ pub fn adaptive_pagerank(graph: &Graph, config: &AdaptiveConfig) -> Result<Adapt
         },
     ));
     let expand = Arc::new(ExpandClosure(
-        move |delta: &Record, edges: &[Record], out: &mut Vec<Record>| {
+        move |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
             if edges.is_empty() {
                 return;
             }
@@ -115,7 +115,7 @@ pub fn adaptive_pagerank(graph: &Graph, config: &AdaptiveConfig) -> Result<Adapt
             let degree = edges[0].long(2) as f64;
             let share = damping * residual / degree;
             for e in edges {
-                out.push(Record::long_double(e.long(1), share));
+                out.emit(&[Value::Long(e.long(1)), Value::Double(share)]);
             }
         },
     ));

@@ -304,10 +304,10 @@ fn build_workset_iteration(graph: &Graph, grouped: bool) -> WorksetIteration {
     // The expansion of Figure 5: the changed vertex's new cid becomes a
     // candidate for every neighbour.
     let expand = Arc::new(ExpandClosure(
-        |delta: &Record, edges: &[Record], out: &mut Vec<Record>| {
+        |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
             let cid = delta.long(1);
             for e in edges {
-                out.push(Record::pair(e.long(1), cid));
+                out.emit(&[Value::Long(e.long(1)), Value::Long(cid)]);
             }
         },
     ));

@@ -47,10 +47,10 @@ fn build_iteration(graph: &Graph) -> WorksetIteration {
         },
     ));
     let expand = Arc::new(ExpandClosure(
-        |delta: &Record, edges: &[Record], out: &mut Vec<Record>| {
+        |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
             let next_distance = delta.long(1) + 1;
             for e in edges {
-                out.push(Record::pair(e.long(1), next_distance));
+                out.emit(&[Value::Long(e.long(1)), Value::Long(next_distance)]);
             }
         },
     ));

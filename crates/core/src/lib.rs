@@ -37,9 +37,9 @@
 //!         _ => Some(Record::pair(key.values()[0].as_long(), best)),
 //!     }
 //! }));
-//! let expand = Arc::new(ExpandClosure(|d: &Record, edges: &[Record], out: &mut Vec<Record>| {
+//! let expand = Arc::new(ExpandClosure(|d: &Record, edges: &[Record], out: &mut dyn RecordSink| {
 //!     for e in edges {
-//!         out.push(Record::pair(e.long(1), d.long(1)));
+//!         out.emit(&[Value::Long(e.long(1)), Value::Long(d.long(1))]);
 //!     }
 //! }));
 //! let edges = vec![Record::pair(0, 1), Record::pair(1, 0), Record::pair(1, 2), Record::pair(2, 1)];
@@ -58,6 +58,7 @@
 
 pub mod bulk;
 pub mod checkpoint;
+mod constant_index;
 pub mod eligibility;
 pub mod microstep;
 pub mod solution_set;

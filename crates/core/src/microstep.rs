@@ -47,14 +47,15 @@
 //! the run surfaces the panic as a typed [`DataflowError::WorkerPanic`]
 //! instead of aborting the process.
 
+use crate::constant_index::ConstantIndex;
 use crate::solution_set::SolutionSet;
 use crate::stats::{IterationRunStats, IterationStats};
 use crate::workset::{WorksetConfig, WorksetIteration, WorksetResult};
+use dataflow::contracts::RecordSink;
 use dataflow::credit::{
     channel_credits_from_env, credit_channel, timeout_from_env, CreditReceiver, CreditSender,
     RecvTimeoutError, SendError, TrySendError, CHANNEL_CREDITS_ENV,
 };
-use dataflow::key::FxHashMap;
 use dataflow::prelude::{DataflowError, Key, MemoryBudget, PartitionRouter, Record, Result};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -142,6 +143,38 @@ fn warn_ignored_budget_once(budget: &MemoryBudget) {
     WARNED.call_once(|| eprintln!("{}", ignored_budget_warning(budget)));
 }
 
+/// The sink the expand UDF emits into on a worker: routes each candidate and
+/// queues it for its target worker.  The queues between workers hold heap
+/// records, so a candidate emitted by reference becomes one here (the
+/// [`RecordSink::emit`] default).
+struct PendingSink<'a, 'b> {
+    pending: &'a mut PendingSends<'b>,
+    outcome: &'a mut WorkerOutcome,
+    router: &'a PartitionRouter,
+    workset_key: &'a [usize],
+    partition: usize,
+}
+
+impl RecordSink for PendingSink<'_, '_> {
+    fn push(&mut self, record: Record) {
+        let target = self.router.route(&record, self.workset_key);
+        self.outcome.messages_sent += 1;
+        if target != self.partition {
+            self.outcome.messages_shipped += 1;
+        }
+        // The expansion takes an in-flight credit now; the queue credit is
+        // acquired when the flush loop enqueues it.
+        self.pending.push(target, record);
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
+    where
+        Self: 'static,
+    {
+        self
+    }
+}
+
 /// Per-worker counters returned when the worker shuts down.
 struct WorkerOutcome {
     processed: usize,
@@ -157,7 +190,7 @@ struct WorkerOutcome {
 pub(crate) fn run_async(
     iteration: &WorksetIteration,
     mut solution: SolutionSet,
-    constant_index: Vec<FxHashMap<Key, Vec<Record>>>,
+    constant_index: Vec<ConstantIndex>,
     initial_workset: Vec<Record>,
     router: &PartitionRouter,
     config: &WorksetConfig,
@@ -316,7 +349,7 @@ fn run_worker(
     partition: usize,
     iteration: &WorksetIteration,
     s_part: &mut crate::solution_set::PartitionIndex,
-    constant: &FxHashMap<Key, Vec<Record>>,
+    constant: &ConstantIndex,
     comparator: &Option<crate::solution_set::RecordComparator>,
     router: &PartitionRouter,
     receiver: &CreditReceiver<Record>,
@@ -332,7 +365,7 @@ fn run_worker(
         messages_shipped: 0,
         queue_high_water: 0,
     };
-    let mut expand_buffer: Vec<Record> = Vec::new();
+    let mut matches: Vec<Record> = Vec::new();
     let mut pending = PendingSends::new(in_flight);
     // Set while every pending flush *and* the inbox make no progress; a
     // stall outliving the comm timeout is a deadlock surfaced as an error.
@@ -361,23 +394,18 @@ fn run_worker(
                 );
                 if applied {
                     outcome.changed += 1;
-                    let matches = constant
-                        .get(&Key::extract(&delta, &iteration.delta_key))
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[]);
-                    expand_buffer.clear();
-                    iteration.expand.expand(&delta, matches, &mut expand_buffer);
-                    for new_record in expand_buffer.drain(..) {
-                        let target = router.route(&new_record, &iteration.workset_key);
-                        outcome.messages_sent += 1;
-                        if target != partition {
-                            outcome.messages_shipped += 1;
-                        }
-                        // The expansion takes an in-flight credit now; the
-                        // queue credit is acquired when the flush loop
-                        // enqueues it.
-                        pending.push(target, new_record);
-                    }
+                    let mut sink = PendingSink {
+                        pending: &mut pending,
+                        outcome: &mut outcome,
+                        router,
+                        workset_key: &iteration.workset_key,
+                        partition,
+                    };
+                    iteration.expand.expand(
+                        &delta,
+                        constant.matches(&delta, &iteration.delta_key, &mut matches),
+                        &mut sink,
+                    );
                 }
             }
             // `_credit` drops here, releasing this record's credit only
@@ -467,6 +495,7 @@ fn run_worker(
 mod tests {
     use super::*;
     use crate::workset::{ExecutionMode, ExpandClosure, UpdateClosure, WorksetIteration};
+    use dataflow::prelude::Value;
 
     /// Asynchronous minimum propagation over a ring of `n` vertices.
     fn ring_iteration(n: i64) -> (WorksetIteration, Vec<Record>, Vec<Record>) {
@@ -480,9 +509,9 @@ mod tests {
             },
         ));
         let expand = Arc::new(ExpandClosure(
-            |delta: &Record, edges: &[Record], out: &mut Vec<Record>| {
+            |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
                 for e in edges {
-                    out.push(Record::pair(e.long(1), delta.long(1)));
+                    out.emit(&[Value::Long(e.long(1)), Value::Long(delta.long(1))]);
                 }
             },
         ));

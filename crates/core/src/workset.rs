@@ -47,19 +47,20 @@
 //! cluster-wide), and what a consistent cut between supersteps consists of.
 
 use crate::checkpoint::{run_with_recovery, CheckpointPolicy};
+use crate::constant_index::ConstantIndex;
 use crate::solution_set::{PartitionIndex, RecordComparator, SolutionSet};
 use crate::stats::{IterationRunStats, IterationStats};
+use dataflow::contracts::RecordSink;
 use dataflow::exchange::{self, Outbox};
 use dataflow::fault::{FaultInjector, FaultSite};
-use dataflow::key::{group_ranges, sort_by_key, FxHashMap};
-use dataflow::page::{for_each_long_key_group, GroupScratch, PagePool};
+use dataflow::key::{group_ranges, sort_by_key};
+use dataflow::page::{for_each_long_key_group, GroupScratch, PagePool, PageWriter};
 use dataflow::prelude::{
     ChannelId, ClusterSpec, DataflowError, ExchangedPartition, Key, KeyFields, MemoryBudget,
     PartitionRouter, RangeBounds, Record, Result, RunMerger, SharedPageChannel, SpillManager,
-    TransportHandle,
+    TransportHandle, Value,
 };
 use dataflow::range::sample_keys_into;
-use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -94,8 +95,12 @@ where
 pub trait ExpandFunction: Send + Sync {
     /// Emits new workset records given the applied delta record and the
     /// records of the constant input that share its key (e.g. the out-edges
-    /// of the updated vertex).
-    fn expand(&self, delta: &Record, constant_matches: &[Record], out: &mut Vec<Record>);
+    /// of the updated vertex).  A candidate is best emitted by reference
+    /// ([`RecordSink::emit`]): the superstep sink routes on the field slice
+    /// and serializes it straight into the exchange, so no heap record is
+    /// allocated per candidate.  [`RecordSink::push`] takes an owned record
+    /// to the same place.
+    fn expand(&self, delta: &Record, constant_matches: &[Record], out: &mut dyn RecordSink);
 }
 
 /// Wraps a closure as an [`ExpandFunction`].
@@ -103,9 +108,9 @@ pub struct ExpandClosure<F>(pub F);
 
 impl<F> ExpandFunction for ExpandClosure<F>
 where
-    F: Fn(&Record, &[Record], &mut Vec<Record>) + Send + Sync,
+    F: Fn(&Record, &[Record], &mut dyn RecordSink) + Send + Sync,
 {
-    fn expand(&self, delta: &Record, constant_matches: &[Record], out: &mut Vec<Record>) {
+    fn expand(&self, delta: &Record, constant_matches: &[Record], out: &mut dyn RecordSink) {
         (self.0)(delta, constant_matches, out)
     }
 }
@@ -420,7 +425,8 @@ impl WorksetIteration {
             solution = solution.with_comparator(Arc::clone(cmp));
         }
         solution.merge_all(initial_solution);
-        let constant_index = self.build_constant_index_routed(&router, &cluster);
+        let constant_index =
+            ConstantIndex::build_all(&self.constant_input, &self.constant_key, &router, &cluster);
 
         match config.mode {
             ExecutionMode::AsynchronousMicrostep => crate::microstep::run_async(
@@ -474,38 +480,13 @@ impl WorksetIteration {
         }
     }
 
-    /// Partitions and indexes the constant input with the run's router — the
-    /// cached hash table of Figure 6.  Constant records live in the
-    /// partition their join partners are routed to under either scheme; in a
-    /// cluster, partitions owned by other processes stay empty (their owners
-    /// build them from the same SPMD input).
-    pub(crate) fn build_constant_index_routed(
-        &self,
-        router: &PartitionRouter,
-        cluster: &ClusterSpec,
-    ) -> Vec<FxHashMap<Key, Vec<Record>>> {
-        let mut index: Vec<FxHashMap<Key, Vec<Record>>> =
-            vec![FxHashMap::default(); router.parallelism()];
-        for record in self.constant_input.iter() {
-            let partition = router.route(record, &self.constant_key);
-            if !cluster.owns(partition, router.parallelism()) {
-                continue;
-            }
-            index[partition]
-                .entry(Key::extract(record, &self.constant_key))
-                .or_default()
-                .push(record.clone());
-        }
-        index
-    }
-
     /// Superstep-synchronised execution (both the batch-incremental and the
     /// microstep variant): superstep control, termination and checkpoint
     /// policy.  The queue switch itself is [`exchange::ship`].
     fn run_supersteps(
         &self,
         solution: SolutionSet,
-        constant_index: Vec<FxHashMap<Key, Vec<Record>>>,
+        constant_index: Vec<ConstantIndex>,
         initial_workset: Vec<Record>,
         router: &PartitionRouter,
         config: &WorksetConfig,
@@ -550,25 +531,21 @@ impl WorksetIteration {
         // barrier — and it is what every process's loop condition starts
         // from, keeping the supersteps in lockstep from round one.
         let pending = initial_workset.len() as u64;
-        // The initial workset is scattered by the driver, which co-owns it
-        // with every partition: a local move, not an exchange, so it is not
-        // serialized.  Partitions owned by other processes are dropped here;
-        // their owners scatter the same records from their own copy.
-        let mut scattered: Vec<Vec<Record>> = (0..parallelism)
-            .map(|_| Vec::with_capacity(initial_workset.len() / parallelism + 1))
-            .collect();
+        // The driver scatters the initial workset into per-partition pages —
+        // the representation every later superstep's queue has, so superstep
+        // 1 runs the same page-native join as the rest.  Partitions owned by
+        // other processes are dropped here; their owners scatter the same
+        // records from their own copy.
+        let mut scattered: Vec<PageWriter> = (0..parallelism).map(|_| PageWriter::new()).collect();
         for record in initial_workset {
             let partition = router.route(&record, &self.workset_key);
             if comms.cluster.owns(partition, parallelism) {
-                scattered[partition].push(record);
+                scattered[partition].push(&record);
             }
         }
         let mut state = SuperstepState {
             solution,
-            queues: scattered
-                .into_iter()
-                .map(ExchangedPartition::from_records)
-                .collect(),
+            queues: scattered.into_iter().map(paged_queue).collect(),
             pending,
             round: 0,
             scratch: (0..parallelism).map(|_| StepScratch::default()).collect(),
@@ -620,11 +597,17 @@ impl WorksetIteration {
                 rebuilt.merge_all(restored.solution.into_iter().flatten());
                 state.solution = rebuilt;
                 // Snapshotted queues were already partition-routed when they
-                // were taken, so they reload as plain local records.
+                // were taken, so they reload partition by partition.
                 state.queues = restored
                     .workset
                     .into_iter()
-                    .map(ExchangedPartition::from_records)
+                    .map(|records| {
+                        let mut writer = PageWriter::new();
+                        for record in &records {
+                            writer.push(record);
+                        }
+                        paged_queue(writer)
+                    })
                     .collect();
                 // Checkpointing is rejected in cluster mode, so this is a
                 // single-process run and the local count *is* the global one.
@@ -667,7 +650,7 @@ impl WorksetIteration {
         superstep: usize,
         state: &mut SuperstepState,
         comms: &SuperstepComms,
-        constant_index: &[FxHashMap<Key, Vec<Record>>],
+        constant_index: &[ConstantIndex],
         comparator: &Option<RecordComparator>,
         router: &PartitionRouter,
         spill: &SpillManager,
@@ -796,7 +779,7 @@ impl WorksetIteration {
         partition: usize,
         s_part: &mut PartitionIndex,
         workset: ExchangedPartition,
-        constant: &FxHashMap<Key, Vec<Record>>,
+        constant: &ConstantIndex,
         comparator: &Option<RecordComparator>,
         router: &PartitionRouter,
         spill: &SpillManager,
@@ -805,21 +788,19 @@ impl WorksetIteration {
     ) -> Result<PartitionOutput> {
         let microstep = config.mode == ExecutionMode::Microstep;
         let StepScratch {
-            expand: expand_buffer,
+            matches,
             deltas,
             page_scratch,
             freelist,
             pool,
             grouping,
-            local_buffer,
         } = scratch;
-        // The buffers this partition drained *last* superstep — its local
-        // queue and the pages of the workset it consumed — seed this
+        // The page buffers this partition drained *last* superstep seed this
         // superstep's outbox, closing the recycling loop: at steady state the
         // exchange writes into memory it emptied one superstep earlier
         // instead of allocating.
         let mut outbox = Outbox::new(partition, router.parallelism(), spill);
-        outbox.seed(std::mem::take(local_buffer), pool);
+        outbox.seed(pool);
         let mut output = PartitionOutput {
             outbox,
             inspected: 0,
@@ -835,16 +816,16 @@ impl WorksetIteration {
                     return;
                 }
                 output.changed += 1;
-                let matches = constant
-                    .get(&Key::extract(&delta, &self.delta_key))
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]);
-                expand_buffer.clear();
-                self.expand.expand(&delta, matches, expand_buffer);
-                for record in expand_buffer.drain(..) {
-                    let target = router.route(&record, &self.workset_key);
-                    output.outbox.push(target, Cow::Owned(record));
-                }
+                let mut sink = CandidateSink {
+                    outbox: &mut output.outbox,
+                    router,
+                    workset_key: &self.workset_key,
+                };
+                self.expand.expand(
+                    &delta,
+                    constant.matches(&delta, &self.delta_key, matches),
+                    &mut sink,
+                );
             };
 
         let paged = !microstep
@@ -852,24 +833,22 @@ impl WorksetIteration {
             && self.batch_group_paged(
                 &workset,
                 s_part,
-                pool,
                 grouping,
                 &mut apply_and_expand,
                 &mut output,
             )?;
-        let (mut records, pages, runs, _) = workset.into_pieces();
+        let (local, pages, runs, _) = workset.into_pieces();
+        debug_assert!(local.is_empty(), "workset queues hold pages and runs only");
         if paged {
             // Page-native InnerCoGroup: the candidates were grouped straight
             // off their sealed pages (sorted by normalized key prefix, read
             // into a bounded group scratch) and each update's delta was
             // applied and expanded in place; only the deltas themselves
-            // touch heap records.  The consumed pages recycle into the pool.
-            pool.recycle_all(pages);
+            // touch heap records.
         } else if microstep {
             // Match variant: one workset record at a time, updates visible
-            // immediately.  Records that stayed local are consumed in place;
-            // shipped candidates are deserialized straight out of the
-            // received pages into the update/merge path through one reused
+            // immediately.  Candidates are deserialized straight out of the
+            // queue's pages into the update/merge path through one reused
             // scratch record — delta application reads from pages without an
             // intermediate workset copy or per-record allocation.
             let mut handle =
@@ -885,9 +864,6 @@ impl WorksetIteration {
                         apply_and_expand(delta, s_part, output);
                     }
                 };
-            for record in records.drain(..) {
-                handle(&record, s_part, &mut output);
-            }
             for page in &pages {
                 for view in page.reader() {
                     view.read_into(page_scratch);
@@ -903,16 +879,17 @@ impl WorksetIteration {
                     handle(page_scratch, s_part, &mut output);
                 }
             }
-            pool.recycle_all(pages);
         } else {
-            // InnerCoGroup variant: materialize the partition's workset (the
-            // local records are already owned; paged candidates are read out
-            // of the received pages into records recycled from earlier
-            // supersteps) and sort it by key so each group is a contiguous
-            // run (no per-superstep map to build), one update per key,
-            // deltas applied after the whole group pass (superstep semantics
-            // — every lookup sees the previous superstep's state).
-            records.reserve(pages.iter().map(|p| p.record_count()).sum());
+            // InnerCoGroup variant, materializing — the only path for
+            // non-`Long` or composite keys and for spilled runs, and the
+            // oracle the page-native path is tested against: read the
+            // queue's pages into records recycled from earlier supersteps
+            // and sort them by key so each group is a contiguous run (no
+            // per-superstep map to build), one update per key, deltas
+            // applied after the whole group pass (superstep semantics —
+            // every lookup sees the previous superstep's state).
+            let mut records: Vec<Record> =
+                Vec::with_capacity(pages.iter().map(|p| p.record_count()).sum());
             for page in &pages {
                 for view in page.reader() {
                     let mut record = freelist.pop().unwrap_or_else(Record::empty);
@@ -920,7 +897,6 @@ impl WorksetIteration {
                     records.push(record);
                 }
             }
-            pool.recycle_all(pages);
             sort_by_key(&mut records, &self.workset_key);
             deltas.clear();
             if runs.is_empty() {
@@ -932,6 +908,8 @@ impl WorksetIteration {
                         deltas.push(delta);
                     }
                 }
+                freelist.append(&mut records);
+                freelist.truncate(FREELIST_RECORDS);
             } else {
                 // Out-of-core grouping: the spilled candidate runs are
                 // sorted on the workset key, so merging them with the sorted
@@ -940,11 +918,7 @@ impl WorksetIteration {
                 // workset never materializes.  Deltas still apply after the
                 // whole pass (superstep semantics are unchanged).
                 spill.fault().io_check(FaultSite::SpillRead)?;
-                let merger = RunMerger::over_runs(
-                    &runs,
-                    std::mem::take(&mut records),
-                    self.workset_key.clone(),
-                )?;
+                let merger = RunMerger::over_runs(&runs, records, self.workset_key.clone())?;
                 let inspected = &mut output.inspected;
                 merger.for_each_group(|key, candidates| {
                     *inspected += 1;
@@ -963,14 +937,13 @@ impl WorksetIteration {
                 apply_and_expand(delta, s_part, &mut output);
             }
         }
-        // Whatever local records the batch variants left feed the freelist
-        // (bounded) so the next superstep's page materialization reuses
-        // them; the drained queue buffer becomes the next superstep's outbox
-        // buffer.  Sealing here, inside the partition's task, lets the
-        // partitions' final flushes overlap.
-        freelist.append(&mut records);
-        freelist.truncate(FREELIST_RECORDS);
-        *local_buffer = records;
+        // The drained pages become the next superstep's outbox buffers: a
+        // pool as large as what this superstep consumed covers the steady
+        // state without allocating and shrinks with the workset.  Sealing
+        // here, inside the partition's task, lets the partitions' final
+        // flushes overlap.
+        pool.set_limit(pages.len());
+        pool.recycle_all(pages);
         output.outbox.seal()?;
         Ok(output)
     }
@@ -988,83 +961,101 @@ impl WorksetIteration {
     /// record instead of re-reading the stored record.
     ///
     /// Returns `false` without touching `output` when the workset
-    /// disqualifies the paged path (composite or non-`Long` key, no shipped
-    /// pages to adopt, spilled runs that need the merging path); the caller
-    /// falls back to materializing the untouched workset.
+    /// disqualifies the paged path (composite or non-`Long` key, spilled
+    /// runs that need the merging path); the caller falls back to
+    /// materializing the untouched workset.
     fn batch_group_paged(
         &self,
         workset: &ExchangedPartition,
         s_part: &mut PartitionIndex,
-        pool: &mut PagePool,
         grouping: &mut GroupScratch,
         mut apply: impl FnMut(Record, &mut PartitionIndex, &mut PartitionOutput),
         output: &mut PartitionOutput,
     ) -> std::io::Result<bool> {
-        // Without shipped pages the paged path would serialize every local
-        // record just to sort handles — the in-place heap sort is cheaper.
         // Spilled runs take the streaming merge-group path instead.
-        if workset.page_count() == 0 || workset.spilled_run_count() > 0 {
+        if workset.spilled_run_count() > 0 {
             return Ok(false);
         }
-        for_each_long_key_group(
-            workset,
-            &self.workset_key,
-            grouping,
-            pool,
-            |key, candidates| {
-                output.inspected += 1;
-                let key = Key::long(key);
-                if let Some(delta) = self.update.update(&key, s_part.get(&key), candidates) {
-                    apply(delta, s_part, output);
-                }
-            },
-        )
+        for_each_long_key_group(workset, &self.workset_key, grouping, |key, candidates| {
+            output.inspected += 1;
+            let key = Key::long(key);
+            if let Some(delta) = self.update.update(&key, s_part.get(&key), candidates) {
+                apply(delta, s_part, output);
+            }
+        })
     }
 }
 
-/// Cap on the per-partition record freelist (bounds the memory retained
-/// between supersteps while still covering the tail, where worksets are
-/// tiny).
+/// Cap on the per-partition record freelist of the materializing path
+/// (bounds the memory retained between supersteps while still covering the
+/// tail, where worksets are tiny).
 const FREELIST_RECORDS: usize = 4096;
 
-/// Cap on the page buffers one partition's pool retains between supersteps.
-const POOL_PAGES: usize = 64;
+/// A workset queue holding the pages `writer` wrote.
+fn paged_queue(writer: PageWriter) -> ExchangedPartition {
+    ExchangedPartition::new(Vec::new(), writer.finish())
+}
+
+/// The sink the expand UDF emits into during a superstep: routes each
+/// candidate on the workset key and hands it to the partition's outbox,
+/// where it is serialized into the page of its target partition.  Owned and
+/// by-reference candidates take the same road — the queues of a superstep
+/// run hold pages, never heap records.
+struct CandidateSink<'a> {
+    outbox: &'a mut Outbox,
+    router: &'a PartitionRouter,
+    workset_key: &'a [usize],
+}
+
+impl RecordSink for CandidateSink<'_> {
+    fn push(&mut self, record: Record) {
+        self.emit(record.fields());
+    }
+
+    #[inline]
+    fn emit(&mut self, fields: &[Value]) {
+        let target = self.router.route_fields(fields, self.workset_key);
+        self.outbox.emit(target, fields);
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
+    where
+        Self: 'static,
+    {
+        self
+    }
+}
 
 /// Per-partition buffers reused across supersteps by the workset driver.
 struct StepScratch {
-    /// Buffer handed to the expand UDF.
-    expand: Vec<Record>,
-    /// Delta records of the current superstep (batch-incremental mode).
+    /// Records the constant-path probe deserializes a delta's matches into.
+    matches: Vec<Record>,
+    /// Delta records of the current superstep (materializing path).
     deltas: Vec<Record>,
     /// Scratch record the microstep variant deserializes page views into.
     page_scratch: Record,
     /// Consumed records recycled into the next superstep's page
-    /// materialization (batch-incremental mode).
+    /// materialization (materializing path).
     freelist: Vec<Record>,
     /// Page buffers recovered from consumed workset pages, reissued to the
-    /// next superstep's outbox writers (and to the page-native grouping
-    /// store), so steady-state supersteps allocate no new pages.
+    /// next superstep's outbox writers, so steady-state supersteps allocate
+    /// no new pages.  Bounded, superstep by superstep, by the number of
+    /// pages the partition just drained.
     pool: PagePool,
     /// Pair and group buffers of the page-native grouping (grow to the
     /// largest workset and group, then stay).
     grouping: GroupScratch,
-    /// The local queue this partition drained last superstep (empty, its
-    /// capacity kept): the next superstep's outbox collects its local
-    /// records into it, so the two buffers alternate instead of one being
-    /// allocated per superstep.
-    local_buffer: Vec<Record>,
 }
 
 impl Default for StepScratch {
     fn default() -> Self {
         StepScratch {
-            expand: Vec::new(),
+            matches: Vec::new(),
             deltas: Vec::new(),
             page_scratch: Record::empty(),
             freelist: Vec::new(),
-            pool: PagePool::with_limit(POOL_PAGES),
+            pool: PagePool::with_limit(0),
             grouping: GroupScratch::default(),
-            local_buffer: Vec::new(),
         }
     }
 }
@@ -1213,9 +1204,9 @@ mod tests {
             },
         ));
         let expand = Arc::new(ExpandClosure(
-            |delta: &Record, edges: &[Record], out: &mut Vec<Record>| {
+            |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
                 for e in edges {
-                    out.push(Record::pair(e.long(1), delta.long(1)));
+                    out.emit(&[Value::Long(e.long(1)), Value::Long(delta.long(1))]);
                 }
             },
         ));
@@ -1433,6 +1424,14 @@ mod tests {
     /// partitions — the shapes the page-native grouping must reproduce
     /// exactly.
     fn dense_min_propagation() -> (WorksetIteration, Vec<Record>, Vec<Record>) {
+        dense_min_propagation_emitting(true)
+    }
+
+    /// [`dense_min_propagation`] with the expansion written either against
+    /// the by-reference emit or against the owned-record push.
+    fn dense_min_propagation_emitting(
+        by_reference: bool,
+    ) -> (WorksetIteration, Vec<Record>, Vec<Record>) {
         let n = 96i64;
         let update = Arc::new(UpdateClosure(
             |key: &Key, current: Option<&Record>, candidates: &[Record]| {
@@ -1444,9 +1443,13 @@ mod tests {
             },
         ));
         let expand = Arc::new(ExpandClosure(
-            |delta: &Record, edges: &[Record], out: &mut Vec<Record>| {
+            move |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
                 for e in edges {
-                    out.push(Record::pair(e.long(1), delta.long(1)));
+                    if by_reference {
+                        out.emit(&[Value::Long(e.long(1)), Value::Long(delta.long(1))]);
+                    } else {
+                        out.push(Record::pair(e.long(1), delta.long(1)));
+                    }
                 }
             },
         ));
@@ -1466,6 +1469,22 @@ mod tests {
             .map(|v| Record::pair((v + 1) % n, v + 1000))
             .collect();
         (iteration, solution, workset)
+    }
+
+    /// Asserts two runs took the same supersteps: same count, same outcome,
+    /// identical per-superstep counters.
+    fn assert_same_trace(ours: &WorksetResult, theirs: &WorksetResult, label: &str) {
+        assert_eq!(ours.supersteps, theirs.supersteps, "{label}");
+        assert_eq!(ours.converged, theirs.converged, "{label}");
+        let (ours, theirs) = (&ours.stats.per_iteration, &theirs.stats.per_iteration);
+        assert_eq!(ours.len(), theirs.len(), "{label}");
+        for (a, b) in ours.iter().zip(theirs) {
+            assert_eq!(a.workset_size, b.workset_size, "{label}");
+            assert_eq!(a.elements_inspected, b.elements_inspected, "{label}");
+            assert_eq!(a.elements_changed, b.elements_changed, "{label}");
+            assert_eq!(a.messages_sent, b.messages_sent, "{label}");
+            assert_eq!(a.messages_shipped, b.messages_shipped, "{label}");
+        }
     }
 
     /// The page-native grouping path must be indistinguishable from the
@@ -1501,20 +1520,8 @@ mod tests {
                         // Unsorted equality: the paths must agree on the
                         // records *and* the order the index emits them in.
                         assert_eq!(paged.solution, materialized.solution, "{label}");
-                        assert_eq!(paged.supersteps, materialized.supersteps, "{label}");
                         assert!(paged.converged, "{label}");
-                        for (a, b) in paged
-                            .stats
-                            .per_iteration
-                            .iter()
-                            .zip(&materialized.stats.per_iteration)
-                        {
-                            assert_eq!(a.workset_size, b.workset_size, "{label}");
-                            assert_eq!(a.elements_inspected, b.elements_inspected, "{label}");
-                            assert_eq!(a.elements_changed, b.elements_changed, "{label}");
-                            assert_eq!(a.messages_sent, b.messages_sent, "{label}");
-                            assert_eq!(a.messages_shipped, b.messages_shipped, "{label}");
-                        }
+                        assert_same_trace(&paged, &materialized, &label);
                         // The zero budget must actually exercise the spilled
                         // path wherever candidates ship between partitions.
                         if budget == MemoryBudget::bytes(0) && parallelism > 1 {
@@ -1547,13 +1554,12 @@ mod tests {
                 }
             },
         ));
+        // Emitted by reference: the sink routes on the `Text` key field of
+        // the slice and serializes it; nothing on the way assumes a `Long`.
         let expand = Arc::new(ExpandClosure(
-            |delta: &Record, edges: &[Record], out: &mut Vec<Record>| {
+            |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
                 for e in edges {
-                    out.push(Record::new(vec![
-                        e.fields()[1].clone(),
-                        delta.fields()[1].clone(),
-                    ]));
+                    out.emit(&[e.field(1).clone(), delta.field(1).clone()]);
                 }
             },
         ));
@@ -1594,8 +1600,13 @@ mod tests {
             )
             .unwrap();
         assert_eq!(paged.solution, materialized.solution);
+        assert_same_trace(&paged, &materialized, "text keys");
         assert!(paged.converged);
         assert!(paged.solution.iter().all(|r| r.long(1) == 10));
+        // Both candidates of the first superstep reach their vertex, and the
+        // second superstep's candidates come out of the sink.
+        assert_eq!(paged.stats.per_iteration[0].workset_size, 2);
+        assert!(paged.stats.per_iteration[1].workset_size > 0);
     }
 
     #[test]
@@ -1660,14 +1671,21 @@ mod tests {
         addr.to_string()
     }
 
-    /// Runs `min_propagation` as a 2-process TCP cluster (both processes in
-    /// this test process, connected through real sockets) and returns both
-    /// workers' results in index order.
+    /// The 4-vertex path job most cluster tests run.
+    fn path_job() -> (WorksetIteration, Vec<Record>, Vec<Record>) {
+        let (solution, workset) = initial_state();
+        (min_propagation(), solution, workset)
+    }
+
+    /// Runs `job` as a 2-process TCP cluster (both processes in this test
+    /// process, connected through real sockets) and returns both workers'
+    /// results in index order.
     fn run_tcp_cluster(
+        job: impl Fn() -> (WorksetIteration, Vec<Record>, Vec<Record>) + Send + Sync,
         configure: impl Fn(WorksetConfig) -> WorksetConfig + Send + Sync,
     ) -> Vec<WorksetResult> {
         let coordinator = free_coordinator_addr();
-        let configure = &configure;
+        let (job, configure) = (&job, &configure);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..2)
                 .map(|index| {
@@ -1680,8 +1698,8 @@ mod tests {
                             &FaultInjector::disabled(),
                         )
                         .expect("cluster connects");
-                        let (solution, workset) = initial_state();
-                        min_propagation()
+                        let (iteration, solution, workset) = job();
+                        iteration
                             .run(
                                 solution,
                                 workset,
@@ -1709,25 +1727,75 @@ mod tests {
             .collect();
         assert_eq!(combined, oracle.solution);
         for result in results {
-            assert_eq!(result.supersteps, oracle.supersteps);
-            assert_eq!(result.converged, oracle.converged);
-            assert_eq!(
-                result.stats.per_iteration.len(),
-                oracle.stats.per_iteration.len()
-            );
-            for (ours, theirs) in result
-                .stats
-                .per_iteration
-                .iter()
-                .zip(&oracle.stats.per_iteration)
-            {
-                assert_eq!(ours.workset_size, theirs.workset_size);
-                assert_eq!(ours.elements_inspected, theirs.elements_inspected);
-                assert_eq!(ours.elements_changed, theirs.elements_changed);
-                assert_eq!(ours.messages_sent, theirs.messages_sent);
-                assert_eq!(ours.messages_shipped, theirs.messages_shipped);
+            assert_same_trace(result, oracle, "cluster worker");
+        }
+    }
+
+    /// An expansion that pushes owned records and one that emits field
+    /// slices are the same iteration: byte-identical solutions and identical
+    /// per-superstep counters under every routing, memory regime, superstep
+    /// mode and transport.
+    #[test]
+    fn pushed_and_emitted_candidates_are_indistinguishable() {
+        let (emitting, solution, workset) = dense_min_propagation_emitting(true);
+        let (pushing, _, _) = dense_min_propagation_emitting(false);
+        // The memory regimes: unlimited, every sealed page spilled, and two
+        // page credits per writer.
+        let configure = |regime: &str, config: WorksetConfig| match regime {
+            "budget 0" => config.with_memory_budget(MemoryBudget::bytes(0)),
+            "2 credits" => config.with_channel_credits(2),
+            _ => config,
+        };
+        for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
+            for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
+                for regime in ["unlimited", "budget 0", "2 credits"] {
+                    let configure = |config| configure(regime, config);
+                    let label = format!("{mode:?}/{routing:?}/{regime}");
+                    let config =
+                        configure(WorksetConfig::new(4).with_mode(mode).with_routing(routing));
+                    let emitted = emitting
+                        .run(solution.clone(), workset.clone(), &config)
+                        .unwrap();
+                    let pushed = pushing
+                        .run(solution.clone(), workset.clone(), &config)
+                        .unwrap();
+                    assert!(emitted.converged, "{label}");
+                    assert_eq!(emitted.solution, pushed.solution, "{label}");
+                    assert_same_trace(&emitted, &pushed, &label);
+                    if regime == "budget 0" {
+                        assert!(emitted.stats.total_spilled_bytes() > 0, "{label}");
+                    }
+                    // The same job as a 2-worker TCP cluster, candidates
+                    // pushed, against the single process that emitted them.
+                    let cluster = run_tcp_cluster(
+                        || dense_min_propagation_emitting(false),
+                        |config| configure(config.with_mode(mode).with_routing(routing)),
+                    );
+                    if mode == ExecutionMode::BatchIncremental || regime == "unlimited" {
+                        assert_matches_oracle(&cluster, &emitted);
+                    } else {
+                        // Disk is node-local: a remote worker's spilled runs
+                        // arrive as pages, ahead of the local runs, and a
+                        // microstep's counters depend on that order.  The
+                        // fixpoint does not.
+                        let combined: Vec<Record> =
+                            cluster.into_iter().flat_map(|r| r.solution).collect();
+                        assert_eq!(combined, emitted.solution, "{label}");
+                    }
+                }
             }
         }
+        // Asynchronous queues hold heap records, so there an emitted
+        // candidate becomes one; the fixpoint is the same set of records.
+        let config = WorksetConfig::new(4).with_mode(ExecutionMode::AsynchronousMicrostep);
+        let mut emitted = emitting
+            .run(solution.clone(), workset.clone(), &config)
+            .unwrap()
+            .solution;
+        let mut pushed = pushing.run(solution, workset, &config).unwrap().solution;
+        emitted.sort();
+        pushed.sort();
+        assert_eq!(emitted, pushed);
     }
 
     #[test]
@@ -1736,7 +1804,7 @@ mod tests {
         let oracle = min_propagation()
             .run(solution, workset, &WorksetConfig::new(4))
             .unwrap();
-        let results = run_tcp_cluster(|config| config);
+        let results = run_tcp_cluster(path_job, |config| config);
         assert_matches_oracle(&results, &oracle);
     }
 
@@ -1754,7 +1822,9 @@ mod tests {
                     &WorksetConfig::new(4).with_mode(mode).with_routing(routing),
                 )
                 .unwrap();
-            let results = run_tcp_cluster(|config| config.with_mode(mode).with_routing(routing));
+            let results = run_tcp_cluster(path_job, |config| {
+                config.with_mode(mode).with_routing(routing)
+            });
             assert_matches_oracle(&results, &oracle);
         }
     }
@@ -1771,7 +1841,9 @@ mod tests {
                 &WorksetConfig::new(4).with_memory_budget(MemoryBudget::bytes(0)),
             )
             .unwrap();
-        let results = run_tcp_cluster(|config| config.with_memory_budget(MemoryBudget::bytes(0)));
+        let results = run_tcp_cluster(path_job, |config| {
+            config.with_memory_budget(MemoryBudget::bytes(0))
+        });
         assert_matches_oracle(&results, &oracle);
     }
 

@@ -1,0 +1,116 @@
+//! Counting-allocator bound on the workset superstep: past the first
+//! superstep (which warms the per-partition scratch buffers), a dense
+//! min-propagation run allocates O(pages + changed), not O(candidates) —
+//! candidates are born on pages, the constant path is probed into a reused
+//! scratch slice, and consumed page buffers come back as the next
+//! superstep's outbox pages.
+//!
+//! This file holds exactly one `#[test]` so no sibling test can run
+//! concurrently inside the process and pollute the allocation counters.
+
+use dataflow::prelude::{Key, Record, RecordSink, Value};
+use spinning_core::prelude::{
+    ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetResult,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// Wraps the system allocator and counts every allocation.
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+const VERTICES: i64 = 4_096;
+/// Every vertex neighbours the `REACH` vertices on either side of it on the
+/// ring, so a delta emits `2 * REACH` candidates and the minimum label needs
+/// `VERTICES / 2 / REACH` supersteps to cross the graph.
+const REACH: i64 = 32;
+
+fn dense_ring() -> (WorksetIteration, Vec<Record>, Vec<Record>) {
+    let update = Arc::new(UpdateClosure(
+        |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+            let best = candidates.iter().map(|r| r.long(1)).min().unwrap();
+            match current {
+                Some(c) if c.long(1) <= best => None,
+                _ => Some(Record::pair(key.values()[0].as_long(), best)),
+            }
+        },
+    ));
+    let expand = Arc::new(ExpandClosure(
+        |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+            for e in edges {
+                out.emit(&[Value::Long(e.long(1)), Value::Long(delta.long(1))]);
+            }
+        },
+    ));
+    let mut edges = Vec::new();
+    for v in 0..VERTICES {
+        for hop in 1..=REACH {
+            edges.push(Record::pair(v, (v + hop) % VERTICES));
+            edges.push(Record::pair(v, (v + VERTICES - hop) % VERTICES));
+        }
+    }
+    let iteration = WorksetIteration::builder(vec![0], vec![0], update, expand)
+        .constant_input(Arc::new(edges), vec![0], vec![0])
+        .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
+        .build();
+    let solution: Vec<Record> = (0..VERTICES).map(|v| Record::pair(v, v)).collect();
+    let workset: Vec<Record> = (0..VERTICES)
+        .map(|v| Record::pair((v + 1) % VERTICES, v))
+        .collect();
+    (iteration, solution, workset)
+}
+
+/// Runs the job bounded at `max_supersteps` and returns its result with the
+/// allocations the run performed (inputs are built outside the count).
+fn counted_run(max_supersteps: usize) -> (WorksetResult, usize) {
+    let (iteration, solution, workset) = dense_ring();
+    let config = WorksetConfig::new(2).with_max_supersteps(max_supersteps);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let result = iteration.run(solution, workset, &config).expect("run");
+    (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+#[test]
+fn supersteps_after_the_first_allocate_per_page_and_delta_not_per_candidate() {
+    // A run truncated after superstep 1 pays the set-up (router, solution
+    // set, constant index), the first superstep and the result read-out; the
+    // full run pays the same plus supersteps 2.. — the difference is theirs.
+    let (head, head_allocations) = counted_run(1);
+    let (full, full_allocations) = counted_run(usize::MAX);
+    assert!(full.converged && !head.converged);
+    assert!(full.supersteps > 8, "ran {} supersteps", full.supersteps);
+    let later = &full.stats.per_iteration[1..];
+    let messages: usize = later.iter().map(|s| s.messages_sent).sum();
+    let changed: usize = later.iter().map(|s| s.elements_changed).sum();
+    assert!(
+        messages >= 32 * changed && changed > VERTICES as usize,
+        "the workload must be candidate-dominated: {messages} candidates, {changed} deltas"
+    );
+    let allocations = full_allocations - head_allocations;
+    assert!(
+        allocations < messages / 16,
+        "supersteps 2.. allocated {allocations} times for {messages} candidates \
+         ({changed} deltas) — a per-candidate allocation crept in"
+    );
+}

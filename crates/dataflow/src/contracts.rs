@@ -22,12 +22,29 @@ use std::sync::Arc;
 /// running.  Emission is infallible from the UDF's point of view; a sink
 /// that fails downstream records the error internally and reports it when
 /// the runtime takes it back.
+///
+/// A record leaves a user function in one of two representations:
+/// [`RecordSink::push`] hands over a record that already exists as a heap
+/// object, which a sink holding heap records moves; [`RecordSink::emit`]
+/// hands over the fields of a record that exists nowhere yet, so a sink that
+/// writes pages (the workset superstep's) serializes them in place and the
+/// record is never allocated — `Long` and `Double` fields live on the
+/// emitter's stack.
 pub trait RecordSink: Send {
     /// Receives one emitted record.
     fn push(&mut self, record: Record);
+    /// Receives one emitted record by reference to its fields.  Sinks that
+    /// hold heap records fall back to building one.
+    fn emit(&mut self, fields: &[Value]) {
+        self.push(Record::new(fields.to_vec()));
+    }
     /// Recovers the concrete sink once the operator finished emitting
-    /// (trait objects cannot be downcast without an `Any` hop).
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
+    /// (trait objects cannot be downcast without an `Any` hop).  Only owned
+    /// sinks can make the hop; a sink that borrows its target is simply
+    /// dropped by the code that built it.
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
+    where
+        Self: 'static;
 }
 
 /// Receives the records a user-defined function emits.

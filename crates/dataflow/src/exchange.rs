@@ -15,29 +15,37 @@
 //!
 //! The shared code keeps the properties both call sites depend on:
 //!
-//! * **Local records are never serialised.**  A record routed to its own
-//!   partition is moved into the outbox's heap buffer and delivered as a heap
-//!   [`Record`], like a chained operator; only records bound for a peer are
-//!   written into that target's budgeted [`SpillingWriter`].
+//! * **A record keeps the representation it has.**  A record that already
+//!   exists as a heap object when it is routed to its own partition
+//!   ([`Outbox::push`] — the executor's UDFs hand over owned records) moves
+//!   into the outbox's heap buffer and is delivered as a heap [`Record`],
+//!   like a chained operator.  A record born at an emit call
+//!   ([`Outbox::emit`] — the workset superstep's candidates) is born
+//!   serialized, wherever it goes: into the peer's budgeted
+//!   [`SpillingWriter`], or, for the source's own partition, into a plain
+//!   local page writer.  The local writer is outside the budget and the
+//!   credits exactly as the heap buffer is — data that never leaves the
+//!   partition is not exchange data — so a budgeted run spills the same
+//!   bytes either way.
 //! * **The channel and its rounds belong to the caller.**  [`ship`] sends,
 //!   finishes and receives exactly one `round` of the channel it is given.
 //!   The executor opens a fresh channel per exchange and ships round 0; the
 //!   workset driver keeps *one* channel for the whole run and passes
 //!   monotonically increasing round numbers, so a near-empty superstep costs
 //!   no channel setup and a failed attempt can never pollute its retry.
-//! * **Buffers recycle.**  [`Outbox::seed`] installs the local buffer and the
-//!   page buffers ([`PagePool`]) the previous round drained, so a
-//!   steady-state superstep writes into memory it emptied one round earlier
-//!   and allocates nothing.
+//! * **Buffers recycle.**  [`Outbox::seed`] takes over the page buffers
+//!   ([`PagePool`]) the previous round drained and feeds them to whichever
+//!   writer is about to need one, so a steady-state superstep writes into
+//!   memory it emptied one round earlier and allocates no pages.
 //! * **Sort-on-flush is the spill manager's decision.**  Writers come from
 //!   the caller's [`SpillManager`]: batch-incremental supersteps and executor
 //!   exchanges flush runs sorted on the exchange key, microsteps flush
 //!   unsorted.
-//! * **Delivery order is source-major.**  A consumer partition sees its own
-//!   local records, then the pages of every source in source order, then the
-//!   spilled runs of every source in source order — the order the
-//!   single-process oracle produces, on which byte-identity of solutions and
-//!   per-superstep traces rests.
+//! * **Delivery order is source-major.**  A consumer partition sees what
+//!   never left it (its own local records, then its own local pages), then
+//!   the pages of every peer in source order, then the spilled runs of every
+//!   source in source order — the order the single-process oracle produces,
+//!   on which byte-identity of solutions and per-superstep traces rests.
 //! * **Disk is node-local.**  Spilled-run handles move directly to targets
 //!   this process owns; runs bound for a remote process are read back and
 //!   shipped as pages.  Source partitions owned by other processes are
@@ -46,23 +54,29 @@
 //!   sources it does not have.
 
 use crate::error::Result;
-use crate::page::{ExchangedPartition, PagePool, RecordPage};
+use crate::page::{ExchangedPartition, PagePool, PageWriter, RecordPage};
 use crate::record::Record;
 use crate::spill::{SpillManager, SpillOutput, SpillingWriter};
 use crate::transport::PageChannel;
+use crate::value::Value;
 use comm::ClusterSpec;
 use std::borrow::Cow;
 
-/// What one producer partition routed during one exchange round: the records
-/// that stay in the partition and one budgeted page writer per target.
+/// What one producer partition routed during one exchange round: what stays
+/// in the partition (pushed heap records, emitted local pages) and one
+/// budgeted page writer per target.
 #[derive(Debug)]
 pub struct Outbox {
     source: usize,
     local: Vec<Record>,
+    /// Emitted records that stay in the source partition; unbudgeted.
+    local_pages: PageWriter,
     /// One writer per target partition, indexed by target (the source's own
     /// slot stays empty); drained into `sealed` by [`Outbox::seal`].
     writers: Vec<SpillingWriter>,
     sealed: Vec<SpillOutput>,
+    /// Recycled page buffers no writer has claimed yet.
+    spare: Vec<Vec<u8>>,
     sent_records: usize,
     shipped_records: usize,
     shipped_bytes: usize,
@@ -75,25 +89,22 @@ impl Outbox {
         Outbox {
             source,
             local: Vec::new(),
+            local_pages: PageWriter::new(),
             writers: (0..targets).map(|_| spill.writer()).collect(),
             sealed: Vec::new(),
+            spare: Vec::new(),
             sent_records: 0,
             shipped_records: 0,
             shipped_bytes: 0,
         }
     }
 
-    /// Installs buffers the previous round drained: `local` (emptied, its
-    /// capacity kept) becomes the local record buffer and every peer writer
-    /// takes up to two page buffers from `pool`.
-    pub fn seed(&mut self, mut local: Vec<Record>, pool: &mut PagePool) {
-        local.clear();
-        self.local = local;
-        for (target, writer) in self.writers.iter_mut().enumerate() {
-            if target != self.source {
-                writer.add_spare_buffers(pool.take(2));
-            }
-        }
+    /// Takes over the page buffers the previous round drained into `pool`.
+    /// [`Outbox::emit`] hands them out one page ahead of each writer's
+    /// need; what no writer claims is dropped with the outbox, so the
+    /// buffers in circulation shrink with the data.
+    pub fn seed(&mut self, pool: &mut PagePool) {
+        self.spare.extend(pool.take(usize::MAX));
     }
 
     /// Routes one record to `target`: moved into the local buffer when it
@@ -110,11 +121,28 @@ impl Outbox {
         }
     }
 
+    /// Routes one record given as its field slice to `target`, serialising
+    /// it where it lands: the record never exists as a heap object.
+    #[inline]
+    pub fn emit(&mut self, target: usize, fields: &[Value]) {
+        self.sent_records += 1;
+        if target == self.source {
+            self.local_pages.refill_spare_from(&mut self.spare);
+            self.local_pages.push_fields(fields);
+        } else {
+            let writer = &mut self.writers[target];
+            writer.refill_spare_from(&mut self.spare);
+            self.shipped_records += 1;
+            self.shipped_bytes += writer.push_fields(fields);
+        }
+    }
+
     /// Seals every writer, applying the budget one last time.  Producers
     /// call this at the end of their own task so the final flushes of
     /// different partitions overlap; [`ship`] seals whatever was left open.
     /// Surfaces the first I/O error a mid-stream flush held back.
     pub fn seal(&mut self) -> std::io::Result<()> {
+        self.local_pages.seal();
         self.sealed.reserve_exact(self.writers.len());
         for writer in self.writers.drain(..) {
             self.sealed.push(writer.finish()?);
@@ -142,10 +170,11 @@ pub struct ShipStats {
     pub pages_high_water: usize,
 }
 
-/// Ships one round: every outbox's local records move to their own consumer
-/// partition, its pages travel through `channel`, its spilled runs move by
-/// handle (or, for a remote target, as pages), and every consumer partition
-/// this process owns gathers what all sources addressed to it.  `outboxes`
+/// Ships one round: what every outbox kept local (records, then pages) moves
+/// to its own consumer partition ahead of everything else, its peer pages
+/// travel through `channel`, its spilled runs move by handle (or, for a
+/// remote target, as pages), and every consumer partition this process owns
+/// gathers what all sources addressed to it.  `outboxes`
 /// arrive in source order, one per producer partition starting at 0; the
 /// result holds `targets` partitions, of which only the owned ones receive.
 pub fn ship(
@@ -170,6 +199,7 @@ pub fn ship(
         if !outbox.local.is_empty() {
             inboxes[source].receive_local(outbox.local);
         }
+        inboxes[source].receive_pages(outbox.local_pages.finish());
         if !cluster.owns(source, targets) {
             continue;
         }
@@ -294,12 +324,14 @@ mod tests {
 
     /// Routes the producer partitions `owned` by this process into outboxes
     /// (partitions of other processes stay empty, as in an SPMD superstep)
-    /// and ships them as `round` of `channel`.
+    /// and ships them as `round` of `channel`.  `by_reference` emits every
+    /// record as its field slice instead of pushing it as a heap object.
     fn exchange_once(
         router: &PartitionRouter,
         spill: &SpillManager,
         transport: &TransportHandle,
         round: u64,
+        by_reference: bool,
     ) -> (Vec<ExchangedPartition>, ShipStats) {
         let cluster = transport.cluster();
         let channel = transport.fresh_channel(PARTITIONS);
@@ -307,7 +339,12 @@ mod tests {
             let mut outbox = Outbox::new(source, PARTITIONS, spill);
             if cluster.owns(source, PARTITIONS) {
                 for record in records {
-                    outbox.push(router.route(&record, &[0]), Cow::Owned(record));
+                    let target = router.route(&record, &[0]);
+                    if by_reference {
+                        outbox.emit(target, record.fields());
+                    } else {
+                        outbox.push(target, Cow::Owned(record));
+                    }
                 }
             }
             outbox
@@ -357,6 +394,7 @@ mod tests {
         router: &PartitionRouter,
         regime: Regime,
         name: &str,
+        by_reference: bool,
     ) -> (Vec<ExchangedPartition>, Vec<ShipStats>, Vec<PathBuf>) {
         let coordinator = free_coordinator_addr();
         let results: Vec<_> = std::thread::scope(|scope| {
@@ -373,7 +411,8 @@ mod tests {
                         .expect("cluster connects");
                         let dir = spill_dir(&format!("{name}-tcp{index}"));
                         let spill = spill_manager(regime, dir.clone());
-                        let (parts, stats) = exchange_once(router, &spill, &transport, 1);
+                        let (parts, stats) =
+                            exchange_once(router, &spill, &transport, 1, by_reference);
                         (spec, parts, stats, dir)
                     })
                 })
@@ -403,13 +442,23 @@ mod tests {
         for (router, router_name) in [(hash_router(), "hash"), (range_router(), "range")] {
             let expected = reference(&router);
             let total: usize = expected.iter().map(Vec::len).sum();
-            for regime in [Regime::Unlimited, Regime::BudgetZero, Regime::TwoCredits] {
-                let name = format!("{router_name}-{regime:?}");
+            let regimes = [Regime::Unlimited, Regime::BudgetZero, Regime::TwoCredits];
+            for (regime, by_reference) in regimes.into_iter().flat_map(|r| [(r, false), (r, true)])
+            {
+                let name = format!("{router_name}-{regime:?}-{by_reference}");
                 let dir = spill_dir(&name);
                 let spill = spill_manager(regime, dir.clone());
                 let (local_parts, local_stats) =
-                    exchange_once(&router, &spill, &TransportHandle::local(), 0);
+                    exchange_once(&router, &spill, &TransportHandle::local(), 0, by_reference);
                 let local = delivered(&local_parts);
+                // Pushed records that stay local stay heap objects; emitted
+                // ones are paged — in the same place of the delivery order.
+                assert!(
+                    local_parts
+                        .iter()
+                        .all(|part| part.local_records().is_empty() == by_reference),
+                    "{name}"
+                );
                 assert_eq!(sorted(local.clone()), sorted(expected.clone()), "{name}");
                 assert_eq!(local_stats.sent_records, total, "{name}");
                 match regime {
@@ -432,7 +481,8 @@ mod tests {
                     }
                 }
 
-                let (tcp_parts, tcp_stats, tcp_dirs) = exchange_over_tcp(&router, regime, &name);
+                let (tcp_parts, tcp_stats, tcp_dirs) =
+                    exchange_over_tcp(&router, regime, &name, by_reference);
                 let tcp = delivered(&tcp_parts);
                 assert_eq!(sorted(tcp.clone()), sorted(expected.clone()), "{name}");
                 if regime == Regime::Unlimited {
@@ -464,7 +514,7 @@ mod tests {
     #[test]
     fn a_remote_targets_spilled_runs_arrive_as_pages() {
         let router = hash_router();
-        let (parts, _, dirs) = exchange_over_tcp(&router, Regime::BudgetZero, "remote-runs");
+        let (parts, _, dirs) = exchange_over_tcp(&router, Regime::BudgetZero, "remote-runs", false);
         // Budget 0 spills every shipped page.  Disk is node-local, so each
         // partition holds run handles only from its own process's sources
         // and received the peer's runs rematerialised as pages.
@@ -523,21 +573,31 @@ mod tests {
     }
 
     #[test]
-    fn seeded_buffers_are_written_into_and_local_records_never_serialise() {
+    fn seeded_buffers_are_written_into_and_records_keep_their_representation() {
         let spill = SpillManager::in_dir(spill_dir("seed"), MemoryBudget::unlimited(), None);
         let mut pool = PagePool::with_limit(8);
         let mut writer = crate::page::PageWriter::new();
         writer.push(&Record::pair(1, 1));
-        pool.recycle_all(writer.finish());
-        assert_eq!(pool.len(), 1);
-        let local_buffer: Vec<Record> = Vec::with_capacity(64);
-        let buffer_ptr = local_buffer.as_ptr();
+        writer.seal();
+        writer.push(&Record::pair(2, 2));
+        let buffers: Vec<*const u8> = writer
+            .finish()
+            .into_iter()
+            .map(|page| {
+                let ptr = page.bytes().as_ptr();
+                assert!(pool.recycle(page));
+                ptr
+            })
+            .collect();
 
         let mut outbox = Outbox::new(0, 2, &spill);
-        outbox.seed(local_buffer, &mut pool);
-        assert!(pool.is_empty(), "the peer writer took the pooled buffer");
+        outbox.seed(&mut pool);
+        assert!(pool.is_empty(), "the outbox took over the pooled buffers");
+        // A pushed record already is a heap object and stays one when it
+        // stays local; an emitted record is born on a page wherever it goes.
         outbox.push(0, Cow::Owned(Record::pair(7, 7)));
-        outbox.push(1, Cow::Owned(Record::pair(8, 8)));
+        outbox.emit(1, Record::pair(8, 8).fields());
+        outbox.emit(0, Record::pair(9, 9).fields());
         let transport = TransportHandle::local();
         let channel = transport.fresh_channel(2);
         let (parts, stats) =
@@ -548,12 +608,65 @@ mod tests {
                 stats.shipped_records,
                 stats.shipped_pages
             ),
-            (2, 1, 1)
+            (3, 1, 1)
         );
         assert_eq!(parts[0].local_records(), &[Record::pair(7, 7)]);
-        assert_eq!(parts[0].local_records().as_ptr(), buffer_ptr);
-        assert_eq!(parts[0].page_count(), 0);
+        assert_eq!(parts[0].page_count(), 1);
+        assert_eq!(
+            delivered(&parts)[0],
+            vec![Record::pair(7, 7), Record::pair(9, 9)]
+        );
         assert!(parts[1].local_records().is_empty());
         assert_eq!(parts[1].page_count(), 1);
+        // Both written pages live in the recycled buffers.
+        for part in &parts {
+            assert!(buffers.contains(&part.pages()[0].bytes().as_ptr()));
+        }
+    }
+
+    #[test]
+    fn delivery_is_own_local_pages_then_peer_pages_by_source_then_runs() {
+        // Three sources each emit tagged records to partition 1.  Source 0
+        // flushes a run mid-stream (two credits, tiny pages); source 1's
+        // records are local and must come first even though it is not the
+        // first source and its local writer is outside the credit cap.
+        let dir = spill_dir("order");
+        let spill = SpillManager::in_dir(dir.clone(), MemoryBudget::unlimited(), None)
+            .with_page_bytes(64)
+            .with_page_credits(Some(2));
+        let per_source = 12i64;
+        let outboxes = (0..3usize).map(|source| {
+            let mut outbox = Outbox::new(source, 3, &spill);
+            // Only source 0 emits enough to exceed its credits.
+            let count = if source == 2 { 2 } else { per_source };
+            for i in 0..count {
+                outbox.emit(1, Record::pair(source as i64, i).fields());
+            }
+            outbox
+        });
+        let transport = TransportHandle::local();
+        let channel = transport.fresh_channel(3);
+        let (parts, stats) =
+            ship(outboxes, 3, &*channel, &transport.cluster(), 0).expect("exchange");
+        assert!(stats.spilled_runs > 0, "source 0 must have flushed a run");
+        assert!(stats.pages_high_water <= 2);
+        let part = &parts[1];
+        assert!(part.local_records().is_empty(), "emitted records are paged");
+        assert!(part.spilled_run_count() > 0);
+        let sources: Vec<i64> = delivered(&parts)[1].iter().map(|r| r.long(0)).collect();
+        let in_pages: usize = part.pages().iter().map(|p| p.record_count()).sum();
+        // Pages: all of source 1 (local, never spilled although it sealed
+        // more pages than the credits allow), then what peers kept in
+        // memory, in source order.  Runs follow, again in source order.
+        let (paged, spilled) = sources.split_at(in_pages);
+        assert_eq!(&paged[..per_source as usize], vec![1; per_source as usize]);
+        let peers = &paged[per_source as usize..];
+        assert!(peers.windows(2).all(|w| w[0] <= w[1]), "{peers:?}");
+        assert!(peers.contains(&2) && !peers.contains(&1), "{peers:?}");
+        assert!(spilled.windows(2).all(|w| w[0] <= w[1]), "{spilled:?}");
+        assert!(spilled.contains(&0) && !spilled.contains(&1), "{spilled:?}");
+        assert_eq!(sources.len() as i64, 2 * per_source + 2);
+        drop(parts);
+        assert_no_spill_files(&dir);
     }
 }

@@ -52,8 +52,8 @@ use crate::fault::{FaultInjector, FaultSite};
 use crate::key::{group_ranges, partition_for, sort_by_key, FxHashMap, Key, KeyFields};
 use crate::page::{
     for_each_long_key_group, long_key_group_len, long_key_prefix_of, next_long_key_group,
-    sort_by_long_key, ExchangedPartition, GroupScratch, PagePool, PageWriter, PagedRecords,
-    PrefixTable, RecordPage,
+    sort_by_long_key, ExchangedPartition, GroupScratch, PageWriter, PagedRecords, PrefixTable,
+    RecordPage,
 };
 use crate::physical::{
     streaming_input_slot, LocalStrategy, PhysicalChoice, PhysicalPlan, ShipStrategy,
@@ -2180,13 +2180,9 @@ fn try_reduce_paged(
     if sort_based && part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key) {
         return Ok(false);
     }
-    for_each_long_key_group(
-        part,
-        key,
-        &mut GroupScratch::default(),
-        &mut PagePool::with_limit(0),
-        |k, group| udf.reduce(&Key::Long(k).values(), group, out),
-    )
+    for_each_long_key_group(part, key, &mut GroupScratch::default(), |k, group| {
+        udf.reduce(&Key::Long(k).values(), group, out)
+    })
 }
 
 /// Page-native sort-merge join: both sides sort `(prefix, handle)` pairs
@@ -2215,12 +2211,11 @@ fn try_sort_merge_paged(
     if disqualifies(lpart, left_key) || disqualifies(rpart, right_key) {
         return Ok(false);
     }
-    let mut pool = PagePool::with_limit(0);
     let (mut lpairs, mut rpairs) = (Vec::new(), Vec::new());
-    let Some(lstore) = sort_by_long_key(lpart, left_key, &mut lpairs, &mut pool)? else {
+    let Some(lstore) = sort_by_long_key(lpart, left_key, &mut lpairs)? else {
         return Ok(false);
     };
-    let Some(rstore) = sort_by_long_key(rpart, right_key, &mut rpairs, &mut pool)? else {
+    let Some(rstore) = sort_by_long_key(rpart, right_key, &mut rpairs)? else {
         return Ok(false);
     };
     let (mut lgroup, mut rgroup) = (Vec::new(), Vec::new());

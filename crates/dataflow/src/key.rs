@@ -150,15 +150,22 @@ pub fn hash_long(v: i64) -> u64 {
 /// Computes a stable 64-bit hash of the key fields of `record`.
 #[inline]
 pub fn hash_key(record: &Record, fields: &[usize]) -> u64 {
+    hash_key_fields(record.fields(), fields)
+}
+
+/// [`hash_key`] over a record given as its field slice (a record emitted by
+/// reference, which never exists as a [`Record`]).
+#[inline]
+pub fn hash_key_fields(values: &[Value], fields: &[usize]) -> u64 {
     // Fast path: a single long key field — no Value dispatch in the loop.
     if let [field] = fields {
-        if let Value::Long(v) = record.field(*field) {
+        if let Value::Long(v) = &values[*field] {
             return hash_long(*v);
         }
     }
     let mut hasher = FxHasher::default();
     for &i in fields {
-        record.field(i).hash(&mut hasher);
+        values[i].hash(&mut hasher);
     }
     hasher.finish()
 }
@@ -221,12 +228,18 @@ impl Key {
     /// Extracts the key of `record` according to `fields`.
     #[inline]
     pub fn extract(record: &Record, fields: &[usize]) -> Key {
+        Key::extract_fields(record.fields(), fields)
+    }
+
+    /// [`Key::extract`] over a record given as its field slice.
+    #[inline]
+    pub fn extract_fields(values: &[Value], fields: &[usize]) -> Key {
         if let [field] = fields {
-            if let Value::Long(v) = record.field(*field) {
+            if let Value::Long(v) = &values[*field] {
                 return Key::Long(*v);
             }
         }
-        Key::Composite(fields.iter().map(|&i| record.field(i).clone()).collect())
+        Key::Composite(fields.iter().map(|&i| values[i].clone()).collect())
     }
 
     /// A single-field integer key; the common case for graph workloads.

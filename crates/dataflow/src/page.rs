@@ -15,9 +15,10 @@
 //!   lazily, either materializing owned [`Record`]s or reading individual
 //!   fields straight out of the page bytes without allocating.
 //! * [`ExchangedPartition`] — what one worker partition receives from an
-//!   exchange ([`crate::exchange`]): records that never left the partition
-//!   (moved as heap objects, like a chained local forward) plus the sealed
-//!   pages shipped from peer partitions.
+//!   exchange ([`crate::exchange`]): owned records that never left the
+//!   partition (moved as heap objects, like a chained local forward) plus
+//!   sealed pages — shipped from peer partitions, or written locally by a
+//!   producer that emits records by reference.
 //! * [`PagedRecords`] / [`for_each_long_key_group`] — handle-addressed stores
 //!   over delivered pages, and the one kernel that groups a delivered
 //!   partition by its single-`Long` key straight off them (under the
@@ -148,7 +149,7 @@ fn serialize_value(value: &Value, out: &mut Vec<u8>) {
 
 /// Serializes one field into the head of `buf`, returning its width.  The
 /// caller guarantees the field fits (see the stack fast path of
-/// [`serialize_record_with_width`]).
+/// [`serialize_fields_with_width`]).
 #[inline]
 fn serialize_value_into(value: &Value, buf: &mut [u8]) -> usize {
     match value {
@@ -183,22 +184,30 @@ fn serialize_value_into(value: &Value, buf: &mut [u8]) -> usize {
 /// Serializes one record (length prefix plus field encodings) onto `out`.
 /// The number of bytes appended is exactly [`Record::estimated_bytes`].
 pub fn serialize_record(record: &Record, out: &mut Vec<u8>) {
-    serialize_record_with_width(record, record.estimated_bytes(), out);
+    serialize_fields_with_width(record.fields(), record.estimated_bytes(), out);
 }
 
-/// [`serialize_record`] with the serialized width precomputed by the caller
-/// (the page writer already computed it for its fit check — the field widths
-/// are summed once, not twice).  Small records — the exchange-path common
-/// case — assemble frame and fields in one stack buffer and land in the page
-/// with a single copy instead of a bounds-checked append per field.
-pub(crate) fn serialize_record_with_width(record: &Record, width: usize, out: &mut Vec<u8>) {
+/// The exact serialized width of a record given as its field slice: what
+/// [`Record::estimated_bytes`] returns for the record holding these fields.
+#[inline]
+pub fn serialized_width(fields: &[Value]) -> usize {
+    RECORD_FRAME_BYTES + fields.iter().map(Value::estimated_bytes).sum::<usize>()
+}
+
+/// [`serialize_record`] over a field slice, with the serialized width
+/// precomputed by the caller (the page writer already computed it for its
+/// fit check — the field widths are summed once, not twice).  Small records
+/// — the exchange-path common case — assemble frame and fields in one stack
+/// buffer and land in the page with a single copy instead of a
+/// bounds-checked append per field.
+pub(crate) fn serialize_fields_with_width(fields: &[Value], width: usize, out: &mut Vec<u8>) {
     let payload = (width - RECORD_FRAME_BYTES) as u32;
     const STACK: usize = 64;
     if width <= STACK {
         let mut buf = [0u8; STACK];
         buf[..RECORD_FRAME_BYTES].copy_from_slice(&payload.to_le_bytes());
         let mut off = RECORD_FRAME_BYTES;
-        for value in record.fields() {
+        for value in fields {
             off += serialize_value_into(value, &mut buf[off..]);
         }
         debug_assert_eq!(
@@ -211,7 +220,7 @@ pub(crate) fn serialize_record_with_width(record: &Record, width: usize, out: &m
     out.reserve(width);
     out.extend_from_slice(&payload.to_le_bytes());
     let start = out.len();
-    for value in record.fields() {
+    for value in fields {
         serialize_value(value, out);
     }
     debug_assert_eq!(
@@ -428,14 +437,27 @@ impl PageWriter {
 
     /// Serializes one record into the open page, sealing first if it would
     /// overflow.  Returns the serialized width in bytes.
+    #[inline]
     pub fn push(&mut self, record: &Record) -> usize {
-        // `estimated_bytes` is the exact serialized width of the binary
-        // format, so the fit check never needs a rollback.
-        let width = record.estimated_bytes();
+        self.push_fields(record.fields())
+    }
+
+    /// [`PageWriter::push`] for a record given as its field slice: a record
+    /// emitted by reference is born serialized, without ever being a heap
+    /// [`Record`].
+    pub fn push_fields(&mut self, fields: &[Value]) -> usize {
+        // The exact serialized width of the binary format, so the fit check
+        // never needs a rollback.
+        let width = serialized_width(fields);
         if !self.buf.is_empty() && self.buf.len() + width > self.page_bytes {
-            self.seal();
+            // This page filled, so its successor most likely will too: start
+            // it at full capacity instead of doubling up to it.  (A writer's
+            // first page still grows lazily — most writers of a near-empty
+            // superstep never fill one.)
+            let page_bytes = self.page_bytes;
+            self.seal_onto(|| Vec::with_capacity(page_bytes));
         }
-        serialize_record_with_width(record, width, &mut self.buf);
+        serialize_fields_with_width(fields, width, &mut self.buf);
         self.records += 1;
         self.total_records += 1;
         self.total_bytes += width;
@@ -449,8 +471,26 @@ impl PageWriter {
         width
     }
 
+    /// Takes one buffer from `buffers` unless the writer still holds a
+    /// recycled buffer for its next page.  Called before every push by a
+    /// caller that shares one stock of buffers among several writers, this
+    /// keeps each writer one page ahead, so the buffers go to the writers
+    /// that actually fill pages.
+    #[inline]
+    pub fn refill_spare_from(&mut self, buffers: &mut Vec<Vec<u8>>) {
+        if self.spare.is_empty() {
+            self.add_spare_buffers(buffers.pop());
+        }
+    }
+
     /// Seals the open page (a no-op when it is empty).
     pub fn seal(&mut self) {
+        self.seal_onto(Vec::new);
+    }
+
+    /// Seals the open page and opens the next one on a recycled buffer, or
+    /// on what `fresh` returns when none is left.
+    fn seal_onto(&mut self, fresh: impl FnOnce() -> Vec<u8>) {
         if self.buf.is_empty() {
             return;
         }
@@ -462,7 +502,7 @@ impl PageWriter {
             self.records,
             self.page_bytes
         );
-        let next = self.spare.pop().unwrap_or_default();
+        let next = self.spare.pop().unwrap_or_else(fresh);
         let buf = std::mem::replace(&mut self.buf, next);
         let records = std::mem::replace(&mut self.records, 0);
         self.sealed_bytes += buf.len();
@@ -830,7 +870,7 @@ impl PagedRecords {
     pub fn append(&mut self, record: &Record) -> PageHandle {
         let width = record.estimated_bytes();
         let handle = self.start_frame(width);
-        serialize_record_with_width(record, width, &mut self.buf);
+        serialize_fields_with_width(record.fields(), width, &mut self.buf);
         self.finish_frame(width);
         handle
     }
@@ -852,7 +892,10 @@ impl PagedRecords {
     /// next `width`-byte record will live at.
     fn start_frame(&mut self, width: usize) -> PageHandle {
         if !self.buf.is_empty() && self.buf.len() + width > self.page_bytes {
-            self.seal_open();
+            // Like `PageWriter::push_fields`: the successor of a page that
+            // filled starts at full capacity.
+            let page_bytes = self.page_bytes;
+            self.seal_open_onto(|| Vec::with_capacity(page_bytes));
         }
         PageHandle {
             page: self.pages.len() as u32,
@@ -872,6 +915,12 @@ impl PagedRecords {
     }
 
     fn seal_open(&mut self) {
+        self.seal_open_onto(Vec::new);
+    }
+
+    /// Seals the open page and opens the next one on a recycled buffer, or
+    /// on what `fresh` returns when none is left.
+    fn seal_open_onto(&mut self, fresh: impl FnOnce() -> Vec<u8>) {
         if self.buf.is_empty() {
             return;
         }
@@ -879,7 +928,7 @@ impl PagedRecords {
             self.buf.len() <= self.page_bytes || self.buf_records == 1,
             "capacity invariant violated in PagedRecords"
         );
-        let next = self.spare.pop().unwrap_or_default();
+        let next = self.spare.pop().unwrap_or_else(fresh);
         let buf = std::mem::replace(&mut self.buf, next);
         let records = std::mem::replace(&mut self.buf_records, 0);
         self.pages.push(Arc::new(RecordPage { buf, records }));
@@ -1074,6 +1123,15 @@ impl PagePool {
         }
     }
 
+    /// Re-bounds the pool to `limit` buffers, dropping any beyond it.  A
+    /// caller that recycles what one round drained into what the next round
+    /// writes sets this to the drained page count, so the pool covers the
+    /// steady state exactly and shrinks with the data.
+    pub fn set_limit(&mut self, limit: usize) {
+        self.limit = limit;
+        self.free.truncate(limit);
+    }
+
     /// Buffers currently pooled.
     #[inline]
     pub fn len(&self) -> usize {
@@ -1124,13 +1182,15 @@ impl PagePool {
 
 /// The post-exchange input of one worker partition.
 ///
-/// Records that were already in the right partition stay heap objects and are
-/// moved (a local forward never serializes, exactly like a chained operator
-/// in the real runtime); records from peer partitions arrive as sealed,
-/// shared pages — or, when the exchange ran under a memory budget, as
-/// [`SpilledRun`]s on disk.  Consumers either iterate everything by reference
-/// with a reusable scratch record ([`ExchangedPartition::for_each_ref`]) or
-/// take ownership ([`ExchangedPartition::into_records`] /
+/// Owned records that were already in the right partition stay heap objects
+/// and are moved (a local forward never serializes, exactly like a chained
+/// operator in the real runtime); records from peer partitions — and local
+/// records that were emitted by reference and so never were heap objects —
+/// arrive as sealed, shared pages, or, when the exchange ran under a memory
+/// budget, as [`SpilledRun`]s on disk.  Consumers either iterate everything
+/// by reference with a reusable scratch record
+/// ([`ExchangedPartition::for_each_ref`]) or take ownership
+/// ([`ExchangedPartition::into_records`] /
 /// [`ExchangedPartition::for_each_owned`]).
 ///
 /// # Sorted spilled partitions
@@ -1514,22 +1574,20 @@ pub struct GroupScratch {
 }
 
 /// Sorts a paged partition by its single-`Long` key without materializing
-/// it: the partition is ingested into a handle-addressed store (seeded with
-/// up to two buffers from `pool`) and `pairs` receives one `(normalized key
-/// prefix, handle)` per record, sorted.  Normalization is order-preserving
-/// and, for a single-`Long` key, the prefix *is* the full key; the handle
-/// tiebreak (insertion position) makes the unstable sort reproduce exactly
-/// the stable record sort of the materializing paths — on 16-byte items
-/// instead of heap records.
+/// it: the partition is ingested into a handle-addressed store and `pairs`
+/// receives one `(normalized key prefix, handle)` per record, sorted.
+/// Normalization is order-preserving and, for a single-`Long` key, the
+/// prefix *is* the full key; the handle tiebreak (insertion position) makes
+/// the unstable sort reproduce exactly the stable record sort of the
+/// materializing paths — on 16-byte items instead of heap records.
 ///
 /// Returns `Ok(None)` — the "disqualified, fall back" signal — for a
 /// composite key or a key field that is not a `Long` on every record; the
-/// partition is untouched and the store's buffers are back in `pool`.
+/// partition is untouched.
 pub fn sort_by_long_key(
     part: &ExchangedPartition,
     key: &[usize],
     pairs: &mut Vec<(u64, PageHandle)>,
-    pool: &mut PagePool,
 ) -> std::io::Result<Option<PagedRecords>> {
     let &[field] = key else {
         return Ok(None);
@@ -1537,11 +1595,9 @@ pub fn sort_by_long_key(
     pairs.clear();
     pairs.reserve(part.record_count());
     let mut store = PagedRecords::new();
-    store.add_spare_buffers(pool.take(2));
     if !part.ingest_long_keyed(field, &mut store, |prefix, handle| {
         pairs.push((prefix, handle))
     })? {
-        pool.recycle_all(store.into_pages());
         return Ok(None);
     }
     pairs.sort_unstable();
@@ -1589,11 +1645,10 @@ pub fn for_each_long_key_group(
     part: &ExchangedPartition,
     key: &[usize],
     scratch: &mut GroupScratch,
-    pool: &mut PagePool,
     mut on_group: impl FnMut(i64, &[Record]),
 ) -> std::io::Result<bool> {
     let GroupScratch { pairs, group } = scratch;
-    let Some(store) = sort_by_long_key(part, key, pairs, pool)? else {
+    let Some(store) = sort_by_long_key(part, key, pairs)? else {
         return Ok(false);
     };
     let mut rest = &pairs[..];
@@ -1602,9 +1657,6 @@ pub fn for_each_long_key_group(
         on_group(group_key, records);
         rest = after;
     }
-    // Locally written pages recycle; adopted pages are still co-owned by the
-    // partition and fail the refcount check (their owner recycles them).
-    pool.recycle_all(store.into_pages());
     Ok(true)
 }
 
@@ -1964,6 +2016,32 @@ mod tests {
     }
 
     #[test]
+    fn a_page_that_filled_starts_its_successor_at_full_capacity() {
+        // The first page grows lazily: a writer that never fills one (most
+        // writers of a near-empty superstep) must not pay for a whole page.
+        let mut writer = PageWriter::new();
+        writer.push(&Record::pair(0, 0));
+        assert!(writer.buf.capacity() < DEFAULT_PAGE_BYTES);
+        while writer.sealed_page_count() == 0 {
+            writer.push(&Record::pair(1, 1));
+        }
+        assert!(writer.buf.capacity() >= DEFAULT_PAGE_BYTES);
+        // Sealing an under-full page on request allocates no successor.
+        let mut idle = PageWriter::new();
+        idle.push(&Record::pair(0, 0));
+        idle.seal();
+        assert_eq!(idle.buf.capacity(), 0);
+
+        let mut store = PagedRecords::new();
+        store.append(&Record::pair(0, 0));
+        assert!(store.buf.capacity() < DEFAULT_PAGE_BYTES);
+        while store.pages.is_empty() {
+            store.append(&Record::pair(1, 1));
+        }
+        assert!(store.buf.capacity() >= DEFAULT_PAGE_BYTES);
+    }
+
+    #[test]
     fn page_pool_recycles_unique_buffers_into_writers() {
         let mut writer = PageWriter::with_page_bytes(64);
         for i in 0..20 {
@@ -1980,7 +2058,11 @@ mod tests {
             "the still-shared page cannot be recycled"
         );
         assert_eq!(pool.len(), captured);
-        drop(shared);
+        // Re-bounding the pool drops what exceeds the new limit and caps
+        // what it accepts from then on.
+        pool.set_limit(captured - 1);
+        assert_eq!(pool.len(), captured - 1);
+        assert!(!pool.recycle(shared), "a full pool declines the buffer");
         let mut next = PageWriter::with_page_bytes(64);
         next.add_spare_buffers(pool.take(usize::MAX));
         assert!(pool.is_empty());
@@ -2008,9 +2090,8 @@ mod tests {
             writer.finish(),
         );
         let mut scratch = GroupScratch::default();
-        let mut pool = PagePool::new();
         let mut groups: Vec<(i64, Vec<i64>)> = Vec::new();
-        let grouped = for_each_long_key_group(&part, &[0], &mut scratch, &mut pool, |key, g| {
+        let grouped = for_each_long_key_group(&part, &[0], &mut scratch, |key, g| {
             groups.push((key, g.iter().map(|r| r.long(1)).collect()))
         })
         .unwrap();
@@ -2022,27 +2103,22 @@ mod tests {
         );
         assert_eq!(groups[0].1, vec![-2, 0, 5, 10, 15, 20, 25, 30, 35]);
         assert_eq!(groups[3].1[..3], [-1, 3, 8]);
-        assert!(!pool.is_empty(), "the store's own pages recycle");
 
         // A composite key and a non-`Long` key field both return the
         // fallback signal without having invoked the callback — even when
         // the offending record is the very last one ingested.
         let mut invoked = false;
         assert!(
-            !for_each_long_key_group(&part, &[0, 1], &mut scratch, &mut pool, |_, _| {
-                invoked = true
-            })
-            .unwrap()
+            !for_each_long_key_group(&part, &[0, 1], &mut scratch, |_, _| { invoked = true })
+                .unwrap()
         );
         let mut writer = PageWriter::new();
         writer.push(&Record::pair(3, 3));
         writer.push(&Record::new(vec![Value::Text("k".into()), Value::Long(4)]));
         let mixed = ExchangedPartition::new(vec![Record::pair(1, 1)], writer.finish());
         assert!(
-            !for_each_long_key_group(&mixed, &[0], &mut scratch, &mut pool, |_, _| {
-                invoked = true
-            })
-            .unwrap()
+            !for_each_long_key_group(&mixed, &[0], &mut scratch, |_, _| { invoked = true })
+                .unwrap()
         );
         assert!(
             !invoked,

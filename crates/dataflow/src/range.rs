@@ -32,7 +32,7 @@
 //! consistently (the executor enforces this by building one bounds object
 //! per consuming operator).
 
-use crate::key::{hash_of_key, partition_for, sort_by_key, Key};
+use crate::key::{hash_key_fields, hash_of_key, sort_by_key, Key};
 use crate::page::normalize_long;
 use crate::record::Record;
 use crate::value::Value;
@@ -123,12 +123,19 @@ impl RangeBounds {
     /// routed without materialising a [`Key`].
     #[inline]
     pub fn partition_for_record(&self, record: &Record, fields: &[usize]) -> usize {
+        self.partition_for_fields(record.fields(), fields)
+    }
+
+    /// [`RangeBounds::partition_for_record`] over a record given as its
+    /// field slice.
+    #[inline]
+    pub fn partition_for_fields(&self, values: &[Value], fields: &[usize]) -> usize {
         if let (Some(longs), [field]) = (&self.long_splitters, fields) {
-            if let Value::Long(v) = record.field(*field) {
+            if let Value::Long(v) = &values[*field] {
                 return longs.partition_point(|s| s < v);
             }
         }
-        self.partition_of_key(&Key::extract(record, fields))
+        self.partition_of_key(&Key::extract_fields(values, fields))
     }
 }
 
@@ -151,7 +158,8 @@ pub fn sample_keys_into(sample: &mut Vec<Key>, records: &[Record], fields: &[usi
 /// loops themselves.  Cloning is cheap (range bounds are shared by `Arc`).
 #[derive(Debug, Clone)]
 pub enum PartitionRouter {
-    /// Fx-hash routing over `parallelism` partitions ([`partition_for`]).
+    /// Fx-hash routing over `parallelism` partitions
+    /// ([`crate::key::partition_for`]).
     Hash {
         /// Number of target partitions.
         parallelism: usize,
@@ -207,9 +215,19 @@ impl PartitionRouter {
     /// Routes `record`, keyed on `fields`, to its target partition.
     #[inline]
     pub fn route(&self, record: &Record, fields: &[usize]) -> usize {
+        self.route_fields(record.fields(), fields)
+    }
+
+    /// Routes a record given as its field slice — a record emitted by
+    /// reference is routed before it exists anywhere but on the emitter's
+    /// stack.  Agrees with [`PartitionRouter::route`] on the same fields.
+    #[inline]
+    pub fn route_fields(&self, values: &[Value], fields: &[usize]) -> usize {
         match self {
-            PartitionRouter::Hash { parallelism } => partition_for(record, fields, *parallelism),
-            PartitionRouter::Range { bounds, .. } => bounds.partition_for_record(record, fields),
+            PartitionRouter::Hash { parallelism } => {
+                (hash_key_fields(values, fields) % *parallelism as u64) as usize
+            }
+            PartitionRouter::Range { bounds, .. } => bounds.partition_for_fields(values, fields),
         }
     }
 

@@ -58,6 +58,7 @@ use crate::key::{Key, KeyFields};
 use crate::page::{PageWriter, RecordPage};
 use crate::range::sort_by_key_normalized;
 use crate::record::Record;
+use crate::value::Value;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -816,8 +817,15 @@ impl SpillingWriter {
     /// Serializes one record, spilling sealed pages if the byte budget or
     /// the page-credit cap is exceeded.  Returns the record's serialized
     /// width (like [`PageWriter::push`]).
+    #[inline]
     pub fn push(&mut self, record: &Record) -> usize {
-        let width = self.writer.push(record);
+        self.push_fields(record.fields())
+    }
+
+    /// [`SpillingWriter::push`] for a record given as its field slice (like
+    /// [`PageWriter::push_fields`]).
+    pub fn push_fields(&mut self, fields: &[Value]) -> usize {
+        let width = self.writer.push_fields(fields);
         let sealed_pages = self.writer.sealed_page_count();
         self.pages_high_water = self.pages_high_water.max(sealed_pages);
         let over_budget = !self.manager.inner.budget.allows(self.writer.sealed_bytes());
@@ -844,6 +852,12 @@ impl SpillingWriter {
     /// become this writer's sealed output pages without fresh allocations.
     pub fn add_spare_buffers(&mut self, buffers: impl IntoIterator<Item = Vec<u8>>) {
         self.writer.add_spare_buffers(buffers);
+    }
+
+    /// See [`PageWriter::refill_spare_from`].
+    #[inline]
+    pub fn refill_spare_from(&mut self, buffers: &mut Vec<Vec<u8>>) {
+        self.writer.refill_spare_from(buffers);
     }
 
     /// Moves the sealed pages to disk as one run (sorted first when the
