@@ -14,7 +14,7 @@
 //! neighbourhood has converged therefore drop out of the computation — the
 //! same sparse-dependency effect the Connected Components experiments show.
 
-use crate::common::edge_records_with_degree;
+use crate::common::{edge_with_degree_source, per_vertex, vid};
 use dataflow::prelude::*;
 use graphdata::Graph;
 use spinning_core::prelude::*;
@@ -121,20 +121,14 @@ pub fn adaptive_pagerank(graph: &Graph, config: &AdaptiveConfig) -> Result<Adapt
     ));
 
     let iteration = WorksetIteration::builder(vec![0], vec![0], update, expand)
-        .constant_input(edge_records_with_degree(graph), vec![0], vec![0])
+        .constant_input(Arc::new(edge_with_degree_source(graph)), vec![0], vec![0])
         .build();
 
     // Every vertex starts with rank 0 and a pending residual of (1 - d) / n
     // (the teleport mass), which seeds the initial working set.
-    let initial_solution: Vec<Record> = graph
-        .vertices()
-        .map(|v| Record::long_double(i64::from(v), 0.0))
-        .collect();
+    let initial_solution = per_vertex(graph, |v| [vid(v), Value::Double(0.0)]);
     let seed = (1.0 - damping) / n as f64;
-    let initial_workset: Vec<Record> = graph
-        .vertices()
-        .map(|v| Record::long_double(i64::from(v), seed))
-        .collect();
+    let initial_workset = per_vertex(graph, move |v| [vid(v), Value::Double(seed)]);
 
     let workset_config = WorksetConfig::new(config.parallelism).with_mode(config.mode);
     let result = iteration.run(initial_solution, initial_workset, &workset_config)?;

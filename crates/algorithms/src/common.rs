@@ -1,55 +1,94 @@
 //! Conversions between graphs and the record representations the dataflow
 //! algorithms consume.
+//!
+//! The inputs of the workset algorithms are defined once, as
+//! [`RecordSource`]s over the graph's adjacency arrays: a workset run loads
+//! them straight into its partitions' pages, and the `*_records` /
+//! `initial_*` functions are the same sources collected into heap records
+//! for callers that want those.
 
-use dataflow::prelude::Record;
-use graphdata::Graph;
+use dataflow::prelude::{Record, RecordSink, RecordSource, SourceClosure, Value};
+use graphdata::{Graph, VertexId};
 use std::sync::Arc;
+
+/// A vertex id as a record field.
+pub(crate) fn vid(v: VertexId) -> Value {
+    Value::Long(i64::from(v))
+}
+
+/// A source that emits `record(s, t)` for every directed edge `s -> t` of
+/// `graph`, in CSR order.
+fn per_edge<'g, const N: usize>(
+    graph: &'g Graph,
+    record: impl Fn(VertexId, VertexId) -> [Value; N] + Send + Sync + 'g,
+) -> impl RecordSource + 'g {
+    SourceClosure::new(graph.num_edges(), move |out: &mut dyn RecordSink| {
+        for s in graph.vertices() {
+            for &t in graph.neighbors(s) {
+                out.emit(&record(s, t));
+            }
+        }
+    })
+}
+
+/// A source that emits `record(v)` for every vertex `v` of `graph`, in id
+/// order.
+pub(crate) fn per_vertex<'g, const N: usize>(
+    graph: &'g Graph,
+    record: impl Fn(VertexId) -> [Value; N] + Send + Sync + 'g,
+) -> impl RecordSource + 'g {
+    SourceClosure::new(graph.num_vertices(), move |out: &mut dyn RecordSink| {
+        for v in graph.vertices() {
+            out.emit(&record(v));
+        }
+    })
+}
 
 /// The graph's edges as `(vid1, vid2)` records — the neighbourhood table `N`
 /// of the Connected Components dataflows.  For undirected graphs the CSR
 /// already contains both directions.
+pub fn edge_source(graph: &Graph) -> impl RecordSource + '_ {
+    per_edge(graph, |s, t| [vid(s), vid(t)])
+}
+
+/// [`edge_source`] as heap records.
 pub fn edge_records(graph: &Graph) -> Arc<Vec<Record>> {
-    Arc::new(
-        graph
-            .edges()
-            .map(|(s, t)| Record::pair(i64::from(s), i64::from(t)))
-            .collect(),
-    )
+    Arc::new(edge_source(graph).collect())
 }
 
 /// The graph's edges as `(vid1, vid2, out_degree(vid1))` records, used by the
 /// adaptive PageRank expansion which needs the degree to split pushed mass.
+pub fn edge_with_degree_source(graph: &Graph) -> impl RecordSource + '_ {
+    per_edge(graph, |s, t| {
+        [vid(s), vid(t), Value::Long(graph.degree(s) as i64)]
+    })
+}
+
+/// [`edge_with_degree_source`] as heap records.
 pub fn edge_records_with_degree(graph: &Graph) -> Arc<Vec<Record>> {
-    Arc::new(
-        graph
-            .edges()
-            .map(|(s, t)| {
-                Record::new(vec![
-                    i64::from(s).into(),
-                    i64::from(t).into(),
-                    (graph.degree(s) as i64).into(),
-                ])
-            })
-            .collect(),
-    )
+    Arc::new(edge_with_degree_source(graph).collect())
 }
 
 /// The initial Connected Components solution: every vertex is its own
 /// component, `(vid, cid = vid)`.
+pub fn component_source(graph: &Graph) -> impl RecordSource + '_ {
+    per_vertex(graph, |v| [vid(v), vid(v)])
+}
+
+/// [`component_source`] as heap records.
 pub fn initial_components(graph: &Graph) -> Vec<Record> {
-    graph
-        .vertices()
-        .map(|v| Record::pair(i64::from(v), i64::from(v)))
-        .collect()
+    component_source(graph).collect()
 }
 
 /// The initial Connected Components working set: for every edge `(a, b)` the
 /// candidate pair `(b, cid(a) = a)`, exactly as in Section 2.2.
+pub fn component_candidate_source(graph: &Graph) -> impl RecordSource + '_ {
+    per_edge(graph, |s, t| [vid(t), vid(s)])
+}
+
+/// [`component_candidate_source`] as heap records.
 pub fn initial_component_candidates(graph: &Graph) -> Vec<Record> {
-    graph
-        .edges()
-        .map(|(s, t)| Record::pair(i64::from(t), i64::from(s)))
-        .collect()
+    component_candidate_source(graph).collect()
 }
 
 /// The sparse transition matrix of PageRank as `(tid, pid, probability)`

@@ -14,7 +14,8 @@
 //! the smallest vertex id of its weakly connected component.
 
 use crate::common::{
-    edge_records, initial_component_candidates, initial_components, records_to_vec,
+    component_candidate_source, component_source, edge_records, edge_source, initial_components,
+    records_to_vec,
 };
 use dataflow::prelude::*;
 use graphdata::Graph;
@@ -273,7 +274,7 @@ pub fn cc_bulk(graph: &Graph, config: &ComponentsConfig) -> Result<ComponentsRes
 /// Builds the workset iteration shared by the incremental variants: solution
 /// records `(vid, cid)`, workset records `(vid, candidate cid)`, constant
 /// input `N = (vid, neighbour)`.
-fn build_workset_iteration(graph: &Graph, grouped: bool) -> WorksetIteration {
+fn build_workset_iteration(graph: &Graph, grouped: bool) -> WorksetIteration<'_> {
     // The update function of Figure 5: take the smallest candidate cid; emit
     // a delta only if it improves on the current component.
     let update: Arc<dyn UpdateFunction> = if grouped {
@@ -312,7 +313,7 @@ fn build_workset_iteration(graph: &Graph, grouped: bool) -> WorksetIteration {
         },
     ));
     WorksetIteration::builder(vec![0], vec![0], update, expand)
-        .constant_input(edge_records(graph), vec![0], vec![0])
+        .constant_input(Arc::new(edge_source(graph)), vec![0], vec![0])
         // Smaller component ids are successor states in the CPO.
         .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
         .build()
@@ -348,8 +349,8 @@ pub fn cc_workset_records(
         workset_config = workset_config.with_channel_credits(credits);
     }
     iteration.run(
-        initial_components(graph),
-        initial_component_candidates(graph),
+        component_source(graph),
+        component_candidate_source(graph),
         &workset_config,
     )
 }

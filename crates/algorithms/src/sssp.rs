@@ -7,7 +7,7 @@
 //! `(vid, candidate distance)`, and an expansion that sends `distance + 1`
 //! (unit edge weights) to the updated vertex's neighbours.
 
-use crate::common::edge_records;
+use crate::common::{edge_source, per_vertex, vid};
 use dataflow::prelude::*;
 use graphdata::{Graph, VertexId};
 use spinning_core::prelude::*;
@@ -32,7 +32,7 @@ pub struct SsspResult {
 }
 
 /// Builds the SSSP workset iteration for a graph with unit edge weights.
-fn build_iteration(graph: &Graph) -> WorksetIteration {
+fn build_iteration(graph: &Graph) -> WorksetIteration<'_> {
     let update = Arc::new(UpdateClosure(
         |key: &Key, current: Option<&Record>, candidates: &[Record]| {
             let best = candidates
@@ -55,7 +55,7 @@ fn build_iteration(graph: &Graph) -> WorksetIteration {
         },
     ));
     WorksetIteration::builder(vec![0], vec![0], update, expand)
-        .constant_input(edge_records(graph), vec![0], vec![0])
+        .constant_input(Arc::new(edge_source(graph)), vec![0], vec![0])
         .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
         .build()
 }
@@ -123,22 +123,25 @@ pub fn sssp_records(
     source: VertexId,
     config: &WorksetConfig,
 ) -> Result<WorksetResult> {
-    let iteration = build_iteration(graph);
+    if source as usize >= graph.num_vertices() {
+        return Err(DataflowError::InvalidPlan(format!(
+            "SSSP source vertex {source} is out of range: the graph has {} vertices",
+            graph.num_vertices()
+        )));
+    }
     // S0: the source is at distance 0, everything else unreachable.
-    let initial_solution: Vec<Record> = graph
-        .vertices()
-        .map(|v| {
-            let distance = if v == source { 0 } else { UNREACHABLE };
-            Record::pair(i64::from(v), distance)
-        })
-        .collect();
+    let initial_solution = per_vertex(graph, |v| {
+        let distance = if v == source { 0 } else { UNREACHABLE };
+        [vid(v), Value::Long(distance)]
+    });
     // W0: distance-1 candidates for the source's neighbours.
-    let initial_workset: Vec<Record> = graph
-        .neighbors(source)
-        .iter()
-        .map(|&t| Record::pair(i64::from(t), 1))
-        .collect();
-    iteration.run(initial_solution, initial_workset, config)
+    let neighbors = graph.neighbors(source);
+    let initial_workset = SourceClosure::new(neighbors.len(), |out: &mut dyn RecordSink| {
+        for &t in neighbors {
+            out.emit(&[vid(t), Value::Long(1)]);
+        }
+    });
+    build_iteration(graph).run(initial_solution, initial_workset, config)
 }
 
 #[cfg(test)]
@@ -180,6 +183,22 @@ mod tests {
         assert_eq!(result.distances[3], UNREACHABLE);
         assert_eq!(result.distances[4], UNREACHABLE);
         assert_eq!(result.distances[..3], [0, 1, 2]);
+    }
+
+    #[test]
+    fn an_out_of_range_source_is_a_typed_error_naming_it() {
+        let graph = chain(8);
+        for source in [8, 9, VertexId::MAX] {
+            let error = sssp(&graph, source, 2, ExecutionMode::BatchIncremental).unwrap_err();
+            let DataflowError::InvalidPlan(message) = &error else {
+                panic!("expected InvalidPlan, got {error}");
+            };
+            assert!(
+                message.contains(&source.to_string()) && message.contains("8 vertices"),
+                "{message}"
+            );
+        }
+        assert!(sssp(&graph, 7, 2, ExecutionMode::BatchIncremental).is_ok());
     }
 
     #[test]

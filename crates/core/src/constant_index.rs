@@ -10,8 +10,8 @@
 //! materializing group path.
 
 use dataflow::key::FxHashMap;
-use dataflow::page::{long_key_prefix_of, PagedRecords, PrefixTable};
-use dataflow::prelude::{ClusterSpec, Key, PartitionRouter, Record};
+use dataflow::page::{long_key_prefix_of, long_key_prefix_of_fields, PagedRecords, PrefixTable};
+use dataflow::prelude::{Key, Record, Value};
 
 /// One partition's share of the constant input, indexed on the join key.
 pub(crate) enum ConstantIndex {
@@ -26,66 +26,44 @@ pub(crate) enum ConstantIndex {
 }
 
 impl ConstantIndex {
-    /// Partitions and indexes `records` with the run's router, one pool task
-    /// per partition this process owns.  Constant records live in the
-    /// partition their join partners are routed to under either routing
-    /// scheme; partitions owned by other processes stay empty (their owners
-    /// build them from the same SPMD input).
-    pub(crate) fn build_all(
-        records: &[Record],
-        key: &[usize],
-        router: &PartitionRouter,
-        cluster: &ClusterSpec,
-    ) -> Vec<ConstantIndex> {
-        let parallelism = router.parallelism();
-        let mut index: Vec<ConstantIndex> = (0..parallelism)
-            .map(|_| ConstantIndex::Map(FxHashMap::default()))
-            .collect();
-        spinning_pool::global().scope(|scope| {
-            for (partition, slot) in index.iter_mut().enumerate() {
-                if cluster.owns(partition, parallelism) {
-                    scope.spawn_labeled("constant-index", move || {
-                        *slot = ConstantIndex::build(records, key, router, partition);
-                    });
-                }
-            }
-        });
-        index
+    /// An empty index on the join key `key`: paged while every key it is
+    /// given is a single `Long`, a map from the first one that is not.
+    pub(crate) fn new(key: &[usize]) -> ConstantIndex {
+        match key {
+            [_] => ConstantIndex::Paged {
+                store: PagedRecords::new(),
+                table: PrefixTable::new(),
+            },
+            _ => ConstantIndex::Map(FxHashMap::default()),
+        }
     }
 
-    /// Indexes the records `router` sends to `partition`.
-    fn build(
-        records: &[Record],
-        key: &[usize],
-        router: &PartitionRouter,
-        partition: usize,
-    ) -> ConstantIndex {
-        let owned = || {
-            records
-                .iter()
-                .filter(move |record| router.route(record, key) == partition)
-        };
-        if let &[field] = key {
-            let mut store = PagedRecords::new();
-            let mut table = PrefixTable::new();
-            let all_long = owned().all(|record| match long_key_prefix_of(record, field) {
-                Some(prefix) => {
-                    table.insert(prefix, store.append(record));
-                    true
-                }
-                None => false,
-            });
-            if all_long {
-                return ConstantIndex::Paged { store, table };
+    /// Indexes one constant record given as its field slice, after every
+    /// record inserted before it.  The paged form copies the fields into its
+    /// store; no heap record exists.
+    pub(crate) fn insert_fields(&mut self, key: &[usize], fields: &[Value]) {
+        if let ConstantIndex::Paged { store, table } = self {
+            if let Some(prefix) = long_key_prefix_of_fields(fields, key[0]) {
+                table.insert(prefix, store.append_fields(fields));
+                return;
             }
+            // The first key that is not a `Long`: what is stored so far moves
+            // into a map, in insertion order, and the index stays one.
+            let mut map: FxHashMap<Key, Vec<Record>> = FxHashMap::default();
+            store.for_each_handle(|_, view| {
+                let record = view.materialize();
+                map.entry(Key::extract(&record, key))
+                    .or_default()
+                    .push(record);
+            });
+            *self = ConstantIndex::Map(map);
         }
-        let mut map: FxHashMap<Key, Vec<Record>> = FxHashMap::default();
-        for record in owned() {
-            map.entry(Key::extract(record, key))
-                .or_default()
-                .push(record.clone());
-        }
-        ConstantIndex::Map(map)
+        let ConstantIndex::Map(map) = self else {
+            unreachable!("a paged index that met a non-`Long` key became a map");
+        };
+        map.entry(Key::extract_fields(fields, key))
+            .or_default()
+            .push(Record::new(fields.to_vec()));
     }
 
     /// The constant records whose join key equals `delta`'s `delta_key`
@@ -124,42 +102,36 @@ impl ConstantIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow::prelude::Value;
 
-    fn matches_of(
-        index: &[ConstantIndex],
-        router: &PartitionRouter,
-        delta: &Record,
-    ) -> Vec<Record> {
-        let mut scratch = Vec::new();
-        index[router.route(delta, &[0])]
-            .matches(delta, &[0], &mut scratch)
-            .to_vec()
+    fn index_of(records: &[Record], key: &[usize]) -> ConstantIndex {
+        let mut index = ConstantIndex::new(key);
+        for record in records {
+            index.insert_fields(key, record.fields());
+        }
+        index
+    }
+
+    fn matches_of(index: &ConstantIndex, delta: &Record, delta_key: &[usize]) -> Vec<Record> {
+        index.matches(delta, delta_key, &mut Vec::new()).to_vec()
+    }
+
+    fn with_key<'r>(records: &'r [Record], key: &'r Value) -> impl Iterator<Item = Record> + 'r {
+        records.iter().filter(move |r| r.field(0) == key).cloned()
     }
 
     #[test]
     fn long_keys_are_paged_and_probe_in_input_order() {
         let records: Vec<Record> = (0..200i64).map(|i| Record::pair(i % 17, i)).collect();
-        let router = PartitionRouter::hash(3);
-        let index = ConstantIndex::build_all(&records, &[0], &router, &ClusterSpec::single());
-        assert!(index
-            .iter()
-            .all(|part| matches!(part, ConstantIndex::Paged { .. })));
+        let index = index_of(&records, &[0]);
+        assert!(matches!(index, ConstantIndex::Paged { .. }));
         for key in 0..17 {
-            let expected: Vec<Record> = records
-                .iter()
-                .filter(|r| r.long(0) == key)
-                .cloned()
-                .collect();
-            assert_eq!(
-                matches_of(&index, &router, &Record::pair(key, -1)),
-                expected
-            );
+            let expected: Vec<Record> = with_key(&records, &Value::Long(key)).collect();
+            assert_eq!(matches_of(&index, &Record::pair(key, -1), &[0]), expected);
         }
-        assert!(matches_of(&index, &router, &Record::pair(99, 0)).is_empty());
+        assert!(matches_of(&index, &Record::pair(99, 0), &[0]).is_empty());
         // A delta key of another type equals no `Long` key.
         let text = Record::new(vec![Value::Text("3".into())]);
-        assert!(matches_of(&index, &router, &text).is_empty());
+        assert!(matches_of(&index, &text, &[0]).is_empty());
     }
 
     #[test]
@@ -168,32 +140,30 @@ mod tests {
         let records: Vec<Record> = (0..40i64)
             .map(|i| Record::new(vec![text(i), Value::Long(i)]))
             .collect();
-        let router = PartitionRouter::hash(2);
-        let index = ConstantIndex::build_all(&records, &[0], &router, &ClusterSpec::single());
-        assert!(index
-            .iter()
-            .all(|part| matches!(part, ConstantIndex::Map(_))));
-        let probe = Record::new(vec![text(3)]);
-        let expected: Vec<Record> = records
-            .iter()
-            .filter(|r| r.field(0) == &text(3))
-            .cloned()
-            .collect();
-        assert_eq!(matches_of(&index, &router, &probe), expected);
+        let index = index_of(&records, &[0]);
+        assert!(matches!(index, ConstantIndex::Map(_)));
+        let expected: Vec<Record> = with_key(&records, &text(3)).collect();
+        assert_eq!(
+            matches_of(&index, &Record::new(vec![text(3)]), &[0]),
+            expected
+        );
+        // A composite key is a map from the first record on.
+        let pairs: Vec<Record> = (0..40i64).map(|i| Record::pair(i % 4, i % 2)).collect();
+        let index = index_of(&pairs, &[0, 1]);
+        assert!(matches!(index, ConstantIndex::Map(_)));
+        assert_eq!(matches_of(&index, &Record::pair(3, 1), &[0, 1]).len(), 10);
     }
 
     #[test]
-    fn partitions_of_other_processes_stay_empty() {
-        let records: Vec<Record> = (0..64i64).map(|i| Record::pair(i, i)).collect();
-        let router = PartitionRouter::hash(4);
-        let cluster = ClusterSpec::new(2, 1).expect("spec");
-        let index = ConstantIndex::build_all(&records, &[0], &router, &cluster);
-        for (partition, part) in index.iter().enumerate() {
-            let filled = match part {
-                ConstantIndex::Paged { store, .. } => !store.is_empty(),
-                ConstantIndex::Map(map) => !map.is_empty(),
-            };
-            assert_eq!(filled, cluster.owns(partition, 4), "partition {partition}");
+    fn the_first_non_long_key_turns_a_paged_index_into_a_map_keeping_its_order() {
+        let mut records: Vec<Record> = (0..3000i64).map(|i| Record::pair(i % 7, i)).collect();
+        records.push(Record::new(vec![Value::Text("x".into()), Value::Long(-1)]));
+        records.extend((0..50i64).map(|i| Record::pair(i % 7, -i)));
+        let index = index_of(&records, &[0]);
+        assert!(matches!(index, ConstantIndex::Map(_)));
+        for key in (0..7).map(Value::Long).chain([Value::Text("x".into())]) {
+            let expected: Vec<Record> = with_key(&records, &key).collect();
+            assert_eq!(matches_of(&index, &Record::new(vec![key]), &[0]), expected);
         }
     }
 }

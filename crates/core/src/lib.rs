@@ -60,6 +60,7 @@ pub mod bulk;
 pub mod checkpoint;
 mod constant_index;
 pub mod eligibility;
+mod load;
 pub mod microstep;
 pub mod solution_set;
 pub mod stats;

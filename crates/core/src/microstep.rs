@@ -48,10 +48,11 @@
 //! instead of aborting the process.
 
 use crate::constant_index::ConstantIndex;
+use crate::load::Loaded;
 use crate::solution_set::SolutionSet;
 use crate::stats::{IterationRunStats, IterationStats};
 use crate::workset::{WorksetConfig, WorksetIteration, WorksetResult};
-use dataflow::contracts::RecordSink;
+use dataflow::contracts::{RecordSink, RecordSource};
 use dataflow::credit::{
     channel_credits_from_env, credit_channel, timeout_from_env, CreditReceiver, CreditSender,
     RecvTimeoutError, SendError, TrySendError, CHANNEL_CREDITS_ENV,
@@ -175,6 +176,51 @@ impl RecordSink for PendingSink<'_, '_> {
     }
 }
 
+/// The sink the driver pulls the initial workset through: routes each record
+/// and sends it to its worker's queue, holding an in-flight credit for it.
+/// The queues hold heap records, so a record a source emits by reference
+/// becomes one here (the [`RecordSink::emit`] default).  The first failed
+/// send ends the seeding; the records still to come are dropped.
+struct SeedSink<'a> {
+    senders: Vec<CreditSender<Record>>,
+    router: &'a PartitionRouter,
+    workset_key: &'a [usize],
+    in_flight: &'a AtomicI64,
+    stall_timeout: Duration,
+    error: Option<DataflowError>,
+}
+
+impl RecordSink for SeedSink<'_> {
+    fn push(&mut self, record: Record) {
+        if self.error.is_some() {
+            return;
+        }
+        let target = self.router.route(&record, self.workset_key);
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        if let Err(error) = self.senders[target].send(record) {
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            self.error = Some(match error {
+                SendError::Timeout(_) => DataflowError::CommTimeout(format!(
+                    "seeding the asynchronous workset stalled: no queue credit \
+                     for partition {target} within {:?}",
+                    self.stall_timeout
+                )),
+                // A worker died; the scope/worker error explains why.
+                SendError::Disconnected(_) => DataflowError::ExecutionFailed(
+                    "a worker exited while the initial workset was being seeded".into(),
+                ),
+            });
+        }
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
+    where
+        Self: 'static,
+    {
+        self
+    }
+}
+
 /// Per-worker counters returned when the worker shuts down.
 struct WorkerOutcome {
     processed: usize,
@@ -188,14 +234,18 @@ struct WorkerOutcome {
 /// [`WorksetIteration::run`] when the mode is
 /// [`crate::workset::ExecutionMode::AsynchronousMicrostep`].
 pub(crate) fn run_async(
-    iteration: &WorksetIteration,
-    mut solution: SolutionSet,
-    constant_index: Vec<ConstantIndex>,
-    initial_workset: Vec<Record>,
+    iteration: &WorksetIteration<'_>,
+    loaded: Loaded,
+    initial_workset: &dyn RecordSource,
     router: &PartitionRouter,
     config: &WorksetConfig,
     start: Instant,
 ) -> Result<WorksetResult> {
+    let Loaded {
+        mut solution,
+        constant: constant_index,
+        ..
+    } = loaded;
     let parallelism = config.parallelism;
     if !config.memory_budget.is_unlimited() {
         warn_ignored_budget_once(&config.memory_budget);
@@ -275,25 +325,16 @@ pub(crate) fn run_async(
         // Seed the initial workset from the driver thread while the workers
         // drain; the blocking send applies backpressure with the same typed
         // timeout the workers use.
-        let seed_senders: Vec<CreditSender<Record>> = senders.to_vec();
-        for record in initial_workset {
-            let target = router.route(&record, &iteration.workset_key);
-            in_flight.fetch_add(1, Ordering::SeqCst);
-            if let Err(error) = seed_senders[target].send(record) {
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                seed_error = Some(match error {
-                    SendError::Timeout(_) => DataflowError::CommTimeout(format!(
-                        "seeding the asynchronous workset stalled: no queue credit \
-                         for partition {target} within {stall_timeout:?}"
-                    )),
-                    // A worker died; the scope/worker error explains why.
-                    SendError::Disconnected(_) => DataflowError::ExecutionFailed(
-                        "a worker exited while the initial workset was being seeded".into(),
-                    ),
-                });
-                break;
-            }
-        }
+        let mut seeds = SeedSink {
+            senders: senders.to_vec(),
+            router,
+            workset_key: &iteration.workset_key,
+            in_flight: &in_flight,
+            stall_timeout,
+            error: None,
+        };
+        initial_workset.emit_all(&mut seeds);
+        seed_error = seeds.error;
         // Release the seeding credit: the fixpoint is now reachable.
         in_flight.fetch_sub(1, Ordering::SeqCst);
     });
@@ -347,7 +388,7 @@ pub(crate) fn run_async(
 #[allow(clippy::too_many_arguments)]
 fn run_worker(
     partition: usize,
-    iteration: &WorksetIteration,
+    iteration: &WorksetIteration<'_>,
     s_part: &mut crate::solution_set::PartitionIndex,
     constant: &ConstantIndex,
     comparator: &Option<crate::solution_set::RecordComparator>,
@@ -498,7 +539,7 @@ mod tests {
     use dataflow::prelude::Value;
 
     /// Asynchronous minimum propagation over a ring of `n` vertices.
-    fn ring_iteration(n: i64) -> (WorksetIteration, Vec<Record>, Vec<Record>) {
+    fn ring_iteration(n: i64) -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
         let update = Arc::new(UpdateClosure(
             |key: &Key, current: Option<&Record>, candidates: &[Record]| {
                 let candidate = candidates.iter().map(|r| r.long(1)).min().unwrap();

@@ -28,7 +28,7 @@
 
 use dataflow::key::FxHashMap;
 use dataflow::page::{PageHandle, PagePool, PagedRecords, RecordPage};
-use dataflow::prelude::{Key, KeyFields, PartitionRouter, Record, Result, SpilledRun};
+use dataflow::prelude::{Key, KeyFields, PartitionRouter, Record, Result, SpilledRun, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -133,10 +133,36 @@ impl PartitionIndex {
         key: Key,
         delta: &Record,
     ) -> MergeOutcome {
+        self.merge_either(comparator, key, delta.fields(), Some(delta))
+    }
+
+    /// [`PartitionIndex::merge`] of a delta given as its field slice — how
+    /// the load step stores the initial solution.  No heap record exists
+    /// unless the key is already present *and* a comparator has to be asked
+    /// (an initial solution lists each key once).
+    pub(crate) fn merge_fields(
+        &mut self,
+        comparator: &Option<RecordComparator>,
+        key: Key,
+        fields: &[Value],
+    ) -> MergeOutcome {
+        self.merge_either(comparator, key, fields, None)
+    }
+
+    /// The merge behind both representations of a delta: `fields` are what
+    /// is stored, `record` is the same delta as a heap record when the
+    /// caller has one (a comparator takes records).
+    fn merge_either(
+        &mut self,
+        comparator: &Option<RecordComparator>,
+        key: Key,
+        fields: &[Value],
+        record: Option<&Record>,
+    ) -> MergeOutcome {
         use std::collections::hash_map::Entry;
         let outcome = match self.index.entry(key) {
             Entry::Vacant(slot) => {
-                slot.insert(self.store.append(delta));
+                slot.insert(self.store.append_fields(fields));
                 MergeOutcome::Inserted
             }
             Entry::Occupied(mut slot) => {
@@ -154,12 +180,20 @@ impl PartitionIndex {
                             self.store.view(handle).read_into(&mut self.scratch);
                             self.scratch_handle = Some(handle);
                         }
+                        let built;
+                        let delta = match record {
+                            Some(record) => record,
+                            None => {
+                                built = Record::new(fields.to_vec());
+                                &built
+                            }
+                        };
                         cmp(delta, &self.scratch) == Ordering::Greater
                     }
                 };
                 if replace {
                     self.dead_bytes += self.store.view(*slot.get()).framed_len();
-                    *slot.get_mut() = self.store.append(delta);
+                    *slot.get_mut() = self.store.append_fields(fields);
                     MergeOutcome::Replaced
                 } else {
                     MergeOutcome::Discarded

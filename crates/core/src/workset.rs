@@ -29,6 +29,27 @@
 //! asynchronously ([`ExecutionMode::AsynchronousMicrostep`], implemented in
 //! [`crate::microstep`]).
 //!
+//! # Set-up: the load step
+//!
+//! One rule governs how a record is represented on its way through a run: *a
+//! record that exists as a heap object moves; a record born at an emit call
+//! is born serialized.*  It applies to the job's inputs as it applies to the
+//! candidates of a superstep.  `S0`, `W0` and `N` arrive as
+//! [`RecordSource`]s — a `Vec<Record>`, or a description such as "one
+//! `(vid, neighbour)` pair per adjacency entry of this graph" — and
+//! [`WorksetIteration::run`] does exactly two things before superstep 1:
+//! build the one router every later step shares (hash, or range splitters
+//! sampled from `S0` through a strided sink), and run the *load step*
+//! (`load.rs`): one pool task per partition this process owns pulls each
+//! source through a sink that routes on the emitted field slice and keeps
+//! the partition's own share, serialized straight into the partition's
+//! solution index, its constant-path index and the page writer that becomes
+//! its first queue.  Described inputs never exist as heap records; the
+//! working set is pending as `W0.len()` candidates, known on every process
+//! of a cluster without a barrier.  The asynchronous mode loads `S0` and `N`
+//! the same way and seeds its record queues from `W0` while its workers
+//! drain.
+//!
 //! # What this module owns, and what it does not
 //!
 //! The loop body runs on the *ordinary* runtime exchange: every partition
@@ -48,9 +69,10 @@
 
 use crate::checkpoint::{run_with_recovery, CheckpointPolicy};
 use crate::constant_index::ConstantIndex;
+use crate::load::{load, Loaded};
 use crate::solution_set::{PartitionIndex, RecordComparator, SolutionSet};
 use crate::stats::{IterationRunStats, IterationStats};
-use dataflow::contracts::RecordSink;
+use dataflow::contracts::{RecordSink, RecordSource};
 use dataflow::exchange::{self, Outbox};
 use dataflow::fault::{FaultInjector, FaultSite};
 use dataflow::key::{group_ranges, sort_by_key};
@@ -60,7 +82,7 @@ use dataflow::prelude::{
     PartitionRouter, RangeBounds, Record, Result, RunMerger, SharedPageChannel, SpillManager,
     TransportHandle, Value,
 };
-use dataflow::range::sample_keys_into;
+use dataflow::range::sample_source_keys_into;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -319,15 +341,20 @@ pub struct WorksetResult {
 /// The incremental iteration operator `(Δ, S0, W0)`.
 ///
 /// See the module documentation for the structure of the step function.
+///
+/// `'a` is what the constant input's source may borrow — a graph it
+/// describes its edge records over, say; an iteration over owned records is
+/// a `WorksetIteration<'static>`.
 #[derive(Clone)]
-pub struct WorksetIteration {
+pub struct WorksetIteration<'a> {
     /// Key fields identifying records in the solution set.
     pub(crate) solution_key: KeyFields,
     /// Fields of a *workset* record holding the key of the solution record it
     /// targets.
     pub(crate) workset_key: KeyFields,
-    /// The constant ("topology") input `N`, cached partitioned and indexed.
-    pub(crate) constant_input: Arc<Vec<Record>>,
+    /// The constant ("topology") input `N`; every run loads it partitioned
+    /// and indexed.
+    pub(crate) constant_input: Arc<dyn RecordSource + 'a>,
     /// Fields of a *constant input* record forming its join key.
     pub(crate) constant_key: KeyFields,
     /// Fields of a *delta* record used to look up matching constant records.
@@ -341,11 +368,11 @@ pub struct WorksetIteration {
 }
 
 /// Builder for [`WorksetIteration`].
-pub struct WorksetIterationBuilder {
-    iteration: WorksetIteration,
+pub struct WorksetIterationBuilder<'a> {
+    iteration: WorksetIteration<'a>,
 }
 
-impl WorksetIteration {
+impl<'a> WorksetIteration<'a> {
     /// Starts building a workset iteration whose solution records are
     /// identified by `solution_key` and whose workset records carry that key
     /// in `workset_key`.
@@ -354,12 +381,12 @@ impl WorksetIteration {
         workset_key: KeyFields,
         update: Arc<dyn UpdateFunction>,
         expand: Arc<dyn ExpandFunction>,
-    ) -> WorksetIterationBuilder {
+    ) -> WorksetIterationBuilder<'a> {
         WorksetIterationBuilder {
             iteration: WorksetIteration {
                 solution_key,
                 workset_key,
-                constant_input: Arc::new(Vec::new()),
+                constant_input: Arc::new(Vec::<Record>::new()),
                 constant_key: vec![0],
                 delta_key: vec![0],
                 update,
@@ -369,7 +396,10 @@ impl WorksetIteration {
         }
     }
 
-    /// Runs the iteration from the initial solution `S0` and working set `W0`.
+    /// Runs the iteration from the initial solution `S0` and working set `W0`,
+    /// each given as a [`RecordSource`]: a `Vec<Record>`, or a description
+    /// the load step serializes straight into the partitions (see the module
+    /// documentation).
     ///
     /// With a multi-process [`WorksetConfig::transport`] this call is one
     /// SPMD worker of a cluster: every process passes the same inputs and
@@ -379,8 +409,8 @@ impl WorksetIteration {
     /// result byte for byte).
     pub fn run(
         &self,
-        initial_solution: Vec<Record>,
-        initial_workset: Vec<Record>,
+        initial_solution: impl RecordSource,
+        initial_workset: impl RecordSource,
         config: &WorksetConfig,
     ) -> Result<WorksetResult> {
         if config.parallelism == 0 {
@@ -411,41 +441,42 @@ impl WorksetIteration {
         let start = Instant::now();
         // The router (and, for range routing, its splitter histogram) is
         // built from the *full* inputs so every process derives the same
-        // partitioning; ownership filtering happens only afterwards.
+        // partitioning; the load step then keeps what this process owns.
         let router = self.build_router(config, &initial_solution, &initial_workset);
-        let mut initial_solution = initial_solution;
-        if cluster.processes > 1 {
-            initial_solution.retain(|record| {
-                cluster.owns(router.route(record, &self.solution_key), config.parallelism)
-            });
-        }
-        let mut solution = SolutionSet::new(self.solution_key.clone(), config.parallelism)
-            .with_router(router.clone());
-        if let Some(cmp) = &self.comparator {
-            solution = solution.with_comparator(Arc::clone(cmp));
-        }
-        solution.merge_all(initial_solution);
-        let constant_index =
-            ConstantIndex::build_all(&self.constant_input, &self.constant_key, &router, &cluster);
-
-        match config.mode {
-            ExecutionMode::AsynchronousMicrostep => crate::microstep::run_async(
+        // The asynchronous queues hold heap records, so that mode seeds them
+        // from the workset source itself; the superstep modes load it.
+        let asynchronous = config.mode == ExecutionMode::AsynchronousMicrostep;
+        let queued: Option<&dyn RecordSource> = (!asynchronous).then_some(&initial_workset);
+        let loaded = load(self, &router, &cluster, &initial_solution, queued);
+        // A source that holds heap records has been read and can go.
+        drop(initial_solution);
+        if asynchronous {
+            return crate::microstep::run_async(
                 self,
-                solution,
-                constant_index,
-                initial_workset,
+                loaded,
+                &initial_workset,
                 &router,
                 config,
                 start,
-            ),
-            _ => self.run_supersteps(
-                solution,
-                constant_index,
-                initial_workset,
-                &router,
-                config,
-                start,
-            ),
+            );
+        }
+        // Every process sees the full initial workset (the SPMD contract),
+        // so the cluster-wide pending count is known up front without a
+        // barrier — and it is what every process's loop condition starts
+        // from, keeping the supersteps in lockstep from round one.
+        let pending = initial_workset.len() as u64;
+        drop(initial_workset);
+        self.run_supersteps(loaded, pending, &router, config, start)
+    }
+
+    /// An empty solution set for this iteration: its key, its comparator,
+    /// partitioned by `router`.
+    pub(crate) fn empty_solution(&self, router: &PartitionRouter) -> SolutionSet {
+        let solution = SolutionSet::new(self.solution_key.clone(), router.parallelism())
+            .with_router(router.clone());
+        match &self.comparator {
+            Some(comparator) => solution.with_comparator(Arc::clone(comparator)),
+            None => solution,
         }
     }
 
@@ -460,17 +491,17 @@ impl WorksetIteration {
     fn build_router(
         &self,
         config: &WorksetConfig,
-        initial_solution: &[Record],
-        initial_workset: &[Record],
+        initial_solution: &dyn RecordSource,
+        initial_workset: &dyn RecordSource,
     ) -> PartitionRouter {
         match config.routing {
             WorksetRouting::Hash => PartitionRouter::hash(config.parallelism),
             WorksetRouting::Range => {
                 let mut sample = Vec::new();
                 if initial_solution.is_empty() {
-                    sample_keys_into(&mut sample, initial_workset, &self.workset_key);
+                    sample_source_keys_into(&mut sample, initial_workset, &self.workset_key);
                 } else {
-                    sample_keys_into(&mut sample, initial_solution, &self.solution_key);
+                    sample_source_keys_into(&mut sample, initial_solution, &self.solution_key);
                 }
                 PartitionRouter::range(
                     Arc::new(RangeBounds::from_sample(sample, config.parallelism)),
@@ -485,13 +516,17 @@ impl WorksetIteration {
     /// policy.  The queue switch itself is [`exchange::ship`].
     fn run_supersteps(
         &self,
-        solution: SolutionSet,
-        constant_index: Vec<ConstantIndex>,
-        initial_workset: Vec<Record>,
+        loaded: Loaded,
+        pending: u64,
         router: &PartitionRouter,
         config: &WorksetConfig,
         start: Instant,
     ) -> Result<WorksetResult> {
+        let Loaded {
+            solution,
+            constant: constant_index,
+            workset,
+        } = loaded;
         let parallelism = config.parallelism;
         let comparator = solution.comparator();
         // The spill policy of every superstep exchange: the run's budget is
@@ -526,26 +561,12 @@ impl WorksetIteration {
             stats_channel: ChannelId::new(config.transport.allocate(), 0),
         };
 
-        // Every process sees the full initial workset (the SPMD contract),
-        // so the cluster-wide pending count is known up front without a
-        // barrier — and it is what every process's loop condition starts
-        // from, keeping the supersteps in lockstep from round one.
-        let pending = initial_workset.len() as u64;
-        // The driver scatters the initial workset into per-partition pages —
-        // the representation every later superstep's queue has, so superstep
-        // 1 runs the same page-native join as the rest.  Partitions owned by
-        // other processes are dropped here; their owners scatter the same
-        // records from their own copy.
-        let mut scattered: Vec<PageWriter> = (0..parallelism).map(|_| PageWriter::new()).collect();
-        for record in initial_workset {
-            let partition = router.route(&record, &self.workset_key);
-            if comms.cluster.owns(partition, parallelism) {
-                scattered[partition].push(&record);
-            }
-        }
         let mut state = SuperstepState {
             solution,
-            queues: scattered.into_iter().map(paged_queue).collect(),
+            // The load step wrote the initial working set into per-partition
+            // pages — the representation every later superstep's queue has,
+            // so superstep 1 runs the same page-native join as the rest.
+            queues: workset.into_iter().map(paged_queue).collect(),
             pending,
             round: 0,
             scratch: (0..parallelism).map(|_| StepScratch::default()).collect(),
@@ -589,11 +610,7 @@ impl WorksetIteration {
                 Ok((solution, workset))
             },
             |state, restored| {
-                let mut rebuilt = SolutionSet::new(self.solution_key.clone(), parallelism)
-                    .with_router(router.clone());
-                if let Some(cmp) = &self.comparator {
-                    rebuilt = rebuilt.with_comparator(Arc::clone(cmp));
-                }
+                let mut rebuilt = self.empty_solution(router);
                 rebuilt.merge_all(restored.solution.into_iter().flatten());
                 state.solution = rebuilt;
                 // Snapshotted queues were already partition-routed when they
@@ -1156,17 +1173,19 @@ impl SuperstepTotals {
     }
 }
 
-impl WorksetIterationBuilder {
+impl<'a> WorksetIterationBuilder<'a> {
     /// Sets the constant ("topology") input and its join keys: `constant_key`
     /// are the key fields of the constant records, `delta_key` the fields of
-    /// a delta record used to look them up.
+    /// a delta record used to look them up.  The source is shared, not
+    /// copied: `Arc<Vec<Record>>` for records that exist, or a description
+    /// that may borrow for `'a`.
     pub fn constant_input(
         mut self,
-        records: Arc<Vec<Record>>,
+        source: Arc<impl RecordSource + 'a>,
         constant_key: KeyFields,
         delta_key: KeyFields,
     ) -> Self {
-        self.iteration.constant_input = records;
+        self.iteration.constant_input = source;
         self.iteration.constant_key = constant_key;
         self.iteration.delta_key = delta_key;
         self
@@ -1180,7 +1199,7 @@ impl WorksetIterationBuilder {
     }
 
     /// Finishes the builder.
-    pub fn build(self) -> WorksetIteration {
+    pub fn build(self) -> WorksetIteration<'a> {
         self.iteration
     }
 }
@@ -1188,12 +1207,13 @@ impl WorksetIterationBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataflow::contracts::SourceClosure;
     use dataflow::page::RecordPage;
 
     /// A tiny "propagate the minimum" iteration over a 4-vertex path graph
     /// 0 - 1 - 2 - 3: solution records are (vid, value), workset records are
     /// (vid, candidate value), and the constant input holds the edges.
-    fn min_propagation() -> WorksetIteration {
+    fn min_propagation() -> WorksetIteration<'static> {
         let update = Arc::new(UpdateClosure(
             |key: &Key, current: Option<&Record>, candidates: &[Record]| {
                 let best = candidates.iter().map(|r| r.long(1)).min().unwrap();
@@ -1423,16 +1443,52 @@ mod tests {
     /// keys receive several candidates per superstep and candidates cross
     /// partitions — the shapes the page-native grouping must reproduce
     /// exactly.
-    fn dense_min_propagation() -> (WorksetIteration, Vec<Record>, Vec<Record>) {
+    fn dense_min_propagation() -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
         dense_min_propagation_emitting(true)
     }
 
+    /// The dense job's inputs — edges, initial solution, initial workset —
+    /// described as sources: nothing here is a heap record.
+    fn dense_inputs() -> (impl RecordSource, impl RecordSource, impl RecordSource) {
+        const N: i64 = 96;
+        let pairs = |len, pair: fn(i64) -> [Value; 2]| {
+            SourceClosure::new(len, move |out: &mut dyn RecordSink| {
+                (0..N).for_each(|v| out.emit(&pair(v)))
+            })
+        };
+        let edges = SourceClosure::new(4 * N as usize, |out: &mut dyn RecordSink| {
+            for v in 0..N {
+                for u in [(v + 1) % N, (v * 7 + 3) % N] {
+                    out.emit(&[Value::Long(v), Value::Long(u)]);
+                    out.emit(&[Value::Long(u), Value::Long(v)]);
+                }
+            }
+        });
+        let solution = pairs(N as usize, |v| [Value::Long(v), Value::Long(v + 1000)]);
+        let workset = pairs(N as usize, |v| {
+            [Value::Long((v + 1) % N), Value::Long(v + 1000)]
+        });
+        (edges, solution, workset)
+    }
+
     /// [`dense_min_propagation`] with the expansion written either against
-    /// the by-reference emit or against the owned-record push.
+    /// the by-reference emit or against the owned-record push, over the
+    /// collected records of [`dense_inputs`].
     fn dense_min_propagation_emitting(
         by_reference: bool,
-    ) -> (WorksetIteration, Vec<Record>, Vec<Record>) {
-        let n = 96i64;
+    ) -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
+        let (edges, solution, workset) = dense_inputs();
+        (
+            dense_iteration(Arc::new(edges.collect()), by_reference),
+            solution.collect(),
+            workset.collect(),
+        )
+    }
+
+    fn dense_iteration(
+        edges: Arc<impl RecordSource + 'static>,
+        by_reference: bool,
+    ) -> WorksetIteration<'static> {
         let update = Arc::new(UpdateClosure(
             |key: &Key, current: Option<&Record>, candidates: &[Record]| {
                 let best = candidates.iter().map(|r| r.long(1)).min().unwrap();
@@ -1453,22 +1509,10 @@ mod tests {
                 }
             },
         ));
-        let mut edges = Vec::new();
-        for v in 0..n {
-            for u in [(v + 1) % n, (v * 7 + 3) % n] {
-                edges.push(Record::pair(v, u));
-                edges.push(Record::pair(u, v));
-            }
-        }
-        let iteration = WorksetIteration::builder(vec![0], vec![0], update, expand)
-            .constant_input(Arc::new(edges), vec![0], vec![0])
+        WorksetIteration::builder(vec![0], vec![0], update, expand)
+            .constant_input(edges, vec![0], vec![0])
             .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
-            .build();
-        let solution: Vec<Record> = (0..n).map(|v| Record::pair(v, v + 1000)).collect();
-        let workset: Vec<Record> = (0..n)
-            .map(|v| Record::pair((v + 1) % n, v + 1000))
-            .collect();
-        (iteration, solution, workset)
+            .build()
     }
 
     /// Asserts two runs took the same supersteps: same count, same outcome,
@@ -1672,7 +1716,7 @@ mod tests {
     }
 
     /// The 4-vertex path job most cluster tests run.
-    fn path_job() -> (WorksetIteration, Vec<Record>, Vec<Record>) {
+    fn path_job() -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
         let (solution, workset) = initial_state();
         (min_propagation(), solution, workset)
     }
@@ -1680,8 +1724,8 @@ mod tests {
     /// Runs `job` as a 2-process TCP cluster (both processes in this test
     /// process, connected through real sockets) and returns both workers'
     /// results in index order.
-    fn run_tcp_cluster(
-        job: impl Fn() -> (WorksetIteration, Vec<Record>, Vec<Record>) + Send + Sync,
+    fn run_tcp_cluster<S: RecordSource, W: RecordSource>(
+        job: impl Fn() -> (WorksetIteration<'static>, S, W) + Send + Sync,
         configure: impl Fn(WorksetConfig) -> WorksetConfig + Send + Sync,
     ) -> Vec<WorksetResult> {
         let coordinator = free_coordinator_addr();
@@ -1806,6 +1850,28 @@ mod tests {
             .unwrap();
         let results = run_tcp_cluster(path_job, |config| config);
         assert_matches_oracle(&results, &oracle);
+
+        // Workers that load described inputs — each serializing only the
+        // partitions it owns — against the single process that loaded the
+        // same inputs as records.
+        let (iteration, solution, workset) = dense_min_propagation();
+        for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
+            let oracle = iteration
+                .run(
+                    solution.clone(),
+                    workset.clone(),
+                    &WorksetConfig::new(4).with_routing(routing),
+                )
+                .unwrap();
+            let results = run_tcp_cluster(
+                || {
+                    let (edges, solution, workset) = dense_inputs();
+                    (dense_iteration(Arc::new(edges), true), solution, workset)
+                },
+                |config| config.with_routing(routing),
+            );
+            assert_matches_oracle(&results, &oracle);
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ const VERTICES: i64 = 4_096;
 /// `VERTICES / 2 / REACH` supersteps to cross the graph.
 const REACH: i64 = 32;
 
-fn dense_ring() -> (WorksetIteration, Vec<Record>, Vec<Record>) {
+fn dense_ring() -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
     let update = Arc::new(UpdateClosure(
         |key: &Key, current: Option<&Record>, candidates: &[Record]| {
             let best = candidates.iter().map(|r| r.long(1)).min().unwrap();

@@ -47,6 +47,101 @@ pub trait RecordSink: Send {
         Self: 'static;
 }
 
+/// A buffering sink: emitted records become heap records at the end of the
+/// vector ([`RecordSource::collect`] reads a source through it).
+impl RecordSink for Vec<Record> {
+    fn push(&mut self, record: Record) {
+        Vec::push(self, record);
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
+    }
+}
+
+/// A job input: `len()` records that [`RecordSource::emit_all`] hands to a
+/// sink in input order, as often as it is asked to.
+///
+/// This is the mirror image of [`RecordSink`] and follows the same
+/// representation rule.  A source holding heap records (`Vec<Record>`) emits
+/// their field slices; a source that *describes* its records
+/// ([`SourceClosure`] over, say, a graph's adjacency arrays) emits slices
+/// that live on its stack, so a sink that writes pages — the workset
+/// driver's load step, which pulls every source once per partition and keeps
+/// what that partition owns — serializes them in place and no heap record
+/// ever exists between the description and the first superstep.
+pub trait RecordSource: Send + Sync {
+    /// Number of records [`RecordSource::emit_all`] emits.
+    fn len(&self) -> usize;
+
+    /// True when the source emits nothing.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Emits every record, in input order, through [`RecordSink::emit`].
+    fn emit_all(&self, out: &mut dyn RecordSink);
+
+    /// The records as heap objects, in input order.
+    fn collect(&self) -> Vec<Record> {
+        let mut records = Vec::with_capacity(self.len());
+        self.emit_all(&mut records);
+        records
+    }
+}
+
+impl RecordSource for Vec<Record> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn emit_all(&self, out: &mut dyn RecordSink) {
+        for record in self {
+            out.emit(record.fields());
+        }
+    }
+}
+
+impl<S: RecordSource + ?Sized> RecordSource for Arc<S> {
+    fn len(&self) -> usize {
+        (**self).len()
+    }
+
+    fn emit_all(&self, out: &mut dyn RecordSink) {
+        (**self).emit_all(out);
+    }
+}
+
+/// Wraps a closure as a [`RecordSource`] of `len` records: the closure emits
+/// them all, in the same order every time it is called.
+pub struct SourceClosure<F> {
+    len: usize,
+    emit_all: F,
+}
+
+impl<F> SourceClosure<F>
+where
+    F: Fn(&mut dyn RecordSink) + Send + Sync,
+{
+    /// A source of the `len` records `emit_all` emits.
+    pub fn new(len: usize, emit_all: F) -> Self {
+        SourceClosure { len, emit_all }
+    }
+}
+
+impl<F> RecordSource for SourceClosure<F>
+where
+    F: Fn(&mut dyn RecordSink) + Send + Sync,
+{
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn emit_all(&self, out: &mut dyn RecordSink) {
+        (self.emit_all)(out)
+    }
+}
+
 /// Receives the records a user-defined function emits.
 ///
 /// A fresh collector is handed to the UDF for every invocation; everything
@@ -321,5 +416,22 @@ mod tests {
     fn udf_debug_names_variant() {
         let udf = Udf::Map(Arc::new(MapClosure(|_: &Record, _: &mut Collector| {})));
         assert_eq!(format!("{udf:?}"), "Udf::Map");
+    }
+
+    #[test]
+    fn sources_emit_their_records_in_order_as_often_as_asked() {
+        let records = vec![Record::pair(1, 2), Record::long_double(3, 0.5)];
+        let described = SourceClosure::new(2, |out: &mut dyn RecordSink| {
+            out.emit(&[Value::Long(1), Value::Long(2)]);
+            out.emit(&[Value::Long(3), Value::Double(0.5)]);
+        });
+        let shared: Arc<dyn RecordSource> = Arc::new(records.clone());
+        for source in [&records as &dyn RecordSource, &described, &shared] {
+            assert_eq!(source.len(), 2);
+            assert!(!source.is_empty());
+            assert_eq!(source.collect(), records);
+            assert_eq!(source.collect(), records);
+        }
+        assert!(Vec::<Record>::new().is_empty());
     }
 }

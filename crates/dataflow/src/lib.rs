@@ -78,7 +78,8 @@ pub mod value;
 pub mod prelude {
     pub use crate::contracts::{
         CoGroupClosure, CoGroupFunction, Collector, CrossClosure, CrossFunction, MapClosure,
-        MapFunction, MatchClosure, MatchFunction, RecordSink, ReduceClosure, ReduceFunction, Udf,
+        MapFunction, MatchClosure, MatchFunction, RecordSink, RecordSource, ReduceClosure,
+        ReduceFunction, SourceClosure, Udf,
     };
     pub use crate::credit::{
         credit_channel, CreditReceiver, CreditSender, RecvTimeoutError, SendError, TryRecvError,

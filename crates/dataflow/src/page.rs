@@ -92,7 +92,13 @@ pub fn denormalize_long(bytes: [u8; 8]) -> i64 {
 /// when the field is missing or not a `Long`.
 #[inline]
 pub fn long_key_prefix_of(record: &Record, field: usize) -> Option<u64> {
-    match record.fields().get(field)? {
+    long_key_prefix_of_fields(record.fields(), field)
+}
+
+/// [`long_key_prefix_of`] over a record given as its field slice.
+#[inline]
+pub fn long_key_prefix_of_fields(fields: &[Value], field: usize) -> Option<u64> {
+    match fields.get(field)? {
         Value::Long(v) => Some(u64::from_be_bytes(normalize_long(*v))),
         _ => None,
     }
@@ -867,10 +873,18 @@ impl PagedRecords {
     }
 
     /// Serializes one heap record into the open page and returns its handle.
+    #[inline]
     pub fn append(&mut self, record: &Record) -> PageHandle {
-        let width = record.estimated_bytes();
+        self.append_fields(record.fields())
+    }
+
+    /// [`PagedRecords::append`] for a record given as its field slice: a
+    /// record emitted by reference is stored without ever being a heap
+    /// [`Record`].
+    pub fn append_fields(&mut self, fields: &[Value]) -> PageHandle {
+        let width = serialized_width(fields);
         let handle = self.start_frame(width);
-        serialize_fields_with_width(record.fields(), width, &mut self.buf);
+        serialize_fields_with_width(fields, width, &mut self.buf);
         self.finish_frame(width);
         handle
     }
@@ -1564,12 +1578,13 @@ impl ExchangedPartition {
 // ---------------------------------------------------------------------------
 
 /// The reusable buffers of [`for_each_long_key_group`]: the `(key prefix,
-/// handle)` pairs and the records one key group is read into.  Both keep
-/// their capacity across calls, so a steady-state superstep groups without
-/// allocating.
+/// handle)` pairs, the radix pass's second pair buffer, and the records one
+/// key group is read into.  All keep their capacity across calls, so a
+/// steady-state superstep groups without allocating.
 #[derive(Debug, Default)]
 pub struct GroupScratch {
     pairs: Vec<(u64, PageHandle)>,
+    radix: Vec<(u64, PageHandle)>,
     group: Vec<Record>,
 }
 
@@ -1577,8 +1592,8 @@ pub struct GroupScratch {
 /// it: the partition is ingested into a handle-addressed store and `pairs`
 /// receives one `(normalized key prefix, handle)` per record, sorted.
 /// Normalization is order-preserving and, for a single-`Long` key, the
-/// prefix *is* the full key; the handle tiebreak (insertion position) makes
-/// the unstable sort reproduce exactly the stable record sort of the
+/// prefix *is* the full key; ties keep their insertion position (the handle
+/// order), so the result is exactly the stable record sort of the
 /// materializing paths — on 16-byte items instead of heap records.
 ///
 /// Returns `Ok(None)` — the "disqualified, fall back" signal — for a
@@ -1588,6 +1603,17 @@ pub fn sort_by_long_key(
     part: &ExchangedPartition,
     key: &[usize],
     pairs: &mut Vec<(u64, PageHandle)>,
+) -> std::io::Result<Option<PagedRecords>> {
+    sort_by_long_key_with(part, key, pairs, &mut Vec::new())
+}
+
+/// [`sort_by_long_key`] with the radix pass's second buffer supplied by the
+/// caller, who keeps it from call to call.
+fn sort_by_long_key_with(
+    part: &ExchangedPartition,
+    key: &[usize],
+    pairs: &mut Vec<(u64, PageHandle)>,
+    radix: &mut Vec<(u64, PageHandle)>,
 ) -> std::io::Result<Option<PagedRecords>> {
     let &[field] = key else {
         return Ok(None);
@@ -1600,8 +1626,61 @@ pub fn sort_by_long_key(
     })? {
         return Ok(None);
     }
-    pairs.sort_unstable();
+    sort_pairs_by_prefix(pairs, radix);
     Ok(Some(store))
+}
+
+/// Below this many pairs the comparison sort wins: a radix pass costs a
+/// 256-entry histogram per key byte whatever the input size, and the long
+/// tail of an incremental iteration groups a handful of candidates per
+/// superstep.
+const RADIX_MIN_PAIRS: usize = 256;
+
+/// Sorts `pairs` by `(prefix, handle)`.  The pairs arrive in handle order
+/// (ingest assigns handles in ascending order), so a *stable* sort on the
+/// prefix alone is that order, and from [`RADIX_MIN_PAIRS`] up it is a
+/// least-significant-byte-first radix sort on the 8-byte prefix: one pass
+/// finds the bytes on which the prefixes differ at all (the high bytes of
+/// small vertex ids never do — six of eight on the graph workloads), and
+/// each byte that does is one histogram and one stable scatter between
+/// `pairs` and `scratch`.
+fn sort_pairs_by_prefix(pairs: &mut Vec<(u64, PageHandle)>, scratch: &mut Vec<(u64, PageHandle)>) {
+    debug_assert!(
+        pairs.windows(2).all(|w| w[0].1 < w[1].1),
+        "pairs must arrive in handle order"
+    );
+    if pairs.len() < RADIX_MIN_PAIRS {
+        pairs.sort_unstable();
+        return;
+    }
+    let first = pairs[0];
+    let differing = pairs.iter().fold(0, |bits, pair| bits | (pair.0 ^ first.0));
+    if differing == 0 {
+        return;
+    }
+    scratch.clear();
+    scratch.resize(pairs.len(), first);
+    for shift in (0..64).step_by(8) {
+        if (differing >> shift) as u8 == 0 {
+            continue;
+        }
+        let bucket = |pair: &(u64, PageHandle)| (pair.0 >> shift) as u8 as usize;
+        let mut slots = [0usize; 256];
+        for pair in pairs.iter() {
+            slots[bucket(pair)] += 1;
+        }
+        // Counts become the first output slot of each bucket.
+        let mut next = 0;
+        for slot in slots.iter_mut() {
+            next += std::mem::replace(slot, next);
+        }
+        for pair in pairs.iter() {
+            let slot = &mut slots[bucket(pair)];
+            scratch[*slot] = *pair;
+            *slot += 1;
+        }
+        std::mem::swap(pairs, scratch);
+    }
 }
 
 /// Length of the key group at the front of the sorted `pairs` (0 when empty).
@@ -1647,8 +1726,12 @@ pub fn for_each_long_key_group(
     scratch: &mut GroupScratch,
     mut on_group: impl FnMut(i64, &[Record]),
 ) -> std::io::Result<bool> {
-    let GroupScratch { pairs, group } = scratch;
-    let Some(store) = sort_by_long_key(part, key, pairs)? else {
+    let GroupScratch {
+        pairs,
+        radix,
+        group,
+    } = scratch;
+    let Some(store) = sort_by_long_key_with(part, key, pairs, radix)? else {
         return Ok(false);
     };
     let mut rest = &pairs[..];
@@ -2126,5 +2209,58 @@ mod tests {
         );
         // The partition is untouched: the materializing fallback reads it all.
         assert_eq!(mixed.into_records().unwrap().len(), 3);
+    }
+    /// The radix pass must order pairs exactly as the comparison sort on
+    /// `(prefix, handle)` does, whatever the key distribution and on either
+    /// side of the small-input threshold.
+    #[test]
+    fn radix_pass_agrees_with_the_comparison_sort_on_prefix_and_handle() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut random = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        type KeyOf = fn(u64) -> i64;
+        let distributions: [(&str, KeyOf); 6] = [
+            ("all equal", |_| 7),
+            ("vertex ids", |r| (r % 5_000) as i64),
+            ("around zero", |r| (r % 601) as i64 - 300),
+            ("extremes", |r| {
+                [i64::MIN, -1, 0, 1, i64::MAX][(r % 5) as usize]
+            }),
+            ("full range", |r| r as i64),
+            ("one high byte", |r| ((r % 3) as i64) << 56),
+        ];
+        let sizes = [
+            0,
+            1,
+            RADIX_MIN_PAIRS - 1,
+            RADIX_MIN_PAIRS,
+            RADIX_MIN_PAIRS + 1,
+            4 * RADIX_MIN_PAIRS + 3,
+            20_000,
+        ];
+        let mut scratch = Vec::new();
+        for (name, key) in distributions {
+            for size in sizes {
+                // Handles ascend in the order ingest assigns them: page by
+                // page, offset by offset.
+                let mut pairs: Vec<(u64, PageHandle)> = (0..size)
+                    .map(|i| {
+                        let handle = PageHandle {
+                            page: (i / 100) as u32,
+                            offset: (i % 100 * 22) as u32,
+                        };
+                        (u64::from_be_bytes(normalize_long(key(random()))), handle)
+                    })
+                    .collect();
+                let mut expected = pairs.clone();
+                expected.sort_unstable();
+                sort_pairs_by_prefix(&mut pairs, &mut scratch);
+                assert_eq!(pairs, expected, "{name}, {size} pairs");
+            }
+        }
     }
 }

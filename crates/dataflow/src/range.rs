@@ -32,6 +32,7 @@
 //! consistently (the executor enforces this by building one bounds object
 //! per consuming operator).
 
+use crate::contracts::{RecordSink, RecordSource};
 use crate::key::{hash_key_fields, hash_of_key, sort_by_key, Key};
 use crate::page::normalize_long;
 use crate::record::Record;
@@ -139,16 +140,65 @@ impl RangeBounds {
     }
 }
 
+/// The stride at which a `len`-record input is sampled: every `stride`-th
+/// record, starting with the first, yields at most
+/// [`SAMPLE_KEYS_PER_PARTITION`] keys.
+fn sample_stride(len: usize) -> usize {
+    len / SAMPLE_KEYS_PER_PARTITION + 1
+}
+
 /// Samples up to [`SAMPLE_KEYS_PER_PARTITION`] keys from `records` with a
 /// deterministic stride, appending them to `sample`.
 pub fn sample_keys_into(sample: &mut Vec<Key>, records: &[Record], fields: &[usize]) {
-    let stride = records.len() / SAMPLE_KEYS_PER_PARTITION + 1;
     sample.extend(
         records
             .iter()
-            .step_by(stride)
+            .step_by(sample_stride(records.len()))
             .map(|record| Key::extract(record, fields)),
     );
+}
+
+/// [`sample_keys_into`] over a [`RecordSource`]: the same records at the same
+/// stride, picked by a sink as the source emits them (a source has no random
+/// access, so this pulls it once in full).
+pub fn sample_source_keys_into(sample: &mut Vec<Key>, source: &dyn RecordSource, fields: &[usize]) {
+    source.emit_all(&mut KeySampler {
+        sample,
+        fields,
+        stride: sample_stride(source.len()),
+        until_next: 0,
+    });
+}
+
+/// The sink of [`sample_source_keys_into`].
+struct KeySampler<'a> {
+    sample: &'a mut Vec<Key>,
+    fields: &'a [usize],
+    stride: usize,
+    /// Records to let pass before the next one is sampled.
+    until_next: usize,
+}
+
+impl RecordSink for KeySampler<'_> {
+    fn push(&mut self, record: Record) {
+        self.emit(record.fields());
+    }
+
+    #[inline]
+    fn emit(&mut self, fields: &[Value]) {
+        if self.until_next == 0 {
+            self.sample.push(Key::extract_fields(fields, self.fields));
+            self.until_next = self.stride;
+        }
+        self.until_next -= 1;
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
+    where
+        Self: 'static,
+    {
+        self
+    }
 }
 
 /// The partitioning function of one exchange: hash or range.
@@ -295,6 +345,18 @@ mod tests {
 
     fn long_keys(values: &[i64]) -> Vec<Key> {
         values.iter().map(|&v| Key::long(v)).collect()
+    }
+
+    #[test]
+    fn a_source_is_sampled_at_the_stride_its_records_are() {
+        for len in [0usize, 1, 255, 256, 257, 1000, 5000] {
+            let records: Vec<Record> = (0..len as i64).map(|i| Record::pair(i, i * 3)).collect();
+            let (mut from_slice, mut from_source) = (Vec::new(), Vec::new());
+            sample_keys_into(&mut from_slice, &records, &[1]);
+            sample_source_keys_into(&mut from_source, &records, &[1]);
+            assert_eq!(from_slice, from_source, "{len} records");
+            assert!(from_source.len() <= SAMPLE_KEYS_PER_PARTITION);
+        }
     }
 
     #[test]

@@ -4,15 +4,24 @@
 //! incremental iterations, microsteps, asynchronous execution and the Pregel
 //! model all compute the same fixpoints — only their cost differs.
 
+use algorithms::common::{
+    edge_records, edge_records_with_degree, initial_component_candidates, initial_components,
+};
 use algorithms::{
-    cc_async, cc_bulk, cc_incremental, cc_microstep, oracles, pagerank, sssp, ComponentsConfig,
-    PageRankConfig, PageRankPlan,
+    adaptive_pagerank, cc_async, cc_bulk, cc_incremental, cc_microstep, cc_workset_records,
+    oracles, pagerank, sssp, sssp_records, AdaptiveConfig, ComponentsConfig, PageRankConfig,
+    PageRankPlan, UNREACHABLE,
 };
 use baselines::{
     cc_pregel, cc_spark_bulk, pagerank_pregel, pagerank_spark, PregelConfig, SparkContext,
 };
+use dataflow::prelude::{Key, MemoryBudget, Record, RecordSink, Value};
 use graphdata::{chain, erdos_renyi, figure1_graph, rmat, star, DatasetProfile, Graph, RmatParams};
+use spinning_core::prelude::{
+    ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetResult, WorksetRouting,
+};
 use spinning_core::ExecutionMode;
+use std::sync::Arc;
 
 fn test_graphs() -> Vec<(&'static str, Graph)> {
     vec![
@@ -204,4 +213,217 @@ fn incremental_cc_does_asymptotically_less_work_than_bulk() {
     // of the solution (the paper's "hot" vs "cold" portions).
     let last = incremental.stats.per_iteration.last().unwrap();
     assert!(last.elements_inspected * 10 < graph.num_vertices());
+}
+
+/// Min-propagation over `(vid, neighbour)` edge records, every hop adding
+/// `hop_cost` to the propagated value: Connected Components at 0, unit-weight
+/// SSSP at 1 — the algorithms' step functions restated over heap records.
+fn min_propagation_over(edges: Arc<Vec<Record>>, hop_cost: i64) -> WorksetIteration<'static> {
+    let update = Arc::new(UpdateClosure(
+        |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+            let best = candidates.iter().map(|r| r.long(1)).min().expect("group");
+            match current {
+                Some(c) if c.long(1) <= best => None,
+                _ => Some(Record::pair(key.values()[0].as_long(), best)),
+            }
+        },
+    ));
+    let expand = Arc::new(ExpandClosure(
+        move |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+            for e in edges {
+                out.emit(&[
+                    Value::Long(e.long(1)),
+                    Value::Long(delta.long(1) + hop_cost),
+                ]);
+            }
+        },
+    ));
+    WorksetIteration::builder(vec![0], vec![0], update, expand)
+        .constant_input(edges, vec![0], vec![0])
+        .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
+        .build()
+}
+
+/// Adaptive PageRank's residual push restated over heap records (damping
+/// 0.85, the tolerance of [`AdaptiveConfig::new`]).
+fn residual_push_over(edges: Arc<Vec<Record>>, tolerance: f64) -> WorksetIteration<'static> {
+    let update = Arc::new(UpdateClosure(
+        move |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+            let residual: f64 = candidates.iter().map(|r| r.double(1)).sum();
+            if residual < tolerance {
+                return None;
+            }
+            let rank = current.map_or(0.0, |c| c.double(1));
+            Some(Record::new(vec![
+                key.values()[0].clone(),
+                Value::Double(rank + residual),
+                Value::Double(residual),
+            ]))
+        },
+    ));
+    let expand = Arc::new(ExpandClosure(
+        |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+            let Some(first) = edges.first() else { return };
+            let share = 0.85 * delta.double(2) / first.long(2) as f64;
+            for e in edges {
+                out.emit(&[Value::Long(e.long(1)), Value::Double(share)]);
+            }
+        },
+    ));
+    WorksetIteration::builder(vec![0], vec![0], update, expand)
+        .constant_input(edges, vec![0], vec![0])
+        .build()
+}
+
+fn assert_same_supersteps(ours: &WorksetResult, theirs: &WorksetResult, label: &str) {
+    assert_eq!(ours.converged, theirs.converged, "{label}");
+    let counters = |result: &WorksetResult| -> Vec<[usize; 5]> {
+        let rows = result.stats.per_iteration.iter();
+        rows.map(|s| {
+            [
+                s.workset_size,
+                s.elements_inspected,
+                s.elements_changed,
+                s.messages_sent,
+                s.messages_shipped,
+            ]
+        })
+        .collect()
+    };
+    assert_eq!(counters(ours), counters(theirs), "{label}");
+}
+
+/// The algorithms describe their inputs as sources over the graph and the
+/// load step serializes them straight into the partitions; the same jobs fed
+/// the heap records `algorithms::common` returns (or, for SSSP and adaptive
+/// PageRank, records built here) must be indistinguishable from them — the
+/// same solution records in the same order and the same superstep counters —
+/// under every routing, superstep mode and memory regime.
+#[test]
+fn source_equivalence() {
+    let graph = rmat(400, 3200, RmatParams::default(), 61).symmetrize();
+    let vertices = || graph.vertices().map(i64::from);
+    type Configure = fn(WorksetConfig) -> WorksetConfig;
+    let regimes: [(&str, Configure); 3] = [
+        ("unlimited", |config| config),
+        ("budget 0", |config| {
+            config.with_memory_budget(MemoryBudget::bytes(0))
+        }),
+        ("2 credits", |config| config.with_channel_credits(2)),
+    ];
+    let source = 3;
+    let sssp_solution = || -> Vec<Record> {
+        let distance = |v| {
+            if v == i64::from(source) {
+                0
+            } else {
+                UNREACHABLE
+            }
+        };
+        vertices().map(|v| Record::pair(v, distance(v))).collect()
+    };
+    let sssp_workset = || -> Vec<Record> {
+        let neighbors = graph.neighbors(source).iter();
+        neighbors.map(|&t| Record::pair(i64::from(t), 1)).collect()
+    };
+    let cc_from_records = min_propagation_over(edge_records(&graph), 0);
+    let sssp_from_records = min_propagation_over(edge_records(&graph), 1);
+
+    for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
+        for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
+            for (regime, configure) in regimes {
+                let label = format!("{routing:?}/{mode:?}/{regime}");
+                let config = configure(WorksetConfig::new(4).with_mode(mode).with_routing(routing));
+                let mut components = ComponentsConfig::new(4)
+                    .with_routing(routing)
+                    .with_memory_budget(config.memory_budget);
+                if let Some(credits) = config.channel_credits {
+                    components = components.with_channel_credits(credits);
+                }
+
+                let described = cc_workset_records(&graph, &components, mode).unwrap();
+                let records = cc_from_records
+                    .run(
+                        initial_components(&graph),
+                        initial_component_candidates(&graph),
+                        &config,
+                    )
+                    .unwrap();
+                assert!(described.converged, "cc {label}");
+                assert_eq!(described.solution, records.solution, "cc {label}");
+                assert_same_supersteps(&described, &records, &format!("cc {label}"));
+                if regime == "budget 0" {
+                    assert!(described.stats.total_spilled_bytes() > 0, "cc {label}");
+                }
+
+                let described = sssp_records(&graph, source, &config).unwrap();
+                let records = sssp_from_records
+                    .run(sssp_solution(), sssp_workset(), &config)
+                    .unwrap();
+                assert!(described.converged, "sssp {label}");
+                assert_eq!(described.solution, records.solution, "sssp {label}");
+                assert_same_supersteps(&described, &records, &format!("sssp {label}"));
+            }
+        }
+    }
+
+    // Asynchronous microsteps have no superstep structure to compare; the
+    // fixpoints are the same set of records.
+    let config = WorksetConfig::new(4).with_mode(ExecutionMode::AsynchronousMicrostep);
+    let sorted = |mut records: Vec<Record>| {
+        records.sort();
+        records
+    };
+    let described = cc_workset_records(&graph, &ComponentsConfig::new(4), config.mode).unwrap();
+    let records = cc_from_records
+        .run(
+            initial_components(&graph),
+            initial_component_candidates(&graph),
+            &config,
+        )
+        .unwrap();
+    assert_eq!(sorted(described.solution), sorted(records.solution));
+    let described = sssp_records(&graph, source, &config).unwrap();
+    let records = sssp_from_records
+        .run(sssp_solution(), sssp_workset(), &config)
+        .unwrap();
+    assert_eq!(sorted(described.solution), sorted(records.solution));
+
+    // Adaptive PageRank exposes its mode only; its ranks are the solution
+    // densified, compared bit for bit.  (A small graph and a loose tolerance:
+    // microsteps push every residual share on its own.)
+    let graph = rmat(60, 240, RmatParams::default(), 5).symmetrize();
+    let vertices = || graph.vertices().map(i64::from);
+    let adaptive = AdaptiveConfig::new(4).with_tolerance(1e-6);
+    let seed = (1.0 - adaptive.damping) / graph.num_vertices() as f64;
+    let push_from_records =
+        residual_push_over(edge_records_with_degree(&graph), adaptive.tolerance);
+    let push_inputs = || -> (Vec<Record>, Vec<Record>) {
+        (
+            vertices().map(|v| Record::long_double(v, 0.0)).collect(),
+            vertices().map(|v| Record::long_double(v, seed)).collect(),
+        )
+    };
+    for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
+        let described = adaptive_pagerank(&graph, &adaptive.with_mode(mode)).unwrap();
+        let (solution, workset) = push_inputs();
+        let records = push_from_records
+            .run(solution, workset, &WorksetConfig::new(4).with_mode(mode))
+            .unwrap();
+        let mut ranks = vec![0.0f64; graph.num_vertices()];
+        for record in &records.solution {
+            ranks[record.long(0) as usize] = record.double(1);
+        }
+        let bits = |ranks: &[f64]| ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&described.ranks), bits(&ranks), "adaptive {mode:?}");
+        assert_eq!(
+            described.supersteps, records.supersteps,
+            "adaptive {mode:?}"
+        );
+        assert_eq!(
+            described.stats.total_messages(),
+            records.stats.total_messages(),
+            "adaptive {mode:?}"
+        );
+    }
 }
