@@ -69,17 +69,16 @@ pub struct ComponentsConfig {
     pub transport: TransportHandle,
     /// Per-edge credit pool of the bounded channels (see
     /// `WorksetConfig::channel_credits`): the asynchronous variant bounds
-    /// each worker→worker queue to this many records, the superstep variants
-    /// spill an outbox once it holds this many sealed pages, and the bulk
-    /// variant caps every fused (streaming) chain edge at this many in-flight
-    /// pages.  `None` falls back to `SPINNING_CHANNEL_CREDITS` or the layer
-    /// defaults; results are identical either way.
+    /// each worker→worker queue to this many records and the superstep
+    /// variants spill an outbox once it holds this many sealed pages.  The
+    /// bulk variant has no bounded channel and ignores it.  `None` falls back
+    /// to `SPINNING_CHANNEL_CREDITS` or the layer defaults; results are
+    /// identical either way.
     pub channel_credits: Option<usize>,
-    /// Disables the bulk variant's streaming operator chains, materializing
-    /// every forward edge like the pre-streaming executor did.  The escape
-    /// hatch exists so equivalence suites can pin the chained execution
-    /// byte-identical to the materializing oracle.  The workset variants
-    /// have no executor chains and ignore it.
+    /// Disables the bulk variant's fused operator chains, materializing
+    /// every forward edge.  The escape hatch exists so equivalence suites can
+    /// pin the fused execution byte-identical to the materializing oracle.
+    /// The workset variants have no executor chains and ignore it.
     pub force_materialized: bool,
 }
 
@@ -150,9 +149,9 @@ impl ComponentsConfig {
         self
     }
 
-    /// Bounds the bounded channels to `credits` records (async), sealed
-    /// pages per superstep outbox, or in-flight pages per bulk chain edge —
-    /// see [`ComponentsConfig::channel_credits`].  Clamped to at least 1.
+    /// Bounds the bounded channels to `credits` records (async) or sealed
+    /// pages per superstep outbox — see
+    /// [`ComponentsConfig::channel_credits`].  Clamped to at least 1.
     pub fn with_channel_credits(mut self, credits: usize) -> Self {
         self.channel_credits = Some(credits.max(1));
         self
@@ -256,9 +255,6 @@ pub fn cc_bulk(graph: &Graph, config: &ComponentsConfig) -> Result<ComponentsRes
         .with_memory_budget(config.memory_budget)
         .with_fault(config.fault.clone())
         .with_force_materialized(config.force_materialized);
-    if let Some(credits) = config.channel_credits {
-        bulk_config = bulk_config.with_channel_credits(credits);
-    }
     if let Some(policy) = &config.checkpoint {
         bulk_config = bulk_config.with_checkpoint_policy(policy.clone());
     }

@@ -41,13 +41,9 @@ pub struct PageRankConfig {
     pub damping: f64,
     /// Plan selection.
     pub plan: PageRankPlan,
-    /// Disables the executor's streaming operator chains, materializing every
+    /// Disables the executor's fused operator chains, materializing every
     /// forward edge (the equivalence-suite oracle; see `dataflow::exec`).
     pub force_materialized: bool,
-    /// Per-edge in-flight page credits of the fused (streaming) chains.
-    /// `None` falls back to `SPINNING_CHANNEL_CREDITS` or the executor
-    /// default; results are identical either way.
-    pub channel_credits: Option<usize>,
 }
 
 impl PageRankConfig {
@@ -60,7 +56,6 @@ impl PageRankConfig {
             damping: 0.85,
             plan: PageRankPlan::Optimized,
             force_materialized: false,
-            channel_credits: None,
         }
     }
 
@@ -76,17 +71,10 @@ impl PageRankConfig {
         self
     }
 
-    /// Materializes every forward edge instead of streaming fused chains —
+    /// Materializes every forward edge instead of fusing operator chains —
     /// see [`PageRankConfig::force_materialized`].
     pub fn with_force_materialized(mut self, force: bool) -> Self {
         self.force_materialized = force;
-        self
-    }
-
-    /// Bounds each fused chain edge to `credits` in-flight pages — see
-    /// [`PageRankConfig::channel_credits`].  Clamped to at least 1.
-    pub fn with_channel_credits(mut self, credits: usize) -> Self {
-        self.channel_credits = Some(credits.max(1));
         self
     }
 }
@@ -189,27 +177,19 @@ pub fn pagerank(graph: &Graph, config: &PageRankConfig) -> Result<PageRankResult
 
     let result = match config.plan {
         PageRankPlan::Optimized => {
-            let mut bulk_config = BulkConfig::new(config.parallelism)
+            let bulk_config = BulkConfig::new(config.parallelism)
                 .with_annotations(annotations)
                 .with_force_materialized(config.force_materialized);
-            if let Some(credits) = config.channel_credits {
-                bulk_config = bulk_config.with_channel_credits(credits);
-            }
             iteration.run(initial_ranks(graph), &bulk_config)?
         }
         forced => {
             // Build the forced physical plan by hand and drive the feedback
             // loop directly, mirroring what BulkIteration::run does.
             let physical = forced_physical_plan(&plan, join, reduce, config.parallelism, forced)?;
-            let mut exec_config =
-                ExecConfig::new().with_force_materialized(config.force_materialized);
-            if let Some(credits) = config.channel_credits {
-                exec_config = exec_config.with_channel_credits(credits);
-            }
             run_with_physical(
                 &iteration,
                 physical,
-                exec_config,
+                ExecConfig::new().with_force_materialized(config.force_materialized),
                 initial_ranks(graph),
                 config.iterations,
             )?

@@ -59,7 +59,7 @@ const PARALLELISM: usize = 8;
 /// Supersteps dispatched per sample in the superstep-dispatch workload.
 pub const DISPATCH_SUPERSTEPS: usize = 200;
 
-/// Source records fed to the chained-pipeline workload (each expands 16x).
+/// Source records fed to the fused-pipeline workload (each expands 16x).
 pub const PIPELINE_RECORDS: usize = 4_000;
 
 fn routing_input() -> Vec<Record> {
@@ -512,15 +512,14 @@ pub fn comparisons() -> Vec<Comparison> {
         current,
     });
 
-    // 2g. A whole operator pipeline, materialized vs chained: source →
+    // 2g. A whole operator pipeline, materialized vs fused: source →
     //     16x expansion map → filter map → sink at 4-way parallelism.  The
     //     legacy side is the materializing executor (every forward edge
     //     buffers the full intermediate result); the current side fuses the
-    //     three operators into one streaming chain whose stages overlap and
-    //     whose edges hold at most `credits` sealed pages.  The floor pins
-    //     the chained runtime against the materializing one — thread
-    //     hand-off costs are real, so the ratio may sit near (or below) 1x;
-    //     a collapse means the chain runtime regressed.
+    //     three operators into one task per partition in which each emitted
+    //     record is handed to the next user function by call.  Fusion only
+    //     removes work, so the floor is parity: below 1x it has no reason to
+    //     exist.
     let build_pipeline = || {
         let mut plan = Plan::new();
         let events: Vec<Record> = (0..PIPELINE_RECORDS as i64)
@@ -559,13 +558,13 @@ pub fn comparisons() -> Vec<Comparison> {
     let pipeline = build_pipeline;
     let current = Box::new(move || {
         let executor = Executor::new();
-        let result = executor.execute(&pipeline()).expect("chained pipeline");
-        black_box(result.into_sink("out").expect("chained sink"));
+        let result = executor.execute(&pipeline()).expect("fused pipeline");
+        black_box(result.into_sink("out").expect("fused sink"));
     });
     all.push(Comparison {
         name: "chained_pipeline",
         description:
-            "run a source -> 16x expand -> filter -> sink pipeline at 4-way parallelism (materialize every forward edge vs one streaming chain over credit-bounded page channels)",
+            "run a source -> 16x expand -> filter -> sink pipeline at 4-way parallelism (materialize every forward edge vs one fused task per partition)",
         legacy,
         current,
     });

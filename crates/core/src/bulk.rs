@@ -110,10 +110,6 @@ pub struct BulkConfig {
     /// executions — the escape hatch pinning every streaming path against
     /// the materializing oracle.  Off by default.
     pub force_materialized: bool,
-    /// Per-edge credit bound of the step executions' fused chains; `None`
-    /// (the default) defers to `SPINNING_CHANNEL_CREDITS` / the executor
-    /// default.
-    pub channel_credits: Option<usize>,
 }
 
 impl BulkConfig {
@@ -128,7 +124,6 @@ impl BulkConfig {
             checkpoint: None,
             fault: FaultInjector::from_env(),
             force_materialized: false,
-            channel_credits: None,
         }
     }
 
@@ -174,13 +169,6 @@ impl BulkConfig {
     /// [`BulkConfig::force_materialized`]).
     pub fn with_force_materialized(mut self, force: bool) -> Self {
         self.force_materialized = force;
-        self
-    }
-
-    /// Sets the per-edge credit bound of fused chains in the step
-    /// executions.
-    pub fn with_channel_credits(mut self, credits: usize) -> Self {
-        self.channel_credits = Some(credits.max(1));
         self
     }
 }
@@ -285,14 +273,12 @@ impl BulkIteration {
             dataflow::physical::default_physical_plan(&self.plan, config.parallelism)?
         };
 
-        let mut exec_config = ExecConfig::new()
-            .with_memory_budget(config.memory_budget)
-            .with_fault(config.fault.clone())
-            .with_force_materialized(config.force_materialized);
-        if let Some(credits) = config.channel_credits {
-            exec_config = exec_config.with_channel_credits(credits);
-        }
-        let executor = Executor::with_config(exec_config);
+        let executor = Executor::with_config(
+            ExecConfig::new()
+                .with_memory_budget(config.memory_budget)
+                .with_fault(config.fault.clone())
+                .with_force_materialized(config.force_materialized),
+        );
         // Everything an iteration reads and replaces.  Bulk checkpoints
         // snapshot the one materialized state the feedback channel carries —
         // the partial solution — as a single partition with an empty workset.

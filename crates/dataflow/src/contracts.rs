@@ -17,8 +17,8 @@ use std::sync::Arc;
 /// Receives records as they are emitted, instead of buffering them.
 ///
 /// A [`Collector`] built with [`Collector::with_sink`] forwards every
-/// collected record here — the hook the streaming (chained) executor uses to
-/// push records downstream page by page while the user function is still
+/// collected record here — the hook the executor's fused chains use to hand
+/// each record to the next operator while the user function is still
 /// running.  Emission is infallible from the UDF's point of view; a sink
 /// that fails downstream records the error internally and reports it when
 /// the runtime takes it back.

@@ -12,14 +12,13 @@
 //! materialises before downstream operators run, which is always safe for
 //! the iteration execution strategies of Sections 4.2 and 5.3 (no operator
 //! can ever participate in two iterations simultaneously).  Forward edges,
-//! however, *stream*: a chain-fusion pass ([`streaming_input_slot`])
-//! identifies maximal pipelineable segments — forward-shipped, uncached,
-//! single-consumer edges into a slot the consumer can stream — and executes
-//! each segment as a pipeline of concurrent stages connected by
-//! credit-bounded page channels ([`crate::credit`]).  Records flow through a
-//! chain as sealed pages, handed downstream as they seal, so a fused edge
-//! holds at most `credits × page size` bytes in flight instead of the full
-//! intermediate ([`ExecConfig::with_channel_credits`]).
+//! however, are *function calls*: a chain-fusion pass
+//! ([`streaming_input_slot`]) identifies maximal pipelineable segments —
+//! forward-shipped, uncached, single-consumer edges into a slot the consumer
+//! can stream — and executes each segment as **one pool task per partition**
+//! in which every record a member emits is pushed, by move, straight into the
+//! next member's user function.  A fused edge therefore holds one record, not
+//! an intermediate result, and costs a call, not a page or a thread.
 //! [`ExecConfig::with_force_materialized`] is the escape hatch that disables
 //! fusion (and the page-native operator paths), pinning every streaming path
 //! byte-identical to the materializing oracle.
@@ -32,8 +31,8 @@
 //! outboxes to [`exchange::ship`] — the same route → page → spill → ship →
 //! gather layer the iteration runtime's superstep queue switch runs on (see
 //! [`crate::exchange`] for its invariants: local records stay heap objects,
-//! peers receive sealed [`RecordPage`]s or spilled runs, delivery is
-//! source-major).  What stays here is policy: which router an edge uses
+//! peers receive sealed [`crate::page::RecordPage`]s or spilled runs, delivery
+//! is source-major).  What stays here is policy: which router an edge uses
 //! (hash, or the splitter histogram frozen per operator), the per-exchange
 //! spill budget, the post-exchange sort of range edges, broadcast (serialize
 //! once, share pages by pointer), the record-based exchange of cached
@@ -42,9 +41,8 @@
 //! forward shipping keeps the records-as-objects fast path; the receiving
 //! local phase reads shipped records back out of the pages lazily.
 
-use crate::contracts::{Collector, RecordSink, Udf};
-use crate::credit::{
-    credit_channel, timeout_from_env, CreditReceiver, CreditSender, RecvTimeoutError, SendError,
+use crate::contracts::{
+    Collector, CrossFunction, MapFunction, MatchFunction, RecordSink, ReduceFunction, Udf,
 };
 use crate::error::{DataflowError, Result};
 use crate::exchange::{self, Outbox};
@@ -53,7 +51,6 @@ use crate::key::{group_ranges, partition_for, sort_by_key, FxHashMap, Key, KeyFi
 use crate::page::{
     for_each_long_key_group, long_key_group_len, long_key_prefix_of, next_long_key_group,
     sort_by_long_key, ExchangedPartition, GroupScratch, PageWriter, PagedRecords, PrefixTable,
-    RecordPage,
 };
 use crate::physical::{
     streaming_input_slot, LocalStrategy, PhysicalChoice, PhysicalPlan, ShipStrategy,
@@ -73,8 +70,6 @@ use std::time::{Duration, Instant};
 pub type Partition = Vec<Record>;
 /// One partition per parallel instance.
 pub type Partitions = Vec<Partition>;
-/// One partition's local-phase outcome: `(records_in, output records)`.
-type LocalOutcome = Result<(usize, Vec<Record>)>;
 
 /// Runtime configuration of the [`Executor`].
 #[derive(Debug, Clone, Default)]
@@ -89,16 +84,9 @@ pub struct ExecConfig {
     /// Disables the page-native operator paths **and chain fusion**, forcing
     /// every join/group to materialize its inputs into heap records first and
     /// every operator boundary to dam.  Off by default (the page-native and
-    /// chained paths run whenever an edge qualifies); the equivalence suites
-    /// flip it to check the streaming paths produce byte-identical results.
+    /// fused paths run whenever an edge qualifies); the equivalence suites
+    /// flip it to check those paths produce byte-identical results.
     pub force_materialized: bool,
-    /// Per-edge credit bound of the chained (streaming) operator paths: a
-    /// fused pipeline edge holds at most this many sealed pages in flight, so
-    /// a chain's memory footprint is `credits × page size` per edge instead
-    /// of the full intermediate.  `None` (the default) reads
-    /// `SPINNING_CHANNEL_CREDITS` and falls back to
-    /// [`DEFAULT_CHAIN_CREDITS`].
-    pub channel_credits: Option<usize>,
     /// The transport every repartitioning exchange ships its sealed pages
     /// through.  Defaults to the in-process backend (pointer-moving channels
     /// in a cluster of one); the batch executor rejects multi-process
@@ -136,28 +124,7 @@ impl ExecConfig {
         self.transport = transport;
         self
     }
-
-    /// Sets the per-edge credit bound of chained (streaming) operator paths;
-    /// clamped to at least 1 (a chain must be able to make progress).
-    pub fn with_channel_credits(mut self, credits: usize) -> Self {
-        self.channel_credits = Some(credits.max(1));
-        self
-    }
-
-    /// The effective chained-edge credit bound: the explicit configuration,
-    /// else `SPINNING_CHANNEL_CREDITS`, else [`DEFAULT_CHAIN_CREDITS`].
-    pub fn resolved_channel_credits(&self) -> usize {
-        self.channel_credits
-            .or_else(crate::credit::channel_credits_from_env)
-            .unwrap_or(DEFAULT_CHAIN_CREDITS)
-            .max(1)
-    }
 }
-
-/// Default per-edge credit bound of a fused chain when neither the
-/// configuration nor `SPINNING_CHANNEL_CREDITS` specifies one: 4 sealed 32
-/// KiB pages ≈ 128 KiB in flight per edge.
-pub const DEFAULT_CHAIN_CREDITS: usize = 4;
 
 /// Cache of post-exchange inputs, keyed by (consumer operator, input slot).
 ///
@@ -382,7 +349,7 @@ impl Executor {
 
         // The chain-fusion pass: maximal pipelineable segments over forward,
         // uncached, single-consumer edges.  `force_materialized` is the
-        // escape hatch that pins every chained path against the materializing
+        // escape hatch that pins every fused path against the materializing
         // oracle.
         let chain = if self.config.force_materialized {
             ChainPlan::default()
@@ -393,7 +360,7 @@ impl Executor {
         for id in order {
             let op = plan.operator(id);
             if let Some(&(seg, pos)) = chain.member_of.get(&id) {
-                // Non-tail members run inside their segment's pipeline; the
+                // Non-tail members run inside their segment's tasks; the
                 // whole segment executes when the topological walk reaches
                 // its tail (every side input's producer has run by then).
                 if pos + 1 != chain.segments[seg].len() {
@@ -414,15 +381,25 @@ impl Executor {
             let op_start = Instant::now();
 
             // 1. Sources produce their partitioned data directly.
+            //    A source whose every consumer edge is about to be served
+            //    from the cache (a loop-invariant input after the first
+            //    iteration) is not partitioned again: nobody would read it.
             if let OperatorKind::Source { data } = &op.kind {
-                let parts = split_into_partitions(data, parallelism);
-                let produced: usize = parts.iter().map(Vec::len).sum();
-                outputs.insert(id, Arc::new(parts));
+                let served_from_cache = plan.operators().iter().all(|consumer| {
+                    consumer.inputs.iter().enumerate().all(|(slot, input)| {
+                        *input != id
+                            || (physical.choice(consumer.id).cache_inputs[slot]
+                                && cache.entries.contains_key(&(consumer.id, slot)))
+                    })
+                });
+                if !served_from_cache {
+                    outputs.insert(id, Arc::new(split_into_partitions(data, parallelism)));
+                }
                 stats.operators.push(OperatorStats {
                     name: op.name.clone(),
                     contract: op.kind.contract_name().to_owned(),
                     records_in: 0,
-                    records_out: produced,
+                    records_out: data.len(),
                     elapsed: op_start.elapsed(),
                 });
                 continue;
@@ -454,7 +431,7 @@ impl Executor {
             // shared inputs hand every partition a (cheap) Arc clone, paged
             // inputs move each partition's local records and received page
             // pointers into that partition's task.
-            let mut partition_inputs = split_by_partition(prepared, parallelism, op.inputs.len());
+            let mut partition_inputs = split_by_partition(prepared, parallelism);
 
             // 3. Run the local phase, one pool task per partition.  The
             //    persistent worker pool is shared process-wide, so an
@@ -464,55 +441,28 @@ impl Executor {
             let page_native = !self.config.force_materialized;
             let mut result_parts: Vec<Partition> = Vec::with_capacity(parallelism);
             let mut records_in_total = 0usize;
-            if parallelism == 1 {
-                let inputs = partition_inputs.pop().expect("one partition input set");
+            let fault = &self.config.fault;
+            let run_partition = |inputs: Vec<LocalInput>| {
                 let mut collector = Collector::new();
-                let records_in = run_local(
-                    op,
-                    local,
-                    inputs,
-                    page_native,
-                    &self.config.fault,
-                    &mut collector,
-                )?;
-                records_in_total += records_in;
-                result_parts.push(collector.into_records());
+                run_local(op, local, inputs, page_native, fault, &mut collector)
+                    .map(|records_in| (records_in, collector.into_records()))
+            };
+            let outcomes = if parallelism == 1 {
+                vec![run_partition(
+                    partition_inputs.pop().expect("one partition input set"),
+                )?]
             } else {
-                let mut per_partition: Vec<Option<LocalOutcome>> =
-                    (0..parallelism).map(|_| None).collect();
-                let fault = &self.config.fault;
-                spinning_pool::global()
-                    .try_scope(|scope| {
-                        for (inputs, slot) in
-                            partition_inputs.drain(..).zip(per_partition.iter_mut())
-                        {
-                            scope.spawn_labeled("operator-local", move || {
-                                fault.panic_check(FaultSite::WorkerPanic, "operator-local");
-                                let mut collector = Collector::new();
-                                *slot = Some(
-                                    run_local(
-                                        op,
-                                        local,
-                                        inputs,
-                                        page_native,
-                                        fault,
-                                        &mut collector,
-                                    )
-                                    .map(|records_in| (records_in, collector.into_records())),
-                                );
-                            });
-                        }
-                    })
-                    .map_err(|panic| DataflowError::WorkerPanic {
-                        operator: op.name.clone(),
-                        superstep: 0,
-                        message: panic.message(),
-                    })?;
-                for slot in per_partition {
-                    let (records_in, out) = slot.expect("pool ran every partition task")?;
-                    records_in_total += records_in;
-                    result_parts.push(out);
-                }
+                run_on_partitions(
+                    "operator-local",
+                    || op.name.clone(),
+                    fault,
+                    partition_inputs,
+                    run_partition,
+                )?
+            };
+            for (records_in, out) in outcomes {
+                records_in_total += records_in;
+                result_parts.push(out);
             }
 
             let produced: usize = result_parts.iter().map(Vec::len).sum();
@@ -615,17 +565,14 @@ impl Executor {
         }
     }
 
-    /// Executes one fused chain segment (`members`, head to tail) as a
-    /// pipeline: every member runs one stage thread per partition, connected
-    /// along the fused edges by credit-bounded channels of sealed pages.
+    /// Executes one fused chain segment (`members`, head to tail): one pool
+    /// task per partition runs the head's local phase with every downstream
+    /// member composed behind its collector ([`run_fused`]).
     ///
     /// Side inputs (the non-fused slots — a hash join's build side, a
     /// cross's broadcast side) are prepared on this thread exactly like the
     /// materializing path prepares them; the topological walk dispatches the
     /// segment at its *tail*, by which point every side producer has run.
-    /// Dedicated `thread::scope` threads carry the stages — the shared
-    /// worker pool would deadlock, since stages block on channel credits
-    /// while holding a pool worker.
     #[allow(clippy::too_many_arguments)]
     fn execute_segment(
         &self,
@@ -640,17 +587,14 @@ impl Executor {
         let plan = &physical.plan;
         let parallelism = physical.parallelism;
         let page_native = !self.config.force_materialized;
-        let credits = self.config.resolved_channel_credits();
-        let timeout = timeout_from_env();
         let fault = &self.config.fault;
 
-        struct Member<'p> {
-            op: &'p Operator,
-            local: LocalStrategy,
-            stream_slot: Option<usize>,
-            partition_inputs: Vec<Vec<LocalInput>>,
-        }
-        let mut prepared_members: Vec<Member<'_>> = Vec::with_capacity(members.len());
+        // Per partition, every member's materialized inputs in member order
+        // (the fused slot absent).
+        let mut fused: Vec<(&Operator, LocalStrategy)> = Vec::with_capacity(members.len());
+        let mut partition_inputs: Vec<Vec<Vec<LocalInput>>> = (0..parallelism)
+            .map(|_| Vec::with_capacity(members.len()))
+            .collect();
         for (pos, &mid) in members.iter().enumerate() {
             let op = plan.operator(mid);
             let choice = physical.choice(mid);
@@ -680,133 +624,53 @@ impl Executor {
                     stats,
                 )?);
             }
-            let arity = prepared.len();
-            prepared_members.push(Member {
-                op,
-                local: choice.local,
-                stream_slot,
-                partition_inputs: split_by_partition(prepared, parallelism, arity),
-            });
-        }
-
-        // Wire the stages: one credit channel per fused edge per partition
-        // (stage `pos` of partition `p` sends to stage `pos + 1` of the same
-        // partition — fused edges are forward edges, they never cross
-        // partitions).
-        let tail_pos = members.len() - 1;
-        let mut specs: Vec<StageSpec<'_>> = Vec::with_capacity(members.len() * parallelism);
-        let mut pending_rx: Vec<Option<CreditReceiver<Arc<RecordPage>>>> =
-            (0..parallelism).map(|_| None).collect();
-        for (pos, member) in prepared_members.into_iter().enumerate() {
-            for (p, inputs) in member.partition_inputs.into_iter().enumerate() {
-                let (tx, next_rx) = if pos < tail_pos {
-                    let (tx, rx) = credit_channel(credits, timeout);
-                    (Some(tx), Some(rx))
-                } else {
-                    (None, None)
-                };
-                let rx = std::mem::replace(&mut pending_rx[p], next_rx);
-                specs.push(StageSpec {
-                    op: member.op,
-                    local: member.local,
-                    stream_slot: member.stream_slot,
-                    inputs,
-                    tx,
-                    rx,
-                });
-            }
-        }
-
-        // Run every stage of every partition concurrently and join them all;
-        // a panicking stage surfaces as a typed worker panic.
-        let mut outcomes: Vec<Result<StageOutcome>> = Vec::with_capacity(specs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<(
-                String,
-                std::thread::ScopedJoinHandle<'_, Result<StageOutcome>>,
-            )> = specs
+            for (inputs, of_partition) in split_by_partition(prepared, parallelism)
                 .into_iter()
-                .map(|spec| {
-                    let name = spec.op.name.clone();
-                    let handle = scope.spawn(move || run_stage(spec, page_native, fault, timeout));
-                    (name, handle)
-                })
-                .collect();
-            for (name, handle) in handles {
-                outcomes.push(handle.join().unwrap_or_else(|payload| {
-                    Err(DataflowError::WorkerPanic {
-                        operator: name,
-                        superstep: 0,
-                        message: panic_message(&*payload),
-                    })
-                }));
+                .zip(partition_inputs.iter_mut())
+            {
+                of_partition.push(inputs);
             }
-        });
-
-        // A stage whose downstream died sees a channel hang-up, not the root
-        // cause — report panics first, then the first non-hang-up error in
-        // stage order, and the hang-up itself only if nothing else explains
-        // the failure.
-        let mut panic_err: Option<DataflowError> = None;
-        let mut real_err: Option<DataflowError> = None;
-        let mut hangup_err: Option<DataflowError> = None;
-        let mut results: Vec<StageOutcome> = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            match outcome {
-                Ok(result) => results.push(result),
-                Err(err) => match &err {
-                    DataflowError::WorkerPanic { .. } if panic_err.is_none() => {
-                        panic_err = Some(err)
-                    }
-                    DataflowError::ExecutionFailed(msg) if msg == CHAIN_DISCONNECT_MSG => {
-                        hangup_err.get_or_insert(err);
-                    }
-                    _ if real_err.is_none() => real_err = Some(err),
-                    _ => {}
-                },
-            }
-        }
-        if let Some(err) = panic_err.or(real_err).or(hangup_err) {
-            return Err(err);
+            fused.push((op, choice.local));
         }
 
-        // Per-member accounting: stage outcomes arrive member-major (the
-        // spawn order), `parallelism` partitions per member.
-        debug_assert_eq!(results.len(), members.len() * parallelism);
-        let mut agg: Vec<StageAgg> = vec![StageAgg::default(); members.len()];
-        let mut tail_parts: Vec<Partition> = Vec::with_capacity(parallelism);
-        for (i, outcome) in results.into_iter().enumerate() {
-            let pos = i / parallelism;
-            agg[pos].records_in += outcome.records_in;
-            agg[pos].records_out += outcome.records_out;
-            agg[pos].elapsed += outcome.elapsed;
-            agg[pos].high_water = agg[pos].high_water.max(outcome.high_water);
-            if pos == tail_pos {
-                tail_parts.push(outcome.result);
-            }
-        }
-        for (pos, &mid) in members.iter().enumerate() {
-            let op = plan.operator(mid);
-            let member_agg = &agg[pos];
-            if pos < tail_pos {
-                // Fused-edge records stay inside their partition — the same
-                // accounting a materializing forward exchange applies.
-                stats.local_records += member_agg.records_out;
-            }
-            if pos > 0 {
-                stats.peak_chain_pages = stats.peak_chain_pages.max(member_agg.high_water);
-            }
-            stats.operators.push(OperatorStats {
+        let outcomes = run_on_partitions(
+            "chained-operator",
+            || {
+                let names: Vec<&str> = fused.iter().map(|(op, _)| op.name.as_str()).collect();
+                names.join("→")
+            },
+            fault,
+            partition_inputs,
+            |inputs| run_fused(&fused, inputs, page_native, fault),
+        )?;
+
+        let mut rows: Vec<OperatorStats> = fused
+            .iter()
+            .map(|(op, _)| OperatorStats {
                 name: op.name.clone(),
                 contract: op.kind.contract_name().to_owned(),
-                records_in: member_agg.records_in,
-                records_out: member_agg.records_out,
-                elapsed: member_agg.elapsed,
-            });
+                ..OperatorStats::default()
+            })
+            .collect();
+        let mut tail_parts: Vec<Partition> = Vec::with_capacity(parallelism);
+        for (reports, tail_records) in outcomes {
+            for (row, report) in rows.iter_mut().zip(reports) {
+                row.records_in += report.records_in;
+                row.records_out += report.records_out;
+                row.elapsed += report.elapsed;
+            }
+            tail_parts.push(tail_records);
         }
+        // Fused-edge records stay inside their partition — the same
+        // accounting a materializing forward exchange applies.
+        stats.local_records += rows[..rows.len() - 1]
+            .iter()
+            .map(|row| row.records_out)
+            .sum::<usize>();
         stats.chained_operators += members.len();
+        stats.operators.extend(rows);
 
-        let tail_id = members[tail_pos];
+        let tail_id = *members.last().expect("segments have at least two members");
         let result_parts = Arc::new(tail_parts);
         if let OperatorKind::Sink { name } = &plan.operator(tail_id).kind {
             sink_outputs.insert(name.clone(), Arc::clone(&result_parts));
@@ -814,6 +678,41 @@ impl Executor {
         outputs.insert(tail_id, result_parts);
         Ok(())
     }
+}
+
+/// Runs `task` on every partition's input set, one task of the shared worker
+/// pool per partition, so a parallel region costs a deque push per partition
+/// instead of a round of thread spawns.  A panicking task (user code, or the
+/// [`FaultSite::WorkerPanic`] injection each task consults under `label`)
+/// surfaces as one typed [`DataflowError::WorkerPanic`] naming `operator`;
+/// otherwise the first task error in partition order is returned.
+fn run_on_partitions<I: Send, T: Send>(
+    label: &'static str,
+    operator: impl FnOnce() -> String,
+    fault: &FaultInjector,
+    inputs: Vec<I>,
+    task: impl Fn(I) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let mut outcomes: Vec<Option<Result<T>>> = inputs.iter().map(|_| None).collect();
+    spinning_pool::global()
+        .try_scope(|scope| {
+            for (input, outcome) in inputs.into_iter().zip(outcomes.iter_mut()) {
+                let task = &task;
+                scope.spawn_labeled(label, move || {
+                    fault.panic_check(FaultSite::WorkerPanic, label);
+                    *outcome = Some(task(input));
+                });
+            }
+        })
+        .map_err(|panic| DataflowError::WorkerPanic {
+            operator: operator(),
+            superstep: 0,
+            message: panic.message(),
+        })?;
+    outcomes
+        .into_iter()
+        .map(|outcome| outcome.expect("pool ran every partition task"))
+        .collect()
 }
 
 /// Splits source data into contiguous chunks, one per partition.
@@ -873,13 +772,9 @@ enum PreparedInput {
 /// hand every partition a (cheap) Arc clone, paged inputs move each
 /// partition's local records and received page pointers into that
 /// partition's task.
-fn split_by_partition(
-    prepared: Vec<PreparedInput>,
-    parallelism: usize,
-    arity: usize,
-) -> Vec<Vec<LocalInput>> {
+fn split_by_partition(prepared: Vec<PreparedInput>, parallelism: usize) -> Vec<Vec<LocalInput>> {
     let mut partition_inputs: Vec<Vec<LocalInput>> = (0..parallelism)
-        .map(|_| Vec::with_capacity(arity))
+        .map(|_| Vec::with_capacity(prepared.len()))
         .collect();
     for prep in prepared {
         match prep {
@@ -900,11 +795,12 @@ fn split_by_partition(
 }
 
 // ---------------------------------------------------------------------------
-// Chain fusion: streaming operator segments
+// Chain fusion: forward edges as function calls
 // ---------------------------------------------------------------------------
 
 /// The fused segments of one physical plan: each segment is a maximal linear
-/// chain of operators whose connecting edges stream instead of materializing.
+/// chain of operators whose connecting edges are calls instead of
+/// materialized partitions.
 #[derive(Debug, Default)]
 struct ChainPlan {
     /// Member operator → (segment index, position inside the segment).
@@ -921,15 +817,15 @@ struct ChainPlan {
 /// * `s` is `B`'s streaming slot ([`streaming_input_slot`]) — `B` can
 ///   consume the edge record by record;
 /// * the edge ships `Forward` — partition `p` of `A` feeds partition `p` of
-///   `B`, so a per-partition channel preserves exactly the materialized
-///   delivery;
+///   `B`, so a call inside partition `p`'s task preserves exactly the
+///   materialized delivery;
 /// * the edge is not cached — loop-invariant edges must still snapshot into
 ///   the [`IntermediateCache`] for reuse across iterations;
 /// * `B` is `A`'s **only** consumer — other consumers need `A`'s
 ///   materialized output;
-/// * `A` is not a source (sources partition data on the main thread, there
-///   is nothing to overlap) and not a sink (a sink's records *are* the
-///   plan's result and must materialize).
+/// * `A` is not a source (its partitions exist before any task runs, so
+///   there is no producing call to fuse into) and not a sink (a sink's
+///   records *are* the plan's result and must materialize).
 ///
 /// Segments of length 1 are not chains; they run on the materializing path.
 fn compute_chain_segments(physical: &PhysicalPlan) -> ChainPlan {
@@ -988,112 +884,219 @@ fn compute_chain_segments(physical: &PhysicalPlan) -> ChainPlan {
     chain
 }
 
-/// Marker message of the chain-hang-up error: a stage whose downstream
-/// receiver died mid-stream.  Kept distinguishable so segment error
-/// reporting can prefer the root cause over the ripple.
-const CHAIN_DISCONNECT_MSG: &str = "chained edge receiver hung up mid-stream";
-
-/// One stage (member × partition) of a fused segment, ready to spawn.
-struct StageSpec<'p> {
-    op: &'p Operator,
-    local: LocalStrategy,
-    /// The fused input slot this stage streams from (`None` for the head,
-    /// which reads materialized inputs like any operator).
-    stream_slot: Option<usize>,
-    /// Materialized side inputs in slot order, the streamed slot absent.
-    inputs: Vec<LocalInput>,
-    /// Downstream fused edge (`None` for the tail).
-    tx: Option<CreditSender<Arc<RecordPage>>>,
-    /// Upstream fused edge (`None` for the head).
-    rx: Option<CreditReceiver<Arc<RecordPage>>>,
-}
-
-/// What one stage reports back to the segment driver.
-struct StageOutcome {
-    records_in: usize,
-    records_out: usize,
-    elapsed: Duration,
-    /// Receiver high-water mark of the upstream fused edge (0 for heads).
-    high_water: usize,
-    /// The tail's output partition (empty for non-tail stages — their
-    /// records left through the chain).
-    result: Vec<Record>,
-}
-
-/// Per-member aggregation of [`StageOutcome`]s across partitions.
-#[derive(Clone, Default)]
-struct StageAgg {
-    records_in: usize,
-    records_out: usize,
-    elapsed: Duration,
-    high_water: usize,
-}
-
-/// The producing end of one fused edge: a [`RecordSink`] that serializes
-/// emitted records into pages and hands each page downstream **as it
-/// seals**, blocking on the edge's credit pool — this is what bounds a
-/// running chain to `credits × page size` bytes per edge.
+/// The streaming consumer of one operator on one partition: everything the
+/// operator does with the input slot it can consume record by record
+/// ([`streaming_input_slot`]), given its other inputs materialized.
 ///
-/// Emission is infallible from the UDF's view; the first send failure is
-/// recorded and every later page is dropped (the whole segment's results are
-/// discarded on any stage error, so the partial stream is never observed).
-struct ChainStream {
-    writer: PageWriter,
-    tx: CreditSender<Arc<RecordPage>>,
-    sent_records: usize,
-    error: Option<DataflowError>,
+/// This is the one place the record-at-a-time arm of each contract lives.
+/// [`run_local`] drives a delivered partition through it; in a fused segment
+/// the upstream member's collector pushes into it ([`FusedStage`]).  Either
+/// way the same records reach the same user-function calls in the same order,
+/// which is what keeps fused and materialized executions byte-identical.
+enum Stage {
+    Map(Arc<dyn MapFunction>),
+    Sink,
+    /// Folds the stream into the group table; groups are emitted in key order
+    /// at end of stream so the output is deterministic across runs.
+    HashGroup {
+        key: KeyFields,
+        udf: Arc<dyn ReduceFunction>,
+        groups: FxHashMap<Key, Vec<Record>>,
+    },
+    /// Buffers the stream, sorts it at end of stream (unless it arrived in
+    /// key order) and emits the groups.
+    SortGroup {
+        key: KeyFields,
+        udf: Arc<dyn ReduceFunction>,
+        records: Vec<Record>,
+        presorted: bool,
+    },
+    /// Probes the hash table over the materialized build side; matches are
+    /// emitted in build insertion order.
+    HashProbe {
+        udf: Arc<dyn MatchFunction>,
+        probe_key: KeyFields,
+        /// Whether the streamed side is the join's left argument.
+        probe_is_left: bool,
+        build: Vec<Record>,
+        /// Key → indices into `build`.
+        table: FxHashMap<Key, Vec<usize>>,
+    },
+    Cross {
+        udf: Arc<dyn CrossFunction>,
+        right: Vec<Record>,
+    },
 }
 
-impl ChainStream {
-    fn new(tx: CreditSender<Arc<RecordPage>>) -> Self {
-        ChainStream {
-            writer: PageWriter::new(),
-            tx,
-            sent_records: 0,
-            error: None,
-        }
-    }
-
-    fn send_page(&mut self, page: Arc<RecordPage>) {
-        if self.error.is_some() {
-            return;
-        }
-        self.sent_records += page.record_count();
-        if let Err(err) = self.tx.send(page) {
-            self.error = Some(match err {
-                SendError::Timeout(_) => DataflowError::CommTimeout(
-                    "a chained-edge credit (downstream stage stalled)".into(),
-                ),
-                SendError::Disconnected(_) => {
-                    DataflowError::ExecutionFailed(CHAIN_DISCONNECT_MSG.into())
+impl Stage {
+    /// Builds the stage of `op` from its materialized inputs `side` (slot
+    /// order, the streamed slot absent).  `delivered_order` is the key order
+    /// the stream arrives in, if any (fused edges carry none).
+    ///
+    /// # Panics
+    /// If `op` has no streaming slot under `local`.
+    fn new(
+        op: &Operator,
+        local: LocalStrategy,
+        side: Vec<LocalInput>,
+        delivered_order: Option<&[usize]>,
+    ) -> std::io::Result<Stage> {
+        let stream_slot = streaming_input_slot(&op.kind, local)
+            .expect("only operators with a streaming slot run as stages");
+        let mut side = side.into_iter();
+        let mut side_records = || {
+            side.next()
+                .expect("plan validation checked input arity")
+                .into_records()
+        };
+        Ok(match (&op.kind, &op.udf) {
+            (OperatorKind::Map, Udf::Map(udf)) => Stage::Map(Arc::clone(udf)),
+            (OperatorKind::Sink { .. }, _) => Stage::Sink,
+            (OperatorKind::Reduce { key }, Udf::Reduce(udf)) => match local {
+                LocalStrategy::SortGroup => Stage::SortGroup {
+                    key: key.clone(),
+                    udf: Arc::clone(udf),
+                    records: Vec::new(),
+                    presorted: delivered_order == Some(key),
+                },
+                _ => Stage::HashGroup {
+                    key: key.clone(),
+                    udf: Arc::clone(udf),
+                    groups: FxHashMap::default(),
+                },
+            },
+            (
+                OperatorKind::Match {
+                    left_key,
+                    right_key,
+                },
+                Udf::Match(udf),
+            ) => {
+                let probe_is_left = stream_slot == 0;
+                let (build_key, probe_key) = if probe_is_left {
+                    (right_key, left_key)
+                } else {
+                    (left_key, right_key)
+                };
+                let build = side_records()?;
+                let mut table: FxHashMap<Key, Vec<usize>> = FxHashMap::default();
+                for (i, record) in build.iter().enumerate() {
+                    table
+                        .entry(Key::extract(record, build_key))
+                        .or_default()
+                        .push(i);
                 }
-            });
-        }
+                Stage::HashProbe {
+                    udf: Arc::clone(udf),
+                    probe_key: probe_key.clone(),
+                    probe_is_left,
+                    build,
+                    table,
+                }
+            }
+            (OperatorKind::Cross, Udf::Cross(udf)) => Stage::Cross {
+                udf: Arc::clone(udf),
+                right: side_records()?,
+            },
+            (kind, udf) => panic!(
+                "operator '{}' has contract {} but UDF {:?}",
+                op.name,
+                kind.contract_name(),
+                udf
+            ),
+        })
     }
 
-    /// Seals and sends the trailing partial page, then reports the first
-    /// send failure (if any).  Dropping the sender signals end-of-stream to
-    /// the downstream stage.
-    fn finish(mut self) -> Result<usize> {
-        let writer = std::mem::take(&mut self.writer);
-        for page in writer.finish() {
-            self.send_page(page);
-        }
-        match self.error.take() {
-            Some(err) => Err(err),
-            None => Ok(self.sent_records),
-        }
+    /// Whether the stage keeps the records it is given (and so wants them
+    /// owned) rather than only looking at them.
+    fn keeps_records(&self) -> bool {
+        matches!(
+            self,
+            Stage::Sink | Stage::HashGroup { .. } | Stage::SortGroup { .. }
+        )
     }
-}
 
-impl RecordSink for ChainStream {
-    fn push(&mut self, record: Record) {
-        self.writer.push(&record);
-        if self.writer.sealed_page_count() > 0 {
-            for page in self.writer.take_sealed() {
-                self.send_page(page);
+    /// Consumes one record of the stream, emitting into `out`.
+    fn accept(&mut self, record: Cow<'_, Record>, out: &mut Collector) {
+        match self {
+            Stage::Map(udf) => udf.map(&record, out),
+            Stage::Sink => out.collect(record.into_owned()),
+            Stage::HashGroup { key, groups, .. } => groups
+                .entry(Key::extract(&record, key))
+                .or_default()
+                .push(record.into_owned()),
+            Stage::SortGroup { records, .. } => records.push(record.into_owned()),
+            Stage::HashProbe {
+                udf,
+                probe_key,
+                probe_is_left,
+                build,
+                table,
+            } => {
+                if let Some(matches) = table.get(&Key::extract(&record, probe_key)) {
+                    for &i in matches {
+                        if *probe_is_left {
+                            udf.join(&record, &build[i], out);
+                        } else {
+                            udf.join(&build[i], &record, out);
+                        }
+                    }
+                }
+            }
+            Stage::Cross { udf, right } => {
+                for r in right.iter() {
+                    udf.cross(&record, r, out);
+                }
             }
         }
+    }
+
+    /// End of stream: the grouping stages emit their groups.
+    fn finish(self, out: &mut Collector) {
+        match self {
+            Stage::HashGroup { udf, groups, .. } => {
+                let mut sorted: Vec<(Key, Vec<Record>)> = groups.into_iter().collect();
+                sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                for (k, group) in &sorted {
+                    udf.reduce(&k.values(), group, out);
+                }
+            }
+            Stage::SortGroup {
+                key,
+                udf,
+                mut records,
+                presorted,
+            } => {
+                if !presorted {
+                    sort_by_key(&mut records, &key);
+                }
+                for (start, end) in group_ranges(&records, &key) {
+                    let group = &records[start..end];
+                    let k = Key::extract(&group[0], &key);
+                    udf.reduce(&k.values(), group, out);
+                }
+            }
+            Stage::Map(_) | Stage::Sink | Stage::HashProbe { .. } | Stage::Cross { .. } => {}
+        }
+    }
+}
+
+/// One downstream member of a fused segment on one partition: its [`Stage`]
+/// plus the collector the stage emits into — which pushes into the next
+/// member's `FusedStage`, or buffers the segment's output at the tail.  The
+/// upstream member's collector owns this as its [`RecordSink`], so a record
+/// emitted by a user function travels the rest of the segment by move,
+/// depth first, before the emitting call returns.
+struct FusedStage {
+    stage: Stage,
+    records_in: usize,
+    out: Collector,
+}
+
+impl RecordSink for FusedStage {
+    fn push(&mut self, record: Record) {
+        self.records_in += 1;
+        self.stage.accept(Cow::Owned(record), &mut self.out);
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
@@ -1101,222 +1104,65 @@ impl RecordSink for ChainStream {
     }
 }
 
-/// Renders a stage thread's panic payload (mirrors the worker pool's panic
-/// message extraction).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "chained stage panicked".to_owned()
-    }
+/// What one member of a fused segment did on one partition.
+struct MemberReport {
+    records_in: usize,
+    records_out: usize,
+    /// The head's is the whole task, downstream members included (their
+    /// calls nest inside the head's emits); a downstream member's is its own
+    /// end-of-stream work.  See [`OperatorStats::elapsed`].
+    elapsed: Duration,
 }
 
-/// Runs one stage of a fused segment: the head runs the ordinary local
-/// phase with its collector streaming into the chain; downstream stages
-/// consume the chain via [`run_chained`], themselves streaming onward (mid)
-/// or buffering the segment's output (tail).
-fn run_stage(
-    spec: StageSpec<'_>,
+/// Runs one partition of a fused segment inside the calling pool task:
+/// composes the downstream members' stages tail first, runs the head's local
+/// phase into them, then cascades end-of-stream head → tail.  `inputs` holds
+/// every member's materialized inputs in member order.  Returns one report
+/// per member and the tail's output partition.
+fn run_fused(
+    members: &[(&Operator, LocalStrategy)],
+    mut inputs: Vec<Vec<LocalInput>>,
     page_native: bool,
     fault: &FaultInjector,
-    timeout: Duration,
-) -> Result<StageOutcome> {
+) -> Result<(Vec<MemberReport>, Vec<Record>)> {
     let start = Instant::now();
-    fault.panic_check(FaultSite::WorkerPanic, "chained-operator");
-    let StageSpec {
-        op,
-        local,
-        stream_slot,
-        inputs,
-        tx,
-        rx,
-    } = spec;
-    let mut collector = match tx {
-        Some(tx) => Collector::with_sink(Box::new(ChainStream::new(tx))),
-        None => Collector::new(),
-    };
-    let (records_in, high_water) = match (stream_slot, rx) {
-        (None, None) => (
-            run_local(op, local, inputs, page_native, fault, &mut collector)?,
-            0,
-        ),
-        (Some(slot), Some(rx)) => {
-            let records_in =
-                run_chained(op, local, slot, inputs, &rx, timeout, fault, &mut collector)?;
-            (records_in, rx.high_water())
-        }
-        _ => unreachable!("only heads lack a receiver, and heads have no stream slot"),
-    };
-    let records_out = collector.len();
-    let result = match collector.take_sink() {
-        Some(sink) => {
-            let stream = sink
-                .into_any()
-                .downcast::<ChainStream>()
-                .expect("chain stages stream through ChainStream");
-            stream.finish()?;
-            Vec::new()
-        }
-        None => collector.into_records(),
-    };
-    Ok(StageOutcome {
+    let mut out = Collector::new();
+    for (&(op, local), side) in members[1..].iter().zip(inputs.drain(1..)).rev() {
+        let records_in = admit_inputs(&side, fault)?;
+        out = Collector::with_sink(Box::new(FusedStage {
+            stage: Stage::new(op, local, side, None)?,
+            records_in,
+            out,
+        }));
+    }
+    let (head, head_local) = members[0];
+    let head_inputs = inputs.pop().expect("the head's inputs");
+    let records_in = run_local(head, head_local, head_inputs, page_native, fault, &mut out)?;
+    let mut reports = vec![MemberReport {
         records_in,
-        records_out,
-        elapsed: start.elapsed(),
-        high_water,
-        result,
-    })
-}
-
-/// Runs one downstream member of a fused chain on one partition: consumes
-/// the fused edge page by page as upstream seals them; side inputs (a hash
-/// join's build side, a cross's broadcast side) arrive materialized, exactly
-/// as the materializing path would prepare them.  Every emission path
-/// matches [`run_local`]'s record-for-record, which is what keeps chained
-/// and materialized executions byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn run_chained(
-    op: &Operator,
-    local: LocalStrategy,
-    stream_slot: usize,
-    side_inputs: Vec<LocalInput>,
-    rx: &CreditReceiver<Arc<RecordPage>>,
-    timeout: Duration,
-    fault: &FaultInjector,
-    out: &mut Collector,
-) -> Result<usize> {
-    let mut records_in: usize = side_inputs.iter().map(LocalInput::len).sum();
-    // The same executor-side spill-read fault gate as `run_local`: side
-    // inputs can arrive as spilled runs under a memory budget.
-    for input in &side_inputs {
-        if input.has_spilled_runs() {
-            fault.io_check(FaultSite::SpillRead)?;
-        }
+        records_out: out.len(),
+        elapsed: Duration::ZERO,
+    }];
+    while let Some(sink) = out.take_sink() {
+        let FusedStage {
+            stage,
+            records_in,
+            out: mut downstream,
+        } = *sink
+            .into_any()
+            .downcast::<FusedStage>()
+            .expect("fused collectors push into fused stages");
+        let finish_start = Instant::now();
+        stage.finish(&mut downstream);
+        reports.push(MemberReport {
+            records_in,
+            records_out: downstream.len(),
+            elapsed: finish_start.elapsed(),
+        });
+        out = downstream;
     }
-    let mut side_inputs = side_inputs.into_iter();
-
-    // Pulls every streamed record through `f` (deserialized into one scratch
-    // record, like the paged read paths) until upstream hangs up — sender
-    // drop is the chain's end-of-stream marker.
-    let for_each_streamed = |f: &mut dyn FnMut(&Record)| -> Result<usize> {
-        let mut scratch = Record::empty();
-        let mut count = 0usize;
-        loop {
-            match rx.recv_timeout(timeout) {
-                Ok(page) => {
-                    for view in page.reader() {
-                        view.read_into(&mut scratch);
-                        count += 1;
-                        f(&scratch);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return Ok(count),
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(DataflowError::CommTimeout(format!(
-                        "pages on the chained edge into '{}'",
-                        op.name
-                    )))
-                }
-            }
-        }
-    };
-
-    match (&op.kind, &op.udf) {
-        (OperatorKind::Map, Udf::Map(udf)) => {
-            records_in += for_each_streamed(&mut |record| udf.map(record, out))?;
-        }
-        (OperatorKind::Sink { .. }, _) => {
-            records_in += for_each_streamed(&mut |record| out.collect(record.clone()))?;
-        }
-        (OperatorKind::Reduce { key }, Udf::Reduce(udf)) => match local {
-            LocalStrategy::SortGroup => {
-                // The stream carries no delivered order (forward edges never
-                // do), so this pays the same sort the materializing SortGroup
-                // path pays on an unsorted forward input.
-                let mut records: Vec<Record> = Vec::new();
-                records_in += for_each_streamed(&mut |record| records.push(record.clone()))?;
-                sort_by_key(&mut records, key);
-                for (start, end) in group_ranges(&records, key) {
-                    let group = &records[start..end];
-                    let k = Key::extract(&group[0], key);
-                    udf.reduce(&k.values(), group, out);
-                }
-            }
-            _ => {
-                // HashGroup and any other strategy: fold the stream into the
-                // group table as pages arrive (the pre-aggregation shape —
-                // state is one table, never the full input), then emit in
-                // key order like the materializing path.
-                let mut groups: FxHashMap<Key, Vec<Record>> = FxHashMap::default();
-                records_in += for_each_streamed(&mut |record| {
-                    groups
-                        .entry(Key::extract(record, key))
-                        .or_default()
-                        .push(record.clone());
-                })?;
-                emit_grouped(groups, udf.as_ref(), out);
-            }
-        },
-        (
-            OperatorKind::Match {
-                left_key,
-                right_key,
-            },
-            Udf::Match(udf),
-        ) => {
-            // The build side is the materialized side input; the fused edge
-            // streams the probe side.  Stream slot 0 means probe-left
-            // (build=right), stream slot 1 probe-right (build=left) — the
-            // same build/probe assignment `run_match` makes, including the
-            // join argument positions.
-            let build = side_inputs
-                .next()
-                .expect("a chained hash join keeps its build side input");
-            let probe_left = stream_slot == 0;
-            let (build_key, probe_key) = if probe_left {
-                (right_key, left_key)
-            } else {
-                (left_key, right_key)
-            };
-            let build_records = build.into_records()?;
-            let mut table: FxHashMap<Key, Vec<&Record>> = FxHashMap::default();
-            for record in &build_records {
-                table
-                    .entry(Key::extract(record, build_key))
-                    .or_default()
-                    .push(record);
-            }
-            records_in += for_each_streamed(&mut |probe| {
-                if let Some(matches) = table.get(&Key::extract(probe, probe_key)) {
-                    for build_side in matches {
-                        if probe_left {
-                            udf.join(probe, build_side, out);
-                        } else {
-                            udf.join(build_side, probe, out);
-                        }
-                    }
-                }
-            })?;
-        }
-        (OperatorKind::Cross, Udf::Cross(udf)) => {
-            let right_records = side_inputs
-                .next()
-                .expect("a chained cross keeps its right side input")
-                .into_records()?;
-            records_in += for_each_streamed(&mut |left| {
-                for right in &right_records {
-                    udf.cross(left, right, out);
-                }
-            })?;
-        }
-        (kind, _) => unreachable!(
-            "operator contract {} cannot consume a fused edge",
-            kind.contract_name()
-        ),
-    }
-    Ok(records_in)
+    reports[0].elapsed = start.elapsed();
+    Ok((reports, out.into_records()))
 }
 
 /// Builds (or reuses) the shared range histogram of one operator.
@@ -1867,47 +1713,50 @@ impl LocalInput {
     }
 }
 
-/// Runs one operator's local work on one partition's inputs, emitting into
-/// `out`.  With `page_native` set (the default), joins and groups over paged
-/// inputs work on `(page, offset)` handles into the delivered pages,
-/// deserializing a record only at the user-function boundary; otherwise (or
-/// when an input does not qualify) they materialize heap records first.
-/// Returns the number of records consumed; spill-read failures (injected or
-/// real) surface as typed errors instead of panics.
-fn run_local(
-    op: &Operator,
-    local: LocalStrategy,
-    inputs: Vec<LocalInput>,
-    page_native: bool,
-    fault: &FaultInjector,
-    out: &mut Collector,
-) -> Result<usize> {
-    let records_in: usize = inputs.iter().map(LocalInput::len).sum();
-    // The executor-side spill-read fault gate: one check per input backed by
-    // spilled runs, consumed before any local algorithm touches the disk —
-    // the same convention the workset superstep read path follows.
-    for input in &inputs {
+/// Admits one partition's materialized inputs to a local phase: consults the
+/// executor-side spill-read fault gate once per input backed by spilled runs
+/// — before any local algorithm touches the disk, the same convention the
+/// workset superstep read path follows — and returns the record total.
+fn admit_inputs(inputs: &[LocalInput], fault: &FaultInjector) -> Result<usize> {
+    for input in inputs {
         if input.has_spilled_runs() {
             fault.io_check(FaultSite::SpillRead)?;
         }
     }
-    let mut inputs = inputs.into_iter();
-    fn next_input(inputs: &mut impl Iterator<Item = LocalInput>) -> LocalInput {
-        inputs.next().expect("plan validation checked input arity")
-    }
+    Ok(inputs.iter().map(LocalInput::len).sum())
+}
+
+/// Runs one operator's local work on one partition's inputs, emitting into
+/// `out`.  Operators that dam every input (sort-merge join, cogroup, union)
+/// run their whole-partition algorithm.  Every other operator has a streaming
+/// slot: with `page_native` set (the default), joins and groups over paged
+/// inputs first try the `(page, offset)`-handle paths, which deserialize a
+/// record only at the user-function boundary; when those do not apply, the
+/// streaming slot's partition is driven through the operator's [`Stage`] —
+/// the same code a fused producer pushes into.  Returns the number of records
+/// consumed; spill-read failures (injected or real) surface as typed errors
+/// instead of panics.
+fn run_local(
+    op: &Operator,
+    local: LocalStrategy,
+    mut inputs: Vec<LocalInput>,
+    page_native: bool,
+    fault: &FaultInjector,
+    out: &mut Collector,
+) -> Result<usize> {
+    let records_in = admit_inputs(&inputs, fault)?;
+    let Some(stream_slot) = streaming_input_slot(&op.kind, local) else {
+        run_dammed(op, inputs, page_native, out)?;
+        return Ok(records_in);
+    };
     match (&op.kind, &op.udf) {
-        (OperatorKind::Map, Udf::Map(udf)) => {
-            next_input(&mut inputs).for_each_ref(|record| udf.map(record, out))?;
-        }
         (OperatorKind::Reduce { key }, Udf::Reduce(udf)) => {
-            run_reduce(
-                key,
-                local,
-                next_input(&mut inputs),
-                udf.as_ref(),
-                out,
-                page_native,
-            )?;
+            let sort_based = matches!(local, LocalStrategy::SortGroup);
+            let input = inputs.pop().expect("plan validation checked input arity");
+            match reduce_delivered(key, sort_based, input, udf.as_ref(), out, page_native)? {
+                Some(input) => inputs.push(input),
+                None => return Ok(records_in),
+            }
         }
         (
             OperatorKind::Match {
@@ -1915,29 +1764,66 @@ fn run_local(
                 right_key,
             },
             Udf::Match(udf),
-        ) => {
-            let left = next_input(&mut inputs);
-            let right = next_input(&mut inputs);
-            run_match(
+        ) if page_native => {
+            let build_is_left = stream_slot == 1;
+            let (build_key, probe_key) = if build_is_left {
+                (left_key, right_key)
+            } else {
+                (right_key, left_key)
+            };
+            if try_match_paged(
+                &inputs[1 - stream_slot],
+                &inputs[stream_slot],
+                build_key,
+                probe_key,
+                build_is_left,
+                udf.as_ref(),
+                out,
+            )? {
+                return Ok(records_in);
+            }
+        }
+        _ => {}
+    }
+    let streamed = inputs.remove(stream_slot);
+    let mut stage = Stage::new(op, local, inputs, streamed.sorted_by())?;
+    if stage.keeps_records() {
+        streamed.for_each_owned(|record| stage.accept(Cow::Owned(record), out))?;
+    } else {
+        streamed.for_each_ref(|record| stage.accept(Cow::Borrowed(record), out))?;
+    }
+    stage.finish(out);
+    Ok(records_in)
+}
+
+/// The local phase of the operators that dam every input: sort-merge join,
+/// cogroup and union.
+fn run_dammed(
+    op: &Operator,
+    inputs: Vec<LocalInput>,
+    page_native: bool,
+    out: &mut Collector,
+) -> Result<()> {
+    let mut inputs = inputs.into_iter();
+    let mut next_input = || inputs.next().expect("plan validation checked input arity");
+    match (&op.kind, &op.udf) {
+        (
+            OperatorKind::Match {
                 left_key,
                 right_key,
-                local,
+            },
+            Udf::Match(udf),
+        ) => {
+            let (left, right) = (next_input(), next_input());
+            run_sort_merge_join(
+                left_key,
+                right_key,
                 left,
                 right,
                 udf.as_ref(),
                 out,
                 page_native,
             )?;
-        }
-        (OperatorKind::Cross, Udf::Cross(udf)) => {
-            let left = next_input(&mut inputs);
-            let right = next_input(&mut inputs);
-            let right_records = right.into_records()?;
-            left.for_each_ref(|l| {
-                for r in &right_records {
-                    udf.cross(l, r, out);
-                }
-            })?;
         }
         (
             OperatorKind::CoGroup {
@@ -1947,17 +1833,13 @@ fn run_local(
             },
             Udf::CoGroup(udf),
         ) => {
-            let left = next_input(&mut inputs);
-            let right = next_input(&mut inputs);
+            let (left, right) = (next_input(), next_input());
             run_cogroup(left_key, right_key, *inner, left, right, udf.as_ref(), out)?;
         }
         (OperatorKind::Union, _) => {
             for input in inputs {
                 input.for_each_owned(|record| out.collect(record))?;
             }
-        }
-        (OperatorKind::Sink { .. }, _) => {
-            next_input(&mut inputs).for_each_owned(|record| out.collect(record))?;
         }
         (OperatorKind::Source { .. }, _) => {
             // Sources are handled by the executor before run_local is called.
@@ -1972,7 +1854,7 @@ fn run_local(
             );
         }
     }
-    Ok(records_in)
+    Ok(())
 }
 
 /// Materializes one input sorted by `key`: pre-sorted deliveries pass
@@ -2034,7 +1916,7 @@ fn try_match_paged(
     build_key: &[usize],
     probe_key: &[usize],
     build_is_left: bool,
-    udf: &dyn crate::contracts::MatchFunction,
+    udf: &dyn MatchFunction,
     out: &mut Collector,
 ) -> std::io::Result<bool> {
     let (&[build_field], &[probe_field]) = (build_key, probe_key) else {
@@ -2063,7 +1945,7 @@ fn try_match_paged(
         probe: &Record,
         build_is_left: bool,
         build_scratch: &mut Record,
-        udf: &dyn crate::contracts::MatchFunction,
+        udf: &dyn MatchFunction,
         out: &mut Collector,
     ) {
         for handle in table.probe(prefix) {
@@ -2165,7 +2047,7 @@ fn try_reduce_paged(
     key: &[usize],
     input: &LocalInput,
     sort_based: bool,
-    udf: &dyn crate::contracts::ReduceFunction,
+    udf: &dyn ReduceFunction,
     out: &mut Collector,
 ) -> std::io::Result<bool> {
     let LocalInput::Paged(part) = input else {
@@ -2193,7 +2075,7 @@ fn try_sort_merge_paged(
     right_key: &[usize],
     left: &LocalInput,
     right: &LocalInput,
-    udf: &dyn crate::contracts::MatchFunction,
+    udf: &dyn MatchFunction,
     out: &mut Collector,
 ) -> std::io::Result<bool> {
     let (LocalInput::Paged(lpart), LocalInput::Paged(rpart)) = (left, right) else {
@@ -2240,173 +2122,83 @@ fn try_sort_merge_paged(
     Ok(true)
 }
 
-/// Grouping for the Reduce contract (hash- or sort-based).
-fn run_reduce(
+/// The Reduce paths that work on a whole delivered partition rather than a
+/// stream of records: the page-native grouping, and the sort strategy's
+/// out-of-core merge over key-sorted spilled runs.  Hands the input back
+/// untouched when neither applies.
+fn reduce_delivered(
     key: &[usize],
-    local: LocalStrategy,
+    sort_based: bool,
     input: LocalInput,
-    udf: &dyn crate::contracts::ReduceFunction,
+    udf: &dyn ReduceFunction,
     out: &mut Collector,
     page_native: bool,
-) -> Result<()> {
-    let sort_based = matches!(local, LocalStrategy::SortGroup);
+) -> Result<Option<LocalInput>> {
     if page_native && try_reduce_paged(key, &input, sort_based, udf, out)? {
-        return Ok(());
+        return Ok(None);
     }
-    match local {
-        LocalStrategy::SortGroup => {
-            // A range exchange already delivered this partition sorted on
-            // the grouping key: the sort the plan no longer performs.
-            let presorted = input.sorted_by() == Some(key);
-            // Out-of-core path: whenever every spilled run is sorted on the
-            // grouping key (range deliveries always; hash deliveries via
-            // their sort-on-flush), only the in-memory residue is sorted and
-            // the groups stream off the k-way merge — one key group in
-            // memory at a time, the spilled part never rematerializes.
-            let input = match input {
-                LocalInput::Paged(part)
-                    if part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key) =>
-                {
-                    let merger = if presorted {
-                        part.into_merger()?
-                    } else {
-                        let (mut residue, runs) = part.into_mem_and_runs();
-                        sort_by_key_normalized(&mut residue, key);
-                        RunMerger::over_runs(&runs, residue, key.to_vec())?
-                    };
-                    merger.for_each_group(|k, group| udf.reduce(&k.values(), group, out))?;
-                    return Ok(());
-                }
-                other => other,
+    // A range exchange already delivered this partition sorted on the
+    // grouping key: the sort the plan no longer performs.
+    let presorted = input.sorted_by() == Some(key);
+    match input {
+        // Out-of-core path: whenever every spilled run is sorted on the
+        // grouping key (range deliveries always; hash deliveries via their
+        // sort-on-flush), only the in-memory residue is sorted and the
+        // groups stream off the k-way merge — one key group in memory at a
+        // time, the spilled part never rematerializes.
+        LocalInput::Paged(part)
+            if sort_based && part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key) =>
+        {
+            let merger = if presorted {
+                part.into_merger()?
+            } else {
+                let (mut residue, runs) = part.into_mem_and_runs();
+                sort_by_key_normalized(&mut residue, key);
+                RunMerger::over_runs(&runs, residue, key.to_vec())?
             };
-            let mut records = input.into_records()?;
-            if !presorted {
-                sort_by_key(&mut records, key);
-            }
-            for (start, end) in group_ranges(&records, key) {
-                let group = &records[start..end];
-                let k = Key::extract(&group[0], key);
-                udf.reduce(&k.values(), group, out);
-            }
+            merger.for_each_group(|k, group| udf.reduce(&k.values(), group, out))?;
+            Ok(None)
         }
-        // HashGroup and any other strategy: build the groups in an Fx hash
-        // table, then emit them in key order so the output stays
-        // deterministic across runs.
-        _ => {
-            let mut groups: FxHashMap<Key, Vec<Record>> = FxHashMap::default();
-            input.for_each_owned(|record| {
-                groups
-                    .entry(Key::extract(&record, key))
-                    .or_default()
-                    .push(record);
-            })?;
-            emit_grouped(groups, udf, out);
-        }
-    }
-    Ok(())
-}
-
-/// Emits hash-built groups in key order (records within a group stay in
-/// delivery order) so the output is deterministic across runs — shared by the
-/// materializing and the chained Reduce paths.
-fn emit_grouped(
-    groups: FxHashMap<Key, Vec<Record>>,
-    udf: &dyn crate::contracts::ReduceFunction,
-    out: &mut Collector,
-) {
-    let mut sorted: Vec<(Key, Vec<Record>)> = groups.into_iter().collect();
-    sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    for (k, group) in &sorted {
-        udf.reduce(&k.values(), group, out);
+        other => Ok(Some(other)),
     }
 }
 
-/// Equi-join for the Match contract (hash or sort-merge).  The build side is
-/// materialized; the probe side is streamed (page records through a scratch
-/// record, never fully materialized).
-#[allow(clippy::too_many_arguments)]
-fn run_match(
+/// Sort-merge equi-join for the Match contract.
+fn run_sort_merge_join(
     left_key: &[usize],
     right_key: &[usize],
-    local: LocalStrategy,
     left: LocalInput,
     right: LocalInput,
-    udf: &dyn crate::contracts::MatchFunction,
+    udf: &dyn MatchFunction,
     out: &mut Collector,
     page_native: bool,
 ) -> Result<()> {
-    match local {
-        LocalStrategy::HashJoinBuildRight => {
-            if page_native && try_match_paged(&right, &left, right_key, left_key, false, udf, out)?
-            {
-                return Ok(());
-            }
-            let right_records = right.into_records()?;
-            let mut table: FxHashMap<Key, Vec<&Record>> = FxHashMap::default();
-            for record in &right_records {
-                table
-                    .entry(Key::extract(record, right_key))
-                    .or_default()
-                    .push(record);
-            }
-            left.for_each_ref(|l| {
-                if let Some(matches) = table.get(&Key::extract(l, left_key)) {
-                    for r in matches {
+    if page_native && try_sort_merge_paged(left_key, right_key, &left, &right, udf, out)? {
+        return Ok(());
+    }
+    // Range-exchanged sides arrive sorted on their join key; only sides
+    // without the delivered order pay a sort, and sides whose spilled runs
+    // carry the key order materialize by linear merge.
+    let l_sorted = into_sorted_records(left, left_key)?;
+    let r_sorted = into_sorted_records(right, right_key)?;
+    let l_ranges = group_ranges(&l_sorted, left_key);
+    let r_ranges = group_ranges(&r_sorted, right_key);
+    let (mut li, mut ri) = (0usize, 0usize);
+    while li < l_ranges.len() && ri < r_ranges.len() {
+        let lrec = &l_sorted[l_ranges[li].0];
+        let rrec = &r_sorted[r_ranges[ri].0];
+        match crate::key::compare_keys(lrec, left_key, rrec, right_key) {
+            std::cmp::Ordering::Less => li += 1,
+            std::cmp::Ordering::Greater => ri += 1,
+            std::cmp::Ordering::Equal => {
+                for l in &l_sorted[l_ranges[li].0..l_ranges[li].1] {
+                    for r in &r_sorted[r_ranges[ri].0..r_ranges[ri].1] {
                         udf.join(l, r, out);
                     }
                 }
-            })?;
-        }
-        LocalStrategy::SortMergeJoin => {
-            if page_native && try_sort_merge_paged(left_key, right_key, &left, &right, udf, out)? {
-                return Ok(());
+                li += 1;
+                ri += 1;
             }
-            // Range-exchanged sides arrive sorted on their join key; only
-            // sides without the delivered order pay a sort, and sides whose
-            // spilled runs carry the key order materialize by linear merge.
-            let l_sorted = into_sorted_records(left, left_key)?;
-            let r_sorted = into_sorted_records(right, right_key)?;
-            let l_ranges = group_ranges(&l_sorted, left_key);
-            let r_ranges = group_ranges(&r_sorted, right_key);
-            let (mut li, mut ri) = (0usize, 0usize);
-            while li < l_ranges.len() && ri < r_ranges.len() {
-                let lrec = &l_sorted[l_ranges[li].0];
-                let rrec = &r_sorted[r_ranges[ri].0];
-                match crate::key::compare_keys(lrec, left_key, rrec, right_key) {
-                    std::cmp::Ordering::Less => li += 1,
-                    std::cmp::Ordering::Greater => ri += 1,
-                    std::cmp::Ordering::Equal => {
-                        for l in &l_sorted[l_ranges[li].0..l_ranges[li].1] {
-                            for r in &r_sorted[r_ranges[ri].0..r_ranges[ri].1] {
-                                udf.join(l, r, out);
-                            }
-                        }
-                        li += 1;
-                        ri += 1;
-                    }
-                }
-            }
-        }
-        // Default: build on the left, probe with the right.
-        _ => {
-            if page_native && try_match_paged(&left, &right, left_key, right_key, true, udf, out)? {
-                return Ok(());
-            }
-            let left_records = left.into_records()?;
-            let mut table: FxHashMap<Key, Vec<&Record>> = FxHashMap::default();
-            for record in &left_records {
-                table
-                    .entry(Key::extract(record, left_key))
-                    .or_default()
-                    .push(record);
-            }
-            right.for_each_ref(|r| {
-                if let Some(matches) = table.get(&Key::extract(r, right_key)) {
-                    for l in matches {
-                        udf.join(l, r, out);
-                    }
-                }
-            })?;
         }
     }
     Ok(())
@@ -2466,6 +2258,8 @@ mod tests {
     use crate::physical::default_physical_plan;
     use crate::plan::Plan;
     use crate::value::Value;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
 
     fn execute(plan: &Plan, parallelism: usize) -> ExecutionResult {
         let phys = default_physical_plan(plan, parallelism).unwrap();
@@ -2748,6 +2542,83 @@ mod tests {
             first.sink("out").unwrap().len(),
             second.sink("out").unwrap().len()
         );
+        // The cached source is not partitioned again, but reports the same
+        // row as when it was.
+        assert_eq!(operator_rows(&first.stats), operator_rows(&second.stats));
+    }
+
+    /// `(operator, records_in, records_out)` in execution order.
+    fn operator_rows(stats: &ExecutionStats) -> Vec<(&str, usize, usize)> {
+        stats
+            .operators
+            .iter()
+            .map(|o| (o.name.as_str(), o.records_in, o.records_out))
+            .collect()
+    }
+
+    /// Counts heap allocations per thread, so a test can bound what a call
+    /// allocates on its own thread while sibling tests run on theirs.
+    struct CountingAllocator;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    // SAFETY: every request is passed to the system allocator unchanged; the
+    // counter is a plain thread-local integer and never allocates.
+    unsafe impl GlobalAlloc for CountingAllocator {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+    #[test]
+    fn sources_served_from_the_cache_are_not_partitioned_again() {
+        const RECORDS: usize = 4096;
+        let mut plan = Plan::new();
+        let matrix = plan.source(
+            "matrix",
+            (0..RECORDS as i64).map(|i| Record::pair(i, -i)).collect(),
+        );
+        let sample = plan.map(
+            "sample",
+            matrix,
+            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
+                if r.long(0) % 1024 == 0 {
+                    out.collect(r.clone());
+                }
+            })),
+        );
+        plan.sink("out", sample);
+        let mut phys = default_physical_plan(&plan, 1).unwrap();
+        phys.cache_input(sample, 0);
+        let mut cache = IntermediateCache::new();
+        let exec = Executor::new();
+        let first = exec.execute_with_cache(&phys, &mut cache).unwrap();
+
+        // Partitioning a source clones every record on the calling thread —
+        // one allocation each.  With its only consumer edge cached, the
+        // second execution has no reader for those clones and makes none.
+        let before = ALLOCATIONS.with(Cell::get);
+        let second = exec.execute_with_cache(&phys, &mut cache).unwrap();
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(second.stats.cache_hits, 1);
+        assert!(
+            allocations < RECORDS / 16,
+            "re-executing over a cached {RECORDS}-record source allocated {allocations} times"
+        );
+        assert_eq!(operator_rows(&first.stats), operator_rows(&second.stats));
+        assert_eq!(second.stats.records_out_of("matrix"), RECORDS);
+        assert_eq!(first.sink("out").unwrap(), second.sink("out").unwrap());
+        assert_eq!(second.sink("out").unwrap().len(), 4);
     }
 
     #[test]

@@ -156,13 +156,13 @@ impl LocalStrategy {
 /// when every input must be materialized before the operator can run.
 ///
 /// This is the chain-fusion rule: a forward-shipped, uncached,
-/// single-consumer edge into this slot can be fused into a pipelined chain
-/// ([`crate::exec`]), because the operator never needs to see the whole input
-/// at once *before consuming it* — it either emits per record (map, sink,
-/// cross over a materialized build side, hash-join probe) or folds the stream
-/// into its own bounded state (grouping).  Slots that the local algorithm
-/// dams — both sides of a sort-merge join, the build side of a hash join,
-/// every union/cogroup input — break the chain.
+/// single-consumer edge into this slot can be fused — the producer calls the
+/// consumer per record ([`crate::exec`]) — because the operator never needs
+/// to see the whole input at once *before consuming it*: it either emits per
+/// record (map, sink, cross over a materialized build side, hash-join probe)
+/// or folds the stream into its own bounded state (grouping).  Slots that
+/// the local algorithm dams — both sides of a sort-merge join, the build side
+/// of a hash join, every union/cogroup input — break the chain.
 pub fn streaming_input_slot(kind: &OperatorKind, local: LocalStrategy) -> Option<usize> {
     match kind {
         OperatorKind::Map | OperatorKind::Sink { .. } => Some(0),

@@ -21,8 +21,15 @@ pub struct OperatorStats {
     pub records_in: usize,
     /// Records produced across all partitions.
     pub records_out: usize,
-    /// Wall-clock time spent in the operator's local work (summed over
-    /// partitions; parallel instances overlap, so this is CPU-time-like).
+    /// Wall-clock time attributed to the operator.  An operator that runs on
+    /// its own is charged its input exchanges plus its local phase.  Members
+    /// of a fused chain share one task per partition, so their times nest:
+    /// the head is charged its partition tasks' wall time (summed over
+    /// partitions, so CPU-time-like) *including* every downstream member's
+    /// calls, which happen inside the head's emits; each downstream member is
+    /// charged only its own end-of-stream work (a Reduce emitting its
+    /// groups).  Self time per member needs spans inside the engine — ROADMAP
+    /// item 1.
     pub elapsed: Duration,
 }
 
@@ -50,13 +57,12 @@ pub struct ExecutionStats {
     /// Number of input edges served from the loop-invariant cache instead of
     /// being re-shipped.
     pub cache_hits: usize,
-    /// Operators that ran as members of fused (streaming) chains instead of
+    /// Operators that ran as members of fused chains instead of
     /// materializing their forward input (see `crate::exec`).
     pub chained_operators: usize,
-    /// Maximum sealed pages any single chained edge ever had in flight — by
-    /// construction bounded by the configured channel credits, which is what
-    /// makes the chain's memory bound (`credits × page size` per edge)
-    /// observable.
+    /// Always 0: a fused edge is a function call and holds no page.  The
+    /// field remains only because `benchmark/src/engine.rs` reads it; it goes
+    /// with the next change to the benchmark (ROADMAP item 4).
     pub peak_chain_pages: usize,
     /// Wall-clock time of the whole plan execution.
     pub elapsed: Duration,
@@ -113,9 +119,6 @@ impl ExecutionStats {
         self.local_records += other.local_records;
         self.cache_hits += other.cache_hits;
         self.chained_operators += other.chained_operators;
-        // The peak is a high-water mark, not a flow: the bound holds per
-        // execution, so merged runs keep the worst single observation.
-        self.peak_chain_pages = self.peak_chain_pages.max(other.peak_chain_pages);
         self.elapsed += other.elapsed;
     }
 
@@ -137,7 +140,7 @@ impl ExecutionStats {
         }
         out.push_str(&format!(
             "shipped={} records ({} bytes), spilled={} bytes in {} runs, local={}, \
-             cache_hits={}, chained={} ops (peak {} pages/edge), elapsed={:.2} ms\n",
+             cache_hits={}, chained={} ops, elapsed={:.2} ms\n",
             self.shipped_records,
             self.shipped_bytes,
             self.spilled_bytes,
@@ -145,7 +148,6 @@ impl ExecutionStats {
             self.local_records,
             self.cache_hits,
             self.chained_operators,
-            self.peak_chain_pages,
             self.elapsed.as_secs_f64() * 1e3
         ));
         out
@@ -173,7 +175,7 @@ mod tests {
             local_records: 3,
             cache_hits: 1,
             chained_operators: 2,
-            peak_chain_pages: 3,
+            peak_chain_pages: 0,
             elapsed: Duration::from_millis(7),
         }
     }
@@ -189,7 +191,6 @@ mod tests {
         assert_eq!(a.spilled_runs, 2);
         assert_eq!(a.cache_hits, 2);
         assert_eq!(a.chained_operators, 4);
-        assert_eq!(a.peak_chain_pages, 3, "peaks keep the max, not the sum");
         assert_eq!(a.operators.len(), 1);
     }
 

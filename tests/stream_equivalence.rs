@@ -1,10 +1,10 @@
-//! Streaming-execution equivalence: the chained (streaming) executor must be
-//! byte-identical to the materializing oracle on every algorithm, execution
-//! mode, routing scheme and memory budget — and must actually honour the
-//! configured per-edge credit bound while doing so.  This is the
+//! Fused-execution equivalence: the executor with chain fusion on must be
+//! byte-identical to the materializing oracle (`force_materialized`) on every
+//! algorithm, execution mode, routing scheme and memory budget, and across
+//! every contract that can consume a fused edge.  This is the
 //! repository-level statement that chain fusion is a pure cost optimization:
-//! it changes *where* records wait, never *which* records arrive or in what
-//! order.
+//! it changes *when* a record reaches the next user function, never *which*
+//! records arrive or in what order.
 
 use algorithms::{
     cc_async, cc_bulk, cc_incremental, cc_microstep, oracles, pagerank, sssp_with_config,
@@ -13,7 +13,10 @@ use algorithms::{
 use dataflow::prelude::*;
 use graphdata::{chain, rmat, DatasetProfile, Graph, RmatParams};
 use spinning_core::prelude::*;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 fn test_graphs() -> Vec<(&'static str, Graph)> {
     vec![
@@ -27,7 +30,7 @@ fn test_graphs() -> Vec<(&'static str, Graph)> {
 }
 
 /// The budgets every combination runs under: unbounded, and a finite budget
-/// that forces exchanges to spill.  The CI `stream-smoke` job overrides the
+/// that forces exchanges to spill.  The CI `fused-smoke` job overrides the
 /// finite one through `SPINNING_MEMORY_BUDGET` (like the spill smoke does).
 fn budgets() -> Vec<(&'static str, MemoryBudget)> {
     let tight = MemoryBudget::from_env().unwrap_or(MemoryBudget::bytes(1024));
@@ -165,62 +168,108 @@ fn sssp_modes_and_routings_match_the_bfs_oracle_under_budgets() {
     }
 }
 
-/// An expansion-heavy map→map→sink pipeline: tens of pages flow across each
-/// fused edge, yet with 2 credits per edge at most 2 are ever in flight —
-/// the `credits × page size` memory bound the chain executor promises — and
-/// the sink still matches the materializing oracle byte for byte.
-#[test]
-fn chained_pipeline_stays_within_the_configured_credit_bound() {
-    let build_plan = || {
-        let mut plan = Plan::new();
-        let events: Vec<Record> = (0..6_000).map(|i| Record::pair(i, i % 97)).collect();
-        let source = plan.source("events", events);
-        let expand = plan.map(
-            "expand",
-            source,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                for copy in 0..16 {
-                    out.collect(Record::pair(r.long(0) * 16 + copy, r.long(1)));
-                }
-            })),
-        );
-        let shift = plan.map(
-            "shift",
-            expand,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                if r.long(1) != 0 {
-                    out.collect(Record::pair(r.long(0), r.long(1) + 1));
-                }
-            })),
-        );
-        plan.sink("out", shift);
-        default_physical_plan(&plan, 4).unwrap()
-    };
+/// One entry of the depth-first test's event log.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Event {
+    /// `expand` saw source record `k`.
+    Expand(i64),
+    /// `shift` saw one of the 16 copies of source record `k`.
+    Shift(i64),
+}
 
-    let chained = Executor::with_config(ExecConfig::new().with_channel_credits(2))
-        .execute(&build_plan())
+type EventLog = Arc<Mutex<Vec<(ThreadId, Event)>>>;
+
+/// source → 16× `expand` → `shift` (drops 1 in 97) → sink at 4-way
+/// parallelism; the user functions write to `log` when given one.
+fn expansion_pipeline(log: Option<EventLog>) -> PhysicalPlan {
+    let record = move |event: Event| {
+        if let Some(log) = &log {
+            log.lock()
+                .unwrap()
+                .push((std::thread::current().id(), event));
+        }
+    };
+    let mut plan = Plan::new();
+    let events: Vec<Record> = (0..6_000).map(|i| Record::pair(i, i % 97)).collect();
+    let source = plan.source("events", events);
+    let log_expand = record.clone();
+    let expand = plan.map(
+        "expand",
+        source,
+        Arc::new(MapClosure(move |r: &Record, out: &mut Collector| {
+            log_expand(Event::Expand(r.long(0)));
+            for copy in 0..16 {
+                out.collect(Record::pair(r.long(0) * 16 + copy, r.long(1)));
+            }
+        })),
+    );
+    let shift = plan.map(
+        "shift",
+        expand,
+        Arc::new(MapClosure(move |r: &Record, out: &mut Collector| {
+            record(Event::Shift(r.long(0) / 16));
+            if r.long(1) != 0 {
+                out.collect(Record::pair(r.long(0), r.long(1) + 1));
+            }
+        })),
+    );
+    plan.sink("out", shift);
+    default_physical_plan(&plan, 4).unwrap()
+}
+
+/// A fused edge is a function call: every record `expand` emits travels the
+/// rest of the segment before `expand`'s emit returns.  So on each thread the
+/// log reads `Expand(k)` followed by exactly the 16 `Shift(k)` calls, then the
+/// next `Expand` — depth first, record granularity, one thread per partition
+/// task — and the sink still matches the materializing oracle byte for byte.
+#[test]
+fn fused_edges_run_depth_first_on_the_producers_thread() {
+    let log: EventLog = Arc::default();
+    let fused = Executor::new()
+        .execute(&expansion_pipeline(Some(Arc::clone(&log))))
         .unwrap();
     let materialized = Executor::with_config(ExecConfig::new().with_force_materialized(true))
-        .execute(&build_plan())
+        .execute(&expansion_pipeline(None))
         .unwrap();
 
     assert_eq!(
-        chained.stats.chained_operators, 3,
+        fused.stats.chained_operators, 3,
         "expand→shift→sink must fuse into one chain: {:?}",
-        chained.stats
+        fused.stats
     );
-    assert!(
-        chained.stats.peak_chain_pages >= 1,
-        "the bound is only demonstrated if pages actually flowed"
-    );
-    assert!(
-        chained.stats.peak_chain_pages <= 2,
-        "peak {} pages in flight exceeds the 2-credit bound",
-        chained.stats.peak_chain_pages
+    assert_eq!(
+        fused.stats.peak_chain_pages, 0,
+        "no page crosses a fused edge"
     );
     assert_eq!(materialized.stats.chained_operators, 0);
 
-    let streamed = chained.into_sink("out").unwrap();
+    let log = log.lock().unwrap();
+    let mut open: HashMap<ThreadId, (i64, usize)> = HashMap::new();
+    let mut expanded = 0usize;
+    for &(thread, event) in log.iter() {
+        match event {
+            Event::Expand(k) => {
+                if let Some((previous, shifts)) = open.insert(thread, (k, 0)) {
+                    assert_eq!(
+                        shifts, 16,
+                        "input {k} arrived before {previous} was through"
+                    );
+                }
+                expanded += 1;
+            }
+            Event::Shift(k) => {
+                let (current, shifts) = open
+                    .get_mut(&thread)
+                    .expect("shift ran on a thread that never expanded");
+                assert_eq!(*current, k, "a copy of {k} ran outside its producer's call");
+                *shifts += 1;
+            }
+        }
+    }
+    assert_eq!(expanded, 6_000);
+    assert!(open.values().all(|&(_, shifts)| shifts == 16));
+
+    let streamed = fused.into_sink("out").unwrap();
     let oracle = materialized.into_sink("out").unwrap();
     assert!(
         streamed.len() > 90_000,
@@ -229,25 +278,237 @@ fn chained_pipeline_stays_within_the_configured_credit_bound() {
     assert_eq!(streamed, oracle, "sink contents must be byte-identical");
 }
 
-/// The credit bound also holds end-to-end through the bulk iteration driver,
-/// which is how user programs reach the chained executor.
+/// Every contract that can consume a fused edge, in one segment:
+/// `scale` (Map, the head, fed by a hash exchange) → `enrich` (hash-join
+/// probe; the build side is its own hash exchange) → `sum` (Reduce) → `tag`
+/// (Cross against a broadcast side) → sink.  `build_left` picks which join
+/// argument is the build side, `group` the Reduce strategy.
+fn all_contracts_pipeline(
+    parallelism: usize,
+    build_left: bool,
+    group: LocalStrategy,
+) -> PhysicalPlan {
+    let mut plan = Plan::new();
+    let events = plan.source(
+        "events",
+        (0..3_000).map(|i| Record::pair(i % 211, i)).collect(),
+    );
+    let dim = plan.source(
+        "dim",
+        (0..400).map(|i| Record::pair(i % 200, i * 10)).collect(),
+    );
+    let labels = plan.source("labels", (0..3).map(|i| Record::pair(i, -i)).collect());
+    let scale = plan.map(
+        "scale",
+        events,
+        Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
+            out.collect(Record::pair(r.long(0), r.long(1) * 2));
+            if r.long(1) % 5 == 0 {
+                out.collect(Record::pair(r.long(0), 1));
+            }
+        })),
+    );
+    // The join function sees (left, right) in argument order either way; the
+    // dimension record is the one with the multiple of 10.
+    let join_udf = |event: usize| {
+        Arc::new(MatchClosure(
+            move |l: &Record, r: &Record, out: &mut Collector| {
+                let (event, dim) = if event == 0 { (l, r) } else { (r, l) };
+                out.collect(Record::pair(event.long(0), event.long(1) + dim.long(1)));
+            },
+        ))
+    };
+    let by_key = || ShipStrategy::PartitionHash(vec![0]);
+    let (enrich, enrich_choice) = if build_left {
+        (
+            plan.match_join("enrich", dim, scale, vec![0], vec![0], join_udf(1)),
+            PhysicalChoice {
+                input_ships: vec![by_key(), ShipStrategy::Forward],
+                local: LocalStrategy::HashJoinBuildLeft,
+                cache_inputs: vec![false, false],
+            },
+        )
+    } else {
+        (
+            plan.match_join("enrich", scale, dim, vec![0], vec![0], join_udf(0)),
+            PhysicalChoice {
+                input_ships: vec![ShipStrategy::Forward, by_key()],
+                local: LocalStrategy::HashJoinBuildRight,
+                cache_inputs: vec![false, false],
+            },
+        )
+    };
+    let sum = plan.reduce(
+        "sum",
+        enrich,
+        vec![0],
+        Arc::new(ReduceClosure(
+            |key: &[Value], group: &[Record], out: &mut Collector| {
+                // Order-sensitive on purpose: delivery order is part of the
+                // byte-identity contract.
+                let folded = group
+                    .iter()
+                    .fold(0i64, |acc, r| acc.wrapping_mul(31).wrapping_add(r.long(1)));
+                out.collect(longs(key[0].as_long(), folded, group.len() as i64));
+            },
+        )),
+    );
+    let tag = plan.cross(
+        "tag",
+        sum,
+        labels,
+        Arc::new(CrossClosure(
+            |l: &Record, r: &Record, out: &mut Collector| {
+                out.collect(longs(l.long(0), l.long(1) + r.long(1), l.long(2)));
+            },
+        )),
+    );
+    plan.sink("out", tag);
+
+    let mut physical = default_physical_plan(&plan, parallelism).unwrap();
+    // `scale` receives its input partitioned on the key every downstream
+    // member groups or joins on, so the rest of the segment forwards.
+    physical.choices.get_mut(&scale).unwrap().input_ships = vec![by_key()];
+    physical.choices.insert(enrich, enrich_choice);
+    let sum_choice = physical.choices.get_mut(&sum).unwrap();
+    sum_choice.input_ships = vec![ShipStrategy::Forward];
+    sum_choice.local = group;
+    physical
+}
+
+fn longs(a: i64, b: i64, c: i64) -> Record {
+    Record::new(vec![Value::Long(a), Value::Long(b), Value::Long(c)])
+}
+
+/// Sorted `(operator, records_in, records_out)` rows of one execution.
+fn operator_rows(stats: &ExecutionStats) -> Vec<(String, usize, usize)> {
+    let mut rows: Vec<_> = stats
+        .operators
+        .iter()
+        .map(|o| (o.name.clone(), o.records_in, o.records_out))
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Every streaming consumer kind fused, at parallelism 1 and 4, with and
+/// without a budget that spills the exchanged side inputs: sinks are
+/// byte-identical per partition and every operator consumed and produced
+/// exactly what it does when each edge materializes.
 #[test]
-fn bulk_cc_with_two_credits_bounds_every_chain_edge() {
-    let graph = DatasetProfile::foaf().generate(8_192);
-    let config = ComponentsConfig::new(4).with_channel_credits(2);
-    let result = cc_bulk(&graph, &config).unwrap();
-    let oracle = cc_bulk(
-        &graph,
-        &ComponentsConfig::new(4).with_force_materialized(true),
-    )
-    .unwrap();
-    assert_eq!(result.components, oracle.components);
-    for (i, step) in result.stats.per_iteration.iter().enumerate() {
-        let execution = step.execution.as_ref().expect("bulk records execution");
-        assert!(
-            execution.peak_chain_pages <= 2,
-            "iteration {i} held {} pages on a chained edge",
-            execution.peak_chain_pages
-        );
+fn every_streaming_contract_fuses_and_matches_the_oracle() {
+    for parallelism in [1, 4] {
+        for build_left in [false, true] {
+            for group in [LocalStrategy::HashGroup, LocalStrategy::SortGroup] {
+                for (budget_name, budget) in budgets() {
+                    let label =
+                        format!("p={parallelism} build_left={build_left} {group} {budget_name}");
+                    let physical = all_contracts_pipeline(parallelism, build_left, group);
+                    let config = ExecConfig::new().with_memory_budget(budget);
+                    let fused = Executor::with_config(config.clone())
+                        .execute(&physical)
+                        .unwrap();
+                    let oracle = Executor::with_config(config.with_force_materialized(true))
+                        .execute(&physical)
+                        .unwrap();
+
+                    assert_eq!(fused.stats.chained_operators, 5, "{label}");
+                    assert_eq!(oracle.stats.chained_operators, 0, "{label}");
+                    if parallelism > 1 && budget_name == "tight" {
+                        assert!(fused.stats.spilled_runs > 0, "nothing spilled: {label}");
+                    }
+                    assert_eq!(
+                        operator_rows(&fused.stats),
+                        operator_rows(&oracle.stats),
+                        "{label}"
+                    );
+                    assert_eq!(
+                        fused.stats.local_records, oracle.stats.local_records,
+                        "{label}"
+                    );
+                    assert_eq!(
+                        fused.stats.shipped_bytes, oracle.stats.shipped_bytes,
+                        "{label}"
+                    );
+                    let sink = fused.sink_partitions("out").unwrap();
+                    assert!(sink.iter().flatten().count() > 500, "{label}");
+                    assert_eq!(sink, oracle.sink_partitions("out").unwrap(), "{label}");
+                }
+            }
+        }
     }
+}
+
+/// A user function panicking in the middle of a segment fails the execution
+/// with one typed error naming the whole segment, and nothing of the segment
+/// outlives the call.
+#[test]
+fn a_mid_chain_panic_is_one_typed_error_naming_the_segment() {
+    for parallelism in [1, 4] {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut plan = Plan::new();
+        let source = plan.source("events", (0..400).map(|i| Record::pair(i, i)).collect());
+        let expand = plan.map(
+            "expand",
+            source,
+            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
+                out.collect(r.clone());
+                out.collect(r.clone());
+            })),
+        );
+        let counted = Arc::clone(&calls);
+        let shift = plan.map(
+            "shift",
+            expand,
+            Arc::new(MapClosure(move |r: &Record, out: &mut Collector| {
+                counted.fetch_add(1, Ordering::Relaxed);
+                assert!(r.long(0) != 250, "record 250 is poison");
+                out.collect(r.clone());
+            })),
+        );
+        plan.sink("out", shift);
+        let physical = default_physical_plan(&plan, parallelism).unwrap();
+        drop(plan);
+
+        let err = Executor::new()
+            .execute(&physical)
+            .expect_err("the poisoned record must fail the run");
+        match err {
+            DataflowError::WorkerPanic {
+                operator, message, ..
+            } => {
+                assert_eq!(operator, "expand→shift→out");
+                assert!(message.contains("poison"), "message: {message}");
+            }
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
+        assert!(calls.load(Ordering::Relaxed) > 0);
+        // Every stage holds its user function; once the plan is gone, the
+        // test's handle is the only one left — no task is still running.
+        drop(physical);
+        assert_eq!(Arc::strong_count(&calls), 1, "p={parallelism}");
+    }
+}
+
+/// A spilled-run read fault on a fused join's build side surfaces as the
+/// typed spill error.  Each partition task admits its downstream members'
+/// side inputs before the head runs, so the first `SpillRead` check of the
+/// execution is a build side's.
+#[test]
+fn a_spill_read_fault_on_a_fused_build_side_is_a_typed_error() {
+    let physical = all_contracts_pipeline(4, false, LocalStrategy::HashGroup);
+    let fault = FaultInjector::failing_nth(FaultSite::SpillRead, 0);
+    let config = ExecConfig::new()
+        .with_memory_budget(MemoryBudget::bytes(1024))
+        .with_fault(fault.clone());
+    let err = Executor::with_config(config)
+        .execute(&physical)
+        .expect_err("the injected read fault must fail the run");
+    match err {
+        DataflowError::SpillIo(message) => {
+            assert!(message.contains("injected"), "message: {message}")
+        }
+        other => panic!("expected SpillIo, got {other:?}"),
+    }
+    assert_eq!(fault.injected(FaultSite::SpillRead), 1);
 }
