@@ -175,24 +175,16 @@ pub fn pagerank(graph: &Graph, config: &PageRankConfig) -> Result<PageRankResult
         TerminationCriterion::FixedIterations(config.iterations),
     );
 
+    let bulk_config = BulkConfig::new(config.parallelism)
+        .with_annotations(annotations)
+        .with_force_materialized(config.force_materialized);
     let result = match config.plan {
-        PageRankPlan::Optimized => {
-            let bulk_config = BulkConfig::new(config.parallelism)
-                .with_annotations(annotations)
-                .with_force_materialized(config.force_materialized);
-            iteration.run(initial_ranks(graph), &bulk_config)?
-        }
+        PageRankPlan::Optimized => iteration.run(initial_ranks(graph), &bulk_config)?,
         forced => {
-            // Build the forced physical plan by hand and drive the feedback
-            // loop directly, mirroring what BulkIteration::run does.
+            // Build the forced physical plan by hand; the bulk driver runs
+            // it through the same feedback loop as a planned one.
             let physical = forced_physical_plan(&plan, join, reduce, config.parallelism, forced)?;
-            run_with_physical(
-                &iteration,
-                physical,
-                ExecConfig::new().with_force_materialized(config.force_materialized),
-                initial_ranks(graph),
-                config.iterations,
-            )?
+            iteration.run_physical(physical, initial_ranks(graph), &bulk_config)?
         }
     };
 
@@ -244,62 +236,6 @@ fn forced_physical_plan(
     // The matrix edge lies on the constant data path in both variants.
     physical.cache_input(join, 1);
     Ok(physical)
-}
-
-/// Drives the feedback loop for an explicitly provided physical plan.
-fn run_with_physical(
-    iteration: &BulkIteration,
-    mut physical: PhysicalPlan,
-    exec_config: ExecConfig,
-    initial: Vec<Record>,
-    iterations: usize,
-) -> Result<BulkIterationResult> {
-    use std::time::Instant;
-    let start = Instant::now();
-    let executor = Executor::with_config(exec_config);
-    let mut cache = IntermediateCache::new();
-    let mut current = Arc::new(initial);
-    let mut stats = IterationRunStats::default();
-    let input = iteration_input(iteration);
-    for i in 1..=iterations {
-        let iter_start = Instant::now();
-        physical
-            .plan
-            .replace_source_data(input, Arc::clone(&current))?;
-        let result = executor.execute_with_cache(&physical, &mut cache)?;
-        let execution_stats = result.stats.clone();
-        // The result is owned, so the next rank vector moves out un-copied.
-        let next = result.into_sink("next-ranks")?;
-        let mut iter_stats = IterationStats::for_iteration(i);
-        iter_stats.workset_size = current.len();
-        iter_stats.elements_inspected = current.len();
-        iter_stats.elements_changed = next.len();
-        iter_stats.messages_sent = execution_stats.shipped_records + execution_stats.local_records;
-        iter_stats.messages_shipped = execution_stats.shipped_records;
-        iter_stats.execution = Some(execution_stats);
-        iter_stats.elapsed = iter_start.elapsed();
-        stats.per_iteration.push(iter_stats);
-        current = Arc::new(next);
-    }
-    stats.total_elapsed = start.elapsed();
-    Ok(BulkIterationResult {
-        solution: Arc::try_unwrap(current).unwrap_or_else(|arc| (*arc).clone()),
-        iterations,
-        // Fixed-count feedback loops always complete their criterion.
-        converged: true,
-        stats,
-    })
-}
-
-/// The rank-vector source of the iteration's step plan.
-fn iteration_input(iteration: &BulkIteration) -> OperatorId {
-    iteration
-        .plan()
-        .operators()
-        .iter()
-        .find(|op| op.name == "rank-vector")
-        .map(|op| op.id)
-        .expect("PageRank step plan always has a rank-vector source")
 }
 
 #[cfg(test)]

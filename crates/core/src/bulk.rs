@@ -18,7 +18,7 @@ use crate::stats::{IterationRunStats, IterationStats};
 use dataflow::fault::FaultInjector;
 use dataflow::prelude::{
     DataflowError, ExecConfig, ExecutionResult, Executor, IntermediateCache, MemoryBudget,
-    OperatorId, Plan, Record, Result,
+    OperatorId, PhysicalPlan, Plan, Record, Result,
 };
 use optimizer::{Annotations, IterationSpec, Optimizer};
 use std::path::PathBuf;
@@ -223,21 +223,62 @@ impl BulkIteration {
         &self.plan
     }
 
-    /// Runs the iteration starting from the initial partial solution.
+    /// Runs the iteration starting from the initial partial solution: plans
+    /// the step dataflow once — with the iteration-aware optimizer, or
+    /// rule-based under [`BulkConfig::without_optimizer`] — and drives the
+    /// plan through [`BulkIteration::run_physical`].
     pub fn run(&self, initial: Vec<Record>, config: &BulkConfig) -> Result<BulkIterationResult> {
-        if config.parallelism == 0 {
+        let physical = if config.use_optimizer {
+            let output_op = self
+                .plan
+                .sink_by_name(&self.output_sink)
+                .ok_or_else(|| DataflowError::UnknownSink(self.output_sink.clone()))?;
+            let spec = IterationSpec {
+                dynamic_sources: vec![self.input],
+                feedback: vec![(output_op, self.input)],
+                expected_iterations: config
+                    .expected_iterations
+                    .unwrap_or(self.termination.max_iterations() as f64),
+            };
+            Optimizer::new(config.parallelism)
+                .optimize_iterative(&self.plan, &config.annotations, &spec)?
+                .physical
+        } else {
+            dataflow::physical::default_physical_plan(&self.plan, config.parallelism)?
+        };
+        self.run_physical(physical, initial, config)
+    }
+
+    /// The feedback loop (Section 4.2): executes `physical` — a physical plan
+    /// of this iteration's step dataflow, from [`BulkIteration::run`]'s
+    /// planner or built by hand (PageRank's forced Figure 4 plans) — once per
+    /// iteration against one loop-invariant cache, feeding each iteration's
+    /// output back as the next one's input, until the termination criterion
+    /// fires.  Everything a run does beyond planning lives here: the
+    /// executor's budget and fault injector, checkpointing and recovery, the
+    /// iteration number stamped on worker panics, the per-iteration stats.
+    /// The plan's own parallelism applies; `config.parallelism`, the optimizer
+    /// switch and the annotations only steer the planner.
+    pub fn run_physical(
+        &self,
+        mut physical: PhysicalPlan,
+        initial: Vec<Record>,
+        config: &BulkConfig,
+    ) -> Result<BulkIterationResult> {
+        let start = Instant::now();
+        // Checked here, not per iteration, so a bad plan or a typo fails the
+        // run at once instead of being retried as if it were a transient
+        // fault.  (Both planners reject zero parallelism themselves.)
+        if physical.parallelism == 0 {
             return Err(DataflowError::InvalidPlan(
                 "parallelism must be at least 1".into(),
             ));
         }
-        let start = Instant::now();
-        let output_op = self
-            .plan
-            .sink_by_name(&self.output_sink)
-            .ok_or_else(|| DataflowError::UnknownSink(self.output_sink.clone()))?;
+        let mut sinks = vec![&self.output_sink];
         if let TerminationCriterion::EmptySink { sink, .. } = &self.termination {
-            // Checked here, not per iteration, so a typo fails the run at
-            // once instead of being retried as if it were a transient fault.
+            sinks.push(sink);
+        }
+        for sink in sinks {
             self.plan
                 .sink_by_name(sink)
                 .ok_or_else(|| DataflowError::UnknownSink(sink.clone()))?;
@@ -257,21 +298,6 @@ impl BulkIteration {
                 },
             });
         }
-
-        // Plan the step dataflow once; the same physical plan is reused for
-        // every iteration (feedback-channel execution).
-        let mut physical = if config.use_optimizer {
-            let spec = IterationSpec {
-                dynamic_sources: vec![self.input],
-                feedback: vec![(output_op, self.input)],
-                expected_iterations: config.expected_iterations.unwrap_or(max_iterations as f64),
-            };
-            Optimizer::new(config.parallelism)
-                .optimize_iterative(&self.plan, &config.annotations, &spec)?
-                .physical
-        } else {
-            dataflow::physical::default_physical_plan(&self.plan, config.parallelism)?
-        };
 
         let executor = Executor::with_config(
             ExecConfig::new()
@@ -614,6 +640,71 @@ mod tests {
         assert_eq!(result.stats.total_checkpoint_write_failures(), 1);
         // Iterations 1-3 checkpoint; the converging fourth does not.
         assert_eq!(result.stats.total_checkpoints_written(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A hand-built physical plan driven through `run_physical` gets what a
+    /// planned one gets from the feedback loop: the failing iteration stamped
+    /// on a worker panic, spill stats per iteration, checkpointed recovery.
+    #[test]
+    fn hand_built_plans_run_the_one_feedback_loop() {
+        use dataflow::fault::FaultSite;
+        let mut plan = Plan::new();
+        let input = plan.source("partial-solution", vec![]);
+        let bump = plan.reduce(
+            "bump",
+            input,
+            vec![0],
+            Arc::new(ReduceClosure(
+                |key: &[Value], group: &[Record], out: &mut Collector| {
+                    // The key moves every iteration (7 is a unit modulo
+                    // 200), so every iteration's exchange ships.
+                    let moved = (key[0].as_long() * 7 + 3) % 200;
+                    out.collect(Record::pair(moved, group[0].long(1) + 1));
+                },
+            )),
+        );
+        plan.sink("next", bump);
+        let mut physical = default_physical_plan(&plan, 4).unwrap();
+        physical.choices.get_mut(&bump).unwrap().local = LocalStrategy::SortGroup;
+        let iteration = BulkIteration::new(
+            plan,
+            input,
+            "next",
+            TerminationCriterion::FixedIterations(4),
+        );
+        let initial: Vec<Record> = (0..200).map(|i| Record::pair(i, 0)).collect();
+        let config = BulkConfig::new(4)
+            .with_memory_budget(MemoryBudget::bytes(0))
+            .with_fault(FaultInjector::disabled());
+        let run =
+            |config: &BulkConfig| iteration.run_physical(physical.clone(), initial.clone(), config);
+
+        let unfaulted = run(&config).unwrap();
+        assert_eq!(unfaulted.iterations, 4);
+        assert_eq!(unfaulted.solution.len(), 200);
+        assert!(unfaulted.solution.iter().all(|r| r.long(1) == 4));
+        for stats in &unfaulted.stats.per_iteration {
+            assert!(
+                stats.spilled_bytes > 0 && stats.spilled_runs > 0,
+                "iteration {} spilled nothing: {stats:?}",
+                stats.iteration
+            );
+        }
+
+        // Each iteration dispatches four routing tasks and four segment
+        // tasks, so the eleventh pool task belongs to iteration 2.
+        let failing = || FaultInjector::failing_nth(FaultSite::WorkerPanic, 10);
+        match run(&config.clone().with_fault(failing())) {
+            Err(DataflowError::WorkerPanic { superstep, .. }) => assert_eq!(superstep, 2),
+            other => panic!("expected a worker panic, got {other:?}"),
+        }
+
+        let dir = std::env::temp_dir().join(format!("spinning-bulk-hand-{}", std::process::id()));
+        let recovered = run(&config.with_fault(failing()).with_checkpoint(1, &dir)).unwrap();
+        assert_eq!(recovered.solution, unfaulted.solution);
+        assert_eq!(recovered.iterations, 4);
+        assert_eq!(recovered.stats.total_recoveries(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,15 +13,18 @@
 //! the iteration execution strategies of Sections 4.2 and 5.3 (no operator
 //! can ever participate in two iterations simultaneously).  Forward edges,
 //! however, are *function calls*: a chain-fusion pass
-//! ([`streaming_input_slot`]) identifies maximal pipelineable segments —
-//! forward-shipped, uncached, single-consumer edges into a slot the consumer
-//! can stream — and executes each segment as **one pool task per partition**
-//! in which every record a member emits is pushed, by move, straight into the
-//! next member's user function.  A fused edge therefore holds one record, not
-//! an intermediate result, and costs a call, not a page or a thread.
-//! [`ExecConfig::with_force_materialized`] is the escape hatch that disables
-//! fusion (and the page-native operator paths), pinning every streaming path
-//! byte-identical to the materializing oracle.
+//! ([`streaming_input_slot`]) partitions the operators into maximal
+//! pipelineable segments — connected by forward-shipped, uncached,
+//! single-consumer edges into a slot the consumer can stream — and the plan
+//! walk executes each segment as **one task per partition** in which every
+//! record a member emits is pushed, by move, straight into the next member's
+//! user function.  A fused edge therefore holds one record, not an
+//! intermediate result, and costs a call, not a page or a thread.  An
+//! operator none of whose edges fuse is a segment of one, executed by the
+//! same code.  [`ExecConfig::with_force_materialized`] is the escape
+//! hatch that makes every segment a singleton (and disables the page-native
+//! operator paths), pinning every streaming path byte-identical to the
+//! materializing oracle.
 //!
 //! # Exchanges
 //!
@@ -35,11 +38,22 @@
 //! is source-major).  What stays here is policy: which router an edge uses
 //! (hash, or the splitter histogram frozen per operator), the per-exchange
 //! spill budget, the post-exchange sort of range edges, broadcast (serialize
-//! once, share pages by pointer), the record-based exchange of cached
-//! loop-invariant edges, and the single "distributed transport rejected"
-//! check — cluster execution enters through the iteration runtime.  Only
-//! forward shipping keeps the records-as-objects fast path; the receiving
-//! local phase reads shipped records back out of the pages lazily.
+//! once, share pages by pointer), and the single "distributed transport
+//! rejected" check — cluster execution enters through the iteration runtime.
+//! Only forward shipping keeps the records-as-objects fast path; the
+//! receiving local phase reads shipped records back out of the pages lazily.
+//!
+//! A loop-invariant edge (`cache_inputs`) takes the same exchange as any
+//! other the first time it executes; the [`IntermediateCache`] only *retains*
+//! what the exchange delivered — in-memory records materialized once and
+//! shared by pointer, spilled runs kept as the files they are, a range
+//! edge's sort order kept advertised — and serves it to every later
+//! execution.
+//!
+//! Every parallel region — segment tasks, exchange routing, the range sort —
+//! dispatches through one helper (`run_on_partitions`); a lone partition runs
+//! on the calling thread, and a panicking task is a typed
+//! [`DataflowError::WorkerPanic`] either way.
 
 use crate::contracts::{
     Collector, CrossFunction, MapFunction, MatchFunction, RecordSink, ReduceFunction, Udf,
@@ -58,11 +72,12 @@ use crate::physical::{
 use crate::plan::{Operator, OperatorId, OperatorKind};
 use crate::range::{sample_keys_into, sort_by_key_normalized, RangeBounds};
 use crate::record::Record;
-use crate::spill::{write_run_in, MemoryBudget, RunMerger, SpillManager, SpilledRun};
+use crate::spill::{MemoryBudget, RunMerger, SpillManager, SpilledRun};
 use crate::stats::{ExecutionStats, OperatorStats};
 use crate::transport::TransportHandle;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -130,11 +145,16 @@ impl ExecConfig {
 ///
 /// The iteration runtime passes the same cache to every execution of the step
 /// plan; edges on the constant data path that the optimizer marked with
-/// `cache_inputs` are shipped once and then served from here (Section 4.3).
-/// Under a memory budget ([`IntermediateCache::with_memory_budget`]) edges
-/// too large for memory are spilled to disk as runs — sorted range edges
-/// verbatim, since their partitions are already sorted page runs — and every
-/// re-execution streams them back from disk.
+/// `cache_inputs` are shipped once — by the same exchange as any other edge —
+/// and then served from here (Section 4.3).  The exchange of an edge the cache
+/// retains runs under the tighter of the executor's memory budget and the
+/// cache's own ([`IntermediateCache::with_memory_budget`]); the runs it
+/// spills stay on disk for as long as the edge is cached, and every
+/// re-execution streams them back.  That budget bounds what any exchange's
+/// budget bounds — the sealed pages in flight to peer partitions — and not the
+/// cached edge's resident size: records that never leave their partition
+/// (all of a forward or broadcast edge, everything at parallelism 1, the
+/// partition-local share of a hash or range edge) stay heap records.
 #[derive(Debug, Default)]
 pub struct IntermediateCache {
     entries: HashMap<(OperatorId, usize), CachedEdge>,
@@ -144,34 +164,65 @@ pub struct IntermediateCache {
     /// re-shipped (dynamic-path) range edges of the same operator routed by
     /// one histogram — the invariant co-partitioned merge inputs rely on.
     range_bounds: HashMap<OperatorId, Arc<RangeBounds>>,
-    /// Budget on the bytes a cached edge may hold in memory.
+    /// Budget on the bytes the exchange of a cached edge may buffer.
     memory_budget: MemoryBudget,
 }
 
-/// One cached post-exchange edge: the materialized partitions (or, for
-/// budget-spilled edges, one run per partition on disk) plus the key fields
-/// they are sorted by (range-partitioned cached edges stay sorted, so every
-/// re-execution can skip the sort).
+/// One cached post-exchange edge: what the exchange delivered on the first
+/// execution, retained.  The part that arrived in memory (local records and
+/// received pages) is materialized once into shared record partitions, the
+/// runs the exchange spilled stay the files they are, and the key fields a
+/// range exchange sorted by stay advertised, so every re-execution skips the
+/// shipping, the deserialization and the sort.
 #[derive(Debug, Clone)]
 struct CachedEdge {
     parts: Arc<Partitions>,
-    /// Per-partition spilled runs when the edge exceeded the cache budget;
-    /// the in-memory `parts` are empty in that case.
+    /// Per-partition spilled runs, when the exchange spilled any.
     runs: Option<Arc<Vec<Vec<SpilledRun>>>>,
     sorted_by: Option<KeyFields>,
 }
 
 impl CachedEdge {
-    /// Builds the per-execution input this cached edge serves: shared record
-    /// partitions when in memory, per-partition run handles when spilled
-    /// (cloning a run handle shares the file on disk).
+    /// Retains one delivery of [`exchange`].
+    fn retain(delivered: PreparedInput) -> CachedEdge {
+        match delivered {
+            PreparedInput::Shared(parts, sorted_by) => CachedEdge {
+                parts,
+                runs: None,
+                sorted_by,
+            },
+            PreparedInput::Paged(delivered) => {
+                // A range exchange sorts every partition on the same key.
+                let sorted_by = delivered[0].sorted_by().map(<[usize]>::to_vec);
+                let (parts, runs): (Partitions, Vec<Vec<SpilledRun>>) = delivered
+                    .into_iter()
+                    .map(ExchangedPartition::into_mem_and_runs)
+                    .unzip();
+                CachedEdge {
+                    parts: Arc::new(parts),
+                    runs: runs.iter().any(|r| !r.is_empty()).then(|| Arc::new(runs)),
+                    sorted_by,
+                }
+            }
+        }
+    }
+
+    /// Builds the per-execution input this cached edge serves: the shared
+    /// record partitions by pointer, plus — when the exchange spilled — each
+    /// partition's run handles (cloning a handle shares the file on disk).
     fn serve(&self) -> PreparedInput {
         match &self.runs {
             None => PreparedInput::Shared(Arc::clone(&self.parts), self.sorted_by.clone()),
             Some(runs) => PreparedInput::Paged(
                 runs.iter()
-                    .map(|partition| {
-                        ExchangedPartition::from_spilled(partition.clone(), self.sorted_by.clone())
+                    .enumerate()
+                    .map(|(p, runs)| {
+                        ExchangedPartition::from_shared(
+                            Arc::clone(&self.parts),
+                            p,
+                            runs.clone(),
+                            self.sorted_by.clone(),
+                        )
                     })
                     .collect(),
             ),
@@ -185,7 +236,8 @@ impl IntermediateCache {
         Self::default()
     }
 
-    /// Sets the byte budget above which cached edges spill to disk.
+    /// Sets the byte budget the exchanges of cached edges run under (when it
+    /// is tighter than the executor's).
     pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
         self.memory_budget = budget;
         self
@@ -321,6 +373,22 @@ impl Executor {
                 "parallelism must be at least 1".into(),
             ));
         }
+        // Its `choices` map is public too: an operator without a choice, or
+        // with one sized for a different input count, is rejected here —
+        // everything below indexes `physical.choice(id)` by input slot.
+        for op in plan.operators() {
+            let inputs = op.inputs.len();
+            let complete = physical.choices.get(&op.id).is_some_and(|choice| {
+                choice.input_ships.len() == inputs && choice.cache_inputs.len() == inputs
+            });
+            if !complete && !matches!(op.kind, OperatorKind::Source { .. }) {
+                return Err(DataflowError::InvalidPlan(format!(
+                    "operator '{}' needs a physical choice with one ship strategy and one \
+                     cache flag for each of its {inputs} inputs",
+                    op.name
+                )));
+            }
+        }
         // The batch executor is single-process: every exchange ships through
         // the transport, but cluster execution (partition ownership, global
         // convergence) is the iteration runtime's job.
@@ -347,44 +415,19 @@ impl Executor {
             }
         }
 
-        // The chain-fusion pass: maximal pipelineable segments over forward,
-        // uncached, single-consumer edges.  `force_materialized` is the
-        // escape hatch that pins every fused path against the materializing
-        // oracle.
-        let chain = if self.config.force_materialized {
-            ChainPlan::default()
-        } else {
-            compute_chain_segments(physical)
-        };
+        // Every non-source operator runs as a member of exactly one segment.
+        // `force_materialized` is the escape hatch that makes every segment a
+        // singleton, pinning the fused paths against the materializing oracle.
+        let segments = compute_chain_segments(physical, !self.config.force_materialized);
 
         for id in order {
             let op = plan.operator(id);
-            if let Some(&(seg, pos)) = chain.member_of.get(&id) {
-                // Non-tail members run inside their segment's tasks; the
-                // whole segment executes when the topological walk reaches
-                // its tail (every side input's producer has run by then).
-                if pos + 1 != chain.segments[seg].len() {
-                    continue;
-                }
-                self.execute_segment(
-                    physical,
-                    &chain.segments[seg],
-                    &mut outputs,
-                    &mut sink_outputs,
-                    cache,
-                    &mut remaining_uses,
-                    &mut stats,
-                )?;
-                continue;
-            }
-            let choice = physical.choice(id);
-            let op_start = Instant::now();
-
-            // 1. Sources produce their partitioned data directly.
-            //    A source whose every consumer edge is about to be served
-            //    from the cache (a loop-invariant input after the first
-            //    iteration) is not partitioned again: nobody would read it.
+            // Sources produce their partitioned data directly.  A source whose
+            // every consumer edge is about to be served from the cache (a
+            // loop-invariant input after the first iteration) is not
+            // partitioned again: nobody would read it.
             if let OperatorKind::Source { data } = &op.kind {
+                let op_start = Instant::now();
                 let served_from_cache = plan.operators().iter().all(|consumer| {
                     consumer.inputs.iter().enumerate().all(|(slot, input)| {
                         *input != id
@@ -404,80 +447,21 @@ impl Executor {
                 });
                 continue;
             }
-
-            // 2a. All range-partitioned edges of one operator share one
-            // splitter histogram (sampled from their producers, frozen in
-            // the cache across repeated executions), so co-partitioned
-            // inputs of a merge join agree on the key space.
-            let range_bounds = prepare_range_bounds(op, choice, &outputs, cache, parallelism)?;
-
-            // 2b. Exchange (or fetch from cache) each input edge.
-            let mut prepared: Vec<PreparedInput> = Vec::with_capacity(op.inputs.len());
-            for slot in 0..op.inputs.len() {
-                prepared.push(self.prepare_input(
-                    op,
-                    slot,
-                    choice,
-                    range_bounds.as_deref(),
-                    parallelism,
+            // Inner members run inside their segment's tasks; the whole
+            // segment executes when the topological walk reaches its tail
+            // (every side input's producer has run by then).
+            let members = &segments[id.0];
+            if !members.is_empty() {
+                self.execute_segment(
+                    physical,
+                    members,
                     &mut outputs,
+                    &mut sink_outputs,
                     cache,
                     &mut remaining_uses,
                     &mut stats,
-                )?);
+                )?;
             }
-
-            // Split the prepared inputs into one input set per partition:
-            // shared inputs hand every partition a (cheap) Arc clone, paged
-            // inputs move each partition's local records and received page
-            // pointers into that partition's task.
-            let mut partition_inputs = split_by_partition(prepared, parallelism);
-
-            // 3. Run the local phase, one pool task per partition.  The
-            //    persistent worker pool is shared process-wide, so an
-            //    operator's parallel region costs a deque push per partition
-            //    instead of a round of thread spawns.
-            let local = choice.local;
-            let page_native = !self.config.force_materialized;
-            let mut result_parts: Vec<Partition> = Vec::with_capacity(parallelism);
-            let mut records_in_total = 0usize;
-            let fault = &self.config.fault;
-            let run_partition = |inputs: Vec<LocalInput>| {
-                let mut collector = Collector::new();
-                run_local(op, local, inputs, page_native, fault, &mut collector)
-                    .map(|records_in| (records_in, collector.into_records()))
-            };
-            let outcomes = if parallelism == 1 {
-                vec![run_partition(
-                    partition_inputs.pop().expect("one partition input set"),
-                )?]
-            } else {
-                run_on_partitions(
-                    "operator-local",
-                    || op.name.clone(),
-                    fault,
-                    partition_inputs,
-                    run_partition,
-                )?
-            };
-            for (records_in, out) in outcomes {
-                records_in_total += records_in;
-                result_parts.push(out);
-            }
-
-            let produced: usize = result_parts.iter().map(Vec::len).sum();
-            let result_parts = Arc::new(result_parts);
-            if let OperatorKind::Sink { name } = &op.kind {
-                sink_outputs.insert(name.clone(), Arc::clone(&result_parts));
-            }
-            outputs.insert(id, result_parts);
-            stats.operators.push(OperatorStats {
-                name: op.name.clone(),
-                contract: op.kind.contract_name().to_owned(),
-                records_in: records_in_total,
-                records_out: produced,
-                elapsed: op_start.elapsed(),
-            });
         }
 
         stats.elapsed = start.elapsed();
@@ -488,9 +472,10 @@ impl Executor {
     }
 
     /// Exchanges (or serves from the cache) one input edge of `op`,
-    /// consuming one use of the producer's output.  Shared between the
-    /// materializing per-operator loop and the side inputs of fused chain
-    /// segments.
+    /// consuming one use of the producer's output.  A cached edge takes the
+    /// same [`exchange`] as any other on its first execution — the cache only
+    /// retains what came back — under the tighter of the executor's budget
+    /// and the cache's.
     #[allow(clippy::too_many_arguments)]
     fn prepare_input(
         &self,
@@ -538,41 +523,39 @@ impl Executor {
             Ok(owned) => ProducerInput::Owned(owned),
             Err(shared) => ProducerInput::Shared(shared),
         };
-        let ship = &choice.input_ships[slot];
-        if choice.cache_inputs[slot] {
-            // Cached (loop-invariant) edges are re-read on every execution of
-            // the step plan, so they are materialized once and served as
-            // shared record partitions — exchanged as records directly, since
-            // serializing them into pages would be an immediate
-            // serialize/deserialize roundtrip.  An edge exceeding the cache
-            // budget is spilled to disk instead and streamed back on every
-            // execution.
-            let (parts, sorted_by) =
-                cache_exchange_records(producer, ship, parallelism, range_bounds, stats);
-            let edge = build_cached_edge(parts, sorted_by, cache.memory_budget, stats)?;
-            let served = edge.serve();
-            cache.entries.insert(cache_key, edge);
-            Ok(served)
-        } else {
-            exchange(
-                producer,
-                ship,
-                parallelism,
-                range_bounds,
-                &self.config,
-                stats,
-            )
+        let cached = choice.cache_inputs[slot];
+        let budget = match (cached, self.config.memory_budget.limit()) {
+            (true, Some(limit)) if cache.memory_budget.allows(limit) => self.config.memory_budget,
+            (true, _) => cache.memory_budget,
+            (false, _) => self.config.memory_budget,
+        };
+        let delivered = exchange(
+            producer,
+            &choice.input_ships[slot],
+            parallelism,
+            range_bounds,
+            budget,
+            &self.config,
+            stats,
+        )?;
+        if !cached {
+            return Ok(delivered);
         }
+        let edge = CachedEdge::retain(delivered);
+        let served = edge.serve();
+        cache.entries.insert(cache_key, edge);
+        Ok(served)
     }
 
-    /// Executes one fused chain segment (`members`, head to tail): one pool
-    /// task per partition runs the head's local phase with every downstream
-    /// member composed behind its collector ([`run_fused`]).
+    /// Executes one segment (`members`, head to tail; a lone operator is a
+    /// segment of one): one task per partition runs the head's local phase
+    /// with every downstream member composed behind its collector
+    /// ([`run_fused`]).
     ///
-    /// Side inputs (the non-fused slots — a hash join's build side, a
-    /// cross's broadcast side) are prepared on this thread exactly like the
-    /// materializing path prepares them; the topological walk dispatches the
-    /// segment at its *tail*, by which point every side producer has run.
+    /// Every input but the fused slots (all of the head's; downstream, a hash
+    /// join's build side, a cross's broadcast side) is exchanged on this
+    /// thread first; the topological walk dispatches the segment at its
+    /// *tail*, by which point every producer has run.
     #[allow(clippy::too_many_arguments)]
     fn execute_segment(
         &self,
@@ -634,7 +617,11 @@ impl Executor {
         }
 
         let outcomes = run_on_partitions(
-            "chained-operator",
+            if members.len() > 1 {
+                "chained-operator"
+            } else {
+                "operator-local"
+            },
             || {
                 let names: Vec<&str> = fused.iter().map(|(op, _)| op.name.as_str()).collect();
                 names.join("→")
@@ -667,10 +654,12 @@ impl Executor {
             .iter()
             .map(|row| row.records_out)
             .sum::<usize>();
-        stats.chained_operators += members.len();
+        if members.len() > 1 {
+            stats.chained_operators += members.len();
+        }
         stats.operators.extend(rows);
 
-        let tail_id = *members.last().expect("segments have at least two members");
+        let tail_id = *members.last().expect("segments are never empty");
         let result_parts = Arc::new(tail_parts);
         if let OperatorKind::Sink { name } = &plan.operator(tail_id).kind {
             sink_outputs.insert(name.clone(), Arc::clone(&result_parts));
@@ -680,12 +669,16 @@ impl Executor {
     }
 }
 
-/// Runs `task` on every partition's input set, one task of the shared worker
-/// pool per partition, so a parallel region costs a deque push per partition
-/// instead of a round of thread spawns.  A panicking task (user code, or the
-/// [`FaultSite::WorkerPanic`] injection each task consults under `label`)
-/// surfaces as one typed [`DataflowError::WorkerPanic`] naming `operator`;
-/// otherwise the first task error in partition order is returned.
+/// Runs `task` on every partition's input — the executor's one parallel
+/// region: operator segments, exchange routing and the range sort all
+/// dispatch through it.  A lone partition has nothing to run beside and
+/// stays on the calling thread; otherwise each partition is one task of the
+/// shared worker pool, so a parallel region costs a deque push per partition
+/// instead of a round of thread spawns.  Either way a panicking task (user
+/// code, or the [`FaultSite::WorkerPanic`] injection each task consults
+/// under `label`) surfaces as one typed [`DataflowError::WorkerPanic`] naming
+/// `operator`; otherwise the first task error in partition order is
+/// returned.
 fn run_on_partitions<I: Send, T: Send>(
     label: &'static str,
     operator: impl FnOnce() -> String,
@@ -694,24 +687,36 @@ fn run_on_partitions<I: Send, T: Send>(
     task: impl Fn(I) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
     let mut outcomes: Vec<Option<Result<T>>> = inputs.iter().map(|_| None).collect();
-    spinning_pool::global()
-        .try_scope(|scope| {
-            for (input, outcome) in inputs.into_iter().zip(outcomes.iter_mut()) {
-                let task = &task;
-                scope.spawn_labeled(label, move || {
-                    fault.panic_check(FaultSite::WorkerPanic, label);
-                    *outcome = Some(task(input));
-                });
-            }
-        })
-        .map_err(|panic| DataflowError::WorkerPanic {
+    let work = inputs.into_iter().zip(outcomes.iter_mut());
+    let run = |(input, outcome): (I, &mut Option<Result<T>>)| {
+        fault.panic_check(FaultSite::WorkerPanic, label);
+        *outcome = Some(task(input));
+    };
+    let panicked = if work.len() <= 1 {
+        catch_unwind(AssertUnwindSafe(|| work.for_each(&run)))
+            .err()
+            .map(|payload| spinning_pool::panic_message(&*payload))
+    } else {
+        spinning_pool::global()
+            .try_scope(|scope| {
+                for item in work {
+                    let run = &run;
+                    scope.spawn_labeled(label, move || run(item));
+                }
+            })
+            .err()
+            .map(|panic| panic.message())
+    };
+    if let Some(message) = panicked {
+        return Err(DataflowError::WorkerPanic {
             operator: operator(),
             superstep: 0,
-            message: panic.message(),
-        })?;
+            message,
+        });
+    }
     outcomes
         .into_iter()
-        .map(|outcome| outcome.expect("pool ran every partition task"))
+        .map(|outcome| outcome.expect("every partition task ran"))
         .collect()
 }
 
@@ -798,21 +803,14 @@ fn split_by_partition(prepared: Vec<PreparedInput>, parallelism: usize) -> Vec<V
 // Chain fusion: forward edges as function calls
 // ---------------------------------------------------------------------------
 
-/// The fused segments of one physical plan: each segment is a maximal linear
-/// chain of operators whose connecting edges are calls instead of
-/// materialized partitions.
-#[derive(Debug, Default)]
-struct ChainPlan {
-    /// Member operator → (segment index, position inside the segment).
-    member_of: HashMap<OperatorId, (usize, usize)>,
-    /// Segment members in pipeline order, head first.
-    segments: Vec<Vec<OperatorId>>,
-}
-
-/// The chain-fusion pass: finds maximal pipelineable segments.
+/// The chain-fusion pass: partitions the non-source operators into maximal
+/// pipelineable segments — linear chains whose connecting edges are calls
+/// instead of materialized partitions.  Returns, indexed by operator id, the
+/// members (head first) of the segment whose **tail** is that operator;
+/// sources and inner members get an empty entry.
 ///
-/// An edge `A → B` (into slot `s` of `B`) fuses when all of the following
-/// hold, so streaming it cannot change any observable result:
+/// With `fuse` set, an edge `A → B` (into slot `s` of `B`) fuses when all of
+/// the following hold, so streaming it cannot change any observable result:
 ///
 /// * `s` is `B`'s streaming slot ([`streaming_input_slot`]) — `B` can
 ///   consume the edge record by record;
@@ -827,8 +825,9 @@ struct ChainPlan {
 ///   there is no producing call to fuse into) and not a sink (a sink's
 ///   records *are* the plan's result and must materialize).
 ///
-/// Segments of length 1 are not chains; they run on the materializing path.
-fn compute_chain_segments(physical: &PhysicalPlan) -> ChainPlan {
+/// An operator none of whose edges fuse — and, without `fuse`, every
+/// operator — is a segment of one.
+fn compute_chain_segments(physical: &PhysicalPlan, fuse: bool) -> Vec<Vec<OperatorId>> {
     let plan = &physical.plan;
     let mut consumer_count = vec![0usize; plan.len()];
     for op in plan.operators() {
@@ -837,15 +836,19 @@ fn compute_chain_segments(physical: &PhysicalPlan) -> ChainPlan {
         }
     }
     let mut fused_pred: Vec<Option<OperatorId>> = vec![None; plan.len()];
-    let mut fused_succ: Vec<Option<OperatorId>> = vec![None; plan.len()];
+    let mut is_tail: Vec<bool> = plan
+        .operators()
+        .iter()
+        .map(|op| !matches!(op.kind, OperatorKind::Source { .. }))
+        .collect();
     for op in plan.operators() {
+        if !fuse || matches!(op.kind, OperatorKind::Source { .. }) {
+            continue;
+        }
         let choice = physical.choice(op.id);
         let Some(slot) = streaming_input_slot(&op.kind, choice.local) else {
             continue;
         };
-        if slot >= op.inputs.len() {
-            continue;
-        }
         let producer_id = op.inputs[slot];
         if choice.input_ships[slot] != ShipStrategy::Forward
             || choice.cache_inputs[slot]
@@ -861,27 +864,20 @@ fn compute_chain_segments(physical: &PhysicalPlan) -> ChainPlan {
             continue;
         }
         fused_pred[op.id.0] = Some(producer_id);
-        fused_succ[producer_id.0] = Some(op.id);
+        is_tail[producer_id.0] = false;
     }
-    let mut chain = ChainPlan::default();
-    for op in plan.operators() {
-        // A head has a fused successor but no fused predecessor.
-        if fused_pred[op.id.0].is_some() || fused_succ[op.id.0].is_none() {
-            continue;
-        }
-        let mut members = vec![op.id];
-        let mut cursor = op.id;
-        while let Some(next) = fused_succ[cursor.0] {
-            members.push(next);
-            cursor = next;
-        }
-        let seg = chain.segments.len();
-        for (pos, &member) in members.iter().enumerate() {
-            chain.member_of.insert(member, (seg, pos));
-        }
-        chain.segments.push(members);
-    }
-    chain
+    (0..plan.len())
+        .map(|tail| {
+            let mut members = Vec::new();
+            let mut cursor = is_tail[tail].then_some(OperatorId(tail));
+            while let Some(member) = cursor {
+                members.push(member);
+                cursor = fused_pred[member.0];
+            }
+            members.reverse();
+            members
+        })
+        .collect()
 }
 
 /// The streaming consumer of one operator on one partition: everything the
@@ -1108,9 +1104,10 @@ impl RecordSink for FusedStage {
 struct MemberReport {
     records_in: usize,
     records_out: usize,
-    /// The head's is the whole task, downstream members included (their
-    /// calls nest inside the head's emits); a downstream member's is its own
-    /// end-of-stream work.  See [`OperatorStats::elapsed`].
+    /// The member's share of the partition task: the head's is the whole
+    /// task, downstream members included (their calls nest inside the head's
+    /// emits); a downstream member's is its own end-of-stream work.  See
+    /// [`OperatorStats::elapsed`].
     elapsed: Duration,
 }
 
@@ -1232,143 +1229,9 @@ fn prepare_range_bounds(
     Ok(Some(bounds))
 }
 
-/// The record-based exchange used for loop-invariant (cached) edges.  The
-/// cache stores materialized record partitions that are re-read on every
-/// step-plan execution, so routing them through sealed pages would be an
-/// immediate serialize/deserialize roundtrip; instead records are cloned (or
-/// moved, when owned) straight into their target partitions.  Routing and
-/// shipped/local accounting mirror the paged exchange; range edges are
-/// additionally sorted once, so every re-execution reads them pre-sorted.
-/// Returns the partitions plus the key fields they are sorted by (range
-/// shipping only).
-fn cache_exchange_records(
-    producer: ProducerInput,
-    ship: &ShipStrategy,
-    parallelism: usize,
-    bounds: Option<&RangeBounds>,
-    stats: &mut ExecutionStats,
-) -> (Partitions, Option<KeyFields>) {
-    match ship {
-        ShipStrategy::Forward => {
-            let total: usize = producer.partitions().iter().map(Vec::len).sum();
-            stats.local_records += total;
-            let mut parts = match producer {
-                ProducerInput::Owned(parts) => parts,
-                ProducerInput::Shared(parts) => {
-                    Arc::try_unwrap(parts).unwrap_or_else(|shared| (*shared).clone())
-                }
-            };
-            parts.resize(parallelism, Vec::new());
-            (parts, None)
-        }
-        ShipStrategy::PartitionHash(keys) | ShipStrategy::PartitionRange(keys) => {
-            let is_range = matches!(ship, ShipStrategy::PartitionRange(_));
-            let bounds = is_range.then(|| bounds.expect("executor built range bounds"));
-            let total: usize = producer.partitions().iter().map(Vec::len).sum();
-            let per_target = total / parallelism + total / (parallelism * 4).max(1) + 4;
-            let mut parts: Partitions = (0..parallelism)
-                .map(|_| Vec::with_capacity(per_target))
-                .collect();
-            let mut route = |src: usize, record: Cow<'_, Record>| {
-                let target = match bounds {
-                    Some(bounds) => bounds.partition_for_record(&record, keys),
-                    None => partition_for(&record, keys, parallelism),
-                };
-                if target == src {
-                    stats.local_records += 1;
-                } else {
-                    stats.shipped_records += 1;
-                    stats.shipped_bytes += record.estimated_bytes();
-                }
-                parts[target].push(record.into_owned());
-            };
-            match producer {
-                ProducerInput::Owned(partitions) => {
-                    for (src, partition) in partitions.into_iter().enumerate() {
-                        for record in partition {
-                            route(src, Cow::Owned(record));
-                        }
-                    }
-                }
-                ProducerInput::Shared(partitions) => {
-                    for (src, partition) in partitions.iter().enumerate() {
-                        for record in partition {
-                            route(src, Cow::Borrowed(record));
-                        }
-                    }
-                }
-            }
-            if is_range {
-                for part in &mut parts {
-                    sort_by_key_normalized(part, keys);
-                }
-                (parts, Some(keys.clone()))
-            } else {
-                (parts, None)
-            }
-        }
-        ShipStrategy::Broadcast => {
-            let records = producer.into_flat_records();
-            let copies = parallelism.saturating_sub(1);
-            stats.shipped_records += records.len() * copies;
-            stats.shipped_bytes +=
-                copies * records.iter().map(Record::estimated_bytes).sum::<usize>();
-            stats.local_records += records.len();
-            let mut parts: Partitions = (0..copies).map(|_| records.clone()).collect();
-            parts.push(records);
-            (parts, None)
-        }
-    }
-}
-
-/// Materializes one cached edge, spilling it to disk when it exceeds the
-/// cache's memory budget.  Spilled range edges are already sorted per
-/// partition, so their pages are written **verbatim** as one sorted run per
-/// partition — the sort was paid once, the disk keeps it.
-fn build_cached_edge(
-    parts: Partitions,
-    sorted_by: Option<KeyFields>,
-    budget: MemoryBudget,
-    stats: &mut ExecutionStats,
-) -> Result<CachedEdge> {
-    let total_bytes: usize = parts
-        .iter()
-        .flatten()
-        .map(Record::estimated_bytes)
-        .sum::<usize>();
-    if budget.allows(total_bytes) {
-        return Ok(CachedEdge {
-            parts: Arc::new(parts),
-            runs: None,
-            sorted_by,
-        });
-    }
-    let dir = crate::spill::default_spill_dir();
-    let mut runs: Vec<Vec<SpilledRun>> = Vec::with_capacity(parts.len());
-    for partition in parts {
-        if partition.is_empty() {
-            runs.push(Vec::new());
-            continue;
-        }
-        let mut writer = PageWriter::new();
-        for record in &partition {
-            writer.push(record);
-        }
-        let run = write_run_in(&dir, &writer.finish(), sorted_by.clone())?;
-        stats.spilled_bytes += run.byte_len();
-        stats.spilled_runs += 1;
-        runs.push(vec![run]);
-    }
-    Ok(CachedEdge {
-        parts: Arc::new(Partitions::new()),
-        runs: Some(Arc::new(runs)),
-        sorted_by,
-    })
-}
-
 /// Routes the producer's partitions to the consumer's partitions according to
 /// the shipping strategy, updating the shipped/local counters.  Hash and
-/// range exchanges run under the executor's memory budget: sealed pages
+/// range exchanges run under the memory `budget`: sealed pages
 /// beyond it spill to disk as sorted runs (broadcast replicates shared pages
 /// and never spills; forward moves records locally and has nothing to
 /// serialize).
@@ -1377,6 +1240,7 @@ fn exchange(
     ship: &ShipStrategy,
     parallelism: usize,
     bounds: Option<&RangeBounds>,
+    budget: MemoryBudget,
     config: &ExecConfig,
     stats: &mut ExecutionStats,
 ) -> Result<PreparedInput> {
@@ -1402,8 +1266,8 @@ fn exchange(
             Ok(PreparedInput::Shared(parts, None))
         }
         ShipStrategy::PartitionHash(keys) => {
-            let spill =
-                exchange_spill_manager(config, keys, producer.partitions().len(), parallelism);
+            let sources = producer.partitions().len();
+            let spill = exchange_spill_manager(budget, &config.fault, keys, sources, parallelism);
             Ok(PreparedInput::Paged(route_paged(
                 producer,
                 &|record: &Record| partition_for(record, keys, parallelism),
@@ -1414,8 +1278,8 @@ fn exchange(
             )?))
         }
         ShipStrategy::PartitionRange(keys) => {
-            let spill =
-                exchange_spill_manager(config, keys, producer.partitions().len(), parallelism);
+            let sources = producer.partitions().len();
+            let spill = exchange_spill_manager(budget, &config.fault, keys, sources, parallelism);
             Ok(PreparedInput::Paged(range_exchange(
                 producer,
                 keys,
@@ -1434,22 +1298,23 @@ fn exchange(
     }
 }
 
-/// The spill policy of one repartitioning exchange: the executor's budget is
-/// split evenly over the exchange's producer×target page writers, and every
+/// The spill policy of one repartitioning exchange: the exchange's budget is
+/// split evenly over its producer×target page writers, and every
 /// flushed run is sorted on the exchange key — range partitions are sorted
 /// runs by definition, and hash partitions gain the normalized-key order
 /// that lets sort-based consumers merge instead of re-sorting.
 fn exchange_spill_manager(
-    config: &ExecConfig,
+    budget: MemoryBudget,
+    fault: &FaultInjector,
     keys: &[usize],
     sources: usize,
     parallelism: usize,
 ) -> SpillManager {
     SpillManager::new(
-        config.memory_budget.share(sources.max(1) * parallelism),
+        budget.share(sources.max(1) * parallelism),
         Some(keys.to_vec()),
     )
-    .with_fault(config.fault.clone())
+    .with_fault(fault.clone())
 }
 
 /// Routes one producer partition into its [`Outbox`]: records staying in
@@ -1502,35 +1367,15 @@ fn route_paged(
             shared.iter().map(|part| Cow::Borrowed(&part[..])).collect()
         }
     };
-    let sources = parts.len();
-    let mut routed: Vec<Option<std::io::Result<Outbox>>> = (0..sources).map(|_| None).collect();
-    let work = parts.into_iter().enumerate().zip(routed.iter_mut());
-    if sources <= 1 {
-        for ((source, records), slot) in work {
-            *slot = Some(route_partition(source, records, router, parallelism, spill));
-        }
-    } else {
-        spinning_pool::global()
-            .try_scope(|scope| {
-                for ((source, records), slot) in work {
-                    scope.spawn_labeled("exchange-route", move || {
-                        spill
-                            .fault()
-                            .panic_check(FaultSite::WorkerPanic, "exchange-route");
-                        *slot = Some(route_partition(source, records, router, parallelism, spill));
-                    });
-                }
-            })
-            .map_err(|panic| DataflowError::WorkerPanic {
-                operator: "exchange-route".to_string(),
-                superstep: 0,
-                message: panic.message(),
-            })?;
-    }
-    let outboxes = routed
-        .into_iter()
-        .map(|slot| slot.expect("pool routed every producer partition"))
-        .collect::<std::io::Result<Vec<Outbox>>>()?;
+    let outboxes = run_on_partitions(
+        "exchange-route",
+        || "exchange-route".to_string(),
+        spill.fault(),
+        parts.into_iter().enumerate().collect(),
+        |(source, records)| {
+            route_partition(source, records, router, parallelism, spill).map_err(Into::into)
+        },
+    )?;
     let channel = transport.fresh_channel(parallelism);
     let (result, shipped) =
         exchange::ship(outboxes, parallelism, &*channel, &transport.cluster(), 0)?;
@@ -1560,7 +1405,7 @@ fn range_exchange(
     transport: &TransportHandle,
     stats: &mut ExecutionStats,
 ) -> Result<Vec<ExchangedPartition>> {
-    let mut parts = route_paged(
+    let parts = route_paged(
         producer,
         &|record: &Record| bounds.partition_for_record(record, keys),
         parallelism,
@@ -1572,32 +1417,21 @@ fn range_exchange(
     // already a sorted run on disk (sorted on flush), so the delivered
     // partition is the *merge* of the sorted pieces — the sort never touches
     // the spilled bytes again.
-    let sort_one = |part: &mut ExchangedPartition| {
-        let (mut records, runs) = std::mem::take(part).into_mem_and_runs();
-        sort_by_key_normalized(&mut records, keys);
-        *part = if runs.is_empty() {
-            ExchangedPartition::from_sorted_records(records, keys.to_vec())
-        } else {
-            ExchangedPartition::from_sorted_spilled(records, runs, keys.to_vec())
-        };
-    };
-    if parallelism <= 1 {
-        parts.iter_mut().for_each(sort_one);
-    } else {
-        spinning_pool::global()
-            .try_scope(|scope| {
-                for part in parts.iter_mut() {
-                    let sort_one = &sort_one;
-                    scope.spawn_labeled("range-sort", move || sort_one(part));
-                }
-            })
-            .map_err(|panic| DataflowError::WorkerPanic {
-                operator: "range-sort".to_string(),
-                superstep: 0,
-                message: panic.message(),
-            })?;
-    }
-    Ok(parts)
+    run_on_partitions(
+        "range-sort",
+        || "range-sort".to_string(),
+        spill.fault(),
+        parts,
+        |part| {
+            let (mut records, runs) = part.into_mem_and_runs();
+            sort_by_key_normalized(&mut records, keys);
+            Ok(ExchangedPartition::from_spilled(
+                records,
+                runs,
+                Some(keys.to_vec()),
+            ))
+        },
+    )
 }
 
 /// The paged broadcast: all records are serialized **once**, then every
@@ -2453,6 +2287,32 @@ mod tests {
     }
 
     #[test]
+    fn hand_built_plans_without_a_complete_choice_are_rejected() {
+        let (plan, red) = keyed_sum_plan(vec![Record::pair(1, 1)]);
+        let complete = default_physical_plan(&plan, 2).unwrap();
+        let rejected = |phys: &PhysicalPlan| match Executor::new().execute(phys) {
+            Err(DataflowError::InvalidPlan(message)) => message,
+            other => panic!("expected InvalidPlan, got {other:?}"),
+        };
+        // No choice at all for a non-source operator.
+        let mut phys = complete.clone();
+        phys.choices.remove(&red);
+        assert!(rejected(&phys).contains("'sum'"));
+        // A choice sized for a different input count.
+        let mut phys = complete.clone();
+        phys.choices.get_mut(&red).unwrap().input_ships.clear();
+        assert!(rejected(&phys).contains("'sum'"));
+        let mut phys = complete.clone();
+        phys.choices.get_mut(&red).unwrap().cache_inputs.push(true);
+        assert!(rejected(&phys).contains("'sum'"));
+        // Sources take no physical decision.
+        let mut phys = complete;
+        phys.choices
+            .retain(|id, _| !matches!(plan.operator(*id).kind, OperatorKind::Source { .. }));
+        Executor::new().execute(&phys).unwrap();
+    }
+
+    #[test]
     fn unknown_sink_is_an_error() {
         let mut plan = Plan::new();
         let a = plan.source("a", vec![]);
@@ -2899,38 +2759,133 @@ mod tests {
         assert_eq!(result.sink("out").unwrap(), vec![Record::pair(1, 1)]);
     }
 
+    /// The constant-path cache is the ordinary exchange's delivery, retained:
+    /// against one cache, execution 1 of a plan with a cached edge is the
+    /// uncached plan's execution in everything observable, and executions 2–3
+    /// reproduce its result without shipping or spilling anything.
     #[test]
-    fn cached_range_edges_stay_sorted_and_freeze_their_histogram() {
-        let records: Vec<Record> = (0..300).map(|i| Record::pair((i * 7) % 50, i)).collect();
-        let (plan, red) = keyed_sum_plan(records);
-        let mut phys = default_physical_plan(&plan, 3).unwrap();
-        {
-            let choice = phys.choices.get_mut(&red).unwrap();
-            choice.input_ships[0] = ShipStrategy::PartitionRange(vec![0]);
-            choice.local = LocalStrategy::SortGroup;
+    fn cached_edges_are_the_exchange_delivery_retained() {
+        /// Per-partition sink records and per-operator rows.
+        fn observed(result: &ExecutionResult) -> (Arc<Partitions>, Vec<(&str, usize, usize)>) {
+            (
+                result.sink_partitions("out").unwrap(),
+                operator_rows(&result.stats),
+            )
         }
-        phys.cache_input(red, 0);
-        let mut cache = IntermediateCache::new();
-        let exec = Executor::new();
-        let first = exec.execute_with_cache(&phys, &mut cache).unwrap();
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.range_bounds.len(), 1, "histogram frozen in the cache");
-        let cached = cache.entries.values().next().unwrap();
-        assert_eq!(cached.sorted_by.as_deref(), Some(&[0usize][..]));
-        for part in cached.parts.iter() {
-            for window in part.windows(2) {
-                assert!(window[0].long(0) <= window[1].long(0));
+        let records: Vec<Record> = (0..600).map(|i| Record::pair((i * 7) % 50, i)).collect();
+        let (plan, red) = keyed_sum_plan(records);
+        let (unlimited, zero) = (MemoryBudget::unlimited(), MemoryBudget::bytes(0));
+        let ships = [
+            ShipStrategy::Forward,
+            ShipStrategy::PartitionHash(vec![0]),
+            ShipStrategy::PartitionRange(vec![0]),
+            ShipStrategy::Broadcast,
+        ];
+        for parallelism in [1, 4] {
+            // The budget of a cached edge's exchange is the tighter of the
+            // executor's and the cache's.
+            for (executor_budget, cache_budget) in
+                [(unlimited, unlimited), (zero, unlimited), (unlimited, zero)]
+            {
+                for ship in &ships {
+                    let case = format!(
+                        "{ship} p={parallelism} budgets={executor_budget:?}/{cache_budget:?}"
+                    );
+                    let mut phys = default_physical_plan(&plan, parallelism).unwrap();
+                    let choice = phys.choices.get_mut(&red).unwrap();
+                    choice.input_ships[0] = ship.clone();
+                    choice.local = LocalStrategy::SortGroup;
+                    let budgeted = |budget| {
+                        Executor::with_config(ExecConfig::new().with_memory_budget(budget))
+                    };
+                    let tighter = if cache_budget == zero {
+                        zero
+                    } else {
+                        executor_budget
+                    };
+                    let oracle = budgeted(tighter).execute(&phys).unwrap();
+                    let shipped = |stats: &ExecutionStats| {
+                        (
+                            stats.shipped_records,
+                            stats.shipped_bytes,
+                            stats.shipped_pages,
+                            stats.spilled_runs,
+                        )
+                    };
+
+                    phys.cache_input(red, 0);
+                    let mut cache = IntermediateCache::new().with_memory_budget(cache_budget);
+                    let executor = budgeted(executor_budget);
+                    let first = executor.execute_with_cache(&phys, &mut cache).unwrap();
+                    assert_eq!(observed(&first), observed(&oracle), "{case}");
+                    assert_eq!(shipped(&first.stats), shipped(&oracle.stats), "{case}");
+                    assert_eq!(first.stats.local_records, oracle.stats.local_records);
+                    assert_eq!(first.stats.spilled_bytes, oracle.stats.spilled_bytes);
+                    assert_eq!(first.stats.cache_hits, 0);
+
+                    let is_range = matches!(ship, ShipStrategy::PartitionRange(_));
+                    let edge = &cache.entries[&(red, 0)];
+                    assert_eq!(
+                        edge.sorted_by.as_deref(),
+                        is_range.then_some(&[0usize][..]),
+                        "{case}"
+                    );
+                    assert_eq!(cache.range_bounds.len(), usize::from(is_range), "{case}");
+                    if is_range {
+                        // The advertised order is real, in memory and on disk.
+                        for part in edge.parts.iter() {
+                            assert!(part.windows(2).all(|w| w[0].long(0) <= w[1].long(0)));
+                        }
+                        for run in edge.runs.iter().flat_map(|runs| runs.iter().flatten()) {
+                            let (mut cursor, mut last) = (run.cursor().unwrap(), i64::MIN);
+                            while let Some(record) = cursor.next_record().unwrap() {
+                                assert!(last <= record.long(0), "{case}");
+                                last = record.long(0);
+                            }
+                        }
+                    }
+                    // Retained records are served by pointer, spilled or not.
+                    match edge.serve() {
+                        PreparedInput::Shared(parts, _) => {
+                            assert!(Arc::ptr_eq(&parts, &edge.parts), "{case}")
+                        }
+                        PreparedInput::Paged(served) => {
+                            for (part, mem) in served.iter().zip(edge.parts.iter()) {
+                                assert!(std::ptr::eq(part.local_records(), &mem[..]), "{case}");
+                            }
+                        }
+                    }
+                    // What the exchange spilled stays on disk while cached.
+                    let run_files: Vec<_> = edge
+                        .runs
+                        .iter()
+                        .flat_map(|runs| runs.iter().flatten())
+                        .map(|run| run.path().to_owned())
+                        .collect();
+                    let repartitions = matches!(
+                        ship,
+                        ShipStrategy::PartitionHash(_) | ShipStrategy::PartitionRange(_)
+                    );
+                    assert_eq!(
+                        !run_files.is_empty(),
+                        tighter == zero && parallelism > 1 && repartitions,
+                        "{case}"
+                    );
+                    assert_eq!(run_files.is_empty(), first.stats.spilled_runs == 0);
+
+                    for _ in 0..2 {
+                        let again = executor.execute_with_cache(&phys, &mut cache).unwrap();
+                        assert_eq!(observed(&again), observed(&oracle), "{case}");
+                        assert_eq!(again.stats.cache_hits, 1);
+                        assert_eq!(shipped(&again.stats), (0, 0, 0, 0), "{case}");
+                    }
+                    assert!(run_files.iter().all(|file| file.exists()), "{case}");
+                    cache.clear();
+                    assert!(cache.range_bounds.is_empty());
+                    assert!(!run_files.iter().any(|file| file.exists()), "{case}");
+                }
             }
         }
-        let second = exec.execute_with_cache(&phys, &mut cache).unwrap();
-        assert_eq!(second.stats.cache_hits, 1);
-        let mut a = first.into_sink("out").unwrap();
-        let mut b = second.into_sink("out").unwrap();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        cache.clear();
-        assert!(cache.range_bounds.is_empty());
     }
 
     #[test]
@@ -3021,46 +2976,6 @@ mod tests {
                 "budgeted run diverged (range={ship_range}, {local:?})"
             );
         }
-    }
-
-    #[test]
-    fn budgeted_cached_edges_spill_and_serve_from_disk() {
-        let records: Vec<Record> = (0..400).map(|i| Record::pair((i * 7) % 50, i)).collect();
-        let (plan, red) = keyed_sum_plan(records);
-        let mut phys = default_physical_plan(&plan, 3).unwrap();
-        {
-            let choice = phys.choices.get_mut(&red).unwrap();
-            choice.input_ships[0] = ShipStrategy::PartitionRange(vec![0]);
-            choice.local = LocalStrategy::SortGroup;
-        }
-        phys.cache_input(red, 0);
-        let mut cache = IntermediateCache::new().with_memory_budget(MemoryBudget::bytes(64));
-        let exec = Executor::new();
-        let first = exec.execute_with_cache(&phys, &mut cache).unwrap();
-        assert!(
-            first.stats.spilled_bytes > 0,
-            "the cached edge exceeds 64 bytes and must spill"
-        );
-        let cached = cache.entries.values().next().unwrap();
-        assert!(cached.runs.is_some(), "edge lives on disk");
-        assert!(cached.parts.iter().all(Vec::is_empty));
-        assert_eq!(cached.sorted_by.as_deref(), Some(&[0usize][..]));
-        // Every re-execution streams the spilled runs back and agrees with
-        // an uncached, unbudgeted run.
-        let second = exec.execute_with_cache(&phys, &mut cache).unwrap();
-        assert_eq!(second.stats.cache_hits, 1);
-        let mut a = first.into_sink("out").unwrap();
-        let mut b = second.into_sink("out").unwrap();
-        let mut c = Executor::new()
-            .execute(&default_physical_plan(&plan, 3).unwrap())
-            .unwrap()
-            .into_sink("out")
-            .unwrap();
-        a.sort();
-        b.sort();
-        c.sort();
-        assert_eq!(a, b);
-        assert_eq!(a, c);
     }
 
     #[test]

@@ -1218,7 +1218,7 @@ impl PagePool {
 /// unspecified — order-sensitive consumers take ownership.
 #[derive(Debug, Default)]
 pub struct ExchangedPartition {
-    local: Vec<Record>,
+    local: LocalRecords,
     pages: Vec<Arc<RecordPage>>,
     /// Runs spilled to disk by the exchange, in spill order (earlier records
     /// first).
@@ -1228,22 +1228,46 @@ pub struct ExchangedPartition {
     sorted_by: Option<crate::key::KeyFields>,
 }
 
+/// The heap records of an [`ExchangedPartition`]: its own, or — when a cached
+/// edge serves the same delivery to every execution — one partition of a
+/// shared set, read by pointer and cloned only by the owning accessors.
+#[derive(Debug)]
+enum LocalRecords {
+    Owned(Vec<Record>),
+    Shared(Arc<Vec<Vec<Record>>>, usize),
+}
+
+impl Default for LocalRecords {
+    fn default() -> Self {
+        LocalRecords::Owned(Vec::new())
+    }
+}
+
+impl std::ops::Deref for LocalRecords {
+    type Target = [Record];
+
+    fn deref(&self) -> &[Record] {
+        match self {
+            LocalRecords::Owned(records) => records,
+            LocalRecords::Shared(parts, p) => &parts[*p],
+        }
+    }
+}
+
+impl LocalRecords {
+    fn into_vec(self) -> Vec<Record> {
+        match self {
+            LocalRecords::Owned(records) => records,
+            LocalRecords::Shared(parts, p) => parts[p].clone(),
+        }
+    }
+}
+
 impl ExchangedPartition {
     /// A partition holding only local (never serialized) records.
     pub fn from_records(local: Vec<Record>) -> Self {
         ExchangedPartition {
-            local,
-            ..ExchangedPartition::default()
-        }
-    }
-
-    /// A partition of fully-materialized records already sorted by `key`
-    /// (what a range exchange delivers): consumers with a matching sort
-    /// requirement skip their local sort.
-    pub fn from_sorted_records(local: Vec<Record>, key: crate::key::KeyFields) -> Self {
-        ExchangedPartition {
-            local,
-            sorted_by: Some(key),
+            local: LocalRecords::Owned(local),
             ..ExchangedPartition::default()
         }
     }
@@ -1251,40 +1275,45 @@ impl ExchangedPartition {
     /// A partition built from local records plus received pages.
     pub fn new(local: Vec<Record>, pages: Vec<Arc<RecordPage>>) -> Self {
         ExchangedPartition {
-            local,
+            local: LocalRecords::Owned(local),
             pages,
             ..ExchangedPartition::default()
         }
     }
 
-    /// A partition served entirely from spilled runs (a budget-spilled cached
-    /// edge).  When `sorted_by` is set, every run must be sorted by that key.
-    pub fn from_spilled(runs: Vec<SpilledRun>, sorted_by: Option<crate::key::KeyFields>) -> Self {
+    /// A partition of in-memory records plus the runs its exchange spilled.
+    /// With `sorted_by` set (what a range exchange delivers, and a cached
+    /// range edge serves), `local` and every run must be sorted by that key:
+    /// consumers with a matching sort requirement skip their local sort, and
+    /// the owning accessors merge the pieces into the global order.
+    pub fn from_spilled(
+        local: Vec<Record>,
+        runs: Vec<SpilledRun>,
+        sorted_by: Option<crate::key::KeyFields>,
+    ) -> Self {
         if let Some(key) = &sorted_by {
             debug_assert!(runs.iter().all(|r| r.sorted_by() == Some(&key[..])));
         }
         ExchangedPartition {
+            local: LocalRecords::Owned(local),
             runs,
             sorted_by,
             ..ExchangedPartition::default()
         }
     }
 
-    /// A sorted partition whose overflow lives on disk: `local` is sorted by
-    /// `key`, each run is individually sorted by `key`, and the owning
-    /// accessors merge them into the global order (what a budgeted range
-    /// exchange delivers).
-    pub fn from_sorted_spilled(
-        local: Vec<Record>,
+    /// [`ExchangedPartition::from_spilled`] over in-memory records that stay
+    /// shared: partition `p` of `parts` is read in place, and cloned only by
+    /// the accessors that hand out owned records.
+    pub(crate) fn from_shared(
+        parts: Arc<Vec<Vec<Record>>>,
+        p: usize,
         runs: Vec<SpilledRun>,
-        key: crate::key::KeyFields,
+        sorted_by: Option<crate::key::KeyFields>,
     ) -> Self {
-        debug_assert!(runs.iter().all(|r| r.sorted_by() == Some(&key[..])));
         ExchangedPartition {
-            local,
-            runs,
-            sorted_by: Some(key),
-            ..ExchangedPartition::default()
+            local: LocalRecords::Shared(parts, p),
+            ..Self::from_spilled(Vec::new(), runs, sorted_by)
         }
     }
 
@@ -1298,11 +1327,13 @@ impl ExchangedPartition {
     /// partition adopts the buffer itself (the exchange's local hand-over is
     /// a pointer move); any recorded sort order is void afterwards.
     pub fn receive_local(&mut self, records: Vec<Record>) {
-        if self.local.is_empty() {
-            self.local = records;
+        let mut local = std::mem::take(&mut self.local).into_vec();
+        if local.is_empty() {
+            local = records;
         } else {
-            self.local.extend(records);
+            local.extend(records);
         }
+        self.local = LocalRecords::Owned(local);
         self.sorted_by = None;
     }
 
@@ -1385,7 +1416,7 @@ impl ExchangedPartition {
             self.pages.is_empty(),
             "sorted spilled partitions never hold raw pages"
         );
-        RunMerger::over_runs(&self.runs, self.local, key)
+        RunMerger::over_runs(&self.runs, self.local.into_vec(), key)
     }
 
     /// The records that never left this partition (heap objects).
@@ -1418,7 +1449,7 @@ impl ExchangedPartition {
         store: &mut PagedRecords,
         mut on_record: impl FnMut(u64, PageHandle),
     ) -> std::io::Result<bool> {
-        for record in &self.local {
+        for record in self.local.iter() {
             let Some(prefix) = long_key_prefix_of(record, key_field) else {
                 return Ok(false);
             };
@@ -1458,7 +1489,7 @@ impl ExchangedPartition {
         Vec<SpilledRun>,
         Option<crate::key::KeyFields>,
     ) {
-        (self.local, self.pages, self.runs, self.sorted_by)
+        (self.local.into_vec(), self.pages, self.runs, self.sorted_by)
     }
 
     /// Visits every record in the cheapest representation it already has:
@@ -1473,7 +1504,7 @@ impl ExchangedPartition {
         mut on_record: impl FnMut(&Record),
         mut on_view: impl FnMut(RecordView<'_>),
     ) -> std::io::Result<()> {
-        for record in &self.local {
+        for record in self.local.iter() {
             on_record(record);
         }
         for page in &self.pages {
@@ -1498,7 +1529,7 @@ impl ExchangedPartition {
     /// owning accessors, which merge sorted spilled partitions.  Fails with
     /// the underlying I/O error when a spilled run cannot be read.
     pub fn for_each_ref(&self, mut f: impl FnMut(&Record)) -> std::io::Result<()> {
-        for record in &self.local {
+        for record in self.local.iter() {
             f(record);
         }
         let mut scratch = Record::empty();
@@ -1529,7 +1560,7 @@ impl ExchangedPartition {
             }
             return Ok(());
         }
-        for record in self.local {
+        for record in self.local.into_vec() {
             f(record);
         }
         for page in &self.pages {
@@ -1562,11 +1593,17 @@ impl ExchangedPartition {
     /// range exchange sorts: memory gets the memcmp sort, runs are already
     /// sorted on disk.
     pub fn into_mem_and_runs(self) -> (Vec<Record>, Vec<SpilledRun>) {
-        let mut records = self.local;
+        let mut records = self.local.into_vec();
         records.reserve(self.pages.iter().map(|p| p.record_count()).sum());
+        // Read through one scratch record and clone it: a clone is sized
+        // exactly, whereas a record grown field by field keeps its growth
+        // capacity (a third more memory for a three-field record) — and these
+        // records are kept, sorted in place or cached across iterations.
+        let mut scratch = Record::empty();
         for page in &self.pages {
             for view in page.reader() {
-                records.push(view.materialize());
+                view.read_into(&mut scratch);
+                records.push(scratch.clone());
             }
         }
         (records, self.runs)
@@ -1961,7 +1998,7 @@ mod tests {
     #[test]
     fn sorted_partitions_advertise_and_invalidate_their_order() {
         let records = vec![Record::pair(1, 0), Record::pair(2, 0)];
-        let mut part = ExchangedPartition::from_sorted_records(records, vec![0]);
+        let mut part = ExchangedPartition::from_spilled(records, Vec::new(), Some(vec![0]));
         assert_eq!(part.sorted_by(), Some(&[0usize][..]));
         // Receiving nothing keeps the order; receiving a page clears it.
         part.receive_pages(Vec::new());

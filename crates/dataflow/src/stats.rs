@@ -21,15 +21,17 @@ pub struct OperatorStats {
     pub records_in: usize,
     /// Records produced across all partitions.
     pub records_out: usize,
-    /// Wall-clock time attributed to the operator.  An operator that runs on
-    /// its own is charged its input exchanges plus its local phase.  Members
-    /// of a fused chain share one task per partition, so their times nest:
-    /// the head is charged its partition tasks' wall time (summed over
-    /// partitions, so CPU-time-like) *including* every downstream member's
-    /// calls, which happen inside the head's emits; each downstream member is
-    /// charged only its own end-of-stream work (a Reduce emitting its
-    /// groups).  Self time per member needs spans inside the engine — ROADMAP
-    /// item 1.
+    /// The operator's partition-task time, summed over partitions (so
+    /// CPU-time-like, not wall-clock).  Every operator runs as a member of a
+    /// segment whose members share one task per partition, so their times
+    /// nest: the head (a lone operator is the head of a segment of one) is
+    /// charged the whole task — its own local phase *including* every
+    /// downstream member's calls, which happen inside the head's emits; each
+    /// downstream member is charged only its own end-of-stream work (a Reduce
+    /// emitting its groups).  Input exchanges run between tasks and are
+    /// charged to no operator, only to [`ExecutionStats::elapsed`]; a source's
+    /// row is the time to partition its data.  Self time per member needs
+    /// spans inside the engine — ROADMAP item 1.
     pub elapsed: Duration,
 }
 

@@ -199,6 +199,18 @@ impl Shared {
     }
 }
 
+/// The message of a caught panic payload (what `catch_unwind` returns), when
+/// it was a string — `panic!("...")` or a failed `expect`.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// A caught task panic: the payload plus the static label the task was
 /// spawned with (see [`Scope::spawn_labeled`]), so callers of
 /// [`ThreadPool::try_scope`] can report *which* kind of task failed instead
@@ -217,13 +229,7 @@ impl ScopePanic {
     /// The panic message, when the payload was a string (the overwhelmingly
     /// common case: `panic!("...")` or a failed `expect`).
     pub fn message(&self) -> String {
-        if let Some(s) = self.payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = self.payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
+        panic_message(&*self.payload)
     }
 
     /// The raw panic payload.

@@ -278,6 +278,92 @@ fn fused_edges_run_depth_first_on_the_producers_thread() {
     assert_eq!(streamed, oracle, "sink contents must be byte-identical");
 }
 
+/// A lone partition has nothing to run beside: at parallelism 1 every user
+/// function runs on the thread that called the executor, whether the
+/// operators fuse into one segment or each is a segment of its own.
+#[test]
+fn a_lone_partition_never_leaves_the_calling_thread() {
+    for force_materialized in [false, true] {
+        let log: EventLog = Arc::default();
+        let mut physical = expansion_pipeline(Some(Arc::clone(&log)));
+        physical.parallelism = 1;
+        let config = ExecConfig::new().with_force_materialized(force_materialized);
+        let result = Executor::with_config(config).execute(&physical).unwrap();
+        assert_eq!(
+            result.stats.chained_operators,
+            if force_materialized { 0 } else { 3 }
+        );
+        let here = std::thread::current().id();
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), 6_000 * 17);
+        assert!(
+            log.iter().all(|&(thread, _)| thread == here),
+            "a user function left the calling thread (force_materialized={force_materialized})"
+        );
+    }
+}
+
+/// A plan in which nothing can fuse — Union, sort-merge Match and CoGroup dam
+/// every input, and the sink's edge repartitions — runs as segments of one
+/// either way, so `force_materialized` changes nothing observable.
+#[test]
+fn a_plan_of_unfusable_operators_is_all_singleton_segments() {
+    let mut plan = Plan::new();
+    let pairs = |n: i64, modulus: i64| (0..n).map(|i| Record::pair(i % modulus, i)).collect();
+    let a = plan.source("a", pairs(300, 37));
+    let b = plan.source("b", pairs(200, 41));
+    let c = plan.source("c", pairs(150, 37));
+    let both = plan.union("both", vec![a, b]);
+    let joined = plan.match_join(
+        "joined",
+        both,
+        c,
+        vec![0],
+        vec![0],
+        Arc::new(MatchClosure(
+            |l: &Record, r: &Record, out: &mut Collector| {
+                out.collect(Record::pair(l.long(0), l.long(1) * 1_000 + r.long(1)));
+            },
+        )),
+    );
+    let grouped = plan.cogroup(
+        "grouped",
+        joined,
+        c,
+        vec![0],
+        vec![0],
+        Arc::new(CoGroupClosure(
+            |key: &[Value], l: &[Record], r: &[Record], out: &mut Collector| {
+                let folded = l
+                    .iter()
+                    .fold(0i64, |acc, r| acc.wrapping_mul(31).wrapping_add(r.long(1)));
+                out.collect(longs(key[0].as_long(), folded, r.len() as i64));
+            },
+        )),
+    );
+    let sink = plan.sink("out", grouped);
+    for parallelism in [1, 4] {
+        let mut physical = default_physical_plan(&plan, parallelism).unwrap();
+        physical.choices.get_mut(&joined).unwrap().local = LocalStrategy::SortMergeJoin;
+        physical.choices.get_mut(&sink).unwrap().input_ships =
+            vec![ShipStrategy::PartitionHash(vec![0])];
+        let default = Executor::new().execute(&physical).unwrap();
+        let forced = Executor::with_config(ExecConfig::new().with_force_materialized(true))
+            .execute(&physical)
+            .unwrap();
+        assert_eq!(default.stats.chained_operators, 0);
+        assert_eq!(forced.stats.chained_operators, 0);
+        assert_eq!(operator_rows(&default.stats), operator_rows(&forced.stats));
+        let out = default.sink_partitions("out").unwrap();
+        assert_eq!(out.iter().flatten().count(), 37, "p={parallelism}");
+        assert_eq!(
+            out,
+            forced.sink_partitions("out").unwrap(),
+            "p={parallelism}"
+        );
+    }
+}
+
 /// Every contract that can consume a fused edge, in one segment:
 /// `scale` (Map, the head, fed by a hash exchange) → `enrich` (hash-join
 /// probe; the build side is its own hash exchange) → `sum` (Reduce) → `tag`
