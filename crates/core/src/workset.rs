@@ -773,7 +773,7 @@ impl<'a> WorksetIteration<'a> {
                 .transport
                 .all_gather(comms.stats_channel, state.round, &local.to_slots())?
         {
-            totals.merge(&SuperstepTotals::from_slots(&slots));
+            totals.merge(&SuperstepTotals::from_slots(&slots)?);
         }
         let mut stats = IterationStats::for_iteration(superstep);
         stats.workset_size = totals.workset_size as usize;
@@ -1144,8 +1144,17 @@ impl SuperstepTotals {
         ]
     }
 
-    fn from_slots(slots: &[u64]) -> SuperstepTotals {
-        SuperstepTotals {
+    /// Reads one process's row back.  A row of another length comes from a
+    /// peer on another build, and is a cluster setup error, not a panic.
+    fn from_slots(slots: &[u64]) -> Result<SuperstepTotals> {
+        let Ok(slots) = <[u64; 9]>::try_from(slots) else {
+            return Err(DataflowError::CommSetup(format!(
+                "superstep stats row has {} slots, this build expects 9 \
+                 (is every worker running the same build?)",
+                slots.len()
+            )));
+        };
+        Ok(SuperstepTotals {
             workset_size: slots[0],
             inspected: slots[1],
             changed: slots[2],
@@ -1155,7 +1164,7 @@ impl SuperstepTotals {
             spilled_runs: slots[6],
             pending: slots[7],
             queue_high_water: slots[8],
-        }
+        })
     }
 
     /// Folds another process's counters in: every counter sums, except the
@@ -1632,25 +1641,134 @@ mod tests {
             Record::new(vec![Value::Text("b".into()), Value::Long(10)]),
             Record::new(vec![Value::Text("c".into()), Value::Long(11)]),
         ];
-        let config = WorksetConfig::new(2);
-        let paged = iteration
-            .run(solution.clone(), workset.clone(), &config)
-            .unwrap();
-        let materialized = iteration
-            .run(
-                solution,
-                workset,
-                &config.clone().with_force_materialized(true),
-            )
-            .unwrap();
-        assert_eq!(paged.solution, materialized.solution);
-        assert_same_trace(&paged, &materialized, "text keys");
-        assert!(paged.converged);
+        let paged = assert_fallbacks_agree(&iteration, &solution, &workset, "text path", false);
         assert!(paged.solution.iter().all(|r| r.long(1) == 10));
         // Both candidates of the first superstep reach their vertex, and the
         // second superstep's candidates come out of the sink.
         assert_eq!(paged.stats.per_iteration[0].workset_size, 2);
         assert!(paged.stats.per_iteration[1].workset_size > 0);
+
+        // Rings large enough that a writer seals several candidate pages a
+        // superstep, so two credits flush too: a `Text` key and a
+        // `[Long, Long]` composite, both flushed through the materializing
+        // sort.
+        let text = |v: i64| vec![Value::Text(format!("v{v}"))];
+        let pair = |v: i64| vec![Value::Long(v / 64), Value::Long(v % 64)];
+        for (label, width, id) in [
+            ("text ring", 1, &text as &dyn Fn(i64) -> Vec<Value>),
+            ("[Long, Long] ring", 2, &pair),
+        ] {
+            let (iteration, solution, workset) = keyed_ring(4_000, width, id);
+            let paged = assert_fallbacks_agree(&iteration, &solution, &workset, label, true);
+            assert!(
+                paged.solution.iter().all(|r| r.long(width) == 1000),
+                "{label}"
+            );
+        }
+    }
+
+    /// Runs `iteration` at parallelism 2 unbudgeted, then materialized, at
+    /// budget 0 (every sealed candidate page flushes) and under two page
+    /// credits, and asserts every run equals the unbudgeted one: the same
+    /// solution records in the same order and the same superstep trace.
+    /// With `must_spill`, both budgeted runs must actually have spilled.
+    /// Returns the unbudgeted run.
+    fn assert_fallbacks_agree(
+        iteration: &WorksetIteration<'static>,
+        solution: &[Record],
+        workset: &[Record],
+        label: &str,
+        must_spill: bool,
+    ) -> WorksetResult {
+        let config = WorksetConfig::new(2);
+        let baseline = iteration
+            .run(solution.to_vec(), workset.to_vec(), &config)
+            .unwrap();
+        assert!(baseline.converged, "{label}");
+        for (regime, variant, spills) in [
+            (
+                "materialized",
+                config.clone().with_force_materialized(true),
+                false,
+            ),
+            (
+                "budget 0",
+                config.clone().with_memory_budget(MemoryBudget::bytes(0)),
+                must_spill,
+            ),
+            (
+                "2 credits",
+                config.clone().with_channel_credits(2),
+                must_spill,
+            ),
+        ] {
+            let label = format!("{label}, {regime}");
+            let run = iteration
+                .run(solution.to_vec(), workset.to_vec(), &variant)
+                .unwrap();
+            assert_eq!(run.solution, baseline.solution, "{label}");
+            assert_same_trace(&run, &baseline, &label);
+            if spills {
+                assert!(run.stats.total_spilled_bytes() > 0, "{label}: no spill");
+            }
+        }
+        baseline
+    }
+
+    /// Min propagation over a ring of `n` vertices with chords, whose vertex
+    /// ids `id` encodes as `width` key fields — keys the page-native paths
+    /// cannot prefix-sort.  Records are the id's fields followed by a `Long`
+    /// label (solution, candidates) or by the neighbour's id (edges); every
+    /// label converges to 1000.
+    fn keyed_ring(
+        n: i64,
+        width: usize,
+        id: &dyn Fn(i64) -> Vec<Value>,
+    ) -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
+        let key: KeyFields = (0..width).collect();
+        let update = Arc::new(UpdateClosure(
+            move |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+                let best = candidates.iter().map(|r| r.long(width)).min().unwrap();
+                match current {
+                    Some(c) if c.long(width) <= best => None,
+                    _ => {
+                        let mut fields = key.values().to_vec();
+                        fields.push(Value::Long(best));
+                        Some(Record::new(fields))
+                    }
+                }
+            },
+        ));
+        let expand = Arc::new(ExpandClosure(
+            move |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+                for e in edges {
+                    let mut fields = e.fields()[width..].to_vec();
+                    fields.push(delta.field(width).clone());
+                    out.emit(&fields);
+                }
+            },
+        ));
+        let labelled = |v: i64, label: i64| {
+            let mut fields = id(v);
+            fields.push(Value::Long(label));
+            Record::new(fields)
+        };
+        let mut edges = Vec::new();
+        for v in 0..n {
+            for u in [(v + 1) % n, (v * 7 + 3) % n] {
+                edges.push(Record::new([id(v), id(u)].concat()));
+                edges.push(Record::new([id(u), id(v)].concat()));
+            }
+        }
+        let iteration = WorksetIteration::builder(key.clone(), key.clone(), update, expand)
+            .constant_input(Arc::new(edges), key.clone(), key)
+            .comparator(Arc::new(move |a: &Record, b: &Record| {
+                b.long(width).cmp(&a.long(width))
+            }))
+            .build();
+        let solution = (0..n).map(|v| labelled(v, v + 1000)).collect();
+        let workset = (0..n).map(|v| labelled((v + 1) % n, v + 1000)).collect();
+        (iteration, solution, workset)
     }
 
     #[test]
@@ -1675,8 +1793,8 @@ mod tests {
 
     #[test]
     fn superstep_totals_sum_every_counter_but_take_the_high_water_maximum() {
-        let a = SuperstepTotals::from_slots(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        let b = SuperstepTotals::from_slots(&[10, 20, 30, 40, 50, 60, 70, 80, 4]);
+        let a = SuperstepTotals::from_slots(&[1, 2, 3, 4, 5, 6, 7, 8, 9]).unwrap();
+        let b = SuperstepTotals::from_slots(&[10, 20, 30, 40, 50, 60, 70, 80, 4]).unwrap();
         assert_eq!(a.to_slots(), [1, 2, 3, 4, 5, 6, 7, 8, 9], "slot order");
         assert_eq!(a.queue_high_water, 9);
         assert_eq!(a.pending, 8);
@@ -1684,6 +1802,19 @@ mod tests {
         merged.merge(&a);
         merged.merge(&b);
         assert_eq!(merged.to_slots(), [11, 22, 33, 44, 55, 66, 77, 88, 9]);
+    }
+
+    #[test]
+    fn a_stats_row_of_another_length_is_a_setup_error() {
+        for row in [&[1u64, 2, 3, 4, 5, 6, 7, 8][..], &[], &[0; 10]] {
+            match SuperstepTotals::from_slots(row) {
+                Err(DataflowError::CommSetup(message)) => assert!(
+                    message.contains(&format!("{} slots", row.len())),
+                    "got {message}"
+                ),
+                other => panic!("a {}-slot row gave {other:?}", row.len()),
+            }
+        }
     }
 
     #[test]

@@ -351,6 +351,14 @@ impl RecordPage {
     pub(crate) fn from_raw(buf: Vec<u8>, records: usize) -> RecordPage {
         RecordPage { buf, records }
     }
+
+    /// The page's buffer (contents cleared, capacity kept) when `page` was
+    /// its last pointer — the reclaim step of buffer recycling.
+    pub(crate) fn into_buffer(page: Arc<RecordPage>) -> Option<Vec<u8>> {
+        let mut buf = Arc::try_unwrap(page).ok()?.buf;
+        buf.clear();
+        Some(buf)
+    }
 }
 
 /// Reads the framed record starting at `offset` out of `bytes` as a view.
@@ -1164,15 +1172,11 @@ impl PagePool {
         if self.free.len() >= self.limit {
             return false;
         }
-        match Arc::try_unwrap(page) {
-            Ok(page) => {
-                let mut buf = page.buf;
-                buf.clear();
-                self.free.push(buf);
-                true
-            }
-            Err(_) => false,
-        }
+        let Some(buf) = RecordPage::into_buffer(page) else {
+            return false;
+        };
+        self.free.push(buf);
+        true
     }
 
     /// Reclaims every uniquely-owned page of an iterator, returning how many
@@ -1646,7 +1650,7 @@ pub fn sort_by_long_key(
 
 /// [`sort_by_long_key`] with the radix pass's second buffer supplied by the
 /// caller, who keeps it from call to call.
-fn sort_by_long_key_with(
+pub(crate) fn sort_by_long_key_with(
     part: &ExchangedPartition,
     key: &[usize],
     pairs: &mut Vec<(u64, PageHandle)>,

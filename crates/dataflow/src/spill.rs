@@ -15,14 +15,19 @@
 //!   directory, sort-on-flush key) handing out [`SpillingWriter`]s.
 //! * [`SpillingWriter`] — a [`PageWriter`] that, whenever its sealed pages
 //!   exceed the budget, flushes them into a [`SpilledRun`] on disk.  With a
-//!   sort key configured the flushed records are ordered with the
-//!   normalized-key memcmp sort first, so every run on disk is a *sorted*
-//!   run; pages that are already sorted (a delivered range partition, a
-//!   sorted cached edge) are written verbatim via [`write_run_in`].
-//! * [`SpilledRun`] / [`RunCursor`] — a handle to one run file (deleted when
-//!   the last handle drops, so passing test runs leak no files) and a
-//!   streaming reader that revives records through one page-sized scratch
-//!   buffer, never materializing the run.
+//!   sort key configured the flushed records are ordered first, so every run
+//!   on disk is a *sorted* run.  A single-`Long` key sorts page-natively —
+//!   the shared radix kernel orders `(key prefix, handle)` pairs and the
+//!   serialized records are copied into output pages in that order, with no
+//!   heap record built — while composite and non-`Long` keys take the
+//!   normalized-key memcmp sort over materialized records.  Pages that are
+//!   already sorted (a delivered range partition, a sorted cached edge) are
+//!   written verbatim via [`write_run_in`].
+//! * [`SpilledRun`] / [`RunCursor`] — a handle to one run (a segment of a
+//!   run file that is deleted when its last segment handle drops, so
+//!   passing test runs leak no files) and a streaming reader that revives
+//!   records through one page-sized scratch buffer, never materializing the
+//!   run.
 //! * [`RunMerger`] — a k-way loser-tree merge over sorted runs (and sorted
 //!   in-memory record sequences), yielding the globally sorted stream one
 //!   record at a time.  [`RunMerger::for_each_group`] layers streaming
@@ -30,14 +35,21 @@
 //!
 //! # Run file format (version 2)
 //!
-//! A run file opens with an 8-byte header — the magic `b"SPRN"` and a
+//! A run is a *segment*: an 8-byte header — the magic `b"SPRN"` and a
 //! little-endian `u32` format version — followed by a sequence of framed
 //! pages: a little-endian `u32` byte length, a `u32` record count, and a
 //! `u32` CRC-32 (IEEE) of the page bytes, then the page bytes exactly as
-//! they sat in memory (the wire format of [`crate::page`]).  Reading a run
-//! back is one sequential pass; no index or footer is needed because the
-//! [`SpilledRun`] handle carries the page count.  Version-1 files (no magic,
-//! no checksums) are rejected at open, not misread.
+//! they sat in memory (the wire format of [`crate::page`]).  A run file is
+//! one or more segments back to back: each [`SpillingWriter`] creates one
+//! file at its first flush and appends every later run to it with
+//! positioned writes (one per flush of up to 256 KiB), so a writer costs
+//! one file creation however often it flushes; [`write_run_in`] writes a one-segment file.  The file stays
+//! open while any of its runs lives, and reading a run back is positioned
+//! reads (`pread`) from its segment's offset — one sequential pass, no
+//! `open` per read; no index or footer is needed because the [`SpilledRun`]
+//! handle carries the offset and the page count.  Corruption errors name
+//! the failing frame's absolute offset in the file.  Version-1 files (no
+//! magic, no checksums) are rejected at open, not misread.
 //!
 //! # Error handling
 //!
@@ -55,13 +67,16 @@
 
 use crate::fault::{FaultInjector, FaultSite};
 use crate::key::{Key, KeyFields};
-use crate::page::{PageWriter, RecordPage};
+use crate::page::{
+    sort_by_long_key_with, ExchangedPartition, PageHandle, PageWriter, PagedRecords, RecordPage,
+};
 use crate::range::sort_by_key_normalized;
 use crate::record::Record;
 use crate::value::Value;
 use std::fmt;
-use std::fs::{self, File};
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once};
@@ -219,30 +234,43 @@ fn corrupt(path: &Path, frame_offset: u64, detail: impl Into<String>) -> io::Err
     )
 }
 
-/// Writes the 8-byte file header (magic + version).
+/// Bytes of a run header: magic plus format version.
+const RUN_HEADER_BYTES: u64 = 8;
+
+/// Writes the 8-byte run header (magic + version).
 fn write_file_header(writer: &mut impl Write) -> io::Result<()> {
     writer.write_all(&RUN_MAGIC)?;
     writer.write_all(&RUN_FORMAT_VERSION.to_le_bytes())
 }
 
-/// Reads and validates the 8-byte file header.
-fn read_file_header(reader: &mut impl Read, path: &Path) -> io::Result<()> {
-    let mut header = [0u8; 8];
-    reader
-        .read_exact(&mut header)
-        .map_err(|_| corrupt(path, 0, "file too short for the run header"))?;
-    if header[..4] != RUN_MAGIC {
+/// A short positioned read is a torn file: reported as corruption at
+/// `frame_offset`.  Any other I/O error passes through unchanged.
+fn torn(error: io::Error, path: &Path, frame_offset: u64, detail: &str) -> io::Error {
+    if error.kind() == io::ErrorKind::UnexpectedEof {
+        corrupt(path, frame_offset, detail)
+    } else {
+        error
+    }
+}
+
+/// Reads and validates the 8-byte run header at byte `offset` of `file`.
+fn read_file_header(file: &File, path: &Path, offset: u64) -> io::Result<()> {
+    let mut header = [0u8; RUN_HEADER_BYTES as usize];
+    file.read_exact_at(&mut header, offset)
+        .map_err(|e| torn(e, path, offset, "file too short for the run header"))?;
+    let [m0, m1, m2, m3, v0, v1, v2, v3] = header;
+    if [m0, m1, m2, m3] != RUN_MAGIC {
         return Err(corrupt(
             path,
-            0,
+            offset,
             "bad magic (not a run file, or a pre-checksum v1 run)",
         ));
     }
-    let version = u32::from_le_bytes(header[4..].try_into().expect("4-byte slice"));
+    let version = u32::from_le_bytes([v0, v1, v2, v3]);
     if version != RUN_FORMAT_VERSION {
         return Err(corrupt(
             path,
-            0,
+            offset,
             format!("unsupported run format version {version}"),
         ));
     }
@@ -258,29 +286,23 @@ fn write_frame(writer: &mut impl Write, page: &RecordPage) -> io::Result<usize> 
     Ok(FRAME_HEADER_BYTES + page.byte_len())
 }
 
-/// Reads the next frame into `page`, validating the CRC.  Returns the record
-/// count, or `None` at a clean end-of-file (the frame boundary).  A partial
-/// frame, an implausible length, or a checksum mismatch is a corruption
-/// error; `frame_offset` is advanced past the frame on success.
+/// Reads the frame at byte `frame_offset` of `file` into `page`, validating
+/// the CRC, and returns its record count.  A partial frame, an implausible
+/// length, or a checksum mismatch is a corruption error naming the frame's
+/// absolute offset; `frame_offset` is advanced past the frame on success.
 fn read_frame(
-    reader: &mut impl Read,
+    file: &File,
     path: &Path,
     frame_offset: &mut u64,
     page: &mut Vec<u8>,
-) -> io::Result<Option<usize>> {
+) -> io::Result<usize> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
-    match reader.read_exact(&mut header) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-            // Distinguish "no more frames" from "torn mid-header": read_exact
-            // leaves the contents unspecified on failure, so re-probe.
-            return Err(corrupt(path, *frame_offset, "torn frame header"));
-        }
-        Err(e) => return Err(e),
-    }
-    let byte_len = u32::from_le_bytes(header[..4].try_into().expect("4-byte slice")) as usize;
-    let records = u32::from_le_bytes(header[4..8].try_into().expect("4-byte slice")) as usize;
-    let expected_crc = u32::from_le_bytes(header[8..].try_into().expect("4-byte slice"));
+    file.read_exact_at(&mut header, *frame_offset)
+        .map_err(|e| torn(e, path, *frame_offset, "torn frame header"))?;
+    let [l0, l1, l2, l3, r0, r1, r2, r3, c0, c1, c2, c3] = header;
+    let byte_len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let records = u32::from_le_bytes([r0, r1, r2, r3]) as usize;
+    let expected_crc = u32::from_le_bytes([c0, c1, c2, c3]);
     if byte_len > MAX_FRAME_BYTES {
         return Err(corrupt(
             path,
@@ -289,9 +311,8 @@ fn read_frame(
         ));
     }
     page.resize(byte_len, 0);
-    reader
-        .read_exact(page)
-        .map_err(|_| corrupt(path, *frame_offset, "torn page frame"))?;
+    file.read_exact_at(page, *frame_offset + FRAME_HEADER_BYTES as u64)
+        .map_err(|e| torn(e, path, *frame_offset, "torn page frame"))?;
     let actual_crc = crc32(page);
     if actual_crc != expected_crc {
         return Err(corrupt(
@@ -303,32 +324,25 @@ fn read_frame(
         ));
     }
     *frame_offset += (FRAME_HEADER_BYTES + byte_len) as u64;
-    Ok(Some(records))
-}
-
-/// Like [`read_frame`] but treats end-of-file at a frame boundary as the end
-/// of the stream (for files read without a known page count).
-fn read_frame_or_eof(
-    reader: &mut BufReader<File>,
-    path: &Path,
-    frame_offset: &mut u64,
-    page: &mut Vec<u8>,
-) -> io::Result<Option<usize>> {
-    use std::io::BufRead;
-    if reader.fill_buf()?.is_empty() {
-        return Ok(None);
-    }
-    read_frame(reader, path, frame_offset, page)
+    Ok(records)
 }
 
 // ---------------------------------------------------------------------------
 // Runs on disk
 // ---------------------------------------------------------------------------
 
-/// The owned run file; removed from disk when the last handle drops.
+/// Frame bytes a segment write stages before issuing a positioned write: a
+/// flush of up to eight default pages is one write, and the staging buffer a
+/// writer keeps never grows past this plus one page.
+const WRITE_CHUNK_BYTES: usize = 8 * crate::page::DEFAULT_PAGE_BYTES;
+
+/// One run file and its open descriptor: one or more runs live in it as
+/// segments, read and written with positioned I/O.  Removed from disk when
+/// the last handle drops.
 #[derive(Debug)]
 struct RunFile {
     path: PathBuf,
+    fd: File,
 }
 
 impl Drop for RunFile {
@@ -337,9 +351,70 @@ impl Drop for RunFile {
     }
 }
 
+impl RunFile {
+    /// Creates a fresh, empty run file in `dir`.
+    fn create(dir: &Path) -> io::Result<Arc<RunFile>> {
+        fs::create_dir_all(dir)?;
+        let id = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("run-{}-{id}.spill", std::process::id()));
+        let fd = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)?;
+        Ok(Arc::new(RunFile { path, fd }))
+    }
+
+    /// Writes `pages` as one segment starting at byte `offset` — the run
+    /// header, then one frame per non-empty page — and returns its handle.
+    /// The frames are staged in `frames` (cleared first; a writer reuses it
+    /// from flush to flush) and leave in positioned writes of up to
+    /// [`WRITE_CHUNK_BYTES`].
+    fn write_segment(
+        self: &Arc<Self>,
+        offset: u64,
+        pages: &[Arc<RecordPage>],
+        sorted_by: Option<KeyFields>,
+        frames: &mut Vec<u8>,
+    ) -> io::Result<SpilledRun> {
+        frames.clear();
+        write_file_header(frames)?;
+        let mut written = offset;
+        let (mut page_count, mut records, mut bytes) = (0usize, 0usize, 0usize);
+        for page in pages.iter().filter(|page| !page.is_empty()) {
+            write_frame(frames, page)?;
+            page_count += 1;
+            records += page.record_count();
+            bytes += page.byte_len();
+            if frames.len() >= WRITE_CHUNK_BYTES {
+                self.fd.write_all_at(frames, written)?;
+                written += frames.len() as u64;
+                frames.clear();
+            }
+        }
+        self.fd.write_all_at(frames, written)?;
+        Ok(SpilledRun {
+            file: Arc::clone(self),
+            offset,
+            pages: page_count,
+            records,
+            bytes,
+            sorted_by,
+        })
+    }
+}
+
 /// Distinguishes run files across writers; the process id in the file name
 /// distinguishes them across processes sharing a spill directory.
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// Run files this process has created so far: one per [`SpillingWriter`]
+/// that flushed at all, one per [`write_run_in`] call.  The spill counters
+/// ([`SpillStats::spilled_runs`]) count runs — segments — not files.
+pub fn run_files_created() -> u64 {
+    RUN_COUNTER.load(Ordering::Relaxed)
+}
 
 /// The directory spilled runs are written to: [`SPILL_DIR_ENV`] when set,
 /// otherwise a process-private directory under the system temp dir.
@@ -350,13 +425,15 @@ pub fn default_spill_dir() -> PathBuf {
     }
 }
 
-/// A handle to one spilled run: a sequence of framed pages on disk, plus the
-/// key fields its records are sorted by (if any).  Handles are cheap to
-/// clone and share the underlying file; the file is deleted when the last
-/// handle drops.
+/// A handle to one spilled run: a segment of framed pages in a run file,
+/// plus the key fields its records are sorted by (if any).  Handles are
+/// cheap to clone and share the underlying file with every other segment of
+/// it; the file is deleted when the last handle drops.
 #[derive(Debug, Clone)]
 pub struct SpilledRun {
     file: Arc<RunFile>,
+    /// Byte offset of the segment's run header in the file.
+    offset: u64,
     pages: usize,
     records: usize,
     bytes: usize,
@@ -390,78 +467,58 @@ impl SpilledRun {
         &self.file.path
     }
 
-    /// Revives the run as sealed in-memory pages: the file is framed page
+    /// Validates the segment's run header and returns the offset of its
+    /// first frame.
+    fn first_frame(&self) -> io::Result<u64> {
+        read_file_header(&self.file.fd, &self.file.path, self.offset)?;
+        Ok(self.offset + RUN_HEADER_BYTES)
+    }
+
+    /// Byte offset just past the segment: where the next one starts.
+    fn end(&self) -> u64 {
+        self.offset + RUN_HEADER_BYTES + (self.pages * FRAME_HEADER_BYTES + self.bytes) as u64
+    }
+
+    /// Revives the run as sealed in-memory pages: the segment is framed page
     /// bytes behind a checksummed header, so this is a read plus a checksum
     /// per page — no per-record deserialization.  Page-native operators use
     /// it to treat a spilled input exactly like received exchange pages,
     /// which makes the spill read path pure pointer plumbing past this call.
     pub fn read_pages(&self) -> io::Result<Vec<Arc<RecordPage>>> {
-        let path = &self.file.path;
-        let mut reader = BufReader::new(File::open(path)?);
-        read_file_header(&mut reader, path)?;
-        let mut frame_offset = 8u64;
+        let mut frame_offset = self.first_frame()?;
         let mut pages = Vec::with_capacity(self.pages);
         for _ in 0..self.pages {
             let mut buf = Vec::new();
-            let records = read_frame(&mut reader, path, &mut frame_offset, &mut buf)?
-                .expect("read_frame reports torn frames as errors");
+            let records = read_frame(&self.file.fd, &self.file.path, &mut frame_offset, &mut buf)?;
             pages.push(Arc::new(RecordPage::from_raw(buf, records)));
         }
         Ok(pages)
     }
 
-    /// Opens a streaming cursor over the run's records, validating the file
-    /// header eagerly (a non-run or pre-checksum file fails here, not later).
+    /// Opens a streaming cursor over the run's records, validating the
+    /// segment header eagerly (a non-run or pre-checksum file fails here,
+    /// not later).
     pub fn cursor(&self) -> io::Result<RunCursor> {
-        let mut reader = BufReader::new(File::open(&self.file.path)?);
-        read_file_header(&mut reader, &self.file.path)?;
         Ok(RunCursor {
-            reader,
-            path: self.file.path.clone(),
-            frame_offset: 8,
+            frame_offset: self.first_frame()?,
+            file: Arc::clone(&self.file),
             pages_remaining: self.pages,
             page: Vec::new(),
             offset: 0,
             records_in_page: 0,
-            _file: Some(Arc::clone(&self.file)),
         })
     }
 }
 
-/// Writes sealed pages to `dir` as one run, verbatim (no re-sort; pass
-/// `sorted_by` when the pages are already ordered, e.g. a delivered range
-/// partition).  Empty pages are skipped.
+/// Writes sealed pages to a file of their own in `dir` as one run, verbatim
+/// (no re-sort; pass `sorted_by` when the pages are already ordered, e.g. a
+/// delivered range partition).  Empty pages are skipped.
 pub fn write_run_in(
     dir: &Path,
     pages: &[Arc<RecordPage>],
     sorted_by: Option<KeyFields>,
 ) -> io::Result<SpilledRun> {
-    fs::create_dir_all(dir)?;
-    let id = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let path = dir.join(format!("run-{}-{id}.spill", std::process::id()));
-    let file = File::create(&path)?;
-    // Constructed before writing so a failed write still deletes the file.
-    let run_file = Arc::new(RunFile { path });
-    let mut writer = BufWriter::new(file);
-    write_file_header(&mut writer)?;
-    let (mut page_count, mut records, mut bytes) = (0usize, 0usize, 0usize);
-    for page in pages {
-        if page.is_empty() {
-            continue;
-        }
-        write_frame(&mut writer, page)?;
-        page_count += 1;
-        records += page.record_count();
-        bytes += page.byte_len();
-    }
-    writer.flush()?;
-    Ok(SpilledRun {
-        file: run_file,
-        pages: page_count,
-        records,
-        bytes,
-        sorted_by,
-    })
+    RunFile::create(dir)?.write_segment(0, pages, sorted_by, &mut Vec::new())
 }
 
 /// Serializes already-sorted records into fresh pages and writes them as a
@@ -478,22 +535,63 @@ pub fn write_sorted_records_in(
     write_run_in(dir, &writer.finish(), Some(keys.to_vec()))
 }
 
-/// Materializes the records of `pages`, sorts them with the normalized-key
-/// memcmp sort, and writes the result as one sorted run — the flush path of
-/// hash-partitioned spills, whose pages arrive in routing order.
+/// Sorts the records of `pages` by `keys` and writes them as one sorted run
+/// — the flush of a sorting [`SpillingWriter`], as a one-run file.
 pub fn write_sorted_run_in(
     dir: &Path,
     pages: &[Arc<RecordPage>],
     keys: &[usize],
 ) -> io::Result<SpilledRun> {
-    let mut records: Vec<Record> = Vec::with_capacity(pages.iter().map(|p| p.record_count()).sum());
-    for page in pages {
-        for view in page.reader() {
-            records.push(view.materialize());
+    let sorted = sort_pages(pages.to_vec(), keys, &mut FlushScratch::default())?;
+    write_run_in(dir, &sorted, Some(keys.to_vec()))
+}
+
+/// The buffers of a sorted flush, kept from flush to flush: the radix
+/// kernel's `(key prefix, handle)` pairs and its second buffer, and the
+/// page buffers the previous flush's sorted output gave back.
+#[derive(Debug, Default)]
+struct FlushScratch {
+    pairs: Vec<(u64, PageHandle)>,
+    radix: Vec<(u64, PageHandle)>,
+    spare: Vec<Vec<u8>>,
+}
+
+/// Orders the records of `pages` by `keys` into fresh pages: the records,
+/// order and page layout of [`sort_by_key_normalized`] serialized through a
+/// [`PageWriter`].  A single-`Long` key never builds a record: the stable
+/// radix kernel behind [`crate::page::sort_by_long_key`] orders the
+/// `(prefix, handle)` pairs (ties keep their input order, as the stable
+/// sort's do) and each record's serialized payload is copied to the output
+/// in that order.  Composite and non-`Long` keys materialize, sort and
+/// re-serialize.
+fn sort_pages(
+    pages: Vec<Arc<RecordPage>>,
+    keys: &[usize],
+    scratch: &mut FlushScratch,
+) -> io::Result<Vec<Arc<RecordPage>>> {
+    let input = ExchangedPartition::new(Vec::new(), pages);
+    if let Some(store) =
+        sort_by_long_key_with(&input, keys, &mut scratch.pairs, &mut scratch.radix)?
+    {
+        let mut sorted = PagedRecords::new();
+        sorted.add_spare_buffers(scratch.spare.drain(..));
+        for &(_, handle) in &scratch.pairs {
+            sorted.append_serialized(store.view(handle).payload());
         }
+        return Ok(sorted.into_pages());
     }
+    let mut records: Vec<Record> = input
+        .pages()
+        .iter()
+        .flat_map(|page| page.reader().map(|view| view.materialize()))
+        .collect();
     sort_by_key_normalized(&mut records, keys);
-    write_sorted_records_in(dir, &records, keys)
+    let mut writer = PageWriter::new();
+    writer.add_spare_buffers(scratch.spare.drain(..));
+    for record in &records {
+        writer.push(record);
+    }
+    Ok(writer.finish())
 }
 
 /// A streaming reader over one run: pages are revived one at a time into a
@@ -501,18 +599,15 @@ pub fn write_sorted_run_in(
 /// scratch record — iterating a run of any size holds one page in memory.
 #[derive(Debug)]
 pub struct RunCursor {
-    reader: BufReader<File>,
-    path: PathBuf,
-    /// Byte offset of the next frame — corruption errors point here.
+    /// The run file, kept alive (and on disk) while the cursor reads it.
+    file: Arc<RunFile>,
+    /// Absolute byte offset of the next frame — corruption errors point here.
     frame_offset: u64,
     pages_remaining: usize,
     /// The current page's bytes; one buffer reused for every page.
     page: Vec<u8>,
     offset: usize,
     records_in_page: usize,
-    /// Keeps the run file alive (and on disk) while the cursor reads it;
-    /// `None` for cursors over persistent (checkpoint) files.
-    _file: Option<Arc<RunFile>>,
 }
 
 impl RunCursor {
@@ -525,15 +620,13 @@ impl RunCursor {
                 return Ok(false);
             }
             self.pages_remaining -= 1;
-            let records = read_frame(
-                &mut self.reader,
-                &self.path,
+            self.records_in_page = read_frame(
+                &self.file.fd,
+                &self.file.path,
                 &mut self.frame_offset,
                 &mut self.page,
-            )?
-            .expect("read_frame reports torn frames as errors");
+            )?;
             self.offset = 0;
-            self.records_in_page = records;
         }
         self.records_in_page -= 1;
         crate::page::read_framed_record(&self.page, &mut self.offset, target);
@@ -564,7 +657,7 @@ pub fn write_records_to(path: &Path, records: &[Record]) -> io::Result<u64> {
     let mut writer = BufWriter::new(file);
     write_file_header(&mut writer)?;
     let mut page_writer = PageWriter::new();
-    let mut total = 8u64;
+    let mut total = RUN_HEADER_BYTES;
     for record in records {
         page_writer.push(record);
         for page in page_writer.take_sealed() {
@@ -590,12 +683,14 @@ pub fn write_records_to(path: &Path, records: &[Record]) -> io::Result<u64> {
 /// checkpoint manifest) guards against a file truncated at an exact frame
 /// boundary.
 pub fn read_records_from(path: &Path, expected_records: Option<usize>) -> io::Result<Vec<Record>> {
-    let mut reader = BufReader::new(File::open(path)?);
-    read_file_header(&mut reader, path)?;
-    let mut frame_offset = 8u64;
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    read_file_header(&file, path, 0)?;
+    let mut frame_offset = RUN_HEADER_BYTES;
     let mut page = Vec::new();
     let mut records = Vec::new();
-    while let Some(count) = read_frame_or_eof(&mut reader, path, &mut frame_offset, &mut page)? {
+    while frame_offset < len {
+        let count = read_frame(&file, path, &mut frame_offset, &mut page)?;
         let mut offset = 0;
         for _ in 0..count {
             let mut record = Record::empty();
@@ -775,6 +870,8 @@ impl SpillManager {
             stats: SpillStats::default(),
             pages_high_water: 0,
             error: None,
+            frames: Vec::new(),
+            scratch: FlushScratch::default(),
         }
     }
 }
@@ -801,16 +898,25 @@ pub struct SpillOutput {
 /// Open-page bytes never count against the budget — the open page is the
 /// working buffer, exactly one page of memory.
 ///
+/// A writer creates one run file, at its first flush; every run it flushes
+/// is the next segment of that file, staged in one reused buffer and
+/// written with one positioned write per 256 KiB of frames.
+///
 /// I/O errors during a mid-stream flush are held and re-raised by
 /// [`SpillingWriter::finish`], so the routing hot loop never unwinds.
 #[derive(Debug)]
 pub struct SpillingWriter {
     manager: SpillManager,
     writer: PageWriter,
+    /// The flushed runs, in order: segments of one file, the last one
+    /// ending where the next flush writes.
     runs: Vec<SpilledRun>,
     stats: SpillStats,
     pages_high_water: usize,
     error: Option<io::Error>,
+    /// Staging buffer of a flush's frames, reused by the next flush.
+    frames: Vec<u8>,
+    scratch: FlushScratch,
 }
 
 impl SpillingWriter {
@@ -861,7 +967,11 @@ impl SpillingWriter {
     }
 
     /// Moves the sealed pages to disk as one run (sorted first when the
-    /// manager carries a sort key).
+    /// manager carries a sort key): the next segment of the writer's run
+    /// file, which the first flush creates.  Out of line and cold: the
+    /// routing loop that calls it must stay small.
+    #[cold]
+    #[inline(never)]
     fn flush_sealed(&mut self) -> io::Result<()> {
         let pages = self.writer.take_sealed();
         if pages.iter().all(|p| p.is_empty()) {
@@ -869,10 +979,30 @@ impl SpillingWriter {
         }
         let inner = &self.manager.inner;
         inner.fault.io_check(FaultSite::SpillWrite)?;
-        let run = match &inner.sort_on_flush {
-            Some(keys) => write_sorted_run_in(&inner.dir, &pages, keys)?,
-            None => write_run_in(&inner.dir, &pages, None)?,
+        let pages = match &inner.sort_on_flush {
+            Some(keys) => sort_pages(pages, keys, &mut self.scratch)?,
+            None => pages,
         };
+        let sorted_by = inner.sort_on_flush.clone();
+        let run = match self.runs.last() {
+            Some(last) => {
+                last.file
+                    .write_segment(last.end(), &pages, sorted_by, &mut self.frames)?
+            }
+            None => RunFile::create(&inner.dir)?.write_segment(
+                0,
+                &pages,
+                sorted_by,
+                &mut self.frames,
+            )?,
+        };
+        if inner.sort_on_flush.is_some() {
+            // The sorted copies are ours alone: their buffers back the next
+            // flush's output.
+            self.scratch
+                .spare
+                .extend(pages.into_iter().filter_map(RecordPage::into_buffer));
+        }
         self.stats.spilled_bytes += run.byte_len();
         self.stats.spilled_records += run.record_count();
         self.stats.spilled_runs += 1;
@@ -1473,6 +1603,159 @@ mod tests {
         expect_corrupt(error);
         drop(cursor);
         drop(run);
+        let _ = fs::remove_dir(&dir);
+    }
+
+    /// Pushes `records` through a budget-0 writer over 64-byte pages: every
+    /// sealed page (two pair records) becomes a run of its own, and every
+    /// run a segment of the writer's one file.
+    fn segmented_runs(dir: &Path, records: &[Record], sort: Option<KeyFields>) -> Vec<SpilledRun> {
+        let manager =
+            SpillManager::in_dir(dir.to_owned(), MemoryBudget::bytes(0), sort).with_page_bytes(64);
+        let mut writer = manager.writer();
+        for record in records {
+            writer.push(record);
+        }
+        let out = writer.finish().unwrap();
+        assert!(out.pages.is_empty());
+        out.runs
+    }
+
+    fn files_in(dir: &Path) -> usize {
+        fs::read_dir(dir).map_or(0, |entries| entries.count())
+    }
+
+    fn read_run(run: &SpilledRun) -> io::Result<Vec<Record>> {
+        let mut cursor = run.cursor()?;
+        let mut records = Vec::new();
+        while let Some(record) = cursor.next_record()? {
+            records.push(record);
+        }
+        Ok(records)
+    }
+
+    #[test]
+    fn a_writer_keeps_every_run_as_a_segment_of_one_file() {
+        let dir = test_dir("segments");
+        let records: Vec<Record> = (0..40).map(|i| Record::pair((i * 7) % 11, i)).collect();
+        let mut runs = segmented_runs(&dir, &records, Some(vec![0]));
+        assert!(runs.len() >= 3, "only {} runs", runs.len());
+        assert_eq!(files_in(&dir), 1, "one file per writer");
+        assert!(runs.iter().all(|run| run.path() == runs[0].path()));
+        // Each segment is its own sorted run, readable by cursor and as pages.
+        let mut read = Vec::new();
+        for run in &runs {
+            let cursor_read = read_run(run).unwrap();
+            assert!(cursor_read.windows(2).all(|w| w[0].long(0) <= w[1].long(0)));
+            let page_read: Vec<Record> = run
+                .read_pages()
+                .unwrap()
+                .iter()
+                .flat_map(|page| page.reader().map(|view| view.materialize()))
+                .collect();
+            assert_eq!(cursor_read, page_read);
+            assert_eq!(cursor_read.len(), run.record_count());
+            read.extend(cursor_read);
+        }
+        let mut expected = records;
+        read.sort();
+        expected.sort();
+        assert_eq!(read, expected);
+        // The file outlives every handle but the last.
+        let last = runs.pop().unwrap();
+        drop(runs);
+        assert_eq!(files_in(&dir), 1, "a live segment keeps the file");
+        drop(last);
+        assert_eq!(files_in(&dir), 0, "the last handle deletes the file");
+        let _ = fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn interleaved_cursors_over_sibling_segments_read_their_own_records() {
+        let dir = test_dir("interleaved");
+        let records: Vec<Record> = (0..30).map(|i| Record::pair(i, -i)).collect();
+        // Unsorted flushes: run i holds page i, so the runs concatenate to
+        // the input.
+        let runs = segmented_runs(&dir, &records, None);
+        assert!(runs.len() >= 3);
+        let mut cursors: Vec<RunCursor> = runs.iter().map(|run| run.cursor().unwrap()).collect();
+        let mut read: Vec<Vec<Record>> = vec![Vec::new(); runs.len()];
+        // Round-robin, one record per cursor per round, until all are done.
+        let mut live = cursors.len();
+        while live > 0 {
+            live = 0;
+            for (cursor, out) in cursors.iter_mut().zip(&mut read) {
+                if let Some(record) = cursor.next_record().unwrap() {
+                    out.push(record);
+                    live += 1;
+                }
+            }
+        }
+        for (run, got) in runs.iter().zip(&read) {
+            assert_eq!(got, &read_run(run).unwrap());
+        }
+        assert_eq!(read.concat(), records);
+        drop((cursors, runs));
+        let _ = fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn bit_flip_in_a_later_segment_names_its_absolute_frame_offset() {
+        let dir = test_dir("segment-bitflip");
+        let records: Vec<Record> = (0..30).map(|i| Record::pair(i, i)).collect();
+        let runs = segmented_runs(&dir, &records, None);
+        let second = &runs[1];
+        let frame = second.offset + RUN_HEADER_BYTES;
+        assert!(
+            frame > runs[0].end(),
+            "the second segment follows the first"
+        );
+        let mut bytes = fs::read(second.path()).unwrap();
+        bytes[frame as usize + FRAME_HEADER_BYTES + 3] ^= 0x40;
+        fs::write(second.path(), &bytes).unwrap();
+
+        let (path, frame_offset) = expect_corrupt(read_run(second).unwrap_err());
+        assert_eq!((path.as_path(), frame_offset), (second.path(), frame));
+        let (_, frame_offset) = expect_corrupt(second.read_pages().unwrap_err());
+        assert_eq!(frame_offset, frame);
+        assert_eq!(
+            crate::error::DataflowError::from(read_run(second).unwrap_err()),
+            crate::error::DataflowError::SpillCorrupt {
+                path: second.path().display().to_string(),
+                frame_offset: frame,
+            }
+        );
+        // Its siblings are untouched.
+        assert_eq!(read_run(&runs[0]).unwrap(), records[..2]);
+        assert_eq!(read_run(&runs[2]).unwrap(), records[4..6]);
+        drop(runs);
+        let _ = fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn truncated_last_segment_is_a_torn_frame() {
+        let dir = test_dir("segment-torn");
+        let records: Vec<Record> = (0..30).map(|i| Record::pair(i, i)).collect();
+        let runs = segmented_runs(&dir, &records, None);
+        let last = runs.last().unwrap();
+        let bytes = fs::read(last.path()).unwrap();
+        assert_eq!(
+            bytes.len() as u64,
+            last.end(),
+            "the last segment ends the file"
+        );
+        fs::write(last.path(), &bytes[..bytes.len() - 5]).unwrap();
+        let error = read_run(last).unwrap_err();
+        assert!(error.to_string().contains("torn"), "got {error}");
+        let (_, frame_offset) = expect_corrupt(error);
+        assert_eq!(frame_offset, last.offset + RUN_HEADER_BYTES);
+        // Earlier segments still read in full.
+        let earlier: Vec<Record> = runs[..runs.len() - 1]
+            .iter()
+            .flat_map(|run| read_run(run).unwrap())
+            .collect();
+        assert_eq!(earlier, records[..records.len() - last.record_count()]);
+        drop(runs);
         let _ = fs::remove_dir(&dir);
     }
 

@@ -14,7 +14,7 @@ use dataflow::key::{hash_key, hash_values, partition_for, sort_by_key, Key};
 use dataflow::page::{normalize_long, serialize_record, ExchangedPartition, PageWriter};
 use dataflow::prelude::*;
 use dataflow::range::{sample_keys_into, sort_by_key_normalized};
-use dataflow::spill::write_sorted_records_in;
+use dataflow::spill::{write_sorted_records_in, write_sorted_run_in};
 use graphdata::{Graph, SmallRng, VertexId};
 use spinning_core::prelude::*;
 use std::sync::Arc;
@@ -614,6 +614,71 @@ fn prop_spill_run_round_trip() {
         assert_eq!(
             merged, oracle,
             "sorted spill changed the multiset (seed {seed})"
+        );
+    }
+    let _ = std::fs::remove_dir(&dir);
+}
+
+/// The sorted flush emits exactly the materializing oracle's run — the
+/// records, order and page bytes of `sort_by_key_normalized` serialized
+/// through a `PageWriter` — although a single-`Long` key never makes a heap
+/// record on the way: ties keep their input order (the third field numbers
+/// the input), and hot duplicate keys, negative keys, `i64::MIN`/`MAX`,
+/// mixed widths and one record wider than a page all land byte for byte.
+#[test]
+fn prop_page_native_flush_equals_the_normalized_sort() {
+    let dir = std::env::temp_dir().join(format!("spinning-flush-prop-{}", std::process::id()));
+    for seed in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(16_000 + seed);
+        let n = 1 + rng.gen_index(1500);
+        let oversized = rng.gen_index(n);
+        let records: Vec<Record> = (0..n)
+            .map(|i| {
+                let payload = if i == oversized {
+                    Value::Text("w".repeat(40_000))
+                } else if rng.gen_index(4) == 0 {
+                    Value::Text(format!("t{}", rng.gen_index(1000)))
+                } else {
+                    Value::Long(rng.next_u64() as i64)
+                };
+                Record::new(vec![
+                    Value::Long(skewed_long_key(&mut rng)),
+                    payload,
+                    Value::Long(i as i64),
+                ])
+            })
+            .collect();
+        let mut oracle = records.clone();
+        sort_by_key_normalized(&mut oracle, &[0]);
+        let mut writer = PageWriter::new();
+        for record in &oracle {
+            writer.push(record);
+        }
+        let oracle_pages = writer.finish();
+
+        // The one-run entry point, over input pages of a random size.
+        let mut input = PageWriter::with_page_bytes([256, 4096, 32_768][rng.gen_index(3)]);
+        for record in &records {
+            input.push(record);
+        }
+        let run = write_sorted_run_in(&dir, &input.finish(), &[0]).unwrap();
+        assert_eq!(run.sorted_by(), Some(&[0usize][..]));
+        assert_eq!(run.read_pages().unwrap(), oracle_pages, "seed {seed}");
+
+        // A writer's flush: pages too large to seal before `finish` gather
+        // the whole input into that one flush.
+        let manager = SpillManager::in_dir(dir.clone(), MemoryBudget::bytes(0), Some(vec![0]))
+            .with_page_bytes(1 << 20);
+        let mut writer = manager.writer();
+        for record in &records {
+            writer.push(record);
+        }
+        let out = writer.finish().unwrap();
+        assert_eq!(out.runs.len(), 1, "seed {seed}");
+        assert_eq!(
+            out.runs[0].read_pages().unwrap(),
+            oracle_pages,
+            "seed {seed}"
         );
     }
     let _ = std::fs::remove_dir(&dir);
