@@ -58,7 +58,6 @@
 
 pub mod bulk;
 pub mod checkpoint;
-mod constant_index;
 pub mod eligibility;
 mod load;
 pub mod microstep;

@@ -7,7 +7,7 @@
 //! through a sink that routes every record on its field slice
 //! ([`PartitionRouter::route_fields`]) and keeps only the partition's own
 //! share: a solution record is serialized into the partition's
-//! [`PartitionIndex`], a constant record into its [`ConstantIndex`], a
+//! [`PartitionIndex`], a constant record into its [`JoinIndex`], a
 //! workset record into the [`PageWriter`] that becomes its first queue.  A
 //! record that exists as a heap object (`Vec<Record>` sources) is read where
 //! it lies; a record a source merely describes is born serialized.  Every
@@ -23,9 +23,9 @@
 //! ranges, route each range once into an [`dataflow::exchange::Outbox`] and
 //! ship — not built until a workload needs it.
 
-use crate::constant_index::ConstantIndex;
 use crate::solution_set::{PartitionIndex, SolutionSet};
 use crate::workset::WorksetIteration;
+use dataflow::join_index::JoinIndex;
 use dataflow::page::PageWriter;
 use dataflow::prelude::{
     ClusterSpec, Key, PartitionRouter, Record, RecordSink, RecordSource, Value,
@@ -35,7 +35,7 @@ use dataflow::prelude::{
 /// other processes are present and empty.
 pub(crate) struct Loaded {
     pub(crate) solution: SolutionSet,
-    pub(crate) constant: Vec<ConstantIndex>,
+    pub(crate) constant: Vec<JoinIndex>,
     /// The initial working set, routed — the first superstep's queues.
     pub(crate) workset: Vec<PageWriter>,
 }
@@ -53,8 +53,8 @@ pub(crate) fn load(
     let parallelism = router.parallelism();
     let mut solution = iteration.empty_solution(router);
     let mut solution_partitions = solution.take_partitions();
-    let mut constant: Vec<ConstantIndex> = (0..parallelism)
-        .map(|_| ConstantIndex::new(&iteration.constant_key))
+    let mut constant: Vec<JoinIndex> = (0..parallelism)
+        .map(|_| JoinIndex::new(&iteration.constant_key))
         .collect();
     let mut workset: Vec<PageWriter> = (0..parallelism).map(|_| PageWriter::new()).collect();
 
@@ -93,7 +93,7 @@ fn load_partition(
     router: &PartitionRouter,
     partition: usize,
     (initial_solution, s_part): (&dyn RecordSource, &mut PartitionIndex),
-    constant: &mut ConstantIndex,
+    constant: &mut JoinIndex,
     workset: Option<(&dyn RecordSource, &mut PageWriter)>,
 ) {
     let solution_key = &iteration.solution_key;
@@ -275,8 +275,7 @@ mod tests {
                 assert!(a.len() == b.len() && a.iter().zip(&b).all(|(a, b)| a == b));
             }
             for (a, b) in a.constant.iter().zip(&b.constant) {
-                let (ConstantIndex::Paged { store: a, .. }, ConstantIndex::Paged { store: b, .. }) =
-                    (a, b)
+                let (JoinIndex::Paged { store: a, .. }, JoinIndex::Paged { store: b, .. }) = (a, b)
                 else {
                     panic!("single-`Long` keys index paged");
                 };
@@ -296,8 +295,8 @@ mod tests {
         for partition in 0..4 {
             let owned = cluster.owns(partition, 4);
             let indexed = match &loaded.constant[partition] {
-                ConstantIndex::Paged { store, .. } => !store.is_empty(),
-                ConstantIndex::Map(map) => !map.is_empty(),
+                JoinIndex::Paged { store, .. } => !store.is_empty(),
+                JoinIndex::Map(map) => !map.is_empty(),
             };
             assert_eq!(indexed, owned, "partition {partition}");
             assert_eq!(
@@ -325,9 +324,9 @@ mod tests {
         let loaded = load(&iteration, &router, &ClusterSpec::single(), &none, None);
         let mut indexed = 0;
         for part in &loaded.constant {
-            let ConstantIndex::Map(map) = part else {
+            let JoinIndex::Map(map) = part else {
                 // A partition the router sent nothing to never met a key.
-                assert!(matches!(part, ConstantIndex::Paged { store, .. } if store.is_empty()));
+                assert!(matches!(part, JoinIndex::Paged { store, .. } if store.is_empty()));
                 continue;
             };
             indexed += map.values().map(Vec::len).sum::<usize>();

@@ -47,7 +47,6 @@
 //! the run surfaces the panic as a typed [`DataflowError::WorkerPanic`]
 //! instead of aborting the process.
 
-use crate::constant_index::ConstantIndex;
 use crate::load::Loaded;
 use crate::solution_set::SolutionSet;
 use crate::stats::{IterationRunStats, IterationStats};
@@ -57,6 +56,7 @@ use dataflow::credit::{
     channel_credits_from_env, credit_channel, timeout_from_env, CreditReceiver, CreditSender,
     RecvTimeoutError, SendError, TrySendError, CHANNEL_CREDITS_ENV,
 };
+use dataflow::join_index::JoinIndex;
 use dataflow::prelude::{DataflowError, Key, MemoryBudget, PartitionRouter, Record, Result};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -390,7 +390,7 @@ fn run_worker(
     partition: usize,
     iteration: &WorksetIteration<'_>,
     s_part: &mut crate::solution_set::PartitionIndex,
-    constant: &ConstantIndex,
+    constant: &JoinIndex,
     comparator: &Option<crate::solution_set::RecordComparator>,
     router: &PartitionRouter,
     receiver: &CreditReceiver<Record>,

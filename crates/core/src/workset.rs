@@ -68,13 +68,13 @@
 //! cluster-wide), and what a consistent cut between supersteps consists of.
 
 use crate::checkpoint::{run_with_recovery, CheckpointPolicy};
-use crate::constant_index::ConstantIndex;
 use crate::load::{load, Loaded};
 use crate::solution_set::{PartitionIndex, RecordComparator, SolutionSet};
 use crate::stats::{IterationRunStats, IterationStats};
 use dataflow::contracts::{RecordSink, RecordSource};
 use dataflow::exchange::{self, Outbox};
 use dataflow::fault::{FaultInjector, FaultSite};
+use dataflow::join_index::JoinIndex;
 use dataflow::key::{group_ranges, sort_by_key};
 use dataflow::page::{for_each_long_key_group, GroupScratch, PagePool, PageWriter};
 use dataflow::prelude::{
@@ -667,7 +667,7 @@ impl<'a> WorksetIteration<'a> {
         superstep: usize,
         state: &mut SuperstepState,
         comms: &SuperstepComms,
-        constant_index: &[ConstantIndex],
+        constant_index: &[JoinIndex],
         comparator: &Option<RecordComparator>,
         router: &PartitionRouter,
         spill: &SpillManager,
@@ -796,7 +796,7 @@ impl<'a> WorksetIteration<'a> {
         partition: usize,
         s_part: &mut PartitionIndex,
         workset: ExchangedPartition,
-        constant: &ConstantIndex,
+        constant: &JoinIndex,
         comparator: &Option<RecordComparator>,
         router: &PartitionRouter,
         spill: &SpillManager,

@@ -23,13 +23,16 @@
 //! operator none of whose edges fuse is a segment of one, executed by the
 //! same code.  [`ExecConfig::with_force_materialized`] is the escape
 //! hatch that makes every segment a singleton (and disables the page-native
-//! operator paths), pinning every streaming path byte-identical to the
-//! materializing oracle.
+//! grouping and sort-merge paths), pinning every streaming path
+//! byte-identical to the materializing oracle.
 //!
 //! # Exchanges
 //!
-//! The executor owns no exchange mechanism of its own.  A hash or range
-//! repartitioning edge routes every producer partition into an
+//! Every edge — forward, hash, range, broadcast, cached — hands the
+//! consumer's local phase one [`ExchangedPartition`] per partition, the one
+//! delivered type.  A forward edge moves the producer's records into it (or,
+//! while someone else still holds them, shares them by pointer).  A hash or
+//! range repartitioning edge routes every producer partition into an
 //! [`Outbox`] in parallel on the worker pool and hands the
 //! outboxes to [`exchange::ship`] — the same route → page → spill → ship →
 //! gather layer the iteration runtime's superstep queue switch runs on (see
@@ -40,15 +43,17 @@
 //! spill budget, the post-exchange sort of range edges, broadcast (serialize
 //! once, share pages by pointer), and the single "distributed transport
 //! rejected" check — cluster execution enters through the iteration runtime.
-//! Only forward shipping keeps the records-as-objects fast path; the
-//! receiving local phase reads shipped records back out of the pages lazily.
+//! The receiving local phase reads shipped records back out of the pages
+//! lazily; a hash join indexes its build side in a [`JoinIndex`] — the index
+//! the iteration runtime's constant path probes — and reads each probe
+//! record's key in place off its page.
 //!
 //! A loop-invariant edge (`cache_inputs`) takes the same exchange as any
 //! other the first time it executes; the [`IntermediateCache`] only *retains*
 //! what the exchange delivered — in-memory records materialized once and
 //! shared by pointer, spilled runs kept as the files they are, a range
 //! edge's sort order kept advertised — and serves it to every later
-//! execution.
+//! execution at the parallelism it was filled at.
 //!
 //! Every parallel region — segment tasks, exchange routing, the range sort —
 //! dispatches through one helper (`run_on_partitions`); a lone partition runs
@@ -61,10 +66,11 @@ use crate::contracts::{
 use crate::error::{DataflowError, Result};
 use crate::exchange::{self, Outbox};
 use crate::fault::{FaultInjector, FaultSite};
+use crate::join_index::JoinIndex;
 use crate::key::{group_ranges, partition_for, sort_by_key, FxHashMap, Key, KeyFields};
 use crate::page::{
-    for_each_long_key_group, long_key_group_len, long_key_prefix_of, next_long_key_group,
-    sort_by_long_key, ExchangedPartition, GroupScratch, PageWriter, PagedRecords, PrefixTable,
+    for_each_long_key_group, long_key_group_len, next_long_key_group, sort_by_long_key,
+    ExchangedPartition, GroupScratch, PageWriter,
 };
 use crate::physical::{
     streaming_input_slot, LocalStrategy, PhysicalChoice, PhysicalPlan, ShipStrategy,
@@ -96,11 +102,13 @@ pub struct ExecConfig {
     /// Fault injector consulted at spill flushes and worker dispatch sites
     /// (see [`crate::fault`]).  Disabled by default.
     pub fault: FaultInjector,
-    /// Disables the page-native operator paths **and chain fusion**, forcing
-    /// every join/group to materialize its inputs into heap records first and
-    /// every operator boundary to dam.  Off by default (the page-native and
-    /// fused paths run whenever an edge qualifies); the equivalence suites
-    /// flip it to check those paths produce byte-identical results.
+    /// Disables the page-native grouping and sort-merge paths **and chain
+    /// fusion**, forcing every grouping and sort-merge join to materialize its
+    /// inputs into heap records first and every operator boundary to dam (the
+    /// hash join has one implementation, its [`JoinIndex`]).  Off by default
+    /// (the page-native and fused paths run whenever an edge qualifies); the
+    /// equivalence suites flip it to check those paths produce
+    /// byte-identical results.
     pub force_materialized: bool,
     /// The transport every repartitioning exchange ships its sealed pages
     /// through.  Defaults to the in-process backend (pointer-moving channels
@@ -155,9 +163,15 @@ impl ExecConfig {
 /// cached edge's resident size: records that never leave their partition
 /// (all of a forward or broadcast edge, everything at parallelism 1, the
 /// partition-local share of a hash or range edge) stay heap records.
+///
+/// What a cache holds is partitioned: a cache filled at one parallelism
+/// serves only executions at that parallelism (others are rejected as
+/// [`DataflowError::InvalidPlan`]) until it is cleared.
 #[derive(Debug, Default)]
 pub struct IntermediateCache {
     entries: HashMap<(OperatorId, usize), CachedEdge>,
+    /// The parallelism the cached edges and range bounds were built at.
+    parallelism: usize,
     /// Range splitters frozen per consuming operator on the first execution.
     /// Iterative plans re-execute the step plan with the same cache, so
     /// freezing the splitters here keeps cached (constant-path) and
@@ -174,59 +188,49 @@ pub struct IntermediateCache {
 /// runs the exchange spilled stay the files they are, and the key fields a
 /// range exchange sorted by stay advertised, so every re-execution skips the
 /// shipping, the deserialization and the sort.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CachedEdge {
     parts: Arc<Partitions>,
-    /// Per-partition spilled runs, when the exchange spilled any.
-    runs: Option<Arc<Vec<Vec<SpilledRun>>>>,
+    /// Per-partition spilled runs (empty where the exchange spilled none).
+    runs: Vec<Vec<SpilledRun>>,
     sorted_by: Option<KeyFields>,
 }
 
 impl CachedEdge {
     /// Retains one delivery of [`exchange`].
-    fn retain(delivered: PreparedInput) -> CachedEdge {
-        match delivered {
-            PreparedInput::Shared(parts, sorted_by) => CachedEdge {
-                parts,
-                runs: None,
-                sorted_by,
-            },
-            PreparedInput::Paged(delivered) => {
-                // A range exchange sorts every partition on the same key.
-                let sorted_by = delivered[0].sorted_by().map(<[usize]>::to_vec);
-                let (parts, runs): (Partitions, Vec<Vec<SpilledRun>>) = delivered
-                    .into_iter()
-                    .map(ExchangedPartition::into_mem_and_runs)
-                    .unzip();
-                CachedEdge {
-                    parts: Arc::new(parts),
-                    runs: runs.iter().any(|r| !r.is_empty()).then(|| Arc::new(runs)),
-                    sorted_by,
-                }
-            }
+    fn retain(delivered: Vec<ExchangedPartition>) -> CachedEdge {
+        // A range exchange sorts every partition on the same key.
+        let sorted_by = delivered
+            .first()
+            .and_then(ExchangedPartition::sorted_by)
+            .map(<[usize]>::to_vec);
+        let (parts, runs) = delivered
+            .into_iter()
+            .map(ExchangedPartition::into_mem_and_runs)
+            .unzip();
+        CachedEdge {
+            parts: Arc::new(parts),
+            runs,
+            sorted_by,
         }
     }
 
-    /// Builds the per-execution input this cached edge serves: the shared
-    /// record partitions by pointer, plus — when the exchange spilled — each
-    /// partition's run handles (cloning a handle shares the file on disk).
-    fn serve(&self) -> PreparedInput {
-        match &self.runs {
-            None => PreparedInput::Shared(Arc::clone(&self.parts), self.sorted_by.clone()),
-            Some(runs) => PreparedInput::Paged(
-                runs.iter()
-                    .enumerate()
-                    .map(|(p, runs)| {
-                        ExchangedPartition::from_shared(
-                            Arc::clone(&self.parts),
-                            p,
-                            runs.clone(),
-                            self.sorted_by.clone(),
-                        )
-                    })
-                    .collect(),
-            ),
-        }
+    /// The delivery this cached edge serves to one execution: every
+    /// partition's records by pointer into the shared partitions, plus its
+    /// run handles (cloning a handle shares the file on disk).
+    fn serve(&self) -> Vec<ExchangedPartition> {
+        self.runs
+            .iter()
+            .enumerate()
+            .map(|(p, runs)| {
+                ExchangedPartition::from_shared(
+                    Arc::clone(&self.parts),
+                    p,
+                    runs.clone(),
+                    self.sorted_by.clone(),
+                )
+            })
+            .collect()
     }
 }
 
@@ -373,6 +377,18 @@ impl Executor {
                 "parallelism must be at least 1".into(),
             ));
         }
+        // Cached edges hold one delivery per partition and frozen range
+        // bounds route to partitions of the fill; neither can serve another
+        // parallelism.
+        if cache.entries.is_empty() && cache.range_bounds.is_empty() {
+            cache.parallelism = parallelism;
+        } else if cache.parallelism != parallelism {
+            return Err(DataflowError::InvalidPlan(format!(
+                "the intermediate cache was filled at parallelism {} and cannot serve \
+                 parallelism {parallelism}; clear it first",
+                cache.parallelism
+            )));
+        }
         // Its `choices` map is public too: an operator without a choice, or
         // with one sized for a different input count, is rejected here —
         // everything below indexes `physical.choice(id)` by input slot.
@@ -488,7 +504,7 @@ impl Executor {
         cache: &mut IntermediateCache,
         remaining_uses: &mut [usize],
         stats: &mut ExecutionStats,
-    ) -> Result<PreparedInput> {
+    ) -> Result<Vec<ExchangedPartition>> {
         let input = op.inputs[slot];
         let cache_key = (op.id, slot);
         // This edge consumes one use of the producer's output, whether it is
@@ -572,21 +588,24 @@ impl Executor {
         let page_native = !self.config.force_materialized;
         let fault = &self.config.fault;
 
-        // Per partition, every member's materialized inputs in member order
-        // (the fused slot absent).
+        // Per partition, every member's delivered inputs in member order (the
+        // fused slot absent).
         let mut fused: Vec<(&Operator, LocalStrategy)> = Vec::with_capacity(members.len());
-        let mut partition_inputs: Vec<Vec<Vec<LocalInput>>> = (0..parallelism)
+        let mut partition_inputs: Vec<Vec<Vec<ExchangedPartition>>> = (0..parallelism)
             .map(|_| Vec::with_capacity(members.len()))
             .collect();
         for (pos, &mid) in members.iter().enumerate() {
             let op = plan.operator(mid);
             let choice = physical.choice(mid);
             let range_bounds = prepare_range_bounds(op, choice, outputs, cache, parallelism)?;
-            let stream_slot = (pos > 0).then(|| {
-                streaming_input_slot(&op.kind, choice.local)
-                    .expect("fused consumers have a streaming slot")
-            });
-            let mut prepared: Vec<PreparedInput> = Vec::new();
+            // Downstream members stream their fused slot; the chain-fusion
+            // pass only fuses into a slot `streaming_input_slot` names.
+            let stream_slot = (pos > 0)
+                .then(|| streaming_input_slot(&op.kind, choice.local))
+                .flatten();
+            for of_partition in partition_inputs.iter_mut() {
+                of_partition.push(Vec::with_capacity(op.inputs.len()));
+            }
             for slot in 0..op.inputs.len() {
                 if Some(slot) == stream_slot {
                     // The fused edge: consumed through the chain, so its
@@ -595,7 +614,7 @@ impl Executor {
                     remaining_uses[op.inputs[slot].0] = 0;
                     continue;
                 }
-                prepared.push(self.prepare_input(
+                let delivered = self.prepare_input(
                     op,
                     slot,
                     choice,
@@ -605,13 +624,11 @@ impl Executor {
                     cache,
                     remaining_uses,
                     stats,
-                )?);
-            }
-            for (inputs, of_partition) in split_by_partition(prepared, parallelism)
-                .into_iter()
-                .zip(partition_inputs.iter_mut())
-            {
-                of_partition.push(inputs);
+                )?;
+                // Every delivery holds exactly `parallelism` partitions.
+                for (part, of_partition) in delivered.into_iter().zip(partition_inputs.iter_mut()) {
+                    of_partition[pos].push(part);
+                }
             }
             fused.push((op, choice.local));
         }
@@ -659,7 +676,9 @@ impl Executor {
         }
         stats.operators.extend(rows);
 
-        let tail_id = *members.last().expect("segments are never empty");
+        let tail_id = *members
+            .last()
+            .expect("the plan walk executes only non-empty segments");
         let result_parts = Arc::new(tail_parts);
         if let OperatorKind::Sink { name } = &plan.operator(tail_id).kind {
             sink_outputs.insert(name.clone(), Arc::clone(&result_parts));
@@ -716,7 +735,7 @@ fn run_on_partitions<I: Send, T: Send>(
     }
     outcomes
         .into_iter()
-        .map(|outcome| outcome.expect("every partition task ran"))
+        .map(|outcome| outcome.expect("without a panic, every partition task wrote its outcome"))
         .collect()
 }
 
@@ -759,44 +778,6 @@ impl ProducerInput {
             ProducerInput::Shared(parts) => parts.iter().flatten().cloned().collect(),
         }
     }
-}
-
-/// A post-exchange edge, as handed to the consumer's local phase.
-enum PreparedInput {
-    /// Shared record partitions (forward shipping, cache hits) plus the key
-    /// fields they are sorted by, when the exchange that materialized them
-    /// delivered sorted partitions.
-    Shared(Arc<Partitions>, Option<KeyFields>),
-    /// One [`ExchangedPartition`] per consumer partition (hash/range
-    /// repartitioning and broadcast, i.e. every edge that "touches the
-    /// network").
-    Paged(Vec<ExchangedPartition>),
-}
-
-/// Splits prepared inputs into one input set per partition: shared inputs
-/// hand every partition a (cheap) Arc clone, paged inputs move each
-/// partition's local records and received page pointers into that
-/// partition's task.
-fn split_by_partition(prepared: Vec<PreparedInput>, parallelism: usize) -> Vec<Vec<LocalInput>> {
-    let mut partition_inputs: Vec<Vec<LocalInput>> = (0..parallelism)
-        .map(|_| Vec::with_capacity(prepared.len()))
-        .collect();
-    for prep in prepared {
-        match prep {
-            PreparedInput::Shared(parts, sorted_by) => {
-                for (p, inputs) in partition_inputs.iter_mut().enumerate() {
-                    inputs.push(LocalInput::Shared(Arc::clone(&parts), p, sorted_by.clone()));
-                }
-            }
-            PreparedInput::Paged(parts) => {
-                debug_assert_eq!(parts.len(), parallelism);
-                for (part, inputs) in parts.into_iter().zip(partition_inputs.iter_mut()) {
-                    inputs.push(LocalInput::Paged(part));
-                }
-            }
-        }
-    }
-    partition_inputs
 }
 
 // ---------------------------------------------------------------------------
@@ -907,16 +888,16 @@ enum Stage {
         records: Vec<Record>,
         presorted: bool,
     },
-    /// Probes the hash table over the materialized build side; matches are
-    /// emitted in build insertion order.
+    /// Probes the join index over the build side; matches are emitted in
+    /// build insertion order.
     HashProbe {
         udf: Arc<dyn MatchFunction>,
         probe_key: KeyFields,
         /// Whether the streamed side is the join's left argument.
         probe_is_left: bool,
-        build: Vec<Record>,
-        /// Key → indices into `build`.
-        table: FxHashMap<Key, Vec<usize>>,
+        index: JoinIndex,
+        /// The records paged matches are read into, reused probe to probe.
+        matches: Vec<Record>,
     },
     Cross {
         udf: Arc<dyn CrossFunction>,
@@ -925,26 +906,18 @@ enum Stage {
 }
 
 impl Stage {
-    /// Builds the stage of `op` from its materialized inputs `side` (slot
-    /// order, the streamed slot absent).  `delivered_order` is the key order
-    /// the stream arrives in, if any (fused edges carry none).
-    ///
-    /// # Panics
-    /// If `op` has no streaming slot under `local`.
+    /// Builds the stage of `op` from its delivered inputs `side` (slot order,
+    /// the streamed slot `stream_slot` absent).  `delivered_order` is the key
+    /// order the stream arrives in, if any (fused edges carry none).
     fn new(
         op: &Operator,
         local: LocalStrategy,
-        side: Vec<LocalInput>,
+        stream_slot: usize,
+        side: Vec<ExchangedPartition>,
         delivered_order: Option<&[usize]>,
-    ) -> std::io::Result<Stage> {
-        let stream_slot = streaming_input_slot(&op.kind, local)
-            .expect("only operators with a streaming slot run as stages");
+    ) -> Result<Stage> {
         let mut side = side.into_iter();
-        let mut side_records = || {
-            side.next()
-                .expect("plan validation checked input arity")
-                .into_records()
-        };
+        let mut side_input = || side.next().expect("Plan::validate checked the input arity");
         Ok(match (&op.kind, &op.udf) {
             (OperatorKind::Map, Udf::Map(udf)) => Stage::Map(Arc::clone(udf)),
             (OperatorKind::Sink { .. }, _) => Stage::Sink,
@@ -974,32 +947,19 @@ impl Stage {
                 } else {
                     (left_key, right_key)
                 };
-                let build = side_records()?;
-                let mut table: FxHashMap<Key, Vec<usize>> = FxHashMap::default();
-                for (i, record) in build.iter().enumerate() {
-                    table
-                        .entry(Key::extract(record, build_key))
-                        .or_default()
-                        .push(i);
-                }
                 Stage::HashProbe {
                     udf: Arc::clone(udf),
                     probe_key: probe_key.clone(),
                     probe_is_left,
-                    build,
-                    table,
+                    index: JoinIndex::from_partition(side_input(), build_key)?,
+                    matches: Vec::new(),
                 }
             }
             (OperatorKind::Cross, Udf::Cross(udf)) => Stage::Cross {
                 udf: Arc::clone(udf),
-                right: side_records()?,
+                right: side_input().into_records()?,
             },
-            (kind, udf) => panic!(
-                "operator '{}' has contract {} but UDF {:?}",
-                op.name,
-                kind.contract_name(),
-                udf
-            ),
+            _ => return Err(udf_mismatch(op)),
         })
     }
 
@@ -1026,25 +986,48 @@ impl Stage {
                 udf,
                 probe_key,
                 probe_is_left,
-                build,
-                table,
-            } => {
-                if let Some(matches) = table.get(&Key::extract(&record, probe_key)) {
-                    for &i in matches {
-                        if *probe_is_left {
-                            udf.join(&record, &build[i], out);
-                        } else {
-                            udf.join(&build[i], &record, out);
-                        }
-                    }
-                }
-            }
+                index,
+                matches,
+            } => join_matches(
+                udf.as_ref(),
+                *probe_is_left,
+                &record,
+                index.matches(&record, probe_key, matches),
+                out,
+            ),
             Stage::Cross { udf, right } => {
                 for r in right.iter() {
                     udf.cross(&record, r, out);
                 }
             }
         }
+    }
+
+    /// Consumes one delivered partition as the stream: owned records for the
+    /// stages that keep them, references for the others — and a hash probe
+    /// reads each page record's key in place, deserializing the record only
+    /// when its chain is non-empty.
+    fn consume(&mut self, streamed: ExchangedPartition, out: &mut Collector) -> Result<()> {
+        match self {
+            Stage::HashProbe {
+                udf,
+                probe_key,
+                probe_is_left,
+                index,
+                matches,
+            } => streamed.for_each_ref_where(
+                |view| index.may_match(view, probe_key),
+                |record| {
+                    let found = index.matches(record, probe_key, matches);
+                    join_matches(udf.as_ref(), *probe_is_left, record, found, out)
+                },
+            )?,
+            stage if stage.keeps_records() => {
+                streamed.for_each_owned(|record| stage.accept(Cow::Owned(record), out))?
+            }
+            stage => streamed.for_each_ref(|record| stage.accept(Cow::Borrowed(record), out))?,
+        }
+        Ok(())
     }
 
     /// End of stream: the grouping stages emit their groups.
@@ -1075,6 +1058,34 @@ impl Stage {
             Stage::Map(_) | Stage::Sink | Stage::HashProbe { .. } | Stage::Cross { .. } => {}
         }
     }
+}
+
+/// Joins one probe record with its build-side matches, in match order.
+fn join_matches(
+    udf: &dyn MatchFunction,
+    probe_is_left: bool,
+    probe: &Record,
+    matches: &[Record],
+    out: &mut Collector,
+) {
+    for build in matches {
+        if probe_is_left {
+            udf.join(probe, build, out);
+        } else {
+            udf.join(build, probe, out);
+        }
+    }
+}
+
+/// The typed error of an operator whose UDF does not fit its contract (a
+/// plan assembled without [`crate::plan::Plan`]'s builders).
+fn udf_mismatch(op: &Operator) -> DataflowError {
+    DataflowError::InvalidPlan(format!(
+        "operator '{}' has contract {} but UDF {:?}",
+        op.name,
+        op.kind.contract_name(),
+        op.udf
+    ))
 }
 
 /// One downstream member of a fused segment on one partition: its [`Stage`]
@@ -1114,11 +1125,11 @@ struct MemberReport {
 /// Runs one partition of a fused segment inside the calling pool task:
 /// composes the downstream members' stages tail first, runs the head's local
 /// phase into them, then cascades end-of-stream head → tail.  `inputs` holds
-/// every member's materialized inputs in member order.  Returns one report
-/// per member and the tail's output partition.
+/// every member's delivered inputs in member order.  Returns one report per
+/// member and the tail's output partition.
 fn run_fused(
     members: &[(&Operator, LocalStrategy)],
-    mut inputs: Vec<Vec<LocalInput>>,
+    mut inputs: Vec<Vec<ExchangedPartition>>,
     page_native: bool,
     fault: &FaultInjector,
 ) -> Result<(Vec<MemberReport>, Vec<Record>)> {
@@ -1126,14 +1137,18 @@ fn run_fused(
     let mut out = Collector::new();
     for (&(op, local), side) in members[1..].iter().zip(inputs.drain(1..)).rev() {
         let records_in = admit_inputs(&side, fault)?;
+        let stream_slot = streaming_input_slot(&op.kind, local)
+            .expect("compute_chain_segments fuses only into a streaming slot");
         out = Collector::with_sink(Box::new(FusedStage {
-            stage: Stage::new(op, local, side, None)?,
+            stage: Stage::new(op, local, stream_slot, side, None)?,
             records_in,
             out,
         }));
     }
     let (head, head_local) = members[0];
-    let head_inputs = inputs.pop().expect("the head's inputs");
+    let head_inputs = inputs
+        .pop()
+        .expect("execute_segment delivers one input set per member");
     let records_in = run_local(head, head_local, head_inputs, page_native, fault, &mut out)?;
     let mut reports = vec![MemberReport {
         records_in,
@@ -1148,7 +1163,7 @@ fn run_fused(
         } = *sink
             .into_any()
             .downcast::<FusedStage>()
-            .expect("fused collectors push into fused stages");
+            .expect("run_fused gives collectors no sink but a FusedStage");
         let finish_start = Instant::now();
         stage.finish(&mut downstream);
         reports.push(MemberReport {
@@ -1234,7 +1249,8 @@ fn prepare_range_bounds(
 /// range exchanges run under the memory `budget`: sealed pages
 /// beyond it spill to disk as sorted runs (broadcast replicates shared pages
 /// and never spills; forward moves records locally and has nothing to
-/// serialize).
+/// serialize).  Every producer, and so every delivery, has one partition per
+/// parallel instance.
 fn exchange(
     producer: ProducerInput,
     ship: &ShipStrategy,
@@ -1243,58 +1259,46 @@ fn exchange(
     budget: MemoryBudget,
     config: &ExecConfig,
     stats: &mut ExecutionStats,
-) -> Result<PreparedInput> {
+) -> Result<Vec<ExchangedPartition>> {
     match ship {
         ShipStrategy::Forward => {
-            let total: usize = producer.partitions().iter().map(Vec::len).sum();
-            stats.local_records += total;
-            let parts = match producer {
-                ProducerInput::Owned(mut parts) => {
-                    parts.resize(parallelism, Vec::new());
-                    Arc::new(parts)
-                }
-                ProducerInput::Shared(parts) => {
-                    if parts.len() == parallelism {
-                        parts
-                    } else {
-                        let mut cloned = (*parts).clone();
-                        cloned.resize(parallelism, Vec::new());
-                        Arc::new(cloned)
-                    }
-                }
-            };
-            Ok(PreparedInput::Shared(parts, None))
+            stats.local_records += producer.partitions().iter().map(Vec::len).sum::<usize>();
+            Ok(match producer {
+                ProducerInput::Owned(parts) => parts
+                    .into_iter()
+                    .map(ExchangedPartition::from_records)
+                    .collect(),
+                ProducerInput::Shared(parts) => (0..parts.len())
+                    .map(|p| ExchangedPartition::from_shared(Arc::clone(&parts), p, vec![], None))
+                    .collect(),
+            })
         }
         ShipStrategy::PartitionHash(keys) => {
             let sources = producer.partitions().len();
             let spill = exchange_spill_manager(budget, &config.fault, keys, sources, parallelism);
-            Ok(PreparedInput::Paged(route_paged(
+            route_paged(
                 producer,
                 &|record: &Record| partition_for(record, keys, parallelism),
                 parallelism,
                 &spill,
                 &config.transport,
                 stats,
-            )?))
+            )
         }
         ShipStrategy::PartitionRange(keys) => {
             let sources = producer.partitions().len();
             let spill = exchange_spill_manager(budget, &config.fault, keys, sources, parallelism);
-            Ok(PreparedInput::Paged(range_exchange(
+            range_exchange(
                 producer,
                 keys,
-                bounds.expect("executor built range bounds"),
+                bounds.expect("prepare_range_bounds builds bounds for every range-shipped input"),
                 parallelism,
                 &spill,
                 &config.transport,
                 stats,
-            )?))
+            )
         }
-        ShipStrategy::Broadcast => Ok(PreparedInput::Paged(broadcast_paged(
-            producer,
-            parallelism,
-            stats,
-        ))),
+        ShipStrategy::Broadcast => Ok(broadcast_paged(producer, parallelism, stats)),
     }
 }
 
@@ -1466,114 +1470,33 @@ fn broadcast_paged(
         .collect()
 }
 
-/// One input edge of one partition's local phase: either a view into shared
-/// record partitions or the owned local-records-plus-pages of a paged
-/// exchange.
-enum LocalInput {
-    /// Partition `1` of the shared partitions `0`, plus the key fields the
-    /// partition is sorted by (range-exchanged cached edges).
-    Shared(Arc<Partitions>, usize, Option<KeyFields>),
-    /// The owned post-exchange input of this partition.
-    Paged(ExchangedPartition),
-}
-
-impl LocalInput {
-    /// Number of records in this input.
-    fn len(&self) -> usize {
-        match self {
-            LocalInput::Shared(parts, p, _) => parts[*p].len(),
-            LocalInput::Paged(part) => part.record_count(),
-        }
-    }
-
-    /// The key fields this input is already sorted by (delivered by a range
-    /// exchange), if any.  Sort-based local strategies with a matching key
-    /// skip their sort.
-    fn sorted_by(&self) -> Option<&[usize]> {
-        match self {
-            LocalInput::Shared(_, _, sorted) => sorted.as_deref(),
-            LocalInput::Paged(part) => part.sorted_by(),
-        }
-    }
-
-    /// Visits every record by reference; page records are deserialized into
-    /// one scratch record reused across calls.  Fails with the underlying
-    /// I/O error when a spilled run cannot be read.
-    fn for_each_ref(&self, f: impl FnMut(&Record)) -> std::io::Result<()> {
-        match self {
-            LocalInput::Shared(parts, p, _) => {
-                let mut f = f;
-                for record in &parts[*p] {
-                    f(record);
-                }
-                Ok(())
-            }
-            LocalInput::Paged(part) => part.for_each_ref(f),
-        }
-    }
-
-    /// Visits every record owned: shared inputs clone (someone else still
-    /// holds them), paged inputs move their local records and materialize
-    /// their page records.  Fails with the underlying I/O error when a
-    /// spilled run cannot be read.
-    fn for_each_owned(self, f: impl FnMut(Record)) -> std::io::Result<()> {
-        match self {
-            LocalInput::Shared(parts, p, _) => {
-                let mut f = f;
-                for record in &parts[p] {
-                    f(record.clone());
-                }
-                Ok(())
-            }
-            LocalInput::Paged(part) => part.for_each_owned(f),
-        }
-    }
-
-    /// Materializes the whole input into owned records (preserving the
-    /// delivered order).  Fails with the underlying I/O error when a spilled
-    /// run cannot be read.
-    fn into_records(self) -> std::io::Result<Vec<Record>> {
-        match self {
-            LocalInput::Shared(parts, p, _) => Ok(parts[p].clone()),
-            LocalInput::Paged(part) => part.into_records(),
-        }
-    }
-
-    /// True when this input is backed by spilled runs on disk — the inputs
-    /// whose local phase performs spill reads (and therefore consults the
-    /// [`FaultSite::SpillRead`] injector before touching the disk).
-    fn has_spilled_runs(&self) -> bool {
-        matches!(self, LocalInput::Paged(part) if part.spilled_run_count() > 0)
-    }
-}
-
-/// Admits one partition's materialized inputs to a local phase: consults the
+/// Admits one partition's delivered inputs to a local phase: consults the
 /// executor-side spill-read fault gate once per input backed by spilled runs
 /// — before any local algorithm touches the disk, the same convention the
 /// workset superstep read path follows — and returns the record total.
-fn admit_inputs(inputs: &[LocalInput], fault: &FaultInjector) -> Result<usize> {
+fn admit_inputs(inputs: &[ExchangedPartition], fault: &FaultInjector) -> Result<usize> {
     for input in inputs {
-        if input.has_spilled_runs() {
+        if input.spilled_run_count() > 0 {
             fault.io_check(FaultSite::SpillRead)?;
         }
     }
-    Ok(inputs.iter().map(LocalInput::len).sum())
+    Ok(inputs.iter().map(ExchangedPartition::record_count).sum())
 }
 
 /// Runs one operator's local work on one partition's inputs, emitting into
 /// `out`.  Operators that dam every input (sort-merge join, cogroup, union)
 /// run their whole-partition algorithm.  Every other operator has a streaming
-/// slot: with `page_native` set (the default), joins and groups over paged
-/// inputs first try the `(page, offset)`-handle paths, which deserialize a
-/// record only at the user-function boundary; when those do not apply, the
-/// streaming slot's partition is driven through the operator's [`Stage`] —
-/// the same code a fused producer pushes into.  Returns the number of records
-/// consumed; spill-read failures (injected or real) surface as typed errors
-/// instead of panics.
+/// slot: with `page_native` set (the default), a Reduce over paged input
+/// first tries the `(page, offset)`-handle path, which deserializes a record
+/// only at the user-function boundary; otherwise the streaming slot's
+/// partition is driven through the operator's [`Stage`] — the same code a
+/// fused producer pushes into.  Returns the number of records consumed;
+/// spill-read failures (injected or real) surface as typed errors instead of
+/// panics.
 fn run_local(
     op: &Operator,
     local: LocalStrategy,
-    mut inputs: Vec<LocalInput>,
+    mut inputs: Vec<ExchangedPartition>,
     page_native: bool,
     fault: &FaultInjector,
     out: &mut Collector,
@@ -1583,49 +1506,19 @@ fn run_local(
         run_dammed(op, inputs, page_native, out)?;
         return Ok(records_in);
     };
-    match (&op.kind, &op.udf) {
-        (OperatorKind::Reduce { key }, Udf::Reduce(udf)) => {
-            let sort_based = matches!(local, LocalStrategy::SortGroup);
-            let input = inputs.pop().expect("plan validation checked input arity");
-            match reduce_delivered(key, sort_based, input, udf.as_ref(), out, page_native)? {
-                Some(input) => inputs.push(input),
-                None => return Ok(records_in),
-            }
+    if let (OperatorKind::Reduce { key }, Udf::Reduce(udf)) = (&op.kind, &op.udf) {
+        let sort_based = matches!(local, LocalStrategy::SortGroup);
+        let input = inputs
+            .pop()
+            .expect("Plan::validate checked the input arity");
+        match reduce_delivered(key, sort_based, input, udf.as_ref(), out, page_native)? {
+            Some(input) => inputs.push(input),
+            None => return Ok(records_in),
         }
-        (
-            OperatorKind::Match {
-                left_key,
-                right_key,
-            },
-            Udf::Match(udf),
-        ) if page_native => {
-            let build_is_left = stream_slot == 1;
-            let (build_key, probe_key) = if build_is_left {
-                (left_key, right_key)
-            } else {
-                (right_key, left_key)
-            };
-            if try_match_paged(
-                &inputs[1 - stream_slot],
-                &inputs[stream_slot],
-                build_key,
-                probe_key,
-                build_is_left,
-                udf.as_ref(),
-                out,
-            )? {
-                return Ok(records_in);
-            }
-        }
-        _ => {}
     }
     let streamed = inputs.remove(stream_slot);
-    let mut stage = Stage::new(op, local, inputs, streamed.sorted_by())?;
-    if stage.keeps_records() {
-        streamed.for_each_owned(|record| stage.accept(Cow::Owned(record), out))?;
-    } else {
-        streamed.for_each_ref(|record| stage.accept(Cow::Borrowed(record), out))?;
-    }
+    let mut stage = Stage::new(op, local, stream_slot, inputs, streamed.sorted_by())?;
+    stage.consume(streamed, out)?;
     stage.finish(out);
     Ok(records_in)
 }
@@ -1634,12 +1527,16 @@ fn run_local(
 /// cogroup and union.
 fn run_dammed(
     op: &Operator,
-    inputs: Vec<LocalInput>,
+    inputs: Vec<ExchangedPartition>,
     page_native: bool,
     out: &mut Collector,
 ) -> Result<()> {
     let mut inputs = inputs.into_iter();
-    let mut next_input = || inputs.next().expect("plan validation checked input arity");
+    let mut next_input = || {
+        inputs
+            .next()
+            .expect("Plan::validate checked the input arity")
+    };
     match (&op.kind, &op.udf) {
         (
             OperatorKind::Match {
@@ -1675,201 +1572,54 @@ fn run_dammed(
                 input.for_each_owned(|record| out.collect(record))?;
             }
         }
-        (OperatorKind::Source { .. }, _) => {
-            // Sources are handled by the executor before run_local is called.
-            unreachable!("sources do not run a local phase");
-        }
-        (kind, udf) => {
-            panic!(
-                "operator '{}' has contract {} but UDF {:?}",
-                op.name,
-                kind.contract_name(),
-                udf
-            );
-        }
+        // Sources never run a local phase (the plan walk partitions them
+        // directly), so this is a contract whose UDF does not fit.
+        _ => return Err(udf_mismatch(op)),
     }
     Ok(())
 }
 
 /// Materializes one input sorted by `key`: pre-sorted deliveries pass
 /// through (sorted spilled partitions merge linearly inside
-/// [`LocalInput::into_records`]), unsorted inputs whose spilled runs are
-/// individually sorted on `key` merge those runs with the sorted in-memory
-/// residue, and everything else pays the sort.
-fn into_sorted_records(input: LocalInput, key: &[usize]) -> std::io::Result<Vec<Record>> {
-    let presorted = input.sorted_by() == Some(key);
-    match input {
-        LocalInput::Paged(part)
-            if !presorted && part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key) =>
-        {
-            let (mut residue, runs) = part.into_mem_and_runs();
-            sort_by_key_normalized(&mut residue, key);
-            let mut records = Vec::new();
-            RunMerger::over_runs(&runs, residue, key.to_vec())?.collect_into(&mut records)?;
-            Ok(records)
-        }
-        other => {
-            let mut records = other.into_records()?;
-            if !presorted {
-                sort_by_key(&mut records, key);
-            }
-            Ok(records)
-        }
+/// [`ExchangedPartition::into_records`]), unsorted inputs whose spilled runs
+/// are individually sorted on `key` merge those runs with the sorted
+/// in-memory residue, and everything else pays the sort.
+fn into_sorted_records(part: ExchangedPartition, key: &[usize]) -> std::io::Result<Vec<Record>> {
+    let presorted = part.sorted_by() == Some(key);
+    if !presorted && part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key) {
+        let (mut residue, runs) = part.into_mem_and_runs();
+        sort_by_key_normalized(&mut residue, key);
+        let mut records = Vec::new();
+        RunMerger::over_runs(&runs, residue, key.to_vec())?.collect_into(&mut records)?;
+        return Ok(records);
     }
+    let mut records = part.into_records()?;
+    if !presorted {
+        sort_by_key(&mut records, key);
+    }
+    Ok(records)
 }
 
 // ---------------------------------------------------------------------------
 // Page-native operator paths
 // ---------------------------------------------------------------------------
 //
-// Joins and groups over paged inputs build tables of `(page, offset)` handles
-// keyed on the 8-byte normalized `Long` key prefix instead of materializing
+// Groups and sort-merge joins over paged inputs sort `(key prefix, handle)`
+// pairs on the 8-byte normalized `Long` key prefix instead of materializing
 // `Vec<Record>` first.  Because the normalized encoding is a bijection and
 // byte equality of serialized fields is exactly `Value` equality, the prefix
 // *is* the complete single-`Long` key: no collision fallback is ever needed.
 // Records are deserialized only at the user-function boundary, through
 // scratch records reused across calls.  Inputs that do not qualify (composite
-// or non-`Long` keys, shared record inputs on the build side, or sorted
+// or non-`Long` keys, partitions that delivered nothing serialized, or sorted
 // spilled partitions whose merge order the materializing path preserves)
-// fall back, so both paths stay byte-identical.
+// fall back, so both paths stay byte-identical.  The hash join has one path:
+// its build side is a [`JoinIndex`].
 
 /// True when `part` is worth ingesting: it actually delivered serialized
 /// data.  An all-local partition gains nothing from being re-serialized.
 fn has_paged_data(part: &ExchangedPartition) -> bool {
     part.page_count() > 0 || part.spilled_run_count() > 0
-}
-
-/// Page-native hash join: builds a prefix-keyed handle table over the build
-/// side and probes it with key prefixes read in place off the probe side's
-/// pages.  Returns `Ok(false)` (nothing emitted) when either side
-/// disqualifies.
-#[allow(clippy::too_many_arguments)]
-fn try_match_paged(
-    build: &LocalInput,
-    probe: &LocalInput,
-    build_key: &[usize],
-    probe_key: &[usize],
-    build_is_left: bool,
-    udf: &dyn MatchFunction,
-    out: &mut Collector,
-) -> std::io::Result<bool> {
-    let (&[build_field], &[probe_field]) = (build_key, probe_key) else {
-        return Ok(false);
-    };
-    let LocalInput::Paged(build_part) = build else {
-        return Ok(false);
-    };
-    if !has_paged_data(build_part) || build_part.is_sorted_merge() {
-        return Ok(false);
-    }
-    let mut table = PrefixTable::new();
-    let mut store = PagedRecords::new();
-    if !build_part.ingest_long_keyed(build_field, &mut store, |prefix, handle| {
-        table.insert(prefix, handle)
-    })? {
-        return Ok(false);
-    }
-
-    // One probe record against the whole chain of its prefix.  Matches are
-    // emitted in build insertion order, exactly like the materializing path.
-    fn probe_chain(
-        store: &PagedRecords,
-        table: &PrefixTable,
-        prefix: u64,
-        probe: &Record,
-        build_is_left: bool,
-        build_scratch: &mut Record,
-        udf: &dyn MatchFunction,
-        out: &mut Collector,
-    ) {
-        for handle in table.probe(prefix) {
-            store.view(handle).read_into(build_scratch);
-            if build_is_left {
-                udf.join(build_scratch, probe, out);
-            } else {
-                udf.join(probe, build_scratch, out);
-            }
-        }
-    }
-    let mut build_scratch = Record::empty();
-    match probe {
-        LocalInput::Shared(parts, p, _) => {
-            for record in &parts[*p] {
-                if let Some(prefix) = long_key_prefix_of(record, probe_field) {
-                    probe_chain(
-                        &store,
-                        &table,
-                        prefix,
-                        record,
-                        build_is_left,
-                        &mut build_scratch,
-                        udf,
-                        out,
-                    );
-                }
-            }
-        }
-        LocalInput::Paged(part) => {
-            for record in part.local_records() {
-                if let Some(prefix) = long_key_prefix_of(record, probe_field) {
-                    probe_chain(
-                        &store,
-                        &table,
-                        prefix,
-                        record,
-                        build_is_left,
-                        &mut build_scratch,
-                        udf,
-                        out,
-                    );
-                }
-            }
-            // Page records: the key prefix is read in place; the record is
-            // deserialized (into one reused scratch) only when its chain is
-            // non-empty.  This is the zero-copy exchange→probe hot path.
-            let mut probe_scratch = Record::empty();
-            for page in part.pages() {
-                for view in page.reader() {
-                    let Some(prefix) = view.long_key_prefix(probe_field) else {
-                        continue;
-                    };
-                    if table.probe(prefix).next().is_none() {
-                        continue;
-                    }
-                    view.read_into(&mut probe_scratch);
-                    probe_chain(
-                        &store,
-                        &table,
-                        prefix,
-                        &probe_scratch,
-                        build_is_left,
-                        &mut build_scratch,
-                        udf,
-                        out,
-                    );
-                }
-            }
-            let mut scratch = Record::empty();
-            for run in part.runs() {
-                let mut cursor = run.cursor()?;
-                while cursor.next_into(&mut scratch)? {
-                    if let Some(prefix) = long_key_prefix_of(&scratch, probe_field) {
-                        probe_chain(
-                            &store,
-                            &table,
-                            prefix,
-                            &scratch,
-                            build_is_left,
-                            &mut build_scratch,
-                            udf,
-                            out,
-                        );
-                    }
-                }
-            }
-        }
-    }
-    Ok(true)
 }
 
 /// Page-native grouping: a thin caller of the shared single-`Long`-key
@@ -1879,14 +1629,11 @@ fn try_match_paged(
 /// the key disqualifies.
 fn try_reduce_paged(
     key: &[usize],
-    input: &LocalInput,
+    part: &ExchangedPartition,
     sort_based: bool,
     udf: &dyn ReduceFunction,
     out: &mut Collector,
 ) -> std::io::Result<bool> {
-    let LocalInput::Paged(part) = input else {
-        return Ok(false);
-    };
     if !has_paged_data(part) || part.is_sorted_merge() {
         return Ok(false);
     }
@@ -1907,14 +1654,11 @@ fn try_reduce_paged(
 fn try_sort_merge_paged(
     left_key: &[usize],
     right_key: &[usize],
-    left: &LocalInput,
-    right: &LocalInput,
+    lpart: &ExchangedPartition,
+    rpart: &ExchangedPartition,
     udf: &dyn MatchFunction,
     out: &mut Collector,
 ) -> std::io::Result<bool> {
-    let (LocalInput::Paged(lpart), LocalInput::Paged(rpart)) = (left, right) else {
-        return Ok(false);
-    };
     if !has_paged_data(lpart) && !has_paged_data(rpart) {
         return Ok(false);
     }
@@ -1963,46 +1707,41 @@ fn try_sort_merge_paged(
 fn reduce_delivered(
     key: &[usize],
     sort_based: bool,
-    input: LocalInput,
+    part: ExchangedPartition,
     udf: &dyn ReduceFunction,
     out: &mut Collector,
     page_native: bool,
-) -> Result<Option<LocalInput>> {
-    if page_native && try_reduce_paged(key, &input, sort_based, udf, out)? {
+) -> Result<Option<ExchangedPartition>> {
+    if page_native && try_reduce_paged(key, &part, sort_based, udf, out)? {
         return Ok(None);
+    }
+    // Out-of-core path: whenever every spilled run is sorted on the grouping
+    // key (range deliveries always; hash deliveries via their sort-on-flush),
+    // only the in-memory residue is sorted and the groups stream off the
+    // k-way merge — one key group in memory at a time, the spilled part
+    // never rematerializes.
+    if !(sort_based && part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key)) {
+        return Ok(Some(part));
     }
     // A range exchange already delivered this partition sorted on the
     // grouping key: the sort the plan no longer performs.
-    let presorted = input.sorted_by() == Some(key);
-    match input {
-        // Out-of-core path: whenever every spilled run is sorted on the
-        // grouping key (range deliveries always; hash deliveries via their
-        // sort-on-flush), only the in-memory residue is sorted and the
-        // groups stream off the k-way merge — one key group in memory at a
-        // time, the spilled part never rematerializes.
-        LocalInput::Paged(part)
-            if sort_based && part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key) =>
-        {
-            let merger = if presorted {
-                part.into_merger()?
-            } else {
-                let (mut residue, runs) = part.into_mem_and_runs();
-                sort_by_key_normalized(&mut residue, key);
-                RunMerger::over_runs(&runs, residue, key.to_vec())?
-            };
-            merger.for_each_group(|k, group| udf.reduce(&k.values(), group, out))?;
-            Ok(None)
-        }
-        other => Ok(Some(other)),
-    }
+    let merger = if part.sorted_by() == Some(key) {
+        part.into_merger()?
+    } else {
+        let (mut residue, runs) = part.into_mem_and_runs();
+        sort_by_key_normalized(&mut residue, key);
+        RunMerger::over_runs(&runs, residue, key.to_vec())?
+    };
+    merger.for_each_group(|k, group| udf.reduce(&k.values(), group, out))?;
+    Ok(None)
 }
 
 /// Sort-merge equi-join for the Match contract.
 fn run_sort_merge_join(
     left_key: &[usize],
     right_key: &[usize],
-    left: LocalInput,
-    right: LocalInput,
+    left: ExchangedPartition,
+    right: ExchangedPartition,
     udf: &dyn MatchFunction,
     out: &mut Collector,
     page_native: bool,
@@ -2043,8 +1782,8 @@ fn run_cogroup(
     left_key: &[usize],
     right_key: &[usize],
     inner: bool,
-    left: LocalInput,
-    right: LocalInput,
+    left: ExchangedPartition,
+    right: ExchangedPartition,
     udf: &dyn crate::contracts::CoGroupFunction,
     out: &mut Collector,
 ) -> Result<()> {
@@ -2836,7 +2575,7 @@ mod tests {
                         for part in edge.parts.iter() {
                             assert!(part.windows(2).all(|w| w[0].long(0) <= w[1].long(0)));
                         }
-                        for run in edge.runs.iter().flat_map(|runs| runs.iter().flatten()) {
+                        for run in edge.runs.iter().flatten() {
                             let (mut cursor, mut last) = (run.cursor().unwrap(), i64::MIN);
                             while let Some(record) = cursor.next_record().unwrap() {
                                 assert!(last <= record.long(0), "{case}");
@@ -2845,21 +2584,17 @@ mod tests {
                         }
                     }
                     // Retained records are served by pointer, spilled or not.
-                    match edge.serve() {
-                        PreparedInput::Shared(parts, _) => {
-                            assert!(Arc::ptr_eq(&parts, &edge.parts), "{case}")
-                        }
-                        PreparedInput::Paged(served) => {
-                            for (part, mem) in served.iter().zip(edge.parts.iter()) {
-                                assert!(std::ptr::eq(part.local_records(), &mem[..]), "{case}");
-                            }
-                        }
+                    let served = edge.serve();
+                    assert_eq!(served.len(), parallelism, "{case}");
+                    for (part, mem) in served.iter().zip(edge.parts.iter()) {
+                        assert!(std::ptr::eq(part.local_records(), &mem[..]), "{case}");
                     }
+                    drop(served);
                     // What the exchange spilled stays on disk while cached.
                     let run_files: Vec<_> = edge
                         .runs
                         .iter()
-                        .flat_map(|runs| runs.iter().flatten())
+                        .flatten()
                         .map(|run| run.path().to_owned())
                         .collect();
                     let repartitions = matches!(
@@ -2883,6 +2618,157 @@ mod tests {
                     cache.clear();
                     assert!(cache.range_bounds.is_empty());
                     assert!(!run_files.iter().any(|file| file.exists()), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cache_serves_only_the_parallelism_it_was_filled_at() {
+        let records: Vec<Record> = (0..400).map(|i| Record::pair(i % 37 - 9, i)).collect();
+        let (plan, red) = keyed_sum_plan(records);
+        let sorted = |result: &ExecutionResult| {
+            let mut records = result.sink("out").unwrap();
+            records.sort();
+            records
+        };
+        let executor = Executor::new();
+        for ship in [
+            ShipStrategy::PartitionHash(vec![0]),
+            ShipStrategy::PartitionRange(vec![0]),
+        ] {
+            let physical = |parallelism| {
+                let mut phys = default_physical_plan(&plan, parallelism).unwrap();
+                phys.choices.get_mut(&red).unwrap().input_ships[0] = ship.clone();
+                phys.cache_input(red, 0);
+                phys
+            };
+            let mut cache = IntermediateCache::new();
+            let filled = executor
+                .execute_with_cache(&physical(4), &mut cache)
+                .unwrap();
+            for other in [2, 8] {
+                match executor.execute_with_cache(&physical(other), &mut cache) {
+                    Err(DataflowError::InvalidPlan(message)) => assert!(
+                        message.contains("parallelism 4")
+                            && message.contains(&format!("parallelism {other}")),
+                        "{message}"
+                    ),
+                    result => panic!("{ship} p={other}: expected InvalidPlan, got {result:?}"),
+                }
+            }
+            // The rejected runs left the cache serving its own parallelism.
+            let again = executor
+                .execute_with_cache(&physical(4), &mut cache)
+                .unwrap();
+            assert_eq!(again.stats.cache_hits, 1, "{ship}");
+            assert_eq!(sorted(&again), sorted(&filled), "{ship}");
+            // Cleared, it fills at any parallelism.
+            for other in [2, 8] {
+                cache.clear();
+                let result = executor.execute_with_cache(&physical(other), &mut cache);
+                assert_eq!(
+                    sorted(&result.unwrap()),
+                    sorted(&filled),
+                    "{ship} p={other}"
+                );
+            }
+        }
+    }
+
+    /// Every delivery of a hash join's build side — forward from a cached
+    /// edge, hash, range under a zero budget (sorted spilled partitions),
+    /// broadcast — probed fused or not, and keyed by `Long` (the paged
+    /// index) or `Text` (the map), joins each partition exactly as the
+    /// sort-merge join of the same plan does.
+    #[test]
+    fn hash_join_agrees_with_sort_merge_for_every_build_side_delivery() {
+        for text in [false, true] {
+            let key = |i: i64| match text {
+                false => Value::Long(i % 13 - 6),
+                true => Value::Text(format!("k{}", i % 13)),
+            };
+            let record = |k: i64, v: i64| Record::new(vec![key(k), Value::Long(v)]);
+            let mut plan = Plan::new();
+            let probe = plan.source("probe", (0..300).map(|i| record(i * 7, i)).collect());
+            let probe = plan.map(
+                "probe-map",
+                probe,
+                Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
+                    out.collect(r.clone())
+                })),
+            );
+            let build = plan.source("build", (0..200).map(|i| record(i, -i)).collect());
+            let join = plan.match_join(
+                "join",
+                probe,
+                build,
+                vec![0],
+                vec![0],
+                Arc::new(MatchClosure(
+                    |l: &Record, r: &Record, out: &mut Collector| {
+                        out.collect(Record::new(vec![
+                            l.field(0).clone(),
+                            l.field(1).clone(),
+                            r.field(1).clone(),
+                        ]))
+                    },
+                )),
+            );
+            plan.sink("out", join);
+            let ranged = ShipStrategy::PartitionRange(vec![0]);
+            let hashed = ShipStrategy::PartitionHash(vec![0]);
+            let deliveries = [
+                (
+                    "forward-cached",
+                    ShipStrategy::Forward,
+                    ShipStrategy::Forward,
+                ),
+                ("hash", hashed.clone(), hashed),
+                ("range-budget-0", ranged.clone(), ranged),
+                ("broadcast", ShipStrategy::Forward, ShipStrategy::Broadcast),
+            ];
+            for parallelism in [1, 4] {
+                for (delivery, probe_ship, build_ship) in &deliveries {
+                    let case = format!("{delivery} text={text} p={parallelism}");
+                    let run = |local: LocalStrategy| {
+                        let mut phys = default_physical_plan(&plan, parallelism).unwrap();
+                        let choice = phys.choices.get_mut(&join).unwrap();
+                        choice.local = local;
+                        choice.input_ships = vec![probe_ship.clone(), build_ship.clone()];
+                        let cached = *delivery == "forward-cached";
+                        if cached {
+                            phys.cache_input(join, 1);
+                        }
+                        let budget = match *delivery {
+                            "range-budget-0" => MemoryBudget::bytes(0),
+                            _ => MemoryBudget::unlimited(),
+                        };
+                        let executor =
+                            Executor::with_config(ExecConfig::new().with_memory_budget(budget));
+                        let mut cache = IntermediateCache::new();
+                        let mut results = Vec::new();
+                        for _ in 0..1 + usize::from(cached) {
+                            results.push(executor.execute_with_cache(&phys, &mut cache).unwrap());
+                        }
+                        let last = results.last().unwrap();
+                        assert_eq!(last.stats.cache_hits, usize::from(cached), "{case}");
+                        if budget == MemoryBudget::bytes(0) && parallelism > 1 {
+                            assert!(last.stats.spilled_runs > 0, "{case}");
+                        }
+                        results
+                            .iter()
+                            .map(|result| {
+                                let mut parts = (*result.sink_partitions("out").unwrap()).clone();
+                                parts.iter_mut().for_each(|part| part.sort());
+                                parts
+                            })
+                            .collect::<Vec<_>>()
+                    };
+                    let hash = run(LocalStrategy::HashJoinBuildRight);
+                    let merge = run(LocalStrategy::SortMergeJoin);
+                    assert_eq!(hash, merge, "{case}");
+                    assert!(hash[0].iter().any(|part| !part.is_empty()), "{case}");
                 }
             }
         }

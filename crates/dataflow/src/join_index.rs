@@ -1,0 +1,439 @@
+//! The join index: one build side indexed on its join key, shared by both
+//! engines.  The executor's hash join builds it per partition from the
+//! delivered build input (`JoinIndex::from_partition`) and probes it with
+//! the streamed side, fused or not; a workset iteration builds it once per run
+//! from the constant input while loading ([`JoinIndex::insert_fields`]) — the
+//! cached hash table of the paper's Figure 6 — and probes it with every
+//! applied delta, in batch and microstep mode alike.
+//!
+//! For a single-`Long` join key (every graph workload) the records live
+//! serialized in a [`PagedRecords`] store under a [`PrefixTable`]: delivered
+//! pages are adopted by pointer, spilled runs revived as pages, heap records
+//! serialized once, and a probe reads its matches into one reused scratch
+//! slice.  Any other key shape keeps a map of heap records.
+
+use crate::key::{FxHashMap, Key};
+use crate::page::{
+    long_key_prefix_of, long_key_prefix_of_fields, ExchangedPartition, PagedRecords, PrefixTable,
+    RecordView,
+};
+use crate::record::Record;
+use crate::value::Value;
+
+/// A build input indexed on its join key.
+///
+/// # Ordering contract
+///
+/// [`JoinIndex::matches`] returns the build records whose key equals the
+/// probe's in **build insertion order**: the order `insert_fields` saw them,
+/// or, built from a partition, the order its owning accessors
+/// ([`ExchangedPartition::into_records`]) yield — delivery order, merged key
+/// order for a sorted spilled partition.  That is the order a join over the
+/// materialized build side would emit, so which form holds the records never
+/// shows in a join's output.
+#[derive(Debug)]
+pub enum JoinIndex {
+    /// Every key so far was a single `Long`: serialized records under their
+    /// normalized key prefix, which for a single `Long` is the whole key.
+    Paged {
+        /// The serialized build records.
+        store: PagedRecords,
+        /// Key prefix → handles into `store`, in insertion order per key.
+        table: PrefixTable,
+    },
+    /// Any other key shape: heap records per key, in insertion order.
+    Map(FxHashMap<Key, Vec<Record>>),
+}
+
+impl JoinIndex {
+    /// An empty index on the join key `key`: paged while every key it is
+    /// given is a single `Long`, a map from the first one that is not.
+    pub fn new(key: &[usize]) -> JoinIndex {
+        match key {
+            [_] => JoinIndex::Paged {
+                store: PagedRecords::new(),
+                table: PrefixTable::new(),
+            },
+            _ => JoinIndex::Map(FxHashMap::default()),
+        }
+    }
+
+    /// Indexes one build record given as its field slice, after every record
+    /// inserted before it.  The paged form copies the fields into its store;
+    /// no heap record exists.
+    pub fn insert_fields(&mut self, key: &[usize], fields: &[Value]) {
+        if let JoinIndex::Paged { store, table } = self {
+            if let Some(prefix) = long_key_prefix_of_fields(fields, key[0]) {
+                table.insert(prefix, store.append_fields(fields));
+                return;
+            }
+            // The first key that is not a `Long`: what is stored so far moves
+            // into a map, in insertion order, and the index stays one.
+            let mut map: FxHashMap<Key, Vec<Record>> = FxHashMap::default();
+            store.for_each_handle(|_, view| {
+                let record = view.materialize();
+                map.entry(Key::extract(&record, key))
+                    .or_default()
+                    .push(record);
+            });
+            *self = JoinIndex::Map(map);
+        }
+        if let JoinIndex::Map(map) = self {
+            map.entry(Key::extract_fields(fields, key))
+                .or_default()
+                .push(Record::new(fields.to_vec()));
+        }
+    }
+
+    /// Indexes one delivered partition on `key`, honouring the ordering
+    /// contract: a single-`Long` key adopts the partition's pages by pointer,
+    /// revives its spilled runs as pages and serializes its heap records
+    /// once; a sorted spilled partition, and any other key shape, is inserted
+    /// record by record in the partition's owning order
+    /// ([`ExchangedPartition::for_each_owned`]).  Fails with the underlying
+    /// I/O error when a spilled run cannot be read.
+    pub(crate) fn from_partition(
+        part: ExchangedPartition,
+        key: &[usize],
+    ) -> std::io::Result<JoinIndex> {
+        if let (&[field], false) = (key, part.is_sorted_merge()) {
+            let (mut store, mut table) = (PagedRecords::new(), PrefixTable::new());
+            if part.ingest_long_keyed(field, &mut store, |prefix, handle| {
+                table.insert(prefix, handle)
+            })? {
+                return Ok(JoinIndex::Paged { store, table });
+            }
+        }
+        let mut index = JoinIndex::new(key);
+        part.for_each_owned(|record| index.insert_fields(key, record.fields()))?;
+        Ok(index)
+    }
+
+    /// The build records whose join key equals `probe`'s `probe_key` fields,
+    /// in build insertion order.  Paged matches are deserialized into
+    /// `scratch`, whose records keep their capacity from probe to probe.
+    ///
+    /// Kept out of line: inlining it into the workset superstep's per-delta
+    /// closure measurably slowed the long-tail supersteps.
+    #[inline(never)]
+    pub fn matches<'a>(
+        &'a self,
+        probe: &Record,
+        probe_key: &[usize],
+        scratch: &'a mut Vec<Record>,
+    ) -> &'a [Record] {
+        match self {
+            JoinIndex::Map(map) => map
+                .get(&Key::extract(probe, probe_key))
+                .map_or(&[], Vec::as_slice),
+            JoinIndex::Paged { store, table } => {
+                // Only a single `Long` can equal a single-`Long` key.
+                let &[field] = probe_key else { return &[] };
+                let Some(prefix) = long_key_prefix_of(probe, field) else {
+                    return &[];
+                };
+                let mut matched = 0;
+                for handle in table.probe(prefix) {
+                    if matched == scratch.len() {
+                        scratch.push(Record::empty());
+                    }
+                    store.view(handle).read_into(&mut scratch[matched]);
+                    matched += 1;
+                }
+                &scratch[..matched]
+            }
+        }
+    }
+
+    /// Whether a probe record read in place off a page can have matches:
+    /// `false` only when the paged form proves its chain empty from the key
+    /// bytes alone, so the caller skips deserializing the record.
+    #[inline]
+    pub(crate) fn may_match(&self, probe: RecordView<'_>, probe_key: &[usize]) -> bool {
+        let JoinIndex::Paged { table, .. } = self else {
+            return true;
+        };
+        let &[field] = probe_key else { return false };
+        probe
+            .long_key_prefix(field)
+            .is_some_and(|prefix| table.probe(prefix).next().is_some())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::key::sort_by_key;
+    use crate::page::{serialize_record, PageWriter, RecordPage};
+    use crate::spill::{write_run_in, write_sorted_records_in};
+    use std::path::PathBuf;
+    use std::sync::Arc;
+
+    /// The nested-loop oracle: every build record whose key fields equal the
+    /// probe's, in build order.
+    fn nested_loop(
+        build: &[Record],
+        build_key: &[usize],
+        probe: &Record,
+        probe_key: &[usize],
+    ) -> Vec<Record> {
+        build
+            .iter()
+            .filter(|b| {
+                build_key.len() == probe_key.len()
+                    && build_key
+                        .iter()
+                        .zip(probe_key)
+                        .all(|(&bf, &pf)| b.fields().get(bf) == probe.fields().get(pf))
+            })
+            .cloned()
+            .collect()
+    }
+
+    fn bytes(records: &[Record]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for record in records {
+            serialize_record(record, &mut out);
+        }
+        out
+    }
+
+    fn pages_of(records: &[Record]) -> Vec<Arc<RecordPage>> {
+        let mut writer = PageWriter::with_page_bytes(96);
+        for record in records {
+            writer.push(record);
+        }
+        writer.finish()
+    }
+
+    fn test_dir(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "spinning-join-index-test-{}-{name}",
+            std::process::id()
+        ))
+    }
+
+    /// Asserts `index` answers every probe exactly as the nested loop over
+    /// `build` does, byte for byte and in order, and that a probe read in
+    /// place off a page is skipped only when it has no match.
+    fn assert_agrees(
+        case: &str,
+        index: &JoinIndex,
+        build: &[Record],
+        key: &[usize],
+        probes: &[Record],
+    ) {
+        let probe_pages = pages_of(probes);
+        let views = probe_pages.iter().flat_map(|page| page.reader());
+        let mut scratch = Vec::new();
+        for (probe, view) in probes.iter().zip(views) {
+            let expected = nested_loop(build, key, probe, key);
+            let got = index.matches(probe, key, &mut scratch);
+            assert_eq!(bytes(got), bytes(&expected), "{case}: probe {probe:?}");
+            assert!(
+                index.may_match(view, key) || expected.is_empty(),
+                "{case}: skipped {probe:?}"
+            );
+        }
+    }
+
+    /// Builds the index over `build` every way the engines do — field by
+    /// field, and from delivered partitions of local records, pages and
+    /// spilled runs, including a sorted (range-delivered) spilled one — and
+    /// checks each against the nested loop.  Returns the field-built index.
+    fn check_all_builds(
+        name: &str,
+        build: &[Record],
+        key: &[usize],
+        probes: &[Record],
+    ) -> JoinIndex {
+        let mut by_fields = JoinIndex::new(key);
+        for record in build {
+            by_fields.insert_fields(key, record.fields());
+        }
+        assert_agrees(&format!("{name}/fields"), &by_fields, build, key, probes);
+
+        let dir = test_dir(name);
+        let third = build.len() / 3;
+        let (local, rest) = build.split_at(third);
+        let (paged, spilled) = rest.split_at(third);
+        let run = |records: &[Record]| write_run_in(&dir, &pages_of(records), None).unwrap();
+        let mut mixed = ExchangedPartition::new(local.to_vec(), pages_of(paged));
+        mixed.receive_runs([run(spilled)]);
+        let partitions = [
+            ("local", ExchangedPartition::from_records(build.to_vec())),
+            (
+                "pages",
+                ExchangedPartition::new(Vec::new(), pages_of(build)),
+            ),
+            ("mixed", mixed),
+        ];
+        for (form, part) in partitions {
+            let index = JoinIndex::from_partition(part, key).unwrap();
+            let case = format!("{name}/{form}");
+            assert_agrees(&case, &index, build, key, probes);
+            assert_eq!(
+                matches!(index, JoinIndex::Paged { .. }),
+                matches!(by_fields, JoinIndex::Paged { .. }),
+                "{case}"
+            );
+        }
+
+        // A range exchange under a budget: a sorted residue plus sorted runs,
+        // whose owning order is their merge.
+        let mut sorted = build.to_vec();
+        sort_by_key(&mut sorted, key);
+        let sorted_range = || {
+            let (local, runs) = sorted.split_at(third);
+            let (a, b) = runs.split_at(third);
+            let runs = [a, b].map(|records| write_sorted_records_in(&dir, records, key).unwrap());
+            ExchangedPartition::from_spilled(local.to_vec(), runs.to_vec(), Some(key.to_vec()))
+        };
+        let part = sorted_range();
+        assert!(part.is_sorted_merge());
+        let index = JoinIndex::from_partition(part, key).unwrap();
+        let merged = sorted_range().into_records().unwrap();
+        assert_agrees(
+            &format!("{name}/sorted-merge"),
+            &index,
+            &merged,
+            key,
+            probes,
+        );
+        let _ = std::fs::remove_dir(&dir);
+        by_fields
+    }
+
+    /// A small deterministic generator (64-bit LCG).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) % n as u64) as usize
+        }
+    }
+
+    const LONGS: [i64; 8] = [i64::MIN, i64::MIN + 1, -7, -1, 0, 3, 42, i64::MAX];
+
+    #[test]
+    fn matches_equal_a_nested_loop_join_for_every_key_shape_and_build() {
+        let mut rng = Lcg(0x5eed);
+        for round in 0..4 {
+            let long = |rng: &mut Lcg| Value::Long(LONGS[rng.below(LONGS.len())]);
+            let text = |rng: &mut Lcg| Value::Text(format!("k{}", rng.below(6)));
+            let payload = |i: usize| Value::Long(i as i64);
+            let n = 40 + 60 * round;
+            // Duplicated, negative and extreme `Long` keys.
+            let longs: Vec<Record> = (0..n)
+                .map(|i| Record::new(vec![long(&mut rng), payload(i)]))
+                .collect();
+            let probes: Vec<Record> = LONGS
+                .iter()
+                .map(|&k| Record::new(vec![Value::Long(k), Value::Null]))
+                .chain([Record::new(vec![Value::Text("3".into()), Value::Null])])
+                .collect();
+            let index = check_all_builds(&format!("long{round}"), &longs, &[0], &probes);
+            assert!(matches!(index, JoinIndex::Paged { .. }));
+
+            // `Text` keys.
+            let texts: Vec<Record> = (0..n)
+                .map(|i| Record::new(vec![text(&mut rng), payload(i)]))
+                .collect();
+            let probes: Vec<Record> = (0..7)
+                .map(|k| Record::new(vec![Value::Text(format!("k{k}")), Value::Null]))
+                .collect();
+            let index = check_all_builds(&format!("text{round}"), &texts, &[0], &probes);
+            assert!(matches!(index, JoinIndex::Map(_)));
+
+            // `[Long, Long]` keys.
+            let pairs: Vec<Record> = (0..n)
+                .map(|i| Record::new(vec![long(&mut rng), long(&mut rng), payload(i)]))
+                .collect();
+            let probes: Vec<Record> = (0..20)
+                .map(|_| Record::new(vec![long(&mut rng), long(&mut rng)]))
+                .collect();
+            let index = check_all_builds(&format!("pair{round}"), &pairs, &[0, 1], &probes);
+            assert!(matches!(index, JoinIndex::Map(_)));
+
+            // `Long` keys, then a `Text` one that forces the migration, then
+            // `Long`s again.
+            let switch = n / 2 + rng.below(n / 4);
+            let mixed: Vec<Record> = (0..n)
+                .map(|i| {
+                    let key = if i == switch {
+                        text(&mut rng)
+                    } else {
+                        long(&mut rng)
+                    };
+                    Record::new(vec![key, payload(i)])
+                })
+                .collect();
+            let probes: Vec<Record> = LONGS
+                .iter()
+                .map(|&k| Value::Long(k))
+                .chain((0..6).map(|k| Value::Text(format!("k{k}"))))
+                .map(|k| Record::new(vec![k]))
+                .collect();
+            let index = check_all_builds(&format!("migrate{round}"), &mixed, &[0], &probes);
+            assert!(matches!(index, JoinIndex::Map(_)));
+        }
+    }
+
+    fn with_key<'r>(records: &'r [Record], key: &'r Value) -> impl Iterator<Item = Record> + 'r {
+        records.iter().filter(move |r| r.field(0) == key).cloned()
+    }
+
+    #[test]
+    fn long_keys_are_paged_and_probe_in_input_order() {
+        let records: Vec<Record> = (0..200i64).map(|i| Record::pair(i % 17, i)).collect();
+        let probes: Vec<Record> = (0..17)
+            .chain([99])
+            .map(|key| Record::pair(key, -1))
+            .chain([Record::new(vec![Value::Text("3".into())])])
+            .collect();
+        let index = check_all_builds("legacy-long", &records, &[0], &probes);
+        assert!(matches!(index, JoinIndex::Paged { .. }));
+        let expected: Vec<Record> = with_key(&records, &Value::Long(5)).collect();
+        assert_eq!(
+            index.matches(&Record::pair(5, -1), &[0], &mut Vec::new()),
+            expected
+        );
+    }
+
+    #[test]
+    fn other_key_shapes_keep_the_map_and_agree_with_it() {
+        let text = |i: i64| Value::Text(format!("v{}", i % 5));
+        let records: Vec<Record> = (0..40i64)
+            .map(|i| Record::new(vec![text(i), Value::Long(i)]))
+            .collect();
+        let probes: Vec<Record> = (0..6).map(|i| Record::new(vec![text(i)])).collect();
+        let index = check_all_builds("legacy-text", &records, &[0], &probes);
+        assert!(matches!(index, JoinIndex::Map(_)));
+        // A composite key is a map from the first record on.
+        let pairs: Vec<Record> = (0..40i64).map(|i| Record::pair(i % 4, i % 2)).collect();
+        let probes: Vec<Record> = (0..8).map(|i| Record::pair(i % 4, i / 4)).collect();
+        let index = check_all_builds("legacy-pair", &pairs, &[0, 1], &probes);
+        assert!(matches!(index, JoinIndex::Map(_)));
+        let mut scratch = Vec::new();
+        let matched = index.matches(&Record::pair(3, 1), &[0, 1], &mut scratch);
+        assert_eq!(matched.len(), 10);
+    }
+
+    #[test]
+    fn the_first_non_long_key_turns_a_paged_index_into_a_map_keeping_its_order() {
+        let mut records: Vec<Record> = (0..3000i64).map(|i| Record::pair(i % 7, i)).collect();
+        records.push(Record::new(vec![Value::Text("x".into()), Value::Long(-1)]));
+        records.extend((0..50i64).map(|i| Record::pair(i % 7, -i)));
+        let probes: Vec<Record> = (0..7)
+            .map(Value::Long)
+            .chain([Value::Text("x".into())])
+            .map(|key| Record::new(vec![key]))
+            .collect();
+        let index = check_all_builds("legacy-migrate", &records, &[0], &probes);
+        assert!(matches!(index, JoinIndex::Map(_)));
+    }
+}

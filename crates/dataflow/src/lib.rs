@@ -27,6 +27,9 @@
 //! * **Executor** — a multi-threaded shared-nothing runtime where each worker
 //!   partition stands in for a cluster node; records crossing partitions are
 //!   counted as network traffic ([`exec`], [`stats`]).
+//! * **Join index** — the build side of every hash join, and the cached
+//!   constant path a workset iteration probes with each delta
+//!   ([`join_index`]).
 //!
 //! ```
 //! use dataflow::prelude::*;
@@ -63,6 +66,7 @@ pub mod error;
 pub mod exchange;
 pub mod exec;
 pub mod fault;
+pub mod join_index;
 pub mod key;
 pub mod page;
 pub mod physical;

@@ -1198,7 +1198,10 @@ impl PagePool {
 // Exchanged partitions
 // ---------------------------------------------------------------------------
 
-/// The post-exchange input of one worker partition.
+/// The post-exchange input of one worker partition — the one type every edge
+/// delivers to a local phase, whatever its ship strategy: the executor's
+/// forward, hash, range and broadcast edges and its cached edges, and the
+/// iteration runtime's superstep queues.
 ///
 /// Owned records that were already in the right partition stay heap objects
 /// and are moved (a local forward never serializes, exactly like a chained
@@ -1232,7 +1235,8 @@ pub struct ExchangedPartition {
     sorted_by: Option<crate::key::KeyFields>,
 }
 
-/// The heap records of an [`ExchangedPartition`]: its own, or — when a cached
+/// The heap records of an [`ExchangedPartition`]: its own, or — when a
+/// forward edge reads a producer output someone else still holds, or a cached
 /// edge serves the same delivery to every execution — one partition of a
 /// shared set, read by pointer and cloned only by the owning accessors.
 #[derive(Debug)]
@@ -1532,13 +1536,25 @@ impl ExchangedPartition {
     /// across the pieces is unspecified; order-sensitive consumers use the
     /// owning accessors, which merge sorted spilled partitions.  Fails with
     /// the underlying I/O error when a spilled run cannot be read.
-    pub fn for_each_ref(&self, mut f: impl FnMut(&Record)) -> std::io::Result<()> {
+    pub fn for_each_ref(&self, f: impl FnMut(&Record)) -> std::io::Result<()> {
+        self.for_each_ref_where(|_| true, f)
+    }
+
+    /// [`ExchangedPartition::for_each_ref`] that shows `keep` every page
+    /// record in place first and deserializes only the ones it keeps — the
+    /// probe side of a hash join reads a shipped record's key off the page
+    /// and skips the record when nothing can match it.
+    pub(crate) fn for_each_ref_where(
+        &self,
+        keep: impl Fn(RecordView<'_>) -> bool,
+        mut f: impl FnMut(&Record),
+    ) -> std::io::Result<()> {
         for record in self.local.iter() {
             f(record);
         }
         let mut scratch = Record::empty();
         for page in &self.pages {
-            for view in page.reader() {
+            for view in page.reader().filter(|view| keep(*view)) {
                 view.read_into(&mut scratch);
                 f(&scratch);
             }

@@ -392,6 +392,29 @@ impl Plan {
                     return Err(DataflowError::UnknownOperator(input.0));
                 }
             }
+            // Keys are compared field by field: a join on key lists of
+            // different length would match on a prefix under one local
+            // strategy and never under another.
+            if let OperatorKind::Match {
+                left_key,
+                right_key,
+            }
+            | OperatorKind::CoGroup {
+                left_key,
+                right_key,
+                ..
+            } = &op.kind
+            {
+                if left_key.len() != right_key.len() {
+                    return Err(DataflowError::InvalidPlan(format!(
+                        "{} '{}' joins a {}-field left key with a {}-field right key",
+                        op.kind.contract_name(),
+                        op.name,
+                        left_key.len(),
+                        right_key.len()
+                    )));
+                }
+            }
         }
         self.topological_order()
     }
@@ -506,6 +529,50 @@ mod tests {
         let _ = bad;
         let err = plan.validate().unwrap_err();
         assert!(matches!(err, DataflowError::InvalidArity { .. }));
+    }
+
+    #[test]
+    fn join_key_lists_of_different_length_are_rejected() {
+        let mut plan = Plan::new();
+        let (left, right) = (plan.source("left", vec![]), plan.source("right", vec![]));
+        let join = plan.match_join(
+            "uneven-join",
+            left,
+            right,
+            vec![0],
+            vec![0, 1],
+            Arc::new(crate::contracts::MatchClosure(
+                |l: &Record, _r: &Record, out: &mut Collector| out.collect(l.clone()),
+            )),
+        );
+        plan.sink("out", join);
+        let rejected = |plan: &Plan| match plan.validate() {
+            Err(DataflowError::InvalidPlan(message)) => message,
+            other => panic!("expected InvalidPlan, got {other:?}"),
+        };
+        let message = rejected(&plan);
+        assert!(message.contains("Match 'uneven-join'"), "{message}");
+        assert!(message.contains("1-field left key with a 2-field right key"));
+
+        let mut plan = Plan::new();
+        let (left, right) = (plan.source("left", vec![]), plan.source("right", vec![]));
+        let cogroup = plan.inner_cogroup(
+            "uneven-cogroup",
+            left,
+            right,
+            vec![0, 2, 1],
+            vec![1],
+            Arc::new(crate::contracts::CoGroupClosure(
+                |_: &[crate::value::Value], _: &[Record], _: &[Record], _: &mut Collector| {},
+            )),
+        );
+        plan.sink("out", cogroup);
+        let message = rejected(&plan);
+        assert!(
+            message.contains("InnerCoGroup 'uneven-cogroup'"),
+            "{message}"
+        );
+        assert!(message.contains("3-field left key with a 1-field right key"));
     }
 
     #[test]
