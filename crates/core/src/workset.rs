@@ -845,6 +845,12 @@ impl<'a> WorksetIteration<'a> {
                 );
             };
 
+        // The batch join reads the spilled candidates wherever it groups
+        // them: one spill-read fault gate per partition, before either path
+        // touches a run.
+        if !microstep {
+            workset.check_spill_read(spill.fault())?;
+        }
         let paged = !microstep
             && !config.force_materialized
             && self.batch_group_paged(
@@ -858,10 +864,11 @@ impl<'a> WorksetIteration<'a> {
         debug_assert!(local.is_empty(), "workset queues hold pages and runs only");
         if paged {
             // Page-native InnerCoGroup: the candidates were grouped straight
-            // off their sealed pages (sorted by normalized key prefix, read
-            // into a bounded group scratch) and each update's delta was
-            // applied and expanded in place; only the deltas themselves
-            // touch heap records.
+            // off their sealed pages and spilled runs (sorted by normalized
+            // key prefix, the runs merged in frame by frame, read into a
+            // bounded group scratch) and each update's delta was applied and
+            // expanded in place; only the deltas themselves touch heap
+            // records.
         } else if microstep {
             // Match variant: one workset record at a time, updates visible
             // immediately.  Candidates are deserialized straight out of the
@@ -898,13 +905,13 @@ impl<'a> WorksetIteration<'a> {
             }
         } else {
             // InnerCoGroup variant, materializing — the only path for
-            // non-`Long` or composite keys and for spilled runs, and the
-            // oracle the page-native path is tested against: read the
-            // queue's pages into records recycled from earlier supersteps
-            // and sort them by key so each group is a contiguous run (no
-            // per-superstep map to build), one update per key, deltas
-            // applied after the whole group pass (superstep semantics —
-            // every lookup sees the previous superstep's state).
+            // non-`Long` or composite keys, and the oracle the page-native
+            // path is tested against: read the queue's pages into records
+            // recycled from earlier supersteps and sort them by key so each
+            // group is a contiguous run (no per-superstep map to build), one
+            // update per key, deltas applied after the whole group pass
+            // (superstep semantics — every lookup sees the previous
+            // superstep's state).
             let mut records: Vec<Record> =
                 Vec::with_capacity(pages.iter().map(|p| p.record_count()).sum());
             for page in &pages {
@@ -930,11 +937,11 @@ impl<'a> WorksetIteration<'a> {
             } else {
                 // Out-of-core grouping: the spilled candidate runs are
                 // sorted on the workset key, so merging them with the sorted
-                // in-memory residue yields each key's candidates contiguously
-                // — one group is buffered at a time, the spilled part of the
-                // workset never materializes.  Deltas still apply after the
-                // whole pass (superstep semantics are unchanged).
-                spill.fault().io_check(FaultSite::SpillRead)?;
+                // in-memory residue (ties in delivery order, as on the paged
+                // path) yields each key's candidates contiguously — one group
+                // is buffered at a time, the spilled part of the workset
+                // never materializes.  Deltas still apply after the whole
+                // pass (superstep semantics are unchanged).
                 let merger = RunMerger::over_runs(&runs, records, self.workset_key.clone())?;
                 let inspected = &mut output.inspected;
                 merger.for_each_group(|key, candidates| {
@@ -968,8 +975,9 @@ impl<'a> WorksetIteration<'a> {
     /// The page-native InnerCoGroup build: groups the partition's candidates
     /// by key without materializing a heap record per candidate, through the
     /// shared single-`Long`-key kernel
-    /// ([`dataflow::page::for_each_long_key_group`]).  Each update's delta
-    /// is handed to `apply` (the caller's apply-and-expand) immediately: a
+    /// ([`dataflow::page::for_each_long_key_group`]), which merges key-sorted
+    /// spilled candidate runs in off disk one frame at a time.  Each update's
+    /// delta is handed to `apply` (the caller's apply-and-expand) immediately: a
     /// key is updated at most once per pass, so no probe can observe another
     /// key's fresh delta and the in-place application is observably
     /// identical to the materializing path's collect-then-apply — same
@@ -978,9 +986,8 @@ impl<'a> WorksetIteration<'a> {
     /// record instead of re-reading the stored record.
     ///
     /// Returns `false` without touching `output` when the workset
-    /// disqualifies the paged path (composite or non-`Long` key, spilled
-    /// runs that need the merging path); the caller falls back to
-    /// materializing the untouched workset.
+    /// disqualifies the paged path (composite or non-`Long` key); the caller
+    /// falls back to materializing the untouched workset.
     fn batch_group_paged(
         &self,
         workset: &ExchangedPartition,
@@ -989,10 +996,6 @@ impl<'a> WorksetIteration<'a> {
         mut apply: impl FnMut(Record, &mut PartitionIndex, &mut PartitionOutput),
         output: &mut PartitionOutput,
     ) -> std::io::Result<bool> {
-        // Spilled runs take the streaming merge-group path instead.
-        if workset.spilled_run_count() > 0 {
-            return Ok(false);
-        }
         for_each_long_key_group(workset, &self.workset_key, grouping, |key, candidates| {
             output.inspected += 1;
             let key = Key::long(key);

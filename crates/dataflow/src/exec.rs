@@ -1471,14 +1471,12 @@ fn broadcast_paged(
 }
 
 /// Admits one partition's delivered inputs to a local phase: consults the
-/// executor-side spill-read fault gate once per input backed by spilled runs
-/// — before any local algorithm touches the disk, the same convention the
-/// workset superstep read path follows — and returns the record total.
+/// spill-read fault gate once per input backed by spilled runs
+/// ([`ExchangedPartition::check_spill_read`]) — before any local algorithm
+/// touches the disk — and returns the record total.
 fn admit_inputs(inputs: &[ExchangedPartition], fault: &FaultInjector) -> Result<usize> {
     for input in inputs {
-        if input.spilled_run_count() > 0 {
-            fault.io_check(FaultSite::SpillRead)?;
-        }
+        input.check_spill_read(fault)?;
     }
     Ok(inputs.iter().map(ExchangedPartition::record_count).sum())
 }
@@ -1611,10 +1609,11 @@ fn into_sorted_records(part: ExchangedPartition, key: &[usize]) -> std::io::Resu
 // *is* the complete single-`Long` key: no collision fallback is ever needed.
 // Records are deserialized only at the user-function boundary, through
 // scratch records reused across calls.  Inputs that do not qualify (composite
-// or non-`Long` keys, partitions that delivered nothing serialized, or sorted
-// spilled partitions whose merge order the materializing path preserves)
-// fall back, so both paths stay byte-identical.  The hash join has one path:
-// its build side is a [`JoinIndex`].
+// or non-`Long` keys, partitions that delivered nothing serialized) fall
+// back.  Both paths order a key's records the same way — delivery order,
+// local records, pages, then spilled runs, which is also how every merge of
+// sorted spilled pieces breaks ties — so they stay byte-identical.  The hash
+// join has one path: its build side is a [`JoinIndex`].
 
 /// True when `part` is worth ingesting: it actually delivered serialized
 /// data.  An all-local partition gains nothing from being re-serialized.
@@ -1622,25 +1621,19 @@ fn has_paged_data(part: &ExchangedPartition) -> bool {
     part.page_count() > 0 || part.spilled_run_count() > 0
 }
 
-/// Page-native grouping: a thin caller of the shared single-`Long`-key
-/// kernel ([`for_each_long_key_group`]), which sorts `(prefix, handle)` pairs
-/// and streams each key group through one reusable record buffer into the
-/// reduce function.  Returns `Ok(false)` (nothing emitted) when the input or
-/// the key disqualifies.
+/// Page-native grouping under either local strategy: a thin caller of the
+/// shared single-`Long`-key kernel ([`for_each_long_key_group`]), which sorts
+/// `(prefix, handle)` pairs, streams key-sorted spilled runs off disk one
+/// frame at a time, and hands each key group through one reusable record
+/// buffer to the reduce function.  Returns `Ok(false)` (nothing emitted)
+/// when the input or the key disqualifies.
 fn try_reduce_paged(
     key: &[usize],
     part: &ExchangedPartition,
-    sort_based: bool,
     udf: &dyn ReduceFunction,
     out: &mut Collector,
 ) -> std::io::Result<bool> {
-    if !has_paged_data(part) || part.is_sorted_merge() {
-        return Ok(false);
-    }
-    // The sort strategy merges key-sorted spilled runs out of core (one
-    // group in memory at a time); reviving those runs wholesale here would
-    // trade that memory bound away, so the merge path keeps them.
-    if sort_based && part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key) {
+    if !has_paged_data(part) {
         return Ok(false);
     }
     for_each_long_key_group(part, key, &mut GroupScratch::default(), |k, group| {
@@ -1660,15 +1653,6 @@ fn try_sort_merge_paged(
     out: &mut Collector,
 ) -> std::io::Result<bool> {
     if !has_paged_data(lpart) && !has_paged_data(rpart) {
-        return Ok(false);
-    }
-    // Sides whose spilled runs carry the key order materialize by linear
-    // merge in the fallback — an interleaving the delivery-order ingest
-    // cannot reproduce.
-    let disqualifies = |part: &ExchangedPartition, key: &[usize]| {
-        part.is_sorted_merge() || (part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key))
-    };
-    if disqualifies(lpart, left_key) || disqualifies(rpart, right_key) {
         return Ok(false);
     }
     let (mut lpairs, mut rpairs) = (Vec::new(), Vec::new());
@@ -1701,7 +1685,8 @@ fn try_sort_merge_paged(
 }
 
 /// The Reduce paths that work on a whole delivered partition rather than a
-/// stream of records: the page-native grouping, and the sort strategy's
+/// stream of records: the page-native grouping, and — for the keys it
+/// rejects, and under `force_materialized` — the sort strategy's
 /// out-of-core merge over key-sorted spilled runs.  Hands the input back
 /// untouched when neither applies.
 fn reduce_delivered(
@@ -1712,7 +1697,7 @@ fn reduce_delivered(
     out: &mut Collector,
     page_native: bool,
 ) -> Result<Option<ExchangedPartition>> {
-    if page_native && try_reduce_paged(key, &part, sort_based, udf, out)? {
+    if page_native && try_reduce_paged(key, &part, udf, out)? {
         return Ok(None);
     }
     // Out-of-core path: whenever every spilled run is sorted on the grouping

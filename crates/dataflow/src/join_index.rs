@@ -88,15 +88,16 @@ impl JoinIndex {
     /// Indexes one delivered partition on `key`, honouring the ordering
     /// contract: a single-`Long` key adopts the partition's pages by pointer,
     /// revives its spilled runs as pages and serializes its heap records
-    /// once; a sorted spilled partition, and any other key shape, is inserted
-    /// record by record in the partition's owning order
-    /// ([`ExchangedPartition::for_each_owned`]).  Fails with the underlying
-    /// I/O error when a spilled run cannot be read.
+    /// once; any other key shape is inserted record by record in the
+    /// partition's owning order ([`ExchangedPartition::for_each_owned`]).
+    /// A key's records keep delivery order either way: the owning order of
+    /// a sorted spilled partition merges with ties in delivery order.  Fails
+    /// with the underlying I/O error when a spilled run cannot be read.
     pub(crate) fn from_partition(
         part: ExchangedPartition,
         key: &[usize],
     ) -> std::io::Result<JoinIndex> {
-        if let (&[field], false) = (key, part.is_sorted_merge()) {
+        if let &[field] = key {
             let (mut store, mut table) = (PagedRecords::new(), PrefixTable::new());
             if part.ingest_long_keyed(field, &mut store, |prefix, handle| {
                 table.insert(prefix, handle)

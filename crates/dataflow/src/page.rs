@@ -51,8 +51,9 @@
 //! *exact* serialized width of this format; the writer uses them to decide
 //! whether a record fits into the open page before serializing it.
 
+use crate::fault::{FaultInjector, FaultSite};
 use crate::record::Record;
-use crate::spill::{RunMerger, SpilledRun};
+use crate::spill::{LoserTree, RunCursor, RunMerger, SpilledRun};
 use crate::value::Value;
 use std::sync::Arc;
 
@@ -241,12 +242,18 @@ fn read_array<const N: usize>(bytes: &[u8], offset: &mut usize) -> [u8; N] {
     let end = *offset + N;
     let chunk: [u8; N] = bytes[*offset..end]
         .try_into()
-        .expect("slice bounds checked by caller");
+        .expect("a slice of exactly N bytes converts to [u8; N]");
     *offset = end;
     chunk
 }
 
 /// Decodes the field at `offset`, advancing it past the field.
+///
+/// Page bytes are trusted: every page is written by this module's serializer
+/// (which emits only the five tags and a `&str`'s bytes for `Text`), and a
+/// page that was on disk is CRC-checked before it is read
+/// ([`crate::spill`]).  The two panics below are unreachable unless memory
+/// itself is corrupt.
 fn deserialize_value(bytes: &[u8], offset: &mut usize) -> Value {
     let tag = bytes[*offset];
     *offset += 1;
@@ -262,25 +269,17 @@ fn deserialize_value(bytes: &[u8], offset: &mut usize) -> Value {
         TAG_TEXT => {
             let len = u32::from_le_bytes(read_array(bytes, offset)) as usize;
             let end = *offset + len;
-            let s = std::str::from_utf8(&bytes[*offset..end])
-                .expect("pages store valid UTF-8 text fields");
+            let s = std::str::from_utf8(&bytes[*offset..end]).expect(
+                "a Text field holds the bytes of a &str: pages are written by the \
+                 serializer and CRC-checked when read back from disk",
+            );
             *offset = end;
             Value::Text(s.to_owned())
         }
-        other => panic!("corrupt page: unknown value tag {other}"),
-    }
-}
-
-/// Reads one length-framed record starting at `offset` into `target`,
-/// advancing the offset past it — the in-crate primitive behind
-/// [`crate::spill::RunCursor`], which revives page bytes from disk without
-/// constructing a [`RecordPage`].
-pub(crate) fn read_framed_record(bytes: &[u8], offset: &mut usize, target: &mut Record) {
-    let len = u32::from_le_bytes(read_array(bytes, offset)) as usize;
-    let end = *offset + len;
-    target.clear();
-    while *offset < end {
-        target.push(deserialize_value(bytes, offset));
+        other => panic!(
+            "unknown value tag {other}: pages are written by the serializer, which \
+             emits only tags 0-4, and CRC-checked when read back from disk"
+        ),
     }
 }
 
@@ -361,9 +360,11 @@ impl RecordPage {
     }
 }
 
-/// Reads the framed record starting at `offset` out of `bytes` as a view.
+/// Reads the framed record starting at `offset` out of `bytes` as a view —
+/// also how a spilled run's frame buffer is read in place
+/// ([`crate::spill::RunCursor`]).
 #[inline]
-fn view_in(bytes: &[u8], offset: usize) -> RecordView<'_> {
+pub(crate) fn view_in(bytes: &[u8], offset: usize) -> RecordView<'_> {
     let mut offset = offset;
     let len = u32::from_le_bytes(read_array(bytes, &mut offset)) as usize;
     RecordView {
@@ -684,7 +685,9 @@ impl<'a> RecordView<'a> {
             skip_value(self.payload, &mut offset);
             field += 1;
         }
-        panic!("page record has no field {idx}");
+        // The caller's contract, as for `Record::long`: it names a field the
+        // record has.
+        panic!("page record has no field {idx}: callers read fields their records carry");
     }
 
     /// The 8-byte normalized (order-preserving) encoding of the first field
@@ -740,7 +743,8 @@ impl<'a> RecordView<'a> {
     }
 }
 
-/// Advances `offset` past the field starting there.
+/// Advances `offset` past the field starting there.  Page bytes are trusted
+/// for the reason [`deserialize_value`] gives.
 fn skip_value(bytes: &[u8], offset: &mut usize) {
     let tag = bytes[*offset];
     *offset += 1;
@@ -749,7 +753,10 @@ fn skip_value(bytes: &[u8], offset: &mut usize) {
         TAG_BOOL => 1,
         TAG_LONG | TAG_DOUBLE => 8,
         TAG_TEXT => u32::from_le_bytes(read_array(bytes, offset)) as usize,
-        other => panic!("corrupt page: unknown value tag {other}"),
+        other => panic!(
+            "unknown value tag {other}: pages are written by the serializer, which \
+             emits only tags 0-4, and CRC-checked when read back from disk"
+        ),
     };
 }
 
@@ -1220,7 +1227,8 @@ impl PagePool {
 /// spilled runs keeps two invariants: the materialized records are sorted,
 /// every run is individually sorted by the same key, and no raw pages are
 /// present.  The owning accessors then yield the **merged** global order (a
-/// linear k-way merge, never a re-sort); [`ExchangedPartition::for_each_ref`]
+/// linear k-way merge, never a re-sort, with ties in delivery order: the
+/// records first, then the runs in order); [`ExchangedPartition::for_each_ref`]
 /// streams the pieces without merging, so its visit order across pieces is
 /// unspecified — order-sensitive consumers take ownership.
 #[derive(Debug, Default)]
@@ -1408,22 +1416,20 @@ impl ExchangedPartition {
     }
 
     /// The streaming k-way merge over this sorted partition's pieces (the
-    /// spilled runs plus the in-memory sorted records), yielding the global
-    /// key order one record at a time.  Fails with the underlying I/O error
-    /// when a spilled run cannot be opened.
-    ///
-    /// # Panics
-    /// If the partition is not sorted, or holds raw pages (sorted spilled
-    /// partitions never do, by construction).
+    /// in-memory sorted records, then the spilled runs), yielding the global
+    /// key order one record at a time, ties in delivery order.  Fails with
+    /// the underlying I/O error when a spilled run cannot be opened, and
+    /// with [`std::io::ErrorKind::InvalidInput`] when the partition is not
+    /// sorted or holds raw pages (sorted partitions never do: receiving a
+    /// page voids the order).
     pub fn into_merger(self) -> std::io::Result<RunMerger> {
-        let key = self
-            .sorted_by
-            .clone()
-            .expect("into_merger requires a sorted partition");
-        assert!(
-            self.pages.is_empty(),
-            "sorted spilled partitions never hold raw pages"
-        );
+        let invalid = |what| std::io::Error::new(std::io::ErrorKind::InvalidInput, what);
+        let Some(key) = self.sorted_by else {
+            return Err(invalid("into_merger needs a sorted partition"));
+        };
+        if !self.pages.is_empty() {
+            return Err(invalid("into_merger needs a partition without raw pages"));
+        }
         RunMerger::over_runs(&self.runs, self.local.into_vec(), key)
     }
 
@@ -1457,34 +1463,47 @@ impl ExchangedPartition {
         store: &mut PagedRecords,
         mut on_record: impl FnMut(u64, PageHandle),
     ) -> std::io::Result<bool> {
-        for record in self.local.iter() {
-            let Some(prefix) = long_key_prefix_of(record, key_field) else {
-                return Ok(false);
-            };
-            on_record(prefix, store.append(record));
-        }
-        let mut scan = |page: &Arc<RecordPage>| {
-            store.adopt_page_scanned(page, |handle, view| match view.long_key_prefix(key_field) {
-                Some(prefix) => {
-                    on_record(prefix, handle);
-                    true
-                }
-                None => false,
-            })
-        };
-        for page in &self.pages {
-            if !scan(page) {
-                return Ok(false);
-            }
+        if !self.ingest_residue_long_keyed(key_field, store, &mut on_record) {
+            return Ok(false);
         }
         for run in &self.runs {
             for page in &run.read_pages()? {
-                if !scan(page) {
+                if !scan_long_keyed(page, key_field, store, &mut on_record) {
                     return Ok(false);
                 }
             }
         }
         Ok(true)
+    }
+
+    /// [`ExchangedPartition::ingest_long_keyed`] of the in-memory residue
+    /// alone — local records, then pages — leaving the runs on disk.
+    fn ingest_residue_long_keyed(
+        &self,
+        key_field: usize,
+        store: &mut PagedRecords,
+        on_record: &mut impl FnMut(u64, PageHandle),
+    ) -> bool {
+        for record in self.local.iter() {
+            let Some(prefix) = long_key_prefix_of(record, key_field) else {
+                return false;
+            };
+            on_record(prefix, store.append(record));
+        }
+        self.pages
+            .iter()
+            .all(|page| scan_long_keyed(page, key_field, store, on_record))
+    }
+
+    /// The spill-read fault gate of a local phase: consults `fault` once
+    /// ([`FaultSite::SpillRead`]) when the partition is backed by spilled
+    /// runs, before anything reads them — the executor's inputs and the
+    /// workset's batch supersteps alike.
+    pub fn check_spill_read(&self, fault: &FaultInjector) -> std::io::Result<()> {
+        if self.runs.is_empty() {
+            return Ok(());
+        }
+        fault.io_check(FaultSite::SpillRead)
     }
 
     /// Decomposes the partition into its pieces:
@@ -1630,6 +1649,23 @@ impl ExchangedPartition {
     }
 }
 
+/// Adopts `page` into `store`, reporting every record's `(key prefix,
+/// handle)`; `false` at the first record whose `key_field` is not a `Long`.
+fn scan_long_keyed(
+    page: &Arc<RecordPage>,
+    key_field: usize,
+    store: &mut PagedRecords,
+    on_record: &mut impl FnMut(u64, PageHandle),
+) -> bool {
+    store.adopt_page_scanned(page, |handle, view| match view.long_key_prefix(key_field) {
+        Some(prefix) => {
+            on_record(prefix, handle);
+            true
+        }
+        None => false,
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Grouping a paged partition by its single-`Long` key
 // ---------------------------------------------------------------------------
@@ -1773,16 +1809,35 @@ pub fn next_long_key_group<'p, 'g>(
 
 /// Groups a paged partition by its single-`Long` key: `on_group` runs once
 /// per distinct key, in key order, with the key's records in delivery order
-/// — identical to both the hash-table and the sort-based materializing
-/// groupings.  Only the current group exists as heap records.  Returns
-/// `Ok(false)` without having invoked `on_group` when the key disqualifies
-/// the paged path (see [`sort_by_long_key`]); the caller falls back.
+/// (local records, pages, then the spilled runs in order) — the stable sort
+/// of the partition, and so identical to both the hash-table and the
+/// sort-based materializing groupings, [`RunMerger`]'s included.  Only the
+/// current group exists as heap records.
+///
+/// Spilled runs sorted on the key ([`SpilledRun::sorted_by_long_key`], what
+/// a sorting spill flush writes) stay on disk: when every run of the
+/// partition is one, the in-memory residue is radix-sorted and merged with
+/// the runs on a loser tree over key prefixes, each run read one frame at a
+/// time into a reused buffer — the residue plus one frame per run is in
+/// memory, as under [`RunMerger`], and no record is built for a run record
+/// outside the group being handed out.  Any other run is revived as pages
+/// and sorted with the residue.
+///
+/// Returns `Ok(false)` without having invoked `on_group` when the key
+/// disqualifies the paged path (see [`sort_by_long_key`]); the caller falls
+/// back.  Callers consult the spill-read fault gate
+/// ([`ExchangedPartition::check_spill_read`]) before calling.
 pub fn for_each_long_key_group(
     part: &ExchangedPartition,
     key: &[usize],
     scratch: &mut GroupScratch,
     mut on_group: impl FnMut(i64, &[Record]),
 ) -> std::io::Result<bool> {
+    if let &[field] = key {
+        if !part.runs.is_empty() && part.runs.iter().all(|run| run.sorted_by() == Some(key)) {
+            return merge_long_key_groups(part, field, scratch, &mut on_group);
+        }
+    }
     let GroupScratch {
         pairs,
         radix,
@@ -1798,6 +1853,97 @@ pub fn for_each_long_key_group(
         rest = after;
     }
     Ok(true)
+}
+
+/// The streaming merge of [`for_each_long_key_group`], over a partition
+/// whose runs are all sorted on the key.  Source 0 is the radix-sorted
+/// residue and source `i` is run `i − 1`; ties go to the lower source, which
+/// is delivery order.  Out of line and cold: the unspilled grouping loop
+/// that calls it must stay small.
+#[cold]
+#[inline(never)]
+fn merge_long_key_groups(
+    part: &ExchangedPartition,
+    field: usize,
+    scratch: &mut GroupScratch,
+    on_group: &mut dyn FnMut(i64, &[Record]),
+) -> std::io::Result<bool> {
+    // A run sorted on the key without being `Long`-keyed holds a record
+    // whose key is something else.
+    if !part.runs.iter().all(|run| run.sorted_by_long_key(field)) {
+        return Ok(false);
+    }
+    let GroupScratch {
+        pairs,
+        radix,
+        group,
+    } = scratch;
+    pairs.clear();
+    pairs.reserve(part.local.len() + part.pages.iter().map(|p| p.record_count()).sum::<usize>());
+    let mut store = PagedRecords::new();
+    if !part.ingest_residue_long_keyed(field, &mut store, &mut |prefix, handle| {
+        pairs.push((prefix, handle))
+    }) {
+        return Ok(false);
+    }
+    sort_pairs_by_prefix(pairs, radix);
+
+    let mut cursors = part
+        .runs
+        .iter()
+        .map(SpilledRun::cursor)
+        .collect::<std::io::Result<Vec<RunCursor>>>()?;
+    let mut heads: Vec<Option<u64>> = Vec::with_capacity(cursors.len() + 1);
+    heads.push(pairs.first().map(|pair| pair.0));
+    for cursor in &mut cursors {
+        heads.push(run_head(cursor, field)?);
+    }
+    let beats = |heads: &[Option<u64>], a: usize, b: usize| match (heads[a], heads[b]) {
+        (Some(x), Some(y)) => (x, a) < (y, b),
+        (x, y) => x.is_some() && y.is_none(),
+    };
+    let mut tree = LoserTree::new(heads.len(), |a, b| beats(&heads, a, b));
+    let mut residue = 0;
+    while let Some(prefix) = heads[tree.winner()] {
+        let mut len = 0;
+        loop {
+            let source = tree.winner();
+            if heads[source] != Some(prefix) {
+                break;
+            }
+            if len == group.len() {
+                group.push(Record::empty());
+            }
+            if source == 0 {
+                store.view(pairs[residue].1).read_into(&mut group[len]);
+                residue += 1;
+                heads[0] = pairs.get(residue).map(|pair| pair.0);
+            } else {
+                let cursor = &mut cursors[source - 1];
+                cursor.view().read_into(&mut group[len]);
+                heads[source] = run_head(cursor, field)?;
+            }
+            len += 1;
+            tree.replay(source, |a, b| beats(&heads, a, b));
+        }
+        on_group(denormalize_long(prefix.to_be_bytes()), &group[..len]);
+    }
+    Ok(true)
+}
+
+/// Steps `cursor` to its next record and returns that record's key prefix,
+/// `None` at the end of the run.
+fn run_head(cursor: &mut RunCursor, field: usize) -> std::io::Result<Option<u64>> {
+    if !cursor.step()? {
+        return Ok(None);
+    }
+    match cursor.view().long_key_prefix(field) {
+        Some(prefix) => Ok(Some(prefix)),
+        None => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "a run sorted on a Long key holds a record whose key is not a Long",
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -2266,6 +2412,208 @@ mod tests {
         );
         // The partition is untouched: the materializing fallback reads it all.
         assert_eq!(mixed.into_records().unwrap().len(), 3);
+    }
+
+    /// The grouping as `(key, serialized group records)`, in group order.
+    type Groups = Vec<(i64, Vec<u8>)>;
+
+    fn serialized(records: &[Record]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for record in records {
+            serialize_record(record, &mut out);
+        }
+        out
+    }
+
+    /// What the kernel hands out for `part` on key field 0.
+    fn kernel_groups(part: &ExchangedPartition, scratch: &mut GroupScratch) -> Groups {
+        let mut groups = Groups::new();
+        let grouped = for_each_long_key_group(part, &[0], scratch, |key, group| {
+            groups.push((key, serialized(group)))
+        })
+        .unwrap();
+        assert!(grouped, "a Long-keyed partition must group page-natively");
+        groups
+    }
+
+    /// The materializing oracle: every record owned, stably sorted on field
+    /// 0, cut into key groups.
+    fn oracle_groups(part: ExchangedPartition) -> Groups {
+        let mut records = part.into_records().unwrap();
+        crate::key::sort_by_key(&mut records, &[0]);
+        let mut groups = Groups::new();
+        for group in records.chunk_by(|a, b| a.field(0) == b.field(0)) {
+            groups.push((group[0].long(0), serialized(group)));
+        }
+        groups
+    }
+
+    /// The single-`Long` grouping kernel equals `into_records()` plus the
+    /// stable sort, group for group and byte for byte, over partitions built
+    /// from every piece a delivery holds: local records, pages, several
+    /// multi-page and one-page sorted runs, an empty run and a run holding
+    /// an oversized record, with duplicate and extreme keys spread across
+    /// all of them — and over a range-delivered sorted spilled partition.
+    #[test]
+    fn long_key_grouping_equals_the_stable_sort_of_the_delivered_records() {
+        use crate::spill::{write_run_in, write_sorted_records_in, MemoryBudget, SpillManager};
+        let dir =
+            std::env::temp_dir().join(format!("spinning-page-test-{}-kernel", std::process::id()));
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut random = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        const KEYS: [i64; 9] = [i64::MIN, i64::MIN + 1, -300, -7, -1, 0, 5, 42, i64::MAX];
+        let mut serial = 0i64;
+        let mut records = |count: usize, random: &mut dyn FnMut(usize) -> usize| {
+            (0..count)
+                .map(|_| {
+                    serial += 1;
+                    Record::pair(KEYS[random(KEYS.len())], serial)
+                })
+                .collect::<Vec<Record>>()
+        };
+        let mut scratch = GroupScratch::default();
+        for round in 0..4 {
+            let size = 40 + 150 * round;
+            // A writer under two page credits flushes sorted runs of two
+            // full pages and keeps an unsorted residue; a budget-0 writer of
+            // tiny pages flushes every sealed page as a one-page run.
+            let credits =
+                SpillManager::in_dir(dir.clone(), MemoryBudget::unlimited(), Some(vec![0]))
+                    .with_page_credits(Some(2));
+            let zero = SpillManager::in_dir(dir.clone(), MemoryBudget::bytes(0), Some(vec![0]))
+                .with_page_bytes(96);
+            let mut flushed = Vec::new();
+            let mut residue = Vec::new();
+            for (manager, count) in [(credits, 4_000 + 1_500 * round), (zero, size)] {
+                let mut writer = manager.writer();
+                for record in records(count, &mut random) {
+                    writer.push(&record);
+                }
+                let out = writer.finish().unwrap();
+                residue.extend(out.pages);
+                flushed.extend(out.runs);
+            }
+            assert!(flushed.iter().any(|run| run.page_count() > 1));
+            assert!(flushed.iter().filter(|run| run.page_count() == 1).count() > 1);
+            assert!(!residue.is_empty());
+            let mut oversized = records(5, &mut random);
+            oversized.push(Record::new(vec![
+                Value::Long(KEYS[random(KEYS.len())]),
+                Value::Text("x".repeat(40 * 1024)),
+            ]));
+            crate::key::sort_by_key(&mut oversized, &[0]);
+            let oversized = write_sorted_records_in(&dir, &oversized, &[0]).unwrap();
+            assert!(oversized.byte_len() > DEFAULT_PAGE_BYTES);
+            let empty = write_run_in(&dir, &[], Some(vec![0])).unwrap();
+            assert_eq!(empty.record_count(), 0);
+
+            let local = records(size / 2, &mut random);
+            let build = || {
+                let mut part = ExchangedPartition::new(local.clone(), residue.clone());
+                let (head, tail) = flushed.split_at(flushed.len() / 2);
+                part.receive_runs(head.iter().cloned());
+                part.receive_runs([empty.clone()]);
+                part.receive_runs(tail.iter().cloned());
+                part.receive_runs([oversized.clone()]);
+                part
+            };
+            let part = build();
+            assert!(part.runs().iter().all(|run| run.sorted_by_long_key(0)));
+            assert_eq!(
+                kernel_groups(&part, &mut scratch),
+                oracle_groups(build()),
+                "round {round}: local, pages and sorted runs"
+            );
+            // Without pages or local records the runs alone merge.
+            let runs_only = || ExchangedPartition::from_spilled(Vec::new(), flushed.clone(), None);
+            assert_eq!(
+                kernel_groups(&runs_only(), &mut scratch),
+                oracle_groups(runs_only()),
+                "round {round}: runs only"
+            );
+            // An unsorted run takes the revive path, with the same answer.
+            let unsorted = {
+                let mut writer = PageWriter::with_page_bytes(96);
+                for record in records(size / 3, &mut random) {
+                    writer.push(&record);
+                }
+                write_run_in(&dir, &writer.finish(), None).unwrap()
+            };
+            let with_unsorted = || {
+                let mut part = build();
+                part.receive_runs([unsorted.clone()]);
+                part
+            };
+            assert_eq!(
+                kernel_groups(&with_unsorted(), &mut scratch),
+                oracle_groups(with_unsorted()),
+                "round {round}: an unsorted run"
+            );
+
+            // A range-delivered sorted spilled partition: a sorted residue
+            // plus sorted runs, whose owning order is their merge.
+            let mut sorted_local = records(size, &mut random);
+            crate::key::sort_by_key(&mut sorted_local, &[0]);
+            let sorted_runs: Vec<SpilledRun> = (0..3)
+                .map(|_| {
+                    let mut run = records(size / 2, &mut random);
+                    crate::key::sort_by_key(&mut run, &[0]);
+                    write_sorted_records_in(&dir, &run, &[0]).unwrap()
+                })
+                .collect();
+            let range = || {
+                ExchangedPartition::from_spilled(
+                    sorted_local.clone(),
+                    sorted_runs.clone(),
+                    Some(vec![0]),
+                )
+            };
+            assert!(range().is_sorted_merge());
+            assert_eq!(
+                kernel_groups(&range(), &mut scratch),
+                oracle_groups(range()),
+                "round {round}: range-delivered sorted merge"
+            );
+
+            // Keys the kernel rejects: a composite key, a `Text` key in the
+            // residue beside `Long`-keyed runs, and `Text`-keyed runs.
+            let mut invoked = false;
+            let mut reject = |part: &ExchangedPartition, key: &[usize]| {
+                !for_each_long_key_group(part, key, &mut scratch, |_, _| invoked = true).unwrap()
+            };
+            assert!(reject(&build(), &[0, 1]), "round {round}: composite key");
+            let mut text_residue = build();
+            text_residue.receive_local(vec![Record::new(vec![Value::Text("k".into())])]);
+            assert!(
+                reject(&text_residue, &[0]),
+                "round {round}: Text in the residue"
+            );
+            let text_runs = {
+                let manager =
+                    SpillManager::in_dir(dir.clone(), MemoryBudget::bytes(0), Some(vec![0]))
+                        .with_page_bytes(96);
+                let mut writer = manager.writer();
+                for i in 0..size as i64 {
+                    writer.push(&Record::new(vec![
+                        Value::Text(format!("v{}", i % 7)),
+                        Value::Long(i),
+                    ]));
+                }
+                writer.finish().unwrap().runs
+            };
+            assert!(text_runs
+                .iter()
+                .all(|run| run.sorted_by() == Some(&[0][..])));
+            let text_part = ExchangedPartition::from_spilled(Vec::new(), text_runs, None);
+            assert!(reject(&text_part, &[0]), "round {round}: Text-keyed runs");
+            assert!(!invoked, "a rejected partition never reaches the callback");
+        }
+        let _ = std::fs::remove_dir(&dir);
     }
     /// The radix pass must order pairs exactly as the comparison sort on
     /// `(prefix, handle)` does, whatever the key distribution and on either

@@ -31,7 +31,11 @@
 //! * [`RunMerger`] — a k-way loser-tree merge over sorted runs (and sorted
 //!   in-memory record sequences), yielding the globally sorted stream one
 //!   record at a time.  [`RunMerger::for_each_group`] layers streaming
-//!   grouping on top: only one key group is ever in memory.
+//!   grouping on top: only one key group is ever in memory.  It serves the
+//!   key shapes the page-native grouping kernel
+//!   ([`crate::page::for_each_long_key_group`]) rejects — composite and
+//!   non-`Long` keys — which streams single-`Long`-keyed runs on the same
+//!   loser tree without building a record per run record.
 //!
 //! # Run file format (version 2)
 //!
@@ -68,7 +72,8 @@
 use crate::fault::{FaultInjector, FaultSite};
 use crate::key::{Key, KeyFields};
 use crate::page::{
-    sort_by_long_key_with, ExchangedPartition, PageHandle, PageWriter, PagedRecords, RecordPage,
+    sort_by_long_key_with, view_in, ExchangedPartition, PageHandle, PageWriter, PagedRecords,
+    RecordPage, RecordView,
 };
 use crate::range::sort_by_key_normalized;
 use crate::record::Record;
@@ -370,12 +375,15 @@ impl RunFile {
     /// header, then one frame per non-empty page — and returns its handle.
     /// The frames are staged in `frames` (cleared first; a writer reuses it
     /// from flush to flush) and leave in positioned writes of up to
-    /// [`WRITE_CHUNK_BYTES`].
+    /// [`WRITE_CHUNK_BYTES`].  `long_keyed` tells whether the pages are
+    /// sorted on a single key field that is a `Long` in every record (see
+    /// [`SpilledRun::sorted_by_long_key`]).
     fn write_segment(
         self: &Arc<Self>,
         offset: u64,
         pages: &[Arc<RecordPage>],
         sorted_by: Option<KeyFields>,
+        long_keyed: bool,
         frames: &mut Vec<u8>,
     ) -> io::Result<SpilledRun> {
         frames.clear();
@@ -401,6 +409,7 @@ impl RunFile {
             records,
             bytes,
             sorted_by,
+            long_keyed,
         })
     }
 }
@@ -438,6 +447,8 @@ pub struct SpilledRun {
     records: usize,
     bytes: usize,
     sorted_by: Option<KeyFields>,
+    /// `sorted_by` is one field and every record holds a `Long` there.
+    long_keyed: bool,
 }
 
 impl SpilledRun {
@@ -459,6 +470,14 @@ impl SpilledRun {
     /// The key fields the run's records are sorted by, if the run is sorted.
     pub fn sorted_by(&self) -> Option<&[usize]> {
         self.sorted_by.as_deref()
+    }
+
+    /// True when the run is sorted on the single field `field` and every
+    /// record holds a `Long` there: its records then ascend in the
+    /// normalized key prefix ([`crate::page::RecordView::long_key_prefix`]),
+    /// the order the page-native merge streams runs in.
+    pub fn sorted_by_long_key(&self, field: usize) -> bool {
+        self.long_keyed && self.sorted_by() == Some(&[field])
     }
 
     /// Path of the backing file (diagnostics only; the file disappears with
@@ -504,6 +523,7 @@ impl SpilledRun {
             file: Arc::clone(&self.file),
             pages_remaining: self.pages,
             page: Vec::new(),
+            current: 0,
             offset: 0,
             records_in_page: 0,
         })
@@ -518,7 +538,16 @@ pub fn write_run_in(
     pages: &[Arc<RecordPage>],
     sorted_by: Option<KeyFields>,
 ) -> io::Result<SpilledRun> {
-    RunFile::create(dir)?.write_segment(0, pages, sorted_by, &mut Vec::new())
+    // The caller vouches for the order; whether the key is a `Long`
+    // everywhere is read off the pages.
+    let long_keyed = match sorted_by.as_deref() {
+        Some(&[field]) => pages
+            .iter()
+            .flat_map(|page| page.reader())
+            .all(|view| view.long_key_prefix(field).is_some()),
+        _ => false,
+    };
+    RunFile::create(dir)?.write_segment(0, pages, sorted_by, long_keyed, &mut Vec::new())
 }
 
 /// Serializes already-sorted records into fresh pages and writes them as a
@@ -542,7 +571,7 @@ pub fn write_sorted_run_in(
     pages: &[Arc<RecordPage>],
     keys: &[usize],
 ) -> io::Result<SpilledRun> {
-    let sorted = sort_pages(pages.to_vec(), keys, &mut FlushScratch::default())?;
+    let (sorted, _) = sort_pages(pages.to_vec(), keys, &mut FlushScratch::default())?;
     write_run_in(dir, &sorted, Some(keys.to_vec()))
 }
 
@@ -563,12 +592,13 @@ struct FlushScratch {
 /// `(prefix, handle)` pairs (ties keep their input order, as the stable
 /// sort's do) and each record's serialized payload is copied to the output
 /// in that order.  Composite and non-`Long` keys materialize, sort and
-/// re-serialize.
+/// re-serialize.  The flag tells which of the two ran: `true` when the key
+/// is one field holding a `Long` in every record.
 fn sort_pages(
     pages: Vec<Arc<RecordPage>>,
     keys: &[usize],
     scratch: &mut FlushScratch,
-) -> io::Result<Vec<Arc<RecordPage>>> {
+) -> io::Result<(Vec<Arc<RecordPage>>, bool)> {
     let input = ExchangedPartition::new(Vec::new(), pages);
     if let Some(store) =
         sort_by_long_key_with(&input, keys, &mut scratch.pairs, &mut scratch.radix)?
@@ -578,7 +608,7 @@ fn sort_pages(
         for &(_, handle) in &scratch.pairs {
             sorted.append_serialized(store.view(handle).payload());
         }
-        return Ok(sorted.into_pages());
+        return Ok((sorted.into_pages(), true));
     }
     let mut records: Vec<Record> = input
         .pages()
@@ -591,7 +621,7 @@ fn sort_pages(
     for record in &records {
         writer.push(record);
     }
-    Ok(writer.finish())
+    Ok((writer.finish(), false))
 }
 
 /// A streaming reader over one run: pages are revived one at a time into a
@@ -606,15 +636,20 @@ pub struct RunCursor {
     pages_remaining: usize,
     /// The current page's bytes; one buffer reused for every page.
     page: Vec<u8>,
+    /// Offset in `page` of the record the last [`RunCursor::step`] reached.
+    current: usize,
+    /// Offset in `page` of the record after it.
     offset: usize,
     records_in_page: usize,
 }
 
 impl RunCursor {
-    /// Reads the next record into `target`, returning `false` at the end of
-    /// the run.  A torn frame or checksum mismatch surfaces as a typed
-    /// corruption error (see the module docs).
-    pub fn next_into(&mut self, target: &mut Record) -> io::Result<bool> {
+    /// Steps to the next record, reading the next frame once the current
+    /// one is used up, and returns `false` at the end of the run.  The
+    /// record is then [`RunCursor::view`], in place in the frame buffer.  A
+    /// torn frame or checksum mismatch surfaces as a typed corruption error
+    /// (see the module docs).
+    pub(crate) fn step(&mut self) -> io::Result<bool> {
         while self.records_in_page == 0 {
             if self.pages_remaining == 0 {
                 return Ok(false);
@@ -629,7 +664,25 @@ impl RunCursor {
             self.offset = 0;
         }
         self.records_in_page -= 1;
-        crate::page::read_framed_record(&self.page, &mut self.offset, target);
+        self.current = self.offset;
+        self.offset += self.view().framed_len();
+        Ok(true)
+    }
+
+    /// The record the last successful [`RunCursor::step`] reached.
+    #[inline]
+    pub(crate) fn view(&self) -> RecordView<'_> {
+        view_in(&self.page, self.current)
+    }
+
+    /// Reads the next record into `target`, returning `false` at the end of
+    /// the run.  A torn frame or checksum mismatch surfaces as a typed
+    /// corruption error (see the module docs).
+    pub fn next_into(&mut self, target: &mut Record) -> io::Result<bool> {
+        if !self.step()? {
+            return Ok(false);
+        }
+        self.view().read_into(target);
         Ok(true)
     }
 
@@ -693,9 +746,9 @@ pub fn read_records_from(path: &Path, expected_records: Option<usize>) -> io::Re
         let count = read_frame(&file, path, &mut frame_offset, &mut page)?;
         let mut offset = 0;
         for _ in 0..count {
-            let mut record = Record::empty();
-            crate::page::read_framed_record(&page, &mut offset, &mut record);
-            records.push(record);
+            let view = view_in(&page, offset);
+            offset += view.framed_len();
+            records.push(view.materialize());
         }
     }
     if let Some(expected) = expected_records {
@@ -979,23 +1032,16 @@ impl SpillingWriter {
         }
         let inner = &self.manager.inner;
         inner.fault.io_check(FaultSite::SpillWrite)?;
-        let pages = match &inner.sort_on_flush {
+        let (pages, long_keyed) = match &inner.sort_on_flush {
             Some(keys) => sort_pages(pages, keys, &mut self.scratch)?,
-            None => pages,
+            None => (pages, false),
         };
         let sorted_by = inner.sort_on_flush.clone();
-        let run = match self.runs.last() {
-            Some(last) => {
-                last.file
-                    .write_segment(last.end(), &pages, sorted_by, &mut self.frames)?
-            }
-            None => RunFile::create(&inner.dir)?.write_segment(
-                0,
-                &pages,
-                sorted_by,
-                &mut self.frames,
-            )?,
+        let (file, offset) = match self.runs.last() {
+            Some(last) => (Arc::clone(&last.file), last.end()),
+            None => (RunFile::create(&inner.dir)?, 0),
         };
+        let run = file.write_segment(offset, &pages, sorted_by, long_keyed, &mut self.frames)?;
         if inner.sort_on_flush.is_some() {
             // The sorted copies are ours alone: their buffers back the next
             // flush's output.
@@ -1077,20 +1123,85 @@ struct MergeHead {
     record: Record,
 }
 
-/// A streaming k-way merge over sorted sources, implemented as a loser tree:
-/// each pull costs ⌈log₂ k⌉ key comparisons (a replay along one leaf-to-root
-/// path) instead of the k−1 of a naive scan.  Ties are won by the source
-/// with the smaller index, so merging the ordered chunks of one input stream
-/// reproduces exactly the stable single-vector sort of that stream.
+/// The tournament of a k-way merge: each pull costs ⌈log₂ k⌉ comparisons (a
+/// replay along one leaf-to-root path) instead of the k−1 of a naive scan.
+/// The tree holds source indices only; the caller keeps the sources' heads
+/// and passes `beats(a, b)` — whether source `a`'s head goes before source
+/// `b`'s — to every call.  Both merges of the engine play it:
+/// [`RunMerger`] over heap records and the page-native grouping kernel
+/// ([`crate::page::for_each_long_key_group`]) over key prefixes.  With
+/// `beats` letting exhausted sources lose and giving ties to the smaller
+/// index, merging the sorted chunks of one stream in stream order
+/// reproduces the stable sort of that stream.
+#[derive(Debug)]
+pub(crate) struct LoserTree {
+    /// `tree[0]` is the overall winner; `tree[1..k]` hold, per internal
+    /// match, the source that lost it.  Leaves are implicit: source `i`
+    /// corresponds to node `k + i`.
+    tree: Vec<usize>,
+}
+
+impl LoserTree {
+    /// Plays the initial tournament over `k >= 1` sources.
+    pub(crate) fn new(k: usize, beats: impl Fn(usize, usize) -> bool) -> LoserTree {
+        let mut tree = LoserTree { tree: vec![0; k] };
+        tree.tree[0] = tree.build_node(1, &beats);
+        tree
+    }
+
+    /// Plays the tournament below `node`, recording losers and returning the
+    /// winner.  Nodes `>= k` are the implicit leaves.
+    fn build_node(&mut self, node: usize, beats: &impl Fn(usize, usize) -> bool) -> usize {
+        let k = self.tree.len();
+        if node >= k {
+            return node - k;
+        }
+        let left = self.build_node(2 * node, beats);
+        let right = self.build_node(2 * node + 1, beats);
+        let (winner, loser) = if beats(left, right) {
+            (left, right)
+        } else {
+            (right, left)
+        };
+        self.tree[node] = loser;
+        winner
+    }
+
+    /// The source whose head goes next.
+    #[inline]
+    pub(crate) fn winner(&self) -> usize {
+        self.tree[0]
+    }
+
+    /// Replays the path from source `leaf`'s leaf to the root after its head
+    /// changed.
+    #[inline]
+    pub(crate) fn replay(&mut self, leaf: usize, beats: impl Fn(usize, usize) -> bool) {
+        let mut winner = leaf;
+        let mut node = (self.tree.len() + leaf) / 2;
+        while node >= 1 {
+            let loser = self.tree[node];
+            if beats(loser, winner) {
+                self.tree[node] = winner;
+                winner = loser;
+            }
+            node /= 2;
+        }
+        self.tree[0] = winner;
+    }
+}
+
+/// A streaming k-way merge over sorted sources, played on a loser tree.
+/// Ties are won by the source with the smaller index, so merging the ordered
+/// chunks of one input stream reproduces exactly the stable single-vector
+/// sort of that stream.
 #[derive(Debug)]
 pub struct RunMerger {
     key_fields: KeyFields,
     sources: Vec<MergeSource>,
     heads: Vec<Option<MergeHead>>,
-    /// `tree[0]` is the overall winner; `tree[1..k]` hold, per internal
-    /// match, the source that lost it.  Leaves are implicit: source `i`
-    /// corresponds to node `k + i`.
-    tree: Vec<usize>,
+    /// `None` when there are no sources.
+    tree: Option<LoserTree>,
 }
 
 impl RunMerger {
@@ -1101,33 +1212,32 @@ impl RunMerger {
         for source in &mut sources {
             heads.push(Self::pull(source, &key_fields)?);
         }
-        let mut merger = RunMerger {
+        let tree = (!sources.is_empty())
+            .then(|| LoserTree::new(sources.len(), |a, b| Self::beats(&heads, a, b)));
+        Ok(RunMerger {
             key_fields,
-            tree: vec![0; sources.len()],
             sources,
             heads,
-        };
-        if !merger.sources.is_empty() {
-            let winner = merger.build_node(1);
-            merger.tree[0] = winner;
-        }
-        Ok(merger)
+            tree,
+        })
     }
 
-    /// A merger over spilled runs plus an optional pre-sorted in-memory
-    /// tail.  The runs come first in tie order; pass the memory-resident
-    /// records last, matching the order the exchange produced them in.
+    /// A merger over a partition's sorted in-memory residue `residue` and
+    /// its spilled runs, with ties in delivery order: the residue first,
+    /// then the runs in order — the order of the stable sort of the
+    /// partition, and the tie order of the page-native grouping kernel
+    /// ([`crate::page::for_each_long_key_group`]).
     pub fn over_runs(
         runs: &[SpilledRun],
-        tail: Vec<Record>,
+        residue: Vec<Record>,
         key_fields: KeyFields,
     ) -> io::Result<RunMerger> {
         let mut sources: Vec<MergeSource> = Vec::with_capacity(runs.len() + 1);
+        if !residue.is_empty() {
+            sources.push(MergeSource::Records(residue.into_iter()));
+        }
         for run in runs {
             sources.push(MergeSource::Spilled(run.cursor()?));
-        }
-        if !tail.is_empty() {
-            sources.push(MergeSource::Records(tail.into_iter()));
         }
         RunMerger::new(sources, key_fields)
     }
@@ -1141,8 +1251,8 @@ impl RunMerger {
 
     /// True when source `a`'s head must be emitted before source `b`'s.
     /// Exhausted sources always lose; equal keys go to the smaller index.
-    fn beats(&self, a: usize, b: usize) -> bool {
-        match (&self.heads[a], &self.heads[b]) {
+    fn beats(heads: &[Option<MergeHead>], a: usize, b: usize) -> bool {
+        match (&heads[a], &heads[b]) {
             (None, _) => false,
             (Some(_), None) => true,
             (Some(ha), Some(hb)) => match ha.key.cmp(&hb.key) {
@@ -1153,52 +1263,18 @@ impl RunMerger {
         }
     }
 
-    /// Plays the initial tournament below `node`, recording losers and
-    /// returning the winner.  Nodes `>= k` are the implicit leaves.
-    fn build_node(&mut self, node: usize) -> usize {
-        let k = self.sources.len();
-        if node >= k {
-            return node - k;
-        }
-        let left = self.build_node(2 * node);
-        let right = self.build_node(2 * node + 1);
-        let (winner, loser) = if self.beats(left, right) {
-            (left, right)
-        } else {
-            (right, left)
-        };
-        self.tree[node] = loser;
-        winner
-    }
-
-    /// Replays the path from source `leaf`'s leaf to the root after its head
-    /// changed.
-    fn replay(&mut self, leaf: usize) {
-        let k = self.sources.len();
-        let mut winner = leaf;
-        let mut node = (k + leaf) / 2;
-        while node >= 1 {
-            let loser = self.tree[node];
-            if self.beats(loser, winner) {
-                self.tree[node] = winner;
-                winner = loser;
-            }
-            node /= 2;
-        }
-        self.tree[0] = winner;
-    }
-
     /// The next record with its extracted key, in global key order.
     pub fn next_entry(&mut self) -> io::Result<Option<(Key, Record)>> {
-        if self.sources.is_empty() {
+        let Some(tree) = &mut self.tree else {
             return Ok(None);
-        }
-        let winner = self.tree[0];
+        };
+        let winner = tree.winner();
         let Some(head) = self.heads[winner].take() else {
             return Ok(None);
         };
         self.heads[winner] = Self::pull(&mut self.sources[winner], &self.key_fields)?;
-        self.replay(winner);
+        let heads = &self.heads;
+        tree.replay(winner, |a, b| Self::beats(heads, a, b));
         Ok(Some((head.key, head.record)))
     }
 

@@ -18,9 +18,16 @@
 use algorithms::{
     cc_bulk, cc_incremental, cc_microstep, oracles, sssp_with_config, ComponentsConfig,
 };
-use dataflow::prelude::MemoryBudget;
+use dataflow::prelude::{
+    default_physical_plan, Collector, ExecConfig, Executor, Key, LocalStrategy, MatchClosure,
+    MemoryBudget, Plan, Record, RecordSink, ReduceClosure, ShipStrategy, Value,
+};
 use graphdata::{DatasetProfile, Graph};
-use spinning_core::prelude::{ExecutionMode, WorksetConfig, WorksetRouting};
+use spinning_core::prelude::{
+    ExecutionMode, ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetResult,
+    WorksetRouting,
+};
+use std::sync::Arc;
 
 /// The budget every spill-forced run uses: tiny by default so even small
 /// exchanges overflow it, overridable through `SPINNING_MEMORY_BUDGET` (the
@@ -164,6 +171,215 @@ fn spilled_sssp_matches_oracle_in_every_mode_and_routing() {
                     "superstep modes must spill under the forced budget \
                      ({mode:?} / {routing:?})"
                 );
+            }
+        }
+    }
+}
+
+/// Folds the `field` of `records`, in order, into one number: two groups
+/// holding the same records in a different order fold differently.
+fn order_fingerprint(records: &[Record], field: usize) -> i64 {
+    records.iter().fold(0i64, |hash, record| {
+        hash.wrapping_mul(1_000_003)
+            .wrapping_add(record.long(field))
+    })
+}
+
+/// Min propagation over a ring of `n` vertices, each linked to the `reach`
+/// vertices on either side, whose `update` writes down the order it was
+/// handed its candidates in: a candidate is `(vertex, label, sender)` and a
+/// delta `(vertex, label, fingerprint of the senders)`, so the solution set
+/// records the candidate order of every vertex's last update.
+fn order_recording_ring(
+    n: i64,
+    reach: i64,
+) -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
+    let update = Arc::new(UpdateClosure(
+        |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+            let best = candidates.iter().map(|r| r.long(1)).min().unwrap();
+            if current.is_some_and(|c| c.long(1) <= best) {
+                return None;
+            }
+            Some(Record::new(vec![
+                key.values()[0].clone(),
+                Value::Long(best),
+                Value::Long(order_fingerprint(candidates, 2)),
+            ]))
+        },
+    ));
+    let expand = Arc::new(ExpandClosure(
+        |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+            for e in edges {
+                out.emit(&[
+                    Value::Long(e.long(1)),
+                    Value::Long(delta.long(1)),
+                    Value::Long(delta.long(0)),
+                ]);
+            }
+        },
+    ));
+    let mut edges = Vec::new();
+    for v in 0..n {
+        for hop in 1..=reach {
+            edges.push(Record::pair(v, (v + hop) % n));
+            edges.push(Record::pair(v, (v + n - hop) % n));
+        }
+    }
+    let iteration = WorksetIteration::builder(vec![0], vec![0], update, expand)
+        .constant_input(Arc::new(edges), vec![0], vec![0])
+        .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
+        .build();
+    let long = |values: [i64; 3]| Record::new(values.map(Value::Long).to_vec());
+    let solution = (0..n).map(|v| long([v, v, 0])).collect();
+    let workset = (0..n).map(|v| long([(v + 1) % n, v, v])).collect();
+    (iteration, solution, workset)
+}
+
+/// Asserts two workset runs took the same supersteps with the same counters.
+fn assert_same_supersteps(ours: &WorksetResult, theirs: &WorksetResult, label: &str) {
+    assert_eq!(ours.supersteps, theirs.supersteps, "{label}");
+    for (a, b) in ours
+        .stats
+        .per_iteration
+        .iter()
+        .zip(&theirs.stats.per_iteration)
+    {
+        assert_eq!(
+            (
+                a.workset_size,
+                a.elements_inspected,
+                a.elements_changed,
+                a.messages_sent
+            ),
+            (
+                b.workset_size,
+                b.elements_inspected,
+                b.elements_changed,
+                b.messages_sent
+            ),
+            "{label}: superstep {}",
+            a.iteration
+        );
+    }
+}
+
+#[test]
+fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths() {
+    // Every group whose candidates sit partly in memory (sent by the
+    // partition itself) and partly in spilled runs (sent by its peer) is a
+    // tie across the two: the page-native merge and the materializing
+    // `RunMerger` must both break it in delivery order — the in-memory
+    // candidates first, then the runs in order.  (Range routing keeps a
+    // ring's neighbours in their own partition, so only the zero budget
+    // spills enough of its few shipped candidates to test it.)
+    let (iteration, solution, workset) = order_recording_ring(512, 16);
+    let zero = WorksetConfig::new(2).with_memory_budget(MemoryBudget::bytes(0));
+    let credits = WorksetConfig::new(2)
+        .with_memory_budget(MemoryBudget::bytes(64 * 1024))
+        .with_channel_credits(2);
+    for (label, config) in [
+        ("hash, budget 0", zero.clone()),
+        ("range, budget 0", zero.with_routing(WorksetRouting::Range)),
+        ("hash, 64 KiB, 2 credits", credits),
+    ] {
+        let paged = iteration
+            .run(solution.clone(), workset.clone(), &config)
+            .unwrap();
+        let materialized = iteration
+            .run(
+                solution.clone(),
+                workset.clone(),
+                &config.clone().with_force_materialized(true),
+            )
+            .unwrap();
+        assert!(paged.converged, "{label}");
+        assert!(paged.stats.total_spilled_runs() > 0, "{label}: no spill");
+        assert!(
+            paged.solution.iter().all(|r| r.long(1) == 0),
+            "{label}: not the fixpoint"
+        );
+        assert_eq!(paged.solution, materialized.solution, "{label}");
+        assert_same_supersteps(&paged, &materialized, label);
+    }
+}
+
+#[test]
+fn spilled_executor_groupings_hand_records_over_in_delivery_order_on_both_paths() {
+    // The executor's Reduce under both local strategies and its sort-merge
+    // join, hash- and range-shipped, spilling: the page-native paths and the
+    // materializing ones (the sort strategies' `RunMerger`, the hash
+    // strategy's table fed by a range partition's merge) must hand every
+    // group over in the same order.  The executor has no credit knob; its
+    // budget alone makes it spill.
+    let keyed = |n: i64, salt: i64| -> Vec<Record> {
+        (0..n)
+            .map(|i| Record::pair((i * 7_919 + salt) % 97 - 48, i))
+            .collect()
+    };
+    let mut reduce = Plan::new();
+    let src = reduce.source("src", keyed(6_000, 0));
+    let grouped = reduce.reduce(
+        "order",
+        src,
+        vec![0],
+        Arc::new(ReduceClosure(
+            |key: &[Value], group: &[Record], out: &mut Collector| {
+                out.collect(Record::new(vec![
+                    key[0].clone(),
+                    Value::Long(group.len() as i64),
+                    Value::Long(order_fingerprint(group, 1)),
+                ]))
+            },
+        )),
+    );
+    reduce.sink("out", grouped);
+    let mut join = Plan::new();
+    let left = join.source("left", keyed(3_000, 0));
+    let right = join.source("right", keyed(600, 13));
+    let joined = join.match_join(
+        "join",
+        left,
+        right,
+        vec![0],
+        vec![0],
+        Arc::new(MatchClosure(
+            |l: &Record, r: &Record, out: &mut Collector| {
+                out.collect(Record::new(vec![
+                    l.field(0).clone(),
+                    l.field(1).clone(),
+                    r.field(1).clone(),
+                ]))
+            },
+        )),
+    );
+    join.sink("out", joined);
+    let cases = [
+        (&reduce, grouped, LocalStrategy::HashGroup),
+        (&reduce, grouped, LocalStrategy::SortGroup),
+        (&join, joined, LocalStrategy::SortMergeJoin),
+    ];
+    for budget in [MemoryBudget::bytes(0), MemoryBudget::bytes(64 * 1024)] {
+        for ship in [
+            ShipStrategy::PartitionHash(vec![0]),
+            ShipStrategy::PartitionRange(vec![0]),
+        ] {
+            for (plan, op, local) in &cases {
+                let label = format!("budget {:?}, {ship:?}, {local:?}", budget.limit());
+                let mut phys = default_physical_plan(plan, 2).unwrap();
+                let choice = phys.choices.get_mut(op).unwrap();
+                choice.input_ships.fill(ship.clone());
+                choice.local = *local;
+                let config = ExecConfig::new().with_memory_budget(budget);
+                let paged = Executor::with_config(config.clone())
+                    .execute(&phys)
+                    .unwrap();
+                let materialized = Executor::with_config(config.with_force_materialized(true))
+                    .execute(&phys)
+                    .unwrap();
+                assert!(paged.stats.spilled_runs > 0, "{label}: no spill");
+                let paged = paged.into_sink("out").unwrap();
+                assert!(!paged.is_empty(), "{label}");
+                assert_eq!(paged, materialized.into_sink("out").unwrap(), "{label}");
             }
         }
     }
