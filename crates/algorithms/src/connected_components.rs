@@ -75,10 +75,13 @@ pub struct ComponentsConfig {
     /// to `SPINNING_CHANNEL_CREDITS` or the layer defaults; results are
     /// identical either way.
     pub channel_credits: Option<usize>,
-    /// Disables the bulk variant's fused operator chains, materializing
-    /// every forward edge.  The escape hatch exists so equivalence suites can
-    /// pin the fused execution byte-identical to the materializing oracle.
-    /// The workset variants have no executor chains and ignore it.
+    /// Selects the materializing oracle paths: the bulk variant materializes
+    /// every forward edge instead of streaming fused chains, and the workset
+    /// variants' batch superstep join materializes and sorts heap records
+    /// instead of grouping candidates off their pages
+    /// (`WorksetConfig::force_materialized`).  The escape hatch exists so
+    /// equivalence suites can pin the default paths byte-identical to the
+    /// oracles.
     pub force_materialized: bool,
 }
 
@@ -157,8 +160,8 @@ impl ComponentsConfig {
         self
     }
 
-    /// Makes the bulk variant materialize every forward edge instead of
-    /// streaming fused chains — see [`ComponentsConfig::force_materialized`].
+    /// Selects the materializing oracle paths of every variant — see
+    /// [`ComponentsConfig::force_materialized`].
     pub fn with_force_materialized(mut self, force: bool) -> Self {
         self.force_materialized = force;
         self
@@ -331,24 +334,29 @@ pub fn cc_workset_records(
 ) -> Result<WorksetResult> {
     let grouped = mode == ExecutionMode::BatchIncremental;
     let iteration = build_workset_iteration(graph, grouped);
-    let mut workset_config = WorksetConfig::new(config.parallelism)
-        .with_mode(mode)
-        .with_max_supersteps(config.max_iterations)
-        .with_routing(config.routing)
-        .with_memory_budget(config.memory_budget)
-        .with_fault(config.fault.clone())
-        .with_transport(config.transport.clone());
-    if let Some(policy) = &config.checkpoint {
-        workset_config = workset_config.with_checkpoint_policy(policy.clone());
-    }
-    if let Some(credits) = config.channel_credits {
-        workset_config = workset_config.with_channel_credits(credits);
-    }
     iteration.run(
         component_source(graph),
         component_candidate_source(graph),
-        &workset_config,
+        &workset_config(config, mode),
     )
+}
+
+/// The workset driver's configuration for `config` in `mode`.  A struct
+/// literal, so a field added to [`WorksetConfig`] fails to compile here
+/// until it is forwarded.
+fn workset_config(config: &ComponentsConfig, mode: ExecutionMode) -> WorksetConfig {
+    WorksetConfig {
+        parallelism: config.parallelism,
+        mode,
+        max_supersteps: config.max_iterations,
+        routing: config.routing,
+        memory_budget: config.memory_budget,
+        channel_credits: config.channel_credits.map(|credits| credits.max(1)),
+        checkpoint: config.checkpoint.clone(),
+        fault: config.fault.clone(),
+        force_materialized: config.force_materialized,
+        transport: config.transport.clone(),
+    }
 }
 
 fn run_workset(
@@ -501,6 +509,45 @@ mod tests {
         assert_ne!(result.components, vec![0; 300]);
         let full = cc_incremental(&graph, &ComponentsConfig::new(2)).unwrap();
         assert!(full.converged);
+    }
+
+    #[test]
+    fn every_components_field_reaches_the_workset_config() {
+        let transport = TransportHandle::local();
+        // Advance the transport's channel-group counter so the handle that
+        // arrives can be told apart from a fresh default one.
+        for _ in 0..3 {
+            transport.allocate();
+        }
+        let config = ComponentsConfig::new(3)
+            .with_max_iterations(17)
+            .with_range_routing()
+            .with_memory_budget(MemoryBudget::bytes(4096))
+            .with_checkpoint_policy(CheckpointPolicy::new(5, "ckpt-dir").with_max_retries(7))
+            .with_fault(FaultInjector::seeded(11))
+            .with_transport(transport)
+            .with_channel_credits(2)
+            .with_force_materialized(true);
+        let workset = workset_config(&config, ExecutionMode::Microstep);
+        assert_eq!(workset.parallelism, 3);
+        assert_eq!(workset.mode, ExecutionMode::Microstep);
+        assert_eq!(workset.max_supersteps, 17);
+        assert_eq!(workset.routing, WorksetRouting::Range);
+        assert_eq!(workset.memory_budget, MemoryBudget::bytes(4096));
+        let checkpoint = workset.checkpoint.expect("checkpoint policy");
+        assert_eq!(
+            (checkpoint.interval, checkpoint.max_retries),
+            (5, 7),
+            "checkpoint policy"
+        );
+        assert_eq!(checkpoint.dir, std::path::PathBuf::from("ckpt-dir"));
+        assert_eq!(
+            format!("{:?}", workset.fault),
+            format!("{:?}", FaultInjector::seeded(11))
+        );
+        assert_eq!(workset.transport.allocate(), 3, "the configured transport");
+        assert_eq!(workset.channel_credits, Some(2));
+        assert!(workset.force_materialized);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! benches cannot pull in `criterion`.  This module provides the small subset
 //! the benches need: named benchmark groups, a warm-up phase, a fixed number
 //! of measured samples, and min/median/mean reporting.  Results print to
-//! stdout; [`Group::finish`] returns the samples so callers (like the
-//! JSON-emitting bench binaries) can post-process them.
+//! stdout; [`Group::finish`] returns the samples so callers can
+//! post-process them.
 
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};

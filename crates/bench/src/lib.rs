@@ -20,8 +20,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod harness;
-pub mod perf;
-pub mod routing;
 
 use algorithms::{
     cc_bulk, cc_incremental, cc_microstep, pagerank, ComponentsConfig, PageRankConfig, PageRankPlan,

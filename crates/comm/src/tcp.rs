@@ -34,7 +34,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Frame and handshake magic: `b"SPNC"` ("spinning comm").
@@ -112,6 +112,20 @@ impl std::fmt::Debug for TcpOptions {
     }
 }
 
+/// Locks `mutex`, recovering the guard if a holder panicked: the critical
+/// sections in this module insert into or remove from a round set, or write
+/// one frame, and leave nothing half-updated for the next holder to trip on.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The `W` bytes at offset `at` of a fixed-size header, as an array for
+/// `u32::from_le_bytes` / `u64::from_le_bytes`.  Callers pass constant
+/// offsets inside the header.
+fn bytes_at<const W: usize, const N: usize>(header: &[u8; N], at: usize) -> [u8; W] {
+    std::array::from_fn(|i| header[at + i])
+}
+
 // --- Round-window flow control -----------------------------------------------
 
 /// `(group, edge) -> peer -> undrained rounds buffered in the inbox`.
@@ -160,7 +174,7 @@ impl FlowControl {
         timeout: Duration,
     ) -> Result<(), CommError> {
         let deadline = Instant::now() + timeout;
-        let mut sent = self.sent.lock().expect("flow control lock");
+        let mut sent = lock(&self.sent);
         loop {
             let rounds = sent.entry((id.group, id.edge, peer)).or_default();
             if rounds.contains(&round) || rounds.len() < self.window {
@@ -184,18 +198,17 @@ impl FlowControl {
             // Wait in short slices: a wake-up between the dead-peer check
             // and re-locking is recovered on the next slice.
             let slice = (deadline - now).min(Duration::from_millis(20));
-            let guard = self.sent.lock().expect("flow control lock");
             let (guard, _) = self
                 .cv
-                .wait_timeout(guard, slice)
-                .expect("flow control lock");
+                .wait_timeout(lock(&self.sent), slice)
+                .unwrap_or_else(PoisonError::into_inner);
             sent = guard;
         }
     }
 
     /// Handles a peer's credit grant: the peer fully drained `round`.
     fn ack(&self, id: ChannelId, peer: usize, round: u64) {
-        let mut sent = self.sent.lock().expect("flow control lock");
+        let mut sent = lock(&self.sent);
         if let Some(rounds) = sent.get_mut(&(id.group, id.edge, peer)) {
             rounds.remove(&round);
         }
@@ -213,7 +226,7 @@ impl FlowControl {
     /// the buffered-ahead cap.
     fn note_received(&self, id: ChannelId, peer: usize, round: u64) -> Result<(), CommError> {
         let cap = self.window + RECV_ROUND_SLACK;
-        let mut received = self.received.lock().expect("flow control lock");
+        let mut received = lock(&self.received);
         let rounds = received
             .entry((id.group, id.edge))
             .or_default()
@@ -238,7 +251,7 @@ impl FlowControl {
     /// Forgets `round` of channel `id` after the local inbox fully drained
     /// it (the moment the credit grants go out).
     fn clear_round(&self, id: ChannelId, round: u64) {
-        let mut received = self.received.lock().expect("flow control lock");
+        let mut received = lock(&self.received);
         if let Some(by_peer) = received.get_mut(&(id.group, id.edge)) {
             for rounds in by_peer.values_mut() {
                 rounds.remove(&round);
@@ -257,9 +270,7 @@ impl Peer {
     /// Tears the connection down; both the local writer and the remote
     /// reader observe it.
     fn shutdown(&self) {
-        if let Ok(stream) = self.writer.lock() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+        let _ = lock(&self.writer).shutdown(Shutdown::Both);
     }
 }
 
@@ -318,7 +329,9 @@ impl<P> Shared<P> {
                 return Err(self.drop_connections("injected connection drop"));
             }
         }
-        let peer = self.peers[process].as_ref().expect("no connection to self");
+        let peer = self.peers[process]
+            .as_ref()
+            .expect("frames are never addressed to this process: every caller skips its own index");
         let mut header = [0u8; FRAME_HEADER_BYTES];
         header[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
         header[4..8].copy_from_slice(&kind.to_le_bytes());
@@ -329,7 +342,7 @@ impl<P> Shared<P> {
         header[40..48].copy_from_slice(&to.to_le_bytes());
         header[48..52].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         header[52..56].copy_from_slice(&crc32(payload).to_le_bytes());
-        let mut stream = peer.writer.lock().expect("peer writer lock");
+        let mut stream = lock(&peer.writer);
         if let Err(e) = stream
             .write_all(&header)
             .and_then(|()| stream.write_all(payload))
@@ -424,7 +437,8 @@ impl<P: WireCodec + Send + Sync + 'static> TcpTransport<P> {
             let reader = stream
                 .try_clone()
                 .map_err(|e| CommError::Handshake(format!("clone stream: {e}")))?;
-            spawn_reader::<P>(process, reader, Arc::clone(&inbox), Arc::clone(&flow));
+            spawn_reader::<P>(process, reader, Arc::clone(&inbox), Arc::clone(&flow))
+                .map_err(|e| CommError::Handshake(format!("spawn reader thread: {e}")))?;
             peers[process] = Some(Peer {
                 writer: Mutex::new(stream),
             });
@@ -463,7 +477,7 @@ fn read_handshake(stream: &mut TcpStream, spec: &ClusterSpec) -> Result<(usize, 
     stream
         .read_exact(&mut hello)
         .map_err(|e| CommError::Handshake(format!("short handshake: {e}")))?;
-    let word = |i: usize| u32::from_le_bytes(hello[i..i + 4].try_into().expect("4 bytes"));
+    let word = |at: usize| u32::from_le_bytes(bytes_at(&hello, at));
     if word(0) != FRAME_MAGIC {
         return Err(CommError::Handshake("bad handshake magic".into()));
     }
@@ -534,6 +548,11 @@ fn rendezvous_coordinator(
     for _ in 1..spec.processes {
         let mut stream = accept_before(&listener, deadline)?;
         let (index, port) = read_handshake(&mut stream, spec)?;
+        if index == 0 {
+            return Err(CommError::Handshake(
+                "a peer claims the coordinator's index 0".into(),
+            ));
+        }
         if streams[index].is_some() {
             return Err(CommError::Handshake(format!(
                 "two peers both claim worker index {index}"
@@ -550,7 +569,9 @@ fn rendezvous_coordinator(
     // 1..i (it dials lower indexes; higher indexes dial it).
     let mut payload = Vec::with_capacity(spec.processes * 8);
     for entry in table.iter().skip(1) {
-        let addr = entry.expect("all workers reported in");
+        let addr = entry.expect(
+            "processes - 1 HELLOs with distinct indexes in 1..processes fill every worker slot",
+        );
         let ip = match addr.ip() {
             std::net::IpAddr::V4(ip) => ip.octets(),
             std::net::IpAddr::V6(_) => {
@@ -607,23 +628,27 @@ fn rendezvous_worker(
     coordinator_stream
         .write_all(&handshake_bytes(spec, listen_port))
         .map_err(|e| CommError::Handshake(format!("send handshake: {e}")))?;
-    // The address table lists the mesh listeners of workers 1..processes.
-    let mut table = vec![0u8; (spec.processes - 1) * 6 + 4];
+    // The address table lists the mesh listeners of workers 1..processes,
+    // six bytes each (IPv4 + port), followed by its CRC-32.
+    let mut payload = vec![0u8; (spec.processes - 1) * 6];
+    let mut crc = [0u8; 4];
     coordinator_stream
-        .read_exact(&mut table)
+        .read_exact(&mut payload)
+        .and_then(|()| coordinator_stream.read_exact(&mut crc))
         .map_err(|e| CommError::Handshake(format!("read address table: {e}")))?;
-    let (payload, crc) = table.split_at(table.len() - 4);
-    if u32::from_le_bytes(crc.try_into().expect("4 bytes")) != crc32(payload) {
+    if u32::from_le_bytes(crc) != crc32(&payload) {
         return Err(CommError::Handshake(
             "address table checksum mismatch".into(),
         ));
     }
     streams[0] = Some(coordinator_stream);
+    let (entries, _) = payload.as_chunks::<6>();
     let peer_addr = |worker: usize| {
-        let entry = &payload[(worker - 1) * 6..worker * 6];
-        let ip = std::net::Ipv4Addr::new(entry[0], entry[1], entry[2], entry[3]);
-        let port = u16::from_le_bytes(entry[4..6].try_into().expect("2 bytes"));
-        SocketAddr::from((ip, port))
+        let [a, b, c, d, p0, p1] = entries[worker - 1];
+        SocketAddr::from((
+            std::net::Ipv4Addr::new(a, b, c, d),
+            u16::from_le_bytes([p0, p1]),
+        ))
     };
     // Dial every lower-index worker; identify with a HELLO (port unused).
     for (worker, slot) in streams.iter_mut().enumerate().take(spec.index).skip(1) {
@@ -681,7 +706,7 @@ fn spawn_reader<P: WireCodec + Send + Sync + 'static>(
     mut stream: TcpStream,
     inbox: Arc<Inbox<P>>,
     flow: Arc<FlowControl>,
-) {
+) -> std::io::Result<()> {
     std::thread::Builder::new()
         .name(format!("comm-reader-{peer}"))
         .spawn(move || {
@@ -690,7 +715,7 @@ fn spawn_reader<P: WireCodec + Send + Sync + 'static>(
             // An admit waiter blocked on this peer's credit must re-check.
             flow.wake();
         })
-        .expect("spawn comm reader thread");
+        .map(drop)
 }
 
 fn reader_loop<P: WireCodec + Send + Sync>(
@@ -716,8 +741,8 @@ fn reader_loop<P: WireCodec + Send + Sync>(
                 };
             }
         }
-        let word32 = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().expect("4 bytes"));
-        let word64 = |i: usize| u64::from_le_bytes(header[i..i + 8].try_into().expect("8 bytes"));
+        let word32 = |at: usize| u32::from_le_bytes(bytes_at(&header, at));
+        let word64 = |at: usize| u64::from_le_bytes(bytes_at(&header, at));
         if word32(0) != FRAME_MAGIC {
             return torn(format!("bad frame magic {:#010x}", word32(0)));
         }
@@ -790,11 +815,20 @@ fn encode_pages<P: WireCodec>(pages: &[Arc<P>], out: &mut Vec<u8>) {
 fn decode_pages<P: WireCodec>(payload: &[u8]) -> Result<Vec<Arc<P>>, String> {
     let take4 = |offset: usize| -> Result<u32, String> {
         payload
-            .get(offset..offset + 4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
+            .get(offset..)
+            .and_then(<[u8]>::first_chunk)
+            .map(|word| u32::from_le_bytes(*word))
             .ok_or_else(|| "pages payload truncated".to_owned())
     };
     let count = take4(0)? as usize;
+    // Every page carries at least its 4-byte length: a count the payload
+    // cannot hold is a torn frame, rejected before it sizes an allocation.
+    if count > (payload.len() - 4) / 4 {
+        return Err(format!(
+            "pages payload of {} bytes claims {count} pages",
+            payload.len()
+        ));
+    }
     let mut pages = Vec::with_capacity(count);
     let mut offset = 4usize;
     for _ in 0..count {
@@ -823,17 +857,14 @@ fn encode_gather(values: &[u64], out: &mut Vec<u8>) {
 }
 
 fn decode_gather(payload: &[u8]) -> Result<Vec<u64>, String> {
-    if payload.len() < 4 {
-        return Err("gather payload truncated".into());
-    }
-    let count = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes")) as usize;
-    if payload.len() != 4 + count * 8 {
+    let (count, rest) = payload
+        .split_first_chunk()
+        .ok_or("gather payload truncated")?;
+    let (words, tail) = rest.as_chunks::<8>();
+    if words.len() != u32::from_le_bytes(*count) as usize || !tail.is_empty() {
         return Err("gather payload length mismatch".into());
     }
-    Ok(payload[4..]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect())
+    Ok(words.iter().map(|word| u64::from_le_bytes(*word)).collect())
 }
 
 // --- The Transport implementation --------------------------------------------
@@ -1117,6 +1148,31 @@ mod tests {
         let err = cb.recv(1, 1).unwrap_err();
         assert!(
             matches!(err, CommError::TornStream { peer: 0, ref detail } if detail.contains("CRC")),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn page_count_the_payload_cannot_hold_surfaces_as_a_torn_stream() {
+        // Nothing may be sized from a page count before the payload is known
+        // to hold it: u32::MAX pages would ask for a 34 GB vector, and a
+        // failed allocation aborts the process instead of failing the peer.
+        let (a, b) = pair(TcpOptions::default());
+        let payload = u32::MAX.to_le_bytes();
+        let mut frame = [0u8; FRAME_HEADER_BYTES + 4];
+        frame[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+        frame[4..8].copy_from_slice(&KIND_PAGES.to_le_bytes());
+        frame[24..32].copy_from_slice(&1u64.to_le_bytes());
+        frame[40..48].copy_from_slice(&1u64.to_le_bytes());
+        frame[48..52].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame[52..56].copy_from_slice(&crc32(&payload).to_le_bytes());
+        frame[FRAME_HEADER_BYTES..].copy_from_slice(&payload);
+        a.inject_raw(1, &frame);
+        let cb = b.channel(ChannelId::new(0, 0), 2);
+        let err = cb.recv(1, 1).unwrap_err();
+        assert!(
+            matches!(err, CommError::TornStream { peer: 0, ref detail }
+                if detail.contains("claims 4294967295 pages")),
             "got {err:?}"
         );
     }

@@ -1519,36 +1519,6 @@ impl ExchangedPartition {
         (self.local.into_vec(), self.pages, self.runs, self.sorted_by)
     }
 
-    /// Visits every record in the cheapest representation it already has:
-    /// local records as `&Record`, page records as in-place [`RecordView`]s
-    /// (nothing is deserialized), spilled-run records as `&Record` through
-    /// one reused scratch.  This is the page-native receive scan — fields of
-    /// shipped records are read straight out of the page bytes.  Visit order
-    /// across the pieces is unspecified, like [`ExchangedPartition::for_each_ref`].
-    /// Fails with the underlying I/O error when a spilled run cannot be read.
-    pub fn for_each_piece(
-        &self,
-        mut on_record: impl FnMut(&Record),
-        mut on_view: impl FnMut(RecordView<'_>),
-    ) -> std::io::Result<()> {
-        for record in self.local.iter() {
-            on_record(record);
-        }
-        for page in &self.pages {
-            for view in page.reader() {
-                on_view(view);
-            }
-        }
-        let mut scratch = Record::empty();
-        for run in &self.runs {
-            let mut cursor = run.cursor()?;
-            while cursor.next_into(&mut scratch)? {
-                on_record(&scratch);
-            }
-        }
-        Ok(())
-    }
-
     /// Calls `f` for every record: local records by reference, page and run
     /// records through one scratch record that is reused across calls (no
     /// per-record allocation for fixed-width fields).  The visit order
