@@ -50,39 +50,16 @@ pub struct ComponentsConfig {
     /// routing gives every worker a contiguous vertex-id interval).  The
     /// bulk variant plans its own exchanges and ignores this.
     pub routing: WorksetRouting,
-    /// Budget on the bytes the exchanges may buffer in memory before sealed
-    /// pages spill to disk — the workset variants budget their superstep
-    /// exchange, the bulk variant its dataflow exchanges and loop-invariant
-    /// cache.  Unlimited by default.
-    pub memory_budget: MemoryBudget,
     /// Checkpointing and recovery policy, passed through to the workset
     /// driver (superstep boundaries) or the bulk driver (iteration
     /// boundaries).  The asynchronous variant ignores it.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Deterministic fault injector, passed through to the underlying run.
-    pub fault: FaultInjector,
-    /// Transport of the workset variants' superstep exchange.  Defaults to
-    /// the in-process backend; a multi-process transport turns the run into
-    /// one SPMD cluster worker (use [`cc_workset_records`], which returns
-    /// the worker's owned partitions instead of densifying).  The bulk
-    /// variant is single-process and ignores it.
-    pub transport: TransportHandle,
-    /// Per-edge credit pool of the bounded channels (see
-    /// `WorksetConfig::channel_credits`): the asynchronous variant bounds
-    /// each worker→worker queue to this many records and the superstep
-    /// variants spill an outbox once it holds this many sealed pages.  The
-    /// bulk variant has no bounded channel and ignores it.  `None` falls back
-    /// to `SPINNING_CHANNEL_CREDITS` or the layer defaults; results are
-    /// identical either way.
-    pub channel_credits: Option<usize>,
-    /// Selects the materializing oracle paths: the bulk variant materializes
-    /// every forward edge instead of streaming fused chains, and the workset
-    /// variants' batch superstep join materializes and sorts heap records
-    /// instead of grouping candidates off their pages
-    /// (`WorksetConfig::force_materialized`).  The escape hatch exists so
-    /// equivalence suites can pin the default paths byte-identical to the
-    /// oracles.
-    pub force_materialized: bool,
+    /// The execution settings, handed unchanged to the workset driver or
+    /// the bulk driver.  A multi-process transport turns a superstep
+    /// variant into one SPMD cluster worker (use [`cc_workset_records`],
+    /// which returns the worker's owned partitions instead of densifying);
+    /// the bulk variant's executor rejects it.
+    pub exec: ExecConfig,
 }
 
 impl ComponentsConfig {
@@ -92,12 +69,8 @@ impl ComponentsConfig {
             parallelism,
             max_iterations: 100_000,
             routing: WorksetRouting::Hash,
-            memory_budget: MemoryBudget::unlimited(),
             checkpoint: None,
-            fault: FaultInjector::from_env(),
-            transport: TransportHandle::default(),
-            channel_credits: None,
-            force_materialized: false,
+            exec: ExecConfig::new(),
         }
     }
 
@@ -120,13 +93,6 @@ impl ComponentsConfig {
         self.with_routing(WorksetRouting::Range)
     }
 
-    /// Bounds the bytes the exchanges may buffer in memory (out-of-core
-    /// execution).
-    pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.memory_budget = budget;
-        self
-    }
-
     /// Enables checkpointing every `interval` supersteps (workset variants)
     /// or iterations (bulk variant) under `dir`, with recovery on failure.
     pub fn with_checkpoint(self, interval: usize, dir: impl Into<std::path::PathBuf>) -> Self {
@@ -139,31 +105,36 @@ impl ComponentsConfig {
         self
     }
 
-    /// Installs a fault injector (replacing the environment-configured one).
+    /// Sets the execution settings.
+    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
+        self.exec = exec;
+        self
+    }
+
+    // The four shorthands below are kept because `benchmark/src/engine.rs`
+    // calls them; everything else sets `exec`.
+
+    /// [`ExecConfig::with_memory_budget`] on [`ComponentsConfig::exec`].
+    pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
+        self.exec = self.exec.with_memory_budget(budget);
+        self
+    }
+
+    /// [`ExecConfig::with_fault`] on [`ComponentsConfig::exec`].
     pub fn with_fault(mut self, fault: FaultInjector) -> Self {
-        self.fault = fault;
+        self.exec = self.exec.with_fault(fault);
         self
     }
 
-    /// Installs the transport the workset variants' superstep exchange runs
-    /// over (see [`ComponentsConfig::transport`]).
+    /// [`ExecConfig::with_transport`] on [`ComponentsConfig::exec`].
     pub fn with_transport(mut self, transport: TransportHandle) -> Self {
-        self.transport = transport;
+        self.exec = self.exec.with_transport(transport);
         self
     }
 
-    /// Bounds the bounded channels to `credits` records (async) or sealed
-    /// pages per superstep outbox — see
-    /// [`ComponentsConfig::channel_credits`].  Clamped to at least 1.
+    /// [`ExecConfig::with_channel_credits`] on [`ComponentsConfig::exec`].
     pub fn with_channel_credits(mut self, credits: usize) -> Self {
-        self.channel_credits = Some(credits.max(1));
-        self
-    }
-
-    /// Selects the materializing oracle paths of every variant — see
-    /// [`ComponentsConfig::force_materialized`].
-    pub fn with_force_materialized(mut self, force: bool) -> Self {
-        self.force_materialized = force;
+        self.exec = self.exec.with_channel_credits(credits);
         self
     }
 }
@@ -253,21 +224,27 @@ pub fn cc_bulk(graph: &Graph, config: &ComponentsConfig) -> Result<ComponentsRes
             max_iterations: config.max_iterations,
         },
     );
-    let mut bulk_config = BulkConfig::new(config.parallelism)
-        .with_annotations(annotations)
-        .with_memory_budget(config.memory_budget)
-        .with_fault(config.fault.clone())
-        .with_force_materialized(config.force_materialized);
-    if let Some(policy) = &config.checkpoint {
-        bulk_config = bulk_config.with_checkpoint_policy(policy.clone());
-    }
-    let result = iteration.run(initial_components(graph), &bulk_config)?;
+    let result = iteration.run(initial_components(graph), &bulk_config(config, annotations))?;
     Ok(ComponentsResult {
         components: records_to_vec(&result.solution, graph.num_vertices()),
         iterations: result.iterations,
         converged: result.converged,
         stats: result.stats,
     })
+}
+
+/// The bulk driver's configuration for `config`, planned with the step
+/// plan's `annotations`.  A struct literal, so a field added to
+/// [`BulkConfig`] fails to compile here until it is forwarded.
+fn bulk_config(config: &ComponentsConfig, annotations: Annotations) -> BulkConfig {
+    BulkConfig {
+        parallelism: config.parallelism,
+        use_optimizer: true,
+        annotations,
+        expected_iterations: None,
+        checkpoint: config.checkpoint.clone(),
+        exec: config.exec.clone(),
+    }
 }
 
 /// Builds the workset iteration shared by the incremental variants: solution
@@ -321,8 +298,8 @@ fn build_workset_iteration(graph: &Graph, grouped: bool) -> WorksetIteration<'_>
 /// Runs the incremental Connected Components workset iteration and returns
 /// the raw [`WorksetResult`]: the solution as `(vid, cid)` records instead
 /// of a dense per-vertex vector.  This is the entry point for cluster
-/// workers — with a multi-process [`ComponentsConfig::transport`] each
-/// process's result holds only the solution partitions it owns, and
+/// workers — with a multi-process transport ([`ComponentsConfig::exec`])
+/// each process's result holds only the solution partitions it owns, and
 /// densifying per process would plant holes; concatenating the workers'
 /// records in index order reproduces the single-process record stream.
 /// `mode` selects the batch-incremental (`InnerCoGroup`) or microstep
@@ -350,12 +327,8 @@ fn workset_config(config: &ComponentsConfig, mode: ExecutionMode) -> WorksetConf
         mode,
         max_supersteps: config.max_iterations,
         routing: config.routing,
-        memory_budget: config.memory_budget,
-        channel_credits: config.channel_credits.map(|credits| credits.max(1)),
         checkpoint: config.checkpoint.clone(),
-        fault: config.fault.clone(),
-        force_materialized: config.force_materialized,
-        transport: config.transport.clone(),
+        exec: config.exec.clone(),
     }
 }
 
@@ -511,43 +484,105 @@ mod tests {
         assert!(full.converged);
     }
 
-    #[test]
-    fn every_components_field_reaches_the_workset_config() {
+    /// A configuration with every field away from its default.  The
+    /// transport's channel-group counter is advanced to 3, so the handle that
+    /// arrives can be told apart from a fresh default one.
+    fn fully_configured() -> ComponentsConfig {
         let transport = TransportHandle::local();
-        // Advance the transport's channel-group counter so the handle that
-        // arrives can be told apart from a fresh default one.
         for _ in 0..3 {
             transport.allocate();
         }
-        let config = ComponentsConfig::new(3)
+        ComponentsConfig::new(3)
             .with_max_iterations(17)
             .with_range_routing()
-            .with_memory_budget(MemoryBudget::bytes(4096))
             .with_checkpoint_policy(CheckpointPolicy::new(5, "ckpt-dir").with_max_retries(7))
+            .with_exec(ExecConfig::new().with_force_materialized(true))
+            .with_memory_budget(MemoryBudget::bytes(4096))
             .with_fault(FaultInjector::seeded(11))
             .with_transport(transport)
             .with_channel_credits(2)
-            .with_force_materialized(true);
-        let workset = workset_config(&config, ExecutionMode::Microstep);
-        assert_eq!(workset.parallelism, 3);
-        assert_eq!(workset.mode, ExecutionMode::Microstep);
-        assert_eq!(workset.max_supersteps, 17);
-        assert_eq!(workset.routing, WorksetRouting::Range);
-        assert_eq!(workset.memory_budget, MemoryBudget::bytes(4096));
-        let checkpoint = workset.checkpoint.expect("checkpoint policy");
+    }
+
+    /// Asserts a forwarded checkpoint policy and execution settings are
+    /// those of [`fully_configured`].
+    fn assert_forwarded(checkpoint: Option<CheckpointPolicy>, exec: &ExecConfig) {
+        let checkpoint = checkpoint.expect("checkpoint policy");
         assert_eq!(
             (checkpoint.interval, checkpoint.max_retries),
             (5, 7),
             "checkpoint policy"
         );
         assert_eq!(checkpoint.dir, std::path::PathBuf::from("ckpt-dir"));
+        assert_eq!(exec.memory_budget, MemoryBudget::bytes(4096));
         assert_eq!(
-            format!("{:?}", workset.fault),
+            format!("{:?}", exec.fault),
             format!("{:?}", FaultInjector::seeded(11))
         );
-        assert_eq!(workset.transport.allocate(), 3, "the configured transport");
-        assert_eq!(workset.channel_credits, Some(2));
-        assert!(workset.force_materialized);
+        assert_eq!(exec.transport.allocate(), 3, "the configured transport");
+        assert_eq!(exec.channel_credits, Some(2));
+        assert!(exec.force_materialized);
+    }
+
+    #[test]
+    fn every_components_field_reaches_the_workset_config() {
+        let workset = workset_config(&fully_configured(), ExecutionMode::Microstep);
+        assert_eq!(workset.parallelism, 3);
+        assert_eq!(workset.mode, ExecutionMode::Microstep);
+        assert_eq!(workset.max_supersteps, 17);
+        assert_eq!(workset.routing, WorksetRouting::Range);
+        assert_forwarded(workset.checkpoint, &workset.exec);
+    }
+
+    #[test]
+    fn every_components_field_reaches_the_bulk_config() {
+        let (_, _, annotations) = build_bulk_step_plan(&figure1_graph());
+        let bulk = bulk_config(&fully_configured(), annotations);
+        assert_eq!(bulk.parallelism, 3);
+        assert!(bulk.use_optimizer);
+        assert_eq!(bulk.expected_iterations, None);
+        assert_forwarded(bulk.checkpoint, &bulk.exec);
+    }
+
+    /// A transport stub that reports a two-process cluster but is never
+    /// exercised: the executor rejects it before any communication.
+    struct TwoProcessStub;
+
+    impl dataflow::transport::Transport<RecordPage> for TwoProcessStub {
+        fn cluster(&self) -> ClusterSpec {
+            ClusterSpec {
+                processes: 2,
+                index: 0,
+            }
+        }
+
+        fn allocate(&self) -> u64 {
+            unreachable!("the executor rejects before allocating channels")
+        }
+
+        fn channel(&self, _id: ChannelId, _partitions: usize) -> SharedPageChannel {
+            unreachable!("the executor rejects before opening channels")
+        }
+
+        fn all_gather(
+            &self,
+            _id: ChannelId,
+            _round: u64,
+            _values: &[u64],
+        ) -> std::result::Result<Vec<Vec<u64>>, CommError> {
+            unreachable!("the executor rejects before gathering")
+        }
+    }
+
+    #[test]
+    fn bulk_cc_rejects_a_distributed_transport() {
+        let transport = TransportHandle::from_transport(Arc::new(TwoProcessStub));
+        let config = ComponentsConfig::new(2).with_transport(transport);
+        match cc_bulk(&figure1_graph(), &config) {
+            Err(DataflowError::InvalidPlan(message)) => {
+                assert!(message.contains("single-process"), "{message}")
+            }
+            other => panic!("expected InvalidPlan, got {other:?}"),
+        }
     }
 
     #[test]

@@ -41,9 +41,8 @@ pub struct PageRankConfig {
     pub damping: f64,
     /// Plan selection.
     pub plan: PageRankPlan,
-    /// Disables the executor's fused operator chains, materializing every
-    /// forward edge (the equivalence-suite oracle; see `dataflow::exec`).
-    pub force_materialized: bool,
+    /// The execution settings every iteration's executor runs under.
+    pub exec: ExecConfig,
 }
 
 impl PageRankConfig {
@@ -55,7 +54,7 @@ impl PageRankConfig {
             parallelism,
             damping: 0.85,
             plan: PageRankPlan::Optimized,
-            force_materialized: false,
+            exec: ExecConfig::new(),
         }
     }
 
@@ -71,10 +70,9 @@ impl PageRankConfig {
         self
     }
 
-    /// Materializes every forward edge instead of fusing operator chains —
-    /// see [`PageRankConfig::force_materialized`].
-    pub fn with_force_materialized(mut self, force: bool) -> Self {
-        self.force_materialized = force;
+    /// Sets the execution settings.
+    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
+        self.exec = exec;
         self
     }
 }
@@ -177,7 +175,7 @@ pub fn pagerank(graph: &Graph, config: &PageRankConfig) -> Result<PageRankResult
 
     let bulk_config = BulkConfig::new(config.parallelism)
         .with_annotations(annotations)
-        .with_force_materialized(config.force_materialized);
+        .with_exec(config.exec.clone());
     let result = match config.plan {
         PageRankPlan::Optimized => iteration.run(initial_ranks(graph), &bulk_config)?,
         forced => {
@@ -281,6 +279,33 @@ mod tests {
         assert_close(&broadcast.ranks, &partition.ranks, 1e-12);
         let oracle = oracles::pagerank(&graph, 8, 0.85);
         assert_close(&broadcast.ranks, &oracle, 1e-9);
+    }
+
+    /// Every Figure 4 plan runs out of core: under a zero budget every
+    /// exchange spills, and the ranks stay bit-identical to the in-memory
+    /// run's.
+    #[test]
+    fn every_plan_runs_out_of_core_with_bit_identical_ranks() {
+        let graph = rmat(150, 900, RmatParams::default(), 9).symmetrize();
+        let spill_everything = ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0));
+        for plan in [
+            PageRankPlan::Optimized,
+            PageRankPlan::ForceBroadcast,
+            PageRankPlan::ForcePartition,
+        ] {
+            let config = PageRankConfig::new(4).with_iterations(6).with_plan(plan);
+            let in_memory = pagerank(&graph, &config).unwrap();
+            let spilled = pagerank(&graph, &config.with_exec(spill_everything.clone())).unwrap();
+            let bits = |ranks: &[f64]| ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&spilled.ranks), bits(&in_memory.ranks), "{plan:?}");
+            let spilled_bytes: usize = spilled
+                .stats
+                .per_iteration
+                .iter()
+                .map(|s| s.spilled_bytes)
+                .sum();
+            assert!(spilled_bytes > 0, "{plan:?} spilled nothing");
+        }
     }
 
     #[test]

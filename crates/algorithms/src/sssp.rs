@@ -90,7 +90,7 @@ pub fn sssp_with_routing(
 
 /// Runs single-source shortest paths under a fully explicit
 /// [`WorksetConfig`] — routing scheme, superstep bound and memory budget
-/// included.  A finite [`WorksetConfig::memory_budget`] spills the frontier
+/// included.  A finite [`ExecConfig::memory_budget`] spills the frontier
 /// exchange's candidate pages to disk, so the traversal runs in bounded
 /// memory on long-tail graphs.
 pub fn sssp_with_config(
@@ -114,7 +114,7 @@ pub fn sssp_with_config(
 /// Like [`sssp_with_config`] but returns the raw [`WorksetResult`]: the
 /// solution as `(vid, distance)` records instead of a dense distance vector.
 /// This is the entry point for cluster workers — with a multi-process
-/// [`WorksetConfig::transport`] each process's result holds only the
+/// [`ExecConfig::transport`] each process's result holds only the
 /// solution partitions it owns, and densifying per process would plant
 /// holes; concatenating the workers' records in index order reproduces the
 /// single-process record stream.

@@ -26,6 +26,7 @@ use algorithms::{
 };
 use baselines::{cc_pregel, cc_spark_simulated_incremental, pagerank_pregel, pagerank_spark};
 use baselines::{cc_spark_bulk, PregelConfig, SparkContext};
+use dataflow::credit::positive_from_env;
 use graphdata::{DatasetProfile, Graph, GraphSummary};
 use std::time::{Duration, Instant};
 
@@ -40,23 +41,16 @@ pub fn scale_factor() -> u64 {
 
 /// Reads the downscale factor from `SPINNING_SCALE` with a caller-chosen
 /// default (benches that need a different baseline scale share the same env
-/// contract).
+/// contract).  A malformed or zero value warns and falls back to `default`.
 pub fn scale_factor_or(default: u64) -> u64 {
-    std::env::var("SPINNING_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    positive_from_env("SPINNING_SCALE").unwrap_or(default)
 }
 
 /// Reads the per-benchmark sample count from `SPINNING_BENCH_SAMPLES`
 /// (default as given).  CI runs the long-tail bench with 1 sample as a smoke
 /// test for pool regressions that deadlock or explode latency.
 pub fn bench_samples(default: usize) -> usize {
-    std::env::var("SPINNING_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-        .max(1)
+    positive_from_env("SPINNING_BENCH_SAMPLES").unwrap_or(default)
 }
 
 /// Per-superstep latency summary of one iterative run.  The long-tail

@@ -49,40 +49,45 @@ pub const TIMEOUT_ENV: &str = "SPINNING_COMM_TIMEOUT_SECS";
 /// Default blocking-wait bound in seconds (see [`TIMEOUT_ENV`]).
 pub const DEFAULT_TIMEOUT_SECS: u64 = 300;
 
-/// Parses a [`TIMEOUT_ENV`] value.  `None` / empty means "unset" (use the
-/// default); a malformed or zero value is an error — zero would turn every
-/// blocking wait into an instant timeout, and silently ignoring garbage hid
-/// misconfigured clusters behind the 300s default.
-pub fn parse_timeout_secs(raw: Option<&str>) -> Result<Option<u64>, String> {
+/// Parses the value `raw` of the numeric environment variable `name`.
+/// `None` / empty means "unset" (use the default); a malformed or zero value
+/// is an error — zero would turn every blocking wait into an instant timeout
+/// or leave a channel no credit to send with, and silently ignoring garbage
+/// hid misconfigured runs behind their defaults.
+pub fn parse_positive<T>(name: &str, raw: Option<&str>) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr + PartialEq + From<u8>,
+{
     let Some(raw) = raw else { return Ok(None) };
     let trimmed = raw.trim();
     if trimmed.is_empty() {
         return Ok(None);
     }
-    match trimmed.parse::<u64>() {
-        Ok(0) => Err(format!(
-            "{TIMEOUT_ENV}={trimmed:?} must be at least 1 second"
-        )),
-        Ok(secs) => Ok(Some(secs)),
-        Err(_) => Err(format!(
-            "{TIMEOUT_ENV}={trimmed:?} is not a whole number of seconds"
-        )),
+    match trimmed.parse::<T>() {
+        Ok(value) if value == T::from(0) => Err(format!("{name}={trimmed:?} must be at least 1")),
+        Ok(value) => Ok(Some(value)),
+        Err(_) => Err(format!("{name}={trimmed:?} is not a positive whole number")),
     }
 }
 
-/// Reads the configured blocking-wait bound from the environment.  A
-/// malformed or zero value is rejected loudly (a stderr warning, falling back
-/// to the default) instead of being silently ignored.
+/// Reads the numeric environment variable `name` through [`parse_positive`].
+/// A malformed or zero value is rejected loudly — a stderr warning, and the
+/// variable is treated as unset so the caller's default applies — instead of
+/// being silently ignored.
+pub fn positive_from_env<T>(name: &str) -> Option<T>
+where
+    T: std::str::FromStr + PartialEq + From<u8>,
+{
+    let raw = std::env::var(name).ok();
+    parse_positive(name, raw.as_deref()).unwrap_or_else(|detail| {
+        eprintln!("warning: {detail}; using the default");
+        None
+    })
+}
+
+/// Reads the configured blocking-wait bound from [`TIMEOUT_ENV`].
 pub fn timeout_from_env() -> Duration {
-    let raw = std::env::var(TIMEOUT_ENV).ok();
-    let secs = match parse_timeout_secs(raw.as_deref()) {
-        Ok(secs) => secs.unwrap_or(DEFAULT_TIMEOUT_SECS),
-        Err(detail) => {
-            eprintln!("warning: {detail}; using the {DEFAULT_TIMEOUT_SECS}s default");
-            DEFAULT_TIMEOUT_SECS
-        }
-    };
-    Duration::from_secs(secs)
+    Duration::from_secs(positive_from_env(TIMEOUT_ENV).unwrap_or(DEFAULT_TIMEOUT_SECS))
 }
 
 /// Environment variable configuring the per-edge credit count of the bounded
@@ -94,38 +99,10 @@ pub fn timeout_from_env() -> Duration {
 /// bounded by `credits × page_size`.
 pub const CHANNEL_CREDITS_ENV: &str = "SPINNING_CHANNEL_CREDITS";
 
-/// Parses a [`CHANNEL_CREDITS_ENV`] value.  `None` / empty means "unset";
-/// malformed or zero values are errors (zero credits could never send
-/// anything).
-pub fn parse_channel_credits(raw: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(raw) = raw else { return Ok(None) };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    match trimmed.parse::<usize>() {
-        Ok(0) => Err(format!(
-            "{CHANNEL_CREDITS_ENV}={trimmed:?} must be at least 1 credit"
-        )),
-        Ok(credits) => Ok(Some(credits)),
-        Err(_) => Err(format!(
-            "{CHANNEL_CREDITS_ENV}={trimmed:?} is not a whole number of credits"
-        )),
-    }
-}
-
-/// Reads the configured channel credit count from the environment, warning
-/// loudly on stderr (and treating the variable as unset) when the value is
-/// malformed or zero.
+/// Reads the configured channel credit count from [`CHANNEL_CREDITS_ENV`]
+/// (`None` when unset, malformed or zero).
 pub fn channel_credits_from_env() -> Option<usize> {
-    let raw = std::env::var(CHANNEL_CREDITS_ENV).ok();
-    match parse_channel_credits(raw.as_deref()) {
-        Ok(credits) => credits,
-        Err(detail) => {
-            eprintln!("warning: {detail}; channel credits left at their defaults");
-            None
-        }
-    }
+    positive_from_env(CHANNEL_CREDITS_ENV)
 }
 
 // --- Cluster shape -----------------------------------------------------------
@@ -896,29 +873,31 @@ mod tests {
 
     #[test]
     fn timeout_parsing_accepts_valid_and_rejects_garbage() {
+        let parse = |raw| parse_positive::<u64>(TIMEOUT_ENV, raw);
         // Valid / unset values pass through.
-        assert_eq!(parse_timeout_secs(None), Ok(None));
-        assert_eq!(parse_timeout_secs(Some("")), Ok(None));
-        assert_eq!(parse_timeout_secs(Some("  ")), Ok(None));
-        assert_eq!(parse_timeout_secs(Some("60")), Ok(Some(60)));
-        assert_eq!(parse_timeout_secs(Some(" 7 ")), Ok(Some(7)));
+        assert_eq!(parse(None), Ok(None));
+        assert_eq!(parse(Some("")), Ok(None));
+        assert_eq!(parse(Some("  ")), Ok(None));
+        assert_eq!(parse(Some("60")), Ok(Some(60)));
+        assert_eq!(parse(Some(" 7 ")), Ok(Some(7)));
         // Malformed and zero values are rejected, not silently defaulted.
-        let err = parse_timeout_secs(Some("5 minutes")).unwrap_err();
+        let err = parse(Some("5 minutes")).unwrap_err();
         assert!(err.contains(TIMEOUT_ENV), "got {err}");
-        let err = parse_timeout_secs(Some("0")).unwrap_err();
+        let err = parse(Some("0")).unwrap_err();
         assert!(err.contains("at least 1"), "got {err}");
-        assert!(parse_timeout_secs(Some("-3")).is_err());
+        assert!(parse(Some("-3")).is_err());
     }
 
     #[test]
     fn channel_credit_parsing_accepts_valid_and_rejects_garbage() {
-        assert_eq!(parse_channel_credits(None), Ok(None));
-        assert_eq!(parse_channel_credits(Some("")), Ok(None));
-        assert_eq!(parse_channel_credits(Some("2")), Ok(Some(2)));
-        assert_eq!(parse_channel_credits(Some(" 1024 ")), Ok(Some(1024)));
-        let err = parse_channel_credits(Some("lots")).unwrap_err();
+        let parse = |raw| parse_positive::<usize>(CHANNEL_CREDITS_ENV, raw);
+        assert_eq!(parse(None), Ok(None));
+        assert_eq!(parse(Some("")), Ok(None));
+        assert_eq!(parse(Some("2")), Ok(Some(2)));
+        assert_eq!(parse(Some(" 1024 ")), Ok(Some(1024)));
+        let err = parse(Some("lots")).unwrap_err();
         assert!(err.contains(CHANNEL_CREDITS_ENV), "got {err}");
-        let err = parse_channel_credits(Some("0")).unwrap_err();
+        let err = parse(Some("0")).unwrap_err();
         assert!(err.contains("at least 1"), "got {err}");
     }
 

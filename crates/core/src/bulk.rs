@@ -15,10 +15,9 @@
 
 use crate::checkpoint::{run_with_recovery, CheckpointPolicy};
 use crate::stats::{IterationRunStats, IterationStats};
-use dataflow::fault::FaultInjector;
 use dataflow::prelude::{
-    DataflowError, ExecConfig, ExecutionResult, Executor, IntermediateCache, MemoryBudget,
-    OperatorId, PhysicalPlan, Plan, Record, Result,
+    DataflowError, ExecConfig, ExecutionResult, Executor, IntermediateCache, OperatorId,
+    PhysicalPlan, Plan, Record, Result,
 };
 use optimizer::{Annotations, IterationSpec, Optimizer};
 use std::path::PathBuf;
@@ -94,22 +93,14 @@ pub struct BulkConfig {
     /// Expected number of iterations used to weight the dynamic data path.
     /// Defaults to the termination criterion's maximum.
     pub expected_iterations: Option<f64>,
-    /// Budget on the bytes the step plan's exchanges (and the loop-invariant
-    /// cache) may buffer in memory before spilling sealed pages to disk.
-    /// Unlimited by default.
-    pub memory_budget: MemoryBudget,
     /// Iteration-boundary checkpointing and recovery policy.  `None` (the
     /// default) disables checkpointing: a failed iteration surfaces as a
     /// typed [`DataflowError`] immediately.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Deterministic fault injector threaded through the step executions'
-    /// spill and pool-dispatch sites.  Defaults to the
-    /// environment-configured injector ([`FaultInjector::from_env`]).
-    pub fault: FaultInjector,
-    /// Disables chain fusion and the page-native operator paths in the step
-    /// executions — the escape hatch pinning every streaming path against
-    /// the materializing oracle.  Off by default.
-    pub force_materialized: bool,
+    /// The execution settings every step execution runs under, handed to
+    /// the [`Executor`] unchanged; its fault injector also drives the
+    /// checkpoint sites.
+    pub exec: ExecConfig,
 }
 
 impl BulkConfig {
@@ -120,11 +111,15 @@ impl BulkConfig {
             use_optimizer: true,
             annotations: Annotations::new(),
             expected_iterations: None,
-            memory_budget: MemoryBudget::unlimited(),
             checkpoint: None,
-            fault: FaultInjector::from_env(),
-            force_materialized: false,
+            exec: ExecConfig::new(),
         }
+    }
+
+    /// Sets the execution settings of the step executions.
+    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
+        self.exec = exec;
+        self
     }
 
     /// Sets the optimizer annotations.
@@ -139,12 +134,6 @@ impl BulkConfig {
         self
     }
 
-    /// Sets the memory budget of the per-iteration executions.
-    pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.memory_budget = budget;
-        self
-    }
-
     /// Enables iteration-boundary checkpointing: every `interval` iterations
     /// the partial solution is snapshotted under `dir`, and a failed
     /// iteration restores the newest valid checkpoint and retries instead of
@@ -156,19 +145,6 @@ impl BulkConfig {
     /// Enables checkpointing with an explicit policy.
     pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some(policy);
-        self
-    }
-
-    /// Installs a fault injector (replacing the environment-configured one).
-    pub fn with_fault(mut self, fault: FaultInjector) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Forces the materializing executor paths (see
-    /// [`BulkConfig::force_materialized`]).
-    pub fn with_force_materialized(mut self, force: bool) -> Self {
-        self.force_materialized = force;
         self
     }
 }
@@ -299,12 +275,7 @@ impl BulkIteration {
             });
         }
 
-        let executor = Executor::with_config(
-            ExecConfig::new()
-                .with_memory_budget(config.memory_budget)
-                .with_fault(config.fault.clone())
-                .with_force_materialized(config.force_materialized),
-        );
+        let executor = Executor::with_config(config.exec.clone());
         // Everything an iteration reads and replaces.  Bulk checkpoints
         // snapshot the one materialized state the feedback channel carries —
         // the partial solution — as a single partition with an empty workset.
@@ -313,10 +284,9 @@ impl BulkIteration {
             cache: IntermediateCache,
             converged: bool,
         }
-        let fresh_cache = || IntermediateCache::new().with_memory_budget(config.memory_budget);
         let mut state = State {
             current: Arc::new(initial),
-            cache: fresh_cache(),
+            cache: IntermediateCache::new(),
             converged: false,
         };
 
@@ -370,7 +340,7 @@ impl BulkIteration {
         let per_iteration = run_with_recovery(
             config.checkpoint.as_ref(),
             1,
-            &config.fault,
+            &config.exec.fault,
             max_iterations,
             &mut state,
             |state| !state.converged,
@@ -380,7 +350,7 @@ impl BulkIteration {
                 state.current = Arc::new(restored.solution.into_iter().flatten().collect());
                 // The intermediate cache may hold state from the failed
                 // execution; rebuild it so loop-invariant inputs re-ship.
-                state.cache = fresh_cache();
+                state.cache = IntermediateCache::new();
             },
         )?;
         let State {
@@ -632,9 +602,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("spinning-bulk-ckpt-{}", std::process::id()));
         // The initial (iteration-0) checkpoint write fails; the run proceeds,
         // later checkpoints land, and the failure shows up in the stats.
-        let config = BulkConfig::new(2)
-            .with_checkpoint(1, &dir)
-            .with_fault(FaultInjector::failing_nth(FaultSite::CheckpointWrite, 0));
+        let config = BulkConfig::new(2).with_checkpoint(1, &dir).with_exec(
+            ExecConfig::new().with_fault(FaultInjector::failing_nth(FaultSite::CheckpointWrite, 0)),
+        );
         let result = iteration.run(vec![Record::pair(0, 0)], &config).unwrap();
         assert_eq!(result.solution, vec![Record::pair(0, 4)]);
         assert_eq!(result.stats.total_checkpoint_write_failures(), 1);
@@ -674,9 +644,10 @@ mod tests {
             TerminationCriterion::FixedIterations(4),
         );
         let initial: Vec<Record> = (0..200).map(|i| Record::pair(i, 0)).collect();
-        let config = BulkConfig::new(4)
+        let exec = ExecConfig::new()
             .with_memory_budget(MemoryBudget::bytes(0))
             .with_fault(FaultInjector::disabled());
+        let config = BulkConfig::new(4).with_exec(exec.clone());
         let run =
             |config: &BulkConfig| iteration.run_physical(physical.clone(), initial.clone(), config);
 
@@ -695,13 +666,14 @@ mod tests {
         // Each iteration dispatches four routing tasks and four segment
         // tasks, so the eleventh pool task belongs to iteration 2.
         let failing = || FaultInjector::failing_nth(FaultSite::WorkerPanic, 10);
-        match run(&config.clone().with_fault(failing())) {
+        let failing_config = || config.clone().with_exec(exec.clone().with_fault(failing()));
+        match run(&failing_config()) {
             Err(DataflowError::WorkerPanic { superstep, .. }) => assert_eq!(superstep, 2),
             other => panic!("expected a worker panic, got {other:?}"),
         }
 
         let dir = std::env::temp_dir().join(format!("spinning-bulk-hand-{}", std::process::id()));
-        let recovered = run(&config.with_fault(failing()).with_checkpoint(1, &dir)).unwrap();
+        let recovered = run(&failing_config().with_checkpoint(1, &dir)).unwrap();
         assert_eq!(recovered.solution, unfaulted.solution);
         assert_eq!(recovered.iterations, 4);
         assert_eq!(recovered.stats.total_recoveries(), 1);

@@ -18,11 +18,11 @@
 //! # Backpressure
 //!
 //! The queues between workers are bounded [`dataflow::credit`] channels:
-//! every worker→worker edge holds at most `credits` records (from
-//! [`WorksetConfig::channel_credits`], the `SPINNING_CHANNEL_CREDITS`
-//! environment variable, or [`DEFAULT_ASYNC_CREDITS`]), so an adversarial
-//! expansion fan-out is bounded to `credits × edges` queued records instead
-//! of exhausting memory.  A worker blocked on a full queue keeps draining its
+//! every worker→worker edge holds at most `credits` records (the run's
+//! [`ExecConfig::channel_credits`](dataflow::exec::ExecConfig::channel_credits),
+//! which default to the `SPINNING_CHANNEL_CREDITS` environment variable, or
+//! else [`DEFAULT_ASYNC_CREDITS`]), so an adversarial expansion fan-out is
+//! bounded to `credits × edges` queued records instead of exhausting memory.  A worker blocked on a full queue keeps draining its
 //! *own* inbox while it waits — in a cycle of mutually-full queues every
 //! blocked worker is then emptying someone's full queue, so the system always
 //! makes progress; a genuine stall (e.g. a user function that never returns)
@@ -30,11 +30,11 @@
 //! `SPINNING_COMM_TIMEOUT_SECS` bound instead of a hang.
 //!
 //! The queues hold individual records, not spillable pages, so a configured
-//! [`WorksetConfig::memory_budget`] cannot be honoured here: asynchronous
-//! runs ignore it and say so with a one-time stderr warning instead of
-//! silently pretending to be bounded (the superstep modes honour the budget
-//! through the spilling exchange).  Use the channel credits to bound the
-//! queues' memory.
+//! memory budget ([`WorksetConfig::exec`]) cannot be honoured here:
+//! asynchronous runs ignore it and say so with a one-time stderr warning
+//! instead of silently pretending to be bounded (the superstep modes honour
+//! the budget through the spilling exchange).  Use the channel credits to
+//! bound the queues' memory.
 //!
 //! # Fault tolerance
 //!
@@ -53,8 +53,8 @@ use crate::stats::{IterationRunStats, IterationStats};
 use crate::workset::{WorksetConfig, WorksetIteration, WorksetResult};
 use dataflow::contracts::{RecordSink, RecordSource};
 use dataflow::credit::{
-    channel_credits_from_env, credit_channel, timeout_from_env, CreditReceiver, CreditSender,
-    RecvTimeoutError, SendError, TrySendError, CHANNEL_CREDITS_ENV,
+    credit_channel, timeout_from_env, CreditReceiver, CreditSender, RecvTimeoutError, SendError,
+    TrySendError, CHANNEL_CREDITS_ENV,
 };
 use dataflow::join_index::JoinIndex;
 use dataflow::prelude::{DataflowError, Key, MemoryBudget, PartitionRouter, Record, Result};
@@ -67,9 +67,9 @@ use std::time::{Duration, Instant};
 /// counter.  Purely a liveness knob; correctness does not depend on it.
 const IDLE_POLL: Duration = Duration::from_micros(200);
 
-/// Per-edge record credits when neither [`WorksetConfig::channel_credits`]
-/// nor the environment configures them.  Generous — the default bounds
-/// pathological fan-outs without throttling healthy runs.
+/// Per-edge record credits when the run's channel credits are unset.
+/// Generous — the default bounds pathological fan-outs without throttling
+/// healthy runs.
 pub const DEFAULT_ASYNC_CREDITS: usize = 1024;
 
 /// Releases one in-flight credit on drop, so a record's credit is returned
@@ -132,7 +132,7 @@ fn ignored_budget_warning(budget: &MemoryBudget) -> String {
     format!(
         "warning: asynchronous microstep execution ignores the configured memory budget \
          of {limit} bytes (its record queues never spill); bound queue memory with \
-         WorksetConfig::with_channel_credits or {CHANNEL_CREDITS_ENV} instead"
+         ExecConfig::with_channel_credits or {CHANNEL_CREDITS_ENV} instead"
     )
 }
 
@@ -247,14 +247,11 @@ pub(crate) fn run_async(
         ..
     } = loaded;
     let parallelism = config.parallelism;
-    if !config.memory_budget.is_unlimited() {
-        warn_ignored_budget_once(&config.memory_budget);
+    if !config.exec.memory_budget.is_unlimited() {
+        warn_ignored_budget_once(&config.exec.memory_budget);
     }
     let comparator = solution.comparator();
-    let credits = config
-        .channel_credits
-        .or_else(channel_credits_from_env)
-        .unwrap_or(DEFAULT_ASYNC_CREDITS);
+    let credits = config.exec.channel_credits.unwrap_or(DEFAULT_ASYNC_CREDITS);
     let stall_timeout = timeout_from_env();
 
     // One bounded queue per partition; every worker (and the seeding driver)
@@ -536,7 +533,7 @@ fn run_worker(
 mod tests {
     use super::*;
     use crate::workset::{ExecutionMode, ExpandClosure, UpdateClosure, WorksetIteration};
-    use dataflow::prelude::Value;
+    use dataflow::prelude::{ExecConfig, Value};
 
     /// Asynchronous minimum propagation over a ring of `n` vertices.
     fn ring_iteration(n: i64) -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
@@ -634,7 +631,7 @@ mod tests {
         let (iteration, solution, workset) = ring_iteration(48);
         let config = WorksetConfig::new(4)
             .with_mode(ExecutionMode::AsynchronousMicrostep)
-            .with_channel_credits(1);
+            .with_exec(ExecConfig::new().with_channel_credits(1));
         let result = iteration.run(solution, workset, &config).unwrap();
         assert!(result.solution.iter().all(|r| r.long(1) == 100));
         let high_water = result.stats.per_iteration[0].queue_high_water;
@@ -661,7 +658,7 @@ mod tests {
         let (iteration, solution, workset) = ring_iteration(24);
         let config = WorksetConfig::new(3)
             .with_mode(ExecutionMode::AsynchronousMicrostep)
-            .with_memory_budget(MemoryBudget::bytes(1024));
+            .with_exec(ExecConfig::new().with_memory_budget(MemoryBudget::bytes(1024)));
         let result = iteration.run(solution, workset, &config).unwrap();
         assert!(result.solution.iter().all(|r| r.long(1) == 100));
     }
@@ -682,7 +679,7 @@ mod tests {
                 workset,
                 &WorksetConfig::new(3)
                     .with_mode(ExecutionMode::AsynchronousMicrostep)
-                    .with_channel_credits(2),
+                    .with_exec(ExecConfig::new().with_channel_credits(2)),
             )
             .unwrap();
         let mut a = generous.solution;

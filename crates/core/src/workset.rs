@@ -73,14 +73,14 @@ use crate::solution_set::{PartitionIndex, RecordComparator, SolutionSet};
 use crate::stats::{IterationRunStats, IterationStats};
 use dataflow::contracts::{RecordSink, RecordSource};
 use dataflow::exchange::{self, Outbox};
-use dataflow::fault::{FaultInjector, FaultSite};
+use dataflow::fault::FaultSite;
 use dataflow::join_index::JoinIndex;
 use dataflow::key::{group_ranges, sort_by_key};
 use dataflow::page::{for_each_long_key_group, GroupScratch, PagePool, PageWriter};
 use dataflow::prelude::{
-    ChannelId, ClusterSpec, DataflowError, ExchangedPartition, Key, KeyFields, MemoryBudget,
+    ChannelId, ClusterSpec, DataflowError, ExchangedPartition, ExecConfig, Key, KeyFields,
     PartitionRouter, RangeBounds, Record, Result, RunMerger, SharedPageChannel, SpillManager,
-    TransportHandle, Value,
+    Value,
 };
 use dataflow::range::sample_source_keys_into;
 use std::path::PathBuf;
@@ -184,51 +184,34 @@ pub struct WorksetConfig {
     pub max_supersteps: usize,
     /// Partition routing scheme for the solution set and candidate exchange.
     pub routing: WorksetRouting,
-    /// Budget on the serialized candidate bytes the superstep exchange may
-    /// buffer in memory: exceeding it spills sealed candidate pages to disk
-    /// as runs sorted on the workset key, and the next superstep consumes
-    /// them streaming (microstep) or through a k-way merge (batch).
-    /// Unlimited by default.  The asynchronous mode exchanges records
-    /// through bounded credit channels and ignores the budget — its memory
-    /// is bounded by [`WorksetConfig::channel_credits`] instead.
-    pub memory_budget: MemoryBudget,
-    /// Credits of the bounded exchange channels — the backpressure knob.
-    /// In asynchronous mode each worker→worker edge holds at most this many
-    /// records in flight (senders block, with the communication timeout
-    /// surfacing genuine stalls as typed errors); in superstep modes each
-    /// outbox writer flushes its sealed pages to disk once this many are
-    /// buffered, bounding exchange memory at `credits × page_size` per
-    /// writer.  `None` (the default) falls back to the
-    /// `SPINNING_CHANNEL_CREDITS` environment variable; with neither set,
-    /// asynchronous channels use a generous default and superstep outboxes
-    /// stay governed by the byte budget alone.  Results are identical either
-    /// way — backpressure changes *when* data moves, never *what* is
-    /// computed.
-    pub channel_credits: Option<usize>,
     /// Superstep checkpointing and recovery policy.  `None` (the default)
     /// disables checkpointing: a failed superstep surfaces as a typed
     /// [`DataflowError`] immediately.  The asynchronous mode has no superstep
     /// boundaries and ignores the policy.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Deterministic fault injector threaded through the run's spill,
-    /// checkpoint and pool-dispatch sites.  Defaults to the
-    /// environment-configured injector ([`FaultInjector::from_env`]), which
-    /// is disabled unless `SPINNING_FAULT_RATE` is set.
-    pub fault: FaultInjector,
-    /// Disables the page-native batch grouping path, forcing the superstep
-    /// join to materialize and sort heap records even where it could group
-    /// candidates straight off their sealed pages.  The two paths are
-    /// byte-identical (the equivalence tests assert it); the switch exists
-    /// for those tests and for isolating regressions.
-    pub force_materialized: bool,
-    /// The transport the superstep exchange ships its pages through.
-    /// Defaults to the in-process backend (a cluster of one).  With a
-    /// multi-process transport the run becomes one SPMD worker of a cluster:
-    /// every process must call [`WorksetIteration::run`] with the *same*
-    /// initial solution, initial workset, constant input and configuration;
-    /// each keeps only the partitions it owns and the supersteps stay in
-    /// lockstep through the channel and a per-superstep stats barrier.
-    pub transport: TransportHandle,
+    /// The execution settings of the run:
+    ///
+    /// * the memory budget of the superstep exchange — exceeding it spills
+    ///   sealed candidate pages to disk as runs sorted on the workset key,
+    ///   consumed streaming (microstep) or through the page-native merge
+    ///   (batch); the asynchronous mode never spills and ignores it;
+    /// * the channel credits — sealed pages per superstep outbox writer, or
+    ///   records in flight per worker→worker queue in asynchronous mode
+    ///   (senders block, the communication timeout surfacing genuine
+    ///   stalls as typed errors);
+    /// * the fault injector of the spill, checkpoint and pool-dispatch
+    ///   sites;
+    /// * `force_materialized`, which makes the batch superstep join
+    ///   materialize and sort heap records instead of grouping candidates
+    ///   off their sealed pages (byte-identical; the equivalence tests pin
+    ///   it);
+    /// * the transport of the superstep exchange.  With a multi-process
+    ///   transport the run becomes one SPMD worker of a cluster: every
+    ///   process must call [`WorksetIteration::run`] with the *same* initial
+    ///   solution, initial workset, constant input and configuration; each
+    ///   keeps only the partitions it owns and the supersteps stay in
+    ///   lockstep through the channel and a per-superstep stats barrier.
+    pub exec: ExecConfig,
 }
 
 impl WorksetConfig {
@@ -239,19 +222,14 @@ impl WorksetConfig {
             mode: ExecutionMode::BatchIncremental,
             max_supersteps: 100_000,
             routing: WorksetRouting::Hash,
-            memory_budget: MemoryBudget::unlimited(),
-            channel_credits: None,
             checkpoint: None,
-            fault: FaultInjector::from_env(),
-            force_materialized: false,
-            transport: TransportHandle::default(),
+            exec: ExecConfig::new(),
         }
     }
 
-    /// Sets whether the batch superstep join must materialize heap records
-    /// instead of grouping candidates off their sealed pages.
-    pub fn with_force_materialized(mut self, force: bool) -> Self {
-        self.force_materialized = force;
+    /// Sets the execution settings of the run.
+    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -278,20 +256,6 @@ impl WorksetConfig {
         self.with_routing(WorksetRouting::Range)
     }
 
-    /// Sets the superstep exchange's memory budget.
-    pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.memory_budget = budget;
-        self
-    }
-
-    /// Sets the exchange channel credits (see
-    /// [`WorksetConfig::channel_credits`]).  Takes precedence over the
-    /// `SPINNING_CHANNEL_CREDITS` environment variable.
-    pub fn with_channel_credits(mut self, credits: usize) -> Self {
-        self.channel_credits = Some(credits.max(1));
-        self
-    }
-
     /// Enables superstep checkpointing: every `interval` supersteps the
     /// solution set and the pending workset queues are snapshotted under
     /// `dir`, and a failed superstep restores the newest valid checkpoint
@@ -304,19 +268,6 @@ impl WorksetConfig {
     /// directory, retry budget, backoff base).
     pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint = Some(policy);
-        self
-    }
-
-    /// Installs a fault injector (replacing the environment-configured one).
-    pub fn with_fault(mut self, fault: FaultInjector) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Installs the transport the superstep exchange runs over (see the
-    /// [`WorksetConfig::transport`] field for the SPMD contract).
-    pub fn with_transport(mut self, transport: TransportHandle) -> Self {
-        self.transport = transport;
         self
     }
 }
@@ -401,8 +352,8 @@ impl<'a> WorksetIteration<'a> {
     /// the load step serializes straight into the partitions (see the module
     /// documentation).
     ///
-    /// With a multi-process [`WorksetConfig::transport`] this call is one
-    /// SPMD worker of a cluster: every process passes the same inputs and
+    /// With a multi-process transport ([`WorksetConfig::exec`]) this call is
+    /// one SPMD worker of a cluster: every process passes the same inputs and
     /// configuration, keeps only the partitions it owns, and the returned
     /// solution holds this process's owned partitions (concatenating the
     /// processes' solutions in index order reproduces the single-process
@@ -418,7 +369,7 @@ impl<'a> WorksetIteration<'a> {
                 "parallelism must be at least 1".into(),
             ));
         }
-        let cluster = config.transport.cluster();
+        let cluster = config.exec.transport.cluster();
         if cluster.processes > 1 {
             // Contiguous equal partition blocks are what keeps ownership a
             // pure division; an uneven split is a configuration error.
@@ -529,36 +480,26 @@ impl<'a> WorksetIteration<'a> {
         } = loaded;
         let parallelism = config.parallelism;
         let comparator = solution.comparator();
-        // The spill policy of every superstep exchange: the run's budget is
-        // split over the parallelism² outbox writers.  Batch-incremental
-        // flushes sort candidate runs on the workset key so the consumer can
-        // merge-group them without materializing the workset; the microstep
-        // consumer streams runs in arrival order, so its flushes skip the
-        // sort entirely.
+        // The spill policy of every superstep exchange, over its parallelism²
+        // outbox writers.  Batch-incremental flushes sort candidate runs on
+        // the workset key so the consumer can merge-group them without
+        // materializing the workset; the microstep consumer streams runs in
+        // arrival order, so its flushes skip the sort entirely.
         let sort_on_flush =
             (config.mode != ExecutionMode::Microstep).then(|| self.workset_key.clone());
-        // Channel credits cap the sealed pages each outbox writer buffers in
-        // memory (flushing excess pages to disk as runs), bounding exchange
-        // memory at `credits × page_size` per writer independent of the byte
-        // budget.  Unset, the byte budget alone governs.
-        let channel_credits = config
-            .channel_credits
-            .or_else(dataflow::credit::channel_credits_from_env);
-        let spill = SpillManager::new(
-            config.memory_budget.share(parallelism * parallelism),
-            sort_on_flush,
-        )
-        .with_page_credits(channel_credits)
-        .with_fault(config.fault.clone());
+        let spill = config
+            .exec
+            .spill_manager(parallelism * parallelism, sort_on_flush);
         // The run's communication state: one page channel carries every
         // superstep exchange (rounds are attempt-numbered and never reused,
         // so a failed attempt cannot pollute a retry) and one barrier channel
         // carries the per-superstep stats agreement.  Allocation order is
         // part of the SPMD contract — every process allocates these first.
+        let transport = &config.exec.transport;
         let comms = SuperstepComms {
-            cluster: config.transport.cluster(),
-            channel: config.transport.fresh_channel(parallelism),
-            stats_channel: ChannelId::new(config.transport.allocate(), 0),
+            cluster: transport.cluster(),
+            channel: transport.fresh_channel(parallelism),
+            stats_channel: ChannelId::new(transport.allocate(), 0),
         };
 
         let mut state = SuperstepState {
@@ -575,7 +516,7 @@ impl<'a> WorksetIteration<'a> {
         let per_iteration = run_with_recovery(
             config.checkpoint.as_ref(),
             parallelism,
-            &config.fault,
+            &config.exec.fault,
             config.max_supersteps,
             &mut state,
             |state| state.pending > 0,
@@ -691,7 +632,7 @@ impl<'a> WorksetIteration<'a> {
         // (hundreds of tiny supersteps) this dispatch — a deque push per
         // partition — *is* the superstep cost, which is why the pool
         // replaced the former per-superstep `std::thread::scope` spawns.
-        let fault = &config.fault;
+        let fault = &config.exec.fault;
         let mut output_slots: Vec<Option<Result<PartitionOutput>>> =
             (0..parallelism).map(|_| None).collect();
         let scope_result = spinning_pool::global().try_scope(|scope| {
@@ -770,6 +711,7 @@ impl<'a> WorksetIteration<'a> {
         let mut totals = SuperstepTotals::default();
         for slots in
             config
+                .exec
                 .transport
                 .all_gather(comms.stats_channel, state.round, &local.to_slots())?
         {
@@ -852,7 +794,7 @@ impl<'a> WorksetIteration<'a> {
             workset.check_spill_read(spill.fault())?;
         }
         let paged = !microstep
-            && !config.force_materialized
+            && !config.exec.force_materialized
             && self.batch_group_paged(
                 &workset,
                 s_part,
@@ -1221,6 +1163,7 @@ mod tests {
     use super::*;
     use dataflow::contracts::SourceClosure;
     use dataflow::page::RecordPage;
+    use dataflow::prelude::{FaultInjector, MemoryBudget, TransportHandle};
 
     /// A tiny "propagate the minimum" iteration over a 4-vertex path graph
     /// 0 - 1 - 2 - 3: solution records are (vid, value), workset records are
@@ -1555,10 +1498,11 @@ mod tests {
             for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
                 for parallelism in [1usize, 4] {
                     for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
+                        let exec = ExecConfig::new().with_memory_budget(budget);
                         let config = WorksetConfig::new(parallelism)
                             .with_mode(mode)
                             .with_routing(routing)
-                            .with_memory_budget(budget);
+                            .with_exec(exec.clone());
                         let label = format!(
                             "{mode:?}/{routing:?}/p{parallelism}/budget {:?}",
                             budget.limit()
@@ -1570,7 +1514,7 @@ mod tests {
                             .run(
                                 solution.clone(),
                                 workset.clone(),
-                                &config.clone().with_force_materialized(true),
+                                &config.clone().with_exec(exec.with_force_materialized(true)),
                             )
                             .unwrap();
                         // Unsorted equality: the paths must agree on the
@@ -1684,6 +1628,7 @@ mod tests {
         must_spill: bool,
     ) -> WorksetResult {
         let config = WorksetConfig::new(2);
+        let exec = &config.exec;
         let baseline = iteration
             .run(solution.to_vec(), workset.to_vec(), &config)
             .unwrap();
@@ -1691,20 +1636,21 @@ mod tests {
         for (regime, variant, spills) in [
             (
                 "materialized",
-                config.clone().with_force_materialized(true),
+                exec.clone().with_force_materialized(true),
                 false,
             ),
             (
                 "budget 0",
-                config.clone().with_memory_budget(MemoryBudget::bytes(0)),
+                exec.clone().with_memory_budget(MemoryBudget::bytes(0)),
                 must_spill,
             ),
             (
                 "2 credits",
-                config.clone().with_channel_credits(2),
+                exec.clone().with_channel_credits(2),
                 must_spill,
             ),
         ] {
+            let variant = config.clone().with_exec(variant);
             let label = format!("{label}, {regime}");
             let run = iteration
                 .run(solution.to_vec(), workset.to_vec(), &variant)
@@ -1783,9 +1729,9 @@ mod tests {
         // The very first checkpoint write (the superstep-0 snapshot) fails;
         // the run must proceed on no checkpoint, reach the fixpoint, and
         // report the failure in its stats instead of erroring out.
-        let config = WorksetConfig::new(2)
-            .with_checkpoint(1, &dir)
-            .with_fault(FaultInjector::failing_nth(FaultSite::CheckpointWrite, 0));
+        let config = WorksetConfig::new(2).with_checkpoint(1, &dir).with_exec(
+            ExecConfig::new().with_fault(FaultInjector::failing_nth(FaultSite::CheckpointWrite, 0)),
+        );
         let result = iteration.run(solution, workset, &config).unwrap();
         check_converged(&result);
         assert_eq!(result.stats.total_checkpoint_write_failures(), 1);
@@ -1881,7 +1827,10 @@ mod tests {
                             .run(
                                 solution,
                                 workset,
-                                &configure(WorksetConfig::new(4).with_transport(transport)),
+                                &configure(
+                                    WorksetConfig::new(4)
+                                        .with_exec(ExecConfig::new().with_transport(transport)),
+                                ),
                             )
                             .expect("cluster run")
                     })
@@ -1919,10 +1868,13 @@ mod tests {
         let (pushing, _, _) = dense_min_propagation_emitting(false);
         // The memory regimes: unlimited, every sealed page spilled, and two
         // page credits per writer.
-        let configure = |regime: &str, config: WorksetConfig| match regime {
-            "budget 0" => config.with_memory_budget(MemoryBudget::bytes(0)),
-            "2 credits" => config.with_channel_credits(2),
-            _ => config,
+        let configure = |regime: &str, mut config: WorksetConfig| {
+            match regime {
+                "budget 0" => config.exec.memory_budget = MemoryBudget::bytes(0),
+                "2 credits" => config.exec.channel_credits = Some(2),
+                _ => {}
+            }
+            config
         };
         for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
             for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
@@ -2038,11 +1990,13 @@ mod tests {
             .run(
                 solution,
                 workset,
-                &WorksetConfig::new(4).with_memory_budget(MemoryBudget::bytes(0)),
+                &WorksetConfig::new(4)
+                    .with_exec(ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0))),
             )
             .unwrap();
-        let results = run_tcp_cluster(path_job, |config| {
-            config.with_memory_budget(MemoryBudget::bytes(0))
+        let results = run_tcp_cluster(path_job, |mut config| {
+            config.exec.memory_budget = MemoryBudget::bytes(0);
+            config
         });
         assert_matches_oracle(&results, &oracle);
     }
@@ -2080,7 +2034,10 @@ mod tests {
 
     #[test]
     fn cluster_mode_rejects_unsupported_configurations() {
-        let distributed = || TransportHandle::from_transport(Arc::new(TwoProcessStub));
+        let distributed = || {
+            ExecConfig::new()
+                .with_transport(TransportHandle::from_transport(Arc::new(TwoProcessStub)))
+        };
         let iteration = min_propagation();
         let (solution, workset) = initial_state();
         // Parallelism must split evenly over the processes.
@@ -2088,7 +2045,7 @@ mod tests {
             .run(
                 solution.clone(),
                 workset.clone(),
-                &WorksetConfig::new(3).with_transport(distributed()),
+                &WorksetConfig::new(3).with_exec(distributed()),
             )
             .unwrap_err();
         assert!(matches!(err, DataflowError::CommSetup(_)), "{err}");
@@ -2099,7 +2056,7 @@ mod tests {
                 workset.clone(),
                 &WorksetConfig::new(4)
                     .with_mode(ExecutionMode::AsynchronousMicrostep)
-                    .with_transport(distributed()),
+                    .with_exec(distributed()),
             )
             .unwrap_err();
         assert!(matches!(err, DataflowError::InvalidPlan(_)), "{err}");
@@ -2110,7 +2067,7 @@ mod tests {
                 workset,
                 &WorksetConfig::new(4)
                     .with_checkpoint(1, std::env::temp_dir().join("never-written"))
-                    .with_transport(distributed()),
+                    .with_exec(distributed()),
             )
             .unwrap_err();
         assert!(matches!(err, DataflowError::InvalidPlan(_)), "{err}");

@@ -9,7 +9,7 @@
 //! This file holds exactly one `#[test]` so no sibling test can run
 //! concurrently inside the process and pollute the allocation counters.
 
-use dataflow::prelude::{Key, MemoryBudget, Record, RecordSink, Value};
+use dataflow::prelude::{ExecConfig, Key, MemoryBudget, Record, RecordSink, Value};
 use spinning_core::prelude::{
     ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetResult,
 };
@@ -86,9 +86,11 @@ fn dense_ring() -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
 /// allocations the run performed (inputs are built outside the count).
 fn counted_run(max_supersteps: usize) -> (WorksetResult, usize) {
     let (iteration, solution, workset) = dense_ring();
-    let config = WorksetConfig::new(2)
+    let exec = ExecConfig::new()
         .with_memory_budget(MemoryBudget::bytes(64 * 1024))
-        .with_channel_credits(2)
+        .with_channel_credits(2);
+    let config = WorksetConfig::new(2)
+        .with_exec(exec)
         .with_max_supersteps(max_supersteps);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let result = iteration.run(solution, workset, &config).expect("run");

@@ -8,7 +8,7 @@
 //! This file holds exactly one `#[test]`, so the process-wide count of
 //! created run files is this job's alone.
 
-use dataflow::prelude::{Key, MemoryBudget, Record, RecordSink, Value};
+use dataflow::prelude::{ExecConfig, Key, MemoryBudget, Record, RecordSink, Value};
 use dataflow::spill::run_files_created;
 use spinning_core::prelude::{ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration};
 use std::sync::Arc;
@@ -57,9 +57,11 @@ fn dense_ring() -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
 #[test]
 fn a_spilling_job_creates_one_run_file_per_writer_not_per_run() {
     let (iteration, solution, workset) = dense_ring();
-    let config = WorksetConfig::new(PARALLELISM)
-        .with_memory_budget(MemoryBudget::bytes(65_536))
-        .with_channel_credits(2);
+    let config = WorksetConfig::new(PARALLELISM).with_exec(
+        ExecConfig::new()
+            .with_memory_budget(MemoryBudget::bytes(65_536))
+            .with_channel_credits(2),
+    );
     let before = run_files_created();
     let result = iteration.run(solution, workset, &config).expect("run");
     let files = (run_files_created() - before) as usize;

@@ -26,9 +26,9 @@
 //! construction it never exceeds the configured credit count, which is what
 //! the backpressure smoke tests assert.
 //!
-//! The credit count is configured programmatically or through the
-//! `SPINNING_CHANNEL_CREDITS` environment variable (see
-//! [`channel_credits_from_env`]).
+//! The credit count is configured through
+//! [`ExecConfig::channel_credits`](crate::exec::ExecConfig::channel_credits),
+//! which defaults to the `SPINNING_CHANNEL_CREDITS` environment variable.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -37,7 +37,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 pub use comm::{
-    channel_credits_from_env, parse_channel_credits, timeout_from_env, CHANNEL_CREDITS_ENV,
+    channel_credits_from_env, positive_from_env, timeout_from_env, CHANNEL_CREDITS_ENV,
 };
 
 /// One sender→receiver edge: the number of credits currently held by items

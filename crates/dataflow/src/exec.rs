@@ -92,15 +92,30 @@ pub type Partition = Vec<Record>;
 /// One partition per parallel instance.
 pub type Partitions = Vec<Partition>;
 
-/// Runtime configuration of the [`Executor`].
-#[derive(Debug, Clone, Default)]
+/// The execution settings of a run — the one declaration of them.  The
+/// [`Executor`] takes it directly; the iteration drivers' configurations
+/// (`BulkConfig`, `WorksetConfig`) and the algorithms' embed it and hand it
+/// down unchanged.
+#[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Budget on the serialized bytes an exchange may buffer in memory:
     /// exceeding it moves sealed pages to disk as sorted runs (see
     /// [`crate::spill`]).  Unlimited by default — nothing ever spills.
     pub memory_budget: MemoryBudget,
-    /// Fault injector consulted at spill flushes and worker dispatch sites
-    /// (see [`crate::fault`]).  Disabled by default.
+    /// Credits of the bounded exchange channels — the backpressure knob.
+    /// Every exchange's outbox writer flushes its sealed pages to disk once
+    /// this many are buffered, bounding exchange memory at
+    /// `credits × page_size` per writer whatever the byte budget; the
+    /// asynchronous workset mode bounds each worker→worker queue to this
+    /// many records.  Defaults to `SPINNING_CHANNEL_CREDITS`; `None` leaves
+    /// the byte budget alone in charge (and the asynchronous queues at their
+    /// generous default).  Results are identical either way —
+    /// backpressure changes *when* data moves, never *what* is computed.
+    pub channel_credits: Option<usize>,
+    /// Fault injector consulted at spill flushes, checkpoints and worker
+    /// dispatch sites (see [`crate::fault`]).  Defaults to
+    /// [`FaultInjector::from_env`], disabled unless `SPINNING_FAULT_RATE`
+    /// is set.
     pub fault: FaultInjector,
     /// Disables the page-native grouping and sort-merge paths **and chain
     /// fusion**, forcing every grouping and sort-merge join to materialize its
@@ -110,15 +125,29 @@ pub struct ExecConfig {
     /// equivalence suites flip it to check those paths produce
     /// byte-identical results.
     pub force_materialized: bool,
-    /// The transport every repartitioning exchange ships its sealed pages
-    /// through.  Defaults to the in-process backend (pointer-moving channels
-    /// in a cluster of one); the batch executor rejects multi-process
-    /// transports — distribution enters through the iteration runtime.
+    /// The transport every exchange ships its sealed pages through.
+    /// Defaults to the in-process backend (pointer-moving channels in a
+    /// cluster of one).  A multi-process transport makes a workset run one
+    /// SPMD worker of a cluster; the batch executor rejects it.
     pub transport: TransportHandle,
 }
 
+impl Default for ExecConfig {
+    /// The only place the execution settings' environment defaults are read.
+    fn default() -> Self {
+        ExecConfig {
+            memory_budget: MemoryBudget::unlimited(),
+            channel_credits: crate::credit::channel_credits_from_env(),
+            fault: FaultInjector::from_env(),
+            force_materialized: false,
+            transport: TransportHandle::default(),
+        }
+    }
+}
+
 impl ExecConfig {
-    /// The default configuration (no memory budget).
+    /// The default configuration: no memory budget, credits and fault
+    /// injection from the environment, the in-process transport.
     pub fn new() -> Self {
         Self::default()
     }
@@ -129,7 +158,15 @@ impl ExecConfig {
         self
     }
 
-    /// Sets the fault injector.
+    /// Sets the exchange channel credits (see
+    /// [`ExecConfig::channel_credits`]), replacing the environment's.
+    /// Clamped to at least 1.
+    pub fn with_channel_credits(mut self, credits: usize) -> Self {
+        self.channel_credits = Some(credits.max(1));
+        self
+    }
+
+    /// Sets the fault injector (replacing the environment-configured one).
     pub fn with_fault(mut self, fault: FaultInjector) -> Self {
         self.fault = fault;
         self
@@ -147,6 +184,18 @@ impl ExecConfig {
         self.transport = transport;
         self
     }
+
+    /// The spill policy of one exchange with `writers` outbox page writers
+    /// — the executor's repartitioning edges and the workset's superstep
+    /// exchange alike: the memory budget is shared evenly over the writers,
+    /// each buffers at most [`ExecConfig::channel_credits`] sealed pages,
+    /// every flush consults the fault injector, and with `sort_on_flush`
+    /// every run is sorted on those key fields.
+    pub fn spill_manager(&self, writers: usize, sort_on_flush: Option<KeyFields>) -> SpillManager {
+        SpillManager::new(self.memory_budget.share(writers), sort_on_flush)
+            .with_page_credits(self.channel_credits)
+            .with_fault(self.fault.clone())
+    }
 }
 
 /// Cache of post-exchange inputs, keyed by (consumer operator, input slot).
@@ -155,9 +204,8 @@ impl ExecConfig {
 /// plan; edges on the constant data path that the optimizer marked with
 /// `cache_inputs` are shipped once — by the same exchange as any other edge —
 /// and then served from here (Section 4.3).  The exchange of an edge the cache
-/// retains runs under the tighter of the executor's memory budget and the
-/// cache's own ([`IntermediateCache::with_memory_budget`]); the runs it
-/// spills stay on disk for as long as the edge is cached, and every
+/// retains runs under the executor's memory budget like any other; the runs
+/// it spills stay on disk for as long as the edge is cached, and every
 /// re-execution streams them back.  That budget bounds what any exchange's
 /// budget bounds — the sealed pages in flight to peer partitions — and not the
 /// cached edge's resident size: records that never leave their partition
@@ -178,8 +226,6 @@ pub struct IntermediateCache {
     /// re-shipped (dynamic-path) range edges of the same operator routed by
     /// one histogram — the invariant co-partitioned merge inputs rely on.
     range_bounds: HashMap<OperatorId, Arc<RangeBounds>>,
-    /// Budget on the bytes the exchange of a cached edge may buffer.
-    memory_budget: MemoryBudget,
 }
 
 /// One cached post-exchange edge: what the exchange delivered on the first
@@ -238,13 +284,6 @@ impl IntermediateCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the byte budget the exchanges of cached edges run under (when it
-    /// is tighter than the executor's).
-    pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.memory_budget = budget;
-        self
     }
 
     /// Number of cached edges.
@@ -409,7 +448,7 @@ impl Executor {
         // the transport, but cluster execution (partition ownership, global
         // convergence) is the iteration runtime's job.
         if self.config.transport.is_distributed() {
-            return Err(DataflowError::CommSetup(
+            return Err(DataflowError::InvalidPlan(
                 "the batch executor runs single-process; multi-process clusters \
                  drive the iteration runtime instead"
                     .into(),
@@ -490,8 +529,7 @@ impl Executor {
     /// Exchanges (or serves from the cache) one input edge of `op`,
     /// consuming one use of the producer's output.  A cached edge takes the
     /// same [`exchange`] as any other on its first execution — the cache only
-    /// retains what came back — under the tighter of the executor's budget
-    /// and the cache's.
+    /// retains what came back.
     #[allow(clippy::too_many_arguments)]
     fn prepare_input(
         &self,
@@ -539,22 +577,15 @@ impl Executor {
             Ok(owned) => ProducerInput::Owned(owned),
             Err(shared) => ProducerInput::Shared(shared),
         };
-        let cached = choice.cache_inputs[slot];
-        let budget = match (cached, self.config.memory_budget.limit()) {
-            (true, Some(limit)) if cache.memory_budget.allows(limit) => self.config.memory_budget,
-            (true, _) => cache.memory_budget,
-            (false, _) => self.config.memory_budget,
-        };
         let delivered = exchange(
             producer,
             &choice.input_ships[slot],
             parallelism,
             range_bounds,
-            budget,
             &self.config,
             stats,
         )?;
-        if !cached {
+        if !choice.cache_inputs[slot] {
             return Ok(delivered);
         }
         let edge = CachedEdge::retain(delivered);
@@ -1246,20 +1277,24 @@ fn prepare_range_bounds(
 
 /// Routes the producer's partitions to the consumer's partitions according to
 /// the shipping strategy, updating the shipped/local counters.  Hash and
-/// range exchanges run under the memory `budget`: sealed pages
-/// beyond it spill to disk as sorted runs (broadcast replicates shared pages
-/// and never spills; forward moves records locally and has nothing to
-/// serialize).  Every producer, and so every delivery, has one partition per
-/// parallel instance.
+/// range exchanges run under the configuration's spill policy
+/// ([`ExecConfig::spill_manager`]): the budget is split evenly over the
+/// producer×target page writers, and every flushed run is sorted on the
+/// exchange key — range partitions are sorted runs by definition, and hash
+/// partitions gain the normalized-key order that lets sort-based consumers
+/// merge instead of re-sorting.  Broadcast replicates shared pages and never
+/// spills; forward moves records locally and has nothing to serialize.
+/// Every producer, and so every delivery, has one partition per parallel
+/// instance.
 fn exchange(
     producer: ProducerInput,
     ship: &ShipStrategy,
     parallelism: usize,
     bounds: Option<&RangeBounds>,
-    budget: MemoryBudget,
     config: &ExecConfig,
     stats: &mut ExecutionStats,
 ) -> Result<Vec<ExchangedPartition>> {
+    let writers = producer.partitions().len().max(1) * parallelism;
     match ship {
         ShipStrategy::Forward => {
             stats.local_records += producer.partitions().iter().map(Vec::len).sum::<usize>();
@@ -1273,52 +1308,25 @@ fn exchange(
                     .collect(),
             })
         }
-        ShipStrategy::PartitionHash(keys) => {
-            let sources = producer.partitions().len();
-            let spill = exchange_spill_manager(budget, &config.fault, keys, sources, parallelism);
-            route_paged(
-                producer,
-                &|record: &Record| partition_for(record, keys, parallelism),
-                parallelism,
-                &spill,
-                &config.transport,
-                stats,
-            )
-        }
-        ShipStrategy::PartitionRange(keys) => {
-            let sources = producer.partitions().len();
-            let spill = exchange_spill_manager(budget, &config.fault, keys, sources, parallelism);
-            range_exchange(
-                producer,
-                keys,
-                bounds.expect("prepare_range_bounds builds bounds for every range-shipped input"),
-                parallelism,
-                &spill,
-                &config.transport,
-                stats,
-            )
-        }
+        ShipStrategy::PartitionHash(keys) => route_paged(
+            producer,
+            &|record: &Record| partition_for(record, keys, parallelism),
+            parallelism,
+            &config.spill_manager(writers, Some(keys.clone())),
+            &config.transport,
+            stats,
+        ),
+        ShipStrategy::PartitionRange(keys) => range_exchange(
+            producer,
+            keys,
+            bounds.expect("prepare_range_bounds builds bounds for every range-shipped input"),
+            parallelism,
+            &config.spill_manager(writers, Some(keys.clone())),
+            &config.transport,
+            stats,
+        ),
         ShipStrategy::Broadcast => Ok(broadcast_paged(producer, parallelism, stats)),
     }
-}
-
-/// The spill policy of one repartitioning exchange: the exchange's budget is
-/// split evenly over its producer×target page writers, and every
-/// flushed run is sorted on the exchange key — range partitions are sorted
-/// runs by definition, and hash partitions gain the normalized-key order
-/// that lets sort-based consumers merge instead of re-sorting.
-fn exchange_spill_manager(
-    budget: MemoryBudget,
-    fault: &FaultInjector,
-    keys: &[usize],
-    sources: usize,
-    parallelism: usize,
-) -> SpillManager {
-    SpillManager::new(
-        budget.share(sources.max(1) * parallelism),
-        Some(keys.to_vec()),
-    )
-    .with_fault(fault.clone())
 }
 
 /// Routes one producer partition into its [`Outbox`]: records staying in
@@ -2506,28 +2514,17 @@ mod tests {
             ShipStrategy::Broadcast,
         ];
         for parallelism in [1, 4] {
-            // The budget of a cached edge's exchange is the tighter of the
-            // executor's and the cache's.
-            for (executor_budget, cache_budget) in
-                [(unlimited, unlimited), (zero, unlimited), (unlimited, zero)]
-            {
+            // A cached edge's exchange runs under the executor's budget.
+            for budget in [unlimited, zero] {
                 for ship in &ships {
-                    let case = format!(
-                        "{ship} p={parallelism} budgets={executor_budget:?}/{cache_budget:?}"
-                    );
+                    let case = format!("{ship} p={parallelism} budget={budget:?}");
                     let mut phys = default_physical_plan(&plan, parallelism).unwrap();
                     let choice = phys.choices.get_mut(&red).unwrap();
                     choice.input_ships[0] = ship.clone();
                     choice.local = LocalStrategy::SortGroup;
-                    let budgeted = |budget| {
-                        Executor::with_config(ExecConfig::new().with_memory_budget(budget))
-                    };
-                    let tighter = if cache_budget == zero {
-                        zero
-                    } else {
-                        executor_budget
-                    };
-                    let oracle = budgeted(tighter).execute(&phys).unwrap();
+                    let executor =
+                        Executor::with_config(ExecConfig::new().with_memory_budget(budget));
+                    let oracle = executor.execute(&phys).unwrap();
                     let shipped = |stats: &ExecutionStats| {
                         (
                             stats.shipped_records,
@@ -2538,8 +2535,7 @@ mod tests {
                     };
 
                     phys.cache_input(red, 0);
-                    let mut cache = IntermediateCache::new().with_memory_budget(cache_budget);
-                    let executor = budgeted(executor_budget);
+                    let mut cache = IntermediateCache::new();
                     let first = executor.execute_with_cache(&phys, &mut cache).unwrap();
                     assert_eq!(observed(&first), observed(&oracle), "{case}");
                     assert_eq!(shipped(&first.stats), shipped(&oracle.stats), "{case}");
@@ -2588,7 +2584,7 @@ mod tests {
                     );
                     assert_eq!(
                         !run_files.is_empty(),
-                        tighter == zero && parallelism > 1 && repartitions,
+                        budget == zero && parallelism > 1 && repartitions,
                         "{case}"
                     );
                     assert_eq!(run_files.is_empty(), first.stats.spilled_runs == 0);
@@ -2845,6 +2841,42 @@ mod tests {
             assert_eq!(
                 got, expected,
                 "budgeted run diverged (range={ship_range}, {local:?})"
+            );
+        }
+    }
+
+    /// Channel credits bound the executor's outboxes as they bound the
+    /// superstep exchange's: with an unlimited budget and one credit, every
+    /// writer's sealed pages past the first go to disk, and nothing
+    /// observable but the spill counters changes.
+    #[test]
+    fn channel_credits_bound_the_executor_outboxes() {
+        let records: Vec<Record> = (0..20_000).map(|i| Record::pair(i % 997, i)).collect();
+        let (plan, red) = keyed_sum_plan(records);
+        for ship in [
+            ShipStrategy::PartitionHash(vec![0]),
+            ShipStrategy::PartitionRange(vec![0]),
+        ] {
+            let mut phys = default_physical_plan(&plan, 2).unwrap();
+            let choice = phys.choices.get_mut(&red).unwrap();
+            choice.input_ships[0] = ship.clone();
+            choice.local = LocalStrategy::SortGroup;
+            let run = |config| Executor::with_config(config).execute(&phys).unwrap();
+            let uncredited = run(ExecConfig {
+                channel_credits: None,
+                ..ExecConfig::new()
+            });
+            let credited = run(ExecConfig::new().with_channel_credits(1));
+            assert_eq!(uncredited.stats.spilled_runs, 0, "{ship}");
+            assert!(credited.stats.spilled_runs > 0, "{ship}");
+            assert_eq!(
+                credited.sink_partitions("out").unwrap(),
+                uncredited.sink_partitions("out").unwrap(),
+                "{ship}"
+            );
+            assert_eq!(
+                credited.stats.shipped_bytes, uncredited.stats.shipped_bytes,
+                "{ship}"
             );
         }
     }

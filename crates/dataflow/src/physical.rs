@@ -18,10 +18,11 @@ use std::fmt;
 /// How the records of one input edge are distributed to the parallel
 /// instances of the consuming operator.
 ///
-/// The hash and range variants execute as paged exchanges; under a memory
-/// budget ([`crate::exec::ExecConfig::with_memory_budget`]) their buffered
-/// pages spill to disk as sorted runs ([`crate::spill`]), which the
-/// sort-based local strategies consume by streaming merge.
+/// The hash and range variants execute as paged exchanges; past the memory
+/// budget or the channel credits ([`crate::exec::ExecConfig::memory_budget`],
+/// [`crate::exec::ExecConfig::channel_credits`]) their buffered pages spill
+/// to disk as sorted runs ([`crate::spill`]), which the sort-based local
+/// strategies consume by streaming merge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShipStrategy {
     /// Instance *i* of the producer feeds instance *i* of the consumer; no

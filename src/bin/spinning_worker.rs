@@ -22,7 +22,7 @@
 //! provide environment fallbacks for the cluster spec.
 
 use algorithms::{cc_workset_records, sssp_records, ComponentsConfig};
-use dataflow::prelude::{ClusterSpec, FaultInjector, TransportHandle};
+use dataflow::prelude::{ClusterSpec, ExecConfig, TransportHandle};
 use graphdata::{rmat, RmatParams, VertexId};
 use spinning_core::prelude::{ExecutionMode, WorksetConfig, WorksetResult, WorksetRouting};
 use std::io::Write;
@@ -125,17 +125,19 @@ fn parse_args() -> Result<WorkerArgs, String> {
 }
 
 fn run(args: &WorkerArgs) -> Result<WorksetResult, String> {
+    let exec = ExecConfig::new();
     let transport = if args.processes > 1 {
         let spec = ClusterSpec::new(args.processes, args.index).map_err(|e| e.to_string())?;
         let coordinator = args
             .coordinator
             .as_deref()
             .expect("validated in parse_args");
-        TransportHandle::tcp_cluster(spec, coordinator, &FaultInjector::from_env())
+        TransportHandle::tcp_cluster(spec, coordinator, &exec.fault)
             .map_err(|e| format!("cluster rendezvous failed: {e}"))?
     } else {
         TransportHandle::local()
     };
+    let exec = exec.with_transport(transport);
     // Every process generates the identical graph from the same seed — the
     // SPMD contract that lets workers share nothing but their sockets.
     let graph = rmat(args.vertices, args.edges, RmatParams::default(), args.seed).symmetrize();
@@ -144,7 +146,7 @@ fn run(args: &WorkerArgs) -> Result<WorksetResult, String> {
             let config = ComponentsConfig::new(args.parallelism)
                 .with_max_iterations(args.max_supersteps)
                 .with_routing(args.routing)
-                .with_transport(transport);
+                .with_exec(exec);
             cc_workset_records(&graph, &config, args.mode).map_err(|e| e.to_string())
         }
         "sssp" => {
@@ -152,7 +154,7 @@ fn run(args: &WorkerArgs) -> Result<WorksetResult, String> {
                 .with_mode(args.mode)
                 .with_max_supersteps(args.max_supersteps)
                 .with_routing(args.routing)
-                .with_transport(transport);
+                .with_exec(exec);
             sssp_records(&graph, args.source, &config).map_err(|e| e.to_string())
         }
         other => Err(format!("unknown algorithm '{other}' (cc|sssp)")),

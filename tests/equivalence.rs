@@ -15,7 +15,7 @@ use algorithms::{
 use baselines::{
     cc_pregel, cc_spark_bulk, pagerank_pregel, pagerank_spark, PregelConfig, SparkContext,
 };
-use dataflow::prelude::{Key, MemoryBudget, Record, RecordSink, Value};
+use dataflow::prelude::{ExecConfig, Key, MemoryBudget, Record, RecordSink, Value};
 use graphdata::{chain, erdos_renyi, figure1_graph, rmat, star, DatasetProfile, Graph, RmatParams};
 use spinning_core::prelude::{
     ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetResult, WorksetRouting,
@@ -303,13 +303,13 @@ fn assert_same_supersteps(ours: &WorksetResult, theirs: &WorksetResult, label: &
 fn source_equivalence() {
     let graph = rmat(400, 3200, RmatParams::default(), 61).symmetrize();
     let vertices = || graph.vertices().map(i64::from);
-    type Configure = fn(WorksetConfig) -> WorksetConfig;
-    let regimes: [(&str, Configure); 3] = [
-        ("unlimited", |config| config),
-        ("budget 0", |config| {
-            config.with_memory_budget(MemoryBudget::bytes(0))
+    type Regime = fn() -> ExecConfig;
+    let regimes: [(&str, Regime); 3] = [
+        ("unlimited", ExecConfig::new),
+        ("budget 0", || {
+            ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0))
         }),
-        ("2 credits", |config| config.with_channel_credits(2)),
+        ("2 credits", || ExecConfig::new().with_channel_credits(2)),
     ];
     let source = 3;
     let sssp_solution = || -> Vec<Record> {
@@ -331,15 +331,15 @@ fn source_equivalence() {
 
     for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
         for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
-            for (regime, configure) in regimes {
+            for (regime, exec) in regimes {
                 let label = format!("{routing:?}/{mode:?}/{regime}");
-                let config = configure(WorksetConfig::new(4).with_mode(mode).with_routing(routing));
-                let mut components = ComponentsConfig::new(4)
+                let config = WorksetConfig::new(4)
+                    .with_mode(mode)
                     .with_routing(routing)
-                    .with_memory_budget(config.memory_budget);
-                if let Some(credits) = config.channel_credits {
-                    components = components.with_channel_credits(credits);
-                }
+                    .with_exec(exec());
+                let components = ComponentsConfig::new(4)
+                    .with_routing(routing)
+                    .with_exec(exec());
 
                 let described = cc_workset_records(&graph, &components, mode).unwrap();
                 let records = cc_from_records

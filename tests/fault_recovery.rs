@@ -13,7 +13,7 @@
 use algorithms::{
     cc_bulk, cc_incremental, cc_microstep, oracles, sssp_with_config, ComponentsConfig,
 };
-use dataflow::prelude::{DataflowError, FaultInjector, FaultSite, MemoryBudget};
+use dataflow::prelude::{DataflowError, ExecConfig, FaultInjector, FaultSite, MemoryBudget};
 use graphdata::{chain, DatasetProfile, Graph};
 use spinning_core::prelude::{CheckpointPolicy, ExecutionMode, WorksetConfig, WorksetRouting};
 use std::path::PathBuf;
@@ -191,7 +191,7 @@ fn sssp_recovers_in_every_superstep_mode_and_routing() {
                 .with_mode(mode)
                 .with_routing(routing)
                 .with_checkpoint_policy(policy(2, &dir))
-                .with_fault(fault.clone());
+                .with_exec(ExecConfig::new().with_fault(fault.clone()));
             let result = sssp_with_config(&graph, source, &config).unwrap();
             assert_eq!(result.distances, oracle, "{mode:?} / {routing:?}");
             assert!(result.converged);
@@ -295,7 +295,7 @@ fn spill_read_fault_recovers_under_a_memory_budget() {
 /// behind.
 #[test]
 fn env_driven_fault_smoke() {
-    if !FaultInjector::from_env().is_enabled() {
+    if !ExecConfig::new().fault.is_enabled() {
         return;
     }
     let graph = webbase();
@@ -305,7 +305,8 @@ fn env_driven_fault_smoke() {
     )
     .unwrap();
     let dir = ckpt_dir("env-smoke");
-    // `ComponentsConfig::new` picks the injector up from the environment;
+    // `ComponentsConfig::new` picks the injector up from the environment
+    // (through `ExecConfig::new`);
     // the budget makes the spill sites reachable too.
     let config = ComponentsConfig::new(4)
         .with_memory_budget(MemoryBudget::from_env().unwrap_or(MemoryBudget::bytes(1024)))

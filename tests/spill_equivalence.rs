@@ -161,7 +161,7 @@ fn spilled_sssp_matches_oracle_in_every_mode_and_routing() {
             let config = WorksetConfig::new(3)
                 .with_mode(mode)
                 .with_routing(routing)
-                .with_memory_budget(forced_budget());
+                .with_exec(ExecConfig::new().with_memory_budget(forced_budget()));
             let result = sssp_with_config(&graph, source, &config).unwrap();
             assert_eq!(result.distances, oracle, "{mode:?} / {routing:?}");
             assert!(result.converged);
@@ -273,10 +273,13 @@ fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths
     // ring's neighbours in their own partition, so only the zero budget
     // spills enough of its few shipped candidates to test it.)
     let (iteration, solution, workset) = order_recording_ring(512, 16);
-    let zero = WorksetConfig::new(2).with_memory_budget(MemoryBudget::bytes(0));
-    let credits = WorksetConfig::new(2)
-        .with_memory_budget(MemoryBudget::bytes(64 * 1024))
-        .with_channel_credits(2);
+    let zero = WorksetConfig::new(2)
+        .with_exec(ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0)));
+    let credits = WorksetConfig::new(2).with_exec(
+        ExecConfig::new()
+            .with_memory_budget(MemoryBudget::bytes(64 * 1024))
+            .with_channel_credits(2),
+    );
     for (label, config) in [
         ("hash, budget 0", zero.clone()),
         ("range, budget 0", zero.with_routing(WorksetRouting::Range)),
@@ -285,13 +288,13 @@ fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths
         let paged = iteration
             .run(solution.clone(), workset.clone(), &config)
             .unwrap();
-        let materialized = iteration
-            .run(
-                solution.clone(),
-                workset.clone(),
-                &config.clone().with_force_materialized(true),
-            )
-            .unwrap();
+        let materialized = {
+            let mut config = config.clone();
+            config.exec.force_materialized = true;
+            iteration
+                .run(solution.clone(), workset.clone(), &config)
+                .unwrap()
+        };
         assert!(paged.converged, "{label}");
         assert!(paged.stats.total_spilled_runs() > 0, "{label}: no spill");
         assert!(

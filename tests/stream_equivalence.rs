@@ -45,9 +45,11 @@ fn budgets() -> Vec<(&'static str, MemoryBudget)> {
 fn bulk_cc_chained_matches_the_materializing_oracle() {
     for (graph_name, graph) in test_graphs() {
         for (budget_name, budget) in budgets() {
-            let base = ComponentsConfig::new(4).with_memory_budget(budget);
+            let exec = ExecConfig::new().with_memory_budget(budget);
+            let base = ComponentsConfig::new(4).with_exec(exec.clone());
+            let materialized = base.clone().with_exec(exec.with_force_materialized(true));
             let chained = cc_bulk(&graph, &base).unwrap();
-            let oracle = cc_bulk(&graph, &base.clone().with_force_materialized(true)).unwrap();
+            let oracle = cc_bulk(&graph, &materialized).unwrap();
 
             let label = format!("{graph_name}/{budget_name}");
             assert_eq!(chained.components, oracle.components, "components {label}");
@@ -106,7 +108,8 @@ fn pagerank_all_plans_chained_matches_materialized_bitwise() {
     ] {
         let base = PageRankConfig::new(4).with_iterations(8).with_plan(plan);
         let chained = pagerank(&graph, &base.clone()).unwrap();
-        let oracle = pagerank(&graph, &base.with_force_materialized(true)).unwrap();
+        let materialized = base.with_exec(ExecConfig::new().with_force_materialized(true));
+        let oracle = pagerank(&graph, &materialized).unwrap();
         assert_eq!(chained.ranks, oracle.ranks, "ranks differ under {plan:?}");
     }
 }
@@ -157,7 +160,7 @@ fn sssp_modes_and_routings_match_the_bfs_oracle_under_budgets() {
                 let config = WorksetConfig::new(4)
                     .with_mode(mode)
                     .with_routing(routing)
-                    .with_memory_budget(budget);
+                    .with_exec(ExecConfig::new().with_memory_budget(budget));
                 let result = sssp_with_config(&graph, 1, &config).unwrap();
                 assert_eq!(
                     result.distances, oracle,
