@@ -160,7 +160,7 @@ fn build_bulk_step_plan(graph: &Graph) -> (Plan, OperatorId, Annotations) {
         vec![0],
         Arc::new(MatchClosure(
             |s: &Record, e: &Record, out: &mut Collector| {
-                out.collect(Record::pair(e.long(1), s.long(1)));
+                out.emit(&[Value::Long(e.long(1)), Value::Long(s.long(1))]);
             },
         )),
     );

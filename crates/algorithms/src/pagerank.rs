@@ -109,7 +109,8 @@ pub fn build_step_plan(
     let matrix = plan.source_shared("transition-matrix", matrix_records);
     plan.set_estimated_records(matrix, matrix_len);
 
-    // Match on pid: vector field 0 == matrix field 1; emit (tid, d * r * p).
+    // Match on pid: vector field 0 == matrix field 1; emit (tid, d * r * p)
+    // as fields, so the fused aggregation stores it on its pages.
     let join = plan.match_join(
         "join-p-A",
         vector,
@@ -118,10 +119,10 @@ pub fn build_step_plan(
         vec![1],
         Arc::new(MatchClosure(
             move |p: &Record, a: &Record, out: &mut Collector| {
-                out.collect(Record::long_double(
-                    a.long(0),
-                    damping * p.double(1) * a.double(2),
-                ));
+                out.emit(&[
+                    Value::Long(a.long(0)),
+                    Value::Double(damping * p.double(1) * a.double(2)),
+                ]);
             },
         )),
     );

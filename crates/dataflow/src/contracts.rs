@@ -27,9 +27,10 @@ use std::sync::Arc;
 /// [`RecordSink::push`] hands over a record that already exists as a heap
 /// object, which a sink holding heap records moves; [`RecordSink::emit`]
 /// hands over the fields of a record that exists nowhere yet, so a sink that
-/// writes pages (the workset superstep's) serializes them in place and the
-/// record is never allocated — `Long` and `Double` fields live on the
-/// emitter's stack.
+/// writes pages (the workset superstep's, or a fused Reduce's in the
+/// executor) serializes them in place and the record is never allocated —
+/// `Long` and `Double` fields live on the emitter's stack.  Executor UDFs
+/// reach `emit` through [`Collector::emit`].
 pub trait RecordSink: Send {
     /// Receives one emitted record.
     fn push(&mut self, record: Record);
@@ -148,6 +149,13 @@ where
 /// pushed into it becomes part of the operator's output partition — either
 /// buffered in memory (the default) or streamed straight into a
 /// [`RecordSink`] ([`Collector::with_sink`]).
+///
+/// It has the sink's two forms.  [`Collector::collect`] hands over a record
+/// that already exists (a forwarded input, say).  [`Collector::emit`] is the
+/// form for a record the UDF builds: the fields go to the sink's
+/// [`RecordSink::emit`], so when the next operator is a fused Reduce the
+/// record is born on its pages and no heap record exists; a buffering
+/// collector stores it as an exactly sized record.
 #[derive(Default)]
 pub struct Collector {
     buffer: Vec<Record>,
@@ -188,6 +196,18 @@ impl Collector {
         match &mut self.sink {
             Some(sink) => sink.push(record),
             None => self.buffer.push(record),
+        }
+    }
+
+    /// Emits one record given as its fields — the executor-side twin of
+    /// [`RecordSink::emit`]: a streaming collector hands the slice to its
+    /// sink's `emit`, a buffering one stores an exactly sized record.
+    #[inline]
+    pub fn emit(&mut self, fields: &[Value]) {
+        self.collected += 1;
+        match &mut self.sink {
+            Some(sink) => sink.emit(fields),
+            None => self.buffer.push(Record::new(fields.to_vec())),
         }
     }
 
@@ -373,6 +393,53 @@ mod tests {
         let drained = c.drain();
         assert_eq!(drained.len(), 3);
         assert!(c.is_empty());
+    }
+
+    /// Records which of its two forms each record arrived in.
+    #[derive(Default)]
+    struct RecordingSink {
+        pushed: Vec<Record>,
+        emitted: Vec<Vec<Value>>,
+    }
+
+    impl RecordSink for RecordingSink {
+        fn push(&mut self, record: Record) {
+            self.pushed.push(record);
+        }
+
+        fn emit(&mut self, fields: &[Value]) {
+            self.emitted.push(fields.to_vec());
+        }
+
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
+    }
+
+    #[test]
+    fn emit_buffers_an_exactly_sized_record_or_reaches_the_sinks_emit() {
+        let fields = [Value::Long(7), Value::Double(0.5)];
+        let mut buffering = Collector::new();
+        buffering.emit(&fields);
+        assert_eq!(buffering.len(), 1);
+        let mut records = buffering.into_records();
+        assert_eq!(records, vec![Record::long_double(7, 0.5)]);
+        let buffered = records.pop().unwrap().into_fields();
+        assert_eq!(
+            buffered.capacity(),
+            buffered.len(),
+            "buffered records are exactly sized"
+        );
+
+        let mut streaming = Collector::with_sink(Box::<RecordingSink>::default());
+        streaming.emit(&fields);
+        streaming.collect(Record::pair(1, 2));
+        assert_eq!(streaming.len(), 2);
+        let sink = streaming.take_sink().unwrap().into_any();
+        let sink = sink.downcast::<RecordingSink>().unwrap();
+        assert_eq!(sink.emitted, vec![fields.to_vec()]);
+        assert_eq!(sink.pushed, vec![Record::pair(1, 2)]);
+        assert!(streaming.into_records().is_empty());
     }
 
     #[test]

@@ -26,6 +26,16 @@
 //! grouping and sort-merge paths), pinning every streaming path
 //! byte-identical to the materializing oracle.
 //!
+//! A UDF that builds its output hands it over as fields
+//! ([`Collector::emit`]).  When the next member is a Reduce on one key
+//! field, the fields are serialized straight onto that Reduce's pages and
+//! grouped at end of stream by the radix kernel every page-native grouping
+//! shares (that of [`for_each_long_key_group`]), so a join feeding a fused
+//! aggregation — PageRank's step — builds no heap record per join output.
+//! Its record fallback is the hash-group table: the first key that is not a
+//! `Long` moves the held records there in arrival order, and composite keys
+//! start there.
+//!
 //! # Exchanges
 //!
 //! Every edge — forward, hash, range, broadcast, cached — hands the
@@ -70,7 +80,7 @@ use crate::join_index::JoinIndex;
 use crate::key::{group_ranges, partition_for, sort_by_key, FxHashMap, Key, KeyFields};
 use crate::page::{
     for_each_long_key_group, long_key_group_len, next_long_key_group, sort_by_long_key,
-    ExchangedPartition, GroupScratch, PageWriter,
+    ExchangedPartition, GroupScratch, LongKeyGroups, PageWriter,
 };
 use crate::physical::{
     streaming_input_slot, LocalStrategy, PhysicalChoice, PhysicalPlan, ShipStrategy,
@@ -81,6 +91,7 @@ use crate::record::Record;
 use crate::spill::{MemoryBudget, RunMerger, SpillManager, SpilledRun};
 use crate::stats::{ExecutionStats, OperatorStats};
 use crate::transport::TransportHandle;
+use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -898,12 +909,28 @@ fn compute_chain_segments(physical: &PhysicalPlan, fuse: bool) -> Vec<Vec<Operat
 ///
 /// This is the one place the record-at-a-time arm of each contract lives.
 /// [`run_local`] drives a delivered partition through it; in a fused segment
-/// the upstream member's collector pushes into it ([`FusedStage`]).  Either
-/// way the same records reach the same user-function calls in the same order,
-/// which is what keeps fused and materialized executions byte-identical.
+/// the upstream member's collector pushes or emits into it ([`FusedStage`]).
+/// Either way the same records reach the same user-function calls in the same
+/// order, which is what keeps fused and materialized executions
+/// byte-identical.
+///
+/// A Reduce groups in one of three ways, all of which hand each key's records
+/// to the user function in key order with ties in arrival order (the stable
+/// key sort).  On one key field it is a `PagedGroup`, whichever the local
+/// strategy: records are serialized onto pages as they arrive and grouped by
+/// the shared radix kernel ([`LongKeyGroups`]).  Its record fallback is the
+/// `HashGroup` table, which it turns into at the first key that is not a
+/// `Long`, moving what it holds in arrival order.  Composite keys, and every
+/// key under `force_materialized`, keep the record stages from the start.
 enum Stage {
     Map(Arc<dyn MapFunction>),
     Sink,
+    /// A single-field key while every key so far is a `Long`.
+    PagedGroup {
+        key: KeyFields,
+        udf: Arc<dyn ReduceFunction>,
+        groups: LongKeyGroups,
+    },
     /// Folds the stream into the group table; groups are emitted in key order
     /// at end of stream so the output is deterministic across runs.
     HashGroup {
@@ -939,21 +966,28 @@ enum Stage {
 impl Stage {
     /// Builds the stage of `op` from its delivered inputs `side` (slot order,
     /// the streamed slot `stream_slot` absent).  `delivered_order` is the key
-    /// order the stream arrives in, if any (fused edges carry none).
+    /// order the stream arrives in, if any (fused edges carry none);
+    /// `page_native` allows the paged grouping.
     fn new(
         op: &Operator,
         local: LocalStrategy,
         stream_slot: usize,
         side: Vec<ExchangedPartition>,
         delivered_order: Option<&[usize]>,
+        page_native: bool,
     ) -> Result<Stage> {
         let mut side = side.into_iter();
         let mut side_input = || side.next().expect("Plan::validate checked the input arity");
         Ok(match (&op.kind, &op.udf) {
             (OperatorKind::Map, Udf::Map(udf)) => Stage::Map(Arc::clone(udf)),
             (OperatorKind::Sink { .. }, _) => Stage::Sink,
-            (OperatorKind::Reduce { key }, Udf::Reduce(udf)) => match local {
-                LocalStrategy::SortGroup => Stage::SortGroup {
+            (OperatorKind::Reduce { key }, Udf::Reduce(udf)) => match (key.as_slice(), local) {
+                (&[field], _) if page_native => Stage::PagedGroup {
+                    key: key.clone(),
+                    udf: Arc::clone(udf),
+                    groups: LongKeyGroups::new(field),
+                },
+                (_, LocalStrategy::SortGroup) => Stage::SortGroup {
                     key: key.clone(),
                     udf: Arc::clone(udf),
                     records: Vec::new(),
@@ -999,8 +1033,24 @@ impl Stage {
     fn keeps_records(&self) -> bool {
         matches!(
             self,
-            Stage::Sink | Stage::HashGroup { .. } | Stage::SortGroup { .. }
+            Stage::Sink
+                | Stage::PagedGroup { .. }
+                | Stage::HashGroup { .. }
+                | Stage::SortGroup { .. }
         )
+    }
+
+    /// Consumes one record of the stream given as its fields: a paged
+    /// grouping serializes them onto its pages, every other stage takes an
+    /// exactly sized heap record.
+    #[inline]
+    fn accept_fields(&mut self, fields: &[Value], out: &mut Collector) {
+        if let Stage::PagedGroup { groups, .. } = self {
+            if groups.append_fields(fields) {
+                return;
+            }
+        }
+        self.accept(Cow::Owned(Record::new(fields.to_vec())), out);
     }
 
     /// Consumes one record of the stream, emitting into `out`.
@@ -1008,6 +1058,12 @@ impl Stage {
         match self {
             Stage::Map(udf) => udf.map(&record, out),
             Stage::Sink => out.collect(record.into_owned()),
+            Stage::PagedGroup { groups, .. } => {
+                if !groups.append_fields(record.fields()) {
+                    self.group_records();
+                    self.accept(record, out);
+                }
+            }
             Stage::HashGroup { key, groups, .. } => groups
                 .entry(Key::extract(&record, key))
                 .or_default()
@@ -1061,9 +1117,34 @@ impl Stage {
         Ok(())
     }
 
+    /// Turns a paged grouping into the `HashGroup` table at the first key
+    /// that is not a `Long`, moving the records it holds in arrival order.
+    #[cold]
+    #[inline(never)]
+    fn group_records(&mut self) {
+        let Stage::PagedGroup { key, udf, groups } = std::mem::replace(self, Stage::Sink) else {
+            unreachable!("only a paged grouping moves to the group table");
+        };
+        let mut table: FxHashMap<Key, Vec<Record>> = FxHashMap::default();
+        groups.for_each_record(|record| {
+            table
+                .entry(Key::extract(&record, &key))
+                .or_default()
+                .push(record)
+        });
+        *self = Stage::HashGroup {
+            key,
+            udf,
+            groups: table,
+        };
+    }
+
     /// End of stream: the grouping stages emit their groups.
     fn finish(self, out: &mut Collector) {
         match self {
+            Stage::PagedGroup { udf, groups, .. } => {
+                groups.for_each_group(|k, group| udf.reduce(&Key::Long(k).values(), group, out))
+            }
             Stage::HashGroup { udf, groups, .. } => {
                 let mut sorted: Vec<(Key, Vec<Record>)> = groups.into_iter().collect();
                 sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -1123,8 +1204,9 @@ fn udf_mismatch(op: &Operator) -> DataflowError {
 /// plus the collector the stage emits into — which pushes into the next
 /// member's `FusedStage`, or buffers the segment's output at the tail.  The
 /// upstream member's collector owns this as its [`RecordSink`], so a record
-/// emitted by a user function travels the rest of the segment by move,
-/// depth first, before the emitting call returns.
+/// emitted by a user function travels the rest of the segment — by move, or
+/// as the fields it was emitted as — depth first, before the emitting call
+/// returns.
 struct FusedStage {
     stage: Stage,
     records_in: usize,
@@ -1135,6 +1217,11 @@ impl RecordSink for FusedStage {
     fn push(&mut self, record: Record) {
         self.records_in += 1;
         self.stage.accept(Cow::Owned(record), &mut self.out);
+    }
+
+    fn emit(&mut self, fields: &[Value]) {
+        self.records_in += 1;
+        self.stage.accept_fields(fields, &mut self.out);
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
@@ -1171,7 +1258,7 @@ fn run_fused(
         let stream_slot = streaming_input_slot(&op.kind, local)
             .expect("compute_chain_segments fuses only into a streaming slot");
         out = Collector::with_sink(Box::new(FusedStage {
-            stage: Stage::new(op, local, stream_slot, side, None)?,
+            stage: Stage::new(op, local, stream_slot, side, None, page_native)?,
             records_in,
             out,
         }));
@@ -1523,7 +1610,14 @@ fn run_local(
         }
     }
     let streamed = inputs.remove(stream_slot);
-    let mut stage = Stage::new(op, local, stream_slot, inputs, streamed.sorted_by())?;
+    let mut stage = Stage::new(
+        op,
+        local,
+        stream_slot,
+        inputs,
+        streamed.sorted_by(),
+        page_native,
+    )?;
     stage.consume(streamed, out)?;
     stage.finish(out);
     Ok(records_in)

@@ -23,7 +23,8 @@
 //!   over delivered pages, and the one kernel that groups a delivered
 //!   partition by its single-`Long` key straight off them (under the
 //!   executor's Reduce and sort-merge join and the workset driver's batch
-//!   update join alike).
+//!   update join alike); `LongKeyGroups` runs the same kernel over a
+//!   stream of records serialized as they arrive (a fused Reduce).
 //!
 //! # Wire format
 //!
@@ -1816,13 +1817,81 @@ pub fn for_each_long_key_group(
     let Some(store) = sort_by_long_key_with(part, key, pairs, radix)? else {
         return Ok(false);
     };
-    let mut rest = &pairs[..];
+    for_each_sorted_group(&store, pairs, group, on_group);
+    Ok(true)
+}
+
+/// The group loop of the single-`Long` kernel: hands every key group of the
+/// sorted `pairs` to `on_group`, in key order, read through the reusable
+/// `group` buffer.  [`for_each_long_key_group`] and [`LongKeyGroups`] both
+/// end here.
+fn for_each_sorted_group(
+    store: &PagedRecords,
+    pairs: &[(u64, PageHandle)],
+    group: &mut Vec<Record>,
+    mut on_group: impl FnMut(i64, &[Record]),
+) {
+    let mut rest = pairs;
     while !rest.is_empty() {
-        let (group_key, records, after) = next_long_key_group(&store, rest, group);
+        let (group_key, records, after) = next_long_key_group(store, rest, group);
         on_group(group_key, records);
         rest = after;
     }
-    Ok(true)
+}
+
+/// A stream of records grouped by one `Long` key field at its end — the
+/// state of a streamed Reduce.  Every record is serialized into a
+/// handle-addressed store as it arrives (one given as its fields never
+/// becomes a heap record), and the end of stream runs the kernel of
+/// [`for_each_long_key_group`]: the radix sort of `(key prefix, handle)`
+/// pairs, whose ties keep arrival order, and the same group loop.
+#[derive(Debug)]
+pub(crate) struct LongKeyGroups {
+    field: usize,
+    store: PagedRecords,
+    scratch: GroupScratch,
+}
+
+impl LongKeyGroups {
+    /// An empty grouping on key field `field`.
+    pub(crate) fn new(field: usize) -> LongKeyGroups {
+        LongKeyGroups {
+            field,
+            store: PagedRecords::new(),
+            scratch: GroupScratch::default(),
+        }
+    }
+
+    /// Appends one record given as its fields, after every record appended
+    /// before it.  Returns `false`, appending nothing, when its key field is
+    /// not a `Long`: the caller moves to a grouping of records.
+    #[inline]
+    pub(crate) fn append_fields(&mut self, fields: &[Value]) -> bool {
+        let Some(prefix) = long_key_prefix_of_fields(fields, self.field) else {
+            return false;
+        };
+        let handle = self.store.append_fields(fields);
+        self.scratch.pairs.push((prefix, handle));
+        true
+    }
+
+    /// Calls `f` with every appended record as a heap record, in arrival
+    /// order — the hand-over to a record grouping.
+    pub(crate) fn for_each_record(self, mut f: impl FnMut(Record)) {
+        self.store.for_each_handle(|_, view| f(view.materialize()));
+    }
+
+    /// End of stream: `on_group` runs once per distinct key, in key order,
+    /// with the key's records in arrival order.
+    pub(crate) fn for_each_group(mut self, on_group: impl FnMut(i64, &[Record])) {
+        let GroupScratch {
+            pairs,
+            radix,
+            group,
+        } = &mut self.scratch;
+        sort_pairs_by_prefix(pairs, radix);
+        for_each_sorted_group(&self.store, pairs, group, on_group);
+    }
 }
 
 /// The streaming merge of [`for_each_long_key_group`], over a partition

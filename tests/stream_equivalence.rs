@@ -367,15 +367,75 @@ fn a_plan_of_unfusable_operators_is_all_singleton_segments() {
     }
 }
 
+/// The grouping key `enrich` derives from an event's key `k` for `sum`:
+/// every shape is one-to-one in `k`, so a key group never spans partitions.
+#[derive(Debug, Clone, Copy)]
+enum KeyShape {
+    /// One `Long` field: negatives and both extremes.
+    Long,
+    /// One `Text` field, whose order is not the numeric one.
+    Text,
+    /// `Long` keys with a few `Text` ones arriving mid-stream: a paged
+    /// grouping moves what it holds to the record table.
+    LongThenText,
+    /// Two `Long` fields.
+    LongLong,
+}
+
+impl KeyShape {
+    const ALL: [KeyShape; 4] = [
+        KeyShape::Long,
+        KeyShape::Text,
+        KeyShape::LongThenText,
+        KeyShape::LongLong,
+    ];
+
+    fn fields(self, k: i64) -> Vec<Value> {
+        let long = match k {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            k if k % 2 == 1 => -k * 7_919,
+            k => k * 7_919,
+        };
+        match self {
+            KeyShape::Text => vec![Value::Text(format!("k{k}"))],
+            KeyShape::LongThenText if k % 50 == 7 => vec![Value::Text(format!("k{k}"))],
+            KeyShape::Long | KeyShape::LongThenText => vec![Value::Long(long)],
+            KeyShape::LongLong => vec![Value::Long(long), Value::Long(k % 3)],
+        }
+    }
+
+    fn key(self) -> KeyFields {
+        match self {
+            KeyShape::LongLong => vec![0, 1],
+            _ => vec![0],
+        }
+    }
+}
+
+/// Hands `fields` to `out` as fields (`emit`) or as a heap record
+/// (`collect`).
+fn put(out: &mut Collector, emit: bool, fields: Vec<Value>) {
+    if emit {
+        out.emit(&fields);
+    } else {
+        out.collect(Record::new(fields));
+    }
+}
+
 /// Every contract that can consume a fused edge, in one segment:
 /// `scale` (Map, the head, fed by a hash exchange) → `enrich` (hash-join
 /// probe; the build side is its own hash exchange) → `sum` (Reduce) → `tag`
 /// (Cross against a broadcast side) → sink.  `build_left` picks which join
-/// argument is the build side, `group` the Reduce strategy.
+/// argument is the build side, `group` the Reduce strategy, `shape` the key
+/// `sum` groups on, and `emit` whether the user functions hand their records
+/// over as fields or as heap records.
 fn all_contracts_pipeline(
     parallelism: usize,
     build_left: bool,
     group: LocalStrategy,
+    shape: KeyShape,
+    emit: bool,
 ) -> PhysicalPlan {
     let mut plan = Plan::new();
     let events = plan.source(
@@ -390,20 +450,27 @@ fn all_contracts_pipeline(
     let scale = plan.map(
         "scale",
         events,
-        Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-            out.collect(Record::pair(r.long(0), r.long(1) * 2));
+        Arc::new(MapClosure(move |r: &Record, out: &mut Collector| {
+            put(
+                out,
+                emit,
+                vec![Value::Long(r.long(0)), Value::Long(r.long(1) * 2)],
+            );
             if r.long(1) % 5 == 0 {
-                out.collect(Record::pair(r.long(0), 1));
+                put(out, emit, vec![Value::Long(r.long(0)), Value::Long(1)]);
             }
         })),
     );
     // The join function sees (left, right) in argument order either way; the
-    // dimension record is the one with the multiple of 10.
+    // dimension record is the one with the multiple of 10.  It emits the
+    // grouping key's fields, then the value.
     let join_udf = |event: usize| {
         Arc::new(MatchClosure(
             move |l: &Record, r: &Record, out: &mut Collector| {
                 let (event, dim) = if event == 0 { (l, r) } else { (r, l) };
-                out.collect(Record::pair(event.long(0), event.long(1) + dim.long(1)));
+                let mut fields = shape.fields(event.long(0));
+                fields.push(Value::Long(event.long(1) + dim.long(1)));
+                put(out, emit, fields);
             },
         ))
     };
@@ -430,15 +497,17 @@ fn all_contracts_pipeline(
     let sum = plan.reduce(
         "sum",
         enrich,
-        vec![0],
+        shape.key(),
         Arc::new(ReduceClosure(
-            |key: &[Value], group: &[Record], out: &mut Collector| {
+            move |key: &[Value], group: &[Record], out: &mut Collector| {
                 // Order-sensitive on purpose: delivery order is part of the
                 // byte-identity contract.
-                let folded = group
-                    .iter()
-                    .fold(0i64, |acc, r| acc.wrapping_mul(31).wrapping_add(r.long(1)));
-                out.collect(longs(key[0].as_long(), folded, group.len() as i64));
+                let folded = group.iter().fold(0i64, |acc, r| {
+                    acc.wrapping_mul(31).wrapping_add(r.long(r.arity() - 1))
+                });
+                let mut fields = key.to_vec();
+                fields.extend([Value::Long(folded), Value::Long(group.len() as i64)]);
+                put(out, emit, fields);
             },
         )),
     );
@@ -447,8 +516,12 @@ fn all_contracts_pipeline(
         sum,
         labels,
         Arc::new(CrossClosure(
-            |l: &Record, r: &Record, out: &mut Collector| {
-                out.collect(longs(l.long(0), l.long(1) + r.long(1), l.long(2)));
+            move |l: &Record, r: &Record, out: &mut Collector| {
+                // (key fields.., folded + label, group size)
+                let mut fields = l.fields().to_vec();
+                let folded = fields.len() - 2;
+                fields[folded] = Value::Long(l.long(folded) + r.long(1));
+                put(out, emit, fields);
             },
         )),
     );
@@ -481,47 +554,58 @@ fn operator_rows(stats: &ExecutionStats) -> Vec<(String, usize, usize)> {
 }
 
 /// Every streaming consumer kind fused, at parallelism 1 and 4, with and
-/// without a budget that spills the exchanged side inputs: sinks are
-/// byte-identical per partition and every operator consumed and produced
-/// exactly what it does when each edge materializes.
+/// without a budget that spills the exchanged side inputs, for every key
+/// shape the Reduce can group on (the paged grouping, its move to the record
+/// table mid-stream, and the record stages) and with records handed over as
+/// fields or as heap records: sinks are byte-identical per partition and
+/// every operator consumed and produced exactly what it does when each edge
+/// materializes.
 #[test]
 fn every_streaming_contract_fuses_and_matches_the_oracle() {
     for parallelism in [1, 4] {
         for build_left in [false, true] {
             for group in [LocalStrategy::HashGroup, LocalStrategy::SortGroup] {
-                for (budget_name, budget) in budgets() {
-                    let label =
-                        format!("p={parallelism} build_left={build_left} {group} {budget_name}");
-                    let physical = all_contracts_pipeline(parallelism, build_left, group);
-                    let config = ExecConfig::new().with_memory_budget(budget);
-                    let fused = Executor::with_config(config.clone())
-                        .execute(&physical)
-                        .unwrap();
-                    let oracle = Executor::with_config(config.with_force_materialized(true))
-                        .execute(&physical)
-                        .unwrap();
+                for shape in KeyShape::ALL {
+                    for emit in [false, true] {
+                        for (budget_name, budget) in budgets() {
+                            let label = format!(
+                                "p={parallelism} build_left={build_left} {group} {shape:?} \
+                                 emit={emit} {budget_name}"
+                            );
+                            let physical =
+                                all_contracts_pipeline(parallelism, build_left, group, shape, emit);
+                            let config = ExecConfig::new().with_memory_budget(budget);
+                            let fused = Executor::with_config(config.clone())
+                                .execute(&physical)
+                                .unwrap();
+                            let oracle =
+                                Executor::with_config(config.with_force_materialized(true))
+                                    .execute(&physical)
+                                    .unwrap();
 
-                    assert_eq!(fused.stats.chained_operators, 5, "{label}");
-                    assert_eq!(oracle.stats.chained_operators, 0, "{label}");
-                    if parallelism > 1 && budget_name == "tight" {
-                        assert!(fused.stats.spilled_runs > 0, "nothing spilled: {label}");
+                            assert_eq!(fused.stats.chained_operators, 5, "{label}");
+                            assert_eq!(oracle.stats.chained_operators, 0, "{label}");
+                            if parallelism > 1 && budget_name == "tight" {
+                                assert!(fused.stats.spilled_runs > 0, "nothing spilled: {label}");
+                            }
+                            assert_eq!(
+                                operator_rows(&fused.stats),
+                                operator_rows(&oracle.stats),
+                                "{label}"
+                            );
+                            assert_eq!(
+                                fused.stats.local_records, oracle.stats.local_records,
+                                "{label}"
+                            );
+                            assert_eq!(
+                                fused.stats.shipped_bytes, oracle.stats.shipped_bytes,
+                                "{label}"
+                            );
+                            let sink = fused.sink_partitions("out").unwrap();
+                            assert!(sink.iter().flatten().count() > 500, "{label}");
+                            assert_eq!(sink, oracle.sink_partitions("out").unwrap(), "{label}");
+                        }
                     }
-                    assert_eq!(
-                        operator_rows(&fused.stats),
-                        operator_rows(&oracle.stats),
-                        "{label}"
-                    );
-                    assert_eq!(
-                        fused.stats.local_records, oracle.stats.local_records,
-                        "{label}"
-                    );
-                    assert_eq!(
-                        fused.stats.shipped_bytes, oracle.stats.shipped_bytes,
-                        "{label}"
-                    );
-                    let sink = fused.sink_partitions("out").unwrap();
-                    assert!(sink.iter().flatten().count() > 500, "{label}");
-                    assert_eq!(sink, oracle.sink_partitions("out").unwrap(), "{label}");
                 }
             }
         }
@@ -585,7 +669,7 @@ fn a_mid_chain_panic_is_one_typed_error_naming_the_segment() {
 /// execution is a build side's.
 #[test]
 fn a_spill_read_fault_on_a_fused_build_side_is_a_typed_error() {
-    let physical = all_contracts_pipeline(4, false, LocalStrategy::HashGroup);
+    let physical = all_contracts_pipeline(4, false, LocalStrategy::HashGroup, KeyShape::Long, true);
     let fault = FaultInjector::failing_nth(FaultSite::SpillRead, 0);
     let config = ExecConfig::new()
         .with_memory_budget(MemoryBudget::bytes(1024))
