@@ -110,7 +110,7 @@ fn load_partition(
     let constant_key = &iteration.constant_key;
     let constant_input = &*iteration.constant_input;
     pull_share(constant_input, router, constant_key, partition, |fields| {
-        constant.insert_fields(constant_key, fields)
+        constant.insert_fields(fields)
     });
     if let Some((initial_workset, queue)) = workset {
         let workset_key = &iteration.workset_key;
@@ -274,13 +274,14 @@ mod tests {
                 let (a, b) = (a.finish(), b.finish());
                 assert!(a.len() == b.len() && a.iter().zip(&b).all(|(a, b)| a == b));
             }
+            let (mut a_matches, mut b_matches) = (Vec::new(), Vec::new());
             for (a, b) in a.constant.iter().zip(&b.constant) {
-                let (JoinIndex::Paged { store: a, .. }, JoinIndex::Paged { store: b, .. }) = (a, b)
-                else {
-                    panic!("single-`Long` keys index paged");
-                };
-                let (a, b) = (a.clone().into_pages(), b.clone().into_pages());
-                assert!(a.len() == b.len() && a.iter().zip(&b).all(|(a, b)| a == b));
+                for probe in (0..64).map(|v| Record::pair(v, 0)) {
+                    assert_eq!(
+                        a.matches(&probe, &[0], &mut a_matches),
+                        b.matches(&probe, &[0], &mut b_matches)
+                    );
+                }
             }
         }
     }
@@ -294,11 +295,11 @@ mod tests {
         let loaded = load(&iteration, &router, &cluster, &solution, Some(&solution));
         for partition in 0..4 {
             let owned = cluster.owns(partition, 4);
-            let indexed = match &loaded.constant[partition] {
-                JoinIndex::Paged { store, .. } => !store.is_empty(),
-                JoinIndex::Map(map) => !map.is_empty(),
-            };
-            assert_eq!(indexed, owned, "partition {partition}");
+            assert_eq!(
+                !loaded.constant[partition].is_empty(),
+                owned,
+                "partition {partition}"
+            );
             assert_eq!(
                 !loaded.solution.partition_records(partition).is_empty(),
                 owned
@@ -322,15 +323,13 @@ mod tests {
         let router = PartitionRouter::hash(2);
         let none: Vec<Record> = Vec::new();
         let loaded = load(&iteration, &router, &ClusterSpec::single(), &none, None);
-        let mut indexed = 0;
-        for part in &loaded.constant {
-            let JoinIndex::Map(map) = part else {
-                // A partition the router sent nothing to never met a key.
-                assert!(matches!(part, JoinIndex::Paged { store, .. } if store.is_empty()));
-                continue;
-            };
-            indexed += map.values().map(Vec::len).sum::<usize>();
+        // Every name is found, once, in the partition it routes to.
+        let mut scratch = Vec::new();
+        for (i, name) in names.iter().enumerate() {
+            let probe = Record::new(vec![Value::Text((*name).into())]);
+            let part = &loaded.constant[router.route(&probe, &[0])];
+            let expected = Record::new(vec![Value::Text((*name).into()), Value::Long(i as i64)]);
+            assert_eq!(part.matches(&probe, &[0], &mut scratch), [expected]);
         }
-        assert_eq!(indexed, names.len());
     }
 }

@@ -58,7 +58,8 @@
 //! the same layer the batch executor's repartitioning runs on — which
 //! delivers the next superstep's queues as
 //! [`dataflow::page::ExchangedPartition`]s.  Grouping candidates off their
-//! sealed pages is the shared single-`Long`-key kernel of [`dataflow::page`],
+//! sealed pages is the shared grouping kernel of [`dataflow::page`], for
+//! every key shape,
 //! and the checkpoint/retry loop is `crate::checkpoint`'s, shared with the
 //! bulk driver.  What is special to a workset iteration, and therefore lives
 //! here, is only what the paper marks as special: superstep control (one
@@ -76,11 +77,10 @@ use dataflow::exchange::{self, Outbox};
 use dataflow::fault::FaultSite;
 use dataflow::join_index::JoinIndex;
 use dataflow::key::{group_ranges, sort_by_key};
-use dataflow::page::{for_each_long_key_group, GroupScratch, PagePool, PageWriter};
+use dataflow::page::{for_each_key_group, GroupScratch, PagePool, PageWriter};
 use dataflow::prelude::{
     ChannelId, ClusterSpec, DataflowError, ExchangedPartition, ExecConfig, Key, KeyFields,
-    PartitionRouter, RangeBounds, Record, Result, RunMerger, SharedPageChannel, SpillManager,
-    Value,
+    PartitionRouter, RangeBounds, Record, Result, SharedPageChannel, SpillManager, Value,
 };
 use dataflow::range::sample_source_keys_into;
 use std::path::PathBuf;
@@ -201,10 +201,10 @@ pub struct WorksetConfig {
     ///   stalls as typed errors);
     /// * the fault injector of the spill, checkpoint and pool-dispatch
     ///   sites;
-    /// * `force_materialized`, which makes the batch superstep join
-    ///   materialize and sort heap records instead of grouping candidates
-    ///   off their sealed pages (byte-identical; the equivalence tests pin
-    ///   it);
+    /// * `force_materialized`, the oracle switch: the batch superstep join
+    ///   materializes its candidates, stably sorts them and cuts the groups
+    ///   instead of grouping them off their sealed pages (byte-identical;
+    ///   the equivalence tests pin it);
     /// * the transport of the superstep exchange.  With a multi-process
     ///   transport the run becomes one SPMD worker of a cluster: every
     ///   process must call [`WorksetIteration::run`] with the *same* initial
@@ -750,7 +750,6 @@ impl<'a> WorksetIteration<'a> {
             matches,
             deltas,
             page_scratch,
-            freelist,
             pool,
             grouping,
         } = scratch;
@@ -787,31 +786,7 @@ impl<'a> WorksetIteration<'a> {
                 );
             };
 
-        // The batch join reads the spilled candidates wherever it groups
-        // them: one spill-read fault gate per partition, before either path
-        // touches a run.
-        if !microstep {
-            workset.check_spill_read(spill.fault())?;
-        }
-        let paged = !microstep
-            && !config.exec.force_materialized
-            && self.batch_group_paged(
-                &workset,
-                s_part,
-                grouping,
-                &mut apply_and_expand,
-                &mut output,
-            )?;
-        let (local, pages, runs, _) = workset.into_pieces();
-        debug_assert!(local.is_empty(), "workset queues hold pages and runs only");
-        if paged {
-            // Page-native InnerCoGroup: the candidates were grouped straight
-            // off their sealed pages and spilled runs (sorted by normalized
-            // key prefix, the runs merged in frame by frame, read into a
-            // bounded group scratch) and each update's delta was applied and
-            // expanded in place; only the deltas themselves touch heap
-            // records.
-        } else if microstep {
+        let drained = if microstep {
             // Match variant: one workset record at a time, updates visible
             // immediately.  Candidates are deserialized straight out of the
             // queue's pages into the update/merge path through one reused
@@ -830,6 +805,8 @@ impl<'a> WorksetIteration<'a> {
                         apply_and_expand(delta, s_part, output);
                     }
                 };
+            let (local, pages, runs, _) = workset.into_pieces();
+            debug_assert!(local.is_empty(), "workset queues hold pages and runs only");
             for page in &pages {
                 for view in page.reader() {
                     view.read_into(page_scratch);
@@ -845,113 +822,61 @@ impl<'a> WorksetIteration<'a> {
                     handle(page_scratch, s_part, &mut output);
                 }
             }
-        } else {
-            // InnerCoGroup variant, materializing — the only path for
-            // non-`Long` or composite keys, and the oracle the page-native
-            // path is tested against: read the queue's pages into records
-            // recycled from earlier supersteps and sort them by key so each
-            // group is a contiguous run (no per-superstep map to build), one
-            // update per key, deltas applied after the whole group pass
-            // (superstep semantics — every lookup sees the previous
-            // superstep's state).
-            let mut records: Vec<Record> =
-                Vec::with_capacity(pages.iter().map(|p| p.record_count()).sum());
-            for page in &pages {
-                for view in page.reader() {
-                    let mut record = freelist.pop().unwrap_or_else(Record::empty);
-                    view.read_into(&mut record);
-                    records.push(record);
-                }
-            }
+            pages
+        } else if config.exec.force_materialized {
+            // InnerCoGroup variant, the reference form the page-native path
+            // is tested against: the candidates materialized, stably sorted
+            // by key and cut into groups, one update per key, deltas applied
+            // after the whole group pass (superstep semantics — every lookup
+            // sees the previous superstep's state).
+            workset.check_spill_read(spill.fault())?;
+            let mut records = workset.into_records()?;
             sort_by_key(&mut records, &self.workset_key);
             deltas.clear();
-            if runs.is_empty() {
-                for (group_start, group_end) in group_ranges(&records, &self.workset_key) {
-                    output.inspected += 1;
-                    let candidates = &records[group_start..group_end];
-                    let key = Key::extract(&candidates[0], &self.workset_key);
-                    if let Some(delta) = self.update.update(&key, s_part.get(&key), candidates) {
-                        deltas.push(delta);
-                    }
+            for (group_start, group_end) in group_ranges(&records, &self.workset_key) {
+                output.inspected += 1;
+                let candidates = &records[group_start..group_end];
+                let key = Key::extract(&candidates[0], &self.workset_key);
+                if let Some(delta) = self.update.update(&key, s_part.get(&key), candidates) {
+                    deltas.push(delta);
                 }
-                freelist.append(&mut records);
-                freelist.truncate(FREELIST_RECORDS);
-            } else {
-                // Out-of-core grouping: the spilled candidate runs are
-                // sorted on the workset key, so merging them with the sorted
-                // in-memory residue (ties in delivery order, as on the paged
-                // path) yields each key's candidates contiguously — one group
-                // is buffered at a time, the spilled part of the workset
-                // never materializes.  Deltas still apply after the whole
-                // pass (superstep semantics are unchanged).
-                let merger = RunMerger::over_runs(&runs, records, self.workset_key.clone())?;
-                let inspected = &mut output.inspected;
-                merger.for_each_group(|key, candidates| {
-                    *inspected += 1;
-                    if let Some(delta) = self.update.update(key, s_part.get(key), candidates) {
-                        deltas.push(delta);
-                    }
-                    // Consumed candidates recycle into the freelist —
-                    // capped here, per group, so the pass over a
-                    // larger-than-memory spilled workset never
-                    // accumulates every record buffer it streamed.
-                    freelist.append(candidates);
-                    freelist.truncate(FREELIST_RECORDS);
-                })?;
             }
             for delta in deltas.drain(..) {
                 apply_and_expand(delta, s_part, &mut output);
             }
-        }
+            Vec::new()
+        } else {
+            // Page-native InnerCoGroup: the candidates are grouped straight
+            // off their sealed pages and spilled runs by the shared kernel
+            // (`dataflow::page::for_each_key_group`), which merges key-sorted
+            // spilled candidate runs in off disk one frame at a time and
+            // reads each group into a bounded scratch.  Each update's delta
+            // is applied and expanded immediately: a key is updated at most
+            // once per pass, so no probe can observe another key's fresh
+            // delta and the in-place application is observably identical to
+            // the reference form's collect-then-apply — same groups, same
+            // candidate order, same delta and emission order.  Only the
+            // deltas themselves touch heap records.
+            workset.check_spill_read(spill.fault())?;
+            for_each_key_group(&workset, &self.workset_key, grouping, |key, candidates| {
+                output.inspected += 1;
+                if let Some(delta) = self.update.update(key, s_part.get(key), candidates) {
+                    apply_and_expand(delta, s_part, &mut output);
+                }
+            })?;
+            workset.into_pieces().1
+        };
         // The drained pages become the next superstep's outbox buffers: a
         // pool as large as what this superstep consumed covers the steady
         // state without allocating and shrinks with the workset.  Sealing
         // here, inside the partition's task, lets the partitions' final
         // flushes overlap.
-        pool.set_limit(pages.len());
-        pool.recycle_all(pages);
+        pool.set_limit(drained.len());
+        pool.recycle_all(drained);
         output.outbox.seal()?;
         Ok(output)
     }
-
-    /// The page-native InnerCoGroup build: groups the partition's candidates
-    /// by key without materializing a heap record per candidate, through the
-    /// shared single-`Long`-key kernel
-    /// ([`dataflow::page::for_each_long_key_group`]), which merges key-sorted
-    /// spilled candidate runs in off disk one frame at a time.  Each update's
-    /// delta is handed to `apply` (the caller's apply-and-expand) immediately: a
-    /// key is updated at most once per pass, so no probe can observe another
-    /// key's fresh delta and the in-place application is observably
-    /// identical to the materializing path's collect-then-apply — same
-    /// groups, same candidate order, same delta and emission order — while
-    /// the `∪̇` merge right after the probe reuses the partition's scratch
-    /// record instead of re-reading the stored record.
-    ///
-    /// Returns `false` without touching `output` when the workset
-    /// disqualifies the paged path (composite or non-`Long` key); the caller
-    /// falls back to materializing the untouched workset.
-    fn batch_group_paged(
-        &self,
-        workset: &ExchangedPartition,
-        s_part: &mut PartitionIndex,
-        grouping: &mut GroupScratch,
-        mut apply: impl FnMut(Record, &mut PartitionIndex, &mut PartitionOutput),
-        output: &mut PartitionOutput,
-    ) -> std::io::Result<bool> {
-        for_each_long_key_group(workset, &self.workset_key, grouping, |key, candidates| {
-            output.inspected += 1;
-            let key = Key::long(key);
-            if let Some(delta) = self.update.update(&key, s_part.get(&key), candidates) {
-                apply(delta, s_part, output);
-            }
-        })
-    }
 }
-
-/// Cap on the per-partition record freelist of the materializing path
-/// (bounds the memory retained between supersteps while still covering the
-/// tail, where worksets are tiny).
-const FREELIST_RECORDS: usize = 4096;
 
 /// A workset queue holding the pages `writer` wrote.
 fn paged_queue(writer: PageWriter) -> ExchangedPartition {
@@ -992,13 +917,10 @@ impl RecordSink for CandidateSink<'_> {
 struct StepScratch {
     /// Records the constant-path probe deserializes a delta's matches into.
     matches: Vec<Record>,
-    /// Delta records of the current superstep (materializing path).
+    /// Delta records of the current superstep (reference form).
     deltas: Vec<Record>,
     /// Scratch record the microstep variant deserializes page views into.
     page_scratch: Record,
-    /// Consumed records recycled into the next superstep's page
-    /// materialization (materializing path).
-    freelist: Vec<Record>,
     /// Page buffers recovered from consumed workset pages, reissued to the
     /// next superstep's outbox writers, so steady-state supersteps allocate
     /// no new pages.  Bounded, superstep by superstep, by the number of
@@ -1015,7 +937,6 @@ impl Default for StepScratch {
             matches: Vec::new(),
             deltas: Vec::new(),
             page_scratch: Record::empty(),
-            freelist: Vec::new(),
             pool: PagePool::with_limit(0),
             grouping: GroupScratch::default(),
         }
@@ -1490,7 +1411,7 @@ mod tests {
     /// materializing path — same solution records in the same order, same
     /// superstep structure, same counters — across execution modes, routing
     /// schemes, parallelism and memory budgets (including the spill-forced
-    /// budget, where the paged path defers to the run-merging fallback).
+    /// budget, where the kernel merges the spilled candidate runs in).
     #[test]
     fn page_native_path_is_byte_identical_to_materializing() {
         let (iteration, solution, workset) = dense_min_propagation();
@@ -1537,11 +1458,11 @@ mod tests {
     }
 
     #[test]
-    fn non_long_keys_fall_back_without_changing_the_result() {
+    fn text_and_composite_keys_group_on_pages_like_the_reference_form() {
         use dataflow::prelude::Value;
         // Text-keyed min propagation on a 3-vertex path: the page-native
-        // grouping cannot prefix-sort Text keys, so the paged and forced
-        // materializing runs must take the same fallback and agree exactly.
+        // grouping orders the Text keys in place on their bytes, and must
+        // agree exactly with the forced materializing run.
         let update = Arc::new(UpdateClosure(
             |key: &Key, current: Option<&Record>, candidates: &[Record]| {
                 let best = candidates.iter().map(|r| r.long(1)).min().unwrap();
@@ -1588,7 +1509,7 @@ mod tests {
             Record::new(vec![Value::Text("b".into()), Value::Long(10)]),
             Record::new(vec![Value::Text("c".into()), Value::Long(11)]),
         ];
-        let paged = assert_fallbacks_agree(&iteration, &solution, &workset, "text path", false);
+        let paged = assert_regimes_agree(&iteration, &solution, &workset, "text path", false);
         assert!(paged.solution.iter().all(|r| r.long(1) == 10));
         // Both candidates of the first superstep reach their vertex, and the
         // second superstep's candidates come out of the sink.
@@ -1597,8 +1518,8 @@ mod tests {
 
         // Rings large enough that a writer seals several candidate pages a
         // superstep, so two credits flush too: a `Text` key and a
-        // `[Long, Long]` composite, both flushed through the materializing
-        // sort.
+        // `[Long, Long]` composite, both flushed, merged and grouped on
+        // their pages.
         let text = |v: i64| vec![Value::Text(format!("v{v}"))];
         let pair = |v: i64| vec![Value::Long(v / 64), Value::Long(v % 64)];
         for (label, width, id) in [
@@ -1606,7 +1527,7 @@ mod tests {
             ("[Long, Long] ring", 2, &pair),
         ] {
             let (iteration, solution, workset) = keyed_ring(4_000, width, id);
-            let paged = assert_fallbacks_agree(&iteration, &solution, &workset, label, true);
+            let paged = assert_regimes_agree(&iteration, &solution, &workset, label, true);
             assert!(
                 paged.solution.iter().all(|r| r.long(width) == 1000),
                 "{label}"
@@ -1620,7 +1541,7 @@ mod tests {
     /// solution records in the same order and the same superstep trace.
     /// With `must_spill`, both budgeted runs must actually have spilled.
     /// Returns the unbudgeted run.
-    fn assert_fallbacks_agree(
+    fn assert_regimes_agree(
         iteration: &WorksetIteration<'static>,
         solution: &[Record],
         workset: &[Record],
@@ -1665,8 +1586,9 @@ mod tests {
     }
 
     /// Min propagation over a ring of `n` vertices with chords, whose vertex
-    /// ids `id` encodes as `width` key fields — keys the page-native paths
-    /// cannot prefix-sort.  Records are the id's fields followed by a `Long`
+    /// ids `id` encodes as `width` key fields — keys whose prefix is inexact,
+    /// so the kernel compares them in place.  Records are the id's fields
+    /// followed by a `Long`
     /// label (solution, candidates) or by the neighbour's id (edges); every
     /// label converges to 1000.
     fn keyed_ring(

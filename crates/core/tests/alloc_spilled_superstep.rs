@@ -4,7 +4,9 @@
 //! candidate pages to disk as sorted runs.  Past the first superstep the
 //! batch join merges those runs in off disk one frame at a time and builds a
 //! heap record only for the key group it hands to `update` — it allocates
-//! O(pages + runs + changed), not O(candidates).
+//! O(pages + runs + changed), not O(candidates).  The ring runs twice: keyed
+//! by one `Long`, and keyed by the composite `[Long, Long]`, which sorts,
+//! merges and groups on the same page-native kernel.
 //!
 //! This file holds exactly one `#[test]` so no sibling test can run
 //! concurrently inside the process and pollute the allocation counters.
@@ -47,45 +49,76 @@ const VERTICES: i64 = 4_096;
 /// `VERTICES / 2 / REACH` supersteps to cross the graph.
 const REACH: i64 = 32;
 
-fn dense_ring() -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
+/// A vertex id as its key fields: one `Long`, or the `[Long, Long]`
+/// `(v / 64, v % 64)` — the same ring under a composite key.
+fn id(v: i64, width: usize) -> Vec<Value> {
+    match width {
+        1 => vec![Value::Long(v)],
+        _ => vec![Value::Long(v / 64), Value::Long(v % 64)],
+    }
+}
+
+/// A record of `width` key fields followed by `tail`.
+fn keyed(key: Vec<Value>, tail: impl IntoIterator<Item = Value>) -> Record {
+    let mut fields = key;
+    fields.extend(tail);
+    Record::new(fields)
+}
+
+fn dense_ring(width: usize) -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
     let update = Arc::new(UpdateClosure(
-        |key: &Key, current: Option<&Record>, candidates: &[Record]| {
-            let best = candidates.iter().map(|r| r.long(1)).min().unwrap();
+        move |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+            let best = candidates.iter().map(|r| r.long(width)).min().unwrap();
             match current {
-                Some(c) if c.long(1) <= best => None,
-                _ => Some(Record::pair(key.values()[0].as_long(), best)),
+                Some(c) if c.long(width) <= best => None,
+                _ => {
+                    let mut fields = Vec::with_capacity(width + 1);
+                    fields.extend_from_slice(&key.values());
+                    fields.push(Value::Long(best));
+                    Some(Record::new(fields))
+                }
             }
         },
     ));
     let expand = Arc::new(ExpandClosure(
-        |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+        move |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+            let mut candidate = [Value::Null, Value::Null, Value::Null];
+            candidate[width] = delta.field(width).clone();
             for e in edges {
-                out.emit(&[Value::Long(e.long(1)), Value::Long(delta.long(1))]);
+                candidate[..width].clone_from_slice(&e.fields()[width..2 * width]);
+                out.emit(&candidate[..=width]);
             }
         },
     ));
     let mut edges = Vec::new();
     for v in 0..VERTICES {
         for hop in 1..=REACH {
-            edges.push(Record::pair(v, (v + hop) % VERTICES));
-            edges.push(Record::pair(v, (v + VERTICES - hop) % VERTICES));
+            for u in [(v + hop) % VERTICES, (v + VERTICES - hop) % VERTICES] {
+                edges.push(keyed(id(v, width), id(u, width)));
+            }
         }
     }
-    let iteration = WorksetIteration::builder(vec![0], vec![0], update, expand)
-        .constant_input(Arc::new(edges), vec![0], vec![0])
-        .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
+    let key: Vec<usize> = (0..width).collect();
+    let iteration = WorksetIteration::builder(key.clone(), key.clone(), update, expand)
+        .constant_input(Arc::new(edges), key.clone(), key)
+        .comparator(Arc::new(move |a: &Record, b: &Record| {
+            b.long(width).cmp(&a.long(width))
+        }))
         .build();
-    let solution: Vec<Record> = (0..VERTICES).map(|v| Record::pair(v, v)).collect();
+    let solution: Vec<Record> = (0..VERTICES)
+        .map(|v| keyed(id(v, width), [Value::Long(v)]))
+        .collect();
     let workset: Vec<Record> = (0..VERTICES)
-        .map(|v| Record::pair((v + 1) % VERTICES, v))
+        .map(|v| keyed(id((v + 1) % VERTICES, width), [Value::Long(v)]))
         .collect();
     (iteration, solution, workset)
 }
 
-/// Runs the job bounded at `max_supersteps` and returns its result with the
-/// allocations the run performed (inputs are built outside the count).
-fn counted_run(max_supersteps: usize) -> (WorksetResult, usize) {
-    let (iteration, solution, workset) = dense_ring();
+/// Runs the job on keys of `width` fields, bounded at `max_supersteps`, and
+/// returns its result with the allocations the run performed (inputs are
+/// built outside the count).
+fn counted_run(width: usize, max_supersteps: usize) -> (WorksetResult, usize) {
+    let (iteration, solution, workset) = dense_ring(width);
     let exec = ExecConfig::new()
         .with_memory_budget(MemoryBudget::bytes(64 * 1024))
         .with_channel_credits(2);
@@ -99,31 +132,43 @@ fn counted_run(max_supersteps: usize) -> (WorksetResult, usize) {
 
 #[test]
 fn spilled_supersteps_after_the_first_allocate_per_run_and_delta_not_per_candidate() {
-    // A run truncated after superstep 1 pays the set-up, the first superstep
-    // and the result read-out; the full run pays the same plus supersteps
-    // 2.. — the difference is theirs.
-    let (head, head_allocations) = counted_run(1);
-    let (full, full_allocations) = counted_run(usize::MAX);
-    assert!(full.converged && !head.converged);
-    assert!(full.supersteps > 8, "ran {} supersteps", full.supersteps);
-    let later = &full.stats.per_iteration[1..];
-    let messages: usize = later.iter().map(|s| s.messages_sent).sum();
-    let changed: usize = later.iter().map(|s| s.elements_changed).sum();
-    let runs: usize = later.iter().map(|s| s.spilled_runs).sum();
-    assert!(
-        messages >= 32 * changed && changed > VERTICES as usize,
-        "the workload must be candidate-dominated: {messages} candidates, {changed} deltas"
-    );
-    assert!(
-        later
-            .iter()
-            .all(|s| s.spilled_runs > 0 || s.messages_sent == 0),
-        "every superstep that sends candidates must spill runs"
-    );
-    let allocations = full_allocations - head_allocations;
-    assert!(
-        allocations < messages / 16,
-        "spilled supersteps 2.. allocated {allocations} times for {messages} candidates \
-         ({changed} deltas, {runs} runs) — a per-candidate allocation crept in"
-    );
+    for (shape, width) in [("Long", 1), ("[Long, Long]", 2)] {
+        // A run truncated after superstep 1 pays the set-up, the first
+        // superstep and the result read-out; the full run pays the same plus
+        // supersteps 2.. — the difference is theirs.
+        let (head, head_allocations) = counted_run(width, 1);
+        let (full, full_allocations) = counted_run(width, usize::MAX);
+        assert!(full.converged && !head.converged, "{shape}");
+        assert!(
+            full.supersteps > 8,
+            "{shape}: ran {} supersteps",
+            full.supersteps
+        );
+        let later = &full.stats.per_iteration[1..];
+        let messages: usize = later.iter().map(|s| s.messages_sent).sum();
+        let changed: usize = later.iter().map(|s| s.elements_changed).sum();
+        let runs: usize = later.iter().map(|s| s.spilled_runs).sum();
+        assert!(
+            messages >= 32 * changed && changed > VERTICES as usize,
+            "{shape}: the workload must be candidate-dominated: {messages} candidates, \
+             {changed} deltas"
+        );
+        assert!(
+            later
+                .iter()
+                .all(|s| s.spilled_runs > 0 || s.messages_sent == 0),
+            "{shape}: every superstep that sends candidates must spill runs"
+        );
+        let allocations = full_allocations - head_allocations;
+        println!(
+            "{shape} keys: {allocations} allocations for {messages} candidates \
+             ({changed} deltas, {runs} runs)"
+        );
+        assert!(
+            allocations < messages / 16,
+            "{shape} keys: spilled supersteps 2.. allocated {allocations} times for \
+             {messages} candidates ({changed} deltas, {runs} runs) — a per-candidate \
+             allocation crept in"
+        );
+    }
 }

@@ -21,20 +21,18 @@
 //! user function.  A fused edge therefore holds one record, not an
 //! intermediate result, and costs a call, not a page or a thread.  An
 //! operator none of whose edges fuse is a segment of one, executed by the
-//! same code.  [`ExecConfig::with_force_materialized`] is the escape
-//! hatch that makes every segment a singleton (and disables the page-native
-//! grouping and sort-merge paths), pinning every streaming path
-//! byte-identical to the materializing oracle.
+//! same code.  [`ExecConfig::with_force_materialized`] is the oracle switch:
+//! it makes every segment a singleton and replaces the page-native grouping
+//! and sort-merge paths by their reference form (materialize, stable sort,
+//! cut), pinning every streaming path byte-identical to it.
 //!
-//! A UDF that builds its output hands it over as fields
-//! ([`Collector::emit`]).  When the next member is a Reduce on one key
-//! field, the fields are serialized straight onto that Reduce's pages and
-//! grouped at end of stream by the radix kernel every page-native grouping
-//! shares (that of [`for_each_long_key_group`]), so a join feeding a fused
-//! aggregation — PageRank's step — builds no heap record per join output.
-//! Its record fallback is the hash-group table: the first key that is not a
-//! `Long` moves the held records there in arrival order, and composite keys
-//! start there.
+//! Every Reduce and sort-merge join groups on the one page-native kernel
+//! ([`for_each_key_group`]), whatever the key's shape.  A UDF that builds
+//! its output hands it over as fields ([`Collector::emit`]); when the next
+//! member is a Reduce, the fields are serialized straight onto that
+//! Reduce's pages and grouped at end of stream by the same kernel, so a join
+//! feeding a fused aggregation — PageRank's step — builds no heap record per
+//! join output.
 //!
 //! # Exchanges
 //!
@@ -79,16 +77,15 @@ use crate::fault::{FaultInjector, FaultSite};
 use crate::join_index::JoinIndex;
 use crate::key::{group_ranges, partition_for, sort_by_key, FxHashMap, Key, KeyFields};
 use crate::page::{
-    for_each_long_key_group, long_key_group_len, next_long_key_group, sort_by_long_key,
-    ExchangedPartition, GroupScratch, LongKeyGroups, PageWriter,
+    for_each_key_group, sort_on_key, ExchangedPartition, GroupScratch, KeyGroups, PageWriter,
 };
 use crate::physical::{
     streaming_input_slot, LocalStrategy, PhysicalChoice, PhysicalPlan, ShipStrategy,
 };
 use crate::plan::{Operator, OperatorId, OperatorKind};
-use crate::range::{sample_keys_into, sort_by_key_normalized, RangeBounds};
+use crate::range::{sample_keys_into, RangeBounds};
 use crate::record::Record;
-use crate::spill::{MemoryBudget, RunMerger, SpillManager, SpilledRun};
+use crate::spill::{MemoryBudget, SpillManager, SpilledRun};
 use crate::stats::{ExecutionStats, OperatorStats};
 use crate::transport::TransportHandle;
 use crate::value::Value;
@@ -128,12 +125,14 @@ pub struct ExecConfig {
     /// [`FaultInjector::from_env`], disabled unless `SPINNING_FAULT_RATE`
     /// is set.
     pub fault: FaultInjector,
-    /// Disables the page-native grouping and sort-merge paths **and chain
-    /// fusion**, forcing every grouping and sort-merge join to materialize its
-    /// inputs into heap records first and every operator boundary to dam (the
-    /// hash join has one implementation, its [`JoinIndex`]).  Off by default
-    /// (the page-native and fused paths run whenever an edge qualifies); the
-    /// equivalence suites flip it to check those paths produce
+    /// The oracle switch: disables the page-native grouping and sort-merge
+    /// paths **and chain fusion**.  Every grouping and sort-merge join then
+    /// takes its reference form — materialize the input
+    /// ([`ExchangedPartition::into_records`]), stable-sort it
+    /// ([`crate::key::sort_by_key`]), cut the groups
+    /// ([`crate::key::group_ranges`]) — and every operator boundary dams (the
+    /// hash join has one implementation, its [`JoinIndex`]).  Off by default;
+    /// the equivalence suites flip it to check the production paths produce
     /// byte-identical results.
     pub force_materialized: bool,
     /// The transport every exchange ships its sealed pages through.
@@ -914,37 +913,25 @@ fn compute_chain_segments(physical: &PhysicalPlan, fuse: bool) -> Vec<Vec<Operat
 /// order, which is what keeps fused and materialized executions
 /// byte-identical.
 ///
-/// A Reduce groups in one of three ways, all of which hand each key's records
-/// to the user function in key order with ties in arrival order (the stable
-/// key sort).  On one key field it is a `PagedGroup`, whichever the local
-/// strategy: records are serialized onto pages as they arrive and grouped by
-/// the shared radix kernel ([`LongKeyGroups`]).  Its record fallback is the
-/// `HashGroup` table, which it turns into at the first key that is not a
-/// `Long`, moving what it holds in arrival order.  Composite keys, and every
-/// key under `force_materialized`, keep the record stages from the start.
+/// A Reduce hands each key's records to the user function in key order with
+/// ties in arrival order (the stable key sort), whichever the local strategy.
+/// It is a `PagedGroup`: records are serialized onto pages as they arrive and
+/// grouped at end of stream by the shared kernel ([`KeyGroups`]), whatever
+/// the key's shape.  Under `force_materialized` it is the reference
+/// `SortGroup`.
 enum Stage {
     Map(Arc<dyn MapFunction>),
     Sink,
-    /// A single-field key while every key so far is a `Long`.
     PagedGroup {
-        key: KeyFields,
         udf: Arc<dyn ReduceFunction>,
-        groups: LongKeyGroups,
+        groups: KeyGroups,
     },
-    /// Folds the stream into the group table; groups are emitted in key order
-    /// at end of stream so the output is deterministic across runs.
-    HashGroup {
-        key: KeyFields,
-        udf: Arc<dyn ReduceFunction>,
-        groups: FxHashMap<Key, Vec<Record>>,
-    },
-    /// Buffers the stream, sorts it at end of stream (unless it arrived in
-    /// key order) and emits the groups.
+    /// Buffers the stream, stably sorts it at end of stream and emits the
+    /// groups.
     SortGroup {
         key: KeyFields,
         udf: Arc<dyn ReduceFunction>,
         records: Vec<Record>,
-        presorted: bool,
     },
     /// Probes the join index over the build side; matches are emitted in
     /// build insertion order.
@@ -965,15 +952,12 @@ enum Stage {
 
 impl Stage {
     /// Builds the stage of `op` from its delivered inputs `side` (slot order,
-    /// the streamed slot `stream_slot` absent).  `delivered_order` is the key
-    /// order the stream arrives in, if any (fused edges carry none);
-    /// `page_native` allows the paged grouping.
+    /// the streamed slot `stream_slot` absent).  `page_native` selects the
+    /// paged grouping over the reference one.
     fn new(
         op: &Operator,
-        local: LocalStrategy,
         stream_slot: usize,
         side: Vec<ExchangedPartition>,
-        delivered_order: Option<&[usize]>,
         page_native: bool,
     ) -> Result<Stage> {
         let mut side = side.into_iter();
@@ -981,23 +965,14 @@ impl Stage {
         Ok(match (&op.kind, &op.udf) {
             (OperatorKind::Map, Udf::Map(udf)) => Stage::Map(Arc::clone(udf)),
             (OperatorKind::Sink { .. }, _) => Stage::Sink,
-            (OperatorKind::Reduce { key }, Udf::Reduce(udf)) => match (key.as_slice(), local) {
-                (&[field], _) if page_native => Stage::PagedGroup {
-                    key: key.clone(),
-                    udf: Arc::clone(udf),
-                    groups: LongKeyGroups::new(field),
-                },
-                (_, LocalStrategy::SortGroup) => Stage::SortGroup {
-                    key: key.clone(),
-                    udf: Arc::clone(udf),
-                    records: Vec::new(),
-                    presorted: delivered_order == Some(key),
-                },
-                _ => Stage::HashGroup {
-                    key: key.clone(),
-                    udf: Arc::clone(udf),
-                    groups: FxHashMap::default(),
-                },
+            (OperatorKind::Reduce { key }, Udf::Reduce(udf)) if page_native => Stage::PagedGroup {
+                udf: Arc::clone(udf),
+                groups: KeyGroups::new(key.clone()),
+            },
+            (OperatorKind::Reduce { key }, Udf::Reduce(udf)) => Stage::SortGroup {
+                key: key.clone(),
+                udf: Arc::clone(udf),
+                records: Vec::new(),
             },
             (
                 OperatorKind::Match {
@@ -1033,10 +1008,7 @@ impl Stage {
     fn keeps_records(&self) -> bool {
         matches!(
             self,
-            Stage::Sink
-                | Stage::PagedGroup { .. }
-                | Stage::HashGroup { .. }
-                | Stage::SortGroup { .. }
+            Stage::Sink | Stage::PagedGroup { .. } | Stage::SortGroup { .. }
         )
     }
 
@@ -1045,12 +1017,10 @@ impl Stage {
     /// exactly sized heap record.
     #[inline]
     fn accept_fields(&mut self, fields: &[Value], out: &mut Collector) {
-        if let Stage::PagedGroup { groups, .. } = self {
-            if groups.append_fields(fields) {
-                return;
-            }
+        match self {
+            Stage::PagedGroup { groups, .. } => groups.append_fields(fields),
+            stage => stage.accept(Cow::Owned(Record::new(fields.to_vec())), out),
         }
-        self.accept(Cow::Owned(Record::new(fields.to_vec())), out);
     }
 
     /// Consumes one record of the stream, emitting into `out`.
@@ -1058,16 +1028,7 @@ impl Stage {
         match self {
             Stage::Map(udf) => udf.map(&record, out),
             Stage::Sink => out.collect(record.into_owned()),
-            Stage::PagedGroup { groups, .. } => {
-                if !groups.append_fields(record.fields()) {
-                    self.group_records();
-                    self.accept(record, out);
-                }
-            }
-            Stage::HashGroup { key, groups, .. } => groups
-                .entry(Key::extract(&record, key))
-                .or_default()
-                .push(record.into_owned()),
+            Stage::PagedGroup { groups, .. } => groups.append_fields(record.fields()),
             Stage::SortGroup { records, .. } => records.push(record.into_owned()),
             Stage::HashProbe {
                 udf,
@@ -1117,50 +1078,18 @@ impl Stage {
         Ok(())
     }
 
-    /// Turns a paged grouping into the `HashGroup` table at the first key
-    /// that is not a `Long`, moving the records it holds in arrival order.
-    #[cold]
-    #[inline(never)]
-    fn group_records(&mut self) {
-        let Stage::PagedGroup { key, udf, groups } = std::mem::replace(self, Stage::Sink) else {
-            unreachable!("only a paged grouping moves to the group table");
-        };
-        let mut table: FxHashMap<Key, Vec<Record>> = FxHashMap::default();
-        groups.for_each_record(|record| {
-            table
-                .entry(Key::extract(&record, &key))
-                .or_default()
-                .push(record)
-        });
-        *self = Stage::HashGroup {
-            key,
-            udf,
-            groups: table,
-        };
-    }
-
     /// End of stream: the grouping stages emit their groups.
     fn finish(self, out: &mut Collector) {
         match self {
-            Stage::PagedGroup { udf, groups, .. } => {
-                groups.for_each_group(|k, group| udf.reduce(&Key::Long(k).values(), group, out))
-            }
-            Stage::HashGroup { udf, groups, .. } => {
-                let mut sorted: Vec<(Key, Vec<Record>)> = groups.into_iter().collect();
-                sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                for (k, group) in &sorted {
-                    udf.reduce(&k.values(), group, out);
-                }
+            Stage::PagedGroup { udf, groups } => {
+                groups.for_each_group(|k, group| udf.reduce(&k.values(), group, out))
             }
             Stage::SortGroup {
                 key,
                 udf,
                 mut records,
-                presorted,
             } => {
-                if !presorted {
-                    sort_by_key(&mut records, &key);
-                }
+                sort_by_key(&mut records, &key);
                 for (start, end) in group_ranges(&records, &key) {
                     let group = &records[start..end];
                     let k = Key::extract(&group[0], &key);
@@ -1258,7 +1187,7 @@ fn run_fused(
         let stream_slot = streaming_input_slot(&op.kind, local)
             .expect("compute_chain_segments fuses only into a streaming slot");
         out = Collector::with_sink(Box::new(FusedStage {
-            stage: Stage::new(op, local, stream_slot, side, None, page_native)?,
+            stage: Stage::new(op, stream_slot, side, page_native)?,
             records_in,
             out,
         }));
@@ -1368,8 +1297,8 @@ fn prepare_range_bounds(
 /// ([`ExecConfig::spill_manager`]): the budget is split evenly over the
 /// producer×target page writers, and every flushed run is sorted on the
 /// exchange key — range partitions are sorted runs by definition, and hash
-/// partitions gain the normalized-key order that lets sort-based consumers
-/// merge instead of re-sorting.  Broadcast replicates shared pages and never
+/// partitions gain the key order that lets the grouping kernel merge their
+/// runs instead of re-sorting them.  Broadcast replicates shared pages and never
 /// spills; forward moves records locally and has nothing to serialize.
 /// Every producer, and so every delivery, has one partition per parallel
 /// instance.
@@ -1488,13 +1417,12 @@ fn route_paged(
 }
 
 /// The range repartitioning exchange: routes by binary search over the
-/// shared splitter histogram (see [`prepare_range_bounds`]) and then sorts
-/// every consumer partition on the key — the memcmp prefix sort for `Long`
-/// keys, the `Value`-comparison sort otherwise — so the concatenation of the
+/// shared splitter histogram (see [`prepare_range_bounds`]) and then stably
+/// sorts every consumer partition on the key, so the concatenation of the
 /// delivered partitions is **globally sorted**.  The per-partition sorts run
 /// concurrently on the worker pool; the delivered partitions advertise their
-/// order ([`ExchangedPartition::sorted_by`]), which lets sort-based local
-/// strategies skip their own sort.
+/// order ([`ExchangedPartition::sorted_by`]), whose owning accessors then
+/// merge the sorted pieces of a spilled partition instead of re-sorting.
 fn range_exchange(
     producer: ProducerInput,
     keys: &[usize],
@@ -1523,7 +1451,7 @@ fn range_exchange(
         parts,
         |part| {
             let (mut records, runs) = part.into_mem_and_runs();
-            sort_by_key_normalized(&mut records, keys);
+            sort_by_key(&mut records, keys);
             Ok(ExchangedPartition::from_spilled(
                 records,
                 runs,
@@ -1579,9 +1507,10 @@ fn admit_inputs(inputs: &[ExchangedPartition], fault: &FaultInjector) -> Result<
 /// Runs one operator's local work on one partition's inputs, emitting into
 /// `out`.  Operators that dam every input (sort-merge join, cogroup, union)
 /// run their whole-partition algorithm.  Every other operator has a streaming
-/// slot: with `page_native` set (the default), a Reduce over paged input
-/// first tries the `(page, offset)`-handle path, which deserializes a record
-/// only at the user-function boundary; otherwise the streaming slot's
+/// slot: with `page_native` set (the default), a Reduce groups its delivered
+/// partition on the page-native kernel ([`for_each_key_group`]), which
+/// deserializes a record only at the user-function boundary and streams
+/// key-sorted spilled runs off disk; otherwise the streaming slot's
 /// partition is driven through the operator's [`Stage`] — the same code a
 /// fused producer pushes into.  Returns the number of records consumed;
 /// spill-read failures (injected or real) surface as typed errors instead of
@@ -1599,25 +1528,16 @@ fn run_local(
         run_dammed(op, inputs, page_native, out)?;
         return Ok(records_in);
     };
-    if let (OperatorKind::Reduce { key }, Udf::Reduce(udf)) = (&op.kind, &op.udf) {
-        let sort_based = matches!(local, LocalStrategy::SortGroup);
-        let input = inputs
-            .pop()
-            .expect("Plan::validate checked the input arity");
-        match reduce_delivered(key, sort_based, input, udf.as_ref(), out, page_native)? {
-            Some(input) => inputs.push(input),
-            None => return Ok(records_in),
-        }
+    if let (OperatorKind::Reduce { key }, Udf::Reduce(udf), true) = (&op.kind, &op.udf, page_native)
+    {
+        let mut scratch = GroupScratch::default();
+        for_each_key_group(&inputs[stream_slot], key, &mut scratch, |k, group| {
+            udf.reduce(&k.values(), group, out)
+        })?;
+        return Ok(records_in);
     }
     let streamed = inputs.remove(stream_slot);
-    let mut stage = Stage::new(
-        op,
-        local,
-        stream_slot,
-        inputs,
-        streamed.sorted_by(),
-        page_native,
-    )?;
+    let mut stage = Stage::new(op, stream_slot, inputs, page_native)?;
     stage.consume(streamed, out)?;
     stage.finish(out);
     Ok(records_in)
@@ -1679,101 +1599,39 @@ fn run_dammed(
     Ok(())
 }
 
-/// Materializes one input sorted by `key`: pre-sorted deliveries pass
-/// through (sorted spilled partitions merge linearly inside
-/// [`ExchangedPartition::into_records`]), unsorted inputs whose spilled runs
-/// are individually sorted on `key` merge those runs with the sorted
-/// in-memory residue, and everything else pays the sort.
+/// The reference form of one sort-merge join input: materialized, then
+/// stably sorted on `key`.
 fn into_sorted_records(part: ExchangedPartition, key: &[usize]) -> std::io::Result<Vec<Record>> {
-    let presorted = part.sorted_by() == Some(key);
-    if !presorted && part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key) {
-        let (mut residue, runs) = part.into_mem_and_runs();
-        sort_by_key_normalized(&mut residue, key);
-        let mut records = Vec::new();
-        RunMerger::over_runs(&runs, residue, key.to_vec())?.collect_into(&mut records)?;
-        return Ok(records);
-    }
     let mut records = part.into_records()?;
-    if !presorted {
-        sort_by_key(&mut records, key);
-    }
+    sort_by_key(&mut records, key);
     Ok(records)
 }
 
-// ---------------------------------------------------------------------------
-// Page-native operator paths
-// ---------------------------------------------------------------------------
-//
-// Groups and sort-merge joins over paged inputs sort `(key prefix, handle)`
-// pairs on the 8-byte normalized `Long` key prefix instead of materializing
-// `Vec<Record>` first.  Because the normalized encoding is a bijection and
-// byte equality of serialized fields is exactly `Value` equality, the prefix
-// *is* the complete single-`Long` key: no collision fallback is ever needed.
-// Records are deserialized only at the user-function boundary, through
-// scratch records reused across calls.  Inputs that do not qualify (composite
-// or non-`Long` keys, partitions that delivered nothing serialized) fall
-// back.  Both paths order a key's records the same way — delivery order,
-// local records, pages, then spilled runs, which is also how every merge of
-// sorted spilled pieces breaks ties — so they stay byte-identical.  The hash
-// join has one path: its build side is a [`JoinIndex`].
-
-/// True when `part` is worth ingesting: it actually delivered serialized
-/// data.  An all-local partition gains nothing from being re-serialized.
-fn has_paged_data(part: &ExchangedPartition) -> bool {
-    part.page_count() > 0 || part.spilled_run_count() > 0
-}
-
-/// Page-native grouping under either local strategy: a thin caller of the
-/// shared single-`Long`-key kernel ([`for_each_long_key_group`]), which sorts
-/// `(prefix, handle)` pairs, streams key-sorted spilled runs off disk one
-/// frame at a time, and hands each key group through one reusable record
-/// buffer to the reduce function.  Returns `Ok(false)` (nothing emitted)
-/// when the input or the key disqualifies.
-fn try_reduce_paged(
-    key: &[usize],
-    part: &ExchangedPartition,
-    udf: &dyn ReduceFunction,
-    out: &mut Collector,
-) -> std::io::Result<bool> {
-    if !has_paged_data(part) {
-        return Ok(false);
-    }
-    for_each_long_key_group(part, key, &mut GroupScratch::default(), |k, group| {
-        udf.reduce(&Key::Long(k).values(), group, out)
-    })
-}
-
-/// Page-native sort-merge join: both sides sort `(prefix, handle)` pairs
-/// through the shared kernel ([`sort_by_long_key`]) and the two-pointer merge
-/// materializes only the current key group of each side.
-fn try_sort_merge_paged(
+/// Page-native sort-merge join: both sides sort `(key prefix, handle)` pairs
+/// on the shared kernel ([`sort_on_key`]) and the two-pointer merge
+/// materializes only the current key group of each side.  Keys compare on
+/// their prefixes when both sides' keys are single `Long`s, in place on the
+/// key bytes otherwise.
+fn sort_merge_paged(
     left_key: &[usize],
     right_key: &[usize],
     lpart: &ExchangedPartition,
     rpart: &ExchangedPartition,
     udf: &dyn MatchFunction,
     out: &mut Collector,
-) -> std::io::Result<bool> {
-    if !has_paged_data(lpart) && !has_paged_data(rpart) {
-        return Ok(false);
-    }
-    let (mut lpairs, mut rpairs) = (Vec::new(), Vec::new());
-    let Some(lstore) = sort_by_long_key(lpart, left_key, &mut lpairs)? else {
-        return Ok(false);
-    };
-    let Some(rstore) = sort_by_long_key(rpart, right_key, &mut rpairs)? else {
-        return Ok(false);
-    };
+) -> std::io::Result<()> {
+    let (mut lpairs, mut rpairs, mut radix) = (Vec::new(), Vec::new(), Vec::new());
+    let lsorted = sort_on_key(lpart, left_key, &mut lpairs, &mut radix)?;
+    let rsorted = sort_on_key(rpart, right_key, &mut rpairs, &mut radix)?;
     let (mut lgroup, mut rgroup) = (Vec::new(), Vec::new());
     let (mut lrest, mut rrest) = (&lpairs[..], &rpairs[..]);
     while let (Some(l), Some(r)) = (lrest.first(), rrest.first()) {
-        // Unsigned prefix order is the key order (normalized encoding).
-        match l.0.cmp(&r.0) {
-            std::cmp::Ordering::Less => lrest = &lrest[long_key_group_len(lrest)..],
-            std::cmp::Ordering::Greater => rrest = &rrest[long_key_group_len(rrest)..],
+        match lsorted.cmp_keys(l, &rsorted, r) {
+            std::cmp::Ordering::Less => lrest = &lrest[lsorted.group_len(lrest)..],
+            std::cmp::Ordering::Greater => rrest = &rrest[rsorted.group_len(rrest)..],
             std::cmp::Ordering::Equal => {
-                let (_, lrecords, lafter) = next_long_key_group(&lstore, lrest, &mut lgroup);
-                let (_, rrecords, rafter) = next_long_key_group(&rstore, rrest, &mut rgroup);
+                let (lrecords, lafter) = lsorted.next_group(lrest, &mut lgroup);
+                let (rrecords, rafter) = rsorted.next_group(rrest, &mut rgroup);
                 for l in lrecords {
                     for r in rrecords {
                         udf.join(l, r, out);
@@ -1783,44 +1641,7 @@ fn try_sort_merge_paged(
             }
         }
     }
-    Ok(true)
-}
-
-/// The Reduce paths that work on a whole delivered partition rather than a
-/// stream of records: the page-native grouping, and — for the keys it
-/// rejects, and under `force_materialized` — the sort strategy's
-/// out-of-core merge over key-sorted spilled runs.  Hands the input back
-/// untouched when neither applies.
-fn reduce_delivered(
-    key: &[usize],
-    sort_based: bool,
-    part: ExchangedPartition,
-    udf: &dyn ReduceFunction,
-    out: &mut Collector,
-    page_native: bool,
-) -> Result<Option<ExchangedPartition>> {
-    if page_native && try_reduce_paged(key, &part, udf, out)? {
-        return Ok(None);
-    }
-    // Out-of-core path: whenever every spilled run is sorted on the grouping
-    // key (range deliveries always; hash deliveries via their sort-on-flush),
-    // only the in-memory residue is sorted and the groups stream off the
-    // k-way merge — one key group in memory at a time, the spilled part
-    // never rematerializes.
-    if !(sort_based && part.spilled_run_count() > 0 && part.spilled_runs_sorted_by(key)) {
-        return Ok(Some(part));
-    }
-    // A range exchange already delivered this partition sorted on the
-    // grouping key: the sort the plan no longer performs.
-    let merger = if part.sorted_by() == Some(key) {
-        part.into_merger()?
-    } else {
-        let (mut residue, runs) = part.into_mem_and_runs();
-        sort_by_key_normalized(&mut residue, key);
-        RunMerger::over_runs(&runs, residue, key.to_vec())?
-    };
-    merger.for_each_group(|k, group| udf.reduce(&k.values(), group, out))?;
-    Ok(None)
+    Ok(())
 }
 
 /// Sort-merge equi-join for the Match contract.
@@ -1833,12 +1654,11 @@ fn run_sort_merge_join(
     out: &mut Collector,
     page_native: bool,
 ) -> Result<()> {
-    if page_native && try_sort_merge_paged(left_key, right_key, &left, &right, udf, out)? {
-        return Ok(());
+    if page_native {
+        return Ok(sort_merge_paged(
+            left_key, right_key, &left, &right, udf, out,
+        )?);
     }
-    // Range-exchanged sides arrive sorted on their join key; only sides
-    // without the delivered order pay a sort, and sides whose spilled runs
-    // carry the key order materialize by linear merge.
     let l_sorted = into_sorted_records(left, left_key)?;
     let r_sorted = into_sorted_records(right, right_key)?;
     let l_ranges = group_ranges(&l_sorted, left_key);

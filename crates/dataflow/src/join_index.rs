@@ -6,16 +6,18 @@
 //! cached hash table of the paper's Figure 6 — and probes it with every
 //! applied delta, in batch and microstep mode alike.
 //!
-//! For a single-`Long` join key (every graph workload) the records live
-//! serialized in a [`PagedRecords`] store under a [`PrefixTable`]: delivered
-//! pages are adopted by pointer, spilled runs revived as pages, heap records
-//! serialized once, and a probe reads its matches into one reused scratch
-//! slice.  Any other key shape keeps a map of heap records.
+//! Whatever the key's shape, the records live serialized in a
+//! [`PagedRecords`] store under a [`PrefixTable`] keyed on the grouping
+//! kernel's key prefix ([`crate::page`]): delivered pages are adopted by
+//! pointer, spilled runs revived as pages, heap records serialized once, and
+//! a probe reads its matches into one reused scratch slice.  While every key
+//! is one `Long` field the prefix is the whole key; any other key shape
+//! hashes, and a probe filters its chain on the key bytes.
 
-use crate::key::{FxHashMap, Key};
+use crate::key::KeyFields;
 use crate::page::{
-    long_key_prefix_of, long_key_prefix_of_fields, ExchangedPartition, PagedRecords, PrefixTable,
-    RecordView,
+    key_matches_fields, key_prefix, key_prefix_of_fields, ExchangedPartition, PagedRecords,
+    PrefixTable, RecordView,
 };
 use crate::record::Record;
 use crate::value::Value;
@@ -28,91 +30,68 @@ use crate::value::Value;
 /// probe's in **build insertion order**: the order `insert_fields` saw them,
 /// or, built from a partition, the order its owning accessors
 /// ([`ExchangedPartition::into_records`]) yield — delivery order, merged key
-/// order for a sorted spilled partition.  That is the order a join over the
-/// materialized build side would emit, so which form holds the records never
-/// shows in a join's output.
+/// order for a sorted spilled partition (whose ties are in delivery order,
+/// so a key's records keep delivery order either way).  That is the order a
+/// join over the materialized build side would emit.
 #[derive(Debug)]
-pub enum JoinIndex {
-    /// Every key so far was a single `Long`: serialized records under their
-    /// normalized key prefix, which for a single `Long` is the whole key.
-    Paged {
-        /// The serialized build records.
-        store: PagedRecords,
-        /// Key prefix → handles into `store`, in insertion order per key.
-        table: PrefixTable,
-    },
-    /// Any other key shape: heap records per key, in insertion order.
-    Map(FxHashMap<Key, Vec<Record>>),
+pub struct JoinIndex {
+    key: KeyFields,
+    /// The serialized build records.
+    store: PagedRecords,
+    /// Key prefix → handles into `store`, in insertion order per prefix.
+    table: PrefixTable,
+    /// Every key so far is one `Long` field: a chain holds exactly its key.
+    exact: bool,
 }
 
 impl JoinIndex {
-    /// An empty index on the join key `key`: paged while every key it is
-    /// given is a single `Long`, a map from the first one that is not.
+    /// An empty index on the join key `key`.
     pub fn new(key: &[usize]) -> JoinIndex {
-        match key {
-            [_] => JoinIndex::Paged {
-                store: PagedRecords::new(),
-                table: PrefixTable::new(),
-            },
-            _ => JoinIndex::Map(FxHashMap::default()),
+        JoinIndex {
+            key: key.to_vec(),
+            store: PagedRecords::new(),
+            table: PrefixTable::new(),
+            exact: true,
         }
+    }
+
+    /// True when nothing is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.store.is_empty()
     }
 
     /// Indexes one build record given as its field slice, after every record
-    /// inserted before it.  The paged form copies the fields into its store;
-    /// no heap record exists.
-    pub fn insert_fields(&mut self, key: &[usize], fields: &[Value]) {
-        if let JoinIndex::Paged { store, table } = self {
-            if let Some(prefix) = long_key_prefix_of_fields(fields, key[0]) {
-                table.insert(prefix, store.append_fields(fields));
-                return;
-            }
-            // The first key that is not a `Long`: what is stored so far moves
-            // into a map, in insertion order, and the index stays one.
-            let mut map: FxHashMap<Key, Vec<Record>> = FxHashMap::default();
-            store.for_each_handle(|_, view| {
-                let record = view.materialize();
-                map.entry(Key::extract(&record, key))
-                    .or_default()
-                    .push(record);
-            });
-            *self = JoinIndex::Map(map);
-        }
-        if let JoinIndex::Map(map) = self {
-            map.entry(Key::extract_fields(fields, key))
-                .or_default()
-                .push(Record::new(fields.to_vec()));
-        }
+    /// inserted before it.  The fields are copied into the store; no heap
+    /// record exists.
+    pub fn insert_fields(&mut self, fields: &[Value]) {
+        let (prefix, exact) = key_prefix_of_fields(fields, &self.key);
+        self.table.insert(prefix, self.store.append_fields(fields));
+        self.exact &= exact;
     }
 
-    /// Indexes one delivered partition on `key`, honouring the ordering
-    /// contract: a single-`Long` key adopts the partition's pages by pointer,
-    /// revives its spilled runs as pages and serializes its heap records
-    /// once; any other key shape is inserted record by record in the
-    /// partition's owning order ([`ExchangedPartition::for_each_owned`]).
-    /// A key's records keep delivery order either way: the owning order of
-    /// a sorted spilled partition merges with ties in delivery order.  Fails
-    /// with the underlying I/O error when a spilled run cannot be read.
+    /// Indexes one delivered partition on `key` in delivery order: its
+    /// pages adopted by pointer, its spilled runs revived as pages and its
+    /// heap records serialized once.  Fails with the underlying I/O error
+    /// when a spilled run cannot be read.
     pub(crate) fn from_partition(
         part: ExchangedPartition,
         key: &[usize],
     ) -> std::io::Result<JoinIndex> {
-        if let &[field] = key {
-            let (mut store, mut table) = (PagedRecords::new(), PrefixTable::new());
-            if part.ingest_long_keyed(field, &mut store, |prefix, handle| {
-                table.insert(prefix, handle)
-            })? {
-                return Ok(JoinIndex::Paged { store, table });
-            }
-        }
-        let mut index = JoinIndex::new(key);
-        part.for_each_owned(|record| index.insert_fields(key, record.fields()))?;
-        Ok(index)
+        let (mut store, mut table) = (PagedRecords::new(), PrefixTable::new());
+        let exact = part.ingest(key, &mut store, |prefix, handle| {
+            table.insert(prefix, handle)
+        })?;
+        Ok(JoinIndex {
+            key: key.to_vec(),
+            store,
+            table,
+            exact,
+        })
     }
 
     /// The build records whose join key equals `probe`'s `probe_key` fields,
-    /// in build insertion order.  Paged matches are deserialized into
-    /// `scratch`, whose records keep their capacity from probe to probe.
+    /// in build insertion order.  Matches are deserialized into `scratch`,
+    /// whose records keep their capacity from probe to probe.
     ///
     /// Kept out of line: inlining it into the workset superstep's per-delta
     /// closure measurably slowed the long-tail supersteps.
@@ -123,41 +102,62 @@ impl JoinIndex {
         probe_key: &[usize],
         scratch: &'a mut Vec<Record>,
     ) -> &'a [Record] {
-        match self {
-            JoinIndex::Map(map) => map
-                .get(&Key::extract(probe, probe_key))
-                .map_or(&[], Vec::as_slice),
-            JoinIndex::Paged { store, table } => {
-                // Only a single `Long` can equal a single-`Long` key.
-                let &[field] = probe_key else { return &[] };
-                let Some(prefix) = long_key_prefix_of(probe, field) else {
-                    return &[];
-                };
-                let mut matched = 0;
-                for handle in table.probe(prefix) {
-                    if matched == scratch.len() {
-                        scratch.push(Record::empty());
-                    }
-                    store.view(handle).read_into(&mut scratch[matched]);
-                    matched += 1;
-                }
-                &scratch[..matched]
-            }
+        let (prefix, exact) = key_prefix_of_fields(probe.fields(), probe_key);
+        if !(exact && self.exact) {
+            return self.matches_in_place(prefix, probe, probe_key, scratch);
         }
+        // A chain of exact keys under an exact probe is its key alone.
+        let mut matched = 0;
+        for handle in self.table.probe(prefix) {
+            if matched == scratch.len() {
+                scratch.push(Record::empty());
+            }
+            self.store.view(handle).read_into(&mut scratch[matched]);
+            matched += 1;
+        }
+        &scratch[..matched]
+    }
+
+    /// [`JoinIndex::matches`] when the probe's or the index's keys are
+    /// inexact: `prefix`'s chain is filtered on the key bytes.
+    #[cold]
+    #[inline(never)]
+    fn matches_in_place<'a>(
+        &'a self,
+        prefix: u64,
+        probe: &Record,
+        probe_key: &[usize],
+        scratch: &'a mut Vec<Record>,
+    ) -> &'a [Record] {
+        if probe_key.len() != self.key.len() {
+            return &[];
+        }
+        let mut matched = 0;
+        for handle in self.table.probe(prefix) {
+            let view = self.store.view(handle);
+            if !key_matches_fields(view, &self.key, probe.fields(), probe_key) {
+                continue;
+            }
+            if matched == scratch.len() {
+                scratch.push(Record::empty());
+            }
+            view.read_into(&mut scratch[matched]);
+            matched += 1;
+        }
+        &scratch[..matched]
     }
 
     /// Whether a probe record read in place off a page can have matches:
-    /// `false` only when the paged form proves its chain empty from the key
-    /// bytes alone, so the caller skips deserializing the record.
+    /// `false` only when its key's chain is empty, so the caller skips
+    /// deserializing the record.
     #[inline]
     pub(crate) fn may_match(&self, probe: RecordView<'_>, probe_key: &[usize]) -> bool {
-        let JoinIndex::Paged { table, .. } = self else {
-            return true;
-        };
-        let &[field] = probe_key else { return false };
-        probe
-            .long_key_prefix(field)
-            .is_some_and(|prefix| table.probe(prefix).next().is_some())
+        probe_key.len() == self.key.len()
+            && self
+                .table
+                .probe(key_prefix(probe, probe_key).0)
+                .next()
+                .is_some()
     }
 }
 
@@ -250,7 +250,7 @@ mod tests {
     ) -> JoinIndex {
         let mut by_fields = JoinIndex::new(key);
         for record in build {
-            by_fields.insert_fields(key, record.fields());
+            by_fields.insert_fields(record.fields());
         }
         assert_agrees(&format!("{name}/fields"), &by_fields, build, key, probes);
 
@@ -271,13 +271,7 @@ mod tests {
         ];
         for (form, part) in partitions {
             let index = JoinIndex::from_partition(part, key).unwrap();
-            let case = format!("{name}/{form}");
-            assert_agrees(&case, &index, build, key, probes);
-            assert_eq!(
-                matches!(index, JoinIndex::Paged { .. }),
-                matches!(by_fields, JoinIndex::Paged { .. }),
-                "{case}"
-            );
+            assert_agrees(&format!("{name}/{form}"), &index, build, key, probes);
         }
 
         // A range exchange under a budget: a sorted residue plus sorted runs,
@@ -337,8 +331,7 @@ mod tests {
                 .map(|&k| Record::new(vec![Value::Long(k), Value::Null]))
                 .chain([Record::new(vec![Value::Text("3".into()), Value::Null])])
                 .collect();
-            let index = check_all_builds(&format!("long{round}"), &longs, &[0], &probes);
-            assert!(matches!(index, JoinIndex::Paged { .. }));
+            check_all_builds(&format!("long{round}"), &longs, &[0], &probes);
 
             // `Text` keys.
             let texts: Vec<Record> = (0..n)
@@ -347,8 +340,7 @@ mod tests {
             let probes: Vec<Record> = (0..7)
                 .map(|k| Record::new(vec![Value::Text(format!("k{k}")), Value::Null]))
                 .collect();
-            let index = check_all_builds(&format!("text{round}"), &texts, &[0], &probes);
-            assert!(matches!(index, JoinIndex::Map(_)));
+            check_all_builds(&format!("text{round}"), &texts, &[0], &probes);
 
             // `[Long, Long]` keys.
             let pairs: Vec<Record> = (0..n)
@@ -357,11 +349,10 @@ mod tests {
             let probes: Vec<Record> = (0..20)
                 .map(|_| Record::new(vec![long(&mut rng), long(&mut rng)]))
                 .collect();
-            let index = check_all_builds(&format!("pair{round}"), &pairs, &[0, 1], &probes);
-            assert!(matches!(index, JoinIndex::Map(_)));
+            check_all_builds(&format!("pair{round}"), &pairs, &[0, 1], &probes);
 
-            // `Long` keys, then a `Text` one that forces the migration, then
-            // `Long`s again.
+            // `Long` keys, then a `Text` one that makes the index inexact,
+            // then `Long`s again.
             let switch = n / 2 + rng.below(n / 4);
             let mixed: Vec<Record> = (0..n)
                 .map(|i| {
@@ -379,8 +370,7 @@ mod tests {
                 .chain((0..6).map(|k| Value::Text(format!("k{k}"))))
                 .map(|k| Record::new(vec![k]))
                 .collect();
-            let index = check_all_builds(&format!("migrate{round}"), &mixed, &[0], &probes);
-            assert!(matches!(index, JoinIndex::Map(_)));
+            check_all_builds(&format!("mixed{round}"), &mixed, &[0], &probes);
         }
     }
 
@@ -397,7 +387,6 @@ mod tests {
             .chain([Record::new(vec![Value::Text("3".into())])])
             .collect();
         let index = check_all_builds("legacy-long", &records, &[0], &probes);
-        assert!(matches!(index, JoinIndex::Paged { .. }));
         let expected: Vec<Record> = with_key(&records, &Value::Long(5)).collect();
         assert_eq!(
             index.matches(&Record::pair(5, -1), &[0], &mut Vec::new()),
@@ -406,26 +395,24 @@ mod tests {
     }
 
     #[test]
-    fn other_key_shapes_keep_the_map_and_agree_with_it() {
+    fn other_key_shapes_filter_their_chains_and_agree_with_the_nested_loop() {
         let text = |i: i64| Value::Text(format!("v{}", i % 5));
         let records: Vec<Record> = (0..40i64)
             .map(|i| Record::new(vec![text(i), Value::Long(i)]))
             .collect();
         let probes: Vec<Record> = (0..6).map(|i| Record::new(vec![text(i)])).collect();
-        let index = check_all_builds("legacy-text", &records, &[0], &probes);
-        assert!(matches!(index, JoinIndex::Map(_)));
-        // A composite key is a map from the first record on.
+        check_all_builds("legacy-text", &records, &[0], &probes);
+        // A composite key is inexact from the first record on.
         let pairs: Vec<Record> = (0..40i64).map(|i| Record::pair(i % 4, i % 2)).collect();
         let probes: Vec<Record> = (0..8).map(|i| Record::pair(i % 4, i / 4)).collect();
         let index = check_all_builds("legacy-pair", &pairs, &[0, 1], &probes);
-        assert!(matches!(index, JoinIndex::Map(_)));
         let mut scratch = Vec::new();
         let matched = index.matches(&Record::pair(3, 1), &[0, 1], &mut scratch);
         assert_eq!(matched.len(), 10);
     }
 
     #[test]
-    fn the_first_non_long_key_turns_a_paged_index_into_a_map_keeping_its_order() {
+    fn a_non_long_key_mid_build_keeps_every_key_in_insertion_order() {
         let mut records: Vec<Record> = (0..3000i64).map(|i| Record::pair(i % 7, i)).collect();
         records.push(Record::new(vec![Value::Text("x".into()), Value::Long(-1)]));
         records.extend((0..50i64).map(|i| Record::pair(i % 7, -i)));
@@ -434,7 +421,6 @@ mod tests {
             .chain([Value::Text("x".into())])
             .map(|key| Record::new(vec![key]))
             .collect();
-        let index = check_all_builds("legacy-migrate", &records, &[0], &probes);
-        assert!(matches!(index, JoinIndex::Map(_)));
+        check_all_builds("legacy-mixed", &records, &[0], &probes);
     }
 }

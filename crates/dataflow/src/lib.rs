@@ -101,11 +101,11 @@ pub mod prelude {
         ShipStrategy,
     };
     pub use crate::plan::{Operator, OperatorId, OperatorKind, Plan};
-    pub use crate::range::{sort_by_key_normalized, PartitionRouter, RangeBounds};
+    pub use crate::range::{PartitionRouter, RangeBounds};
     pub use crate::record::Record;
     pub use crate::spill::{
-        gc_stale_files, read_records_from, write_records_to, MemoryBudget, MergeSource, RunCursor,
-        RunMerger, SpillManager, SpillStats, SpilledRun, SpillingWriter,
+        gc_stale_files, read_records_from, write_records_to, MemoryBudget, RunCursor, RunMerger,
+        SpillManager, SpillStats, SpilledRun, SpillingWriter,
     };
     pub use crate::stats::{ExecutionStats, OperatorStats};
     pub use crate::transport::{conn_drop_hook, SharedPageChannel, TransportHandle};

@@ -19,12 +19,13 @@
 //!   partition (moved as heap objects, like a chained local forward) plus
 //!   sealed pages — shipped from peer partitions, or written locally by a
 //!   producer that emits records by reference.
-//! * [`PagedRecords`] / [`for_each_long_key_group`] — handle-addressed stores
-//!   over delivered pages, and the one kernel that groups a delivered
-//!   partition by its single-`Long` key straight off them (under the
-//!   executor's Reduce and sort-merge join and the workset driver's batch
-//!   update join alike); `LongKeyGroups` runs the same kernel over a
-//!   stream of records serialized as they arrive (a fused Reduce).
+//! * [`PagedRecords`] / [`for_each_key_group`] — handle-addressed stores
+//!   over delivered pages, and the one kernel that sorts and groups a
+//!   delivered partition by its key straight off them, whatever the key's
+//!   shape (under the executor's Reduce and sort-merge join, the sorting
+//!   spill flush and the workset driver's batch update join alike);
+//!   `KeyGroups` runs the same kernel over a stream of records serialized as
+//!   they arrive (a fused Reduce).
 //!
 //! # Wire format
 //!
@@ -53,9 +54,12 @@
 //! whether a record fits into the open page before serializing it.
 
 use crate::fault::{FaultInjector, FaultSite};
+use crate::key::{FxHasher, Key, KeyFields};
 use crate::record::Record;
-use crate::spill::{LoserTree, RunCursor, RunMerger, SpilledRun};
+use crate::spill::{RunMerger, SpilledRun};
 use crate::value::Value;
+use std::cmp::Ordering;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Default capacity of one page in bytes (the 32 KiB buffer size used by the
@@ -87,23 +91,6 @@ pub fn normalize_long(v: i64) -> [u8; 8] {
 #[inline]
 pub fn denormalize_long(bytes: [u8; 8]) -> i64 {
     (u64::from_be_bytes(bytes) ^ (1 << 63)) as i64
-}
-
-/// The normalized `Long` key prefix of a heap record's field — the same `u64`
-/// [`RecordView::long_key_prefix`] reads off a serialized record — or `None`
-/// when the field is missing or not a `Long`.
-#[inline]
-pub fn long_key_prefix_of(record: &Record, field: usize) -> Option<u64> {
-    long_key_prefix_of_fields(record.fields(), field)
-}
-
-/// [`long_key_prefix_of`] over a record given as its field slice.
-#[inline]
-pub fn long_key_prefix_of_fields(fields: &[Value], field: usize) -> Option<u64> {
-    match fields.get(field)? {
-        Value::Long(v) => Some(u64::from_be_bytes(normalize_long(*v))),
-        _ => None,
-    }
 }
 
 /// Encodes an `f64` so unsigned byte-wise comparison of the result equals
@@ -707,9 +694,9 @@ impl<'a> RecordView<'a> {
     /// key.  Because [`normalize_long`] is a bijection and
     /// [`Value`] equality on `Long`s is numeric, two records match on this
     /// `u64` **iff** their key fields are equal values: for a single-`Long`
-    /// key the prefix *is* the full key, no collision fallback needed.
-    /// `None` when the field is missing or not a `Long` (callers fall back
-    /// to the materializing path).
+    /// key the prefix *is* the full key, no collision check needed.  `None`
+    /// when the field is missing or not a `Long` (every other key shape has
+    /// a hashed prefix; see [`for_each_key_group`]).
     pub fn long_key_prefix(&self, idx: usize) -> Option<u64> {
         let offset = self.field_offset(idx)?;
         if self.payload[offset] != TAG_LONG {
@@ -759,6 +746,143 @@ fn skip_value(bytes: &[u8], offset: &mut usize) {
              emits only tags 0-4, and CRC-checked when read back from disk"
         ),
     };
+}
+
+// ---------------------------------------------------------------------------
+// Key prefixes and in-place key comparison
+// ---------------------------------------------------------------------------
+
+/// The 8-byte prefix the kernel sorts and groups a record on, and whether it
+/// is *exact*.  A key that is one `Long` field has its normalized `Long` as
+/// prefix ([`RecordView::long_key_prefix`]): order-preserving, and the whole
+/// key.  Every other key shape — composite, `Text`, `Double`, `Null`, `Bool`
+/// — has a hash of its key fields' serialized bytes, which only tells keys
+/// apart: equal keys have equal prefixes, and such keys are ordered and
+/// compared in place on their bytes ([`cmp_keys_in_place`]).
+#[inline]
+pub(crate) fn key_prefix(view: RecordView<'_>, key: &[usize]) -> (u64, bool) {
+    if let &[field] = key {
+        if let Some(prefix) = view.long_key_prefix(field) {
+            return (prefix, true);
+        }
+    }
+    (hash_key_bytes(view, key), false)
+}
+
+/// [`key_prefix`] of a record given as its field slice: the same prefix for
+/// the same key, whether a heap record or a page holds it.
+#[inline]
+pub(crate) fn key_prefix_of_fields(fields: &[Value], key: &[usize]) -> (u64, bool) {
+    if let &[field] = key {
+        if let Some(Value::Long(v)) = fields.get(field) {
+            return (u64::from_be_bytes(normalize_long(*v)), true);
+        }
+    }
+    (hash_key_values(fields, key), false)
+}
+
+/// Feeds one serialized field to `hasher`: its tag, then its payload — a
+/// `Text`'s bytes without their length frame, which is what
+/// [`hash_key_values`] has of a `&str`.
+#[inline]
+fn mix_field(hasher: &mut FxHasher, bytes: &[u8]) {
+    hasher.write_u8(bytes[0]);
+    hasher.write(&bytes[if bytes[0] == TAG_TEXT { 5 } else { 1 }..]);
+}
+
+/// The inexact prefix of a serialized record's key (see [`key_prefix`]).
+#[cold]
+#[inline(never)]
+fn hash_key_bytes(view: RecordView<'_>, key: &[usize]) -> u64 {
+    let mut hasher = FxHasher::default();
+    for bytes in key.iter().filter_map(|&field| view.field_bytes(field)) {
+        mix_field(&mut hasher, bytes);
+    }
+    hasher.finish()
+}
+
+/// [`hash_key_bytes`] of a record given as its field slice: every field is
+/// hashed as its serialized bytes.
+#[cold]
+#[inline(never)]
+fn hash_key_values(fields: &[Value], key: &[usize]) -> u64 {
+    let mut hasher = FxHasher::default();
+    let mut buf = [0u8; 9];
+    for value in key.iter().filter_map(|&field| fields.get(field)) {
+        if let Value::Text(s) = value {
+            hasher.write_u8(TAG_TEXT);
+            hasher.write(s.as_bytes());
+        } else {
+            let width = serialize_value_into(value, &mut buf);
+            mix_field(&mut hasher, &buf[..width]);
+        }
+    }
+    hasher.finish()
+}
+
+/// Orders two serialized fields exactly as [`Value`]'s `Ord` orders the
+/// values: by type tag first (the page tags are `Value`'s type tags), then
+/// `Long`s numerically and `Double`s by `total_cmp` — both encodings are
+/// order-preserving, so that is a `memcmp` of the payloads — and `Text` by
+/// its UTF-8 bytes, past the length frame.
+#[inline]
+fn cmp_field_bytes(a: &[u8], b: &[u8]) -> Ordering {
+    match a[0].cmp(&b[0]) {
+        Ordering::Equal if a[0] == TAG_TEXT => a[5..].cmp(&b[5..]),
+        Ordering::Equal => a[1..].cmp(&b[1..]),
+        unequal => unequal,
+    }
+}
+
+/// Compares key `a_key` of `a` with key `b_key` of `b` field by field, in
+/// place on the page bytes — the order [`crate::key::compare_keys`] gives
+/// the same records on the heap.  The kernel's inexact keys are ordered and
+/// grouped by it.
+#[cold]
+#[inline(never)]
+pub(crate) fn cmp_keys_in_place(
+    a: RecordView<'_>,
+    a_key: &[usize],
+    b: RecordView<'_>,
+    b_key: &[usize],
+) -> Ordering {
+    for (&fa, &fb) in a_key.iter().zip(b_key) {
+        let ord = match (a.field_bytes(fa), b.field_bytes(fb)) {
+            (Some(x), Some(y)) => cmp_field_bytes(x, y),
+            (x, y) => x.is_some().cmp(&y.is_some()),
+        };
+        if ord.is_ne() {
+            return ord;
+        }
+    }
+    Ordering::Equal
+}
+
+/// Whether key `view_key` of `view` equals key `key` of a record given as
+/// its field slice, compared on the serialized bytes (byte equality of the
+/// encodings is `Value` equality).
+#[cold]
+#[inline(never)]
+pub(crate) fn key_matches_fields(
+    view: RecordView<'_>,
+    view_key: &[usize],
+    fields: &[Value],
+    key: &[usize],
+) -> bool {
+    let mut buf = [0u8; 9];
+    view_key
+        .iter()
+        .zip(key)
+        .all(|(&vf, &f)| match (view.field_bytes(vf), fields.get(f)) {
+            (Some(bytes), Some(Value::Text(s))) => {
+                bytes[0] == TAG_TEXT && bytes[5..] == *s.as_bytes()
+            }
+            (Some(bytes), Some(value)) => {
+                let width = serialize_value_into(value, &mut buf);
+                *bytes == buf[..width]
+            }
+            (x, y) => x.is_none() && y.is_none(),
+        })
 }
 
 // ---------------------------------------------------------------------------
@@ -845,24 +969,12 @@ impl PagedRecords {
     }
 
     /// Adopts a sealed page by pointer — the zero-copy ingest of everything
-    /// an exchange delivered serialized.  Seals the open page first so
-    /// previously returned handles keep addressing it.
-    pub fn adopt_page(&mut self, page: Arc<RecordPage>) {
-        if page.is_empty() {
-            return;
-        }
-        self.seal_open();
-        self.count += page.record_count();
-        self.byte_len += page.byte_len();
-        self.pages.push(page);
-    }
-
-    /// Adopts a sealed page and visits each of its records with the handle
-    /// it is now addressable by — the ingest loop of page-native operator
-    /// builds.  `f` returns whether to keep scanning; an aborted scan (a
-    /// record that disqualifies the page-native path, e.g. a non-`Long` key
-    /// field) still completes the adoption and returns `false`, and the
-    /// caller discards the store.
+    /// an exchange delivered serialized — and visits each of its records
+    /// with the handle it is now addressable by: the ingest loop of
+    /// page-native operator builds.  Seals the open page first so previously
+    /// returned handles keep addressing it.  `f` returns whether to keep
+    /// scanning; an aborted scan still completes the adoption and returns
+    /// `false`.
     pub fn adopt_page_scanned(
         &mut self,
         page: &Arc<RecordPage>,
@@ -964,44 +1076,15 @@ impl PagedRecords {
         self.pages.push(Arc::new(RecordPage { buf, records }));
     }
 
-    /// The view of the record at `handle`.
-    #[inline]
+    /// The view of the record at `handle`.  Always inlined: it sits in the
+    /// per-record loops of every page-native grouping, probe and merge.
+    #[inline(always)]
     pub fn view(&self, handle: PageHandle) -> RecordView<'_> {
         let page = handle.page as usize;
         if page == self.pages.len() {
             view_in(&self.buf, handle.offset as usize)
         } else {
             self.pages[page].view_at(handle.offset as usize)
-        }
-    }
-
-    /// Visits every record in insertion order with its handle.
-    pub fn for_each_handle(&self, mut f: impl FnMut(PageHandle, RecordView<'_>)) {
-        for (idx, page) in self.pages.iter().enumerate() {
-            let mut reader = page.reader();
-            loop {
-                let offset = reader.next_offset();
-                let Some(view) = reader.next() else { break };
-                f(
-                    PageHandle {
-                        page: idx as u32,
-                        offset: offset as u32,
-                    },
-                    view,
-                );
-            }
-        }
-        let mut offset = 0;
-        for _ in 0..self.buf_records {
-            let view = view_in(&self.buf, offset);
-            f(
-                PageHandle {
-                    page: self.pages.len() as u32,
-                    offset: offset as u32,
-                },
-                view,
-            );
-            offset += view.framed_len();
         }
     }
 
@@ -1019,10 +1102,11 @@ impl PagedRecords {
 /// (vector doublings), not `n`; [`PrefixTable::clear`] retains capacity so a
 /// steady-state superstep reusing a table allocates nothing.
 ///
-/// For a single-`Long` key the prefix is the **complete** key (the
-/// normalized encoding is a bijection and byte equality is `Value`
-/// equality), so probes need no collision fallback; composite keys byte-
-/// compare the remaining key fields via [`RecordView::field_bytes`].
+/// The table compares prefixes only.  For a single-`Long` key the prefix is
+/// the **complete** key (the normalized encoding is a bijection), so a chain
+/// holds exactly the key's records; under any other key shape's hashed
+/// prefix (see [`for_each_key_group`]) a chain may mix keys, and the caller filters it on
+/// the key bytes, as [`crate::join_index::JoinIndex`] does.
 #[derive(Debug, Default)]
 pub struct PrefixTable {
     /// Per prefix: index of the first and last entry of its chain.
@@ -1049,12 +1133,6 @@ impl PrefixTable {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Number of distinct prefixes.
-    #[inline]
-    pub fn distinct_keys(&self) -> usize {
-        self.heads.len()
     }
 
     /// Forgets all entries but keeps the allocated capacity.
@@ -1087,15 +1165,6 @@ impl PrefixTable {
             entries: &self.entries,
             next: self.heads.get(&prefix).map_or(CHAIN_END, |&(head, _)| head),
         }
-    }
-
-    /// Collects the distinct prefixes into `out` (cleared first) in
-    /// ascending unsigned order — which **is** the key order, because the
-    /// normalized encoding is order-preserving.
-    pub fn sorted_prefixes(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(self.heads.keys().copied());
-        out.sort_unstable();
     }
 }
 
@@ -1416,24 +1485,6 @@ impl ExchangedPartition {
         self.sorted_by.is_some() && !self.runs.is_empty()
     }
 
-    /// The streaming k-way merge over this sorted partition's pieces (the
-    /// in-memory sorted records, then the spilled runs), yielding the global
-    /// key order one record at a time, ties in delivery order.  Fails with
-    /// the underlying I/O error when a spilled run cannot be opened, and
-    /// with [`std::io::ErrorKind::InvalidInput`] when the partition is not
-    /// sorted or holds raw pages (sorted partitions never do: receiving a
-    /// page voids the order).
-    pub fn into_merger(self) -> std::io::Result<RunMerger> {
-        let invalid = |what| std::io::Error::new(std::io::ErrorKind::InvalidInput, what);
-        let Some(key) = self.sorted_by else {
-            return Err(invalid("into_merger needs a sorted partition"));
-        };
-        if !self.pages.is_empty() {
-            return Err(invalid("into_merger needs a partition without raw pages"));
-        }
-        RunMerger::over_runs(&self.runs, self.local.into_vec(), key)
-    }
-
     /// The records that never left this partition (heap objects).
     pub fn local_records(&self) -> &[Record] {
         &self.local
@@ -1450,50 +1501,45 @@ impl ExchangedPartition {
     }
 
     /// Ingests the partition into the handle-addressed `store`, reporting
-    /// every record's `(key prefix, handle)` in delivery order (local
-    /// records, then pages, then spilled runs — the order the materializing
-    /// accessors visit).  Local records are serialized once; pages are
-    /// adopted by pointer; spilled runs are revived as pages (a read per
-    /// page, no per-record work).  Returns `Ok(false)` as soon as a record's
-    /// `key_field` is not a `Long` — the caller discards the store and falls
-    /// back to materializing — and a typed I/O error when a run cannot be
-    /// read (falling back would only hit the same error again, unpaged).
-    pub fn ingest_long_keyed(
+    /// every record's `(key prefix, handle)` ([`key_prefix`]) in delivery
+    /// order (local records, then pages, then spilled runs — the order the
+    /// materializing accessors visit).  Local records are serialized once;
+    /// pages are adopted by pointer; spilled runs are revived as pages (a
+    /// read per page, no per-record work).  Returns whether every prefix is
+    /// exact, and a typed I/O error when a run cannot be read.
+    pub(crate) fn ingest(
         &self,
-        key_field: usize,
+        key: &[usize],
         store: &mut PagedRecords,
         mut on_record: impl FnMut(u64, PageHandle),
     ) -> std::io::Result<bool> {
-        if !self.ingest_residue_long_keyed(key_field, store, &mut on_record) {
-            return Ok(false);
-        }
+        let mut exact = self.ingest_residue(key, store, &mut on_record);
         for run in &self.runs {
             for page in &run.read_pages()? {
-                if !scan_long_keyed(page, key_field, store, &mut on_record) {
-                    return Ok(false);
-                }
+                exact &= scan_keyed(page, key, store, &mut on_record);
             }
         }
-        Ok(true)
+        Ok(exact)
     }
 
-    /// [`ExchangedPartition::ingest_long_keyed`] of the in-memory residue
-    /// alone — local records, then pages — leaving the runs on disk.
-    fn ingest_residue_long_keyed(
+    /// [`ExchangedPartition::ingest`] of the in-memory residue alone — local
+    /// records, then pages — leaving the runs on disk.
+    fn ingest_residue(
         &self,
-        key_field: usize,
+        key: &[usize],
         store: &mut PagedRecords,
         on_record: &mut impl FnMut(u64, PageHandle),
     ) -> bool {
+        let mut exact = true;
         for record in self.local.iter() {
-            let Some(prefix) = long_key_prefix_of(record, key_field) else {
-                return false;
-            };
+            let (prefix, is_exact) = key_prefix_of_fields(record.fields(), key);
             on_record(prefix, store.append(record));
+            exact &= is_exact;
         }
-        self.pages
-            .iter()
-            .all(|page| scan_long_keyed(page, key_field, store, on_record))
+        for page in &self.pages {
+            exact &= scan_keyed(page, key, store, on_record);
+        }
+        exact
     }
 
     /// The spill-read fault gate of a local phase: consults `fault` once
@@ -1564,7 +1610,10 @@ impl ExchangedPartition {
     /// error when a spilled run cannot be read.
     pub fn for_each_owned(self, mut f: impl FnMut(Record)) -> std::io::Result<()> {
         if self.is_sorted_merge() {
-            let mut merger = self.into_merger()?;
+            // A sorted partition holds no raw pages: receiving one voids the
+            // order.
+            let key = self.sorted_by.unwrap_or_default();
+            let mut merger = RunMerger::over_runs(&self.runs, self.local.into_vec(), key)?;
             while let Some(record) = merger.next_record()? {
                 f(record);
             }
@@ -1600,7 +1649,7 @@ impl ExchangedPartition {
 
     /// Splits the partition into its in-memory records (local moved, pages
     /// materialized, in arrival order) and its spilled runs — the shape the
-    /// range exchange sorts: memory gets the memcmp sort, runs are already
+    /// range exchange sorts: memory gets the stable sort, runs are already
     /// sorted on disk.
     pub fn into_mem_and_runs(self) -> (Vec<Record>, Vec<SpilledRun>) {
         let mut records = self.local.into_vec();
@@ -1621,30 +1670,31 @@ impl ExchangedPartition {
 }
 
 /// Adopts `page` into `store`, reporting every record's `(key prefix,
-/// handle)`; `false` at the first record whose `key_field` is not a `Long`.
-fn scan_long_keyed(
+/// handle)`; returns whether every prefix is exact.
+fn scan_keyed(
     page: &Arc<RecordPage>,
-    key_field: usize,
+    key: &[usize],
     store: &mut PagedRecords,
     on_record: &mut impl FnMut(u64, PageHandle),
 ) -> bool {
-    store.adopt_page_scanned(page, |handle, view| match view.long_key_prefix(key_field) {
-        Some(prefix) => {
-            on_record(prefix, handle);
-            true
-        }
-        None => false,
-    })
+    let mut exact = true;
+    store.adopt_page_scanned(page, |handle, view| {
+        let (prefix, is_exact) = key_prefix(view, key);
+        on_record(prefix, handle);
+        exact &= is_exact;
+        true
+    });
+    exact
 }
 
 // ---------------------------------------------------------------------------
-// Grouping a paged partition by its single-`Long` key
+// Sorting and grouping a paged partition by its key
 // ---------------------------------------------------------------------------
 
-/// The reusable buffers of [`for_each_long_key_group`]: the `(key prefix,
-/// handle)` pairs, the radix pass's second pair buffer, and the records one
-/// key group is read into.  All keep their capacity across calls, so a
-/// steady-state superstep groups without allocating.
+/// The reusable buffers of [`for_each_key_group`]: the `(key prefix, handle)`
+/// pairs, the radix pass's second pair buffer, and the records one key group
+/// is read into.  All keep their capacity across calls, so a steady-state
+/// superstep groups without allocating.
 #[derive(Debug, Default)]
 pub struct GroupScratch {
     pairs: Vec<(u64, PageHandle)>,
@@ -1652,46 +1702,134 @@ pub struct GroupScratch {
     group: Vec<Record>,
 }
 
-/// Sorts a paged partition by its single-`Long` key without materializing
-/// it: the partition is ingested into a handle-addressed store and `pairs`
-/// receives one `(normalized key prefix, handle)` per record, sorted.
-/// Normalization is order-preserving and, for a single-`Long` key, the
-/// prefix *is* the full key; ties keep their insertion position (the handle
-/// order), so the result is exactly the stable record sort of the
-/// materializing paths — on 16-byte items instead of heap records.
-///
-/// Returns `Ok(None)` — the "disqualified, fall back" signal — for a
-/// composite key or a key field that is not a `Long` on every record; the
-/// partition is untouched.
-pub fn sort_by_long_key(
-    part: &ExchangedPartition,
-    key: &[usize],
-    pairs: &mut Vec<(u64, PageHandle)>,
-) -> std::io::Result<Option<PagedRecords>> {
-    sort_by_long_key_with(part, key, pairs, &mut Vec::new())
+/// A paged partition sorted on its key: the records sit in a handle store,
+/// the order is the caller's `(key prefix, handle)` pairs.  `exact` tells
+/// that every key is one `Long` field, whose prefix orders and cuts the
+/// groups by itself; otherwise keys are compared in place on their bytes.
+#[derive(Debug)]
+pub(crate) struct KeySorted<'k> {
+    store: PagedRecords,
+    key: &'k [usize],
+    exact: bool,
 }
 
-/// [`sort_by_long_key`] with the radix pass's second buffer supplied by the
-/// caller, who keeps it from call to call.
-pub(crate) fn sort_by_long_key_with(
+/// Sorts a delivered partition on `key` without materializing it: the
+/// partition is ingested into a handle-addressed store and `pairs` receives
+/// one `(key prefix, handle)` per record, sorted.  Ties keep their insertion
+/// position (the handle order), so the result is exactly the stable record
+/// sort of [`crate::key::sort_by_key`] — on 16-byte items instead of heap
+/// records, whatever the key's shape.
+pub(crate) fn sort_on_key<'k>(
     part: &ExchangedPartition,
-    key: &[usize],
+    key: &'k [usize],
     pairs: &mut Vec<(u64, PageHandle)>,
     radix: &mut Vec<(u64, PageHandle)>,
-) -> std::io::Result<Option<PagedRecords>> {
-    let &[field] = key else {
-        return Ok(None);
-    };
+) -> std::io::Result<KeySorted<'k>> {
     pairs.clear();
     pairs.reserve(part.record_count());
     let mut store = PagedRecords::new();
-    if !part.ingest_long_keyed(field, &mut store, |prefix, handle| {
+    let exact = part.ingest(key, &mut store, |prefix, handle| {
         pairs.push((prefix, handle))
-    })? {
-        return Ok(None);
+    })?;
+    sort_pairs(pairs, radix, &store, key, exact);
+    Ok(KeySorted { store, key, exact })
+}
+
+impl KeySorted<'_> {
+    /// The record at `handle`.
+    #[inline]
+    pub(crate) fn view(&self, handle: PageHandle) -> RecordView<'_> {
+        self.store.view(handle)
     }
-    sort_pairs_by_prefix(pairs, radix);
-    Ok(Some(store))
+
+    /// Length of the key group at the front of the sorted `pairs` (0 when
+    /// empty).
+    pub(crate) fn group_len(&self, pairs: &[(u64, PageHandle)]) -> usize {
+        let Some(&(prefix, _)) = pairs.first() else {
+            return 0;
+        };
+        if !self.exact {
+            return self.group_len_in_place(pairs);
+        }
+        pairs.iter().take_while(|pair| pair.0 == prefix).count()
+    }
+
+    /// [`KeySorted::group_len`] of inexact keys: equal keys have equal
+    /// prefixes, and the key bytes settle what the prefix cannot.
+    #[cold]
+    #[inline(never)]
+    fn group_len_in_place(&self, pairs: &[(u64, PageHandle)]) -> usize {
+        let (prefix, first) = pairs[0];
+        let first = self.view(first);
+        pairs
+            .iter()
+            .take_while(|&&(p, handle)| {
+                p == prefix
+                    && cmp_keys_in_place(first, self.key, self.view(handle), self.key).is_eq()
+            })
+            .count()
+    }
+
+    /// Reads the key group at the front of the sorted `pairs` into the
+    /// reusable `group` buffer (records beyond the group keep their warm
+    /// capacity for the next one) and returns the group's records and the
+    /// pairs after it.  `pairs` must not be empty.
+    pub(crate) fn next_group<'p, 'g>(
+        &self,
+        pairs: &'p [(u64, PageHandle)],
+        group: &'g mut Vec<Record>,
+    ) -> (&'g [Record], &'p [(u64, PageHandle)]) {
+        let len = self.group_len(pairs);
+        if group.len() < len {
+            group.resize_with(len, Record::empty);
+        }
+        for (slot, &(_, handle)) in group.iter_mut().zip(&pairs[..len]) {
+            self.store.view(handle).read_into(slot);
+        }
+        (&group[..len], &pairs[len..])
+    }
+
+    /// Orders the key of pair `a` of this partition against the key of pair
+    /// `b` of `other`: on the prefixes when both partitions are exact, in
+    /// place otherwise.
+    pub(crate) fn cmp_keys(
+        &self,
+        a: &(u64, PageHandle),
+        other: &KeySorted<'_>,
+        b: &(u64, PageHandle),
+    ) -> Ordering {
+        if self.exact && other.exact {
+            return a.0.cmp(&b.0);
+        }
+        cmp_keys_in_place(self.view(a.1), self.key, other.view(b.1), other.key)
+    }
+}
+
+/// Sorts `pairs` on the key: exact prefixes by the radix pass, inexact ones
+/// by comparing the keys in place.  Either sort is stable (ties keep handle
+/// order).
+fn sort_pairs(
+    pairs: &mut Vec<(u64, PageHandle)>,
+    radix: &mut Vec<(u64, PageHandle)>,
+    store: &PagedRecords,
+    key: &[usize],
+    exact: bool,
+) {
+    if exact {
+        sort_pairs_by_prefix(pairs, radix);
+    } else {
+        sort_pairs_in_place(pairs, store, key);
+    }
+}
+
+/// The comparison sort of inexact keys: in place on the page bytes, ties in
+/// handle order.
+#[cold]
+#[inline(never)]
+fn sort_pairs_in_place(pairs: &mut [(u64, PageHandle)], store: &PagedRecords, key: &[usize]) {
+    pairs.sort_unstable_by(|a, b| {
+        cmp_keys_in_place(store.view(a.1), key, store.view(b.1), key).then(a.1.cmp(&b.1))
+    });
 }
 
 /// Below this many pairs the comparison sort wins: a radix pass costs a
@@ -1747,171 +1885,81 @@ fn sort_pairs_by_prefix(pairs: &mut Vec<(u64, PageHandle)>, scratch: &mut Vec<(u
     }
 }
 
-/// Length of the key group at the front of the sorted `pairs` (0 when empty).
-pub fn long_key_group_len(pairs: &[(u64, PageHandle)]) -> usize {
-    let Some(&(prefix, _)) = pairs.first() else {
-        return 0;
-    };
-    pairs.iter().take_while(|pair| pair.0 == prefix).count()
-}
-
-/// Reads the key group at the front of the sorted `pairs` into the reusable
-/// `group` buffer (records beyond the group keep their warm capacity for the
-/// next one) and returns the group's key, its records and the pairs after
-/// it.  `pairs` must not be empty.
-pub fn next_long_key_group<'p, 'g>(
-    store: &PagedRecords,
-    pairs: &'p [(u64, PageHandle)],
-    group: &'g mut Vec<Record>,
-) -> (i64, &'g [Record], &'p [(u64, PageHandle)]) {
-    let len = long_key_group_len(pairs);
-    if group.len() < len {
-        group.resize_with(len, Record::empty);
-    }
-    for (slot, &(_, handle)) in group.iter_mut().zip(&pairs[..len]) {
-        store.view(handle).read_into(slot);
-    }
-    (
-        denormalize_long(pairs[0].0.to_be_bytes()),
-        &group[..len],
-        &pairs[len..],
-    )
-}
-
-/// Groups a paged partition by its single-`Long` key: `on_group` runs once
-/// per distinct key, in key order, with the key's records in delivery order
-/// (local records, pages, then the spilled runs in order) — the stable sort
-/// of the partition, and so identical to both the hash-table and the
-/// sort-based materializing groupings, [`RunMerger`]'s included.  Only the
-/// current group exists as heap records.
+/// Groups a paged partition by its key, whatever the key's shape: `on_group`
+/// runs once per distinct key, in key order, with the key and the key's
+/// records in delivery order (local records, pages, then the spilled runs in
+/// order) — the stable sort of the partition, and so identical to the
+/// materializing oracle's sort and cut.  Only the current group exists as
+/// heap records.
 ///
-/// Spilled runs sorted on the key ([`SpilledRun::sorted_by_long_key`], what
-/// a sorting spill flush writes) stay on disk: when every run of the
-/// partition is one, the in-memory residue is radix-sorted and merged with
-/// the runs on a loser tree over key prefixes, each run read one frame at a
-/// time into a reused buffer — the residue plus one frame per run is in
-/// memory, as under [`RunMerger`], and no record is built for a run record
-/// outside the group being handed out.  Any other run is revived as pages
-/// and sorted with the residue.
+/// The kernel works on 16-byte `(key prefix, handle)` pairs.  A key that is
+/// one `Long` field has its normalized value as prefix — exact and
+/// order-preserving — so an all-`Long` partition is radix-sorted, cut and
+/// merged on prefixes alone.  Any other key's prefix is a hash of its key
+/// bytes, which only tells keys apart; such keys are ordered and compared in
+/// place on the page bytes, by type tag, then numerically (`Long`),
+/// `total_cmp` (`Double`) or bytewise (`Text`) — `Value`'s own order.
 ///
-/// Returns `Ok(false)` without having invoked `on_group` when the key
-/// disqualifies the paged path (see [`sort_by_long_key`]); the caller falls
-/// back.  Callers consult the spill-read fault gate
+/// Spilled runs sorted on the key (what a sorting spill flush writes) stay
+/// on disk: when every run of the partition is one, the in-memory residue
+/// is sorted and merged with the runs by [`RunMerger`], each run read one
+/// frame at a time into a reused buffer — the residue plus one frame per
+/// run is in memory, and no record is built for a run record outside the
+/// group being handed out.  Any other run is revived as pages and sorted
+/// with the residue.
+///
+/// Callers consult the spill-read fault gate
 /// ([`ExchangedPartition::check_spill_read`]) before calling.
-pub fn for_each_long_key_group(
+pub fn for_each_key_group(
     part: &ExchangedPartition,
     key: &[usize],
     scratch: &mut GroupScratch,
-    mut on_group: impl FnMut(i64, &[Record]),
-) -> std::io::Result<bool> {
-    if let &[field] = key {
-        if !part.runs.is_empty() && part.runs.iter().all(|run| run.sorted_by() == Some(key)) {
-            return merge_long_key_groups(part, field, scratch, &mut on_group);
-        }
+    mut on_group: impl FnMut(&Key, &[Record]),
+) -> std::io::Result<()> {
+    if !part.runs.is_empty() && part.spilled_runs_sorted_by(key) {
+        return merge_key_groups(part, key, scratch, &mut on_group);
     }
     let GroupScratch {
         pairs,
         radix,
         group,
     } = scratch;
-    let Some(store) = sort_by_long_key_with(part, key, pairs, radix)? else {
-        return Ok(false);
-    };
-    for_each_sorted_group(&store, pairs, group, on_group);
-    Ok(true)
+    let sorted = sort_on_key(part, key, pairs, radix)?;
+    for_each_sorted_group(&sorted, pairs, group, on_group);
+    Ok(())
 }
 
-/// The group loop of the single-`Long` kernel: hands every key group of the
-/// sorted `pairs` to `on_group`, in key order, read through the reusable
-/// `group` buffer.  [`for_each_long_key_group`] and [`LongKeyGroups`] both
-/// end here.
+/// The group loop of the kernel: hands every key group of the sorted `pairs`
+/// to `on_group`, in key order, read through the reusable `group` buffer.
+/// [`for_each_key_group`] and [`KeyGroups`] both end here.
 fn for_each_sorted_group(
-    store: &PagedRecords,
+    sorted: &KeySorted<'_>,
     pairs: &[(u64, PageHandle)],
     group: &mut Vec<Record>,
-    mut on_group: impl FnMut(i64, &[Record]),
+    mut on_group: impl FnMut(&Key, &[Record]),
 ) {
     let mut rest = pairs;
     while !rest.is_empty() {
-        let (group_key, records, after) = next_long_key_group(store, rest, group);
-        on_group(group_key, records);
+        let (records, after) = sorted.next_group(rest, group);
+        on_group(&Key::extract(&records[0], sorted.key), records);
         rest = after;
     }
 }
 
-/// A stream of records grouped by one `Long` key field at its end — the
-/// state of a streamed Reduce.  Every record is serialized into a
-/// handle-addressed store as it arrives (one given as its fields never
-/// becomes a heap record), and the end of stream runs the kernel of
-/// [`for_each_long_key_group`]: the radix sort of `(key prefix, handle)`
-/// pairs, whose ties keep arrival order, and the same group loop.
-#[derive(Debug)]
-pub(crate) struct LongKeyGroups {
-    field: usize,
-    store: PagedRecords,
-    scratch: GroupScratch,
-}
-
-impl LongKeyGroups {
-    /// An empty grouping on key field `field`.
-    pub(crate) fn new(field: usize) -> LongKeyGroups {
-        LongKeyGroups {
-            field,
-            store: PagedRecords::new(),
-            scratch: GroupScratch::default(),
-        }
-    }
-
-    /// Appends one record given as its fields, after every record appended
-    /// before it.  Returns `false`, appending nothing, when its key field is
-    /// not a `Long`: the caller moves to a grouping of records.
-    #[inline]
-    pub(crate) fn append_fields(&mut self, fields: &[Value]) -> bool {
-        let Some(prefix) = long_key_prefix_of_fields(fields, self.field) else {
-            return false;
-        };
-        let handle = self.store.append_fields(fields);
-        self.scratch.pairs.push((prefix, handle));
-        true
-    }
-
-    /// Calls `f` with every appended record as a heap record, in arrival
-    /// order — the hand-over to a record grouping.
-    pub(crate) fn for_each_record(self, mut f: impl FnMut(Record)) {
-        self.store.for_each_handle(|_, view| f(view.materialize()));
-    }
-
-    /// End of stream: `on_group` runs once per distinct key, in key order,
-    /// with the key's records in arrival order.
-    pub(crate) fn for_each_group(mut self, on_group: impl FnMut(i64, &[Record])) {
-        let GroupScratch {
-            pairs,
-            radix,
-            group,
-        } = &mut self.scratch;
-        sort_pairs_by_prefix(pairs, radix);
-        for_each_sorted_group(&self.store, pairs, group, on_group);
-    }
-}
-
-/// The streaming merge of [`for_each_long_key_group`], over a partition
-/// whose runs are all sorted on the key.  Source 0 is the radix-sorted
-/// residue and source `i` is run `i − 1`; ties go to the lower source, which
-/// is delivery order.  Out of line and cold: the unspilled grouping loop
-/// that calls it must stay small.
+/// The streaming merge of [`for_each_key_group`], over a partition whose
+/// runs are all sorted on the key: the sorted residue and the runs go
+/// through [`RunMerger`], whose ties go to the residue, then the runs in
+/// order — delivery order.  A group ends at the first record whose prefix,
+/// exactness or (inexact) key bytes differ from its first record's.  Out of
+/// line and cold: the unspilled grouping loop that calls it must stay small.
 #[cold]
 #[inline(never)]
-fn merge_long_key_groups(
+fn merge_key_groups(
     part: &ExchangedPartition,
-    field: usize,
+    key: &[usize],
     scratch: &mut GroupScratch,
-    on_group: &mut dyn FnMut(i64, &[Record]),
-) -> std::io::Result<bool> {
-    // A run sorted on the key without being `Long`-keyed holds a record
-    // whose key is something else.
-    if !part.runs.iter().all(|run| run.sorted_by_long_key(field)) {
-        return Ok(false);
-    }
+    on_group: &mut dyn FnMut(&Key, &[Record]),
+) -> std::io::Result<()> {
     let GroupScratch {
         pairs,
         radix,
@@ -1920,68 +1968,98 @@ fn merge_long_key_groups(
     pairs.clear();
     pairs.reserve(part.local.len() + part.pages.iter().map(|p| p.record_count()).sum::<usize>());
     let mut store = PagedRecords::new();
-    if !part.ingest_residue_long_keyed(field, &mut store, &mut |prefix, handle| {
+    let exact = part.ingest_residue(key, &mut store, &mut |prefix, handle| {
         pairs.push((prefix, handle))
-    }) {
-        return Ok(false);
-    }
-    sort_pairs_by_prefix(pairs, radix);
-
-    let mut cursors = part
-        .runs
-        .iter()
-        .map(SpilledRun::cursor)
-        .collect::<std::io::Result<Vec<RunCursor>>>()?;
-    let mut heads: Vec<Option<u64>> = Vec::with_capacity(cursors.len() + 1);
-    heads.push(pairs.first().map(|pair| pair.0));
-    for cursor in &mut cursors {
-        heads.push(run_head(cursor, field)?);
-    }
-    let beats = |heads: &[Option<u64>], a: usize, b: usize| match (heads[a], heads[b]) {
-        (Some(x), Some(y)) => (x, a) < (y, b),
-        (x, y) => x.is_some() && y.is_none(),
-    };
-    let mut tree = LoserTree::new(heads.len(), |a, b| beats(&heads, a, b));
-    let mut residue = 0;
-    while let Some(prefix) = heads[tree.winner()] {
+    });
+    sort_pairs(pairs, radix, &store, key, exact);
+    let mut merger = RunMerger::over_sorted(
+        store,
+        std::mem::take(pairs),
+        exact,
+        &part.runs,
+        key.to_vec(),
+    )?;
+    while let Some((prefix, exact)) = merger.head() {
         let mut len = 0;
         loop {
-            let source = tree.winner();
-            if heads[source] != Some(prefix) {
-                break;
-            }
             if len == group.len() {
                 group.push(Record::empty());
             }
-            if source == 0 {
-                store.view(pairs[residue].1).read_into(&mut group[len]);
-                residue += 1;
-                heads[0] = pairs.get(residue).map(|pair| pair.0);
-            } else {
-                let cursor = &mut cursors[source - 1];
-                cursor.view().read_into(&mut group[len]);
-                heads[source] = run_head(cursor, field)?;
-            }
+            merger.view().read_into(&mut group[len]);
             len += 1;
-            tree.replay(source, |a, b| beats(&heads, a, b));
+            merger.advance()?;
+            match merger.head() {
+                Some((next, next_exact))
+                    if next == prefix
+                        && next_exact == exact
+                        && (exact
+                            || key_matches_fields(merger.view(), key, group[0].fields(), key)) => {}
+                _ => break,
+            }
         }
-        on_group(denormalize_long(prefix.to_be_bytes()), &group[..len]);
+        on_group(&Key::extract(&group[0], key), &group[..len]);
     }
-    Ok(true)
+    *pairs = merger.into_pairs();
+    Ok(())
 }
 
-/// Steps `cursor` to its next record and returns that record's key prefix,
-/// `None` at the end of the run.
-fn run_head(cursor: &mut RunCursor, field: usize) -> std::io::Result<Option<u64>> {
-    if !cursor.step()? {
-        return Ok(None);
+/// A stream of records grouped by a key at its end — the state of a
+/// streamed Reduce.  Every record is serialized into a handle-addressed
+/// store as it arrives (one given as its fields never becomes a heap
+/// record), and the end of stream runs the kernel of [`for_each_key_group`]:
+/// the sort of `(key prefix, handle)` pairs, whose ties keep arrival order,
+/// and the same group loop.
+#[derive(Debug)]
+pub(crate) struct KeyGroups {
+    key: KeyFields,
+    store: PagedRecords,
+    scratch: GroupScratch,
+    /// Every key so far is one `Long` field.
+    exact: bool,
+}
+
+impl KeyGroups {
+    /// An empty grouping on `key`.
+    pub(crate) fn new(key: KeyFields) -> KeyGroups {
+        KeyGroups {
+            key,
+            store: PagedRecords::new(),
+            scratch: GroupScratch::default(),
+            exact: true,
+        }
     }
-    match cursor.view().long_key_prefix(field) {
-        Some(prefix) => Ok(Some(prefix)),
-        None => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "a run sorted on a Long key holds a record whose key is not a Long",
-        )),
+
+    /// Appends one record given as its fields, after every record appended
+    /// before it.
+    #[inline]
+    pub(crate) fn append_fields(&mut self, fields: &[Value]) {
+        let (prefix, exact) = key_prefix_of_fields(fields, &self.key);
+        let handle = self.store.append_fields(fields);
+        self.scratch.pairs.push((prefix, handle));
+        self.exact &= exact;
+    }
+
+    /// End of stream: `on_group` runs once per distinct key, in key order,
+    /// with the key's records in arrival order.
+    pub(crate) fn for_each_group(self, on_group: impl FnMut(&Key, &[Record])) {
+        let KeyGroups {
+            key,
+            store,
+            scratch:
+                GroupScratch {
+                    mut pairs,
+                    mut radix,
+                    mut group,
+                },
+            exact,
+        } = self;
+        sort_pairs(&mut pairs, &mut radix, &store, &key, exact);
+        let sorted = KeySorted {
+            store,
+            key: &key,
+            exact,
+        };
+        for_each_sorted_group(&sorted, &pairs, &mut group, on_group);
     }
 }
 
@@ -2281,7 +2359,7 @@ mod tests {
         let mut writer = PageWriter::new();
         writer.push(&Record::pair(100, 200));
         for page in writer.finish() {
-            store.adopt_page(page);
+            assert!(store.adopt_page_scanned(&page, |_, _| true));
         }
         expected.push(Record::pair(100, 200));
         // Page-to-page copy of a serialized view.
@@ -2297,12 +2375,12 @@ mod tests {
         {
             assert_eq!(&store.view(*h).materialize(), r);
         }
-        // for_each_handle visits insertion order and agrees with view().
-        let mut seen = Vec::new();
-        store.for_each_handle(|h, v| {
-            assert_eq!(store.view(h).payload(), v.payload());
-            seen.push(v.materialize());
-        });
+        // The pages hold the records in insertion order.
+        let seen: Vec<Record> = store
+            .into_pages()
+            .iter()
+            .flat_map(|page| page.reader().map(|view| view.materialize()))
+            .collect();
         assert_eq!(seen, expected);
     }
 
@@ -2316,7 +2394,6 @@ mod tests {
             table.insert(prefix, h);
         }
         assert_eq!(table.len(), 5);
-        assert_eq!(table.distinct_keys(), 2);
         let prefix7 = u64::from_be_bytes(normalize_long(7));
         let vals: Vec<i64> = table
             .probe(prefix7)
@@ -2327,14 +2404,6 @@ mod tests {
             table.probe(u64::from_be_bytes(normalize_long(99))).count(),
             0
         );
-        // Sorted prefixes come back in key order.
-        let mut prefixes = Vec::new();
-        table.sorted_prefixes(&mut prefixes);
-        let keys: Vec<i64> = prefixes
-            .iter()
-            .map(|p| denormalize_long(p.to_be_bytes()))
-            .collect();
-        assert_eq!(keys, vec![3, 7]);
         table.clear();
         assert!(table.is_empty());
         assert_eq!(table.probe(prefix7).count(), 0);
@@ -2403,58 +2472,8 @@ mod tests {
         assert_eq!(reread[3], Record::pair(3, -3));
     }
 
-    #[test]
-    fn long_key_grouping_groups_in_key_order_or_signals_the_fallback() {
-        // Local records plus shipped pages, one key field each way.
-        let mut writer = PageWriter::with_page_bytes(64);
-        for i in 0..40i64 {
-            writer.push(&Record::pair(i % 5 - 2, i));
-        }
-        let part = ExchangedPartition::new(
-            vec![Record::pair(1, -1), Record::pair(-2, -2)],
-            writer.finish(),
-        );
-        let mut scratch = GroupScratch::default();
-        let mut groups: Vec<(i64, Vec<i64>)> = Vec::new();
-        let grouped = for_each_long_key_group(&part, &[0], &mut scratch, |key, g| {
-            groups.push((key, g.iter().map(|r| r.long(1)).collect()))
-        })
-        .unwrap();
-        assert!(grouped);
-        // Key order, and delivery order (local first) inside each group.
-        assert_eq!(
-            groups.iter().map(|g| g.0).collect::<Vec<_>>(),
-            vec![-2, -1, 0, 1, 2]
-        );
-        assert_eq!(groups[0].1, vec![-2, 0, 5, 10, 15, 20, 25, 30, 35]);
-        assert_eq!(groups[3].1[..3], [-1, 3, 8]);
-
-        // A composite key and a non-`Long` key field both return the
-        // fallback signal without having invoked the callback — even when
-        // the offending record is the very last one ingested.
-        let mut invoked = false;
-        assert!(
-            !for_each_long_key_group(&part, &[0, 1], &mut scratch, |_, _| { invoked = true })
-                .unwrap()
-        );
-        let mut writer = PageWriter::new();
-        writer.push(&Record::pair(3, 3));
-        writer.push(&Record::new(vec![Value::Text("k".into()), Value::Long(4)]));
-        let mixed = ExchangedPartition::new(vec![Record::pair(1, 1)], writer.finish());
-        assert!(
-            !for_each_long_key_group(&mixed, &[0], &mut scratch, |_, _| { invoked = true })
-                .unwrap()
-        );
-        assert!(
-            !invoked,
-            "a disqualified partition never reaches the callback"
-        );
-        // The partition is untouched: the materializing fallback reads it all.
-        assert_eq!(mixed.into_records().unwrap().len(), 3);
-    }
-
     /// The grouping as `(key, serialized group records)`, in group order.
-    type Groups = Vec<(i64, Vec<u8>)>;
+    type Groups = Vec<(Key, Vec<u8>)>;
 
     fn serialized(records: &[Record]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -2464,35 +2483,96 @@ mod tests {
         out
     }
 
-    /// What the kernel hands out for `part` on key field 0.
-    fn kernel_groups(part: &ExchangedPartition, scratch: &mut GroupScratch) -> Groups {
+    /// What the kernel hands out for `part` on `key`.
+    fn kernel_groups(
+        part: &ExchangedPartition,
+        key: &[usize],
+        scratch: &mut GroupScratch,
+    ) -> Groups {
         let mut groups = Groups::new();
-        let grouped = for_each_long_key_group(part, &[0], scratch, |key, group| {
-            groups.push((key, serialized(group)))
+        for_each_key_group(part, key, scratch, |k, group| {
+            groups.push((k.clone(), serialized(group)))
         })
         .unwrap();
-        assert!(grouped, "a Long-keyed partition must group page-natively");
         groups
     }
 
-    /// The materializing oracle: every record owned, stably sorted on field
-    /// 0, cut into key groups.
-    fn oracle_groups(part: ExchangedPartition) -> Groups {
-        let mut records = part.into_records().unwrap();
-        crate::key::sort_by_key(&mut records, &[0]);
-        let mut groups = Groups::new();
-        for group in records.chunk_by(|a, b| a.field(0) == b.field(0)) {
-            groups.push((group[0].long(0), serialized(group)));
+    /// The oracle: the pieces concatenated in delivery order — local
+    /// records, pages, then the runs read through cursors (not
+    /// `into_records`, which merges a sorted spilled partition with the
+    /// merge under test) — stably sorted with `sort_by_key` and cut into key
+    /// groups.
+    fn oracle_groups(part: &ExchangedPartition, key: &[usize]) -> Groups {
+        let mut records = part.local_records().to_vec();
+        for page in part.pages() {
+            records.extend(page.reader().map(|view| view.materialize()));
         }
-        groups
+        for run in part.runs() {
+            let mut cursor = run.cursor().unwrap();
+            while let Some(record) = cursor.next_record().unwrap() {
+                records.push(record);
+            }
+        }
+        crate::key::sort_by_key(&mut records, key);
+        records
+            .chunk_by(|a, b| crate::key::keys_equal(a, key, b, key))
+            .map(|group| (Key::extract(&group[0], key), serialized(group)))
+            .collect()
     }
 
-    /// The single-`Long` grouping kernel equals `into_records()` plus the
-    /// stable sort, group for group and byte for byte, over partitions built
-    /// from every piece a delivery holds: local records, pages, several
-    /// multi-page and one-page sorted runs, an empty run and a run holding
-    /// an oversized record, with duplicate and extreme keys spread across
-    /// all of them — and over a range-delivered sorted spilled partition.
+    /// The key shapes the kernel is checked on: a name and the key fields.
+    const SHAPES: [(&str, &[usize]); 6] = [
+        ("Long", &[0]),
+        ("Text", &[0]),
+        ("[Long, Long]", &[0, 1]),
+        ("Double", &[0]),
+        ("Null and Bool", &[0]),
+        ("Long and Text", &[0]),
+    ];
+
+    /// A random key of `SHAPES[shape]`, as its fields.  `Long`s are
+    /// duplicated, negative and extreme; `Text`s hold the empty string, a
+    /// NUL, prefixes of one another, strings whose byte order is not their
+    /// length order, multi-byte UTF-8 and (rarely) a 40 KiB key; `Double`s
+    /// hold both zeros, both infinities and two NaN payloads.
+    fn random_key(shape: usize, random: &mut dyn FnMut(usize) -> usize) -> Vec<Value> {
+        const LONGS: [i64; 9] = [i64::MIN, i64::MIN + 1, -300, -7, -1, 0, 5, 42, i64::MAX];
+        const TEXTS: [&str; 8] = ["", "\0", "a", "a\0", "ab", "b", "é", "日本🦀"];
+        let long = |random: &mut dyn FnMut(usize) -> usize| Value::Long(LONGS[random(LONGS.len())]);
+        let text = |random: &mut dyn FnMut(usize) -> usize| match random(512) {
+            0 => Value::Text("k".repeat(40 * 1024)),
+            _ => Value::Text(TEXTS[random(TEXTS.len())].into()),
+        };
+        match shape {
+            0 => vec![long(random)],
+            1 => vec![text(random)],
+            2 => vec![long(random), long(random)],
+            3 => {
+                let doubles = [
+                    -0.0,
+                    0.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::NAN,
+                    f64::from_bits(0x7ff8_0000_0000_0001),
+                ];
+                vec![Value::Double(doubles[random(doubles.len())])]
+            }
+            4 => vec![[Value::Null, Value::Bool(false), Value::Bool(true)][random(3)].clone()],
+            _ => vec![match random(2) {
+                0 => long(random),
+                _ => text(random),
+            }],
+        }
+    }
+
+    /// The grouping kernel equals the stable sort of the delivered records,
+    /// group for group and byte for byte, for every key shape, over
+    /// partitions built from every piece a delivery holds: local records,
+    /// pages, several multi-page and one-page sorted runs, an empty run and a
+    /// run holding an oversized record, with duplicate and extreme keys
+    /// spread across all of them — and over a partition with an unsorted
+    /// run and a range-delivered sorted spilled partition.
     #[test]
     fn long_key_grouping_equals_the_stable_sort_of_the_delivered_records() {
         use crate::spill::{write_run_in, write_sorted_records_in, MemoryBudget, SpillManager};
@@ -2505,152 +2585,118 @@ mod tests {
             state ^= state << 17;
             (state % n as u64) as usize
         };
-        const KEYS: [i64; 9] = [i64::MIN, i64::MIN + 1, -300, -7, -1, 0, 5, 42, i64::MAX];
         let mut serial = 0i64;
-        let mut records = |count: usize, random: &mut dyn FnMut(usize) -> usize| {
-            (0..count)
-                .map(|_| {
-                    serial += 1;
-                    Record::pair(KEYS[random(KEYS.len())], serial)
-                })
-                .collect::<Vec<Record>>()
-        };
         let mut scratch = GroupScratch::default();
-        for round in 0..4 {
-            let size = 40 + 150 * round;
-            // A writer under two page credits flushes sorted runs of two
-            // full pages and keeps an unsorted residue; a budget-0 writer of
-            // tiny pages flushes every sealed page as a one-page run.
-            let credits =
-                SpillManager::in_dir(dir.clone(), MemoryBudget::unlimited(), Some(vec![0]))
-                    .with_page_credits(Some(2));
-            let zero = SpillManager::in_dir(dir.clone(), MemoryBudget::bytes(0), Some(vec![0]))
-                .with_page_bytes(96);
-            let mut flushed = Vec::new();
-            let mut residue = Vec::new();
-            for (manager, count) in [(credits, 4_000 + 1_500 * round), (zero, size)] {
-                let mut writer = manager.writer();
-                for record in records(count, &mut random) {
-                    writer.push(&record);
+        for (shape, &(name, key)) in SHAPES.iter().enumerate() {
+            let mut records = |count: usize, random: &mut dyn FnMut(usize) -> usize| {
+                (0..count)
+                    .map(|_| {
+                        serial += 1;
+                        let mut fields = random_key(shape, random);
+                        fields.push(Value::Long(serial));
+                        Record::new(fields)
+                    })
+                    .collect::<Vec<Record>>()
+            };
+            for round in 0..4 {
+                let label = format!("{name}, round {round}");
+                let size = 40 + 150 * round;
+                // A writer under two page credits flushes sorted runs of two
+                // full pages and keeps an unsorted residue; a budget-0 writer
+                // of tiny pages flushes every sealed page as a one-page run.
+                let sort = Some(key.to_vec());
+                let credits =
+                    SpillManager::in_dir(dir.clone(), MemoryBudget::unlimited(), sort.clone())
+                        .with_page_credits(Some(2));
+                let zero = SpillManager::in_dir(dir.clone(), MemoryBudget::bytes(0), sort.clone())
+                    .with_page_bytes(96);
+                let mut flushed = Vec::new();
+                let mut residue = Vec::new();
+                for (manager, count) in [(credits, 6_000 + 1_500 * round), (zero, size)] {
+                    let mut writer = manager.writer();
+                    for record in records(count, &mut random) {
+                        writer.push(&record);
+                    }
+                    let out = writer.finish().unwrap();
+                    residue.extend(out.pages);
+                    flushed.extend(out.runs);
                 }
-                let out = writer.finish().unwrap();
-                residue.extend(out.pages);
-                flushed.extend(out.runs);
+                assert!(flushed.iter().any(|run| run.page_count() > 1), "{label}");
+                assert!(flushed.iter().filter(|run| run.page_count() == 1).count() > 1);
+                assert!(!residue.is_empty(), "{label}");
+                let mut oversized = records(5, &mut random);
+                let mut wide = random_key(shape, &mut random);
+                wide.push(Value::Text("x".repeat(40 * 1024)));
+                oversized.push(Record::new(wide));
+                crate::key::sort_by_key(&mut oversized, key);
+                let oversized = write_sorted_records_in(&dir, &oversized, key).unwrap();
+                assert!(oversized.byte_len() > DEFAULT_PAGE_BYTES);
+                let empty = write_run_in(&dir, &[], sort.clone()).unwrap();
+                assert_eq!(empty.record_count(), 0);
+
+                let local = records(size / 2, &mut random);
+                let build = || {
+                    let mut part = ExchangedPartition::new(local.clone(), residue.clone());
+                    let (head, tail) = flushed.split_at(flushed.len() / 2);
+                    part.receive_runs(head.iter().cloned());
+                    part.receive_runs([empty.clone()]);
+                    part.receive_runs(tail.iter().cloned());
+                    part.receive_runs([oversized.clone()]);
+                    part
+                };
+                let part = build();
+                assert_eq!(
+                    kernel_groups(&part, key, &mut scratch),
+                    oracle_groups(&part, key),
+                    "{label}: local, pages and sorted runs"
+                );
+                // Without pages or local records the runs alone merge.
+                let runs_only = ExchangedPartition::from_spilled(Vec::new(), flushed.clone(), None);
+                assert_eq!(
+                    kernel_groups(&runs_only, key, &mut scratch),
+                    oracle_groups(&runs_only, key),
+                    "{label}: runs only"
+                );
+                // An unsorted run takes the revive path, with the same answer.
+                let unsorted = {
+                    let mut writer = PageWriter::with_page_bytes(96);
+                    for record in records(size / 3, &mut random) {
+                        writer.push(&record);
+                    }
+                    write_run_in(&dir, &writer.finish(), None).unwrap()
+                };
+                let mut with_unsorted = build();
+                with_unsorted.receive_runs([unsorted]);
+                assert_eq!(
+                    kernel_groups(&with_unsorted, key, &mut scratch),
+                    oracle_groups(&with_unsorted, key),
+                    "{label}: an unsorted run"
+                );
+
+                // A range-delivered sorted spilled partition: a sorted residue
+                // plus sorted runs, whose owning order is their merge.
+                let mut sorted_local = records(size, &mut random);
+                crate::key::sort_by_key(&mut sorted_local, key);
+                let sorted_runs: Vec<SpilledRun> = (0..3)
+                    .map(|_| {
+                        let mut run = records(size / 2, &mut random);
+                        crate::key::sort_by_key(&mut run, key);
+                        write_sorted_records_in(&dir, &run, key).unwrap()
+                    })
+                    .collect();
+                let range = ExchangedPartition::from_spilled(sorted_local, sorted_runs, sort);
+                assert!(range.is_sorted_merge());
+                let oracle = oracle_groups(&range, key);
+                assert_eq!(
+                    kernel_groups(&range, key, &mut scratch),
+                    oracle,
+                    "{label}: range-delivered sorted merge"
+                );
+                // Its owning accessor runs the same merge.
+                let owned = range.into_records().unwrap();
+                let concatenated: Vec<u8> = oracle.iter().flat_map(|g| g.1.clone()).collect();
+                assert_eq!(serialized(&owned), concatenated, "{label}: into_records");
             }
-            assert!(flushed.iter().any(|run| run.page_count() > 1));
-            assert!(flushed.iter().filter(|run| run.page_count() == 1).count() > 1);
-            assert!(!residue.is_empty());
-            let mut oversized = records(5, &mut random);
-            oversized.push(Record::new(vec![
-                Value::Long(KEYS[random(KEYS.len())]),
-                Value::Text("x".repeat(40 * 1024)),
-            ]));
-            crate::key::sort_by_key(&mut oversized, &[0]);
-            let oversized = write_sorted_records_in(&dir, &oversized, &[0]).unwrap();
-            assert!(oversized.byte_len() > DEFAULT_PAGE_BYTES);
-            let empty = write_run_in(&dir, &[], Some(vec![0])).unwrap();
-            assert_eq!(empty.record_count(), 0);
-
-            let local = records(size / 2, &mut random);
-            let build = || {
-                let mut part = ExchangedPartition::new(local.clone(), residue.clone());
-                let (head, tail) = flushed.split_at(flushed.len() / 2);
-                part.receive_runs(head.iter().cloned());
-                part.receive_runs([empty.clone()]);
-                part.receive_runs(tail.iter().cloned());
-                part.receive_runs([oversized.clone()]);
-                part
-            };
-            let part = build();
-            assert!(part.runs().iter().all(|run| run.sorted_by_long_key(0)));
-            assert_eq!(
-                kernel_groups(&part, &mut scratch),
-                oracle_groups(build()),
-                "round {round}: local, pages and sorted runs"
-            );
-            // Without pages or local records the runs alone merge.
-            let runs_only = || ExchangedPartition::from_spilled(Vec::new(), flushed.clone(), None);
-            assert_eq!(
-                kernel_groups(&runs_only(), &mut scratch),
-                oracle_groups(runs_only()),
-                "round {round}: runs only"
-            );
-            // An unsorted run takes the revive path, with the same answer.
-            let unsorted = {
-                let mut writer = PageWriter::with_page_bytes(96);
-                for record in records(size / 3, &mut random) {
-                    writer.push(&record);
-                }
-                write_run_in(&dir, &writer.finish(), None).unwrap()
-            };
-            let with_unsorted = || {
-                let mut part = build();
-                part.receive_runs([unsorted.clone()]);
-                part
-            };
-            assert_eq!(
-                kernel_groups(&with_unsorted(), &mut scratch),
-                oracle_groups(with_unsorted()),
-                "round {round}: an unsorted run"
-            );
-
-            // A range-delivered sorted spilled partition: a sorted residue
-            // plus sorted runs, whose owning order is their merge.
-            let mut sorted_local = records(size, &mut random);
-            crate::key::sort_by_key(&mut sorted_local, &[0]);
-            let sorted_runs: Vec<SpilledRun> = (0..3)
-                .map(|_| {
-                    let mut run = records(size / 2, &mut random);
-                    crate::key::sort_by_key(&mut run, &[0]);
-                    write_sorted_records_in(&dir, &run, &[0]).unwrap()
-                })
-                .collect();
-            let range = || {
-                ExchangedPartition::from_spilled(
-                    sorted_local.clone(),
-                    sorted_runs.clone(),
-                    Some(vec![0]),
-                )
-            };
-            assert!(range().is_sorted_merge());
-            assert_eq!(
-                kernel_groups(&range(), &mut scratch),
-                oracle_groups(range()),
-                "round {round}: range-delivered sorted merge"
-            );
-
-            // Keys the kernel rejects: a composite key, a `Text` key in the
-            // residue beside `Long`-keyed runs, and `Text`-keyed runs.
-            let mut invoked = false;
-            let mut reject = |part: &ExchangedPartition, key: &[usize]| {
-                !for_each_long_key_group(part, key, &mut scratch, |_, _| invoked = true).unwrap()
-            };
-            assert!(reject(&build(), &[0, 1]), "round {round}: composite key");
-            let mut text_residue = build();
-            text_residue.receive_local(vec![Record::new(vec![Value::Text("k".into())])]);
-            assert!(
-                reject(&text_residue, &[0]),
-                "round {round}: Text in the residue"
-            );
-            let text_runs = {
-                let manager =
-                    SpillManager::in_dir(dir.clone(), MemoryBudget::bytes(0), Some(vec![0]))
-                        .with_page_bytes(96);
-                let mut writer = manager.writer();
-                for i in 0..size as i64 {
-                    writer.push(&Record::new(vec![
-                        Value::Text(format!("v{}", i % 7)),
-                        Value::Long(i),
-                    ]));
-                }
-                writer.finish().unwrap().runs
-            };
-            assert!(text_runs
-                .iter()
-                .all(|run| run.sorted_by() == Some(&[0][..])));
-            let text_part = ExchangedPartition::from_spilled(Vec::new(), text_runs, None);
-            assert!(reject(&text_part, &[0]), "round {round}: Text-keyed runs");
-            assert!(!invoked, "a rejected partition never reaches the callback");
         }
         let _ = std::fs::remove_dir(&dir);
     }

@@ -1,5 +1,5 @@
-//! True range partitioning: sampled equi-depth histograms, splitter-based
-//! routing, and the memcmp sort on normalized key prefixes.
+//! True range partitioning: sampled equi-depth histograms and splitter-based
+//! routing.
 //!
 //! Hash partitioning collocates equal keys but destroys order; *range*
 //! partitioning assigns each worker partition a contiguous key interval, so
@@ -18,13 +18,6 @@
 //! * [`PartitionRouter`] — the routing function of one exchange, either hash
 //!   (`partition_for`) or range (splitter search), so the workset driver and
 //!   the executor can swap the scheme without duplicating their hot loops.
-//! * [`sort_by_key_normalized`] — sorts records by their key fields using an
-//!   8-byte memcmp key for single-`Long` keys: the [`normalize_long`]
-//!   encoding of the page format is order-preserving, so comparing the
-//!   normalized `u64`s equals comparing the [`Value`]s, at a fraction of the
-//!   cost of the `Value`-dispatching comparator.  Ties keep their input
-//!   order (the index is part of the sort key), so the fast path is
-//!   observationally identical to the stable [`sort_by_key`].
 //!
 //! Splitters are values, not field positions: the two inputs of a merge join
 //! key on different fields but share one key *value* space, so one
@@ -33,8 +26,7 @@
 //! per consuming operator).
 
 use crate::contracts::{RecordSink, RecordSource};
-use crate::key::{hash_key_fields, hash_of_key, sort_by_key, Key};
-use crate::page::normalize_long;
+use crate::key::{hash_key_fields, hash_of_key, Key};
 use crate::record::Record;
 use crate::value::Value;
 use std::sync::Arc;
@@ -294,51 +286,6 @@ impl PartitionRouter {
     }
 }
 
-/// Sorts records by their key fields, using the 8-byte memcmp fast path for
-/// single-`Long` keys.  Returns `true` when the fast path was taken.
-///
-/// The fast path extracts each record's [`normalize_long`] prefix as a `u64`
-/// (byte-wise comparison of the big-endian normalized bytes equals `u64`
-/// comparison of the same bits), pairs it with the record's input index and
-/// sorts the fixed-width pairs with an unstable sort — ties fall back to the
-/// index, so the permutation is exactly the one the stable
-/// [`sort_by_key`] would produce, without ever touching a [`Value`]
-/// comparator.  Keys of any other shape use [`sort_by_key`] directly.
-pub fn sort_by_key_normalized(records: &mut Vec<Record>, fields: &[usize]) -> bool {
-    let long_field = match fields {
-        [field]
-            if records.len() <= u32::MAX as usize
-                && records
-                    .iter()
-                    .all(|r| matches!(r.fields().get(*field), Some(Value::Long(_)))) =>
-        {
-            *field
-        }
-        _ => {
-            sort_by_key(records, fields);
-            return false;
-        }
-    };
-    // (normalized key, input index, record): the record rides along with its
-    // fixed-width sort key, so the build and write-back passes are purely
-    // sequential — no random-access gather through a permutation vector —
-    // and every comparison is two integer compares, never a `Value`.
-    let mut keyed: Vec<(u64, u32, Record)> = records
-        .drain(..)
-        .enumerate()
-        .map(|(i, r)| {
-            (
-                u64::from_be_bytes(normalize_long(r.long(long_field))),
-                i as u32,
-                r,
-            )
-        })
-        .collect();
-    keyed.sort_unstable_by_key(|&(key, index, _)| (key, index));
-    records.extend(keyed.into_iter().map(|(_, _, r)| r));
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,48 +412,6 @@ mod tests {
             8,
         ));
         let _ = PartitionRouter::range(bounds, 2);
-    }
-
-    #[test]
-    fn normalized_sort_matches_stable_value_sort() {
-        // Duplicate keys with distinct payloads pin the tie-breaking: the
-        // index tiebreak makes the memcmp path exactly stable.
-        let mut fast: Vec<Record> = (0..500)
-            .map(|i| Record::pair((i * 37) % 19 - 9, i))
-            .collect();
-        let mut oracle = fast.clone();
-        assert!(sort_by_key_normalized(&mut fast, &[0]));
-        sort_by_key(&mut oracle, &[0]);
-        assert_eq!(fast, oracle);
-    }
-
-    #[test]
-    fn normalized_sort_falls_back_for_non_long_keys() {
-        let mut records = vec![
-            Record::long_double(2, 0.5),
-            Record::long_double(1, -1.0),
-            Record::long_double(3, 2.0),
-        ];
-        // Keying on the double field must take the Value-comparison path.
-        assert!(!sort_by_key_normalized(&mut records, &[1]));
-        assert_eq!(records[0].double(1), -1.0);
-        // Composite keys fall back too.
-        let mut records = vec![Record::pair(2, 1), Record::pair(1, 2)];
-        assert!(!sort_by_key_normalized(&mut records, &[0, 1]));
-        assert_eq!(records[0].long(0), 1);
-    }
-
-    #[test]
-    fn normalized_sort_covers_extreme_longs() {
-        let mut records: Vec<Record> = [i64::MAX, 0, i64::MIN, -1, 1, i64::MIN, i64::MAX]
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| Record::pair(v, i as i64))
-            .collect();
-        let mut oracle = records.clone();
-        assert!(sort_by_key_normalized(&mut records, &[0]));
-        sort_by_key(&mut oracle, &[0]);
-        assert_eq!(records, oracle);
     }
 
     #[test]

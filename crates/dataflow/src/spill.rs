@@ -16,26 +16,24 @@
 //! * [`SpillingWriter`] — a [`PageWriter`] that, whenever its sealed pages
 //!   exceed the budget, flushes them into a [`SpilledRun`] on disk.  With a
 //!   sort key configured the flushed records are ordered first, so every run
-//!   on disk is a *sorted* run.  A single-`Long` key sorts page-natively —
-//!   the shared radix kernel orders `(key prefix, handle)` pairs and the
-//!   serialized records are copied into output pages in that order, with no
-//!   heap record built — while composite and non-`Long` keys take the
-//!   normalized-key memcmp sort over materialized records.  Pages that are
-//!   already sorted (a delivered range partition, a sorted cached edge) are
-//!   written verbatim via [`write_run_in`].
+//!   on disk is a *sorted* run.  The sort is page-native for every key
+//!   shape: the shared kernel ([`crate::page`]) orders `(key prefix,
+//!   handle)` pairs — by radix on a single-`Long` key, by an in-place
+//!   comparison of the key bytes otherwise — and the serialized records are
+//!   copied into output pages in that order, with no heap record built.
+//!   Pages that are already sorted (a delivered range partition, a sorted
+//!   cached edge) are written verbatim via [`write_run_in`].
 //! * [`SpilledRun`] / [`RunCursor`] — a handle to one run (a segment of a
 //!   run file that is deleted when its last segment handle drops, so
 //!   passing test runs leak no files) and a streaming reader that revives
 //!   records through one page-sized scratch buffer, never materializing the
 //!   run.
-//! * [`RunMerger`] — a k-way loser-tree merge over sorted runs (and sorted
-//!   in-memory record sequences), yielding the globally sorted stream one
-//!   record at a time.  [`RunMerger::for_each_group`] layers streaming
-//!   grouping on top: only one key group is ever in memory.  It serves the
-//!   key shapes the page-native grouping kernel
-//!   ([`crate::page::for_each_long_key_group`]) rejects — composite and
-//!   non-`Long` keys — which streams single-`Long`-keyed runs on the same
-//!   loser tree without building a record per run record.
+//! * [`RunMerger`] — the engine's one k-way merge: a loser tree over a
+//!   sorted in-memory residue and sorted runs, ties in delivery order.  The
+//!   grouping kernel ([`crate::page::for_each_key_group`]) streams spilled
+//!   partitions through it in place, building a record only for the group
+//!   it hands out; [`RunMerger::next_record`] yields the globally sorted
+//!   stream one owned record at a time.
 //!
 //! # Run file format (version 2)
 //!
@@ -70,12 +68,11 @@
 //! rather than trusted.
 
 use crate::fault::{FaultInjector, FaultSite};
-use crate::key::{Key, KeyFields};
+use crate::key::KeyFields;
 use crate::page::{
-    sort_by_long_key_with, view_in, ExchangedPartition, PageHandle, PageWriter, PagedRecords,
-    RecordPage, RecordView,
+    cmp_keys_in_place, key_prefix, key_prefix_of_fields, sort_on_key, view_in, ExchangedPartition,
+    PageHandle, PageWriter, PagedRecords, RecordPage, RecordView,
 };
-use crate::range::sort_by_key_normalized;
 use crate::record::Record;
 use crate::value::Value;
 use std::fmt;
@@ -375,15 +372,12 @@ impl RunFile {
     /// header, then one frame per non-empty page — and returns its handle.
     /// The frames are staged in `frames` (cleared first; a writer reuses it
     /// from flush to flush) and leave in positioned writes of up to
-    /// [`WRITE_CHUNK_BYTES`].  `long_keyed` tells whether the pages are
-    /// sorted on a single key field that is a `Long` in every record (see
-    /// [`SpilledRun::sorted_by_long_key`]).
+    /// [`WRITE_CHUNK_BYTES`].
     fn write_segment(
         self: &Arc<Self>,
         offset: u64,
         pages: &[Arc<RecordPage>],
         sorted_by: Option<KeyFields>,
-        long_keyed: bool,
         frames: &mut Vec<u8>,
     ) -> io::Result<SpilledRun> {
         frames.clear();
@@ -409,7 +403,6 @@ impl RunFile {
             records,
             bytes,
             sorted_by,
-            long_keyed,
         })
     }
 }
@@ -447,8 +440,6 @@ pub struct SpilledRun {
     records: usize,
     bytes: usize,
     sorted_by: Option<KeyFields>,
-    /// `sorted_by` is one field and every record holds a `Long` there.
-    long_keyed: bool,
 }
 
 impl SpilledRun {
@@ -470,14 +461,6 @@ impl SpilledRun {
     /// The key fields the run's records are sorted by, if the run is sorted.
     pub fn sorted_by(&self) -> Option<&[usize]> {
         self.sorted_by.as_deref()
-    }
-
-    /// True when the run is sorted on the single field `field` and every
-    /// record holds a `Long` there: its records then ascend in the
-    /// normalized key prefix ([`crate::page::RecordView::long_key_prefix`]),
-    /// the order the page-native merge streams runs in.
-    pub fn sorted_by_long_key(&self, field: usize) -> bool {
-        self.long_keyed && self.sorted_by() == Some(&[field])
     }
 
     /// Path of the backing file (diagnostics only; the file disappears with
@@ -538,16 +521,7 @@ pub fn write_run_in(
     pages: &[Arc<RecordPage>],
     sorted_by: Option<KeyFields>,
 ) -> io::Result<SpilledRun> {
-    // The caller vouches for the order; whether the key is a `Long`
-    // everywhere is read off the pages.
-    let long_keyed = match sorted_by.as_deref() {
-        Some(&[field]) => pages
-            .iter()
-            .flat_map(|page| page.reader())
-            .all(|view| view.long_key_prefix(field).is_some()),
-        _ => false,
-    };
-    RunFile::create(dir)?.write_segment(0, pages, sorted_by, long_keyed, &mut Vec::new())
+    RunFile::create(dir)?.write_segment(0, pages, sorted_by, &mut Vec::new())
 }
 
 /// Serializes already-sorted records into fresh pages and writes them as a
@@ -571,13 +545,13 @@ pub fn write_sorted_run_in(
     pages: &[Arc<RecordPage>],
     keys: &[usize],
 ) -> io::Result<SpilledRun> {
-    let (sorted, _) = sort_pages(pages.to_vec(), keys, &mut FlushScratch::default())?;
+    let sorted = sort_pages(pages.to_vec(), keys, &mut FlushScratch::default())?;
     write_run_in(dir, &sorted, Some(keys.to_vec()))
 }
 
-/// The buffers of a sorted flush, kept from flush to flush: the radix
-/// kernel's `(key prefix, handle)` pairs and its second buffer, and the
-/// page buffers the previous flush's sorted output gave back.
+/// The buffers of a sorted flush, kept from flush to flush: the kernel's
+/// `(key prefix, handle)` pairs and its radix buffer, and the page buffers
+/// the previous flush's sorted output gave back.
 #[derive(Debug, Default)]
 struct FlushScratch {
     pairs: Vec<(u64, PageHandle)>,
@@ -586,42 +560,23 @@ struct FlushScratch {
 }
 
 /// Orders the records of `pages` by `keys` into fresh pages: the records,
-/// order and page layout of [`sort_by_key_normalized`] serialized through a
-/// [`PageWriter`].  A single-`Long` key never builds a record: the stable
-/// radix kernel behind [`crate::page::sort_by_long_key`] orders the
-/// `(prefix, handle)` pairs (ties keep their input order, as the stable
-/// sort's do) and each record's serialized payload is copied to the output
-/// in that order.  Composite and non-`Long` keys materialize, sort and
-/// re-serialize.  The flag tells which of the two ran: `true` when the key
-/// is one field holding a `Long` in every record.
+/// order and page layout of [`crate::key::sort_by_key`] serialized through a
+/// [`PageWriter`], without building a record.  The shared kernel
+/// ([`crate::page`]) orders the `(prefix, handle)` pairs stably and each
+/// record's serialized payload is copied to the output in that order.
 fn sort_pages(
     pages: Vec<Arc<RecordPage>>,
     keys: &[usize],
     scratch: &mut FlushScratch,
-) -> io::Result<(Vec<Arc<RecordPage>>, bool)> {
+) -> io::Result<Vec<Arc<RecordPage>>> {
     let input = ExchangedPartition::new(Vec::new(), pages);
-    if let Some(store) =
-        sort_by_long_key_with(&input, keys, &mut scratch.pairs, &mut scratch.radix)?
-    {
-        let mut sorted = PagedRecords::new();
-        sorted.add_spare_buffers(scratch.spare.drain(..));
-        for &(_, handle) in &scratch.pairs {
-            sorted.append_serialized(store.view(handle).payload());
-        }
-        return Ok((sorted.into_pages(), true));
+    let sorted = sort_on_key(&input, keys, &mut scratch.pairs, &mut scratch.radix)?;
+    let mut out = PagedRecords::new();
+    out.add_spare_buffers(scratch.spare.drain(..));
+    for &(_, handle) in &scratch.pairs {
+        out.append_serialized(sorted.view(handle).payload());
     }
-    let mut records: Vec<Record> = input
-        .pages()
-        .iter()
-        .flat_map(|page| page.reader().map(|view| view.materialize()))
-        .collect();
-    sort_by_key_normalized(&mut records, keys);
-    let mut writer = PageWriter::new();
-    writer.add_spare_buffers(scratch.spare.drain(..));
-    for record in &records {
-        writer.push(record);
-    }
-    Ok((writer.finish(), false))
+    Ok(out.into_pages())
 }
 
 /// A streaming reader over one run: pages are revived one at a time into a
@@ -1032,16 +987,16 @@ impl SpillingWriter {
         }
         let inner = &self.manager.inner;
         inner.fault.io_check(FaultSite::SpillWrite)?;
-        let (pages, long_keyed) = match &inner.sort_on_flush {
+        let pages = match &inner.sort_on_flush {
             Some(keys) => sort_pages(pages, keys, &mut self.scratch)?,
-            None => (pages, false),
+            None => pages,
         };
         let sorted_by = inner.sort_on_flush.clone();
         let (file, offset) = match self.runs.last() {
             Some(last) => (Arc::clone(&last.file), last.end()),
             None => (RunFile::create(&inner.dir)?, 0),
         };
-        let run = file.write_segment(offset, &pages, sorted_by, long_keyed, &mut self.frames)?;
+        let run = file.write_segment(offset, &pages, sorted_by, &mut self.frames)?;
         if inner.sort_on_flush.is_some() {
             // The sorted copies are ours alone: their buffers back the next
             // flush's output.
@@ -1088,53 +1043,15 @@ impl SpillingWriter {
 // The k-way merge
 // ---------------------------------------------------------------------------
 
-/// One input of a [`RunMerger`]: a sorted run streamed from disk or a sorted
-/// in-memory record sequence (e.g. the residue of a partition that never
-/// spilled).
-pub enum MergeSource {
-    /// A sorted spilled run.
-    Spilled(RunCursor),
-    /// An already-sorted owned record sequence.
-    Records(std::vec::IntoIter<Record>),
-}
-
-impl MergeSource {
-    fn next(&mut self) -> io::Result<Option<Record>> {
-        match self {
-            MergeSource::Spilled(cursor) => cursor.next_record(),
-            MergeSource::Records(iter) => Ok(iter.next()),
-        }
-    }
-}
-
-impl std::fmt::Debug for MergeSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MergeSource::Spilled(_) => f.write_str("MergeSource::Spilled"),
-            MergeSource::Records(iter) => write!(f, "MergeSource::Records({})", iter.len()),
-        }
-    }
-}
-
-/// The current front of one merge source.
-#[derive(Debug)]
-struct MergeHead {
-    key: Key,
-    record: Record,
-}
-
 /// The tournament of a k-way merge: each pull costs ⌈log₂ k⌉ comparisons (a
 /// replay along one leaf-to-root path) instead of the k−1 of a naive scan.
 /// The tree holds source indices only; the caller keeps the sources' heads
 /// and passes `beats(a, b)` — whether source `a`'s head goes before source
-/// `b`'s — to every call.  Both merges of the engine play it:
-/// [`RunMerger`] over heap records and the page-native grouping kernel
-/// ([`crate::page::for_each_long_key_group`]) over key prefixes.  With
-/// `beats` letting exhausted sources lose and giving ties to the smaller
-/// index, merging the sorted chunks of one stream in stream order
-/// reproduces the stable sort of that stream.
+/// `b`'s — to every call.  With `beats` letting exhausted sources lose and
+/// giving ties to the smaller index, merging the sorted chunks of one stream
+/// in stream order reproduces the stable sort of that stream.
 #[derive(Debug)]
-pub(crate) struct LoserTree {
+struct LoserTree {
     /// `tree[0]` is the overall winner; `tree[1..k]` hold, per internal
     /// match, the source that lost it.  Leaves are implicit: source `i`
     /// corresponds to node `k + i`.
@@ -1143,7 +1060,7 @@ pub(crate) struct LoserTree {
 
 impl LoserTree {
     /// Plays the initial tournament over `k >= 1` sources.
-    pub(crate) fn new(k: usize, beats: impl Fn(usize, usize) -> bool) -> LoserTree {
+    fn new(k: usize, beats: impl Fn(usize, usize) -> bool) -> LoserTree {
         let mut tree = LoserTree { tree: vec![0; k] };
         tree.tree[0] = tree.build_node(1, &beats);
         tree
@@ -1169,14 +1086,14 @@ impl LoserTree {
 
     /// The source whose head goes next.
     #[inline]
-    pub(crate) fn winner(&self) -> usize {
+    fn winner(&self) -> usize {
         self.tree[0]
     }
 
     /// Replays the path from source `leaf`'s leaf to the root after its head
     /// changed.
     #[inline]
-    pub(crate) fn replay(&mut self, leaf: usize, beats: impl Fn(usize, usize) -> bool) {
+    fn replay(&mut self, leaf: usize, beats: impl Fn(usize, usize) -> bool) {
         let mut winner = leaf;
         let mut node = (self.tree.len() + leaf) / 2;
         while node >= 1 {
@@ -1191,129 +1108,185 @@ impl LoserTree {
     }
 }
 
-/// A streaming k-way merge over sorted sources, played on a loser tree.
-/// Ties are won by the source with the smaller index, so merging the ordered
-/// chunks of one input stream reproduces exactly the stable single-vector
-/// sort of that stream.
+/// The engine's one k-way merge: a sorted in-memory residue (source 0, a
+/// handle store and its sorted `(key prefix, handle)` pairs) and key-sorted
+/// spilled runs (source `i` is run `i − 1`, read one frame at a time into a
+/// reused buffer), played on a loser tree.  Ties go to the lower source, so
+/// merging the ordered chunks of one stream reproduces the stable sort of
+/// that stream.  Two heads whose keys are both one `Long` field compare on
+/// their prefixes; any other pair compares its keys in place on the bytes —
+/// the order of [`crate::key::sort_by_key`] either way.
+///
+/// The grouping kernel ([`crate::page::for_each_key_group`]) walks it record
+/// by record in place; [`RunMerger::next_record`] materializes each record,
+/// which is also how a sorted spilled partition's owning accessors
+/// ([`ExchangedPartition::for_each_owned`]) yield the merged order.
 #[derive(Debug)]
 pub struct RunMerger {
-    key_fields: KeyFields,
-    sources: Vec<MergeSource>,
-    heads: Vec<Option<MergeHead>>,
-    /// `None` when there are no sources.
-    tree: Option<LoserTree>,
+    sources: MergeSources,
+    tree: LoserTree,
 }
 
-impl RunMerger {
-    /// Builds the merger, pulling the first record of every source.  Each
-    /// source must be sorted by `key_fields`; empty sources are fine.
-    pub fn new(mut sources: Vec<MergeSource>, key_fields: KeyFields) -> io::Result<RunMerger> {
-        let mut heads = Vec::with_capacity(sources.len());
-        for source in &mut sources {
-            heads.push(Self::pull(source, &key_fields)?);
-        }
-        let tree = (!sources.is_empty())
-            .then(|| LoserTree::new(sources.len(), |a, b| Self::beats(&heads, a, b)));
-        Ok(RunMerger {
-            key_fields,
-            sources,
-            heads,
-            tree,
+/// The sources of a [`RunMerger`] and their current heads.
+#[derive(Debug)]
+struct MergeSources {
+    key: KeyFields,
+    residue: PagedRecords,
+    pairs: Vec<(u64, PageHandle)>,
+    /// Index in `pairs` of the residue's head.
+    next: usize,
+    /// Every residue key is one `Long` field.
+    residue_exact: bool,
+    cursors: Vec<RunCursor>,
+    /// Per source, the key prefix of its head and whether it is exact
+    /// ([`crate::page::key_prefix`]); `None` once the source is exhausted.
+    heads: Vec<Option<(u64, bool)>>,
+}
+
+impl MergeSources {
+    /// The residue's head, after `next` moved.
+    fn residue_head(&self) -> Option<(u64, bool)> {
+        let &(prefix, handle) = self.pairs.get(self.next)?;
+        Some(match self.residue_exact {
+            true => (prefix, true),
+            false => key_prefix(self.residue.view(handle), &self.key),
         })
     }
 
+    /// Steps source `source` (a run) to its next record and returns that
+    /// record's head, `None` at the end of the run.
+    fn step_run(&mut self, source: usize) -> io::Result<Option<(u64, bool)>> {
+        let cursor = &mut self.cursors[source - 1];
+        Ok(match cursor.step()? {
+            true => Some(key_prefix(cursor.view(), &self.key)),
+            false => None,
+        })
+    }
+
+    /// The head record of a source that is not exhausted.
+    fn view(&self, source: usize) -> RecordView<'_> {
+        match source {
+            0 => self.residue.view(self.pairs[self.next].1),
+            run => self.cursors[run - 1].view(),
+        }
+    }
+
+    /// True when source `a`'s head must be emitted before source `b`'s.
+    /// Exhausted sources always lose; equal keys go to the smaller index.
+    #[inline]
+    fn beats(&self, a: usize, b: usize) -> bool {
+        match (self.heads[a], self.heads[b]) {
+            (Some((x, true)), Some((y, true))) => (x, a) < (y, b),
+            (Some(_), Some(_)) => self.beats_in_place(a, b),
+            (x, y) => x.is_some() && y.is_none(),
+        }
+    }
+
+    /// [`MergeSources::beats`] of heads that are not both exact.
+    #[cold]
+    #[inline(never)]
+    fn beats_in_place(&self, a: usize, b: usize) -> bool {
+        cmp_keys_in_place(self.view(a), &self.key, self.view(b), &self.key)
+            .then(a.cmp(&b))
+            .is_lt()
+    }
+}
+
+impl RunMerger {
     /// A merger over a partition's sorted in-memory residue `residue` and
     /// its spilled runs, with ties in delivery order: the residue first,
     /// then the runs in order — the order of the stable sort of the
-    /// partition, and the tie order of the page-native grouping kernel
-    /// ([`crate::page::for_each_long_key_group`]).
+    /// partition, and the tie order of the grouping kernel.  The residue
+    /// and every run must be sorted on `key_fields`.
     pub fn over_runs(
         runs: &[SpilledRun],
         residue: Vec<Record>,
         key_fields: KeyFields,
     ) -> io::Result<RunMerger> {
-        let mut sources: Vec<MergeSource> = Vec::with_capacity(runs.len() + 1);
-        if !residue.is_empty() {
-            sources.push(MergeSource::Records(residue.into_iter()));
+        let mut store = PagedRecords::new();
+        let mut pairs = Vec::with_capacity(residue.len());
+        let mut exact = true;
+        for record in &residue {
+            let (prefix, is_exact) = key_prefix_of_fields(record.fields(), &key_fields);
+            pairs.push((prefix, store.append(record)));
+            exact &= is_exact;
         }
-        for run in runs {
-            sources.push(MergeSource::Spilled(run.cursor()?));
-        }
-        RunMerger::new(sources, key_fields)
+        RunMerger::over_sorted(store, pairs, exact, runs, key_fields)
     }
 
-    fn pull(source: &mut MergeSource, key_fields: &[usize]) -> io::Result<Option<MergeHead>> {
-        Ok(source.next()?.map(|record| MergeHead {
-            key: Key::extract(&record, key_fields),
-            record,
-        }))
-    }
-
-    /// True when source `a`'s head must be emitted before source `b`'s.
-    /// Exhausted sources always lose; equal keys go to the smaller index.
-    fn beats(heads: &[Option<MergeHead>], a: usize, b: usize) -> bool {
-        match (&heads[a], &heads[b]) {
-            (None, _) => false,
-            (Some(_), None) => true,
-            (Some(ha), Some(hb)) => match ha.key.cmp(&hb.key) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => a < b,
-            },
-        }
-    }
-
-    /// The next record with its extracted key, in global key order.
-    pub fn next_entry(&mut self) -> io::Result<Option<(Key, Record)>> {
-        let Some(tree) = &mut self.tree else {
-            return Ok(None);
+    /// [`RunMerger::over_runs`] with the residue already on pages: `pairs`
+    /// address `residue` in sorted order, and `exact` tells whether every
+    /// residue key is one `Long` field.
+    pub(crate) fn over_sorted(
+        residue: PagedRecords,
+        pairs: Vec<(u64, PageHandle)>,
+        exact: bool,
+        runs: &[SpilledRun],
+        key: KeyFields,
+    ) -> io::Result<RunMerger> {
+        let cursors = runs
+            .iter()
+            .map(SpilledRun::cursor)
+            .collect::<io::Result<Vec<RunCursor>>>()?;
+        let mut sources = MergeSources {
+            key,
+            residue,
+            pairs,
+            next: 0,
+            residue_exact: exact,
+            heads: Vec::with_capacity(cursors.len() + 1),
+            cursors,
         };
-        let winner = tree.winner();
-        let Some(head) = self.heads[winner].take() else {
-            return Ok(None);
+        sources.heads.push(sources.residue_head());
+        for source in 1..=sources.cursors.len() {
+            let head = sources.step_run(source)?;
+            sources.heads.push(head);
+        }
+        let tree = LoserTree::new(sources.heads.len(), |a, b| sources.beats(a, b));
+        Ok(RunMerger { sources, tree })
+    }
+
+    /// The key prefix and exactness of the next record in merged order,
+    /// `None` once every source is exhausted.
+    #[inline]
+    pub(crate) fn head(&self) -> Option<(u64, bool)> {
+        self.sources.heads[self.tree.winner()]
+    }
+
+    /// The next record in merged order, in place; only while
+    /// [`RunMerger::head`] is `Some`.
+    #[inline]
+    pub(crate) fn view(&self) -> RecordView<'_> {
+        self.sources.view(self.tree.winner())
+    }
+
+    /// Moves past the record [`RunMerger::view`] shows.
+    #[inline]
+    pub(crate) fn advance(&mut self) -> io::Result<()> {
+        let source = self.tree.winner();
+        self.sources.heads[source] = if source == 0 {
+            self.sources.next += 1;
+            self.sources.residue_head()
+        } else {
+            self.sources.step_run(source)?
         };
-        self.heads[winner] = Self::pull(&mut self.sources[winner], &self.key_fields)?;
-        let heads = &self.heads;
-        tree.replay(winner, |a, b| Self::beats(heads, a, b));
-        Ok(Some((head.key, head.record)))
+        self.tree.replay(source, |a, b| self.sources.beats(a, b));
+        Ok(())
     }
 
     /// The next record in global key order.
     pub fn next_record(&mut self) -> io::Result<Option<Record>> {
-        Ok(self.next_entry()?.map(|(_, record)| record))
+        if self.head().is_none() {
+            return Ok(None);
+        }
+        let record = self.view().materialize();
+        self.advance()?;
+        Ok(Some(record))
     }
 
-    /// Drains the merge into a vector (a linear pass — the sorted pieces are
-    /// merged, never re-sorted).
-    pub fn collect_into(mut self, out: &mut Vec<Record>) -> io::Result<()> {
-        while let Some(record) = self.next_record()? {
-            out.push(record);
-        }
-        Ok(())
-    }
-
-    /// Streams key groups off the merged sequence: `f` runs once per
-    /// distinct key with all of the key's records, and only one group is in
-    /// memory at a time — the out-of-core grouping behind sort-based
-    /// strategies.  `f` may drain the group buffer to recycle records; it is
-    /// cleared between groups either way.
-    pub fn for_each_group(mut self, mut f: impl FnMut(&Key, &mut Vec<Record>)) -> io::Result<()> {
-        let mut group: Vec<Record> = Vec::new();
-        let mut group_key: Option<Key> = None;
-        while let Some((key, record)) = self.next_entry()? {
-            if group_key.as_ref() != Some(&key) {
-                if let Some(finished) = group_key.take() {
-                    f(&finished, &mut group);
-                    group.clear();
-                }
-                group_key = Some(key);
-            }
-            group.push(record);
-        }
-        if let Some(finished) = group_key {
-            f(&finished, &mut group);
-        }
-        Ok(())
+    /// Hands back the residue's pair buffer, for reuse.
+    pub(crate) fn into_pairs(self) -> Vec<(u64, PageHandle)> {
+        self.sources.pairs
     }
 }
 
@@ -1518,6 +1491,15 @@ mod tests {
         let _ = fs::remove_dir(&dir);
     }
 
+    /// Drains `merger` through its public surface.
+    fn drain(mut merger: RunMerger) -> Vec<Record> {
+        let mut out = Vec::new();
+        while let Some(record) = merger.next_record().unwrap() {
+            out.push(record);
+        }
+        out
+    }
+
     #[test]
     fn loser_tree_merge_equals_the_stable_sort_oracle() {
         let dir = test_dir("merge");
@@ -1525,29 +1507,24 @@ mod tests {
             let input: Vec<Record> = (0..230)
                 .map(|i| Record::pair((i * 31) % 11 - 5, i))
                 .collect();
-            // Contiguous chunks in input order; chunk i becomes source i, so
-            // the index tiebreak reproduces the stable sort exactly.
+            // Contiguous chunks in input order: the first is the in-memory
+            // residue, chunk i the run i − 1, so the source-index tiebreak
+            // reproduces the stable sort exactly.
             let chunk = input.len() / k + 1;
-            let mut sources = Vec::new();
-            for piece in input.chunks(chunk) {
+            let mut pieces = input.chunks(chunk).map(|piece| {
                 let mut sorted = piece.to_vec();
                 sort_by_key(&mut sorted, &[0]);
-                sources.push(MergeSource::Spilled(
-                    write_sorted_records_in(&dir, &sorted, &[0])
-                        .unwrap()
-                        .cursor()
-                        .unwrap(),
-                ));
+                sorted
+            });
+            let residue = pieces.next().unwrap();
+            let mut runs: Vec<SpilledRun> = pieces
+                .map(|sorted| write_sorted_records_in(&dir, &sorted, &[0]).unwrap())
+                .collect();
+            // Pad with empty runs up to k sources (they must simply never win).
+            while runs.len() + 1 < k {
+                runs.push(write_run_in(&dir, &[], Some(vec![0])).unwrap());
             }
-            // Pad with empty sources up to k (they must simply never win).
-            while sources.len() < k {
-                sources.push(MergeSource::Records(Vec::new().into_iter()));
-            }
-            let mut merged = Vec::new();
-            RunMerger::new(sources, vec![0])
-                .unwrap()
-                .collect_into(&mut merged)
-                .unwrap();
+            let merged = drain(RunMerger::over_runs(&runs, residue, vec![0]).unwrap());
             let mut oracle = input;
             sort_by_key(&mut oracle, &[0]);
             assert_eq!(merged, oracle, "k={k}");
@@ -1563,31 +1540,35 @@ mod tests {
         sort_by_key(&mut a, &[0]);
         sort_by_key(&mut b, &[0]);
         let run = write_sorted_records_in(&dir, &a, &[0]).unwrap();
-        let merger = RunMerger::over_runs(std::slice::from_ref(&run), b, vec![0]).unwrap();
+        let part = ExchangedPartition::from_spilled(b, vec![run], None);
         let mut seen = Vec::new();
-        merger
-            .for_each_group(|key, group| {
+        crate::page::for_each_key_group(
+            &part,
+            &[0],
+            &mut crate::page::GroupScratch::default(),
+            |key, group| {
                 let sum: i64 = group.iter().map(|r| r.long(1)).sum();
                 seen.push((key.values()[0].as_long(), group.len(), sum));
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(
             seen,
             (0..5).map(|k| (k, 8 + 12, 8 + 120)).collect::<Vec<_>>(),
             "each key groups its records from both sources exactly once"
         );
-        drop(run);
+        drop(part);
         let _ = fs::remove_dir(&dir);
     }
 
     #[test]
     fn empty_merger_and_empty_runs_are_harmless() {
-        let mut merger = RunMerger::new(Vec::new(), vec![0]).unwrap();
+        let mut merger = RunMerger::over_runs(&[], Vec::new(), vec![0]).unwrap();
         assert!(merger.next_record().unwrap().is_none());
-        let merger = RunMerger::over_runs(&[], Vec::new(), vec![0]).unwrap();
-        let mut out = Vec::new();
-        merger.collect_into(&mut out).unwrap();
-        assert!(out.is_empty());
+        let dir = test_dir("empty-merge");
+        let empty = write_run_in(&dir, &[], Some(vec![0])).unwrap();
+        assert!(drain(RunMerger::over_runs(&[empty], Vec::new(), vec![0]).unwrap()).is_empty());
+        let _ = fs::remove_dir(&dir);
     }
 
     #[test]

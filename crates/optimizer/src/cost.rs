@@ -77,9 +77,9 @@ impl CostModel {
             network_weight: 10.0,
             cpu_weight: 1.0,
             sort_penalty: 3.0,
-            // Less than 1 + sort_penalty: the memcmp prefix sort inside the
-            // exchange is cheaper than the Value-comparison sort a local
-            // strategy would run, but clearly more than hash routing.
+            // Less than 1 + sort_penalty: the exchange sorts each delivered
+            // partition once on its way in, which the model prices below a
+            // local strategy's separate sort, but clearly above hash routing.
             range_penalty: 2.2,
             parallelism,
         }

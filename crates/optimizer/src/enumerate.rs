@@ -747,8 +747,8 @@ mod tests {
             hash_best.physical.choice(cg).input_ships[0],
             ShipStrategy::PartitionHash(vec![0])
         );
-        // Same network, strictly less CPU: the merge replaces two local
-        // Value-comparison sorts with the exchange's memcmp prefix sort.
+        // Same network, strictly less CPU: the merge replaces two local sorts
+        // with the range exchange's sort of what it delivers.
         assert_eq!(best.cost.network, hash_best.cost.network);
         assert!(
             best.cost.total() < hash_best.cost.total(),

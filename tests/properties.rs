@@ -13,7 +13,7 @@ use algorithms::{
 use dataflow::key::{hash_key, hash_values, partition_for, sort_by_key, Key};
 use dataflow::page::{normalize_long, serialize_record, ExchangedPartition, PageWriter};
 use dataflow::prelude::*;
-use dataflow::range::{sample_keys_into, sort_by_key_normalized};
+use dataflow::range::sample_keys_into;
 use dataflow::spill::{write_sorted_records_in, write_sorted_run_in};
 use graphdata::{Graph, SmallRng, VertexId};
 use spinning_core::prelude::*;
@@ -30,6 +30,53 @@ fn arbitrary_graph(rng: &mut SmallRng) -> Graph {
         .map(|_| (rng.gen_index(n) as VertexId, rng.gen_index(n) as VertexId))
         .collect();
     Graph::undirected_from_edges(n, &edges)
+}
+
+/// The key shapes the kernel properties run over: a name and the key
+/// fields.
+const KEY_SHAPES: [(&str, &[usize]); 6] = [
+    ("Long", &[0]),
+    ("Text", &[0]),
+    ("[Long, Long]", &[0, 1]),
+    ("Double", &[0]),
+    ("Null and Bool", &[0]),
+    ("Long and Text", &[0]),
+];
+
+/// A random key of `KEY_SHAPES[shape]`, as its fields: skewed `Long`s;
+/// `Text`s holding the empty string, a NUL, prefixes of one another,
+/// strings whose byte order is not their length order, multi-byte UTF-8 and
+/// (rarely) a 40 KiB key; both zeros, both infinities and two NaN payloads
+/// of `Double`; `Null` and both `Bool`s; and a column mixing `Long` and
+/// `Text`.
+fn shaped_key(shape: usize, rng: &mut SmallRng) -> Vec<Value> {
+    const TEXTS: [&str; 8] = ["", "\0", "a", "a\0", "ab", "b", "é", "日本🦀"];
+    let text = |rng: &mut SmallRng| match rng.gen_index(512) {
+        0 => Value::Text("k".repeat(40 * 1024)),
+        _ => Value::Text(TEXTS[rng.gen_index(TEXTS.len())].into()),
+    };
+    let long = |rng: &mut SmallRng| Value::Long(skewed_long_key(rng) % 23);
+    match shape {
+        0 => vec![Value::Long(skewed_long_key(rng))],
+        1 => vec![text(rng)],
+        2 => vec![long(rng), long(rng)],
+        3 => {
+            let doubles = [
+                -0.0,
+                0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                f64::from_bits(0x7ff8_0000_0000_0001),
+            ];
+            vec![Value::Double(doubles[rng.gen_index(doubles.len())])]
+        }
+        4 => vec![[Value::Null, Value::Bool(false), Value::Bool(true)][rng.gen_index(3)].clone()],
+        _ => vec![match rng.gen_index(2) {
+            0 => long(rng),
+            _ => text(rng),
+        }],
+    }
 }
 
 /// A random record mixing every value type, exercising composite keys.
@@ -403,7 +450,7 @@ fn skewed_long_key(rng: &mut SmallRng) -> i64 {
     }
 }
 
-/// Range partitioning + per-partition memcmp sort delivers, concatenated in
+/// Range partitioning + per-partition stable sort delivers, concatenated in
 /// partition order, exactly the key order a global `sort_by_key` (the
 /// `Value`-comparison oracle) produces over the hash-exchanged multiset —
 /// for skewed Long-key datasets, every parallelism, boundary duplicates and
@@ -430,16 +477,13 @@ fn prop_range_exchange_equals_globally_sorted_hash_exchange() {
             let bounds = RangeBounds::from_sample(sample, parallelism);
             assert!(bounds.effective_partitions() <= parallelism);
 
-            // Route by splitters, sort each partition on the memcmp path.
+            // Route by splitters, sort each partition.
             let mut parts: Vec<Vec<Record>> = vec![Vec::new(); parallelism];
             for record in &records {
                 parts[bounds.partition_for_record(record, &[0])].push(record.clone());
             }
             for part in parts.iter_mut() {
-                assert!(
-                    sort_by_key_normalized(part, &[0]),
-                    "Long keys must take the memcmp path (seed {seed})"
-                );
+                sort_by_key(part, &[0]);
             }
 
             // Oracle: the hash-exchanged output flattened back into one
@@ -575,7 +619,7 @@ fn prop_spill_run_round_trip() {
         assert_eq!(read, expected, "unsorted spill lost records (seed {seed})");
 
         // Part 2: skewed Long keys, sort-on-flush — the merged stream must
-        // equal the stable memcmp sort of the whole input.
+        // equal the stable sort of the whole input.
         let n = rng.gen_index(300);
         let keyed: Vec<Record> = (0..n)
             .map(|i| Record::pair(skewed_long_key(&mut rng), i as i64))
@@ -598,14 +642,10 @@ fn prop_spill_run_round_trip() {
             .iter()
             .flat_map(|p| p.reader().map(|v| v.materialize()))
             .collect();
-        assert!(sort_by_key_normalized(&mut residue, &[0]));
-        let mut merged = Vec::new();
-        RunMerger::over_runs(&out.runs, residue, vec![0])
-            .unwrap()
-            .collect_into(&mut merged)
-            .unwrap();
+        sort_by_key(&mut residue, &[0]);
+        let mut merged = drain(RunMerger::over_runs(&out.runs, residue, vec![0]).unwrap());
         let mut oracle = keyed.clone();
-        sort_by_key_normalized(&mut oracle, &[0]);
+        sort_by_key(&mut oracle, &[0]);
         let merged_keys: Vec<i64> = merged.iter().map(|r| r.long(0)).collect();
         let oracle_keys: Vec<i64> = oracle.iter().map(|r| r.long(0)).collect();
         assert_eq!(merged_keys, oracle_keys, "global order lost (seed {seed})");
@@ -619,111 +659,129 @@ fn prop_spill_run_round_trip() {
     let _ = std::fs::remove_dir(&dir);
 }
 
+/// Drains a merger through its public surface.
+fn drain(mut merger: RunMerger) -> Vec<Record> {
+    let mut out = Vec::new();
+    while let Some(record) = merger.next_record().unwrap() {
+        out.push(record);
+    }
+    out
+}
+
 /// The sorted flush emits exactly the materializing oracle's run — the
-/// records, order and page bytes of `sort_by_key_normalized` serialized
-/// through a `PageWriter` — although a single-`Long` key never makes a heap
-/// record on the way: ties keep their input order (the third field numbers
-/// the input), and hot duplicate keys, negative keys, `i64::MIN`/`MAX`,
-/// mixed widths and one record wider than a page all land byte for byte.
+/// records, order and page bytes of `sort_by_key` serialized through a
+/// `PageWriter` — although it never makes a heap record on the way, for
+/// every key shape: ties keep their input order (the last field numbers the
+/// input), and hot duplicate keys, mixed widths and one record wider than a
+/// page all land byte for byte.
 #[test]
 fn prop_page_native_flush_equals_the_normalized_sort() {
     let dir = std::env::temp_dir().join(format!("spinning-flush-prop-{}", std::process::id()));
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(16_000 + seed);
-        let n = 1 + rng.gen_index(1500);
-        let oversized = rng.gen_index(n);
-        let records: Vec<Record> = (0..n)
-            .map(|i| {
-                let payload = if i == oversized {
-                    Value::Text("w".repeat(40_000))
-                } else if rng.gen_index(4) == 0 {
-                    Value::Text(format!("t{}", rng.gen_index(1000)))
-                } else {
-                    Value::Long(rng.next_u64() as i64)
-                };
-                Record::new(vec![
-                    Value::Long(skewed_long_key(&mut rng)),
-                    payload,
-                    Value::Long(i as i64),
-                ])
-            })
-            .collect();
-        let mut oracle = records.clone();
-        sort_by_key_normalized(&mut oracle, &[0]);
-        let mut writer = PageWriter::new();
-        for record in &oracle {
-            writer.push(record);
-        }
-        let oracle_pages = writer.finish();
+        for (shape, &(name, key)) in KEY_SHAPES.iter().enumerate() {
+            let n = 1 + rng.gen_index(1500);
+            let oversized = rng.gen_index(n);
+            let records: Vec<Record> = (0..n)
+                .map(|i| {
+                    let payload = if i == oversized {
+                        Value::Text("w".repeat(40_000))
+                    } else if rng.gen_index(4) == 0 {
+                        Value::Text(format!("t{}", rng.gen_index(1000)))
+                    } else {
+                        Value::Long(rng.next_u64() as i64)
+                    };
+                    let mut fields = shaped_key(shape, &mut rng);
+                    fields.extend([payload, Value::Long(i as i64)]);
+                    Record::new(fields)
+                })
+                .collect();
+            let mut oracle = records.clone();
+            sort_by_key(&mut oracle, key);
+            let mut writer = PageWriter::new();
+            for record in &oracle {
+                writer.push(record);
+            }
+            let oracle_pages = writer.finish();
 
-        // The one-run entry point, over input pages of a random size.
-        let mut input = PageWriter::with_page_bytes([256, 4096, 32_768][rng.gen_index(3)]);
-        for record in &records {
-            input.push(record);
-        }
-        let run = write_sorted_run_in(&dir, &input.finish(), &[0]).unwrap();
-        assert_eq!(run.sorted_by(), Some(&[0usize][..]));
-        assert_eq!(run.read_pages().unwrap(), oracle_pages, "seed {seed}");
+            // The one-run entry point, over input pages of a random size.
+            let mut input = PageWriter::with_page_bytes([256, 4096, 32_768][rng.gen_index(3)]);
+            for record in &records {
+                input.push(record);
+            }
+            let run = write_sorted_run_in(&dir, &input.finish(), key).unwrap();
+            assert_eq!(run.sorted_by(), Some(key));
+            assert_eq!(
+                run.read_pages().unwrap(),
+                oracle_pages,
+                "{name}, seed {seed}"
+            );
 
-        // A writer's flush: pages too large to seal before `finish` gather
-        // the whole input into that one flush.
-        let manager = SpillManager::in_dir(dir.clone(), MemoryBudget::bytes(0), Some(vec![0]))
-            .with_page_bytes(1 << 20);
-        let mut writer = manager.writer();
-        for record in &records {
-            writer.push(record);
+            // A writer's flush: pages too large to seal before `finish`
+            // gather the whole input into that one flush.
+            let manager =
+                SpillManager::in_dir(dir.clone(), MemoryBudget::bytes(0), Some(key.to_vec()))
+                    .with_page_bytes(1 << 20);
+            let mut writer = manager.writer();
+            for record in &records {
+                writer.push(record);
+            }
+            let out = writer.finish().unwrap();
+            assert_eq!(out.runs.len(), 1, "{name}, seed {seed}");
+            assert_eq!(
+                out.runs[0].read_pages().unwrap(),
+                oracle_pages,
+                "{name}, seed {seed}"
+            );
         }
-        let out = writer.finish().unwrap();
-        assert_eq!(out.runs.len(), 1, "seed {seed}");
-        assert_eq!(
-            out.runs[0].read_pages().unwrap(),
-            oracle_pages,
-            "seed {seed}"
-        );
     }
     let _ = std::fs::remove_dir(&dir);
 }
 
-/// The k-way loser-tree merge equals the single-vector memcmp sort oracle
-/// for every k in {1, 2, 3, 8, 17}, including empty runs and heavy duplicate
-/// keys — exact record sequence, not just multiset, because contiguous
-/// input chunks plus the source-index tiebreak reproduce the stable sort.
+/// The k-way loser-tree merge over a sorted residue and `k − 1` sorted runs
+/// equals the stable single-vector sort for every k in {1, 2, 3, 8, 17} and
+/// every key shape, including empty runs and heavy duplicate keys — exact
+/// record sequence, not just multiset, because contiguous input chunks plus
+/// the source-index tiebreak reproduce the stable sort.
 #[test]
 fn prop_run_merger_matches_single_vector_sort() {
     let dir = std::env::temp_dir().join(format!("spinning-merge-prop-{}", std::process::id()));
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(14_000 + seed);
-        for &k in &[1usize, 2, 3, 8, 17] {
-            let n = rng.gen_index(250);
-            let input: Vec<Record> = (0..n)
-                .map(|i| Record::pair(skewed_long_key(&mut rng) % 17, i as i64))
-                .collect();
-            // Random chunk boundaries (possibly empty chunks) in input order.
-            let mut boundaries: Vec<usize> = (0..k - 1).map(|_| rng.gen_index(n + 1)).collect();
-            boundaries.sort_unstable();
-            boundaries.insert(0, 0);
-            boundaries.push(n);
-            let mut sources = Vec::with_capacity(k);
-            for w in boundaries.windows(2) {
-                let mut chunk = input[w[0]..w[1]].to_vec();
-                sort_by_key_normalized(&mut chunk, &[0]);
-                // Alternate spilled and in-memory sources; both must merge
-                // identically (empty chunks become empty runs/sources).
-                if rng.gen_index(2) == 0 {
-                    let run = write_sorted_records_in(&dir, &chunk, &[0]).unwrap();
-                    sources.push(MergeSource::Spilled(run.cursor().unwrap()));
-                } else {
-                    sources.push(MergeSource::Records(chunk.into_iter()));
-                }
+        for (shape, &(name, key)) in KEY_SHAPES.iter().enumerate() {
+            for &k in &[1usize, 2, 3, 8, 17] {
+                let n = rng.gen_index(250);
+                let input: Vec<Record> = (0..n)
+                    .map(|i| {
+                        let mut fields = shaped_key(shape, &mut rng);
+                        fields.push(Value::Long(i as i64));
+                        Record::new(fields)
+                    })
+                    .collect();
+                // Random chunk boundaries (possibly empty chunks) in input
+                // order: the first chunk is the in-memory residue, the others
+                // become runs (empty chunks empty runs).
+                let mut boundaries: Vec<usize> = (0..k - 1).map(|_| rng.gen_index(n + 1)).collect();
+                boundaries.sort_unstable();
+                boundaries.insert(0, 0);
+                boundaries.push(n);
+                let mut chunks = boundaries.windows(2).map(|w| {
+                    let mut chunk = input[w[0]..w[1]].to_vec();
+                    sort_by_key(&mut chunk, key);
+                    chunk
+                });
+                let residue = chunks.next().unwrap();
+                let runs: Vec<SpilledRun> = chunks
+                    .map(|chunk| write_sorted_records_in(&dir, &chunk, key).unwrap())
+                    .collect();
+                let merged = drain(RunMerger::over_runs(&runs, residue, key.to_vec()).unwrap());
+                let mut oracle = input;
+                sort_by_key(&mut oracle, key);
+                assert_eq!(
+                    merged, oracle,
+                    "merge diverged ({name}, seed {seed}, k {k})"
+                );
             }
-            let mut merged = Vec::new();
-            RunMerger::new(sources, vec![0])
-                .unwrap()
-                .collect_into(&mut merged)
-                .unwrap();
-            let mut oracle = input;
-            sort_by_key_normalized(&mut oracle, &[0]);
-            assert_eq!(merged, oracle, "merge diverged (seed {seed}, k {k})");
         }
     }
     let _ = std::fs::remove_dir(&dir);

@@ -268,8 +268,9 @@ fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths
     // Every group whose candidates sit partly in memory (sent by the
     // partition itself) and partly in spilled runs (sent by its peer) is a
     // tie across the two: the page-native merge and the materializing
-    // `RunMerger` must both break it in delivery order — the in-memory
-    // candidates first, then the runs in order.  (Range routing keeps a
+    // oracle (the delivered candidates stably sorted) must both break it in
+    // delivery order — the in-memory candidates first, then the runs in
+    // order.  (Range routing keeps a
     // ring's neighbours in their own partition, so only the zero budget
     // spills enough of its few shipped candidates to test it.)
     let (iteration, solution, workset) = order_recording_ring(512, 16);
@@ -309,9 +310,9 @@ fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths
 #[test]
 fn spilled_executor_groupings_hand_records_over_in_delivery_order_on_both_paths() {
     // The executor's Reduce under both local strategies and its sort-merge
-    // join, hash- and range-shipped, spilling: the page-native paths and the
-    // materializing ones (the sort strategies' `RunMerger`, the hash
-    // strategy's table fed by a range partition's merge) must hand every
+    // join, hash- and range-shipped, spilling: the page-native kernel and the
+    // materializing oracle (each input materialized — a range partition's
+    // sorted runs merged in — then stably sorted and cut) must hand every
     // group over in the same order.  The executor has no credit knob; its
     // budget alone makes it spill.
     let keyed = |n: i64, salt: i64| -> Vec<Record> {

@@ -375,8 +375,9 @@ enum KeyShape {
     Long,
     /// One `Text` field, whose order is not the numeric one.
     Text,
-    /// `Long` keys with a few `Text` ones arriving mid-stream: a paged
-    /// grouping moves what it holds to the record table.
+    /// `Long` keys with a few `Text` ones arriving mid-stream: the paged
+    /// grouping switches from exact prefixes to in-place key comparison,
+    /// still on its pages.
     LongThenText,
     /// Two `Long` fields.
     LongLong,
@@ -555,8 +556,8 @@ fn operator_rows(stats: &ExecutionStats) -> Vec<(String, usize, usize)> {
 
 /// Every streaming consumer kind fused, at parallelism 1 and 4, with and
 /// without a budget that spills the exchanged side inputs, for every key
-/// shape the Reduce can group on (the paged grouping, its move to the record
-/// table mid-stream, and the record stages) and with records handed over as
+/// shape the Reduce can group on (exact `Long` prefixes, inexact keys, and
+/// the switch from one to the other mid-stream) and with records handed over as
 /// fields or as heap records: sinks are byte-identical per partition and
 /// every operator consumed and produced exactly what it does when each edge
 /// materializes.
