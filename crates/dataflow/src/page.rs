@@ -2472,6 +2472,60 @@ mod tests {
         assert_eq!(reread[3], Record::pair(3, -3));
     }
 
+    /// The kernel hands out groups in key order, delivery order inside each
+    /// group.  There is no fallback left to signal: a composite key and a
+    /// column mixing `Long` and `Text` keys group on pages too, and grouping
+    /// leaves the partition intact for its owning accessor.
+    #[test]
+    fn long_key_grouping_groups_in_key_order_or_signals_the_fallback() {
+        // Local records plus shipped pages, one key field each way.
+        let mut writer = PageWriter::with_page_bytes(64);
+        for i in 0..40i64 {
+            writer.push(&Record::pair(i % 5 - 2, i));
+        }
+        let part = ExchangedPartition::new(
+            vec![Record::pair(1, -1), Record::pair(-2, -2)],
+            writer.finish(),
+        );
+        let mut scratch = GroupScratch::default();
+        let mut groups: Vec<(Key, Vec<i64>)> = Vec::new();
+        for_each_key_group(&part, &[0], &mut scratch, |key, g| {
+            groups.push((key.clone(), g.iter().map(|r| r.long(1)).collect()))
+        })
+        .unwrap();
+        // Key order, and delivery order (local first) inside each group.
+        assert_eq!(
+            groups.iter().map(|g| g.0.as_long()).collect::<Vec<_>>(),
+            [-2, -1, 0, 1, 2].map(Some)
+        );
+        assert_eq!(groups[0].1, vec![-2, 0, 5, 10, 15, 20, 25, 30, 35]);
+        assert_eq!(groups[3].1[..3], [-1, 3, 8]);
+
+        // A composite key groups every distinct pair once, in key order.
+        let mut composite: Vec<Key> = Vec::new();
+        for_each_key_group(&part, &[0, 1], &mut scratch, |key, g| {
+            assert_eq!(g.len(), 1);
+            composite.push(key.clone())
+        })
+        .unwrap();
+        assert_eq!(composite.len(), 42);
+        assert!(composite.windows(2).all(|w| w[0] < w[1]));
+
+        // A non-`Long` key field — even as the very last record ingested —
+        // groups alongside the `Long`s.
+        let mut writer = PageWriter::new();
+        writer.push(&Record::pair(3, 3));
+        writer.push(&Record::new(vec![Value::Text("k".into()), Value::Long(4)]));
+        let mixed = ExchangedPartition::new(vec![Record::pair(1, 1)], writer.finish());
+        let mut keys: Vec<Key> = Vec::new();
+        for_each_key_group(&mixed, &[0], &mut scratch, |key, _| keys.push(key.clone())).unwrap();
+        assert_eq!(keys.len(), 3);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        assert!(keys.contains(&Key::Composite(vec![Value::Text("k".into())].into())));
+        // The partition is untouched: its owning accessor reads it all.
+        assert_eq!(mixed.into_records().unwrap().len(), 3);
+    }
+
     /// The grouping as `(key, serialized group records)`, in group order.
     type Groups = Vec<(Key, Vec<u8>)>;
 
