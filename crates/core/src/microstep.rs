@@ -57,7 +57,7 @@ use dataflow::credit::{
     TrySendError, CHANNEL_CREDITS_ENV,
 };
 use dataflow::join_index::JoinIndex;
-use dataflow::prelude::{DataflowError, Key, MemoryBudget, PartitionRouter, Record, Result};
+use dataflow::prelude::{DataflowError, Key, PartitionRouter, Record, Result};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
@@ -125,10 +125,7 @@ impl Drop for PendingSends<'_> {
 /// The warning printed when an asynchronous run is configured with a finite
 /// memory budget it cannot honour (the record queues never spill).  A pure
 /// function so the test suite can pin the wording without capturing stderr.
-fn ignored_budget_warning(budget: &MemoryBudget) -> String {
-    let limit = budget
-        .limit()
-        .expect("only finite budgets trigger the warning");
+fn ignored_budget_warning(limit: usize) -> String {
     format!(
         "warning: asynchronous microstep execution ignores the configured memory budget \
          of {limit} bytes (its record queues never spill); bound queue memory with \
@@ -139,9 +136,9 @@ fn ignored_budget_warning(budget: &MemoryBudget) -> String {
 /// Warns (once per process, the budget is typically identical across runs)
 /// that the configured memory budget does not apply to asynchronous
 /// execution.
-fn warn_ignored_budget_once(budget: &MemoryBudget) {
+fn warn_ignored_budget_once(limit: usize) {
     static WARNED: std::sync::Once = std::sync::Once::new();
-    WARNED.call_once(|| eprintln!("{}", ignored_budget_warning(budget)));
+    WARNED.call_once(|| eprintln!("{}", ignored_budget_warning(limit)));
 }
 
 /// The sink the expand UDF emits into on a worker: routes each candidate and
@@ -247,8 +244,8 @@ pub(crate) fn run_async(
         ..
     } = loaded;
     let parallelism = config.parallelism;
-    if !config.exec.memory_budget.is_unlimited() {
-        warn_ignored_budget_once(&config.exec.memory_budget);
+    if let Some(limit) = config.exec.memory_budget.limit() {
+        warn_ignored_budget_once(limit);
     }
     let comparator = solution.comparator();
     let credits = config.exec.channel_credits.unwrap_or(DEFAULT_ASYNC_CREDITS);
@@ -348,6 +345,8 @@ pub(crate) fn run_async(
     let mut stats = IterationStats::for_iteration(1);
     let mut first_error = None;
     for slot in outcome_slots {
+        // `try_scope` waits for every task, and a panicking one already
+        // returned above: every slot is filled.
         match slot.expect("pool ran every asynchronous worker") {
             Ok(outcome) => {
                 stats.workset_size += outcome.processed;
@@ -461,24 +460,26 @@ fn run_worker(
                     stalled_since = None;
                 }
                 Err(TrySendError::Full(record)) => {
-                    pending.items.push_front((target, record));
                     // The target queue is full: service our own inbox so the
                     // cycle keeps draining (the consumer we are waiting on
                     // may itself be blocked sending to us).
                     match receiver.try_recv() {
-                        Ok(record) => {
-                            process!(record);
+                        Ok(incoming) => {
+                            // The blocked record goes back to the head of
+                            // the queue, whose drop releases its credit
+                            // should processing unwind.
+                            pending.items.push_front((target, record));
+                            process!(incoming);
                             stalled_since = None;
                         }
+                        Err(_) if aborted.load(Ordering::SeqCst) => {
+                            pending.abandon(record);
+                            break 'run;
+                        }
                         Err(_) => {
-                            if aborted.load(Ordering::SeqCst) {
-                                break 'run;
-                            }
                             // Nothing to service: park on the blocked edge
                             // briefly so the consumer's next dequeue wakes
                             // us immediately.
-                            let (target, record) =
-                                pending.items.pop_front().expect("pushed back above");
                             match senders[target].send_deadline(record, IDLE_POLL) {
                                 Ok(()) => {
                                     stalled_since = None;
@@ -533,7 +534,7 @@ fn run_worker(
 mod tests {
     use super::*;
     use crate::workset::{ExecutionMode, ExpandClosure, UpdateClosure, WorksetIteration};
-    use dataflow::prelude::{ExecConfig, Value};
+    use dataflow::prelude::{ExecConfig, MemoryBudget, Value};
 
     /// Asynchronous minimum propagation over a ring of `n` vertices.
     fn ring_iteration(n: i64) -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
@@ -641,7 +642,7 @@ mod tests {
 
     #[test]
     fn ignored_budget_warning_names_the_budget_and_the_remedy() {
-        let message = ignored_budget_warning(&MemoryBudget::bytes(4096));
+        let message = ignored_budget_warning(4096);
         assert!(message.starts_with("warning:"), "message: {message}");
         assert!(message.contains("4096 bytes"), "message: {message}");
         assert!(message.contains("ignores"), "message: {message}");

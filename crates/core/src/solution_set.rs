@@ -16,7 +16,7 @@
 //! # Paged storage
 //!
 //! Each partition stores its records **serialized** in sealed pages (a
-//! [`PagedRecords`] store) and indexes them with a hash table from the record
+//! [`PageWriter`]) and indexes them with a hash table from the record
 //! key to an 8-byte [`PageHandle`].  Probes and merges work on the paged
 //! representation natively; a heap [`Record`] is copied out only where user
 //! code actually needs one — a comparator call during `∪̇`, a lookup handed
@@ -27,8 +27,8 @@
 //! page buffers are recycled into the compacted store.
 
 use dataflow::key::FxHashMap;
-use dataflow::page::{PageHandle, PagePool, PagedRecords, RecordPage};
-use dataflow::prelude::{Key, KeyFields, PartitionRouter, Record, Result, SpilledRun, Value};
+use dataflow::page::{PageHandle, PagePool, PageWriter, RecordPage};
+use dataflow::prelude::{Key, KeyFields, PartitionRouter, Record, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -67,7 +67,7 @@ const COMPACT_MIN_DEAD_BYTES: usize = 32 * 1024;
 #[derive(Clone)]
 pub(crate) struct PartitionIndex {
     index: FxHashMap<Key, PageHandle>,
-    store: PagedRecords,
+    store: PageWriter,
     /// Serialized bytes of replaced records still occupying pages; drives
     /// compaction.
     dead_bytes: usize,
@@ -87,8 +87,7 @@ impl Default for PartitionIndex {
     fn default() -> Self {
         PartitionIndex {
             index: FxHashMap::default(),
-            // Not `PagedRecords::default()`, which has a zero page size.
-            store: PagedRecords::new(),
+            store: PageWriter::new(),
             dead_bytes: 0,
             scratch: Record::empty(),
             scratch_handle: None,
@@ -100,7 +99,7 @@ impl std::fmt::Debug for PartitionIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PartitionIndex")
             .field("records", &self.index.len())
-            .field("stored_bytes", &self.store.byte_len())
+            .field("stored_bytes", &self.store.total_bytes())
             .field("dead_bytes", &self.dead_bytes)
             .finish()
     }
@@ -162,7 +161,7 @@ impl PartitionIndex {
         use std::collections::hash_map::Entry;
         let outcome = match self.index.entry(key) {
             Entry::Vacant(slot) => {
-                slot.insert(self.store.append_fields(fields));
+                slot.insert(self.store.push_fields(fields));
                 MergeOutcome::Inserted
             }
             Entry::Occupied(mut slot) => {
@@ -193,7 +192,7 @@ impl PartitionIndex {
                 };
                 if replace {
                     self.dead_bytes += self.store.view(*slot.get()).framed_len();
-                    *slot.get_mut() = self.store.append_fields(fields);
+                    *slot.get_mut() = self.store.push_fields(fields);
                     MergeOutcome::Replaced
                 } else {
                     MergeOutcome::Discarded
@@ -211,16 +210,18 @@ impl PartitionIndex {
     /// bytes; the old page buffers are recycled into the compacted store so
     /// steady-state churn reuses them instead of allocating.
     fn maybe_compact(&mut self) {
-        if self.dead_bytes < COMPACT_MIN_DEAD_BYTES || self.dead_bytes * 2 < self.store.byte_len() {
+        if self.dead_bytes < COMPACT_MIN_DEAD_BYTES
+            || self.dead_bytes * 2 < self.store.total_bytes()
+        {
             return;
         }
-        let mut compacted = PagedRecords::new();
+        let mut compacted = PageWriter::new();
         for handle in self.index.values_mut() {
-            *handle = compacted.append_serialized(self.store.view(*handle).payload());
+            *handle = compacted.push_serialized(self.store.view(*handle).payload());
         }
         let old = std::mem::replace(&mut self.store, compacted);
         let mut pool = PagePool::new();
-        pool.recycle_all(old.into_pages());
+        pool.recycle_all(old.finish());
         self.store.add_spare_buffers(pool.take(usize::MAX));
         self.dead_bytes = 0;
         // Compaction reassigned every handle; the cached one is stale.
@@ -236,7 +237,7 @@ impl PartitionIndex {
 
     #[cfg(test)]
     fn stored_bytes(&self) -> usize {
-        self.store.byte_len()
+        self.store.total_bytes()
     }
 }
 
@@ -350,15 +351,6 @@ impl SolutionSet {
         self.len() == 0
     }
 
-    /// Looks up the record stored for the key of `probe` (extracted from the
-    /// given probe fields, which may differ from the solution key positions —
-    /// e.g. workset records carry the vertex id in a different field).
-    /// Copies the record out of its page.
-    pub fn lookup_by(&self, probe: &Record, probe_fields: &[usize]) -> Option<Record> {
-        let key = Key::extract(probe, probe_fields);
-        self.lookup(&key)
-    }
-
     /// Looks up the record stored under `key`, copying it out of its page —
     /// this is the user-facing boundary where a heap [`Record`] is
     /// materialized.  (The iteration drivers probe detached partitions
@@ -398,12 +390,9 @@ impl SolutionSet {
             .count()
     }
 
-    /// Merges every delta record serialized in `page` with the `∪̇`
-    /// semantics, returning how many were applied.  This is the paged
-    /// counterpart of [`SolutionSet::merge_all`]: delta sets arriving from
-    /// an exchange are applied straight out of their sealed pages through
-    /// one scratch record, never materializing a record vector.
-    pub fn merge_page(&mut self, page: &RecordPage) -> usize {
+    /// Merges every delta record serialized in `page`, returning how many
+    /// were applied.
+    fn merge_page(&mut self, page: &RecordPage) -> usize {
         let mut scratch = Record::empty();
         let mut applied = 0usize;
         for view in page.reader() {
@@ -415,43 +404,16 @@ impl SolutionSet {
         applied
     }
 
-    /// Merges a sequence of sealed delta pages (see
-    /// [`SolutionSet::merge_page`]), returning how many records were applied.
+    /// Merges every delta record serialized in a sequence of sealed pages
+    /// with the `∪̇` semantics, returning how many were applied.  This is the
+    /// paged counterpart of [`SolutionSet::merge_all`]: delta sets arriving
+    /// from an exchange are applied straight out of their sealed pages
+    /// through one scratch record, never materializing a record vector.
     pub fn merge_all_pages<'a>(
         &mut self,
         pages: impl IntoIterator<Item = &'a RecordPage>,
     ) -> usize {
         pages.into_iter().map(|page| self.merge_page(page)).sum()
-    }
-
-    /// Merges every delta record of a spilled run with the `∪̇` semantics,
-    /// streaming the run off disk through one scratch record — the
-    /// out-of-core counterpart of [`SolutionSet::merge_page`] for delta sets
-    /// that exceeded the exchange's memory budget.  Returns how many records
-    /// were applied.
-    pub fn merge_run(&mut self, run: &SpilledRun) -> Result<usize> {
-        let mut cursor = run.cursor()?;
-        let mut scratch = Record::empty();
-        let mut applied = 0usize;
-        while cursor.next_into(&mut scratch)? {
-            if self.merge_ref(&scratch).applied() {
-                applied += 1;
-            }
-        }
-        Ok(applied)
-    }
-
-    /// Merges a sequence of spilled delta runs (see
-    /// [`SolutionSet::merge_run`]), returning how many records were applied.
-    pub fn merge_all_runs<'a>(
-        &mut self,
-        runs: impl IntoIterator<Item = &'a SpilledRun>,
-    ) -> Result<usize> {
-        let mut applied = 0usize;
-        for run in runs {
-            applied += self.merge_run(run)?;
-        }
-        Ok(applied)
     }
 
     /// All records of one partition (unspecified order), copied out of the
@@ -598,16 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_alternate_probe_fields() {
-        let mut s = SolutionSet::new(vec![0], 4);
-        s.merge(Record::pair(5, 42));
-        // Workset record (candidate, vid) carries the vid in field 1.
-        let probe = Record::pair(99, 5);
-        assert_eq!(s.lookup_by(&probe, &[1]).unwrap().long(1), 42);
-        assert!(s.lookup_by(&probe, &[0]).is_none());
-    }
-
-    #[test]
     fn detached_partition_probe_uses_the_scratch_record() {
         let mut s = SolutionSet::new(vec![0], 1);
         s.merge(Record::pair(3, 30));
@@ -674,42 +626,6 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn merge_spilled_runs_matches_record_merge() {
-        use dataflow::page::PageWriter;
-        use dataflow::spill::write_run_in;
-        let deltas: Vec<Record> = (0..300).map(|i| Record::pair(i % 60, i % 11)).collect();
-
-        let mut by_records = SolutionSet::new(vec![0], 3).with_comparator(cid_comparator());
-        let applied_records = by_records.merge_all(deltas.iter().cloned());
-
-        let dir = std::env::temp_dir().join(format!(
-            "spinning-spill-test-solution-{}",
-            std::process::id()
-        ));
-        let mut writer = PageWriter::with_page_bytes(128);
-        for delta in &deltas[..150] {
-            writer.push(delta);
-        }
-        let first = write_run_in(&dir, &writer.finish(), None).unwrap();
-        let mut writer = PageWriter::with_page_bytes(128);
-        for delta in &deltas[150..] {
-            writer.push(delta);
-        }
-        let second = write_run_in(&dir, &writer.finish(), None).unwrap();
-
-        let mut by_runs = SolutionSet::new(vec![0], 3).with_comparator(cid_comparator());
-        let applied_runs = by_runs.merge_all_runs([&first, &second]).unwrap();
-        assert_eq!(applied_records, applied_runs);
-        let mut a = by_records.records();
-        let mut b = by_runs.records();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        drop((first, second));
-        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]

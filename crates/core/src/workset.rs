@@ -672,6 +672,8 @@ impl<'a> WorksetIteration<'a> {
                 message: panic.message(),
             });
         }
+        // `try_scope` waited for every task, and a panicking one already
+        // returned above: every slot is filled.
         let outputs = output_slots
             .into_iter()
             .map(|slot| slot.expect("pool ran every superstep partition"))

@@ -116,8 +116,7 @@ impl Outbox {
         if target == self.source {
             self.local.push(record.into_owned());
         } else {
-            self.shipped_records += 1;
-            self.shipped_bytes += self.writers[target].push(&record);
+            self.writers[target].push(&record);
         }
     }
 
@@ -132,8 +131,7 @@ impl Outbox {
         } else {
             let writer = &mut self.writers[target];
             writer.refill_spare_from(&mut self.spare);
-            self.shipped_records += 1;
-            self.shipped_bytes += writer.push_fields(fields);
+            writer.push_fields(fields);
         }
     }
 
@@ -145,6 +143,8 @@ impl Outbox {
         self.local_pages.seal();
         self.sealed.reserve_exact(self.writers.len());
         for writer in self.writers.drain(..) {
+            self.shipped_records += writer.total_records();
+            self.shipped_bytes += writer.total_bytes();
             self.sealed.push(writer.finish()?);
         }
         Ok(())

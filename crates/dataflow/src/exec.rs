@@ -1477,11 +1477,10 @@ fn broadcast_paged(
         return vec![ExchangedPartition::from_records(records)];
     }
     let mut writer = PageWriter::new();
-    let (mut count, mut bytes) = (0usize, 0usize);
     for record in producer.partitions().iter().flatten() {
-        count += 1;
-        bytes += writer.push(record);
+        writer.push(record);
     }
+    let (count, bytes) = (writer.total_records(), writer.total_bytes());
     let pages = writer.finish();
     let copies = parallelism - 1;
     stats.shipped_records += count * copies;

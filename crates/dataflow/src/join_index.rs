@@ -6,17 +6,17 @@
 //! cached hash table of the paper's Figure 6 — and probes it with every
 //! applied delta, in batch and microstep mode alike.
 //!
-//! Whatever the key's shape, the records live serialized in a
-//! [`PagedRecords`] store under a [`PrefixTable`] keyed on the grouping
-//! kernel's key prefix ([`crate::page`]): delivered pages are adopted by
-//! pointer, spilled runs revived as pages, heap records serialized once, and
-//! a probe reads its matches into one reused scratch slice.  While every key
-//! is one `Long` field the prefix is the whole key; any other key shape
-//! hashes, and a probe filters its chain on the key bytes.
+//! Whatever the key's shape, the records live serialized in a [`PageWriter`]
+//! under a [`PrefixTable`] keyed on the grouping kernel's key prefix
+//! ([`crate::page`]): delivered pages are adopted by pointer, spilled runs
+//! revived as pages, heap records serialized once, and a probe reads its
+//! matches into one reused scratch slice.  While every key is one `Long`
+//! field the prefix is the whole key; any other key shape hashes, and a
+//! probe filters its chain on the key bytes.
 
 use crate::key::KeyFields;
 use crate::page::{
-    key_matches_fields, key_prefix, key_prefix_of_fields, ExchangedPartition, PagedRecords,
+    key_matches_fields, key_prefix, key_prefix_of_fields, ExchangedPartition, PageWriter,
     PrefixTable, RecordView,
 };
 use crate::record::Record;
@@ -37,7 +37,7 @@ use crate::value::Value;
 pub struct JoinIndex {
     key: KeyFields,
     /// The serialized build records.
-    store: PagedRecords,
+    store: PageWriter,
     /// Key prefix → handles into `store`, in insertion order per prefix.
     table: PrefixTable,
     /// Every key so far is one `Long` field: a chain holds exactly its key.
@@ -49,7 +49,7 @@ impl JoinIndex {
     pub fn new(key: &[usize]) -> JoinIndex {
         JoinIndex {
             key: key.to_vec(),
-            store: PagedRecords::new(),
+            store: PageWriter::new(),
             table: PrefixTable::new(),
             exact: true,
         }
@@ -65,7 +65,7 @@ impl JoinIndex {
     /// record exists.
     pub fn insert_fields(&mut self, fields: &[Value]) {
         let (prefix, exact) = key_prefix_of_fields(fields, &self.key);
-        self.table.insert(prefix, self.store.append_fields(fields));
+        self.table.insert(prefix, self.store.push_fields(fields));
         self.exact &= exact;
     }
 
@@ -77,7 +77,7 @@ impl JoinIndex {
         part: ExchangedPartition,
         key: &[usize],
     ) -> std::io::Result<JoinIndex> {
-        let (mut store, mut table) = (PagedRecords::new(), PrefixTable::new());
+        let (mut store, mut table) = (PageWriter::new(), PrefixTable::new());
         let exact = part.ingest(key, &mut store, |prefix, handle| {
             table.insert(prefix, handle)
         })?;

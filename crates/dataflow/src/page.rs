@@ -9,8 +9,13 @@
 //! * [`RecordPage`] — an immutable, sealed byte buffer holding a run of
 //!   length-prefixed serialized records.  Sealed pages are shared and moved
 //!   as pointers ([`std::sync::Arc`]); the bytes themselves are written once.
-//! * [`PageWriter`] — serializes [`Record`]s into pages, sealing a page when
-//!   the next record would overflow the page capacity.
+//! * [`PageWriter`] — the one page builder: serializes records into pages,
+//!   sealing a page when the next record would overflow its capacity,
+//!   adopts delivered pages by pointer, and addresses every record it holds
+//!   by a [`PageHandle`].  Exchange outboxes, spill writers, broadcast, the
+//!   load step and checkpoint files ship its sealed pages; page-native
+//!   operators (the grouping kernel, the join index, the solution set, the
+//!   sorted flush) read their records back through the handles.
 //! * [`PageReader`] / [`RecordView`] — iterate the records of a sealed page
 //!   lazily, either materializing owned [`Record`]s or reading individual
 //!   fields straight out of the page bytes without allocating.
@@ -19,11 +24,10 @@
 //!   partition (moved as heap objects, like a chained local forward) plus
 //!   sealed pages — shipped from peer partitions, or written locally by a
 //!   producer that emits records by reference.
-//! * [`PagedRecords`] / [`for_each_key_group`] — handle-addressed stores
-//!   over delivered pages, and the one kernel that sorts and groups a
-//!   delivered partition by its key straight off them, whatever the key's
-//!   shape (under the executor's Reduce and sort-merge join, the sorting
-//!   spill flush and the workset driver's batch update join alike);
+//! * [`for_each_key_group`] — the one kernel that sorts and groups a
+//!   delivered partition by its key straight off its pages, whatever the
+//!   key's shape (under the executor's Reduce and sort-merge join, the
+//!   sorting spill flush and the workset driver's batch update join alike);
 //!   `KeyGroups` runs the same kernel over a stream of records serialized as
 //!   they arrive (a fused Reduce).
 //!
@@ -118,33 +122,8 @@ fn denormalize_double(bytes: [u8; 8]) -> f64 {
     f64::from_bits(bits)
 }
 
-#[inline]
-fn serialize_value(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(v) => {
-            out.push(TAG_BOOL);
-            out.push(u8::from(*v));
-        }
-        Value::Long(v) => {
-            out.push(TAG_LONG);
-            out.extend_from_slice(&normalize_long(*v));
-        }
-        Value::Double(v) => {
-            out.push(TAG_DOUBLE);
-            out.extend_from_slice(&normalize_double(*v));
-        }
-        Value::Text(s) => {
-            out.push(TAG_TEXT);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
 /// Serializes one field into the head of `buf`, returning its width.  The
-/// caller guarantees the field fits (see the stack fast path of
-/// [`serialize_fields_with_width`]).
+/// caller guarantees the field fits.
 #[inline]
 fn serialize_value_into(value: &Value, buf: &mut [u8]) -> usize {
     match value {
@@ -194,33 +173,33 @@ pub fn serialized_width(fields: &[Value]) -> usize {
 /// fit check — the field widths are summed once, not twice).  Small records
 /// — the exchange-path common case — assemble frame and fields in one stack
 /// buffer and land in the page with a single copy instead of a
-/// bounds-checked append per field.
+/// bounds-checked append per field; wider ones are framed in place.
 pub(crate) fn serialize_fields_with_width(fields: &[Value], width: usize, out: &mut Vec<u8>) {
-    let payload = (width - RECORD_FRAME_BYTES) as u32;
     const STACK: usize = 64;
     if width <= STACK {
         let mut buf = [0u8; STACK];
-        buf[..RECORD_FRAME_BYTES].copy_from_slice(&payload.to_le_bytes());
-        let mut off = RECORD_FRAME_BYTES;
-        for value in fields {
-            off += serialize_value_into(value, &mut buf[off..]);
-        }
-        debug_assert_eq!(
-            off, width,
-            "estimated_bytes must equal the serialized width"
-        );
-        out.extend_from_slice(&buf[..off]);
-        return;
+        frame_fields_into(fields, &mut buf[..width]);
+        out.extend_from_slice(&buf[..width]);
+    } else {
+        let start = out.len();
+        out.resize(start + width, 0);
+        frame_fields_into(fields, &mut out[start..]);
     }
-    out.reserve(width);
-    out.extend_from_slice(&payload.to_le_bytes());
-    let start = out.len();
+}
+
+/// Writes the length frame and the field encodings of a record exactly
+/// `buf.len()` bytes wide into `buf`.
+#[inline]
+fn frame_fields_into(fields: &[Value], buf: &mut [u8]) {
+    let payload = (buf.len() - RECORD_FRAME_BYTES) as u32;
+    buf[..RECORD_FRAME_BYTES].copy_from_slice(&payload.to_le_bytes());
+    let mut off = RECORD_FRAME_BYTES;
     for value in fields {
-        serialize_value(value, out);
+        off += serialize_value_into(value, &mut buf[off..]);
     }
     debug_assert_eq!(
-        out.len() - start,
-        payload as usize,
+        off,
+        buf.len(),
         "estimated_bytes must equal the serialized width"
     );
 }
@@ -360,25 +339,49 @@ pub(crate) fn view_in(bytes: &[u8], offset: usize) -> RecordView<'_> {
     }
 }
 
-/// Serializes records into a sequence of sealed [`RecordPage`]s.
+/// The address of one serialized record inside a [`PageWriter`]: the page
+/// index and the byte offset of the record's length frame.  Handles are 8
+/// bytes, `Copy`, and totally ordered by insertion position — sorting
+/// `(key, handle)` pairs with an unstable sort therefore reproduces a stable
+/// sort of the writer's records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PageHandle {
+    page: u32,
+    offset: u32,
+}
+
+/// Serializes records into a sequence of sealed [`RecordPage`]s and
+/// addresses every record it holds by a [`PageHandle`] — the one builder of
+/// pages: exchange outboxes, spill writers, broadcast, the load step and
+/// checkpoint files hand its sealed pages on; the grouping kernel, the join
+/// index, the solution set and the sorted flush read records back through
+/// their handles ([`PageWriter::view`]).
 ///
 /// The writer keeps one open page; pushing a record that would not fit seals
 /// the open page and starts a new one.  A record wider than the page capacity
 /// gets a private oversized page, so arbitrarily large records round-trip.
+/// Sealed pages delivered by an exchange are **adopted** by pointer
+/// ([`PageWriter::adopt_page_scanned`]: no copy, no deserialization).
 ///
 /// # Capacity invariant
 ///
-/// Every sealed page holds at most `page_bytes` bytes, with exactly one
-/// exception: a record wider than the capacity seals **alone** into a
-/// private page, immediately — it never shares a page, so the records around
-/// it frame exactly as if it had fit.  [`PageWriter::seal`] asserts this
-/// invariant instead of letting an over-full mixed page slip through
-/// silently (which would break the fixed-buffer assumption of anything
-/// staging pages, e.g. the spill path reviving them through one reused
-/// buffer).
-#[derive(Debug)]
+/// Every page the writer seals holds at most `page_bytes` bytes, with
+/// exactly one exception: a record wider than the capacity seals **alone**
+/// into a private page, immediately — it never shares a page, so the records
+/// around it frame exactly as if it had fit.  Sealing asserts this invariant
+/// instead of letting an over-full mixed page slip through silently (which
+/// would break the fixed-buffer assumption of anything staging pages, e.g.
+/// the spill path reviving them through one reused buffer).
+///
+/// # Handles
+///
+/// A handle addresses its record until [`PageWriter::take_sealed`], which
+/// ends every handle issued before it; sealing the open page keeps them.
+#[derive(Debug, Clone)]
 pub struct PageWriter {
     page_bytes: usize,
+    /// Sealed and adopted pages, in order.  Handles into the open page carry
+    /// page index `sealed.len()`, which stays correct when it seals.
     sealed: Vec<Arc<RecordPage>>,
     /// Serialized bytes across the sealed (not yet taken) pages — what a
     /// memory budget meters; the open page is the working buffer and is
@@ -389,9 +392,9 @@ pub struct PageWriter {
     total_records: usize,
     total_bytes: usize,
     /// Recycled page buffers (capacity retained, contents cleared) handed to
-    /// the writer by a [`PagePool`]; [`PageWriter::seal`] reuses one instead
-    /// of allocating a fresh buffer, so a steady-state superstep whose
-    /// consumed pages are recycled into its outboxes allocates no new pages.
+    /// the writer by a [`PagePool`]; sealing reuses one instead of
+    /// allocating a fresh buffer, so a steady-state superstep whose consumed
+    /// pages are recycled into its outboxes allocates no new pages.
     spare: Vec<Vec<u8>>,
 }
 
@@ -438,20 +441,51 @@ impl PageWriter {
         }
     }
 
-    /// Serializes one record into the open page, sealing first if it would
-    /// overflow.  Returns the serialized width in bytes.
+    /// Takes one buffer from `buffers` unless the writer still holds a
+    /// recycled buffer for its next page.  Called before every push by a
+    /// caller that shares one stock of buffers among several writers, this
+    /// keeps each writer one page ahead, so the buffers go to the writers
+    /// that actually fill pages.
     #[inline]
-    pub fn push(&mut self, record: &Record) -> usize {
+    pub fn refill_spare_from(&mut self, buffers: &mut Vec<Vec<u8>>) {
+        if self.spare.is_empty() {
+            self.add_spare_buffers(buffers.pop());
+        }
+    }
+
+    /// Serializes one record into the open page, sealing first if it would
+    /// overflow, and returns its handle.
+    #[inline]
+    pub fn push(&mut self, record: &Record) -> PageHandle {
         self.push_fields(record.fields())
     }
 
     /// [`PageWriter::push`] for a record given as its field slice: a record
     /// emitted by reference is born serialized, without ever being a heap
     /// [`Record`].
-    pub fn push_fields(&mut self, fields: &[Value]) -> usize {
+    #[inline]
+    pub fn push_fields(&mut self, fields: &[Value]) -> PageHandle {
         // The exact serialized width of the binary format, so the fit check
         // never needs a rollback.
         let width = serialized_width(fields);
+        self.push_framed(width, |buf| serialize_fields_with_width(fields, width, buf))
+    }
+
+    /// Copies one already-serialized record (a [`RecordView`] payload,
+    /// possibly from another writer or page) and returns its handle — the
+    /// page-to-page forward that never deserializes.
+    pub fn push_serialized(&mut self, payload: &[u8]) -> PageHandle {
+        self.push_framed(RECORD_FRAME_BYTES + payload.len(), |buf| {
+            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            buf.extend_from_slice(payload);
+        })
+    }
+
+    /// Frames one `width`-byte record that `write` appends to the open page:
+    /// seals first if it would overflow, and seals the record alone if it is
+    /// oversized.
+    #[inline]
+    fn push_framed(&mut self, width: usize, write: impl FnOnce(&mut Vec<u8>)) -> PageHandle {
         if !self.buf.is_empty() && self.buf.len() + width > self.page_bytes {
             // This page filled, so its successor most likely will too: start
             // it at full capacity instead of doubling up to it.  (A writer's
@@ -460,7 +494,11 @@ impl PageWriter {
             let page_bytes = self.page_bytes;
             self.seal_onto(|| Vec::with_capacity(page_bytes));
         }
-        serialize_fields_with_width(fields, width, &mut self.buf);
+        let handle = PageHandle {
+            page: self.sealed.len() as u32,
+            offset: self.buf.len() as u32,
+        };
+        write(&mut self.buf);
         self.records += 1;
         self.total_records += 1;
         self.total_bytes += width;
@@ -471,18 +509,51 @@ impl PageWriter {
             // corrupts the offsets of) the over-full buffer.
             self.seal();
         }
-        width
+        handle
     }
 
-    /// Takes one buffer from `buffers` unless the writer still holds a
-    /// recycled buffer for its next page.  Called before every push by a
-    /// caller that shares one stock of buffers among several writers, this
-    /// keeps each writer one page ahead, so the buffers go to the writers
-    /// that actually fill pages.
-    #[inline]
-    pub fn refill_spare_from(&mut self, buffers: &mut Vec<Vec<u8>>) {
-        if self.spare.is_empty() {
-            self.add_spare_buffers(buffers.pop());
+    /// Adopts a sealed page by pointer — the zero-copy ingest of everything
+    /// an exchange delivered serialized — and visits each of its records
+    /// with the handle it is now addressable by: the ingest loop of
+    /// page-native operator builds.  Seals the open page first so previously
+    /// returned handles keep addressing it.  `f` returns whether to keep
+    /// scanning; an aborted scan still completes the adoption and returns
+    /// `false`.
+    pub fn adopt_page_scanned(
+        &mut self,
+        page: &Arc<RecordPage>,
+        mut f: impl FnMut(PageHandle, RecordView<'_>) -> bool,
+    ) -> bool {
+        if page.is_empty() {
+            return true;
+        }
+        self.seal();
+        let idx = self.sealed.len() as u32;
+        self.sealed_bytes += page.byte_len();
+        self.total_records += page.record_count();
+        self.total_bytes += page.byte_len();
+        self.sealed.push(Arc::clone(page));
+        let mut reader = page.reader();
+        loop {
+            let offset = reader.next_offset() as u32;
+            let Some(view) = reader.next() else {
+                return true;
+            };
+            if !f(PageHandle { page: idx, offset }, view) {
+                return false;
+            }
+        }
+    }
+
+    /// The view of the record at `handle`.  Always inlined: it sits in the
+    /// per-record loops of every page-native grouping, probe and merge.
+    #[inline(always)]
+    pub fn view(&self, handle: PageHandle) -> RecordView<'_> {
+        let page = handle.page as usize;
+        if page == self.sealed.len() {
+            view_in(&self.buf, handle.offset as usize)
+        } else {
+            self.sealed[page].view_at(handle.offset as usize)
         }
     }
 
@@ -528,24 +599,27 @@ impl PageWriter {
 
     /// Takes the sealed pages out of the writer (the open page stays),
     /// resetting the sealed-byte gauge — the spill path moves these to disk.
+    /// Ends the validity of every handle issued so far, the open page's
+    /// included: page indices restart at the open page.
     pub fn take_sealed(&mut self) -> Vec<Arc<RecordPage>> {
         self.sealed_bytes = 0;
         std::mem::take(&mut self.sealed)
     }
 
-    /// Records written so far (sealed and open pages).
+    /// Records written or adopted so far (sealed and open pages).
     #[inline]
     pub fn total_records(&self) -> usize {
         self.total_records
     }
 
-    /// Serialized bytes written so far (sealed and open pages).
+    /// Serialized bytes written or adopted so far (sealed and open pages,
+    /// frames included).
     #[inline]
     pub fn total_bytes(&self) -> usize {
         self.total_bytes
     }
 
-    /// True if nothing has been written.
+    /// True if nothing has been written or adopted.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.total_records == 0
@@ -590,11 +664,9 @@ impl<'a> Iterator for PageReader<'a> {
             return None;
         }
         self.remaining -= 1;
-        let len = u32::from_le_bytes(read_array(self.bytes, &mut self.offset)) as usize;
-        let end = self.offset + len;
-        let payload = &self.bytes[self.offset..end];
-        self.offset = end;
-        Some(RecordView { payload })
+        let view = view_in(self.bytes, self.offset);
+        self.offset += view.framed_len();
+        Some(view)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -629,8 +701,8 @@ impl<'a> RecordView<'a> {
         self.payload
     }
 
-    /// Serialized width including the length frame (what appending this view
-    /// to a [`PagedRecords`] store or page costs in bytes).
+    /// Serialized width including the length frame (what pushing this view
+    /// into a [`PageWriter`] costs in bytes).
     #[inline]
     pub fn framed_len(&self) -> usize {
         RECORD_FRAME_BYTES + self.payload.len()
@@ -886,214 +958,8 @@ pub(crate) fn key_matches_fields(
 }
 
 // ---------------------------------------------------------------------------
-// Paged record stores: handles instead of heap records
+// Prefix tables: handles under a key prefix
 // ---------------------------------------------------------------------------
-
-/// The address of one serialized record inside a [`PagedRecords`] store: the
-/// page index and the byte offset of the record's length frame.  Handles are
-/// 8 bytes, `Copy`, and totally ordered by insertion position — sorting
-/// `(key, handle)` pairs with an unstable sort therefore reproduces a stable
-/// sort of the store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PageHandle {
-    page: u32,
-    offset: u32,
-}
-
-/// An append-only store of serialized records addressed by [`PageHandle`]s —
-/// the backing of page-native operators.  Sealed pages received from an
-/// exchange are **adopted** by pointer (no copy, no deserialization); records
-/// that exist only as heap objects (a partition's local residue) are
-/// serialized once on append.  Records are read back as [`RecordView`]s and
-/// materialized only at user-function boundaries.
-#[derive(Debug, Clone, Default)]
-pub struct PagedRecords {
-    page_bytes: usize,
-    pages: Vec<Arc<RecordPage>>,
-    /// The open (still mutable) page; handles into it carry page index
-    /// `pages.len()`, which stays correct when it seals.
-    buf: Vec<u8>,
-    buf_records: usize,
-    spare: Vec<Vec<u8>>,
-    count: usize,
-    byte_len: usize,
-}
-
-impl PagedRecords {
-    /// An empty store producing [`DEFAULT_PAGE_BYTES`] pages.
-    pub fn new() -> PagedRecords {
-        PagedRecords::with_page_bytes(DEFAULT_PAGE_BYTES)
-    }
-
-    /// An empty store with an explicit page capacity (tests force record
-    /// runs to straddle page boundaries).
-    pub fn with_page_bytes(page_bytes: usize) -> PagedRecords {
-        PagedRecords {
-            page_bytes: page_bytes.max(RECORD_FRAME_BYTES + 1),
-            ..PagedRecords::default()
-        }
-    }
-
-    /// Number of records in the store.
-    #[inline]
-    pub fn record_count(&self) -> usize {
-        self.count
-    }
-
-    /// True when nothing has been adopted or appended.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Serialized bytes held (frames included).
-    #[inline]
-    pub fn byte_len(&self) -> usize {
-        self.byte_len
-    }
-
-    /// Hands the store recycled page buffers (see [`PagePool`]) so sealing
-    /// the open page reuses capacity instead of allocating.  A store that has
-    /// not buffered anything yet claims one buffer as its open page
-    /// immediately, so even the first page writes into recycled capacity.
-    pub fn add_spare_buffers(&mut self, buffers: impl IntoIterator<Item = Vec<u8>>) {
-        self.spare.extend(buffers.into_iter().map(|mut b| {
-            b.clear();
-            b
-        }));
-        if self.buf.capacity() == 0 {
-            if let Some(buf) = self.spare.pop() {
-                self.buf = buf;
-            }
-        }
-    }
-
-    /// Adopts a sealed page by pointer — the zero-copy ingest of everything
-    /// an exchange delivered serialized — and visits each of its records
-    /// with the handle it is now addressable by: the ingest loop of
-    /// page-native operator builds.  Seals the open page first so previously
-    /// returned handles keep addressing it.  `f` returns whether to keep
-    /// scanning; an aborted scan still completes the adoption and returns
-    /// `false`.
-    pub fn adopt_page_scanned(
-        &mut self,
-        page: &Arc<RecordPage>,
-        mut f: impl FnMut(PageHandle, RecordView<'_>) -> bool,
-    ) -> bool {
-        if page.is_empty() {
-            return true;
-        }
-        self.seal_open();
-        let idx = self.pages.len() as u32;
-        self.count += page.record_count();
-        self.byte_len += page.byte_len();
-        self.pages.push(Arc::clone(page));
-        let mut reader = page.reader();
-        loop {
-            let offset = reader.next_offset() as u32;
-            let Some(view) = reader.next() else {
-                return true;
-            };
-            if !f(PageHandle { page: idx, offset }, view) {
-                return false;
-            }
-        }
-    }
-
-    /// Serializes one heap record into the open page and returns its handle.
-    #[inline]
-    pub fn append(&mut self, record: &Record) -> PageHandle {
-        self.append_fields(record.fields())
-    }
-
-    /// [`PagedRecords::append`] for a record given as its field slice: a
-    /// record emitted by reference is stored without ever being a heap
-    /// [`Record`].
-    pub fn append_fields(&mut self, fields: &[Value]) -> PageHandle {
-        let width = serialized_width(fields);
-        let handle = self.start_frame(width);
-        serialize_fields_with_width(fields, width, &mut self.buf);
-        self.finish_frame(width);
-        handle
-    }
-
-    /// Copies one already-serialized record (a [`RecordView`] payload,
-    /// possibly from another store or page) and returns its handle — the
-    /// page-to-page forward that never deserializes.
-    pub fn append_serialized(&mut self, payload: &[u8]) -> PageHandle {
-        let width = RECORD_FRAME_BYTES + payload.len();
-        let handle = self.start_frame(width);
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(payload);
-        self.finish_frame(width);
-        handle
-    }
-
-    /// Seals the open page (if it would overflow) and returns the handle the
-    /// next `width`-byte record will live at.
-    fn start_frame(&mut self, width: usize) -> PageHandle {
-        if !self.buf.is_empty() && self.buf.len() + width > self.page_bytes {
-            // Like `PageWriter::push_fields`: the successor of a page that
-            // filled starts at full capacity.
-            let page_bytes = self.page_bytes;
-            self.seal_open_onto(|| Vec::with_capacity(page_bytes));
-        }
-        PageHandle {
-            page: self.pages.len() as u32,
-            offset: self.buf.len() as u32,
-        }
-    }
-
-    fn finish_frame(&mut self, width: usize) {
-        self.buf_records += 1;
-        self.count += 1;
-        self.byte_len += width;
-        if width > self.page_bytes {
-            // Same invariant as `PageWriter`: an oversized record seals
-            // alone into a private page.
-            self.seal_open();
-        }
-    }
-
-    fn seal_open(&mut self) {
-        self.seal_open_onto(Vec::new);
-    }
-
-    /// Seals the open page and opens the next one on a recycled buffer, or
-    /// on what `fresh` returns when none is left.
-    fn seal_open_onto(&mut self, fresh: impl FnOnce() -> Vec<u8>) {
-        if self.buf.is_empty() {
-            return;
-        }
-        debug_assert!(
-            self.buf.len() <= self.page_bytes || self.buf_records == 1,
-            "capacity invariant violated in PagedRecords"
-        );
-        let next = self.spare.pop().unwrap_or_else(fresh);
-        let buf = std::mem::replace(&mut self.buf, next);
-        let records = std::mem::replace(&mut self.buf_records, 0);
-        self.pages.push(Arc::new(RecordPage { buf, records }));
-    }
-
-    /// The view of the record at `handle`.  Always inlined: it sits in the
-    /// per-record loops of every page-native grouping, probe and merge.
-    #[inline(always)]
-    pub fn view(&self, handle: PageHandle) -> RecordView<'_> {
-        let page = handle.page as usize;
-        if page == self.pages.len() {
-            view_in(&self.buf, handle.offset as usize)
-        } else {
-            self.pages[page].view_at(handle.offset as usize)
-        }
-    }
-
-    /// Seals the open page and returns all pages (spilling, recycling).
-    pub fn into_pages(mut self) -> Vec<Arc<RecordPage>> {
-        self.seal_open();
-        self.pages
-    }
-}
 
 /// A hash table from an 8-byte normalized key prefix to the chain of
 /// [`PageHandle`]s inserted under it, preserving insertion order per key —
@@ -1510,7 +1376,7 @@ impl ExchangedPartition {
     pub(crate) fn ingest(
         &self,
         key: &[usize],
-        store: &mut PagedRecords,
+        store: &mut PageWriter,
         mut on_record: impl FnMut(u64, PageHandle),
     ) -> std::io::Result<bool> {
         let mut exact = self.ingest_residue(key, store, &mut on_record);
@@ -1527,13 +1393,13 @@ impl ExchangedPartition {
     fn ingest_residue(
         &self,
         key: &[usize],
-        store: &mut PagedRecords,
+        store: &mut PageWriter,
         on_record: &mut impl FnMut(u64, PageHandle),
     ) -> bool {
         let mut exact = true;
         for record in self.local.iter() {
             let (prefix, is_exact) = key_prefix_of_fields(record.fields(), key);
-            on_record(prefix, store.append(record));
+            on_record(prefix, store.push(record));
             exact &= is_exact;
         }
         for page in &self.pages {
@@ -1674,7 +1540,7 @@ impl ExchangedPartition {
 fn scan_keyed(
     page: &Arc<RecordPage>,
     key: &[usize],
-    store: &mut PagedRecords,
+    store: &mut PageWriter,
     on_record: &mut impl FnMut(u64, PageHandle),
 ) -> bool {
     let mut exact = true;
@@ -1702,19 +1568,19 @@ pub struct GroupScratch {
     group: Vec<Record>,
 }
 
-/// A paged partition sorted on its key: the records sit in a handle store,
+/// A paged partition sorted on its key: the records sit in a page writer,
 /// the order is the caller's `(key prefix, handle)` pairs.  `exact` tells
 /// that every key is one `Long` field, whose prefix orders and cuts the
 /// groups by itself; otherwise keys are compared in place on their bytes.
 #[derive(Debug)]
 pub(crate) struct KeySorted<'k> {
-    store: PagedRecords,
+    store: PageWriter,
     key: &'k [usize],
     exact: bool,
 }
 
 /// Sorts a delivered partition on `key` without materializing it: the
-/// partition is ingested into a handle-addressed store and `pairs` receives
+/// partition is ingested into a page writer and `pairs` receives
 /// one `(key prefix, handle)` per record, sorted.  Ties keep their insertion
 /// position (the handle order), so the result is exactly the stable record
 /// sort of [`crate::key::sort_by_key`] — on 16-byte items instead of heap
@@ -1727,7 +1593,7 @@ pub(crate) fn sort_on_key<'k>(
 ) -> std::io::Result<KeySorted<'k>> {
     pairs.clear();
     pairs.reserve(part.record_count());
-    let mut store = PagedRecords::new();
+    let mut store = PageWriter::new();
     let exact = part.ingest(key, &mut store, |prefix, handle| {
         pairs.push((prefix, handle))
     })?;
@@ -1811,7 +1677,7 @@ impl KeySorted<'_> {
 fn sort_pairs(
     pairs: &mut Vec<(u64, PageHandle)>,
     radix: &mut Vec<(u64, PageHandle)>,
-    store: &PagedRecords,
+    store: &PageWriter,
     key: &[usize],
     exact: bool,
 ) {
@@ -1826,7 +1692,7 @@ fn sort_pairs(
 /// handle order.
 #[cold]
 #[inline(never)]
-fn sort_pairs_in_place(pairs: &mut [(u64, PageHandle)], store: &PagedRecords, key: &[usize]) {
+fn sort_pairs_in_place(pairs: &mut [(u64, PageHandle)], store: &PageWriter, key: &[usize]) {
     pairs.sort_unstable_by(|a, b| {
         cmp_keys_in_place(store.view(a.1), key, store.view(b.1), key).then(a.1.cmp(&b.1))
     });
@@ -1967,7 +1833,7 @@ fn merge_key_groups(
     } = scratch;
     pairs.clear();
     pairs.reserve(part.local.len() + part.pages.iter().map(|p| p.record_count()).sum::<usize>());
-    let mut store = PagedRecords::new();
+    let mut store = PageWriter::new();
     let exact = part.ingest_residue(key, &mut store, &mut |prefix, handle| {
         pairs.push((prefix, handle))
     });
@@ -2004,15 +1870,15 @@ fn merge_key_groups(
 }
 
 /// A stream of records grouped by a key at its end — the state of a
-/// streamed Reduce.  Every record is serialized into a handle-addressed
-/// store as it arrives (one given as its fields never becomes a heap
+/// streamed Reduce.  Every record is serialized into a page writer as it
+/// arrives (one given as its fields never becomes a heap
 /// record), and the end of stream runs the kernel of [`for_each_key_group`]:
 /// the sort of `(key prefix, handle)` pairs, whose ties keep arrival order,
 /// and the same group loop.
 #[derive(Debug)]
 pub(crate) struct KeyGroups {
     key: KeyFields,
-    store: PagedRecords,
+    store: PageWriter,
     scratch: GroupScratch,
     /// Every key so far is one `Long` field.
     exact: bool,
@@ -2023,7 +1889,7 @@ impl KeyGroups {
     pub(crate) fn new(key: KeyFields) -> KeyGroups {
         KeyGroups {
             key,
-            store: PagedRecords::new(),
+            store: PageWriter::new(),
             scratch: GroupScratch::default(),
             exact: true,
         }
@@ -2034,7 +1900,7 @@ impl KeyGroups {
     #[inline]
     pub(crate) fn append_fields(&mut self, fields: &[Value]) {
         let (prefix, exact) = key_prefix_of_fields(fields, &self.key);
-        let handle = self.store.append_fields(fields);
+        let handle = self.store.push_fields(fields);
         self.scratch.pairs.push((prefix, handle));
         self.exact &= exact;
     }
@@ -2299,8 +2165,9 @@ mod tests {
     fn writer_counts_records_and_bytes() {
         let mut writer = PageWriter::new();
         assert!(writer.is_empty());
-        let w = writer.push(&Record::pair(1, 2));
-        assert_eq!(w, Record::pair(1, 2).estimated_bytes());
+        let w = Record::pair(1, 2).estimated_bytes();
+        writer.push(&Record::pair(1, 2));
+        assert_eq!(writer.total_bytes(), w);
         writer.push(&Record::pair(3, 4));
         assert_eq!(writer.total_records(), 2);
         assert_eq!(writer.total_bytes(), 2 * w);
@@ -2347,12 +2214,12 @@ mod tests {
 
     #[test]
     fn paged_store_handles_survive_sealing_and_adoption() {
-        let mut store = PagedRecords::with_page_bytes(48);
+        let mut store = PageWriter::with_page_bytes(48);
         let mut handles = Vec::new();
         let mut expected = Vec::new();
         for i in 0..10 {
             let r = Record::pair(i, -i);
-            handles.push(store.append(&r));
+            handles.push(store.push(&r));
             expected.push(r);
         }
         // Adopt a sealed page mid-stream: earlier handles stay valid.
@@ -2365,10 +2232,10 @@ mod tests {
         // Page-to-page copy of a serialized view.
         let view = store.view(handles[3]);
         let payload: Vec<u8> = view.payload().to_vec();
-        let copied = store.append_serialized(&payload);
+        let copied = store.push_serialized(&payload);
         expected.push(expected[3].clone());
         handles.push(copied);
-        assert_eq!(store.record_count(), 12);
+        assert_eq!(store.total_records(), 12);
         for (h, r) in handles
             .iter()
             .zip(expected.iter().take(10).chain([&expected[11]]))
@@ -2377,7 +2244,7 @@ mod tests {
         }
         // The pages hold the records in insertion order.
         let seen: Vec<Record> = store
-            .into_pages()
+            .finish()
             .iter()
             .flat_map(|page| page.reader().map(|view| view.materialize()))
             .collect();
@@ -2386,10 +2253,10 @@ mod tests {
 
     #[test]
     fn prefix_table_preserves_insertion_order_per_key() {
-        let mut store = PagedRecords::new();
+        let mut store = PageWriter::new();
         let mut table = PrefixTable::new();
         for (key, val) in [(7, 0), (3, 1), (7, 2), (3, 3), (7, 4)] {
-            let h = store.append(&Record::pair(key, val));
+            let h = store.push(&Record::pair(key, val));
             let prefix = store.view(h).long_key_prefix(0).unwrap();
             table.insert(prefix, h);
         }
@@ -2425,14 +2292,16 @@ mod tests {
         idle.push(&Record::pair(0, 0));
         idle.seal();
         assert_eq!(idle.buf.capacity(), 0);
+    }
 
-        let mut store = PagedRecords::new();
-        store.append(&Record::pair(0, 0));
-        assert!(store.buf.capacity() < DEFAULT_PAGE_BYTES);
-        while store.pages.is_empty() {
-            store.append(&Record::pair(1, 1));
-        }
-        assert!(store.buf.capacity() >= DEFAULT_PAGE_BYTES);
+    #[test]
+    fn a_default_writer_shares_a_page_between_small_records() {
+        let mut writer = PageWriter::default();
+        writer.push(&Record::pair(1, 2));
+        writer.push(&Record::pair(3, 4));
+        let pages = writer.finish();
+        assert_eq!(pages.len(), 1);
+        assert_eq!(pages[0].record_count(), 2);
     }
 
     #[test]

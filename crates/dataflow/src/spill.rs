@@ -71,7 +71,7 @@ use crate::fault::{FaultInjector, FaultSite};
 use crate::key::KeyFields;
 use crate::page::{
     cmp_keys_in_place, key_prefix, key_prefix_of_fields, sort_on_key, view_in, ExchangedPartition,
-    PageHandle, PageWriter, PagedRecords, RecordPage, RecordView,
+    PageHandle, PageWriter, RecordPage, RecordView,
 };
 use crate::record::Record;
 use crate::value::Value;
@@ -571,12 +571,12 @@ fn sort_pages(
 ) -> io::Result<Vec<Arc<RecordPage>>> {
     let input = ExchangedPartition::new(Vec::new(), pages);
     let sorted = sort_on_key(&input, keys, &mut scratch.pairs, &mut scratch.radix)?;
-    let mut out = PagedRecords::new();
+    let mut out = PageWriter::new();
     out.add_spare_buffers(scratch.spare.drain(..));
     for &(_, handle) in &scratch.pairs {
-        out.append_serialized(sorted.view(handle).payload());
+        out.push_serialized(sorted.view(handle).payload());
     }
-    Ok(out.into_pages())
+    Ok(out.finish())
 }
 
 /// A streaming reader over one run: pages are revived one at a time into a
@@ -929,17 +929,16 @@ pub struct SpillingWriter {
 
 impl SpillingWriter {
     /// Serializes one record, spilling sealed pages if the byte budget or
-    /// the page-credit cap is exceeded.  Returns the record's serialized
-    /// width (like [`PageWriter::push`]).
+    /// the page-credit cap is exceeded.
     #[inline]
-    pub fn push(&mut self, record: &Record) -> usize {
+    pub fn push(&mut self, record: &Record) {
         self.push_fields(record.fields())
     }
 
     /// [`SpillingWriter::push`] for a record given as its field slice (like
     /// [`PageWriter::push_fields`]).
-    pub fn push_fields(&mut self, fields: &[Value]) -> usize {
-        let width = self.writer.push_fields(fields);
+    pub fn push_fields(&mut self, fields: &[Value]) {
+        self.writer.push_fields(fields);
         let sealed_pages = self.writer.sealed_page_count();
         self.pages_high_water = self.pages_high_water.max(sealed_pages);
         let over_budget = !self.manager.inner.budget.allows(self.writer.sealed_bytes());
@@ -953,7 +952,18 @@ impl SpillingWriter {
                 self.error = Some(error);
             }
         }
-        width
+    }
+
+    /// Records written so far, spilled or not.
+    #[inline]
+    pub(crate) fn total_records(&self) -> usize {
+        self.writer.total_records()
+    }
+
+    /// Serialized bytes written so far, spilled or not.
+    #[inline]
+    pub(crate) fn total_bytes(&self) -> usize {
+        self.writer.total_bytes()
     }
 
     /// True when nothing has been written or spilled.
@@ -1109,7 +1119,7 @@ impl LoserTree {
 }
 
 /// The engine's one k-way merge: a sorted in-memory residue (source 0, a
-/// handle store and its sorted `(key prefix, handle)` pairs) and key-sorted
+/// page writer and its sorted `(key prefix, handle)` pairs) and key-sorted
 /// spilled runs (source `i` is run `i − 1`, read one frame at a time into a
 /// reused buffer), played on a loser tree.  Ties go to the lower source, so
 /// merging the ordered chunks of one stream reproduces the stable sort of
@@ -1131,7 +1141,7 @@ pub struct RunMerger {
 #[derive(Debug)]
 struct MergeSources {
     key: KeyFields,
-    residue: PagedRecords,
+    residue: PageWriter,
     pairs: Vec<(u64, PageHandle)>,
     /// Index in `pairs` of the residue's head.
     next: usize,
@@ -1203,12 +1213,12 @@ impl RunMerger {
         residue: Vec<Record>,
         key_fields: KeyFields,
     ) -> io::Result<RunMerger> {
-        let mut store = PagedRecords::new();
+        let mut store = PageWriter::new();
         let mut pairs = Vec::with_capacity(residue.len());
         let mut exact = true;
         for record in &residue {
             let (prefix, is_exact) = key_prefix_of_fields(record.fields(), &key_fields);
-            pairs.push((prefix, store.append(record)));
+            pairs.push((prefix, store.push(record)));
             exact &= is_exact;
         }
         RunMerger::over_sorted(store, pairs, exact, runs, key_fields)
@@ -1218,7 +1228,7 @@ impl RunMerger {
     /// address `residue` in sorted order, and `exact` tells whether every
     /// residue key is one `Long` field.
     pub(crate) fn over_sorted(
-        residue: PagedRecords,
+        residue: PageWriter,
         pairs: Vec<(u64, PageHandle)>,
         exact: bool,
         runs: &[SpilledRun],

@@ -6,7 +6,7 @@
 //! This file holds exactly one `#[test]` so no sibling test can run
 //! concurrently inside the process and pollute the allocation counters.
 
-use dataflow::page::{PagePool, PageWriter, PagedRecords, PrefixTable};
+use dataflow::page::{PagePool, PageWriter, PrefixTable};
 use dataflow::prelude::Record;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,7 +85,7 @@ fn steady_state_exchange_probe_cycle_allocates_no_record_objects() {
         // Build: adopt the shipped pages by pointer and index every record
         // under its 8-byte normalized key prefix.
         table.clear();
-        let mut store = PagedRecords::new();
+        let mut store = PageWriter::new();
         for page in &shipped {
             store.adopt_page_scanned(page, |handle, view| {
                 table.insert(view.long_key_prefix(0).expect("Long key"), handle);
@@ -112,7 +112,7 @@ fn steady_state_exchange_probe_cycle_allocates_no_record_objects() {
         // copies of the adopted pages are still co-owned (refcount 2) and
         // fail recycling; dropping them leaves `shipped` as the sole owner,
         // so the second pass recovers every buffer.
-        pool.recycle_all(store.into_pages());
+        pool.recycle_all(store.finish());
         pool.recycle_all(shipped);
 
         if cycle > 0 {

@@ -11,7 +11,9 @@ use algorithms::{
     cc_async, cc_bulk, cc_incremental, cc_microstep, oracles, sssp, ComponentsConfig,
 };
 use dataflow::key::{hash_key, hash_values, partition_for, sort_by_key, Key};
-use dataflow::page::{normalize_long, serialize_record, ExchangedPartition, PageWriter};
+use dataflow::page::{
+    normalize_long, serialize_record, ExchangedPartition, PageHandle, PagePool, PageWriter,
+};
 use dataflow::prelude::*;
 use dataflow::range::sample_keys_into;
 use dataflow::spill::{write_sorted_records_in, write_sorted_run_in};
@@ -431,6 +433,199 @@ fn prop_page_round_trip_arbitrary_records() {
             read, records,
             "page round-trip changed records (seed {seed}, page_bytes {page_bytes})"
         );
+    }
+}
+
+/// The serialized payload of `record` (its page encoding without the length
+/// frame).
+fn payload_of(record: &Record) -> Vec<u8> {
+    let mut buf = Vec::new();
+    serialize_record(record, &mut buf);
+    buf.split_off(4)
+}
+
+/// A record of a page-builder stream: one to three `Long`s, a short `Text`,
+/// or a `Text` wider than a `page_bytes` page.
+fn page_stream_record(rng: &mut SmallRng, page_bytes: usize) -> Record {
+    match rng.gen_index(10) {
+        0 => Record::new(vec![Value::Text(
+            "w".repeat(page_bytes + rng.gen_index(page_bytes)),
+        )]),
+        1..=3 => Record::new(vec![
+            Value::Long(rng.next_u64() as i64),
+            Value::Text("t".repeat(rng.gen_index(40))),
+        ]),
+        _ => Record::new(
+            (0..1 + rng.gen_index(3))
+                .map(|_| Value::Long(rng.next_u64() as i64))
+                .collect(),
+        ),
+    }
+}
+
+/// What the page builder must produce, tracked page by page: the bytes and
+/// records of every sealed page, and whether it started on a full-capacity
+/// buffer (the successor of a page that filled).  Adopted pages are
+/// foreign and carry `None`.  The first `taken` pages left the writer.
+#[derive(Default)]
+struct PageModel {
+    page_bytes: usize,
+    pages: Vec<(usize, usize, Option<bool>)>,
+    open: (usize, usize),
+    open_full: bool,
+    taken: usize,
+}
+
+impl PageModel {
+    /// The sealed pages the writer still holds, and their bytes.
+    fn held(&self) -> (usize, usize) {
+        let held = &self.pages[self.taken..];
+        (held.len(), held.iter().map(|page| page.0).sum())
+    }
+
+    fn seal(&mut self, successor_full: bool) {
+        if self.open.1 > 0 {
+            self.pages
+                .push((self.open.0, self.open.1, Some(self.open_full)));
+            self.open = (0, 0);
+            self.open_full = successor_full;
+        }
+    }
+
+    fn push(&mut self, width: usize) {
+        if self.open.1 > 0 && self.open.0 + width > self.page_bytes {
+            self.seal(true);
+        }
+        self.open = (self.open.0 + width, self.open.1 + 1);
+        if width > self.page_bytes {
+            self.seal(false);
+        }
+    }
+}
+
+/// The one page builder under random interleavings of `push` (as a record,
+/// as fields, or as a serialized payload), `seal`, adoption of foreign pages
+/// and `take_sealed`, over `Long` and `Text` records and records wider than
+/// the page, at page sizes 64, 256 and 32 768:
+///
+/// * every handle not ended by a `take_sealed` views exactly its payload;
+/// * the taken pages followed by `finish()` hold every pushed or adopted
+///   record in order, on exactly the pages the framing rules give, and the
+///   writer holds the sealed pages those rules give at every step (an
+///   oversized record is sealed the moment it is pushed);
+/// * every page holds at most `page_bytes` bytes or is one oversized
+///   record alone, and a page following one that filled was started on a
+///   full-capacity buffer.
+#[test]
+fn prop_page_writer_frames_addresses_and_hands_off_pages() {
+    for seed in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(9500 + seed);
+        let page_bytes = [64, 256, 32 * 1024][rng.gen_index(3)];
+        let mut writer = PageWriter::with_page_bytes(page_bytes);
+        let mut model = PageModel {
+            page_bytes,
+            ..PageModel::default()
+        };
+        let mut expected: Vec<Vec<u8>> = Vec::new();
+        let mut live: Vec<(PageHandle, Vec<u8>)> = Vec::new();
+        let mut taken = Vec::new();
+        for _ in 0..rng.gen_index(300) {
+            match rng.gen_index(20) {
+                0 => {
+                    writer.seal();
+                    model.seal(false);
+                }
+                1 => {
+                    let mut foreign = PageWriter::with_page_bytes(page_bytes);
+                    for _ in 0..1 + rng.gen_index(6) {
+                        foreign.push(&page_stream_record(&mut rng, page_bytes));
+                    }
+                    for page in foreign.finish() {
+                        model.seal(false);
+                        model
+                            .pages
+                            .push((page.byte_len(), page.record_count(), None));
+                        let mut views = page.reader();
+                        assert!(writer.adopt_page_scanned(&page, |handle, view| {
+                            let payload = view.payload().to_vec();
+                            assert_eq!(payload, views.next().unwrap().payload());
+                            live.push((handle, payload.clone()));
+                            expected.push(payload);
+                            true
+                        }));
+                    }
+                }
+                2 => {
+                    taken.extend(writer.take_sealed());
+                    model.taken = model.pages.len();
+                    live.clear();
+                }
+                _ => {
+                    let record = page_stream_record(&mut rng, page_bytes);
+                    let payload = payload_of(&record);
+                    let handle = match rng.gen_index(3) {
+                        0 => writer.push(&record),
+                        1 => writer.push_fields(record.fields()),
+                        _ => writer.push_serialized(&payload),
+                    };
+                    model.push(record.estimated_bytes());
+                    live.push((handle, payload.clone()));
+                    expected.push(payload);
+                }
+            }
+            assert_eq!(
+                (writer.sealed_page_count(), writer.sealed_bytes()),
+                model.held(),
+                "sealed pages held differ (seed {seed}, page_bytes {page_bytes})"
+            );
+            for (handle, payload) in &live {
+                assert_eq!(
+                    writer.view(*handle).payload(),
+                    &payload[..],
+                    "a live handle lost its record (seed {seed}, page_bytes {page_bytes})"
+                );
+            }
+        }
+        assert_eq!(writer.total_records(), expected.len());
+        taken.extend(writer.finish());
+        model.seal(false);
+        let read: Vec<Vec<u8>> = taken
+            .iter()
+            .flat_map(|page| page.reader().map(|view| view.payload().to_vec()))
+            .collect();
+        assert_eq!(read, expected, "records lost or reordered (seed {seed})");
+        let layout: Vec<(usize, usize)> = taken
+            .iter()
+            .map(|page| (page.byte_len(), page.record_count()))
+            .collect();
+        let model_layout: Vec<(usize, usize)> = model
+            .pages
+            .iter()
+            .map(|&(bytes, records, _)| (bytes, records))
+            .collect();
+        assert_eq!(
+            layout, model_layout,
+            "pages framed differently (seed {seed})"
+        );
+        let mut pool = PagePool::new();
+        for (page, &(_, _, full)) in taken.into_iter().zip(&model.pages) {
+            assert!(
+                page.byte_len() <= page_bytes || page.record_count() == 1,
+                "capacity invariant broken: {} bytes in {} records at capacity {page_bytes} \
+                 (seed {seed})",
+                page.byte_len(),
+                page.record_count()
+            );
+            if full == Some(true) {
+                assert!(pool.recycle(page), "a taken page is owned by the caller");
+                let capacity = pool.take(1).next().unwrap().capacity();
+                assert!(
+                    capacity >= page_bytes,
+                    "the successor of a filled page started on a {capacity}-byte buffer \
+                     at capacity {page_bytes} (seed {seed})"
+                );
+            }
+        }
     }
 }
 
