@@ -92,21 +92,24 @@ pub fn adaptive_pagerank(graph: &Graph, config: &AdaptiveConfig) -> Result<Adapt
     let tolerance = config.tolerance;
 
     let update = Arc::new(UpdateClosure(
-        move |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+        move |key: &Key,
+              current: Option<RecordView<'_>>,
+              candidates: &[RecordView<'_>],
+              delta: &mut dyn RecordSink| {
             let residual: f64 = candidates.iter().map(|r| r.double(1)).sum();
             if residual < tolerance {
-                return None;
+                return;
             }
             let rank = current.map(|c| c.double(1)).unwrap_or(0.0);
-            Some(Record::new(vec![
+            delta.emit(&[
                 key.values()[0].clone(),
                 Value::Double(rank + residual),
                 Value::Double(residual),
-            ]))
+            ]);
         },
     ));
     let expand = Arc::new(ExpandClosure(
-        move |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+        move |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
             if edges.is_empty() {
                 return;
             }

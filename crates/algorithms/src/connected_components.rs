@@ -255,25 +255,29 @@ fn build_workset_iteration(graph: &Graph, grouped: bool) -> WorksetIteration<'_>
     // a delta only if it improves on the current component.
     let update: Arc<dyn UpdateFunction> = if grouped {
         Arc::new(UpdateClosure(
-            |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+            |key: &Key,
+             current: Option<RecordView<'_>>,
+             candidates: &[RecordView<'_>],
+             delta: &mut dyn RecordSink| {
                 let best = candidates
                     .iter()
                     .map(|r| r.long(1))
                     .min()
                     .expect("non-empty group");
-                match current {
-                    Some(c) if c.long(1) <= best => None,
-                    _ => Some(Record::pair(key.values()[0].as_long(), best)),
+                if current.is_none_or(|c| c.long(1) > best) {
+                    delta.emit(&[key.values()[0].clone(), Value::Long(best)]);
                 }
             },
         ))
     } else {
         Arc::new(UpdateClosure(
-            |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+            |key: &Key,
+             current: Option<RecordView<'_>>,
+             candidates: &[RecordView<'_>],
+             delta: &mut dyn RecordSink| {
                 let candidate = candidates[0].long(1);
-                match current {
-                    Some(c) if c.long(1) <= candidate => None,
-                    _ => Some(Record::pair(key.values()[0].as_long(), candidate)),
+                if current.is_none_or(|c| c.long(1) > candidate) {
+                    delta.emit(&[key.values()[0].clone(), Value::Long(candidate)]);
                 }
             },
         ))
@@ -281,7 +285,7 @@ fn build_workset_iteration(graph: &Graph, grouped: bool) -> WorksetIteration<'_>
     // The expansion of Figure 5: the changed vertex's new cid becomes a
     // candidate for every neighbour.
     let expand = Arc::new(ExpandClosure(
-        |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+        |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
             let cid = delta.long(1);
             for e in edges {
                 out.emit(&[Value::Long(e.long(1)), Value::Long(cid)]);

@@ -34,20 +34,22 @@ pub struct SsspResult {
 /// Builds the SSSP workset iteration for a graph with unit edge weights.
 fn build_iteration(graph: &Graph) -> WorksetIteration<'_> {
     let update = Arc::new(UpdateClosure(
-        |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+        |key: &Key,
+         current: Option<RecordView<'_>>,
+         candidates: &[RecordView<'_>],
+         delta: &mut dyn RecordSink| {
             let best = candidates
                 .iter()
                 .map(|r| r.long(1))
                 .min()
                 .expect("non-empty candidates");
-            match current {
-                Some(c) if c.long(1) <= best => None,
-                _ => Some(Record::pair(key.values()[0].as_long(), best)),
+            if current.is_none_or(|c| c.long(1) > best) {
+                delta.emit(&[key.values()[0].clone(), Value::Long(best)]);
             }
         },
     ));
     let expand = Arc::new(ExpandClosure(
-        |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+        |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
             let next_distance = delta.long(1) + 1;
             for e in edges {
                 out.emit(&[Value::Long(e.long(1)), Value::Long(next_distance)]);

@@ -30,18 +30,21 @@
 //! use std::sync::Arc;
 //!
 //! // Propagate the minimum label through a 3-vertex path 0-1-2.
-//! let update = Arc::new(UpdateClosure(|key: &Key, cur: Option<&Record>, cands: &[Record]| {
-//!     let best = cands.iter().map(|r| r.long(1)).min().unwrap();
-//!     match cur {
-//!         Some(c) if c.long(1) <= best => None,
-//!         _ => Some(Record::pair(key.values()[0].as_long(), best)),
-//!     }
-//! }));
-//! let expand = Arc::new(ExpandClosure(|d: &Record, edges: &[Record], out: &mut dyn RecordSink| {
-//!     for e in edges {
-//!         out.emit(&[Value::Long(e.long(1)), Value::Long(d.long(1))]);
-//!     }
-//! }));
+//! let update = Arc::new(UpdateClosure(
+//!     |key: &Key, cur: Option<RecordView<'_>>, cands: &[RecordView<'_>], delta: &mut dyn RecordSink| {
+//!         let best = cands.iter().map(|r| r.long(1)).min().unwrap();
+//!         if cur.is_none_or(|c| c.long(1) > best) {
+//!             delta.emit(&[key.values()[0].clone(), Value::Long(best)]);
+//!         }
+//!     },
+//! ));
+//! let expand = Arc::new(ExpandClosure(
+//!     |d: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
+//!         for e in edges {
+//!             out.emit(&[Value::Long(e.long(1)), Value::Long(d.long(1))]);
+//!         }
+//!     },
+//! ));
 //! let edges = vec![Record::pair(0, 1), Record::pair(1, 0), Record::pair(1, 2), Record::pair(2, 1)];
 //! let iteration = WorksetIteration::builder(vec![0], vec![0], update, expand)
 //!     .constant_input(Arc::new(edges), vec![0], vec![0])

@@ -41,8 +41,9 @@ pub(crate) struct Loaded {
 }
 
 /// Loads `iteration`'s inputs into the partitions `cluster` assigns to this
-/// process.  The asynchronous mode, whose queues hold heap records, loads no
-/// working set (`None`) and seeds its workers from the source itself.
+/// process.  The asynchronous mode, whose queues carry single serialized
+/// records, loads no working set (`None`) and seeds its workers from the
+/// source itself.
 pub(crate) fn load(
     iteration: &WorksetIteration<'_>,
     router: &PartitionRouter,
@@ -97,14 +98,15 @@ fn load_partition(
     workset: Option<(&dyn RecordSource, &mut PageWriter)>,
 ) {
     let solution_key = &iteration.solution_key;
+    let mut key = Key::Long(0);
     pull_share(
         initial_solution,
         router,
         solution_key,
         partition,
         |fields| {
-            let key = Key::extract_fields(fields, solution_key);
-            s_part.merge_fields(&iteration.comparator, key, fields);
+            key.assign_fields(fields, solution_key);
+            s_part.merge_fields(&iteration.comparator, &key, fields);
         },
     );
     let constant_key = &iteration.constant_key;
@@ -170,17 +172,17 @@ impl<F: FnMut(&[Value]) + Send> RecordSink for ShareSink<'_, F> {
 mod tests {
     use super::*;
     use crate::workset::{ExpandClosure, UpdateClosure};
-    use dataflow::prelude::{RangeBounds, SourceClosure};
+    use dataflow::prelude::{RangeBounds, RecordView, SourceClosure};
     use std::sync::Arc;
 
     /// An iteration whose user functions are never called: the load step
     /// only reads its keys, comparator and constant input.
     fn iteration<'a>(constant: Arc<impl RecordSource + 'a>) -> WorksetIteration<'a> {
         let update = Arc::new(UpdateClosure(
-            |_: &Key, _: Option<&Record>, _: &[Record]| None,
+            |_: &Key, _: Option<RecordView<'_>>, _: &[RecordView<'_>], _: &mut dyn RecordSink| {},
         ));
         let expand = Arc::new(ExpandClosure(
-            |_: &Record, _: &[Record], _: &mut dyn RecordSink| {},
+            |_: RecordView<'_>, _: &[RecordView<'_>], _: &mut dyn RecordSink| {},
         ));
         // Workset records carry their target's key in field 1.
         WorksetIteration::builder(vec![0], vec![1], update, expand)
@@ -215,7 +217,6 @@ mod tests {
             let cluster = ClusterSpec::single();
             let loaded = load(&iteration, &router, &cluster, &solution, Some(&workset));
             assert_eq!(loaded.solution.len(), solution.len());
-            let mut scratch = Vec::new();
             for (partition, queue) in loaded.workset.into_iter().enumerate() {
                 let expected: Vec<Record> = workset
                     .iter()
@@ -232,7 +233,10 @@ mod tests {
                     .collect();
                 assert_eq!(stored, expected, "partition {partition}");
                 for probe in &expected {
-                    let matched = loaded.constant[partition].matches(probe, &[0], &mut scratch);
+                    let matched: Vec<Record> = loaded.constant[partition]
+                        .matches(probe.fields(), &[0])
+                        .map(|view| view.materialize())
+                        .collect();
                     let expected: Vec<Record> = edges
                         .iter()
                         .filter(|e| e.long(0) == probe.long(0))
@@ -274,13 +278,12 @@ mod tests {
                 let (a, b) = (a.finish(), b.finish());
                 assert!(a.len() == b.len() && a.iter().zip(&b).all(|(a, b)| a == b));
             }
-            let (mut a_matches, mut b_matches) = (Vec::new(), Vec::new());
             for (a, b) in a.constant.iter().zip(&b.constant) {
-                for probe in (0..64).map(|v| Record::pair(v, 0)) {
-                    assert_eq!(
-                        a.matches(&probe, &[0], &mut a_matches),
-                        b.matches(&probe, &[0], &mut b_matches)
-                    );
+                for probe in (0..64).map(|v| [Value::Long(v), Value::Long(0)]) {
+                    let (a, b) = (a.matches(&probe, &[0]), b.matches(&probe, &[0]));
+                    assert!(a
+                        .map(|view| view.payload())
+                        .eq(b.map(|view| view.payload())));
                 }
             }
         }
@@ -324,12 +327,15 @@ mod tests {
         let none: Vec<Record> = Vec::new();
         let loaded = load(&iteration, &router, &ClusterSpec::single(), &none, None);
         // Every name is found, once, in the partition it routes to.
-        let mut scratch = Vec::new();
         for (i, name) in names.iter().enumerate() {
             let probe = Record::new(vec![Value::Text((*name).into())]);
             let part = &loaded.constant[router.route(&probe, &[0])];
             let expected = Record::new(vec![Value::Text((*name).into()), Value::Long(i as i64)]);
-            assert_eq!(part.matches(&probe, &[0], &mut scratch), [expected]);
+            let matched: Vec<Record> = part
+                .matches(probe.fields(), &[0])
+                .map(|view| view.materialize())
+                .collect();
+            assert_eq!(matched, [expected]);
         }
     }
 }

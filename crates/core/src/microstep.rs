@@ -29,12 +29,12 @@
 //! surfaces as a typed [`DataflowError::CommTimeout`] after the
 //! `SPINNING_COMM_TIMEOUT_SECS` bound instead of a hang.
 //!
-//! The queues hold individual records, not spillable pages, so a configured
-//! memory budget ([`WorksetConfig::exec`]) cannot be honoured here:
-//! asynchronous runs ignore it and say so with a one-time stderr warning
-//! instead of silently pretending to be bounded (the superstep modes honour
-//! the budget through the spilling exchange).  Use the channel credits to
-//! bound the queues' memory.
+//! The queues hold individual serialized records, not spillable pages, so a
+//! configured memory budget ([`WorksetConfig::exec`]) cannot be honoured
+//! here: asynchronous runs ignore it and say so with a one-time stderr
+//! warning instead of silently pretending to be bounded (the superstep modes
+//! honour the budget through the spilling exchange).  Use the channel
+//! credits to bound the queues' memory.
 //!
 //! # Fault tolerance
 //!
@@ -48,16 +48,16 @@
 //! instead of aborting the process.
 
 use crate::load::Loaded;
-use crate::solution_set::SolutionSet;
 use crate::stats::{IterationRunStats, IterationStats};
-use crate::workset::{WorksetConfig, WorksetIteration, WorksetResult};
+use crate::workset::{PartitionStep, WorksetConfig, WorksetIteration, WorksetResult};
 use dataflow::contracts::{RecordSink, RecordSource};
 use dataflow::credit::{
     credit_channel, timeout_from_env, CreditReceiver, CreditSender, RecvTimeoutError, SendError,
     TrySendError, CHANNEL_CREDITS_ENV,
 };
 use dataflow::join_index::JoinIndex;
-use dataflow::prelude::{DataflowError, Key, PartitionRouter, Record, Result};
+use dataflow::page::SerializedRecord;
+use dataflow::prelude::{DataflowError, Key, PartitionRouter, Record, Result, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
@@ -88,7 +88,7 @@ impl Drop for CreditGuard<'_> {
 /// releases the held credits, so a worker that panics or aborts with unsent
 /// records cannot wedge its siblings' termination detection.
 struct PendingSends<'a> {
-    items: VecDeque<(usize, Record)>,
+    items: VecDeque<(usize, SerializedRecord)>,
     in_flight: &'a AtomicI64,
 }
 
@@ -101,13 +101,13 @@ impl<'a> PendingSends<'a> {
     }
 
     /// Takes the in-flight credit for `record` and queues it for sending.
-    fn push(&mut self, target: usize, record: Record) {
+    fn push(&mut self, target: usize, record: SerializedRecord) {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         self.items.push_back((target, record));
     }
 
     /// Drops `record` (its queue is gone) and releases its in-flight credit.
-    fn abandon(&mut self, record: Record) {
+    fn abandon(&mut self, record: SerializedRecord) {
         drop(record);
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
@@ -141,10 +141,8 @@ fn warn_ignored_budget_once(limit: usize) {
     WARNED.call_once(|| eprintln!("{}", ignored_budget_warning(limit)));
 }
 
-/// The sink the expand UDF emits into on a worker: routes each candidate and
-/// queues it for its target worker.  The queues between workers hold heap
-/// records, so a candidate emitted by reference becomes one here (the
-/// [`RecordSink::emit`] default).
+/// The sink the expand UDF emits into on a worker: routes each candidate on
+/// its field slice and queues it, serialized, for its target worker.
 struct PendingSink<'a, 'b> {
     pending: &'a mut PendingSends<'b>,
     outcome: &'a mut WorkerOutcome,
@@ -155,14 +153,19 @@ struct PendingSink<'a, 'b> {
 
 impl RecordSink for PendingSink<'_, '_> {
     fn push(&mut self, record: Record) {
-        let target = self.router.route(&record, self.workset_key);
+        self.emit(record.fields());
+    }
+
+    fn emit(&mut self, fields: &[Value]) {
+        let target = self.router.route_fields(fields, self.workset_key);
         self.outcome.messages_sent += 1;
         if target != self.partition {
             self.outcome.messages_shipped += 1;
         }
         // The expansion takes an in-flight credit now; the queue credit is
         // acquired when the flush loop enqueues it.
-        self.pending.push(target, record);
+        self.pending
+            .push(target, SerializedRecord::from_fields(fields));
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
@@ -174,12 +177,11 @@ impl RecordSink for PendingSink<'_, '_> {
 }
 
 /// The sink the driver pulls the initial workset through: routes each record
-/// and sends it to its worker's queue, holding an in-flight credit for it.
-/// The queues hold heap records, so a record a source emits by reference
-/// becomes one here (the [`RecordSink::emit`] default).  The first failed
-/// send ends the seeding; the records still to come are dropped.
+/// on its field slice and sends it, serialized, to its worker's queue,
+/// holding an in-flight credit for it.  The first failed send ends the
+/// seeding; the records still to come are dropped.
 struct SeedSink<'a> {
-    senders: Vec<CreditSender<Record>>,
+    senders: Vec<CreditSender<SerializedRecord>>,
     router: &'a PartitionRouter,
     workset_key: &'a [usize],
     in_flight: &'a AtomicI64,
@@ -189,12 +191,16 @@ struct SeedSink<'a> {
 
 impl RecordSink for SeedSink<'_> {
     fn push(&mut self, record: Record) {
+        self.emit(record.fields());
+    }
+
+    fn emit(&mut self, fields: &[Value]) {
         if self.error.is_some() {
             return;
         }
-        let target = self.router.route(&record, self.workset_key);
+        let target = self.router.route_fields(fields, self.workset_key);
         self.in_flight.fetch_add(1, Ordering::SeqCst);
-        if let Err(error) = self.senders[target].send(record) {
+        if let Err(error) = self.senders[target].send(SerializedRecord::from_fields(fields)) {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
             self.error = Some(match error {
                 SendError::Timeout(_) => DataflowError::CommTimeout(format!(
@@ -247,14 +253,13 @@ pub(crate) fn run_async(
     if let Some(limit) = config.exec.memory_budget.limit() {
         warn_ignored_budget_once(limit);
     }
-    let comparator = solution.comparator();
     let credits = config.exec.channel_credits.unwrap_or(DEFAULT_ASYNC_CREDITS);
     let stall_timeout = timeout_from_env();
 
     // One bounded queue per partition; every worker (and the seeding driver)
     // sends through its own cloned edges, each with a full credit pool.
-    let mut senders: Vec<CreditSender<Record>> = Vec::with_capacity(parallelism);
-    let mut receivers: Vec<CreditReceiver<Record>> = Vec::with_capacity(parallelism);
+    let mut senders: Vec<CreditSender<SerializedRecord>> = Vec::with_capacity(parallelism);
+    let mut receivers: Vec<CreditReceiver<SerializedRecord>> = Vec::with_capacity(parallelism);
     for _ in 0..parallelism {
         let (tx, rx) = credit_channel(credits, stall_timeout);
         senders.push(tx);
@@ -290,10 +295,9 @@ pub(crate) fn run_async(
             .zip(outcome_slots.iter_mut())
             .enumerate()
         {
-            let senders: Vec<CreditSender<Record>> = senders.to_vec();
+            let senders: Vec<CreditSender<SerializedRecord>> = senders.to_vec();
             let in_flight = Arc::clone(&in_flight);
             let aborted = Arc::clone(&aborted);
-            let comparator = comparator.clone();
             let constant = &constant_index[partition];
             scope.spawn_labeled("async-microstep", move || {
                 let result = run_worker(
@@ -301,7 +305,6 @@ pub(crate) fn run_async(
                     iteration,
                     s_part,
                     constant,
-                    &comparator,
                     router,
                     &receiver,
                     &senders,
@@ -387,10 +390,9 @@ fn run_worker(
     iteration: &WorksetIteration<'_>,
     s_part: &mut crate::solution_set::PartitionIndex,
     constant: &JoinIndex,
-    comparator: &Option<crate::solution_set::RecordComparator>,
     router: &PartitionRouter,
-    receiver: &CreditReceiver<Record>,
-    senders: &[CreditSender<Record>],
+    receiver: &CreditReceiver<SerializedRecord>,
+    senders: &[CreditSender<SerializedRecord>],
     in_flight: &AtomicI64,
     aborted: &AtomicBool,
     stall_timeout: Duration,
@@ -402,7 +404,8 @@ fn run_worker(
         messages_shipped: 0,
         queue_high_water: 0,
     };
-    let mut matches: Vec<Record> = Vec::new();
+    let mut step = PartitionStep::new(iteration, s_part, constant);
+    let mut key = Key::Long(0);
     let mut pending = PendingSends::new(in_flight);
     // Set while every pending flush *and* the inbox make no progress; a
     // stall outliving the comm timeout is a deadlock surfaced as an error.
@@ -410,40 +413,20 @@ fn run_worker(
 
     macro_rules! process {
         ($record:expr) => {{
-            let record: Record = $record;
+            let record: SerializedRecord = $record;
             let _credit = CreditGuard(in_flight);
             outcome.processed += 1;
-            let key = Key::extract(&record, &iteration.workset_key);
-            let delta = {
-                let current = s_part.get(&key);
-                iteration
-                    .update
-                    .update(&key, current, std::slice::from_ref(&record))
+            let candidate = record.view();
+            candidate.key_into(&iteration.workset_key, &mut key);
+            let mut sink = PendingSink {
+                pending: &mut pending,
+                outcome: &mut outcome,
+                router,
+                workset_key: &iteration.workset_key,
+                partition,
             };
-            if let Some(delta) = delta {
-                // A surviving delta serializes into the paged index; this
-                // worker's heap copy feeds the expansion (no clone).
-                let applied = SolutionSet::merge_detached(
-                    s_part,
-                    comparator,
-                    &iteration.solution_key,
-                    &delta,
-                );
-                if applied {
-                    outcome.changed += 1;
-                    let mut sink = PendingSink {
-                        pending: &mut pending,
-                        outcome: &mut outcome,
-                        router,
-                        workset_key: &iteration.workset_key,
-                        partition,
-                    };
-                    iteration.expand.expand(
-                        &delta,
-                        constant.matches(&delta, &iteration.delta_key, &mut matches),
-                        &mut sink,
-                    );
-                }
+            if step.update(&key, &[candidate]) {
+                step.apply(&mut sink);
             }
             // `_credit` drops here, releasing this record's credit only
             // after all the records it caused are accounted in-flight —
@@ -526,6 +509,7 @@ fn run_worker(
             Err(RecvTimeoutError::Disconnected) => break 'run,
         }
     }
+    outcome.changed = step.changed;
     outcome.queue_high_water = receiver.high_water();
     Ok(outcome)
 }
@@ -534,21 +518,23 @@ fn run_worker(
 mod tests {
     use super::*;
     use crate::workset::{ExecutionMode, ExpandClosure, UpdateClosure, WorksetIteration};
-    use dataflow::prelude::{ExecConfig, MemoryBudget, Value};
+    use dataflow::prelude::{ExecConfig, MemoryBudget, RecordView};
 
     /// Asynchronous minimum propagation over a ring of `n` vertices.
     fn ring_iteration(n: i64) -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
         let update = Arc::new(UpdateClosure(
-            |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+            |key: &Key,
+             current: Option<RecordView<'_>>,
+             candidates: &[RecordView<'_>],
+             delta: &mut dyn RecordSink| {
                 let candidate = candidates.iter().map(|r| r.long(1)).min().unwrap();
-                match current {
-                    Some(c) if c.long(1) <= candidate => None,
-                    _ => Some(Record::pair(key.values()[0].as_long(), candidate)),
+                if current.is_none_or(|c| c.long(1) > candidate) {
+                    delta.emit(&[key.values()[0].clone(), Value::Long(candidate)]);
                 }
             },
         ));
         let expand = Arc::new(ExpandClosure(
-            |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+            |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
                 for e in edges {
                     out.emit(&[Value::Long(e.long(1)), Value::Long(delta.long(1))]);
                 }

@@ -18,16 +18,20 @@
 //! Each partition stores its records **serialized** in sealed pages (a
 //! [`PageWriter`]) and indexes them with a hash table from the record
 //! key to an 8-byte [`PageHandle`].  Probes and merges work on the paged
-//! representation natively; a heap [`Record`] is copied out only where user
-//! code actually needs one — a comparator call during `∪̇`, a lookup handed
-//! to an update function — and then through one per-partition scratch record,
-//! not a fresh allocation.  Replaced records leave dead bytes behind in the
-//! append-only store; once more than half the store is dead it is compacted
-//! by rewriting the live records (a pure page-to-page byte copy) and the old
-//! page buffers are recycled into the compacted store.
+//! representation natively: the iteration drivers hand an update function
+//! the stored record as a view of its bytes, a delta arrives as the field
+//! slice the update function emitted and is serialized straight into the
+//! store, and the expansion reads the applied delta back as a view.  The
+//! one place heap records appear is a comparator call during `∪̇`, which
+//! reads the stored record and the delta into the partition's two reused
+//! scratch records, so merging allocates nothing.  Replaced records leave
+//! dead bytes behind in the append-only store; once more than half the
+//! store is dead it is compacted by rewriting the live records (a pure
+//! page-to-page byte copy) and the old page buffers are recycled into the
+//! compacted store.
 
 use dataflow::key::FxHashMap;
-use dataflow::page::{PageHandle, PagePool, PageWriter, RecordPage};
+use dataflow::page::{PageHandle, PagePool, PageWriter, RecordPage, RecordView};
 use dataflow::prelude::{Key, KeyFields, PartitionRouter, Record, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -71,16 +75,10 @@ pub(crate) struct PartitionIndex {
     /// Serialized bytes of replaced records still occupying pages; drives
     /// compaction.
     dead_bytes: usize,
-    /// The one record the store deserializes into for probes and comparator
-    /// calls — the copy-out at the user-function boundary.
-    scratch: Record,
-    /// Which stored record the scratch currently holds.  The dominant access
-    /// pattern is `get(key)` immediately followed by `merge` of a delta for
-    /// the same key (probe → update → `∪̇`); caching the handle makes the
-    /// merge's comparator read free when the probe already deserialized the
-    /// record.  Handles are never reused while the store stands
-    /// (append-only); compaction reassigns them and clears this.
-    scratch_handle: Option<PageHandle>,
+    /// The records a comparator call reads the stored record and the delta
+    /// into, reused from merge to merge.
+    stored: Record,
+    delta: Record,
 }
 
 impl Default for PartitionIndex {
@@ -89,8 +87,8 @@ impl Default for PartitionIndex {
             index: FxHashMap::default(),
             store: PageWriter::new(),
             dead_bytes: 0,
-            scratch: Record::empty(),
-            scratch_handle: None,
+            stored: Record::empty(),
+            delta: Record::empty(),
         }
     }
 }
@@ -111,98 +109,42 @@ impl PartitionIndex {
         self.index.len()
     }
 
-    /// Deserializes the record stored under `key` into the partition's
-    /// scratch record and returns it.  `&mut self` because the scratch is
-    /// part of the partition — the point is that a probe costs no
-    /// allocation, not that it costs no copy.
-    pub(crate) fn get(&mut self, key: &Key) -> Option<&Record> {
-        let handle = *self.index.get(key)?;
-        if self.scratch_handle != Some(handle) {
-            self.store.view(handle).read_into(&mut self.scratch);
-            self.scratch_handle = Some(handle);
-        }
-        Some(&self.scratch)
+    /// The record stored under `key`, as a view of its bytes.
+    pub(crate) fn get(&self, key: &Key) -> Option<RecordView<'_>> {
+        self.index.get(key).map(|&handle| self.store.view(handle))
     }
 
-    /// The `∪̇` merge of one delta record.  A surviving delta is serialized
-    /// into the paged store; a discarded delta writes nothing.
-    pub(crate) fn merge(
-        &mut self,
-        comparator: &Option<RecordComparator>,
-        key: Key,
-        delta: &Record,
-    ) -> MergeOutcome {
-        self.merge_either(comparator, key, delta.fields(), Some(delta))
-    }
-
-    /// [`PartitionIndex::merge`] of a delta given as its field slice — how
-    /// the load step stores the initial solution.  No heap record exists
-    /// unless the key is already present *and* a comparator has to be asked
-    /// (an initial solution lists each key once).
+    /// The `∪̇` merge of one delta given as its field slice, stored under
+    /// `key`.  A surviving delta is serialized into the paged store; a
+    /// discarded one writes nothing.
     pub(crate) fn merge_fields(
         &mut self,
         comparator: &Option<RecordComparator>,
-        key: Key,
+        key: &Key,
         fields: &[Value],
     ) -> MergeOutcome {
-        self.merge_either(comparator, key, fields, None)
-    }
-
-    /// The merge behind both representations of a delta: `fields` are what
-    /// is stored, `record` is the same delta as a heap record when the
-    /// caller has one (a comparator takes records).
-    fn merge_either(
-        &mut self,
-        comparator: &Option<RecordComparator>,
-        key: Key,
-        fields: &[Value],
-        record: Option<&Record>,
-    ) -> MergeOutcome {
-        use std::collections::hash_map::Entry;
-        let outcome = match self.index.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert(self.store.push_fields(fields));
-                MergeOutcome::Inserted
-            }
-            Entry::Occupied(mut slot) => {
-                let replace = match comparator {
-                    // Without a comparator the delta always replaces the old
-                    // record (plain ∪̇ semantics).
-                    None => true,
-                    // With a comparator the larger record (the successor
-                    // state in the CPO) survives; the stored record is read
-                    // out once for the comparison — or not at all when the
-                    // scratch still holds it from the preceding probe.
-                    Some(cmp) => {
-                        let handle = *slot.get();
-                        if self.scratch_handle != Some(handle) {
-                            self.store.view(handle).read_into(&mut self.scratch);
-                            self.scratch_handle = Some(handle);
-                        }
-                        let built;
-                        let delta = match record {
-                            Some(record) => record,
-                            None => {
-                                built = Record::new(fields.to_vec());
-                                &built
-                            }
-                        };
-                        cmp(delta, &self.scratch) == Ordering::Greater
-                    }
-                };
-                if replace {
-                    self.dead_bytes += self.store.view(*slot.get()).framed_len();
-                    *slot.get_mut() = self.store.push_fields(fields);
-                    MergeOutcome::Replaced
-                } else {
-                    MergeOutcome::Discarded
-                }
-            }
+        let Some(slot) = self.index.get_mut(key) else {
+            let handle = self.store.push_fields(fields);
+            self.index.insert(key.clone(), handle);
+            return MergeOutcome::Inserted;
         };
-        if outcome == MergeOutcome::Replaced {
-            self.maybe_compact();
+        // Without a comparator the delta always replaces the old record
+        // (plain ∪̇ semantics); with one, the larger record — the successor
+        // state in the CPO — survives.
+        if let Some(cmp) = comparator {
+            self.store.view(*slot).read_into(&mut self.stored);
+            self.delta.clear();
+            for value in fields {
+                self.delta.push(value.clone());
+            }
+            if cmp(&self.delta, &self.stored) != Ordering::Greater {
+                return MergeOutcome::Discarded;
+            }
         }
-        outcome
+        self.dead_bytes += self.store.view(*slot).framed_len();
+        *slot = self.store.push_fields(fields);
+        self.maybe_compact();
+        MergeOutcome::Replaced
     }
 
     /// Rewrites the store without the dead bytes once they outweigh the live
@@ -224,8 +166,6 @@ impl PartitionIndex {
         pool.recycle_all(old.finish());
         self.store.add_spare_buffers(pool.take(usize::MAX));
         self.dead_bytes = 0;
-        // Compaction reassigned every handle; the cached one is stale.
-        self.scratch_handle = None;
     }
 
     /// Copies every live record out of the paged store (unspecified order).
@@ -353,13 +293,11 @@ impl SolutionSet {
 
     /// Looks up the record stored under `key`, copying it out of its page —
     /// this is the user-facing boundary where a heap [`Record`] is
-    /// materialized.  (The iteration drivers probe detached partitions
-    /// through their scratch records instead, which does not allocate.)
+    /// materialized.  (The iteration drivers read detached partitions as
+    /// views instead.)
     pub fn lookup(&self, key: &Key) -> Option<Record> {
         let partition = self.router.route_key(key);
-        let p = &self.partitions[partition];
-        let handle = *p.index.get(key)?;
-        Some(p.store.view(handle).materialize())
+        Some(self.partitions[partition].get(key)?.materialize())
     }
 
     /// Merges one delta record with the `∪̇` semantics.  A surviving delta is
@@ -369,15 +307,14 @@ impl SolutionSet {
         self.merge_ref(&delta)
     }
 
-    /// [`SolutionSet::merge`] by reference — the caller keeps the delta (the
-    /// iteration drivers reuse it to feed the workset expansion).
-    pub(crate) fn merge_ref(&mut self, delta: &Record) -> MergeOutcome {
+    /// [`SolutionSet::merge`] by reference.
+    fn merge_ref(&mut self, delta: &Record) -> MergeOutcome {
         // Routing goes through the record's key fields directly (one hash,
         // or one splitter search); the key itself is only materialised for
         // the index probe.
         let partition = self.router.route(delta, &self.key_fields);
         let key = Key::extract(delta, &self.key_fields);
-        self.partitions[partition].merge(&self.comparator, key, delta)
+        self.partitions[partition].merge_fields(&self.comparator, &key, delta.fields())
     }
 
     /// Merges a whole delta set (the `∪̇` of one superstep's delta records),
@@ -442,27 +379,6 @@ impl SolutionSet {
     /// Restores partitions taken with [`SolutionSet::take_partitions`].
     pub(crate) fn restore_partitions(&mut self, partitions: Vec<PartitionIndex>) {
         self.partitions = partitions;
-    }
-
-    /// The comparator, if one is installed.
-    pub(crate) fn comparator(&self) -> Option<RecordComparator> {
-        self.comparator.clone()
-    }
-
-    /// Merges a delta record directly into an already-detached partition
-    /// index (used by the parallel superstep workers, which own their
-    /// partition exclusively during a superstep).  Returns `true` when the
-    /// delta was applied; the caller keeps the delta record and feeds the
-    /// workset expansion from it — the stored copy is the serialized bytes
-    /// in the partition's pages.
-    pub(crate) fn merge_detached(
-        partition: &mut PartitionIndex,
-        comparator: &Option<RecordComparator>,
-        key_fields: &[usize],
-        delta: &Record,
-    ) -> bool {
-        let key = Key::extract(delta, key_fields);
-        partition.merge(comparator, key, delta).applied()
     }
 }
 
@@ -560,8 +476,8 @@ mod tests {
     }
 
     #[test]
-    fn detached_partition_probe_uses_the_scratch_record() {
-        let mut s = SolutionSet::new(vec![0], 1);
+    fn detached_partition_reads_and_merges_the_stored_bytes() {
+        let mut s = SolutionSet::new(vec![0], 1).with_comparator(cid_comparator());
         s.merge(Record::pair(3, 30));
         s.merge(Record::pair(4, 40));
         let mut partitions = s.take_partitions();
@@ -569,12 +485,30 @@ mod tests {
         assert_eq!(p.get(&Key::long(3)).unwrap().long(1), 30);
         assert_eq!(p.get(&Key::long(4)).unwrap().long(1), 40);
         assert!(p.get(&Key::long(5)).is_none());
-        // Applied deltas write through; the caller keeps the heap record.
-        let delta = Record::pair(3, 99);
-        assert!(SolutionSet::merge_detached(p, &None, &[0], &delta));
-        assert_eq!(p.get(&Key::long(3)).unwrap().long(1), 99);
+        // A delta given as fields is stored as they are; the comparator's
+        // loser writes nothing.
+        let (better, worse) = (
+            [Value::Long(3), Value::Long(9)],
+            [Value::Long(4), Value::Long(41)],
+        );
+        assert_eq!(
+            p.merge_fields(&s.comparator, &Key::long(3), &better),
+            MergeOutcome::Replaced
+        );
+        assert_eq!(
+            p.merge_fields(&s.comparator, &Key::long(4), &worse),
+            MergeOutcome::Discarded
+        );
+        assert_eq!(p.get(&Key::long(3)).unwrap().payload(), payload_of(&better));
+        assert_eq!(p.get(&Key::long(4)).unwrap().long(1), 40);
         s.restore_partitions(partitions);
-        assert_eq!(s.lookup(&Key::long(3)).unwrap().long(1), 99);
+        assert_eq!(s.lookup(&Key::long(3)).unwrap().long(1), 9);
+    }
+
+    fn payload_of(fields: &[Value]) -> Vec<u8> {
+        let mut writer = PageWriter::new();
+        let handle = writer.push_fields(fields);
+        writer.view(handle).payload().to_vec()
     }
 
     #[test]

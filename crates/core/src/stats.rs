@@ -98,11 +98,6 @@ impl IterationRunStats {
         self.per_iteration.iter().map(|s| s.messages_sent).sum()
     }
 
-    /// Sum of changed partial-solution elements over all iterations.
-    pub fn total_changes(&self) -> usize {
-        self.per_iteration.iter().map(|s| s.elements_changed).sum()
-    }
-
     /// Sum of spilled bytes over all iterations — nonzero proves the run
     /// actually exercised the out-of-core path.
     pub fn total_spilled_bytes(&self) -> usize {
@@ -118,11 +113,6 @@ impl IterationRunStats {
     /// run actually survived injected (or real) failures.
     pub fn total_recoveries(&self) -> usize {
         self.per_iteration.iter().map(|s| s.recoveries).sum()
-    }
-
-    /// Sum of retried attempts over all iterations.
-    pub fn total_retries(&self) -> usize {
-        self.per_iteration.iter().map(|s| s.retries).sum()
     }
 
     /// Sum of checkpoints written over all iterations.
@@ -204,7 +194,6 @@ mod tests {
         }
         assert_eq!(run.iterations(), 3);
         assert_eq!(run.total_messages(), 60);
-        assert_eq!(run.total_changes(), 6);
     }
 
     #[test]

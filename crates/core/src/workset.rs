@@ -50,6 +50,12 @@
 //! the same way and seeds its record queues from `W0` while its workers
 //! drain.
 //!
+//! Neither user function sees a heap record: both read [`RecordView`]s of
+//! page bytes (the kernel's groups, the queue's pages and run frames, the
+//! stored solution record and delta, the [`JoinIndex`]'s matches), and a
+//! delta is emitted as a field slice the solution set serializes.  All three
+//! modes apply a delta through one path.
+//!
 //! # What this module owns, and what it does not
 //!
 //! The loop body runs on the *ordinary* runtime exchange: every partition
@@ -77,7 +83,7 @@ use dataflow::exchange::{self, Outbox};
 use dataflow::fault::FaultSite;
 use dataflow::join_index::JoinIndex;
 use dataflow::key::{group_ranges, sort_by_key};
-use dataflow::page::{for_each_key_group, GroupScratch, PagePool, PageWriter};
+use dataflow::page::{for_each_key_group, GroupScratch, PagePool, PageWriter, RecordView};
 use dataflow::prelude::{
     ChannelId, ClusterSpec, DataflowError, ExchangedPartition, ExecConfig, Key, KeyFields,
     PartitionRouter, RangeBounds, Record, Result, SharedPageChannel, SpillManager, Value,
@@ -90,14 +96,22 @@ use std::time::Instant;
 /// User code of the solution-set join: decides how the workset candidates for
 /// one key change the partial solution.
 pub trait UpdateFunction: Send + Sync {
-    /// Produces the delta record for `key`, given the current solution record
-    /// (if any) and the candidate records from the working set.  Returning
-    /// `None` leaves the solution untouched and produces no expansion.
+    /// Emits the delta record for `key` into `delta`, given the current
+    /// solution record (if any) and the candidate records from the working
+    /// set, all read in place as views of their serialized bytes.  Emitting
+    /// nothing leaves the solution untouched; a second emission replaces the
+    /// first.  A delta emitted as fields ([`RecordSink::emit`]) is serialized
+    /// straight into the solution set, so no heap record exists per delta.
     ///
-    /// In batch-incremental mode `candidates` contains *all* workset records
-    /// for the key in this superstep; in microstep modes it contains exactly
-    /// one record.
-    fn update(&self, key: &Key, current: Option<&Record>, candidates: &[Record]) -> Option<Record>;
+    /// In batch-incremental mode `candidates` holds *all* workset records
+    /// for the key in this superstep; in microstep modes exactly one.
+    fn update(
+        &self,
+        key: &Key,
+        current: Option<RecordView<'_>>,
+        candidates: &[RecordView<'_>],
+        delta: &mut dyn RecordSink,
+    );
 }
 
 /// Wraps a closure as an [`UpdateFunction`].
@@ -105,10 +119,16 @@ pub struct UpdateClosure<F>(pub F);
 
 impl<F> UpdateFunction for UpdateClosure<F>
 where
-    F: Fn(&Key, Option<&Record>, &[Record]) -> Option<Record> + Send + Sync,
+    F: Fn(&Key, Option<RecordView<'_>>, &[RecordView<'_>], &mut dyn RecordSink) + Send + Sync,
 {
-    fn update(&self, key: &Key, current: Option<&Record>, candidates: &[Record]) -> Option<Record> {
-        (self.0)(key, current, candidates)
+    fn update(
+        &self,
+        key: &Key,
+        current: Option<RecordView<'_>>,
+        candidates: &[RecordView<'_>],
+        delta: &mut dyn RecordSink,
+    ) {
+        (self.0)(key, current, candidates, delta)
     }
 }
 
@@ -117,12 +137,16 @@ where
 pub trait ExpandFunction: Send + Sync {
     /// Emits new workset records given the applied delta record and the
     /// records of the constant input that share its key (e.g. the out-edges
-    /// of the updated vertex).  A candidate is best emitted by reference
-    /// ([`RecordSink::emit`]): the superstep sink routes on the field slice
-    /// and serializes it straight into the exchange, so no heap record is
-    /// allocated per candidate.  [`RecordSink::push`] takes an owned record
-    /// to the same place.
-    fn expand(&self, delta: &Record, constant_matches: &[Record], out: &mut dyn RecordSink);
+    /// of the updated vertex), all read in place where they are stored.  A
+    /// candidate is best emitted by reference ([`RecordSink::emit`]): the
+    /// superstep sink routes on the field slice and serializes it straight
+    /// into the exchange, so no heap record is allocated per candidate.
+    fn expand(
+        &self,
+        delta: RecordView<'_>,
+        constant_matches: &[RecordView<'_>],
+        out: &mut dyn RecordSink,
+    );
 }
 
 /// Wraps a closure as an [`ExpandFunction`].
@@ -130,9 +154,14 @@ pub struct ExpandClosure<F>(pub F);
 
 impl<F> ExpandFunction for ExpandClosure<F>
 where
-    F: Fn(&Record, &[Record], &mut dyn RecordSink) + Send + Sync,
+    F: Fn(RecordView<'_>, &[RecordView<'_>], &mut dyn RecordSink) + Send + Sync,
 {
-    fn expand(&self, delta: &Record, constant_matches: &[Record], out: &mut dyn RecordSink) {
+    fn expand(
+        &self,
+        delta: RecordView<'_>,
+        constant_matches: &[RecordView<'_>],
+        out: &mut dyn RecordSink,
+    ) {
         (self.0)(delta, constant_matches, out)
     }
 }
@@ -394,8 +423,9 @@ impl<'a> WorksetIteration<'a> {
         // built from the *full* inputs so every process derives the same
         // partitioning; the load step then keeps what this process owns.
         let router = self.build_router(config, &initial_solution, &initial_workset);
-        // The asynchronous queues hold heap records, so that mode seeds them
-        // from the workset source itself; the superstep modes load it.
+        // The asynchronous queues carry single serialized records, so that
+        // mode seeds them from the workset source itself; the superstep modes
+        // load it.
         let asynchronous = config.mode == ExecutionMode::AsynchronousMicrostep;
         let queued: Option<&dyn RecordSource> = (!asynchronous).then_some(&initial_workset);
         let loaded = load(self, &router, &cluster, &initial_solution, queued);
@@ -479,7 +509,6 @@ impl<'a> WorksetIteration<'a> {
             workset,
         } = loaded;
         let parallelism = config.parallelism;
-        let comparator = solution.comparator();
         // The spill policy of every superstep exchange, over its parallelism²
         // outbox writers.  Batch-incremental flushes sort candidate runs on
         // the workset key so the consumer can merge-group them without
@@ -526,7 +555,6 @@ impl<'a> WorksetIteration<'a> {
                     state,
                     &comms,
                     &constant_index,
-                    &comparator,
                     router,
                     &spill,
                     config,
@@ -609,7 +637,6 @@ impl<'a> WorksetIteration<'a> {
         state: &mut SuperstepState,
         comms: &SuperstepComms,
         constant_index: &[JoinIndex],
-        comparator: &Option<RecordComparator>,
         router: &PartitionRouter,
         spill: &SpillManager,
         config: &WorksetConfig,
@@ -644,19 +671,10 @@ impl<'a> WorksetIteration<'a> {
                 .enumerate()
             {
                 let constant = &constant_index[partition];
-                let comparator = comparator.clone();
                 scope.spawn_labeled("workset-superstep", move || {
                     fault.panic_check(FaultSite::WorkerPanic, "workset-superstep");
                     *slot = Some(self.run_partition_superstep(
-                        partition,
-                        s_part,
-                        workset,
-                        constant,
-                        &comparator,
-                        router,
-                        spill,
-                        config,
-                        scratch,
+                        partition, s_part, workset, constant, router, spill, config, scratch,
                     ));
                 });
             }
@@ -741,110 +759,78 @@ impl<'a> WorksetIteration<'a> {
         s_part: &mut PartitionIndex,
         workset: ExchangedPartition,
         constant: &JoinIndex,
-        comparator: &Option<RecordComparator>,
         router: &PartitionRouter,
         spill: &SpillManager,
         config: &WorksetConfig,
         scratch: &mut StepScratch,
     ) -> Result<PartitionOutput> {
-        let microstep = config.mode == ExecutionMode::Microstep;
-        let StepScratch {
-            matches,
-            deltas,
-            page_scratch,
-            pool,
-            grouping,
-        } = scratch;
+        let StepScratch { pool, grouping } = scratch;
         // The page buffers this partition drained *last* superstep seed this
         // superstep's outbox, closing the recycling loop: at steady state the
         // exchange writes into memory it emptied one superstep earlier
         // instead of allocating.
         let mut outbox = Outbox::new(partition, router.parallelism(), spill);
         outbox.seed(pool);
-        let mut output = PartitionOutput {
-            outbox,
-            inspected: 0,
-            changed: 0,
+        let mut out = CandidateSink {
+            outbox: &mut outbox,
+            router,
+            workset_key: &self.workset_key,
         };
+        let mut step = PartitionStep::new(self, s_part, constant);
+        let mut inspected = 0;
 
-        let mut apply_and_expand =
-            |delta: Record, s_part: &mut PartitionIndex, output: &mut PartitionOutput| {
-                // A surviving delta is serialized into the partition's paged
-                // index; the caller-owned heap record feeds the expansion, so
-                // nothing is cloned and discarded deltas write nothing.
-                if !SolutionSet::merge_detached(s_part, comparator, &self.solution_key, &delta) {
-                    return;
-                }
-                output.changed += 1;
-                let mut sink = CandidateSink {
-                    outbox: &mut output.outbox,
-                    router,
-                    workset_key: &self.workset_key,
-                };
-                self.expand.expand(
-                    &delta,
-                    constant.matches(&delta, &self.delta_key, matches),
-                    &mut sink,
-                );
-            };
-
-        let drained = if microstep {
+        let drained = if config.mode == ExecutionMode::Microstep {
             // Match variant: one workset record at a time, updates visible
-            // immediately.  Candidates are deserialized straight out of the
-            // queue's pages into the update/merge path through one reused
-            // scratch record — delta application reads from pages without an
-            // intermediate workset copy or per-record allocation.
-            let mut handle =
-                |record: &Record, s_part: &mut PartitionIndex, output: &mut PartitionOutput| {
-                    output.inspected += 1;
-                    let key = Key::extract(record, &self.workset_key);
-                    let delta = {
-                        let current = s_part.get(&key);
-                        self.update
-                            .update(&key, current, std::slice::from_ref(record))
-                    };
-                    if let Some(delta) = delta {
-                        apply_and_expand(delta, s_part, output);
-                    }
-                };
+            // immediately.  Every candidate is handed to the update function
+            // as a view of the queue's page — or of the spilled run's frame
+            // buffer, streamed straight off disk — without being copied.
+            let mut key = Key::Long(0);
+            let mut handle = |candidate: RecordView<'_>, step: &mut PartitionStep<'_>| {
+                inspected += 1;
+                candidate.key_into(&self.workset_key, &mut key);
+                if step.update(&key, &[candidate]) {
+                    step.apply(&mut out);
+                }
+            };
             let (local, pages, runs, _) = workset.into_pieces();
             debug_assert!(local.is_empty(), "workset queues hold pages and runs only");
             for page in &pages {
-                for view in page.reader() {
-                    view.read_into(page_scratch);
-                    handle(page_scratch, s_part, &mut output);
+                for candidate in page.reader() {
+                    handle(candidate, &mut step);
                 }
             }
-            // Spilled candidates stream straight off disk through the same
-            // scratch record — the queue never materializes them.
             for run in &runs {
                 spill.fault().io_check(FaultSite::SpillRead)?;
                 let mut cursor = run.cursor()?;
-                while cursor.next_into(page_scratch)? {
-                    handle(page_scratch, s_part, &mut output);
+                while cursor.step()? {
+                    handle(cursor.view(), &mut step);
                 }
             }
             pages
         } else if config.exec.force_materialized {
             // InnerCoGroup variant, the reference form the page-native path
             // is tested against: the candidates materialized, stably sorted
-            // by key and cut into groups, one update per key, deltas applied
-            // after the whole group pass (superstep semantics — every lookup
-            // sees the previous superstep's state).
+            // by key, written back to one page writer in that order and cut
+            // into groups, one update per key, deltas applied after the whole
+            // group pass (superstep semantics — every lookup sees the
+            // previous superstep's state).
             workset.check_spill_read(spill.fault())?;
             let mut records = workset.into_records()?;
             sort_by_key(&mut records, &self.workset_key);
-            deltas.clear();
-            for (group_start, group_end) in group_ranges(&records, &self.workset_key) {
-                output.inspected += 1;
-                let candidates = &records[group_start..group_end];
-                let key = Key::extract(&candidates[0], &self.workset_key);
-                if let Some(delta) = self.update.update(&key, s_part.get(&key), candidates) {
-                    deltas.push(delta);
+            let mut sorted = PageWriter::new();
+            let handles: Vec<_> = records.iter().map(|record| sorted.push(record)).collect();
+            let views: Vec<_> = handles.iter().map(|&handle| sorted.view(handle)).collect();
+            let mut deltas = Vec::new();
+            for (start, end) in group_ranges(&records, &self.workset_key) {
+                inspected += 1;
+                let key = Key::extract(&records[start], &self.workset_key);
+                if step.update(&key, &views[start..end]) {
+                    deltas.push(step.delta.0.clone());
                 }
             }
-            for delta in deltas.drain(..) {
-                apply_and_expand(delta, s_part, &mut output);
+            for delta in &deltas {
+                step.delta.emit(delta);
+                step.apply(&mut out);
             }
             Vec::new()
         } else {
@@ -852,22 +838,22 @@ impl<'a> WorksetIteration<'a> {
             // off their sealed pages and spilled runs by the shared kernel
             // (`dataflow::page::for_each_key_group`), which merges key-sorted
             // spilled candidate runs in off disk one frame at a time and
-            // reads each group into a bounded scratch.  Each update's delta
-            // is applied and expanded immediately: a key is updated at most
-            // once per pass, so no probe can observe another key's fresh
-            // delta and the in-place application is observably identical to
-            // the reference form's collect-then-apply — same groups, same
-            // candidate order, same delta and emission order.  Only the
-            // deltas themselves touch heap records.
+            // hands each group out as views.  Each update's delta is applied
+            // and expanded immediately: a key is updated at most once per
+            // pass, so no probe can observe another key's fresh delta and the
+            // in-place application is observably identical to the reference
+            // form's collect-then-apply — same groups, same candidate order,
+            // same delta and emission order.
             workset.check_spill_read(spill.fault())?;
             for_each_key_group(&workset, &self.workset_key, grouping, |key, candidates| {
-                output.inspected += 1;
-                if let Some(delta) = self.update.update(key, s_part.get(key), candidates) {
-                    apply_and_expand(delta, s_part, &mut output);
+                inspected += 1;
+                if step.update(key, candidates) {
+                    step.apply(&mut out);
                 }
             })?;
             workset.into_pieces().1
         };
+        let changed = step.changed;
         // The drained pages become the next superstep's outbox buffers: a
         // pool as large as what this superstep consumed covers the steady
         // state without allocating and shrinks with the workset.  Sealing
@@ -875,8 +861,106 @@ impl<'a> WorksetIteration<'a> {
         // flushes overlap.
         pool.set_limit(drained.len());
         pool.recycle_all(drained);
-        output.outbox.seal()?;
-        Ok(output)
+        outbox.seal()?;
+        Ok(PartitionOutput {
+            outbox,
+            inspected,
+            changed,
+        })
+    }
+}
+
+/// One partition's side of the step function — its solution partition and
+/// its constant-path index — with the buffers its update and expand calls
+/// reuse.  Every mode runs the join and the expansion through it: the
+/// superstep modes for one superstep, the asynchronous mode for a worker's
+/// whole run.
+pub(crate) struct PartitionStep<'p> {
+    iteration: &'p WorksetIteration<'p>,
+    solution: &'p mut PartitionIndex,
+    constant: &'p JoinIndex,
+    /// What the update function emitted.
+    delta: DeltaSink,
+    /// The key of the delta being applied.
+    delta_key: Key,
+    /// The constant records matching the delta being applied.
+    matches: Vec<RecordView<'p>>,
+    /// Deltas that changed the solution.
+    pub(crate) changed: usize,
+}
+
+impl<'p> PartitionStep<'p> {
+    pub(crate) fn new(
+        iteration: &'p WorksetIteration<'p>,
+        solution: &'p mut PartitionIndex,
+        constant: &'p JoinIndex,
+    ) -> PartitionStep<'p> {
+        PartitionStep {
+            iteration,
+            solution,
+            constant,
+            delta: DeltaSink(Vec::new()),
+            delta_key: Key::Long(0),
+            matches: Vec::new(),
+            changed: 0,
+        }
+    }
+
+    /// Runs the update function on `key`'s candidates against the stored
+    /// record, and returns whether it emitted a delta.
+    pub(crate) fn update(&mut self, key: &Key, candidates: &[RecordView<'_>]) -> bool {
+        self.delta.0.clear();
+        let current = self.solution.get(key);
+        self.iteration
+            .update
+            .update(key, current, candidates, &mut self.delta);
+        !self.delta.0.is_empty()
+    }
+
+    /// Merges the emitted delta into the solution partition and, when it
+    /// changed the solution, expands it from its stored bytes into `out`.
+    pub(crate) fn apply(&mut self, out: &mut dyn RecordSink) {
+        let (iteration, delta, key) = (self.iteration, &self.delta.0, &mut self.delta_key);
+        key.assign_fields(delta, &iteration.solution_key);
+        if !self
+            .solution
+            .merge_fields(&iteration.comparator, key, delta)
+            .applied()
+        {
+            return;
+        }
+        self.changed += 1;
+        let stored = self
+            .solution
+            .get(key)
+            .expect("an applied delta is stored under its key");
+        self.matches.clear();
+        self.matches
+            .extend(self.constant.matches(delta, &iteration.delta_key));
+        iteration.expand.expand(stored, &self.matches, out);
+    }
+}
+
+/// The sink an update function emits its delta into: it holds the delta's
+/// fields until the merge serializes them into the solution set (a delta
+/// has at least its key field, so an empty buffer is "no delta").
+struct DeltaSink(Vec<Value>);
+
+impl RecordSink for DeltaSink {
+    fn push(&mut self, record: Record) {
+        self.emit(record.fields());
+    }
+
+    fn emit(&mut self, fields: &[Value]) {
+        self.0.clear();
+        self.0.extend_from_slice(fields);
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
+    where
+        Self: 'static,
+    {
+        self
     }
 }
 
@@ -916,33 +1000,16 @@ impl RecordSink for CandidateSink<'_> {
 }
 
 /// Per-partition buffers reused across supersteps by the workset driver.
+#[derive(Default)]
 struct StepScratch {
-    /// Records the constant-path probe deserializes a delta's matches into.
-    matches: Vec<Record>,
-    /// Delta records of the current superstep (reference form).
-    deltas: Vec<Record>,
-    /// Scratch record the microstep variant deserializes page views into.
-    page_scratch: Record,
     /// Page buffers recovered from consumed workset pages, reissued to the
     /// next superstep's outbox writers, so steady-state supersteps allocate
     /// no new pages.  Bounded, superstep by superstep, by the number of
     /// pages the partition just drained.
     pool: PagePool,
-    /// Pair and group buffers of the page-native grouping (grow to the
-    /// largest workset and group, then stay).
+    /// Buffers of the page-native grouping (grow to the largest workset and
+    /// spilled group, then stay).
     grouping: GroupScratch,
-}
-
-impl Default for StepScratch {
-    fn default() -> Self {
-        StepScratch {
-            matches: Vec::new(),
-            deltas: Vec::new(),
-            page_scratch: Record::empty(),
-            pool: PagePool::with_limit(0),
-            grouping: GroupScratch::default(),
-        }
-    }
 }
 
 /// The run-wide communication state of the superstep loop: one page channel
@@ -1093,16 +1160,18 @@ mod tests {
     /// (vid, candidate value), and the constant input holds the edges.
     fn min_propagation() -> WorksetIteration<'static> {
         let update = Arc::new(UpdateClosure(
-            |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+            |key: &Key,
+             current: Option<RecordView<'_>>,
+             candidates: &[RecordView<'_>],
+             delta: &mut dyn RecordSink| {
                 let best = candidates.iter().map(|r| r.long(1)).min().unwrap();
-                match current {
-                    Some(c) if c.long(1) <= best => None,
-                    _ => Some(Record::pair(key.values()[0].as_long(), best)),
+                if current.is_none_or(|c| c.long(1) > best) {
+                    delta.emit(&[key.values()[0].clone(), Value::Long(best)]);
                 }
             },
         ));
         let expand = Arc::new(ExpandClosure(
-            |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+            |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
                 for e in edges {
                     out.emit(&[Value::Long(e.long(1)), Value::Long(delta.long(1))]);
                 }
@@ -1368,16 +1437,18 @@ mod tests {
         by_reference: bool,
     ) -> WorksetIteration<'static> {
         let update = Arc::new(UpdateClosure(
-            |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+            |key: &Key,
+             current: Option<RecordView<'_>>,
+             candidates: &[RecordView<'_>],
+             delta: &mut dyn RecordSink| {
                 let best = candidates.iter().map(|r| r.long(1)).min().unwrap();
-                match current {
-                    Some(c) if c.long(1) <= best => None,
-                    _ => Some(Record::pair(key.values()[0].as_long(), best)),
+                if current.is_none_or(|c| c.long(1) > best) {
+                    delta.emit(&[key.values()[0].clone(), Value::Long(best)]);
                 }
             },
         ));
         let expand = Arc::new(ExpandClosure(
-            move |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+            move |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
                 for e in edges {
                     if by_reference {
                         out.emit(&[Value::Long(e.long(1)), Value::Long(delta.long(1))]);
@@ -1466,23 +1537,23 @@ mod tests {
         // grouping orders the Text keys in place on their bytes, and must
         // agree exactly with the forced materializing run.
         let update = Arc::new(UpdateClosure(
-            |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+            |key: &Key,
+             current: Option<RecordView<'_>>,
+             candidates: &[RecordView<'_>],
+             delta: &mut dyn RecordSink| {
                 let best = candidates.iter().map(|r| r.long(1)).min().unwrap();
-                match current {
-                    Some(c) if c.long(1) <= best => None,
-                    _ => Some(Record::new(vec![
-                        key.values()[0].clone(),
-                        Value::Long(best),
-                    ])),
+                if current.is_none_or(|c| c.long(1) > best) {
+                    delta.emit(&[key.values()[0].clone(), Value::Long(best)]);
                 }
             },
         ));
         // Emitted by reference: the sink routes on the `Text` key field of
         // the slice and serializes it; nothing on the way assumes a `Long`.
         let expand = Arc::new(ExpandClosure(
-            |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+            |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
                 for e in edges {
-                    out.emit(&[e.field(1).clone(), delta.field(1).clone()]);
+                    let target = e.materialize().field(1).clone();
+                    out.emit(&[target, Value::Long(delta.long(1))]);
                 }
             },
         ));
@@ -1600,23 +1671,23 @@ mod tests {
     ) -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
         let key: KeyFields = (0..width).collect();
         let update = Arc::new(UpdateClosure(
-            move |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+            move |key: &Key,
+                  current: Option<RecordView<'_>>,
+                  candidates: &[RecordView<'_>],
+                  delta: &mut dyn RecordSink| {
                 let best = candidates.iter().map(|r| r.long(width)).min().unwrap();
-                match current {
-                    Some(c) if c.long(width) <= best => None,
-                    _ => {
-                        let mut fields = key.values().to_vec();
-                        fields.push(Value::Long(best));
-                        Some(Record::new(fields))
-                    }
+                if current.is_none_or(|c| c.long(width) > best) {
+                    let mut fields = key.values().to_vec();
+                    fields.push(Value::Long(best));
+                    delta.emit(&fields);
                 }
             },
         ));
         let expand = Arc::new(ExpandClosure(
-            move |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+            move |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
                 for e in edges {
-                    let mut fields = e.fields()[width..].to_vec();
-                    fields.push(delta.field(width).clone());
+                    let mut fields = e.materialize().fields()[width..].to_vec();
+                    fields.push(Value::Long(delta.long(width)));
                     out.emit(&fields);
                 }
             },
@@ -1995,5 +2066,58 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, DataflowError::InvalidPlan(_)), "{err}");
+    }
+
+    /// A delta the comparator rejects writes nothing and expands nothing: an
+    /// update that always proposes a worse label than the stored one leaves
+    /// the solution as it was, counts no change and sends no candidate, in
+    /// every mode and in the reference form.
+    #[test]
+    fn a_rejected_delta_is_neither_stored_nor_expanded() {
+        let update = Arc::new(UpdateClosure(
+            |key: &Key,
+             current: Option<RecordView<'_>>,
+             _: &[RecordView<'_>],
+             delta: &mut dyn RecordSink| {
+                let worse = current.map_or(0, |c| c.long(1) + 1);
+                delta.emit(&[key.values()[0].clone(), Value::Long(worse)]);
+            },
+        ));
+        let expand = Arc::new(ExpandClosure(
+            |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
+                for e in edges {
+                    out.emit(&[Value::Long(e.long(1)), Value::Long(delta.long(1))]);
+                }
+            },
+        ));
+        let edges: Vec<Record> = (0..8)
+            .flat_map(|v| [Record::pair(v, (v + 1) % 8), Record::pair((v + 1) % 8, v)])
+            .collect();
+        let iteration = WorksetIteration::builder(vec![0], vec![0], update, expand)
+            .constant_input(Arc::new(edges), vec![0], vec![0])
+            .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
+            .build();
+        let solution: Vec<Record> = (0..8).map(|v| Record::pair(v, v)).collect();
+        let workset: Vec<Record> = (0..8).map(|v| Record::pair(v, 0)).collect();
+        let reference = ExecConfig::new().with_force_materialized(true);
+        let configs = [
+            WorksetConfig::new(2),
+            WorksetConfig::new(2).with_exec(reference),
+            WorksetConfig::new(2).with_mode(ExecutionMode::Microstep),
+            WorksetConfig::new(2).with_mode(ExecutionMode::AsynchronousMicrostep),
+        ];
+        for config in configs {
+            let label = format!("{:?} {:?}", config.mode, config.exec.force_materialized);
+            let result = iteration
+                .run(solution.clone(), workset.clone(), &config)
+                .unwrap();
+            let rows = &result.stats.per_iteration;
+            assert!(rows.iter().all(|s| s.elements_changed == 0), "{label}");
+            assert!(rows.iter().all(|s| s.messages_sent == 0), "{label}");
+            assert!(result.converged, "{label}");
+            let mut stored = result.solution;
+            stored.sort();
+            assert_eq!(stored, solution, "{label}");
+        }
     }
 }

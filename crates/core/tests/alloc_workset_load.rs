@@ -6,7 +6,7 @@
 //! This file holds exactly one `#[test]` so no sibling test can run
 //! concurrently inside the process and pollute the allocation counters.
 
-use dataflow::prelude::{Key, Record, RecordSink, RecordSource, SourceClosure, Value};
+use dataflow::prelude::{Key, RecordSink, RecordSource, RecordView, SourceClosure, Value};
 use spinning_core::prelude::{ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -55,10 +55,10 @@ fn loading_described_inputs_allocates_per_page_not_per_record() {
     // The user functions never run: the run is bounded at zero supersteps,
     // so what is counted is the load step and the solution read-out.
     let update = Arc::new(UpdateClosure(
-        |_: &Key, _: Option<&Record>, _: &[Record]| None,
+        |_: &Key, _: Option<RecordView<'_>>, _: &[RecordView<'_>], _: &mut dyn RecordSink| {},
     ));
     let expand = Arc::new(ExpandClosure(
-        |_: &Record, _: &[Record], _: &mut dyn RecordSink| {},
+        |_: RecordView<'_>, _: &[RecordView<'_>], _: &mut dyn RecordSink| {},
     ));
     let edges = pairs(VERTICES * DEGREE, |i| (i / DEGREE, (i * 31) % VERTICES));
     let solution = pairs(VERTICES, |v| (v, v));

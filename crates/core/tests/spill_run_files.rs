@@ -8,7 +8,7 @@
 //! This file holds exactly one `#[test]`, so the process-wide count of
 //! created run files is this job's alone.
 
-use dataflow::prelude::{ExecConfig, Key, MemoryBudget, Record, RecordSink, Value};
+use dataflow::prelude::{ExecConfig, Key, MemoryBudget, Record, RecordSink, RecordView, Value};
 use dataflow::spill::run_files_created;
 use spinning_core::prelude::{ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration};
 use std::sync::Arc;
@@ -21,16 +21,18 @@ const REACH: i64 = 64;
 
 fn dense_ring() -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
     let update = Arc::new(UpdateClosure(
-        |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+        |key: &Key,
+         current: Option<RecordView<'_>>,
+         candidates: &[RecordView<'_>],
+         delta: &mut dyn RecordSink| {
             let best = candidates.iter().map(|r| r.long(1)).min().unwrap();
-            match current {
-                Some(c) if c.long(1) <= best => None,
-                _ => Some(Record::pair(key.values()[0].as_long(), best)),
+            if current.is_none_or(|c| c.long(1) > best) {
+                delta.emit(&[key.values()[0].clone(), Value::Long(best)]);
             }
         },
     ));
     let expand = Arc::new(ExpandClosure(
-        |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+        |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
             for e in edges {
                 out.emit(&[Value::Long(e.long(1)), Value::Long(delta.long(1))]);
             }

@@ -211,13 +211,6 @@ impl Collector {
         }
     }
 
-    /// Emits every record of an iterator.
-    pub fn collect_all<I: IntoIterator<Item = Record>>(&mut self, records: I) {
-        for record in records {
-            self.collect(record);
-        }
-    }
-
     /// Number of records collected so far (buffered or streamed).
     pub fn len(&self) -> usize {
         self.collected
@@ -388,7 +381,8 @@ mod tests {
         let mut c = Collector::new();
         assert!(c.is_empty());
         c.collect(Record::pair(1, 2));
-        c.collect_all(vec![Record::pair(3, 4), Record::pair(5, 6)]);
+        c.collect(Record::pair(3, 4));
+        c.collect(Record::pair(5, 6));
         assert_eq!(c.len(), 3);
         let drained = c.drain();
         assert_eq!(drained.len(), 3);

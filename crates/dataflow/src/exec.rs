@@ -75,9 +75,10 @@ use crate::error::{DataflowError, Result};
 use crate::exchange::{self, Outbox};
 use crate::fault::{FaultInjector, FaultSite};
 use crate::join_index::JoinIndex;
-use crate::key::{group_ranges, partition_for, sort_by_key, FxHashMap, Key, KeyFields};
+use crate::key::{compare_keys, group_ranges, partition_for, sort_by_key, Key, KeyFields};
 use crate::page::{
     for_each_key_group, sort_on_key, ExchangedPartition, GroupScratch, KeyGroups, PageWriter,
+    RecordView,
 };
 use crate::physical::{
     streaming_input_slot, LocalStrategy, PhysicalChoice, PhysicalPlan, ShipStrategy,
@@ -91,6 +92,7 @@ use crate::transport::TransportHandle;
 use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -143,7 +145,11 @@ pub struct ExecConfig {
 }
 
 impl Default for ExecConfig {
-    /// The only place the execution settings' environment defaults are read.
+    /// Reads the execution settings' environment defaults.  It is not the
+    /// only reader: `comm::tcp::TcpOptions::default` also reads
+    /// `SPINNING_CHANNEL_CREDITS` and `SPINNING_COMM_TIMEOUT_SECS`, and the
+    /// asynchronous workset run reads the latter (ROADMAP item 5(c) gathers
+    /// them into one reader).
     fn default() -> Self {
         ExecConfig {
             memory_budget: MemoryBudget::unlimited(),
@@ -366,13 +372,6 @@ impl ExecutionResult {
             .get(name)
             .cloned()
             .ok_or_else(|| DataflowError::UnknownSink(name.to_owned()))
-    }
-
-    /// Names of all sinks that produced output.
-    pub fn sink_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.sink_outputs.keys().cloned().collect();
-        names.sort();
-        names
     }
 }
 
@@ -941,8 +940,8 @@ enum Stage {
         /// Whether the streamed side is the join's left argument.
         probe_is_left: bool,
         index: JoinIndex,
-        /// The records paged matches are read into, reused probe to probe.
-        matches: Vec<Record>,
+        /// The record each paged match is read into for the user function.
+        build: Record,
     },
     Cross {
         udf: Arc<dyn CrossFunction>,
@@ -992,7 +991,7 @@ impl Stage {
                     probe_key: probe_key.clone(),
                     probe_is_left,
                     index: JoinIndex::from_partition(side_input(), build_key)?,
-                    matches: Vec::new(),
+                    build: Record::empty(),
                 }
             }
             (OperatorKind::Cross, Udf::Cross(udf)) => Stage::Cross {
@@ -1035,12 +1034,14 @@ impl Stage {
                 probe_key,
                 probe_is_left,
                 index,
-                matches,
+                build,
             } => join_matches(
                 udf.as_ref(),
                 *probe_is_left,
                 &record,
-                index.matches(&record, probe_key, matches),
+                index,
+                probe_key,
+                build,
                 out,
             ),
             Stage::Cross { udf, right } => {
@@ -1062,12 +1063,19 @@ impl Stage {
                 probe_key,
                 probe_is_left,
                 index,
-                matches,
+                build,
             } => streamed.for_each_ref_where(
                 |view| index.may_match(view, probe_key),
                 |record| {
-                    let found = index.matches(record, probe_key, matches);
-                    join_matches(udf.as_ref(), *probe_is_left, record, found, out)
+                    join_matches(
+                        udf.as_ref(),
+                        *probe_is_left,
+                        record,
+                        index,
+                        probe_key,
+                        build,
+                        out,
+                    )
                 },
             )?,
             stage if stage.keeps_records() => {
@@ -1082,7 +1090,10 @@ impl Stage {
     fn finish(self, out: &mut Collector) {
         match self {
             Stage::PagedGroup { udf, groups } => {
-                groups.for_each_group(|k, group| udf.reduce(&k.values(), group, out))
+                let mut records = Vec::new();
+                groups.for_each_group(|k, group| {
+                    udf.reduce(&k.values(), materialize(group, &mut records), out)
+                })
             }
             Stage::SortGroup {
                 key,
@@ -1101,21 +1112,37 @@ impl Stage {
     }
 }
 
-/// Joins one probe record with its build-side matches, in match order.
+/// Joins one probe record with its matches in `index`, in match order, each
+/// read into `build` for the user function.
 fn join_matches(
     udf: &dyn MatchFunction,
     probe_is_left: bool,
     probe: &Record,
-    matches: &[Record],
+    index: &JoinIndex,
+    probe_key: &[usize],
+    build: &mut Record,
     out: &mut Collector,
 ) {
-    for build in matches {
+    for view in index.matches(probe.fields(), probe_key) {
+        view.read_into(build);
         if probe_is_left {
             udf.join(probe, build, out);
         } else {
             udf.join(build, probe, out);
         }
     }
+}
+
+/// Reads a page-native group into `records` for a user function that takes
+/// heap records; the records keep their capacity from group to group.
+fn materialize<'r>(group: &[RecordView<'_>], records: &'r mut Vec<Record>) -> &'r [Record] {
+    if records.len() < group.len() {
+        records.resize_with(group.len(), Record::empty);
+    }
+    for (record, view) in records.iter_mut().zip(group) {
+        view.read_into(record);
+    }
+    &records[..group.len()]
 }
 
 /// The typed error of an operator whose UDF does not fit its contract (a
@@ -1529,9 +1556,9 @@ fn run_local(
     };
     if let (OperatorKind::Reduce { key }, Udf::Reduce(udf), true) = (&op.kind, &op.udf, page_native)
     {
-        let mut scratch = GroupScratch::default();
+        let (mut scratch, mut records) = (GroupScratch::default(), Vec::new());
         for_each_key_group(&inputs[stream_slot], key, &mut scratch, |k, group| {
-            udf.reduce(&k.values(), group, out)
+            udf.reduce(&k.values(), materialize(group, &mut records), out)
         })?;
         return Ok(records_in);
     }
@@ -1565,14 +1592,20 @@ fn run_dammed(
             Udf::Match(udf),
         ) => {
             let (left, right) = (next_input(), next_input());
-            run_sort_merge_join(
-                left_key,
-                right_key,
+            let keys = (&left_key[..], &right_key[..]);
+            merge_sorted_groups(
+                keys,
                 left,
                 right,
-                udf.as_ref(),
-                out,
+                false,
                 page_native,
+                |_, lgroup, rgroup| {
+                    for l in lgroup {
+                        for r in rgroup {
+                            udf.join(l, r, out);
+                        }
+                    }
+                },
             )?;
         }
         (
@@ -1584,7 +1617,15 @@ fn run_dammed(
             Udf::CoGroup(udf),
         ) => {
             let (left, right) = (next_input(), next_input());
-            run_cogroup(left_key, right_key, *inner, left, right, udf.as_ref(), out)?;
+            let keys = (&left_key[..], &right_key[..]);
+            merge_sorted_groups(
+                keys,
+                left,
+                right,
+                !inner,
+                page_native,
+                |key, lgroup, rgroup| udf.cogroup(key, lgroup, rgroup, out),
+            )?;
         }
         (OperatorKind::Union, _) => {
             for input in inputs {
@@ -1598,136 +1639,92 @@ fn run_dammed(
     Ok(())
 }
 
-/// The reference form of one sort-merge join input: materialized, then
-/// stably sorted on `key`.
-fn into_sorted_records(part: ExchangedPartition, key: &[usize]) -> std::io::Result<Vec<Record>> {
-    let mut records = part.into_records()?;
-    sort_by_key(&mut records, key);
-    Ok(records)
-}
-
-/// Page-native sort-merge join: both sides sort `(key prefix, handle)` pairs
-/// on the shared kernel ([`sort_on_key`]) and the two-pointer merge
-/// materializes only the current key group of each side.  Keys compare on
-/// their prefixes when both sides' keys are single `Long`s, in place on the
-/// key bytes otherwise.
-fn sort_merge_paged(
-    left_key: &[usize],
-    right_key: &[usize],
-    lpart: &ExchangedPartition,
-    rpart: &ExchangedPartition,
-    udf: &dyn MatchFunction,
-    out: &mut Collector,
-) -> std::io::Result<()> {
-    let (mut lpairs, mut rpairs, mut radix) = (Vec::new(), Vec::new(), Vec::new());
-    let lsorted = sort_on_key(lpart, left_key, &mut lpairs, &mut radix)?;
-    let rsorted = sort_on_key(rpart, right_key, &mut rpairs, &mut radix)?;
-    let (mut lgroup, mut rgroup) = (Vec::new(), Vec::new());
-    let (mut lrest, mut rrest) = (&lpairs[..], &rpairs[..]);
-    while let (Some(l), Some(r)) = (lrest.first(), rrest.first()) {
-        match lsorted.cmp_keys(l, &rsorted, r) {
-            std::cmp::Ordering::Less => lrest = &lrest[lsorted.group_len(lrest)..],
-            std::cmp::Ordering::Greater => rrest = &rrest[rsorted.group_len(rrest)..],
-            std::cmp::Ordering::Equal => {
-                let (lrecords, lafter) = lsorted.next_group(lrest, &mut lgroup);
-                let (rrecords, rafter) = rsorted.next_group(rrest, &mut rgroup);
-                for l in lrecords {
-                    for r in rrecords {
-                        udf.join(l, r, out);
-                    }
-                }
-                (lrest, rrest) = (lafter, rafter);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Sort-merge equi-join for the Match contract.
-fn run_sort_merge_join(
-    left_key: &[usize],
-    right_key: &[usize],
+/// The one two-sided merge of key groups, under the sort-merge Match and
+/// CoGroup / InnerCoGroup: `on_groups` gets the key and both sides' groups of
+/// every key both sides hold, in key order — with `outer`, of every key
+/// either side holds, the missing group empty.  Page-native, both sides sort
+/// on the shared kernel ([`sort_on_key`]) and only the groups handed out are
+/// materialized; the reference form materializes, stably sorts and cuts.
+fn merge_sorted_groups(
+    (left_key, right_key): (&[usize], &[usize]),
     left: ExchangedPartition,
     right: ExchangedPartition,
-    udf: &dyn MatchFunction,
-    out: &mut Collector,
+    outer: bool,
     page_native: bool,
-) -> Result<()> {
+    mut on_groups: impl FnMut(&[Value], &[Record], &[Record]),
+) -> std::io::Result<()> {
+    // The key of a handed-out pair of groups, from whichever side holds it.
+    let mut emit = |lgroup: &[Record], rgroup: &[Record]| {
+        let key = match lgroup.first() {
+            Some(first) => Key::extract(first, left_key),
+            None => Key::extract(&rgroup[0], right_key),
+        };
+        on_groups(&key.values(), lgroup, rgroup);
+    };
     if page_native {
-        return Ok(sort_merge_paged(
-            left_key, right_key, &left, &right, udf, out,
-        )?);
-    }
-    let l_sorted = into_sorted_records(left, left_key)?;
-    let r_sorted = into_sorted_records(right, right_key)?;
-    let l_ranges = group_ranges(&l_sorted, left_key);
-    let r_ranges = group_ranges(&r_sorted, right_key);
-    let (mut li, mut ri) = (0usize, 0usize);
-    while li < l_ranges.len() && ri < r_ranges.len() {
-        let lrec = &l_sorted[l_ranges[li].0];
-        let rrec = &r_sorted[r_ranges[ri].0];
-        match crate::key::compare_keys(lrec, left_key, rrec, right_key) {
-            std::cmp::Ordering::Less => li += 1,
-            std::cmp::Ordering::Greater => ri += 1,
-            std::cmp::Ordering::Equal => {
-                for l in &l_sorted[l_ranges[li].0..l_ranges[li].1] {
-                    for r in &r_sorted[r_ranges[ri].0..r_ranges[ri].1] {
-                        udf.join(l, r, out);
-                    }
-                }
-                li += 1;
-                ri += 1;
-            }
-        }
+        let (mut lpairs, mut rpairs, mut radix) = (Vec::new(), Vec::new(), Vec::new());
+        let lsorted = sort_on_key(&left, left_key, &mut lpairs, &mut radix)?;
+        let rsorted = sort_on_key(&right, right_key, &mut rpairs, &mut radix)?;
+        let (lranges, rranges) = (lsorted.group_ranges(&lpairs), rsorted.group_ranges(&rpairs));
+        let (mut views, mut lrecords, mut rrecords) = (Vec::new(), Vec::new(), Vec::new());
+        walk_groups(
+            &lranges,
+            &rranges,
+            outer,
+            |l, r| lsorted.cmp_keys(&lpairs[l], &rsorted, &rpairs[r]),
+            |l, r| {
+                lsorted.views_into(&lpairs[l], &mut views);
+                let lgroup = materialize(&views, &mut lrecords);
+                rsorted.views_into(&rpairs[r], &mut views);
+                emit(lgroup, materialize(&views, &mut rrecords));
+            },
+        );
+    } else {
+        let (mut lrecords, mut rrecords) = (left.into_records()?, right.into_records()?);
+        sort_by_key(&mut lrecords, left_key);
+        sort_by_key(&mut rrecords, right_key);
+        let (lranges, rranges) = (
+            group_ranges(&lrecords, left_key),
+            group_ranges(&rrecords, right_key),
+        );
+        walk_groups(
+            &lranges,
+            &rranges,
+            outer,
+            |l, r| compare_keys(&lrecords[l], left_key, &rrecords[r], right_key),
+            |l, r| emit(&lrecords[l], &rrecords[r]),
+        );
     }
     Ok(())
 }
 
-/// Grouped join for the CoGroup / InnerCoGroup contracts.
-fn run_cogroup(
-    left_key: &[usize],
-    right_key: &[usize],
-    inner: bool,
-    left: ExchangedPartition,
-    right: ExchangedPartition,
-    udf: &dyn crate::contracts::CoGroupFunction,
-    out: &mut Collector,
-) -> Result<()> {
-    let mut left_groups: FxHashMap<Key, Vec<Record>> = FxHashMap::default();
-    left.for_each_owned(|record| {
-        left_groups
-            .entry(Key::extract(&record, left_key))
-            .or_default()
-            .push(record);
-    })?;
-    let mut right_groups: FxHashMap<Key, Vec<Record>> = FxHashMap::default();
-    right.for_each_owned(|record| {
-        right_groups
-            .entry(Key::extract(&record, right_key))
-            .or_default()
-            .push(record);
-    })?;
-    // Emit groups in key order so the output stays deterministic across runs.
-    let empty: Vec<Record> = Vec::new();
-    if inner {
-        let mut sorted: Vec<(&Key, &Vec<Record>)> = left_groups.iter().collect();
-        sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        for (k, lgroup) in sorted {
-            if let Some(rgroup) = right_groups.get(k) {
-                udf.cogroup(&k.values(), lgroup, rgroup, out);
-            }
-        }
-    } else {
-        let mut keys: Vec<&Key> = left_groups.keys().chain(right_groups.keys()).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        for k in keys {
-            let lgroup = left_groups.get(k).unwrap_or(&empty);
-            let rgroup = right_groups.get(k).unwrap_or(&empty);
-            udf.cogroup(&k.values(), lgroup, rgroup, out);
+/// Walks two key-sorted sequences of groups, given as `(start, end)` ranges,
+/// in key order (`cmp` orders the keys of the records at two group starts):
+/// `on_groups` gets every pair of groups with equal keys — with `outer`, also
+/// every group the other side lacks, beside an empty range.
+fn walk_groups(
+    left: &[(usize, usize)],
+    right: &[(usize, usize)],
+    outer: bool,
+    cmp: impl Fn(usize, usize) -> std::cmp::Ordering,
+    mut on_groups: impl FnMut(Range<usize>, Range<usize>),
+) {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let (mut l, mut r) = (left.iter().peekable(), right.iter().peekable());
+    loop {
+        let order = match (l.peek(), r.peek()) {
+            (Some(lg), Some(rg)) => cmp(lg.0, rg.0),
+            (Some(_), None) if outer => Less,
+            (None, Some(_)) if outer => Greater,
+            _ => return,
+        };
+        let range = |group: Option<&(usize, usize)>| group.map_or(0..0, |&(start, end)| start..end);
+        let lgroup = range((order != Greater).then(|| l.next()).flatten());
+        let rgroup = range((order != Less).then(|| r.next()).flatten());
+        if outer || order == Equal {
+            on_groups(lgroup, rgroup);
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1964,7 +1961,6 @@ mod tests {
         plan.sink("out", a);
         let result = execute(&plan, 1);
         assert!(result.sink("nope").is_err());
-        assert_eq!(result.sink_names(), vec!["out".to_owned()]);
     }
 
     #[test]

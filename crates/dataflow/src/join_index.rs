@@ -9,8 +9,8 @@
 //! Whatever the key's shape, the records live serialized in a [`PageWriter`]
 //! under a [`PrefixTable`] keyed on the grouping kernel's key prefix
 //! ([`crate::page`]): delivered pages are adopted by pointer, spilled runs
-//! revived as pages, heap records serialized once, and a probe reads its
-//! matches into one reused scratch slice.  While every key is one `Long`
+//! revived as pages, heap records serialized once, and a probe hands out
+//! its matches as views of their stored bytes.  While every key is one `Long`
 //! field the prefix is the whole key; any other key shape hashes, and a
 //! probe filters its chain on the key bytes.
 
@@ -19,7 +19,6 @@ use crate::page::{
     key_matches_fields, key_prefix, key_prefix_of_fields, ExchangedPartition, PageWriter,
     PrefixTable, RecordView,
 };
-use crate::record::Record;
 use crate::value::Value;
 
 /// A build input indexed on its join key.
@@ -89,62 +88,25 @@ impl JoinIndex {
         })
     }
 
-    /// The build records whose join key equals `probe`'s `probe_key` fields,
-    /// in build insertion order.  Matches are deserialized into `scratch`,
-    /// whose records keep their capacity from probe to probe.
-    ///
-    /// Kept out of line: inlining it into the workset superstep's per-delta
-    /// closure measurably slowed the long-tail supersteps.
-    #[inline(never)]
-    pub fn matches<'a>(
+    /// The build records whose join key equals the `probe_key` fields of
+    /// `probe`, in build insertion order, as views of their stored bytes.
+    #[inline]
+    pub fn matches<'a, 'p>(
         &'a self,
-        probe: &Record,
-        probe_key: &[usize],
-        scratch: &'a mut Vec<Record>,
-    ) -> &'a [Record] {
-        let (prefix, exact) = key_prefix_of_fields(probe.fields(), probe_key);
-        if !(exact && self.exact) {
-            return self.matches_in_place(prefix, probe, probe_key, scratch);
-        }
-        // A chain of exact keys under an exact probe is its key alone.
-        let mut matched = 0;
-        for handle in self.table.probe(prefix) {
-            if matched == scratch.len() {
-                scratch.push(Record::empty());
-            }
-            self.store.view(handle).read_into(&mut scratch[matched]);
-            matched += 1;
-        }
-        &scratch[..matched]
-    }
-
-    /// [`JoinIndex::matches`] when the probe's or the index's keys are
-    /// inexact: `prefix`'s chain is filtered on the key bytes.
-    #[cold]
-    #[inline(never)]
-    fn matches_in_place<'a>(
-        &'a self,
-        prefix: u64,
-        probe: &Record,
-        probe_key: &[usize],
-        scratch: &'a mut Vec<Record>,
-    ) -> &'a [Record] {
-        if probe_key.len() != self.key.len() {
-            return &[];
-        }
-        let mut matched = 0;
-        for handle in self.table.probe(prefix) {
-            let view = self.store.view(handle);
-            if !key_matches_fields(view, &self.key, probe.fields(), probe_key) {
-                continue;
-            }
-            if matched == scratch.len() {
-                scratch.push(Record::empty());
-            }
-            view.read_into(&mut scratch[matched]);
-            matched += 1;
-        }
-        &scratch[..matched]
+        probe: &'p [Value],
+        probe_key: &'p [usize],
+    ) -> impl Iterator<Item = RecordView<'a>> + use<'a, 'p> {
+        let (prefix, exact) = key_prefix_of_fields(probe, probe_key);
+        // A chain of exact keys under an exact probe is its key alone; any
+        // other chain is filtered on the key bytes.
+        let whole_key = exact && self.exact;
+        let same_arity = probe_key.len() == self.key.len();
+        self.table
+            .probe(prefix)
+            .map(|handle| self.store.view(handle))
+            .filter(move |&view| {
+                whole_key || (same_arity && key_matches_fields(view, &self.key, probe, probe_key))
+            })
     }
 
     /// Whether a probe record read in place off a page can have matches:
@@ -166,6 +128,7 @@ mod tests {
     use super::*;
     use crate::key::sort_by_key;
     use crate::page::{serialize_record, PageWriter, RecordPage};
+    use crate::record::Record;
     use crate::spill::{write_run_in, write_sorted_records_in};
     use std::path::PathBuf;
     use std::sync::Arc;
@@ -189,6 +152,12 @@ mod tests {
             })
             .cloned()
             .collect()
+    }
+
+    /// `index`'s matches of `probe`, materialized.
+    fn matched(index: &JoinIndex, probe: &Record, key: &[usize]) -> Vec<Record> {
+        let matches = index.matches(probe.fields(), key);
+        matches.map(|view| view.materialize()).collect()
     }
 
     fn bytes(records: &[Record]) -> Vec<u8> {
@@ -226,11 +195,10 @@ mod tests {
     ) {
         let probe_pages = pages_of(probes);
         let views = probe_pages.iter().flat_map(|page| page.reader());
-        let mut scratch = Vec::new();
         for (probe, view) in probes.iter().zip(views) {
             let expected = nested_loop(build, key, probe, key);
-            let got = index.matches(probe, key, &mut scratch);
-            assert_eq!(bytes(got), bytes(&expected), "{case}: probe {probe:?}");
+            let got = matched(index, probe, key);
+            assert_eq!(bytes(&got), bytes(&expected), "{case}: probe {probe:?}");
             assert!(
                 index.may_match(view, key) || expected.is_empty(),
                 "{case}: skipped {probe:?}"
@@ -388,10 +356,7 @@ mod tests {
             .collect();
         let index = check_all_builds("legacy-long", &records, &[0], &probes);
         let expected: Vec<Record> = with_key(&records, &Value::Long(5)).collect();
-        assert_eq!(
-            index.matches(&Record::pair(5, -1), &[0], &mut Vec::new()),
-            expected
-        );
+        assert_eq!(matched(&index, &Record::pair(5, -1), &[0]), expected);
     }
 
     #[test]
@@ -406,9 +371,10 @@ mod tests {
         let pairs: Vec<Record> = (0..40i64).map(|i| Record::pair(i % 4, i % 2)).collect();
         let probes: Vec<Record> = (0..8).map(|i| Record::pair(i % 4, i / 4)).collect();
         let index = check_all_builds("legacy-pair", &pairs, &[0, 1], &probes);
-        let mut scratch = Vec::new();
-        let matched = index.matches(&Record::pair(3, 1), &[0, 1], &mut scratch);
-        assert_eq!(matched.len(), 10);
+        assert_eq!(
+            index.matches(Record::pair(3, 1).fields(), &[0, 1]).count(),
+            10
+        );
     }
 
     #[test]

@@ -242,6 +242,27 @@ impl Key {
         Key::Composite(fields.iter().map(|&i| values[i].clone()).collect())
     }
 
+    /// [`Key::extract_fields`] into an existing key, reusing a composite
+    /// key's buffer: refilling a key of fixed-width fields allocates nothing.
+    pub fn assign_fields(&mut self, values: &[Value], fields: &[usize]) {
+        self.assign_with(fields.len(), |i| values[fields[i]].clone());
+    }
+
+    /// Overwrites the key with `arity` values, `value(i)` the `i`-th — in
+    /// place when a composite key of the same arity is refilled, and
+    /// normalised to the inline form for a single `Long`.
+    pub(crate) fn assign_with(&mut self, arity: usize, mut value: impl FnMut(usize) -> Value) {
+        match self {
+            Key::Composite(values) if values.len() == arity && arity > 1 => {
+                for (i, slot) in values.iter_mut().enumerate() {
+                    *slot = value(i);
+                }
+            }
+            _ if arity == 1 => *self = Key::extract_fields(&[value(0)], &[0]),
+            _ => *self = Key::Composite((0..arity).map(value).collect()),
+        }
+    }
+
     /// A single-field integer key; the common case for graph workloads.
     #[inline]
     pub fn long(v: i64) -> Key {

@@ -220,7 +220,9 @@ fn read_array<const N: usize>(bytes: &[u8], offset: &mut usize) -> [u8; N] {
 /// (which emits only the five tags and a `&str`'s bytes for `Text`), and a
 /// page that was on disk is CRC-checked before it is read
 /// ([`crate::spill`]).  The two panics below are unreachable unless memory
-/// itself is corrupt.
+/// itself is corrupt.  Always inlined into [`RecordView::read_into`]'s
+/// per-field loop, where a call per field costs the bulk PageRank step ~10 %.
+#[inline(always)]
 fn deserialize_value(bytes: &[u8], offset: &mut usize) -> Value {
     let tag = bytes[*offset];
     *offset += 1;
@@ -336,6 +338,27 @@ pub(crate) fn view_in(bytes: &[u8], offset: usize) -> RecordView<'_> {
     let len = u32::from_le_bytes(read_array(bytes, &mut offset)) as usize;
     RecordView {
         payload: &bytes[offset..offset + len],
+    }
+}
+
+/// One record serialized on its own, framed exactly as on a page — how a
+/// record travels where no page does (the asynchronous workset queues).
+#[derive(Debug)]
+pub struct SerializedRecord(Box<[u8]>);
+
+impl SerializedRecord {
+    /// Serializes a record given as its field slice.
+    pub fn from_fields(fields: &[Value]) -> SerializedRecord {
+        let width = serialized_width(fields);
+        let mut bytes = Vec::with_capacity(width);
+        serialize_fields_with_width(fields, width, &mut bytes);
+        SerializedRecord(bytes.into_boxed_slice())
+    }
+
+    /// The record, read in place.
+    #[inline]
+    pub fn view(&self) -> RecordView<'_> {
+        view_in(&self.0, 0)
     }
 }
 
@@ -731,23 +754,42 @@ impl<'a> RecordView<'a> {
     /// panicking if the field is missing or not a `Long` (the same contract
     /// as [`Record::long`]).
     pub fn long(&self, idx: usize) -> i64 {
-        let mut offset = 0;
-        let mut field = 0;
-        while offset < self.payload.len() {
-            if field == idx {
-                assert_eq!(
-                    self.payload[offset], TAG_LONG,
-                    "expected Long value in page field {idx}"
-                );
-                offset += 1;
-                return denormalize_long(read_array(self.payload, &mut offset));
-            }
-            skip_value(self.payload, &mut offset);
-            field += 1;
-        }
+        denormalize_long(self.fixed_width(idx, TAG_LONG))
+    }
+
+    /// Reads the `f64` stored in field `idx` straight from the page bytes,
+    /// panicking if the field is missing or not a `Double` (the same
+    /// contract as [`Record::double`]).
+    pub fn double(&self, idx: usize) -> f64 {
+        denormalize_double(self.fixed_width(idx, TAG_DOUBLE))
+    }
+
+    /// The 8-byte payload of field `idx`, which must carry `tag`.
+    #[inline]
+    fn fixed_width(&self, idx: usize, tag: u8) -> [u8; 8] {
         // The caller's contract, as for `Record::long`: it names a field the
-        // record has.
-        panic!("page record has no field {idx}: callers read fields their records carry");
+        // record has, of the type it asks for.
+        let offset = self
+            .field_offset(idx)
+            .unwrap_or_else(|| panic!("page record has no field {idx}"));
+        assert_eq!(
+            self.payload[offset], tag,
+            "page field {idx} has another type than the one read"
+        );
+        let mut offset = offset + 1;
+        read_array(self.payload, &mut offset)
+    }
+
+    /// Overwrites `key` with this record's key on `fields`, reusing a
+    /// composite key's buffer: refilling a key of fixed-width fields
+    /// allocates nothing.
+    pub fn key_into(&self, fields: &[usize], key: &mut Key) {
+        key.assign_with(fields.len(), |i| {
+            let mut offset = self
+                .field_offset(fields[i])
+                .unwrap_or_else(|| panic!("page record has no key field {}", fields[i]));
+            deserialize_value(self.payload, &mut offset)
+        });
     }
 
     /// The 8-byte normalized (order-preserving) encoding of the first field
@@ -1340,7 +1382,7 @@ impl ExchangedPartition {
     /// partitions whose runs were still sorted on flush).  Sort-based
     /// consumers use this to merge the runs with a sorted in-memory residue
     /// instead of rematerializing and re-sorting everything.
-    pub fn spilled_runs_sorted_by(&self, key: &[usize]) -> bool {
+    pub(crate) fn spilled_runs_sorted_by(&self, key: &[usize]) -> bool {
         self.runs.iter().all(|run| run.sorted_by() == Some(key))
     }
 
@@ -1558,14 +1600,14 @@ fn scan_keyed(
 // ---------------------------------------------------------------------------
 
 /// The reusable buffers of [`for_each_key_group`]: the `(key prefix, handle)`
-/// pairs, the radix pass's second pair buffer, and the records one key group
-/// is read into.  All keep their capacity across calls, so a steady-state
-/// superstep groups without allocating.
+/// pairs, the radix pass's second pair buffer, and the bytes a spilled key
+/// group is copied into.  All keep their capacity across calls, so a
+/// steady-state superstep groups without allocating.
 #[derive(Debug, Default)]
 pub struct GroupScratch {
     pairs: Vec<(u64, PageHandle)>,
     radix: Vec<(u64, PageHandle)>,
-    group: Vec<Record>,
+    bytes: Vec<u8>,
 }
 
 /// A paged partition sorted on its key: the records sit in a page writer,
@@ -1636,23 +1678,26 @@ impl KeySorted<'_> {
             .count()
     }
 
-    /// Reads the key group at the front of the sorted `pairs` into the
-    /// reusable `group` buffer (records beyond the group keep their warm
-    /// capacity for the next one) and returns the group's records and the
-    /// pairs after it.  `pairs` must not be empty.
-    pub(crate) fn next_group<'p, 'g>(
-        &self,
-        pairs: &'p [(u64, PageHandle)],
-        group: &'g mut Vec<Record>,
-    ) -> (&'g [Record], &'p [(u64, PageHandle)]) {
-        let len = self.group_len(pairs);
-        if group.len() < len {
-            group.resize_with(len, Record::empty);
+    /// The `(start, end)` ranges of the key groups of the sorted `pairs`.
+    pub(crate) fn group_ranges(&self, pairs: &[(u64, PageHandle)]) -> Vec<(usize, usize)> {
+        let mut ranges = Vec::new();
+        let mut start = 0;
+        while start < pairs.len() {
+            let end = start + self.group_len(&pairs[start..]);
+            ranges.push((start, end));
+            start = end;
         }
-        for (slot, &(_, handle)) in group.iter_mut().zip(&pairs[..len]) {
-            self.store.view(handle).read_into(slot);
-        }
-        (&group[..len], &pairs[len..])
+        ranges
+    }
+
+    /// Replaces `views` with the views of the records `pairs` address.
+    pub(crate) fn views_into<'s>(
+        &'s self,
+        pairs: &[(u64, PageHandle)],
+        views: &mut Vec<RecordView<'s>>,
+    ) {
+        views.clear();
+        views.extend(pairs.iter().map(|&(_, handle)| self.view(handle)));
     }
 
     /// Orders the key of pair `a` of this partition against the key of pair
@@ -1752,11 +1797,12 @@ fn sort_pairs_by_prefix(pairs: &mut Vec<(u64, PageHandle)>, scratch: &mut Vec<(u
 }
 
 /// Groups a paged partition by its key, whatever the key's shape: `on_group`
-/// runs once per distinct key, in key order, with the key and the key's
-/// records in delivery order (local records, pages, then the spilled runs in
-/// order) — the stable sort of the partition, and so identical to the
-/// materializing oracle's sort and cut.  Only the current group exists as
-/// heap records.
+/// runs once per distinct key, in key order, with the key and views of the
+/// key's records in delivery order (local records, pages, then the spilled
+/// runs in order) — the stable sort of the partition, and so identical to
+/// the materializing oracle's sort and cut.  No record is deserialized: the
+/// views address the sorted pages, and a group merged in off disk is copied
+/// as payload bytes into one reused buffer.
 ///
 /// The kernel works on 16-byte `(key prefix, handle)` pairs.  A key that is
 /// one `Long` field has its normalized value as prefix — exact and
@@ -1770,9 +1816,8 @@ fn sort_pairs_by_prefix(pairs: &mut Vec<(u64, PageHandle)>, scratch: &mut Vec<(u
 /// on disk: when every run of the partition is one, the in-memory residue
 /// is sorted and merged with the runs by [`RunMerger`], each run read one
 /// frame at a time into a reused buffer — the residue plus one frame per
-/// run is in memory, and no record is built for a run record outside the
-/// group being handed out.  Any other run is revived as pages and sorted
-/// with the residue.
+/// run is in memory, and only the group being handed out is copied.  Any
+/// other run is revived as pages and sorted with the residue.
 ///
 /// Callers consult the spill-read fault gate
 /// ([`ExchangedPartition::check_spill_read`]) before calling.
@@ -1780,36 +1825,41 @@ pub fn for_each_key_group(
     part: &ExchangedPartition,
     key: &[usize],
     scratch: &mut GroupScratch,
-    mut on_group: impl FnMut(&Key, &[Record]),
+    mut on_group: impl FnMut(&Key, &[RecordView<'_>]),
 ) -> std::io::Result<()> {
     if !part.runs.is_empty() && part.spilled_runs_sorted_by(key) {
         return merge_key_groups(part, key, scratch, &mut on_group);
     }
-    let GroupScratch {
-        pairs,
-        radix,
-        group,
-    } = scratch;
+    let GroupScratch { pairs, radix, .. } = scratch;
     let sorted = sort_on_key(part, key, pairs, radix)?;
-    for_each_sorted_group(&sorted, pairs, group, on_group);
+    for_each_sorted_group(&sorted, pairs, on_group);
     Ok(())
 }
 
 /// The group loop of the kernel: hands every key group of the sorted `pairs`
-/// to `on_group`, in key order, read through the reusable `group` buffer.
-/// [`for_each_key_group`] and [`KeyGroups`] both end here.
+/// to `on_group`, in key order.  [`for_each_key_group`] and [`KeyGroups`]
+/// both end here.
 fn for_each_sorted_group(
     sorted: &KeySorted<'_>,
     pairs: &[(u64, PageHandle)],
-    group: &mut Vec<Record>,
-    mut on_group: impl FnMut(&Key, &[Record]),
+    mut on_group: impl FnMut(&Key, &[RecordView<'_>]),
 ) {
+    let (mut group, mut group_key) = (Vec::new(), Key::Long(0));
     let mut rest = pairs;
     while !rest.is_empty() {
-        let (records, after) = sorted.next_group(rest, group);
-        on_group(&Key::extract(&records[0], sorted.key), records);
-        rest = after;
+        let len = sorted.group_len(rest);
+        sorted.views_into(&rest[..len], &mut group);
+        group[0].key_into(sorted.key, &mut group_key);
+        on_group(&group_key, &group);
+        rest = &rest[len..];
     }
+}
+
+/// `views` emptied and free to borrow anew: the collect runs in place, so
+/// the allocation outlives the borrows of the groups it held.
+fn reuse_views<'b>(mut views: Vec<RecordView<'_>>) -> Vec<RecordView<'b>> {
+    views.clear();
+    views.into_iter().map(|_| unreachable!()).collect()
 }
 
 /// The streaming merge of [`for_each_key_group`], over a partition whose
@@ -1824,12 +1874,12 @@ fn merge_key_groups(
     part: &ExchangedPartition,
     key: &[usize],
     scratch: &mut GroupScratch,
-    on_group: &mut dyn FnMut(&Key, &[Record]),
+    on_group: &mut dyn FnMut(&Key, &[RecordView<'_>]),
 ) -> std::io::Result<()> {
     let GroupScratch {
         pairs,
         radix,
-        group,
+        bytes,
     } = scratch;
     pairs.clear();
     pairs.reserve(part.local.len() + part.pages.iter().map(|p| p.record_count()).sum::<usize>());
@@ -1845,25 +1895,33 @@ fn merge_key_groups(
         &part.runs,
         key.to_vec(),
     )?;
+    // The group's records are framed into `bytes` as the merger passes
+    // them; `spare` keeps the view buffer's allocation between groups.
+    let (mut offsets, mut spare, mut group_key) = (Vec::new(), Vec::new(), Key::Long(0));
     while let Some((prefix, exact)) = merger.head() {
-        let mut len = 0;
+        bytes.clear();
+        offsets.clear();
         loop {
-            if len == group.len() {
-                group.push(Record::empty());
-            }
-            merger.view().read_into(&mut group[len]);
-            len += 1;
+            let payload = merger.view().payload();
+            offsets.push(bytes.len());
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(payload);
             merger.advance()?;
             match merger.head() {
                 Some((next, next_exact))
                     if next == prefix
                         && next_exact == exact
                         && (exact
-                            || key_matches_fields(merger.view(), key, group[0].fields(), key)) => {}
+                            || cmp_keys_in_place(merger.view(), key, view_in(bytes, 0), key)
+                                .is_eq()) => {}
                 _ => break,
             }
         }
-        on_group(&Key::extract(&group[0], key), &group[..len]);
+        let mut group = reuse_views(spare);
+        group.extend(offsets.iter().map(|&offset| view_in(bytes, offset)));
+        group[0].key_into(key, &mut group_key);
+        on_group(&group_key, &group);
+        spare = reuse_views(group);
     }
     *pairs = merger.into_pairs();
     Ok(())
@@ -1906,8 +1964,8 @@ impl KeyGroups {
     }
 
     /// End of stream: `on_group` runs once per distinct key, in key order,
-    /// with the key's records in arrival order.
-    pub(crate) fn for_each_group(self, on_group: impl FnMut(&Key, &[Record])) {
+    /// with views of the key's records in arrival order.
+    pub(crate) fn for_each_group(self, on_group: impl FnMut(&Key, &[RecordView<'_>])) {
         let KeyGroups {
             key,
             store,
@@ -1915,7 +1973,7 @@ impl KeyGroups {
                 GroupScratch {
                     mut pairs,
                     mut radix,
-                    mut group,
+                    ..
                 },
             exact,
         } = self;
@@ -1925,7 +1983,7 @@ impl KeyGroups {
             key: &key,
             exact,
         };
-        for_each_sorted_group(&sorted, &pairs, &mut group, on_group);
+        for_each_sorted_group(&sorted, &pairs, on_group);
     }
 }
 
@@ -2414,7 +2472,8 @@ mod tests {
     ) -> Groups {
         let mut groups = Groups::new();
         for_each_key_group(part, key, scratch, |k, group| {
-            groups.push((k.clone(), serialized(group)))
+            let records: Vec<Record> = group.iter().map(|view| view.materialize()).collect();
+            groups.push((k.clone(), serialized(&records)))
         })
         .unwrap();
         groups

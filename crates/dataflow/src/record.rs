@@ -79,12 +79,6 @@ impl Record {
         self.fields[idx].as_bool()
     }
 
-    /// Replaces the field at `idx` with `value`.
-    #[inline]
-    pub fn set_field(&mut self, idx: usize, value: Value) {
-        self.fields[idx] = value;
-    }
-
     /// Appends a field.
     #[inline]
     pub fn push(&mut self, value: Value) {
@@ -117,13 +111,6 @@ impl Record {
         fields.extend_from_slice(&self.fields);
         fields.extend_from_slice(&other.fields);
         Record { fields }
-    }
-
-    /// Builds a new record keeping only the fields at `indices`, in order.
-    pub fn project(&self, indices: &[usize]) -> Record {
-        Record {
-            fields: indices.iter().map(|&i| self.fields[i].clone()).collect(),
-        }
     }
 
     /// The **exact** serialized size of this record in bytes under the
@@ -182,12 +169,11 @@ mod tests {
     }
 
     #[test]
-    fn set_field_and_push() {
+    fn push_appends_fields() {
         let mut r = Record::empty();
         r.push(Value::Long(5));
         r.push(Value::Text("x".into()));
-        r.set_field(0, Value::Long(6));
-        assert_eq!(r.long(0), 6);
+        assert_eq!(r.long(0), 5);
         assert_eq!(r.field(1).as_text(), "x");
     }
 
@@ -199,15 +185,6 @@ mod tests {
         assert_eq!(c.arity(), 4);
         assert_eq!(c.long(2), 3);
         assert_eq!(c.double(3), 4.0);
-    }
-
-    #[test]
-    fn project_selects_and_reorders() {
-        let r = Record::triple(1, 2, 0.5);
-        let p = r.project(&[2, 0]);
-        assert_eq!(p.arity(), 2);
-        assert_eq!(p.double(0), 0.5);
-        assert_eq!(p.long(1), 1);
     }
 
     #[test]

@@ -604,7 +604,7 @@ impl RunCursor {
     /// record is then [`RunCursor::view`], in place in the frame buffer.  A
     /// torn frame or checksum mismatch surfaces as a typed corruption error
     /// (see the module docs).
-    pub(crate) fn step(&mut self) -> io::Result<bool> {
+    pub fn step(&mut self) -> io::Result<bool> {
         while self.records_in_page == 0 {
             if self.pages_remaining == 0 {
                 return Ok(false);
@@ -626,7 +626,7 @@ impl RunCursor {
 
     /// The record the last successful [`RunCursor::step`] reached.
     #[inline]
-    pub(crate) fn view(&self) -> RecordView<'_> {
+    pub fn view(&self) -> RecordView<'_> {
         view_in(&self.page, self.current)
     }
 

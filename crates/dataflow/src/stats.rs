@@ -86,11 +86,6 @@ impl ExecutionStats {
             .sum()
     }
 
-    /// Sum of records produced by all operators.
-    pub fn total_records_out(&self) -> usize {
-        self.operators.iter().map(|o| o.records_out).sum()
-    }
-
     /// Merges the counters of another execution into this one.  The iteration
     /// runtime uses this to accumulate per-superstep statistics into totals.
     pub fn merge(&mut self, other: &ExecutionStats) {
@@ -203,7 +198,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.operators.len(), 2);
         assert_eq!(a.records_out_of("sum"), 6);
-        assert_eq!(a.total_records_out(), 10);
     }
 
     #[test]

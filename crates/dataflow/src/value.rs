@@ -77,12 +77,6 @@ impl Value {
         }
     }
 
-    /// True if the value is [`Value::Null`].
-    #[inline]
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// A stable small integer identifying the type, used for cross-type
     /// ordering and hashing.
     #[inline]
@@ -229,7 +223,6 @@ mod tests {
         let v: Value = 42i64.into();
         assert_eq!(v.as_long(), 42);
         assert_eq!(v.as_double(), 42.0);
-        assert!(!v.is_null());
     }
 
     #[test]

@@ -162,12 +162,6 @@ impl Annotations {
         self
     }
 
-    /// Convenience: registers several copies at once.
-    pub fn with_copies(mut self, op: OperatorId, copies: &[FieldCopy]) -> Self {
-        self.copies.entry(op).or_default().extend_from_slice(copies);
-        self
-    }
-
     /// The field copies declared for `op`.
     pub fn copies(&self, op: OperatorId) -> &[FieldCopy] {
         self.copies.get(&op).map(Vec::as_slice).unwrap_or(&[])
@@ -275,21 +269,17 @@ mod tests {
     #[test]
     fn composite_keys_require_all_fields_copied() {
         let op = OperatorId(1);
-        let ann = Annotations::new().with_copies(
-            op,
-            &[
+        let mut ann = Annotations::new();
+        for (in_field, out_field) in [(0, 0), (2, 1)] {
+            ann.add_copy(
+                op,
                 FieldCopy {
                     slot: 0,
-                    in_field: 0,
-                    out_field: 0,
+                    in_field,
+                    out_field,
                 },
-                FieldCopy {
-                    slot: 0,
-                    in_field: 2,
-                    out_field: 1,
-                },
-            ],
-        );
+            );
+        }
         assert_eq!(ann.map_key_forward(op, 0, &[0, 2]), Some(vec![0, 1]));
         assert_eq!(ann.map_key_forward(op, 0, &[0, 1]), None);
     }

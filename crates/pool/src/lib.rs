@@ -232,11 +232,6 @@ impl ScopePanic {
         panic_message(&*self.payload)
     }
 
-    /// The raw panic payload.
-    pub fn into_payload(self) -> Box<dyn Any + Send> {
-        self.payload
-    }
-
     /// Re-raises the panic on the calling thread.
     pub fn resume(self) -> ! {
         resume_unwind(self.payload)

@@ -15,7 +15,7 @@ use algorithms::{
 use baselines::{
     cc_pregel, cc_spark_bulk, pagerank_pregel, pagerank_spark, PregelConfig, SparkContext,
 };
-use dataflow::prelude::{ExecConfig, Key, MemoryBudget, Record, RecordSink, Value};
+use dataflow::prelude::{ExecConfig, Key, MemoryBudget, Record, RecordSink, RecordView, Value};
 use graphdata::{chain, erdos_renyi, figure1_graph, rmat, star, DatasetProfile, Graph, RmatParams};
 use spinning_core::prelude::{
     ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetResult, WorksetRouting,
@@ -220,16 +220,18 @@ fn incremental_cc_does_asymptotically_less_work_than_bulk() {
 /// SSSP at 1 — the algorithms' step functions restated over heap records.
 fn min_propagation_over(edges: Arc<Vec<Record>>, hop_cost: i64) -> WorksetIteration<'static> {
     let update = Arc::new(UpdateClosure(
-        |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+        |key: &Key,
+         current: Option<RecordView<'_>>,
+         candidates: &[RecordView<'_>],
+         delta: &mut dyn RecordSink| {
             let best = candidates.iter().map(|r| r.long(1)).min().expect("group");
-            match current {
-                Some(c) if c.long(1) <= best => None,
-                _ => Some(Record::pair(key.values()[0].as_long(), best)),
+            if current.is_none_or(|c| c.long(1) > best) {
+                delta.emit(&[key.values()[0].clone(), Value::Long(best)]);
             }
         },
     ));
     let expand = Arc::new(ExpandClosure(
-        move |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+        move |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
             for e in edges {
                 out.emit(&[
                     Value::Long(e.long(1)),
@@ -248,21 +250,24 @@ fn min_propagation_over(edges: Arc<Vec<Record>>, hop_cost: i64) -> WorksetIterat
 /// 0.85, the tolerance of [`AdaptiveConfig::new`]).
 fn residual_push_over(edges: Arc<Vec<Record>>, tolerance: f64) -> WorksetIteration<'static> {
     let update = Arc::new(UpdateClosure(
-        move |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+        move |key: &Key,
+              current: Option<RecordView<'_>>,
+              candidates: &[RecordView<'_>],
+              delta: &mut dyn RecordSink| {
             let residual: f64 = candidates.iter().map(|r| r.double(1)).sum();
             if residual < tolerance {
-                return None;
+                return;
             }
             let rank = current.map_or(0.0, |c| c.double(1));
-            Some(Record::new(vec![
+            delta.emit(&[
                 key.values()[0].clone(),
                 Value::Double(rank + residual),
                 Value::Double(residual),
-            ]))
+            ]);
         },
     ));
     let expand = Arc::new(ExpandClosure(
-        |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+        |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
             let Some(first) = edges.first() else { return };
             let share = 0.85 * delta.double(2) / first.long(2) as f64;
             for e in edges {

@@ -20,7 +20,7 @@ use algorithms::{
 };
 use dataflow::prelude::{
     default_physical_plan, Collector, ExecConfig, Executor, Key, LocalStrategy, MatchClosure,
-    MemoryBudget, Plan, Record, RecordSink, ReduceClosure, ShipStrategy, Value,
+    MemoryBudget, Plan, Record, RecordSink, RecordView, ReduceClosure, ShipStrategy, Value,
 };
 use graphdata::{DatasetProfile, Graph};
 use spinning_core::prelude::{
@@ -176,12 +176,11 @@ fn spilled_sssp_matches_oracle_in_every_mode_and_routing() {
     }
 }
 
-/// Folds the `field` of `records`, in order, into one number: two groups
-/// holding the same records in a different order fold differently.
-fn order_fingerprint(records: &[Record], field: usize) -> i64 {
-    records.iter().fold(0i64, |hash, record| {
-        hash.wrapping_mul(1_000_003)
-            .wrapping_add(record.long(field))
+/// Folds `values`, in order, into one number: two groups holding the same
+/// values in a different order fold differently.
+fn order_fingerprint(values: impl IntoIterator<Item = i64>) -> i64 {
+    values.into_iter().fold(0i64, |hash, value| {
+        hash.wrapping_mul(1_000_003).wrapping_add(value)
     })
 }
 
@@ -195,20 +194,24 @@ fn order_recording_ring(
     reach: i64,
 ) -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
     let update = Arc::new(UpdateClosure(
-        |key: &Key, current: Option<&Record>, candidates: &[Record]| {
+        |key: &Key,
+         current: Option<RecordView<'_>>,
+         candidates: &[RecordView<'_>],
+         delta: &mut dyn RecordSink| {
             let best = candidates.iter().map(|r| r.long(1)).min().unwrap();
             if current.is_some_and(|c| c.long(1) <= best) {
-                return None;
+                return;
             }
-            Some(Record::new(vec![
+            let senders = candidates.iter().map(|r| r.long(2));
+            delta.emit(&[
                 key.values()[0].clone(),
                 Value::Long(best),
-                Value::Long(order_fingerprint(candidates, 2)),
-            ]))
+                Value::Long(order_fingerprint(senders)),
+            ]);
         },
     ));
     let expand = Arc::new(ExpandClosure(
-        |delta: &Record, edges: &[Record], out: &mut dyn RecordSink| {
+        |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
             for e in edges {
                 out.emit(&[
                     Value::Long(e.long(1)),
@@ -331,7 +334,7 @@ fn spilled_executor_groupings_hand_records_over_in_delivery_order_on_both_paths(
                 out.collect(Record::new(vec![
                     key[0].clone(),
                     Value::Long(group.len() as i64),
-                    Value::Long(order_fingerprint(group, 1)),
+                    Value::Long(order_fingerprint(group.iter().map(|r| r.long(1)))),
                 ]))
             },
         )),

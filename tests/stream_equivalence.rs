@@ -686,3 +686,71 @@ fn a_spill_read_fault_on_a_fused_build_side_is_a_typed_error() {
     }
     assert_eq!(fault.injected(FaultSite::SpillRead), 1);
 }
+
+/// CoGroup and InnerCoGroup walk the same two-sided merge of sorted key
+/// groups as the sort-merge join.  On a single-`Long` and a `[Long, Text]`
+/// key, with keys missing on either side, unbudgeted and with every exchange
+/// spilled (budget 0), the page-native merge hands each user-function call
+/// the same key and the same groups in the same order as the reference form
+/// (materialize, stable sort, cut): the sinks are byte-identical.
+#[test]
+fn cogroups_merge_sorted_groups_like_the_reference_form() {
+    let keyed = |composite: bool, k: i64, v: i64| {
+        let mut fields = vec![Value::Long(k)];
+        if composite {
+            fields.push(Value::Text(format!("t{}", k.rem_euclid(3))));
+        }
+        fields.push(Value::Long(v));
+        Record::new(fields)
+    };
+    for composite in [false, true] {
+        let key: KeyFields = if composite { vec![0, 1] } else { vec![0] };
+        // Left keys are -10..30, right keys 10..60: 70 keys in all, 20 shared.
+        let left: Vec<Record> = (0..200).map(|i| keyed(composite, i % 40 - 10, i)).collect();
+        let right: Vec<Record> = (0..150)
+            .map(|i| keyed(composite, i % 50 + 10, -i))
+            .collect();
+        for inner in [false, true] {
+            let mut plan = Plan::new();
+            let l = plan.source("left", left.clone());
+            let r = plan.source("right", right.clone());
+            // Folds the key, both groups' values in order and their sizes.
+            let udf = Arc::new(CoGroupClosure(
+                |key: &[Value], l: &[Record], r: &[Record], out: &mut Collector| {
+                    let mut fields = key.to_vec();
+                    let last = |record: &Record| record.field(record.arity() - 1).clone();
+                    fields.extend(l.iter().chain(r).map(last));
+                    fields.push(Value::Long(l.len() as i64));
+                    out.collect(Record::new(fields));
+                },
+            ));
+            let grouped = if inner {
+                plan.inner_cogroup("grouped", l, r, key.clone(), key.clone(), udf)
+            } else {
+                plan.cogroup("grouped", l, r, key.clone(), key.clone(), udf)
+            };
+            plan.sink("out", grouped);
+            for parallelism in [1, 3] {
+                let physical = default_physical_plan(&plan, parallelism).unwrap();
+                for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
+                    let label =
+                        format!("composite={composite} inner={inner} p={parallelism} {budget:?}");
+                    let config = ExecConfig::new().with_memory_budget(budget);
+                    let merged = Executor::with_config(config.clone())
+                        .execute(&physical)
+                        .unwrap();
+                    let reference = Executor::with_config(config.with_force_materialized(true))
+                        .execute(&physical)
+                        .unwrap();
+                    if parallelism > 1 && !budget.is_unlimited() {
+                        assert!(merged.stats.spilled_runs > 0, "nothing spilled: {label}");
+                    }
+                    let out = merged.sink_partitions("out").unwrap();
+                    let groups = out.iter().flatten().count();
+                    assert_eq!(groups, if inner { 20 } else { 70 }, "{label}");
+                    assert_eq!(out, reference.sink_partitions("out").unwrap(), "{label}");
+                }
+            }
+        }
+    }
+}
