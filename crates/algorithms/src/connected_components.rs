@@ -159,7 +159,7 @@ fn build_bulk_step_plan(graph: &Graph) -> (Plan, OperatorId, Annotations) {
         vec![0],
         vec![0],
         Arc::new(MatchClosure(
-            |s: &Record, e: &Record, out: &mut Collector| {
+            |s: RecordView<'_>, e: RecordView<'_>, out: &mut Collector| {
                 out.emit(&[Value::Long(e.long(1)), Value::Long(s.long(1))]);
             },
         )),
@@ -172,13 +172,13 @@ fn build_bulk_step_plan(graph: &Graph) -> (Plan, OperatorId, Annotations) {
         with_own,
         vec![0],
         Arc::new(ReduceClosure(
-            |key: &[Value], group: &[Record], out: &mut Collector| {
+            |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
                 let min = group
                     .iter()
                     .map(|r| r.long(1))
                     .min()
                     .expect("group is never empty");
-                out.collect(Record::pair(key[0].as_long(), min));
+                out.emit(&[key[0].clone(), Value::Long(min)]);
             },
         )),
     );

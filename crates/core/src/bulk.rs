@@ -380,8 +380,8 @@ mod tests {
         let map = plan.map(
             "increment",
             input,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                out.collect(Record::pair(r.long(0), r.long(1) + 1));
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+                out.emit(Record::pair(r.long(0), r.long(1) + 1).fields());
             })),
         );
         plan.sink("next", map);
@@ -436,8 +436,8 @@ mod tests {
         let map = plan.map(
             "cap",
             input,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                out.collect(Record::pair(r.long(0), (r.long(1) + 1).min(8)));
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+                out.emit(Record::pair(r.long(0), (r.long(1) + 1).min(8)).fields());
             })),
         );
         plan.sink("next", map);
@@ -475,8 +475,8 @@ mod tests {
         let map = plan.map(
             "cap",
             input,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                out.collect(Record::pair(r.long(0), (r.long(1) + 1).min(8)));
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+                out.emit(Record::pair(r.long(0), (r.long(1) + 1).min(8)).fields());
             })),
         );
         plan.sink("next", map);
@@ -510,17 +510,17 @@ mod tests {
         let map = plan.map(
             "increment",
             input,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                out.collect(Record::pair(r.long(0), r.long(1) + 1));
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+                out.emit(Record::pair(r.long(0), r.long(1) + 1).fields());
             })),
         );
         plan.sink("next", map);
         let t = plan.map(
             "still-running",
             map,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
                 if r.long(1) < 3 {
-                    out.collect(r.clone());
+                    out.collect(r);
                 }
             })),
         );
@@ -626,11 +626,11 @@ mod tests {
             input,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], group: &[Record], out: &mut Collector| {
+                |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
                     // The key moves every iteration (7 is a unit modulo
                     // 200), so every iteration's exchange ships.
                     let moved = (key[0].as_long() * 7 + 3) % 200;
-                    out.collect(Record::pair(moved, group[0].long(1) + 1));
+                    out.emit(Record::pair(moved, group[0].long(1) + 1).fields());
                 },
             )),
         );

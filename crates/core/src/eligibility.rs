@@ -182,7 +182,7 @@ mod tests {
                 vec![0],
                 vec![0],
                 Arc::new(MatchClosure(
-                    |w: &Record, _s: &Record, out: &mut Collector| out.collect(w.clone()),
+                    |w: RecordView<'_>, _s: RecordView<'_>, out: &mut Collector| out.collect(w),
                 )),
             );
             ann.add_copy(
@@ -202,9 +202,10 @@ mod tests {
                 vec![0],
                 vec![0],
                 Arc::new(CoGroupClosure(
-                    |_k: &[Value], w: &[Record], _s: &[Record], out: &mut Collector| {
-                        out.collect(w[0].clone())
-                    },
+                    |_k: &[Value],
+                     w: &[RecordView<'_>],
+                     _s: &[RecordView<'_>],
+                     out: &mut Collector| { out.collect(w[0]) },
                 )),
             );
             ann.add_copy(
@@ -225,8 +226,8 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |d: &Record, n: &Record, out: &mut Collector| {
-                    out.collect(Record::pair(n.long(1), d.long(1)))
+                |d: RecordView<'_>, n: RecordView<'_>, out: &mut Collector| {
+                    out.emit(Record::pair(n.long(1), d.long(1)).fields())
                 },
             )),
         );
@@ -278,23 +279,23 @@ mod tests {
         let a = plan.map(
             "a",
             workset,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                out.collect(r.clone())
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+                out.collect(r)
             })),
         );
         // Two dynamic consumers of the same operator: a branch.
         let b = plan.map(
             "b",
             a,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                out.collect(r.clone())
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+                out.collect(r)
             })),
         );
         let c = plan.map(
             "c",
             a,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                out.collect(r.clone())
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+                out.collect(r)
             })),
         );
         let delta = plan.sink("delta", b);

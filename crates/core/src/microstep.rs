@@ -22,8 +22,9 @@
 //! [`ExecConfig::channel_credits`](dataflow::exec::ExecConfig::channel_credits),
 //! which default to the `SPINNING_CHANNEL_CREDITS` environment variable, or
 //! else [`DEFAULT_ASYNC_CREDITS`]), so an adversarial expansion fan-out is
-//! bounded to `credits × edges` queued records instead of exhausting memory.  A worker blocked on a full queue keeps draining its
-//! *own* inbox while it waits — in a cycle of mutually-full queues every
+//! bounded to `credits × edges` queued records instead of exhausting
+//! memory.  A worker blocked on a full queue keeps draining its *own* inbox
+//! while it waits — in a cycle of mutually-full queues every
 //! blocked worker is then emptying someone's full queue, so the system always
 //! makes progress; a genuine stall (e.g. a user function that never returns)
 //! surfaces as a typed [`DataflowError::CommTimeout`] after the

@@ -572,7 +572,7 @@ impl<'a> WorksetIteration<'a> {
                     .iter()
                     .map(|queue| {
                         let mut records = Vec::with_capacity(queue.record_count());
-                        queue.for_each_ref(|record| records.push(record.clone()))?;
+                        queue.for_each_view(|record| records.push(record.materialize()))?;
                         Ok(records)
                     })
                     .collect::<std::io::Result<_>>()?;
@@ -792,8 +792,7 @@ impl<'a> WorksetIteration<'a> {
                     step.apply(&mut out);
                 }
             };
-            let (local, pages, runs, _) = workset.into_pieces();
-            debug_assert!(local.is_empty(), "workset queues hold pages and runs only");
+            let (pages, runs, _) = workset.into_pieces();
             for page in &pages {
                 for candidate in page.reader() {
                     handle(candidate, &mut step);
@@ -851,7 +850,7 @@ impl<'a> WorksetIteration<'a> {
                     step.apply(&mut out);
                 }
             })?;
-            workset.into_pieces().1
+            workset.into_pieces().0
         };
         let changed = step.changed;
         // The drained pages become the next superstep's outbox buffers: a
@@ -966,7 +965,7 @@ impl RecordSink for DeltaSink {
 
 /// A workset queue holding the pages `writer` wrote.
 fn paged_queue(writer: PageWriter) -> ExchangedPartition {
-    ExchangedPartition::new(Vec::new(), writer.finish())
+    ExchangedPartition::new(writer.finish())
 }
 
 /// The sink the expand UDF emits into during a superstep: routes each

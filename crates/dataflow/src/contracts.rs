@@ -9,6 +9,7 @@
 //! flavour of `CoGroup` used by the incremental Connected Components dataflow
 //! (Section 5.1): groups whose key is missing on either side are dropped.
 
+use crate::page::{PageWriter, RecordPage, RecordView};
 use crate::record::Record;
 use crate::value::Value;
 use std::fmt;
@@ -23,14 +24,17 @@ use std::sync::Arc;
 /// that fails downstream records the error internally and reports it when
 /// the runtime takes it back.
 ///
-/// A record leaves a user function in one of two representations:
+/// A record leaves a user function in one of three representations:
 /// [`RecordSink::push`] hands over a record that already exists as a heap
 /// object, which a sink holding heap records moves; [`RecordSink::emit`]
 /// hands over the fields of a record that exists nowhere yet, so a sink that
-/// writes pages (the workset superstep's, or a fused Reduce's in the
+/// writes pages (the workset superstep's, or a fused stage's in the
 /// executor) serializes them in place and the record is never allocated —
-/// `Long` and `Double` fields live on the emitter's stack.  Executor UDFs
-/// reach `emit` through [`Collector::emit`].
+/// `Long` and `Double` fields live on the emitter's stack;
+/// [`RecordSink::forward`] hands over a record that already exists
+/// serialized, which a sink that writes pages copies as bytes.  Executor
+/// UDFs reach `emit` and `forward` through [`Collector::emit`] and
+/// [`Collector::collect`].
 pub trait RecordSink: Send {
     /// Receives one emitted record.
     fn push(&mut self, record: Record);
@@ -38,6 +42,11 @@ pub trait RecordSink: Send {
     /// hold heap records fall back to building one.
     fn emit(&mut self, fields: &[Value]) {
         self.push(Record::new(fields.to_vec()));
+    }
+    /// Receives one record that exists serialized, read in place.  Sinks
+    /// that hold heap records fall back to materializing it.
+    fn forward(&mut self, record: RecordView<'_>) {
+        self.push(record.materialize());
     }
     /// Recovers the concrete sink once the operator finished emitting
     /// (trait objects cannot be downcast without an `Any` hop).  Only owned
@@ -146,19 +155,19 @@ where
 /// Receives the records a user-defined function emits.
 ///
 /// A fresh collector is handed to the UDF for every invocation; everything
-/// pushed into it becomes part of the operator's output partition — either
-/// buffered in memory (the default) or streamed straight into a
+/// it receives becomes part of the operator's output partition — either
+/// buffered on pages (the default) or streamed straight into a
 /// [`RecordSink`] ([`Collector::with_sink`]).
 ///
-/// It has the sink's two forms.  [`Collector::collect`] hands over a record
-/// that already exists (a forwarded input, say).  [`Collector::emit`] is the
-/// form for a record the UDF builds: the fields go to the sink's
-/// [`RecordSink::emit`], so when the next operator is a fused Reduce the
-/// record is born on its pages and no heap record exists; a buffering
-/// collector stores it as an exactly sized record.
+/// It has two forms.  [`Collector::emit`] is the form for a record the UDF
+/// builds: the fields go to the sink's [`RecordSink::emit`], so the next
+/// fused operator serializes them where it keeps them, or a buffering
+/// collector serializes them onto its pages; no heap record exists either
+/// way.  [`Collector::collect`] passes an input record through (a filter, a
+/// union): its serialized bytes are copied, never deserialized.
 #[derive(Default)]
 pub struct Collector {
-    buffer: Vec<Record>,
+    pages: PageWriter,
     sink: Option<Box<dyn RecordSink>>,
     collected: usize,
 }
@@ -167,7 +176,7 @@ impl fmt::Debug for Collector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Collector")
             .field("collected", &self.collected)
-            .field("buffered", &self.buffer.len())
+            .field("buffered", &self.pages.total_records())
             .field("streaming", &self.sink.is_some())
             .finish()
     }
@@ -183,31 +192,36 @@ impl Collector {
     /// buffering it.
     pub fn with_sink(sink: Box<dyn RecordSink>) -> Self {
         Collector {
-            buffer: Vec::new(),
             sink: Some(sink),
-            collected: 0,
+            ..Collector::default()
         }
     }
 
-    /// Emits one record.
+    /// Passes one serialized record through: a streaming collector hands it
+    /// to its sink's [`RecordSink::forward`], a buffering one copies its
+    /// bytes onto its pages.
     #[inline]
-    pub fn collect(&mut self, record: Record) {
+    pub fn collect(&mut self, record: RecordView<'_>) {
         self.collected += 1;
         match &mut self.sink {
-            Some(sink) => sink.push(record),
-            None => self.buffer.push(record),
+            Some(sink) => sink.forward(record),
+            None => {
+                self.pages.push_serialized(record.payload());
+            }
         }
     }
 
     /// Emits one record given as its fields — the executor-side twin of
     /// [`RecordSink::emit`]: a streaming collector hands the slice to its
-    /// sink's `emit`, a buffering one stores an exactly sized record.
+    /// sink's `emit`, a buffering one serializes it onto its pages.
     #[inline]
     pub fn emit(&mut self, fields: &[Value]) {
         self.collected += 1;
         match &mut self.sink {
             Some(sink) => sink.emit(fields),
-            None => self.buffer.push(Record::new(fields.to_vec())),
+            None => {
+                self.pages.push_fields(fields);
+            }
         }
     }
 
@@ -221,18 +235,11 @@ impl Collector {
         self.collected == 0
     }
 
-    /// Consumes the collector, returning the buffered records (empty for a
-    /// streaming collector — its records already left through the sink).
-    pub fn into_records(self) -> Vec<Record> {
-        self.buffer
-    }
-
-    /// Drains the buffered records, leaving the collector reusable.
-    pub fn drain(&mut self) -> Vec<Record> {
-        self.collected = self.buffer.len();
-        let drained = std::mem::take(&mut self.buffer);
-        self.collected = 0;
-        drained
+    /// Consumes the collector, returning the sealed pages of the buffered
+    /// records (none for a streaming collector — its records already left
+    /// through the sink).
+    pub fn into_pages(self) -> Vec<Arc<RecordPage>> {
+        self.pages.finish()
     }
 
     /// Takes the streaming sink back out (None for buffering collectors).
@@ -243,37 +250,43 @@ impl Collector {
 
 /// First-order function for the `Map` contract: invoked once per record.
 pub trait MapFunction: Send + Sync {
-    /// Processes one record, emitting zero or more records.
-    fn map(&self, record: &Record, out: &mut Collector);
+    /// Processes one record, read in place, emitting zero or more records.
+    fn map(&self, record: RecordView<'_>, out: &mut Collector);
 }
 
 /// First-order function for the `Reduce` contract: invoked once per key group.
 pub trait ReduceFunction: Send + Sync {
-    /// Processes the group of records sharing `key`.
-    fn reduce(&self, key: &[Value], group: &[Record], out: &mut Collector);
+    /// Processes the group of records sharing `key`, read in place.
+    fn reduce(&self, key: &[Value], group: &[RecordView<'_>], out: &mut Collector);
 }
 
 /// First-order function for the `Match` contract: invoked once per pair of
 /// records with equal keys (an equi-join).
 pub trait MatchFunction: Send + Sync {
-    /// Processes one joined pair.
-    fn join(&self, left: &Record, right: &Record, out: &mut Collector);
+    /// Processes one joined pair, read in place.
+    fn join(&self, left: RecordView<'_>, right: RecordView<'_>, out: &mut Collector);
 }
 
 /// First-order function for the `Cross` contract: invoked once per pair of
 /// records from the Cartesian product of both inputs.
 pub trait CrossFunction: Send + Sync {
-    /// Processes one pair of the cross product.
-    fn cross(&self, left: &Record, right: &Record, out: &mut Collector);
+    /// Processes one pair of the cross product, read in place.
+    fn cross(&self, left: RecordView<'_>, right: RecordView<'_>, out: &mut Collector);
 }
 
 /// First-order function for the `CoGroup` / `InnerCoGroup` contracts: invoked
 /// once per key with all records of both inputs that carry that key.
 pub trait CoGroupFunction: Send + Sync {
-    /// Processes the pair of groups sharing `key`.  For the plain `CoGroup`
-    /// contract either side may be empty; for `InnerCoGroup` both sides are
-    /// guaranteed non-empty.
-    fn cogroup(&self, key: &[Value], left: &[Record], right: &[Record], out: &mut Collector);
+    /// Processes the pair of groups sharing `key`, read in place.  For the
+    /// plain `CoGroup` contract either side may be empty; for `InnerCoGroup`
+    /// both sides are guaranteed non-empty.
+    fn cogroup(
+        &self,
+        key: &[Value],
+        left: &[RecordView<'_>],
+        right: &[RecordView<'_>],
+        out: &mut Collector,
+    );
 }
 
 // --- Closure adapters -------------------------------------------------------
@@ -286,9 +299,9 @@ pub struct MapClosure<F>(pub F);
 
 impl<F> MapFunction for MapClosure<F>
 where
-    F: Fn(&Record, &mut Collector) + Send + Sync,
+    F: Fn(RecordView<'_>, &mut Collector) + Send + Sync,
 {
-    fn map(&self, record: &Record, out: &mut Collector) {
+    fn map(&self, record: RecordView<'_>, out: &mut Collector) {
         (self.0)(record, out)
     }
 }
@@ -298,9 +311,9 @@ pub struct ReduceClosure<F>(pub F);
 
 impl<F> ReduceFunction for ReduceClosure<F>
 where
-    F: Fn(&[Value], &[Record], &mut Collector) + Send + Sync,
+    F: Fn(&[Value], &[RecordView<'_>], &mut Collector) + Send + Sync,
 {
-    fn reduce(&self, key: &[Value], group: &[Record], out: &mut Collector) {
+    fn reduce(&self, key: &[Value], group: &[RecordView<'_>], out: &mut Collector) {
         (self.0)(key, group, out)
     }
 }
@@ -310,9 +323,9 @@ pub struct MatchClosure<F>(pub F);
 
 impl<F> MatchFunction for MatchClosure<F>
 where
-    F: Fn(&Record, &Record, &mut Collector) + Send + Sync,
+    F: Fn(RecordView<'_>, RecordView<'_>, &mut Collector) + Send + Sync,
 {
-    fn join(&self, left: &Record, right: &Record, out: &mut Collector) {
+    fn join(&self, left: RecordView<'_>, right: RecordView<'_>, out: &mut Collector) {
         (self.0)(left, right, out)
     }
 }
@@ -322,9 +335,9 @@ pub struct CrossClosure<F>(pub F);
 
 impl<F> CrossFunction for CrossClosure<F>
 where
-    F: Fn(&Record, &Record, &mut Collector) + Send + Sync,
+    F: Fn(RecordView<'_>, RecordView<'_>, &mut Collector) + Send + Sync,
 {
-    fn cross(&self, left: &Record, right: &Record, out: &mut Collector) {
+    fn cross(&self, left: RecordView<'_>, right: RecordView<'_>, out: &mut Collector) {
         (self.0)(left, right, out)
     }
 }
@@ -334,9 +347,15 @@ pub struct CoGroupClosure<F>(pub F);
 
 impl<F> CoGroupFunction for CoGroupClosure<F>
 where
-    F: Fn(&[Value], &[Record], &[Record], &mut Collector) + Send + Sync,
+    F: Fn(&[Value], &[RecordView<'_>], &[RecordView<'_>], &mut Collector) + Send + Sync,
 {
-    fn cogroup(&self, key: &[Value], left: &[Record], right: &[Record], out: &mut Collector) {
+    fn cogroup(
+        &self,
+        key: &[Value],
+        left: &[RecordView<'_>],
+        right: &[RecordView<'_>],
+        out: &mut Collector,
+    ) {
         (self.0)(key, left, right, out)
     }
 }
@@ -376,20 +395,39 @@ impl fmt::Debug for Udf {
 mod tests {
     use super::*;
 
+    /// The records of `pages`, materialized.
+    fn records_of(pages: &[Arc<RecordPage>]) -> Vec<Record> {
+        pages
+            .iter()
+            .flat_map(|page| page.reader())
+            .map(|view| view.materialize())
+            .collect()
+    }
+
+    /// `records` on pages, for views to be read off.
+    fn pages_of(records: &[Record]) -> Vec<Arc<RecordPage>> {
+        let mut writer = PageWriter::new();
+        records.iter().for_each(|record| {
+            writer.push(record);
+        });
+        writer.finish()
+    }
+
     #[test]
     fn collector_accumulates_and_drains() {
         let mut c = Collector::new();
         assert!(c.is_empty());
-        c.collect(Record::pair(1, 2));
-        c.collect(Record::pair(3, 4));
-        c.collect(Record::pair(5, 6));
+        let input = pages_of(&[Record::pair(1, 2), Record::pair(3, 4)]);
+        input[0].reader().for_each(|view| c.collect(view));
+        c.emit(&[Value::Long(5), Value::Long(6)]);
         assert_eq!(c.len(), 3);
-        let drained = c.drain();
-        assert_eq!(drained.len(), 3);
-        assert!(c.is_empty());
+        assert_eq!(
+            records_of(&c.into_pages()),
+            vec![Record::pair(1, 2), Record::pair(3, 4), Record::pair(5, 6)]
+        );
     }
 
-    /// Records which of its two forms each record arrived in.
+    /// Records which of its forms each record arrived in.
     #[derive(Default)]
     struct RecordingSink {
         pushed: Vec<Record>,
@@ -416,66 +454,72 @@ mod tests {
         let mut buffering = Collector::new();
         buffering.emit(&fields);
         assert_eq!(buffering.len(), 1);
-        let mut records = buffering.into_records();
+        let mut records = records_of(&buffering.into_pages());
         assert_eq!(records, vec![Record::long_double(7, 0.5)]);
         let buffered = records.pop().unwrap().into_fields();
         assert_eq!(
             buffered.capacity(),
             buffered.len(),
-            "buffered records are exactly sized"
+            "records materialize exactly sized"
         );
 
         let mut streaming = Collector::with_sink(Box::<RecordingSink>::default());
         streaming.emit(&fields);
-        streaming.collect(Record::pair(1, 2));
+        let passed = pages_of(&[Record::pair(1, 2)]);
+        streaming.collect(passed[0].view_at(0));
         assert_eq!(streaming.len(), 2);
         let sink = streaming.take_sink().unwrap().into_any();
         let sink = sink.downcast::<RecordingSink>().unwrap();
         assert_eq!(sink.emitted, vec![fields.to_vec()]);
+        // A sink holding heap records receives a forwarded record
+        // materialized.
         assert_eq!(sink.pushed, vec![Record::pair(1, 2)]);
-        assert!(streaming.into_records().is_empty());
+        assert!(streaming.into_pages().is_empty());
     }
 
     #[test]
     fn map_closure_adapts() {
-        let udf = MapClosure(|r: &Record, out: &mut Collector| {
-            out.collect(Record::pair(r.long(0) * 2, r.long(1)));
+        let udf = MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+            out.emit(&[Value::Long(r.long(0) * 2), Value::Long(r.long(1))]);
         });
         let mut out = Collector::new();
-        udf.map(&Record::pair(4, 7), &mut out);
-        assert_eq!(out.into_records()[0].long(0), 8);
+        udf.map(pages_of(&[Record::pair(4, 7)])[0].view_at(0), &mut out);
+        assert_eq!(records_of(&out.into_pages())[0].long(0), 8);
     }
 
     #[test]
     fn reduce_closure_sees_whole_group() {
-        let udf = ReduceClosure(|key: &[Value], group: &[Record], out: &mut Collector| {
-            let sum: i64 = group.iter().map(|r| r.long(1)).sum();
-            out.collect(Record::pair(key[0].as_long(), sum));
-        });
-        let mut out = Collector::new();
-        udf.reduce(
-            &[Value::Long(1)],
-            &[Record::pair(1, 10), Record::pair(1, 5)],
-            &mut out,
+        let udf = ReduceClosure(
+            |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+                let sum: i64 = group.iter().map(|r| r.long(1)).sum();
+                out.emit(&[key[0].clone(), Value::Long(sum)]);
+            },
         );
-        assert_eq!(out.into_records()[0].long(1), 15);
+        let mut out = Collector::new();
+        let pages = pages_of(&[Record::pair(1, 10), Record::pair(1, 5)]);
+        let group: Vec<RecordView<'_>> = pages[0].reader().collect();
+        udf.reduce(&[Value::Long(1)], &group, &mut out);
+        assert_eq!(records_of(&out.into_pages())[0].long(1), 15);
     }
 
     #[test]
     fn cogroup_closure_receives_both_sides() {
         let udf = CoGroupClosure(
-            |_k: &[Value], l: &[Record], r: &[Record], out: &mut Collector| {
-                out.collect(Record::pair(l.len() as i64, r.len() as i64));
+            |_k: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut Collector| {
+                out.emit(&[Value::Long(l.len() as i64), Value::Long(r.len() as i64)]);
             },
         );
         let mut out = Collector::new();
-        udf.cogroup(&[Value::Long(1)], &[Record::pair(1, 1)], &[], &mut out);
-        assert_eq!(out.into_records()[0].long(1), 0);
+        let left = pages_of(&[Record::pair(1, 1)]);
+        udf.cogroup(&[Value::Long(1)], &[left[0].view_at(0)], &[], &mut out);
+        assert_eq!(records_of(&out.into_pages())[0].long(1), 0);
     }
 
     #[test]
     fn udf_debug_names_variant() {
-        let udf = Udf::Map(Arc::new(MapClosure(|_: &Record, _: &mut Collector| {})));
+        let udf = Udf::Map(Arc::new(MapClosure(
+            |_: RecordView<'_>, _: &mut Collector| {},
+        )));
         assert_eq!(format!("{udf:?}"), "Udf::Map");
     }
 

@@ -15,18 +15,15 @@
 //!
 //! The shared code keeps the properties both call sites depend on:
 //!
-//! * **A record keeps the representation it has.**  A record that already
-//!   exists as a heap object when it is routed to its own partition
-//!   ([`Outbox::push`] — the executor's UDFs hand over owned records) moves
-//!   into the outbox's heap buffer and is delivered as a heap [`Record`],
-//!   like a chained operator.  A record born at an emit call
+//! * **Every record travels serialized.**  A record routed off a page
+//!   ([`Outbox::forward`] — the executor's repartitioning edges read their
+//!   producer's pages) has its bytes copied; a record born at an emit call
 //!   ([`Outbox::emit`] — the workset superstep's candidates) is born
-//!   serialized, wherever it goes: into the peer's budgeted
-//!   [`SpillingWriter`], or, for the source's own partition, into a plain
+//!   serialized.  Either way it lands in the peer's budgeted
+//!   [`SpillingWriter`], or, for the source's own partition, in a plain
 //!   local page writer.  The local writer is outside the budget and the
-//!   credits exactly as the heap buffer is — data that never leaves the
-//!   partition is not exchange data — so a budgeted run spills the same
-//!   bytes either way.
+//!   credits — data that never leaves the partition is not exchange data —
+//!   so a budgeted run spills only what crosses partitions.
 //! * **The channel and its rounds belong to the caller.**  [`ship`] sends,
 //!   finishes and receives exactly one `round` of the channel it is given.
 //!   The executor opens a fresh channel per exchange and ships round 0; the
@@ -42,7 +39,7 @@
 //!   exchanges flush runs sorted on the exchange key, microsteps flush
 //!   unsorted.
 //! * **Delivery order is source-major.**  A consumer partition sees what
-//!   never left it (its own local records, then its own local pages), then
+//!   never left it (its own local pages), then
 //!   the pages of every peer in source order, then the spilled runs of every
 //!   source in source order — the order the single-process oracle produces,
 //!   on which byte-identity of solutions and per-superstep traces rests.
@@ -54,22 +51,18 @@
 //!   sources it does not have.
 
 use crate::error::Result;
-use crate::page::{ExchangedPartition, PagePool, PageWriter, RecordPage};
-use crate::record::Record;
+use crate::page::{ExchangedPartition, PagePool, PageWriter, RecordPage, RecordView};
 use crate::spill::{SpillManager, SpillOutput, SpillingWriter};
 use crate::transport::PageChannel;
 use crate::value::Value;
 use comm::ClusterSpec;
-use std::borrow::Cow;
 
-/// What one producer partition routed during one exchange round: what stays
-/// in the partition (pushed heap records, emitted local pages) and one
-/// budgeted page writer per target.
+/// What one producer partition routed during one exchange round: the pages
+/// that stay in the partition and one budgeted page writer per target.
 #[derive(Debug)]
 pub struct Outbox {
     source: usize,
-    local: Vec<Record>,
-    /// Emitted records that stay in the source partition; unbudgeted.
+    /// Records that stay in the source partition; unbudgeted.
     local_pages: PageWriter,
     /// One writer per target partition, indexed by target (the source's own
     /// slot stays empty); drained into `sealed` by [`Outbox::seal`].
@@ -88,7 +81,6 @@ impl Outbox {
     pub fn new(source: usize, targets: usize, spill: &SpillManager) -> Outbox {
         Outbox {
             source,
-            local: Vec::new(),
             local_pages: PageWriter::new(),
             writers: (0..targets).map(|_| spill.writer()).collect(),
             sealed: Vec::new(),
@@ -107,16 +99,18 @@ impl Outbox {
         self.spare.extend(pool.take(usize::MAX));
     }
 
-    /// Routes one record to `target`: moved into the local buffer when it
-    /// stays in the source partition (cloned only if borrowed), serialised
-    /// into the target's writer otherwise.
+    /// Routes one serialized record to `target`, copying its bytes where it
+    /// lands: the record is never deserialized.
     #[inline]
-    pub fn push(&mut self, target: usize, record: Cow<'_, Record>) {
+    pub fn forward(&mut self, target: usize, record: RecordView<'_>) {
         self.sent_records += 1;
         if target == self.source {
-            self.local.push(record.into_owned());
+            self.local_pages.refill_spare_from(&mut self.spare);
+            self.local_pages.push_serialized(record.payload());
         } else {
-            self.writers[target].push(&record);
+            let writer = &mut self.writers[target];
+            writer.refill_spare_from(&mut self.spare);
+            writer.push_serialized(record.payload());
         }
     }
 
@@ -170,8 +164,8 @@ pub struct ShipStats {
     pub pages_high_water: usize,
 }
 
-/// Ships one round: what every outbox kept local (records, then pages) moves
-/// to its own consumer partition ahead of everything else, its peer pages
+/// Ships one round: what every outbox kept local moves to its own consumer
+/// partition ahead of everything else, its peer pages
 /// travel through `channel`, its spilled runs move by handle (or, for a
 /// remote target, as pages), and every consumer partition this process owns
 /// gathers what all sources addressed to it.  `outboxes`
@@ -196,9 +190,6 @@ pub fn ship(
         stats.sent_records += outbox.sent_records;
         stats.shipped_records += outbox.shipped_records;
         stats.shipped_bytes += outbox.shipped_bytes;
-        if !outbox.local.is_empty() {
-            inboxes[source].receive_local(outbox.local);
-        }
         inboxes[source].receive_pages(outbox.local_pages.finish());
         if !cluster.owns(source, targets) {
             continue;
@@ -238,6 +229,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultInjector;
     use crate::range::{sample_keys_into, PartitionRouter, RangeBounds};
+    use crate::record::Record;
     use crate::spill::MemoryBudget;
     use crate::transport::TransportHandle;
     use std::path::PathBuf;
@@ -325,7 +317,7 @@ mod tests {
     /// Routes the producer partitions `owned` by this process into outboxes
     /// (partitions of other processes stay empty, as in an SPMD superstep)
     /// and ships them as `round` of `channel`.  `by_reference` emits every
-    /// record as its field slice instead of pushing it as a heap object.
+    /// record as its field slice instead of forwarding it off a page.
     fn exchange_once(
         router: &PartitionRouter,
         spill: &SpillManager,
@@ -338,12 +330,14 @@ mod tests {
         let outboxes = producer().into_iter().enumerate().map(|(source, records)| {
             let mut outbox = Outbox::new(source, PARTITIONS, spill);
             if cluster.owns(source, PARTITIONS) {
-                for record in records {
-                    let target = router.route(&record, &[0]);
+                let pages = paged(&records);
+                let views = pages.iter().flat_map(|page| page.reader());
+                for (record, view) in records.iter().zip(views) {
+                    let target = router.route(record, &[0]);
                     if by_reference {
                         outbox.emit(target, record.fields());
                     } else {
-                        outbox.push(target, Cow::Owned(record));
+                        outbox.forward(target, view);
                     }
                 }
             }
@@ -352,13 +346,22 @@ mod tests {
         ship(outboxes, PARTITIONS, &*channel, &cluster, round).expect("exchange")
     }
 
+    /// `records` on pages, in order.
+    fn paged(records: &[Record]) -> Vec<Arc<RecordPage>> {
+        let mut writer = PageWriter::new();
+        for record in records {
+            writer.push(record);
+        }
+        writer.finish()
+    }
+
     /// The delivered records of every partition, in delivery order.
     fn delivered(parts: &[ExchangedPartition]) -> Vec<Vec<Record>> {
         parts
             .iter()
             .map(|part| {
                 let mut records = Vec::new();
-                part.for_each_ref(|record| records.push(record.clone()))
+                part.for_each_view(|record| records.push(record.materialize()))
                     .expect("readable");
                 records
             })
@@ -451,19 +454,11 @@ mod tests {
                 let (local_parts, local_stats) =
                     exchange_once(&router, &spill, &TransportHandle::local(), 0, by_reference);
                 let local = delivered(&local_parts);
-                // Pushed records that stay local stay heap objects; emitted
-                // ones are paged — in the same place of the delivery order.
-                assert!(
-                    local_parts
-                        .iter()
-                        .all(|part| part.local_records().is_empty() == by_reference),
-                    "{name}"
-                );
                 assert_eq!(sorted(local.clone()), sorted(expected.clone()), "{name}");
                 assert_eq!(local_stats.sent_records, total, "{name}");
                 match regime {
                     Regime::Unlimited => {
-                        // Nothing spills: local records, then pages by source.
+                        // Nothing spills: local pages, then peers' by source.
                         assert_eq!(local, expected, "{name}");
                         assert_eq!(local_stats.spilled_runs, 0, "{name}");
                         assert!(local_stats.shipped_pages > 0, "{name}");
@@ -516,23 +511,24 @@ mod tests {
         let router = hash_router();
         let (parts, _, dirs) = exchange_over_tcp(&router, Regime::BudgetZero, "remote-runs", false);
         // Budget 0 spills every shipped page.  Disk is node-local, so each
-        // partition holds run handles only from its own process's sources
-        // and received the peer's runs rematerialised as pages.
+        // partition holds run handles only from its own process's sources,
+        // and in pages its own local records and the peer's runs
+        // rematerialised.
         for (target, part) in parts.iter().enumerate() {
             assert!(part.page_count() > 0, "partition {target} got no pages");
             assert!(
                 part.spilled_run_count() > 0,
                 "partition {target} got no runs"
             );
-            let from_peer: usize = part.pages().iter().map(|p| p.record_count()).sum();
-            let expected_from_peer = producer()
+            let paged: usize = part.pages().iter().map(|p| p.record_count()).sum();
+            let expected_paged = producer()
                 .iter()
                 .enumerate()
-                .filter(|(source, _)| source / 2 != target / 2)
+                .filter(|&(source, _)| source / 2 != target / 2 || source == target)
                 .flat_map(|(_, records)| records)
                 .filter(|record| router.route(record, &[0]) == target)
                 .count();
-            assert_eq!(from_peer, expected_from_peer, "partition {target}");
+            assert_eq!(paged, expected_paged, "partition {target}");
         }
         drop(parts);
         dirs.iter().for_each(assert_no_spill_files);
@@ -551,7 +547,7 @@ mod tests {
         let outboxes = narrow.iter().enumerate().map(|(source, records)| {
             let mut outbox = Outbox::new(source, PARTITIONS, &spill);
             for record in records {
-                outbox.push(router.route(record, &[0]), Cow::Borrowed(record));
+                outbox.emit(router.route(record, &[0]), record.fields());
             }
             outbox
         });
@@ -576,9 +572,13 @@ mod tests {
     fn seeded_buffers_are_written_into_and_records_keep_their_representation() {
         let spill = SpillManager::in_dir(spill_dir("seed"), MemoryBudget::unlimited(), None);
         let mut pool = PagePool::with_limit(8);
+        // Two records a page: each buffer holds what one page of the round
+        // below writes.
         let mut writer = crate::page::PageWriter::new();
         writer.push(&Record::pair(1, 1));
+        writer.push(&Record::pair(1, 1));
         writer.seal();
+        writer.push(&Record::pair(2, 2));
         writer.push(&Record::pair(2, 2));
         let buffers: Vec<*const u8> = writer
             .finish()
@@ -593,9 +593,9 @@ mod tests {
         let mut outbox = Outbox::new(0, 2, &spill);
         outbox.seed(&mut pool);
         assert!(pool.is_empty(), "the outbox took over the pooled buffers");
-        // A pushed record already is a heap object and stays one when it
-        // stays local; an emitted record is born on a page wherever it goes.
-        outbox.push(0, Cow::Owned(Record::pair(7, 7)));
+        // A forwarded record is copied as bytes and an emitted record is
+        // born on a page, wherever either goes.
+        outbox.forward(0, paged(&[Record::pair(7, 7)])[0].view_at(0));
         outbox.emit(1, Record::pair(8, 8).fields());
         outbox.emit(0, Record::pair(9, 9).fields());
         let transport = TransportHandle::local();
@@ -610,13 +610,11 @@ mod tests {
             ),
             (3, 1, 1)
         );
-        assert_eq!(parts[0].local_records(), &[Record::pair(7, 7)]);
         assert_eq!(parts[0].page_count(), 1);
         assert_eq!(
             delivered(&parts)[0],
             vec![Record::pair(7, 7), Record::pair(9, 9)]
         );
-        assert!(parts[1].local_records().is_empty());
         assert_eq!(parts[1].page_count(), 1);
         // Both written pages live in the recycled buffers.
         for part in &parts {
@@ -651,7 +649,6 @@ mod tests {
         assert!(stats.spilled_runs > 0, "source 0 must have flushed a run");
         assert!(stats.pages_high_water <= 2);
         let part = &parts[1];
-        assert!(part.local_records().is_empty(), "emitted records are paged");
         assert!(part.spilled_run_count() > 0);
         let sources: Vec<i64> = delivered(&parts)[1].iter().map(|r| r.long(0)).collect();
         let in_pages: usize = part.pages().iter().map(|p| p.record_count()).sum();

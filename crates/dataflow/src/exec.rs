@@ -8,6 +8,15 @@
 //! records that move between partitions during an exchange are counted as
 //! "shipped" (network) records in the [`ExecutionStats`].
 //!
+//! Records live on pages from source to sink: a source is split into
+//! per-partition pages, every operator's output is the sealed pages its
+//! collector buffered ([`Collector::emit`] serializes a record the user
+//! function builds, [`Collector::collect`] copies the bytes of one it passes
+//! through), and every user function reads its input in place as
+//! [`RecordView`]s.  Heap [`Record`]s exist only at the API — the plan's
+//! source data and the sink accessors of [`ExecutionResult`] — and in the
+//! reference forms of [`ExecConfig::force_materialized`].
+//!
 //! Exchanged (hash/range/broadcast) edges are dams: every such edge fully
 //! materialises before downstream operators run, which is always safe for
 //! the iteration execution strategies of Sections 4.2 and 5.3 (no operator
@@ -17,51 +26,53 @@
 //! pipelineable segments — connected by forward-shipped, uncached,
 //! single-consumer edges into a slot the consumer can stream — and the plan
 //! walk executes each segment as **one task per partition** in which every
-//! record a member emits is pushed, by move, straight into the next member's
-//! user function.  A fused edge therefore holds one record, not an
-//! intermediate result, and costs a call, not a page or a thread.  An
-//! operator none of whose edges fuse is a segment of one, executed by the
-//! same code.  [`ExecConfig::with_force_materialized`] is the oracle switch:
-//! it makes every segment a singleton and replaces the page-native grouping
-//! and sort-merge paths by their reference form (materialize, stable sort,
-//! cut), pinning every streaming path byte-identical to it.
+//! record a member emits is handed straight to the next member — as the
+//! fields it was emitted as, or as the view it was passed through as.  A
+//! fused edge therefore holds one record, not an intermediate result, and
+//! costs a call, not a page or a thread.  An operator none of whose edges
+//! fuse is a segment of one, executed by the same code.
+//! [`ExecConfig::with_force_materialized`] is the oracle switch: it makes
+//! every segment a singleton and replaces the page-native grouping and
+//! sort-merge paths by their reference form (materialize, stable sort, cut,
+//! and hand out views of the re-serialized sorted records), pinning every
+//! streaming path byte-identical to it.
 //!
 //! Every Reduce and sort-merge join groups on the one page-native kernel
-//! ([`for_each_key_group`]), whatever the key's shape.  A UDF that builds
-//! its output hands it over as fields ([`Collector::emit`]); when the next
-//! member is a Reduce, the fields are serialized straight onto that
-//! Reduce's pages and grouped at end of stream by the same kernel, so a join
-//! feeding a fused aggregation — PageRank's step — builds no heap record per
-//! join output.
+//! ([`for_each_key_group`]), whatever the key's shape, and hands each group
+//! to the user function as views.  When the next member of a segment is a
+//! Reduce, the records are serialized straight onto that Reduce's pages and
+//! grouped at end of stream by the same kernel, so a join feeding a fused
+//! aggregation — PageRank's step — builds no heap record per join output.
 //!
 //! # Exchanges
 //!
 //! Every edge — forward, hash, range, broadcast, cached — hands the
 //! consumer's local phase one [`ExchangedPartition`] per partition, the one
-//! delivered type.  A forward edge moves the producer's records into it (or,
-//! while someone else still holds them, shares them by pointer).  A hash or
-//! range repartitioning edge routes every producer partition into an
-//! [`Outbox`] in parallel on the worker pool and hands the
-//! outboxes to [`exchange::ship`] — the same route → page → spill → ship →
-//! gather layer the iteration runtime's superstep queue switch runs on (see
-//! [`crate::exchange`] for its invariants: local records stay heap objects,
-//! peers receive sealed [`crate::page::RecordPage`]s or spilled runs, delivery
-//! is source-major).  What stays here is policy: which router an edge uses
-//! (hash, or the splitter histogram frozen per operator), the per-exchange
-//! spill budget, the post-exchange sort of range edges, broadcast (serialize
-//! once, share pages by pointer), and the single "distributed transport
-//! rejected" check — cluster execution enters through the iteration runtime.
-//! The receiving local phase reads shipped records back out of the pages
-//! lazily; a hash join indexes its build side in a [`JoinIndex`] — the index
-//! the iteration runtime's constant path probes — and reads each probe
-//! record's key in place off its page.
+//! delivered type, holding pages and spilled runs only.  A forward edge
+//! hands over the producer partition's pages, and a producer with several
+//! consumers shares them by pointer.  A hash or range repartitioning edge
+//! routes the bytes of every producer partition's records through one
+//! [`PartitionRouter`] into an [`Outbox`] in parallel on the worker pool and
+//! hands the outboxes to [`exchange::ship`] — the same route → page → spill
+//! → ship → gather layer the iteration runtime's superstep queue switch runs
+//! on (see [`crate::exchange`] for its invariants: records that stay local
+//! land on an unbudgeted page writer, peers receive sealed
+//! [`crate::page::RecordPage`]s or spilled runs, delivery is source-major).
+//! What stays here is policy: which router an edge uses (hash, or the
+//! splitter histogram frozen per operator), the per-exchange spill budget,
+//! the post-exchange sort of range edges (on the page kernel), broadcast
+//! (every target shares the producer's pages by pointer), and the single
+//! "distributed transport rejected" check — cluster execution enters through
+//! the iteration runtime.  A hash join indexes its build side in a
+//! [`JoinIndex`] — the index the iteration runtime's constant path probes —
+//! adopting its pages by pointer, and probes it with each streamed record's
+//! key read in place.
 //!
 //! A loop-invariant edge (`cache_inputs`) takes the same exchange as any
 //! other the first time it executes; the [`IntermediateCache`] only *retains*
-//! what the exchange delivered — in-memory records materialized once and
-//! shared by pointer, spilled runs kept as the files they are, a range
-//! edge's sort order kept advertised — and serves it to every later
-//! execution at the parallelism it was filled at.
+//! what the exchange delivered — its pages and spilled runs as they arrived,
+//! a range edge's sort order kept advertised — and serves it by pointer to
+//! every later execution at the parallelism it was filled at.
 //!
 //! Every parallel region — segment tasks, exchange routing, the range sort —
 //! dispatches through one helper (`run_on_partitions`); a lone partition runs
@@ -75,22 +86,22 @@ use crate::error::{DataflowError, Result};
 use crate::exchange::{self, Outbox};
 use crate::fault::{FaultInjector, FaultSite};
 use crate::join_index::JoinIndex;
-use crate::key::{compare_keys, group_ranges, partition_for, sort_by_key, Key, KeyFields};
+use crate::key::{group_ranges, sort_by_key, Key, KeyFields};
 use crate::page::{
-    for_each_key_group, sort_on_key, ExchangedPartition, GroupScratch, KeyGroups, PageWriter,
+    cmp_keys_in_place, for_each_key_group, serialize_fields_with_width, serialized_width,
+    sort_on_key, view_in, ExchangedPartition, GroupScratch, KeyGroups, PageWriter, RecordPage,
     RecordView,
 };
 use crate::physical::{
     streaming_input_slot, LocalStrategy, PhysicalChoice, PhysicalPlan, ShipStrategy,
 };
 use crate::plan::{Operator, OperatorId, OperatorKind};
-use crate::range::{sample_keys_into, RangeBounds};
+use crate::range::{sample_page_keys_into, PartitionRouter, RangeBounds};
 use crate::record::Record;
-use crate::spill::{MemoryBudget, SpillManager, SpilledRun};
+use crate::spill::{sort_pages, FlushScratch, MemoryBudget, SpillManager};
 use crate::stats::{ExecutionStats, OperatorStats};
 use crate::transport::TransportHandle;
 use crate::value::Value;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -101,6 +112,9 @@ use std::time::{Duration, Instant};
 pub type Partition = Vec<Record>;
 /// One partition per parallel instance.
 pub type Partitions = Vec<Partition>;
+
+/// An operator's output: the sealed pages of each partition.
+type PagedPartitions = Vec<Vec<Arc<RecordPage>>>;
 
 /// The execution settings of a run — the one declaration of them.  The
 /// [`Executor`] takes it directly; the iteration drivers' configurations
@@ -132,8 +146,9 @@ pub struct ExecConfig {
     /// takes its reference form — materialize the input
     /// ([`ExchangedPartition::into_records`]), stable-sort it
     /// ([`crate::key::sort_by_key`]), cut the groups
-    /// ([`crate::key::group_ranges`]) — and every operator boundary dams (the
-    /// hash join has one implementation, its [`JoinIndex`]).  Off by default;
+    /// ([`crate::key::group_ranges`]) and hand the user function views of
+    /// the re-serialized sorted records — and every operator boundary dams
+    /// (the hash join has one implementation, its [`JoinIndex`]).  Off by default;
     /// the equivalence suites flip it to check the production paths produce
     /// byte-identical results.
     pub force_materialized: bool,
@@ -219,21 +234,25 @@ impl ExecConfig {
 /// The iteration runtime passes the same cache to every execution of the step
 /// plan; edges on the constant data path that the optimizer marked with
 /// `cache_inputs` are shipped once — by the same exchange as any other edge —
-/// and then served from here (Section 4.3).  The exchange of an edge the cache
-/// retains runs under the executor's memory budget like any other; the runs
-/// it spills stay on disk for as long as the edge is cached, and every
-/// re-execution streams them back.  That budget bounds what any exchange's
-/// budget bounds — the sealed pages in flight to peer partitions — and not the
-/// cached edge's resident size: records that never leave their partition
-/// (all of a forward or broadcast edge, everything at parallelism 1, the
-/// partition-local share of a hash or range edge) stay heap records.
+/// and then served from here (Section 4.3).  A cached edge is the exchange's
+/// delivery as it arrived: every partition's pages, shared by pointer with
+/// each execution it serves (a hash join adopts them into its index without a
+/// copy), the runs the exchange spilled, and a range edge's sort order.  The
+/// exchange of an edge the cache retains runs under the executor's memory
+/// budget like any other; the runs it spills stay on disk for as long as the
+/// edge is cached, and every re-execution streams them back.  That budget
+/// bounds what any exchange's budget bounds — the sealed pages in flight to
+/// peer partitions — and not the cached edge's resident size: pages that
+/// never left their partition (all of a forward or broadcast edge,
+/// everything at parallelism 1, the partition-local share of a hash or range
+/// edge) stay in memory.
 ///
 /// What a cache holds is partitioned: a cache filled at one parallelism
 /// serves only executions at that parallelism (others are rejected as
 /// [`DataflowError::InvalidPlan`]) until it is cleared.
 #[derive(Debug, Default)]
 pub struct IntermediateCache {
-    entries: HashMap<(OperatorId, usize), CachedEdge>,
+    entries: HashMap<(OperatorId, usize), Vec<ExchangedPartition>>,
     /// The parallelism the cached edges and range bounds were built at.
     parallelism: usize,
     /// Range splitters frozen per consuming operator on the first execution.
@@ -242,58 +261,6 @@ pub struct IntermediateCache {
     /// re-shipped (dynamic-path) range edges of the same operator routed by
     /// one histogram — the invariant co-partitioned merge inputs rely on.
     range_bounds: HashMap<OperatorId, Arc<RangeBounds>>,
-}
-
-/// One cached post-exchange edge: what the exchange delivered on the first
-/// execution, retained.  The part that arrived in memory (local records and
-/// received pages) is materialized once into shared record partitions, the
-/// runs the exchange spilled stay the files they are, and the key fields a
-/// range exchange sorted by stay advertised, so every re-execution skips the
-/// shipping, the deserialization and the sort.
-#[derive(Debug)]
-struct CachedEdge {
-    parts: Arc<Partitions>,
-    /// Per-partition spilled runs (empty where the exchange spilled none).
-    runs: Vec<Vec<SpilledRun>>,
-    sorted_by: Option<KeyFields>,
-}
-
-impl CachedEdge {
-    /// Retains one delivery of [`exchange`].
-    fn retain(delivered: Vec<ExchangedPartition>) -> CachedEdge {
-        // A range exchange sorts every partition on the same key.
-        let sorted_by = delivered
-            .first()
-            .and_then(ExchangedPartition::sorted_by)
-            .map(<[usize]>::to_vec);
-        let (parts, runs) = delivered
-            .into_iter()
-            .map(ExchangedPartition::into_mem_and_runs)
-            .unzip();
-        CachedEdge {
-            parts: Arc::new(parts),
-            runs,
-            sorted_by,
-        }
-    }
-
-    /// The delivery this cached edge serves to one execution: every
-    /// partition's records by pointer into the shared partitions, plus its
-    /// run handles (cloning a handle shares the file on disk).
-    fn serve(&self) -> Vec<ExchangedPartition> {
-        self.runs
-            .iter()
-            .enumerate()
-            .map(|(p, runs)| {
-                ExchangedPartition::from_shared(
-                    Arc::clone(&self.parts),
-                    p,
-                    runs.clone(),
-                    self.sorted_by.clone(),
-                )
-            })
-            .collect()
-    }
 }
 
 impl IntermediateCache {
@@ -323,56 +290,66 @@ impl IntermediateCache {
 /// execution statistics.
 #[derive(Debug)]
 pub struct ExecutionResult {
-    sink_outputs: HashMap<String, Arc<Partitions>>,
+    sink_outputs: HashMap<String, PagedPartitions>,
     /// Counters collected while executing.
     pub stats: ExecutionStats,
 }
 
 impl ExecutionResult {
-    /// All records delivered to the sink `name`, flattened across partitions.
-    ///
-    /// Borrows the result, so the records are cloned; callers that own the
-    /// [`ExecutionResult`] and only need one sink should prefer
-    /// [`ExecutionResult::into_sink`], which moves the records out.
+    /// All records delivered to the sink `name`, flattened across partitions
+    /// and materialized off the sink's pages.
     pub fn sink(&self, name: &str) -> Result<Vec<Record>> {
-        self.sink_partitions(name)
-            .map(|parts| parts.iter().flatten().cloned().collect())
+        let parts = self.sink_pages(name)?;
+        let mut records = Vec::with_capacity(record_count(parts));
+        for page in parts.iter().flatten() {
+            records.extend(page.reader().map(|view| view.materialize()));
+        }
+        Ok(records)
     }
 
-    /// Consumes the result and moves the records of sink `name` out without
-    /// copying them (unless the sink's partitions are still shared, e.g.
-    /// through a clone of [`ExecutionResult::sink_partitions`]).
+    /// Consumes the result and materializes the records of sink `name`,
+    /// releasing each page once it is read.
     pub fn into_sink(mut self, name: &str) -> Result<Vec<Record>> {
         let parts = self
             .sink_outputs
             .remove(name)
             .ok_or_else(|| DataflowError::UnknownSink(name.to_owned()))?;
-        match Arc::try_unwrap(parts) {
-            Ok(parts) => {
-                let total = parts.iter().map(Vec::len).sum();
-                let mut records = Vec::with_capacity(total);
-                for part in parts {
-                    records.extend(part);
-                }
-                Ok(records)
-            }
-            Err(shared) => Ok(shared.iter().flatten().cloned().collect()),
+        let mut records = Vec::with_capacity(record_count(&parts));
+        for page in parts.into_iter().flatten() {
+            records.extend(page.reader().map(|view| view.materialize()));
         }
+        Ok(records)
     }
 
-    /// True if the sink `name` received no records (without touching them).
+    /// True if the sink `name` received no records (without reading them).
     pub fn sink_is_empty(&self, name: &str) -> Result<bool> {
-        self.sink_partitions(name)
-            .map(|parts| parts.iter().all(Vec::is_empty))
+        self.sink_pages(name)
+            .map(|parts| parts.iter().flatten().all(|page| page.is_empty()))
     }
 
     /// The per-partition records delivered to the sink `name`.
-    pub fn sink_partitions(&self, name: &str) -> Result<Arc<Partitions>> {
+    pub fn sink_partitions(&self, name: &str) -> Result<Partitions> {
+        let parts = self.sink_pages(name)?;
+        Ok(parts
+            .iter()
+            .map(|pages| {
+                let views = pages.iter().flat_map(|page| page.reader());
+                views.map(|view| view.materialize()).collect()
+            })
+            .collect())
+    }
+
+    fn sink_pages(&self, name: &str) -> Result<&PagedPartitions> {
         self.sink_outputs
             .get(name)
-            .cloned()
             .ok_or_else(|| DataflowError::UnknownSink(name.to_owned()))
     }
+}
+
+/// The records on `parts`' pages.
+fn record_count(parts: &PagedPartitions) -> usize {
+    let pages = parts.iter().flatten();
+    pages.map(|page| page.record_count()).sum()
 }
 
 /// Executes physical plans.
@@ -464,14 +441,14 @@ impl Executor {
             ));
         }
 
-        let mut outputs: HashMap<OperatorId, Arc<Partitions>> = HashMap::new();
-        let mut sink_outputs: HashMap<String, Arc<Partitions>> = HashMap::new();
+        let mut outputs: HashMap<OperatorId, PagedPartitions> = HashMap::new();
+        let mut sink_outputs: HashMap<String, PagedPartitions> = HashMap::new();
         let mut stats = ExecutionStats::new();
 
         // How many input edges still need each operator's output.  Once the
         // last consumer has taken it, the output is removed from `outputs`
-        // and — if nothing else (sink results, the cache) shares it — the
-        // exchange *moves* the records instead of cloning them.
+        // and its pages live on only where someone shares them (a sink
+        // result, the cache, a delivery).
         let mut remaining_uses = vec![0usize; plan.len()];
         for op in plan.operators() {
             for input in &op.inputs {
@@ -486,7 +463,7 @@ impl Executor {
 
         for id in order {
             let op = plan.operator(id);
-            // Sources produce their partitioned data directly.  A source whose
+            // Sources are split onto per-partition pages.  A source whose
             // every consumer edge is about to be served from the cache (a
             // loop-invariant input after the first iteration) is not
             // partitioned again: nobody would read it.
@@ -500,7 +477,7 @@ impl Executor {
                     })
                 });
                 if !served_from_cache {
-                    outputs.insert(id, Arc::new(split_into_partitions(data, parallelism)));
+                    outputs.insert(id, split_into_partitions(data, parallelism));
                 }
                 stats.operators.push(OperatorStats {
                     name: op.name.clone(),
@@ -545,9 +522,9 @@ impl Executor {
         op: &Operator,
         slot: usize,
         choice: &PhysicalChoice,
-        range_bounds: Option<&RangeBounds>,
+        range_bounds: Option<&Arc<RangeBounds>>,
         parallelism: usize,
-        outputs: &mut HashMap<OperatorId, Arc<Partitions>>,
+        outputs: &mut HashMap<OperatorId, PagedPartitions>,
         cache: &mut IntermediateCache,
         remaining_uses: &mut [usize],
         stats: &mut ExecutionStats,
@@ -561,14 +538,15 @@ impl Executor {
         if choice.cache_inputs[slot] {
             if let Some(cached) = cache.entries.get(&cache_key) {
                 stats.cache_hits += 1;
-                let served = cached.serve();
                 if last_use {
                     outputs.remove(&input);
                 }
-                return Ok(served);
+                return Ok(cached.clone());
             }
         }
-        let producer_out = if last_use {
+        // The last consumer takes the producer's pages; any other shares
+        // them by pointer.
+        let producer = if last_use {
             outputs.remove(&input)
         } else {
             outputs.get(&input).cloned()
@@ -579,13 +557,6 @@ impl Executor {
                 input.0, op.name
             ))
         })?;
-        // The producer's partitions can be consumed in place when no one else
-        // holds them (no other pending consumer, not a sink result, not
-        // cached).
-        let producer = match Arc::try_unwrap(producer_out) {
-            Ok(owned) => ProducerInput::Owned(owned),
-            Err(shared) => ProducerInput::Shared(shared),
-        };
         let delivered = exchange(
             producer,
             &choice.input_ships[slot],
@@ -594,13 +565,10 @@ impl Executor {
             &self.config,
             stats,
         )?;
-        if !choice.cache_inputs[slot] {
-            return Ok(delivered);
+        if choice.cache_inputs[slot] {
+            cache.entries.insert(cache_key, delivered.clone());
         }
-        let edge = CachedEdge::retain(delivered);
-        let served = edge.serve();
-        cache.entries.insert(cache_key, edge);
-        Ok(served)
+        Ok(delivered)
     }
 
     /// Executes one segment (`members`, head to tail; a lone operator is a
@@ -617,8 +585,8 @@ impl Executor {
         &self,
         physical: &PhysicalPlan,
         members: &[OperatorId],
-        outputs: &mut HashMap<OperatorId, Arc<Partitions>>,
-        sink_outputs: &mut HashMap<String, Arc<Partitions>>,
+        outputs: &mut HashMap<OperatorId, PagedPartitions>,
+        sink_outputs: &mut HashMap<String, PagedPartitions>,
         cache: &mut IntermediateCache,
         remaining_uses: &mut [usize],
         stats: &mut ExecutionStats,
@@ -658,7 +626,7 @@ impl Executor {
                     op,
                     slot,
                     choice,
-                    range_bounds.as_deref(),
+                    range_bounds.as_ref(),
                     parallelism,
                     outputs,
                     cache,
@@ -696,14 +664,14 @@ impl Executor {
                 ..OperatorStats::default()
             })
             .collect();
-        let mut tail_parts: Vec<Partition> = Vec::with_capacity(parallelism);
-        for (reports, tail_records) in outcomes {
+        let mut tail_parts: PagedPartitions = Vec::with_capacity(parallelism);
+        for (reports, tail_pages) in outcomes {
             for (row, report) in rows.iter_mut().zip(reports) {
                 row.records_in += report.records_in;
                 row.records_out += report.records_out;
                 row.elapsed += report.elapsed;
             }
-            tail_parts.push(tail_records);
+            tail_parts.push(tail_pages);
         }
         // Fused-edge records stay inside their partition — the same
         // accounting a materializing forward exchange applies.
@@ -719,11 +687,10 @@ impl Executor {
         let tail_id = *members
             .last()
             .expect("the plan walk executes only non-empty segments");
-        let result_parts = Arc::new(tail_parts);
         if let OperatorKind::Sink { name } = &plan.operator(tail_id).kind {
-            sink_outputs.insert(name.clone(), Arc::clone(&result_parts));
+            sink_outputs.insert(name.clone(), tail_parts.clone());
         }
-        outputs.insert(tail_id, result_parts);
+        outputs.insert(tail_id, tail_parts);
         Ok(())
     }
 }
@@ -779,45 +746,19 @@ fn run_on_partitions<I: Send, T: Send>(
         .collect()
 }
 
-/// Splits source data into contiguous chunks, one per partition.
-fn split_into_partitions(data: &Arc<Vec<Record>>, parallelism: usize) -> Partitions {
-    let mut parts: Partitions = vec![Vec::new(); parallelism];
-    if data.is_empty() {
-        return parts;
-    }
-    let chunk = data.len().div_ceil(parallelism);
-    for (i, record) in data.iter().enumerate() {
-        parts[(i / chunk).min(parallelism - 1)].push(record.clone());
-    }
-    parts
-}
-
-/// The producer side of one exchange: owned when this consumer is the last
-/// user of the producer's output (records may be moved or serialized in
-/// place), shared when someone else — another consumer, a sink result, the
-/// loop-invariant cache — still holds it.
-enum ProducerInput {
-    /// Exclusively owned partitions.
-    Owned(Partitions),
-    /// Partitions still shared with other holders.
-    Shared(Arc<Partitions>),
-}
-
-impl ProducerInput {
-    fn partitions(&self) -> &Partitions {
-        match self {
-            ProducerInput::Owned(parts) => parts,
-            ProducerInput::Shared(parts) => parts,
-        }
-    }
-
-    /// Flattens all partitions into one record vector (moving when owned).
-    fn into_flat_records(self) -> Vec<Record> {
-        match self {
-            ProducerInput::Owned(parts) => parts.into_iter().flatten().collect(),
-            ProducerInput::Shared(parts) => parts.iter().flatten().cloned().collect(),
-        }
-    }
+/// Splits source data into contiguous chunks, one per partition, each
+/// serialized onto its partition's pages.
+fn split_into_partitions(data: &[Record], parallelism: usize) -> PagedPartitions {
+    let mut chunks = data.chunks(data.len().div_ceil(parallelism).max(1));
+    (0..parallelism)
+        .map(|_| {
+            let mut writer = PageWriter::new();
+            for record in chunks.next().unwrap_or_default() {
+                writer.push(record);
+            }
+            writer.finish()
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -903,14 +844,14 @@ fn compute_chain_segments(physical: &PhysicalPlan, fuse: bool) -> Vec<Vec<Operat
 
 /// The streaming consumer of one operator on one partition: everything the
 /// operator does with the input slot it can consume record by record
-/// ([`streaming_input_slot`]), given its other inputs materialized.
+/// ([`streaming_input_slot`]), given its other inputs delivered.
 ///
 /// This is the one place the record-at-a-time arm of each contract lives.
 /// [`run_local`] drives a delivered partition through it; in a fused segment
-/// the upstream member's collector pushes or emits into it ([`FusedStage`]).
-/// Either way the same records reach the same user-function calls in the same
-/// order, which is what keeps fused and materialized executions
-/// byte-identical.
+/// the upstream member's collector emits or passes records into it
+/// ([`FusedStage`]).  Either way the same records reach the same
+/// user-function calls in the same order, which is what keeps fused and
+/// materialized executions byte-identical.
 ///
 /// A Reduce hands each key's records to the user function in key order with
 /// ties in arrival order (the stable key sort), whichever the local strategy.
@@ -925,8 +866,8 @@ enum Stage {
         udf: Arc<dyn ReduceFunction>,
         groups: KeyGroups,
     },
-    /// Buffers the stream, stably sorts it at end of stream and emits the
-    /// groups.
+    /// Buffers the stream, stably sorts it at end of stream and hands out
+    /// the groups of the re-serialized sorted records.
     SortGroup {
         key: KeyFields,
         udf: Arc<dyn ReduceFunction>,
@@ -940,12 +881,10 @@ enum Stage {
         /// Whether the streamed side is the join's left argument.
         probe_is_left: bool,
         index: JoinIndex,
-        /// The record each paged match is read into for the user function.
-        build: Record,
     },
     Cross {
         udf: Arc<dyn CrossFunction>,
-        right: Vec<Record>,
+        right: Vec<Arc<RecordPage>>,
     },
 }
 
@@ -991,120 +930,83 @@ impl Stage {
                     probe_key: probe_key.clone(),
                     probe_is_left,
                     index: JoinIndex::from_partition(side_input(), build_key)?,
-                    build: Record::empty(),
                 }
             }
-            (OperatorKind::Cross, Udf::Cross(udf)) => Stage::Cross {
-                udf: Arc::clone(udf),
-                right: side_input().into_records()?,
-            },
+            (OperatorKind::Cross, Udf::Cross(udf)) => {
+                // Copied onto resident pages: every streamed record reads
+                // the whole side, spilled runs included.
+                let mut right = PageWriter::new();
+                side_input().for_each_view(|record| {
+                    right.push_serialized(record.payload());
+                })?;
+                Stage::Cross {
+                    udf: Arc::clone(udf),
+                    right: right.finish(),
+                }
+            }
             _ => return Err(udf_mismatch(op)),
         })
     }
 
-    /// Whether the stage keeps the records it is given (and so wants them
-    /// owned) rather than only looking at them.
-    fn keeps_records(&self) -> bool {
-        matches!(
-            self,
-            Stage::Sink | Stage::PagedGroup { .. } | Stage::SortGroup { .. }
-        )
-    }
-
     /// Consumes one record of the stream given as its fields: a paged
-    /// grouping serializes them onto its pages, every other stage takes an
-    /// exactly sized heap record.
+    /// grouping and a sink serialize them onto their pages, every other
+    /// stage reads them in place off `scratch`.
     #[inline]
-    fn accept_fields(&mut self, fields: &[Value], out: &mut Collector) {
+    fn accept_fields(&mut self, fields: &[Value], scratch: &mut Vec<u8>, out: &mut Collector) {
         match self {
             Stage::PagedGroup { groups, .. } => groups.append_fields(fields),
-            stage => stage.accept(Cow::Owned(Record::new(fields.to_vec())), out),
+            Stage::Sink => out.emit(fields),
+            stage => {
+                scratch.clear();
+                serialize_fields_with_width(fields, serialized_width(fields), scratch);
+                stage.accept(view_in(scratch, 0), out);
+            }
         }
     }
 
-    /// Consumes one record of the stream, emitting into `out`.
-    fn accept(&mut self, record: Cow<'_, Record>, out: &mut Collector) {
+    /// Consumes one record of the stream, read in place, emitting into
+    /// `out`.
+    fn accept(&mut self, record: RecordView<'_>, out: &mut Collector) {
         match self {
-            Stage::Map(udf) => udf.map(&record, out),
-            Stage::Sink => out.collect(record.into_owned()),
-            Stage::PagedGroup { groups, .. } => groups.append_fields(record.fields()),
-            Stage::SortGroup { records, .. } => records.push(record.into_owned()),
+            Stage::Map(udf) => udf.map(record, out),
+            Stage::Sink => out.collect(record),
+            Stage::PagedGroup { groups, .. } => groups.append_view(record),
+            Stage::SortGroup { records, .. } => records.push(record.materialize()),
             Stage::HashProbe {
                 udf,
                 probe_key,
                 probe_is_left,
                 index,
-                build,
-            } => join_matches(
-                udf.as_ref(),
-                *probe_is_left,
-                &record,
-                index,
-                probe_key,
-                build,
-                out,
-            ),
+            } => {
+                for build in index.matches_view(record, probe_key) {
+                    if *probe_is_left {
+                        udf.join(record, build, out);
+                    } else {
+                        udf.join(build, record, out);
+                    }
+                }
+            }
             Stage::Cross { udf, right } => {
-                for r in right.iter() {
-                    udf.cross(&record, r, out);
+                for r in right.iter().flat_map(|page| page.reader()) {
+                    udf.cross(record, r, out);
                 }
             }
         }
-    }
-
-    /// Consumes one delivered partition as the stream: owned records for the
-    /// stages that keep them, references for the others — and a hash probe
-    /// reads each page record's key in place, deserializing the record only
-    /// when its chain is non-empty.
-    fn consume(&mut self, streamed: ExchangedPartition, out: &mut Collector) -> Result<()> {
-        match self {
-            Stage::HashProbe {
-                udf,
-                probe_key,
-                probe_is_left,
-                index,
-                build,
-            } => streamed.for_each_ref_where(
-                |view| index.may_match(view, probe_key),
-                |record| {
-                    join_matches(
-                        udf.as_ref(),
-                        *probe_is_left,
-                        record,
-                        index,
-                        probe_key,
-                        build,
-                        out,
-                    )
-                },
-            )?,
-            stage if stage.keeps_records() => {
-                streamed.for_each_owned(|record| stage.accept(Cow::Owned(record), out))?
-            }
-            stage => streamed.for_each_ref(|record| stage.accept(Cow::Borrowed(record), out))?,
-        }
-        Ok(())
     }
 
     /// End of stream: the grouping stages emit their groups.
     fn finish(self, out: &mut Collector) {
         match self {
             Stage::PagedGroup { udf, groups } => {
-                let mut records = Vec::new();
-                groups.for_each_group(|k, group| {
-                    udf.reduce(&k.values(), materialize(group, &mut records), out)
-                })
+                groups.for_each_group(|k, group| udf.reduce(&k.values(), group, out))
             }
-            Stage::SortGroup {
-                key,
-                udf,
-                mut records,
-            } => {
-                sort_by_key(&mut records, &key);
-                for (start, end) in group_ranges(&records, &key) {
-                    let group = &records[start..end];
-                    let k = Key::extract(&group[0], &key);
-                    udf.reduce(&k.values(), group, out);
+            Stage::SortGroup { key, udf, records } => {
+                let (pages, ranges) = sort_reference(records, &key);
+                let views = views_of(&pages);
+                let mut k = Key::Long(0);
+                for (start, end) in ranges {
+                    views[start].key_into(&key, &mut k);
+                    udf.reduce(&k.values(), &views[start..end], out);
                 }
             }
             Stage::Map(_) | Stage::Sink | Stage::HashProbe { .. } | Stage::Cross { .. } => {}
@@ -1112,37 +1014,25 @@ impl Stage {
     }
 }
 
-/// Joins one probe record with its matches in `index`, in match order, each
-/// read into `build` for the user function.
-fn join_matches(
-    udf: &dyn MatchFunction,
-    probe_is_left: bool,
-    probe: &Record,
-    index: &JoinIndex,
-    probe_key: &[usize],
-    build: &mut Record,
-    out: &mut Collector,
-) {
-    for view in index.matches(probe.fields(), probe_key) {
-        view.read_into(build);
-        if probe_is_left {
-            udf.join(probe, build, out);
-        } else {
-            udf.join(build, probe, out);
-        }
+/// The reference form's sort: `records` stably sorted on `key`
+/// ([`sort_by_key`]) and re-serialized in that order, with the `(start,
+/// end)` ranges of their key groups ([`group_ranges`]).
+fn sort_reference(
+    mut records: Vec<Record>,
+    key: &[usize],
+) -> (Vec<Arc<RecordPage>>, Vec<(usize, usize)>) {
+    sort_by_key(&mut records, key);
+    let ranges = group_ranges(&records, key);
+    let mut sorted = PageWriter::new();
+    for record in &records {
+        sorted.push(record);
     }
+    (sorted.finish(), ranges)
 }
 
-/// Reads a page-native group into `records` for a user function that takes
-/// heap records; the records keep their capacity from group to group.
-fn materialize<'r>(group: &[RecordView<'_>], records: &'r mut Vec<Record>) -> &'r [Record] {
-    if records.len() < group.len() {
-        records.resize_with(group.len(), Record::empty);
-    }
-    for (record, view) in records.iter_mut().zip(group) {
-        view.read_into(record);
-    }
-    &records[..group.len()]
+/// The records of `pages`, in order, as views.
+fn views_of(pages: &[Arc<RecordPage>]) -> Vec<RecordView<'_>> {
+    pages.iter().flat_map(|page| page.reader()).collect()
 }
 
 /// The typed error of an operator whose UDF does not fit its contract (a
@@ -1157,27 +1047,35 @@ fn udf_mismatch(op: &Operator) -> DataflowError {
 }
 
 /// One downstream member of a fused segment on one partition: its [`Stage`]
-/// plus the collector the stage emits into — which pushes into the next
-/// member's `FusedStage`, or buffers the segment's output at the tail.  The
-/// upstream member's collector owns this as its [`RecordSink`], so a record
-/// emitted by a user function travels the rest of the segment — by move, or
-/// as the fields it was emitted as — depth first, before the emitting call
-/// returns.
+/// plus the collector the stage emits into — which hands records to the next
+/// member's `FusedStage`, or buffers the segment's output pages at the tail.
+/// The upstream member's collector owns this as its [`RecordSink`], so a
+/// record emitted by a user function travels the rest of the segment — as
+/// the fields it was emitted as, or as the view it was passed through as —
+/// depth first, before the emitting call returns.
 struct FusedStage {
     stage: Stage,
     records_in: usize,
     out: Collector,
+    /// A record emitted as fields, serialized for a stage that reads it in
+    /// place; reused from record to record.
+    scratch: Vec<u8>,
 }
 
 impl RecordSink for FusedStage {
     fn push(&mut self, record: Record) {
-        self.records_in += 1;
-        self.stage.accept(Cow::Owned(record), &mut self.out);
+        self.emit(record.fields());
     }
 
     fn emit(&mut self, fields: &[Value]) {
         self.records_in += 1;
-        self.stage.accept_fields(fields, &mut self.out);
+        self.stage
+            .accept_fields(fields, &mut self.scratch, &mut self.out);
+    }
+
+    fn forward(&mut self, record: RecordView<'_>) {
+        self.records_in += 1;
+        self.stage.accept(record, &mut self.out);
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
@@ -1200,13 +1098,13 @@ struct MemberReport {
 /// composes the downstream members' stages tail first, runs the head's local
 /// phase into them, then cascades end-of-stream head → tail.  `inputs` holds
 /// every member's delivered inputs in member order.  Returns one report per
-/// member and the tail's output partition.
+/// member and the tail's output pages.
 fn run_fused(
     members: &[(&Operator, LocalStrategy)],
     mut inputs: Vec<Vec<ExchangedPartition>>,
     page_native: bool,
     fault: &FaultInjector,
-) -> Result<(Vec<MemberReport>, Vec<Record>)> {
+) -> Result<(Vec<MemberReport>, Vec<Arc<RecordPage>>)> {
     let start = Instant::now();
     let mut out = Collector::new();
     for (&(op, local), side) in members[1..].iter().zip(inputs.drain(1..)).rev() {
@@ -1217,6 +1115,7 @@ fn run_fused(
             stage: Stage::new(op, stream_slot, side, page_native)?,
             records_in,
             out,
+            scratch: Vec::new(),
         }));
     }
     let (head, head_local) = members[0];
@@ -1234,6 +1133,7 @@ fn run_fused(
             stage,
             records_in,
             out: mut downstream,
+            ..
         } = *sink
             .into_any()
             .downcast::<FusedStage>()
@@ -1248,7 +1148,7 @@ fn run_fused(
         out = downstream;
     }
     reports[0].elapsed = start.elapsed();
-    Ok((reports, out.into_records()))
+    Ok((reports, out.into_pages()))
 }
 
 /// Builds (or reuses) the shared range histogram of one operator.
@@ -1269,7 +1169,7 @@ fn run_fused(
 fn prepare_range_bounds(
     op: &Operator,
     choice: &PhysicalChoice,
-    outputs: &HashMap<OperatorId, Arc<Partitions>>,
+    outputs: &HashMap<OperatorId, PagedPartitions>,
     cache: &mut IntermediateCache,
     parallelism: usize,
 ) -> Result<Option<Arc<RangeBounds>>> {
@@ -1308,8 +1208,8 @@ fn prepare_range_bounds(
     let mut sample: Vec<Key> = Vec::new();
     for &(slot, keys) in &range_edges {
         if let Some(producer) = outputs.get(&op.inputs[slot]) {
-            for partition in producer.iter() {
-                sample_keys_into(&mut sample, partition, keys);
+            for pages in producer {
+                sample_page_keys_into(&mut sample, pages, keys);
             }
         }
     }
@@ -1325,42 +1225,33 @@ fn prepare_range_bounds(
 /// producer×target page writers, and every flushed run is sorted on the
 /// exchange key — range partitions are sorted runs by definition, and hash
 /// partitions gain the key order that lets the grouping kernel merge their
-/// runs instead of re-sorting them.  Broadcast replicates shared pages and never
-/// spills; forward moves records locally and has nothing to serialize.
-/// Every producer, and so every delivery, has one partition per parallel
-/// instance.
+/// runs instead of re-sorting them.  Broadcast and forward share the
+/// producer's pages by pointer and never spill.  Every producer, and so
+/// every delivery, has one partition per parallel instance.
 fn exchange(
-    producer: ProducerInput,
+    producer: PagedPartitions,
     ship: &ShipStrategy,
     parallelism: usize,
-    bounds: Option<&RangeBounds>,
+    bounds: Option<&Arc<RangeBounds>>,
     config: &ExecConfig,
     stats: &mut ExecutionStats,
 ) -> Result<Vec<ExchangedPartition>> {
-    let writers = producer.partitions().len().max(1) * parallelism;
+    let writers = producer.len().max(1) * parallelism;
     match ship {
         ShipStrategy::Forward => {
-            stats.local_records += producer.partitions().iter().map(Vec::len).sum::<usize>();
-            Ok(match producer {
-                ProducerInput::Owned(parts) => parts
-                    .into_iter()
-                    .map(ExchangedPartition::from_records)
-                    .collect(),
-                ProducerInput::Shared(parts) => (0..parts.len())
-                    .map(|p| ExchangedPartition::from_shared(Arc::clone(&parts), p, vec![], None))
-                    .collect(),
-            })
+            stats.local_records += record_count(&producer);
+            Ok(producer.into_iter().map(ExchangedPartition::new).collect())
         }
         ShipStrategy::PartitionHash(keys) => route_paged(
-            producer,
-            &|record: &Record| partition_for(record, keys, parallelism),
-            parallelism,
+            &producer,
+            &PartitionRouter::hash(parallelism),
+            keys,
             &config.spill_manager(writers, Some(keys.clone())),
             &config.transport,
             stats,
         ),
         ShipStrategy::PartitionRange(keys) => range_exchange(
-            producer,
+            &producer,
             keys,
             bounds.expect("prepare_range_bounds builds bounds for every range-shipped input"),
             parallelism,
@@ -1368,35 +1259,26 @@ fn exchange(
             &config.transport,
             stats,
         ),
-        ShipStrategy::Broadcast => Ok(broadcast_paged(producer, parallelism, stats)),
+        ShipStrategy::Broadcast => Ok(broadcast(producer, parallelism, stats)),
     }
 }
 
-/// Routes one producer partition into its [`Outbox`]: records staying in
-/// `source` go to the local buffer (moved when the producer is owned, cloned
-/// when it is shared — that is the only difference the `Cow` carries);
-/// records for peer partitions are serialized into the target's budgeted
-/// page writer straight from the borrow, never cloned.  The routing decision
-/// itself is the `router` closure — hash or splitter search.
+/// Routes one producer partition into its [`Outbox`]: every record's key is
+/// read in place, `router` picks the target, and the record's bytes are
+/// copied into the target's writer (the unbudgeted local one when it stays
+/// in `source`).
 fn route_partition(
     source: usize,
-    records: Cow<'_, [Record]>,
-    router: &(impl Fn(&Record) -> usize + Sync),
-    parallelism: usize,
+    pages: &[Arc<RecordPage>],
+    router: &PartitionRouter,
+    keys: &[usize],
     spill: &SpillManager,
 ) -> std::io::Result<Outbox> {
-    let mut outbox = Outbox::new(source, parallelism, spill);
-    match records {
-        Cow::Owned(records) => {
-            for record in records {
-                outbox.push(router(&record), Cow::Owned(record));
-            }
-        }
-        Cow::Borrowed(records) => {
-            for record in records {
-                outbox.push(router(record), Cow::Borrowed(record));
-            }
-        }
+    let mut outbox = Outbox::new(source, router.parallelism(), spill);
+    let mut key = Key::Long(0);
+    for record in pages.iter().flat_map(|page| page.reader()) {
+        record.key_into(keys, &mut key);
+        outbox.forward(router.route_key(&key), record);
     }
     outbox.seal()?;
     Ok(outbox)
@@ -1407,29 +1289,20 @@ fn route_partition(
 /// the worker pool, then [`exchange::ship`] delivers the round through a
 /// fresh channel of the executor's transport.
 fn route_paged(
-    producer: ProducerInput,
-    router: &(impl Fn(&Record) -> usize + Sync),
-    parallelism: usize,
+    producer: &PagedPartitions,
+    router: &PartitionRouter,
+    keys: &[usize],
     spill: &SpillManager,
     transport: &TransportHandle,
     stats: &mut ExecutionStats,
 ) -> Result<Vec<ExchangedPartition>> {
-    let shared;
-    let parts: Vec<Cow<'_, [Record]>> = match producer {
-        ProducerInput::Owned(parts) => parts.into_iter().map(Cow::Owned).collect(),
-        ProducerInput::Shared(parts) => {
-            shared = parts;
-            shared.iter().map(|part| Cow::Borrowed(&part[..])).collect()
-        }
-    };
+    let parallelism = router.parallelism();
     let outboxes = run_on_partitions(
         "exchange-route",
         || "exchange-route".to_string(),
         spill.fault(),
-        parts.into_iter().enumerate().collect(),
-        |(source, records)| {
-            route_partition(source, records, router, parallelism, spill).map_err(Into::into)
-        },
+        producer.iter().enumerate().collect(),
+        |(source, pages)| route_partition(source, pages, router, keys, spill).map_err(Into::into),
     )?;
     let channel = transport.fresh_channel(parallelism);
     let (result, shipped) =
@@ -1445,28 +1318,23 @@ fn route_paged(
 
 /// The range repartitioning exchange: routes by binary search over the
 /// shared splitter histogram (see [`prepare_range_bounds`]) and then stably
-/// sorts every consumer partition on the key, so the concatenation of the
-/// delivered partitions is **globally sorted**.  The per-partition sorts run
-/// concurrently on the worker pool; the delivered partitions advertise their
-/// order ([`ExchangedPartition::sorted_by`]), whose owning accessors then
-/// merge the sorted pieces of a spilled partition instead of re-sorting.
+/// sorts the pages of every consumer partition on the key with the page
+/// kernel, so the concatenation of the delivered partitions is **globally
+/// sorted**.  The per-partition sorts run concurrently on the worker pool;
+/// the delivered partitions advertise their order
+/// ([`ExchangedPartition::sorted_by`]), whose visitor then merges the sorted
+/// pieces of a spilled partition instead of re-sorting.
 fn range_exchange(
-    producer: ProducerInput,
+    producer: &PagedPartitions,
     keys: &[usize],
-    bounds: &RangeBounds,
+    bounds: &Arc<RangeBounds>,
     parallelism: usize,
     spill: &SpillManager,
     transport: &TransportHandle,
     stats: &mut ExecutionStats,
 ) -> Result<Vec<ExchangedPartition>> {
-    let parts = route_paged(
-        producer,
-        &|record: &Record| bounds.partition_for_record(record, keys),
-        parallelism,
-        spill,
-        transport,
-        stats,
-    )?;
+    let router = PartitionRouter::range(Arc::clone(bounds), parallelism);
+    let parts = route_paged(producer, &router, keys, spill, transport, stats)?;
     // Sort what is in memory; anything that spilled during routing is
     // already a sorted run on disk (sorted on flush), so the delivered
     // partition is the *merge* of the sorted pieces — the sort never touches
@@ -1477,10 +1345,10 @@ fn range_exchange(
         spill.fault(),
         parts,
         |part| {
-            let (mut records, runs) = part.into_mem_and_runs();
-            sort_by_key(&mut records, keys);
+            let (pages, runs, _) = part.into_pieces();
+            let sorted = sort_pages(pages, keys, &mut FlushScratch::default())?;
             Ok(ExchangedPartition::from_spilled(
-                records,
+                sorted,
                 runs,
                 Some(keys.to_vec()),
             ))
@@ -1488,34 +1356,24 @@ fn range_exchange(
     )
 }
 
-/// The paged broadcast: all records are serialized **once**, then every
-/// consumer partition shares the same sealed pages by pointer — replication
-/// costs one Arc clone per page per target instead of one record clone per
-/// record per target.
-fn broadcast_paged(
-    producer: ProducerInput,
+/// Broadcast: every consumer partition shares all of the producer's pages
+/// by pointer — replication costs one Arc clone per page per target, and
+/// nothing is serialized or copied.
+fn broadcast(
+    producer: PagedPartitions,
     parallelism: usize,
     stats: &mut ExecutionStats,
 ) -> Vec<ExchangedPartition> {
-    if parallelism == 1 {
-        // Degenerate broadcast: everything is local, nothing to serialize.
-        let records = producer.into_flat_records();
-        stats.local_records += records.len();
-        return vec![ExchangedPartition::from_records(records)];
-    }
-    let mut writer = PageWriter::new();
-    for record in producer.partitions().iter().flatten() {
-        writer.push(record);
-    }
-    let (count, bytes) = (writer.total_records(), writer.total_bytes());
-    let pages = writer.finish();
+    let pages: Vec<Arc<RecordPage>> = producer.into_iter().flatten().collect();
+    let count: usize = pages.iter().map(|page| page.record_count()).sum();
+    let bytes: usize = pages.iter().map(|page| page.byte_len()).sum();
     let copies = parallelism - 1;
     stats.shipped_records += count * copies;
     stats.shipped_bytes += bytes * copies;
     stats.local_records += count;
     stats.shipped_pages += pages.len() * copies;
     (0..parallelism)
-        .map(|_| ExchangedPartition::new(Vec::new(), pages.clone()))
+        .map(|_| ExchangedPartition::new(pages.clone()))
         .collect()
 }
 
@@ -1534,13 +1392,12 @@ fn admit_inputs(inputs: &[ExchangedPartition], fault: &FaultInjector) -> Result<
 /// `out`.  Operators that dam every input (sort-merge join, cogroup, union)
 /// run their whole-partition algorithm.  Every other operator has a streaming
 /// slot: with `page_native` set (the default), a Reduce groups its delivered
-/// partition on the page-native kernel ([`for_each_key_group`]), which
-/// deserializes a record only at the user-function boundary and streams
-/// key-sorted spilled runs off disk; otherwise the streaming slot's
-/// partition is driven through the operator's [`Stage`] — the same code a
-/// fused producer pushes into.  Returns the number of records consumed;
-/// spill-read failures (injected or real) surface as typed errors instead of
-/// panics.
+/// partition on the page-native kernel ([`for_each_key_group`]), which hands
+/// each group to the user function as views and streams key-sorted spilled
+/// runs off disk; otherwise the streaming slot's partition is driven through
+/// the operator's [`Stage`] — the same code a fused producer emits into.
+/// Returns the number of records consumed; spill-read failures (injected or
+/// real) surface as typed errors instead of panics.
 fn run_local(
     op: &Operator,
     local: LocalStrategy,
@@ -1556,15 +1413,15 @@ fn run_local(
     };
     if let (OperatorKind::Reduce { key }, Udf::Reduce(udf), true) = (&op.kind, &op.udf, page_native)
     {
-        let (mut scratch, mut records) = (GroupScratch::default(), Vec::new());
+        let mut scratch = GroupScratch::default();
         for_each_key_group(&inputs[stream_slot], key, &mut scratch, |k, group| {
-            udf.reduce(&k.values(), materialize(group, &mut records), out)
+            udf.reduce(&k.values(), group, out)
         })?;
         return Ok(records_in);
     }
     let streamed = inputs.remove(stream_slot);
     let mut stage = Stage::new(op, stream_slot, inputs, page_native)?;
-    stage.consume(streamed, out)?;
+    streamed.for_each_view(|record| stage.accept(record, out))?;
     stage.finish(out);
     Ok(records_in)
 }
@@ -1600,8 +1457,8 @@ fn run_dammed(
                 false,
                 page_native,
                 |_, lgroup, rgroup| {
-                    for l in lgroup {
-                        for r in rgroup {
+                    for &l in lgroup {
+                        for &r in rgroup {
                             udf.join(l, r, out);
                         }
                     }
@@ -1629,7 +1486,7 @@ fn run_dammed(
         }
         (OperatorKind::Union, _) => {
             for input in inputs {
-                input.for_each_owned(|record| out.collect(record))?;
+                input.for_each_view(|record| out.collect(record))?;
             }
         }
         // Sources never run a local phase (the plan walk partitions them
@@ -1643,22 +1500,24 @@ fn run_dammed(
 /// CoGroup / InnerCoGroup: `on_groups` gets the key and both sides' groups of
 /// every key both sides hold, in key order — with `outer`, of every key
 /// either side holds, the missing group empty.  Page-native, both sides sort
-/// on the shared kernel ([`sort_on_key`]) and only the groups handed out are
-/// materialized; the reference form materializes, stably sorts and cuts.
+/// on the shared kernel ([`sort_on_key`]) and the groups are views of the
+/// sorted pages; the reference form materializes, stably sorts,
+/// re-serializes and cuts.
 fn merge_sorted_groups(
     (left_key, right_key): (&[usize], &[usize]),
     left: ExchangedPartition,
     right: ExchangedPartition,
     outer: bool,
     page_native: bool,
-    mut on_groups: impl FnMut(&[Value], &[Record], &[Record]),
+    mut on_groups: impl FnMut(&[Value], &[RecordView<'_>], &[RecordView<'_>]),
 ) -> std::io::Result<()> {
     // The key of a handed-out pair of groups, from whichever side holds it.
-    let mut emit = |lgroup: &[Record], rgroup: &[Record]| {
-        let key = match lgroup.first() {
-            Some(first) => Key::extract(first, left_key),
-            None => Key::extract(&rgroup[0], right_key),
-        };
+    let mut key = Key::Long(0);
+    let mut emit = |lgroup: &[RecordView<'_>], rgroup: &[RecordView<'_>]| {
+        match lgroup.first() {
+            Some(first) => first.key_into(left_key, &mut key),
+            None => rgroup[0].key_into(right_key, &mut key),
+        }
         on_groups(&key.values(), lgroup, rgroup);
     };
     if page_native {
@@ -1666,33 +1525,28 @@ fn merge_sorted_groups(
         let lsorted = sort_on_key(&left, left_key, &mut lpairs, &mut radix)?;
         let rsorted = sort_on_key(&right, right_key, &mut rpairs, &mut radix)?;
         let (lranges, rranges) = (lsorted.group_ranges(&lpairs), rsorted.group_ranges(&rpairs));
-        let (mut views, mut lrecords, mut rrecords) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut lviews, mut rviews) = (Vec::new(), Vec::new());
         walk_groups(
             &lranges,
             &rranges,
             outer,
             |l, r| lsorted.cmp_keys(&lpairs[l], &rsorted, &rpairs[r]),
             |l, r| {
-                lsorted.views_into(&lpairs[l], &mut views);
-                let lgroup = materialize(&views, &mut lrecords);
-                rsorted.views_into(&rpairs[r], &mut views);
-                emit(lgroup, materialize(&views, &mut rrecords));
+                lsorted.views_into(&lpairs[l], &mut lviews);
+                rsorted.views_into(&rpairs[r], &mut rviews);
+                emit(&lviews, &rviews);
             },
         );
     } else {
-        let (mut lrecords, mut rrecords) = (left.into_records()?, right.into_records()?);
-        sort_by_key(&mut lrecords, left_key);
-        sort_by_key(&mut rrecords, right_key);
-        let (lranges, rranges) = (
-            group_ranges(&lrecords, left_key),
-            group_ranges(&rrecords, right_key),
-        );
+        let (lpages, lranges) = sort_reference(left.into_records()?, left_key);
+        let (rpages, rranges) = sort_reference(right.into_records()?, right_key);
+        let (lviews, rviews) = (views_of(&lpages), views_of(&rpages));
         walk_groups(
             &lranges,
             &rranges,
             outer,
-            |l, r| compare_keys(&lrecords[l], left_key, &rrecords[r], right_key),
-            |l, r| emit(&lrecords[l], &rrecords[r]),
+            |l, r| cmp_keys_in_place(lviews[l], left_key, rviews[r], right_key),
+            |l, r| emit(&lviews[l], &rviews[r]),
         );
     }
     Ok(())
@@ -1731,8 +1585,10 @@ fn walk_groups(
 mod tests {
     use super::*;
     use crate::contracts::{CoGroupClosure, MapClosure, MatchClosure, ReduceClosure};
+    use crate::key::partition_for;
     use crate::physical::default_physical_plan;
     use crate::plan::Plan;
+    use crate::range::sample_keys_into;
     use crate::value::Value;
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
@@ -1750,8 +1606,8 @@ mod tests {
         let map = plan.map(
             "double",
             src,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                out.collect(Record::pair(r.long(0), r.long(1) * 2));
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+                out.emit(&[Value::Long(r.long(0)), Value::Long(r.long(1) * 2)]);
             })),
         );
         plan.sink("out", map);
@@ -1776,8 +1632,8 @@ mod tests {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], group: &[Record], out: &mut Collector| {
-                    out.collect(Record::pair(key[0].as_long(), group.len() as i64));
+                |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+                    out.emit(&[key[0].clone(), Value::Long(group.len() as i64)]);
                 },
             )),
         );
@@ -1812,8 +1668,8 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: &Record, r: &Record, out: &mut Collector| {
-                    out.collect(Record::pair(l.long(1), r.long(1)));
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                    out.emit(&[Value::Long(l.long(1)), Value::Long(r.long(1))]);
                 },
             )),
         );
@@ -1836,8 +1692,8 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(CoGroupClosure(
-                |key: &[Value], l: &[Record], r: &[Record], out: &mut Collector| {
-                    out.collect(Record::pair(key[0].as_long(), (l.len() + r.len()) as i64));
+                |key: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut Collector| {
+                    out.emit(&[key[0].clone(), Value::Long((l.len() + r.len()) as i64)]);
                 },
             )),
         );
@@ -1859,12 +1715,10 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(CoGroupClosure(
-                |key: &[Value], l: &[Record], r: &[Record], out: &mut Collector| {
-                    out.collect(Record::triple(
-                        key[0].as_long(),
-                        l.len() as i64,
-                        r.len() as f64,
-                    ));
+                |key: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut Collector| {
+                    out.emit(
+                        Record::triple(key[0].as_long(), l.len() as i64, r.len() as f64).fields(),
+                    );
                 },
             )),
         );
@@ -1892,8 +1746,8 @@ mod tests {
             left,
             right,
             Arc::new(crate::contracts::CrossClosure(
-                |l: &Record, r: &Record, out: &mut Collector| {
-                    out.collect(Record::pair(l.long(0), r.long(0)));
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                    out.emit(&[Value::Long(l.long(0)), Value::Long(r.long(0))]);
                 },
             )),
         );
@@ -1973,8 +1827,8 @@ mod tests {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], g: &[Record], out: &mut Collector| {
-                    out.collect(Record::pair(key[0].as_long(), g.len() as i64));
+                |key: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
+                    out.emit(&[key[0].clone(), Value::Long(g.len() as i64)]);
                 },
             )),
         );
@@ -1996,17 +1850,29 @@ mod tests {
             left,
             right,
             Arc::new(crate::contracts::CrossClosure(
-                |l: &Record, _r: &Record, out: &mut Collector| {
-                    out.collect(l.clone());
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| {
+                    out.collect(l);
                 },
             )),
         );
         plan.sink("out", cross);
-        let phys = default_physical_plan(&plan, 4).unwrap();
-        let result = Executor::new().execute(&phys).unwrap();
+        let sorted_sink = |parallelism| {
+            let phys = default_physical_plan(&plan, parallelism).unwrap();
+            assert_eq!(phys.choice(cross).input_ships[1], ShipStrategy::Broadcast);
+            let result = Executor::new().execute(&phys).unwrap();
+            let mut records = result.sink("out").unwrap();
+            records.sort();
+            (result.stats, records)
+        };
+        let (wide, wide_records) = sorted_sink(4);
         // 5 broadcast records each replicated to 3 other partitions.
-        assert_eq!(result.stats.shipped_records, 15);
-        assert_eq!(result.sink("out").unwrap().len(), 50);
+        assert_eq!(wide.shipped_records, 15);
+        assert_eq!(wide_records.len(), 50);
+        // One partition: the broadcast side is its producer's pages, shared
+        // with the lone consumer; nothing ships, and the product is the same.
+        let (lone, lone_records) = sorted_sink(1);
+        assert_eq!((lone.shipped_records, lone.shipped_pages), (0, 0));
+        assert_eq!(lone_records, wide_records);
     }
 
     #[test]
@@ -2021,8 +1887,8 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: &Record, r: &Record, out: &mut Collector| {
-                    out.collect(Record::pair(l.long(1), r.long(1)));
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                    out.emit(&[Value::Long(l.long(1)), Value::Long(r.long(1))]);
                 },
             )),
         );
@@ -2057,19 +1923,19 @@ mod tests {
             .collect()
     }
 
-    /// Counts heap allocations per thread, so a test can bound what a call
-    /// allocates on its own thread while sibling tests run on theirs.
+    /// Counts heap-allocated bytes per thread, so a test can bound what a
+    /// call allocates on its own thread while sibling tests run on theirs.
     struct CountingAllocator;
 
     thread_local! {
-        static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+        static ALLOCATED: Cell<usize> = const { Cell::new(0) };
     }
 
     // SAFETY: every request is passed to the system allocator unchanged; the
     // counter is a plain thread-local integer and never allocates.
     unsafe impl GlobalAlloc for CountingAllocator {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));
             System.alloc(layout)
         }
 
@@ -2092,9 +1958,9 @@ mod tests {
         let sample = plan.map(
             "sample",
             matrix,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
                 if r.long(0) % 1024 == 0 {
-                    out.collect(r.clone());
+                    out.collect(r);
                 }
             })),
         );
@@ -2105,16 +1971,19 @@ mod tests {
         let exec = Executor::new();
         let first = exec.execute_with_cache(&phys, &mut cache).unwrap();
 
-        // Partitioning a source clones every record on the calling thread —
-        // one allocation each.  With its only consumer edge cached, the
-        // second execution has no reader for those clones and makes none.
-        let before = ALLOCATIONS.with(Cell::get);
+        // Partitioning a source serializes every record onto pages on the
+        // calling thread — the source's whole serialized size.  With its
+        // only consumer edge cached, the second execution has no reader for
+        // those pages and writes none.
+        let source_bytes = RECORDS * Record::pair(0, 0).estimated_bytes();
+        let before = ALLOCATED.with(Cell::get);
         let second = exec.execute_with_cache(&phys, &mut cache).unwrap();
-        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        let allocated = ALLOCATED.with(Cell::get) - before;
         assert_eq!(second.stats.cache_hits, 1);
         assert!(
-            allocations < RECORDS / 16,
-            "re-executing over a cached {RECORDS}-record source allocated {allocations} times"
+            allocated < source_bytes / 4,
+            "re-executing over a cached {RECORDS}-record ({source_bytes} B) source \
+             allocated {allocated} B"
         );
         assert_eq!(operator_rows(&first.stats), operator_rows(&second.stats));
         assert_eq!(second.stats.records_out_of("matrix"), RECORDS);
@@ -2136,8 +2005,8 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: &Record, r: &Record, out: &mut Collector| {
-                    out.collect(Record::pair(l.long(1), r.long(1)));
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                    out.emit(&[Value::Long(l.long(1)), Value::Long(r.long(1))]);
                 },
             )),
         );
@@ -2167,9 +2036,9 @@ mod tests {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], g: &[Record], out: &mut Collector| {
+                |key: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
                     let min = g.iter().map(|r| r.long(1)).min().unwrap();
-                    out.collect(Record::pair(key[0].as_long(), min));
+                    out.emit(&[key[0].clone(), Value::Long(min)]);
                 },
             )),
         );
@@ -2206,41 +2075,45 @@ mod tests {
                 expected[partition_for(r, &[0], parallelism)].push(r.clone());
             }
         }
-        for owned in [true, false] {
-            let mut stats = ExecutionStats::new();
-            let input = if owned {
-                ProducerInput::Owned(producer.clone())
-            } else {
-                ProducerInput::Shared(Arc::new(producer.clone()))
-            };
-            let spill = SpillManager::new(MemoryBudget::unlimited(), Some(vec![0]));
-            let exchanged = route_paged(
-                input,
-                &|record: &Record| partition_for(record, &[0], parallelism),
-                parallelism,
-                &spill,
-                &TransportHandle::default(),
-                &mut stats,
-            )
-            .unwrap();
-            assert!(
-                stats.shipped_pages > 0,
-                "cross-partition data moves as pages"
-            );
-            assert_eq!(stats.spilled_runs, 0, "unbudgeted exchanges never spill");
-            assert!(stats.shipped_records > 0);
-            assert_eq!(stats.shipped_records + stats.local_records, 1000);
-            for (target, part) in exchanged.into_iter().enumerate() {
-                let mut received = part.into_records().unwrap();
-                received.sort();
-                let mut want = expected[target].clone();
-                want.sort();
-                assert_eq!(
-                    received, want,
-                    "partition {target} diverged (owned={owned})"
-                );
-            }
+        let mut stats = ExecutionStats::new();
+        let spill = SpillManager::new(MemoryBudget::unlimited(), Some(vec![0]));
+        let exchanged = route_paged(
+            &paged(&producer),
+            &PartitionRouter::hash(parallelism),
+            &[0],
+            &spill,
+            &TransportHandle::default(),
+            &mut stats,
+        )
+        .unwrap();
+        assert!(
+            stats.shipped_pages > 0,
+            "cross-partition data moves as pages"
+        );
+        assert_eq!(stats.spilled_runs, 0, "unbudgeted exchanges never spill");
+        assert!(stats.shipped_records > 0);
+        assert_eq!(stats.shipped_records + stats.local_records, 1000);
+        for (target, part) in exchanged.into_iter().enumerate() {
+            let mut received = part.into_records().unwrap();
+            received.sort();
+            let mut want = expected[target].clone();
+            want.sort();
+            assert_eq!(received, want, "partition {target} diverged");
         }
+    }
+
+    /// Each producer partition's records on its own pages.
+    fn paged(producer: &Partitions) -> PagedPartitions {
+        producer
+            .iter()
+            .map(|records| {
+                let mut writer = PageWriter::new();
+                records.iter().for_each(|record| {
+                    writer.push(record);
+                });
+                writer.finish()
+            })
+            .collect()
     }
 
     #[test]
@@ -2249,12 +2122,21 @@ mod tests {
             (0..10).map(|i| Record::pair(i, i)).collect(),
             (10..25).map(|i| Record::pair(i, i)).collect(),
         ];
+        let producer = paged(&producer);
         let mut stats = ExecutionStats::new();
-        let exchanged = broadcast_paged(ProducerInput::Owned(producer), 3, &mut stats);
+        let exchanged = broadcast(producer.clone(), 3, &mut stats);
         assert_eq!(stats.shipped_records, 25 * 2);
         assert_eq!(stats.local_records, 25);
-        assert!(stats.shipped_pages > 0);
+        assert_eq!(
+            stats.shipped_pages,
+            2 * 2,
+            "one page per producer partition"
+        );
         for part in exchanged {
+            // Every target holds the producer's own pages.
+            assert_eq!(part.page_count(), 2);
+            let mut shared = part.pages().iter().zip(producer.iter().flatten());
+            assert!(shared.all(|(a, b)| Arc::ptr_eq(a, b)));
             let mut records = part.into_records().unwrap();
             records.sort();
             assert_eq!(
@@ -2273,9 +2155,9 @@ mod tests {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], g: &[Record], out: &mut Collector| {
+                |key: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
                     let total: i64 = g.iter().map(|r| r.long(1)).sum();
-                    out.collect(Record::pair(key[0].as_long(), total));
+                    out.emit(&[key[0].clone(), Value::Long(total)]);
                 },
             )),
         );
@@ -2302,9 +2184,9 @@ mod tests {
         let mut stats = ExecutionStats::new();
         let spill = SpillManager::new(MemoryBudget::unlimited(), Some(vec![0]));
         let exchanged = range_exchange(
-            ProducerInput::Owned(producer.clone()),
+            &paged(&producer),
             &[0],
-            &bounds,
+            &Arc::new(bounds),
             parallelism,
             &spill,
             &TransportHandle::default(),
@@ -2368,7 +2250,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: &Record, _r: &Record, out: &mut Collector| out.collect(l.clone()),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
             )),
         );
         plan.sink("out", join);
@@ -2407,7 +2289,7 @@ mod tests {
     #[test]
     fn cached_edges_are_the_exchange_delivery_retained() {
         /// Per-partition sink records and per-operator rows.
-        fn observed(result: &ExecutionResult) -> (Arc<Partitions>, Vec<(&str, usize, usize)>) {
+        fn observed(result: &ExecutionResult) -> (Partitions, Vec<(&str, usize, usize)>) {
             (
                 result.sink_partitions("out").unwrap(),
                 operator_rows(&result.stats),
@@ -2454,37 +2336,34 @@ mod tests {
 
                     let is_range = matches!(ship, ShipStrategy::PartitionRange(_));
                     let edge = &cache.entries[&(red, 0)];
-                    assert_eq!(
-                        edge.sorted_by.as_deref(),
-                        is_range.then_some(&[0usize][..]),
-                        "{case}"
-                    );
+                    assert_eq!(edge.len(), parallelism, "{case}");
+                    for part in edge {
+                        assert_eq!(
+                            part.sorted_by(),
+                            is_range.then_some(&[0usize][..]),
+                            "{case}"
+                        );
+                    }
                     assert_eq!(cache.range_bounds.len(), usize::from(is_range), "{case}");
                     if is_range {
                         // The advertised order is real, in memory and on disk.
-                        for part in edge.parts.iter() {
-                            assert!(part.windows(2).all(|w| w[0].long(0) <= w[1].long(0)));
-                        }
-                        for run in edge.runs.iter().flatten() {
-                            let (mut cursor, mut last) = (run.cursor().unwrap(), i64::MIN);
-                            while let Some(record) = cursor.next_record().unwrap() {
-                                assert!(last <= record.long(0), "{case}");
-                                last = record.long(0);
+                        for part in edge {
+                            let views = part.pages().iter().flat_map(|page| page.reader());
+                            let keys: Vec<i64> = views.map(|view| view.long(0)).collect();
+                            assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{case}");
+                            for run in part.runs() {
+                                let (mut cursor, mut last) = (run.cursor().unwrap(), i64::MIN);
+                                while cursor.step().unwrap() {
+                                    assert!(last <= cursor.view().long(0), "{case}");
+                                    last = cursor.view().long(0);
+                                }
                             }
                         }
                     }
-                    // Retained records are served by pointer, spilled or not.
-                    let served = edge.serve();
-                    assert_eq!(served.len(), parallelism, "{case}");
-                    for (part, mem) in served.iter().zip(edge.parts.iter()) {
-                        assert!(std::ptr::eq(part.local_records(), &mem[..]), "{case}");
-                    }
-                    drop(served);
                     // What the exchange spilled stays on disk while cached.
                     let run_files: Vec<_> = edge
-                        .runs
                         .iter()
-                        .flatten()
+                        .flat_map(|part| part.runs())
                         .map(|run| run.path().to_owned())
                         .collect();
                     let repartitions = matches!(
@@ -2498,11 +2377,20 @@ mod tests {
                     );
                     assert_eq!(run_files.is_empty(), first.stats.spilled_runs == 0);
 
+                    // Retained pages are served by pointer, spilled or not.
+                    let retained: Vec<*const RecordPage> = cache.entries[&(red, 0)]
+                        .iter()
+                        .flat_map(|part| part.pages())
+                        .map(Arc::as_ptr)
+                        .collect();
                     for _ in 0..2 {
                         let again = executor.execute_with_cache(&phys, &mut cache).unwrap();
                         assert_eq!(observed(&again), observed(&oracle), "{case}");
                         assert_eq!(again.stats.cache_hits, 1);
                         assert_eq!(shipped(&again.stats), (0, 0, 0, 0), "{case}");
+                        let edge = &cache.entries[&(red, 0)];
+                        let pages = edge.iter().flat_map(|part| part.pages());
+                        assert!(pages.map(Arc::as_ptr).eq(retained.iter().copied()));
                     }
                     assert!(run_files.iter().all(|file| file.exists()), "{case}");
                     cache.clear();
@@ -2584,8 +2472,8 @@ mod tests {
             let probe = plan.map(
                 "probe-map",
                 probe,
-                Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                    out.collect(r.clone())
+                Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+                    out.collect(r)
                 })),
             );
             let build = plan.source("build", (0..200).map(|i| record(i, -i)).collect());
@@ -2596,12 +2484,9 @@ mod tests {
                 vec![0],
                 vec![0],
                 Arc::new(MatchClosure(
-                    |l: &Record, r: &Record, out: &mut Collector| {
-                        out.collect(Record::new(vec![
-                            l.field(0).clone(),
-                            l.field(1).clone(),
-                            r.field(1).clone(),
-                        ]))
+                    |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                        let (l, r) = (l.materialize(), r.materialize());
+                        out.emit(&[l.field(0).clone(), l.field(1).clone(), r.field(1).clone()])
                     },
                 )),
             );
@@ -2649,7 +2534,7 @@ mod tests {
                         results
                             .iter()
                             .map(|result| {
-                                let mut parts = (*result.sink_partitions("out").unwrap()).clone();
+                                let mut parts = result.sink_partitions("out").unwrap();
                                 parts.iter_mut().for_each(|part| part.sort());
                                 parts
                             })
@@ -2682,9 +2567,9 @@ mod tests {
         let mut stats = ExecutionStats::new();
         let spill = SpillManager::new(MemoryBudget::bytes(0), Some(vec![0]));
         let exchanged = range_exchange(
-            ProducerInput::Owned(producer.clone()),
+            &paged(&producer),
             &[0],
-            &bounds,
+            &Arc::new(bounds),
             parallelism,
             &spill,
             &TransportHandle::default(),
@@ -2797,8 +2682,8 @@ mod tests {
         let map = plan.map(
             "id",
             src,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                out.collect(r.clone())
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+                out.collect(r)
             })),
         );
         plan.sink("out", map);

@@ -9,15 +9,15 @@
 //! Whatever the key's shape, the records live serialized in a [`PageWriter`]
 //! under a [`PrefixTable`] keyed on the grouping kernel's key prefix
 //! ([`crate::page`]): delivered pages are adopted by pointer, spilled runs
-//! revived as pages, heap records serialized once, and a probe hands out
-//! its matches as views of their stored bytes.  While every key is one `Long`
-//! field the prefix is the whole key; any other key shape hashes, and a
-//! probe filters its chain on the key bytes.
+//! revived as pages, and a probe — given as fields or read in place off a
+//! page — hands out its matches as views of their stored bytes.  While
+//! every key is one `Long` field the prefix is the whole key; any other key
+//! shape hashes, and a probe filters its chain on the key bytes.
 
 use crate::key::KeyFields;
 use crate::page::{
-    key_matches_fields, key_prefix, key_prefix_of_fields, ExchangedPartition, PageWriter,
-    PrefixTable, RecordView,
+    cmp_keys_in_place, key_matches_fields, key_prefix, key_prefix_of_fields, ExchangedPartition,
+    PageWriter, PrefixTable, RecordView,
 };
 use crate::value::Value;
 
@@ -27,11 +27,11 @@ use crate::value::Value;
 ///
 /// [`JoinIndex::matches`] returns the build records whose key equals the
 /// probe's in **build insertion order**: the order `insert_fields` saw them,
-/// or, built from a partition, the order its owning accessors
-/// ([`ExchangedPartition::into_records`]) yield — delivery order, merged key
-/// order for a sorted spilled partition (whose ties are in delivery order,
-/// so a key's records keep delivery order either way).  That is the order a
-/// join over the materialized build side would emit.
+/// or, built from a partition, the order its visitor
+/// ([`ExchangedPartition::for_each_view`]) yields — delivery order, merged
+/// key order for a sorted spilled partition (whose ties are in delivery
+/// order, so a key's records keep delivery order either way).  That is the
+/// order a join over the materialized build side would emit.
 #[derive(Debug)]
 pub struct JoinIndex {
     key: KeyFields,
@@ -69,9 +69,8 @@ impl JoinIndex {
     }
 
     /// Indexes one delivered partition on `key` in delivery order: its
-    /// pages adopted by pointer, its spilled runs revived as pages and its
-    /// heap records serialized once.  Fails with the underlying I/O error
-    /// when a spilled run cannot be read.
+    /// pages adopted by pointer, its spilled runs revived as pages.  Fails
+    /// with the underlying I/O error when a spilled run cannot be read.
     pub(crate) fn from_partition(
         part: ExchangedPartition,
         key: &[usize],
@@ -109,17 +108,23 @@ impl JoinIndex {
             })
     }
 
-    /// Whether a probe record read in place off a page can have matches:
-    /// `false` only when its key's chain is empty, so the caller skips
-    /// deserializing the record.
+    /// [`JoinIndex::matches`] of a probe record read in place off a page.
     #[inline]
-    pub(crate) fn may_match(&self, probe: RecordView<'_>, probe_key: &[usize]) -> bool {
-        probe_key.len() == self.key.len()
-            && self
-                .table
-                .probe(key_prefix(probe, probe_key).0)
-                .next()
-                .is_some()
+    pub(crate) fn matches_view<'a, 'p>(
+        &'a self,
+        probe: RecordView<'p>,
+        probe_key: &'p [usize],
+    ) -> impl Iterator<Item = RecordView<'a>> + use<'a, 'p> {
+        let (prefix, exact) = key_prefix(probe, probe_key);
+        let whole_key = exact && self.exact;
+        let same_arity = probe_key.len() == self.key.len();
+        self.table
+            .probe(prefix)
+            .map(|handle| self.store.view(handle))
+            .filter(move |&view| {
+                whole_key
+                    || (same_arity && cmp_keys_in_place(view, &self.key, probe, probe_key).is_eq())
+            })
     }
 }
 
@@ -199,16 +204,17 @@ mod tests {
             let expected = nested_loop(build, key, probe, key);
             let got = matched(index, probe, key);
             assert_eq!(bytes(&got), bytes(&expected), "{case}: probe {probe:?}");
-            assert!(
-                index.may_match(view, key) || expected.is_empty(),
-                "{case}: skipped {probe:?}"
-            );
+            let in_place: Vec<Record> = index
+                .matches_view(view, key)
+                .map(|view| view.materialize())
+                .collect();
+            assert_eq!(bytes(&in_place), bytes(&expected), "{case}: view {probe:?}");
         }
     }
 
     /// Builds the index over `build` every way the engines do — field by
-    /// field, and from delivered partitions of local records, pages and
-    /// spilled runs, including a sorted (range-delivered) spilled one — and
+    /// field, and from delivered partitions of pages and spilled runs,
+    /// including a sorted (range-delivered) spilled one — and
     /// checks each against the nested loop.  Returns the field-built index.
     fn check_all_builds(
         name: &str,
@@ -227,14 +233,11 @@ mod tests {
         let (local, rest) = build.split_at(third);
         let (paged, spilled) = rest.split_at(third);
         let run = |records: &[Record]| write_run_in(&dir, &pages_of(records), None).unwrap();
-        let mut mixed = ExchangedPartition::new(local.to_vec(), pages_of(paged));
+        let mut mixed = ExchangedPartition::new(pages_of(local));
+        mixed.receive_pages(pages_of(paged));
         mixed.receive_runs([run(spilled)]);
         let partitions = [
-            ("local", ExchangedPartition::from_records(build.to_vec())),
-            (
-                "pages",
-                ExchangedPartition::new(Vec::new(), pages_of(build)),
-            ),
+            ("pages", ExchangedPartition::new(pages_of(build))),
             ("mixed", mixed),
         ];
         for (form, part) in partitions {
@@ -250,7 +253,7 @@ mod tests {
             let (local, runs) = sorted.split_at(third);
             let (a, b) = runs.split_at(third);
             let runs = [a, b].map(|records| write_sorted_records_in(&dir, records, key).unwrap());
-            ExchangedPartition::from_spilled(local.to_vec(), runs.to_vec(), Some(key.to_vec()))
+            ExchangedPartition::from_spilled(pages_of(local), runs.to_vec(), Some(key.to_vec()))
         };
         let part = sorted_range();
         assert!(part.is_sorted_merge());

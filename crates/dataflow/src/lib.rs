@@ -44,8 +44,8 @@
 //!     "degree",
 //!     edges,
 //!     vec![0],
-//!     Arc::new(ReduceClosure(|key: &[Value], group: &[Record], out: &mut Collector| {
-//!         out.collect(Record::pair(key[0].as_long(), group.len() as i64));
+//!     Arc::new(ReduceClosure(|key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+//!         out.emit(&[key[0].clone(), Value::Long(group.len() as i64)]);
 //!     })),
 //! );
 //! plan.sink("degrees", degree);

@@ -20,10 +20,9 @@
 //!   lazily, either materializing owned [`Record`]s or reading individual
 //!   fields straight out of the page bytes without allocating.
 //! * [`ExchangedPartition`] — what one worker partition receives from an
-//!   exchange ([`crate::exchange`]): owned records that never left the
-//!   partition (moved as heap objects, like a chained local forward) plus
-//!   sealed pages — shipped from peer partitions, or written locally by a
-//!   producer that emits records by reference.
+//!   exchange ([`crate::exchange`]) or a forward edge: sealed pages — its
+//!   producer's own, written locally by the exchange, or shipped from peer
+//!   partitions — plus the runs a budgeted exchange spilled.
 //! * [`for_each_key_group`] — the one kernel that sorts and groups a
 //!   delivered partition by its key straight off its pages, whatever the
 //!   key's shape (under the executor's Reduce and sort-merge join, the
@@ -731,11 +730,19 @@ impl<'a> RecordView<'a> {
         RECORD_FRAME_BYTES + self.payload.len()
     }
 
-    /// Deserializes the record into a fresh [`Record`].
+    /// Deserializes the record into a fresh, exactly sized [`Record`].
     pub fn materialize(&self) -> Record {
-        let mut record = Record::empty();
-        self.read_into(&mut record);
-        record
+        let (mut offset, mut fields) = (0, 0);
+        while offset < self.payload.len() {
+            skip_value(self.payload, &mut offset);
+            fields += 1;
+        }
+        let mut values = Vec::with_capacity(fields);
+        offset = 0;
+        while offset < self.payload.len() {
+            values.push(deserialize_value(self.payload, &mut offset));
+        }
+        Record::new(values)
     }
 
     /// Deserializes the record into `target`, reusing its field buffer (the
@@ -1188,30 +1195,23 @@ impl PagePool {
 /// forward, hash, range and broadcast edges and its cached edges, and the
 /// iteration runtime's superstep queues.
 ///
-/// Owned records that were already in the right partition stay heap objects
-/// and are moved (a local forward never serializes, exactly like a chained
-/// operator in the real runtime); records from peer partitions — and local
-/// records that were emitted by reference and so never were heap objects —
-/// arrive as sealed, shared pages, or, when the exchange ran under a memory
-/// budget, as [`SpilledRun`]s on disk.  Consumers either iterate everything
-/// by reference with a reusable scratch record
-/// ([`ExchangedPartition::for_each_ref`]) or take ownership
-/// ([`ExchangedPartition::into_records`] /
-/// [`ExchangedPartition::for_each_owned`]).
+/// It holds pages and runs only: sealed, shared pages — a forward edge's
+/// share of its producer's pages, a partition's own local writer, peers'
+/// pages — and, when the exchange ran under a memory budget,
+/// [`SpilledRun`]s on disk.  Consumers read every record in place
+/// ([`ExchangedPartition::for_each_view`]); the reference forms take
+/// ownership ([`ExchangedPartition::into_records`]).
 ///
-/// # Sorted spilled partitions
+/// # Sorted partitions
 ///
-/// A sorted partition ([`ExchangedPartition::sorted_by`] set) that holds
-/// spilled runs keeps two invariants: the materialized records are sorted,
-/// every run is individually sorted by the same key, and no raw pages are
-/// present.  The owning accessors then yield the **merged** global order (a
-/// linear k-way merge, never a re-sort, with ties in delivery order: the
-/// records first, then the runs in order); [`ExchangedPartition::for_each_ref`]
-/// streams the pieces without merging, so its visit order across pieces is
-/// unspecified — order-sensitive consumers take ownership.
-#[derive(Debug, Default)]
+/// A sorted partition ([`ExchangedPartition::sorted_by`] set, what a range
+/// exchange delivers) keeps two invariants: its pages, read in order, are
+/// sorted, and every run is individually sorted by the same key.  When it
+/// holds runs, the visitors yield the **merged** global order (a linear
+/// k-way merge, never a re-sort, with ties in delivery order: the pages
+/// first, then the runs in order).
+#[derive(Debug, Default, Clone)]
 pub struct ExchangedPartition {
-    local: LocalRecords,
     pages: Vec<Arc<RecordPage>>,
     /// Runs spilled to disk by the exchange, in spill order (earlier records
     /// first).
@@ -1221,67 +1221,21 @@ pub struct ExchangedPartition {
     sorted_by: Option<crate::key::KeyFields>,
 }
 
-/// The heap records of an [`ExchangedPartition`]: its own, or — when a
-/// forward edge reads a producer output someone else still holds, or a cached
-/// edge serves the same delivery to every execution — one partition of a
-/// shared set, read by pointer and cloned only by the owning accessors.
-#[derive(Debug)]
-enum LocalRecords {
-    Owned(Vec<Record>),
-    Shared(Arc<Vec<Vec<Record>>>, usize),
-}
-
-impl Default for LocalRecords {
-    fn default() -> Self {
-        LocalRecords::Owned(Vec::new())
-    }
-}
-
-impl std::ops::Deref for LocalRecords {
-    type Target = [Record];
-
-    fn deref(&self) -> &[Record] {
-        match self {
-            LocalRecords::Owned(records) => records,
-            LocalRecords::Shared(parts, p) => &parts[*p],
-        }
-    }
-}
-
-impl LocalRecords {
-    fn into_vec(self) -> Vec<Record> {
-        match self {
-            LocalRecords::Owned(records) => records,
-            LocalRecords::Shared(parts, p) => parts[p].clone(),
-        }
-    }
-}
-
 impl ExchangedPartition {
-    /// A partition holding only local (never serialized) records.
-    pub fn from_records(local: Vec<Record>) -> Self {
+    /// A partition of in-memory pages.
+    pub fn new(pages: Vec<Arc<RecordPage>>) -> Self {
         ExchangedPartition {
-            local: LocalRecords::Owned(local),
-            ..ExchangedPartition::default()
-        }
-    }
-
-    /// A partition built from local records plus received pages.
-    pub fn new(local: Vec<Record>, pages: Vec<Arc<RecordPage>>) -> Self {
-        ExchangedPartition {
-            local: LocalRecords::Owned(local),
             pages,
             ..ExchangedPartition::default()
         }
     }
 
-    /// A partition of in-memory records plus the runs its exchange spilled.
+    /// A partition of in-memory pages plus the runs its exchange spilled.
     /// With `sorted_by` set (what a range exchange delivers, and a cached
-    /// range edge serves), `local` and every run must be sorted by that key:
-    /// consumers with a matching sort requirement skip their local sort, and
-    /// the owning accessors merge the pieces into the global order.
+    /// range edge serves), the pages and every run must be sorted by that
+    /// key: the visitors then merge the pieces into the global order.
     pub fn from_spilled(
-        local: Vec<Record>,
+        pages: Vec<Arc<RecordPage>>,
         runs: Vec<SpilledRun>,
         sorted_by: Option<crate::key::KeyFields>,
     ) -> Self {
@@ -1289,25 +1243,9 @@ impl ExchangedPartition {
             debug_assert!(runs.iter().all(|r| r.sorted_by() == Some(&key[..])));
         }
         ExchangedPartition {
-            local: LocalRecords::Owned(local),
+            pages,
             runs,
             sorted_by,
-            ..ExchangedPartition::default()
-        }
-    }
-
-    /// [`ExchangedPartition::from_spilled`] over in-memory records that stay
-    /// shared: partition `p` of `parts` is read in place, and cloned only by
-    /// the accessors that hand out owned records.
-    pub(crate) fn from_shared(
-        parts: Arc<Vec<Vec<Record>>>,
-        p: usize,
-        runs: Vec<SpilledRun>,
-        sorted_by: Option<crate::key::KeyFields>,
-    ) -> Self {
-        ExchangedPartition {
-            local: LocalRecords::Shared(parts, p),
-            ..Self::from_spilled(Vec::new(), runs, sorted_by)
         }
     }
 
@@ -1317,23 +1255,9 @@ impl ExchangedPartition {
         self.sorted_by.as_deref()
     }
 
-    /// Receives the records that never left this partition.  An empty
-    /// partition adopts the buffer itself (the exchange's local hand-over is
-    /// a pointer move); any recorded sort order is void afterwards.
-    pub fn receive_local(&mut self, records: Vec<Record>) {
-        let mut local = std::mem::take(&mut self.local).into_vec();
-        if local.is_empty() {
-            local = records;
-        } else {
-            local.extend(records);
-        }
-        self.local = LocalRecords::Owned(local);
-        self.sorted_by = None;
-    }
-
-    /// Appends sealed pages received from a peer partition (pointer moves).
-    /// Pages arrive in peer order, so any previously recorded sort order no
-    /// longer holds and is cleared.
+    /// Appends sealed pages (pointer moves): the source partition's own
+    /// pages first, then peers' in source order, so any previously recorded
+    /// sort order no longer holds and is cleared.
     pub fn receive_pages(&mut self, pages: impl IntoIterator<Item = Arc<RecordPage>>) {
         let before = self.pages.len();
         self.pages.extend(pages);
@@ -1353,21 +1277,18 @@ impl ExchangedPartition {
         }
     }
 
-    /// Total records (local, paged and spilled).
+    /// Total records (paged and spilled).
     pub fn record_count(&self) -> usize {
-        self.local.len()
-            + self.pages.iter().map(|p| p.record_count()).sum::<usize>()
+        self.pages.iter().map(|p| p.record_count()).sum::<usize>()
             + self.runs.iter().map(|r| r.record_count()).sum::<usize>()
     }
 
     /// True if the partition received nothing.
     pub fn is_empty(&self) -> bool {
-        self.local.is_empty()
-            && self.pages.iter().all(|p| p.is_empty())
-            && self.runs.iter().all(|r| r.record_count() == 0)
+        self.pages.iter().all(|p| p.is_empty()) && self.runs.iter().all(|r| r.record_count() == 0)
     }
 
-    /// Number of sealed pages received from peers.
+    /// Number of sealed pages in memory.
     pub fn page_count(&self) -> usize {
         self.pages.len()
     }
@@ -1386,19 +1307,14 @@ impl ExchangedPartition {
         self.runs.iter().all(|run| run.sorted_by() == Some(key))
     }
 
-    /// True when the owning accessors *merge* this partition's sorted pieces
+    /// True when the visitors *merge* this partition's sorted pieces
     /// (sorted delivery with spilled overflow) — an order an
     /// ingest-in-delivery-order consumer cannot reproduce.
     pub fn is_sorted_merge(&self) -> bool {
         self.sorted_by.is_some() && !self.runs.is_empty()
     }
 
-    /// The records that never left this partition (heap objects).
-    pub fn local_records(&self) -> &[Record] {
-        &self.local
-    }
-
-    /// The sealed pages received from peer partitions.
+    /// The sealed pages in memory.
     pub fn pages(&self) -> &[Arc<RecordPage>] {
         &self.pages
     }
@@ -1410,11 +1326,10 @@ impl ExchangedPartition {
 
     /// Ingests the partition into the handle-addressed `store`, reporting
     /// every record's `(key prefix, handle)` ([`key_prefix`]) in delivery
-    /// order (local records, then pages, then spilled runs — the order the
-    /// materializing accessors visit).  Local records are serialized once;
-    /// pages are adopted by pointer; spilled runs are revived as pages (a
-    /// read per page, no per-record work).  Returns whether every prefix is
-    /// exact, and a typed I/O error when a run cannot be read.
+    /// order (pages, then spilled runs).  Pages are adopted by pointer;
+    /// spilled runs are revived as pages (a read per page, no per-record
+    /// work).  Returns whether every prefix is exact, and a typed I/O error
+    /// when a run cannot be read.
     pub(crate) fn ingest(
         &self,
         key: &[usize],
@@ -1430,8 +1345,8 @@ impl ExchangedPartition {
         Ok(exact)
     }
 
-    /// [`ExchangedPartition::ingest`] of the in-memory residue alone — local
-    /// records, then pages — leaving the runs on disk.
+    /// [`ExchangedPartition::ingest`] of the in-memory pages alone, leaving
+    /// the runs on disk.
     fn ingest_residue(
         &self,
         key: &[usize],
@@ -1439,11 +1354,6 @@ impl ExchangedPartition {
         on_record: &mut impl FnMut(u64, PageHandle),
     ) -> bool {
         let mut exact = true;
-        for record in self.local.iter() {
-            let (prefix, is_exact) = key_prefix_of_fields(record.fields(), key);
-            on_record(prefix, store.push(record));
-            exact &= is_exact;
-        }
         for page in &self.pages {
             exact &= scan_keyed(page, key, store, on_record);
         }
@@ -1461,119 +1371,56 @@ impl ExchangedPartition {
         fault.io_check(FaultSite::SpillRead)
     }
 
-    /// Decomposes the partition into its pieces:
-    /// `(local records, pages, runs, sorted-by)`.
+    /// Decomposes the partition into its pieces: `(pages, runs, sorted-by)`.
     pub fn into_pieces(
         self,
     ) -> (
-        Vec<Record>,
         Vec<Arc<RecordPage>>,
         Vec<SpilledRun>,
         Option<crate::key::KeyFields>,
     ) {
-        (self.local.into_vec(), self.pages, self.runs, self.sorted_by)
+        (self.pages, self.runs, self.sorted_by)
     }
 
-    /// Calls `f` for every record: local records by reference, page and run
-    /// records through one scratch record that is reused across calls (no
-    /// per-record allocation for fixed-width fields).  The visit order
-    /// across the pieces is unspecified; order-sensitive consumers use the
-    /// owning accessors, which merge sorted spilled partitions.  Fails with
-    /// the underlying I/O error when a spilled run cannot be read.
-    pub fn for_each_ref(&self, f: impl FnMut(&Record)) -> std::io::Result<()> {
-        self.for_each_ref_where(|_| true, f)
-    }
-
-    /// [`ExchangedPartition::for_each_ref`] that shows `keep` every page
-    /// record in place first and deserializes only the ones it keeps — the
-    /// probe side of a hash join reads a shipped record's key off the page
-    /// and skips the record when nothing can match it.
-    pub(crate) fn for_each_ref_where(
-        &self,
-        keep: impl Fn(RecordView<'_>) -> bool,
-        mut f: impl FnMut(&Record),
-    ) -> std::io::Result<()> {
-        for record in self.local.iter() {
-            f(record);
-        }
-        let mut scratch = Record::empty();
-        for page in &self.pages {
-            for view in page.reader().filter(|view| keep(*view)) {
-                view.read_into(&mut scratch);
-                f(&scratch);
-            }
-        }
-        for run in &self.runs {
-            let mut cursor = run.cursor()?;
-            while cursor.next_into(&mut scratch)? {
-                f(&scratch);
-            }
-        }
-        Ok(())
-    }
-
-    /// Calls `f` with every record owned: local records are moved out, page
-    /// and run records are materialized.  Sorted spilled partitions are
-    /// visited in merged (global key) order.  Fails with the underlying I/O
-    /// error when a spilled run cannot be read.
-    pub fn for_each_owned(self, mut f: impl FnMut(Record)) -> std::io::Result<()> {
-        if self.is_sorted_merge() {
-            // A sorted partition holds no raw pages: receiving one voids the
-            // order.
-            let key = self.sorted_by.unwrap_or_default();
-            let mut merger = RunMerger::over_runs(&self.runs, self.local.into_vec(), key)?;
-            while let Some(record) = merger.next_record()? {
-                f(record);
+    /// Calls `f` with every record, read in place: the pages, then the runs
+    /// streamed off disk one frame at a time — or, for a sorted partition
+    /// holding runs, the merge of the sorted pieces.  Nothing is
+    /// deserialized.  Fails with the underlying I/O error when a spilled run
+    /// cannot be read.
+    pub fn for_each_view(&self, mut f: impl FnMut(RecordView<'_>)) -> std::io::Result<()> {
+        if let (Some(key), false) = (&self.sorted_by, self.runs.is_empty()) {
+            let mut store = PageWriter::new();
+            let mut pairs = Vec::with_capacity(self.record_count());
+            let exact = self.ingest_residue(key, &mut store, &mut |prefix, handle| {
+                pairs.push((prefix, handle))
+            });
+            let mut merger = RunMerger::over_sorted(store, pairs, exact, &self.runs, key.clone())?;
+            while merger.head().is_some() {
+                f(merger.view());
+                merger.advance()?;
             }
             return Ok(());
         }
-        for record in self.local.into_vec() {
-            f(record);
-        }
         for page in &self.pages {
-            for view in page.reader() {
-                f(view.materialize());
-            }
+            page.reader().for_each(&mut f);
         }
         for run in &self.runs {
             let mut cursor = run.cursor()?;
-            while let Some(record) = cursor.next_record()? {
-                f(record);
+            while cursor.step()? {
+                f(cursor.view());
             }
         }
         Ok(())
     }
 
-    /// Materializes the whole partition into owned records (local records
-    /// moved, page and run records deserialized).  Sorted spilled partitions
-    /// materialize in merged order — a linear merge of the sorted pieces,
-    /// never an in-memory re-sort.  Fails with the underlying I/O error when
-    /// a spilled run cannot be read.
+    /// Materializes the whole partition into owned records, in the order
+    /// [`ExchangedPartition::for_each_view`] visits — the reference forms'
+    /// input.  Fails with the underlying I/O error when a spilled run cannot
+    /// be read.
     pub fn into_records(self) -> std::io::Result<Vec<Record>> {
         let mut records = Vec::with_capacity(self.record_count());
-        self.for_each_owned(|record| records.push(record))?;
+        self.for_each_view(|view| records.push(view.materialize()))?;
         Ok(records)
-    }
-
-    /// Splits the partition into its in-memory records (local moved, pages
-    /// materialized, in arrival order) and its spilled runs — the shape the
-    /// range exchange sorts: memory gets the stable sort, runs are already
-    /// sorted on disk.
-    pub fn into_mem_and_runs(self) -> (Vec<Record>, Vec<SpilledRun>) {
-        let mut records = self.local.into_vec();
-        records.reserve(self.pages.iter().map(|p| p.record_count()).sum());
-        // Read through one scratch record and clone it: a clone is sized
-        // exactly, whereas a record grown field by field keeps its growth
-        // capacity (a third more memory for a three-field record) — and these
-        // records are kept, sorted in place or cached across iterations.
-        let mut scratch = Record::empty();
-        for page in &self.pages {
-            for view in page.reader() {
-                view.read_into(&mut scratch);
-                records.push(scratch.clone());
-            }
-        }
-        (records, self.runs)
     }
 }
 
@@ -1798,8 +1645,8 @@ fn sort_pairs_by_prefix(pairs: &mut Vec<(u64, PageHandle)>, scratch: &mut Vec<(u
 
 /// Groups a paged partition by its key, whatever the key's shape: `on_group`
 /// runs once per distinct key, in key order, with the key and views of the
-/// key's records in delivery order (local records, pages, then the spilled
-/// runs in order) — the stable sort of the partition, and so identical to
+/// key's records in delivery order (pages, then the spilled runs in
+/// order) — the stable sort of the partition, and so identical to
 /// the materializing oracle's sort and cut.  No record is deserialized: the
 /// views address the sorted pages, and a group merged in off disk is copied
 /// as payload bytes into one reused buffer.
@@ -1882,7 +1729,7 @@ fn merge_key_groups(
         bytes,
     } = scratch;
     pairs.clear();
-    pairs.reserve(part.local.len() + part.pages.iter().map(|p| p.record_count()).sum::<usize>());
+    pairs.reserve(part.pages.iter().map(|p| p.record_count()).sum::<usize>());
     let mut store = PageWriter::new();
     let exact = part.ingest_residue(key, &mut store, &mut |prefix, handle| {
         pairs.push((prefix, handle))
@@ -1963,6 +1810,16 @@ impl KeyGroups {
         self.exact &= exact;
     }
 
+    /// Appends one serialized record, copying its bytes, after every record
+    /// appended before it.
+    #[inline]
+    pub(crate) fn append_view(&mut self, record: RecordView<'_>) {
+        let (prefix, exact) = key_prefix(record, &self.key);
+        let handle = self.store.push_serialized(record.payload());
+        self.scratch.pairs.push((prefix, handle));
+        self.exact &= exact;
+    }
+
     /// End of stream: `on_group` runs once per distinct key, in key order,
     /// with views of the key's records in arrival order.
     pub(crate) fn for_each_group(self, on_group: impl FnMut(&Key, &[RecordView<'_>])) {
@@ -1990,6 +1847,15 @@ impl KeyGroups {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `records` on pages, in order.
+    fn paged(records: &[Record]) -> Vec<Arc<RecordPage>> {
+        let mut writer = PageWriter::new();
+        for record in records {
+            writer.push(record);
+        }
+        writer.finish()
+    }
 
     fn sample_records() -> Vec<Record> {
         vec![
@@ -2186,11 +2052,12 @@ mod tests {
         let mut writer = PageWriter::new();
         writer.push(&Record::pair(10, 11));
         writer.push(&Record::pair(12, 13));
-        let part = ExchangedPartition::new(vec![Record::pair(1, 2)], writer.finish());
+        let part =
+            ExchangedPartition::new([paged(&[Record::pair(1, 2)]), writer.finish()].concat());
         assert_eq!(part.record_count(), 3);
-        assert_eq!(part.page_count(), 1);
+        assert_eq!(part.page_count(), 2);
         let mut seen = Vec::new();
-        part.for_each_ref(|r| seen.push(r.clone())).unwrap();
+        part.for_each_view(|r| seen.push(r.materialize())).unwrap();
         assert_eq!(
             seen,
             vec![
@@ -2205,7 +2072,7 @@ mod tests {
     #[test]
     fn sorted_partitions_advertise_and_invalidate_their_order() {
         let records = vec![Record::pair(1, 0), Record::pair(2, 0)];
-        let mut part = ExchangedPartition::from_spilled(records, Vec::new(), Some(vec![0]));
+        let mut part = ExchangedPartition::from_spilled(paged(&records), Vec::new(), Some(vec![0]));
         assert_eq!(part.sorted_by(), Some(&[0usize][..]));
         // Receiving nothing keeps the order; receiving a page clears it.
         part.receive_pages(Vec::new());
@@ -2214,9 +2081,7 @@ mod tests {
         writer.push(&Record::pair(0, 0));
         part.receive_pages(writer.finish());
         assert_eq!(part.sorted_by(), None);
-        assert!(ExchangedPartition::from_records(vec![])
-            .sorted_by()
-            .is_none());
+        assert!(ExchangedPartition::new(Vec::new()).sorted_by().is_none());
     }
 
     #[test]
@@ -2402,17 +2267,20 @@ mod tests {
     /// The kernel hands out groups in key order, delivery order inside each
     /// group.  There is no fallback left to signal: a composite key and a
     /// column mixing `Long` and `Text` keys group on pages too, and grouping
-    /// leaves the partition intact for its owning accessor.
+    /// leaves the partition intact for its visitor.
     #[test]
     fn long_key_grouping_groups_in_key_order_or_signals_the_fallback() {
-        // Local records plus shipped pages, one key field each way.
+        // A local page plus shipped pages, one key field each way.
         let mut writer = PageWriter::with_page_bytes(64);
         for i in 0..40i64 {
             writer.push(&Record::pair(i % 5 - 2, i));
         }
         let part = ExchangedPartition::new(
-            vec![Record::pair(1, -1), Record::pair(-2, -2)],
-            writer.finish(),
+            [
+                paged(&[Record::pair(1, -1), Record::pair(-2, -2)]),
+                writer.finish(),
+            ]
+            .concat(),
         );
         let mut scratch = GroupScratch::default();
         let mut groups: Vec<(Key, Vec<i64>)> = Vec::new();
@@ -2420,7 +2288,7 @@ mod tests {
             groups.push((key.clone(), g.iter().map(|r| r.long(1)).collect()))
         })
         .unwrap();
-        // Key order, and delivery order (local first) inside each group.
+        // Key order, and delivery order (local page first) inside each group.
         assert_eq!(
             groups.iter().map(|g| g.0.as_long()).collect::<Vec<_>>(),
             [-2, -1, 0, 1, 2].map(Some)
@@ -2443,13 +2311,14 @@ mod tests {
         let mut writer = PageWriter::new();
         writer.push(&Record::pair(3, 3));
         writer.push(&Record::new(vec![Value::Text("k".into()), Value::Long(4)]));
-        let mixed = ExchangedPartition::new(vec![Record::pair(1, 1)], writer.finish());
+        let mixed =
+            ExchangedPartition::new([paged(&[Record::pair(1, 1)]), writer.finish()].concat());
         let mut keys: Vec<Key> = Vec::new();
         for_each_key_group(&mixed, &[0], &mut scratch, |key, _| keys.push(key.clone())).unwrap();
         assert_eq!(keys.len(), 3);
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
         assert!(keys.contains(&Key::Composite(vec![Value::Text("k".into())].into())));
-        // The partition is untouched: its owning accessor reads it all.
+        // The partition is untouched: its visitor reads it all.
         assert_eq!(mixed.into_records().unwrap().len(), 3);
     }
 
@@ -2479,13 +2348,13 @@ mod tests {
         groups
     }
 
-    /// The oracle: the pieces concatenated in delivery order — local
-    /// records, pages, then the runs read through cursors (not
+    /// The oracle: the pieces concatenated in delivery order — pages, then
+    /// the runs read through cursors (not
     /// `into_records`, which merges a sorted spilled partition with the
     /// merge under test) — stably sorted with `sort_by_key` and cut into key
     /// groups.
     fn oracle_groups(part: &ExchangedPartition, key: &[usize]) -> Groups {
-        let mut records = part.local_records().to_vec();
+        let mut records = Vec::new();
         for page in part.pages() {
             records.extend(page.reader().map(|view| view.materialize()));
         }
@@ -2618,7 +2487,8 @@ mod tests {
 
                 let local = records(size / 2, &mut random);
                 let build = || {
-                    let mut part = ExchangedPartition::new(local.clone(), residue.clone());
+                    let mut part =
+                        ExchangedPartition::new([paged(&local), residue.clone()].concat());
                     let (head, tail) = flushed.split_at(flushed.len() / 2);
                     part.receive_runs(head.iter().cloned());
                     part.receive_runs([empty.clone()]);
@@ -2630,9 +2500,9 @@ mod tests {
                 assert_eq!(
                     kernel_groups(&part, key, &mut scratch),
                     oracle_groups(&part, key),
-                    "{label}: local, pages and sorted runs"
+                    "{label}: pages and sorted runs"
                 );
-                // Without pages or local records the runs alone merge.
+                // Without pages the runs alone merge.
                 let runs_only = ExchangedPartition::from_spilled(Vec::new(), flushed.clone(), None);
                 assert_eq!(
                     kernel_groups(&runs_only, key, &mut scratch),
@@ -2666,7 +2536,8 @@ mod tests {
                         write_sorted_records_in(&dir, &run, key).unwrap()
                     })
                     .collect();
-                let range = ExchangedPartition::from_spilled(sorted_local, sorted_runs, sort);
+                let range =
+                    ExchangedPartition::from_spilled(paged(&sorted_local), sorted_runs, sort);
                 assert!(range.is_sorted_merge());
                 let oracle = oracle_groups(&range, key);
                 assert_eq!(
@@ -2674,7 +2545,7 @@ mod tests {
                     oracle,
                     "{label}: range-delivered sorted merge"
                 );
-                // Its owning accessor runs the same merge.
+                // Its visitor runs the same merge.
                 let owned = range.into_records().unwrap();
                 let concatenated: Vec<u8> = oracle.iter().flat_map(|g| g.1.clone()).collect();
                 assert_eq!(serialized(&owned), concatenated, "{label}: into_records");

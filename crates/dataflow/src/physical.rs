@@ -355,6 +355,7 @@ pub fn default_physical_plan(plan: &Plan, parallelism: usize) -> Result<Physical
 mod tests {
     use super::*;
     use crate::contracts::{Collector, MapClosure, MatchClosure, ReduceClosure};
+    use crate::page::RecordView;
     use crate::record::Record;
     use std::sync::Arc;
 
@@ -369,7 +370,7 @@ mod tests {
             vec![0],
             vec![1],
             Arc::new(MatchClosure(
-                |l: &Record, _r: &Record, out: &mut Collector| out.collect(l.clone()),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
             )),
         );
         let agg = plan.reduce(
@@ -377,7 +378,7 @@ mod tests {
             join,
             vec![0],
             Arc::new(ReduceClosure(
-                |_k: &_, g: &[Record], out: &mut Collector| out.collect(g[0].clone()),
+                |_k: &_, g: &[RecordView<'_>], out: &mut Collector| out.collect(g[0]),
             )),
         );
         plan.sink("out", agg);
@@ -417,8 +418,8 @@ mod tests {
         let m = plan.map(
             "m",
             src,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                out.collect(r.clone())
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+                out.collect(r)
             })),
         );
         plan.sink("out", m);

@@ -493,10 +493,11 @@ impl Plan {
 mod tests {
     use super::*;
     use crate::contracts::{Collector, MapClosure};
+    use crate::page::RecordView;
 
     fn identity_map() -> Arc<dyn MapFunction> {
-        Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-            out.collect(r.clone())
+        Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+            out.collect(r)
         }))
     }
 
@@ -542,7 +543,7 @@ mod tests {
             vec![0],
             vec![0, 1],
             Arc::new(crate::contracts::MatchClosure(
-                |l: &Record, _r: &Record, out: &mut Collector| out.collect(l.clone()),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
             )),
         );
         plan.sink("out", join);
@@ -563,7 +564,10 @@ mod tests {
             vec![0, 2, 1],
             vec![1],
             Arc::new(crate::contracts::CoGroupClosure(
-                |_: &[crate::value::Value], _: &[Record], _: &[Record], _: &mut Collector| {},
+                |_: &[crate::value::Value],
+                 _: &[RecordView<'_>],
+                 _: &[RecordView<'_>],
+                 _: &mut Collector| {},
             )),
         );
         plan.sink("out", cogroup);
@@ -608,7 +612,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(crate::contracts::MatchClosure(
-                |l: &Record, _r: &Record, out: &mut Collector| out.collect(l.clone()),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
             )),
         );
         let sink = plan.sink("out", join);

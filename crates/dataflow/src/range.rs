@@ -27,6 +27,7 @@
 
 use crate::contracts::{RecordSink, RecordSource};
 use crate::key::{hash_key_fields, hash_of_key, Key};
+use crate::page::RecordPage;
 use crate::record::Record;
 use crate::value::Value;
 use std::sync::Arc;
@@ -148,6 +149,22 @@ pub fn sample_keys_into(sample: &mut Vec<Key>, records: &[Record], fields: &[usi
             .step_by(sample_stride(records.len()))
             .map(|record| Key::extract(record, fields)),
     );
+}
+
+/// [`sample_keys_into`] over records on pages: the same records at the same
+/// stride, their keys read in place.
+pub(crate) fn sample_page_keys_into(
+    sample: &mut Vec<Key>,
+    pages: &[Arc<RecordPage>],
+    fields: &[usize],
+) {
+    let len = pages.iter().map(|page| page.record_count()).sum();
+    let views = pages.iter().flat_map(|page| page.reader());
+    sample.extend(views.step_by(sample_stride(len)).map(|view| {
+        let mut key = Key::Long(0);
+        view.key_into(fields, &mut key);
+        key
+    }));
 }
 
 /// [`sample_keys_into`] over a [`RecordSource`]: the same records at the same

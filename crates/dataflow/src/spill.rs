@@ -553,7 +553,7 @@ pub fn write_sorted_run_in(
 /// `(key prefix, handle)` pairs and its radix buffer, and the page buffers
 /// the previous flush's sorted output gave back.
 #[derive(Debug, Default)]
-struct FlushScratch {
+pub(crate) struct FlushScratch {
     pairs: Vec<(u64, PageHandle)>,
     radix: Vec<(u64, PageHandle)>,
     spare: Vec<Vec<u8>>,
@@ -563,13 +563,14 @@ struct FlushScratch {
 /// order and page layout of [`crate::key::sort_by_key`] serialized through a
 /// [`PageWriter`], without building a record.  The shared kernel
 /// ([`crate::page`]) orders the `(prefix, handle)` pairs stably and each
-/// record's serialized payload is copied to the output in that order.
-fn sort_pages(
+/// record's serialized payload is copied to the output in that order.  The
+/// sorted flush and the range exchange's post-exchange sort both run it.
+pub(crate) fn sort_pages(
     pages: Vec<Arc<RecordPage>>,
     keys: &[usize],
     scratch: &mut FlushScratch,
 ) -> io::Result<Vec<Arc<RecordPage>>> {
-    let input = ExchangedPartition::new(Vec::new(), pages);
+    let input = ExchangedPartition::new(pages);
     let sorted = sort_on_key(&input, keys, &mut scratch.pairs, &mut scratch.radix)?;
     let mut out = PageWriter::new();
     out.add_spare_buffers(scratch.spare.drain(..));
@@ -939,6 +940,20 @@ impl SpillingWriter {
     /// [`PageWriter::push_fields`]).
     pub fn push_fields(&mut self, fields: &[Value]) {
         self.writer.push_fields(fields);
+        self.apply_budget();
+    }
+
+    /// [`SpillingWriter::push`] for a record that exists serialized: its
+    /// payload bytes are copied (like [`PageWriter::push_serialized`]).
+    pub fn push_serialized(&mut self, payload: &[u8]) {
+        self.writer.push_serialized(payload);
+        self.apply_budget();
+    }
+
+    /// Spills the sealed pages once the byte budget or the page-credit cap
+    /// is exceeded.
+    #[inline]
+    fn apply_budget(&mut self) {
         let sealed_pages = self.writer.sealed_page_count();
         self.pages_high_water = self.pages_high_water.max(sealed_pages);
         let over_budget = !self.manager.inner.budget.allows(self.writer.sealed_bytes());
@@ -1128,9 +1143,9 @@ impl LoserTree {
 /// the order of [`crate::key::sort_by_key`] either way.
 ///
 /// The grouping kernel ([`crate::page::for_each_key_group`]) walks it record
-/// by record in place; [`RunMerger::next_record`] materializes each record,
-/// which is also how a sorted spilled partition's owning accessors
-/// ([`ExchangedPartition::for_each_owned`]) yield the merged order.
+/// by record in place, and so does a sorted spilled partition's visitor
+/// ([`ExchangedPartition::for_each_view`]); [`RunMerger::next_record`]
+/// materializes each record.
 #[derive(Debug)]
 pub struct RunMerger {
     sources: MergeSources,
@@ -1550,7 +1565,7 @@ mod tests {
         sort_by_key(&mut a, &[0]);
         sort_by_key(&mut b, &[0]);
         let run = write_sorted_records_in(&dir, &a, &[0]).unwrap();
-        let part = ExchangedPartition::from_spilled(b, vec![run], None);
+        let part = ExchangedPartition::from_spilled(pages_of(&b), vec![run], None);
         let mut seen = Vec::new();
         crate::page::for_each_key_group(
             &part,

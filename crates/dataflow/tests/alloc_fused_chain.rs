@@ -1,11 +1,9 @@
 //! Peak-memory bound on operator fusion: a source -> 16x expand -> filter ->
 //! sink chain run fused hands each expanded record straight to the filter,
 //! so the 16x intermediate never exists as a whole; the materializing
-//! executor (`ExecConfig::with_force_materialized`) buffers it on every
-//! forward edge.  Allocation *counts* barely differ between the two (every
-//! intermediate record is allocated either way); the peak of live bytes is
-//! what fusion removes, and unlike a timing it repeats exactly from run to
-//! run.
+//! executor (`ExecConfig::with_force_materialized`) buffers it, as compact
+//! pages, on every forward edge.  The peak of live bytes is what fusion
+//! removes, and unlike a timing it repeats exactly from run to run.
 //!
 //! The run is at parallelism 1, which executes on the calling thread, so the
 //! peak is exact.  This file holds exactly one `#[test]` so no sibling test
@@ -13,6 +11,7 @@
 
 use dataflow::prelude::{
     default_physical_plan, Collector, ExecConfig, Executor, MapClosure, PhysicalPlan, Plan, Record,
+    RecordView, Value,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -66,18 +65,21 @@ fn pipeline() -> PhysicalPlan {
     let expand = plan.map(
         "expand",
         source,
-        Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
+        Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
             for copy in 0..EXPANSION {
-                out.collect(Record::pair(r.long(0) * EXPANSION + copy, r.long(1)));
+                out.emit(&[
+                    Value::Long(r.long(0) * EXPANSION + copy),
+                    Value::Long(r.long(1)),
+                ]);
             }
         })),
     );
     let filter = plan.map(
         "filter",
         expand,
-        Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
+        Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
             if r.long(0) % EXPANSION == 0 {
-                out.collect(r.clone());
+                out.collect(r);
             }
         })),
     );

@@ -80,8 +80,8 @@ mod tests {
         let map = plan.map(
             "m",
             src,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                out.collect(r.clone())
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+                out.collect(r)
             })),
         );
         plan.sink("out", map);
@@ -102,7 +102,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: &Record, _r: &Record, out: &mut Collector| out.collect(l.clone()),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
             )),
         );
         plan.set_estimated_records(join, 42);
@@ -123,7 +123,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: &Record, _r: &Record, out: &mut Collector| out.collect(l.clone()),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
             )),
         );
         let cross = plan.cross(
@@ -131,7 +131,7 @@ mod tests {
             join,
             b,
             Arc::new(CrossClosure(
-                |l: &Record, _r: &Record, out: &mut Collector| out.collect(l.clone()),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
             )),
         );
         plan.sink("out", cross);

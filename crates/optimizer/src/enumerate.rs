@@ -618,8 +618,8 @@ mod tests {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |k: &[Value], g: &[Record], out: &mut Collector| {
-                    out.collect(Record::pair(k[0].as_long(), g.len() as i64));
+                |k: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
+                    out.emit(Record::pair(k[0].as_long(), g.len() as i64).fields());
                 },
             )),
         );
@@ -676,8 +676,8 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: &Record, r: &Record, out: &mut Collector| {
-                    out.collect(Record::pair(l.long(0), r.long(1)));
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                    out.emit(Record::pair(l.long(0), r.long(1)).fields());
                 },
             )),
         );
@@ -703,8 +703,8 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(CoGroupClosure(
-                |key: &[Value], l: &[Record], r: &[Record], out: &mut Collector| {
-                    out.collect(Record::pair(key[0].as_long(), (l.len() + r.len()) as i64));
+                |key: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut Collector| {
+                    out.emit(Record::pair(key[0].as_long(), (l.len() + r.len()) as i64).fields());
                 },
             )),
         );
@@ -785,8 +785,8 @@ mod tests {
             cg,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], g: &[Record], out: &mut Collector| {
-                    out.collect(Record::pair(key[0].as_long(), g.len() as i64));
+                |key: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
+                    out.emit(Record::pair(key[0].as_long(), g.len() as i64).fields());
                 },
             )),
         );
@@ -832,8 +832,8 @@ mod tests {
             left_src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], g: &[Record], out: &mut Collector| {
-                    out.collect(Record::pair(key[0].as_long(), g.len() as i64));
+                |key: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
+                    out.emit(Record::pair(key[0].as_long(), g.len() as i64).fields());
                 },
             )),
         );
@@ -845,8 +845,8 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: &Record, r: &Record, out: &mut Collector| {
-                    out.collect(Record::pair(l.long(0), r.long(1)));
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                    out.emit(Record::pair(l.long(0), r.long(1)).fields());
                 },
             )),
         );
@@ -919,8 +919,8 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: &Record, r: &Record, out: &mut Collector| {
-                    out.collect(Record::pair(l.long(0), l.long(1) + r.long(1)));
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                    out.emit(Record::pair(l.long(0), l.long(1) + r.long(1)).fields());
                 },
             )),
         );
@@ -930,8 +930,8 @@ mod tests {
             join,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], g: &[Record], out: &mut Collector| {
-                    out.collect(Record::pair(key[0].as_long(), g.len() as i64));
+                |key: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
+                    out.emit(Record::pair(key[0].as_long(), g.len() as i64).fields());
                 },
             )),
         );
@@ -1027,8 +1027,8 @@ mod tests {
             a,
             b,
             Arc::new(CrossClosure(
-                |l: &Record, _r: &Record, out: &mut Collector| {
-                    out.collect(l.clone());
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| {
+                    out.collect(l);
                 },
             )),
         );

@@ -207,8 +207,8 @@ mod tests {
             vec![0],
             vec![1],
             Arc::new(MatchClosure(
-                |_l: &Record, r: &Record, out: &mut Collector| {
-                    out.collect(Record::long_double(r.long(0), 0.0))
+                |_l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                    out.emit(Record::long_double(r.long(0), 0.0).fields())
                 },
             )),
         );
@@ -217,8 +217,8 @@ mod tests {
             join,
             vec![0],
             Arc::new(ReduceClosure(
-                |k: &[Value], _g: &[Record], out: &mut Collector| {
-                    out.collect(Record::long_double(k[0].as_long(), 0.0))
+                |k: &[Value], _g: &[RecordView<'_>], out: &mut Collector| {
+                    out.emit(Record::long_double(k[0].as_long(), 0.0).fields())
                 },
             )),
         );

@@ -264,8 +264,8 @@ mod tests {
             vec![0],
             vec![1],
             Arc::new(MatchClosure(
-                |l: &Record, r: &Record, out: &mut Collector| {
-                    out.collect(Record::long_double(r.long(0), l.double(1) * r.double(2)));
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                    out.emit(Record::long_double(r.long(0), l.double(1) * r.double(2)).fields());
                 },
             )),
         );
@@ -275,9 +275,9 @@ mod tests {
             join,
             vec![0],
             Arc::new(ReduceClosure(
-                |k: &[Value], g: &[Record], out: &mut Collector| {
+                |k: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
                     let sum: f64 = g.iter().map(|r| r.double(1)).sum();
-                    out.collect(Record::long_double(k[0].as_long(), sum));
+                    out.emit(Record::long_double(k[0].as_long(), sum).fields());
                 },
             )),
         );

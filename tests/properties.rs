@@ -312,9 +312,9 @@ fn prop_partitioned_aggregation_matches_serial() {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], group: &[Record], out: &mut Collector| {
+                |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
                     let total: i64 = group.iter().map(|r| r.long(1)).sum();
-                    out.collect(Record::pair(key[0].as_long(), total));
+                    out.emit(Record::pair(key[0].as_long(), total).fields());
                 },
             )),
         );
@@ -381,8 +381,8 @@ fn prop_partitioned_join_is_complete() {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |a: &Record, b: &Record, out: &mut Collector| {
-                    out.collect(Record::pair(a.long(1), b.long(1)));
+                |a: RecordView<'_>, b: RecordView<'_>, out: &mut Collector| {
+                    out.emit(Record::pair(a.long(1), b.long(1)).fields());
                 },
             )),
         );
@@ -1002,9 +1002,9 @@ fn prop_budgeted_execution_matches_unbudgeted() {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], group: &[Record], out: &mut Collector| {
+                |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
                     let total: i64 = group.iter().map(|r| r.long(1)).sum();
-                    out.collect(Record::triple(key[0].as_long(), total, group.len() as f64));
+                    out.emit(Record::triple(key[0].as_long(), total, group.len() as f64).fields());
                 },
             )),
         );
@@ -1037,7 +1037,7 @@ fn prop_budgeted_execution_matches_unbudgeted() {
 /// The sealed-page exchange delivers exactly the records the plain
 /// `Vec<Record>` exchange would, to the same partitions, for arbitrary
 /// records and parallelisms — including when pages straddle and when the
-/// receive side iterates by reference (the executor's scratch-record path).
+/// receive side reads the records in place (the executor's view path).
 #[test]
 fn prop_paged_exchange_matches_vec_exchange() {
     for seed in 0..CASES {
@@ -1060,7 +1060,7 @@ fn prop_paged_exchange_matches_vec_exchange() {
             .map(|chunk| chunk.to_vec())
             .collect();
         let mut received: Vec<ExchangedPartition> = Vec::new();
-        let mut locals: Vec<Vec<Record>> = vec![Vec::new(); parallelism];
+        let mut locals: Vec<PageWriter> = (0..parallelism).map(|_| PageWriter::new()).collect();
         let mut writers: Vec<Vec<PageWriter>> = (0..parallelism)
             .map(|_| (0..parallelism).map(|_| PageWriter::new()).collect())
             .collect();
@@ -1068,14 +1068,14 @@ fn prop_paged_exchange_matches_vec_exchange() {
             for record in source {
                 let target = partition_for(&record, &key_fields, parallelism);
                 if target == src {
-                    locals[src].push(record);
+                    locals[src].push(&record);
                 } else {
                     writers[src][target].push(&record);
                 }
             }
         }
         for local in locals {
-            received.push(ExchangedPartition::from_records(local));
+            received.push(ExchangedPartition::new(local.finish()));
         }
         for source_writers in writers {
             for (target, writer) in source_writers.into_iter().enumerate() {
@@ -1085,7 +1085,8 @@ fn prop_paged_exchange_matches_vec_exchange() {
 
         for (target, part) in received.into_iter().enumerate() {
             let mut by_ref: Vec<Record> = Vec::new();
-            part.for_each_ref(|r| by_ref.push(r.clone())).unwrap();
+            part.for_each_view(|r| by_ref.push(r.materialize()))
+                .unwrap();
             let mut owned = part.into_records().unwrap();
             assert_eq!(by_ref.len(), owned.len());
             by_ref.sort();

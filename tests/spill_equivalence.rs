@@ -330,12 +330,15 @@ fn spilled_executor_groupings_hand_records_over_in_delivery_order_on_both_paths(
         src,
         vec![0],
         Arc::new(ReduceClosure(
-            |key: &[Value], group: &[Record], out: &mut Collector| {
-                out.collect(Record::new(vec![
-                    key[0].clone(),
-                    Value::Long(group.len() as i64),
-                    Value::Long(order_fingerprint(group.iter().map(|r| r.long(1)))),
-                ]))
+            |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+                out.emit(
+                    Record::new(vec![
+                        key[0].clone(),
+                        Value::Long(group.len() as i64),
+                        Value::Long(order_fingerprint(group.iter().map(|r| r.long(1)))),
+                    ])
+                    .fields(),
+                )
             },
         )),
     );
@@ -350,12 +353,9 @@ fn spilled_executor_groupings_hand_records_over_in_delivery_order_on_both_paths(
         vec![0],
         vec![0],
         Arc::new(MatchClosure(
-            |l: &Record, r: &Record, out: &mut Collector| {
-                out.collect(Record::new(vec![
-                    l.field(0).clone(),
-                    l.field(1).clone(),
-                    r.field(1).clone(),
-                ]))
+            |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                let (l, r) = (l.materialize(), r.materialize());
+                out.emit(&[l.field(0).clone(), l.field(1).clone(), r.field(1).clone()])
             },
         )),
     );

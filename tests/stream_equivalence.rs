@@ -199,20 +199,20 @@ fn expansion_pipeline(log: Option<EventLog>) -> PhysicalPlan {
     let expand = plan.map(
         "expand",
         source,
-        Arc::new(MapClosure(move |r: &Record, out: &mut Collector| {
+        Arc::new(MapClosure(move |r: RecordView<'_>, out: &mut Collector| {
             log_expand(Event::Expand(r.long(0)));
             for copy in 0..16 {
-                out.collect(Record::pair(r.long(0) * 16 + copy, r.long(1)));
+                out.emit(Record::pair(r.long(0) * 16 + copy, r.long(1)).fields());
             }
         })),
     );
     let shift = plan.map(
         "shift",
         expand,
-        Arc::new(MapClosure(move |r: &Record, out: &mut Collector| {
+        Arc::new(MapClosure(move |r: RecordView<'_>, out: &mut Collector| {
             record(Event::Shift(r.long(0) / 16));
             if r.long(1) != 0 {
-                out.collect(Record::pair(r.long(0), r.long(1) + 1));
+                out.emit(Record::pair(r.long(0), r.long(1) + 1).fields());
             }
         })),
     );
@@ -324,8 +324,8 @@ fn a_plan_of_unfusable_operators_is_all_singleton_segments() {
         vec![0],
         vec![0],
         Arc::new(MatchClosure(
-            |l: &Record, r: &Record, out: &mut Collector| {
-                out.collect(Record::pair(l.long(0), l.long(1) * 1_000 + r.long(1)));
+            |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                out.emit(Record::pair(l.long(0), l.long(1) * 1_000 + r.long(1)).fields());
             },
         )),
     );
@@ -336,11 +336,11 @@ fn a_plan_of_unfusable_operators_is_all_singleton_segments() {
         vec![0],
         vec![0],
         Arc::new(CoGroupClosure(
-            |key: &[Value], l: &[Record], r: &[Record], out: &mut Collector| {
+            |key: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut Collector| {
                 let folded = l
                     .iter()
                     .fold(0i64, |acc, r| acc.wrapping_mul(31).wrapping_add(r.long(1)));
-                out.collect(longs(key[0].as_long(), folded, r.len() as i64));
+                out.emit(longs(key[0].as_long(), folded, r.len() as i64).fields());
             },
         )),
     );
@@ -364,6 +364,90 @@ fn a_plan_of_unfusable_operators_is_all_singleton_segments() {
             forced.sink_partitions("out").unwrap(),
             "p={parallelism}"
         );
+    }
+}
+
+/// An operator with several consumers shares its pages with all of them:
+/// `mid` is a sink whose output also feeds a forward Map and a hash-shipped
+/// Reduce.  Every consumer reads the same pages by pointer, and each sink
+/// is byte-identical to the reference form's, unbudgeted and with every
+/// shipped page spilled.
+#[test]
+fn a_shared_producer_that_is_also_a_sink_matches_the_oracle() {
+    let mut plan = Plan::new();
+    let source = plan.source(
+        "events",
+        (0..900).map(|i| Record::pair((i * 7) % 61, i)).collect(),
+    );
+    let scaled = plan.map(
+        "scale",
+        source,
+        Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+            out.emit(&[Value::Long(r.long(0)), Value::Long(r.long(1) * 3)]);
+        })),
+    );
+    let mid = plan.sink("mid", scaled);
+    let forwarded = plan.map(
+        "forward",
+        mid,
+        Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+            if r.long(1) % 2 == 0 {
+                out.collect(r);
+            }
+        })),
+    );
+    plan.sink("forwarded", forwarded);
+    let summed = plan.reduce(
+        "sum",
+        mid,
+        vec![0],
+        Arc::new(ReduceClosure(
+            |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+                let folded = group
+                    .iter()
+                    .fold(0i64, |acc, r| acc.wrapping_mul(31).wrapping_add(r.long(1)));
+                out.emit(&[key[0].clone(), Value::Long(folded)]);
+            },
+        )),
+    );
+    plan.sink("summed", summed);
+    for parallelism in [1, 3] {
+        let physical = default_physical_plan(&plan, parallelism).unwrap();
+        assert_eq!(
+            physical.choice(forwarded).input_ships[0],
+            ShipStrategy::Forward
+        );
+        assert_eq!(
+            physical.choice(summed).input_ships[0],
+            ShipStrategy::PartitionHash(vec![0])
+        );
+        for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
+            let label = format!("p={parallelism} {budget:?}");
+            let config = ExecConfig::new().with_memory_budget(budget);
+            let paged = Executor::with_config(config.clone())
+                .execute(&physical)
+                .unwrap();
+            let oracle = Executor::with_config(config.with_force_materialized(true))
+                .execute(&physical)
+                .unwrap();
+            if parallelism > 1 && budget == MemoryBudget::bytes(0) {
+                assert!(paged.stats.spilled_runs > 0, "{label}");
+            }
+            assert_eq!(
+                operator_rows(&paged.stats),
+                operator_rows(&oracle.stats),
+                "{label}"
+            );
+            assert_eq!(paged.stats.shipped_bytes, oracle.stats.shipped_bytes);
+            assert_eq!(paged.stats.local_records, oracle.stats.local_records);
+            for sink in ["mid", "forwarded", "summed"] {
+                let out = paged.sink_partitions(sink).unwrap();
+                assert!(out.iter().flatten().count() > 0, "{label} {sink}");
+                assert_eq!(out, oracle.sink_partitions(sink).unwrap(), "{label} {sink}");
+            }
+            assert_eq!(paged.sink("mid").unwrap().len(), 900, "{label}");
+            assert_eq!(paged.sink("summed").unwrap().len(), 61, "{label}");
+        }
     }
 }
 
@@ -414,13 +498,15 @@ impl KeyShape {
     }
 }
 
-/// Hands `fields` to `out` as fields (`emit`) or as a heap record
-/// (`collect`).
+/// Hands `fields` to `out` as fields (`emit`) or as a serialized record it
+/// passes through (`collect`).
 fn put(out: &mut Collector, emit: bool, fields: Vec<Value>) {
     if emit {
         out.emit(&fields);
     } else {
-        out.collect(Record::new(fields));
+        let mut writer = PageWriter::new();
+        writer.push_fields(&fields);
+        out.collect(writer.finish()[0].view_at(0));
     }
 }
 
@@ -430,7 +516,7 @@ fn put(out: &mut Collector, emit: bool, fields: Vec<Value>) {
 /// (Cross against a broadcast side) → sink.  `build_left` picks which join
 /// argument is the build side, `group` the Reduce strategy, `shape` the key
 /// `sum` groups on, and `emit` whether the user functions hand their records
-/// over as fields or as heap records.
+/// over as fields or pass serialized records through.
 fn all_contracts_pipeline(
     parallelism: usize,
     build_left: bool,
@@ -451,7 +537,7 @@ fn all_contracts_pipeline(
     let scale = plan.map(
         "scale",
         events,
-        Arc::new(MapClosure(move |r: &Record, out: &mut Collector| {
+        Arc::new(MapClosure(move |r: RecordView<'_>, out: &mut Collector| {
             put(
                 out,
                 emit,
@@ -467,7 +553,7 @@ fn all_contracts_pipeline(
     // grouping key's fields, then the value.
     let join_udf = |event: usize| {
         Arc::new(MatchClosure(
-            move |l: &Record, r: &Record, out: &mut Collector| {
+            move |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
                 let (event, dim) = if event == 0 { (l, r) } else { (r, l) };
                 let mut fields = shape.fields(event.long(0));
                 fields.push(Value::Long(event.long(1) + dim.long(1)));
@@ -500,10 +586,11 @@ fn all_contracts_pipeline(
         enrich,
         shape.key(),
         Arc::new(ReduceClosure(
-            move |key: &[Value], group: &[Record], out: &mut Collector| {
+            move |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
                 // Order-sensitive on purpose: delivery order is part of the
                 // byte-identity contract.
                 let folded = group.iter().fold(0i64, |acc, r| {
+                    let r = r.materialize();
                     acc.wrapping_mul(31).wrapping_add(r.long(r.arity() - 1))
                 });
                 let mut fields = key.to_vec();
@@ -517,9 +604,9 @@ fn all_contracts_pipeline(
         sum,
         labels,
         Arc::new(CrossClosure(
-            move |l: &Record, r: &Record, out: &mut Collector| {
+            move |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
                 // (key fields.., folded + label, group size)
-                let mut fields = l.fields().to_vec();
+                let mut fields = l.materialize().into_fields();
                 let folded = fields.len() - 2;
                 fields[folded] = Value::Long(l.long(folded) + r.long(1));
                 put(out, emit, fields);
@@ -558,7 +645,7 @@ fn operator_rows(stats: &ExecutionStats) -> Vec<(String, usize, usize)> {
 /// without a budget that spills the exchanged side inputs, for every key
 /// shape the Reduce can group on (exact `Long` prefixes, inexact keys, and
 /// the switch from one to the other mid-stream) and with records handed over as
-/// fields or as heap records: sinks are byte-identical per partition and
+/// fields or passed through serialized: sinks are byte-identical per partition and
 /// every operator consumed and produced exactly what it does when each edge
 /// materializes.
 #[test]
@@ -625,19 +712,19 @@ fn a_mid_chain_panic_is_one_typed_error_naming_the_segment() {
         let expand = plan.map(
             "expand",
             source,
-            Arc::new(MapClosure(|r: &Record, out: &mut Collector| {
-                out.collect(r.clone());
-                out.collect(r.clone());
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+                out.collect(r);
+                out.collect(r);
             })),
         );
         let counted = Arc::clone(&calls);
         let shift = plan.map(
             "shift",
             expand,
-            Arc::new(MapClosure(move |r: &Record, out: &mut Collector| {
+            Arc::new(MapClosure(move |r: RecordView<'_>, out: &mut Collector| {
                 counted.fetch_add(1, Ordering::Relaxed);
                 assert!(r.long(0) != 250, "record 250 is poison");
-                out.collect(r.clone());
+                out.collect(r);
             })),
         );
         plan.sink("out", shift);
@@ -716,12 +803,15 @@ fn cogroups_merge_sorted_groups_like_the_reference_form() {
             let r = plan.source("right", right.clone());
             // Folds the key, both groups' values in order and their sizes.
             let udf = Arc::new(CoGroupClosure(
-                |key: &[Value], l: &[Record], r: &[Record], out: &mut Collector| {
+                |key: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut Collector| {
                     let mut fields = key.to_vec();
-                    let last = |record: &Record| record.field(record.arity() - 1).clone();
+                    let last = |record: &RecordView<'_>| {
+                        let record = record.materialize();
+                        record.field(record.arity() - 1).clone()
+                    };
                     fields.extend(l.iter().chain(r).map(last));
                     fields.push(Value::Long(l.len() as i64));
-                    out.collect(Record::new(fields));
+                    out.emit(&fields);
                 },
             ));
             let grouped = if inner {
