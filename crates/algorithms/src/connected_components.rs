@@ -148,7 +148,7 @@ fn build_bulk_step_plan(graph: &Graph) -> (Plan, OperatorId, Annotations) {
     let mut plan = Plan::new();
     let solution = plan.source("components", Vec::new());
     plan.set_estimated_records(solution, graph.num_vertices());
-    let neighbours = plan.source_shared("neighbours", edges);
+    let neighbours = plan.source("neighbours", edges);
     plan.set_estimated_records(neighbours, edge_count);
 
     // For every edge (vid, nb) propagate the vertex's current cid to nb.

@@ -106,7 +106,7 @@ pub fn build_step_plan(
     let mut plan = Plan::new();
     let vector = plan.source("rank-vector", Vec::new());
     plan.set_estimated_records(vector, graph.num_vertices());
-    let matrix = plan.source_shared("transition-matrix", matrix_records);
+    let matrix = plan.source("transition-matrix", matrix_records);
     plan.set_estimated_records(matrix, matrix_len);
 
     // Match on pid: vector field 0 == matrix field 1; emit (tid, d * r * p)
@@ -201,7 +201,7 @@ pub fn pagerank(graph: &Graph, config: &PageRankConfig) -> Result<PageRankResult
 }
 
 /// Builds one of the two Figure 4 plans explicitly.
-fn forced_physical_plan(
+pub fn forced_physical_plan(
     plan: &Plan,
     join: OperatorId,
     reduce: OperatorId,

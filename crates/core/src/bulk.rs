@@ -8,16 +8,18 @@
 //!
 //! The runtime uses the *feedback-channel* execution strategy of Section 4.2:
 //! the same physical plan is reused for every iteration; the partial solution
-//! produced at `O` is materialised (the feedback dam) and becomes `I`'s data
-//! in the next iteration.  Loop-invariant inputs on the constant data path are
-//! shipped once and then served from the executor's intermediate cache, as
-//! decided by the optimizer (Section 4.3).
+//! produced at `O` stays on the sink's pages (the feedback dam) and becomes
+//! `I`'s data in the next iteration, copied into the source split as bytes.
+//! Heap records are read only for the initial input, a `Converged` check, a
+//! checkpoint cut and the final solution.  Loop-invariant inputs on the
+//! constant data path are shipped once and then served from the executor's
+//! intermediate cache, as decided by the optimizer (Section 4.3).
 
 use crate::checkpoint::{run_with_recovery, CheckpointPolicy};
 use crate::stats::{IterationRunStats, IterationStats};
 use dataflow::prelude::{
     DataflowError, ExecConfig, ExecutionResult, Executor, IntermediateCache, OperatorId,
-    PhysicalPlan, Plan, Record, Result,
+    PhysicalPlan, Plan, Record, RecordSource, Result,
 };
 use optimizer::{Annotations, IterationSpec, Optimizer};
 use std::path::PathBuf;
@@ -259,42 +261,29 @@ impl BulkIteration {
                 .sink_by_name(sink)
                 .ok_or_else(|| DataflowError::UnknownSink(sink.clone()))?;
         }
-        let max_iterations = self.termination.max_iterations();
-        if max_iterations == 0 {
-            return Ok(BulkIterationResult {
-                solution: initial,
-                iterations: 0,
-                // Zero requested iterations is only a completed run for the
-                // fixed-count form; for the criterion-driven forms `T` never
-                // got a chance to fire.
-                converged: matches!(self.termination, TerminationCriterion::FixedIterations(_)),
-                stats: IterationRunStats {
-                    per_iteration: vec![],
-                    total_elapsed: start.elapsed(),
-                },
-            });
-        }
-
         let executor = Executor::with_config(config.exec.clone());
         // Everything an iteration reads and replaces.  Bulk checkpoints
-        // snapshot the one materialized state the feedback channel carries —
-        // the partial solution — as a single partition with an empty workset.
+        // snapshot the partial solution (records, or the sink's pages) as a
+        // single partition with an empty workset.
         struct State {
-            current: Arc<Vec<Record>>,
+            current: Arc<dyn RecordSource>,
             cache: IntermediateCache,
             converged: bool,
         }
         let mut state = State {
             current: Arc::new(initial),
             cache: IntermediateCache::new(),
-            converged: false,
+            // Zero requested iterations is only a completed run for the
+            // fixed-count form; for the criterion-driven forms `T` never
+            // gets a chance to fire.
+            converged: matches!(self.termination, TerminationCriterion::FixedIterations(0)),
         };
 
         let step = |state: &mut State, iteration: usize| -> Result<IterationStats> {
             let iter_start = Instant::now();
             let result: ExecutionResult = physical
                 .plan
-                .replace_source_data(self.input, Arc::clone(&state.current))
+                .replace_source_data(self.input, Arc::new(Arc::clone(&state.current)))
                 .and_then(|()| executor.execute_with_cache(&physical, &mut state.cache))
                 // The executor reports pool panics without iteration context;
                 // stamp the iteration number on before surfacing or retrying.
@@ -309,14 +298,14 @@ impl BulkIteration {
                     other => other,
                 })?;
 
-            // Decide termination on the borrowed result, then move the next
-            // partial solution out of it without copying the records.
+            // Decide termination on the borrowed result, then move the sink's
+            // pages out of it: the next partial solution stays on them.
             let empty_termination_sink = match &self.termination {
                 TerminationCriterion::EmptySink { sink, .. } => result.sink_is_empty(sink)?,
                 _ => false,
             };
             let execution_stats = result.stats.clone();
-            let next = result.into_sink(&self.output_sink)?;
+            let next = result.into_sink_pages(&self.output_sink)?;
 
             let mut stats = IterationStats::for_iteration(iteration);
             stats.workset_size = state.current.len();
@@ -332,7 +321,9 @@ impl BulkIteration {
             state.converged = match &self.termination {
                 TerminationCriterion::FixedIterations(n) => iteration >= *n,
                 TerminationCriterion::EmptySink { .. } => empty_termination_sink,
-                TerminationCriterion::Converged { check, .. } => check(&state.current, &next),
+                TerminationCriterion::Converged { check, .. } => {
+                    check(&state.current.collect(), &next.collect())
+                }
             };
             state.current = Arc::new(next);
             Ok(stats)
@@ -341,13 +332,13 @@ impl BulkIteration {
             config.checkpoint.as_ref(),
             1,
             &config.exec.fault,
-            max_iterations,
+            self.termination.max_iterations(),
             &mut state,
             |state| !state.converged,
             step,
-            |state| Ok((vec![(*state.current).clone()], vec![Vec::new()])),
+            |state| Ok((vec![state.current.collect()], vec![Vec::new()])),
             |state, restored| {
-                state.current = Arc::new(restored.solution.into_iter().flatten().collect());
+                state.current = Arc::new(restored.solution.concat());
                 // The intermediate cache may hold state from the failed
                 // execution; rebuild it so loop-invariant inputs re-ship.
                 state.cache = IntermediateCache::new();
@@ -357,7 +348,7 @@ impl BulkIteration {
             current, converged, ..
         } = state;
         Ok(BulkIterationResult {
-            solution: Arc::try_unwrap(current).unwrap_or_else(|arc| (*arc).clone()),
+            solution: current.collect(),
             iterations: per_iteration.len(),
             converged,
             stats: IterationRunStats {

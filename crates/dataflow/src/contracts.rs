@@ -100,6 +100,12 @@ pub trait RecordSource: Send + Sync {
     }
 }
 
+impl fmt::Debug for dyn RecordSource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "RecordSource({} records)", self.len())
+    }
+}
+
 impl RecordSource for Vec<Record> {
     fn len(&self) -> usize {
         Vec::len(self)

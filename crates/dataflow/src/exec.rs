@@ -8,14 +8,14 @@
 //! records that move between partitions during an exchange are counted as
 //! "shipped" (network) records in the [`ExecutionStats`].
 //!
-//! Records live on pages from source to sink: a source is split into
-//! per-partition pages, every operator's output is the sealed pages its
-//! collector buffered ([`Collector::emit`] serializes a record the user
-//! function builds, [`Collector::collect`] copies the bytes of one it passes
-//! through), and every user function reads its input in place as
-//! [`RecordView`]s.  Heap [`Record`]s exist only at the API — the plan's
-//! source data and the sink accessors of [`ExecutionResult`] — and in the
-//! reference forms of [`ExecConfig::force_materialized`].
+//! Records live on pages from source to sink: a source (any
+//! [`RecordSource`]) is split onto per-partition pages, every operator's
+//! output is the sealed pages its collector buffered ([`Collector::emit`]
+//! serializes, [`Collector::collect`] copies bytes), every user function
+//! reads its input in place as [`RecordView`]s, and a sink's pages can feed
+//! a plan again ([`ExecutionResult::into_sink_pages`]).  Heap [`Record`]s
+//! exist only at the API (sources given as records, materializing sink
+//! accessors) and in the reference forms of [`ExecConfig::force_materialized`].
 //!
 //! Exchanged (hash/range/broadcast) edges are dams: every such edge fully
 //! materialises before downstream operators run, which is always safe for
@@ -80,7 +80,8 @@
 //! [`DataflowError::WorkerPanic`] either way.
 
 use crate::contracts::{
-    Collector, CrossFunction, MapFunction, MatchFunction, RecordSink, ReduceFunction, Udf,
+    Collector, CrossFunction, MapFunction, MatchFunction, RecordSink, RecordSource, ReduceFunction,
+    Udf,
 };
 use crate::error::{DataflowError, Result};
 use crate::exchange::{self, Outbox};
@@ -299,26 +300,26 @@ impl ExecutionResult {
     /// All records delivered to the sink `name`, flattened across partitions
     /// and materialized off the sink's pages.
     pub fn sink(&self, name: &str) -> Result<Vec<Record>> {
-        let parts = self.sink_pages(name)?;
-        let mut records = Vec::with_capacity(record_count(parts));
-        for page in parts.iter().flatten() {
-            records.extend(page.reader().map(|view| view.materialize()));
-        }
-        Ok(records)
+        self.sink_pages(name)
+            .map(|parts| SinkPages(parts.clone()).collect())
     }
 
     /// Consumes the result and materializes the records of sink `name`,
     /// releasing each page once it is read.
-    pub fn into_sink(mut self, name: &str) -> Result<Vec<Record>> {
-        let parts = self
-            .sink_outputs
-            .remove(name)
-            .ok_or_else(|| DataflowError::UnknownSink(name.to_owned()))?;
+    pub fn into_sink(self, name: &str) -> Result<Vec<Record>> {
+        let SinkPages(parts) = self.into_sink_pages(name)?;
         let mut records = Vec::with_capacity(record_count(&parts));
         for page in parts.into_iter().flatten() {
             records.extend(page.reader().map(|view| view.materialize()));
         }
         Ok(records)
+    }
+
+    /// Consumes the result and hands over the pages of sink `name` as a
+    /// source a plan can read again — the bulk iteration's feedback edge.
+    pub fn into_sink_pages(mut self, name: &str) -> Result<SinkPages> {
+        let parts = self.sink_outputs.remove(name).map(SinkPages);
+        parts.ok_or_else(|| DataflowError::UnknownSink(name.to_owned()))
     }
 
     /// True if the sink `name` received no records (without reading them).
@@ -330,19 +331,30 @@ impl ExecutionResult {
     /// The per-partition records delivered to the sink `name`.
     pub fn sink_partitions(&self, name: &str) -> Result<Partitions> {
         let parts = self.sink_pages(name)?;
-        Ok(parts
-            .iter()
-            .map(|pages| {
-                let views = pages.iter().flat_map(|page| page.reader());
-                views.map(|view| view.materialize()).collect()
-            })
-            .collect())
+        let part = |pages: &Vec<Arc<RecordPage>>| SinkPages(vec![pages.clone()]).collect();
+        Ok(parts.iter().map(part).collect())
     }
 
     fn sink_pages(&self, name: &str) -> Result<&PagedPartitions> {
         self.sink_outputs
             .get(name)
             .ok_or_else(|| DataflowError::UnknownSink(name.to_owned()))
+    }
+}
+
+/// A sink's sealed pages, in partition order: a [`RecordSource`] that hands
+/// every record on as the view it is ([`RecordSink::forward`]).
+#[derive(Debug, Clone)]
+pub struct SinkPages(PagedPartitions);
+
+impl RecordSource for SinkPages {
+    fn len(&self) -> usize {
+        record_count(&self.0)
+    }
+
+    fn emit_all(&self, out: &mut dyn RecordSink) {
+        let pages = self.0.iter().flatten();
+        pages.for_each(|page| page.reader().for_each(|view| out.forward(view)));
     }
 }
 
@@ -477,7 +489,7 @@ impl Executor {
                     })
                 });
                 if !served_from_cache {
-                    outputs.insert(id, split_into_partitions(data, parallelism));
+                    outputs.insert(id, split_into_partitions(&**data, parallelism));
                 }
                 stats.operators.push(OperatorStats {
                     name: op.name.clone(),
@@ -746,19 +758,50 @@ fn run_on_partitions<I: Send, T: Send>(
         .collect()
 }
 
-/// Splits source data into contiguous chunks, one per partition, each
-/// serialized onto its partition's pages.
-fn split_into_partitions(data: &[Record], parallelism: usize) -> PagedPartitions {
-    let mut chunks = data.chunks(data.len().div_ceil(parallelism).max(1));
-    (0..parallelism)
-        .map(|_| {
-            let mut writer = PageWriter::new();
-            for record in chunks.next().unwrap_or_default() {
-                writer.push(record);
-            }
-            writer.finish()
-        })
-        .collect()
+/// Splits a source's records into contiguous chunks of `ceil(n / p)`, one
+/// per partition, each written onto its partition's pages.
+fn split_into_partitions(source: &dyn RecordSource, parallelism: usize) -> PagedPartitions {
+    let mut split = Split {
+        chunk: source.len().div_ceil(parallelism).max(1),
+        emitted: 0,
+        parts: vec![PageWriter::new(); parallelism],
+    };
+    source.emit_all(&mut split);
+    split.parts.into_iter().map(PageWriter::finish).collect()
+}
+
+/// The sink of [`split_into_partitions`]: record `i` goes to partition
+/// `i / chunk` (any excess over the source's length to the last one).
+struct Split {
+    chunk: usize,
+    emitted: usize,
+    parts: Vec<PageWriter>,
+}
+
+impl Split {
+    fn next_writer(&mut self) -> &mut PageWriter {
+        let part = (self.emitted / self.chunk).min(self.parts.len() - 1);
+        self.emitted += 1;
+        &mut self.parts[part]
+    }
+}
+
+impl RecordSink for Split {
+    fn push(&mut self, record: Record) {
+        self.next_writer().push(&record);
+    }
+
+    fn emit(&mut self, fields: &[Value]) {
+        self.next_writer().push_fields(fields);
+    }
+
+    fn forward(&mut self, record: RecordView<'_>) {
+        self.next_writer().push_serialized(record.payload());
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1584,7 +1627,9 @@ fn walk_groups(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contracts::{CoGroupClosure, MapClosure, MatchClosure, ReduceClosure};
+    use crate::contracts::{
+        CoGroupClosure, MapClosure, MatchClosure, ReduceClosure, SourceClosure,
+    };
     use crate::key::partition_for;
     use crate::physical::default_physical_plan;
     use crate::plan::Plan;
@@ -1843,8 +1888,14 @@ mod tests {
     #[test]
     fn broadcast_counts_replicated_records() {
         let mut plan = Plan::new();
-        let left = plan.source("left", (0..10).map(|i| Record::pair(i, 0)).collect());
-        let right = plan.source("right", (0..5).map(|i| Record::pair(i, 0)).collect());
+        let left = plan.source(
+            "left",
+            (0..10).map(|i| Record::pair(i, 0)).collect::<Vec<_>>(),
+        );
+        let right = plan.source(
+            "right",
+            (0..5).map(|i| Record::pair(i, 0)).collect::<Vec<_>>(),
+        );
         let cross = plan.cross(
             "cross",
             left,
@@ -1878,8 +1929,14 @@ mod tests {
     #[test]
     fn cached_edges_skip_reshipping() {
         let mut plan = Plan::new();
-        let left = plan.source("left", (0..50).map(|i| Record::pair(i, i)).collect());
-        let right = plan.source("right", (0..50).map(|i| Record::pair(i, -i)).collect());
+        let left = plan.source(
+            "left",
+            (0..50).map(|i| Record::pair(i, i)).collect::<Vec<_>>(),
+        );
+        let right = plan.source(
+            "right",
+            (0..50).map(|i| Record::pair(i, -i)).collect::<Vec<_>>(),
+        );
         let join = plan.match_join(
             "join",
             left,
@@ -1953,7 +2010,9 @@ mod tests {
         let mut plan = Plan::new();
         let matrix = plan.source(
             "matrix",
-            (0..RECORDS as i64).map(|i| Record::pair(i, -i)).collect(),
+            (0..RECORDS as i64)
+                .map(|i| Record::pair(i, -i))
+                .collect::<Vec<_>>(),
         );
         let sample = plan.map(
             "sample",
@@ -2468,7 +2527,10 @@ mod tests {
             };
             let record = |k: i64, v: i64| Record::new(vec![key(k), Value::Long(v)]);
             let mut plan = Plan::new();
-            let probe = plan.source("probe", (0..300).map(|i| record(i * 7, i)).collect());
+            let probe = plan.source(
+                "probe",
+                (0..300).map(|i| record(i * 7, i)).collect::<Vec<_>>(),
+            );
             let probe = plan.map(
                 "probe-map",
                 probe,
@@ -2476,7 +2538,7 @@ mod tests {
                     out.collect(r)
                 })),
             );
-            let build = plan.source("build", (0..200).map(|i| record(i, -i)).collect());
+            let build = plan.source("build", (0..200).map(|i| record(i, -i)).collect::<Vec<_>>());
             let join = plan.match_join(
                 "join",
                 probe,
@@ -2689,5 +2751,62 @@ mod tests {
         plan.sink("out", map);
         let result = execute(&plan, 4);
         assert!(result.sink("out").unwrap().is_empty());
+    }
+
+    /// A source is split into contiguous chunks of `ceil(n / p)` records
+    /// whatever form it comes in: heap records, a description emitting the
+    /// same fields, and the pages of those records give byte-equal pages
+    /// per partition, equal to serializing each chunk of the records.
+    #[test]
+    fn a_source_splits_the_same_in_every_form() {
+        fn fields(i: usize) -> Vec<Value> {
+            let text = "x".repeat(i % 61);
+            vec![
+                Value::Long(i as i64),
+                Value::Text(text),
+                Value::Double(i as f64 / 3.0),
+            ]
+        }
+        fn bytes(parts: &PagedPartitions) -> Vec<Vec<Vec<u8>>> {
+            let page_bytes = |page: &Arc<RecordPage>| page.bytes().to_vec();
+            parts
+                .iter()
+                .map(|part| part.iter().map(page_bytes).collect())
+                .collect()
+        }
+        for p in [1, 2, 3, 7] {
+            for n in [0, 1, p - 1, p, p + 1, 5_000] {
+                let records: Vec<Record> = (0..n).map(|i| Record::new(fields(i))).collect();
+                let expected: PagedPartitions = (0..p)
+                    .map(|part| {
+                        let chunk = n.div_ceil(p).max(1);
+                        let mut writer = PageWriter::new();
+                        for record in records.iter().skip(part * chunk).take(chunk) {
+                            writer.push(record);
+                        }
+                        writer.finish()
+                    })
+                    .collect();
+                let described = SourceClosure::new(n, |out: &mut dyn RecordSink| {
+                    (0..n).for_each(|i| out.emit(&fields(i)))
+                });
+                let mut writer = PageWriter::with_page_bytes(256);
+                for record in &records {
+                    writer.push(record);
+                }
+                let pages = SinkPages(vec![writer.finish()]);
+                let label = format!("n = {n}, p = {p}");
+                // The long inputs cross page boundaries in every partition.
+                assert!(
+                    n < 5_000 || expected.iter().all(|part| part.len() > 1),
+                    "{label}"
+                );
+                for source in [&records as &dyn RecordSource, &described, &pages] {
+                    let split = split_into_partitions(source, p);
+                    assert_eq!(split.len(), p, "{label}");
+                    assert_eq!(bytes(&split), bytes(&expected), "{label}");
+                }
+            }
+        }
     }
 }

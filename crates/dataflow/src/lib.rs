@@ -91,7 +91,7 @@ pub mod prelude {
     };
     pub use crate::error::{DataflowError, Result};
     pub use crate::exec::{
-        ExecConfig, ExecutionResult, Executor, IntermediateCache, Partition, Partitions,
+        ExecConfig, ExecutionResult, Executor, IntermediateCache, Partition, Partitions, SinkPages,
     };
     pub use crate::fault::{FaultInjector, FaultSite, FAULT_RATE_ENV, FAULT_SEED_ENV};
     pub use crate::key::{FxBuildHasher, FxHashMap, Key, KeyFields, KeyValues};

@@ -7,11 +7,10 @@
 //! naive planner in [`crate::physical`] or by the cost-based optimizer crate.
 
 use crate::contracts::{
-    CoGroupFunction, CrossFunction, MapFunction, MatchFunction, ReduceFunction, Udf,
+    CoGroupFunction, CrossFunction, MapFunction, MatchFunction, RecordSource, ReduceFunction, Udf,
 };
 use crate::error::{DataflowError, Result};
 use crate::key::KeyFields;
-use crate::record::Record;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -22,12 +21,12 @@ pub struct OperatorId(pub usize);
 /// The contract (and contract-specific configuration) of an operator.
 #[derive(Debug, Clone)]
 pub enum OperatorKind {
-    /// A data source holding an in-memory bag of records.  The records are
-    /// shared so that cloning a plan (e.g. for repeated execution inside an
-    /// iteration) does not copy the data.
+    /// A data source: any [`RecordSource`] (records, a description, a sink's
+    /// pages).  It is shared so that cloning a plan (e.g. for repeated
+    /// execution inside an iteration) does not copy the data.
     Source {
         /// The source's records.
-        data: Arc<Vec<Record>>,
+        data: Arc<dyn RecordSource>,
     },
     /// Record-at-a-time transformation.
     Map,
@@ -162,15 +161,11 @@ impl Plan {
         id
     }
 
-    /// Adds an in-memory source.
-    pub fn source(&mut self, name: &str, data: Vec<Record>) -> OperatorId {
-        self.source_shared(name, Arc::new(data))
-    }
-
-    /// Adds a source backed by shared (already `Arc`-wrapped) records; cloning
-    /// the plan will not copy the data.
-    pub fn source_shared(&mut self, name: &str, data: Arc<Vec<Record>>) -> OperatorId {
+    /// Adds a source: a `Vec<Record>`, an `Arc` of records shared with the
+    /// caller, or any other [`RecordSource`].
+    pub fn source<S: RecordSource + 'static>(&mut self, name: &str, data: S) -> OperatorId {
         let estimate = data.len();
+        let data = Arc::new(data);
         let id = self.add(name, OperatorKind::Source { data }, Udf::None, vec![]);
         self.operators[id.0].estimated_records = Some(estimate);
         id
@@ -303,7 +298,11 @@ impl Plan {
 
     /// Replaces the data of a source operator (used by the iteration runtime
     /// to feed the next partial solution back into the step plan).
-    pub fn replace_source_data(&mut self, op: OperatorId, data: Arc<Vec<Record>>) -> Result<()> {
+    pub fn replace_source_data<S: RecordSource + 'static>(
+        &mut self,
+        op: OperatorId,
+        data: Arc<S>,
+    ) -> Result<()> {
         let operator = self
             .operators
             .get_mut(op.0)
@@ -494,6 +493,7 @@ mod tests {
     use super::*;
     use crate::contracts::{Collector, MapClosure};
     use crate::page::RecordView;
+    use crate::record::Record;
 
     fn identity_map() -> Arc<dyn MapFunction> {
         Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {

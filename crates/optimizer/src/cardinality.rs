@@ -76,7 +76,7 @@ mod tests {
     #[test]
     fn sources_use_exact_sizes_and_maps_pass_through() {
         let mut plan = Plan::new();
-        let src = plan.source("s", (0..10).map(|i| Record::pair(i, i)).collect());
+        let src = plan.source("s", (0..10).map(|i| Record::pair(i, i)).collect::<Vec<_>>());
         let map = plan.map(
             "m",
             src,
@@ -93,8 +93,11 @@ mod tests {
     #[test]
     fn hints_override_heuristics() {
         let mut plan = Plan::new();
-        let a = plan.source("a", (0..100).map(|i| Record::pair(i, i)).collect());
-        let b = plan.source("b", (0..10).map(|i| Record::pair(i, i)).collect());
+        let a = plan.source(
+            "a",
+            (0..100).map(|i| Record::pair(i, i)).collect::<Vec<_>>(),
+        );
+        let b = plan.source("b", (0..10).map(|i| Record::pair(i, i)).collect::<Vec<_>>());
         let join = plan.match_join(
             "j",
             a,
@@ -114,8 +117,11 @@ mod tests {
     #[test]
     fn join_and_cross_heuristics() {
         let mut plan = Plan::new();
-        let a = plan.source("a", (0..100).map(|i| Record::pair(i, i)).collect());
-        let b = plan.source("b", (0..10).map(|i| Record::pair(i, i)).collect());
+        let a = plan.source(
+            "a",
+            (0..100).map(|i| Record::pair(i, i)).collect::<Vec<_>>(),
+        );
+        let b = plan.source("b", (0..10).map(|i| Record::pair(i, i)).collect::<Vec<_>>());
         let join = plan.match_join(
             "j",
             a,

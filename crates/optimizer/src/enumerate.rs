@@ -612,7 +612,12 @@ mod tests {
 
     fn simple_aggregation_plan() -> (Plan, OperatorId) {
         let mut plan = Plan::new();
-        let src = plan.source("src", (0..100).map(|i| Record::pair(i % 10, i)).collect());
+        let src = plan.source(
+            "src",
+            (0..100)
+                .map(|i| Record::pair(i % 10, i))
+                .collect::<Vec<_>>(),
+        );
         let red = plan.reduce(
             "sum",
             src,
@@ -667,8 +672,16 @@ mod tests {
     #[test]
     fn join_chooses_broadcast_for_tiny_build_side() {
         let mut plan = Plan::new();
-        let tiny = plan.source("tiny", (0..4).map(|i| Record::pair(i, i)).collect());
-        let big = plan.source("big", (0..10_000).map(|i| Record::pair(i % 4, i)).collect());
+        let tiny = plan.source(
+            "tiny",
+            (0..4).map(|i| Record::pair(i, i)).collect::<Vec<_>>(),
+        );
+        let big = plan.source(
+            "big",
+            (0..10_000)
+                .map(|i| Record::pair(i % 4, i))
+                .collect::<Vec<_>>(),
+        );
         let join = plan.match_join(
             "join",
             tiny,
@@ -694,8 +707,18 @@ mod tests {
     /// copied to output field 0.
     fn cogroup_plan() -> (Plan, OperatorId, Annotations) {
         let mut plan = Plan::new();
-        let a = plan.source("a", (0..500).map(|i| Record::pair(i % 50, i)).collect());
-        let b = plan.source("b", (0..500).map(|i| Record::pair(i % 50, -i)).collect());
+        let a = plan.source(
+            "a",
+            (0..500)
+                .map(|i| Record::pair(i % 50, i))
+                .collect::<Vec<_>>(),
+        );
+        let b = plan.source(
+            "b",
+            (0..500)
+                .map(|i| Record::pair(i % 50, -i))
+                .collect::<Vec<_>>(),
+        );
         let cg = plan.cogroup(
             "cg",
             a,
@@ -826,7 +849,10 @@ mod tests {
         // range-shipped at the same operator (or the plan avoids range
         // entirely).
         let mut plan = Plan::new();
-        let left_src = plan.source("left", (0..100).map(|i| Record::pair(i, i)).collect());
+        let left_src = plan.source(
+            "left",
+            (0..100).map(|i| Record::pair(i, i)).collect::<Vec<_>>(),
+        );
         let pre = plan.reduce(
             "pre-aggregate",
             left_src,
@@ -837,7 +863,10 @@ mod tests {
                 },
             )),
         );
-        let right_src = plan.source("right", (90..100).map(|i| Record::pair(i, -i)).collect());
+        let right_src = plan.source(
+            "right",
+            (90..100).map(|i| Record::pair(i, -i)).collect::<Vec<_>>(),
+        );
         let join = plan.match_join(
             "join",
             pre,
@@ -904,12 +933,16 @@ mod tests {
         let mut plan = Plan::new();
         let workset = plan.source(
             "workset",
-            (0..1000).map(|i| Record::pair(i % 100, i)).collect(),
+            (0..1000)
+                .map(|i| Record::pair(i % 100, i))
+                .collect::<Vec<_>>(),
         );
         plan.set_estimated_records(workset, 10_000);
         let state = plan.source(
             "state",
-            (0..1000).map(|i| Record::pair(i % 100, -i)).collect(),
+            (0..1000)
+                .map(|i| Record::pair(i % 100, -i))
+                .collect::<Vec<_>>(),
         );
         plan.set_estimated_records(state, 200_000);
         let join = plan.match_join(
@@ -1020,8 +1053,8 @@ mod tests {
     #[test]
     fn cross_requires_a_replicated_side() {
         let mut plan = Plan::new();
-        let a = plan.source("a", (0..10).map(|i| Record::pair(i, i)).collect());
-        let b = plan.source("b", (0..10).map(|i| Record::pair(i, i)).collect());
+        let a = plan.source("a", (0..10).map(|i| Record::pair(i, i)).collect::<Vec<_>>());
+        let b = plan.source("b", (0..10).map(|i| Record::pair(i, i)).collect::<Vec<_>>());
         let cross = plan.cross(
             "x",
             a,

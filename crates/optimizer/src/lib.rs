@@ -241,7 +241,7 @@ mod tests {
             "rank-vector",
             (0..num_pages.min(1000) as i64)
                 .map(|i| Record::long_double(i, 1.0))
-                .collect(),
+                .collect::<Vec<_>>(),
         );
         plan.set_estimated_records(vector, num_pages);
         let matrix = plan.source(
@@ -254,7 +254,7 @@ mod tests {
                         0.1,
                     )
                 })
-                .collect(),
+                .collect::<Vec<_>>(),
         );
         plan.set_estimated_records(matrix, num_entries);
         let join = plan.match_join(

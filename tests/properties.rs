@@ -368,11 +368,16 @@ fn prop_partitioned_join_is_complete() {
         let mut plan = Plan::new();
         let l = plan.source(
             "left",
-            left.iter().map(|&(k, v)| Record::pair(k, v)).collect(),
+            left.iter()
+                .map(|&(k, v)| Record::pair(k, v))
+                .collect::<Vec<_>>(),
         );
         let r = plan.source(
             "right",
-            right.iter().map(|&(k, v)| Record::pair(k, v)).collect(),
+            right
+                .iter()
+                .map(|&(k, v)| Record::pair(k, v))
+                .collect::<Vec<_>>(),
         );
         let join = plan.match_join(
             "join",

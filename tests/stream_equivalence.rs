@@ -6,12 +6,15 @@
 //! it changes *when* a record reaches the next user function, never *which*
 //! records arrive or in what order.
 
+use algorithms::common::initial_ranks;
+use algorithms::pagerank::{build_step_plan, forced_physical_plan};
 use algorithms::{
     cc_async, cc_bulk, cc_incremental, cc_microstep, oracles, pagerank, sssp_with_config,
     ComponentsConfig, PageRankConfig, PageRankPlan,
 };
 use dataflow::prelude::*;
 use graphdata::{chain, rmat, DatasetProfile, Graph, RmatParams};
+use optimizer::{IterationSpec, Optimizer};
 use spinning_core::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -111,6 +114,60 @@ fn pagerank_all_plans_chained_matches_materialized_bitwise() {
         let materialized = base.with_exec(ExecConfig::new().with_force_materialized(true));
         let oracle = pagerank(&graph, &materialized).unwrap();
         assert_eq!(chained.ranks, oracle.ranks, "ranks differ under {plan:?}");
+    }
+}
+
+/// The bulk driver feeds each iteration's output back as the sink's pages.
+/// Driving PageRank's step plan by hand the heap-record way — the previous
+/// ranks as a `Vec<Record>` source, one cache across executions, the sink
+/// read out as records — must give bit-identical ranks to `run_physical`
+/// for every Figure 4 plan, at p = 1 and 3, unbudgeted and at budget 0.
+#[test]
+fn the_pages_feedback_equals_the_heap_record_feedback() {
+    const ITERATIONS: usize = 6;
+    let graph = rmat(250, 2000, RmatParams::default(), 17).symmetrize();
+    let (plan, vector, join, reduce, annotations) = build_step_plan(&graph, 0.85);
+    let output = plan.sink_by_name("next-ranks").unwrap();
+    for parallelism in [1, 3] {
+        for kind in [
+            PageRankPlan::Optimized,
+            PageRankPlan::ForceBroadcast,
+            PageRankPlan::ForcePartition,
+        ] {
+            let physical = match kind {
+                PageRankPlan::Optimized => {
+                    let spec = IterationSpec::new(vector, output, ITERATIONS as f64);
+                    let optimizer = Optimizer::new(parallelism);
+                    let optimized = optimizer.optimize_iterative(&plan, &annotations, &spec);
+                    optimized.unwrap().physical
+                }
+                forced => forced_physical_plan(&plan, join, reduce, parallelism, forced).unwrap(),
+            };
+            for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
+                let label = format!("{kind:?}, p = {parallelism}, {budget:?}");
+                let exec = ExecConfig::new().with_memory_budget(budget);
+                let config = BulkConfig::new(parallelism).with_exec(exec.clone());
+                let fixed = TerminationCriterion::FixedIterations(ITERATIONS);
+                let iteration = BulkIteration::new(plan.clone(), vector, "next-ranks", fixed);
+                let driven = iteration
+                    .run_physical(physical.clone(), initial_ranks(&graph), &config)
+                    .unwrap();
+
+                let mut by_hand = physical.clone();
+                let executor = Executor::with_config(exec);
+                let mut cache = IntermediateCache::new();
+                let mut ranks = Arc::new(initial_ranks(&graph));
+                for _ in 0..ITERATIONS {
+                    let step = &mut by_hand.plan;
+                    step.replace_source_data(vector, Arc::clone(&ranks))
+                        .unwrap();
+                    let result = executor.execute_with_cache(&by_hand, &mut cache).unwrap();
+                    ranks = Arc::new(result.into_sink("next-ranks").unwrap());
+                }
+                assert_eq!(driven.iterations, ITERATIONS, "{label}");
+                assert_eq!(driven.solution, *ranks, "{label}");
+            }
+        }
     }
 }
 
@@ -312,7 +369,11 @@ fn a_lone_partition_never_leaves_the_calling_thread() {
 #[test]
 fn a_plan_of_unfusable_operators_is_all_singleton_segments() {
     let mut plan = Plan::new();
-    let pairs = |n: i64, modulus: i64| (0..n).map(|i| Record::pair(i % modulus, i)).collect();
+    let pairs = |n: i64, modulus: i64| {
+        (0..n)
+            .map(|i| Record::pair(i % modulus, i))
+            .collect::<Vec<_>>()
+    };
     let a = plan.source("a", pairs(300, 37));
     let b = plan.source("b", pairs(200, 41));
     let c = plan.source("c", pairs(150, 37));
@@ -377,7 +438,9 @@ fn a_shared_producer_that_is_also_a_sink_matches_the_oracle() {
     let mut plan = Plan::new();
     let source = plan.source(
         "events",
-        (0..900).map(|i| Record::pair((i * 7) % 61, i)).collect(),
+        (0..900)
+            .map(|i| Record::pair((i * 7) % 61, i))
+            .collect::<Vec<_>>(),
     );
     let scaled = plan.map(
         "scale",
@@ -527,13 +590,20 @@ fn all_contracts_pipeline(
     let mut plan = Plan::new();
     let events = plan.source(
         "events",
-        (0..3_000).map(|i| Record::pair(i % 211, i)).collect(),
+        (0..3_000)
+            .map(|i| Record::pair(i % 211, i))
+            .collect::<Vec<_>>(),
     );
     let dim = plan.source(
         "dim",
-        (0..400).map(|i| Record::pair(i % 200, i * 10)).collect(),
+        (0..400)
+            .map(|i| Record::pair(i % 200, i * 10))
+            .collect::<Vec<_>>(),
     );
-    let labels = plan.source("labels", (0..3).map(|i| Record::pair(i, -i)).collect());
+    let labels = plan.source(
+        "labels",
+        (0..3).map(|i| Record::pair(i, -i)).collect::<Vec<_>>(),
+    );
     let scale = plan.map(
         "scale",
         events,
@@ -708,7 +778,10 @@ fn a_mid_chain_panic_is_one_typed_error_naming_the_segment() {
     for parallelism in [1, 4] {
         let calls = Arc::new(AtomicUsize::new(0));
         let mut plan = Plan::new();
-        let source = plan.source("events", (0..400).map(|i| Record::pair(i, i)).collect());
+        let source = plan.source(
+            "events",
+            (0..400).map(|i| Record::pair(i, i)).collect::<Vec<_>>(),
+        );
         let expand = plan.map(
             "expand",
             source,
