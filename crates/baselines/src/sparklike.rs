@@ -382,14 +382,19 @@ pub fn pagerank_spark(graph: &Graph, iterations: usize, ctx: &SparkContext) -> V
 }
 
 /// Bulk-iterative Connected Components on the RDD engine: every iteration
-/// recreates the complete component mapping.
-pub fn cc_spark_bulk(graph: &Graph, ctx: &SparkContext) -> (Vec<u32>, usize) {
+/// recreates the complete component mapping.  Stops at the fixpoint or after
+/// `max_iterations` iterations, whichever comes first.
+pub fn cc_spark_bulk(
+    graph: &Graph,
+    max_iterations: usize,
+    ctx: &SparkContext,
+) -> (Vec<u32>, usize) {
     let edges: Vec<(u32, u32)> = graph.edges().collect();
     let edges_rdd = ctx.parallelize(edges).cache();
     let mut components = ctx.parallelize(graph.vertices().map(|v| (v, v)).collect());
 
     let mut iterations = 0;
-    loop {
+    while iterations < max_iterations {
         iterations += 1;
         let start = Instant::now();
         let candidates = components
@@ -526,9 +531,22 @@ mod tests {
     fn spark_cc_matches_the_oracle() {
         let g = figure1_graph();
         let ctx = SparkContext::new(2);
-        let (components, iterations) = cc_spark_bulk(&g, &ctx);
+        let (components, iterations) = cc_spark_bulk(&g, usize::MAX, &ctx);
         assert_eq!(components, g.components_oracle());
         assert!(iterations >= 2);
+    }
+
+    #[test]
+    fn bounded_spark_cc_stops_at_the_bound() {
+        // A 100-vertex ring needs about 50 iterations to converge.
+        let g = ring(100);
+        let ctx = SparkContext::new(2);
+        let (_, unbounded) = cc_spark_bulk(&g, usize::MAX, &ctx);
+        assert!(unbounded > 20, "{unbounded}");
+        let ctx = SparkContext::new(2);
+        let (_, iterations) = cc_spark_bulk(&g, 20, &ctx);
+        assert_eq!(iterations, 20);
+        assert_eq!(ctx.stats().iteration_times.len(), 20);
     }
 
     #[test]
@@ -536,7 +554,7 @@ mod tests {
         let g = rmat(200, 800, RmatParams::default(), 13).symmetrize();
         let ctx_a = SparkContext::new(4);
         let ctx_b = SparkContext::new(4);
-        let (bulk, _) = cc_spark_bulk(&g, &ctx_a);
+        let (bulk, _) = cc_spark_bulk(&g, usize::MAX, &ctx_a);
         let (sim, _) = cc_spark_simulated_incremental(&g, &ctx_b);
         assert_eq!(bulk, sim);
         assert_eq!(bulk, g.components_oracle());

@@ -1,4 +1,4 @@
 //! Prints the Figure 10 reproduction (incremental CC long tail on Webbase).
 fn main() {
-    println!("{}", bench::fig10(bench::scale_factor()));
+    println!("{}", bench::fig10(bench::scale_factor()).table());
 }

@@ -1,4 +1,4 @@
 //! Prints the Figure 11 reproduction (per-iteration CC runtime, all variants).
 fn main() {
-    println!("{}", bench::fig11(bench::scale_factor()));
+    println!("{}", bench::fig11(bench::scale_factor()).table());
 }

@@ -1,4 +1,4 @@
 //! Prints the Figure 4 reproduction (optimizer plan choice for PageRank).
 fn main() {
-    println!("{}", bench::fig4());
+    println!("{}", bench::fig4().table());
 }

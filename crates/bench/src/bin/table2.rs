@@ -1,4 +1,4 @@
 //! Prints the Table 2 reproduction (data set properties).
 fn main() {
-    println!("{}", bench::table2(bench::scale_factor()));
+    println!("{}", bench::table2(bench::scale_factor()).table());
 }

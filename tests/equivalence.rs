@@ -80,7 +80,7 @@ fn connected_components_all_engines_agree() {
             oracle,
             "pregel on {name}"
         );
-        let (spark, _) = cc_spark_bulk(&graph, &SparkContext::new(4));
+        let (spark, _) = cc_spark_bulk(&graph, usize::MAX, &SparkContext::new(4));
         assert_eq!(
             spark.iter().map(|&c| i64::from(c)).collect::<Vec<_>>(),
             oracle,
