@@ -141,8 +141,10 @@ impl ComponentsConfig {
 
 /// Builds the bulk-iterative step plan: `S ⋈ N` produces a candidate per
 /// neighbour, the union with `S` keeps each vertex's own label, and a Reduce
-/// takes the minimum per vertex.
-fn build_bulk_step_plan(graph: &Graph) -> (Plan, OperatorId, Annotations) {
+/// takes the minimum per vertex.  Returns the plan, its partial-solution
+/// source (fed back from the sink `next-components`) and the optimizer's
+/// annotations.
+pub fn build_bulk_step_plan(graph: &Graph) -> (Plan, OperatorId, Annotations) {
     let edges = edge_records(graph);
     let edge_count = edges.len();
     let mut plan = Plan::new();
@@ -500,7 +502,6 @@ mod tests {
             .with_max_iterations(17)
             .with_range_routing()
             .with_checkpoint_policy(CheckpointPolicy::new(5, "ckpt-dir").with_max_retries(7))
-            .with_exec(ExecConfig::new().with_force_materialized(true))
             .with_memory_budget(MemoryBudget::bytes(4096))
             .with_fault(FaultInjector::seeded(11))
             .with_transport(transport)
@@ -524,7 +525,6 @@ mod tests {
         );
         assert_eq!(exec.transport.allocate(), 3, "the configured transport");
         assert_eq!(exec.channel_credits, Some(2));
-        assert!(exec.force_materialized);
     }
 
     #[test]

@@ -82,7 +82,6 @@ use dataflow::contracts::{RecordSink, RecordSource};
 use dataflow::exchange::{self, Outbox};
 use dataflow::fault::FaultSite;
 use dataflow::join_index::JoinIndex;
-use dataflow::key::{group_ranges, sort_by_key};
 use dataflow::page::{for_each_key_group, GroupScratch, PagePool, PageWriter, RecordView};
 use dataflow::prelude::{
     ChannelId, ClusterSpec, DataflowError, ExchangedPartition, ExecConfig, Key, KeyFields,
@@ -230,10 +229,6 @@ pub struct WorksetConfig {
     ///   stalls as typed errors);
     /// * the fault injector of the spill, checkpoint and pool-dispatch
     ///   sites;
-    /// * `force_materialized`, the oracle switch: the batch superstep join
-    ///   materializes its candidates, stably sorts them and cuts the groups
-    ///   instead of grouping them off their sealed pages (byte-identical;
-    ///   the equivalence tests pin it);
     /// * the transport of the superstep exchange.  With a multi-process
     ///   transport the run becomes one SPMD worker of a cluster: every
     ///   process must call [`WorksetIteration::run`] with the *same* initial
@@ -806,32 +801,6 @@ impl<'a> WorksetIteration<'a> {
                 }
             }
             pages
-        } else if config.exec.force_materialized {
-            // InnerCoGroup variant, the reference form the page-native path
-            // is tested against: the candidates materialized, stably sorted
-            // by key, written back to one page writer in that order and cut
-            // into groups, one update per key, deltas applied after the whole
-            // group pass (superstep semantics — every lookup sees the
-            // previous superstep's state).
-            workset.check_spill_read(spill.fault())?;
-            let mut records = workset.into_records()?;
-            sort_by_key(&mut records, &self.workset_key);
-            let mut sorted = PageWriter::new();
-            let handles: Vec<_> = records.iter().map(|record| sorted.push(record)).collect();
-            let views: Vec<_> = handles.iter().map(|&handle| sorted.view(handle)).collect();
-            let mut deltas = Vec::new();
-            for (start, end) in group_ranges(&records, &self.workset_key) {
-                inspected += 1;
-                let key = Key::extract(&records[start], &self.workset_key);
-                if step.update(&key, &views[start..end]) {
-                    deltas.push(step.delta.0.clone());
-                }
-            }
-            for delta in &deltas {
-                step.delta.emit(delta);
-                step.apply(&mut out);
-            }
-            Vec::new()
         } else {
             // Page-native InnerCoGroup: the candidates are grouped straight
             // off their sealed pages and spilled runs by the shared kernel
@@ -840,9 +809,9 @@ impl<'a> WorksetIteration<'a> {
             // hands each group out as views.  Each update's delta is applied
             // and expanded immediately: a key is updated at most once per
             // pass, so no probe can observe another key's fresh delta and the
-            // in-place application is observably identical to the reference
-            // form's collect-then-apply — same groups, same candidate order,
-            // same delta and emission order.
+            // in-place application is observably identical to applying every
+            // delta after the whole group pass (superstep semantics) — same
+            // groups, same candidate order, same delta and emission order.
             workset.check_spill_read(spill.fault())?;
             for_each_key_group(&workset, &self.workset_key, grouping, |key, candidates| {
                 inspected += 1;
@@ -1153,6 +1122,7 @@ mod tests {
     use dataflow::contracts::SourceClosure;
     use dataflow::page::RecordPage;
     use dataflow::prelude::{FaultInjector, MemoryBudget, TransportHandle};
+    use reference::fixpoint::{batch_fixpoint, Fixpoint, Routing, WorksetStep};
 
     /// A tiny "propagate the minimum" iteration over a 4-vertex path graph
     /// 0 - 1 - 2 - 3: solution records are (vid, value), workset records are
@@ -1479,13 +1449,102 @@ mod tests {
         }
     }
 
-    /// The page-native grouping path must be indistinguishable from the
-    /// materializing path — same solution records in the same order, same
-    /// superstep structure, same counters — across execution modes, routing
-    /// schemes, parallelism and memory budgets (including the spill-forced
-    /// budget, where the kernel merges the spilled candidate runs in).
+    /// `iteration` as the reference fixpoint evaluator runs it: the same
+    /// keys, constant input and user functions.
+    fn reference_step(iteration: &WorksetIteration<'_>) -> WorksetStep {
+        let (update, expand) = (Arc::clone(&iteration.update), Arc::clone(&iteration.expand));
+        WorksetStep {
+            solution_key: iteration.solution_key.clone(),
+            workset_key: iteration.workset_key.clone(),
+            constant: iteration.constant_input.collect(),
+            constant_key: iteration.constant_key.clone(),
+            delta_key: iteration.delta_key.clone(),
+            update: Arc::new(
+                move |key: &Key,
+                      current: Option<RecordView<'_>>,
+                      candidates: &[RecordView<'_>],
+                      delta: &mut dyn RecordSink| {
+                    update.update(key, current, candidates, delta)
+                },
+            ),
+            expand: Arc::new(
+                move |delta: RecordView<'_>,
+                      matches: &[RecordView<'_>],
+                      out: &mut dyn RecordSink| {
+                    expand.expand(delta, matches, out)
+                },
+            ),
+            comparator: iteration.comparator.clone(),
+        }
+    }
+
+    /// The evaluator's batch supersteps of `iteration` at `config`'s
+    /// parallelism, routing and superstep bound.
+    fn reference_fixpoint(
+        iteration: &WorksetIteration<'_>,
+        solution: &[Record],
+        workset: &[Record],
+        config: &WorksetConfig,
+    ) -> Fixpoint {
+        let routing = match config.routing {
+            WorksetRouting::Hash => Routing::Hash,
+            WorksetRouting::Range => Routing::Range,
+        };
+        batch_fixpoint(
+            &reference_step(iteration),
+            config.parallelism,
+            routing,
+            solution.to_vec(),
+            workset.to_vec(),
+            config.max_supersteps,
+        )
+    }
+
+    /// Asserts a batch run took the evaluator's supersteps — identical
+    /// per-superstep counters — and reached its solution.  The solution set
+    /// emits its records in index order, so the solutions compare sorted.
+    fn assert_matches_fixpoint(run: &WorksetResult, fixpoint: &Fixpoint, label: &str) {
+        let mut solution = run.solution.clone();
+        solution.sort();
+        assert_eq!(solution, fixpoint.solution, "{label}");
+        assert_eq!(run.converged, fixpoint.converged, "{label}");
+        let rows = |run: &WorksetResult| -> Vec<[usize; 5]> {
+            let rows = run.stats.per_iteration.iter();
+            rows.map(|s| {
+                [
+                    s.workset_size,
+                    s.elements_inspected,
+                    s.elements_changed,
+                    s.messages_sent,
+                    s.messages_shipped,
+                ]
+            })
+            .collect()
+        };
+        let reference: Vec<[usize; 5]> = fixpoint
+            .supersteps
+            .iter()
+            .map(|s| {
+                [
+                    s.workset_size,
+                    s.inspected,
+                    s.changed,
+                    s.messages,
+                    s.shipped,
+                ]
+            })
+            .collect();
+        assert_eq!(rows(run), reference, "{label}");
+    }
+
+    /// Batch supersteps take the reference evaluator's supersteps with the
+    /// same counters and solution, and a microstep run reaches its fixpoint,
+    /// across routing schemes, parallelism and memory budgets (including the
+    /// spill-forced budget, where the kernel merges the spilled candidate
+    /// runs in).  Two runs of one configuration emit the same solution
+    /// records in the same order.
     #[test]
-    fn page_native_path_is_byte_identical_to_materializing() {
+    fn batch_and_microstep_runs_match_the_reference_fixpoint() {
         let (iteration, solution, workset) = dense_min_propagation();
         for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
             for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
@@ -1500,21 +1559,22 @@ mod tests {
                             "{mode:?}/{routing:?}/p{parallelism}/budget {:?}",
                             budget.limit()
                         );
-                        let paged = iteration
-                            .run(solution.clone(), workset.clone(), &config)
-                            .unwrap();
-                        let materialized = iteration
-                            .run(
-                                solution.clone(),
-                                workset.clone(),
-                                &config.clone().with_exec(exec.with_force_materialized(true)),
-                            )
-                            .unwrap();
-                        // Unsorted equality: the paths must agree on the
-                        // records *and* the order the index emits them in.
-                        assert_eq!(paged.solution, materialized.solution, "{label}");
+                        let run = || {
+                            iteration
+                                .run(solution.clone(), workset.clone(), &config)
+                                .unwrap()
+                        };
+                        let (paged, again) = (run(), run());
+                        assert_eq!(paged.solution, again.solution, "{label}: rerun");
                         assert!(paged.converged, "{label}");
-                        assert_same_trace(&paged, &materialized, &label);
+                        let fixpoint = reference_fixpoint(&iteration, &solution, &workset, &config);
+                        if mode == ExecutionMode::BatchIncremental {
+                            assert_matches_fixpoint(&paged, &fixpoint, &label);
+                        } else {
+                            let mut reached = paged.solution.clone();
+                            reached.sort();
+                            assert_eq!(reached, fixpoint.solution, "{label}");
+                        }
                         // The zero budget must actually exercise the spilled
                         // path wherever candidates ship between partitions.
                         if budget == MemoryBudget::bytes(0) && parallelism > 1 {
@@ -1607,12 +1667,12 @@ mod tests {
         }
     }
 
-    /// Runs `iteration` at parallelism 2 unbudgeted, then materialized, at
-    /// budget 0 (every sealed candidate page flushes) and under two page
-    /// credits, and asserts every run equals the unbudgeted one: the same
-    /// solution records in the same order and the same superstep trace.
-    /// With `must_spill`, both budgeted runs must actually have spilled.
-    /// Returns the unbudgeted run.
+    /// Runs `iteration` at parallelism 2 unbudgeted, asserts it matches the
+    /// reference evaluator, then runs it at budget 0 (every sealed candidate
+    /// page flushes) and under two page credits, and asserts both equal the
+    /// unbudgeted run: the same solution records in the same order and the
+    /// same superstep trace.  With `must_spill`, both budgeted runs must
+    /// actually have spilled.  Returns the unbudgeted run.
     fn assert_regimes_agree(
         iteration: &WorksetIteration<'static>,
         solution: &[Record],
@@ -1626,12 +1686,9 @@ mod tests {
             .run(solution.to_vec(), workset.to_vec(), &config)
             .unwrap();
         assert!(baseline.converged, "{label}");
+        let fixpoint = reference_fixpoint(iteration, solution, workset, &config);
+        assert_matches_fixpoint(&baseline, &fixpoint, &format!("{label}, reference"));
         for (regime, variant, spills) in [
-            (
-                "materialized",
-                exec.clone().with_force_materialized(true),
-                false,
-            ),
             (
                 "budget 0",
                 exec.clone().with_memory_budget(MemoryBudget::bytes(0)),
@@ -2070,7 +2127,7 @@ mod tests {
     /// A delta the comparator rejects writes nothing and expands nothing: an
     /// update that always proposes a worse label than the stored one leaves
     /// the solution as it was, counts no change and sends no candidate, in
-    /// every mode and in the reference form.
+    /// every mode and in the reference evaluator.
     #[test]
     fn a_rejected_delta_is_neither_stored_nor_expanded() {
         let update = Arc::new(UpdateClosure(
@@ -2098,17 +2155,15 @@ mod tests {
             .build();
         let solution: Vec<Record> = (0..8).map(|v| Record::pair(v, v)).collect();
         let workset: Vec<Record> = (0..8).map(|v| Record::pair(v, 0)).collect();
-        let reference = ExecConfig::new().with_force_materialized(true);
         let configs = [
             WorksetConfig::new(2),
-            WorksetConfig::new(2).with_exec(reference),
             WorksetConfig::new(2).with_mode(ExecutionMode::Microstep),
             WorksetConfig::new(2).with_mode(ExecutionMode::AsynchronousMicrostep),
         ];
-        for config in configs {
-            let label = format!("{:?} {:?}", config.mode, config.exec.force_materialized);
+        for config in &configs {
+            let label = format!("{:?}", config.mode);
             let result = iteration
-                .run(solution.clone(), workset.clone(), &config)
+                .run(solution.clone(), workset.clone(), config)
                 .unwrap();
             let rows = &result.stats.per_iteration;
             assert!(rows.iter().all(|s| s.elements_changed == 0), "{label}");
@@ -2118,5 +2173,9 @@ mod tests {
             stored.sort();
             assert_eq!(stored, solution, "{label}");
         }
+        let reference = reference_fixpoint(&iteration, &solution, &workset, &configs[0]);
+        let rows = &reference.supersteps;
+        assert!(rows.iter().all(|s| s.changed == 0 && s.messages == 0));
+        assert_eq!(reference.solution, solution);
     }
 }

@@ -14,8 +14,8 @@
 //! serializes, [`Collector::collect`] copies bytes), every user function
 //! reads its input in place as [`RecordView`]s, and a sink's pages can feed
 //! a plan again ([`ExecutionResult::into_sink_pages`]).  Heap [`Record`]s
-//! exist only at the API (sources given as records, materializing sink
-//! accessors) and in the reference forms of [`ExecConfig::force_materialized`].
+//! exist only at the API: sources given as records and the materializing
+//! sink accessors.
 //!
 //! Exchanged (hash/range/broadcast) edges are dams: every such edge fully
 //! materialises before downstream operators run, which is always safe for
@@ -30,12 +30,12 @@
 //! fields it was emitted as, or as the view it was passed through as.  A
 //! fused edge therefore holds one record, not an intermediate result, and
 //! costs a call, not a page or a thread.  An operator none of whose edges
-//! fuse is a segment of one, executed by the same code.
-//! [`ExecConfig::with_force_materialized`] is the oracle switch: it makes
-//! every segment a singleton and replaces the page-native grouping and
-//! sort-merge paths by their reference form (materialize, stable sort, cut,
-//! and hand out views of the re-serialized sorted records), pinning every
-//! streaming path byte-identical to it.
+//! fuse is a segment of one, executed by the same code.  Fused, page-native
+//! execution is the executor's only mode; the oracle it is tested against
+//! lives outside it, in the `reference` test-support crate, whose operator
+//! interpreter evaluates the same plan over heap records without pages,
+//! kernels or fusion and yields the same sink partitions byte for byte
+//! wherever this module fixes the order.
 //!
 //! Every Reduce and sort-merge join groups on the one page-native kernel
 //! ([`for_each_key_group`]), whatever the key's shape, and hands each group
@@ -87,11 +87,10 @@ use crate::error::{DataflowError, Result};
 use crate::exchange::{self, Outbox};
 use crate::fault::{FaultInjector, FaultSite};
 use crate::join_index::JoinIndex;
-use crate::key::{group_ranges, sort_by_key, Key, KeyFields};
+use crate::key::{Key, KeyFields};
 use crate::page::{
-    cmp_keys_in_place, for_each_key_group, serialize_fields_with_width, serialized_width,
-    sort_on_key, view_in, ExchangedPartition, GroupScratch, KeyGroups, PageWriter, RecordPage,
-    RecordView,
+    for_each_key_group, serialize_fields_with_width, serialized_width, sort_on_key, view_in,
+    ExchangedPartition, GroupScratch, KeyGroups, PageWriter, RecordPage, RecordView,
 };
 use crate::physical::{
     streaming_input_slot, LocalStrategy, PhysicalChoice, PhysicalPlan, ShipStrategy,
@@ -142,17 +141,6 @@ pub struct ExecConfig {
     /// [`FaultInjector::from_env`], disabled unless `SPINNING_FAULT_RATE`
     /// is set.
     pub fault: FaultInjector,
-    /// The oracle switch: disables the page-native grouping and sort-merge
-    /// paths **and chain fusion**.  Every grouping and sort-merge join then
-    /// takes its reference form — materialize the input
-    /// ([`ExchangedPartition::into_records`]), stable-sort it
-    /// ([`crate::key::sort_by_key`]), cut the groups
-    /// ([`crate::key::group_ranges`]) and hand the user function views of
-    /// the re-serialized sorted records — and every operator boundary dams
-    /// (the hash join has one implementation, its [`JoinIndex`]).  Off by default;
-    /// the equivalence suites flip it to check the production paths produce
-    /// byte-identical results.
-    pub force_materialized: bool,
     /// The transport every exchange ships its sealed pages through.
     /// Defaults to the in-process backend (pointer-moving channels in a
     /// cluster of one).  A multi-process transport makes a workset run one
@@ -171,7 +159,6 @@ impl Default for ExecConfig {
             memory_budget: MemoryBudget::unlimited(),
             channel_credits: crate::credit::channel_credits_from_env(),
             fault: FaultInjector::from_env(),
-            force_materialized: false,
             transport: TransportHandle::default(),
         }
     }
@@ -201,13 +188,6 @@ impl ExecConfig {
     /// Sets the fault injector (replacing the environment-configured one).
     pub fn with_fault(mut self, fault: FaultInjector) -> Self {
         self.fault = fault;
-        self
-    }
-
-    /// Forces the materializing operator paths (see
-    /// [`ExecConfig::force_materialized`]).
-    pub fn with_force_materialized(mut self, force: bool) -> Self {
-        self.force_materialized = force;
         self
     }
 
@@ -469,9 +449,7 @@ impl Executor {
         }
 
         // Every non-source operator runs as a member of exactly one segment.
-        // `force_materialized` is the escape hatch that makes every segment a
-        // singleton, pinning the fused paths against the materializing oracle.
-        let segments = compute_chain_segments(physical, !self.config.force_materialized);
+        let segments = compute_chain_segments(physical);
 
         for id in order {
             let op = plan.operator(id);
@@ -605,7 +583,6 @@ impl Executor {
     ) -> Result<()> {
         let plan = &physical.plan;
         let parallelism = physical.parallelism;
-        let page_native = !self.config.force_materialized;
         let fault = &self.config.fault;
 
         // Per partition, every member's delivered inputs in member order (the
@@ -665,7 +642,7 @@ impl Executor {
             },
             fault,
             partition_inputs,
-            |inputs| run_fused(&fused, inputs, page_native, fault),
+            |inputs| run_fused(&fused, inputs, fault),
         )?;
 
         let mut rows: Vec<OperatorStats> = fused
@@ -814,8 +791,8 @@ impl RecordSink for Split {
 /// members (head first) of the segment whose **tail** is that operator;
 /// sources and inner members get an empty entry.
 ///
-/// With `fuse` set, an edge `A → B` (into slot `s` of `B`) fuses when all of
-/// the following hold, so streaming it cannot change any observable result:
+/// An edge `A → B` (into slot `s` of `B`) fuses when all of the following
+/// hold, so streaming it cannot change any observable result:
 ///
 /// * `s` is `B`'s streaming slot ([`streaming_input_slot`]) — `B` can
 ///   consume the edge record by record;
@@ -830,9 +807,8 @@ impl RecordSink for Split {
 ///   there is no producing call to fuse into) and not a sink (a sink's
 ///   records *are* the plan's result and must materialize).
 ///
-/// An operator none of whose edges fuse — and, without `fuse`, every
-/// operator — is a segment of one.
-fn compute_chain_segments(physical: &PhysicalPlan, fuse: bool) -> Vec<Vec<OperatorId>> {
+/// An operator none of whose edges fuse is a segment of one.
+fn compute_chain_segments(physical: &PhysicalPlan) -> Vec<Vec<OperatorId>> {
     let plan = &physical.plan;
     let mut consumer_count = vec![0usize; plan.len()];
     for op in plan.operators() {
@@ -847,7 +823,7 @@ fn compute_chain_segments(physical: &PhysicalPlan, fuse: bool) -> Vec<Vec<Operat
         .map(|op| !matches!(op.kind, OperatorKind::Source { .. }))
         .collect();
     for op in plan.operators() {
-        if !fuse || matches!(op.kind, OperatorKind::Source { .. }) {
+        if matches!(op.kind, OperatorKind::Source { .. }) {
             continue;
         }
         let choice = physical.choice(op.id);
@@ -900,21 +876,13 @@ fn compute_chain_segments(physical: &PhysicalPlan, fuse: bool) -> Vec<Vec<Operat
 /// ties in arrival order (the stable key sort), whichever the local strategy.
 /// It is a `PagedGroup`: records are serialized onto pages as they arrive and
 /// grouped at end of stream by the shared kernel ([`KeyGroups`]), whatever
-/// the key's shape.  Under `force_materialized` it is the reference
-/// `SortGroup`.
+/// the key's shape.
 enum Stage {
     Map(Arc<dyn MapFunction>),
     Sink,
     PagedGroup {
         udf: Arc<dyn ReduceFunction>,
         groups: KeyGroups,
-    },
-    /// Buffers the stream, stably sorts it at end of stream and hands out
-    /// the groups of the re-serialized sorted records.
-    SortGroup {
-        key: KeyFields,
-        udf: Arc<dyn ReduceFunction>,
-        records: Vec<Record>,
     },
     /// Probes the join index over the build side; matches are emitted in
     /// build insertion order.
@@ -933,27 +901,16 @@ enum Stage {
 
 impl Stage {
     /// Builds the stage of `op` from its delivered inputs `side` (slot order,
-    /// the streamed slot `stream_slot` absent).  `page_native` selects the
-    /// paged grouping over the reference one.
-    fn new(
-        op: &Operator,
-        stream_slot: usize,
-        side: Vec<ExchangedPartition>,
-        page_native: bool,
-    ) -> Result<Stage> {
+    /// the streamed slot `stream_slot` absent).
+    fn new(op: &Operator, stream_slot: usize, side: Vec<ExchangedPartition>) -> Result<Stage> {
         let mut side = side.into_iter();
         let mut side_input = || side.next().expect("Plan::validate checked the input arity");
         Ok(match (&op.kind, &op.udf) {
             (OperatorKind::Map, Udf::Map(udf)) => Stage::Map(Arc::clone(udf)),
             (OperatorKind::Sink { .. }, _) => Stage::Sink,
-            (OperatorKind::Reduce { key }, Udf::Reduce(udf)) if page_native => Stage::PagedGroup {
+            (OperatorKind::Reduce { key }, Udf::Reduce(udf)) => Stage::PagedGroup {
                 udf: Arc::clone(udf),
                 groups: KeyGroups::new(key.clone()),
-            },
-            (OperatorKind::Reduce { key }, Udf::Reduce(udf)) => Stage::SortGroup {
-                key: key.clone(),
-                udf: Arc::clone(udf),
-                records: Vec::new(),
             },
             (
                 OperatorKind::Match {
@@ -1014,7 +971,6 @@ impl Stage {
             Stage::Map(udf) => udf.map(record, out),
             Stage::Sink => out.collect(record),
             Stage::PagedGroup { groups, .. } => groups.append_view(record),
-            Stage::SortGroup { records, .. } => records.push(record.materialize()),
             Stage::HashProbe {
                 udf,
                 probe_key,
@@ -1037,45 +993,12 @@ impl Stage {
         }
     }
 
-    /// End of stream: the grouping stages emit their groups.
+    /// End of stream: the grouping stage emits its groups.
     fn finish(self, out: &mut Collector) {
-        match self {
-            Stage::PagedGroup { udf, groups } => {
-                groups.for_each_group(|k, group| udf.reduce(&k.values(), group, out))
-            }
-            Stage::SortGroup { key, udf, records } => {
-                let (pages, ranges) = sort_reference(records, &key);
-                let views = views_of(&pages);
-                let mut k = Key::Long(0);
-                for (start, end) in ranges {
-                    views[start].key_into(&key, &mut k);
-                    udf.reduce(&k.values(), &views[start..end], out);
-                }
-            }
-            Stage::Map(_) | Stage::Sink | Stage::HashProbe { .. } | Stage::Cross { .. } => {}
+        if let Stage::PagedGroup { udf, groups } = self {
+            groups.for_each_group(|k, group| udf.reduce(&k.values(), group, out))
         }
     }
-}
-
-/// The reference form's sort: `records` stably sorted on `key`
-/// ([`sort_by_key`]) and re-serialized in that order, with the `(start,
-/// end)` ranges of their key groups ([`group_ranges`]).
-fn sort_reference(
-    mut records: Vec<Record>,
-    key: &[usize],
-) -> (Vec<Arc<RecordPage>>, Vec<(usize, usize)>) {
-    sort_by_key(&mut records, key);
-    let ranges = group_ranges(&records, key);
-    let mut sorted = PageWriter::new();
-    for record in &records {
-        sorted.push(record);
-    }
-    (sorted.finish(), ranges)
-}
-
-/// The records of `pages`, in order, as views.
-fn views_of(pages: &[Arc<RecordPage>]) -> Vec<RecordView<'_>> {
-    pages.iter().flat_map(|page| page.reader()).collect()
 }
 
 /// The typed error of an operator whose UDF does not fit its contract (a
@@ -1145,7 +1068,6 @@ struct MemberReport {
 fn run_fused(
     members: &[(&Operator, LocalStrategy)],
     mut inputs: Vec<Vec<ExchangedPartition>>,
-    page_native: bool,
     fault: &FaultInjector,
 ) -> Result<(Vec<MemberReport>, Vec<Arc<RecordPage>>)> {
     let start = Instant::now();
@@ -1155,7 +1077,7 @@ fn run_fused(
         let stream_slot = streaming_input_slot(&op.kind, local)
             .expect("compute_chain_segments fuses only into a streaming slot");
         out = Collector::with_sink(Box::new(FusedStage {
-            stage: Stage::new(op, stream_slot, side, page_native)?,
+            stage: Stage::new(op, stream_slot, side)?,
             records_in,
             out,
             scratch: Vec::new(),
@@ -1165,7 +1087,7 @@ fn run_fused(
     let head_inputs = inputs
         .pop()
         .expect("execute_segment delivers one input set per member");
-    let records_in = run_local(head, head_local, head_inputs, page_native, fault, &mut out)?;
+    let records_in = run_local(head, head_local, head_inputs, fault, &mut out)?;
     let mut reports = vec![MemberReport {
         records_in,
         records_out: out.len(),
@@ -1434,28 +1356,26 @@ fn admit_inputs(inputs: &[ExchangedPartition], fault: &FaultInjector) -> Result<
 /// Runs one operator's local work on one partition's inputs, emitting into
 /// `out`.  Operators that dam every input (sort-merge join, cogroup, union)
 /// run their whole-partition algorithm.  Every other operator has a streaming
-/// slot: with `page_native` set (the default), a Reduce groups its delivered
-/// partition on the page-native kernel ([`for_each_key_group`]), which hands
-/// each group to the user function as views and streams key-sorted spilled
-/// runs off disk; otherwise the streaming slot's partition is driven through
-/// the operator's [`Stage`] — the same code a fused producer emits into.
+/// slot: a Reduce groups its delivered partition on the page-native kernel
+/// ([`for_each_key_group`]), which hands each group to the user function as
+/// views and streams key-sorted spilled runs off disk; any other operator's
+/// streaming slot is driven through its [`Stage`] — the same code a fused
+/// producer emits into.
 /// Returns the number of records consumed; spill-read failures (injected or
 /// real) surface as typed errors instead of panics.
 fn run_local(
     op: &Operator,
     local: LocalStrategy,
     mut inputs: Vec<ExchangedPartition>,
-    page_native: bool,
     fault: &FaultInjector,
     out: &mut Collector,
 ) -> Result<usize> {
     let records_in = admit_inputs(&inputs, fault)?;
     let Some(stream_slot) = streaming_input_slot(&op.kind, local) else {
-        run_dammed(op, inputs, page_native, out)?;
+        run_dammed(op, inputs, out)?;
         return Ok(records_in);
     };
-    if let (OperatorKind::Reduce { key }, Udf::Reduce(udf), true) = (&op.kind, &op.udf, page_native)
-    {
+    if let (OperatorKind::Reduce { key }, Udf::Reduce(udf)) = (&op.kind, &op.udf) {
         let mut scratch = GroupScratch::default();
         for_each_key_group(&inputs[stream_slot], key, &mut scratch, |k, group| {
             udf.reduce(&k.values(), group, out)
@@ -1463,7 +1383,7 @@ fn run_local(
         return Ok(records_in);
     }
     let streamed = inputs.remove(stream_slot);
-    let mut stage = Stage::new(op, stream_slot, inputs, page_native)?;
+    let mut stage = Stage::new(op, stream_slot, inputs)?;
     streamed.for_each_view(|record| stage.accept(record, out))?;
     stage.finish(out);
     Ok(records_in)
@@ -1471,12 +1391,7 @@ fn run_local(
 
 /// The local phase of the operators that dam every input: sort-merge join,
 /// cogroup and union.
-fn run_dammed(
-    op: &Operator,
-    inputs: Vec<ExchangedPartition>,
-    page_native: bool,
-    out: &mut Collector,
-) -> Result<()> {
+fn run_dammed(op: &Operator, inputs: Vec<ExchangedPartition>, out: &mut Collector) -> Result<()> {
     let mut inputs = inputs.into_iter();
     let mut next_input = || {
         inputs
@@ -1493,20 +1408,13 @@ fn run_dammed(
         ) => {
             let (left, right) = (next_input(), next_input());
             let keys = (&left_key[..], &right_key[..]);
-            merge_sorted_groups(
-                keys,
-                left,
-                right,
-                false,
-                page_native,
-                |_, lgroup, rgroup| {
-                    for &l in lgroup {
-                        for &r in rgroup {
-                            udf.join(l, r, out);
-                        }
+            merge_sorted_groups(keys, left, right, false, |_, lgroup, rgroup| {
+                for &l in lgroup {
+                    for &r in rgroup {
+                        udf.join(l, r, out);
                     }
-                },
-            )?;
+                }
+            })?;
         }
         (
             OperatorKind::CoGroup {
@@ -1518,14 +1426,9 @@ fn run_dammed(
         ) => {
             let (left, right) = (next_input(), next_input());
             let keys = (&left_key[..], &right_key[..]);
-            merge_sorted_groups(
-                keys,
-                left,
-                right,
-                !inner,
-                page_native,
-                |key, lgroup, rgroup| udf.cogroup(key, lgroup, rgroup, out),
-            )?;
+            merge_sorted_groups(keys, left, right, !inner, |key, lgroup, rgroup| {
+                udf.cogroup(key, lgroup, rgroup, out)
+            })?;
         }
         (OperatorKind::Union, _) => {
             for input in inputs {
@@ -1542,16 +1445,14 @@ fn run_dammed(
 /// The one two-sided merge of key groups, under the sort-merge Match and
 /// CoGroup / InnerCoGroup: `on_groups` gets the key and both sides' groups of
 /// every key both sides hold, in key order — with `outer`, of every key
-/// either side holds, the missing group empty.  Page-native, both sides sort
-/// on the shared kernel ([`sort_on_key`]) and the groups are views of the
-/// sorted pages; the reference form materializes, stably sorts,
-/// re-serializes and cuts.
+/// either side holds, the missing group empty.  Both sides sort on the
+/// shared kernel ([`sort_on_key`]) and the groups are views of the sorted
+/// pages.
 fn merge_sorted_groups(
     (left_key, right_key): (&[usize], &[usize]),
     left: ExchangedPartition,
     right: ExchangedPartition,
     outer: bool,
-    page_native: bool,
     mut on_groups: impl FnMut(&[Value], &[RecordView<'_>], &[RecordView<'_>]),
 ) -> std::io::Result<()> {
     // The key of a handed-out pair of groups, from whichever side holds it.
@@ -1563,35 +1464,22 @@ fn merge_sorted_groups(
         }
         on_groups(&key.values(), lgroup, rgroup);
     };
-    if page_native {
-        let (mut lpairs, mut rpairs, mut radix) = (Vec::new(), Vec::new(), Vec::new());
-        let lsorted = sort_on_key(&left, left_key, &mut lpairs, &mut radix)?;
-        let rsorted = sort_on_key(&right, right_key, &mut rpairs, &mut radix)?;
-        let (lranges, rranges) = (lsorted.group_ranges(&lpairs), rsorted.group_ranges(&rpairs));
-        let (mut lviews, mut rviews) = (Vec::new(), Vec::new());
-        walk_groups(
-            &lranges,
-            &rranges,
-            outer,
-            |l, r| lsorted.cmp_keys(&lpairs[l], &rsorted, &rpairs[r]),
-            |l, r| {
-                lsorted.views_into(&lpairs[l], &mut lviews);
-                rsorted.views_into(&rpairs[r], &mut rviews);
-                emit(&lviews, &rviews);
-            },
-        );
-    } else {
-        let (lpages, lranges) = sort_reference(left.into_records()?, left_key);
-        let (rpages, rranges) = sort_reference(right.into_records()?, right_key);
-        let (lviews, rviews) = (views_of(&lpages), views_of(&rpages));
-        walk_groups(
-            &lranges,
-            &rranges,
-            outer,
-            |l, r| cmp_keys_in_place(lviews[l], left_key, rviews[r], right_key),
-            |l, r| emit(&lviews[l], &rviews[r]),
-        );
-    }
+    let (mut lpairs, mut rpairs, mut radix) = (Vec::new(), Vec::new(), Vec::new());
+    let lsorted = sort_on_key(&left, left_key, &mut lpairs, &mut radix)?;
+    let rsorted = sort_on_key(&right, right_key, &mut rpairs, &mut radix)?;
+    let (lranges, rranges) = (lsorted.group_ranges(&lpairs), rsorted.group_ranges(&rpairs));
+    let (mut lviews, mut rviews) = (Vec::new(), Vec::new());
+    walk_groups(
+        &lranges,
+        &rranges,
+        outer,
+        |l, r| lsorted.cmp_keys(&lpairs[l], &rsorted, &rpairs[r]),
+        |l, r| {
+            lsorted.views_into(&lpairs[l], &mut lviews);
+            rsorted.views_into(&rpairs[r], &mut rviews);
+            emit(&lviews, &rviews);
+        },
+    );
     Ok(())
 }
 
@@ -2153,7 +2041,7 @@ mod tests {
         assert!(stats.shipped_records > 0);
         assert_eq!(stats.shipped_records + stats.local_records, 1000);
         for (target, part) in exchanged.into_iter().enumerate() {
-            let mut received = part.into_records().unwrap();
+            let mut received = part.records();
             received.sort();
             let mut want = expected[target].clone();
             want.sort();
@@ -2196,7 +2084,7 @@ mod tests {
             assert_eq!(part.page_count(), 2);
             let mut shared = part.pages().iter().zip(producer.iter().flatten());
             assert!(shared.all(|(a, b)| Arc::ptr_eq(a, b)));
-            let mut records = part.into_records().unwrap();
+            let mut records = part.records();
             records.sort();
             assert_eq!(
                 records,
@@ -2256,10 +2144,10 @@ mod tests {
         let mut concatenated: Vec<Record> = Vec::new();
         for part in exchanged {
             assert_eq!(part.sorted_by(), Some(&[0usize][..]));
-            concatenated.extend(part.into_records().unwrap());
+            concatenated.extend(part.records());
         }
         let mut expected: Vec<Record> = producer.into_iter().flatten().collect();
-        sort_by_key(&mut expected, &[0]);
+        expected.sort_by_key(|r| Key::extract(r, &[0]));
         assert_eq!(concatenated.len(), expected.len());
         for window in concatenated.windows(2) {
             assert!(
@@ -2643,7 +2531,7 @@ mod tests {
         let mut concatenated: Vec<Record> = Vec::new();
         for part in exchanged {
             assert_eq!(part.sorted_by(), Some(&[0usize][..]));
-            concatenated.extend(part.into_records().unwrap());
+            concatenated.extend(part.records());
         }
         for window in concatenated.windows(2) {
             assert!(

@@ -131,7 +131,7 @@ impl JoinIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::sort_by_key;
+    use crate::key::Key;
     use crate::page::{serialize_record, PageWriter, RecordPage};
     use crate::record::Record;
     use crate::spill::{write_run_in, write_sorted_records_in};
@@ -248,7 +248,7 @@ mod tests {
         // A range exchange under a budget: a sorted residue plus sorted runs,
         // whose owning order is their merge.
         let mut sorted = build.to_vec();
-        sort_by_key(&mut sorted, key);
+        sorted.sort_by_key(|r| Key::extract(r, key));
         let sorted_range = || {
             let (local, runs) = sorted.split_at(third);
             let (a, b) = runs.split_at(third);
@@ -258,7 +258,7 @@ mod tests {
         let part = sorted_range();
         assert!(part.is_sorted_merge());
         let index = JoinIndex::from_partition(part, key).unwrap();
-        let merged = sorted_range().into_records().unwrap();
+        let merged = sorted_range().records();
         assert_agrees(
             &format!("{name}/sorted-merge"),
             &index,

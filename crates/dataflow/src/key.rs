@@ -382,50 +382,6 @@ impl Ord for Key {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Record-level key comparison and grouping
-// ---------------------------------------------------------------------------
-
-/// Compares two records on their respective key fields (field-by-field, in
-/// declaration order).  Used by the sort-based local strategies.
-pub fn compare_keys(a: &Record, a_fields: &[usize], b: &Record, b_fields: &[usize]) -> Ordering {
-    debug_assert_eq!(a_fields.len(), b_fields.len(), "key arity mismatch");
-    for (&ia, &ib) in a_fields.iter().zip(b_fields) {
-        let ord = a.field(ia).cmp(b.field(ib));
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
-/// True if the key fields of `a` equal the key fields of `b`.
-pub fn keys_equal(a: &Record, a_fields: &[usize], b: &Record, b_fields: &[usize]) -> bool {
-    compare_keys(a, a_fields, b, b_fields) == Ordering::Equal
-}
-
-/// Sorts records in place by their key fields; ties are left in input order
-/// (stable sort), which keeps group contents deterministic for testing.
-pub fn sort_by_key(records: &mut [Record], fields: &[usize]) {
-    records.sort_by(|a, b| compare_keys(a, fields, b, fields));
-}
-
-/// Groups sorted records by key, returning `(start, end)` ranges of each
-/// group.  The input must already be sorted by `fields`.
-pub fn group_ranges(records: &[Record], fields: &[usize]) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::new();
-    let mut start = 0usize;
-    while start < records.len() {
-        let mut end = start + 1;
-        while end < records.len() && keys_equal(&records[start], fields, &records[end], fields) {
-            end += 1;
-        }
-        ranges.push((start, end));
-        start = end;
-    }
-    ranges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,45 +496,6 @@ mod tests {
                 "partition {p} got {c} of 10000 sequential keys: {counts:?}"
             );
         }
-    }
-
-    #[test]
-    fn compare_keys_orders_by_fields_in_order() {
-        let a = Record::pair(1, 9);
-        let b = Record::pair(1, 2);
-        assert_eq!(compare_keys(&a, &[0], &b, &[0]), Ordering::Equal);
-        assert_eq!(compare_keys(&a, &[0, 1], &b, &[0, 1]), Ordering::Greater);
-        assert_eq!(compare_keys(&b, &[1], &a, &[1]), Ordering::Less);
-    }
-
-    #[test]
-    fn group_ranges_splits_sorted_runs() {
-        let mut records = vec![
-            Record::pair(2, 0),
-            Record::pair(1, 1),
-            Record::pair(1, 2),
-            Record::pair(3, 0),
-            Record::pair(2, 5),
-        ];
-        sort_by_key(&mut records, &[0]);
-        let ranges = group_ranges(&records, &[0]);
-        assert_eq!(ranges, vec![(0, 2), (2, 4), (4, 5)]);
-        assert_eq!(records[0].long(0), 1);
-        assert_eq!(records[4].long(0), 3);
-    }
-
-    #[test]
-    fn group_ranges_on_empty_input() {
-        assert!(group_ranges(&[], &[0]).is_empty());
-    }
-
-    #[test]
-    fn keys_can_join_across_different_positions() {
-        // Match joins vector (pid at field 0) with matrix (pid at field 1).
-        let vector = Record::long_double(4, 0.25);
-        let matrix = Record::triple(9, 4, 0.5);
-        assert!(keys_equal(&vector, &[0], &matrix, &[1]));
-        assert!(!keys_equal(&vector, &[0], &matrix, &[0]));
     }
 
     #[test]

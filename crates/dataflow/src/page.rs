@@ -956,8 +956,8 @@ fn cmp_field_bytes(a: &[u8], b: &[u8]) -> Ordering {
 }
 
 /// Compares key `a_key` of `a` with key `b_key` of `b` field by field, in
-/// place on the page bytes — the order [`crate::key::compare_keys`] gives
-/// the same records on the heap.  The kernel's inexact keys are ordered and
+/// place on the page bytes — the order of the key fields' values
+/// ([`Value`]'s `Ord`), field by field.  The kernel's inexact keys are ordered and
 /// grouped by it.
 #[cold]
 #[inline(never)]
@@ -1199,8 +1199,7 @@ impl PagePool {
 /// share of its producer's pages, a partition's own local writer, peers'
 /// pages — and, when the exchange ran under a memory budget,
 /// [`SpilledRun`]s on disk.  Consumers read every record in place
-/// ([`ExchangedPartition::for_each_view`]); the reference forms take
-/// ownership ([`ExchangedPartition::into_records`]).
+/// ([`ExchangedPartition::for_each_view`]).
 ///
 /// # Sorted partitions
 ///
@@ -1412,16 +1411,6 @@ impl ExchangedPartition {
         }
         Ok(())
     }
-
-    /// Materializes the whole partition into owned records, in the order
-    /// [`ExchangedPartition::for_each_view`] visits — the reference forms'
-    /// input.  Fails with the underlying I/O error when a spilled run cannot
-    /// be read.
-    pub fn into_records(self) -> std::io::Result<Vec<Record>> {
-        let mut records = Vec::with_capacity(self.record_count());
-        self.for_each_view(|view| records.push(view.materialize()))?;
-        Ok(records)
-    }
 }
 
 /// Adopts `page` into `store`, reporting every record's `(key prefix,
@@ -1471,8 +1460,8 @@ pub(crate) struct KeySorted<'k> {
 /// Sorts a delivered partition on `key` without materializing it: the
 /// partition is ingested into a page writer and `pairs` receives
 /// one `(key prefix, handle)` per record, sorted.  Ties keep their insertion
-/// position (the handle order), so the result is exactly the stable record
-/// sort of [`crate::key::sort_by_key`] — on 16-byte items instead of heap
+/// position (the handle order), so the result is exactly the stable sort of
+/// the records on their key values — on 16-byte items instead of heap
 /// records, whatever the key's shape.
 pub(crate) fn sort_on_key<'k>(
     part: &ExchangedPartition,
@@ -1646,8 +1635,8 @@ fn sort_pairs_by_prefix(pairs: &mut Vec<(u64, PageHandle)>, scratch: &mut Vec<(u
 /// Groups a paged partition by its key, whatever the key's shape: `on_group`
 /// runs once per distinct key, in key order, with the key and views of the
 /// key's records in delivery order (pages, then the spilled runs in
-/// order) — the stable sort of the partition, and so identical to
-/// the materializing oracle's sort and cut.  No record is deserialized: the
+/// order) — the stable sort of the partition cut at every key change.  No
+/// record is deserialized: the
 /// views address the sorted pages, and a group merged in off disk is copied
 /// as payload bytes into one reused buffer.
 ///
@@ -1847,6 +1836,16 @@ impl KeyGroups {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ExchangedPartition {
+        /// The partition's records, in the order its visitor yields them.
+        pub(crate) fn records(&self) -> Vec<Record> {
+            let mut records = Vec::with_capacity(self.record_count());
+            let read = self.for_each_view(|view| records.push(view.materialize()));
+            read.expect("a test partition's runs are readable");
+            records
+        }
+    }
 
     /// `records` on pages, in order.
     fn paged(records: &[Record]) -> Vec<Arc<RecordPage>> {
@@ -2066,7 +2065,7 @@ mod tests {
                 Record::pair(12, 13)
             ]
         );
-        assert_eq!(part.into_records().unwrap(), seen);
+        assert_eq!(part.records(), seen);
     }
 
     #[test]
@@ -2319,7 +2318,7 @@ mod tests {
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
         assert!(keys.contains(&Key::Composite(vec![Value::Text("k".into())].into())));
         // The partition is untouched: its visitor reads it all.
-        assert_eq!(mixed.into_records().unwrap().len(), 3);
+        assert_eq!(mixed.records().len(), 3);
     }
 
     /// The grouping as `(key, serialized group records)`, in group order.
@@ -2350,8 +2349,8 @@ mod tests {
 
     /// The oracle: the pieces concatenated in delivery order — pages, then
     /// the runs read through cursors (not
-    /// `into_records`, which merges a sorted spilled partition with the
-    /// merge under test) — stably sorted with `sort_by_key` and cut into key
+    /// `records`, which merges a sorted spilled partition with the
+    /// merge under test) — stably sorted on the key values and cut into key
     /// groups.
     fn oracle_groups(part: &ExchangedPartition, key: &[usize]) -> Groups {
         let mut records = Vec::new();
@@ -2364,9 +2363,9 @@ mod tests {
                 records.push(record);
             }
         }
-        crate::key::sort_by_key(&mut records, key);
+        records.sort_by_key(|r| Key::extract(r, key));
         records
-            .chunk_by(|a, b| crate::key::keys_equal(a, key, b, key))
+            .chunk_by(|a, b| Key::extract(a, key) == Key::extract(b, key))
             .map(|group| (Key::extract(&group[0], key), serialized(group)))
             .collect()
     }
@@ -2479,7 +2478,7 @@ mod tests {
                 let mut wide = random_key(shape, &mut random);
                 wide.push(Value::Text("x".repeat(40 * 1024)));
                 oversized.push(Record::new(wide));
-                crate::key::sort_by_key(&mut oversized, key);
+                oversized.sort_by_key(|r| Key::extract(r, key));
                 let oversized = write_sorted_records_in(&dir, &oversized, key).unwrap();
                 assert!(oversized.byte_len() > DEFAULT_PAGE_BYTES);
                 let empty = write_run_in(&dir, &[], sort.clone()).unwrap();
@@ -2528,11 +2527,11 @@ mod tests {
                 // A range-delivered sorted spilled partition: a sorted residue
                 // plus sorted runs, whose owning order is their merge.
                 let mut sorted_local = records(size, &mut random);
-                crate::key::sort_by_key(&mut sorted_local, key);
+                sorted_local.sort_by_key(|r| Key::extract(r, key));
                 let sorted_runs: Vec<SpilledRun> = (0..3)
                     .map(|_| {
                         let mut run = records(size / 2, &mut random);
-                        crate::key::sort_by_key(&mut run, key);
+                        run.sort_by_key(|r| Key::extract(r, key));
                         write_sorted_records_in(&dir, &run, key).unwrap()
                     })
                     .collect();
@@ -2546,9 +2545,9 @@ mod tests {
                     "{label}: range-delivered sorted merge"
                 );
                 // Its visitor runs the same merge.
-                let owned = range.into_records().unwrap();
+                let owned = range.records();
                 let concatenated: Vec<u8> = oracle.iter().flat_map(|g| g.1.clone()).collect();
-                assert_eq!(serialized(&owned), concatenated, "{label}: into_records");
+                assert_eq!(serialized(&owned), concatenated, "{label}: records");
             }
         }
         let _ = std::fs::remove_dir(&dir);

@@ -560,8 +560,8 @@ pub(crate) struct FlushScratch {
 }
 
 /// Orders the records of `pages` by `keys` into fresh pages: the records,
-/// order and page layout of [`crate::key::sort_by_key`] serialized through a
-/// [`PageWriter`], without building a record.  The shared kernel
+/// order and page layout of their stable sort on the key values serialized
+/// through a [`PageWriter`], without building a record.  The shared kernel
 /// ([`crate::page`]) orders the `(prefix, handle)` pairs stably and each
 /// record's serialized payload is copied to the output in that order.  The
 /// sorted flush and the range exchange's post-exchange sort both run it.
@@ -1140,7 +1140,7 @@ impl LoserTree {
 /// merging the ordered chunks of one stream reproduces the stable sort of
 /// that stream.  Two heads whose keys are both one `Long` field compare on
 /// their prefixes; any other pair compares its keys in place on the bytes —
-/// the order of [`crate::key::sort_by_key`] either way.
+/// the key values' order either way.
 ///
 /// The grouping kernel ([`crate::page::for_each_key_group`]) walks it record
 /// by record in place, and so does a sorted spilled partition's visitor
@@ -1318,7 +1318,7 @@ impl RunMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::sort_by_key;
+    use crate::key::Key;
 
     /// A unique spill directory per test, under the system temp dir.
     fn test_dir(name: &str) -> PathBuf {
@@ -1390,7 +1390,7 @@ mod tests {
             read.push(record);
         }
         let mut oracle = records;
-        sort_by_key(&mut oracle, &[0]);
+        oracle.sort_by_key(|r| Key::extract(r, &[0]));
         assert_eq!(read, oracle, "flush sort must equal the stable Value sort");
         drop(cursor);
         drop(run);
@@ -1538,7 +1538,7 @@ mod tests {
             let chunk = input.len() / k + 1;
             let mut pieces = input.chunks(chunk).map(|piece| {
                 let mut sorted = piece.to_vec();
-                sort_by_key(&mut sorted, &[0]);
+                sorted.sort_by_key(|r| Key::extract(r, &[0]));
                 sorted
             });
             let residue = pieces.next().unwrap();
@@ -1551,7 +1551,7 @@ mod tests {
             }
             let merged = drain(RunMerger::over_runs(&runs, residue, vec![0]).unwrap());
             let mut oracle = input;
-            sort_by_key(&mut oracle, &[0]);
+            oracle.sort_by_key(|r| Key::extract(r, &[0]));
             assert_eq!(merged, oracle, "k={k}");
         }
         let _ = fs::remove_dir(&dir);
@@ -1562,8 +1562,8 @@ mod tests {
         let dir = test_dir("groups");
         let mut a: Vec<Record> = (0..40).map(|i| Record::pair(i % 5, 1)).collect();
         let mut b: Vec<Record> = (0..60).map(|i| Record::pair(i % 5, 10)).collect();
-        sort_by_key(&mut a, &[0]);
-        sort_by_key(&mut b, &[0]);
+        a.sort_by_key(|r| Key::extract(r, &[0]));
+        b.sort_by_key(|r| Key::extract(r, &[0]));
         let run = write_sorted_records_in(&dir, &a, &[0]).unwrap();
         let part = ExchangedPartition::from_spilled(pages_of(&b), vec![run], None);
         let mut seen = Vec::new();

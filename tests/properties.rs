@@ -10,7 +10,7 @@
 use algorithms::{
     cc_async, cc_bulk, cc_incremental, cc_microstep, oracles, sssp, ComponentsConfig,
 };
-use dataflow::key::{hash_key, hash_values, partition_for, sort_by_key, Key};
+use dataflow::key::{hash_key, hash_values, partition_for, Key};
 use dataflow::page::{
     normalize_long, serialize_record, ExchangedPartition, PageHandle, PagePool, PageWriter,
 };
@@ -18,6 +18,7 @@ use dataflow::prelude::*;
 use dataflow::range::sample_keys_into;
 use dataflow::spill::{write_sorted_records_in, write_sorted_run_in};
 use graphdata::{Graph, SmallRng, VertexId};
+use reference::{into_records, sort_by_key};
 use spinning_core::prelude::*;
 use std::sync::Arc;
 
@@ -868,8 +869,8 @@ fn drain(mut merger: RunMerger) -> Vec<Record> {
     out
 }
 
-/// The sorted flush emits exactly the materializing oracle's run — the
-/// records, order and page bytes of `sort_by_key` serialized through a
+/// The sorted flush emits exactly the reference sort's run — the records,
+/// order and page bytes of `reference::sort_by_key` serialized through a
 /// `PageWriter` — although it never makes a heap record on the way, for
 /// every key shape: ties keep their input order (the last field numbers the
 /// input), and hot duplicate keys, mixed widths and one record wider than a
@@ -1092,7 +1093,7 @@ fn prop_paged_exchange_matches_vec_exchange() {
             let mut by_ref: Vec<Record> = Vec::new();
             part.for_each_view(|r| by_ref.push(r.materialize()))
                 .unwrap();
-            let mut owned = part.into_records().unwrap();
+            let mut owned = into_records(part).unwrap();
             assert_eq!(by_ref.len(), owned.len());
             by_ref.sort();
             owned.sort();

@@ -18,14 +18,18 @@
 use algorithms::{
     cc_bulk, cc_incremental, cc_microstep, oracles, sssp_with_config, ComponentsConfig,
 };
+use dataflow::exchange::{ship, Outbox};
 use dataflow::prelude::{
     default_physical_plan, Collector, ExecConfig, Executor, Key, LocalStrategy, MatchClosure,
     MemoryBudget, Plan, Record, RecordSink, RecordView, ReduceClosure, ShipStrategy, Value,
 };
+use dataflow::transport::TransportHandle;
 use graphdata::{DatasetProfile, Graph};
+use reference::fixpoint::{batch_fixpoint_with, Routing, WorksetStep};
+use reference::interpreter::Interpreter;
+use reference::{source_major, Deliver, Partitions};
 use spinning_core::prelude::{
-    ExecutionMode, ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetResult,
-    WorksetRouting,
+    ExecutionMode, ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetRouting,
 };
 use std::sync::Arc;
 
@@ -188,39 +192,43 @@ fn order_fingerprint(values: impl IntoIterator<Item = i64>) -> i64 {
 /// vertices on either side, whose `update` writes down the order it was
 /// handed its candidates in: a candidate is `(vertex, label, sender)` and a
 /// delta `(vertex, label, fingerprint of the senders)`, so the solution set
-/// records the candidate order of every vertex's last update.
+/// records the candidate order of every vertex's last update.  Returns the
+/// iteration, the same step for the reference evaluator, and the initial
+/// solution and working set.
 fn order_recording_ring(
     n: i64,
     reach: i64,
-) -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
-    let update = Arc::new(UpdateClosure(
-        |key: &Key,
-         current: Option<RecordView<'_>>,
-         candidates: &[RecordView<'_>],
-         delta: &mut dyn RecordSink| {
-            let best = candidates.iter().map(|r| r.long(1)).min().unwrap();
-            if current.is_some_and(|c| c.long(1) <= best) {
-                return;
-            }
-            let senders = candidates.iter().map(|r| r.long(2));
-            delta.emit(&[
-                key.values()[0].clone(),
-                Value::Long(best),
-                Value::Long(order_fingerprint(senders)),
+) -> (
+    WorksetIteration<'static>,
+    WorksetStep,
+    Vec<Record>,
+    Vec<Record>,
+) {
+    let update = |key: &Key,
+                  current: Option<RecordView<'_>>,
+                  candidates: &[RecordView<'_>],
+                  delta: &mut dyn RecordSink| {
+        let best = candidates.iter().map(|r| r.long(1)).min().unwrap();
+        if current.is_some_and(|c| c.long(1) <= best) {
+            return;
+        }
+        let senders = candidates.iter().map(|r| r.long(2));
+        delta.emit(&[
+            key.values()[0].clone(),
+            Value::Long(best),
+            Value::Long(order_fingerprint(senders)),
+        ]);
+    };
+    let expand = |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
+        for e in edges {
+            out.emit(&[
+                Value::Long(e.long(1)),
+                Value::Long(delta.long(1)),
+                Value::Long(delta.long(0)),
             ]);
-        },
-    ));
-    let expand = Arc::new(ExpandClosure(
-        |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
-            for e in edges {
-                out.emit(&[
-                    Value::Long(e.long(1)),
-                    Value::Long(delta.long(1)),
-                    Value::Long(delta.long(0)),
-                ]);
-            }
-        },
-    ));
+        }
+    };
+    let comparator = Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1)));
     let mut edges = Vec::new();
     for v in 0..n {
         for hop in 1..=reach {
@@ -228,55 +236,85 @@ fn order_recording_ring(
             edges.push(Record::pair(v, (v + n - hop) % n));
         }
     }
+    let step = WorksetStep {
+        solution_key: vec![0],
+        workset_key: vec![0],
+        constant: edges.clone(),
+        constant_key: vec![0],
+        delta_key: vec![0],
+        update: Arc::new(update),
+        expand: Arc::new(expand),
+        comparator: Some(comparator.clone()),
+    };
+    let (update, expand) = (
+        Arc::new(UpdateClosure(update)),
+        Arc::new(ExpandClosure(expand)),
+    );
     let iteration = WorksetIteration::builder(vec![0], vec![0], update, expand)
         .constant_input(Arc::new(edges), vec![0], vec![0])
-        .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
+        .comparator(comparator)
         .build();
     let long = |values: [i64; 3]| Record::new(values.map(Value::Long).to_vec());
     let solution = (0..n).map(|v| long([v, v, 0])).collect();
     let workset = (0..n).map(|v| long([(v + 1) % n, v, v])).collect();
-    (iteration, solution, workset)
+    (iteration, step, solution, workset)
 }
 
-/// Asserts two workset runs took the same supersteps with the same counters.
-fn assert_same_supersteps(ours: &WorksetResult, theirs: &WorksetResult, label: &str) {
-    assert_eq!(ours.supersteps, theirs.supersteps, "{label}");
-    for (a, b) in ours
-        .stats
-        .per_iteration
-        .iter()
-        .zip(&theirs.stats.per_iteration)
-    {
-        assert_eq!(
-            (
-                a.workset_size,
-                a.elements_inspected,
-                a.elements_changed,
-                a.messages_sent
-            ),
-            (
-                b.workset_size,
-                b.elements_inspected,
-                b.elements_changed,
-                b.messages_sent
-            ),
-            "{label}: superstep {}",
-            a.iteration
-        );
-    }
+/// The delivery order of the engine's exchange under `exec`'s budget and
+/// credits, split over `writers` page writers with runs sorted on the key,
+/// as the executor and the batch superstep configure it: `sent` goes
+/// through an [`Outbox`] per source and one [`ship`], and every target
+/// reads back what it received in delivery order — its in-memory pages,
+/// then each spilled run in turn, with no merge.  The reference then groups
+/// that order by its own stable sort, so the engine's grouping kernel must
+/// break every tie between memory and disk, and between runs, the way the
+/// contract says.
+fn budgeted_delivery(exec: ExecConfig, writers: usize) -> Arc<Deliver> {
+    Arc::new(move |key: &[usize], sent: Vec<Partitions>| {
+        let targets = sent.len();
+        let spill = exec.spill_manager(writers, Some(key.to_vec()));
+        let outboxes = sent.iter().enumerate().map(|(source, to)| {
+            let mut outbox = Outbox::new(source, targets, &spill);
+            for (target, records) in to.iter().enumerate() {
+                records.iter().for_each(|r| outbox.emit(target, r.fields()));
+            }
+            outbox
+        });
+        let transport = TransportHandle::local();
+        let channel = transport.fresh_channel(targets);
+        let (parts, _) = ship(outboxes, targets, &*channel, &transport.cluster(), 0).unwrap();
+        parts
+            .iter()
+            .map(|part| {
+                let mut pages = part.pages().to_vec();
+                for run in part.runs() {
+                    pages.extend(run.read_pages().unwrap());
+                }
+                let views = pages.iter().flat_map(|page| page.reader());
+                views.map(|view| view.materialize()).collect()
+            })
+            .collect()
+    })
 }
 
 #[test]
 fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths() {
     // Every group whose candidates sit partly in memory (sent by the
     // partition itself) and partly in spilled runs (sent by its peer) is a
-    // tie across the two: the page-native merge and the materializing
-    // oracle (the delivered candidates stably sorted) must both break it in
-    // delivery order — the in-memory candidates first, then the runs in
-    // order.  (Range routing keeps a
+    // tie across the two: the page-native merge must break it in delivery
+    // order — the in-memory candidates first, then the runs in order.  In
+    // memory, and at budget 0 where every shipped candidate spills, that is
+    // the reference evaluator's own order (a partition's own candidates,
+    // then its peers' by partition).  Under 64 KiB and two credits the tail
+    // of a peer's candidates stays in memory and goes first: there the
+    // evaluator is handed the order the budgeted exchange delivers in.
+    // Either way the fingerprints must match it.  (Range routing keeps a
     // ring's neighbours in their own partition, so only the zero budget
     // spills enough of its few shipped candidates to test it.)
-    let (iteration, solution, workset) = order_recording_ring(512, 16);
+    let (iteration, step, solution, workset) = order_recording_ring(512, 16);
+    let mut unbounded = ExecConfig::new();
+    unbounded.channel_credits = None;
+    let in_memory = WorksetConfig::new(2).with_exec(unbounded);
     let zero = WorksetConfig::new(2)
         .with_exec(ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0)));
     let credits = WorksetConfig::new(2).with_exec(
@@ -284,40 +322,85 @@ fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths
             .with_memory_budget(MemoryBudget::bytes(64 * 1024))
             .with_channel_credits(2),
     );
-    for (label, config) in [
-        ("hash, budget 0", zero.clone()),
-        ("range, budget 0", zero.with_routing(WorksetRouting::Range)),
-        ("hash, 64 KiB, 2 credits", credits),
+    // (label, configuration, candidates spill, part of a peer's candidates
+    // stays in memory)
+    for (label, config, spills, partial) in [
+        ("hash, in memory", in_memory, false, false),
+        ("hash, budget 0", zero.clone(), true, false),
+        (
+            "range, budget 0",
+            zero.with_routing(WorksetRouting::Range),
+            true,
+            false,
+        ),
+        ("hash, 64 KiB, 2 credits", credits, true, true),
     ] {
-        let paged = iteration
-            .run(solution.clone(), workset.clone(), &config)
-            .unwrap();
-        let materialized = {
-            let mut config = config.clone();
-            config.exec.force_materialized = true;
+        let run = || {
             iteration
                 .run(solution.clone(), workset.clone(), &config)
                 .unwrap()
         };
-        assert!(paged.converged, "{label}");
-        assert!(paged.stats.total_spilled_runs() > 0, "{label}: no spill");
+        let (paged, again) = (run(), run());
+        assert_eq!(paged.solution, again.solution, "{label}: rerun");
+        let routing = match config.routing {
+            WorksetRouting::Hash => Routing::Hash,
+            WorksetRouting::Range => Routing::Range,
+        };
+        // The superstep exchange splits its budget over p × p writers.
+        let delivery = match partial {
+            true => budgeted_delivery(config.exec.clone(), 4),
+            false => Arc::new(source_major),
+        };
+        let evaluate = |delivery: &Deliver| {
+            let (solution, workset) = (solution.clone(), workset.clone());
+            batch_fixpoint_with(&step, 2, routing, solution, workset, usize::MAX, delivery)
+        };
+        let reference = evaluate(&*delivery);
+        assert!(paged.converged && reference.converged, "{label}");
+        let spilled = paged.stats.total_spilled_runs() > 0;
+        assert_eq!(spilled, spills, "{label}: spilled runs");
         assert!(
             paged.solution.iter().all(|r| r.long(1) == 0),
             "{label}: not the fixpoint"
         );
-        assert_eq!(paged.solution, materialized.solution, "{label}");
-        assert_same_supersteps(&paged, &materialized, label);
+        // The solution set's emission order is its index's; the rerun above
+        // pins it.
+        let mut ours = paged.solution.clone();
+        ours.sort();
+        assert_eq!(ours, reference.solution, "{label}");
+        if partial {
+            let in_memory_order = evaluate(&source_major).solution;
+            let label = format!("{label}: the budget kept no candidates in memory");
+            assert_ne!(ours, in_memory_order, "{label}");
+        }
+        assert_eq!(paged.supersteps, reference.supersteps.len(), "{label}");
+        for (a, b) in paged.stats.per_iteration.iter().zip(&reference.supersteps) {
+            assert_eq!(
+                (
+                    a.workset_size,
+                    a.elements_inspected,
+                    a.elements_changed,
+                    a.messages_sent
+                ),
+                (b.workset_size, b.inspected, b.changed, b.messages),
+                "{label}: superstep {}",
+                a.iteration
+            );
+        }
     }
 }
 
 #[test]
 fn spilled_executor_groupings_hand_records_over_in_delivery_order_on_both_paths() {
     // The executor's Reduce under both local strategies and its sort-merge
-    // join, hash- and range-shipped, spilling: the page-native kernel and the
-    // materializing oracle (each input materialized — a range partition's
-    // sorted runs merged in — then stably sorted and cut) must hand every
-    // group over in the same order.  The executor has no credit knob; its
-    // budget alone makes it spill.
+    // join, hash- and range-shipped, spilling: the page-native kernel must
+    // hand every group over in the reference interpreter's order (each
+    // input stably sorted on the key, ties in delivery order).  At budget 0
+    // every shipped record spills, so that is the interpreter's own
+    // delivery; at 64 KiB the tail of a source's records stays in memory
+    // and goes first, and the interpreter is handed the order the budgeted
+    // exchange delivers in.  The executor has no credit knob; its budget
+    // alone makes it spill.
     let keyed = |n: i64, salt: i64| -> Vec<Record> {
         (0..n)
             .map(|i| Record::pair((i * 7_919 + salt) % 97 - 48, i))
@@ -344,7 +427,7 @@ fn spilled_executor_groupings_hand_records_over_in_delivery_order_on_both_paths(
     );
     reduce.sink("out", grouped);
     let mut join = Plan::new();
-    let left = join.source("left", keyed(3_000, 0));
+    let left = join.source("left", keyed(6_000, 0));
     let right = join.source("right", keyed(600, 13));
     let joined = join.match_join(
         "join",
@@ -365,7 +448,10 @@ fn spilled_executor_groupings_hand_records_over_in_delivery_order_on_both_paths(
         (&reduce, grouped, LocalStrategy::SortGroup),
         (&join, joined, LocalStrategy::SortMergeJoin),
     ];
-    for budget in [MemoryBudget::bytes(0), MemoryBudget::bytes(64 * 1024)] {
+    for (budget, partial) in [
+        (MemoryBudget::bytes(0), false),
+        (MemoryBudget::bytes(64 * 1024), true),
+    ] {
         for ship in [
             ShipStrategy::PartitionHash(vec![0]),
             ShipStrategy::PartitionRange(vec![0]),
@@ -380,13 +466,25 @@ fn spilled_executor_groupings_hand_records_over_in_delivery_order_on_both_paths(
                 let paged = Executor::with_config(config.clone())
                     .execute(&phys)
                     .unwrap();
-                let materialized = Executor::with_config(config.with_force_materialized(true))
-                    .execute(&phys)
-                    .unwrap();
+                // An exchange splits its budget over producer × target
+                // writers.
+                let mut interpreter = match partial {
+                    true => Interpreter::with_delivery(budgeted_delivery(config, 4)),
+                    false => Interpreter::new(),
+                };
+                let reference = interpreter.evaluate(&phys);
                 assert!(paged.stats.spilled_runs > 0, "{label}: no spill");
-                let paged = paged.into_sink("out").unwrap();
-                assert!(!paged.is_empty(), "{label}");
-                assert_eq!(paged, materialized.into_sink("out").unwrap(), "{label}");
+                let out = paged.sink_partitions("out").unwrap();
+                assert!(out.iter().any(|part| !part.is_empty()), "{label}");
+                assert_eq!(&out, reference.sink_partitions("out"), "{label}");
+                if partial {
+                    let in_memory_order = Interpreter::new().evaluate(&phys);
+                    let unspilled = in_memory_order.sink_partitions("out");
+                    assert_ne!(
+                        &out, unspilled,
+                        "{label}: the budget kept no tail in memory"
+                    );
+                }
             }
         }
     }
