@@ -14,8 +14,10 @@
 //!
 //! The crate is deliberately payload-generic: it knows nothing about the
 //! engine's `RecordPage` (the engine depends on this crate, not the other
-//! way around).  Anything implementing [`WireCodec`] can travel; the engine
-//! provides the codec for its page type.
+//! way around).  Anything implementing [`WireCodec`] can travel as the
+//! contents of a [`frame`] — the one checksummed page frame the engine's
+//! spill runs and checkpoints use on disk too; the engine provides the codec
+//! for its page type.
 //!
 //! ## Determinism contract
 //!
@@ -30,6 +32,7 @@
 
 #![warn(missing_docs)]
 
+pub mod frame;
 pub mod tcp;
 
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -192,8 +195,8 @@ impl ChannelId {
 /// connection event can be surfaced to every waiter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
-    /// The byte stream from a peer was torn: a truncated frame, a bad frame
-    /// magic, or a per-frame CRC mismatch.
+    /// The byte stream from a peer was torn: a truncated message, a bad
+    /// magic, a page frame overrunning its message, or a CRC mismatch.
     TornStream {
         /// Peer process index.
         peer: usize,
@@ -239,19 +242,21 @@ impl std::error::Error for CommError {}
 
 // --- Payload codec -----------------------------------------------------------
 
-/// Serialization of one channel item (the engine's sealed page) for the
-/// network backend.  The local backend never invokes the codec — pages move
-/// by pointer.
+/// A channel item (the engine's sealed page) as the contents of one
+/// [`frame`]: the TCP backend ships those bytes as they are and builds the
+/// item on the receiving side from the buffer it read them into.  The local
+/// backend never invokes the codec — pages move by pointer.
 pub trait WireCodec: Sized {
-    /// Appends the item's wire encoding to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
-    /// Decodes an item from exactly `bytes`.
-    fn decode(bytes: &[u8]) -> Result<Self, String>;
+    /// The item's record count and serialized bytes.
+    fn frame(&self) -> (u32, &[u8]);
+    /// Builds an item from a checksummed frame's record count and bytes,
+    /// validating their structure (the wire is outside input).
+    fn from_frame(records: u32, bytes: Vec<u8>) -> Result<Self, String>;
 }
 
-/// Fault hook consulted once per outbound frame by the TCP backend: return
-/// `true` to drop the connection at this point (the engine adapts its seeded
-/// `FaultInjector` to this, keeping this crate dependency-free).
+/// Fault hook consulted once per outbound data message by the TCP backend:
+/// return `true` to drop the connection at this point (the engine adapts its
+/// seeded `FaultInjector` to this, keeping this crate dependency-free).
 pub type FaultHook = Arc<dyn Fn() -> bool + Send + Sync>;
 
 // --- The transport traits ----------------------------------------------------
@@ -311,9 +316,9 @@ pub trait PageChannel<P: Send + Sync>: Send + Sync {
 /// appends them in.
 pub type SourceBatches<P> = Vec<(usize, Vec<Arc<P>>)>;
 
-// --- CRC-32 (the one implementation: checksums the TCP frames here and,
-// re-exported as `dataflow::spill::crc32`, the engine's spill-run and
-// checkpoint page frames) -----------------------------------------------------
+// --- CRC-32 (the one implementation: checksums the TCP handshake and wire
+// headers here and every page frame, on the wire and in the engine's spill
+// runs and checkpoint files) ---------------------------------------------------
 
 /// The slice-by-8 CRC-32 (IEEE) tables, built at compile time.
 /// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is the
@@ -350,12 +355,17 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC-32 (IEEE, reflected — the zlib/PNG polynomial) over `bytes`: the
-/// per-frame checksum of the TCP framing and of the engine's run files.
+/// checksum of the TCP handshake and wire headers and, over a record count
+/// and page bytes, of every [`frame`].
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
+}
+
+/// Folds `bytes` into the running (uninverted) CRC-32 state `crc`.
 /// Slice-by-8: eight bytes per step through eight lookup tables, the tail
 /// byte by byte.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -372,7 +382,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
 }
 
 // --- Shared inbox: the demux state behind both backends ----------------------

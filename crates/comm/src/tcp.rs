@@ -1,7 +1,8 @@
-//! The TCP backend: length-framed page batches with a per-frame CRC-32
-//! (the spill-run frame discipline on a socket), a rendezvous handshake
-//! carrying cluster size / worker index / protocol version, and typed
-//! [`CommError`]s for torn streams and lost peers instead of hangs.
+//! The TCP backend: page batches as the same checksummed page frames the
+//! engine's spill runs hold on disk (the spill-run frame discipline on a
+//! socket), a rendezvous handshake carrying cluster size / worker index /
+//! protocol version, and typed [`CommError`]s for torn streams and lost
+//! peers instead of hangs.
 //!
 //! ## Rendezvous
 //!
@@ -15,9 +16,16 @@
 //!
 //! ## Frames
 //!
-//! Every post-handshake message is one frame: a fixed 56-byte header (magic,
-//! kind, channel group/edge, round, source, target, payload length, payload
-//! CRC-32) followed by the payload.  A bad magic, a truncated read, or a CRC
+//! Every post-handshake message is a fixed 56-byte wire header (magic, kind,
+//! channel group/edge, round, source, target, payload length, and a CRC-32
+//! of the header's first 52 bytes) followed by the payload: page frames of
+//! [`crate::frame`] back to back — one per page of a `PAGES` message, one
+//! holding the values of an `ALL_GATHER`, none for `END_ROUND` and `CREDIT`.
+//! Every byte on the wire is thus under exactly one CRC, computed once.  A
+//! sender writes the header, each frame header and each page's own bytes in
+//! vectored writes, with no payload buffer in between; a receiver reads each
+//! frame's bytes straight into the buffer that becomes the page.  A bad
+//! magic, a truncated read, a frame overrunning its payload, or a CRC
 //! mismatch marks the peer dead with [`CommError::TornStream`]; EOF and
 //! socket errors mark it dead with [`CommError::PeerLost`].  Death is
 //! per-peer: a wait fails only when data it is still missing is owed by a
@@ -26,12 +34,13 @@
 //! down the cluster, while a peer lost mid-superstep surfaces as a typed
 //! error at the superstep barrier — never as a hang.
 
+use crate::frame::{frame_header, FrameHeader, FRAME_HEADER_BYTES};
 use crate::{
     channel_credits_from_env, crc32, timeout_from_env, ChannelId, ClusterSpec, CommError,
     FaultHook, Inbox, PageChannel, Transport, WireCodec,
 };
 use std::collections::{BTreeSet, HashMap};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -41,13 +50,10 @@ use std::time::{Duration, Instant};
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"SPNC");
 
 /// Wire protocol version carried in the handshake; peers must match exactly.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// Version 2: page frames as payload, the header under its own CRC.
+pub const PROTOCOL_VERSION: u32 = 2;
 
-/// Upper bound on one frame's payload (mirrors the spill format's cap); a
-/// larger advertised length is treated as a torn stream.
-pub const MAX_FRAME_BYTES: usize = 1 << 28;
-
-const FRAME_HEADER_BYTES: usize = 56;
+const WIRE_HEADER_BYTES: usize = 56;
 const HELLO_BYTES: usize = 24;
 
 const KIND_PAGES: u32 = 1;
@@ -77,7 +83,7 @@ pub struct TcpOptions {
     /// How long a blocking receive or gather may wait (defaults to the
     /// [`crate::TIMEOUT_ENV`] setting).
     pub recv_timeout: Duration,
-    /// Consulted once per outbound data frame; returning `true` drops the
+    /// Consulted once per outbound data message; returning `true` drops the
     /// connection at that point (seeded fault injection plugs in here).
     pub fault_hook: Option<FaultHook>,
     /// How many exchange rounds may be in flight toward one peer before a
@@ -114,7 +120,8 @@ impl std::fmt::Debug for TcpOptions {
 
 /// Locks `mutex`, recovering the guard if a holder panicked: the critical
 /// sections in this module insert into or remove from a round set, or write
-/// one frame, and leave nothing half-updated for the next holder to trip on.
+/// one message, and leave nothing half-updated for the next holder to trip
+/// on.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -135,11 +142,11 @@ type InboundRounds = HashMap<(u64, u64), HashMap<usize, BTreeSet<u64>>>;
 ///
 /// * **Sending** — `admit` bounds how many rounds may be open toward one
 ///   peer per channel.  A round opens with its first `PAGES`/`END_ROUND`
-///   frame and closes when the peer's `CREDIT` grant arrives (sent when the
+///   message and closes when the peer's `CREDIT` grant arrives (sent when the
 ///   peer fully drained the round), so a slow receiver throttles its senders
-///   instead of buffering frames unboundedly.
+///   instead of buffering messages unboundedly.
 /// * **Receiving** — `note_received` mirrors the accounting for inbound
-///   frames and caps how far ahead a peer may run (the window plus
+///   messages and caps how far ahead a peer may run (the window plus
 ///   [`RECV_ROUND_SLACK`]), so a misbehaving peer surfaces as a typed torn
 ///   stream instead of unbounded inbox growth.
 struct FlowControl {
@@ -222,7 +229,7 @@ impl FlowControl {
         self.cv.notify_all();
     }
 
-    /// Records an inbound `PAGES`/`END_ROUND` frame from `peer`, enforcing
+    /// Records an inbound `PAGES`/`END_ROUND` message from `peer`, enforcing
     /// the buffered-ahead cap.
     fn note_received(&self, id: ChannelId, peer: usize, round: u64) -> Result<(), CommError> {
         let cap = self.window + RECV_ROUND_SLACK;
@@ -302,8 +309,11 @@ impl<P> Shared<P> {
         error
     }
 
+    /// Writes one message to `process`: the wire header, then `frames` —
+    /// each a record count and its bytes — as page frames, in vectored
+    /// writes straight from the callers' buffers.
     #[allow(clippy::too_many_arguments)]
-    fn write_frame(
+    fn write_message(
         &self,
         process: usize,
         kind: u32,
@@ -311,42 +321,41 @@ impl<P> Shared<P> {
         round: u64,
         from: u64,
         to: u64,
-        payload: &[u8],
+        frames: &[(u32, &[u8])],
     ) -> Result<(), CommError> {
-        // Round-carrying data frames must fit the peer's round window; the
-        // first frame of a round opens it, the peer's drain credits it back.
-        // CREDIT and ALL_GATHER frames are exempt — grants must never block
+        // Round-carrying data messages must fit the peer's round window; the
+        // first message of a round opens it, the peer's drain credits it back.
+        // CREDIT and ALL_GATHER messages are exempt — grants must never block
         // on the window they replenish, and gathers are barrier-paced.
         if kind == KIND_PAGES || kind == KIND_END_ROUND {
             self.flow
                 .admit(&self.inbox, id, process, round, self.recv_timeout)?;
         }
-        // CREDIT frames are also exempt from fault injection: the seeded
-        // schedules count data frames, and grants riding the same wire must
-        // not shift those sequences.
+        // CREDIT messages are also exempt from fault injection: the seeded
+        // schedules count data messages, and grants riding the same wire
+        // must not shift those sequences.
         if let Some(hook) = &self.fault_hook {
             if kind != KIND_END_ROUND && kind != KIND_CREDIT && hook() {
                 return Err(self.drop_connections("injected connection drop"));
             }
         }
-        let peer = self.peers[process]
-            .as_ref()
-            .expect("frames are never addressed to this process: every caller skips its own index");
-        let mut header = [0u8; FRAME_HEADER_BYTES];
-        header[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
-        header[4..8].copy_from_slice(&kind.to_le_bytes());
-        header[8..16].copy_from_slice(&id.group.to_le_bytes());
-        header[16..24].copy_from_slice(&id.edge.to_le_bytes());
-        header[24..32].copy_from_slice(&round.to_le_bytes());
-        header[32..40].copy_from_slice(&from.to_le_bytes());
-        header[40..48].copy_from_slice(&to.to_le_bytes());
-        header[48..52].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[52..56].copy_from_slice(&crc32(payload).to_le_bytes());
-        let mut stream = lock(&peer.writer);
-        if let Err(e) = stream
-            .write_all(&header)
-            .and_then(|()| stream.write_all(payload))
-        {
+        let peer = self.peers[process].as_ref().expect(
+            "messages are never addressed to this process: every caller skips its own index",
+        );
+        let payload_len: usize = frames
+            .iter()
+            .map(|(_, bytes)| FRAME_HEADER_BYTES + bytes.len())
+            .sum();
+        let header = wire_header(kind, id, round, from, to, payload_len as u32);
+        let frame_headers: Vec<_> = frames
+            .iter()
+            .map(|&(records, bytes)| frame_header(records, bytes))
+            .collect();
+        let mut slices = vec![IoSlice::new(&header)];
+        for (frame_header, (_, bytes)) in frame_headers.iter().zip(frames) {
+            slices.extend([IoSlice::new(frame_header), IoSlice::new(bytes)]);
+        }
+        if let Err(e) = write_all_vectored(&mut lock(&peer.writer), &mut slices) {
             // A failed write is not the sender's failure: a peer that exited
             // cleanly after finishing its run no longer needs this data, and
             // a crashed peer surfaces on the next wait that misses its
@@ -362,6 +371,50 @@ impl<P> Shared<P> {
         }
         Ok(())
     }
+}
+
+/// The wire header of a message whose payload is `payload_len` bytes; its
+/// last four bytes are the CRC-32 of the others.
+fn wire_header(
+    kind: u32,
+    id: ChannelId,
+    round: u64,
+    from: u64,
+    to: u64,
+    payload_len: u32,
+) -> [u8; WIRE_HEADER_BYTES] {
+    let mut header = [0u8; WIRE_HEADER_BYTES];
+    header[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+    header[4..8].copy_from_slice(&kind.to_le_bytes());
+    header[8..16].copy_from_slice(&id.group.to_le_bytes());
+    header[16..24].copy_from_slice(&id.edge.to_le_bytes());
+    header[24..32].copy_from_slice(&round.to_le_bytes());
+    header[32..40].copy_from_slice(&from.to_le_bytes());
+    header[40..48].copy_from_slice(&to.to_le_bytes());
+    header[48..52].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&header[..52]);
+    header[52..56].copy_from_slice(&crc.to_le_bytes());
+    header
+}
+
+/// Writes every byte of `slices` (the standard library's
+/// `write_all_vectored` is not stable yet).
+fn write_all_vectored(
+    stream: &mut TcpStream,
+    mut slices: &mut [IoSlice<'_>],
+) -> std::io::Result<()> {
+    // Advancing by zero drops leading empty slices, which would otherwise
+    // read as a zero-length write.
+    IoSlice::advance_slices(&mut slices, 0);
+    while !slices.is_empty() {
+        match stream.write_vectored(slices) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// The TCP transport: a full mesh of framed localhost/LAN connections
@@ -675,30 +728,34 @@ fn rendezvous_worker(
 
 // --- Reader threads ----------------------------------------------------------
 
-/// Reads `buf.len()` bytes; distinguishes clean EOF at a frame boundary
-/// (`Ok(false)`) from EOF mid-buffer (an error naming the torn read).
-fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> Result<bool, String> {
+/// Reads `buf.len()` bytes from `peer`.  `Ok(false)` is a clean EOF before
+/// the first byte; EOF after it is a torn stream, a socket error a lost
+/// peer.
+fn read_full(stream: &mut TcpStream, buf: &mut [u8], peer: usize) -> Result<bool, CommError> {
     let mut filled = 0usize;
     while filled < buf.len() {
         match stream.read(&mut buf[filled..]) {
+            Ok(0) if filled == 0 => return Ok(false),
             Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(format!(
-                    "stream ended after {filled} of {} bytes",
-                    buf.len()
-                ));
+                return Err(CommError::TornStream {
+                    peer,
+                    detail: format!("stream ended after {filled} of {} bytes", buf.len()),
+                })
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("read failed: {e}")),
+            Err(e) => {
+                return Err(CommError::PeerLost {
+                    peer,
+                    detail: format!("read failed: {e}"),
+                })
+            }
         }
     }
     Ok(true)
 }
 
-/// One reader thread per peer: reads frames, validates them, and
+/// One reader thread per peer: reads messages, validates them, and
 /// demultiplexes into the inbox.  Any stream defect marks the peer dead —
 /// every wait still owed data by it sees the typed error.
 fn spawn_reader<P: WireCodec + Send + Sync + 'static>(
@@ -710,7 +767,11 @@ fn spawn_reader<P: WireCodec + Send + Sync + 'static>(
     std::thread::Builder::new()
         .name(format!("comm-reader-{peer}"))
         .spawn(move || {
-            let error = reader_loop(peer, &mut stream, &inbox, &flow);
+            let error = loop {
+                if let Err(error) = read_message(peer, &mut stream, &inbox, &flow) {
+                    break error;
+                }
+            };
             inbox.poison(peer, error);
             // An admit waiter blocked on this peer's credit must re-check.
             flow.wake();
@@ -718,150 +779,94 @@ fn spawn_reader<P: WireCodec + Send + Sync + 'static>(
         .map(drop)
 }
 
-fn reader_loop<P: WireCodec + Send + Sync>(
+/// Reads one message from `peer` and demultiplexes it into the inbox.
+fn read_message<P: WireCodec + Send + Sync>(
     peer: usize,
     stream: &mut TcpStream,
     inbox: &Inbox<P>,
     flow: &FlowControl,
-) -> CommError {
+) -> Result<(), CommError> {
     let torn = |detail: String| CommError::TornStream { peer, detail };
-    let lost = |detail: String| CommError::PeerLost { peer, detail };
-    loop {
-        let mut header = [0u8; FRAME_HEADER_BYTES];
-        match read_full(stream, &mut header) {
-            Ok(false) => return lost("connection closed".into()),
-            Ok(true) => {}
-            Err(detail) => {
-                // EOF inside a header is a torn frame; a socket-level error
-                // is a lost peer.
-                return if detail.starts_with("stream ended") {
-                    torn(detail)
-                } else {
-                    lost(detail)
-                };
-            }
-        }
-        let word32 = |at: usize| u32::from_le_bytes(bytes_at(&header, at));
-        let word64 = |at: usize| u64::from_le_bytes(bytes_at(&header, at));
-        if word32(0) != FRAME_MAGIC {
-            return torn(format!("bad frame magic {:#010x}", word32(0)));
-        }
-        let kind = word32(4);
-        let id = ChannelId::new(word64(8), word64(16));
-        let round = word64(24);
-        let from = word64(32) as usize;
-        let to = word64(40) as usize;
-        let payload_len = word32(48) as usize;
-        let expected_crc = word32(52);
-        if payload_len > MAX_FRAME_BYTES {
-            return torn(format!("frame claims {payload_len} payload bytes"));
-        }
-        let mut payload = vec![0u8; payload_len];
-        match read_full(stream, &mut payload) {
-            Ok(true) => {}
-            Ok(false) => return torn("stream ended before frame payload".into()),
-            Err(detail) => {
-                return if detail.starts_with("stream ended") {
-                    torn(detail)
-                } else {
-                    lost(detail)
-                }
-            }
-        }
-        if crc32(&payload) != expected_crc {
-            return torn(format!(
-                "frame CRC mismatch (round {round}, {payload_len} bytes)"
-            ));
-        }
-        match kind {
-            KIND_PAGES => {
-                if let Err(error) = flow.note_received(id, peer, round) {
-                    return error;
-                }
-                match decode_pages::<P>(&payload) {
-                    Ok(pages) => inbox.deliver(id, round, from, to, pages),
-                    Err(detail) => return torn(detail),
-                }
-            }
-            KIND_END_ROUND => {
-                if let Err(error) = flow.note_received(id, peer, round) {
-                    return error;
-                }
-                inbox.finish(id, round, from)
-            }
-            KIND_ALL_GATHER => match decode_gather(&payload) {
-                Ok(values) => inbox.gather_insert(id.group, round, from, values),
-                Err(detail) => return torn(detail),
-            },
-            KIND_CREDIT => flow.ack(id, peer, round),
-            other => return torn(format!("unknown frame kind {other}")),
-        }
+    let mut header = [0u8; WIRE_HEADER_BYTES];
+    if !read_full(stream, &mut header, peer)? {
+        return Err(CommError::PeerLost {
+            peer,
+            detail: "connection closed".into(),
+        });
     }
+    let word32 = |at: usize| u32::from_le_bytes(bytes_at(&header, at));
+    let word64 = |at: usize| u64::from_le_bytes(bytes_at(&header, at));
+    if word32(0) != FRAME_MAGIC {
+        return Err(torn(format!("bad frame magic {:#010x}", word32(0))));
+    }
+    if word32(52) != crc32(&header[..52]) {
+        return Err(torn("wire header CRC mismatch".into()));
+    }
+    let kind = word32(4);
+    let id = ChannelId::new(word64(8), word64(16));
+    let round = word64(24);
+    let from = word64(32) as usize;
+    let to = word64(40) as usize;
+    // The payload: page frames back to back, each read straight into the
+    // buffer that becomes its item.
+    let mut remaining = word32(48) as usize;
+    let mut frames = Vec::new();
+    while remaining > 0 {
+        let mut raw = [0u8; FRAME_HEADER_BYTES];
+        let overrun = |len: usize| {
+            torn(format!(
+                "a frame of {len} bytes is longer than the {remaining} payload bytes left"
+            ))
+        };
+        if remaining < FRAME_HEADER_BYTES {
+            return Err(overrun(FRAME_HEADER_BYTES));
+        }
+        if !read_full(stream, &mut raw, peer)? {
+            return Err(torn("stream ended inside a message".into()));
+        }
+        let frame = FrameHeader::parse(raw).map_err(torn)?;
+        if FRAME_HEADER_BYTES + frame.byte_len > remaining {
+            return Err(overrun(FRAME_HEADER_BYTES + frame.byte_len));
+        }
+        let mut bytes = vec![0u8; frame.byte_len];
+        if !read_full(stream, &mut bytes, peer)? {
+            return Err(torn("stream ended inside a message".into()));
+        }
+        frame.check(&bytes).map_err(torn)?;
+        remaining -= FRAME_HEADER_BYTES + frame.byte_len;
+        frames.push((frame.records, bytes));
+    }
+    match kind {
+        KIND_PAGES => {
+            flow.note_received(id, peer, round)?;
+            let pages = frames
+                .into_iter()
+                .map(|(records, bytes)| P::from_frame(records, bytes).map(Arc::new))
+                .collect::<Result<_, _>>()
+                .map_err(torn)?;
+            inbox.deliver(id, round, from, to, pages);
+        }
+        KIND_END_ROUND => {
+            flow.note_received(id, peer, round)?;
+            inbox.finish(id, round, from);
+        }
+        KIND_ALL_GATHER => {
+            let values = decode_gather(frames).map_err(torn)?;
+            inbox.gather_insert(id.group, round, from, values);
+        }
+        KIND_CREDIT => flow.ack(id, peer, round),
+        other => return Err(torn(format!("unknown message kind {other}"))),
+    }
+    Ok(())
 }
 
-// --- Payload codecs ----------------------------------------------------------
-
-fn encode_pages<P: WireCodec>(pages: &[Arc<P>], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-    for page in pages {
-        let len_at = out.len();
-        out.extend_from_slice(&0u32.to_le_bytes());
-        page.encode(out);
-        let encoded = (out.len() - len_at - 4) as u32;
-        out[len_at..len_at + 4].copy_from_slice(&encoded.to_le_bytes());
-    }
-}
-
-fn decode_pages<P: WireCodec>(payload: &[u8]) -> Result<Vec<Arc<P>>, String> {
-    let take4 = |offset: usize| -> Result<u32, String> {
-        payload
-            .get(offset..)
-            .and_then(<[u8]>::first_chunk)
-            .map(|word| u32::from_le_bytes(*word))
-            .ok_or_else(|| "pages payload truncated".to_owned())
-    };
-    let count = take4(0)? as usize;
-    // Every page carries at least its 4-byte length: a count the payload
-    // cannot hold is a torn frame, rejected before it sizes an allocation.
-    if count > (payload.len() - 4) / 4 {
-        return Err(format!(
-            "pages payload of {} bytes claims {count} pages",
-            payload.len()
-        ));
-    }
-    let mut pages = Vec::with_capacity(count);
-    let mut offset = 4usize;
-    for _ in 0..count {
-        let len = take4(offset)? as usize;
-        offset += 4;
-        let bytes = payload
-            .get(offset..offset + len)
-            .ok_or_else(|| "page truncated inside frame".to_owned())?;
-        pages.push(Arc::new(P::decode(bytes)?));
-        offset += len;
-    }
-    if offset != payload.len() {
-        return Err(format!(
-            "pages payload has {} trailing bytes",
-            payload.len() - offset
-        ));
-    }
-    Ok(pages)
-}
-
-fn encode_gather(values: &[u64], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn decode_gather(payload: &[u8]) -> Result<Vec<u64>, String> {
-    let (count, rest) = payload
-        .split_first_chunk()
-        .ok_or("gather payload truncated")?;
-    let (words, tail) = rest.as_chunks::<8>();
-    if words.len() != u32::from_le_bytes(*count) as usize || !tail.is_empty() {
+/// The values of an `ALL_GATHER` message: one frame of little-endian `u64`s,
+/// its record count the number of values.
+fn decode_gather(frames: Vec<(u32, Vec<u8>)>) -> Result<Vec<u64>, String> {
+    let [(count, bytes)] =
+        <[_; 1]>::try_from(frames).map_err(|_| "an all-gather carries one frame".to_owned())?;
+    let (words, tail) = bytes.as_chunks::<8>();
+    if words.len() != count as usize || !tail.is_empty() {
         return Err("gather payload length mismatch".into());
     }
     Ok(words.iter().map(|word| u64::from_le_bytes(*word)).collect())
@@ -899,20 +904,19 @@ impl<P: WireCodec + Send + Sync + 'static> Transport<P> for TcpTransport<P> {
         values: &[u64],
     ) -> Result<Vec<Vec<u64>>, CommError> {
         let shared = &self.shared;
-        let mut payload = Vec::with_capacity(4 + values.len() * 8);
-        encode_gather(values, &mut payload);
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
         for process in 0..shared.spec.processes {
             if process == shared.spec.index {
                 continue;
             }
-            shared.write_frame(
+            shared.write_message(
                 process,
                 KIND_ALL_GATHER,
                 id,
                 round,
                 shared.spec.index as u64,
                 0,
-                &payload,
+                &[(values.len() as u32, &bytes)],
             )?;
         }
         shared
@@ -943,17 +947,32 @@ impl<P: WireCodec + Send + Sync + 'static> PageChannel<P> for TcpChannel<P> {
             shared.inbox.deliver(self.id, round, from, to, pages);
             return Ok(());
         }
-        let mut payload = Vec::new();
-        encode_pages(&pages, &mut payload);
-        shared.write_frame(
-            owner,
-            KIND_PAGES,
-            self.id,
-            round,
-            from as u64,
-            to as u64,
-            &payload,
-        )
+        let frames: Vec<(u32, &[u8])> = pages.iter().map(|page| page.frame()).collect();
+        // A message's payload length is a `u32`: a batch past it leaves as
+        // several messages.
+        let mut rest = &frames[..];
+        while !rest.is_empty() {
+            let mut len = 0usize;
+            let fits = rest
+                .iter()
+                .take_while(|(_, bytes)| {
+                    len += FRAME_HEADER_BYTES + bytes.len();
+                    len <= u32::MAX as usize
+                })
+                .count();
+            let (batch, tail) = rest.split_at(fits.max(1));
+            shared.write_message(
+                owner,
+                KIND_PAGES,
+                self.id,
+                round,
+                from as u64,
+                to as u64,
+                batch,
+            )?;
+            rest = tail;
+        }
+        Ok(())
     }
 
     fn finish_round(&self, round: u64, from: usize) -> Result<(), CommError> {
@@ -962,7 +981,7 @@ impl<P: WireCodec + Send + Sync + 'static> PageChannel<P> for TcpChannel<P> {
             if process == shared.spec.index {
                 continue;
             }
-            shared.write_frame(
+            shared.write_message(
                 process,
                 KIND_END_ROUND,
                 self.id,
@@ -995,14 +1014,14 @@ impl<P: WireCodec + Send + Sync + 'static> PageChannel<P> for TcpChannel<P> {
         if round_done {
             // Every owned target drained: the round's inbox state is gone,
             // so grant each peer a fresh round credit.  Every peer sent at
-            // least its END_ROUND frames here, so every peer has this round
+            // least its END_ROUND messages here, so every peer has this round
             // open in its window.
             shared.flow.clear_round(self.id, round);
             for process in 0..shared.spec.processes {
                 if process == shared.spec.index {
                     continue;
                 }
-                shared.write_frame(
+                shared.write_message(
                     process,
                     KIND_CREDIT,
                     self.id,
@@ -1036,13 +1055,26 @@ mod tests {
     #[derive(Debug, PartialEq, Eq)]
     struct Blob(Vec<u8>);
 
+    /// One "record" per byte: the count must match the length.
     impl WireCodec for Blob {
-        fn encode(&self, out: &mut Vec<u8>) {
-            out.extend_from_slice(&self.0);
+        fn frame(&self) -> (u32, &[u8]) {
+            (self.0.len() as u32, &self.0)
         }
-        fn decode(bytes: &[u8]) -> Result<Self, String> {
-            Ok(Blob(bytes.to_vec()))
+        fn from_frame(records: u32, bytes: Vec<u8>) -> Result<Self, String> {
+            if records as usize != bytes.len() {
+                return Err(format!("{records} records in {} bytes", bytes.len()));
+            }
+            Ok(Blob(bytes))
         }
+    }
+
+    /// A message as raw bytes: the wire header, with its CRC, on channel
+    /// (0, 0), then `payload`.
+    fn message(kind: u32, round: u64, from: u64, to: u64, payload: &[u8]) -> Vec<u8> {
+        let id = ChannelId::new(0, 0);
+        let mut bytes = wire_header(kind, id, round, from, to, payload.len() as u32).to_vec();
+        bytes.extend_from_slice(payload);
+        bytes
     }
 
     fn free_coordinator_addr() -> SocketAddr {
@@ -1125,7 +1157,7 @@ mod tests {
     #[test]
     fn garbage_on_the_wire_surfaces_as_a_torn_stream() {
         let (a, b) = pair(TcpOptions::default());
-        a.inject_raw(1, &[0xAB; 2 * FRAME_HEADER_BYTES]);
+        a.inject_raw(1, &[0xAB; 2 * WIRE_HEADER_BYTES]);
         let cb = b.channel(ChannelId::new(0, 0), 2);
         let err = cb.recv(1, 1).unwrap_err();
         assert!(
@@ -1137,11 +1169,8 @@ mod tests {
     #[test]
     fn crc_mismatch_surfaces_as_a_torn_stream() {
         let (a, b) = pair(TcpOptions::default());
-        // A well-formed header whose payload fails the checksum.
-        let mut frame = [0u8; FRAME_HEADER_BYTES + 4];
-        frame[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
-        frame[4..8].copy_from_slice(&KIND_END_ROUND.to_le_bytes());
-        frame[48..52].copy_from_slice(&4u32.to_le_bytes());
+        // A well-formed header whose checksum field is wrong.
+        let mut frame = message(KIND_END_ROUND, 1, 0, u64::MAX, &[]);
         frame[52..56].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
         a.inject_raw(1, &frame);
         let cb = b.channel(ChannelId::new(0, 0), 2);
@@ -1153,28 +1182,63 @@ mod tests {
     }
 
     #[test]
-    fn page_count_the_payload_cannot_hold_surfaces_as_a_torn_stream() {
-        // Nothing may be sized from a page count before the payload is known
-        // to hold it: u32::MAX pages would ask for a 34 GB vector, and a
-        // failed allocation aborts the process instead of failing the peer.
+    fn a_frame_longer_than_the_payload_surfaces_as_a_torn_stream() {
+        // Nothing may be sized from a frame length before the payload is
+        // known to hold it: the frame header claims 100 bytes, the payload
+        // ends after the header.
         let (a, b) = pair(TcpOptions::default());
-        let payload = u32::MAX.to_le_bytes();
-        let mut frame = [0u8; FRAME_HEADER_BYTES + 4];
-        frame[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
-        frame[4..8].copy_from_slice(&KIND_PAGES.to_le_bytes());
-        frame[24..32].copy_from_slice(&1u64.to_le_bytes());
-        frame[40..48].copy_from_slice(&1u64.to_le_bytes());
-        frame[48..52].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame[52..56].copy_from_slice(&crc32(&payload).to_le_bytes());
-        frame[FRAME_HEADER_BYTES..].copy_from_slice(&payload);
-        a.inject_raw(1, &frame);
+        let payload = frame_header(100, &[0; 100]);
+        a.inject_raw(1, &message(KIND_PAGES, 1, 0, 1, &payload));
         let cb = b.channel(ChannelId::new(0, 0), 2);
         let err = cb.recv(1, 1).unwrap_err();
         assert!(
             matches!(err, CommError::TornStream { peer: 0, ref detail }
-                if detail.contains("claims 4294967295 pages")),
+                if detail.contains("a frame of 112 bytes is longer than the 12")),
             "got {err:?}"
         );
+    }
+
+    #[test]
+    fn any_flipped_header_field_frame_header_or_page_byte_is_a_torn_stream() {
+        // A PAGES message of two pages from partition 0 to partition 1.
+        let pages = [Blob(vec![1, 2, 3]), Blob(vec![7; 40])];
+        let mut payload = Vec::new();
+        for page in &pages {
+            crate::frame::write_frame(&mut payload, page).unwrap();
+        }
+        let intact = message(KIND_PAGES, 1, 0, 1, &payload);
+        let deliver = |bytes: &[u8]| {
+            let (a, b) = pair(TcpOptions::default());
+            a.inject_raw(1, bytes);
+            a.inject_raw(1, &message(KIND_END_ROUND, 1, 0, u64::MAX, &[]));
+            let cb = b.channel(ChannelId::new(0, 0), 2);
+            cb.finish_round(1, 1).unwrap();
+            cb.recv(1, 1)
+        };
+        // The intact message arrives: the corruptions below are the only
+        // difference.
+        let got = deliver(&intact).unwrap();
+        assert_eq!(got.len(), 1);
+        assert_eq!([&*got[0].1[0], &*got[0].1[1]], [&pages[0], &pages[1]]);
+        // The first byte of every wire-header field (magic, kind, group,
+        // edge, round, from, to, payload length, CRC), every byte of the
+        // first frame header, and a page byte of each frame.
+        let fields = [0, 4, 8, 16, 24, 32, 40, 48, 52];
+        let first_frame_header = WIRE_HEADER_BYTES..WIRE_HEADER_BYTES + FRAME_HEADER_BYTES;
+        let page_bytes = [WIRE_HEADER_BYTES + 13, intact.len() - 1];
+        for at in fields
+            .into_iter()
+            .chain(first_frame_header)
+            .chain(page_bytes)
+        {
+            let mut corrupt = intact.clone();
+            corrupt[at] ^= 0x01;
+            let err = deliver(&corrupt).unwrap_err();
+            assert!(
+                matches!(err, CommError::TornStream { peer: 0, .. }),
+                "byte {at}: got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1182,13 +1246,8 @@ mod tests {
         let (a, b) = pair(TcpOptions::default());
         // A header promising 64 payload bytes, then the connection dies
         // after 3.
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        frame.extend_from_slice(&KIND_PAGES.to_le_bytes());
-        frame.extend_from_slice(&[0u8; 40]);
-        frame.extend_from_slice(&64u32.to_le_bytes());
-        frame.extend_from_slice(&0u32.to_le_bytes());
-        frame.extend_from_slice(&[1, 2, 3]);
+        let mut frame = message(KIND_PAGES, 1, 0, 1, &[0; 64]);
+        frame.truncate(WIRE_HEADER_BYTES + 3);
         a.inject_raw(1, &frame);
         drop(a);
         let cb = b.channel(ChannelId::new(0, 0), 2);
@@ -1212,18 +1271,6 @@ mod tests {
         );
     }
 
-    /// A well-formed END_ROUND frame as raw bytes (empty payload, CRC 0).
-    fn end_round_frame(round: u64, from: u64) -> [u8; FRAME_HEADER_BYTES] {
-        let mut frame = [0u8; FRAME_HEADER_BYTES];
-        frame[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
-        frame[4..8].copy_from_slice(&KIND_END_ROUND.to_le_bytes());
-        frame[24..32].copy_from_slice(&round.to_le_bytes());
-        frame[32..40].copy_from_slice(&from.to_le_bytes());
-        frame[40..48].copy_from_slice(&u64::MAX.to_le_bytes());
-        frame[52..56].copy_from_slice(&crc32(&[]).to_le_bytes());
-        frame
-    }
-
     #[test]
     fn far_future_rounds_overflow_the_receive_window_as_a_typed_error() {
         // Regression: the inbox used to buffer frames for arbitrarily
@@ -1238,7 +1285,7 @@ mod tests {
         // 1..=cap fit, round cap+1 trips the cap.
         let cap = MIN_ROUND_WINDOW + RECV_ROUND_SLACK;
         for round in 1..=(cap as u64 + 1) {
-            a.inject_raw(1, &end_round_frame(round, 0));
+            a.inject_raw(1, &message(KIND_END_ROUND, round, 0, u64::MAX, &[]));
         }
         // The overflow poisons the peer; a wait on a round the dead peer
         // never finished surfaces the typed error.  (The injected rounds

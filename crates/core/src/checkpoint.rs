@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! <root>/ckpt-<superstep>/
-//!     solution-<p>.run    one per partition, v2 framed pages + CRC-32
+//!     solution-<p>.run    one per partition, checksummed page frames
 //!     workset-<p>.run
 //!     MANIFEST            written last, via tmp-file + atomic rename
 //! ```
@@ -492,6 +492,30 @@ mod tests {
         let restored = store.restore_latest(usize::MAX).unwrap();
         assert_eq!(restored.superstep, 2, "corrupt ckpt-4 must be skipped");
         assert_eq!(restored.solution, parts(0));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_checkpoint_with_a_tampered_record_count_is_skipped() {
+        let root = test_root("count-tamper");
+        let store = CheckpointStore::new(&root, 2, FaultInjector::disabled());
+        store.write(2, &parts(0), &parts(10)).unwrap();
+        store.write(4, &parts(7), &parts(20)).unwrap();
+        let victim = root.join("ckpt-4").join("solution-1.run");
+        let intact = fs::read(&victim).unwrap();
+        // The first frame's record count: after the 8-byte file header and
+        // the frame's byte length.  Its 30 records become 33, then 27.
+        for count in [33u32, 27] {
+            let mut bytes = intact.clone();
+            bytes[12..16].copy_from_slice(&count.to_le_bytes());
+            fs::write(&victim, &bytes).unwrap();
+            let restored = store.restore_latest(usize::MAX).unwrap();
+            assert_eq!(
+                restored.superstep, 2,
+                "count {count}: ckpt-4 must be skipped"
+            );
+            assert_eq!(restored.solution, parts(0));
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -43,8 +43,8 @@ pub enum FaultSite {
     /// Dispatching a worker task on the pool (the injected failure is a task
     /// panic, not an I/O error).
     WorkerPanic,
-    /// Writing a frame to a transport connection (the injected failure is a
-    /// dropped connection — the peer observes it too).
+    /// Writing a data message to a transport connection (the injected
+    /// failure is a dropped connection — the peer observes it too).
     ConnDrop,
 }
 

@@ -35,13 +35,15 @@
 //!   it hands out; [`RunMerger::next_record`] yields the globally sorted
 //!   stream one owned record at a time.
 //!
-//! # Run file format (version 2)
+//! # Run file format (version 3)
 //!
 //! A run is a *segment*: an 8-byte header — the magic `b"SPRN"` and a
-//! little-endian `u32` format version — followed by a sequence of framed
-//! pages: a little-endian `u32` byte length, a `u32` record count, and a
-//! `u32` CRC-32 (IEEE) of the page bytes, then the page bytes exactly as
-//! they sat in memory (the wire format of [`crate::page`]).  A run file is
+//! little-endian `u32` format version — followed by one page frame of
+//! [`comm::frame`] per page: a little-endian `u32` byte length, a `u32`
+//! record count, and a `u32` CRC-32 (IEEE) over the record count and the
+//! page bytes, then the page bytes exactly as they sat in memory (the
+//! format of [`crate::page`]).  The TCP transport ships pages as the same
+//! frames, so a page takes the same bytes on disk and on the wire.  A run file is
 //! one or more segments back to back: each [`SpillingWriter`] creates one
 //! file at its first flush and appends every later run to it with
 //! positioned writes (one per flush of up to 256 KiB), so a writer costs
@@ -50,8 +52,9 @@
 //! reads (`pread`) from its segment's offset — one sequential pass, no
 //! `open` per read; no index or footer is needed because the [`SpilledRun`]
 //! handle carries the offset and the page count.  Corruption errors name
-//! the failing frame's absolute offset in the file.  Version-1 files (no
-//! magic, no checksums) are rejected at open, not misread.
+//! the failing frame's absolute offset in the file.  Files of earlier
+//! versions — v1 had no magic and no checksums, v2's checksum left out the
+//! record count — are rejected at open, not misread.
 //!
 //! # Error handling
 //!
@@ -75,6 +78,7 @@ use crate::page::{
 };
 use crate::record::Record;
 use crate::value::Value;
+use comm::frame::{write_frame, FrameHeader, FRAME_HEADER_BYTES};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -186,20 +190,9 @@ impl SpillStats {
 /// Magic bytes opening every run/checkpoint data file.
 const RUN_MAGIC: [u8; 4] = *b"SPRN";
 
-/// Current run file format version (v2 added per-page CRC-32).
-const RUN_FORMAT_VERSION: u32 = 2;
-
-/// Bytes of a frame header: page byte length, record count, page CRC-32.
-const FRAME_HEADER_BYTES: usize = 12;
-
-/// Sanity bound on a single page frame; a length beyond this in a header is
-/// garbage (torn or foreign file), not a page to allocate.
-const MAX_FRAME_BYTES: usize = 1 << 28;
-
-/// CRC-32 (IEEE) of `bytes` — the per-page checksum of run and checkpoint
-/// frames.  One implementation serves the wire and the disk: the TCP frame
-/// checksum of `comm`.
-pub use comm::crc32;
+/// Current run file format version (v2 added per-page CRC-32, v3 put the
+/// record count under it).
+const RUN_FORMAT_VERSION: u32 = 3;
 
 /// Typed payload of a corruption error: travels inside an [`io::Error`]
 /// through the `io::Result` plumbing and is downcast by
@@ -279,19 +272,10 @@ fn read_file_header(file: &File, path: &Path, offset: u64) -> io::Result<()> {
     Ok(())
 }
 
-/// Writes one page frame (header + bytes), returning the frame's total size.
-fn write_frame(writer: &mut impl Write, page: &RecordPage) -> io::Result<usize> {
-    writer.write_all(&(page.byte_len() as u32).to_le_bytes())?;
-    writer.write_all(&(page.record_count() as u32).to_le_bytes())?;
-    writer.write_all(&crc32(page.bytes()).to_le_bytes())?;
-    writer.write_all(page.bytes())?;
-    Ok(FRAME_HEADER_BYTES + page.byte_len())
-}
-
-/// Reads the frame at byte `frame_offset` of `file` into `page`, validating
-/// the CRC, and returns its record count.  A partial frame, an implausible
-/// length, or a checksum mismatch is a corruption error naming the frame's
-/// absolute offset; `frame_offset` is advanced past the frame on success.
+/// Reads the frame at byte `frame_offset` of `file` into `page` and returns
+/// its record count.  A partial frame, an implausible length, or a checksum
+/// mismatch is a corruption error naming the frame's absolute offset;
+/// `frame_offset` is advanced past the frame on success.
 fn read_frame(
     file: &File,
     path: &Path,
@@ -301,32 +285,16 @@ fn read_frame(
     let mut header = [0u8; FRAME_HEADER_BYTES];
     file.read_exact_at(&mut header, *frame_offset)
         .map_err(|e| torn(e, path, *frame_offset, "torn frame header"))?;
-    let [l0, l1, l2, l3, r0, r1, r2, r3, c0, c1, c2, c3] = header;
-    let byte_len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
-    let records = u32::from_le_bytes([r0, r1, r2, r3]) as usize;
-    let expected_crc = u32::from_le_bytes([c0, c1, c2, c3]);
-    if byte_len > MAX_FRAME_BYTES {
-        return Err(corrupt(
-            path,
-            *frame_offset,
-            format!("implausible frame length {byte_len}"),
-        ));
-    }
-    page.resize(byte_len, 0);
+    let header =
+        FrameHeader::parse(header).map_err(|detail| corrupt(path, *frame_offset, detail))?;
+    page.resize(header.byte_len, 0);
     file.read_exact_at(page, *frame_offset + FRAME_HEADER_BYTES as u64)
         .map_err(|e| torn(e, path, *frame_offset, "torn page frame"))?;
-    let actual_crc = crc32(page);
-    if actual_crc != expected_crc {
-        return Err(corrupt(
-            path,
-            *frame_offset,
-            format!(
-                "page checksum mismatch (stored {expected_crc:#010x}, computed {actual_crc:#010x})"
-            ),
-        ));
-    }
-    *frame_offset += (FRAME_HEADER_BYTES + byte_len) as u64;
-    Ok(records)
+    header
+        .check(page)
+        .map_err(|detail| corrupt(path, *frame_offset, detail))?;
+    *frame_offset += (FRAME_HEADER_BYTES + header.byte_len) as u64;
+    Ok(header.records as usize)
 }
 
 // ---------------------------------------------------------------------------
@@ -369,7 +337,7 @@ impl RunFile {
     }
 
     /// Writes `pages` as one segment starting at byte `offset` — the run
-    /// header, then one frame per non-empty page — and returns its handle.
+    /// header, then one frame per page — and returns its handle.
     /// The frames are staged in `frames` (cleared first; a writer reuses it
     /// from flush to flush) and leave in positioned writes of up to
     /// [`WRITE_CHUNK_BYTES`].
@@ -384,8 +352,8 @@ impl RunFile {
         write_file_header(frames)?;
         let mut written = offset;
         let (mut page_count, mut records, mut bytes) = (0usize, 0usize, 0usize);
-        for page in pages.iter().filter(|page| !page.is_empty()) {
-            write_frame(frames, page)?;
+        for page in pages {
+            write_frame(frames, &**page)?;
             page_count += 1;
             records += page.record_count();
             bytes += page.byte_len();
@@ -515,7 +483,7 @@ impl SpilledRun {
 
 /// Writes sealed pages to a file of their own in `dir` as one run, verbatim
 /// (no re-sort; pass `sorted_by` when the pages are already ordered, e.g. a
-/// delivered range partition).  Empty pages are skipped.
+/// delivered range partition).
 pub fn write_run_in(
     dir: &Path,
     pages: &[Arc<RecordPage>],
@@ -655,7 +623,7 @@ impl RunCursor {
 
 /// Serializes `records` into framed pages at an explicit `path` (creating
 /// parent directories), fsyncs, and returns the file's size in bytes.  The
-/// file uses the same checksummed v2 format as spilled runs but is *not*
+/// file uses the same checksummed format as spilled runs but is *not*
 /// deleted on drop — this is the durability primitive behind superstep
 /// checkpoints.
 pub fn write_records_to(path: &Path, records: &[Record]) -> io::Result<u64> {
@@ -670,13 +638,11 @@ pub fn write_records_to(path: &Path, records: &[Record]) -> io::Result<u64> {
     for record in records {
         page_writer.push(record);
         for page in page_writer.take_sealed() {
-            total += write_frame(&mut writer, &page)? as u64;
+            total += write_frame(&mut writer, &*page)? as u64;
         }
     }
     for page in page_writer.finish() {
-        if !page.is_empty() {
-            total += write_frame(&mut writer, &page)? as u64;
-        }
+        total += write_frame(&mut writer, &*page)? as u64;
     }
     writer.flush()?;
     writer
@@ -1640,6 +1606,38 @@ mod tests {
             .to_string()
             .contains("frame offset 8"));
         drop(cursor);
+        drop(run);
+        let _ = fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn a_tampered_record_count_is_a_typed_corruption_not_a_panic() {
+        let dir = test_dir("count-tamper");
+        let records: Vec<Record> = (0..10).map(|i| Record::pair(i, i)).collect();
+        let mut writer = PageWriter::new();
+        for record in &records {
+            writer.push(record);
+        }
+        let run = write_run_in(&dir, &writer.finish(), None).unwrap();
+        let intact = fs::read(run.path()).unwrap();
+        // The first frame's record count: after the run header and the
+        // frame's byte length.
+        let count_at = RUN_HEADER_BYTES as usize + 4;
+        for count in [13u32, 7] {
+            let mut bytes = intact.clone();
+            bytes[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+            fs::write(run.path(), &bytes).unwrap();
+            let expected = crate::error::DataflowError::SpillCorrupt {
+                path: run.path().display().to_string(),
+                frame_offset: RUN_HEADER_BYTES,
+            };
+            let read_pages = run.read_pages().map(|pages| pages.len());
+            assert_eq!(read_pages.map_err(Into::into), Err(expected.clone()));
+            let cursor = read_run(&run).map(|read| read.len());
+            assert_eq!(cursor.map_err(Into::into), Err(expected), "count {count}");
+        }
+        fs::write(run.path(), &intact).unwrap();
+        assert_eq!(read_run(&run).unwrap(), records);
         drop(run);
         let _ = fs::remove_dir(&dir);
     }
