@@ -161,7 +161,7 @@ pub fn build_bulk_step_plan(graph: &Graph) -> (Plan, OperatorId, Annotations) {
         vec![0],
         vec![0],
         Arc::new(MatchClosure(
-            |s: RecordView<'_>, e: RecordView<'_>, out: &mut Collector| {
+            |s: RecordView<'_>, e: RecordView<'_>, out: &mut dyn RecordSink| {
                 out.emit(&[Value::Long(e.long(1)), Value::Long(s.long(1))]);
             },
         )),
@@ -174,7 +174,7 @@ pub fn build_bulk_step_plan(graph: &Graph) -> (Plan, OperatorId, Annotations) {
         with_own,
         vec![0],
         Arc::new(ReduceClosure(
-            |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+            |key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
                 let min = group
                     .iter()
                     .map(|r| r.long(1))
@@ -241,9 +241,7 @@ pub fn cc_bulk(graph: &Graph, config: &ComponentsConfig) -> Result<ComponentsRes
 fn bulk_config(config: &ComponentsConfig, annotations: Annotations) -> BulkConfig {
     BulkConfig {
         parallelism: config.parallelism,
-        use_optimizer: true,
         annotations,
-        expected_iterations: None,
         checkpoint: config.checkpoint.clone(),
         exec: config.exec.clone(),
     }
@@ -542,8 +540,6 @@ mod tests {
         let (_, _, annotations) = build_bulk_step_plan(&figure1_graph());
         let bulk = bulk_config(&fully_configured(), annotations);
         assert_eq!(bulk.parallelism, 3);
-        assert!(bulk.use_optimizer);
-        assert_eq!(bulk.expected_iterations, None);
         assert_forwarded(bulk.checkpoint, &bulk.exec);
     }
 

@@ -118,7 +118,7 @@ pub fn build_step_plan(
         vec![0],
         vec![1],
         Arc::new(MatchClosure(
-            move |p: RecordView<'_>, a: RecordView<'_>, out: &mut Collector| {
+            move |p: RecordView<'_>, a: RecordView<'_>, out: &mut dyn RecordSink| {
                 out.emit(&[
                     Value::Long(a.long(0)),
                     Value::Double(damping * p.double(1) * a.double(2)),
@@ -135,7 +135,7 @@ pub fn build_step_plan(
         join,
         vec![0],
         Arc::new(ReduceClosure(
-            move |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+            move |key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
                 let sum: f64 = group.iter().map(|r| r.double(1)).sum();
                 out.emit(&[key[0].clone(), Value::Double(teleport + sum)]);
             },

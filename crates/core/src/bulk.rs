@@ -86,15 +86,8 @@ impl TerminationCriterion {
 pub struct BulkConfig {
     /// Degree of parallelism of the step dataflow.
     pub parallelism: usize,
-    /// If `true` (the default), the step plan is optimized with the
-    /// iteration-aware cost-based optimizer; otherwise the naive rule-based
-    /// physical plan is used.
-    pub use_optimizer: bool,
     /// Field-copy annotations passed to the optimizer.
     pub annotations: Annotations,
-    /// Expected number of iterations used to weight the dynamic data path.
-    /// Defaults to the termination criterion's maximum.
-    pub expected_iterations: Option<f64>,
     /// Iteration-boundary checkpointing and recovery policy.  `None` (the
     /// default) disables checkpointing: a failed iteration surfaces as a
     /// typed [`DataflowError`] immediately.
@@ -110,9 +103,7 @@ impl BulkConfig {
     pub fn new(parallelism: usize) -> Self {
         BulkConfig {
             parallelism,
-            use_optimizer: true,
             annotations: Annotations::new(),
-            expected_iterations: None,
             checkpoint: None,
             exec: ExecConfig::new(),
         }
@@ -127,12 +118,6 @@ impl BulkConfig {
     /// Sets the optimizer annotations.
     pub fn with_annotations(mut self, annotations: Annotations) -> Self {
         self.annotations = annotations;
-        self
-    }
-
-    /// Disables the cost-based optimizer (useful for plan comparisons).
-    pub fn without_optimizer(mut self) -> Self {
-        self.use_optimizer = false;
         self
     }
 
@@ -202,28 +187,23 @@ impl BulkIteration {
     }
 
     /// Runs the iteration starting from the initial partial solution: plans
-    /// the step dataflow once — with the iteration-aware optimizer, or
-    /// rule-based under [`BulkConfig::without_optimizer`] — and drives the
-    /// plan through [`BulkIteration::run_physical`].
+    /// the step dataflow once with the iteration-aware optimizer — the
+    /// dynamic data path weighted by the termination criterion's maximum
+    /// number of iterations — and drives the plan through
+    /// [`BulkIteration::run_physical`].
     pub fn run(&self, initial: Vec<Record>, config: &BulkConfig) -> Result<BulkIterationResult> {
-        let physical = if config.use_optimizer {
-            let output_op = self
-                .plan
-                .sink_by_name(&self.output_sink)
-                .ok_or_else(|| DataflowError::UnknownSink(self.output_sink.clone()))?;
-            let spec = IterationSpec {
-                dynamic_sources: vec![self.input],
-                feedback: vec![(output_op, self.input)],
-                expected_iterations: config
-                    .expected_iterations
-                    .unwrap_or(self.termination.max_iterations() as f64),
-            };
-            Optimizer::new(config.parallelism)
-                .optimize_iterative(&self.plan, &config.annotations, &spec)?
-                .physical
-        } else {
-            dataflow::physical::default_physical_plan(&self.plan, config.parallelism)?
+        let output_op = self
+            .plan
+            .sink_by_name(&self.output_sink)
+            .ok_or_else(|| DataflowError::UnknownSink(self.output_sink.clone()))?;
+        let spec = IterationSpec {
+            dynamic_sources: vec![self.input],
+            feedback: vec![(output_op, self.input)],
+            expected_iterations: self.termination.max_iterations() as f64,
         };
+        let physical = Optimizer::new(config.parallelism)
+            .optimize_iterative(&self.plan, &config.annotations, &spec)?
+            .physical;
         self.run_physical(physical, initial, config)
     }
 
@@ -235,8 +215,8 @@ impl BulkIteration {
     /// fires.  Everything a run does beyond planning lives here: the
     /// executor's budget and fault injector, checkpointing and recovery, the
     /// iteration number stamped on worker panics, the per-iteration stats.
-    /// The plan's own parallelism applies; `config.parallelism`, the optimizer
-    /// switch and the annotations only steer the planner.
+    /// The plan's own parallelism applies; `config.parallelism` and the
+    /// annotations only steer the planner.
     pub fn run_physical(
         &self,
         mut physical: PhysicalPlan,
@@ -371,7 +351,7 @@ mod tests {
         let map = plan.map(
             "increment",
             input,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
                 out.emit(Record::pair(r.long(0), r.long(1) + 1).fields());
             })),
         );
@@ -427,7 +407,7 @@ mod tests {
         let map = plan.map(
             "cap",
             input,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
                 out.emit(Record::pair(r.long(0), (r.long(1) + 1).min(8)).fields());
             })),
         );
@@ -466,7 +446,7 @@ mod tests {
         let map = plan.map(
             "cap",
             input,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
                 out.emit(Record::pair(r.long(0), (r.long(1) + 1).min(8)).fields());
             })),
         );
@@ -501,7 +481,7 @@ mod tests {
         let map = plan.map(
             "increment",
             input,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
                 out.emit(Record::pair(r.long(0), r.long(1) + 1).fields());
             })),
         );
@@ -509,9 +489,9 @@ mod tests {
         let t = plan.map(
             "still-running",
             map,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
                 if r.long(1) < 3 {
-                    out.collect(r);
+                    out.forward(r);
                 }
             })),
         );
@@ -617,7 +597,7 @@ mod tests {
             input,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
                     // The key moves every iteration (7 is a unit modulo
                     // 200), so every iteration's exchange ships.
                     let moved = (key[0].as_long() * 7 + 3) % 200;
@@ -682,8 +662,9 @@ mod tests {
         );
         let initial: Vec<Record> = (0..20).map(|i| Record::pair(i, i)).collect();
         let with_opt = iteration.run(initial.clone(), &BulkConfig::new(4)).unwrap();
+        let default_plan = default_physical_plan(iteration.plan(), 4).unwrap();
         let without_opt = iteration
-            .run(initial, &BulkConfig::new(4).without_optimizer())
+            .run_physical(default_plan, initial, &BulkConfig::new(4))
             .unwrap();
         let mut a = with_opt.solution;
         let mut b = without_opt.solution;

@@ -182,7 +182,9 @@ mod tests {
                 vec![0],
                 vec![0],
                 Arc::new(MatchClosure(
-                    |w: RecordView<'_>, _s: RecordView<'_>, out: &mut Collector| out.collect(w),
+                    |w: RecordView<'_>, _s: RecordView<'_>, out: &mut dyn RecordSink| {
+                        out.forward(w)
+                    },
                 )),
             );
             ann.add_copy(
@@ -205,7 +207,7 @@ mod tests {
                     |_k: &[Value],
                      w: &[RecordView<'_>],
                      _s: &[RecordView<'_>],
-                     out: &mut Collector| { out.collect(w[0]) },
+                     out: &mut dyn RecordSink| { out.forward(w[0]) },
                 )),
             );
             ann.add_copy(
@@ -226,7 +228,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |d: RecordView<'_>, n: RecordView<'_>, out: &mut Collector| {
+                |d: RecordView<'_>, n: RecordView<'_>, out: &mut dyn RecordSink| {
                     out.emit(Record::pair(n.long(1), d.long(1)).fields())
                 },
             )),
@@ -279,23 +281,23 @@ mod tests {
         let a = plan.map(
             "a",
             workset,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
-                out.collect(r)
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
+                out.forward(r)
             })),
         );
         // Two dynamic consumers of the same operator: a branch.
         let b = plan.map(
             "b",
             a,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
-                out.collect(r)
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
+                out.forward(r)
             })),
         );
         let c = plan.map(
             "c",
             a,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
-                out.collect(r)
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
+                out.forward(r)
             })),
         );
         let delta = plan.sink("delta", b);

@@ -27,9 +27,7 @@ use crate::solution_set::{PartitionIndex, SolutionSet};
 use crate::workset::WorksetIteration;
 use dataflow::join_index::JoinIndex;
 use dataflow::page::PageWriter;
-use dataflow::prelude::{
-    ClusterSpec, Key, PartitionRouter, Record, RecordSink, RecordSource, Value,
-};
+use dataflow::prelude::{ClusterSpec, Key, PartitionRouter, RecordSink, RecordSource, Value};
 
 /// What the load step builds, indexed by partition.  Partitions owned by
 /// other processes are present and empty.
@@ -149,22 +147,11 @@ struct ShareSink<'a, F> {
 }
 
 impl<F: FnMut(&[Value]) + Send> RecordSink for ShareSink<'_, F> {
-    fn push(&mut self, record: Record) {
-        self.emit(record.fields());
-    }
-
     #[inline]
     fn emit(&mut self, fields: &[Value]) {
         if self.router.route_fields(fields, self.key) == self.partition {
             (self.keep)(fields);
         }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
-    where
-        Self: 'static,
-    {
-        self
     }
 }
 
@@ -172,7 +159,7 @@ impl<F: FnMut(&[Value]) + Send> RecordSink for ShareSink<'_, F> {
 mod tests {
     use super::*;
     use crate::workset::{ExpandClosure, UpdateClosure};
-    use dataflow::prelude::{RangeBounds, RecordView, SourceClosure};
+    use dataflow::prelude::{RangeBounds, Record, RecordView, SourceClosure};
     use std::sync::Arc;
 
     /// An iteration whose user functions are never called: the load step

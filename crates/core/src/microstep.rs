@@ -58,7 +58,7 @@ use dataflow::credit::{
 };
 use dataflow::join_index::JoinIndex;
 use dataflow::page::SerializedRecord;
-use dataflow::prelude::{DataflowError, Key, PartitionRouter, Record, Result, Value};
+use dataflow::prelude::{DataflowError, Key, PartitionRouter, Result, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
@@ -153,10 +153,6 @@ struct PendingSink<'a, 'b> {
 }
 
 impl RecordSink for PendingSink<'_, '_> {
-    fn push(&mut self, record: Record) {
-        self.emit(record.fields());
-    }
-
     fn emit(&mut self, fields: &[Value]) {
         let target = self.router.route_fields(fields, self.workset_key);
         self.outcome.messages_sent += 1;
@@ -167,13 +163,6 @@ impl RecordSink for PendingSink<'_, '_> {
         // acquired when the flush loop enqueues it.
         self.pending
             .push(target, SerializedRecord::from_fields(fields));
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
-    where
-        Self: 'static,
-    {
-        self
     }
 }
 
@@ -191,10 +180,6 @@ struct SeedSink<'a> {
 }
 
 impl RecordSink for SeedSink<'_> {
-    fn push(&mut self, record: Record) {
-        self.emit(record.fields());
-    }
-
     fn emit(&mut self, fields: &[Value]) {
         if self.error.is_some() {
             return;
@@ -215,13 +200,6 @@ impl RecordSink for SeedSink<'_> {
                 ),
             });
         }
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
-    where
-        Self: 'static,
-    {
-        self
     }
 }
 
@@ -519,7 +497,7 @@ fn run_worker(
 mod tests {
     use super::*;
     use crate::workset::{ExecutionMode, ExpandClosure, UpdateClosure, WorksetIteration};
-    use dataflow::prelude::{ExecConfig, MemoryBudget, RecordView};
+    use dataflow::prelude::{ExecConfig, MemoryBudget, Record, RecordView};
 
     /// Asynchronous minimum propagation over a ring of `n` vertices.
     fn ring_iteration(n: i64) -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {

@@ -915,20 +915,9 @@ impl<'p> PartitionStep<'p> {
 struct DeltaSink(Vec<Value>);
 
 impl RecordSink for DeltaSink {
-    fn push(&mut self, record: Record) {
-        self.emit(record.fields());
-    }
-
     fn emit(&mut self, fields: &[Value]) {
         self.0.clear();
         self.0.extend_from_slice(fields);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
-    where
-        Self: 'static,
-    {
-        self
     }
 }
 
@@ -939,8 +928,8 @@ fn paged_queue(writer: PageWriter) -> ExchangedPartition {
 
 /// The sink the expand UDF emits into during a superstep: routes each
 /// candidate on the workset key and hands it to the partition's outbox,
-/// where it is serialized into the page of its target partition.  Owned and
-/// by-reference candidates take the same road — the queues of a superstep
+/// where it is serialized into the page of its target partition.  Emitted
+/// and forwarded candidates take the same road — the queues of a superstep
 /// run hold pages, never heap records.
 struct CandidateSink<'a> {
     outbox: &'a mut Outbox,
@@ -949,21 +938,10 @@ struct CandidateSink<'a> {
 }
 
 impl RecordSink for CandidateSink<'_> {
-    fn push(&mut self, record: Record) {
-        self.emit(record.fields());
-    }
-
     #[inline]
     fn emit(&mut self, fields: &[Value]) {
         let target = self.router.route_fields(fields, self.workset_key);
         self.outbox.emit(target, fields);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
-    where
-        Self: 'static,
-    {
-        self
     }
 }
 
@@ -1120,8 +1098,11 @@ impl<'a> WorksetIterationBuilder<'a> {
 mod tests {
     use super::*;
     use dataflow::contracts::SourceClosure;
-    use dataflow::page::RecordPage;
-    use dataflow::prelude::{FaultInjector, MemoryBudget, TransportHandle};
+    use dataflow::page::{RecordPage, SerializedRecord};
+    use dataflow::prelude::{
+        default_physical_plan, Executor, FaultInjector, MemoryBudget, Plan, SinkPages,
+        TransportHandle,
+    };
     use reference::fixpoint::{batch_fixpoint, Fixpoint, Routing, WorksetStep};
 
     /// A tiny "propagate the minimum" iteration over a 4-vertex path graph
@@ -1387,15 +1368,15 @@ mod tests {
         (edges, solution, workset)
     }
 
-    /// [`dense_min_propagation`] with the expansion written either against
-    /// the by-reference emit or against the owned-record push, over the
-    /// collected records of [`dense_inputs`].
+    /// [`dense_min_propagation`] with the expansion either emitting each
+    /// candidate's fields or forwarding it serialized, over the collected
+    /// records of [`dense_inputs`].
     fn dense_min_propagation_emitting(
-        by_reference: bool,
+        emit_fields: bool,
     ) -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
         let (edges, solution, workset) = dense_inputs();
         (
-            dense_iteration(Arc::new(edges.collect()), by_reference),
+            dense_iteration(Arc::new(edges.collect()), emit_fields),
             solution.collect(),
             workset.collect(),
         )
@@ -1403,7 +1384,7 @@ mod tests {
 
     fn dense_iteration(
         edges: Arc<impl RecordSource + 'static>,
-        by_reference: bool,
+        emit_fields: bool,
     ) -> WorksetIteration<'static> {
         let update = Arc::new(UpdateClosure(
             |key: &Key,
@@ -1419,10 +1400,11 @@ mod tests {
         let expand = Arc::new(ExpandClosure(
             move |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
                 for e in edges {
-                    if by_reference {
-                        out.emit(&[Value::Long(e.long(1)), Value::Long(delta.long(1))]);
+                    let fields = [Value::Long(e.long(1)), Value::Long(delta.long(1))];
+                    if emit_fields {
+                        out.emit(&fields);
                     } else {
-                        out.push(Record::pair(e.long(1), delta.long(1)));
+                        out.forward(SerializedRecord::from_fields(&fields).view());
                     }
                 }
             },
@@ -1909,14 +1891,14 @@ mod tests {
         }
     }
 
-    /// An expansion that pushes owned records and one that emits field
-    /// slices are the same iteration: byte-identical solutions and identical
-    /// per-superstep counters under every routing, memory regime, superstep
-    /// mode and transport.
+    /// An expansion that forwards serialized records and one that emits
+    /// field slices are the same iteration: byte-identical solutions and
+    /// identical per-superstep counters under every routing, memory regime,
+    /// superstep mode and transport.
     #[test]
-    fn pushed_and_emitted_candidates_are_indistinguishable() {
+    fn forwarded_and_emitted_candidates_are_indistinguishable() {
         let (emitting, solution, workset) = dense_min_propagation_emitting(true);
-        let (pushing, _, _) = dense_min_propagation_emitting(false);
+        let (forwarding, _, _) = dense_min_propagation_emitting(false);
         // The memory regimes: unlimited, every sealed page spilled, and two
         // page credits per writer.
         let configure = |regime: &str, mut config: WorksetConfig| {
@@ -1937,17 +1919,18 @@ mod tests {
                     let emitted = emitting
                         .run(solution.clone(), workset.clone(), &config)
                         .unwrap();
-                    let pushed = pushing
+                    let forwarded = forwarding
                         .run(solution.clone(), workset.clone(), &config)
                         .unwrap();
                     assert!(emitted.converged, "{label}");
-                    assert_eq!(emitted.solution, pushed.solution, "{label}");
-                    assert_same_trace(&emitted, &pushed, &label);
+                    assert_eq!(emitted.solution, forwarded.solution, "{label}");
+                    assert_same_trace(&emitted, &forwarded, &label);
                     if regime == "budget 0" {
                         assert!(emitted.stats.total_spilled_bytes() > 0, "{label}");
                     }
                     // The same job as a 2-worker TCP cluster, candidates
-                    // pushed, against the single process that emitted them.
+                    // forwarded, against the single process that emitted
+                    // them.
                     let cluster = run_tcp_cluster(
                         || dense_min_propagation_emitting(false),
                         |config| configure(config.with_mode(mode).with_routing(routing)),
@@ -1966,17 +1949,64 @@ mod tests {
                 }
             }
         }
-        // Asynchronous queues hold heap records, so there an emitted
-        // candidate becomes one; the fixpoint is the same set of records.
+        // Asynchronous execution has no deterministic trace; the fixpoint
+        // is the same set of records.
         let config = WorksetConfig::new(4).with_mode(ExecutionMode::AsynchronousMicrostep);
         let mut emitted = emitting
             .run(solution.clone(), workset.clone(), &config)
             .unwrap()
             .solution;
-        let mut pushed = pushing.run(solution, workset, &config).unwrap().solution;
+        let mut forwarded = forwarding.run(solution, workset, &config).unwrap().solution;
         emitted.sort();
-        pushed.sort();
-        assert_eq!(emitted, pushed);
+        forwarded.sort();
+        assert_eq!(emitted, forwarded);
+    }
+
+    /// `records` as the pages of a plan's sink, in order: the source a bulk
+    /// loop feeds back, which hands every record on as a view.
+    fn sink_pages_of(records: Vec<Record>) -> SinkPages {
+        let mut plan = Plan::new();
+        let source = plan.source("records", records);
+        plan.sink("out", source);
+        let physical = default_physical_plan(&plan, 3).unwrap();
+        let result = Executor::new().execute(&physical).unwrap();
+        result.into_sink_pages("out").unwrap()
+    }
+
+    /// Sources that forward views — `S0`, `W0` and `N` as sink pages — load
+    /// the same iteration as their records: the load step's and the range
+    /// sampler's sinks take the `forward` default.
+    #[test]
+    fn a_workset_loaded_from_sink_pages_runs_as_from_records() {
+        let (edges, solution, workset) = dense_inputs();
+        let (edges, solution, workset) = (edges.collect(), solution.collect(), workset.collect());
+        let from_records = dense_iteration(Arc::new(edges.clone()), true);
+        let from_pages = dense_iteration(Arc::new(sink_pages_of(edges)), true);
+        for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
+            for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
+                let label = format!("{routing:?}/{budget:?}");
+                let mut config = WorksetConfig::new(4).with_routing(routing);
+                config.exec.memory_budget = budget;
+                let expected = from_records
+                    .run(solution.clone(), workset.clone(), &config)
+                    .unwrap();
+                let loaded = from_pages
+                    .run(
+                        sink_pages_of(solution.clone()),
+                        sink_pages_of(workset.clone()),
+                        &config,
+                    )
+                    .unwrap();
+                assert!(expected.converged, "{label}");
+                let sorted = |result: &WorksetResult| {
+                    let mut solution = result.solution.clone();
+                    solution.sort();
+                    solution
+                };
+                assert_eq!(sorted(&loaded), sorted(&expected), "{label}");
+                assert_same_trace(&loaded, &expected, &label);
+            }
+        }
     }
 
     #[test]

@@ -9,63 +9,63 @@
 //! flavour of `CoGroup` used by the incremental Connected Components dataflow
 //! (Section 5.1): groups whose key is missing on either side are dropped.
 
-use crate::page::{PageWriter, RecordPage, RecordView};
+use crate::page::{PageWriter, RecordView};
 use crate::record::Record;
 use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
 
-/// Receives records as they are emitted, instead of buffering them.
+/// Receives records as they are emitted — the one interface every record is
+/// written through: every user function (the executor's `Map`, `Reduce`,
+/// `Match`, `Cross` and `CoGroup`, the workset's update and expand) and
+/// every [`RecordSource`] emits into one.
 ///
-/// A [`Collector`] built with [`Collector::with_sink`] forwards every
-/// collected record here — the hook the executor's fused chains use to hand
-/// each record to the next operator while the user function is still
-/// running.  Emission is infallible from the UDF's point of view; a sink
-/// that fails downstream records the error internally and reports it when
-/// the runtime takes it back.
+/// In a fused executor segment the sink is the next operator, which takes
+/// each record while the user function is still running; at a segment's
+/// tail, or wherever records are buffered, it is a [`PageWriter`].
+/// Emission is infallible from the emitter's point of view; a sink that
+/// fails downstream records the error internally and reports it when the
+/// runtime takes it back.
 ///
-/// A record leaves a user function in one of three representations:
-/// [`RecordSink::push`] hands over a record that already exists as a heap
-/// object, which a sink holding heap records moves; [`RecordSink::emit`]
-/// hands over the fields of a record that exists nowhere yet, so a sink that
-/// writes pages (the workset superstep's, or a fused stage's in the
-/// executor) serializes them in place and the record is never allocated —
-/// `Long` and `Double` fields live on the emitter's stack;
-/// [`RecordSink::forward`] hands over a record that already exists
-/// serialized, which a sink that writes pages copies as bytes.  Executor
-/// UDFs reach `emit` and `forward` through [`Collector::emit`] and
-/// [`Collector::collect`].
+/// A record leaves an emitter in one of two representations:
+/// [`RecordSink::emit`] hands over the fields of a record that exists
+/// nowhere yet, so a sink that writes pages serializes them in place and
+/// the record is never allocated — `Long` and `Double` fields live on the
+/// emitter's stack; [`RecordSink::forward`] hands over a record that
+/// already exists serialized (a filter's or a union's pass-through, a
+/// source of pages), which a sink that writes pages copies as bytes.
 pub trait RecordSink: Send {
-    /// Receives one emitted record.
-    fn push(&mut self, record: Record);
-    /// Receives one emitted record by reference to its fields.  Sinks that
-    /// hold heap records fall back to building one.
-    fn emit(&mut self, fields: &[Value]) {
-        self.push(Record::new(fields.to_vec()));
-    }
+    /// Receives one emitted record by reference to its fields.
+    fn emit(&mut self, fields: &[Value]);
+
     /// Receives one record that exists serialized, read in place.  Sinks
-    /// that hold heap records fall back to materializing it.
+    /// that do not keep bytes fall back to materializing it and emitting
+    /// its fields.
     fn forward(&mut self, record: RecordView<'_>) {
-        self.push(record.materialize());
+        self.emit(record.materialize().fields());
     }
-    /// Recovers the concrete sink once the operator finished emitting
-    /// (trait objects cannot be downcast without an `Any` hop).  Only owned
-    /// sinks can make the hop; a sink that borrows its target is simply
-    /// dropped by the code that built it.
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
-    where
-        Self: 'static;
 }
 
 /// A buffering sink: emitted records become heap records at the end of the
 /// vector ([`RecordSource::collect`] reads a source through it).
 impl RecordSink for Vec<Record> {
-    fn push(&mut self, record: Record) {
-        Vec::push(self, record);
+    #[inline]
+    fn emit(&mut self, fields: &[Value]) {
+        self.push(Record::new(fields.to_vec()));
+    }
+}
+
+/// A paging sink: an emitted record is serialized onto the writer's pages,
+/// a forwarded one copied as bytes.
+impl RecordSink for PageWriter {
+    #[inline]
+    fn emit(&mut self, fields: &[Value]) {
+        self.push_fields(fields);
     }
 
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
+    #[inline]
+    fn forward(&mut self, record: RecordView<'_>) {
+        self.push_serialized(record.payload());
     }
 }
 
@@ -158,126 +158,30 @@ where
     }
 }
 
-/// Receives the records a user-defined function emits.
-///
-/// A fresh collector is handed to the UDF for every invocation; everything
-/// it receives becomes part of the operator's output partition — either
-/// buffered on pages (the default) or streamed straight into a
-/// [`RecordSink`] ([`Collector::with_sink`]).
-///
-/// It has two forms.  [`Collector::emit`] is the form for a record the UDF
-/// builds: the fields go to the sink's [`RecordSink::emit`], so the next
-/// fused operator serializes them where it keeps them, or a buffering
-/// collector serializes them onto its pages; no heap record exists either
-/// way.  [`Collector::collect`] passes an input record through (a filter, a
-/// union): its serialized bytes are copied, never deserialized.
-#[derive(Default)]
-pub struct Collector {
-    pages: PageWriter,
-    sink: Option<Box<dyn RecordSink>>,
-    collected: usize,
-}
-
-impl fmt::Debug for Collector {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Collector")
-            .field("collected", &self.collected)
-            .field("buffered", &self.pages.total_records())
-            .field("streaming", &self.sink.is_some())
-            .finish()
-    }
-}
-
-impl Collector {
-    /// Creates an empty (buffering) collector.
-    pub fn new() -> Self {
-        Collector::default()
-    }
-
-    /// Creates a collector that streams every record into `sink` instead of
-    /// buffering it.
-    pub fn with_sink(sink: Box<dyn RecordSink>) -> Self {
-        Collector {
-            sink: Some(sink),
-            ..Collector::default()
-        }
-    }
-
-    /// Passes one serialized record through: a streaming collector hands it
-    /// to its sink's [`RecordSink::forward`], a buffering one copies its
-    /// bytes onto its pages.
-    #[inline]
-    pub fn collect(&mut self, record: RecordView<'_>) {
-        self.collected += 1;
-        match &mut self.sink {
-            Some(sink) => sink.forward(record),
-            None => {
-                self.pages.push_serialized(record.payload());
-            }
-        }
-    }
-
-    /// Emits one record given as its fields — the executor-side twin of
-    /// [`RecordSink::emit`]: a streaming collector hands the slice to its
-    /// sink's `emit`, a buffering one serializes it onto its pages.
-    #[inline]
-    pub fn emit(&mut self, fields: &[Value]) {
-        self.collected += 1;
-        match &mut self.sink {
-            Some(sink) => sink.emit(fields),
-            None => {
-                self.pages.push_fields(fields);
-            }
-        }
-    }
-
-    /// Number of records collected so far (buffered or streamed).
-    pub fn len(&self) -> usize {
-        self.collected
-    }
-
-    /// True if nothing was collected.
-    pub fn is_empty(&self) -> bool {
-        self.collected == 0
-    }
-
-    /// Consumes the collector, returning the sealed pages of the buffered
-    /// records (none for a streaming collector — its records already left
-    /// through the sink).
-    pub fn into_pages(self) -> Vec<Arc<RecordPage>> {
-        self.pages.finish()
-    }
-
-    /// Takes the streaming sink back out (None for buffering collectors).
-    pub fn take_sink(&mut self) -> Option<Box<dyn RecordSink>> {
-        self.sink.take()
-    }
-}
-
 /// First-order function for the `Map` contract: invoked once per record.
 pub trait MapFunction: Send + Sync {
     /// Processes one record, read in place, emitting zero or more records.
-    fn map(&self, record: RecordView<'_>, out: &mut Collector);
+    fn map(&self, record: RecordView<'_>, out: &mut dyn RecordSink);
 }
 
 /// First-order function for the `Reduce` contract: invoked once per key group.
 pub trait ReduceFunction: Send + Sync {
     /// Processes the group of records sharing `key`, read in place.
-    fn reduce(&self, key: &[Value], group: &[RecordView<'_>], out: &mut Collector);
+    fn reduce(&self, key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink);
 }
 
 /// First-order function for the `Match` contract: invoked once per pair of
 /// records with equal keys (an equi-join).
 pub trait MatchFunction: Send + Sync {
     /// Processes one joined pair, read in place.
-    fn join(&self, left: RecordView<'_>, right: RecordView<'_>, out: &mut Collector);
+    fn join(&self, left: RecordView<'_>, right: RecordView<'_>, out: &mut dyn RecordSink);
 }
 
 /// First-order function for the `Cross` contract: invoked once per pair of
 /// records from the Cartesian product of both inputs.
 pub trait CrossFunction: Send + Sync {
     /// Processes one pair of the cross product, read in place.
-    fn cross(&self, left: RecordView<'_>, right: RecordView<'_>, out: &mut Collector);
+    fn cross(&self, left: RecordView<'_>, right: RecordView<'_>, out: &mut dyn RecordSink);
 }
 
 /// First-order function for the `CoGroup` / `InnerCoGroup` contracts: invoked
@@ -291,7 +195,7 @@ pub trait CoGroupFunction: Send + Sync {
         key: &[Value],
         left: &[RecordView<'_>],
         right: &[RecordView<'_>],
-        out: &mut Collector,
+        out: &mut dyn RecordSink,
     );
 }
 
@@ -305,9 +209,9 @@ pub struct MapClosure<F>(pub F);
 
 impl<F> MapFunction for MapClosure<F>
 where
-    F: Fn(RecordView<'_>, &mut Collector) + Send + Sync,
+    F: Fn(RecordView<'_>, &mut dyn RecordSink) + Send + Sync,
 {
-    fn map(&self, record: RecordView<'_>, out: &mut Collector) {
+    fn map(&self, record: RecordView<'_>, out: &mut dyn RecordSink) {
         (self.0)(record, out)
     }
 }
@@ -317,9 +221,9 @@ pub struct ReduceClosure<F>(pub F);
 
 impl<F> ReduceFunction for ReduceClosure<F>
 where
-    F: Fn(&[Value], &[RecordView<'_>], &mut Collector) + Send + Sync,
+    F: Fn(&[Value], &[RecordView<'_>], &mut dyn RecordSink) + Send + Sync,
 {
-    fn reduce(&self, key: &[Value], group: &[RecordView<'_>], out: &mut Collector) {
+    fn reduce(&self, key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink) {
         (self.0)(key, group, out)
     }
 }
@@ -329,9 +233,9 @@ pub struct MatchClosure<F>(pub F);
 
 impl<F> MatchFunction for MatchClosure<F>
 where
-    F: Fn(RecordView<'_>, RecordView<'_>, &mut Collector) + Send + Sync,
+    F: Fn(RecordView<'_>, RecordView<'_>, &mut dyn RecordSink) + Send + Sync,
 {
-    fn join(&self, left: RecordView<'_>, right: RecordView<'_>, out: &mut Collector) {
+    fn join(&self, left: RecordView<'_>, right: RecordView<'_>, out: &mut dyn RecordSink) {
         (self.0)(left, right, out)
     }
 }
@@ -341,9 +245,9 @@ pub struct CrossClosure<F>(pub F);
 
 impl<F> CrossFunction for CrossClosure<F>
 where
-    F: Fn(RecordView<'_>, RecordView<'_>, &mut Collector) + Send + Sync,
+    F: Fn(RecordView<'_>, RecordView<'_>, &mut dyn RecordSink) + Send + Sync,
 {
-    fn cross(&self, left: RecordView<'_>, right: RecordView<'_>, out: &mut Collector) {
+    fn cross(&self, left: RecordView<'_>, right: RecordView<'_>, out: &mut dyn RecordSink) {
         (self.0)(left, right, out)
     }
 }
@@ -353,14 +257,14 @@ pub struct CoGroupClosure<F>(pub F);
 
 impl<F> CoGroupFunction for CoGroupClosure<F>
 where
-    F: Fn(&[Value], &[RecordView<'_>], &[RecordView<'_>], &mut Collector) + Send + Sync,
+    F: Fn(&[Value], &[RecordView<'_>], &[RecordView<'_>], &mut dyn RecordSink) + Send + Sync,
 {
     fn cogroup(
         &self,
         key: &[Value],
         left: &[RecordView<'_>],
         right: &[RecordView<'_>],
-        out: &mut Collector,
+        out: &mut dyn RecordSink,
     ) {
         (self.0)(key, left, right, out)
     }
@@ -400,6 +304,7 @@ impl fmt::Debug for Udf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::RecordPage;
 
     /// The records of `pages`, materialized.
     fn records_of(pages: &[Arc<RecordPage>]) -> Vec<Record> {
@@ -420,47 +325,39 @@ mod tests {
     }
 
     #[test]
-    fn collector_accumulates_and_drains() {
-        let mut c = Collector::new();
-        assert!(c.is_empty());
+    fn a_page_writer_sink_keeps_forwarded_and_emitted_records_in_order() {
+        let mut out = PageWriter::new();
         let input = pages_of(&[Record::pair(1, 2), Record::pair(3, 4)]);
-        input[0].reader().for_each(|view| c.collect(view));
-        c.emit(&[Value::Long(5), Value::Long(6)]);
-        assert_eq!(c.len(), 3);
+        input[0].reader().for_each(|view| out.forward(view));
+        out.emit(&[Value::Long(5), Value::Long(6)]);
+        assert_eq!(out.total_records(), 3);
         assert_eq!(
-            records_of(&c.into_pages()),
+            records_of(&out.finish()),
             vec![Record::pair(1, 2), Record::pair(3, 4), Record::pair(5, 6)]
         );
     }
 
-    /// Records which of its forms each record arrived in.
+    /// Keeps the fields of every record that reached its `emit`; `forward`
+    /// is the trait's default.
     #[derive(Default)]
     struct RecordingSink {
-        pushed: Vec<Record>,
         emitted: Vec<Vec<Value>>,
     }
 
     impl RecordSink for RecordingSink {
-        fn push(&mut self, record: Record) {
-            self.pushed.push(record);
-        }
-
         fn emit(&mut self, fields: &[Value]) {
             self.emitted.push(fields.to_vec());
-        }
-
-        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-            self
         }
     }
 
     #[test]
     fn emit_buffers_an_exactly_sized_record_or_reaches_the_sinks_emit() {
         let fields = [Value::Long(7), Value::Double(0.5)];
-        let mut buffering = Collector::new();
-        buffering.emit(&fields);
-        assert_eq!(buffering.len(), 1);
-        let mut records = records_of(&buffering.into_pages());
+        let passed = pages_of(&[Record::pair(1, 2)]);
+        let mut paging = PageWriter::new();
+        paging.emit(&fields);
+        assert_eq!(paging.total_records(), 1);
+        let mut records = records_of(&paging.finish());
         assert_eq!(records, vec![Record::long_double(7, 0.5)]);
         let buffered = records.pop().unwrap().into_fields();
         assert_eq!(
@@ -469,62 +366,64 @@ mod tests {
             "records materialize exactly sized"
         );
 
-        let mut streaming = Collector::with_sink(Box::<RecordingSink>::default());
-        streaming.emit(&fields);
-        let passed = pages_of(&[Record::pair(1, 2)]);
-        streaming.collect(passed[0].view_at(0));
-        assert_eq!(streaming.len(), 2);
-        let sink = streaming.take_sink().unwrap().into_any();
-        let sink = sink.downcast::<RecordingSink>().unwrap();
-        assert_eq!(sink.emitted, vec![fields.to_vec()]);
-        // A sink holding heap records receives a forwarded record
-        // materialized.
-        assert_eq!(sink.pushed, vec![Record::pair(1, 2)]);
-        assert!(streaming.into_pages().is_empty());
+        let mut heap: Vec<Record> = Vec::new();
+        heap.emit(&fields);
+        heap.forward(passed[0].view_at(0));
+        assert_eq!(heap, vec![Record::long_double(7, 0.5), Record::pair(1, 2)]);
+
+        // A sink that keeps no bytes receives a forwarded record
+        // materialized, through its own `emit`.
+        let mut recording = RecordingSink::default();
+        recording.emit(&fields);
+        recording.forward(passed[0].view_at(0));
+        assert_eq!(
+            recording.emitted,
+            vec![fields.to_vec(), Record::pair(1, 2).into_fields()]
+        );
     }
 
     #[test]
     fn map_closure_adapts() {
-        let udf = MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+        let udf = MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
             out.emit(&[Value::Long(r.long(0) * 2), Value::Long(r.long(1))]);
         });
-        let mut out = Collector::new();
+        let mut out = PageWriter::new();
         udf.map(pages_of(&[Record::pair(4, 7)])[0].view_at(0), &mut out);
-        assert_eq!(records_of(&out.into_pages())[0].long(0), 8);
+        assert_eq!(records_of(&out.finish())[0].long(0), 8);
     }
 
     #[test]
     fn reduce_closure_sees_whole_group() {
         let udf = ReduceClosure(
-            |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+            |key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
                 let sum: i64 = group.iter().map(|r| r.long(1)).sum();
                 out.emit(&[key[0].clone(), Value::Long(sum)]);
             },
         );
-        let mut out = Collector::new();
+        let mut out = PageWriter::new();
         let pages = pages_of(&[Record::pair(1, 10), Record::pair(1, 5)]);
         let group: Vec<RecordView<'_>> = pages[0].reader().collect();
         udf.reduce(&[Value::Long(1)], &group, &mut out);
-        assert_eq!(records_of(&out.into_pages())[0].long(1), 15);
+        assert_eq!(records_of(&out.finish())[0].long(1), 15);
     }
 
     #[test]
     fn cogroup_closure_receives_both_sides() {
         let udf = CoGroupClosure(
-            |_k: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut Collector| {
+            |_k: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut dyn RecordSink| {
                 out.emit(&[Value::Long(l.len() as i64), Value::Long(r.len() as i64)]);
             },
         );
-        let mut out = Collector::new();
+        let mut out = PageWriter::new();
         let left = pages_of(&[Record::pair(1, 1)]);
         udf.cogroup(&[Value::Long(1)], &[left[0].view_at(0)], &[], &mut out);
-        assert_eq!(records_of(&out.into_pages())[0].long(1), 0);
+        assert_eq!(records_of(&out.finish())[0].long(1), 0);
     }
 
     #[test]
     fn udf_debug_names_variant() {
         let udf = Udf::Map(Arc::new(MapClosure(
-            |_: RecordView<'_>, _: &mut Collector| {},
+            |_: RecordView<'_>, _: &mut dyn RecordSink| {},
         )));
         assert_eq!(format!("{udf:?}"), "Udf::Map");
     }

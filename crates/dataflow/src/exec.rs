@@ -10,10 +10,11 @@
 //!
 //! Records live on pages from source to sink: a source (any
 //! [`RecordSource`]) is split onto per-partition pages, every operator's
-//! output is the sealed pages its collector buffered ([`Collector::emit`]
-//! serializes, [`Collector::collect`] copies bytes), every user function
-//! reads its input in place as [`RecordView`]s, and a sink's pages can feed
-//! a plan again ([`ExecutionResult::into_sink_pages`]).  Heap [`Record`]s
+//! output is the sealed pages of the [`PageWriter`] it emits into
+//! ([`RecordSink::emit`] serializes fields, [`RecordSink::forward`] copies
+//! bytes), every user function reads its input in place as [`RecordView`]s,
+//! and a sink's pages can feed a plan again
+//! ([`ExecutionResult::into_sink_pages`]).  Heap [`Record`]s
 //! exist only at the API: sources given as records and the materializing
 //! sink accessors.
 //!
@@ -80,8 +81,7 @@
 //! [`DataflowError::WorkerPanic`] either way.
 
 use crate::contracts::{
-    Collector, CrossFunction, MapFunction, MatchFunction, RecordSink, RecordSource, ReduceFunction,
-    Udf,
+    CrossFunction, MapFunction, MatchFunction, RecordSink, RecordSource, ReduceFunction, Udf,
 };
 use crate::error::{DataflowError, Result};
 use crate::exchange::{self, Outbox};
@@ -563,7 +563,7 @@ impl Executor {
 
     /// Executes one segment (`members`, head to tail; a lone operator is a
     /// segment of one): one task per partition runs the head's local phase
-    /// with every downstream member composed behind its collector
+    /// with every downstream member composed behind its output
     /// ([`run_fused`]).
     ///
     /// Every input but the fused slots (all of the head's; downstream, a hash
@@ -764,20 +764,12 @@ impl Split {
 }
 
 impl RecordSink for Split {
-    fn push(&mut self, record: Record) {
-        self.next_writer().push(&record);
-    }
-
     fn emit(&mut self, fields: &[Value]) {
-        self.next_writer().push_fields(fields);
+        self.next_writer().emit(fields);
     }
 
     fn forward(&mut self, record: RecordView<'_>) {
-        self.next_writer().push_serialized(record.payload());
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
+        self.next_writer().forward(record);
     }
 }
 
@@ -867,10 +859,10 @@ fn compute_chain_segments(physical: &PhysicalPlan) -> Vec<Vec<OperatorId>> {
 ///
 /// This is the one place the record-at-a-time arm of each contract lives.
 /// [`run_local`] drives a delivered partition through it; in a fused segment
-/// the upstream member's collector emits or passes records into it
-/// ([`FusedStage`]).  Either way the same records reach the same
-/// user-function calls in the same order, which is what keeps fused and
-/// materialized executions byte-identical.
+/// the upstream member emits or forwards records into it ([`FusedStage`]).
+/// Either way the same records reach the same user-function calls in the
+/// same order, which is what keeps fused and materialized executions
+/// byte-identical.
 ///
 /// A Reduce hands each key's records to the user function in key order with
 /// ties in arrival order (the stable key sort), whichever the local strategy.
@@ -952,7 +944,7 @@ impl Stage {
     /// grouping and a sink serialize them onto their pages, every other
     /// stage reads them in place off `scratch`.
     #[inline]
-    fn accept_fields(&mut self, fields: &[Value], scratch: &mut Vec<u8>, out: &mut Collector) {
+    fn accept_fields(&mut self, fields: &[Value], scratch: &mut Vec<u8>, out: &mut MemberOut) {
         match self {
             Stage::PagedGroup { groups, .. } => groups.append_fields(fields),
             Stage::Sink => out.emit(fields),
@@ -966,10 +958,10 @@ impl Stage {
 
     /// Consumes one record of the stream, read in place, emitting into
     /// `out`.
-    fn accept(&mut self, record: RecordView<'_>, out: &mut Collector) {
+    fn accept(&mut self, record: RecordView<'_>, out: &mut MemberOut) {
         match self {
             Stage::Map(udf) => udf.map(record, out),
-            Stage::Sink => out.collect(record),
+            Stage::Sink => out.forward(record),
             Stage::PagedGroup { groups, .. } => groups.append_view(record),
             Stage::HashProbe {
                 udf,
@@ -994,7 +986,7 @@ impl Stage {
     }
 
     /// End of stream: the grouping stage emits its groups.
-    fn finish(self, out: &mut Collector) {
+    fn finish(self, out: &mut MemberOut) {
         if let Stage::PagedGroup { udf, groups } = self {
             groups.for_each_group(|k, group| udf.reduce(&k.values(), group, out))
         }
@@ -1012,40 +1004,73 @@ fn udf_mismatch(op: &Operator) -> DataflowError {
     ))
 }
 
+/// Where one member of a fused segment writes on one partition: the
+/// segment's output pages at the tail, the next member everywhere else.
+/// Only a user function's call into it goes through `dyn` [`RecordSink`];
+/// the stages and the local phases take it as it is.
+enum MemberOut {
+    Tail(PageWriter),
+    Next(Box<FusedStage>),
+}
+
+impl MemberOut {
+    /// The records written into this output so far.
+    fn records(&self) -> usize {
+        match self {
+            MemberOut::Tail(pages) => pages.total_records(),
+            MemberOut::Next(next) => next.streamed,
+        }
+    }
+}
+
+impl RecordSink for MemberOut {
+    #[inline]
+    fn emit(&mut self, fields: &[Value]) {
+        match self {
+            MemberOut::Tail(pages) => pages.emit(fields),
+            MemberOut::Next(next) => next.emit(fields),
+        }
+    }
+
+    #[inline]
+    fn forward(&mut self, record: RecordView<'_>) {
+        match self {
+            MemberOut::Tail(pages) => pages.forward(record),
+            MemberOut::Next(next) => next.forward(record),
+        }
+    }
+}
+
 /// One downstream member of a fused segment on one partition: its [`Stage`]
-/// plus the collector the stage emits into — which hands records to the next
-/// member's `FusedStage`, or buffers the segment's output pages at the tail.
-/// The upstream member's collector owns this as its [`RecordSink`], so a
-/// record emitted by a user function travels the rest of the segment — as
-/// the fields it was emitted as, or as the view it was passed through as —
-/// depth first, before the emitting call returns.
+/// plus the output the stage writes into.  The upstream member's output
+/// holds it ([`MemberOut::Next`]), so a record emitted by a user function
+/// travels the rest of the segment — as the fields it was emitted as, or as
+/// the view it was passed through as — depth first, before the emitting
+/// call returns.
 struct FusedStage {
     stage: Stage,
-    records_in: usize,
-    out: Collector,
+    /// The records of the member's delivered (unfused) inputs.
+    side_records: usize,
+    /// The records that arrived through the fused edge.
+    streamed: usize,
+    out: MemberOut,
     /// A record emitted as fields, serialized for a stage that reads it in
     /// place; reused from record to record.
     scratch: Vec<u8>,
 }
 
-impl RecordSink for FusedStage {
-    fn push(&mut self, record: Record) {
-        self.emit(record.fields());
-    }
-
+impl FusedStage {
+    #[inline]
     fn emit(&mut self, fields: &[Value]) {
-        self.records_in += 1;
+        self.streamed += 1;
         self.stage
             .accept_fields(fields, &mut self.scratch, &mut self.out);
     }
 
+    #[inline]
     fn forward(&mut self, record: RecordView<'_>) {
-        self.records_in += 1;
+        self.streamed += 1;
         self.stage.accept(record, &mut self.out);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
     }
 }
 
@@ -1071,14 +1096,15 @@ fn run_fused(
     fault: &FaultInjector,
 ) -> Result<(Vec<MemberReport>, Vec<Arc<RecordPage>>)> {
     let start = Instant::now();
-    let mut out = Collector::new();
+    let mut out = MemberOut::Tail(PageWriter::new());
     for (&(op, local), side) in members[1..].iter().zip(inputs.drain(1..)).rev() {
-        let records_in = admit_inputs(&side, fault)?;
+        let side_records = admit_inputs(&side, fault)?;
         let stream_slot = streaming_input_slot(&op.kind, local)
             .expect("compute_chain_segments fuses only into a streaming slot");
-        out = Collector::with_sink(Box::new(FusedStage {
+        out = MemberOut::Next(Box::new(FusedStage {
             stage: Stage::new(op, stream_slot, side)?,
-            records_in,
+            side_records,
+            streamed: 0,
             out,
             scratch: Vec::new(),
         }));
@@ -1090,30 +1116,34 @@ fn run_fused(
     let records_in = run_local(head, head_local, head_inputs, fault, &mut out)?;
     let mut reports = vec![MemberReport {
         records_in,
-        records_out: out.len(),
+        records_out: out.records(),
         elapsed: Duration::ZERO,
     }];
-    while let Some(sink) = out.take_sink() {
-        let FusedStage {
-            stage,
-            records_in,
-            out: mut downstream,
-            ..
-        } = *sink
-            .into_any()
-            .downcast::<FusedStage>()
-            .expect("run_fused gives collectors no sink but a FusedStage");
-        let finish_start = Instant::now();
-        stage.finish(&mut downstream);
-        reports.push(MemberReport {
-            records_in,
-            records_out: downstream.len(),
-            elapsed: finish_start.elapsed(),
-        });
-        out = downstream;
-    }
+    // End of stream, head to tail: each member finishes into the next.
+    let tail = loop {
+        match out {
+            MemberOut::Tail(pages) => break pages,
+            MemberOut::Next(next) => {
+                let FusedStage {
+                    stage,
+                    side_records,
+                    streamed,
+                    out: mut downstream,
+                    ..
+                } = *next;
+                let finish_start = Instant::now();
+                stage.finish(&mut downstream);
+                reports.push(MemberReport {
+                    records_in: side_records + streamed,
+                    records_out: downstream.records(),
+                    elapsed: finish_start.elapsed(),
+                });
+                out = downstream;
+            }
+        }
+    };
     reports[0].elapsed = start.elapsed();
-    Ok((reports, out.into_pages()))
+    Ok((reports, tail.finish()))
 }
 
 /// Builds (or reuses) the shared range histogram of one operator.
@@ -1368,7 +1398,7 @@ fn run_local(
     local: LocalStrategy,
     mut inputs: Vec<ExchangedPartition>,
     fault: &FaultInjector,
-    out: &mut Collector,
+    out: &mut MemberOut,
 ) -> Result<usize> {
     let records_in = admit_inputs(&inputs, fault)?;
     let Some(stream_slot) = streaming_input_slot(&op.kind, local) else {
@@ -1391,7 +1421,7 @@ fn run_local(
 
 /// The local phase of the operators that dam every input: sort-merge join,
 /// cogroup and union.
-fn run_dammed(op: &Operator, inputs: Vec<ExchangedPartition>, out: &mut Collector) -> Result<()> {
+fn run_dammed(op: &Operator, inputs: Vec<ExchangedPartition>, out: &mut MemberOut) -> Result<()> {
     let mut inputs = inputs.into_iter();
     let mut next_input = || {
         inputs
@@ -1432,7 +1462,7 @@ fn run_dammed(op: &Operator, inputs: Vec<ExchangedPartition>, out: &mut Collecto
         }
         (OperatorKind::Union, _) => {
             for input in inputs {
-                input.for_each_view(|record| out.collect(record))?;
+                input.for_each_view(|record| out.forward(record))?;
             }
         }
         // Sources never run a local phase (the plan walk partitions them
@@ -1539,7 +1569,7 @@ mod tests {
         let map = plan.map(
             "double",
             src,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
                 out.emit(&[Value::Long(r.long(0)), Value::Long(r.long(1) * 2)]);
             })),
         );
@@ -1565,7 +1595,7 @@ mod tests {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
                     out.emit(&[key[0].clone(), Value::Long(group.len() as i64)]);
                 },
             )),
@@ -1601,7 +1631,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                     out.emit(&[Value::Long(l.long(1)), Value::Long(r.long(1))]);
                 },
             )),
@@ -1625,7 +1655,10 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(CoGroupClosure(
-                |key: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value],
+                 l: &[RecordView<'_>],
+                 r: &[RecordView<'_>],
+                 out: &mut dyn RecordSink| {
                     out.emit(&[key[0].clone(), Value::Long((l.len() + r.len()) as i64)]);
                 },
             )),
@@ -1648,7 +1681,10 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(CoGroupClosure(
-                |key: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value],
+                 l: &[RecordView<'_>],
+                 r: &[RecordView<'_>],
+                 out: &mut dyn RecordSink| {
                     out.emit(
                         Record::triple(key[0].as_long(), l.len() as i64, r.len() as f64).fields(),
                     );
@@ -1679,7 +1715,7 @@ mod tests {
             left,
             right,
             Arc::new(crate::contracts::CrossClosure(
-                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                     out.emit(&[Value::Long(l.long(0)), Value::Long(r.long(0))]);
                 },
             )),
@@ -1760,7 +1796,7 @@ mod tests {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value], g: &[RecordView<'_>], out: &mut dyn RecordSink| {
                     out.emit(&[key[0].clone(), Value::Long(g.len() as i64)]);
                 },
             )),
@@ -1789,8 +1825,8 @@ mod tests {
             left,
             right,
             Arc::new(crate::contracts::CrossClosure(
-                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| {
-                    out.collect(l);
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut dyn RecordSink| {
+                    out.forward(l);
                 },
             )),
         );
@@ -1832,7 +1868,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                     out.emit(&[Value::Long(l.long(1)), Value::Long(r.long(1))]);
                 },
             )),
@@ -1905,9 +1941,9 @@ mod tests {
         let sample = plan.map(
             "sample",
             matrix,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
                 if r.long(0) % 1024 == 0 {
-                    out.collect(r);
+                    out.forward(r);
                 }
             })),
         );
@@ -1952,7 +1988,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                     out.emit(&[Value::Long(l.long(1)), Value::Long(r.long(1))]);
                 },
             )),
@@ -1983,7 +2019,7 @@ mod tests {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value], g: &[RecordView<'_>], out: &mut dyn RecordSink| {
                     let min = g.iter().map(|r| r.long(1)).min().unwrap();
                     out.emit(&[key[0].clone(), Value::Long(min)]);
                 },
@@ -2102,7 +2138,7 @@ mod tests {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value], g: &[RecordView<'_>], out: &mut dyn RecordSink| {
                     let total: i64 = g.iter().map(|r| r.long(1)).sum();
                     out.emit(&[key[0].clone(), Value::Long(total)]);
                 },
@@ -2197,7 +2233,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut dyn RecordSink| out.forward(l),
             )),
         );
         plan.sink("out", join);
@@ -2422,8 +2458,8 @@ mod tests {
             let probe = plan.map(
                 "probe-map",
                 probe,
-                Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
-                    out.collect(r)
+                Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
+                    out.forward(r)
                 })),
             );
             let build = plan.source("build", (0..200).map(|i| record(i, -i)).collect::<Vec<_>>());
@@ -2434,7 +2470,7 @@ mod tests {
                 vec![0],
                 vec![0],
                 Arc::new(MatchClosure(
-                    |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                    |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                         let (l, r) = (l.materialize(), r.materialize());
                         out.emit(&[l.field(0).clone(), l.field(1).clone(), r.field(1).clone()])
                     },
@@ -2632,8 +2668,8 @@ mod tests {
         let map = plan.map(
             "id",
             src,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
-                out.collect(r)
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
+                out.forward(r)
             })),
         );
         plan.sink("out", map);

@@ -44,7 +44,7 @@
 //!     "degree",
 //!     edges,
 //!     vec![0],
-//!     Arc::new(ReduceClosure(|key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+//!     Arc::new(ReduceClosure(|key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
 //!         out.emit(&[key[0].clone(), Value::Long(group.len() as i64)]);
 //!     })),
 //! );
@@ -81,9 +81,9 @@ pub mod value;
 /// Convenient glob-import of the commonly used types.
 pub mod prelude {
     pub use crate::contracts::{
-        CoGroupClosure, CoGroupFunction, Collector, CrossClosure, CrossFunction, MapClosure,
-        MapFunction, MatchClosure, MatchFunction, RecordSink, RecordSource, ReduceClosure,
-        ReduceFunction, SourceClosure, Udf,
+        CoGroupClosure, CoGroupFunction, CrossClosure, CrossFunction, MapClosure, MapFunction,
+        MatchClosure, MatchFunction, RecordSink, RecordSource, ReduceClosure, ReduceFunction,
+        SourceClosure, Udf,
     };
     pub use crate::credit::{
         credit_channel, CreditReceiver, CreditSender, RecvTimeoutError, SendError, TryRecvError,

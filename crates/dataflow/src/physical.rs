@@ -354,7 +354,7 @@ pub fn default_physical_plan(plan: &Plan, parallelism: usize) -> Result<Physical
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contracts::{Collector, MapClosure, MatchClosure, ReduceClosure};
+    use crate::contracts::{MapClosure, MatchClosure, RecordSink, ReduceClosure};
     use crate::page::RecordView;
     use crate::record::Record;
     use std::sync::Arc;
@@ -370,7 +370,7 @@ mod tests {
             vec![0],
             vec![1],
             Arc::new(MatchClosure(
-                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut dyn RecordSink| out.forward(l),
             )),
         );
         let agg = plan.reduce(
@@ -378,7 +378,7 @@ mod tests {
             join,
             vec![0],
             Arc::new(ReduceClosure(
-                |_k: &_, g: &[RecordView<'_>], out: &mut Collector| out.collect(g[0]),
+                |_k: &_, g: &[RecordView<'_>], out: &mut dyn RecordSink| out.forward(g[0]),
             )),
         );
         plan.sink("out", agg);
@@ -418,8 +418,8 @@ mod tests {
         let m = plan.map(
             "m",
             src,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
-                out.collect(r)
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
+                out.forward(r)
             })),
         );
         plan.sink("out", m);

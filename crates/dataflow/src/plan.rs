@@ -491,13 +491,13 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contracts::{Collector, MapClosure};
+    use crate::contracts::{MapClosure, RecordSink};
     use crate::page::RecordView;
     use crate::record::Record;
 
     fn identity_map() -> Arc<dyn MapFunction> {
-        Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
-            out.collect(r)
+        Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
+            out.forward(r)
         }))
     }
 
@@ -543,7 +543,7 @@ mod tests {
             vec![0],
             vec![0, 1],
             Arc::new(crate::contracts::MatchClosure(
-                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut dyn RecordSink| out.forward(l),
             )),
         );
         plan.sink("out", join);
@@ -567,7 +567,7 @@ mod tests {
                 |_: &[crate::value::Value],
                  _: &[RecordView<'_>],
                  _: &[RecordView<'_>],
-                 _: &mut Collector| {},
+                 _: &mut dyn RecordSink| {},
             )),
         );
         plan.sink("out", cogroup);
@@ -612,7 +612,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(crate::contracts::MatchClosure(
-                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut dyn RecordSink| out.forward(l),
             )),
         );
         let sink = plan.sink("out", join);

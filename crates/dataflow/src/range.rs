@@ -189,10 +189,6 @@ struct KeySampler<'a> {
 }
 
 impl RecordSink for KeySampler<'_> {
-    fn push(&mut self, record: Record) {
-        self.emit(record.fields());
-    }
-
     #[inline]
     fn emit(&mut self, fields: &[Value]) {
         if self.until_next == 0 {
@@ -200,13 +196,6 @@ impl RecordSink for KeySampler<'_> {
             self.until_next = self.stride;
         }
         self.until_next -= 1;
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>
-    where
-        Self: 'static,
-    {
-        self
     }
 }
 

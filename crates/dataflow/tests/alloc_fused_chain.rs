@@ -12,8 +12,8 @@
 //! can run concurrently inside the process and pollute the counters.
 
 use dataflow::prelude::{
-    default_physical_plan, Collector, Executor, MapClosure, PageWriter, PhysicalPlan, Plan, Record,
-    RecordView, Value,
+    default_physical_plan, Executor, MapClosure, PageWriter, PhysicalPlan, Plan, Record,
+    RecordSink, RecordView, Value,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -65,7 +65,7 @@ fn events() -> Vec<Record> {
 }
 
 /// The expansion: 16 copies of every record.
-fn expand(r: RecordView<'_>, out: &mut Collector) {
+fn expand(r: RecordView<'_>, out: &mut dyn RecordSink) {
     for copy in 0..EXPANSION {
         out.emit(&[
             Value::Long(r.long(0) * EXPANSION + copy),
@@ -82,9 +82,9 @@ fn pipeline() -> PhysicalPlan {
     let filter = plan.map(
         "filter",
         expand,
-        Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+        Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
             if r.long(0) % EXPANSION == 0 {
-                out.collect(r);
+                out.forward(r);
             }
         })),
     );
@@ -93,18 +93,17 @@ fn pipeline() -> PhysicalPlan {
 }
 
 /// The serialized page bytes of the expanded edge: every expanded record on
-/// the pages of one buffering collector, as a materialized forward edge
-/// holds them.
+/// the pages of one page writer, as a materialized forward edge holds them.
 fn expanded_edge_bytes() -> usize {
     let mut source = PageWriter::new();
     for record in &events() {
         source.push(record);
     }
-    let mut edge = Collector::new();
+    let mut edge = PageWriter::new();
     for page in source.finish() {
         page.reader().for_each(|r| expand(r, &mut edge));
     }
-    edge.into_pages().iter().map(|page| page.byte_len()).sum()
+    edge.finish().iter().map(|page| page.byte_len()).sum()
 }
 
 #[test]

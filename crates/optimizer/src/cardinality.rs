@@ -80,8 +80,8 @@ mod tests {
         let map = plan.map(
             "m",
             src,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
-                out.collect(r)
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
+                out.forward(r)
             })),
         );
         plan.sink("out", map);
@@ -105,7 +105,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut dyn RecordSink| out.forward(l),
             )),
         );
         plan.set_estimated_records(join, 42);
@@ -129,7 +129,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut dyn RecordSink| out.forward(l),
             )),
         );
         let cross = plan.cross(
@@ -137,7 +137,7 @@ mod tests {
             join,
             b,
             Arc::new(CrossClosure(
-                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| out.collect(l),
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut dyn RecordSink| out.forward(l),
             )),
         );
         plan.sink("out", cross);

@@ -623,7 +623,7 @@ mod tests {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |k: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
+                |k: &[Value], g: &[RecordView<'_>], out: &mut dyn RecordSink| {
                     out.emit(Record::pair(k[0].as_long(), g.len() as i64).fields());
                 },
             )),
@@ -689,7 +689,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                     out.emit(Record::pair(l.long(0), r.long(1)).fields());
                 },
             )),
@@ -726,7 +726,10 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(CoGroupClosure(
-                |key: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value],
+                 l: &[RecordView<'_>],
+                 r: &[RecordView<'_>],
+                 out: &mut dyn RecordSink| {
                     out.emit(Record::pair(key[0].as_long(), (l.len() + r.len()) as i64).fields());
                 },
             )),
@@ -808,7 +811,7 @@ mod tests {
             cg,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value], g: &[RecordView<'_>], out: &mut dyn RecordSink| {
                     out.emit(Record::pair(key[0].as_long(), g.len() as i64).fields());
                 },
             )),
@@ -858,7 +861,7 @@ mod tests {
             left_src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value], g: &[RecordView<'_>], out: &mut dyn RecordSink| {
                     out.emit(Record::pair(key[0].as_long(), g.len() as i64).fields());
                 },
             )),
@@ -874,7 +877,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                     out.emit(Record::pair(l.long(0), r.long(1)).fields());
                 },
             )),
@@ -952,7 +955,7 @@ mod tests {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                     out.emit(Record::pair(l.long(0), l.long(1) + r.long(1)).fields());
                 },
             )),
@@ -963,7 +966,7 @@ mod tests {
             join,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value], g: &[RecordView<'_>], out: &mut dyn RecordSink| {
                     out.emit(Record::pair(key[0].as_long(), g.len() as i64).fields());
                 },
             )),
@@ -1060,8 +1063,8 @@ mod tests {
             a,
             b,
             Arc::new(CrossClosure(
-                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut Collector| {
-                    out.collect(l);
+                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut dyn RecordSink| {
+                    out.forward(l);
                 },
             )),
         );

@@ -207,7 +207,7 @@ mod tests {
             vec![0],
             vec![1],
             Arc::new(MatchClosure(
-                |_l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                |_l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                     out.emit(Record::long_double(r.long(0), 0.0).fields())
                 },
             )),
@@ -217,7 +217,7 @@ mod tests {
             join,
             vec![0],
             Arc::new(ReduceClosure(
-                |k: &[Value], _g: &[RecordView<'_>], out: &mut Collector| {
+                |k: &[Value], _g: &[RecordView<'_>], out: &mut dyn RecordSink| {
                     out.emit(Record::long_double(k[0].as_long(), 0.0).fields())
                 },
             )),

@@ -264,7 +264,7 @@ mod tests {
             vec![0],
             vec![1],
             Arc::new(MatchClosure(
-                |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+                |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                     out.emit(Record::long_double(r.long(0), l.double(1) * r.double(2)).fields());
                 },
             )),
@@ -275,7 +275,7 @@ mod tests {
             join,
             vec![0],
             Arc::new(ReduceClosure(
-                |k: &[Value], g: &[RecordView<'_>], out: &mut Collector| {
+                |k: &[Value], g: &[RecordView<'_>], out: &mut dyn RecordSink| {
                     let sum: f64 = g.iter().map(|r| r.double(1)).sum();
                     out.emit(Record::long_double(k[0].as_long(), sum).fields());
                 },

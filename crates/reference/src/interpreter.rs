@@ -15,7 +15,7 @@
 use crate::{
     compare_keys, group_ranges, on_pages, sort_by_key, source_major, views, Deliver, Partitions,
 };
-use dataflow::contracts::{Collector, Udf};
+use dataflow::contracts::Udf;
 use dataflow::key::Key;
 use dataflow::page::{RecordPage, RecordView};
 use dataflow::physical::{LocalStrategy, PhysicalPlan, ShipStrategy};
@@ -364,17 +364,11 @@ fn run_local(op: &Operator, local: LocalStrategy, inputs: &[&[Record]]) -> Vec<R
     }
 }
 
-/// Runs `body` against a collector and returns what it collected.
-fn collected(body: impl FnOnce(&mut Collector)) -> Vec<Record> {
-    let mut out = Collector::with_sink(Box::new(Vec::<Record>::new()));
+/// Runs `body` against a heap-record sink and returns what it received.
+fn collected(body: impl FnOnce(&mut Vec<Record>)) -> Vec<Record> {
+    let mut out = Vec::new();
     body(&mut out);
-    let sink = out
-        .take_sink()
-        .expect("a streaming collector keeps its sink");
-    *sink
-        .into_any()
-        .downcast::<Vec<Record>>()
-        .expect("the collector's sink is the Vec it was given")
+    out
 }
 
 /// `record`'s key values.
@@ -478,7 +472,9 @@ fn hash_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow::contracts::{CoGroupClosure, CrossClosure, MatchClosure, ReduceClosure};
+    use dataflow::contracts::{
+        CoGroupClosure, CrossClosure, MatchClosure, RecordSink, ReduceClosure,
+    };
     use dataflow::physical::default_physical_plan;
     use dataflow::plan::Plan;
 
@@ -525,7 +521,7 @@ mod tests {
         let mut plan = Plan::new();
         let left = plan.source("left", pairs(&[(2, 1), (1, 2), (2, 3), (3, 4)]));
         let right = plan.source("right", pairs(&[(2, 10), (4, 20), (2, 30)]));
-        let concat = |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+        let concat = |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
             out.emit(&[Value::Long(l.long(1)), Value::Long(r.long(1))])
         };
         let build_left = plan.match_join(
@@ -553,18 +549,20 @@ mod tests {
             Arc::new(MatchClosure(concat)),
         );
         let crossed = plan.cross("x", left, right, Arc::new(CrossClosure(concat)));
-        let reduce = |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+        let reduce = |key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
             let mut fields = key.to_vec();
             fields.extend(group.iter().map(|r| Value::Long(r.long(1))));
             out.emit(&fields)
         };
         let grouped = plan.reduce("g", left, vec![0], Arc::new(ReduceClosure(reduce)));
-        let cogroup =
-            |key: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut Collector| {
-                let mut fields = key.to_vec();
-                fields.extend(l.iter().chain(r).map(|r| Value::Long(r.long(1))));
-                out.emit(&fields)
-            };
+        let cogroup = |key: &[Value],
+                       l: &[RecordView<'_>],
+                       r: &[RecordView<'_>],
+                       out: &mut dyn RecordSink| {
+            let mut fields = key.to_vec();
+            fields.extend(l.iter().chain(r).map(|r| Value::Long(r.long(1))));
+            out.emit(&fields)
+        };
         let outer = plan.cogroup(
             "co",
             left,

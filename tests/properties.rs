@@ -313,7 +313,7 @@ fn prop_partitioned_aggregation_matches_serial() {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
                     let total: i64 = group.iter().map(|r| r.long(1)).sum();
                     out.emit(Record::pair(key[0].as_long(), total).fields());
                 },
@@ -387,7 +387,7 @@ fn prop_partitioned_join_is_complete() {
             vec![0],
             vec![0],
             Arc::new(MatchClosure(
-                |a: RecordView<'_>, b: RecordView<'_>, out: &mut Collector| {
+                |a: RecordView<'_>, b: RecordView<'_>, out: &mut dyn RecordSink| {
                     out.emit(Record::pair(a.long(1), b.long(1)).fields());
                 },
             )),
@@ -1008,7 +1008,7 @@ fn prop_budgeted_execution_matches_unbudgeted() {
             src,
             vec![0],
             Arc::new(ReduceClosure(
-                |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
                     let total: i64 = group.iter().map(|r| r.long(1)).sum();
                     out.emit(Record::triple(key[0].as_long(), total, group.len() as f64).fields());
                 },

@@ -20,8 +20,8 @@ use algorithms::{
 };
 use dataflow::exchange::{ship, Outbox};
 use dataflow::prelude::{
-    default_physical_plan, Collector, ExecConfig, Executor, Key, LocalStrategy, MatchClosure,
-    MemoryBudget, Plan, Record, RecordSink, RecordView, ReduceClosure, ShipStrategy, Value,
+    default_physical_plan, ExecConfig, Executor, Key, LocalStrategy, MatchClosure, MemoryBudget,
+    Plan, Record, RecordSink, RecordView, ReduceClosure, ShipStrategy, Value,
 };
 use dataflow::transport::TransportHandle;
 use graphdata::{DatasetProfile, Graph};
@@ -413,7 +413,7 @@ fn spilled_executor_groupings_hand_records_over_in_delivery_order_on_both_paths(
         src,
         vec![0],
         Arc::new(ReduceClosure(
-            |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+            |key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
                 out.emit(
                     Record::new(vec![
                         key[0].clone(),
@@ -436,7 +436,7 @@ fn spilled_executor_groupings_hand_records_over_in_delivery_order_on_both_paths(
         vec![0],
         vec![0],
         Arc::new(MatchClosure(
-            |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+            |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                 let (l, r) = (l.materialize(), r.materialize());
                 out.emit(&[l.field(0).clone(), l.field(1).clone(), r.field(1).clone()])
             },

@@ -335,22 +335,26 @@ fn expansion_pipeline(log: Option<EventLog>) -> PhysicalPlan {
     let expand = plan.map(
         "expand",
         source,
-        Arc::new(MapClosure(move |r: RecordView<'_>, out: &mut Collector| {
-            log_expand(Event::Expand(r.long(0)));
-            for copy in 0..16 {
-                out.emit(Record::pair(r.long(0) * 16 + copy, r.long(1)).fields());
-            }
-        })),
+        Arc::new(MapClosure(
+            move |r: RecordView<'_>, out: &mut dyn RecordSink| {
+                log_expand(Event::Expand(r.long(0)));
+                for copy in 0..16 {
+                    out.emit(Record::pair(r.long(0) * 16 + copy, r.long(1)).fields());
+                }
+            },
+        )),
     );
     let shift = plan.map(
         "shift",
         expand,
-        Arc::new(MapClosure(move |r: RecordView<'_>, out: &mut Collector| {
-            record(Event::Shift(r.long(0) / 16));
-            if r.long(1) != 0 {
-                out.emit(Record::pair(r.long(0), r.long(1) + 1).fields());
-            }
-        })),
+        Arc::new(MapClosure(
+            move |r: RecordView<'_>, out: &mut dyn RecordSink| {
+                record(Event::Shift(r.long(0) / 16));
+                if r.long(1) != 0 {
+                    out.emit(Record::pair(r.long(0), r.long(1) + 1).fields());
+                }
+            },
+        )),
     );
     plan.sink("out", shift);
     default_physical_plan(&plan, 4).unwrap()
@@ -457,7 +461,7 @@ fn a_plan_of_unfusable_operators_is_all_singleton_segments() {
         vec![0],
         vec![0],
         Arc::new(MatchClosure(
-            |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+            |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                 out.emit(Record::pair(l.long(0), l.long(1) * 1_000 + r.long(1)).fields());
             },
         )),
@@ -469,7 +473,10 @@ fn a_plan_of_unfusable_operators_is_all_singleton_segments() {
         vec![0],
         vec![0],
         Arc::new(CoGroupClosure(
-            |key: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut Collector| {
+            |key: &[Value],
+             l: &[RecordView<'_>],
+             r: &[RecordView<'_>],
+             out: &mut dyn RecordSink| {
                 let folded = l
                     .iter()
                     .fold(0i64, |acc, r| acc.wrapping_mul(31).wrapping_add(r.long(1)));
@@ -510,7 +517,7 @@ fn a_shared_producer_that_is_also_a_sink_matches_the_oracle() {
     let scaled = plan.map(
         "scale",
         source,
-        Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+        Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
             out.emit(&[Value::Long(r.long(0)), Value::Long(r.long(1) * 3)]);
         })),
     );
@@ -518,9 +525,9 @@ fn a_shared_producer_that_is_also_a_sink_matches_the_oracle() {
     let forwarded = plan.map(
         "forward",
         mid,
-        Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
+        Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
             if r.long(1) % 2 == 0 {
-                out.collect(r);
+                out.forward(r);
             }
         })),
     );
@@ -530,7 +537,7 @@ fn a_shared_producer_that_is_also_a_sink_matches_the_oracle() {
         mid,
         vec![0],
         Arc::new(ReduceClosure(
-            |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+            |key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
                 let folded = group
                     .iter()
                     .fold(0i64, |acc, r| acc.wrapping_mul(31).wrapping_add(r.long(1)));
@@ -620,14 +627,14 @@ impl KeyShape {
 }
 
 /// Hands `fields` to `out` as fields (`emit`) or as a serialized record it
-/// passes through (`collect`).
-fn put(out: &mut Collector, emit: bool, fields: Vec<Value>) {
+/// passes through (`forward`).
+fn put(out: &mut dyn RecordSink, emit: bool, fields: Vec<Value>) {
     if emit {
         out.emit(&fields);
     } else {
         let mut writer = PageWriter::new();
         writer.push_fields(&fields);
-        out.collect(writer.finish()[0].view_at(0));
+        out.forward(writer.finish()[0].view_at(0));
     }
 }
 
@@ -665,23 +672,25 @@ fn all_contracts_pipeline(
     let scale = plan.map(
         "scale",
         events,
-        Arc::new(MapClosure(move |r: RecordView<'_>, out: &mut Collector| {
-            put(
-                out,
-                emit,
-                vec![Value::Long(r.long(0)), Value::Long(r.long(1) * 2)],
-            );
-            if r.long(1) % 5 == 0 {
-                put(out, emit, vec![Value::Long(r.long(0)), Value::Long(1)]);
-            }
-        })),
+        Arc::new(MapClosure(
+            move |r: RecordView<'_>, out: &mut dyn RecordSink| {
+                put(
+                    out,
+                    emit,
+                    vec![Value::Long(r.long(0)), Value::Long(r.long(1) * 2)],
+                );
+                if r.long(1) % 5 == 0 {
+                    put(out, emit, vec![Value::Long(r.long(0)), Value::Long(1)]);
+                }
+            },
+        )),
     );
     // The join function sees (left, right) in argument order either way; the
     // dimension record is the one with the multiple of 10.  It emits the
     // grouping key's fields, then the value.
     let join_udf = |event: usize| {
         Arc::new(MatchClosure(
-            move |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+            move |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                 let (event, dim) = if event == 0 { (l, r) } else { (r, l) };
                 let mut fields = shape.fields(event.long(0));
                 fields.push(Value::Long(event.long(1) + dim.long(1)));
@@ -714,7 +723,7 @@ fn all_contracts_pipeline(
         enrich,
         shape.key(),
         Arc::new(ReduceClosure(
-            move |key: &[Value], group: &[RecordView<'_>], out: &mut Collector| {
+            move |key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
                 // Order-sensitive on purpose: delivery order is part of the
                 // byte-identity contract.
                 let folded = group.iter().fold(0i64, |acc, r| {
@@ -732,7 +741,7 @@ fn all_contracts_pipeline(
         sum,
         labels,
         Arc::new(CrossClosure(
-            move |l: RecordView<'_>, r: RecordView<'_>, out: &mut Collector| {
+            move |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
                 // (key fields.., folded + label, group size)
                 let mut fields = l.materialize().into_fields();
                 let folded = fields.len() - 2;
@@ -829,20 +838,22 @@ fn a_mid_chain_panic_is_one_typed_error_naming_the_segment() {
         let expand = plan.map(
             "expand",
             source,
-            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut Collector| {
-                out.collect(r);
-                out.collect(r);
+            Arc::new(MapClosure(|r: RecordView<'_>, out: &mut dyn RecordSink| {
+                out.forward(r);
+                out.forward(r);
             })),
         );
         let counted = Arc::clone(&calls);
         let shift = plan.map(
             "shift",
             expand,
-            Arc::new(MapClosure(move |r: RecordView<'_>, out: &mut Collector| {
-                counted.fetch_add(1, Ordering::Relaxed);
-                assert!(r.long(0) != 250, "record 250 is poison");
-                out.collect(r);
-            })),
+            Arc::new(MapClosure(
+                move |r: RecordView<'_>, out: &mut dyn RecordSink| {
+                    counted.fetch_add(1, Ordering::Relaxed);
+                    assert!(r.long(0) != 250, "record 250 is poison");
+                    out.forward(r);
+                },
+            )),
         );
         plan.sink("out", shift);
         let physical = default_physical_plan(&plan, parallelism).unwrap();
@@ -920,7 +931,10 @@ fn cogroups_merge_sorted_groups_like_the_reference_form() {
             let r = plan.source("right", right.clone());
             // Folds the key, both groups' values in order and their sizes.
             let udf = Arc::new(CoGroupClosure(
-                |key: &[Value], l: &[RecordView<'_>], r: &[RecordView<'_>], out: &mut Collector| {
+                |key: &[Value],
+                 l: &[RecordView<'_>],
+                 r: &[RecordView<'_>],
+                 out: &mut dyn RecordSink| {
                     let mut fields = key.to_vec();
                     let last = |record: &RecordView<'_>| {
                         let record = record.materialize();
