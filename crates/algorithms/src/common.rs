@@ -7,13 +7,47 @@
 //! `initial_*` functions are the same sources collected into heap records
 //! for callers that want those.
 
-use dataflow::prelude::{Record, RecordSink, RecordSource, SourceClosure, Value};
+use dataflow::prelude::{
+    CombineClosure, CombineFunction, Key, Record, RecordSink, RecordSource, RecordView,
+    SourceClosure, Value,
+};
 use graphdata::{Graph, VertexId};
 use std::sync::Arc;
 
 /// A vertex id as a record field.
 pub(crate) fn vid(v: VertexId) -> Value {
     Value::Long(i64::from(v))
+}
+
+/// The grouped update of Connected Components and SSSP: a vertex takes the
+/// smallest candidate value (field 1) when it improves on its own.
+pub(crate) fn adopt_min(
+    key: &Key,
+    current: Option<RecordView<'_>>,
+    candidates: &[RecordView<'_>],
+    delta: &mut dyn RecordSink,
+) {
+    let best = candidates
+        .iter()
+        .map(|r| r.long(1))
+        .min()
+        .expect("non-empty group");
+    if current.is_none_or(|c| c.long(1) > best) {
+        delta.emit(&[key.values()[0].clone(), Value::Long(best)]);
+    }
+}
+
+/// The combine Connected Components and SSSP declare: of two candidates
+/// for one vertex, the one with the smaller value (field 1) is held — the
+/// minimum their update would take from both.
+pub fn min_combine() -> Arc<dyn CombineFunction> {
+    Arc::new(CombineClosure(
+        |held: RecordView<'_>, candidate: &[Value], out: &mut dyn RecordSink| {
+            if candidate[1].as_long() < held.long(1) {
+                out.emit(candidate);
+            }
+        },
+    ))
 }
 
 /// A source that emits `record(s, t)` for every directed edge `s -> t` of
@@ -141,6 +175,28 @@ pub fn records_to_f64_vec(records: &[Record], num_vertices: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use graphdata::figure1_graph;
+
+    /// The `min` update and combine Connected Components and SSSP declare
+    /// obey the laws that let the runtime fold their candidates: the fold
+    /// is associative and commutative, and the update takes from a folded
+    /// group what it takes from the whole group.  Values come from a small
+    /// range, so ties and non-improving groups are common.
+    #[test]
+    fn the_min_update_and_combine_of_cc_and_sssp_obey_the_fold_laws() {
+        use graphdata::SmallRng;
+        use reference::laws::{check_combine, check_update_folds};
+        let candidate = |rng: &mut SmallRng| Record::pair(11, rng.gen_range(16) as i64);
+        let draw = |rng: &mut SmallRng| {
+            let current =
+                (rng.gen_range(5) > 0).then(|| Record::pair(11, rng.gen_range(20) as i64));
+            let size = 1 + rng.gen_index(8);
+            (current, (0..size).map(|_| candidate(rng)).collect())
+        };
+        let combine = min_combine();
+        assert_eq!(check_combine(&*combine, 1_000, 51, candidate), Ok(()));
+        let folds = check_update_folds(&adopt_min, &*combine, &[0], 1_000, 52, draw);
+        assert_eq!(folds, Ok(()));
+    }
 
     #[test]
     fn edge_records_cover_both_directions() {

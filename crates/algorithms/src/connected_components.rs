@@ -14,8 +14,8 @@
 //! the smallest vertex id of its weakly connected component.
 
 use crate::common::{
-    component_candidate_source, component_source, edge_records, edge_source, initial_components,
-    records_to_vec,
+    adopt_min, component_candidate_source, component_source, edge_records, edge_source,
+    initial_components, min_combine, records_to_vec,
 };
 use dataflow::prelude::*;
 use graphdata::Graph;
@@ -254,21 +254,7 @@ fn build_workset_iteration(graph: &Graph, grouped: bool) -> WorksetIteration<'_>
     // The update function of Figure 5: take the smallest candidate cid; emit
     // a delta only if it improves on the current component.
     let update: Arc<dyn UpdateFunction> = if grouped {
-        Arc::new(UpdateClosure(
-            |key: &Key,
-             current: Option<RecordView<'_>>,
-             candidates: &[RecordView<'_>],
-             delta: &mut dyn RecordSink| {
-                let best = candidates
-                    .iter()
-                    .map(|r| r.long(1))
-                    .min()
-                    .expect("non-empty group");
-                if current.is_none_or(|c| c.long(1) > best) {
-                    delta.emit(&[key.values()[0].clone(), Value::Long(best)]);
-                }
-            },
-        ))
+        Arc::new(UpdateClosure(adopt_min))
     } else {
         Arc::new(UpdateClosure(
             |key: &Key,
@@ -296,6 +282,8 @@ fn build_workset_iteration(graph: &Graph, grouped: bool) -> WorksetIteration<'_>
         .constant_input(Arc::new(edge_source(graph)), vec![0], vec![0])
         // Smaller component ids are successor states in the CPO.
         .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
+        // A vertex's candidates fold to their minimum before they ship.
+        .combine(min_combine())
         .build()
 }
 

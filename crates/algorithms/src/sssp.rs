@@ -7,7 +7,7 @@
 //! `(vid, candidate distance)`, and an expansion that sends `distance + 1`
 //! (unit edge weights) to the updated vertex's neighbours.
 
-use crate::common::{edge_source, per_vertex, vid};
+use crate::common::{adopt_min, edge_source, min_combine, per_vertex, vid};
 use dataflow::prelude::*;
 use graphdata::{Graph, VertexId};
 use spinning_core::prelude::*;
@@ -33,21 +33,7 @@ pub struct SsspResult {
 
 /// Builds the SSSP workset iteration for a graph with unit edge weights.
 fn build_iteration(graph: &Graph) -> WorksetIteration<'_> {
-    let update = Arc::new(UpdateClosure(
-        |key: &Key,
-         current: Option<RecordView<'_>>,
-         candidates: &[RecordView<'_>],
-         delta: &mut dyn RecordSink| {
-            let best = candidates
-                .iter()
-                .map(|r| r.long(1))
-                .min()
-                .expect("non-empty candidates");
-            if current.is_none_or(|c| c.long(1) > best) {
-                delta.emit(&[key.values()[0].clone(), Value::Long(best)]);
-            }
-        },
-    ));
+    let update = Arc::new(UpdateClosure(adopt_min));
     let expand = Arc::new(ExpandClosure(
         |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
             let next_distance = delta.long(1) + 1;
@@ -59,6 +45,9 @@ fn build_iteration(graph: &Graph) -> WorksetIteration<'_> {
     WorksetIteration::builder(vec![0], vec![0], update, expand)
         .constant_input(Arc::new(edge_source(graph)), vec![0], vec![0])
         .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
+        // A vertex's distance candidates fold to their minimum before they
+        // ship.
+        .combine(min_combine())
         .build()
 }
 

@@ -316,7 +316,7 @@ impl BulkIteration {
             &mut state,
             |state| !state.converged,
             step,
-            |state| Ok((vec![state.current.collect()], vec![Vec::new()])),
+            |state| Ok((vec![state.current.collect()], vec![Vec::new()], 0)),
             |state, restored| {
                 state.current = Arc::new(restored.solution.concat());
                 // The intermediate cache may hold state from the failed

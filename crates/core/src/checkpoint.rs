@@ -17,7 +17,9 @@
 //!     MANIFEST            written last, via tmp-file + atomic rename
 //! ```
 //!
-//! The manifest names every data file with its record count.  A checkpoint
+//! The manifest names every data file with its record count, and the
+//! number of candidates pending as emitted — more than the workset files
+//! hold when a declared combine folded them.  A checkpoint
 //! directory without a `MANIFEST` is by definition incomplete (the crash
 //! happened mid-write) and is skipped during recovery; a data file whose
 //! page checksums or record count disagree with the manifest marks the whole
@@ -34,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// First line of every checkpoint manifest.
-const MANIFEST_HEADER: &str = "spinning-checkpoint v1";
+const MANIFEST_HEADER: &str = "spinning-checkpoint v2";
 
 /// How a driver checkpoints: every `interval` supersteps into `dir`, with
 /// `max_retries` recovery attempts per superstep under exponential backoff.
@@ -91,6 +93,9 @@ pub struct RestoredCheckpoint {
     pub solution: Vec<Vec<Record>>,
     /// Pending workset records per partition.
     pub workset: Vec<Vec<Record>>,
+    /// Candidates pending as emitted: the next superstep's working-set
+    /// size, which exceeds the workset records when a combine folded them.
+    pub pending: u64,
 }
 
 /// Reads and writes the checkpoints of one iteration run.
@@ -123,15 +128,29 @@ impl CheckpointStore {
     /// complete checkpoint or one that recovery recognizes as incomplete.
     /// On failure the partial directory is removed and the error returned —
     /// the caller decides whether a missed checkpoint fails the run.
-    /// Returns the total bytes written.
+    /// Returns the total bytes written.  The pending count is the workset
+    /// records'.
     pub fn write(
         &self,
         superstep: usize,
         solution: &[Vec<Record>],
         workset: &[Vec<Record>],
     ) -> io::Result<u64> {
+        let pending = workset.iter().map(Vec::len).sum::<usize>() as u64;
+        self.write_cut(superstep, solution, workset, pending)
+    }
+
+    /// [`CheckpointStore::write`] of a cut whose `pending` candidates were
+    /// folded into the `workset` records.
+    pub(crate) fn write_cut(
+        &self,
+        superstep: usize,
+        solution: &[Vec<Record>],
+        workset: &[Vec<Record>],
+        pending: u64,
+    ) -> io::Result<u64> {
         let dir = self.checkpoint_dir(superstep);
-        let result = self.write_inner(&dir, superstep, solution, workset);
+        let result = self.write_inner(&dir, superstep, solution, workset, pending);
         if result.is_err() {
             let _ = fs::remove_dir_all(&dir);
         }
@@ -144,6 +163,7 @@ impl CheckpointStore {
         superstep: usize,
         solution: &[Vec<Record>],
         workset: &[Vec<Record>],
+        pending: u64,
     ) -> io::Result<u64> {
         self.fault.io_check(FaultSite::CheckpointWrite)?;
         assert_eq!(solution.len(), self.parallelism, "one file per partition");
@@ -164,6 +184,7 @@ impl CheckpointStore {
                 manifest.push_str(&format!("{kind} {p} {}\n", records.len()));
             }
         }
+        manifest.push_str(&format!("pending {pending}\n"));
         manifest.push_str("end\n");
 
         let tmp = dir.join("MANIFEST.tmp");
@@ -202,6 +223,7 @@ impl CheckpointStore {
             superstep,
             solution: Vec::with_capacity(self.parallelism),
             workset: Vec::with_capacity(self.parallelism),
+            pending: counts.pending,
         };
         for (kind, expected, out) in [
             ("solution", &counts.solution, &mut restored.solution),
@@ -278,8 +300,9 @@ impl PendingRecoveryStats {
 }
 
 /// A consistent cut as a driver snapshots it: the solution records and the
-/// pending workset records of every partition.
-pub(crate) type Cut = (Vec<Vec<Record>>, Vec<Vec<Record>>);
+/// pending workset records of every partition, and the candidates pending
+/// as emitted.
+pub(crate) type Cut = (Vec<Vec<Record>>, Vec<Vec<Record>>, u64);
 
 /// The checkpoint-and-recover loop both iteration drivers run.
 ///
@@ -314,8 +337,9 @@ pub(crate) fn run_with_recovery<S>(
     let mut pending = PendingRecoveryStats::default();
     let checkpoint = |completed: usize, state: &S, pending: &mut PendingRecoveryStats| {
         let Some(store) = &store else { return };
-        let written = snapshot(state)
-            .and_then(|(solution, workset)| store.write(completed, &solution, &workset));
+        let written = snapshot(state).and_then(|(solution, workset, pending)| {
+            store.write_cut(completed, &solution, &workset, pending)
+        });
         match written {
             Ok(bytes) => {
                 pending.checkpoints_written += 1;
@@ -383,10 +407,12 @@ pub(crate) fn run_with_recovery<S>(
     Ok(rows)
 }
 
-/// The per-partition record counts a manifest promises.
+/// The per-partition record counts a manifest promises, and the pending
+/// count it records.
 struct ManifestCounts {
     solution: Vec<usize>,
     workset: Vec<usize>,
+    pending: u64,
 }
 
 /// Parses and cross-checks a manifest.  Every deviation — wrong header,
@@ -411,6 +437,7 @@ fn parse_manifest(
     let mut counts = ManifestCounts {
         solution: Vec::with_capacity(parallelism),
         workset: Vec::with_capacity(parallelism),
+        pending: 0,
     };
     for (kind, out) in [
         ("solution", &mut counts.solution),
@@ -429,6 +456,11 @@ fn parse_manifest(
             );
         }
     }
+    let line = lines.next().ok_or("manifest truncated")?;
+    counts.pending = line
+        .strip_prefix("pending ")
+        .and_then(|count| count.parse().ok())
+        .ok_or_else(|| format!("bad pending count in {line:?}"))?;
     if lines.next() != Some("end") {
         return Err("manifest missing end marker".into());
     }

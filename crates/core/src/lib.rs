@@ -18,8 +18,6 @@
 //!   variants.
 //! * [`microstep`] — asynchronous microstep execution without superstep
 //!   barriers, with counter-based termination detection (Sections 2.2, 5.3).
-//! * [`eligibility`] — the structural conditions under which a step function
-//!   may execute in microsteps (Section 5.2).
 //! * [`stats`] — per-iteration counters (runtime, working-set size, elements
 //!   inspected/changed, messages) backing the reproduction of the paper's
 //!   figures.
@@ -61,7 +59,6 @@
 
 pub mod bulk;
 pub mod checkpoint;
-pub mod eligibility;
 mod load;
 pub mod microstep;
 pub mod solution_set;
@@ -72,7 +69,6 @@ pub mod workset;
 pub mod prelude {
     pub use crate::bulk::{BulkConfig, BulkIteration, BulkIterationResult, TerminationCriterion};
     pub use crate::checkpoint::{CheckpointPolicy, CheckpointStore, RestoredCheckpoint};
-    pub use crate::eligibility::{check_microstep_eligibility, Eligibility};
     pub use crate::solution_set::{MergeOutcome, RecordComparator, SolutionSet};
     pub use crate::stats::{IterationRunStats, IterationStats};
     pub use crate::workset::{

@@ -8,7 +8,9 @@
 //! ([`PartitionRouter::route_fields`]) and keeps only the partition's own
 //! share: a solution record is serialized into the partition's
 //! [`PartitionIndex`], a constant record into its [`JoinIndex`], a
-//! workset record into the [`PageWriter`] that becomes its first queue.  A
+//! workset record into the [`PageWriter`] that becomes its first queue —
+//! through a [`Combiner`] first when the iteration folds its candidates, so
+//! each key's initial candidates are serialized once, folded.  A
 //! record that exists as a heap object (`Vec<Record>` sources) is read where
 //! it lies; a record a source merely describes is born serialized.  Every
 //! partition sees its records in source order, so the loaded state does not
@@ -25,9 +27,12 @@
 
 use crate::solution_set::{PartitionIndex, SolutionSet};
 use crate::workset::WorksetIteration;
+use dataflow::contracts::CombineFunction;
+use dataflow::exchange::Combiner;
 use dataflow::join_index::JoinIndex;
 use dataflow::page::PageWriter;
 use dataflow::prelude::{ClusterSpec, Key, PartitionRouter, RecordSink, RecordSource, Value};
+use std::sync::Arc;
 
 /// What the load step builds, indexed by partition.  Partitions owned by
 /// other processes are present and empty.
@@ -41,13 +46,15 @@ pub(crate) struct Loaded {
 /// Loads `iteration`'s inputs into the partitions `cluster` assigns to this
 /// process.  The asynchronous mode, whose queues carry single serialized
 /// records, loads no working set (`None`) and seeds its workers from the
-/// source itself.
+/// source itself.  With `fold`, each partition's initial candidates are
+/// folded per key before they reach its queue.
 pub(crate) fn load(
     iteration: &WorksetIteration<'_>,
     router: &PartitionRouter,
     cluster: &ClusterSpec,
     initial_solution: &dyn RecordSource,
     initial_workset: Option<&dyn RecordSource>,
+    fold: Option<&Arc<dyn CombineFunction>>,
 ) -> Loaded {
     let parallelism = router.parallelism();
     let mut solution = iteration.empty_solution(router);
@@ -73,6 +80,7 @@ pub(crate) fn load(
                     (initial_solution, s_part),
                     constant,
                     initial_workset.map(|source| (source, queue)),
+                    fold,
                 );
             });
         }
@@ -94,6 +102,7 @@ fn load_partition(
     (initial_solution, s_part): (&dyn RecordSource, &mut PartitionIndex),
     constant: &mut JoinIndex,
     workset: Option<(&dyn RecordSource, &mut PageWriter)>,
+    fold: Option<&Arc<dyn CombineFunction>>,
 ) {
     let solution_key = &iteration.solution_key;
     let mut key = Key::Long(0);
@@ -112,12 +121,23 @@ fn load_partition(
     pull_share(constant_input, router, constant_key, partition, |fields| {
         constant.insert_fields(fields)
     });
-    if let Some((initial_workset, queue)) = workset {
-        let workset_key = &iteration.workset_key;
+    let Some((initial_workset, queue)) = workset else {
+        return;
+    };
+    let workset_key = &iteration.workset_key;
+    let Some(combine) = fold else {
         pull_share(initial_workset, router, workset_key, partition, |fields| {
             queue.push_fields(fields);
         });
-    }
+        return;
+    };
+    let mut combiner = Combiner::new(Arc::clone(combine), workset_key.clone());
+    pull_share(initial_workset, router, workset_key, partition, |fields| {
+        combiner.insert(fields)
+    });
+    combiner.drain(|payload| {
+        queue.push_serialized(payload);
+    });
 }
 
 /// Pulls `source` in full and hands `keep`, in source order, the records
@@ -202,7 +222,14 @@ mod tests {
         let iteration = iteration(Arc::new(edges.clone()));
         for router in routers() {
             let cluster = ClusterSpec::single();
-            let loaded = load(&iteration, &router, &cluster, &solution, Some(&workset));
+            let loaded = load(
+                &iteration,
+                &router,
+                &cluster,
+                &solution,
+                Some(&workset),
+                None,
+            );
             assert_eq!(loaded.solution.len(), solution.len());
             for (partition, queue) in loaded.workset.into_iter().enumerate() {
                 let expected: Vec<Record> = workset
@@ -251,13 +278,21 @@ mod tests {
         let collected = iteration(Arc::new(described.constant_input.collect()));
         for router in routers() {
             let cluster = ClusterSpec::single();
-            let a = load(&described, &router, &cluster, &solution, Some(&workset));
+            let a = load(
+                &described,
+                &router,
+                &cluster,
+                &solution,
+                Some(&workset),
+                None,
+            );
             let b = load(
                 &collected,
                 &router,
                 &cluster,
                 &solution.collect(),
                 Some(&workset.collect()),
+                None,
             );
             // Same records in the same index order, same page bytes.
             assert_eq!(a.solution.records(), b.solution.records());
@@ -282,7 +317,14 @@ mod tests {
         let iteration = iteration(Arc::new(solution.clone()));
         let router = PartitionRouter::hash(4);
         let cluster = ClusterSpec::new(2, 1).expect("spec");
-        let loaded = load(&iteration, &router, &cluster, &solution, Some(&solution));
+        let loaded = load(
+            &iteration,
+            &router,
+            &cluster,
+            &solution,
+            Some(&solution),
+            None,
+        );
         for partition in 0..4 {
             let owned = cluster.owns(partition, 4);
             assert_eq!(
@@ -297,7 +339,14 @@ mod tests {
             assert_eq!(!loaded.workset[partition].is_empty(), owned);
         }
         // The asynchronous mode loads no working set.
-        let loaded = load(&iteration, &router, &ClusterSpec::single(), &solution, None);
+        let loaded = load(
+            &iteration,
+            &router,
+            &ClusterSpec::single(),
+            &solution,
+            None,
+            None,
+        );
         assert!(loaded.workset.iter().all(PageWriter::is_empty));
     }
 
@@ -312,7 +361,14 @@ mod tests {
         let iteration = iteration(Arc::new(edges));
         let router = PartitionRouter::hash(2);
         let none: Vec<Record> = Vec::new();
-        let loaded = load(&iteration, &router, &ClusterSpec::single(), &none, None);
+        let loaded = load(
+            &iteration,
+            &router,
+            &ClusterSpec::single(),
+            &none,
+            None,
+            None,
+        );
         // Every name is found, once, in the partition it routes to.
         for (i, name) in names.iter().enumerate() {
             let probe = Record::new(vec![Value::Text((*name).into())]);

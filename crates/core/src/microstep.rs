@@ -2,7 +2,7 @@
 //!
 //! When the step function of a workset iteration consists solely of
 //! record-at-a-time operators and the path from the solution set to the delta
-//! set preserves the identifying key (see [`crate::eligibility`]), the
+//! set preserves the identifying key (Section 5.2's conditions), the
 //! iteration can drop the superstep barrier entirely: every worker partition
 //! processes workset elements as they arrive, updates its share of the
 //! partial solution immediately, and pushes the resulting candidate updates
@@ -336,6 +336,7 @@ pub(crate) fn run_async(
                 stats.elements_changed += outcome.changed;
                 stats.messages_sent += outcome.messages_sent;
                 stats.messages_shipped += outcome.messages_shipped;
+                stats.messages_delivered += outcome.messages_sent;
                 stats.queue_high_water = stats.queue_high_water.max(outcome.queue_high_water);
             }
             Err(error) => first_error = first_error.or(Some(error)),

@@ -11,14 +11,22 @@ use dataflow::prelude::ExecutionStats;
 use std::time::Duration;
 
 /// Counters for one iteration (bulk) or one superstep (incremental).
+///
+/// When a workset iteration declares a combine, its candidates are folded
+/// before they are serialized.  The paper's counters — `workset_size`,
+/// `elements_inspected`, `elements_changed`, `messages_sent` — count
+/// *before* the fold, so they read the same with and without one;
+/// `messages_shipped` and `messages_delivered` count what the exchange
+/// actually moved, *after* it.
 #[derive(Debug, Clone, Default)]
 pub struct IterationStats {
     /// 1-based iteration / superstep number.
     pub iteration: usize,
     /// Wall-clock time of the iteration.
     pub elapsed: Duration,
-    /// Size of the working set consumed in this iteration (for bulk
-    /// iterations: the size of the partial solution fed in).
+    /// Size of the working set consumed in this iteration, in candidates as
+    /// emitted, before any fold (for bulk iterations: the size of the
+    /// partial solution fed in).
     pub workset_size: usize,
     /// Number of partial-solution elements inspected (groups or records the
     /// update function was invoked on).
@@ -26,10 +34,18 @@ pub struct IterationStats {
     /// Number of partial-solution elements that were actually changed (the
     /// size of the applied delta set).
     pub elements_changed: usize,
-    /// Records emitted into the next working set ("messages sent").
+    /// Records emitted into the next working set ("messages sent"), before
+    /// any fold.
     pub messages_sent: usize,
-    /// Of those, how many crossed partition boundaries.
+    /// Records serialized for another partition: of the messages sent, how
+    /// many crossed partition boundaries — after the fold, when the
+    /// candidates combine.
     pub messages_shipped: usize,
+    /// Records the superstep exchange delivered into the next working
+    /// set's queues, local and shipped, after the fold: `messages_sent`
+    /// unless a declared combine folded candidates.  Zero for bulk
+    /// iterations.
+    pub messages_delivered: usize,
     /// Serialized bytes the superstep exchange (or the backing dataflow
     /// execution) moved to disk as spilled runs under a memory budget.
     pub spilled_bytes: usize,

@@ -46,6 +46,19 @@ pub trait RecordSink: Send {
     }
 }
 
+/// A sink holding the fields of the last record emitted into it — how a
+/// runtime reads back a user function that emits at most one record (a
+/// workset update's delta, a fold); empty until one is emitted.
+#[derive(Debug, Default)]
+pub struct LastEmitted(pub Vec<Value>);
+
+impl RecordSink for LastEmitted {
+    fn emit(&mut self, fields: &[Value]) {
+        self.0.clear();
+        self.0.extend_from_slice(fields);
+    }
+}
+
 /// A buffering sink: emitted records become heap records at the end of the
 /// vector ([`RecordSource::collect`] reads a source through it).
 impl RecordSink for Vec<Record> {
@@ -199,6 +212,20 @@ pub trait CoGroupFunction: Send + Sync {
     );
 }
 
+/// First-order function folding two records that share a key into one — a
+/// combiner, run where records are produced, before they are serialized
+/// for the exchange (the sender-side combine of Pregel and of Stratosphere's
+/// Reduce contract).
+///
+/// A declared combine must be associative and commutative, and the consumer
+/// must compute from a folded group what it computes from the whole group:
+/// the runtime folds as many or as few of a key's records as it sees fit.
+pub trait CombineFunction: Send + Sync {
+    /// Folds `candidate` into `held`, the record kept so far for the same
+    /// key: emits the folded record, or nothing to keep `held` as it is.
+    fn combine(&self, held: RecordView<'_>, candidate: &[Value], out: &mut dyn RecordSink);
+}
+
 // --- Closure adapters -------------------------------------------------------
 //
 // Writing a struct per UDF is verbose; these adapters let plans be assembled
@@ -267,6 +294,18 @@ where
         out: &mut dyn RecordSink,
     ) {
         (self.0)(key, left, right, out)
+    }
+}
+
+/// Wraps a closure as a [`CombineFunction`].
+pub struct CombineClosure<F>(pub F);
+
+impl<F> CombineFunction for CombineClosure<F>
+where
+    F: Fn(RecordView<'_>, &[Value], &mut dyn RecordSink) + Send + Sync,
+{
+    fn combine(&self, held: RecordView<'_>, candidate: &[Value], out: &mut dyn RecordSink) {
+        (self.0)(held, candidate, out)
     }
 }
 

@@ -34,6 +34,22 @@
 //!   ([`PagePool`]) the previous round drained and feeds them to whichever
 //!   writer is about to need one, so a steady-state superstep writes into
 //!   memory it emptied one round earlier and allocates no pages.
+//! * **A declared combine folds before serializing, where nothing spills.**
+//!   A producer that declares a [`CombineFunction`] hands its outbox one
+//!   [`Combiner`] per target ([`Outbox::combine_with`]): every record
+//!   emitted from then on is folded into the held record of its key and
+//!   target, and only what is held at [`Outbox::seal`] is serialized onto
+//!   the target's pages, in the order the keys were first seen — the fold
+//!   sits between the router and the page writer, so a key reaches each
+//!   target at most once per source.  The outbox takes the combiners only
+//!   when its writers cannot spill ([`SpillManager::may_spill`]: no byte
+//!   budget, no page credits).  A budget meters bytes and credits meter
+//!   pages, but a fold table is bounded by keys, so a budgeted or
+//!   credit-limited exchange ships every record as emitted.  A forwarded
+//!   record ([`Outbox::forward`]) is never folded.  The counters keep their
+//!   meaning: `sent_records` counts records emitted, before the fold;
+//!   `shipped_records` and `shipped_bytes` count what was serialized for a
+//!   peer, after it.
 //! * **Sort-on-flush is the spill manager's decision.**  Writers come from
 //!   the caller's [`SpillManager`]: batch-incremental supersteps and executor
 //!   exchanges flush runs sorted on the exchange key, microsteps flush
@@ -50,12 +66,15 @@
 //!   producer narrower than the consumer still closes the round for the
 //!   sources it does not have.
 
+use crate::contracts::{CombineFunction, LastEmitted};
 use crate::error::Result;
-use crate::page::{ExchangedPartition, PagePool, PageWriter, RecordPage, RecordView};
+use crate::key::{FxHashMap, Key, KeyFields};
+use crate::page::{ExchangedPartition, PageHandle, PagePool, PageWriter, RecordPage, RecordView};
 use crate::spill::{SpillManager, SpillOutput, SpillingWriter};
 use crate::transport::PageChannel;
 use crate::value::Value;
 use comm::ClusterSpec;
+use std::sync::Arc;
 
 /// What one producer partition routed during one exchange round: the pages
 /// that stay in the partition and one budgeted page writer per target.
@@ -70,6 +89,10 @@ pub struct Outbox {
     sealed: Vec<SpillOutput>,
     /// Recycled page buffers no writer has claimed yet.
     spare: Vec<Vec<u8>>,
+    /// One fold table per target while the outbox combines, else empty.
+    combiners: Vec<Combiner>,
+    /// Whether a writer may flush to disk, which rules folding out.
+    may_spill: bool,
     sent_records: usize,
     shipped_records: usize,
     shipped_bytes: usize,
@@ -85,6 +108,8 @@ impl Outbox {
             writers: (0..targets).map(|_| spill.writer()).collect(),
             sealed: Vec::new(),
             spare: Vec::new(),
+            combiners: Vec::new(),
+            may_spill: spill.may_spill(),
             sent_records: 0,
             shipped_records: 0,
             shipped_bytes: 0,
@@ -97,6 +122,29 @@ impl Outbox {
     /// buffers in circulation shrink with the data.
     pub fn seed(&mut self, pool: &mut PagePool) {
         self.spare.extend(pool.take(usize::MAX));
+    }
+
+    /// Folds every record [`Outbox::emit`]ted from now on through
+    /// `combiners`, one per target, unless a writer of this exchange may
+    /// spill (see the module invariants): then the combiners stay with the
+    /// caller and records ship as emitted.  Taken combiners come back
+    /// through [`Outbox::take_combiners`] once the outbox is sealed, so
+    /// their tables and buffers serve the next round.
+    pub fn combine_with(&mut self, combiners: &mut Vec<Combiner>) {
+        if !self.may_spill {
+            debug_assert_eq!(
+                combiners.len(),
+                self.writers.len(),
+                "one combiner per target"
+            );
+            std::mem::swap(&mut self.combiners, combiners);
+        }
+    }
+
+    /// The combiners [`Outbox::combine_with`] took, drained by
+    /// [`Outbox::seal`]; empty when it took none.
+    pub fn take_combiners(&mut self) -> Vec<Combiner> {
+        std::mem::take(&mut self.combiners)
     }
 
     /// Routes one serialized record to `target`, copying its bytes where it
@@ -119,7 +167,9 @@ impl Outbox {
     #[inline]
     pub fn emit(&mut self, target: usize, fields: &[Value]) {
         self.sent_records += 1;
-        if target == self.source {
+        if let Some(combiner) = self.combiners.get_mut(target) {
+            combiner.insert(fields);
+        } else if target == self.source {
             self.local_pages.refill_spare_from(&mut self.spare);
             self.local_pages.push_fields(fields);
         } else {
@@ -134,6 +184,23 @@ impl Outbox {
     /// different partitions overlap; [`ship`] seals whatever was left open.
     /// Surfaces the first I/O error a mid-stream flush held back.
     pub fn seal(&mut self) -> std::io::Result<()> {
+        let (local, writers, spare) = (&mut self.local_pages, &mut self.writers, &mut self.spare);
+        // A second seal finds the combiners drained and the writers gone.
+        let folded = self.combiners.iter_mut().enumerate();
+        for (target, combiner) in folded.filter(|(_, combiner)| !combiner.is_empty()) {
+            if target == self.source {
+                combiner.drain(|payload| {
+                    local.refill_spare_from(spare);
+                    local.push_serialized(payload);
+                });
+            } else {
+                let writer = &mut writers[target];
+                combiner.drain(|payload| {
+                    writer.refill_spare_from(spare);
+                    writer.push_serialized(payload);
+                });
+            }
+        }
         self.local_pages.seal();
         self.sealed.reserve_exact(self.writers.len());
         for writer in self.writers.drain(..) {
@@ -142,6 +209,104 @@ impl Outbox {
             self.sealed.push(writer.finish()?);
         }
         Ok(())
+    }
+}
+
+/// Folds records that share a key into one held record per key before any
+/// of them is serialized for the exchange, with a declared
+/// [`CombineFunction`]: an Fx hash table from the key to the held record's
+/// handle in a page store.  The held records drain in the order their keys
+/// were first seen.  Draining empties the table but keeps its capacity, and
+/// keeps the page buffers the store filled as the store's spares — as many
+/// as the round just drained needed, so they follow the data down — so a
+/// combiner reused round after round allocates neither table nor pages once
+/// warm, and takes no buffer from the pages its outbox writes.
+pub struct Combiner {
+    combine: Arc<dyn CombineFunction>,
+    key_fields: KeyFields,
+    /// Key → index of its held record in `held`.
+    table: FxHashMap<Key, u32>,
+    /// The held record of every key, in first-seen order.
+    held: Vec<PageHandle>,
+    /// The held records' bytes; a fold appends the folded record, and the
+    /// record it replaces stays dead on its page until the drain.
+    store: PageWriter,
+    /// The key of the record being inserted.
+    key: Key,
+    /// What the combine function emitted.
+    folded: LastEmitted,
+}
+
+impl std::fmt::Debug for Combiner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Combiner")
+            .field("key_fields", &self.key_fields)
+            .field("held", &self.held.len())
+            .finish()
+    }
+}
+
+/// The capacity below which a fold table is never shrunk.
+const MIN_FOLD_TABLE: usize = 256;
+
+impl Combiner {
+    /// An empty combiner folding with `combine` records keyed on
+    /// `key_fields`.
+    pub fn new(combine: Arc<dyn CombineFunction>, key_fields: KeyFields) -> Combiner {
+        Combiner {
+            combine,
+            key_fields,
+            table: FxHashMap::default(),
+            held: Vec::new(),
+            store: PageWriter::new(),
+            key: Key::Long(0),
+            folded: LastEmitted::default(),
+        }
+    }
+
+    /// Holds `fields` as its key's record, or folds it into the one held:
+    /// what the combine function emits replaces the held record.
+    #[inline]
+    pub fn insert(&mut self, fields: &[Value]) {
+        self.key.assign_fields(fields, &self.key_fields);
+        let Some(&slot) = self.table.get(&self.key) else {
+            self.table.insert(self.key.clone(), self.held.len() as u32);
+            self.held.push(self.store.push_fields(fields));
+            return;
+        };
+        let held = &mut self.held[slot as usize];
+        self.folded.0.clear();
+        self.combine
+            .combine(self.store.view(*held), fields, &mut self.folded);
+        if !self.folded.0.is_empty() {
+            *held = self.store.push_fields(&self.folded.0);
+        }
+    }
+
+    /// True when nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.held.is_empty()
+    }
+
+    /// Hands `push` every held record's serialized bytes in first-seen key
+    /// order, then empties the combiner.
+    pub fn drain(&mut self, mut push: impl FnMut(&[u8])) {
+        for &handle in &self.held {
+            push(self.store.view(handle).payload());
+        }
+        // Probing and clearing cost grow with the table's capacity, not its
+        // keys: a table sized for a large round would slow every small round
+        // after it, so it follows the data down once it is four times too
+        // large.
+        let keys = self.held.len().max(MIN_FOLD_TABLE);
+        self.table.clear();
+        if self.table.capacity() > 4 * keys {
+            self.table.shrink_to(keys);
+        }
+        self.held.clear();
+        let pages = std::mem::take(&mut self.store).finish();
+        let buffers = pages.into_iter().filter_map(RecordPage::into_buffer);
+        self.store.add_spare_buffers(buffers);
     }
 }
 
@@ -227,6 +392,7 @@ pub fn ship(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contracts::RecordSink;
     use crate::fault::FaultInjector;
     use crate::range::{sample_keys_into, PartitionRouter, RangeBounds};
     use crate::record::Record;
@@ -619,6 +785,57 @@ mod tests {
         // Both written pages live in the recycled buffers.
         for part in &parts {
             assert!(buffers.contains(&part.pages()[0].bytes().as_ptr()));
+        }
+    }
+
+    #[test]
+    fn combiners_fold_per_target_where_nothing_spills_and_only_there() {
+        let min = Arc::new(crate::contracts::CombineClosure(
+            |held: RecordView<'_>, candidate: &[Value], out: &mut dyn RecordSink| {
+                if candidate[1].as_long() < held.long(1) {
+                    out.emit(candidate);
+                }
+            },
+        ));
+        let emitted = [(1, 9), (2, 5), (1, 4), (3, 7), (2, 6), (1, 8)];
+        for (budget, folds) in [
+            (MemoryBudget::unlimited(), true),
+            (MemoryBudget::bytes(0), false),
+        ] {
+            let dir = spill_dir(&format!("fold-{folds}"));
+            let spill = SpillManager::in_dir(dir.clone(), budget, None);
+            let mut combiners: Vec<Combiner> = (0..2)
+                .map(|_| Combiner::new(min.clone(), vec![0]))
+                .collect();
+            let mut outbox = Outbox::new(0, 2, &spill);
+            outbox.combine_with(&mut combiners);
+            assert_eq!(combiners.is_empty(), folds, "budget {budget:?}");
+            for (key, value) in emitted {
+                outbox.emit(key as usize % 2, Record::pair(key, value).fields());
+            }
+            outbox.seal().expect("seal");
+            assert_eq!(outbox.take_combiners().len(), if folds { 2 } else { 0 });
+            let transport = TransportHandle::local();
+            let channel = transport.fresh_channel(2);
+            let (parts, stats) =
+                ship([outbox], 2, &*channel, &transport.cluster(), 0).expect("exchange");
+            let pairs = |pairs: &[(i64, i64)]| -> Vec<Record> {
+                pairs.iter().map(|&(k, v)| Record::pair(k, v)).collect()
+            };
+            // Folded: each key's minimum, keys in first-seen order per
+            // target; budgeted: every record as emitted.
+            let expected = match folds {
+                true => vec![pairs(&[(2, 5)]), pairs(&[(1, 4), (3, 7)])],
+                false => vec![
+                    pairs(&[(2, 5), (2, 6)]),
+                    pairs(&[(1, 9), (1, 4), (3, 7), (1, 8)]),
+                ],
+            };
+            assert_eq!(delivered(&parts), expected, "budget {budget:?}");
+            assert_eq!(stats.sent_records, emitted.len(), "counted before the fold");
+            assert_eq!(stats.shipped_records, expected[1].len(), "counted after it");
+            drop(parts);
+            assert_no_spill_files(&dir);
         }
     }
 

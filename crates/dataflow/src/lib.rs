@@ -81,9 +81,9 @@ pub mod value;
 /// Convenient glob-import of the commonly used types.
 pub mod prelude {
     pub use crate::contracts::{
-        CoGroupClosure, CoGroupFunction, CrossClosure, CrossFunction, MapClosure, MapFunction,
-        MatchClosure, MatchFunction, RecordSink, RecordSource, ReduceClosure, ReduceFunction,
-        SourceClosure, Udf,
+        CoGroupClosure, CoGroupFunction, CombineClosure, CombineFunction, CrossClosure,
+        CrossFunction, MapClosure, MapFunction, MatchClosure, MatchFunction, RecordSink,
+        RecordSource, ReduceClosure, ReduceFunction, SourceClosure, Udf,
     };
     pub use crate::credit::{
         credit_channel, CreditReceiver, CreditSender, RecvTimeoutError, SendError, TryRecvError,

@@ -830,6 +830,13 @@ impl SpillManager {
         self.inner.budget
     }
 
+    /// Whether a writer of this manager can ever flush to disk: false only
+    /// with no byte budget and no page credits, when every sealed page
+    /// stays in memory.
+    pub fn may_spill(&self) -> bool {
+        !self.inner.budget.is_unlimited() || self.inner.page_credits.is_some()
+    }
+
     /// The attached fault injector (disabled unless set via
     /// [`SpillManager::with_fault`]).
     pub fn fault(&self) -> &FaultInjector {

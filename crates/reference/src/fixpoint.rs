@@ -13,9 +13,17 @@
 //! engine's superstep exchange delivers when nothing spills, so even an
 //! update function that reads its candidates' order computes the same
 //! deltas; [`batch_fixpoint_with`] takes the order of a budgeted exchange.
+//!
+//! A step that declares a combine has its candidates folded where the
+//! engine folds them when nothing spills: the initial working set per
+//! partition, and every superstep's candidates per (source, target), each
+//! in emission order ([`crate::laws::fold`]), before they are delivered.  The
+//! counters the paper plots count candidates as emitted, before the fold;
+//! `shipped` and `delivered` count what the exchange moved, after it.
 
+use crate::laws::fold;
 use crate::{group_ranges, on_pages, sort_by_key, source_major, views, Deliver, Partitions};
-use dataflow::contracts::RecordSink;
+use dataflow::contracts::{CombineFunction, RecordSink};
 use dataflow::key::{Key, KeyFields};
 use dataflow::page::RecordView;
 use dataflow::range::{sample_keys_into, PartitionRouter, RangeBounds};
@@ -56,6 +64,8 @@ pub struct WorksetStep {
     /// Conflict resolution of the `∪̇` merge; without one a delta always
     /// replaces the stored record.
     pub comparator: Option<Arc<Comparator>>,
+    /// The declared fold of candidates that share a workset key.
+    pub combine: Option<Arc<dyn CombineFunction>>,
 }
 
 /// How the solution, the constant input and the candidates are partitioned.
@@ -82,8 +92,11 @@ pub struct Superstep {
     pub changed: usize,
     /// Candidates the expansion emitted.
     pub messages: usize,
-    /// Emitted candidates that changed partition.
+    /// Candidates that changed partition, after the fold.
     pub shipped: usize,
+    /// Candidates delivered into the next superstep's queues, after the
+    /// fold.
+    pub delivered: usize,
 }
 
 /// A run of [`batch_fixpoint`].
@@ -152,18 +165,21 @@ pub fn batch_fixpoint_with(
         constant.entry(key).or_default().push(record.clone());
     }
     let mut queues: Partitions = vec![Vec::new(); parallelism];
+    let mut pending = workset.len();
     for candidate in workset {
         queues[router.route(&candidate, &step.workset_key)].push(candidate);
     }
+    let mut queues: Partitions = queues.into_iter().map(|queue| fold(step, queue)).collect();
     let mut supersteps = Vec::new();
-    while supersteps.len() < max_supersteps && queues.iter().any(|queue| !queue.is_empty()) {
+    while supersteps.len() < max_supersteps && pending > 0 {
         let mut row = Superstep {
             solution: Vec::new(),
-            workset_size: queues.iter().map(Vec::len).sum(),
+            workset_size: pending,
             inspected: 0,
             changed: 0,
             messages: 0,
             shipped: 0,
+            delivered: 0,
         };
         // sent[source][target]
         let mut sent: Vec<Partitions> = vec![vec![Vec::new(); parallelism]; parallelism];
@@ -191,18 +207,29 @@ pub fn batch_fixpoint_with(
                 for candidate in expand(step, &delta, matches.map_or(&[], Vec::as_slice)) {
                     let target = router.route(&candidate, &step.workset_key);
                     row.messages += 1;
-                    row.shipped += usize::from(target != source);
                     sent[source][target].push(candidate);
                 }
                 stored.insert(delta_key, delta);
             }
         }
+        for (source, to) in sent.iter_mut().enumerate() {
+            for (target, candidates) in to.iter_mut().enumerate() {
+                *candidates = fold(step, std::mem::take(candidates));
+                row.shipped += if target == source {
+                    0
+                } else {
+                    candidates.len()
+                };
+            }
+        }
         queues = delivery(&step.workset_key, sent);
+        row.delivered = queues.iter().map(Vec::len).sum();
+        pending = row.messages;
         row.solution = sorted(&stored);
         supersteps.push(row);
     }
     Fixpoint {
-        converged: queues.iter().all(Vec::is_empty),
+        converged: pending == 0,
         solution: sorted(&stored),
         supersteps,
     }
@@ -265,6 +292,7 @@ mod tests {
                 }
             }),
             comparator: None,
+            combine: None,
         }
     }
 

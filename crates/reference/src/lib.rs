@@ -31,6 +31,10 @@
 //!   `db ∪ Δ` loop that stops on an empty working set — and returns every
 //!   superstep's solution and counters.
 //!
+//! [`laws`] checks, on seeded random inputs, the algebraic properties a
+//! user function must have for the engine to be free in how it runs it —
+//! today, that a declared combine may fold a group.
+//!
 //! Both deliver a repartitioning edge in [`source_major`] order, the order
 //! of an exchange that keeps everything in memory.  Under a memory budget
 //! the engine delivers what its writers kept in memory first and the runs
@@ -47,6 +51,7 @@
 pub mod fixpoint;
 pub mod interpreter;
 pub mod key;
+pub mod laws;
 
 pub use key::{compare_keys, group_ranges, keys_equal, sort_by_key};
 

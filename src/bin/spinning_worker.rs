@@ -182,13 +182,15 @@ fn write_outputs(args: &WorkerArgs, result: &WorksetResult) -> std::io::Result<(
         for stats in &result.stats.per_iteration {
             writeln!(
                 out,
-                "superstep={} workset={} inspected={} changed={} sent={} shipped={} queue_hw={}",
+                "superstep={} workset={} inspected={} changed={} sent={} shipped={} \
+                 delivered={} queue_hw={}",
                 stats.iteration,
                 stats.workset_size,
                 stats.elements_inspected,
                 stats.elements_changed,
                 stats.messages_sent,
                 stats.messages_shipped,
+                stats.messages_delivered,
                 stats.queue_high_water,
             )?;
         }

@@ -6,6 +6,7 @@
 
 use algorithms::common::{
     edge_records, edge_records_with_degree, initial_component_candidates, initial_components,
+    min_combine,
 };
 use algorithms::{
     adaptive_pagerank, cc_async, cc_bulk, cc_incremental, cc_microstep, cc_workset_records,
@@ -22,6 +23,8 @@ use spinning_core::prelude::{
 };
 use spinning_core::ExecutionMode;
 use std::sync::Arc;
+
+mod support;
 
 fn test_graphs() -> Vec<(&'static str, Graph)> {
     vec![
@@ -217,7 +220,8 @@ fn incremental_cc_does_asymptotically_less_work_than_bulk() {
 
 /// Min-propagation over `(vid, neighbour)` edge records, every hop adding
 /// `hop_cost` to the propagated value: Connected Components at 0, unit-weight
-/// SSSP at 1 — the algorithms' step functions restated over heap records.
+/// SSSP at 1 — the algorithms' step functions, combine included, restated
+/// over heap records.
 fn min_propagation_over(edges: Arc<Vec<Record>>, hop_cost: i64) -> WorksetIteration<'static> {
     let update = Arc::new(UpdateClosure(
         |key: &Key,
@@ -243,6 +247,7 @@ fn min_propagation_over(edges: Arc<Vec<Record>>, hop_cost: i64) -> WorksetIterat
     WorksetIteration::builder(vec![0], vec![0], update, expand)
         .constant_input(edges, vec![0], vec![0])
         .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
+        .combine(min_combine())
         .build()
 }
 
@@ -282,7 +287,7 @@ fn residual_push_over(edges: Arc<Vec<Record>>, tolerance: f64) -> WorksetIterati
 
 fn assert_same_supersteps(ours: &WorksetResult, theirs: &WorksetResult, label: &str) {
     assert_eq!(ours.converged, theirs.converged, "{label}");
-    let counters = |result: &WorksetResult| -> Vec<[usize; 5]> {
+    let counters = |result: &WorksetResult| -> Vec<[usize; 6]> {
         let rows = result.stats.per_iteration.iter();
         rows.map(|s| {
             [
@@ -291,11 +296,38 @@ fn assert_same_supersteps(ours: &WorksetResult, theirs: &WorksetResult, label: &
                 s.elements_changed,
                 s.messages_sent,
                 s.messages_shipped,
+                s.messages_delivered,
             ]
         })
         .collect()
     };
     assert_eq!(counters(ours), counters(theirs), "{label}");
+}
+
+/// Batch-incremental CC and SSSP fold their candidates before the exchange
+/// wherever it cannot spill: at parallelism 1, 2 and 3, unbudgeted, at
+/// budget 0 and under two credits, every run equals the reference fixpoint
+/// (after the fold where the engine folds) and the run without a combine.
+#[test]
+fn folded_cc_and_sssp_match_the_reference_and_the_unfolded_run() {
+    let graph = rmat(400, 3200, RmatParams::default(), 61).symmetrize();
+    let mut unbounded = ExecConfig::new();
+    unbounded.channel_credits = None;
+    let regimes = [
+        ("unbudgeted", unbounded),
+        (
+            "budget 0",
+            ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0)),
+        ),
+        ("2 credits", ExecConfig::new().with_channel_credits(2)),
+    ];
+    for parallelism in [1, 2, 3] {
+        for (regime, exec) in &regimes {
+            let config = WorksetConfig::new(parallelism).with_exec(exec.clone());
+            let label = format!("p{parallelism}/{regime}");
+            support::assert_folded_runs_match_the_reference(&graph, 3, &config, &label);
+        }
+    }
 }
 
 /// The algorithms describe their inputs as sources over the graph and the

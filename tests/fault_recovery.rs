@@ -150,7 +150,24 @@ fn cc_recovers_byte_identically_across_modes_and_routings() {
 fn recovery_at_many_kill_points_matches_the_uninterrupted_run() {
     // Property-style sweep: kill the run at a spread of worker-panic events
     // (each event maps to one partition task of one superstep), recover, and
-    // demand the identical fixpoint AND the identical superstep trajectory.
+    // demand the identical fixpoint AND the identical superstep trajectory:
+    // every row's counters, the working set before the combine folded it
+    // (a restored cut carries that count) and the delivered candidates
+    // after.
+    let rows = |result: &algorithms::ComponentsResult| -> Vec<[usize; 6]> {
+        let rows = result.stats.per_iteration.iter();
+        rows.map(|s| {
+            [
+                s.workset_size,
+                s.elements_inspected,
+                s.elements_changed,
+                s.messages_sent,
+                s.messages_shipped,
+                s.messages_delivered,
+            ]
+        })
+        .collect()
+    };
     let graph = webbase();
     let base = ComponentsConfig::new(2).with_fault(FaultInjector::disabled());
     let baseline = cc_incremental(&graph, &base).unwrap();
@@ -169,6 +186,11 @@ fn recovery_at_many_kill_points_matches_the_uninterrupted_run() {
         assert_eq!(
             recovered.iterations, baseline.iterations,
             "recovery changed the superstep count (kill at event {kill_event})"
+        );
+        assert_eq!(
+            rows(&recovered),
+            rows(&baseline),
+            "recovery changed the superstep rows (kill at event {kill_event})"
         );
         assert!(fault.injected_total() > 0, "event {kill_event} in range");
         assert!(recovered.stats.total_recoveries() >= 1);

@@ -10,8 +10,11 @@
 use algorithms::{
     cc_async, cc_incremental, cc_microstep, oracles, sssp_with_routing, ComponentsConfig,
 };
+use dataflow::prelude::{ExecConfig, MemoryBudget};
 use graphdata::{chain, rmat, star, Graph, RmatParams};
-use spinning_core::prelude::{ExecutionMode, WorksetRouting};
+use spinning_core::prelude::{ExecutionMode, WorksetConfig, WorksetRouting};
+
+mod support;
 
 fn graphs() -> Vec<(&'static str, Graph)> {
     vec![
@@ -75,6 +78,23 @@ fn range_routed_cc_matches_hash_routed_cc_superstep_for_superstep() {
             hash.iterations, range.iterations,
             "superstep structure must be routing-independent at parallelism {parallelism}"
         );
+    }
+}
+
+#[test]
+fn range_routed_folded_cc_and_sssp_match_the_reference_fixpoint() {
+    let graph = rmat(400, 2000, RmatParams::default(), 23).symmetrize();
+    let mut unbounded = ExecConfig::new();
+    unbounded.channel_credits = None;
+    let budget_zero = ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0));
+    for parallelism in [1, 2, 3] {
+        for (regime, exec) in [("unbudgeted", &unbounded), ("budget 0", &budget_zero)] {
+            let config = WorksetConfig::new(parallelism)
+                .with_range_routing()
+                .with_exec(exec.clone());
+            let label = format!("range/p{parallelism}/{regime}");
+            support::assert_folded_runs_match_the_reference(&graph, 5, &config, &label);
+        }
     }
 }
 

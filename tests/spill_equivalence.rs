@@ -20,8 +20,9 @@ use algorithms::{
 };
 use dataflow::exchange::{ship, Outbox};
 use dataflow::prelude::{
-    default_physical_plan, ExecConfig, Executor, Key, LocalStrategy, MatchClosure, MemoryBudget,
-    Plan, Record, RecordSink, RecordView, ReduceClosure, ShipStrategy, Value,
+    default_physical_plan, CombineClosure, CombineFunction, ExecConfig, Executor, Key,
+    LocalStrategy, MatchClosure, MemoryBudget, Plan, Record, RecordSink, RecordView, ReduceClosure,
+    ShipStrategy, Value,
 };
 use dataflow::transport::TransportHandle;
 use graphdata::{DatasetProfile, Graph};
@@ -32,6 +33,8 @@ use spinning_core::prelude::{
     ExecutionMode, ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetRouting,
 };
 use std::sync::Arc;
+
+mod support;
 
 /// The budget every spill-forced run uses: tiny by default so even small
 /// exchanges overflow it, overridable through `SPINNING_MEMORY_BUDGET` (the
@@ -180,6 +183,24 @@ fn spilled_sssp_matches_oracle_in_every_mode_and_routing() {
     }
 }
 
+#[test]
+fn spilled_cc_and_sssp_rows_match_the_reference_fixpoint() {
+    // A spilling exchange ships every candidate as emitted — it does not
+    // fold — so its shipped and delivered counts are the reference's
+    // unfolded ones, while the load step still folds the initial working
+    // set.
+    let graph = webbase();
+    for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
+        for parallelism in [2, 3] {
+            let config = WorksetConfig::new(parallelism)
+                .with_routing(routing)
+                .with_exec(ExecConfig::new().with_memory_budget(forced_budget()));
+            let label = format!("{routing:?}/p{parallelism}/forced budget");
+            support::assert_folded_runs_match_the_reference(&graph, 0, &config, &label);
+        }
+    }
+}
+
 /// Folds `values`, in order, into one number: two groups holding the same
 /// values in a different order fold differently.
 fn order_fingerprint(values: impl IntoIterator<Item = i64>) -> i64 {
@@ -194,10 +215,11 @@ fn order_fingerprint(values: impl IntoIterator<Item = i64>) -> i64 {
 /// delta `(vertex, label, fingerprint of the senders)`, so the solution set
 /// records the candidate order of every vertex's last update.  Returns the
 /// iteration, the same step for the reference evaluator, and the initial
-/// solution and working set.
+/// solution and working set; both declare `combine` if one is given.
 fn order_recording_ring(
     n: i64,
     reach: i64,
+    combine: Option<Arc<dyn CombineFunction>>,
 ) -> (
     WorksetIteration<'static>,
     WorksetStep,
@@ -245,15 +267,20 @@ fn order_recording_ring(
         update: Arc::new(update),
         expand: Arc::new(expand),
         comparator: Some(comparator.clone()),
+        combine: combine.clone(),
     };
     let (update, expand) = (
         Arc::new(UpdateClosure(update)),
         Arc::new(ExpandClosure(expand)),
     );
-    let iteration = WorksetIteration::builder(vec![0], vec![0], update, expand)
+    let builder = WorksetIteration::builder(vec![0], vec![0], update, expand)
         .constant_input(Arc::new(edges), vec![0], vec![0])
-        .comparator(comparator)
-        .build();
+        .comparator(comparator);
+    let iteration = match combine {
+        Some(combine) => builder.combine(combine),
+        None => builder,
+    }
+    .build();
     let long = |values: [i64; 3]| Record::new(values.map(Value::Long).to_vec());
     let solution = (0..n).map(|v| long([v, v, 0])).collect();
     let workset = (0..n).map(|v| long([(v + 1) % n, v, v])).collect();
@@ -311,7 +338,7 @@ fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths
     // Either way the fingerprints must match it.  (Range routing keeps a
     // ring's neighbours in their own partition, so only the zero budget
     // spills enough of its few shipped candidates to test it.)
-    let (iteration, step, solution, workset) = order_recording_ring(512, 16);
+    let (iteration, step, solution, workset) = order_recording_ring(512, 16, None);
     let mut unbounded = ExecConfig::new();
     unbounded.channel_credits = None;
     let in_memory = WorksetConfig::new(2).with_exec(unbounded);
@@ -386,6 +413,70 @@ fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths
                 "{label}: superstep {}",
                 a.iteration
             );
+        }
+    }
+}
+
+#[test]
+fn folded_candidates_reach_the_update_in_the_reference_order() {
+    // The ring's candidates fold on their label, a tie keeping the held
+    // candidate — so which sender survives a fold, and the order the
+    // survivors reach the update in, both show in the recorded
+    // fingerprints.  The exchange folds per (source, target) in emission
+    // order and drains in first-seen key order; the reference folds the
+    // same way, so the fingerprints must match it exactly.
+    let lower_label = CombineClosure(
+        |held: RecordView<'_>, candidate: &[Value], out: &mut dyn RecordSink| {
+            if candidate[1].as_long() < held.long(1) {
+                out.emit(candidate);
+            }
+        },
+    );
+    let (iteration, step, solution, workset) =
+        order_recording_ring(512, 16, Some(Arc::new(lower_label)));
+    let (plain, ..) = order_recording_ring(512, 16, None);
+    let mut unbounded = ExecConfig::new();
+    unbounded.channel_credits = None;
+    for (routing, reference_routing) in [
+        (WorksetRouting::Hash, Routing::Hash),
+        (WorksetRouting::Range, Routing::Range),
+    ] {
+        for parallelism in [2, 3] {
+            let label = format!("{routing:?}/p{parallelism}");
+            let config = WorksetConfig::new(parallelism)
+                .with_routing(routing)
+                .with_exec(unbounded.clone());
+            let folded = iteration
+                .run(solution.clone(), workset.clone(), &config)
+                .unwrap();
+            let (s0, w0) = (solution.clone(), workset.clone());
+            let reference = batch_fixpoint_with(
+                &step,
+                parallelism,
+                reference_routing,
+                s0,
+                w0,
+                usize::MAX,
+                &source_major,
+            );
+            let mut ours = folded.solution.clone();
+            ours.sort();
+            assert_eq!(ours, reference.solution, "{label}");
+            let rows = folded.stats.per_iteration.iter();
+            let rows: Vec<_> = rows
+                .map(|s| (s.messages_sent, s.messages_shipped, s.messages_delivered))
+                .collect();
+            let expected: Vec<_> = reference
+                .supersteps
+                .iter()
+                .map(|s| (s.messages, s.shipped, s.delivered))
+                .collect();
+            assert_eq!(rows, expected, "{label}");
+            // Folding changed which candidates the update saw.
+            let unfolded = plain
+                .run(solution.clone(), workset.clone(), &config)
+                .unwrap();
+            assert_ne!(folded.solution, unfolded.solution, "{label}");
         }
     }
 }
