@@ -44,16 +44,14 @@ pub(crate) struct Loaded {
 }
 
 /// Loads `iteration`'s inputs into the partitions `cluster` assigns to this
-/// process.  The asynchronous mode, whose queues carry single serialized
-/// records, loads no working set (`None`) and seeds its workers from the
-/// source itself.  With `fold`, each partition's initial candidates are
-/// folded per key before they reach its queue.
+/// process.  With `fold`, each partition's initial candidates are folded per
+/// key before they reach its queue.
 pub(crate) fn load(
     iteration: &WorksetIteration<'_>,
     router: &PartitionRouter,
     cluster: &ClusterSpec,
     initial_solution: &dyn RecordSource,
-    initial_workset: Option<&dyn RecordSource>,
+    initial_workset: &dyn RecordSource,
     fold: Option<&Arc<dyn CombineFunction>>,
 ) -> Loaded {
     let parallelism = router.parallelism();
@@ -79,7 +77,7 @@ pub(crate) fn load(
                     partition,
                     (initial_solution, s_part),
                     constant,
-                    initial_workset.map(|source| (source, queue)),
+                    (initial_workset, queue),
                     fold,
                 );
             });
@@ -101,7 +99,7 @@ fn load_partition(
     partition: usize,
     (initial_solution, s_part): (&dyn RecordSource, &mut PartitionIndex),
     constant: &mut JoinIndex,
-    workset: Option<(&dyn RecordSource, &mut PageWriter)>,
+    (initial_workset, queue): (&dyn RecordSource, &mut PageWriter),
     fold: Option<&Arc<dyn CombineFunction>>,
 ) {
     let solution_key = &iteration.solution_key;
@@ -121,9 +119,6 @@ fn load_partition(
     pull_share(constant_input, router, constant_key, partition, |fields| {
         constant.insert_fields(fields)
     });
-    let Some((initial_workset, queue)) = workset else {
-        return;
-    };
     let workset_key = &iteration.workset_key;
     let Some(combine) = fold else {
         pull_share(initial_workset, router, workset_key, partition, |fields| {
@@ -222,14 +217,7 @@ mod tests {
         let iteration = iteration(Arc::new(edges.clone()));
         for router in routers() {
             let cluster = ClusterSpec::single();
-            let loaded = load(
-                &iteration,
-                &router,
-                &cluster,
-                &solution,
-                Some(&workset),
-                None,
-            );
+            let loaded = load(&iteration, &router, &cluster, &solution, &workset, None);
             assert_eq!(loaded.solution.len(), solution.len());
             for (partition, queue) in loaded.workset.into_iter().enumerate() {
                 let expected: Vec<Record> = workset
@@ -278,20 +266,13 @@ mod tests {
         let collected = iteration(Arc::new(described.constant_input.collect()));
         for router in routers() {
             let cluster = ClusterSpec::single();
-            let a = load(
-                &described,
-                &router,
-                &cluster,
-                &solution,
-                Some(&workset),
-                None,
-            );
+            let a = load(&described, &router, &cluster, &solution, &workset, None);
             let b = load(
                 &collected,
                 &router,
                 &cluster,
                 &solution.collect(),
-                Some(&workset.collect()),
+                &workset.collect(),
                 None,
             );
             // Same records in the same index order, same page bytes.
@@ -317,14 +298,7 @@ mod tests {
         let iteration = iteration(Arc::new(solution.clone()));
         let router = PartitionRouter::hash(4);
         let cluster = ClusterSpec::new(2, 1).expect("spec");
-        let loaded = load(
-            &iteration,
-            &router,
-            &cluster,
-            &solution,
-            Some(&solution),
-            None,
-        );
+        let loaded = load(&iteration, &router, &cluster, &solution, &solution, None);
         for partition in 0..4 {
             let owned = cluster.owns(partition, 4);
             assert_eq!(
@@ -338,16 +312,6 @@ mod tests {
             );
             assert_eq!(!loaded.workset[partition].is_empty(), owned);
         }
-        // The asynchronous mode loads no working set.
-        let loaded = load(
-            &iteration,
-            &router,
-            &ClusterSpec::single(),
-            &solution,
-            None,
-            None,
-        );
-        assert!(loaded.workset.iter().all(PageWriter::is_empty));
     }
 
     #[test]
@@ -366,7 +330,7 @@ mod tests {
             &router,
             &ClusterSpec::single(),
             &none,
-            None,
+            &none,
             None,
         );
         // Every name is found, once, in the partition it routes to.

@@ -65,13 +65,11 @@ pub struct IterationStats {
     /// Failed attempts at this iteration that were retried (each retry that
     /// led to a recovery counts once).
     pub retries: usize,
-    /// Queue high-water mark of the bounded exchange channels: the maximum
-    /// records any single worker→worker edge held (asynchronous microsteps)
-    /// or the maximum sealed pages any outbox writer buffered in memory
-    /// (superstep exchanges).  Never exceeds the configured channel credits
-    /// when backpressure is on — the invariant the backpressure smoke tests
-    /// assert.  In cluster runs this is the cluster-wide maximum, agreed at
-    /// the superstep barrier.
+    /// Queue high-water mark of the exchange, in pages, in every mode: the
+    /// maximum sealed pages any outbox writer buffered in memory.  Never
+    /// exceeds the configured channel credits when backpressure is on — the
+    /// invariant the backpressure smoke tests assert.  In cluster runs this
+    /// is the cluster-wide maximum, agreed at the superstep barrier.
     pub queue_high_water: usize,
     /// Statistics of the dataflow execution backing this iteration, if the
     /// iteration ran as a dataflow plan (bulk iterations).

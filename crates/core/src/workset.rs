@@ -46,9 +46,8 @@
 //! solution index, its constant-path index and the page writer that becomes
 //! its first queue.  Described inputs never exist as heap records; the
 //! working set is pending as `W0.len()` candidates, known on every process
-//! of a cluster without a barrier.  The asynchronous mode loads `S0` and `N`
-//! the same way and seeds its record queues from `W0` while its workers
-//! drain.
+//! of a cluster without a barrier.  Every mode loads this way; the
+//! asynchronous mode's partition tasks start from the same pages.
 //!
 //! # Folding candidates at the sender
 //!
@@ -96,9 +95,11 @@ use crate::solution_set::{PartitionIndex, RecordComparator, SolutionSet};
 use crate::stats::{IterationRunStats, IterationStats};
 use dataflow::contracts::{CombineFunction, LastEmitted, RecordSink, RecordSource};
 use dataflow::exchange::{self, Combiner, Outbox};
-use dataflow::fault::FaultSite;
+use dataflow::fault::{FaultInjector, FaultSite};
 use dataflow::join_index::JoinIndex;
-use dataflow::page::{for_each_key_group, GroupScratch, PagePool, PageWriter, RecordView};
+use dataflow::page::{
+    for_each_key_group, GroupScratch, PagePool, PageWriter, RecordPage, RecordView,
+};
 use dataflow::prelude::{
     ChannelId, ClusterSpec, DataflowError, ExchangedPartition, ExecConfig, Key, KeyFields,
     PartitionRouter, RangeBounds, Record, Result, SharedPageChannel, SpillManager, Value,
@@ -192,10 +193,11 @@ pub enum ExecutionMode {
     /// and applied deltas are visible immediately within the superstep
     /// (allowed because updates are partition-local, Section 5.3).
     Microstep,
-    /// The `Match` variant without superstep barriers: worker partitions
-    /// exchange workset records through queues and process them as they
-    /// arrive; termination is detected with an in-flight message counter
-    /// (Section 5.3's asynchronous execution).
+    /// The `Match` variant without superstep barriers: every partition runs
+    /// as a task on the shared pool that processes candidate pages as they
+    /// arrive and sends its own on through the ordinary exchange outboxes;
+    /// the run ends when no task runs and every inbox is empty (Section
+    /// 5.3's asynchronous execution, [`crate::microstep`]).
     AsynchronousMicrostep,
 }
 
@@ -235,14 +237,12 @@ pub struct WorksetConfig {
     pub checkpoint: Option<CheckpointPolicy>,
     /// The execution settings of the run:
     ///
-    /// * the memory budget of the superstep exchange — exceeding it spills
-    ///   sealed candidate pages to disk as runs sorted on the workset key,
-    ///   consumed streaming (microstep) or through the page-native merge
-    ///   (batch); the asynchronous mode never spills and ignores it;
-    /// * the channel credits — sealed pages per superstep outbox writer, or
-    ///   records in flight per worker→worker queue in asynchronous mode
-    ///   (senders block, the communication timeout surfacing genuine
-    ///   stalls as typed errors);
+    /// * the memory budget of the candidate exchange — exceeding it spills
+    ///   sealed candidate pages to disk as runs, sorted on the workset key
+    ///   and merged in by the page-native kernel (batch), or unsorted and
+    ///   streamed (both microstep modes);
+    /// * the channel credits — sealed pages per outbox writer, in every
+    ///   mode;
     /// * the fault injector of the spill, checkpoint and pool-dispatch
     ///   sites;
     /// * the transport of the superstep exchange.  With a multi-process
@@ -437,31 +437,14 @@ impl<'a> WorksetIteration<'a> {
         // built from the *full* inputs so every process derives the same
         // partitioning; the load step then keeps what this process owns.
         let router = self.build_router(config, &initial_solution, &initial_workset);
-        // The asynchronous queues carry single serialized records, so that
-        // mode seeds them from the workset source itself; the superstep modes
-        // load it.
-        let asynchronous = config.mode == ExecutionMode::AsynchronousMicrostep;
-        let queued: Option<&dyn RecordSource> = (!asynchronous).then_some(&initial_workset);
         let loaded = load(
             self,
             &router,
             &cluster,
             &initial_solution,
-            queued,
+            &initial_workset,
             self.folds(config),
         );
-        // A source that holds heap records has been read and can go.
-        drop(initial_solution);
-        if asynchronous {
-            return crate::microstep::run_async(
-                self,
-                loaded,
-                &initial_workset,
-                &router,
-                config,
-                start,
-            );
-        }
         // Every process sees the full initial workset (the SPMD contract),
         // so the cluster-wide pending count is known up front without a
         // barrier — and it is what every process's loop condition starts
@@ -469,7 +452,11 @@ impl<'a> WorksetIteration<'a> {
         // counts candidates as emitted, whether the load step folded them
         // or not.
         let pending = initial_workset.len() as u64;
-        drop(initial_workset);
+        // Sources that hold heap records have been read and can go.
+        drop((initial_solution, initial_workset));
+        if config.mode == ExecutionMode::AsynchronousMicrostep {
+            return crate::microstep::run_async(self, loaded, &router, config, start);
+        }
         self.run_supersteps(loaded, pending, &router, config, start)
     }
 
@@ -823,32 +810,8 @@ impl<'a> WorksetIteration<'a> {
         let mut inspected = 0;
 
         let drained = if config.mode == ExecutionMode::Microstep {
-            // Match variant: one workset record at a time, updates visible
-            // immediately.  Every candidate is handed to the update function
-            // as a view of the queue's page — or of the spilled run's frame
-            // buffer, streamed straight off disk — without being copied.
-            let mut key = Key::Long(0);
-            let mut handle = |candidate: RecordView<'_>, step: &mut PartitionStep<'_>| {
-                inspected += 1;
-                candidate.key_into(&self.workset_key, &mut key);
-                if step.update(&key, &[candidate]) {
-                    step.apply(&mut out);
-                }
-            };
-            let (pages, runs, _) = workset.into_pieces();
-            for page in &pages {
-                for candidate in page.reader() {
-                    handle(candidate, &mut step);
-                }
-            }
-            for run in &runs {
-                spill.fault().io_check(FaultSite::SpillRead)?;
-                let mut cursor = run.cursor()?;
-                while cursor.step()? {
-                    handle(cursor.view(), &mut step);
-                }
-            }
-            pages
+            inspected = workset.record_count();
+            step.microsteps(workset, spill.fault(), &mut out)?
         } else {
             // Page-native InnerCoGroup: the candidates are grouped straight
             // off their sealed pages and spilled runs by the shared kernel
@@ -892,8 +855,8 @@ impl<'a> WorksetIteration<'a> {
 /// One partition's side of the step function — its solution partition and
 /// its constant-path index — with the buffers its update and expand calls
 /// reuse.  Every mode runs the join and the expansion through it: the
-/// superstep modes for one superstep, the asynchronous mode for a worker's
-/// whole run.
+/// superstep modes for one superstep, the asynchronous mode for one drain
+/// of a partition's inbox.
 pub(crate) struct PartitionStep<'p> {
     iteration: &'p WorksetIteration<'p>,
     solution: &'p mut PartitionIndex,
@@ -938,6 +901,43 @@ impl<'p> PartitionStep<'p> {
         !self.delta.0.is_empty()
     }
 
+    /// The `Match` variant of the join, shared by both microstep modes:
+    /// one candidate at a time, each delta visible to the next candidate.
+    /// Every candidate of `workset` is handed to the update function as a
+    /// view of its queue page — or of its spilled run's frame buffer,
+    /// streamed straight off disk — without being copied, and its delta is
+    /// applied and expanded into `out` at once.  Returns the drained pages,
+    /// whose buffers the caller recycles.
+    pub(crate) fn microsteps(
+        &mut self,
+        workset: ExchangedPartition,
+        fault: &FaultInjector,
+        out: &mut dyn RecordSink,
+    ) -> Result<Vec<Arc<RecordPage>>> {
+        let iteration = self.iteration;
+        let mut key = Key::Long(0);
+        let mut one = |step: &mut Self, candidate: RecordView<'_>| {
+            candidate.key_into(&iteration.workset_key, &mut key);
+            if step.update(&key, &[candidate]) {
+                step.apply(out);
+            }
+        };
+        let (pages, runs, _) = workset.into_pieces();
+        for page in &pages {
+            for candidate in page.reader() {
+                one(self, candidate);
+            }
+        }
+        for run in &runs {
+            fault.io_check(FaultSite::SpillRead)?;
+            let mut cursor = run.cursor()?;
+            while cursor.step()? {
+                one(self, cursor.view());
+            }
+        }
+        Ok(pages)
+    }
+
     /// Merges the emitted delta into the solution partition and, when it
     /// changed the solution, expands it from its stored bytes into `out`.
     pub(crate) fn apply(&mut self, out: &mut dyn RecordSink) {
@@ -963,7 +963,7 @@ impl<'p> PartitionStep<'p> {
 }
 
 /// A workset queue holding the pages `writer` wrote.
-fn paged_queue(writer: PageWriter) -> ExchangedPartition {
+pub(crate) fn paged_queue(writer: PageWriter) -> ExchangedPartition {
     ExchangedPartition::new(writer.finish())
 }
 
@@ -972,10 +972,10 @@ fn paged_queue(writer: PageWriter) -> ExchangedPartition {
 /// where it is serialized into the page of its target partition.  Emitted
 /// and forwarded candidates take the same road — the queues of a superstep
 /// run hold pages, never heap records.
-struct CandidateSink<'a> {
-    outbox: &'a mut Outbox,
-    router: &'a PartitionRouter,
-    workset_key: &'a [usize],
+pub(crate) struct CandidateSink<'a> {
+    pub(crate) outbox: &'a mut Outbox,
+    pub(crate) router: &'a PartitionRouter,
+    pub(crate) workset_key: &'a [usize],
 }
 
 impl RecordSink for CandidateSink<'_> {
@@ -1158,10 +1158,8 @@ impl<'a> WorksetIterationBuilder<'a> {
 mod tests {
     use super::*;
     use dataflow::contracts::SourceClosure;
-    use dataflow::page::{RecordPage, SerializedRecord};
     use dataflow::prelude::{
-        default_physical_plan, Executor, FaultInjector, MemoryBudget, Plan, SinkPages,
-        TransportHandle,
+        default_physical_plan, Executor, MemoryBudget, Plan, SinkPages, TransportHandle,
     };
     use reference::fixpoint::{batch_fixpoint, Fixpoint, Routing, WorksetStep};
 
@@ -1464,7 +1462,9 @@ mod tests {
                     if emit_fields {
                         out.emit(&fields);
                     } else {
-                        out.forward(SerializedRecord::from_fields(&fields).view());
+                        let mut page = PageWriter::new();
+                        let record = page.push_fields(&fields);
+                        out.forward(page.view(record));
                     }
                 }
             },

@@ -1,20 +1,15 @@
-//! Bounded, credit-based channels for backpressure.
+//! Bounded, credit-based channels for backpressure between threads.
 //!
-//! The asynchronous microstep runtime historically exchanged records through
-//! unbounded `std::sync::mpsc` queues — the one place the memory budget of
-//! [`crate::spill`] did not reach: an adversarial expansion fan-out could
-//! enqueue records faster than consumers drain them and exhaust memory while
-//! every spill test stayed green.
-//!
-//! A [`credit_channel`] bounds that queue with *credits*. Every sender clone
+//! A [`credit_channel`] bounds a queue with *credits*. Every sender clone
 //! is an independent **edge** with a fixed pool of `credits`: enqueueing an
 //! item acquires one credit from the sending edge's pool, and the credit
 //! returns to the pool when the receiver dequeues the item. A sender whose
-//! pool is exhausted either observes [`TrySendError::Full`] (non-blocking) or
-//! blocks with a bounded deadline ([`CreditSender::send`]) so that a true
-//! distributed deadlock surfaces as a typed [`SendError::Timeout`] instead of
-//! a hang — the same discipline the transport layer uses for
-//! `CommError::Timeout`.
+//! pool is exhausted blocks with a bounded deadline ([`CreditSender::send`])
+//! so that a true deadlock surfaces as a typed [`SendError::Timeout`]
+//! instead of a hang — the same discipline the transport layer uses for
+//! `CommError::Timeout`.  (The engine's own exchanges bound their memory in
+//! sealed pages per writer instead, and spill what exceeds it; see
+//! `crate::spill::SpillManager::with_page_credits`.)
 //!
 //! Because credits are released at *dequeue* time, a consumer that panics
 //! while processing an item it already received leaks no credits: the act of
@@ -23,12 +18,8 @@
 //!
 //! The queue high-water mark ([`CreditReceiver::high_water`]) records the
 //! maximum number of credits any single edge ever had in flight; by
-//! construction it never exceeds the configured credit count, which is what
-//! the backpressure smoke tests assert.
-//!
-//! The credit count is configured through
-//! [`ExecConfig::channel_credits`](crate::exec::ExecConfig::channel_credits),
-//! which defaults to the `SPINNING_CHANNEL_CREDITS` environment variable.
+//! construction it never exceeds the channel's credit count, which is what
+//! the channel's property tests assert.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -36,9 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-pub use comm::{
-    channel_credits_from_env, positive_from_env, timeout_from_env, CHANNEL_CREDITS_ENV,
-};
+pub use comm::{channel_credits_from_env, positive_from_env};
 
 /// One sender→receiver edge: the number of credits currently held by items
 /// this edge has enqueued but the receiver has not yet dequeued.
@@ -77,15 +66,6 @@ pub enum SendError<T> {
     /// tripping instead of hanging forever.
     Timeout(T),
     /// The receiver was dropped; no item will ever be consumed again.
-    Disconnected(T),
-}
-
-/// Error returned by the non-blocking [`CreditSender::try_send`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The sending edge has no free credits right now.
-    Full(T),
-    /// The receiver was dropped.
     Disconnected(T),
 }
 
@@ -178,19 +158,6 @@ impl<T> CreditSender<T> {
         self.core.recv_cv.notify_one();
     }
 
-    /// Enqueues `item` if the edge has a free credit, without blocking.
-    pub fn try_send(&self, item: T) -> Result<(), TrySendError<T>> {
-        let mut state = self.core.state.lock().unwrap();
-        if !state.receiver_alive {
-            return Err(TrySendError::Disconnected(item));
-        }
-        if self.edge.in_use.load(Ordering::Relaxed) >= self.core.credits {
-            return Err(TrySendError::Full(item));
-        }
-        self.push_locked(&mut state, item);
-        Ok(())
-    }
-
     /// Enqueues `item`, blocking until a credit frees up, bounded by the
     /// channel timeout.
     pub fn send(&self, item: T) -> Result<(), SendError<T>> {
@@ -198,7 +165,7 @@ impl<T> CreditSender<T> {
     }
 
     /// Like [`CreditSender::send`] but with an explicit bound on the wait.
-    pub fn send_deadline(&self, item: T, wait: Duration) -> Result<(), SendError<T>> {
+    fn send_deadline(&self, item: T, wait: Duration) -> Result<(), SendError<T>> {
         let deadline = Instant::now() + wait;
         let mut state = self.core.state.lock().unwrap();
         loop {
@@ -340,7 +307,10 @@ mod tests {
         let (tx, rx) = credit_channel(2, SHORT);
         tx.send(1).unwrap();
         tx.send(2).unwrap();
-        assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
+        assert_eq!(
+            tx.send_deadline(3, Duration::ZERO),
+            Err(SendError::Timeout(3))
+        );
         assert_eq!(tx.send(3), Err(SendError::Timeout(3)));
         // Draining one item returns a credit.
         assert_eq!(rx.recv_timeout(LONG).unwrap(), 1);
@@ -354,7 +324,10 @@ mod tests {
         let tx_b = tx_a.clone();
         tx_a.send("a").unwrap();
         // Edge A is full but edge B still has its credit.
-        assert_eq!(tx_a.try_send("a2"), Err(TrySendError::Full("a2")));
+        assert_eq!(
+            tx_a.send_deadline("a2", Duration::ZERO),
+            Err(SendError::Timeout("a2"))
+        );
         tx_b.send("b").unwrap();
         assert_eq!(rx.recv_timeout(LONG).unwrap(), "a");
         assert_eq!(rx.recv_timeout(LONG).unwrap(), "b");
@@ -400,16 +373,16 @@ mod tests {
         let _ = rx.recv_timeout(LONG).unwrap();
         // Pretend the consumer panicked while processing; the edge can still
         // send because the dequeue freed its credit.
-        tx.try_send(2).unwrap();
+        tx.send_deadline(2, Duration::ZERO).unwrap();
     }
 
     #[test]
     fn high_water_never_exceeds_credits() {
         let (tx, rx) = credit_channel(2, LONG);
         for i in 0..10u64 {
-            if tx.try_send(i).is_err() {
+            if let Err(SendError::Timeout(i)) = tx.send_deadline(i, Duration::ZERO) {
                 rx.try_recv().unwrap();
-                tx.try_send(i).unwrap();
+                tx.send_deadline(i, Duration::ZERO).unwrap();
             }
         }
         assert_eq!(rx.high_water(), 2);

@@ -126,15 +126,15 @@ pub struct ExecConfig {
     /// exceeding it moves sealed pages to disk as sorted runs (see
     /// [`crate::spill`]).  Unlimited by default — nothing ever spills.
     pub memory_budget: MemoryBudget,
-    /// Credits of the bounded exchange channels — the backpressure knob.
-    /// Every exchange's outbox writer flushes its sealed pages to disk once
-    /// this many are buffered, bounding exchange memory at
-    /// `credits × page_size` per writer whatever the byte budget; the
-    /// asynchronous workset mode bounds each worker→worker queue to this
-    /// many records.  Defaults to `SPINNING_CHANNEL_CREDITS`; `None` leaves
-    /// the byte budget alone in charge (and the asynchronous queues at their
-    /// generous default).  Results are identical either way —
-    /// backpressure changes *when* data moves, never *what* is computed.
+    /// Credits of the exchange — the backpressure knob, in sealed pages.
+    /// Every exchange's outbox writer, in every mode (the executor's
+    /// repartitioning, the superstep exchange, the asynchronous workset
+    /// tasks' outboxes), flushes its sealed pages to disk once this many are
+    /// buffered, bounding exchange memory at `credits × page_size` per
+    /// writer whatever the byte budget.  Defaults to
+    /// `SPINNING_CHANNEL_CREDITS`; `None` leaves the byte budget alone in
+    /// charge.  Results are identical either way — backpressure changes
+    /// *when* data moves, never *what* is computed.
     pub channel_credits: Option<usize>,
     /// Fault injector consulted at spill flushes, checkpoints and worker
     /// dispatch sites (see [`crate::fault`]).  Defaults to
@@ -151,9 +151,8 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     /// Reads the execution settings' environment defaults.  It is not the
     /// only reader: `comm::tcp::TcpOptions::default` also reads
-    /// `SPINNING_CHANNEL_CREDITS` and `SPINNING_COMM_TIMEOUT_SECS`, and the
-    /// asynchronous workset run reads the latter (ROADMAP item 5(c) gathers
-    /// them into one reader).
+    /// `SPINNING_CHANNEL_CREDITS` and `SPINNING_COMM_TIMEOUT_SECS` (ROADMAP
+    /// item 5(c) gathers them into one reader).
     fn default() -> Self {
         ExecConfig {
             memory_budget: MemoryBudget::unlimited(),

@@ -87,7 +87,6 @@ pub mod prelude {
     };
     pub use crate::credit::{
         credit_channel, CreditReceiver, CreditSender, RecvTimeoutError, SendError, TryRecvError,
-        TrySendError,
     };
     pub use crate::error::{DataflowError, Result};
     pub use crate::exec::{

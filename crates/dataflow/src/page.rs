@@ -340,27 +340,6 @@ pub(crate) fn view_in(bytes: &[u8], offset: usize) -> RecordView<'_> {
     }
 }
 
-/// One record serialized on its own, framed exactly as on a page — how a
-/// record travels where no page does (the asynchronous workset queues).
-#[derive(Debug)]
-pub struct SerializedRecord(Box<[u8]>);
-
-impl SerializedRecord {
-    /// Serializes a record given as its field slice.
-    pub fn from_fields(fields: &[Value]) -> SerializedRecord {
-        let width = serialized_width(fields);
-        let mut bytes = Vec::with_capacity(width);
-        serialize_fields_with_width(fields, width, &mut bytes);
-        SerializedRecord(bytes.into_boxed_slice())
-    }
-
-    /// The record, read in place.
-    #[inline]
-    pub fn view(&self) -> RecordView<'_> {
-        view_in(&self.0, 0)
-    }
-}
-
 /// The address of one serialized record inside a [`PageWriter`]: the page
 /// index and the byte offset of the record's length frame.  Handles are 8
 /// bytes, `Copy`, and totally ordered by insertion position — sorting

@@ -809,9 +809,10 @@ impl SpillManager {
     /// Caps the sealed pages a handed-out writer may buffer in memory: once
     /// `credits` pages are sealed they are flushed to disk as a run, bounding
     /// each writer at `credits × page_bytes` of buffered exchange data
-    /// regardless of the byte budget.  This is the superstep-exchange half of
-    /// credit-based backpressure — the barrier makes blocking producers
-    /// deadlock-prone, so bounding happens by spilling, not by stalling.
+    /// regardless of the byte budget.  This is the exchange's credit-based
+    /// backpressure, in every mode — a producer blocked against a barrier,
+    /// or against a sibling task on the shared pool, could deadlock, so
+    /// bounding happens by spilling, not by stalling.
     /// `None` (the default) leaves only the byte budget in charge.
     pub fn with_page_credits(mut self, credits: Option<usize>) -> SpillManager {
         Arc::make_mut(&mut self.inner).page_credits = credits.map(|c| c.max(1));

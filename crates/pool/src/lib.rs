@@ -44,12 +44,11 @@
 //! re-raised from `scope` on the submitting thread (the first panic wins, all
 //! other tasks still run to completion).
 //!
-//! Most callers want [`global`], the shared process-wide pool sized to the
-//! available hardware parallelism.  Tasks that **block** (e.g. the
-//! asynchronous microstep workers, which poll channels until a termination
-//! counter drains) must not run on the shared pool — they would starve other
-//! scopes; such callers create a dedicated [`ThreadPool`] sized to their
-//! partition count instead.
+//! Every caller in the workspace uses [`global`], the shared process-wide
+//! pool sized to the available hardware parallelism.  No task blocks: a
+//! task that must wait for more input (an asynchronous microstep partition)
+//! returns instead, and whoever produces the input spawns it again on the
+//! same scope — a task may capture its [`Scope`] and spawn on it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -423,11 +422,11 @@ impl Drop for ThreadPool {
 /// The shared process-wide pool, created on first use and sized to the
 /// available hardware parallelism.
 ///
-/// All non-blocking parallel regions (operator local phases, superstep
-/// partitions, baseline-engine partitions) run here, so their dispatch cost
-/// is a deque push regardless of how many drivers are active.  Do **not**
-/// submit tasks that block indefinitely — give them a dedicated
-/// [`ThreadPool`] instead.
+/// Every parallel region (operator local phases, superstep partitions,
+/// asynchronous microstep partitions, baseline-engine partitions) runs
+/// here, so its dispatch cost is a deque push regardless of how many
+/// drivers are active.  Tasks must not block waiting for one another: a
+/// task blocked on a sibling occupies a worker the sibling may need.
 pub fn global() -> &'static ThreadPool {
     static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
     GLOBAL.get_or_init(|| {
@@ -690,6 +689,23 @@ mod tests {
         let mut x = 0;
         global().scope(|s| s.spawn(|| x = 7));
         assert_eq!(x, 7);
+    }
+
+    /// Spawns the next link of a chain of `remaining` tasks on `scope`.
+    fn respawn<'s>(scope: &'s Scope<'s, '_>, remaining: usize, ran: &'s AtomicUsize) {
+        ran.fetch_add(1, Ordering::SeqCst);
+        if remaining > 0 {
+            scope.spawn(move || respawn(scope, remaining - 1, ran));
+        }
+    }
+
+    #[test]
+    fn a_task_spawns_its_successor_on_its_own_scope() {
+        // The scope returns only once the whole chain has run, however
+        // often a task hands on to one it spawned itself.
+        let ran = AtomicUsize::new(0);
+        global().scope(|s| s.spawn(|| respawn(s, 100, &ran)));
+        assert_eq!(ran.load(Ordering::SeqCst), 101);
     }
 
     #[test]

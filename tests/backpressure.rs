@@ -6,17 +6,17 @@
 //! label out to thousands of neighbours, so unbounded channels would buffer
 //! far more than two records per edge:
 //!
-//! * the asynchronous microstep engine in-process, where senders block on
-//!   the per-edge credit pool;
-//! * the superstep engine in-process, where each outbox writer flushes its
-//!   sealed pages to a spill run once it holds `credits` of them;
+//! * the asynchronous microstep engine in-process and the superstep engine
+//!   in-process, where each outbox writer flushes its sealed pages to a
+//!   spill run once it holds `credits` of them;
 //! * a 3-process TCP cluster (batch mode) with `SPINNING_CHANNEL_CREDITS=2`
 //!   in the workers' *and* the oracle's environment, pinning that the
 //!   credit knob leaves solutions and superstep traces byte-identical.
 //!
 //! Every scenario also checks the queue high-water statistic the engines
-//! report stays at or under the credit bound — the paper's bounded-memory
-//! claim, observable end to end.
+//! report — sealed pages per outbox writer, in every mode — stays at or
+//! under the credit bound: the paper's bounded-memory claim, observable end
+//! to end.
 
 use algorithms::{cc_async, cc_incremental, ComponentsConfig};
 use graphdata::{rmat, RmatParams};
@@ -51,12 +51,9 @@ fn tight_credits_bound_async_queues_without_changing_the_fixpoint() {
     let high_water = result.stats.max_queue_high_water();
     assert!(
         high_water <= CREDITS,
-        "an edge queued {high_water} records against {CREDITS} credits"
+        "an outbox held {high_water} sealed pages against {CREDITS} page credits"
     );
-    assert!(
-        high_water >= 1,
-        "an expansion-heavy run must enqueue something"
-    );
+    assert!(high_water >= 1, "an expansion-heavy run must ship a page");
 }
 
 #[test]

@@ -305,9 +305,11 @@ fn assert_same_supersteps(ours: &WorksetResult, theirs: &WorksetResult, label: &
 }
 
 /// Batch-incremental CC and SSSP fold their candidates before the exchange
-/// wherever it cannot spill: at parallelism 1, 2 and 3, unbudgeted, at
-/// budget 0 and under two credits, every run equals the reference fixpoint
-/// (after the fold where the engine folds) and the run without a combine.
+/// wherever it cannot spill: at parallelism 1, 2 and 3, unbudgeted (the
+/// default credits), at budget 0 and under one and two credits, every run
+/// equals the reference fixpoint (after the fold where the engine folds)
+/// and the run without a combine, and the asynchronous runs reach the
+/// reference's solution.
 #[test]
 fn folded_cc_and_sssp_match_the_reference_and_the_unfolded_run() {
     let graph = rmat(400, 3200, RmatParams::default(), 61).symmetrize();
@@ -319,6 +321,7 @@ fn folded_cc_and_sssp_match_the_reference_and_the_unfolded_run() {
             "budget 0",
             ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0)),
         ),
+        ("1 credit", ExecConfig::new().with_channel_credits(1)),
         ("2 credits", ExecConfig::new().with_channel_credits(2)),
     ];
     for parallelism in [1, 2, 3] {
@@ -326,6 +329,7 @@ fn folded_cc_and_sssp_match_the_reference_and_the_unfolded_run() {
             let config = WorksetConfig::new(parallelism).with_exec(exec.clone());
             let label = format!("p{parallelism}/{regime}");
             support::assert_folded_runs_match_the_reference(&graph, 3, &config, &label);
+            support::assert_async_runs_reach_the_reference(&graph, 3, &config, &label);
         }
     }
 }

@@ -81,19 +81,31 @@ fn range_routed_cc_matches_hash_routed_cc_superstep_for_superstep() {
     }
 }
 
+/// Range-routed batch CC and SSSP equal the reference fixpoint, and the
+/// asynchronous runs reach its solution, unbudgeted (the default credits),
+/// at budget 0 and under one and two credits.
 #[test]
 fn range_routed_folded_cc_and_sssp_match_the_reference_fixpoint() {
     let graph = rmat(400, 2000, RmatParams::default(), 23).symmetrize();
     let mut unbounded = ExecConfig::new();
     unbounded.channel_credits = None;
-    let budget_zero = ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0));
+    let regimes = [
+        ("unbudgeted", unbounded),
+        (
+            "budget 0",
+            ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0)),
+        ),
+        ("1 credit", ExecConfig::new().with_channel_credits(1)),
+        ("2 credits", ExecConfig::new().with_channel_credits(2)),
+    ];
     for parallelism in [1, 2, 3] {
-        for (regime, exec) in [("unbudgeted", &unbounded), ("budget 0", &budget_zero)] {
+        for (regime, exec) in &regimes {
             let config = WorksetConfig::new(parallelism)
                 .with_range_routing()
                 .with_exec(exec.clone());
             let label = format!("range/p{parallelism}/{regime}");
             support::assert_folded_runs_match_the_reference(&graph, 5, &config, &label);
+            support::assert_async_runs_reach_the_reference(&graph, 5, &config, &label);
         }
     }
 }

@@ -5,8 +5,8 @@
 //! budget small enough to force multi-run spills (including the `bytes(0)`
 //! "spill everything" extreme) — and pins the spilled run byte-for-byte to
 //! the in-memory run and to the sequential oracles, across execution modes
-//! (batch incremental, microstep, bulk) and both routing schemes (hash and
-//! range).  `spilled_bytes`/`spilled_runs` counters prove the out-of-core
+//! (batch incremental, microstep, asynchronous, bulk) and both routing
+//! schemes (hash and range).  `spilled_bytes`/`spilled_runs` counters prove the out-of-core
 //! path actually ran; the in-memory runs prove an unlimited budget never
 //! touches disk.
 //!
@@ -159,10 +159,6 @@ fn spilled_sssp_matches_oracle_in_every_mode_and_routing() {
         for mode in [
             ExecutionMode::BatchIncremental,
             ExecutionMode::Microstep,
-            // The asynchronous mode exchanges records through queues and
-            // ignores the budget (bounding those queues is the credit-based
-            // backpressure follow-on); it must still run correctly with a
-            // budget configured.
             ExecutionMode::AsynchronousMicrostep,
         ] {
             let config = WorksetConfig::new(3)
@@ -172,13 +168,10 @@ fn spilled_sssp_matches_oracle_in_every_mode_and_routing() {
             let result = sssp_with_config(&graph, source, &config).unwrap();
             assert_eq!(result.distances, oracle, "{mode:?} / {routing:?}");
             assert!(result.converged);
-            if mode != ExecutionMode::AsynchronousMicrostep {
-                assert!(
-                    result.stats.total_spilled_bytes() > 0,
-                    "superstep modes must spill under the forced budget \
-                     ({mode:?} / {routing:?})"
-                );
-            }
+            assert!(
+                result.stats.total_spilled_bytes() > 0,
+                "every mode must spill under the forced budget ({mode:?} / {routing:?})"
+            );
         }
     }
 }
@@ -197,6 +190,7 @@ fn spilled_cc_and_sssp_rows_match_the_reference_fixpoint() {
                 .with_exec(ExecConfig::new().with_memory_budget(forced_budget()));
             let label = format!("{routing:?}/p{parallelism}/forced budget");
             support::assert_folded_runs_match_the_reference(&graph, 0, &config, &label);
+            support::assert_async_runs_reach_the_reference(&graph, 0, &config, &label);
         }
     }
 }

@@ -112,45 +112,10 @@ pub fn assert_folded_runs_match_the_reference(
     label: &str,
 ) {
     let config = config.clone().with_mode(ExecutionMode::BatchIncremental);
-    let routing = match config.routing {
-        WorksetRouting::Hash => Routing::Hash,
-        WorksetRouting::Range => Routing::Range,
-    };
-    let components = ComponentsConfig::new(config.parallelism)
-        .with_routing(config.routing)
-        .with_exec(config.exec.clone());
     let edges = edge_records(graph);
-    let sssp_solution: Vec<Record> = graph
-        .vertices()
-        .map(|v| Record::pair(i64::from(v), if v == source { 0 } else { UNREACHABLE }))
-        .collect();
-    let sssp_workset: Vec<Record> = graph
-        .neighbors(source)
-        .iter()
-        .map(|&t| Record::pair(i64::from(t), 1))
-        .collect();
-    let cases = [
-        (
-            "cc",
-            cc_workset_records(graph, &components, config.mode).unwrap(),
-            0,
-            initial_components(graph),
-            initial_component_candidates(graph),
-        ),
-        (
-            "sssp",
-            sssp_records(graph, source, &config).unwrap(),
-            1,
-            sssp_solution,
-            sssp_workset,
-        ),
-    ];
-    for (algo, folded, hop_cost, solution, workset) in cases {
+    for (algo, folded, hop_cost, solution, workset) in algorithm_runs(graph, source, &config) {
         let label = format!("{algo} {label}");
-        let step = reference_step(&edges, hop_cost, &config.exec);
-        let parallelism = config.parallelism;
-        let (s0, w0) = (solution.clone(), workset.clone());
-        let reference = batch_fixpoint(&step, parallelism, routing, s0, w0, usize::MAX);
+        let reference = reference_fixpoint(&edges, hop_cost, &config, &solution, &workset);
         assert_matches(&folded, &reference, &label);
 
         let plain = unfolded_min_propagation(Arc::clone(&edges), hop_cost)
@@ -163,7 +128,7 @@ pub fn assert_folded_runs_match_the_reference(
         let pairs = rows.iter().zip(rows.iter().skip(1));
         for (now, next) in pairs.filter(|_| exchange_folds(&config.exec)) {
             assert!(
-                now.messages_delivered <= parallelism * next.elements_inspected,
+                now.messages_delivered <= config.parallelism * next.elements_inspected,
                 "{label}: superstep {} delivered {} candidates for {} keys",
                 now.iteration,
                 now.messages_delivered,
@@ -171,6 +136,85 @@ pub fn assert_folded_runs_match_the_reference(
             );
         }
     }
+}
+
+/// Asynchronous CC and SSSP (from `source`) on `graph` under `config` (its
+/// mode replaced by the asynchronous one) must reach the reference
+/// fixpoint: the same solution records, sorted, byte for byte.  An
+/// asynchronous run has no supersteps to compare.
+pub fn assert_async_runs_reach_the_reference(
+    graph: &Graph,
+    source: u32,
+    config: &WorksetConfig,
+    label: &str,
+) {
+    let config = config
+        .clone()
+        .with_mode(ExecutionMode::AsynchronousMicrostep);
+    let edges = edge_records(graph);
+    for (algo, run, hop_cost, solution, workset) in algorithm_runs(graph, source, &config) {
+        let label = format!("async {algo} {label}");
+        let reference = reference_fixpoint(&edges, hop_cost, &config, &solution, &workset);
+        let mut reached = run.solution;
+        reached.sort();
+        assert_eq!(reached, reference.solution, "{label}");
+        assert!(run.converged && reference.converged, "{label}");
+    }
+}
+
+/// One algorithm's run: its name, its result, its hop cost, and the initial
+/// solution and working set the reference evaluates it from.
+type AlgorithmRun = (&'static str, WorksetResult, i64, Vec<Record>, Vec<Record>);
+
+/// CC and SSSP (from `source`) on `graph`, run by the algorithms under
+/// `config`.
+fn algorithm_runs(graph: &Graph, source: u32, config: &WorksetConfig) -> [AlgorithmRun; 2] {
+    let components = ComponentsConfig::new(config.parallelism)
+        .with_routing(config.routing)
+        .with_exec(config.exec.clone());
+    let sssp_solution: Vec<Record> = graph
+        .vertices()
+        .map(|v| Record::pair(i64::from(v), if v == source { 0 } else { UNREACHABLE }))
+        .collect();
+    let sssp_workset: Vec<Record> = graph
+        .neighbors(source)
+        .iter()
+        .map(|&t| Record::pair(i64::from(t), 1))
+        .collect();
+    [
+        (
+            "cc",
+            cc_workset_records(graph, &components, config.mode).unwrap(),
+            0,
+            initial_components(graph),
+            initial_component_candidates(graph),
+        ),
+        (
+            "sssp",
+            sssp_records(graph, source, config).unwrap(),
+            1,
+            sssp_solution,
+            sssp_workset,
+        ),
+    ]
+}
+
+/// The reference evaluator's fixpoint of min propagation over `edges` from
+/// `solution` and `workset`, partitioned as `config` partitions.
+fn reference_fixpoint(
+    edges: &[Record],
+    hop_cost: i64,
+    config: &WorksetConfig,
+    solution: &[Record],
+    workset: &[Record],
+) -> Fixpoint {
+    let routing = match config.routing {
+        WorksetRouting::Hash => Routing::Hash,
+        WorksetRouting::Range => Routing::Range,
+    };
+    let step = reference_step(edges, hop_cost, &config.exec);
+    let (s0, w0) = (solution.to_vec(), workset.to_vec());
+    batch_fixpoint(&step, config.parallelism, routing, s0, w0, usize::MAX)
 }
 
 /// `run` took `reference`'s supersteps and reached its solution.
