@@ -93,21 +93,6 @@ pub fn timeout_from_env() -> Duration {
     Duration::from_secs(positive_from_env(TIMEOUT_ENV).unwrap_or(DEFAULT_TIMEOUT_SECS))
 }
 
-/// Environment variable configuring the per-edge credit count of the bounded
-/// channels: records in flight per sender→receiver edge in the async
-/// microstep runtime, in-memory sealed pages per outbox writer in the
-/// superstep exchange, and (clamped to at least
-/// [`tcp::MIN_ROUND_WINDOW`]) the per-peer round window of the TCP
-/// transport.  Unset means each layer's own default; memory per edge is
-/// bounded by `credits × page_size`.
-pub const CHANNEL_CREDITS_ENV: &str = "SPINNING_CHANNEL_CREDITS";
-
-/// Reads the configured channel credit count from [`CHANNEL_CREDITS_ENV`]
-/// (`None` when unset, malformed or zero).
-pub fn channel_credits_from_env() -> Option<usize> {
-    positive_from_env(CHANNEL_CREDITS_ENV)
-}
-
 // --- Cluster shape -----------------------------------------------------------
 
 /// The shape of the cluster: how many worker processes there are and which
@@ -448,18 +433,6 @@ impl<P> Inbox<P> {
         self.cv.notify_all();
     }
 
-    /// The typed error recorded for `peer`, if its connection died — lets
-    /// the TCP round-window waiters fail fast instead of waiting out their
-    /// deadline on a credit a dead peer can never grant.
-    pub(crate) fn dead_error(&self, peer: usize) -> Option<CommError> {
-        self.state
-            .lock()
-            .expect("inbox lock")
-            .dead
-            .get(&peer)
-            .cloned()
-    }
-
     /// Delivers a batch of pages into `(id, round, from, to)`.
     ///
     /// Insertions never fail on a poisoned inbox: a peer that finished its
@@ -506,13 +479,26 @@ impl<P> Inbox<P> {
         self.cv.notify_all();
     }
 
+    /// Opens `round` of channel `id` unless the channel would then hold
+    /// more than `limit` undrained rounds; on refusal returns how many it
+    /// would have held.  A round already held is always accepted.
+    pub(crate) fn open_round(&self, id: ChannelId, round: u64, limit: usize) -> Result<(), usize> {
+        let mut state = self.state.lock().expect("inbox lock");
+        let rounds = state.channels.entry((id.group, id.edge)).or_default();
+        if !rounds.contains_key(&round) {
+            if rounds.len() >= limit {
+                return Err(rounds.len() + 1);
+            }
+            rounds.insert(round, RoundState::default());
+        }
+        Ok(())
+    }
+
     /// Blocks until all `partitions` sources finished `(id, round)`, then
     /// drains target `to`'s batches in source order.  `owned_targets` bounds
     /// the round's lifetime: once every owned target drained, the round's
-    /// state is dropped and the returned flag is `true` — the TCP backend
-    /// uses that edge to grant its peers a fresh round credit.  `owner` maps
-    /// a source partition to the process that hosts it, so a dead peer only
-    /// fails waits it still owes data.
+    /// state is dropped.  `owner` maps a source partition to the process
+    /// that hosts it, so a dead peer only fails waits it still owes data.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn wait_recv(
         &self,
@@ -523,7 +509,7 @@ impl<P> Inbox<P> {
         owned_targets: usize,
         timeout: Duration,
         owner: impl Fn(usize) -> usize,
-    ) -> Result<(SourceBatches<P>, bool), CommError> {
+    ) -> Result<SourceBatches<P>, CommError> {
         let deadline = Instant::now() + timeout;
         let mut state = self.state.lock().expect("inbox lock");
         loop {
@@ -580,11 +566,10 @@ impl<P> Inbox<P> {
             .map(|by_from| by_from.into_iter().collect())
             .unwrap_or_default();
         round_state.drained.insert(to);
-        let round_done = round_state.drained.len() >= owned_targets;
-        if round_done {
+        if round_state.drained.len() >= owned_targets {
             rounds.remove(&round);
         }
-        Ok((batches, round_done))
+        Ok(batches)
     }
 
     /// Records `values` from `process` at `(group, round)` (see
@@ -739,7 +724,7 @@ impl<P: Send + Sync + 'static> PageChannel<P> for LocalChannel<P> {
     }
 
     fn recv(&self, round: u64, to: usize) -> Result<Vec<(usize, Vec<Arc<P>>)>, CommError> {
-        let (batches, _round_done) = self.inbox.wait_recv(
+        self.inbox.wait_recv(
             self.id,
             round,
             to,
@@ -748,8 +733,7 @@ impl<P: Send + Sync + 'static> PageChannel<P> for LocalChannel<P> {
             self.timeout,
             // Single process: every partition lives here.
             |_| 0,
-        )?;
-        Ok(batches)
+        )
     }
 }
 
@@ -896,19 +880,6 @@ mod tests {
         let err = parse(Some("0")).unwrap_err();
         assert!(err.contains("at least 1"), "got {err}");
         assert!(parse(Some("-3")).is_err());
-    }
-
-    #[test]
-    fn channel_credit_parsing_accepts_valid_and_rejects_garbage() {
-        let parse = |raw| parse_positive::<usize>(CHANNEL_CREDITS_ENV, raw);
-        assert_eq!(parse(None), Ok(None));
-        assert_eq!(parse(Some("")), Ok(None));
-        assert_eq!(parse(Some("2")), Ok(Some(2)));
-        assert_eq!(parse(Some(" 1024 ")), Ok(Some(1024)));
-        let err = parse(Some("lots")).unwrap_err();
-        assert!(err.contains(CHANNEL_CREDITS_ENV), "got {err}");
-        let err = parse(Some("0")).unwrap_err();
-        assert!(err.contains("at least 1"), "got {err}");
     }
 
     #[test]

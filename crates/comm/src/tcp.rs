@@ -20,7 +20,7 @@
 //! channel group/edge, round, source, target, payload length, and a CRC-32
 //! of the header's first 52 bytes) followed by the payload: page frames of
 //! [`crate::frame`] back to back — one per page of a `PAGES` message, one
-//! holding the values of an `ALL_GATHER`, none for `END_ROUND` and `CREDIT`.
+//! holding the values of an `ALL_GATHER`, none for `END_ROUND`.
 //! Every byte on the wire is thus under exactly one CRC, computed once.  A
 //! sender writes the header, each frame header and each page's own bytes in
 //! vectored writes, with no payload buffer in between; a receiver reads each
@@ -33,17 +33,27 @@
 //! its EOF), so a worker that finishes its run and exits cleanly never takes
 //! down the cluster, while a peer lost mid-superstep surfaces as a typed
 //! error at the superstep barrier — never as a hang.
+//!
+//! ## Pacing
+//!
+//! The transport runs no flow control of its own: the superstep barrier is
+//! the cluster's.  A workset iteration agrees on every superstep through an
+//! [`all_gather`](Transport::all_gather) that each process joins only after
+//! it drained its own targets, and opens the next round only after it, so
+//! no process sends round r+1 before every process drained round r.  A
+//! receiver therefore holds at most one undrained round per channel; a peer
+//! that opens more than `MAX_HELD_ROUNDS` has left the barrier, and its
+//! stream is torn.
 
 use crate::frame::{frame_header, FrameHeader, FRAME_HEADER_BYTES};
 use crate::{
-    channel_credits_from_env, crc32, timeout_from_env, ChannelId, ClusterSpec, CommError,
-    FaultHook, Inbox, PageChannel, Transport, WireCodec,
+    crc32, timeout_from_env, ChannelId, ClusterSpec, CommError, FaultHook, Inbox, PageChannel,
+    Transport, WireCodec,
 };
-use std::collections::{BTreeSet, HashMap};
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Frame and handshake magic: `b"SPNC"` ("spinning comm").
@@ -51,7 +61,8 @@ pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"SPNC");
 
 /// Wire protocol version carried in the handshake; peers must match exactly.
 /// Version 2: page frames as payload, the header under its own CRC.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// Version 3: no `CREDIT` message; the superstep barrier paces rounds.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 const WIRE_HEADER_BYTES: usize = 56;
 const HELLO_BYTES: usize = 24;
@@ -59,21 +70,14 @@ const HELLO_BYTES: usize = 24;
 const KIND_PAGES: u32 = 1;
 const KIND_END_ROUND: u32 = 2;
 const KIND_ALL_GATHER: u32 = 3;
-const KIND_CREDIT: u32 = 4;
 
-/// Smallest usable per-peer round window.  Two rounds are always in play
-/// under barrier-synchronized supersteps (the round being credited back and
-/// its successor), so [`crate::CHANNEL_CREDITS_ENV`] values below this are
-/// clamped up rather than allowed to deadlock legitimate traffic.
-pub const MIN_ROUND_WINDOW: usize = 2;
-
-/// Per-peer round window when [`crate::CHANNEL_CREDITS_ENV`] is unset.
-pub const DEFAULT_ROUND_WINDOW: usize = 64;
-
-/// Extra rounds a receiver tolerates beyond its own window before declaring
-/// a peer's stream misbehaved: its credit grant for the oldest round may
-/// still be in flight while the peer legitimately opens the newest one.
-const RECV_ROUND_SLACK: usize = 2;
+/// Undrained rounds one channel's inbox may hold before a peer's message
+/// opening yet another is a [`CommError::TornStream`].  Under the superstep
+/// barrier (see the module docs) a channel holds at most one; the second
+/// is slack.  Only the reader threads check it: a check on the shared
+/// inbox path would also count the partial rounds that failed in-process
+/// attempts leave behind.
+const MAX_HELD_ROUNDS: usize = 2;
 
 /// Options for [`TcpTransport::connect`].
 #[derive(Clone)]
@@ -86,12 +90,6 @@ pub struct TcpOptions {
     /// Consulted once per outbound data message; returning `true` drops the
     /// connection at that point (seeded fault injection plugs in here).
     pub fault_hook: Option<FaultHook>,
-    /// How many exchange rounds may be in flight toward one peer before a
-    /// sender blocks waiting for the receiver's credit grant (defaults to
-    /// [`crate::CHANNEL_CREDITS_ENV`] clamped to [`MIN_ROUND_WINDOW`], or
-    /// [`DEFAULT_ROUND_WINDOW`] when unset).  Bounds inbox memory: a slow
-    /// receiver throttles its senders instead of buffering unboundedly.
-    pub round_window: usize,
 }
 
 impl Default for TcpOptions {
@@ -100,9 +98,6 @@ impl Default for TcpOptions {
             rendezvous_timeout: Duration::from_secs(30),
             recv_timeout: timeout_from_env(),
             fault_hook: None,
-            round_window: channel_credits_from_env()
-                .map(|credits| credits.max(MIN_ROUND_WINDOW))
-                .unwrap_or(DEFAULT_ROUND_WINDOW),
         }
     }
 }
@@ -113,15 +108,13 @@ impl std::fmt::Debug for TcpOptions {
             .field("rendezvous_timeout", &self.rendezvous_timeout)
             .field("recv_timeout", &self.recv_timeout)
             .field("fault_hook", &self.fault_hook.is_some())
-            .field("round_window", &self.round_window)
             .finish()
     }
 }
 
 /// Locks `mutex`, recovering the guard if a holder panicked: the critical
-/// sections in this module insert into or remove from a round set, or write
-/// one message, and leave nothing half-updated for the next holder to trip
-/// on.
+/// sections in this module write one message or shut a socket down, and
+/// leave nothing half-updated for the next holder to trip on.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -131,140 +124,6 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// offsets inside the header.
 fn bytes_at<const W: usize, const N: usize>(header: &[u8; N], at: usize) -> [u8; W] {
     std::array::from_fn(|i| header[at + i])
-}
-
-// --- Round-window flow control -----------------------------------------------
-
-/// `(group, edge) -> peer -> undrained rounds buffered in the inbox`.
-type InboundRounds = HashMap<(u64, u64), HashMap<usize, BTreeSet<u64>>>;
-
-/// Credit-based flow control over exchange rounds, both directions:
-///
-/// * **Sending** — `admit` bounds how many rounds may be open toward one
-///   peer per channel.  A round opens with its first `PAGES`/`END_ROUND`
-///   message and closes when the peer's `CREDIT` grant arrives (sent when the
-///   peer fully drained the round), so a slow receiver throttles its senders
-///   instead of buffering messages unboundedly.
-/// * **Receiving** — `note_received` mirrors the accounting for inbound
-///   messages and caps how far ahead a peer may run (the window plus
-///   [`RECV_ROUND_SLACK`]), so a misbehaving peer surfaces as a typed torn
-///   stream instead of unbounded inbox growth.
-struct FlowControl {
-    /// `(group, edge, peer) -> rounds opened toward that peer, not yet
-    /// credited back`.
-    sent: Mutex<HashMap<(u64, u64, usize), BTreeSet<u64>>>,
-    /// Wakes `admit` waiters on credit grants and peer death.
-    cv: Condvar,
-    received: Mutex<InboundRounds>,
-    window: usize,
-}
-
-impl FlowControl {
-    fn new(window: usize) -> FlowControl {
-        FlowControl {
-            sent: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
-            received: Mutex::new(HashMap::new()),
-            window: window.max(1),
-        }
-    }
-
-    /// Blocks until `round` fits in the window toward `peer` (bounded by
-    /// `timeout`).  Fails fast when the peer dies: a dead peer can never
-    /// grant the credit.
-    fn admit<P>(
-        &self,
-        inbox: &Inbox<P>,
-        id: ChannelId,
-        peer: usize,
-        round: u64,
-        timeout: Duration,
-    ) -> Result<(), CommError> {
-        let deadline = Instant::now() + timeout;
-        let mut sent = lock(&self.sent);
-        loop {
-            let rounds = sent.entry((id.group, id.edge, peer)).or_default();
-            if rounds.contains(&round) || rounds.len() < self.window {
-                rounds.insert(round);
-                return Ok(());
-            }
-            drop(sent);
-            if let Some(error) = inbox.dead_error(peer) {
-                return Err(error);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout {
-                    waiting_for: format!(
-                        "round-window credit from peer {peer} \
-                         (channel ({}, {}), round {round}, window {})",
-                        id.group, id.edge, self.window
-                    ),
-                });
-            }
-            // Wait in short slices: a wake-up between the dead-peer check
-            // and re-locking is recovered on the next slice.
-            let slice = (deadline - now).min(Duration::from_millis(20));
-            let (guard, _) = self
-                .cv
-                .wait_timeout(lock(&self.sent), slice)
-                .unwrap_or_else(PoisonError::into_inner);
-            sent = guard;
-        }
-    }
-
-    /// Handles a peer's credit grant: the peer fully drained `round`.
-    fn ack(&self, id: ChannelId, peer: usize, round: u64) {
-        let mut sent = lock(&self.sent);
-        if let Some(rounds) = sent.get_mut(&(id.group, id.edge, peer)) {
-            rounds.remove(&round);
-        }
-        drop(sent);
-        self.cv.notify_all();
-    }
-
-    /// Wakes every `admit` waiter (peer death paths call this so waiters
-    /// observe the poison promptly).
-    fn wake(&self) {
-        self.cv.notify_all();
-    }
-
-    /// Records an inbound `PAGES`/`END_ROUND` message from `peer`, enforcing
-    /// the buffered-ahead cap.
-    fn note_received(&self, id: ChannelId, peer: usize, round: u64) -> Result<(), CommError> {
-        let cap = self.window + RECV_ROUND_SLACK;
-        let mut received = lock(&self.received);
-        let rounds = received
-            .entry((id.group, id.edge))
-            .or_default()
-            .entry(peer)
-            .or_default();
-        rounds.insert(round);
-        if rounds.len() > cap {
-            return Err(CommError::TornStream {
-                peer,
-                detail: format!(
-                    "peer ran {} rounds ahead of the receive window (cap {cap}) \
-                     on channel ({}, {})",
-                    rounds.len(),
-                    id.group,
-                    id.edge
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Forgets `round` of channel `id` after the local inbox fully drained
-    /// it (the moment the credit grants go out).
-    fn clear_round(&self, id: ChannelId, round: u64) {
-        let mut received = lock(&self.received);
-        if let Some(by_peer) = received.get_mut(&(id.group, id.edge)) {
-            for rounds in by_peer.values_mut() {
-                rounds.remove(&round);
-            }
-        }
-    }
 }
 
 /// One live peer connection: the write half (framed, mutex-serialized) —
@@ -288,7 +147,6 @@ struct Shared<P> {
     peers: Vec<Option<Peer>>,
     recv_timeout: Duration,
     fault_hook: Option<FaultHook>,
-    flow: Arc<FlowControl>,
 }
 
 impl<P> Shared<P> {
@@ -305,7 +163,6 @@ impl<P> Shared<P> {
         for process in 0..self.spec.processes {
             self.inbox.poison(process, error.clone());
         }
-        self.flow.wake();
         error
     }
 
@@ -323,19 +180,10 @@ impl<P> Shared<P> {
         to: u64,
         frames: &[(u32, &[u8])],
     ) -> Result<(), CommError> {
-        // Round-carrying data messages must fit the peer's round window; the
-        // first message of a round opens it, the peer's drain credits it back.
-        // CREDIT and ALL_GATHER messages are exempt — grants must never block
-        // on the window they replenish, and gathers are barrier-paced.
-        if kind == KIND_PAGES || kind == KIND_END_ROUND {
-            self.flow
-                .admit(&self.inbox, id, process, round, self.recv_timeout)?;
-        }
-        // CREDIT messages are also exempt from fault injection: the seeded
-        // schedules count data messages, and grants riding the same wire
-        // must not shift those sequences.
+        // The seeded fault schedules count data messages: END_ROUND is
+        // exempt.
         if let Some(hook) = &self.fault_hook {
-            if kind != KIND_END_ROUND && kind != KIND_CREDIT && hook() {
+            if kind != KIND_END_ROUND && hook() {
                 return Err(self.drop_connections("injected connection drop"));
             }
         }
@@ -367,7 +215,6 @@ impl<P> Shared<P> {
                     detail: format!("write failed: {e}"),
                 },
             );
-            self.flow.wake();
         }
         Ok(())
     }
@@ -461,7 +308,6 @@ impl<P: WireCodec + Send + Sync + 'static> TcpTransport<P> {
         options: TcpOptions,
     ) -> Result<TcpTransport<P>, CommError> {
         let inbox = Inbox::new();
-        let flow = Arc::new(FlowControl::new(options.round_window));
         let mut peers: Vec<Option<Peer>> = (0..spec.processes).map(|_| None).collect();
         let deadline = Instant::now() + options.rendezvous_timeout;
         let mut streams: Vec<Option<TcpStream>> = (0..spec.processes).map(|_| None).collect();
@@ -490,7 +336,7 @@ impl<P: WireCodec + Send + Sync + 'static> TcpTransport<P> {
             let reader = stream
                 .try_clone()
                 .map_err(|e| CommError::Handshake(format!("clone stream: {e}")))?;
-            spawn_reader::<P>(process, reader, Arc::clone(&inbox), Arc::clone(&flow))
+            spawn_reader::<P>(process, reader, Arc::clone(&inbox))
                 .map_err(|e| CommError::Handshake(format!("spawn reader thread: {e}")))?;
             peers[process] = Some(Peer {
                 writer: Mutex::new(stream),
@@ -503,7 +349,6 @@ impl<P: WireCodec + Send + Sync + 'static> TcpTransport<P> {
                 peers,
                 recv_timeout: options.recv_timeout,
                 fault_hook: options.fault_hook,
-                flow,
             }),
             counter: AtomicU64::new(0),
         })
@@ -762,19 +607,16 @@ fn spawn_reader<P: WireCodec + Send + Sync + 'static>(
     peer: usize,
     mut stream: TcpStream,
     inbox: Arc<Inbox<P>>,
-    flow: Arc<FlowControl>,
 ) -> std::io::Result<()> {
     std::thread::Builder::new()
         .name(format!("comm-reader-{peer}"))
         .spawn(move || {
             let error = loop {
-                if let Err(error) = read_message(peer, &mut stream, &inbox, &flow) {
+                if let Err(error) = read_message(peer, &mut stream, &inbox) {
                     break error;
                 }
             };
             inbox.poison(peer, error);
-            // An admit waiter blocked on this peer's credit must re-check.
-            flow.wake();
         })
         .map(drop)
 }
@@ -784,7 +626,6 @@ fn read_message<P: WireCodec + Send + Sync>(
     peer: usize,
     stream: &mut TcpStream,
     inbox: &Inbox<P>,
-    flow: &FlowControl,
 ) -> Result<(), CommError> {
     let torn = |detail: String| CommError::TornStream { peer, detail };
     let mut header = [0u8; WIRE_HEADER_BYTES];
@@ -836,9 +677,19 @@ fn read_message<P: WireCodec + Send + Sync>(
         remaining -= FRAME_HEADER_BYTES + frame.byte_len;
         frames.push((frame.records, bytes));
     }
+    if kind == KIND_PAGES || kind == KIND_END_ROUND {
+        inbox
+            .open_round(id, round, MAX_HELD_ROUNDS)
+            .map_err(|held| {
+                torn(format!(
+                    "round {round} would leave channel ({}, {}) holding {held} undrained \
+                     rounds; the superstep barrier allows {MAX_HELD_ROUNDS}",
+                    id.group, id.edge
+                ))
+            })?;
+    }
     match kind {
         KIND_PAGES => {
-            flow.note_received(id, peer, round)?;
             let pages = frames
                 .into_iter()
                 .map(|(records, bytes)| P::from_frame(records, bytes).map(Arc::new))
@@ -846,15 +697,11 @@ fn read_message<P: WireCodec + Send + Sync>(
                 .map_err(torn)?;
             inbox.deliver(id, round, from, to, pages);
         }
-        KIND_END_ROUND => {
-            flow.note_received(id, peer, round)?;
-            inbox.finish(id, round, from);
-        }
+        KIND_END_ROUND => inbox.finish(id, round, from),
         KIND_ALL_GATHER => {
             let values = decode_gather(frames).map_err(torn)?;
             inbox.gather_insert(id.group, round, from, values);
         }
-        KIND_CREDIT => flow.ack(id, peer, round),
         other => return Err(torn(format!("unknown message kind {other}"))),
     }
     Ok(())
@@ -1002,7 +849,7 @@ impl<P: WireCodec + Send + Sync + 'static> PageChannel<P> for TcpChannel<P> {
             .checked_div(shared.spec.processes)
             .unwrap_or(self.partitions)
             .max(1);
-        let (batches, round_done) = shared.inbox.wait_recv(
+        shared.inbox.wait_recv(
             self.id,
             round,
             to,
@@ -1010,29 +857,7 @@ impl<P: WireCodec + Send + Sync + 'static> PageChannel<P> for TcpChannel<P> {
             owned,
             shared.recv_timeout,
             |source| shared.spec.owner(source, self.partitions),
-        )?;
-        if round_done {
-            // Every owned target drained: the round's inbox state is gone,
-            // so grant each peer a fresh round credit.  Every peer sent at
-            // least its END_ROUND messages here, so every peer has this round
-            // open in its window.
-            shared.flow.clear_round(self.id, round);
-            for process in 0..shared.spec.processes {
-                if process == shared.spec.index {
-                    continue;
-                }
-                shared.write_message(
-                    process,
-                    KIND_CREDIT,
-                    self.id,
-                    round,
-                    shared.spec.index as u64,
-                    0,
-                    &[],
-                )?;
-            }
-        }
-        Ok(batches)
+        )
     }
 }
 
@@ -1050,6 +875,7 @@ impl<P> TcpTransport<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// The test payload: a length-checked byte blob.
     #[derive(Debug, PartialEq, Eq)]
@@ -1272,64 +1098,121 @@ mod tests {
     }
 
     #[test]
-    fn far_future_rounds_overflow_the_receive_window_as_a_typed_error() {
-        // Regression: the inbox used to buffer frames for arbitrarily
-        // far-future rounds from any peer without limit.  A peer running
-        // past the receive cap must surface as a typed error, not growth.
-        let receiver_options = TcpOptions {
-            round_window: MIN_ROUND_WINDOW,
+    fn a_peer_opening_more_than_the_held_round_limit_is_a_torn_stream() {
+        // A peer that runs ahead of the barrier must surface as a typed
+        // error, not as inbox growth.  Raw (but valid) END_ROUND messages
+        // for rounds 1..=MAX_HELD_ROUNDS are held; one more round trips the
+        // guard.  (A short wait bound: without the guard the probe below
+        // would wait out the default one.)
+        let (a, b) = pair(TcpOptions {
+            recv_timeout: Duration::from_secs(10),
             ..Default::default()
-        };
-        let (a, b) = pair_with(TcpOptions::default(), receiver_options);
-        // Bypass the sender-side window with raw (but valid) frames: rounds
-        // 1..=cap fit, round cap+1 trips the cap.
-        let cap = MIN_ROUND_WINDOW + RECV_ROUND_SLACK;
-        for round in 1..=(cap as u64 + 1) {
+        });
+        let cb = b.channel(ChannelId::new(0, 0), 2);
+        let limit = MAX_HELD_ROUNDS as u64;
+        for round in 1..=limit {
+            a.inject_raw(1, &message(KIND_END_ROUND, round, 0, u64::MAX, &[]));
+        }
+        // The held rounds are intact: each drains once the local source
+        // finishes it.
+        for round in 1..=limit {
+            cb.finish_round(round, 1).unwrap();
+            assert!(cb.recv(round, 1).unwrap().is_empty(), "round {round}");
+        }
+        // The drained channel holds `limit` rounds again; one more trips the
+        // guard.
+        for round in limit + 1..=2 * limit + 1 {
             a.inject_raw(1, &message(KIND_END_ROUND, round, 0, u64::MAX, &[]));
         }
         // The overflow poisons the peer; a wait on a round the dead peer
-        // never finished surfaces the typed error.  (The injected rounds
-        // themselves completed from peer 0's side, so waiting on one of
-        // them would just wait for the local finish.)
-        let cb = b.channel(ChannelId::new(0, 0), 2);
-        let probe = cap as u64 + 2;
+        // never finished surfaces the typed error.
+        let probe = 2 * limit + 2;
         cb.finish_round(probe, 1).unwrap();
         let err = cb.recv(probe, 1).unwrap_err();
         assert!(
             matches!(err, CommError::TornStream { peer: 0, ref detail }
-                if detail.contains("ahead of the receive window")),
+                if detail.contains("undrained rounds")),
             "got {err:?}"
         );
     }
 
     #[test]
-    fn slow_receiver_throttles_sender_until_the_drain_grants_credit() {
-        // Window of 1 round with a short admit deadline on the sender.
-        let sender_options = TcpOptions {
-            round_window: 1,
-            recv_timeout: Duration::from_millis(200),
-            ..Default::default()
+    fn superstep_paced_rounds_arrive_intact_and_never_trip_the_guard() {
+        // Two processes, two partitions each, 200 rounds paced as the
+        // workset driver paces them: send → finish_round → recv →
+        // all_gather.  Each side sleeps a seeded random time before it
+        // receives, so either may lag; the barrier alone must keep every
+        // channel within the held-round limit.
+        const ROUNDS: u64 = 200;
+        const PARTITIONS: usize = 4;
+        let (a, b) = pair(TcpOptions::default());
+        // Page contents name their round, source, target and position.
+        let page = |round: u64, from: usize, to: usize, seq: usize| -> Vec<u8> {
+            let len = 1 + (round as usize * 7 + from * 3 + to + seq) % 64;
+            let tag = [round as u8, from as u8, to as u8, seq as u8];
+            tag.iter().copied().cycle().take(len).collect()
         };
-        let (a, b) = pair_with(sender_options, TcpOptions::default());
-        let ca = a.channel(ChannelId::new(0, 0), 2);
-        let cb = b.channel(ChannelId::new(0, 0), 2);
-        // Round 1 opens the window; round 2 must block and time out while
-        // the receiver has not drained round 1.
-        ca.finish_round(1, 0).unwrap();
-        let err = ca.finish_round(2, 0).unwrap_err();
-        assert!(matches!(err, CommError::Timeout { .. }), "got {err:?}");
-        // The receiver drains round 1, granting the credit back...
-        cb.finish_round(1, 1).unwrap();
-        let drained = cb.recv(1, 1).unwrap();
-        assert!(drained.is_empty());
-        // ...which unblocks round 2 (retry until the grant frame lands).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match ca.finish_round(2, 0) {
-                Ok(()) => break,
-                Err(CommError::Timeout { .. }) if Instant::now() < deadline => {}
-                Err(e) => panic!("unexpected error: {e:?}"),
+        let run = |transport: TcpTransport<Blob>, seed: u64| {
+            let spec = transport.cluster();
+            let channel = transport.channel(ChannelId::new(0, 0), PARTITIONS);
+            let barrier = ChannelId::new(1, 0);
+            let mut rng = seed;
+            for round in 1..=ROUNDS {
+                let owned = spec.owned_range(PARTITIONS);
+                for from in owned.clone() {
+                    for to in 0..PARTITIONS {
+                        // Source `from` sends `from + 1` pages, none to itself.
+                        let pages = (0..from + 1)
+                            .filter(|_| from != to)
+                            .map(|seq| Arc::new(Blob(page(round, from, to, seq))))
+                            .collect();
+                        channel.send(round, from, to, pages).unwrap();
+                    }
+                    channel.finish_round(round, from).unwrap();
+                }
+                // SplitMix64: up to 2 ms before this side receives.
+                rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = rng;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                std::thread::sleep(Duration::from_micros((z ^ (z >> 31)) % 2_000));
+                for to in owned {
+                    let got: Vec<(usize, Vec<Vec<u8>>)> = channel
+                        .recv(round, to)
+                        .unwrap()
+                        .into_iter()
+                        .map(|(from, pages)| (from, pages.iter().map(|p| p.0.clone()).collect()))
+                        .collect();
+                    let expected: Vec<(usize, Vec<Vec<u8>>)> = (0..PARTITIONS)
+                        .filter(|&from| from != to)
+                        .map(|from| {
+                            (
+                                from,
+                                (0..from + 1)
+                                    .map(|seq| page(round, from, to, seq))
+                                    .collect(),
+                            )
+                        })
+                        .collect();
+                    assert_eq!(got, expected, "round {round} at target {to}");
+                }
+                // Drained, and no peer can open the next round before the
+                // gather below: the channel holds nothing.
+                let held = transport.shared.inbox.state.lock().unwrap().channels[&(0, 0)].len();
+                assert_eq!(held, 0, "round {round}");
+                transport.all_gather(barrier, round, &[round]).unwrap();
             }
+            transport
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let other = scope.spawn(|| run(b, 2));
+            (run(a, 1), other.join().expect("worker thread"))
+        });
+        for transport in [&a, &b] {
+            let state = transport.shared.inbox.state.lock().unwrap();
+            let held: usize = state.channels.values().map(HashMap::len).sum();
+            assert_eq!(held, 0, "every round drained");
+            assert!(state.dead.is_empty(), "no peer torn");
         }
     }
 

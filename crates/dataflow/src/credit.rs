@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-pub use comm::{channel_credits_from_env, positive_from_env};
+pub use comm::positive_from_env;
 
 /// One sender→receiver edge: the number of credits currently held by items
 /// this edge has enqueued but the receiver has not yet dequeued.

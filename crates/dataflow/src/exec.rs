@@ -116,6 +116,10 @@ pub type Partitions = Vec<Partition>;
 /// An operator's output: the sealed pages of each partition.
 type PagedPartitions = Vec<Vec<Arc<RecordPage>>>;
 
+/// Environment variable setting [`ExecConfig::channel_credits`]: sealed
+/// pages per outbox writer.  [`ExecConfig::default`] is its one reader.
+pub const CHANNEL_CREDITS_ENV: &str = "SPINNING_CHANNEL_CREDITS";
+
 /// The execution settings of a run — the one declaration of them.  The
 /// [`Executor`] takes it directly; the iteration drivers' configurations
 /// (`BulkConfig`, `WorksetConfig`) and the algorithms' embed it and hand it
@@ -132,7 +136,7 @@ pub struct ExecConfig {
     /// tasks' outboxes), flushes its sealed pages to disk once this many are
     /// buffered, bounding exchange memory at `credits × page_size` per
     /// writer whatever the byte budget.  Defaults to
-    /// `SPINNING_CHANNEL_CREDITS`; `None` leaves the byte budget alone in
+    /// [`CHANNEL_CREDITS_ENV`]; `None` leaves the byte budget alone in
     /// charge.  Results are identical either way — backpressure changes
     /// *when* data moves, never *what* is computed.
     pub channel_credits: Option<usize>,
@@ -149,14 +153,14 @@ pub struct ExecConfig {
 }
 
 impl Default for ExecConfig {
-    /// Reads the execution settings' environment defaults.  It is not the
-    /// only reader: `comm::tcp::TcpOptions::default` also reads
-    /// `SPINNING_CHANNEL_CREDITS` and `SPINNING_COMM_TIMEOUT_SECS` (ROADMAP
-    /// item 5(c) gathers them into one reader).
+    /// Reads the execution settings' environment defaults: channel credits
+    /// ([`CHANNEL_CREDITS_ENV`]) and fault injection.  The transport's
+    /// blocking-wait bound, `SPINNING_COMM_TIMEOUT_SECS`, is still read by
+    /// `comm` (ROADMAP item 5(c) gathers it here).
     fn default() -> Self {
         ExecConfig {
             memory_budget: MemoryBudget::unlimited(),
-            channel_credits: crate::credit::channel_credits_from_env(),
+            channel_credits: comm::positive_from_env(CHANNEL_CREDITS_ENV),
             fault: FaultInjector::from_env(),
             transport: TransportHandle::default(),
         }
@@ -1558,6 +1562,19 @@ mod tests {
     fn execute(plan: &Plan, parallelism: usize) -> ExecutionResult {
         let phys = default_physical_plan(plan, parallelism).unwrap();
         Executor::new().execute(&phys).unwrap()
+    }
+
+    #[test]
+    fn channel_credit_parsing_accepts_valid_and_rejects_garbage() {
+        let parse = |raw| comm::parse_positive::<usize>(CHANNEL_CREDITS_ENV, raw);
+        assert_eq!(parse(None), Ok(None));
+        assert_eq!(parse(Some("")), Ok(None));
+        assert_eq!(parse(Some("2")), Ok(Some(2)));
+        assert_eq!(parse(Some(" 1024 ")), Ok(Some(1024)));
+        let err = parse(Some("lots")).unwrap_err();
+        assert!(err.contains(CHANNEL_CREDITS_ENV), "got {err}");
+        let err = parse(Some("0")).unwrap_err();
+        assert!(err.contains("at least 1"), "got {err}");
     }
 
     #[test]
