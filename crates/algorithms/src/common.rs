@@ -37,6 +37,13 @@ pub(crate) fn adopt_min(
     }
 }
 
+/// The comparator of Connected Components and SSSP: of two records for one
+/// vertex, the one with the smaller value (field 1) is the successor state
+/// and survives the solution-set merge.
+pub(crate) fn prefer_min(a: &Record, b: &Record) -> std::cmp::Ordering {
+    b.long(1).cmp(&a.long(1))
+}
+
 /// The combine Connected Components and SSSP declare: of two candidates
 /// for one vertex, the one with the smaller value (field 1) is held — the
 /// minimum their update would take from both.
@@ -174,7 +181,7 @@ pub fn records_to_f64_vec(records: &[Record], num_vertices: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphdata::figure1_graph;
+    use graphdata::{figure1_graph, SmallRng};
 
     /// The `min` update and combine Connected Components and SSSP declare
     /// obey the laws that let the runtime fold their candidates: the fold
@@ -183,19 +190,38 @@ mod tests {
     /// range, so ties and non-improving groups are common.
     #[test]
     fn the_min_update_and_combine_of_cc_and_sssp_obey_the_fold_laws() {
-        use graphdata::SmallRng;
         use reference::laws::{check_combine, check_update_folds};
-        let candidate = |rng: &mut SmallRng| Record::pair(11, rng.gen_range(16) as i64);
-        let draw = |rng: &mut SmallRng| {
-            let current =
-                (rng.gen_range(5) > 0).then(|| Record::pair(11, rng.gen_range(20) as i64));
-            let size = 1 + rng.gen_index(8);
-            (current, (0..size).map(|_| candidate(rng)).collect())
-        };
         let combine = min_combine();
         assert_eq!(check_combine(&*combine, 1_000, 51, candidate), Ok(()));
         let folds = check_update_folds(&adopt_min, &*combine, &[0], 1_000, 52, draw);
         assert_eq!(folds, Ok(()));
+    }
+
+    /// A candidate of vertex 11 with a value from a small range.
+    fn candidate(rng: &mut SmallRng) -> Record {
+        Record::pair(11, rng.gen_range(16) as i64)
+    }
+
+    /// A stored record (or none) and a group of one to eight candidates.
+    fn draw(rng: &mut SmallRng) -> (Option<Record>, Vec<Record>) {
+        let current = (rng.gen_range(5) > 0).then(|| Record::pair(11, rng.gen_range(20) as i64));
+        let size = 1 + rng.gen_index(8);
+        (current, (0..size).map(|_| candidate(rng)).collect())
+    }
+
+    /// The update and comparator of Connected Components and SSSP obey the
+    /// laws that let microstep and asynchronous runs reach the batch
+    /// fixpoint: the update ignores its candidates' order, and the
+    /// comparator is a total order.
+    #[test]
+    fn the_min_update_and_comparator_of_cc_and_sssp_are_order_insensitive_and_total() {
+        use reference::laws::{check_comparator_total, check_update_order_insensitive};
+        let orderless = check_update_order_insensitive(&adopt_min, &[0], 1_000, 53, draw);
+        assert_eq!(orderless, Ok(()));
+        assert_eq!(
+            check_comparator_total(&prefer_min, 1_000, 54, candidate),
+            Ok(())
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::common::{
     adopt_min, component_candidate_source, component_source, edge_records, edge_source,
-    initial_components, min_combine, records_to_vec,
+    initial_components, min_combine, prefer_min, records_to_vec,
 };
 use dataflow::prelude::*;
 use graphdata::Graph;
@@ -46,10 +46,6 @@ pub struct ComponentsConfig {
     pub parallelism: usize,
     /// Upper bound on iterations / supersteps.
     pub max_iterations: usize,
-    /// Partition routing of the workset variants (hash by default; range
-    /// routing gives every worker a contiguous vertex-id interval).  The
-    /// bulk variant plans its own exchanges and ignores this.
-    pub routing: WorksetRouting,
     /// Checkpointing and recovery policy, passed through to the workset
     /// driver (superstep boundaries) or the bulk driver (iteration
     /// boundaries).  The asynchronous variant ignores it.
@@ -68,7 +64,6 @@ impl ComponentsConfig {
         ComponentsConfig {
             parallelism,
             max_iterations: 100_000,
-            routing: WorksetRouting::Hash,
             checkpoint: None,
             exec: ExecConfig::new(),
         }
@@ -79,18 +74,6 @@ impl ComponentsConfig {
     pub fn with_max_iterations(mut self, max: usize) -> Self {
         self.max_iterations = max;
         self
-    }
-
-    /// Sets the partition routing scheme of the workset variants.
-    pub fn with_routing(mut self, routing: WorksetRouting) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Routes the workset variants' superstep exchange (and the solution
-    /// set) by range splitters instead of hashing.
-    pub fn with_range_routing(self) -> Self {
-        self.with_routing(WorksetRouting::Range)
     }
 
     /// Enables checkpointing every `interval` supersteps (workset variants)
@@ -281,7 +264,7 @@ fn build_workset_iteration(graph: &Graph, grouped: bool) -> WorksetIteration<'_>
     WorksetIteration::builder(vec![0], vec![0], update, expand)
         .constant_input(Arc::new(edge_source(graph)), vec![0], vec![0])
         // Smaller component ids are successor states in the CPO.
-        .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
+        .comparator(Arc::new(prefer_min))
         // A vertex's candidates fold to their minimum before they ship.
         .combine(min_combine())
         .build()
@@ -318,7 +301,6 @@ fn workset_config(config: &ComponentsConfig, mode: ExecutionMode) -> WorksetConf
         parallelism: config.parallelism,
         mode,
         max_supersteps: config.max_iterations,
-        routing: config.routing,
         checkpoint: config.checkpoint.clone(),
         exec: config.exec.clone(),
     }
@@ -486,7 +468,6 @@ mod tests {
         }
         ComponentsConfig::new(3)
             .with_max_iterations(17)
-            .with_range_routing()
             .with_checkpoint_policy(CheckpointPolicy::new(5, "ckpt-dir").with_max_retries(7))
             .with_memory_budget(MemoryBudget::bytes(4096))
             .with_fault(FaultInjector::seeded(11))
@@ -519,7 +500,6 @@ mod tests {
         assert_eq!(workset.parallelism, 3);
         assert_eq!(workset.mode, ExecutionMode::Microstep);
         assert_eq!(workset.max_supersteps, 17);
-        assert_eq!(workset.routing, WorksetRouting::Range);
         assert_forwarded(workset.checkpoint, &workset.exec);
     }
 

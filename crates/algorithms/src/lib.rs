@@ -29,6 +29,4 @@ pub use crate::connected_components::{
     ComponentsResult,
 };
 pub use crate::pagerank::{pagerank, PageRankConfig, PageRankPlan, PageRankResult};
-pub use crate::sssp::{
-    sssp, sssp_records, sssp_with_config, sssp_with_routing, SsspResult, UNREACHABLE,
-};
+pub use crate::sssp::{sssp, sssp_records, sssp_with_config, SsspResult, UNREACHABLE};

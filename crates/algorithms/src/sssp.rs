@@ -7,7 +7,7 @@
 //! `(vid, candidate distance)`, and an expansion that sends `distance + 1`
 //! (unit edge weights) to the updated vertex's neighbours.
 
-use crate::common::{adopt_min, edge_source, min_combine, per_vertex, vid};
+use crate::common::{adopt_min, edge_source, min_combine, per_vertex, prefer_min, vid};
 use dataflow::prelude::*;
 use graphdata::{Graph, VertexId};
 use spinning_core::prelude::*;
@@ -44,7 +44,7 @@ fn build_iteration(graph: &Graph) -> WorksetIteration<'_> {
     ));
     WorksetIteration::builder(vec![0], vec![0], update, expand)
         .constant_input(Arc::new(edge_source(graph)), vec![0], vec![0])
-        .comparator(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))))
+        .comparator(Arc::new(prefer_min))
         // A vertex's distance candidates fold to their minimum before they
         // ship.
         .combine(min_combine())
@@ -52,35 +52,19 @@ fn build_iteration(graph: &Graph) -> WorksetIteration<'_> {
 }
 
 /// Runs single-source shortest paths from `source` using the given execution
-/// mode and hash partition routing.
+/// mode.
 pub fn sssp(
     graph: &Graph,
     source: VertexId,
     parallelism: usize,
     mode: ExecutionMode,
 ) -> Result<SsspResult> {
-    sssp_with_routing(graph, source, parallelism, mode, WorksetRouting::Hash)
-}
-
-/// Runs single-source shortest paths with an explicit partition routing
-/// scheme — [`WorksetRouting::Range`] gives every worker a contiguous
-/// vertex-id interval (splitters sampled from the initial distance vector)
-/// while producing exactly the same distances.
-pub fn sssp_with_routing(
-    graph: &Graph,
-    source: VertexId,
-    parallelism: usize,
-    mode: ExecutionMode,
-    routing: WorksetRouting,
-) -> Result<SsspResult> {
-    let config = WorksetConfig::new(parallelism)
-        .with_mode(mode)
-        .with_routing(routing);
+    let config = WorksetConfig::new(parallelism).with_mode(mode);
     sssp_with_config(graph, source, &config)
 }
 
 /// Runs single-source shortest paths under a fully explicit
-/// [`WorksetConfig`] — routing scheme, superstep bound and memory budget
+/// [`WorksetConfig`] — superstep bound and memory budget
 /// included.  A finite [`ExecConfig::memory_budget`] spills the frontier
 /// exchange's candidate pages to disk, so the traversal runs in bounded
 /// memory on long-tail graphs.

@@ -606,8 +606,7 @@ mod tests {
             )),
         );
         plan.sink("next", bump);
-        let mut physical = default_physical_plan(&plan, 4).unwrap();
-        physical.choices.get_mut(&bump).unwrap().local = LocalStrategy::SortGroup;
+        let physical = default_physical_plan(&plan, 4).unwrap();
         let iteration = BulkIteration::new(
             plan,
             input,

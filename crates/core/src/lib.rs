@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::stats::{IterationRunStats, IterationStats};
     pub use crate::workset::{
         ExecutionMode, ExpandClosure, ExpandFunction, UpdateClosure, UpdateFunction, WorksetConfig,
-        WorksetIteration, WorksetIterationBuilder, WorksetResult, WorksetRouting,
+        WorksetIteration, WorksetIterationBuilder, WorksetResult,
     };
 }
 

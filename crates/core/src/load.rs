@@ -55,7 +55,7 @@ pub(crate) fn load(
     fold: Option<&Arc<dyn CombineFunction>>,
 ) -> Loaded {
     let parallelism = router.parallelism();
-    let mut solution = iteration.empty_solution(router);
+    let mut solution = iteration.empty_solution(router.parallelism());
     let mut solution_partitions = solution.take_partitions();
     let mut constant: Vec<JoinIndex> = (0..parallelism)
         .map(|_| JoinIndex::new(&iteration.constant_key))
@@ -174,7 +174,7 @@ impl<F: FnMut(&[Value]) + Send> RecordSink for ShareSink<'_, F> {
 mod tests {
     use super::*;
     use crate::workset::{ExpandClosure, UpdateClosure};
-    use dataflow::prelude::{RangeBounds, Record, RecordView, SourceClosure};
+    use dataflow::prelude::{Record, RecordView, SourceClosure};
     use std::sync::Arc;
 
     /// An iteration whose user functions are never called: the load step
@@ -201,51 +201,42 @@ mod tests {
             .collect()
     }
 
-    fn routers() -> [PartitionRouter; 2] {
-        let bounds = RangeBounds::from_sample((0..64).map(Key::long).collect(), 4);
-        [
-            PartitionRouter::hash(4),
-            PartitionRouter::range(Arc::new(bounds), 4),
-        ]
-    }
-
     #[test]
     fn every_partition_holds_its_routed_share_in_source_order() {
         let solution: Vec<Record> = (0..64i64).map(|v| Record::pair(v, v * 10)).collect();
         let edges: Vec<Record> = (0..640i64).map(|i| Record::pair(i % 64, i)).collect();
         let workset: Vec<Record> = (0..500i64).map(|i| Record::pair(i, (i * 7) % 64)).collect();
         let iteration = iteration(Arc::new(edges.clone()));
-        for router in routers() {
-            let cluster = ClusterSpec::single();
-            let loaded = load(&iteration, &router, &cluster, &solution, &workset, None);
-            assert_eq!(loaded.solution.len(), solution.len());
-            for (partition, queue) in loaded.workset.into_iter().enumerate() {
-                let expected: Vec<Record> = workset
+        let router = PartitionRouter::hash(4);
+        let cluster = ClusterSpec::single();
+        let loaded = load(&iteration, &router, &cluster, &solution, &workset, None);
+        assert_eq!(loaded.solution.len(), solution.len());
+        for (partition, queue) in loaded.workset.into_iter().enumerate() {
+            let expected: Vec<Record> = workset
+                .iter()
+                .filter(|r| router.route(r, &[1]) == partition)
+                .cloned()
+                .collect();
+            assert_eq!(queue_records(queue), expected, "partition {partition}");
+            let mut stored = loaded.solution.partition_records(partition);
+            stored.sort();
+            let expected: Vec<Record> = solution
+                .iter()
+                .filter(|r| router.route(r, &[0]) == partition)
+                .cloned()
+                .collect();
+            assert_eq!(stored, expected, "partition {partition}");
+            for probe in &expected {
+                let matched: Vec<Record> = loaded.constant[partition]
+                    .matches(probe.fields(), &[0])
+                    .map(|view| view.materialize())
+                    .collect();
+                let expected: Vec<Record> = edges
                     .iter()
-                    .filter(|r| router.route(r, &[1]) == partition)
+                    .filter(|e| e.long(0) == probe.long(0))
                     .cloned()
                     .collect();
-                assert_eq!(queue_records(queue), expected, "partition {partition}");
-                let mut stored = loaded.solution.partition_records(partition);
-                stored.sort();
-                let expected: Vec<Record> = solution
-                    .iter()
-                    .filter(|r| router.route(r, &[0]) == partition)
-                    .cloned()
-                    .collect();
-                assert_eq!(stored, expected, "partition {partition}");
-                for probe in &expected {
-                    let matched: Vec<Record> = loaded.constant[partition]
-                        .matches(probe.fields(), &[0])
-                        .map(|view| view.materialize())
-                        .collect();
-                    let expected: Vec<Record> = edges
-                        .iter()
-                        .filter(|e| e.long(0) == probe.long(0))
-                        .cloned()
-                        .collect();
-                    assert_eq!(matched, expected);
-                }
+                assert_eq!(matched, expected);
             }
         }
     }
@@ -264,30 +255,29 @@ mod tests {
         let workset = describe(5000, |i| [Value::Long(i), Value::Long((i * 7) % 64)]);
         let described = iteration(Arc::new(edges));
         let collected = iteration(Arc::new(described.constant_input.collect()));
-        for router in routers() {
-            let cluster = ClusterSpec::single();
-            let a = load(&described, &router, &cluster, &solution, &workset, None);
-            let b = load(
-                &collected,
-                &router,
-                &cluster,
-                &solution.collect(),
-                &workset.collect(),
-                None,
-            );
-            // Same records in the same index order, same page bytes.
-            assert_eq!(a.solution.records(), b.solution.records());
-            for (a, b) in a.workset.into_iter().zip(b.workset) {
-                let (a, b) = (a.finish(), b.finish());
-                assert!(a.len() == b.len() && a.iter().zip(&b).all(|(a, b)| a == b));
-            }
-            for (a, b) in a.constant.iter().zip(&b.constant) {
-                for probe in (0..64).map(|v| [Value::Long(v), Value::Long(0)]) {
-                    let (a, b) = (a.matches(&probe, &[0]), b.matches(&probe, &[0]));
-                    assert!(a
-                        .map(|view| view.payload())
-                        .eq(b.map(|view| view.payload())));
-                }
+        let router = PartitionRouter::hash(4);
+        let cluster = ClusterSpec::single();
+        let a = load(&described, &router, &cluster, &solution, &workset, None);
+        let b = load(
+            &collected,
+            &router,
+            &cluster,
+            &solution.collect(),
+            &workset.collect(),
+            None,
+        );
+        // Same records in the same index order, same page bytes.
+        assert_eq!(a.solution.records(), b.solution.records());
+        for (a, b) in a.workset.into_iter().zip(b.workset) {
+            let (a, b) = (a.finish(), b.finish());
+            assert!(a.len() == b.len() && a.iter().zip(&b).all(|(a, b)| a == b));
+        }
+        for (a, b) in a.constant.iter().zip(&b.constant) {
+            for probe in (0..64).map(|v| [Value::Long(v), Value::Long(0)]) {
+                let (a, b) = (a.matches(&probe, &[0]), b.matches(&probe, &[0]));
+                assert!(a
+                    .map(|view| view.payload())
+                    .eq(b.map(|view| view.payload())));
             }
         }
     }

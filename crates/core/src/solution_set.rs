@@ -187,10 +187,9 @@ pub struct SolutionSet {
     partitions: Vec<PartitionIndex>,
     key_fields: KeyFields,
     comparator: Option<RecordComparator>,
-    /// How records are routed to partitions: Fx hashing (default) or range
-    /// splitters.  Everything joining the solution set partition-locally —
-    /// the workset, the constant input — must route with the same function,
-    /// which the workset driver guarantees by sharing one router.
+    /// How records are routed to partitions: Fx hashing on the key, the
+    /// function the workset driver routes the workset and the constant
+    /// input with too, so they join the solution set partition-locally.
     router: PartitionRouter,
 }
 
@@ -201,7 +200,6 @@ impl std::fmt::Debug for SolutionSet {
             .field("records", &self.len())
             .field("key_fields", &self.key_fields)
             .field("has_comparator", &self.comparator.is_some())
-            .field("range_routed", &self.router.is_range())
             .finish()
     }
 }
@@ -226,31 +224,6 @@ impl SolutionSet {
     pub fn with_comparator(mut self, comparator: RecordComparator) -> Self {
         self.comparator = Some(comparator);
         self
-    }
-
-    /// Installs the partition routing function.  Must be set **before** any
-    /// record is merged (the index does not re-partition existing records).
-    ///
-    /// # Panics
-    /// If the router's parallelism differs from the set's, or the set
-    /// already holds records.
-    pub fn with_router(mut self, router: PartitionRouter) -> Self {
-        assert_eq!(
-            router.parallelism(),
-            self.partitions.len(),
-            "router parallelism must match the solution set"
-        );
-        assert!(
-            self.is_empty(),
-            "the routing function cannot change under stored records"
-        );
-        self.router = router;
-        self
-    }
-
-    /// The partition routing function.
-    pub fn router(&self) -> &PartitionRouter {
-        &self.router
     }
 
     /// Builds a solution set from an initial set of records (`S0`).
@@ -309,9 +282,8 @@ impl SolutionSet {
 
     /// [`SolutionSet::merge`] by reference.
     fn merge_ref(&mut self, delta: &Record) -> MergeOutcome {
-        // Routing goes through the record's key fields directly (one hash,
-        // or one splitter search); the key itself is only materialised for
-        // the index probe.
+        // Routing hashes the record's key fields directly; the key itself is
+        // only materialised for the index probe.
         let partition = self.router.route(delta, &self.key_fields);
         let key = Key::extract(delta, &self.key_fields);
         self.partitions[partition].merge_fields(&self.comparator, &key, delta.fields())
@@ -566,52 +538,5 @@ mod tests {
     fn parallelism_of_zero_is_clamped_to_one() {
         let s = SolutionSet::new(vec![0], 0);
         assert_eq!(s.parallelism(), 1);
-    }
-
-    #[test]
-    fn range_routed_solution_set_collocates_contiguous_keys() {
-        use dataflow::prelude::{PartitionRouter, RangeBounds};
-        let bounds = Arc::new(RangeBounds::from_sample(
-            (0..100).map(Key::long).collect(),
-            4,
-        ));
-        let mut s = SolutionSet::new(vec![0], 4)
-            .with_router(PartitionRouter::range(bounds, 4))
-            .with_comparator(cid_comparator());
-        assert!(s.router().is_range());
-        for i in 0..100 {
-            s.merge(Record::pair(i, i + 1000));
-        }
-        assert_eq!(s.len(), 100);
-        // Lookups route through the same splitters as merges.
-        for i in 0..100 {
-            assert_eq!(s.lookup(&Key::long(i)).unwrap().long(1), i + 1000);
-            assert_eq!(
-                s.partition_of(&Record::pair(i, 0)),
-                s.router().route_key(&Key::long(i))
-            );
-        }
-        // Every partition holds one contiguous, disjoint key interval.
-        let mut max_seen = i64::MIN;
-        for p in 0..4 {
-            let mut keys: Vec<i64> = s.partition_records(p).iter().map(|r| r.long(0)).collect();
-            keys.sort_unstable();
-            if let (Some(&lo), Some(&hi)) = (keys.first(), keys.last()) {
-                assert!(lo > max_seen, "partition {p} overlaps its predecessor");
-                max_seen = hi;
-            }
-        }
-        // The merge semantics are unchanged under range routing.
-        assert_eq!(s.merge(Record::pair(5, 999)), MergeOutcome::Replaced);
-        assert_eq!(s.merge(Record::pair(5, 1001)), MergeOutcome::Discarded);
-    }
-
-    #[test]
-    #[should_panic(expected = "routing function cannot change")]
-    fn router_cannot_change_under_stored_records() {
-        use dataflow::prelude::PartitionRouter;
-        let mut s = SolutionSet::new(vec![0], 2);
-        s.merge(Record::pair(1, 1));
-        let _ = s.with_router(PartitionRouter::hash(2));
     }
 }

@@ -38,10 +38,9 @@
 //! [`RecordSource`]s — a `Vec<Record>`, or a description such as "one
 //! `(vid, neighbour)` pair per adjacency entry of this graph" — and
 //! [`WorksetIteration::run`] does exactly two things before superstep 1:
-//! build the one router every later step shares (hash, or range splitters
-//! sampled from `S0` through a strided sink), and run the *load step*
-//! (`load.rs`): one pool task per partition this process owns pulls each
-//! source through a sink that routes on the emitted field slice and keeps
+//! build the one hash router every later step shares, and run the *load
+//! step* (`load.rs`): one pool task per partition this process owns pulls
+//! each source through a sink that routes on the emitted field slice and keeps
 //! the partition's own share, serialized straight into the partition's
 //! solution index, its constant-path index and the page writer that becomes
 //! its first queue.  Described inputs never exist as heap records; the
@@ -102,9 +101,8 @@ use dataflow::page::{
 };
 use dataflow::prelude::{
     ChannelId, ClusterSpec, DataflowError, ExchangedPartition, ExecConfig, Key, KeyFields,
-    PartitionRouter, RangeBounds, Record, Result, SharedPageChannel, SpillManager, Value,
+    PartitionRouter, Record, Result, SharedPageChannel, SpillManager, Value,
 };
-use dataflow::range::sample_source_keys_into;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -201,24 +199,6 @@ pub enum ExecutionMode {
     AsynchronousMicrostep,
 }
 
-/// How the solution set, the constant input and the superstep candidate
-/// exchange partition their records across the workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WorksetRouting {
-    /// Fx-hash routing (the default).
-    #[default]
-    Hash,
-    /// Range routing: one splitter histogram is sampled from the initial
-    /// solution and shared by the solution set, the constant-input index and
-    /// every superstep's candidate exchange, so each worker owns one
-    /// contiguous key interval for the whole run.  Correctness is identical
-    /// to hash routing (equal keys still collocate); what changes is the
-    /// delivered layout — the solution set can be read out range-partitioned
-    /// and per-partition sorted, the interesting property the optimizer
-    /// threads across the loop boundary.
-    Range,
-}
-
 /// Configuration of a workset iteration run.
 #[derive(Debug, Clone)]
 pub struct WorksetConfig {
@@ -228,8 +208,6 @@ pub struct WorksetConfig {
     pub mode: ExecutionMode,
     /// Safety bound on the number of supersteps.
     pub max_supersteps: usize,
-    /// Partition routing scheme for the solution set and candidate exchange.
-    pub routing: WorksetRouting,
     /// Superstep checkpointing and recovery policy.  `None` (the default)
     /// disables checkpointing: a failed superstep surfaces as a typed
     /// [`DataflowError`] immediately.  The asynchronous mode has no superstep
@@ -261,7 +239,6 @@ impl WorksetConfig {
             parallelism,
             mode: ExecutionMode::BatchIncremental,
             max_supersteps: 100_000,
-            routing: WorksetRouting::Hash,
             checkpoint: None,
             exec: ExecConfig::new(),
         }
@@ -283,17 +260,6 @@ impl WorksetConfig {
     pub fn with_max_supersteps(mut self, max: usize) -> Self {
         self.max_supersteps = max;
         self
-    }
-
-    /// Sets the partition routing scheme.
-    pub fn with_routing(mut self, routing: WorksetRouting) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Shorthand for [`WorksetRouting::Range`].
-    pub fn with_range_routing(self) -> Self {
-        self.with_routing(WorksetRouting::Range)
     }
 
     /// Enables superstep checkpointing: every `interval` supersteps the
@@ -433,10 +399,11 @@ impl<'a> WorksetIteration<'a> {
             }
         }
         let start = Instant::now();
-        // The router (and, for range routing, its splitter histogram) is
-        // built from the *full* inputs so every process derives the same
-        // partitioning; the load step then keeps what this process owns.
-        let router = self.build_router(config, &initial_solution, &initial_workset);
+        // One hash router, shared by the solution set, the constant-input
+        // index and every superstep exchange — the co-partitioning the
+        // partition-local update join relies on.  Every process derives the
+        // same one; the load step then keeps what this process owns.
+        let router = PartitionRouter::hash(config.parallelism);
         let loaded = load(
             self,
             &router,
@@ -470,44 +437,12 @@ impl<'a> WorksetIteration<'a> {
     }
 
     /// An empty solution set for this iteration: its key, its comparator,
-    /// partitioned by `router`.
-    pub(crate) fn empty_solution(&self, router: &PartitionRouter) -> SolutionSet {
-        let solution = SolutionSet::new(self.solution_key.clone(), router.parallelism())
-            .with_router(router.clone());
+    /// hash-partitioned `parallelism` ways.
+    pub(crate) fn empty_solution(&self, parallelism: usize) -> SolutionSet {
+        let solution = SolutionSet::new(self.solution_key.clone(), parallelism);
         match &self.comparator {
             Some(comparator) => solution.with_comparator(Arc::clone(comparator)),
             None => solution,
-        }
-    }
-
-    /// Builds the run's partition router.  Range routing samples the initial
-    /// solution (which covers the key space — every vertex has a record) for
-    /// an equi-depth splitter histogram; an empty solution falls back to the
-    /// initial workset, and an empty sample degenerates to one effective
-    /// partition without panicking.  The one router is shared by the
-    /// solution set, the constant-input index and every superstep exchange,
-    /// which is exactly the co-partitioning invariant the partition-local
-    /// update join relies on.
-    fn build_router(
-        &self,
-        config: &WorksetConfig,
-        initial_solution: &dyn RecordSource,
-        initial_workset: &dyn RecordSource,
-    ) -> PartitionRouter {
-        match config.routing {
-            WorksetRouting::Hash => PartitionRouter::hash(config.parallelism),
-            WorksetRouting::Range => {
-                let mut sample = Vec::new();
-                if initial_solution.is_empty() {
-                    sample_source_keys_into(&mut sample, initial_workset, &self.workset_key);
-                } else {
-                    sample_source_keys_into(&mut sample, initial_solution, &self.solution_key);
-                }
-                PartitionRouter::range(
-                    Arc::new(RangeBounds::from_sample(sample, config.parallelism)),
-                    config.parallelism,
-                )
-            }
         }
     }
 
@@ -599,7 +534,7 @@ impl<'a> WorksetIteration<'a> {
                 Ok((solution, workset, state.pending))
             },
             |state, restored| {
-                let mut rebuilt = self.empty_solution(router);
+                let mut rebuilt = self.empty_solution(router.parallelism());
                 rebuilt.merge_all(restored.solution.into_iter().flatten());
                 state.solution = rebuilt;
                 // Snapshotted queues were already partition-routed when they
@@ -922,7 +857,7 @@ impl<'p> PartitionStep<'p> {
                 step.apply(out);
             }
         };
-        let (pages, runs, _) = workset.into_pieces();
+        let (pages, runs) = workset.into_pieces();
         for page in &pages {
             for candidate in page.reader() {
                 one(self, candidate);
@@ -1161,7 +1096,7 @@ mod tests {
     use dataflow::prelude::{
         default_physical_plan, Executor, MemoryBudget, Plan, SinkPages, TransportHandle,
     };
-    use reference::fixpoint::{batch_fixpoint, Fixpoint, Routing, WorksetStep};
+    use reference::fixpoint::{batch_fixpoint, Fixpoint, WorksetStep};
 
     /// A tiny "propagate the minimum" iteration over a 4-vertex path graph
     /// 0 - 1 - 2 - 3: solution records are (vid, value), workset records are
@@ -1346,47 +1281,6 @@ mod tests {
     }
 
     #[test]
-    fn range_routing_reaches_the_same_fixpoint_in_every_mode() {
-        let iteration = min_propagation();
-        for mode in [
-            ExecutionMode::BatchIncremental,
-            ExecutionMode::Microstep,
-            ExecutionMode::AsynchronousMicrostep,
-        ] {
-            for parallelism in [1, 2, 4, 8] {
-                let (solution, workset) = initial_state();
-                let result = iteration
-                    .run(
-                        solution,
-                        workset,
-                        &WorksetConfig::new(parallelism)
-                            .with_mode(mode)
-                            .with_range_routing(),
-                    )
-                    .unwrap();
-                check_converged(&result);
-                assert!(result.converged, "{mode:?} at parallelism {parallelism}");
-            }
-        }
-    }
-
-    #[test]
-    fn range_routing_with_empty_inputs_does_not_panic() {
-        let iteration = min_propagation();
-        let config = WorksetConfig::new(4).with_range_routing();
-        // Empty solution: splitters come from the workset sample.
-        let result = iteration
-            .run(vec![], vec![Record::pair(1, 5)], &config)
-            .unwrap();
-        assert!(result.converged);
-        // Both empty: the degenerate one-partition histogram terminates
-        // immediately.
-        let result = iteration.run(vec![], vec![], &config).unwrap();
-        assert_eq!(result.supersteps, 0);
-        assert!(result.converged);
-    }
-
-    #[test]
     fn zero_parallelism_is_rejected() {
         let iteration = min_propagation();
         let mut config = WorksetConfig::new(1);
@@ -1526,21 +1420,16 @@ mod tests {
     }
 
     /// The evaluator's batch supersteps of `iteration` at `config`'s
-    /// parallelism, routing and superstep bound.
+    /// parallelism and superstep bound.
     fn reference_fixpoint(
         iteration: &WorksetIteration<'_>,
         solution: &[Record],
         workset: &[Record],
         config: &WorksetConfig,
     ) -> Fixpoint {
-        let routing = match config.routing {
-            WorksetRouting::Hash => Routing::Hash,
-            WorksetRouting::Range => Routing::Range,
-        };
         batch_fixpoint(
             &reference_step(iteration, config),
             config.parallelism,
-            routing,
             solution.to_vec(),
             workset.to_vec(),
             config.max_supersteps,
@@ -1600,7 +1489,7 @@ mod tests {
 
     /// Batch supersteps take the reference evaluator's supersteps with the
     /// same counters and solution, and a microstep run reaches its fixpoint,
-    /// across routing schemes, parallelism and memory budgets (including the
+    /// across parallelism and memory budgets (including the
     /// spill-forced budget, where the kernel merges the spilled candidate
     /// runs in), with and without a declared combine.  Two runs of one
     /// configuration emit the same solution records in the same order.
@@ -1613,43 +1502,40 @@ mod tests {
             [ExecutionMode::BatchIncremental, ExecutionMode::Microstep]
                 .map(|mode| (iteration, mode))
         }) {
-            for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
-                for parallelism in [1usize, 4] {
-                    for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
-                        let exec = ExecConfig::new().with_memory_budget(budget);
-                        let config = WorksetConfig::new(parallelism)
-                            .with_mode(mode)
-                            .with_routing(routing)
-                            .with_exec(exec.clone());
-                        let label = format!(
-                            "{mode:?}/{routing:?}/p{parallelism}/budget {:?}/combine {}",
-                            budget.limit(),
-                            iteration.combine.is_some()
+            for parallelism in [1usize, 4] {
+                for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
+                    let exec = ExecConfig::new().with_memory_budget(budget);
+                    let config = WorksetConfig::new(parallelism)
+                        .with_mode(mode)
+                        .with_exec(exec.clone());
+                    let label = format!(
+                        "{mode:?}/p{parallelism}/budget {:?}/combine {}",
+                        budget.limit(),
+                        iteration.combine.is_some()
+                    );
+                    let run = || {
+                        iteration
+                            .run(solution.clone(), workset.clone(), &config)
+                            .unwrap()
+                    };
+                    let (paged, again) = (run(), run());
+                    assert_eq!(paged.solution, again.solution, "{label}: rerun");
+                    assert!(paged.converged, "{label}");
+                    let fixpoint = reference_fixpoint(iteration, &solution, &workset, &config);
+                    if mode == ExecutionMode::BatchIncremental {
+                        assert_matches_fixpoint(&paged, &fixpoint, &label);
+                    } else {
+                        let mut reached = paged.solution.clone();
+                        reached.sort();
+                        assert_eq!(reached, fixpoint.solution, "{label}");
+                    }
+                    // The zero budget must actually exercise the spilled
+                    // path wherever candidates ship between partitions.
+                    if budget == MemoryBudget::bytes(0) && parallelism > 1 {
+                        assert!(
+                            paged.stats.total_spilled_bytes() > 0,
+                            "{label}: expected spilled candidates"
                         );
-                        let run = || {
-                            iteration
-                                .run(solution.clone(), workset.clone(), &config)
-                                .unwrap()
-                        };
-                        let (paged, again) = (run(), run());
-                        assert_eq!(paged.solution, again.solution, "{label}: rerun");
-                        assert!(paged.converged, "{label}");
-                        let fixpoint = reference_fixpoint(iteration, &solution, &workset, &config);
-                        if mode == ExecutionMode::BatchIncremental {
-                            assert_matches_fixpoint(&paged, &fixpoint, &label);
-                        } else {
-                            let mut reached = paged.solution.clone();
-                            reached.sort();
-                            assert_eq!(reached, fixpoint.solution, "{label}");
-                        }
-                        // The zero budget must actually exercise the spilled
-                        // path wherever candidates ship between partitions.
-                        if budget == MemoryBudget::bytes(0) && parallelism > 1 {
-                            assert!(
-                                paged.stats.total_spilled_bytes() > 0,
-                                "{label}: expected spilled candidates"
-                            );
-                        }
                     }
                 }
             }
@@ -1978,8 +1864,8 @@ mod tests {
 
     /// An expansion that forwards serialized records and one that emits
     /// field slices are the same iteration: byte-identical solutions and
-    /// identical per-superstep counters under every routing, memory regime,
-    /// superstep mode and transport.
+    /// identical per-superstep counters under every memory regime, superstep
+    /// mode and transport.
     #[test]
     fn forwarded_and_emitted_candidates_are_indistinguishable() {
         let (emitting, solution, workset) = dense_min_propagation_emitting(true);
@@ -1995,42 +1881,39 @@ mod tests {
             config
         };
         for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
-            for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
-                for regime in ["unlimited", "budget 0", "2 credits"] {
-                    let configure = |config| configure(regime, config);
-                    let label = format!("{mode:?}/{routing:?}/{regime}");
-                    let config =
-                        configure(WorksetConfig::new(4).with_mode(mode).with_routing(routing));
-                    let emitted = emitting
-                        .run(solution.clone(), workset.clone(), &config)
-                        .unwrap();
-                    let forwarded = forwarding
-                        .run(solution.clone(), workset.clone(), &config)
-                        .unwrap();
-                    assert!(emitted.converged, "{label}");
-                    assert_eq!(emitted.solution, forwarded.solution, "{label}");
-                    assert_same_trace(&emitted, &forwarded, &label);
-                    if regime == "budget 0" {
-                        assert!(emitted.stats.total_spilled_bytes() > 0, "{label}");
-                    }
-                    // The same job as a 2-worker TCP cluster, candidates
-                    // forwarded, against the single process that emitted
-                    // them.
-                    let cluster = run_tcp_cluster(
-                        || dense_min_propagation_emitting(false),
-                        |config| configure(config.with_mode(mode).with_routing(routing)),
-                    );
-                    if mode == ExecutionMode::BatchIncremental || regime == "unlimited" {
-                        assert_matches_oracle(&cluster, &emitted);
-                    } else {
-                        // Disk is node-local: a remote worker's spilled runs
-                        // arrive as pages, ahead of the local runs, and a
-                        // microstep's counters depend on that order.  The
-                        // fixpoint does not.
-                        let combined: Vec<Record> =
-                            cluster.into_iter().flat_map(|r| r.solution).collect();
-                        assert_eq!(combined, emitted.solution, "{label}");
-                    }
+            for regime in ["unlimited", "budget 0", "2 credits"] {
+                let configure = |config| configure(regime, config);
+                let label = format!("{mode:?}/{regime}");
+                let config = configure(WorksetConfig::new(4).with_mode(mode));
+                let emitted = emitting
+                    .run(solution.clone(), workset.clone(), &config)
+                    .unwrap();
+                let forwarded = forwarding
+                    .run(solution.clone(), workset.clone(), &config)
+                    .unwrap();
+                assert!(emitted.converged, "{label}");
+                assert_eq!(emitted.solution, forwarded.solution, "{label}");
+                assert_same_trace(&emitted, &forwarded, &label);
+                if regime == "budget 0" {
+                    assert!(emitted.stats.total_spilled_bytes() > 0, "{label}");
+                }
+                // The same job as a 2-worker TCP cluster, candidates
+                // forwarded, against the single process that emitted
+                // them.
+                let cluster = run_tcp_cluster(
+                    || dense_min_propagation_emitting(false),
+                    |config| configure(config.with_mode(mode)),
+                );
+                if mode == ExecutionMode::BatchIncremental || regime == "unlimited" {
+                    assert_matches_oracle(&cluster, &emitted);
+                } else {
+                    // Disk is node-local: a remote worker's spilled runs
+                    // arrive as pages, ahead of the local runs, and a
+                    // microstep's counters depend on that order.  The
+                    // fixpoint does not.
+                    let combined: Vec<Record> =
+                        cluster.into_iter().flat_map(|r| r.solution).collect();
+                    assert_eq!(combined, emitted.solution, "{label}");
                 }
             }
         }
@@ -2059,38 +1942,36 @@ mod tests {
     }
 
     /// Sources that forward views — `S0`, `W0` and `N` as sink pages — load
-    /// the same iteration as their records: the load step's and the range
-    /// sampler's sinks take the `forward` default.
+    /// the same iteration as their records: the load step's sinks take the
+    /// `forward` default.
     #[test]
     fn a_workset_loaded_from_sink_pages_runs_as_from_records() {
         let (edges, solution, workset) = dense_inputs();
         let (edges, solution, workset) = (edges.collect(), solution.collect(), workset.collect());
         let from_records = dense_iteration(Arc::new(edges.clone()), true);
         let from_pages = dense_iteration(Arc::new(sink_pages_of(edges)), true);
-        for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
-            for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
-                let label = format!("{routing:?}/{budget:?}");
-                let mut config = WorksetConfig::new(4).with_routing(routing);
-                config.exec.memory_budget = budget;
-                let expected = from_records
-                    .run(solution.clone(), workset.clone(), &config)
-                    .unwrap();
-                let loaded = from_pages
-                    .run(
-                        sink_pages_of(solution.clone()),
-                        sink_pages_of(workset.clone()),
-                        &config,
-                    )
-                    .unwrap();
-                assert!(expected.converged, "{label}");
-                let sorted = |result: &WorksetResult| {
-                    let mut solution = result.solution.clone();
-                    solution.sort();
-                    solution
-                };
-                assert_eq!(sorted(&loaded), sorted(&expected), "{label}");
-                assert_same_trace(&loaded, &expected, &label);
-            }
+        for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
+            let label = format!("{budget:?}");
+            let mut config = WorksetConfig::new(4);
+            config.exec.memory_budget = budget;
+            let expected = from_records
+                .run(solution.clone(), workset.clone(), &config)
+                .unwrap();
+            let loaded = from_pages
+                .run(
+                    sink_pages_of(solution.clone()),
+                    sink_pages_of(workset.clone()),
+                    &config,
+                )
+                .unwrap();
+            assert!(expected.converged, "{label}");
+            let sorted = |result: &WorksetResult| {
+                let mut solution = result.solution.clone();
+                solution.sort();
+                solution
+            };
+            assert_eq!(sorted(&loaded), sorted(&expected), "{label}");
+            assert_same_trace(&loaded, &expected, &label);
         }
     }
 
@@ -2107,44 +1988,28 @@ mod tests {
         // partitions it owns — against the single process that loaded the
         // same inputs as records.
         let (iteration, solution, workset) = dense_min_propagation();
-        for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
-            let oracle = iteration
-                .run(
-                    solution.clone(),
-                    workset.clone(),
-                    &WorksetConfig::new(4).with_routing(routing),
-                )
-                .unwrap();
-            let results = run_tcp_cluster(
-                || {
-                    let (edges, solution, workset) = dense_inputs();
-                    (dense_iteration(Arc::new(edges), true), solution, workset)
-                },
-                |config| config.with_routing(routing),
-            );
-            assert_matches_oracle(&results, &oracle);
-        }
+        let oracle = iteration
+            .run(solution, workset, &WorksetConfig::new(4))
+            .unwrap();
+        let results = run_tcp_cluster(
+            || {
+                let (edges, solution, workset) = dense_inputs();
+                (dense_iteration(Arc::new(edges), true), solution, workset)
+            },
+            |config| config,
+        );
+        assert_matches_oracle(&results, &oracle);
     }
 
     #[test]
-    fn tcp_cluster_matches_the_oracle_in_microstep_and_range_modes() {
-        for (mode, routing) in [
-            (ExecutionMode::Microstep, WorksetRouting::Hash),
-            (ExecutionMode::BatchIncremental, WorksetRouting::Range),
-        ] {
-            let (solution, workset) = initial_state();
-            let oracle = min_propagation()
-                .run(
-                    solution,
-                    workset,
-                    &WorksetConfig::new(4).with_mode(mode).with_routing(routing),
-                )
-                .unwrap();
-            let results = run_tcp_cluster(path_job, |config| {
-                config.with_mode(mode).with_routing(routing)
-            });
-            assert_matches_oracle(&results, &oracle);
-        }
+    fn tcp_cluster_matches_the_oracle_in_microstep_mode() {
+        let mode = ExecutionMode::Microstep;
+        let (solution, workset) = initial_state();
+        let oracle = min_propagation()
+            .run(solution, workset, &WorksetConfig::new(4).with_mode(mode))
+            .unwrap();
+        let results = run_tcp_cluster(path_job, |config| config.with_mode(mode));
+        assert_matches_oracle(&results, &oracle);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The exchange layer: how records leave a producer partition and arrive at
 //! a consumer partition.
 //!
-//! Both engines run on this one mechanism.  The batch executor's hash/range
+//! Both engines run on this one mechanism.  The batch executor's hash
 //! repartitioning ([`crate::exec`]) and the workset driver's superstep queue
 //! switch (`spinning_core::workset`) each fill one [`Outbox`] per producer
 //! partition and hand them to [`ship`]; what differs between them — which
@@ -450,7 +450,7 @@ mod tests {
     use super::*;
     use crate::contracts::RecordSink;
     use crate::fault::FaultInjector;
-    use crate::range::{sample_keys_into, PartitionRouter, RangeBounds};
+    use crate::range::PartitionRouter;
     use crate::record::Record;
     use crate::spill::MemoryBudget;
     use crate::transport::TransportHandle;
@@ -471,17 +471,6 @@ mod tests {
 
     fn hash_router() -> PartitionRouter {
         PartitionRouter::hash(PARTITIONS)
-    }
-
-    fn range_router() -> PartitionRouter {
-        let mut sample = Vec::new();
-        for part in &producer() {
-            sample_keys_into(&mut sample, part, &[0]);
-        }
-        PartitionRouter::range(
-            Arc::new(RangeBounds::from_sample(sample, PARTITIONS)),
-            PARTITIONS,
-        )
     }
 
     /// What a naive per-record exchange delivers, in the exchange's delivery
@@ -664,99 +653,95 @@ mod tests {
 
     #[test]
     fn every_router_regime_and_transport_delivers_the_same_records() {
-        for (router, router_name) in [(hash_router(), "hash"), (range_router(), "range")] {
-            let expected = reference(&router);
-            let total: usize = expected.iter().map(Vec::len).sum();
-            let regimes = [Regime::Unlimited, Regime::BudgetZero, Regime::TwoCredits];
-            for (regime, by_reference) in regimes.into_iter().flat_map(|r| [(r, false), (r, true)])
-            {
-                let name = format!("{router_name}-{regime:?}-{by_reference}");
-                let dir = spill_dir(&name);
-                let spill = spill_manager(regime, dir.clone());
-                let (local_parts, local_stats) =
-                    exchange_once(&router, &spill, &TransportHandle::local(), 0, by_reference);
-                let local = delivered(&local_parts);
-                assert_eq!(sorted(local.clone()), sorted(expected.clone()), "{name}");
-                assert_eq!(local_stats.sent_records, total, "{name}");
-                match regime {
-                    Regime::Unlimited => {
-                        // Nothing spills: local pages, then peers' by source.
-                        assert_eq!(local, expected, "{name}");
-                        assert_eq!(local_stats.spilled_runs, 0, "{name}");
-                        assert!(local_stats.shipped_pages > 0, "{name}");
-                    }
-                    Regime::BudgetZero => {
-                        // Everything shipped spills; runs arrive by source
-                        // too, so the order is still the reference order.
-                        assert_eq!(local, expected, "{name}");
-                        assert_eq!(local_stats.shipped_pages, 0, "{name}");
-                        assert!(local_stats.spilled_runs > 0, "{name}");
-                    }
-                    Regime::TwoCredits => {
-                        assert!(local_stats.spilled_runs > 0, "{name}");
-                        assert!(local_stats.pages_high_water <= 2, "{name}");
-                    }
+        let router = hash_router();
+        let expected = reference(&router);
+        let total: usize = expected.iter().map(Vec::len).sum();
+        let regimes = [Regime::Unlimited, Regime::BudgetZero, Regime::TwoCredits];
+        for (regime, by_reference) in regimes.into_iter().flat_map(|r| [(r, false), (r, true)]) {
+            let name = format!("{regime:?}-{by_reference}");
+            let dir = spill_dir(&name);
+            let spill = spill_manager(regime, dir.clone());
+            let (local_parts, local_stats) =
+                exchange_once(&router, &spill, &TransportHandle::local(), 0, by_reference);
+            let local = delivered(&local_parts);
+            assert_eq!(sorted(local.clone()), sorted(expected.clone()), "{name}");
+            assert_eq!(local_stats.sent_records, total, "{name}");
+            match regime {
+                Regime::Unlimited => {
+                    // Nothing spills: local pages, then peers' by source.
+                    assert_eq!(local, expected, "{name}");
+                    assert_eq!(local_stats.spilled_runs, 0, "{name}");
+                    assert!(local_stats.shipped_pages > 0, "{name}");
                 }
+                Regime::BudgetZero => {
+                    // Everything shipped spills; runs arrive by source
+                    // too, so the order is still the reference order.
+                    assert_eq!(local, expected, "{name}");
+                    assert_eq!(local_stats.shipped_pages, 0, "{name}");
+                    assert!(local_stats.spilled_runs > 0, "{name}");
+                }
+                Regime::TwoCredits => {
+                    assert!(local_stats.spilled_runs > 0, "{name}");
+                    assert!(local_stats.pages_high_water <= 2, "{name}");
+                }
+            }
 
-                let (tcp_parts, tcp_stats, tcp_dirs) =
-                    exchange_over_tcp(&router, regime, &name, by_reference);
-                let tcp = delivered(&tcp_parts);
-                assert_eq!(sorted(tcp.clone()), sorted(expected.clone()), "{name}");
-                if regime == Regime::Unlimited {
-                    assert_eq!(tcp, local, "{name}: the wire must not reorder");
-                }
-                // The cluster's counters add up to the single-process ones.
-                let sum = |f: fn(&ShipStats) -> usize| tcp_stats.iter().map(f).sum::<usize>();
-                assert_eq!(sum(|s| s.sent_records), local_stats.sent_records, "{name}");
-                assert_eq!(
-                    sum(|s| s.shipped_records),
-                    local_stats.shipped_records,
-                    "{name}"
-                );
-                assert_eq!(
-                    sum(|s| s.shipped_bytes),
-                    local_stats.shipped_bytes,
-                    "{name}"
-                );
-                assert_eq!(sum(|s| s.spilled_runs), local_stats.spilled_runs, "{name}");
+            let (tcp_parts, tcp_stats, tcp_dirs) =
+                exchange_over_tcp(&router, regime, &name, by_reference);
+            let tcp = delivered(&tcp_parts);
+            assert_eq!(sorted(tcp.clone()), sorted(expected.clone()), "{name}");
+            if regime == Regime::Unlimited {
+                assert_eq!(tcp, local, "{name}: the wire must not reorder");
+            }
+            // The cluster's counters add up to the single-process ones.
+            let sum = |f: fn(&ShipStats) -> usize| tcp_stats.iter().map(f).sum::<usize>();
+            assert_eq!(sum(|s| s.sent_records), local_stats.sent_records, "{name}");
+            assert_eq!(
+                sum(|s| s.shipped_records),
+                local_stats.shipped_records,
+                "{name}"
+            );
+            assert_eq!(
+                sum(|s| s.shipped_bytes),
+                local_stats.shipped_bytes,
+                "{name}"
+            );
+            assert_eq!(sum(|s| s.spilled_runs), local_stats.spilled_runs, "{name}");
 
-                drop((local_parts, tcp_parts));
-                for dir in tcp_dirs.iter().chain([&dir]) {
-                    assert_no_spill_files(dir);
-                }
+            drop((local_parts, tcp_parts));
+            for dir in tcp_dirs.iter().chain([&dir]) {
+                assert_no_spill_files(dir);
             }
         }
     }
 
     #[test]
     fn a_delivered_outbox_posts_what_a_shipped_one_delivers() {
-        for (router, router_name) in [(hash_router(), "hash"), (range_router(), "range")] {
-            let expected = sorted(reference(&router));
-            for regime in [Regime::Unlimited, Regime::BudgetZero, Regime::TwoCredits] {
-                let name = format!("deliver-{router_name}-{regime:?}");
-                let dir = spill_dir(&name);
-                let spill = spill_manager(regime, dir.clone());
-                let (_, shipped) =
-                    exchange_once(&router, &spill, &TransportHandle::local(), 0, true);
-                let mut parts = vec![ExchangedPartition::default(); PARTITIONS];
-                let mut stats = ShipStats::default();
-                for (source, records) in producer().into_iter().enumerate() {
-                    let mut outbox = Outbox::new(source, PARTITIONS, &spill);
-                    for record in &records {
-                        outbox.emit(router.route(record, &[0]), record.fields());
-                    }
-                    let posted = outbox.deliver(|target, pages, runs| {
-                        assert!(!pages.is_empty() || !runs.is_empty(), "{name}");
-                        parts[target].receive_pages(pages);
-                        parts[target].receive_runs(runs);
-                    });
-                    stats.merge(&posted.expect("sealed"));
+        let router = hash_router();
+        let expected = sorted(reference(&router));
+        for regime in [Regime::Unlimited, Regime::BudgetZero, Regime::TwoCredits] {
+            let name = format!("deliver-{regime:?}");
+            let dir = spill_dir(&name);
+            let spill = spill_manager(regime, dir.clone());
+            let (_, shipped) = exchange_once(&router, &spill, &TransportHandle::local(), 0, true);
+            let mut parts = vec![ExchangedPartition::default(); PARTITIONS];
+            let mut stats = ShipStats::default();
+            for (source, records) in producer().into_iter().enumerate() {
+                let mut outbox = Outbox::new(source, PARTITIONS, &spill);
+                for record in &records {
+                    outbox.emit(router.route(record, &[0]), record.fields());
                 }
-                assert_eq!(sorted(delivered(&parts)), expected, "{name}");
-                assert_eq!(stats, shipped, "{name}");
-                drop(parts);
-                assert_no_spill_files(&dir);
+                let posted = outbox.deliver(|target, pages, runs| {
+                    assert!(!pages.is_empty() || !runs.is_empty(), "{name}");
+                    parts[target].receive_pages(pages);
+                    parts[target].receive_runs(runs);
+                });
+                stats.merge(&posted.expect("sealed"));
             }
+            assert_eq!(sorted(delivered(&parts)), expected, "{name}");
+            assert_eq!(stats, shipped, "{name}");
+            drop(parts);
+            assert_no_spill_files(&dir);
         }
     }
 

@@ -18,7 +18,7 @@
 //! exist only at the API: sources given as records and the materializing
 //! sink accessors.
 //!
-//! Exchanged (hash/range/broadcast) edges are dams: every such edge fully
+//! Exchanged (hash/broadcast) edges are dams: every such edge fully
 //! materialises before downstream operators run, which is always safe for
 //! the iteration execution strategies of Sections 4.2 and 5.3 (no operator
 //! can ever participate in two iterations simultaneously).  Forward edges,
@@ -47,21 +47,19 @@
 //!
 //! # Exchanges
 //!
-//! Every edge — forward, hash, range, broadcast, cached — hands the
+//! Every edge — forward, hash, broadcast, cached — hands the
 //! consumer's local phase one [`ExchangedPartition`] per partition, the one
 //! delivered type, holding pages and spilled runs only.  A forward edge
 //! hands over the producer partition's pages, and a producer with several
-//! consumers shares them by pointer.  A hash or range repartitioning edge
-//! routes the bytes of every producer partition's records through one
+//! consumers shares them by pointer.  A hash repartitioning edge routes the
+//! bytes of every producer partition's records through one
 //! [`PartitionRouter`] into an [`Outbox`] in parallel on the worker pool and
 //! hands the outboxes to [`exchange::ship`] — the same route → page → spill
 //! → ship → gather layer the iteration runtime's superstep queue switch runs
 //! on (see [`crate::exchange`] for its invariants: records that stay local
 //! land on an unbudgeted page writer, peers receive sealed
 //! [`crate::page::RecordPage`]s or spilled runs, delivery is source-major).
-//! What stays here is policy: which router an edge uses (hash, or the
-//! splitter histogram frozen per operator), the per-exchange spill budget,
-//! the post-exchange sort of range edges (on the page kernel), broadcast
+//! What stays here is policy: the per-exchange spill budget, broadcast
 //! (every target shares the producer's pages by pointer), and the single
 //! "distributed transport rejected" check — cluster execution enters through
 //! the iteration runtime.  A hash join indexes its build side in a
@@ -71,11 +69,11 @@
 //!
 //! A loop-invariant edge (`cache_inputs`) takes the same exchange as any
 //! other the first time it executes; the [`IntermediateCache`] only *retains*
-//! what the exchange delivered — its pages and spilled runs as they arrived,
-//! a range edge's sort order kept advertised — and serves it by pointer to
+//! what the exchange delivered — its pages and spilled runs as they arrived —
+//! and serves it by pointer to
 //! every later execution at the parallelism it was filled at.
 //!
-//! Every parallel region — segment tasks, exchange routing, the range sort —
+//! Every parallel region — segment tasks, exchange routing —
 //! dispatches through one helper (`run_on_partitions`); a lone partition runs
 //! on the calling thread, and a panicking task is a typed
 //! [`DataflowError::WorkerPanic`] either way.
@@ -96,9 +94,9 @@ use crate::physical::{
     streaming_input_slot, LocalStrategy, PhysicalChoice, PhysicalPlan, ShipStrategy,
 };
 use crate::plan::{Operator, OperatorId, OperatorKind};
-use crate::range::{sample_page_keys_into, PartitionRouter, RangeBounds};
+use crate::range::PartitionRouter;
 use crate::record::Record;
-use crate::spill::{sort_pages, FlushScratch, MemoryBudget, SpillManager};
+use crate::spill::{MemoryBudget, SpillManager};
 use crate::stats::{ExecutionStats, OperatorStats};
 use crate::transport::TransportHandle;
 use crate::value::Value;
@@ -221,15 +219,15 @@ impl ExecConfig {
 /// and then served from here (Section 4.3).  A cached edge is the exchange's
 /// delivery as it arrived: every partition's pages, shared by pointer with
 /// each execution it serves (a hash join adopts them into its index without a
-/// copy), the runs the exchange spilled, and a range edge's sort order.  The
+/// copy) and the runs the exchange spilled.  The
 /// exchange of an edge the cache retains runs under the executor's memory
 /// budget like any other; the runs it spills stay on disk for as long as the
 /// edge is cached, and every re-execution streams them back.  That budget
 /// bounds what any exchange's budget bounds — the sealed pages in flight to
 /// peer partitions — and not the cached edge's resident size: pages that
 /// never left their partition (all of a forward or broadcast edge,
-/// everything at parallelism 1, the partition-local share of a hash or range
-/// edge) stay in memory.
+/// everything at parallelism 1, the partition-local share of a hash edge)
+/// stay in memory.
 ///
 /// What a cache holds is partitioned: a cache filled at one parallelism
 /// serves only executions at that parallelism (others are rejected as
@@ -237,14 +235,8 @@ impl ExecConfig {
 #[derive(Debug, Default)]
 pub struct IntermediateCache {
     entries: HashMap<(OperatorId, usize), Vec<ExchangedPartition>>,
-    /// The parallelism the cached edges and range bounds were built at.
+    /// The parallelism the cached edges were built at.
     parallelism: usize,
-    /// Range splitters frozen per consuming operator on the first execution.
-    /// Iterative plans re-execute the step plan with the same cache, so
-    /// freezing the splitters here keeps cached (constant-path) and
-    /// re-shipped (dynamic-path) range edges of the same operator routed by
-    /// one histogram — the invariant co-partitioned merge inputs rely on.
-    range_bounds: HashMap<OperatorId, Arc<RangeBounds>>,
 }
 
 impl IntermediateCache {
@@ -263,10 +255,9 @@ impl IntermediateCache {
         self.entries.is_empty()
     }
 
-    /// Drops all cached edges and frozen range histograms.
+    /// Drops all cached edges.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.range_bounds.clear();
     }
 }
 
@@ -397,10 +388,9 @@ impl Executor {
                 "parallelism must be at least 1".into(),
             ));
         }
-        // Cached edges hold one delivery per partition and frozen range
-        // bounds route to partitions of the fill; neither can serve another
-        // parallelism.
-        if cache.entries.is_empty() && cache.range_bounds.is_empty() {
+        // Cached edges hold one delivery per partition; they cannot serve
+        // another parallelism.
+        if cache.entries.is_empty() {
             cache.parallelism = parallelism;
         } else if cache.parallelism != parallelism {
             return Err(DataflowError::InvalidPlan(format!(
@@ -515,7 +505,6 @@ impl Executor {
         op: &Operator,
         slot: usize,
         choice: &PhysicalChoice,
-        range_bounds: Option<&Arc<RangeBounds>>,
         parallelism: usize,
         outputs: &mut HashMap<OperatorId, PagedPartitions>,
         cache: &mut IntermediateCache,
@@ -554,7 +543,6 @@ impl Executor {
             producer,
             &choice.input_ships[slot],
             parallelism,
-            range_bounds,
             &self.config,
             stats,
         )?;
@@ -597,7 +585,6 @@ impl Executor {
         for (pos, &mid) in members.iter().enumerate() {
             let op = plan.operator(mid);
             let choice = physical.choice(mid);
-            let range_bounds = prepare_range_bounds(op, choice, outputs, cache, parallelism)?;
             // Downstream members stream their fused slot; the chain-fusion
             // pass only fuses into a slot `streaming_input_slot` names.
             let stream_slot = (pos > 0)
@@ -618,7 +605,6 @@ impl Executor {
                     op,
                     slot,
                     choice,
-                    range_bounds.as_ref(),
                     parallelism,
                     outputs,
                     cache,
@@ -688,11 +674,11 @@ impl Executor {
 }
 
 /// Runs `task` on every partition's input — the executor's one parallel
-/// region: operator segments, exchange routing and the range sort all
-/// dispatch through it.  A lone partition has nothing to run beside and
-/// stays on the calling thread; otherwise each partition is one task of the
-/// shared worker pool, so a parallel region costs a deque push per partition
-/// instead of a round of thread spawns.  Either way a panicking task (user
+/// region: operator segments and exchange routing both dispatch through it.
+/// A lone partition has nothing to run beside and stays on the calling
+/// thread; otherwise each partition is one task of the shared worker pool,
+/// so a parallel region costs a deque push per partition instead of a round
+/// of thread spawns.  Either way a panicking task (user
 /// code, or the [`FaultSite::WorkerPanic`] injection each task consults
 /// under `label`) surfaces as one typed [`DataflowError::WorkerPanic`] naming
 /// `operator`; otherwise the first task error in partition order is
@@ -868,7 +854,7 @@ fn compute_chain_segments(physical: &PhysicalPlan) -> Vec<Vec<OperatorId>> {
 /// byte-identical.
 ///
 /// A Reduce hands each key's records to the user function in key order with
-/// ties in arrival order (the stable key sort), whichever the local strategy.
+/// ties in arrival order (the stable key sort).
 /// It is a `PagedGroup`: records are serialized onto pages as they arrive and
 /// grouped at end of stream by the shared kernel ([`KeyGroups`]), whatever
 /// the key's shape.
@@ -1149,88 +1135,19 @@ fn run_fused(
     Ok((reports, tail.finish()))
 }
 
-/// Builds (or reuses) the shared range histogram of one operator.
-///
-/// All range-partitioned input edges of the operator route through **one**
-/// [`RangeBounds`] built from a combined key sample of their producers:
-/// splitters are key *values*, so the two sides of a merge join — keyed on
-/// different field positions — still agree on which partition owns which key
-/// interval.  The bounds are frozen in the [`IntermediateCache`] so repeated
-/// executions of an iterative step plan keep routing cached constant-path
-/// edges and re-shipped dynamic-path edges consistently (the histogram is
-/// built from the first iteration's data; later skew only affects balance,
-/// never correctness).
-///
-/// Mixing hash- and range-partitioned inputs on a keyed two-input operator
-/// is rejected: the two schemes route the same key to different partitions,
-/// which would silently break the join's co-partitioning invariant.
-fn prepare_range_bounds(
-    op: &Operator,
-    choice: &PhysicalChoice,
-    outputs: &HashMap<OperatorId, PagedPartitions>,
-    cache: &mut IntermediateCache,
-    parallelism: usize,
-) -> Result<Option<Arc<RangeBounds>>> {
-    let mut range_edges: Vec<(usize, &KeyFields)> = Vec::new();
-    let mut incompatible_ship = None;
-    for (slot, ship) in choice.input_ships.iter().enumerate() {
-        match ship {
-            ShipStrategy::PartitionRange(keys) => range_edges.push((slot, keys)),
-            // A hash-shipped sibling routes equal keys by a different
-            // function; a forward-shipped sibling carries whatever layout
-            // the upstream operator produced — even if that layout is range
-            // partitioned, it came from a *different* histogram than the one
-            // this operator is about to sample.  Either way the join's
-            // co-partitioning invariant is silently broken, so both are
-            // rejected (broadcast siblings replicate and are always fine).
-            ShipStrategy::PartitionHash(_) => incompatible_ship = Some("hash-partitioned"),
-            ShipStrategy::Forward => incompatible_ship = Some("forwarded"),
-            ShipStrategy::Broadcast => {}
-        }
-    }
-    if range_edges.is_empty() {
-        return Ok(None);
-    }
-    if let (Some(kind), OperatorKind::Match { .. } | OperatorKind::CoGroup { .. }) =
-        (incompatible_ship, &op.kind)
-    {
-        return Err(DataflowError::InvalidPlan(format!(
-            "operator '{}' mixes range-partitioned and {kind} inputs; co-partitioned join \
-             inputs must share one range histogram (range-ship both sides or broadcast one)",
-            op.name
-        )));
-    }
-    if let Some(bounds) = cache.range_bounds.get(&op.id) {
-        return Ok(Some(Arc::clone(bounds)));
-    }
-    let mut sample: Vec<Key> = Vec::new();
-    for &(slot, keys) in &range_edges {
-        if let Some(producer) = outputs.get(&op.inputs[slot]) {
-            for pages in producer {
-                sample_page_keys_into(&mut sample, pages, keys);
-            }
-        }
-    }
-    let bounds = Arc::new(RangeBounds::from_sample(sample, parallelism));
-    cache.range_bounds.insert(op.id, Arc::clone(&bounds));
-    Ok(Some(bounds))
-}
-
 /// Routes the producer's partitions to the consumer's partitions according to
-/// the shipping strategy, updating the shipped/local counters.  Hash and
-/// range exchanges run under the configuration's spill policy
+/// the shipping strategy, updating the shipped/local counters.  Hash
+/// exchanges run under the configuration's spill policy
 /// ([`ExecConfig::spill_manager`]): the budget is split evenly over the
 /// producer×target page writers, and every flushed run is sorted on the
-/// exchange key — range partitions are sorted runs by definition, and hash
-/// partitions gain the key order that lets the grouping kernel merge their
-/// runs instead of re-sorting them.  Broadcast and forward share the
+/// exchange key, the order that lets the grouping kernel merge the runs
+/// instead of re-sorting them.  Broadcast and forward share the
 /// producer's pages by pointer and never spill.  Every producer, and so
 /// every delivery, has one partition per parallel instance.
 fn exchange(
     producer: PagedPartitions,
     ship: &ShipStrategy,
     parallelism: usize,
-    bounds: Option<&Arc<RangeBounds>>,
     config: &ExecConfig,
     stats: &mut ExecutionStats,
 ) -> Result<Vec<ExchangedPartition>> {
@@ -1244,15 +1161,6 @@ fn exchange(
             &producer,
             &PartitionRouter::hash(parallelism),
             keys,
-            &config.spill_manager(writers, Some(keys.clone())),
-            &config.transport,
-            stats,
-        ),
-        ShipStrategy::PartitionRange(keys) => range_exchange(
-            &producer,
-            keys,
-            bounds.expect("prepare_range_bounds builds bounds for every range-shipped input"),
-            parallelism,
             &config.spill_manager(writers, Some(keys.clone())),
             &config.transport,
             stats,
@@ -1282,10 +1190,10 @@ fn route_partition(
     Ok(outbox)
 }
 
-/// The repartitioning exchange shared by hash and range shipping: every
-/// producer partition routes its records into an [`Outbox`] concurrently on
-/// the worker pool, then [`exchange::ship`] delivers the round through a
-/// fresh channel of the executor's transport.
+/// The hash repartitioning exchange: every producer partition routes its
+/// records into an [`Outbox`] concurrently on the worker pool, then
+/// [`exchange::ship`] delivers the round through a fresh channel of the
+/// executor's transport.
 fn route_paged(
     producer: &PagedPartitions,
     router: &PartitionRouter,
@@ -1312,46 +1220,6 @@ fn route_paged(
     stats.spilled_bytes += shipped.spilled_bytes;
     stats.spilled_runs += shipped.spilled_runs;
     Ok(result)
-}
-
-/// The range repartitioning exchange: routes by binary search over the
-/// shared splitter histogram (see [`prepare_range_bounds`]) and then stably
-/// sorts the pages of every consumer partition on the key with the page
-/// kernel, so the concatenation of the delivered partitions is **globally
-/// sorted**.  The per-partition sorts run concurrently on the worker pool;
-/// the delivered partitions advertise their order
-/// ([`ExchangedPartition::sorted_by`]), whose visitor then merges the sorted
-/// pieces of a spilled partition instead of re-sorting.
-fn range_exchange(
-    producer: &PagedPartitions,
-    keys: &[usize],
-    bounds: &Arc<RangeBounds>,
-    parallelism: usize,
-    spill: &SpillManager,
-    transport: &TransportHandle,
-    stats: &mut ExecutionStats,
-) -> Result<Vec<ExchangedPartition>> {
-    let router = PartitionRouter::range(Arc::clone(bounds), parallelism);
-    let parts = route_paged(producer, &router, keys, spill, transport, stats)?;
-    // Sort what is in memory; anything that spilled during routing is
-    // already a sorted run on disk (sorted on flush), so the delivered
-    // partition is the *merge* of the sorted pieces — the sort never touches
-    // the spilled bytes again.
-    run_on_partitions(
-        "range-sort",
-        || "range-sort".to_string(),
-        spill.fault(),
-        parts,
-        |part| {
-            let (pages, runs, _) = part.into_pieces();
-            let sorted = sort_pages(pages, keys, &mut FlushScratch::default())?;
-            Ok(ExchangedPartition::from_spilled(
-                sorted,
-                runs,
-                Some(keys.to_vec()),
-            ))
-        },
-    )
 }
 
 /// Broadcast: every consumer partition shares all of the producer's pages
@@ -1554,7 +1422,6 @@ mod tests {
     use crate::key::partition_for;
     use crate::physical::default_physical_plan;
     use crate::plan::Plan;
-    use crate::range::sample_keys_into;
     use crate::value::Value;
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
@@ -2026,36 +1893,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_group_matches_hash_group() {
-        let mut plan = Plan::new();
-        let data: Vec<Record> = (0..200).map(|i| Record::pair(i % 13, i)).collect();
-        let src = plan.source("src", data);
-        let red = plan.reduce(
-            "min",
-            src,
-            vec![0],
-            Arc::new(ReduceClosure(
-                |key: &[Value], g: &[RecordView<'_>], out: &mut dyn RecordSink| {
-                    let min = g.iter().map(|r| r.long(1)).min().unwrap();
-                    out.emit(&[key[0].clone(), Value::Long(min)]);
-                },
-            )),
-        );
-        plan.sink("out", red);
-        let mut hash_phys = default_physical_plan(&plan, 2).unwrap();
-        hash_phys.choices.get_mut(&red).unwrap().local = LocalStrategy::HashGroup;
-        let mut sort_phys = default_physical_plan(&plan, 2).unwrap();
-        sort_phys.choices.get_mut(&red).unwrap().local = LocalStrategy::SortGroup;
-        let exec = Executor::new();
-        let mut a = exec.execute(&hash_phys).unwrap().sink("out").unwrap();
-        let mut b = exec.execute(&sort_phys).unwrap().sink("out").unwrap();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 13);
-    }
-
-    #[test]
     fn paged_exchange_routes_like_per_record_exchange() {
         // The sealed-page exchange must deliver exactly the records a naive
         // per-record clone-based exchange would, to exactly the same targets.
@@ -2164,123 +2001,6 @@ mod tests {
         (plan, red)
     }
 
-    #[test]
-    fn range_exchange_delivers_globally_sorted_partitions() {
-        // Route a skewed keyed dataset with the range exchange and check the
-        // concatenation of the consumer partitions in partition order is
-        // globally sorted — the property hash partitioning cannot deliver.
-        let parallelism = 4;
-        let mut producer: Partitions = vec![Vec::new(); parallelism];
-        for i in 0..2000i64 {
-            let key = (i * i) % 997 - 400; // skewed, with duplicates
-            producer[(i % parallelism as i64) as usize].push(Record::pair(key, i));
-        }
-        let mut sample = Vec::new();
-        for part in &producer {
-            sample_keys_into(&mut sample, part, &[0]);
-        }
-        let bounds = RangeBounds::from_sample(sample, parallelism);
-        let mut stats = ExecutionStats::new();
-        let spill = SpillManager::new(MemoryBudget::unlimited(), Some(vec![0]));
-        let exchanged = range_exchange(
-            &paged(&producer),
-            &[0],
-            &Arc::new(bounds),
-            parallelism,
-            &spill,
-            &TransportHandle::default(),
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(stats.shipped_records + stats.local_records, 2000);
-        let mut concatenated: Vec<Record> = Vec::new();
-        for part in exchanged {
-            assert_eq!(part.sorted_by(), Some(&[0usize][..]));
-            concatenated.extend(part.records());
-        }
-        let mut expected: Vec<Record> = producer.into_iter().flatten().collect();
-        expected.sort_by_key(|r| Key::extract(r, &[0]));
-        assert_eq!(concatenated.len(), expected.len());
-        for window in concatenated.windows(2) {
-            assert!(
-                window[0].long(0) <= window[1].long(0),
-                "not globally sorted"
-            );
-        }
-        concatenated.sort();
-        expected.sort();
-        assert_eq!(
-            concatenated, expected,
-            "range exchange changed the multiset"
-        );
-    }
-
-    #[test]
-    fn range_partitioned_reduce_matches_hash_partitioned_reduce() {
-        let records: Vec<Record> = (0..500).map(|i| Record::pair(i % 37 - 18, 1)).collect();
-        let (plan, red) = keyed_sum_plan(records);
-        let hash_phys = default_physical_plan(&plan, 4).unwrap();
-        let mut range_phys = default_physical_plan(&plan, 4).unwrap();
-        {
-            let choice = range_phys.choices.get_mut(&red).unwrap();
-            choice.input_ships[0] = ShipStrategy::PartitionRange(vec![0]);
-            choice.local = LocalStrategy::SortGroup;
-        }
-        let exec = Executor::new();
-        let mut a = exec.execute(&hash_phys).unwrap().into_sink("out").unwrap();
-        let range_result = exec.execute(&range_phys).unwrap();
-        assert!(range_result.stats.shipped_records > 0);
-        let mut b = range_result.into_sink("out").unwrap();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 37);
-    }
-
-    #[test]
-    fn mixed_hash_and_range_join_inputs_are_rejected() {
-        let mut plan = Plan::new();
-        let left = plan.source("left", vec![Record::pair(1, 1)]);
-        let right = plan.source("right", vec![Record::pair(1, 2)]);
-        let join = plan.match_join(
-            "join",
-            left,
-            right,
-            vec![0],
-            vec![0],
-            Arc::new(MatchClosure(
-                |l: RecordView<'_>, _r: RecordView<'_>, out: &mut dyn RecordSink| out.forward(l),
-            )),
-        );
-        plan.sink("out", join);
-        let mut phys = default_physical_plan(&plan, 2).unwrap();
-        phys.choices.get_mut(&join).unwrap().input_ships[1] = ShipStrategy::PartitionRange(vec![0]);
-        let err = Executor::new().execute(&phys).unwrap_err();
-        assert!(
-            err.to_string().contains("range histogram"),
-            "unexpected error: {err}"
-        );
-        // A forwarded sibling is equally rejected: whatever layout the
-        // upstream operator delivered, it cannot share this operator's
-        // freshly sampled histogram.
-        let mut phys = default_physical_plan(&plan, 2).unwrap();
-        let choice = phys.choices.get_mut(&join).unwrap();
-        choice.input_ships[0] = ShipStrategy::Forward;
-        choice.input_ships[1] = ShipStrategy::PartitionRange(vec![0]);
-        let err = Executor::new().execute(&phys).unwrap_err();
-        assert!(
-            err.to_string().contains("forwarded"),
-            "unexpected error: {err}"
-        );
-        // Range on both sides shares one histogram and executes fine.
-        let mut phys = default_physical_plan(&plan, 2).unwrap();
-        let choice = phys.choices.get_mut(&join).unwrap();
-        choice.input_ships[0] = ShipStrategy::PartitionRange(vec![0]);
-        choice.input_ships[1] = ShipStrategy::PartitionRange(vec![0]);
-        let result = Executor::new().execute(&phys).unwrap();
-        assert_eq!(result.sink("out").unwrap(), vec![Record::pair(1, 1)]);
-    }
-
     /// The constant-path cache is the ordinary exchange's delivery, retained:
     /// against one cache, execution 1 of a plan with a cached edge is the
     /// uncached plan's execution in everything observable, and executions 2–3
@@ -2300,7 +2020,6 @@ mod tests {
         let ships = [
             ShipStrategy::Forward,
             ShipStrategy::PartitionHash(vec![0]),
-            ShipStrategy::PartitionRange(vec![0]),
             ShipStrategy::Broadcast,
         ];
         for parallelism in [1, 4] {
@@ -2309,9 +2028,7 @@ mod tests {
                 for ship in &ships {
                     let case = format!("{ship} p={parallelism} budget={budget:?}");
                     let mut phys = default_physical_plan(&plan, parallelism).unwrap();
-                    let choice = phys.choices.get_mut(&red).unwrap();
-                    choice.input_ships[0] = ship.clone();
-                    choice.local = LocalStrategy::SortGroup;
+                    phys.choices.get_mut(&red).unwrap().input_ships[0] = ship.clone();
                     let executor =
                         Executor::with_config(ExecConfig::new().with_memory_budget(budget));
                     let oracle = executor.execute(&phys).unwrap();
@@ -2333,42 +2050,15 @@ mod tests {
                     assert_eq!(first.stats.spilled_bytes, oracle.stats.spilled_bytes);
                     assert_eq!(first.stats.cache_hits, 0);
 
-                    let is_range = matches!(ship, ShipStrategy::PartitionRange(_));
                     let edge = &cache.entries[&(red, 0)];
                     assert_eq!(edge.len(), parallelism, "{case}");
-                    for part in edge {
-                        assert_eq!(
-                            part.sorted_by(),
-                            is_range.then_some(&[0usize][..]),
-                            "{case}"
-                        );
-                    }
-                    assert_eq!(cache.range_bounds.len(), usize::from(is_range), "{case}");
-                    if is_range {
-                        // The advertised order is real, in memory and on disk.
-                        for part in edge {
-                            let views = part.pages().iter().flat_map(|page| page.reader());
-                            let keys: Vec<i64> = views.map(|view| view.long(0)).collect();
-                            assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{case}");
-                            for run in part.runs() {
-                                let (mut cursor, mut last) = (run.cursor().unwrap(), i64::MIN);
-                                while cursor.step().unwrap() {
-                                    assert!(last <= cursor.view().long(0), "{case}");
-                                    last = cursor.view().long(0);
-                                }
-                            }
-                        }
-                    }
                     // What the exchange spilled stays on disk while cached.
                     let run_files: Vec<_> = edge
                         .iter()
                         .flat_map(|part| part.runs())
                         .map(|run| run.path().to_owned())
                         .collect();
-                    let repartitions = matches!(
-                        ship,
-                        ShipStrategy::PartitionHash(_) | ShipStrategy::PartitionRange(_)
-                    );
+                    let repartitions = matches!(ship, ShipStrategy::PartitionHash(_));
                     assert_eq!(
                         !run_files.is_empty(),
                         budget == zero && parallelism > 1 && repartitions,
@@ -2393,7 +2083,6 @@ mod tests {
                     }
                     assert!(run_files.iter().all(|file| file.exists()), "{case}");
                     cache.clear();
-                    assert!(cache.range_bounds.is_empty());
                     assert!(!run_files.iter().any(|file| file.exists()), "{case}");
                 }
             }
@@ -2410,54 +2099,44 @@ mod tests {
             records
         };
         let executor = Executor::new();
-        for ship in [
-            ShipStrategy::PartitionHash(vec![0]),
-            ShipStrategy::PartitionRange(vec![0]),
-        ] {
-            let physical = |parallelism| {
-                let mut phys = default_physical_plan(&plan, parallelism).unwrap();
-                phys.choices.get_mut(&red).unwrap().input_ships[0] = ship.clone();
-                phys.cache_input(red, 0);
-                phys
-            };
-            let mut cache = IntermediateCache::new();
-            let filled = executor
-                .execute_with_cache(&physical(4), &mut cache)
-                .unwrap();
-            for other in [2, 8] {
-                match executor.execute_with_cache(&physical(other), &mut cache) {
-                    Err(DataflowError::InvalidPlan(message)) => assert!(
-                        message.contains("parallelism 4")
-                            && message.contains(&format!("parallelism {other}")),
-                        "{message}"
-                    ),
-                    result => panic!("{ship} p={other}: expected InvalidPlan, got {result:?}"),
-                }
+        let physical = |parallelism| {
+            let mut phys = default_physical_plan(&plan, parallelism).unwrap();
+            phys.cache_input(red, 0);
+            phys
+        };
+        let mut cache = IntermediateCache::new();
+        let filled = executor
+            .execute_with_cache(&physical(4), &mut cache)
+            .unwrap();
+        for other in [2, 8] {
+            match executor.execute_with_cache(&physical(other), &mut cache) {
+                Err(DataflowError::InvalidPlan(message)) => assert!(
+                    message.contains("parallelism 4")
+                        && message.contains(&format!("parallelism {other}")),
+                    "{message}"
+                ),
+                result => panic!("p={other}: expected InvalidPlan, got {result:?}"),
             }
-            // The rejected runs left the cache serving its own parallelism.
-            let again = executor
-                .execute_with_cache(&physical(4), &mut cache)
-                .unwrap();
-            assert_eq!(again.stats.cache_hits, 1, "{ship}");
-            assert_eq!(sorted(&again), sorted(&filled), "{ship}");
-            // Cleared, it fills at any parallelism.
-            for other in [2, 8] {
-                cache.clear();
-                let result = executor.execute_with_cache(&physical(other), &mut cache);
-                assert_eq!(
-                    sorted(&result.unwrap()),
-                    sorted(&filled),
-                    "{ship} p={other}"
-                );
-            }
+        }
+        // The rejected runs left the cache serving its own parallelism.
+        let again = executor
+            .execute_with_cache(&physical(4), &mut cache)
+            .unwrap();
+        assert_eq!(again.stats.cache_hits, 1);
+        assert_eq!(sorted(&again), sorted(&filled));
+        // Cleared, it fills at any parallelism.
+        for other in [2, 8] {
+            cache.clear();
+            let result = executor.execute_with_cache(&physical(other), &mut cache);
+            assert_eq!(sorted(&result.unwrap()), sorted(&filled), "p={other}");
         }
     }
 
     /// Every delivery of a hash join's build side — forward from a cached
-    /// edge, hash, range under a zero budget (sorted spilled partitions),
-    /// broadcast — probed fused or not, and keyed by `Long` (the paged
-    /// index) or `Text` (the map), joins each partition exactly as the
-    /// sort-merge join of the same plan does.
+    /// edge, hash, hash under a zero budget (spilled partitions), broadcast —
+    /// probed fused or not, and keyed by `Long` (the paged index) or `Text`
+    /// (the map), joins each partition exactly as the sort-merge join of the
+    /// same plan does.
     #[test]
     fn hash_join_agrees_with_sort_merge_for_every_build_side_delivery() {
         for text in [false, true] {
@@ -2493,7 +2172,6 @@ mod tests {
                 )),
             );
             plan.sink("out", join);
-            let ranged = ShipStrategy::PartitionRange(vec![0]);
             let hashed = ShipStrategy::PartitionHash(vec![0]);
             let deliveries = [
                 (
@@ -2501,8 +2179,8 @@ mod tests {
                     ShipStrategy::Forward,
                     ShipStrategy::Forward,
                 ),
-                ("hash", hashed.clone(), hashed),
-                ("range-budget-0", ranged.clone(), ranged),
+                ("hash", hashed.clone(), hashed.clone()),
+                ("hash-budget-0", hashed.clone(), hashed),
                 ("broadcast", ShipStrategy::Forward, ShipStrategy::Broadcast),
             ];
             for parallelism in [1, 4] {
@@ -2518,7 +2196,7 @@ mod tests {
                             phys.cache_input(join, 1);
                         }
                         let budget = match *delivery {
-                            "range-budget-0" => MemoryBudget::bytes(0),
+                            "hash-budget-0" => MemoryBudget::bytes(0),
                             _ => MemoryBudget::unlimited(),
                         };
                         let executor =
@@ -2552,93 +2230,27 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_range_exchange_delivers_merged_global_order() {
-        // Budget 0: every routed record spills; the delivered partitions are
-        // merges of sorted runs plus the sorted local residue and must still
-        // concatenate into the same global key order as the in-memory path.
-        let parallelism = 4;
-        let mut producer: Partitions = vec![Vec::new(); parallelism];
-        for i in 0..1500i64 {
-            producer[(i % parallelism as i64) as usize].push(Record::pair((i * i) % 311 - 100, i));
-        }
-        let mut sample = Vec::new();
-        for part in &producer {
-            sample_keys_into(&mut sample, part, &[0]);
-        }
-        let bounds = RangeBounds::from_sample(sample, parallelism);
-        let mut stats = ExecutionStats::new();
-        let spill = SpillManager::new(MemoryBudget::bytes(0), Some(vec![0]));
-        let exchanged = range_exchange(
-            &paged(&producer),
-            &[0],
-            &Arc::new(bounds),
-            parallelism,
-            &spill,
-            &TransportHandle::default(),
-            &mut stats,
-        )
-        .unwrap();
-        assert!(stats.spilled_runs > 0, "budget 0 must spill");
-        assert!(stats.spilled_bytes > 0);
-        let mut concatenated: Vec<Record> = Vec::new();
-        for part in exchanged {
-            assert_eq!(part.sorted_by(), Some(&[0usize][..]));
-            concatenated.extend(part.records());
-        }
-        for window in concatenated.windows(2) {
-            assert!(
-                window[0].long(0) <= window[1].long(0),
-                "not globally sorted"
-            );
-        }
-        let mut expected: Vec<Record> = producer.into_iter().flatten().collect();
-        concatenated.sort();
-        expected.sort();
-        assert_eq!(concatenated, expected, "spilling changed the multiset");
-    }
-
-    #[test]
     fn budgeted_execution_matches_unbudgeted_execution() {
-        // The whole plan under a zero budget: hash-shipped HashGroup, hash-
-        // shipped SortGroup (merging sorted spilled runs) and range-shipped
-        // SortGroup (streaming group over the merge) must all equal the
-        // in-memory run.
+        // The whole plan under a zero budget (the grouping kernel merging
+        // sorted spilled runs) must equal the in-memory run.
         let records: Vec<Record> = (0..3000).map(|i| Record::pair(i % 97 - 40, 1)).collect();
-        let (plan, red) = keyed_sum_plan(records);
+        let (plan, _) = keyed_sum_plan(records);
         let unbudgeted = Executor::new()
             .execute(&default_physical_plan(&plan, 4).unwrap())
             .unwrap();
         assert_eq!(unbudgeted.stats.spilled_bytes, 0);
         let mut expected = unbudgeted.into_sink("out").unwrap();
         expected.sort();
-        for (ship_range, local) in [
-            (false, LocalStrategy::HashGroup),
-            (false, LocalStrategy::SortGroup),
-            (true, LocalStrategy::SortGroup),
-        ] {
-            let mut phys = default_physical_plan(&plan, 4).unwrap();
-            {
-                let choice = phys.choices.get_mut(&red).unwrap();
-                if ship_range {
-                    choice.input_ships[0] = ShipStrategy::PartitionRange(vec![0]);
-                }
-                choice.local = local;
-            }
-            let executor =
-                Executor::with_config(ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0)));
-            let result = executor.execute(&phys).unwrap();
-            assert!(
-                result.stats.spilled_bytes > 0,
-                "zero budget must spill (range={ship_range}, {local:?})"
-            );
-            assert!(result.stats.spilled_runs > 0);
-            let mut got = result.into_sink("out").unwrap();
-            got.sort();
-            assert_eq!(
-                got, expected,
-                "budgeted run diverged (range={ship_range}, {local:?})"
-            );
-        }
+        let executor =
+            Executor::with_config(ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0)));
+        let result = executor
+            .execute(&default_physical_plan(&plan, 4).unwrap())
+            .unwrap();
+        assert!(result.stats.spilled_bytes > 0, "zero budget must spill");
+        assert!(result.stats.spilled_runs > 0);
+        let mut got = result.into_sink("out").unwrap();
+        got.sort();
+        assert_eq!(got, expected, "budgeted run diverged");
     }
 
     /// Channel credits bound the executor's outboxes as they bound the
@@ -2648,33 +2260,21 @@ mod tests {
     #[test]
     fn channel_credits_bound_the_executor_outboxes() {
         let records: Vec<Record> = (0..20_000).map(|i| Record::pair(i % 997, i)).collect();
-        let (plan, red) = keyed_sum_plan(records);
-        for ship in [
-            ShipStrategy::PartitionHash(vec![0]),
-            ShipStrategy::PartitionRange(vec![0]),
-        ] {
-            let mut phys = default_physical_plan(&plan, 2).unwrap();
-            let choice = phys.choices.get_mut(&red).unwrap();
-            choice.input_ships[0] = ship.clone();
-            choice.local = LocalStrategy::SortGroup;
-            let run = |config| Executor::with_config(config).execute(&phys).unwrap();
-            let uncredited = run(ExecConfig {
-                channel_credits: None,
-                ..ExecConfig::new()
-            });
-            let credited = run(ExecConfig::new().with_channel_credits(1));
-            assert_eq!(uncredited.stats.spilled_runs, 0, "{ship}");
-            assert!(credited.stats.spilled_runs > 0, "{ship}");
-            assert_eq!(
-                credited.sink_partitions("out").unwrap(),
-                uncredited.sink_partitions("out").unwrap(),
-                "{ship}"
-            );
-            assert_eq!(
-                credited.stats.shipped_bytes, uncredited.stats.shipped_bytes,
-                "{ship}"
-            );
-        }
+        let (plan, _) = keyed_sum_plan(records);
+        let phys = default_physical_plan(&plan, 2).unwrap();
+        let run = |config| Executor::with_config(config).execute(&phys).unwrap();
+        let uncredited = run(ExecConfig {
+            channel_credits: None,
+            ..ExecConfig::new()
+        });
+        let credited = run(ExecConfig::new().with_channel_credits(1));
+        assert_eq!(uncredited.stats.spilled_runs, 0);
+        assert!(credited.stats.spilled_runs > 0);
+        assert_eq!(
+            credited.sink_partitions("out").unwrap(),
+            uncredited.sink_partitions("out").unwrap()
+        );
+        assert_eq!(credited.stats.shipped_bytes, uncredited.stats.shipped_bytes);
     }
 
     #[test]

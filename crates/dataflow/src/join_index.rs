@@ -214,8 +214,8 @@ mod tests {
 
     /// Builds the index over `build` every way the engines do — field by
     /// field, and from delivered partitions of pages and spilled runs,
-    /// including a sorted (range-delivered) spilled one — and
-    /// checks each against the nested loop.  Returns the field-built index.
+    /// sorted on flush or not — and checks each against the nested loop.
+    /// Returns the field-built index.
     fn check_all_builds(
         name: &str,
         build: &[Record],
@@ -245,24 +245,21 @@ mod tests {
             assert_agrees(&format!("{name}/{form}"), &index, build, key, probes);
         }
 
-        // A range exchange under a budget: a sorted residue plus sorted runs,
-        // whose owning order is their merge.
-        let mut sorted = build.to_vec();
-        sorted.sort_by_key(|r| Key::extract(r, key));
-        let sorted_range = || {
-            let (local, runs) = sorted.split_at(third);
-            let (a, b) = runs.split_at(third);
-            let runs = [a, b].map(|records| write_sorted_records_in(&dir, records, key).unwrap());
-            ExchangedPartition::from_spilled(pages_of(local), runs.to_vec(), Some(key.to_vec()))
+        // A hash exchange under a budget: a residue plus runs sorted on
+        // flush, delivered pages first.
+        let sorted_run = |records: &[Record]| {
+            let mut records = records.to_vec();
+            records.sort_by_key(|r| Key::extract(r, key));
+            write_sorted_records_in(&dir, &records, key).unwrap()
         };
-        let part = sorted_range();
-        assert!(part.is_sorted_merge());
+        let runs = vec![sorted_run(paged), sorted_run(spilled)];
+        let part = ExchangedPartition::from_spilled(pages_of(local), runs);
+        let delivered = part.records();
         let index = JoinIndex::from_partition(part, key).unwrap();
-        let merged = sorted_range().records();
         assert_agrees(
-            &format!("{name}/sorted-merge"),
+            &format!("{name}/sorted-runs"),
             &index,
-            &merged,
+            &delivered,
             key,
             probes,
         );

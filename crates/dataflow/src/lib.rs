@@ -11,16 +11,17 @@
 //!   as length-prefixed binary data in sealed page buffers, so repartitioning
 //!   moves page pointers and ships bytes, not heap objects ([`page`]).
 //! * **Spilling** — under a memory budget, exchanges move sealed pages to
-//!   disk as sorted runs and sort-based strategies consume them through a
-//!   streaming k-way merge, so iterations keep working when the exchanged
-//!   state exceeds memory ([`spill`]).
+//!   disk as runs sorted on the exchange key and the grouping kernel
+//!   consumes them through a streaming k-way merge, so iterations keep
+//!   working when the exchanged state exceeds memory ([`spill`]).
 //! * **Parallelization Contracts** — `Map`, `Reduce`, `Match`, `Cross`,
 //!   `CoGroup` and `InnerCoGroup` second-order functions wrapping arbitrary
 //!   user code ([`contracts`]).
 //! * **Logical plans** — DAGs of sources, operators and sinks ([`plan`]).
-//! * **Physical plans** — shipping strategies (forward, hash/range partition,
-//!   broadcast) per edge and local strategies (hash/sort joins and groupings)
-//!   per operator ([`physical`]).
+//! * **Physical plans** — shipping strategies (forward, hash partition,
+//!   broadcast) per edge and local strategies (hash or sort-merge joins,
+//!   grouping) per operator ([`physical`]).  Hash partitioning is the one
+//!   routing ([`range::PartitionRouter`]).
 //! * **Exchange** — the one route → page → spill → ship → gather mechanism
 //!   under both the executor's repartitioning and the iteration runtime's
 //!   superstep queue switch ([`exchange`]).
@@ -96,8 +97,7 @@ pub mod prelude {
     pub use crate::key::{FxBuildHasher, FxHashMap, Key, KeyFields, KeyValues};
     pub use crate::page::{ExchangedPartition, PageReader, PageWriter, RecordPage, RecordView};
     pub use crate::physical::{
-        default_physical_plan, GlobalOrder, LocalStrategy, PhysicalChoice, PhysicalPlan,
-        ShipStrategy,
+        default_physical_plan, LocalStrategy, PhysicalChoice, PhysicalPlan, ShipStrategy,
     };
     pub use crate::plan::{Operator, OperatorId, OperatorKind, Plan};
     pub use crate::range::{PartitionRouter, RangeBounds};

@@ -1171,7 +1171,7 @@ impl PagePool {
 
 /// The post-exchange input of one worker partition — the one type every edge
 /// delivers to a local phase, whatever its ship strategy: the executor's
-/// forward, hash, range and broadcast edges and its cached edges, and the
+/// forward, hash and broadcast edges and its cached edges, and the
 /// iteration runtime's superstep queues.
 ///
 /// It holds pages and runs only: sealed, shared pages — a forward edge's
@@ -1179,24 +1179,12 @@ impl PagePool {
 /// pages — and, when the exchange ran under a memory budget,
 /// [`SpilledRun`]s on disk.  Consumers read every record in place
 /// ([`ExchangedPartition::for_each_view`]).
-///
-/// # Sorted partitions
-///
-/// A sorted partition ([`ExchangedPartition::sorted_by`] set, what a range
-/// exchange delivers) keeps two invariants: its pages, read in order, are
-/// sorted, and every run is individually sorted by the same key.  When it
-/// holds runs, the visitors yield the **merged** global order (a linear
-/// k-way merge, never a re-sort, with ties in delivery order: the pages
-/// first, then the runs in order).
 #[derive(Debug, Default, Clone)]
 pub struct ExchangedPartition {
     pages: Vec<Arc<RecordPage>>,
     /// Runs spilled to disk by the exchange, in spill order (earlier records
     /// first).
     runs: Vec<SpilledRun>,
-    /// Key fields the partition is sorted by, when the exchange delivered it
-    /// sorted (range exchanges).  Receiving pages or runs clears it.
-    sorted_by: Option<crate::key::KeyFields>,
 }
 
 impl ExchangedPartition {
@@ -1204,55 +1192,25 @@ impl ExchangedPartition {
     pub fn new(pages: Vec<Arc<RecordPage>>) -> Self {
         ExchangedPartition {
             pages,
-            ..ExchangedPartition::default()
+            runs: Vec::new(),
         }
     }
 
     /// A partition of in-memory pages plus the runs its exchange spilled.
-    /// With `sorted_by` set (what a range exchange delivers, and a cached
-    /// range edge serves), the pages and every run must be sorted by that
-    /// key: the visitors then merge the pieces into the global order.
-    pub fn from_spilled(
-        pages: Vec<Arc<RecordPage>>,
-        runs: Vec<SpilledRun>,
-        sorted_by: Option<crate::key::KeyFields>,
-    ) -> Self {
-        if let Some(key) = &sorted_by {
-            debug_assert!(runs.iter().all(|r| r.sorted_by() == Some(&key[..])));
-        }
-        ExchangedPartition {
-            pages,
-            runs,
-            sorted_by,
-        }
-    }
-
-    /// The key fields this partition is sorted by, if the exchange delivered
-    /// it sorted.
-    pub fn sorted_by(&self) -> Option<&[usize]> {
-        self.sorted_by.as_deref()
+    pub fn from_spilled(pages: Vec<Arc<RecordPage>>, runs: Vec<SpilledRun>) -> Self {
+        ExchangedPartition { pages, runs }
     }
 
     /// Appends sealed pages (pointer moves): the source partition's own
-    /// pages first, then peers' in source order, so any previously recorded
-    /// sort order no longer holds and is cleared.
+    /// pages first, then peers' in source order.
     pub fn receive_pages(&mut self, pages: impl IntoIterator<Item = Arc<RecordPage>>) {
-        let before = self.pages.len();
         self.pages.extend(pages);
-        if self.pages.len() > before {
-            self.sorted_by = None;
-        }
     }
 
     /// Appends spilled runs received from a peer partition (handle moves —
-    /// the bytes stay on disk).  Like received pages, received runs void any
-    /// previously recorded partition-wide order.
+    /// the bytes stay on disk).
     pub fn receive_runs(&mut self, runs: impl IntoIterator<Item = SpilledRun>) {
-        let before = self.runs.len();
         self.runs.extend(runs);
-        if self.runs.len() > before {
-            self.sorted_by = None;
-        }
     }
 
     /// Total records (paged and spilled).
@@ -1276,20 +1234,13 @@ impl ExchangedPartition {
         self.runs.len()
     }
 
-    /// True when every spilled run is individually sorted by `key` — even if
-    /// the partition as a whole is not (a hash exchange delivers unordered
-    /// partitions whose runs were still sorted on flush).  Sort-based
+    /// True when every spilled run is individually sorted by `key` (a hash
+    /// exchange delivers unordered partitions whose runs were still sorted
+    /// on flush).  Sort-based
     /// consumers use this to merge the runs with a sorted in-memory residue
     /// instead of rematerializing and re-sorting everything.
     pub(crate) fn spilled_runs_sorted_by(&self, key: &[usize]) -> bool {
         self.runs.iter().all(|run| run.sorted_by() == Some(key))
-    }
-
-    /// True when the visitors *merge* this partition's sorted pieces
-    /// (sorted delivery with spilled overflow) — an order an
-    /// ingest-in-delivery-order consumer cannot reproduce.
-    pub fn is_sorted_merge(&self) -> bool {
-        self.sorted_by.is_some() && !self.runs.is_empty()
     }
 
     /// The sealed pages in memory.
@@ -1349,36 +1300,16 @@ impl ExchangedPartition {
         fault.io_check(FaultSite::SpillRead)
     }
 
-    /// Decomposes the partition into its pieces: `(pages, runs, sorted-by)`.
-    pub fn into_pieces(
-        self,
-    ) -> (
-        Vec<Arc<RecordPage>>,
-        Vec<SpilledRun>,
-        Option<crate::key::KeyFields>,
-    ) {
-        (self.pages, self.runs, self.sorted_by)
+    /// Decomposes the partition into its pieces: `(pages, runs)`.
+    pub fn into_pieces(self) -> (Vec<Arc<RecordPage>>, Vec<SpilledRun>) {
+        (self.pages, self.runs)
     }
 
     /// Calls `f` with every record, read in place: the pages, then the runs
-    /// streamed off disk one frame at a time — or, for a sorted partition
-    /// holding runs, the merge of the sorted pieces.  Nothing is
-    /// deserialized.  Fails with the underlying I/O error when a spilled run
-    /// cannot be read.
+    /// streamed off disk one frame at a time.  Nothing is deserialized.
+    /// Fails with the underlying I/O error when a spilled run cannot be
+    /// read.
     pub fn for_each_view(&self, mut f: impl FnMut(RecordView<'_>)) -> std::io::Result<()> {
-        if let (Some(key), false) = (&self.sorted_by, self.runs.is_empty()) {
-            let mut store = PageWriter::new();
-            let mut pairs = Vec::with_capacity(self.record_count());
-            let exact = self.ingest_residue(key, &mut store, &mut |prefix, handle| {
-                pairs.push((prefix, handle))
-            });
-            let mut merger = RunMerger::over_sorted(store, pairs, exact, &self.runs, key.clone())?;
-            while merger.head().is_some() {
-                f(merger.view());
-                merger.advance()?;
-            }
-            return Ok(());
-        }
         for page in &self.pages {
             page.reader().for_each(&mut f);
         }
@@ -2048,21 +1979,6 @@ mod tests {
     }
 
     #[test]
-    fn sorted_partitions_advertise_and_invalidate_their_order() {
-        let records = vec![Record::pair(1, 0), Record::pair(2, 0)];
-        let mut part = ExchangedPartition::from_spilled(paged(&records), Vec::new(), Some(vec![0]));
-        assert_eq!(part.sorted_by(), Some(&[0usize][..]));
-        // Receiving nothing keeps the order; receiving a page clears it.
-        part.receive_pages(Vec::new());
-        assert_eq!(part.sorted_by(), Some(&[0usize][..]));
-        let mut writer = PageWriter::new();
-        writer.push(&Record::pair(0, 0));
-        part.receive_pages(writer.finish());
-        assert_eq!(part.sorted_by(), None);
-        assert!(ExchangedPartition::new(Vec::new()).sorted_by().is_none());
-    }
-
-    #[test]
     fn writer_counts_records_and_bytes() {
         let mut writer = PageWriter::new();
         assert!(writer.is_empty());
@@ -2401,7 +2317,7 @@ mod tests {
     /// pages, several multi-page and one-page sorted runs, an empty run and a
     /// run holding an oversized record, with duplicate and extreme keys
     /// spread across all of them — and over a partition with an unsorted
-    /// run and a range-delivered sorted spilled partition.
+    /// run.
     #[test]
     fn long_key_grouping_equals_the_stable_sort_of_the_delivered_records() {
         use crate::spill::{write_run_in, write_sorted_records_in, MemoryBudget, SpillManager};
@@ -2481,7 +2397,7 @@ mod tests {
                     "{label}: pages and sorted runs"
                 );
                 // Without pages the runs alone merge.
-                let runs_only = ExchangedPartition::from_spilled(Vec::new(), flushed.clone(), None);
+                let runs_only = ExchangedPartition::from_spilled(Vec::new(), flushed.clone());
                 assert_eq!(
                     kernel_groups(&runs_only, key, &mut scratch),
                     oracle_groups(&runs_only, key),
@@ -2502,31 +2418,6 @@ mod tests {
                     oracle_groups(&with_unsorted, key),
                     "{label}: an unsorted run"
                 );
-
-                // A range-delivered sorted spilled partition: a sorted residue
-                // plus sorted runs, whose owning order is their merge.
-                let mut sorted_local = records(size, &mut random);
-                sorted_local.sort_by_key(|r| Key::extract(r, key));
-                let sorted_runs: Vec<SpilledRun> = (0..3)
-                    .map(|_| {
-                        let mut run = records(size / 2, &mut random);
-                        run.sort_by_key(|r| Key::extract(r, key));
-                        write_sorted_records_in(&dir, &run, key).unwrap()
-                    })
-                    .collect();
-                let range =
-                    ExchangedPartition::from_spilled(paged(&sorted_local), sorted_runs, sort);
-                assert!(range.is_sorted_merge());
-                let oracle = oracle_groups(&range, key);
-                assert_eq!(
-                    kernel_groups(&range, key, &mut scratch),
-                    oracle,
-                    "{label}: range-delivered sorted merge"
-                );
-                // Its visitor runs the same merge.
-                let owned = range.records();
-                let concatenated: Vec<u8> = oracle.iter().flat_map(|g| g.1.clone()).collect();
-                assert_eq!(serialized(&owned), concatenated, "{label}: records");
             }
         }
         let _ = std::fs::remove_dir(&dir);

@@ -18,11 +18,11 @@ use std::fmt;
 /// How the records of one input edge are distributed to the parallel
 /// instances of the consuming operator.
 ///
-/// The hash and range variants execute as paged exchanges; past the memory
-/// budget or the channel credits ([`crate::exec::ExecConfig::memory_budget`],
-/// [`crate::exec::ExecConfig::channel_credits`]) their buffered pages spill
-/// to disk as sorted runs ([`crate::spill`]), which the sort-based local
-/// strategies consume by streaming merge.
+/// Hash partitioning executes as a paged exchange; past the memory budget or
+/// the channel credits ([`crate::exec::ExecConfig::memory_budget`],
+/// [`crate::exec::ExecConfig::channel_credits`]) its buffered pages spill to
+/// disk as runs sorted on the key ([`crate::spill`]), which the grouping
+/// kernel consumes by streaming merge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShipStrategy {
     /// Instance *i* of the producer feeds instance *i* of the consumer; no
@@ -31,52 +31,8 @@ pub enum ShipStrategy {
     /// Records are hash-partitioned on the given key fields; records with the
     /// same key end up at the same consumer instance.
     PartitionHash(KeyFields),
-    /// Records are range-partitioned on the given key fields: the executor
-    /// samples the producers for an equi-depth splitter histogram, routes by
-    /// binary search over the splitters, and delivers every consumer
-    /// partition **sorted** on the key — so globally, partition *i* holds
-    /// smaller keys than partition *i + 1* (see [`crate::range`]).
-    PartitionRange(KeyFields),
     /// Every record is replicated to every consumer instance.
     Broadcast,
-}
-
-/// A global order delivered by an exchange: the concatenation of the
-/// consumer partitions in partition order is sorted on `fields`.
-///
-/// This is the physical property the paper's optimizer reuses across the
-/// loop boundary (Section 4.3): a range-partitioned, locally sorted
-/// intermediate result satisfies downstream sort requirements (merge join,
-/// sort-grouping) without a re-sort.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GlobalOrder {
-    /// Key fields the data is ordered by, in comparison order.
-    pub fields: KeyFields,
-    /// `true` for ascending order (the only order the range exchange
-    /// currently produces; kept explicit so descending ranges can be added
-    /// without changing the property model).
-    pub ascending: bool,
-}
-
-impl GlobalOrder {
-    /// An ascending order on `fields`.
-    pub fn ascending(fields: KeyFields) -> Self {
-        GlobalOrder {
-            fields,
-            ascending: true,
-        }
-    }
-}
-
-impl fmt::Display for GlobalOrder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:?} {}",
-            self.fields,
-            if self.ascending { "asc" } else { "desc" }
-        )
-    }
 }
 
 impl ShipStrategy {
@@ -89,16 +45,7 @@ impl ShipStrategy {
     /// The partitioning key this strategy establishes at the receiver, if any.
     pub fn partition_key(&self) -> Option<&KeyFields> {
         match self {
-            ShipStrategy::PartitionHash(k) | ShipStrategy::PartitionRange(k) => Some(k),
-            _ => None,
-        }
-    }
-
-    /// The global order this strategy delivers at the receiver, if any: only
-    /// range partitioning produces sorted partitions.
-    pub fn delivered_order(&self) -> Option<GlobalOrder> {
-        match self {
-            ShipStrategy::PartitionRange(k) => Some(GlobalOrder::ascending(k.clone())),
+            ShipStrategy::PartitionHash(k) => Some(k),
             _ => None,
         }
     }
@@ -109,7 +56,6 @@ impl fmt::Display for ShipStrategy {
         match self {
             ShipStrategy::Forward => write!(f, "forward"),
             ShipStrategy::PartitionHash(k) => write!(f, "hash-partition{k:?}"),
-            ShipStrategy::PartitionRange(k) => write!(f, "range-partition{k:?}"),
             ShipStrategy::Broadcast => write!(f, "broadcast"),
         }
     }
@@ -128,10 +74,8 @@ pub enum LocalStrategy {
     HashJoinBuildRight,
     /// Sort both inputs on their keys and merge.
     SortMergeJoin,
-    /// Hash-based grouping / aggregation.
+    /// Grouping / aggregation (every Reduce groups on the one page kernel).
     HashGroup,
-    /// Sort-based grouping / aggregation.
-    SortGroup,
     /// Block nested-loop cross product.
     NestedLoop,
 }
@@ -146,7 +90,6 @@ impl LocalStrategy {
             LocalStrategy::HashJoinBuildLeft
                 | LocalStrategy::SortMergeJoin
                 | LocalStrategy::HashGroup
-                | LocalStrategy::SortGroup
                 | LocalStrategy::NestedLoop
         )
     }
@@ -195,7 +138,6 @@ impl fmt::Display for LocalStrategy {
             LocalStrategy::HashJoinBuildRight => "hash-join(build=right)",
             LocalStrategy::SortMergeJoin => "sort-merge-join",
             LocalStrategy::HashGroup => "hash-group",
-            LocalStrategy::SortGroup => "sort-group",
             LocalStrategy::NestedLoop => "nested-loop",
         };
         write!(f, "{s}")
@@ -454,20 +396,6 @@ mod tests {
         );
         assert_eq!(ShipStrategy::Broadcast.partition_key(), None);
         assert!(ShipStrategy::Broadcast.crosses_partitions());
-    }
-
-    #[test]
-    fn only_range_partitioning_delivers_an_order() {
-        assert_eq!(
-            ShipStrategy::PartitionRange(vec![0]).delivered_order(),
-            Some(GlobalOrder::ascending(vec![0]))
-        );
-        assert_eq!(ShipStrategy::PartitionHash(vec![0]).delivered_order(), None);
-        assert_eq!(ShipStrategy::Forward.delivered_order(), None);
-        assert_eq!(ShipStrategy::Broadcast.delivered_order(), None);
-        let order = GlobalOrder::ascending(vec![0, 2]);
-        assert!(order.ascending);
-        assert_eq!(format!("{order}"), "[0, 2] asc");
     }
 
     #[test]

@@ -1,33 +1,18 @@
-//! True range partitioning: sampled equi-depth histograms and splitter-based
-//! routing.
+//! The partitioning function of an exchange: [`PartitionRouter`].
 //!
-//! Hash partitioning collocates equal keys but destroys order; *range*
-//! partitioning assigns each worker partition a contiguous key interval, so
-//! that partition *i* holds strictly smaller keys than partition *i + 1*.
-//! Combined with a local sort per partition this delivers a **global order**
-//! — the "interesting property" the paper's optimizer reuses across the loop
-//! boundary so iterative plans pay for a global sort once instead of once per
-//! superstep (Section 4.3).
+//! Every engine path routes by hash ([`PartitionRouter::hash`]): the
+//! executor's repartitioning edges, the workset driver's load step and
+//! superstep exchange, and the solution set's partition lookup.  The paper's
+//! plans need nothing else — Figure 4's two PageRank plans are a broadcast
+//! and a hash partitioning.
 //!
-//! The pieces:
-//!
-//! * [`RangeBounds`] — `p − 1` splitter keys chosen as equi-depth quantiles
-//!   of a sample of the data.  Routing is a binary search over the splitters
-//!   ([`RangeBounds::partition_of_key`]); records whose key equals a splitter
-//!   all land on the same side, so equal keys always collocate.
-//! * [`PartitionRouter`] — the routing function of one exchange, either hash
-//!   (`partition_for`) or range (splitter search), so the workset driver and
-//!   the executor can swap the scheme without duplicating their hot loops.
-//!
-//! Splitters are values, not field positions: the two inputs of a merge join
-//! key on different fields but share one key *value* space, so one
-//! [`RangeBounds`] built from a combined sample routes both sides
-//! consistently (the executor enforces this by building one bounds object
-//! per consuming operator).
+//! The rest of this module — [`RangeBounds`] (equi-depth splitters sampled
+//! by [`sample_keys_into`]) and [`PartitionRouter::range`] — is used by no
+//! engine path.  It stays only because the repository benchmark's
+//! `route.range_ns_per_rec` probe calls it; ROADMAP item 1(e) deletes it
+//! together with that probe.
 
-use crate::contracts::{RecordSink, RecordSource};
 use crate::key::{hash_key_fields, hash_of_key, Key};
-use crate::page::RecordPage;
 use crate::record::Record;
 use crate::value::Value;
 use std::sync::Arc;
@@ -151,59 +136,9 @@ pub fn sample_keys_into(sample: &mut Vec<Key>, records: &[Record], fields: &[usi
     );
 }
 
-/// [`sample_keys_into`] over records on pages: the same records at the same
-/// stride, their keys read in place.
-pub(crate) fn sample_page_keys_into(
-    sample: &mut Vec<Key>,
-    pages: &[Arc<RecordPage>],
-    fields: &[usize],
-) {
-    let len = pages.iter().map(|page| page.record_count()).sum();
-    let views = pages.iter().flat_map(|page| page.reader());
-    sample.extend(views.step_by(sample_stride(len)).map(|view| {
-        let mut key = Key::Long(0);
-        view.key_into(fields, &mut key);
-        key
-    }));
-}
-
-/// [`sample_keys_into`] over a [`RecordSource`]: the same records at the same
-/// stride, picked by a sink as the source emits them (a source has no random
-/// access, so this pulls it once in full).
-pub fn sample_source_keys_into(sample: &mut Vec<Key>, source: &dyn RecordSource, fields: &[usize]) {
-    source.emit_all(&mut KeySampler {
-        sample,
-        fields,
-        stride: sample_stride(source.len()),
-        until_next: 0,
-    });
-}
-
-/// The sink of [`sample_source_keys_into`].
-struct KeySampler<'a> {
-    sample: &'a mut Vec<Key>,
-    fields: &'a [usize],
-    stride: usize,
-    /// Records to let pass before the next one is sampled.
-    until_next: usize,
-}
-
-impl RecordSink for KeySampler<'_> {
-    #[inline]
-    fn emit(&mut self, fields: &[Value]) {
-        if self.until_next == 0 {
-            self.sample.push(Key::extract_fields(fields, self.fields));
-            self.until_next = self.stride;
-        }
-        self.until_next -= 1;
-    }
-}
-
-/// The partitioning function of one exchange: hash or range.
-///
-/// Both the executor's exchanges and the workset driver's superstep exchange
-/// route through this enum, so swapping the scheme never touches the hot
-/// loops themselves.  Cloning is cheap (range bounds are shared by `Arc`).
+/// The partitioning function of one exchange: hash, or range for the
+/// benchmark probe alone (see the module documentation).  Cloning is cheap
+/// (range bounds are shared by `Arc`).
 #[derive(Debug, Clone)]
 pub enum PartitionRouter {
     /// Fx-hash routing over `parallelism` partitions
@@ -255,11 +190,6 @@ impl PartitionRouter {
         }
     }
 
-    /// True when this router delivers ordered key ranges.
-    pub fn is_range(&self) -> bool {
-        matches!(self, PartitionRouter::Range { .. })
-    }
-
     /// Routes `record`, keyed on `fields`, to its target partition.
     #[inline]
     pub fn route(&self, record: &Record, fields: &[usize]) -> usize {
@@ -298,18 +228,6 @@ mod tests {
 
     fn long_keys(values: &[i64]) -> Vec<Key> {
         values.iter().map(|&v| Key::long(v)).collect()
-    }
-
-    #[test]
-    fn a_source_is_sampled_at_the_stride_its_records_are() {
-        for len in [0usize, 1, 255, 256, 257, 1000, 5000] {
-            let records: Vec<Record> = (0..len as i64).map(|i| Record::pair(i, i * 3)).collect();
-            let (mut from_slice, mut from_source) = (Vec::new(), Vec::new());
-            sample_keys_into(&mut from_slice, &records, &[1]);
-            sample_source_keys_into(&mut from_source, &records, &[1]);
-            assert_eq!(from_slice, from_source, "{len} records");
-            assert!(from_source.len() <= SAMPLE_KEYS_PER_PARTITION);
-        }
     }
 
     #[test]
@@ -398,8 +316,6 @@ mod tests {
         ));
         let range = PartitionRouter::range(Arc::clone(&bounds), 4);
         let hash = PartitionRouter::hash(4);
-        assert!(range.is_range());
-        assert!(!hash.is_range());
         assert_eq!(range.parallelism(), 4);
         for v in -10..80 {
             let record = Record::pair(v, 0);

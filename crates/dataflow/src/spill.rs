@@ -5,7 +5,7 @@
 //! memory, because exchange buffers spill to disk and sort/merge operators
 //! consume the spilled data as sorted runs.  The sealed binary pages of
 //! [`crate::page`] make this a byte-level operation — a run on disk is just a
-//! sequence of framed pages — and the normalized-key sort of [`crate::range`]
+//! sequence of framed pages — and the normalized-key sort of [`crate::page`]
 //! makes every run cheap to order.  This module is that half:
 //!
 //! * [`MemoryBudget`] — how many serialized bytes an exchange may buffer in
@@ -21,8 +21,8 @@
 //!   handle)` pairs — by radix on a single-`Long` key, by an in-place
 //!   comparison of the key bytes otherwise — and the serialized records are
 //!   copied into output pages in that order, with no heap record built.
-//!   Pages that are already sorted (a delivered range partition, a sorted
-//!   cached edge) are written verbatim via [`write_run_in`].
+//!   Pages that are already sorted are written verbatim via
+//!   [`write_run_in`].
 //! * [`SpilledRun`] / [`RunCursor`] — a handle to one run (a segment of a
 //!   run file that is deleted when its last segment handle drops, so
 //!   passing test runs leak no files) and a streaming reader that revives
@@ -482,8 +482,7 @@ impl SpilledRun {
 }
 
 /// Writes sealed pages to a file of their own in `dir` as one run, verbatim
-/// (no re-sort; pass `sorted_by` when the pages are already ordered, e.g. a
-/// delivered range partition).
+/// (no re-sort; pass `sorted_by` when the pages are already ordered).
 pub fn write_run_in(
     dir: &Path,
     pages: &[Arc<RecordPage>],
@@ -532,7 +531,7 @@ pub(crate) struct FlushScratch {
 /// through a [`PageWriter`], without building a record.  The shared kernel
 /// ([`crate::page`]) orders the `(prefix, handle)` pairs stably and each
 /// record's serialized payload is copied to the output in that order.  The
-/// sorted flush and the range exchange's post-exchange sort both run it.
+/// sorted flush runs it.
 pub(crate) fn sort_pages(
     pages: Vec<Arc<RecordPage>>,
     keys: &[usize],
@@ -1539,7 +1538,7 @@ mod tests {
         a.sort_by_key(|r| Key::extract(r, &[0]));
         b.sort_by_key(|r| Key::extract(r, &[0]));
         let run = write_sorted_records_in(&dir, &a, &[0]).unwrap();
-        let part = ExchangedPartition::from_spilled(pages_of(&b), vec![run], None);
+        let part = ExchangedPartition::from_spilled(pages_of(&b), vec![run]);
         let mut seen = Vec::new();
         crate::page::for_each_key_group(
             &part,

@@ -41,7 +41,7 @@ pub struct ExecutionStats {
     /// Per-operator counters keyed by operator name.
     pub operators: Vec<OperatorStats>,
     /// Records that moved to a different partition than the one that produced
-    /// them (hash/range repartitioning) or were replicated (broadcast).
+    /// them (hash repartitioning) or were replicated (broadcast).
     pub shipped_records: usize,
     /// Serialized bytes of the shipped records (exact under the binary page
     /// format, see [`crate::page`]).

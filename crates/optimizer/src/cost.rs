@@ -59,12 +59,6 @@ pub struct CostModel {
     /// Extra per-record factor charged for sort-based strategies (stands in
     /// for the `log n` factor at the typical working-set sizes).
     pub sort_penalty: f64,
-    /// Per-record CPU factor of a **range** exchange: splitter sampling,
-    /// binary-search routing and — crucially — the receiver-side sort the
-    /// executor performs to deliver ordered partitions.  Charged instead of
-    /// (not on top of) the hash exchange's unit CPU factor, so a range plan
-    /// only wins when a downstream sort it removes outweighs it.
-    pub range_penalty: f64,
     /// Number of parallel instances; broadcasting replicates to
     /// `parallelism - 1` other instances.
     pub parallelism: usize,
@@ -77,18 +71,13 @@ impl CostModel {
             network_weight: 10.0,
             cpu_weight: 1.0,
             sort_penalty: 3.0,
-            // Less than 1 + sort_penalty: the exchange sorts each delivered
-            // partition once on its way in, which the model prices below a
-            // local strategy's separate sort, but clearly above hash routing.
-            range_penalty: 2.2,
             parallelism,
         }
     }
 
     /// Cost of shipping `records` input records with the given strategy.
     pub fn ship_cost(&self, ship: &ShipStrategy, records: f64) -> Cost {
-        // On average (p-1)/p of the records leave their partition under
-        // either partitioning scheme.
+        // On average (p-1)/p of the records leave their partition.
         let fraction = if self.parallelism <= 1 {
             0.0
         } else {
@@ -100,10 +89,6 @@ impl CostModel {
                 network: records * fraction * self.network_weight,
                 cpu: records * self.cpu_weight,
             },
-            ShipStrategy::PartitionRange(_) => Cost {
-                network: records * fraction * self.network_weight,
-                cpu: records * self.cpu_weight * self.range_penalty,
-            },
             ShipStrategy::Broadcast => {
                 let copies = self.parallelism.saturating_sub(1) as f64;
                 Cost {
@@ -114,43 +99,18 @@ impl CostModel {
         }
     }
 
-    /// Cost of the operator's local strategy over its input cardinalities,
-    /// assuming no input arrives pre-sorted.
+    /// Cost of the operator's local strategy over its input cardinalities.
+    /// A sort-merge join charges the [`CostModel::sort_penalty`] on every
+    /// input it sorts.
     pub fn local_cost(&self, local: LocalStrategy, input_records: &[f64]) -> Cost {
-        self.local_cost_sorted(local, input_records, &[])
-    }
-
-    /// Cost of the operator's local strategy when `sorted_inputs[i]` says
-    /// whether input `i` already arrives sorted on the operator's key (a
-    /// range-partitioned edge).  Sort-based strategies charge the
-    /// [`CostModel::sort_penalty`] only for inputs they actually have to
-    /// sort; a pre-sorted input costs a single merge/grouping scan.  Missing
-    /// entries count as unsorted.
-    pub fn local_cost_sorted(
-        &self,
-        local: LocalStrategy,
-        input_records: &[f64],
-        sorted_inputs: &[bool],
-    ) -> Cost {
         let total: f64 = input_records.iter().sum();
-        let sort_factor = |slot: usize| -> f64 {
-            if sorted_inputs.get(slot).copied().unwrap_or(false) {
-                1.0
-            } else {
-                self.sort_penalty
-            }
-        };
         let cpu = match local {
             LocalStrategy::None => total * self.cpu_weight,
             LocalStrategy::HashJoinBuildLeft | LocalStrategy::HashJoinBuildRight => {
                 // Build + probe is linear in both inputs.
                 total * self.cpu_weight * 1.5
             }
-            LocalStrategy::SortMergeJoin | LocalStrategy::SortGroup => input_records
-                .iter()
-                .enumerate()
-                .map(|(slot, records)| records * self.cpu_weight * sort_factor(slot))
-                .sum(),
+            LocalStrategy::SortMergeJoin => total * self.cpu_weight * self.sort_penalty,
             LocalStrategy::HashGroup => total * self.cpu_weight * 1.5,
             LocalStrategy::NestedLoop => {
                 let product: f64 = input_records.iter().product();
@@ -220,56 +180,10 @@ mod tests {
     #[test]
     fn sort_strategies_cost_more_than_hash() {
         let m = CostModel::new(4);
-        let hash = m.local_cost(LocalStrategy::HashGroup, &[1000.0]);
-        let sort = m.local_cost(LocalStrategy::SortGroup, &[1000.0]);
+        let hash = m.local_cost(LocalStrategy::HashJoinBuildLeft, &[1000.0, 1000.0]);
+        let sort = m.local_cost(LocalStrategy::SortMergeJoin, &[1000.0, 1000.0]);
+        assert_eq!(sort.cpu, 6000.0);
         assert!(sort.cpu > hash.cpu);
-    }
-
-    #[test]
-    fn presorted_inputs_are_not_charged_a_resort() {
-        let m = CostModel::new(4);
-        // Merge join over two pre-sorted (range-partitioned) inputs costs a
-        // linear merge, cheaper than the hash join and far cheaper than
-        // sorting both sides.
-        let merge_sorted = m.local_cost_sorted(
-            LocalStrategy::SortMergeJoin,
-            &[1000.0, 1000.0],
-            &[true, true],
-        );
-        let merge_unsorted = m.local_cost(LocalStrategy::SortMergeJoin, &[1000.0, 1000.0]);
-        let hash_join = m.local_cost(LocalStrategy::HashJoinBuildLeft, &[1000.0, 1000.0]);
-        assert_eq!(merge_sorted.cpu, 2000.0);
-        assert_eq!(merge_unsorted.cpu, 6000.0);
-        assert!(merge_sorted.cpu < hash_join.cpu);
-        // One sorted side pays the sort only for the other.
-        let half = m.local_cost_sorted(
-            LocalStrategy::SortMergeJoin,
-            &[1000.0, 1000.0],
-            &[true, false],
-        );
-        assert_eq!(half.cpu, 1000.0 + 3000.0);
-        // Sorted grouping beats hash grouping on a pre-sorted input.
-        let group_sorted = m.local_cost_sorted(LocalStrategy::SortGroup, &[1000.0], &[true]);
-        let hash_group = m.local_cost(LocalStrategy::HashGroup, &[1000.0]);
-        assert!(group_sorted.cpu < hash_group.cpu);
-        // Non-sort strategies ignore the flags.
-        assert_eq!(
-            m.local_cost_sorted(LocalStrategy::HashGroup, &[1000.0], &[true])
-                .cpu,
-            hash_group.cpu
-        );
-    }
-
-    #[test]
-    fn range_shipping_costs_more_cpu_but_the_same_network_as_hash() {
-        let m = CostModel::new(4);
-        let hash = m.ship_cost(&ShipStrategy::PartitionHash(vec![0]), 1000.0);
-        let range = m.ship_cost(&ShipStrategy::PartitionRange(vec![0]), 1000.0);
-        assert_eq!(hash.network, range.network);
-        assert!(range.cpu > hash.cpu);
-        // The range exchange's built-in sort is cheaper than shipping hash
-        // and running a full Value-comparison sort afterwards.
-        assert!(range.cpu < hash.cpu + 1000.0 * m.sort_penalty);
     }
 
     #[test]

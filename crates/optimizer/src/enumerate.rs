@@ -42,11 +42,6 @@ pub struct PlanningContext<'a> {
     pub cache_edges: HashSet<(OperatorId, usize)>,
     /// Interesting partitioning keys per edge.
     pub interesting: EdgeInterests,
-    /// Interesting **sort** keys per edge (see
-    /// [`crate::interesting::interesting_sort_keys`]): where a
-    /// range-partitioned, sorted input would save a downstream sort, the
-    /// enumerator also considers `PartitionRange` shipping.
-    pub interesting_sorts: EdgeInterests,
 }
 
 impl<'a> PlanningContext<'a> {
@@ -223,18 +218,8 @@ fn ship_options_for(ctx: &PlanningContext<'_>, op: &Operator, slot: usize) -> Ve
             options.push(candidate);
         }
     };
-    let add_range = |key: &Vec<usize>, options: &mut Vec<ShipStrategy>| {
-        let candidate = ShipStrategy::PartitionRange(key.clone());
-        if !options.contains(&candidate) {
-            options.push(candidate);
-        }
-    };
     match &op.kind {
-        OperatorKind::Reduce { key } => {
-            add_hash(key, &mut options);
-            // A ranged input lets the Reduce merge-group without a sort.
-            add_range(key, &mut options);
-        }
+        OperatorKind::Reduce { key } => add_hash(key, &mut options),
         OperatorKind::Match {
             left_key,
             right_key,
@@ -246,12 +231,6 @@ fn ship_options_for(ctx: &PlanningContext<'_>, op: &Operator, slot: usize) -> Ve
         } => {
             let key = if slot == 0 { left_key } else { right_key };
             add_hash(key, &mut options);
-            if matches!(op.kind, OperatorKind::CoGroup { .. }) {
-                // The CoGroup contract always sort-merges, so delivering its
-                // inputs range-partitioned (already sorted) removes the
-                // local sorts entirely.
-                add_range(key, &mut options);
-            }
             // Broadcasting is only considered for the smaller join side;
             // replicating the larger input to every instance would also have
             // to be held resident there, which the paper's setting (and any
@@ -268,11 +247,6 @@ fn ship_options_for(ctx: &PlanningContext<'_>, op: &Operator, slot: usize) -> Ve
     if let Some(interests) = ctx.interesting.get(&(op.id, slot)) {
         for key in interests {
             add_hash(key, &mut options);
-        }
-    }
-    if let Some(interests) = ctx.interesting_sorts.get(&(op.id, slot)) {
-        for key in interests {
-            add_range(key, &mut options);
         }
     }
     options
@@ -329,26 +303,19 @@ fn build_candidate(
         let props = match ship {
             ShipStrategy::Forward => candidate.props.clone(),
             ShipStrategy::PartitionHash(key) => GlobalProperties::hashed(key.clone()),
-            // A range exchange delivers sorted partitions: partitioning and
-            // global order in one shipping strategy.
-            ShipStrategy::PartitionRange(key) => GlobalProperties::ranged(key.clone()),
             ShipStrategy::Broadcast => GlobalProperties::replicated(),
         };
         post_ship.push(props);
     }
 
-    let ships: Vec<&ShipStrategy> = inputs.iter().map(|(_, ship)| *ship).collect();
-    if !is_valid(op, &post_ship, &ships, parallelism) {
+    if !is_valid(op, &post_ship, parallelism) {
         return None;
     }
 
-    // Which inputs arrive sorted on the operator's own key: those are the
-    // sorts the plan no longer performs (and no longer pays for).
-    let sorted_inputs = sorted_on_own_keys(op, &post_ship);
-    let local = choose_local_strategy(ctx, op, &post_ship, &input_cards, &sorted_inputs);
+    let local = choose_local_strategy(ctx, op, &post_ship, &input_cards);
     cost = cost.add(
         ctx.model
-            .local_cost_sorted(local, &input_cards, &sorted_inputs)
+            .local_cost(local, &input_cards)
             .scale(ctx.weight_of(op.id)),
     );
 
@@ -370,20 +337,13 @@ fn build_candidate(
 
 /// Checks that the post-shipping properties make the operator's parallel
 /// execution correct.
-fn is_valid(
-    op: &Operator,
-    post_ship: &[GlobalProperties],
-    ships: &[&ShipStrategy],
-    parallelism: usize,
-) -> bool {
+fn is_valid(op: &Operator, post_ship: &[GlobalProperties], parallelism: usize) -> bool {
     if parallelism <= 1 {
         return true;
     }
     match &op.kind {
-        // A Reduce needs equal keys collocated; hash and range partitioning
-        // both provide that (collocation is a within-one-histogram property,
-        // so it survives Forward edges under either scheme).
-        OperatorKind::Reduce { key } => post_ship[0].partitioning.collocates(key),
+        // A Reduce needs equal keys collocated.
+        OperatorKind::Reduce { key } => post_ship[0].partitioning.satisfies_hash(key),
         OperatorKind::Match {
             left_key,
             right_key,
@@ -393,23 +353,6 @@ fn is_valid(
             right_key,
             ..
         } => {
-            // Range co-partitioning needs both sides to share one splitter
-            // histogram, which the executor only guarantees when both edges
-            // are range-*shipped at this operator* (it builds one bounds
-            // object per consumer).  A `Range` property inherited through a
-            // Forward edge comes from a *different* histogram and would
-            // silently mis-join — so a range ship at a join is only valid
-            // paired with another range ship, mirroring the executor's own
-            // rejection of range/forward and range/hash mixes.
-            let any_range_ship = ships
-                .iter()
-                .any(|s| matches!(s, ShipStrategy::PartitionRange(_)));
-            if any_range_ship {
-                return matches!(ships[0],
-                        ShipStrategy::PartitionRange(k) if k.as_slice() == left_key.as_slice())
-                    && matches!(ships[1],
-                        ShipStrategy::PartitionRange(k) if k.as_slice() == right_key.as_slice());
-            }
             // Hash routing is one global function, so hash co-partitioning
             // can be read off the properties regardless of where each side's
             // partitioning was established.
@@ -426,62 +369,23 @@ fn is_valid(
     }
 }
 
-/// Which inputs arrive globally sorted on the operator's own key for that
-/// slot (join key / grouping key) — the inputs whose sort the plan skips.
-fn sorted_on_own_keys(op: &Operator, post_ship: &[GlobalProperties]) -> Vec<bool> {
-    match &op.kind {
-        OperatorKind::Reduce { key } => vec![post_ship[0].sorted_on(key)],
-        OperatorKind::Match {
-            left_key,
-            right_key,
-        }
-        | OperatorKind::CoGroup {
-            left_key,
-            right_key,
-            ..
-        } => vec![
-            post_ship[0].sorted_on(left_key),
-            post_ship[1].sorted_on(right_key),
-        ],
-        _ => vec![false; post_ship.len()],
-    }
-}
-
 /// Rule-based local strategy choice (costed, but not enumerated — the paper's
-/// experiments hinge on the shipping choices, not the join flavour).  Inputs
-/// that arrive sorted on the operator's key flip the choice to the merge
-/// variants, which then run without a sort.
+/// experiments hinge on the shipping choices, not the join flavour).
 fn choose_local_strategy(
     ctx: &PlanningContext<'_>,
     op: &Operator,
     post_ship: &[GlobalProperties],
     input_cards: &[f64],
-    sorted_inputs: &[bool],
 ) -> LocalStrategy {
     match &op.kind {
-        OperatorKind::Match { .. } => {
-            if sorted_inputs.iter().all(|&s| s) {
-                // Both sides pre-sorted on the join key: a merge join needs
-                // only a linear scan.
-                LocalStrategy::SortMergeJoin
-            } else {
-                ctx.model.choose_join_strategy(
-                    input_cards[0],
-                    input_cards[1],
-                    post_ship[0].partitioning.is_replicated(),
-                    post_ship[1].partitioning.is_replicated(),
-                )
-            }
-        }
+        OperatorKind::Match { .. } => ctx.model.choose_join_strategy(
+            input_cards[0],
+            input_cards[1],
+            post_ship[0].partitioning.is_replicated(),
+            post_ship[1].partitioning.is_replicated(),
+        ),
         OperatorKind::CoGroup { .. } => LocalStrategy::SortMergeJoin,
-        OperatorKind::Reduce { .. } => {
-            if sorted_inputs.first().copied().unwrap_or(false) {
-                // Merge-group: one scan over the sorted run.
-                LocalStrategy::SortGroup
-            } else {
-                LocalStrategy::HashGroup
-            }
-        }
+        OperatorKind::Reduce { .. } => LocalStrategy::HashGroup,
         OperatorKind::Cross => LocalStrategy::NestedLoop,
         _ => LocalStrategy::None,
     }
@@ -491,15 +395,8 @@ fn choose_local_strategy(
 /// properties, derived from the field-copy annotations.
 ///
 /// Partitioning survives an operator when the key fields are copied —
-/// collocation (hash or range) is a property of where records *live*, which
-/// local processing does not change.  A delivered **order never survives**
-/// onto an operator's output: the executor only advertises sortedness on the
-/// edge a range exchange (or range-cached edge) feeds directly into a local
-/// strategy, not on materialized operator outputs, so claiming it here would
-/// credit downstream plans with a sort the runtime still performs.
-/// (Advertising order on operator outputs is the out-of-core/spilling
-/// follow-on's job, together with output contracts strong enough to prove
-/// the UDF kept the emission order.)
+/// collocation is a property of where records *live*, which local
+/// processing does not change.
 fn output_properties(
     annotations: &Annotations,
     op: &Operator,
@@ -512,33 +409,21 @@ fn output_properties(
             Partitioning::Hash(key) => {
                 Partitioning::Hash(annotations.map_key_forward(op.id, slot, key)?)
             }
-            Partitioning::Range(key) => {
-                Partitioning::Range(annotations.map_key_forward(op.id, slot, key)?)
-            }
             Partitioning::Replicated => Partitioning::Replicated,
             Partitioning::Any => return None,
         };
-        Some(GlobalProperties {
-            partitioning,
-            order: None,
-        })
+        Some(GlobalProperties { partitioning })
     };
     match &op.kind {
         OperatorKind::Source { .. } => GlobalProperties::any(),
         OperatorKind::Map | OperatorKind::Reduce { .. } => {
             preserve_from(0).unwrap_or_else(GlobalProperties::any)
         }
-        OperatorKind::Sink { .. } => GlobalProperties {
-            order: None,
-            ..post_ship[0].clone()
-        },
+        OperatorKind::Sink { .. } => post_ship[0].clone(),
         OperatorKind::Union => {
             let first = &post_ship[0];
             if post_ship.iter().all(|p| p == first) {
-                GlobalProperties {
-                    order: None,
-                    ..first.clone()
-                }
+                first.clone()
             } else {
                 GlobalProperties::any()
             }
@@ -589,7 +474,7 @@ fn prune(mut candidates: Vec<Candidate>) -> Vec<Candidate> {
 mod tests {
     use super::*;
     use crate::cardinality::estimate;
-    use crate::interesting::{interesting_keys, interesting_sort_keys};
+    use crate::interesting::interesting_keys;
     use dataflow::prelude::*;
     use std::sync::Arc;
 
@@ -606,7 +491,6 @@ mod tests {
             op_weight: HashMap::new(),
             cache_edges: HashSet::new(),
             interesting: interesting_keys(plan, ann, &[]),
-            interesting_sorts: interesting_sort_keys(plan, ann, &[]),
         }
     }
 
@@ -701,356 +585,6 @@ mod tests {
         let ships = &best.physical.choice(join).input_ships;
         assert_eq!(ships[0], ShipStrategy::Broadcast);
         assert_eq!(ships[1], ShipStrategy::Forward);
-    }
-
-    /// Two 500-record sources feeding a CoGroup on field 0, with the key
-    /// copied to output field 0.
-    fn cogroup_plan() -> (Plan, OperatorId, Annotations) {
-        let mut plan = Plan::new();
-        let a = plan.source(
-            "a",
-            (0..500)
-                .map(|i| Record::pair(i % 50, i))
-                .collect::<Vec<_>>(),
-        );
-        let b = plan.source(
-            "b",
-            (0..500)
-                .map(|i| Record::pair(i % 50, -i))
-                .collect::<Vec<_>>(),
-        );
-        let cg = plan.cogroup(
-            "cg",
-            a,
-            b,
-            vec![0],
-            vec![0],
-            Arc::new(CoGroupClosure(
-                |key: &[Value],
-                 l: &[RecordView<'_>],
-                 r: &[RecordView<'_>],
-                 out: &mut dyn RecordSink| {
-                    out.emit(Record::pair(key[0].as_long(), (l.len() + r.len()) as i64).fields());
-                },
-            )),
-        );
-        let mut ann = Annotations::new();
-        ann.add_copy(
-            cg,
-            crate::properties::FieldCopy {
-                slot: 0,
-                in_field: 0,
-                out_field: 0,
-            },
-        );
-        (plan, cg, ann)
-    }
-
-    #[test]
-    fn cogroup_chooses_range_partitioning_and_merges_without_a_resort() {
-        // The CoGroup contract always sort-merges; range-partitioned inputs
-        // arrive sorted, so the plan performs (and is charged) no re-sort.
-        let (mut plan, cg, ann) = cogroup_plan();
-        plan.sink("out", cg);
-        let ctx = context(&plan, &ann, 4);
-        let best = enumerate_best(&ctx, 4).unwrap();
-        let ships = &best.physical.choice(cg).input_ships;
-        assert_eq!(ships[0], ShipStrategy::PartitionRange(vec![0]));
-        assert_eq!(ships[1], ShipStrategy::PartitionRange(vec![0]));
-        assert_eq!(best.physical.choice(cg).local, LocalStrategy::SortMergeJoin);
-
-        // Cost delta vs the hash plan: re-enumerate with range shipping
-        // priced out of the market, which forces the hash + local-sort plan
-        // over the identical search space.
-        let mut no_range = CostModel::new(4);
-        no_range.range_penalty = 1e9;
-        let forced_hash_ctx = PlanningContext {
-            model: no_range,
-            ..context(&plan, &ann, 4)
-        };
-        let hash_best = enumerate_best(&forced_hash_ctx, 4).unwrap();
-        assert_eq!(
-            hash_best.physical.choice(cg).input_ships[0],
-            ShipStrategy::PartitionHash(vec![0])
-        );
-        // Same network, strictly less CPU: the merge replaces two local sorts
-        // with the range exchange's sort of what it delivers.
-        assert_eq!(best.cost.network, hash_best.cost.network);
-        assert!(
-            best.cost.total() < hash_best.cost.total(),
-            "range+merge ({}) should beat hash+sort ({})",
-            best.cost.total(),
-            hash_best.cost.total()
-        );
-        // The plan executes and matches the default (hash) physical plan.
-        let exec = Executor::new();
-        let mut ranged = exec.execute(&best.physical).unwrap().sink("out").unwrap();
-        let mut default = exec
-            .execute(&default_physical_plan(&plan, 4).unwrap())
-            .unwrap()
-            .sink("out")
-            .unwrap();
-        ranged.sort();
-        default.sort();
-        assert_eq!(ranged, default);
-        assert_eq!(ranged.len(), 50);
-    }
-
-    #[test]
-    fn ranged_cogroup_output_lets_a_reduce_forward_without_reshuffling() {
-        // Chain: CoGroup (range-partitioned) → Reduce on the same key.  The
-        // *collocation* survives the CoGroup through the field copy, so the
-        // Reduce forwards its input instead of re-partitioning.  The
-        // delivered *order* deliberately does not survive onto the operator
-        // output (the executor only advertises sortedness on directly
-        // range-exchanged edges), so the Reduce hash-groups rather than
-        // being credited a merge-group the runtime would not deliver.
-        let (mut plan, cg, mut ann) = cogroup_plan();
-        let red = plan.reduce(
-            "sum",
-            cg,
-            vec![0],
-            Arc::new(ReduceClosure(
-                |key: &[Value], g: &[RecordView<'_>], out: &mut dyn RecordSink| {
-                    out.emit(Record::pair(key[0].as_long(), g.len() as i64).fields());
-                },
-            )),
-        );
-        plan.sink("out", red);
-        ann.add_copy(
-            red,
-            crate::properties::FieldCopy {
-                slot: 0,
-                in_field: 0,
-                out_field: 0,
-            },
-        );
-        let ctx = context(&plan, &ann, 4);
-        let best = enumerate_best(&ctx, 4).unwrap();
-        assert_eq!(
-            best.physical.choice(cg).input_ships[0],
-            ShipStrategy::PartitionRange(vec![0])
-        );
-        let reduce_choice = best.physical.choice(red);
-        assert_eq!(
-            reduce_choice.input_ships[0],
-            ShipStrategy::Forward,
-            "range collocation satisfies the grouping requirement without a reshuffle"
-        );
-        assert_eq!(reduce_choice.local, LocalStrategy::HashGroup);
-        let result = Executor::new().execute(&best.physical).unwrap();
-        assert_eq!(result.sink("out").unwrap().len(), 50);
-    }
-
-    #[test]
-    fn forward_inherited_range_layouts_never_co_partition_a_join() {
-        // A Range property that reaches a join through a Forward edge comes
-        // from a different splitter histogram than a range ship at the join
-        // would sample — treating them as co-partitioned silently loses
-        // matches.  The enumerator must re-ship such inputs: the chosen plan
-        // may only range-partition a join input if the *other* side is
-        // range-shipped at the same operator (or the plan avoids range
-        // entirely).
-        let mut plan = Plan::new();
-        let left_src = plan.source(
-            "left",
-            (0..100).map(|i| Record::pair(i, i)).collect::<Vec<_>>(),
-        );
-        let pre = plan.reduce(
-            "pre-aggregate",
-            left_src,
-            vec![0],
-            Arc::new(ReduceClosure(
-                |key: &[Value], g: &[RecordView<'_>], out: &mut dyn RecordSink| {
-                    out.emit(Record::pair(key[0].as_long(), g.len() as i64).fields());
-                },
-            )),
-        );
-        let right_src = plan.source(
-            "right",
-            (90..100).map(|i| Record::pair(i, -i)).collect::<Vec<_>>(),
-        );
-        let join = plan.match_join(
-            "join",
-            pre,
-            right_src,
-            vec![0],
-            vec![0],
-            Arc::new(MatchClosure(
-                |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
-                    out.emit(Record::pair(l.long(0), r.long(1)).fields());
-                },
-            )),
-        );
-        plan.sink("out", join);
-        let mut ann = Annotations::new();
-        // The pre-aggregate preserves its key, so a ranged layout would
-        // propagate to the join's left input.
-        ann.add_copy(
-            pre,
-            crate::properties::FieldCopy {
-                slot: 0,
-                in_field: 0,
-                out_field: 0,
-            },
-        );
-        for slot in [0, 1] {
-            ann.add_copy(
-                join,
-                crate::properties::FieldCopy {
-                    slot,
-                    in_field: 0,
-                    out_field: 0,
-                },
-            );
-        }
-        // Make range shipping look free so any unsound range/forward combo
-        // would win if the validity check admitted it.
-        let mut model = CostModel::new(4);
-        model.range_penalty = 0.0;
-        let ctx = PlanningContext {
-            model,
-            ..context(&plan, &ann, 4)
-        };
-        let best = enumerate_best(&ctx, 4).unwrap();
-        let ships = &best.physical.choice(join).input_ships;
-        let range_shipped = |s: &ShipStrategy| matches!(s, ShipStrategy::PartitionRange(_));
-        assert_eq!(
-            range_shipped(&ships[0]),
-            range_shipped(&ships[1]),
-            "a join may only be ranged on both sides (shared histogram): {ships:?}"
-        );
-        // Whatever plan wins must execute correctly end-to-end: 10 matches.
-        let result = Executor::new().execute(&best.physical).unwrap();
-        assert_eq!(result.sink("out").unwrap().len(), 10);
-    }
-
-    #[test]
-    fn iterative_merge_join_pays_the_range_sort_once_on_the_constant_path() {
-        // A workset-style step plan: a small dynamic input joined with a
-        // large cached constant input, feeding a Reduce on the copied join
-        // key.  Weighted by the iteration count, the optimizer prefers range
-        // partitioning both join inputs — the constant side's exchange (and
-        // sort) is paid once, while every iteration runs a merge join
-        // instead of rebuilding a hash table.
-        let mut plan = Plan::new();
-        let workset = plan.source(
-            "workset",
-            (0..1000)
-                .map(|i| Record::pair(i % 100, i))
-                .collect::<Vec<_>>(),
-        );
-        plan.set_estimated_records(workset, 10_000);
-        let state = plan.source(
-            "state",
-            (0..1000)
-                .map(|i| Record::pair(i % 100, -i))
-                .collect::<Vec<_>>(),
-        );
-        plan.set_estimated_records(state, 200_000);
-        let join = plan.match_join(
-            "join",
-            workset,
-            state,
-            vec![0],
-            vec![0],
-            Arc::new(MatchClosure(
-                |l: RecordView<'_>, r: RecordView<'_>, out: &mut dyn RecordSink| {
-                    out.emit(Record::pair(l.long(0), l.long(1) + r.long(1)).fields());
-                },
-            )),
-        );
-        plan.set_estimated_records(join, 200_000);
-        let red = plan.reduce(
-            "agg",
-            join,
-            vec![0],
-            Arc::new(ReduceClosure(
-                |key: &[Value], g: &[RecordView<'_>], out: &mut dyn RecordSink| {
-                    out.emit(Record::pair(key[0].as_long(), g.len() as i64).fields());
-                },
-            )),
-        );
-        plan.set_estimated_records(red, 10_000);
-        let sink = plan.sink("out", red);
-        let mut ann = Annotations::new();
-        // An equi-join makes the key available from both sides.
-        for slot in [0, 1] {
-            ann.add_copy(
-                join,
-                crate::properties::FieldCopy {
-                    slot,
-                    in_field: 0,
-                    out_field: 0,
-                },
-            );
-        }
-        ann.add_copy(
-            red,
-            crate::properties::FieldCopy {
-                slot: 0,
-                in_field: 0,
-                out_field: 0,
-            },
-        );
-        let optimizer = crate::Optimizer::new(8);
-        let spec = crate::IterationSpec::new(workset, sink, 20.0);
-        let optimized = optimizer.optimize_iterative(&plan, &ann, &spec).unwrap();
-        let ships = &optimized.physical.choice(join).input_ships;
-        assert_eq!(ships[0], ShipStrategy::PartitionRange(vec![0]));
-        assert_eq!(ships[1], ShipStrategy::PartitionRange(vec![0]));
-        assert_eq!(
-            optimized.physical.choice(join).local,
-            LocalStrategy::SortMergeJoin,
-            "both inputs arrive sorted: merge join without a re-sort"
-        );
-        assert!(
-            optimized.physical.choice(join).cache_inputs[1],
-            "the constant side ships (and sorts) once"
-        );
-        // Forcing range out of the market yields the hash plan at a higher
-        // estimated cost.
-        let mut no_range = CostModel::new(8);
-        no_range.range_penalty = 1e9;
-        let hash_optimizer = crate::Optimizer::with_config(crate::OptimizerConfig {
-            parallelism: 8,
-            cost_model: no_range,
-        });
-        let hash_optimized = hash_optimizer
-            .optimize_iterative(&plan, &ann, &spec)
-            .unwrap();
-        assert_eq!(
-            hash_optimized.physical.choice(join).input_ships[0],
-            ShipStrategy::PartitionHash(vec![0])
-        );
-        assert!(optimized.cost.total() < hash_optimized.cost.total());
-        // The chosen plan still executes correctly.
-        let result = Executor::new().execute(&optimized.physical).unwrap();
-        assert_eq!(result.sink("out").unwrap().len(), 100);
-    }
-
-    #[test]
-    fn mixed_hash_and_range_join_candidates_are_never_produced() {
-        // The executor rejects joins with one hash- and one range-partitioned
-        // input; the enumerator's validity check must never emit one.
-        let (mut plan, cg, ann) = cogroup_plan();
-        plan.sink("out", cg);
-        let ctx = context(&plan, &ann, 4);
-        let best = enumerate_best(&ctx, 4).unwrap();
-        let ships = &best.physical.choice(cg).input_ships;
-        let is_partition = |s: &ShipStrategy| {
-            matches!(
-                s,
-                ShipStrategy::PartitionHash(_) | ShipStrategy::PartitionRange(_)
-            )
-        };
-        if is_partition(&ships[0]) && is_partition(&ships[1]) {
-            assert_eq!(
-                std::mem::discriminant(&ships[0]),
-                std::mem::discriminant(&ships[1]),
-                "join inputs must share one partitioning scheme: {ships:?}"
-            );
-        }
     }
 
     #[test]

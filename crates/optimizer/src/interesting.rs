@@ -47,30 +47,6 @@ fn own_requirement(kind: &OperatorKind, slot: usize) -> Option<KeyFields> {
     }
 }
 
-/// The keys on which a **sorted** input would let the operator run a
-/// sort-based local strategy without re-sorting: the CoGroup contract always
-/// sort-merges, and a Reduce can group a sorted run with a single scan
-/// (merge-group).  A `Match` prefers hash joins, so its keys do not
-/// *generate* sort interest — but merge joins are still picked up when both
-/// inputs happen to arrive sorted (see the enumerator).
-fn own_sort_requirement(kind: &OperatorKind, slot: usize) -> Option<KeyFields> {
-    match kind {
-        OperatorKind::Reduce { key } if slot == 0 => Some(key.clone()),
-        OperatorKind::CoGroup {
-            left_key,
-            right_key,
-            ..
-        } => {
-            if slot == 0 {
-                Some(left_key.clone())
-            } else {
-                Some(right_key.clone())
-            }
-        }
-        _ => None,
-    }
-}
-
 /// Computes the interesting partitioning keys of every edge.
 ///
 /// `feedback` contains `(output_operator, input_source)` pairs for iterative
@@ -83,33 +59,7 @@ pub fn interesting_keys(
     annotations: &Annotations,
     feedback: &[(OperatorId, OperatorId)],
 ) -> EdgeInterests {
-    interesting_with(plan, annotations, feedback, &own_requirement)
-}
-
-/// Computes the interesting **sort** keys of every edge: the keys on which a
-/// range-partitioned, sorted input (a [`crate::properties::GlobalProperties`]
-/// with a matching order) would save a downstream sort.  Propagated exactly
-/// like partitioning interests, including the iterative loop feedback, so an
-/// early range partitioning on the constant data path — whose sort is paid
-/// once — can serve sort requirements inside the loop on every superstep.
-pub fn interesting_sort_keys(
-    plan: &Plan,
-    annotations: &Annotations,
-    feedback: &[(OperatorId, OperatorId)],
-) -> EdgeInterests {
-    interesting_with(plan, annotations, feedback, &own_sort_requirement)
-}
-
-/// Shared two-pass propagation: a first pass with `own` requirements, the
-/// loop feedback from iteration inputs to iteration outputs, and a second
-/// pass with the fed-back requirements injected.
-fn interesting_with(
-    plan: &Plan,
-    annotations: &Annotations,
-    feedback: &[(OperatorId, OperatorId)],
-    own: &dyn Fn(&OperatorKind, usize) -> Option<KeyFields>,
-) -> EdgeInterests {
-    let first = propagate(plan, annotations, &HashMap::new(), own);
+    let first = propagate(plan, annotations, &HashMap::new());
     if feedback.is_empty() {
         return first;
     }
@@ -126,18 +76,16 @@ fn interesting_with(
         }
         extra.entry(output_op).or_default().extend(fed);
     }
-    propagate(plan, annotations, &extra, own)
+    propagate(plan, annotations, &extra)
 }
 
 /// One top-down (sink-to-source) propagation pass.  `extra_requirements`
 /// injects additional interesting keys at the *inputs* of the given
-/// operators (used for the loop feedback); `own` selects the per-operator
-/// generated requirements (partitioning or sort interest).
+/// operators (used for the loop feedback).
 fn propagate(
     plan: &Plan,
     annotations: &Annotations,
     extra_requirements: &HashMap<OperatorId, Vec<KeyFields>>,
-    own: &dyn Fn(&OperatorKind, usize) -> Option<KeyFields>,
 ) -> EdgeInterests {
     let order = match plan.topological_order() {
         Ok(order) => order,
@@ -153,7 +101,7 @@ fn propagate(
         let inherited = output_interests.get(&id).cloned().unwrap_or_default();
         for (slot, &input) in op.inputs.iter().enumerate() {
             let mut keys: Vec<KeyFields> = Vec::new();
-            if let Some(generated) = own(&op.kind, slot) {
+            if let Some(generated) = own_requirement(&op.kind, slot) {
                 keys.push(generated);
             }
             if let Some(extra) = extra_requirements.get(&id) {
@@ -276,27 +224,6 @@ mod tests {
         let interests = interesting_keys(&plan, &empty, &[]);
         let matrix_edge = &interests[&(join, 1)];
         assert_eq!(matrix_edge, &vec![vec![1]]);
-    }
-
-    #[test]
-    fn sort_interest_comes_from_sort_based_contracts_only() {
-        let (plan, _v, _m, join, reduce, ann) = pagerank_plan();
-        let sorts = interesting_sort_keys(&plan, &ann, &[]);
-        // The Reduce would merge-group a sorted input.
-        assert!(sorts[&(reduce, 0)].contains(&vec![0]));
-        // The Match's own keys generate no sort interest (hash join), but the
-        // Reduce's interest maps back through the join's field copy onto the
-        // matrix edge — where a range partitioning could be established once
-        // on the constant path.
-        assert!(sorts
-            .get(&(join, 1))
-            .map(|keys| keys.contains(&vec![0]))
-            .unwrap_or(false));
-        assert!(!sorts
-            .get(&(join, 1))
-            .map(|keys| keys.contains(&vec![1]))
-            .unwrap_or(false));
-        assert!(!sorts.contains_key(&(join, 0)));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod properties;
 pub use crate::cardinality::{estimate, Cardinalities};
 pub use crate::cost::{Cost, CostModel};
 pub use crate::enumerate::{enumerate_best, EnumeratedPlan, PlanningContext};
-pub use crate::interesting::{interesting_keys, interesting_sort_keys, EdgeInterests};
+pub use crate::interesting::{interesting_keys, EdgeInterests};
 pub use crate::properties::{Annotations, FieldCopy, GlobalProperties, Partitioning};
 
 use dataflow::prelude::{OperatorId, PhysicalPlan, Plan, Result};
@@ -189,7 +189,6 @@ impl Optimizer {
         }
 
         let interesting = interesting_keys(plan, annotations, &feedback);
-        let interesting_sorts = interesting_sort_keys(plan, annotations, &feedback);
         let ctx = PlanningContext {
             plan,
             annotations,
@@ -198,7 +197,6 @@ impl Optimizer {
             op_weight,
             cache_edges: cache_edges.clone(),
             interesting,
-            interesting_sorts,
         };
         let enumerated = enumerate_best(&ctx, self.config.parallelism)?;
 

@@ -8,7 +8,7 @@
 //! relies on *OutputContracts* for this; here the equivalent information is
 //! supplied as [`FieldCopy`] annotations.
 
-use dataflow::prelude::{GlobalOrder, KeyFields, OperatorId};
+use dataflow::prelude::{KeyFields, OperatorId};
 use std::collections::HashMap;
 
 /// How the records of an edge are distributed over the parallel instances.
@@ -19,40 +19,18 @@ pub enum Partitioning {
     /// Records are hash-partitioned on the given fields: all records agreeing
     /// on those fields reside in the same partition.
     Hash(KeyFields),
-    /// Records are range-partitioned on the given fields: equal keys are
-    /// collocated *and* partition `i` holds smaller keys than partition
-    /// `i + 1` (the executor's splitter histogram is shared per operator, so
-    /// two range-partitioned inputs of the same operator are co-partitioned).
-    Range(KeyFields),
     /// Every partition holds a full copy of the data.
     Replicated,
 }
 
 impl Partitioning {
     /// True if this partitioning satisfies a requirement to be
-    /// **hash**-partitioned by `key`.
+    /// hash-partitioned by `key`: records with equal `key` values are
+    /// collocated in one partition, and hash routing is one global function,
+    /// so two inputs that both satisfy it are co-partitioned.
     pub fn satisfies_hash(&self, key: &[usize]) -> bool {
         match self {
             Partitioning::Hash(fields) => fields.as_slice() == key,
-            _ => false,
-        }
-    }
-
-    /// True if records with equal `key` values are collocated in one
-    /// partition — what a single-input keyed operator (Reduce) actually
-    /// needs.  Both hash and range partitioning on the key provide it.
-    ///
-    /// Collocation is **not** co-partitioning: two range partitionings each
-    /// collocate their keys but may come from *different* splitter
-    /// histograms, in which case equal keys sit at different partition
-    /// indices on the two sides.  Hash routing is one global function, so
-    /// hash/hash co-partitioning can be read off the properties; range/range
-    /// co-partitioning additionally needs a shared histogram, which only the
-    /// enumerator can witness (both edges range-shipped at the same
-    /// operator) — see `enumerate::is_valid`.
-    pub fn collocates(&self, key: &[usize]) -> bool {
-        match self {
-            Partitioning::Hash(fields) | Partitioning::Range(fields) => fields.as_slice() == key,
             _ => false,
         }
     }
@@ -68,11 +46,6 @@ impl Partitioning {
 pub struct GlobalProperties {
     /// The partitioning across parallel instances.
     pub partitioning: Partitioning,
-    /// The global sort order, if one is delivered: the concatenation of the
-    /// partitions in partition order is sorted on `order.fields`.  This is
-    /// the interesting property range partitioning establishes and the one
-    /// sort-based local strategies consume without a re-sort.
-    pub order: Option<GlobalOrder>,
 }
 
 impl GlobalProperties {
@@ -80,24 +53,13 @@ impl GlobalProperties {
     pub fn any() -> Self {
         GlobalProperties {
             partitioning: Partitioning::Any,
-            order: None,
         }
     }
 
-    /// Hash-partitioned on `key` (no order).
+    /// Hash-partitioned on `key`.
     pub fn hashed(key: KeyFields) -> Self {
         GlobalProperties {
             partitioning: Partitioning::Hash(key),
-            order: None,
-        }
-    }
-
-    /// Range-partitioned on `key` with the delivered ascending global order
-    /// — what the executor's range exchange produces.
-    pub fn ranged(key: KeyFields) -> Self {
-        GlobalProperties {
-            partitioning: Partitioning::Range(key.clone()),
-            order: Some(GlobalOrder::ascending(key)),
         }
     }
 
@@ -105,18 +67,7 @@ impl GlobalProperties {
     pub fn replicated() -> Self {
         GlobalProperties {
             partitioning: Partitioning::Replicated,
-            order: None,
         }
-    }
-
-    /// True if the data arrives sorted (ascending) on exactly `key` — the
-    /// condition under which a merge join / sort-group on `key` skips its
-    /// sort.
-    pub fn sorted_on(&self, key: &[usize]) -> bool {
-        self.order
-            .as_ref()
-            .map(|o| o.ascending && o.fields.as_slice() == key)
-            .unwrap_or(false)
     }
 }
 
@@ -213,27 +164,6 @@ mod tests {
         assert!(!Partitioning::Any.satisfies_hash(&[0]));
         assert!(!Partitioning::Replicated.satisfies_hash(&[0]));
         assert!(Partitioning::Replicated.is_replicated());
-    }
-
-    #[test]
-    fn both_partitioning_schemes_collocate_equal_keys() {
-        assert!(Partitioning::Hash(vec![0]).collocates(&[0]));
-        assert!(Partitioning::Range(vec![0]).collocates(&[0]));
-        assert!(!Partitioning::Range(vec![1]).collocates(&[0]));
-        assert!(!Partitioning::Any.collocates(&[0]));
-        // Range partitioning collocates but does not satisfy a *hash*
-        // requirement (the routing function differs).
-        assert!(!Partitioning::Range(vec![0]).satisfies_hash(&[0]));
-    }
-
-    #[test]
-    fn ranged_properties_carry_the_delivered_order() {
-        let props = GlobalProperties::ranged(vec![0]);
-        assert_eq!(props.partitioning, Partitioning::Range(vec![0]));
-        assert!(props.sorted_on(&[0]));
-        assert!(!props.sorted_on(&[1]));
-        assert!(!GlobalProperties::hashed(vec![0]).sorted_on(&[0]));
-        assert!(!GlobalProperties::any().sorted_on(&[0]));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! that survives the comparator replaces the stored record, and the
 //! expansion of every applied delta against the constant input's matching
 //! records (in input order) emits the next superstep's candidates.  The
-//! candidates are routed on the workset key by the public
+//! candidates are hash-routed on the workset key by the public
 //! [`PartitionRouter`]; a partition receives its own candidates first, then
 //! every other partition's in partition order.  That is the order the
 //! engine's superstep exchange delivers when nothing spills, so even an
@@ -26,7 +26,7 @@ use crate::{group_ranges, on_pages, sort_by_key, source_major, views, Deliver, P
 use dataflow::contracts::{CombineFunction, RecordSink};
 use dataflow::key::{Key, KeyFields};
 use dataflow::page::RecordView;
-use dataflow::range::{sample_keys_into, PartitionRouter, RangeBounds};
+use dataflow::range::PartitionRouter;
 use dataflow::record::Record;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -68,17 +68,6 @@ pub struct WorksetStep {
     pub combine: Option<Arc<dyn CombineFunction>>,
 }
 
-/// How the solution, the constant input and the candidates are partitioned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Routing {
-    /// Hash routing on the key.
-    Hash,
-    /// Range routing, its splitters sampled from the initial solution on
-    /// the solution key (from the initial working set on the workset key
-    /// when the solution is empty).
-    Range,
-}
-
 /// One superstep's outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Superstep {
@@ -115,7 +104,6 @@ pub struct Fixpoint {
 pub fn batch_fixpoint(
     step: &WorksetStep,
     parallelism: usize,
-    routing: Routing,
     solution: Vec<Record>,
     workset: Vec<Record>,
     max_supersteps: usize,
@@ -123,7 +111,6 @@ pub fn batch_fixpoint(
     batch_fixpoint_with(
         step,
         parallelism,
-        routing,
         solution,
         workset,
         max_supersteps,
@@ -136,25 +123,12 @@ pub fn batch_fixpoint(
 pub fn batch_fixpoint_with(
     step: &WorksetStep,
     parallelism: usize,
-    routing: Routing,
     solution: Vec<Record>,
     workset: Vec<Record>,
     max_supersteps: usize,
     delivery: &Deliver,
 ) -> Fixpoint {
-    let router = match routing {
-        Routing::Hash => PartitionRouter::hash(parallelism),
-        Routing::Range => {
-            let (records, key) = match solution.is_empty() {
-                false => (&solution, &step.solution_key),
-                true => (&workset, &step.workset_key),
-            };
-            let mut sample = Vec::new();
-            sample_keys_into(&mut sample, records, key);
-            let bounds = RangeBounds::from_sample(sample, parallelism);
-            PartitionRouter::range(Arc::new(bounds), parallelism)
-        }
-    };
+    let router = PartitionRouter::hash(parallelism);
     let mut stored: HashMap<Key, Record> = solution
         .into_iter()
         .map(|record| (Key::extract(&record, &step.solution_key), record))
@@ -300,16 +274,8 @@ mod tests {
     fn the_path_converges_one_hop_per_superstep() {
         let solution: Vec<Record> = (0..4).map(|v| Record::pair(v, v + 10)).collect();
         let workset = vec![Record::pair(0, 0)];
-        for (parallelism, routing) in [(1, Routing::Hash), (3, Routing::Hash), (2, Routing::Range)]
-        {
-            let run = batch_fixpoint(
-                &path(),
-                parallelism,
-                routing,
-                solution.clone(),
-                workset.clone(),
-                100,
-            );
+        for parallelism in [1, 2, 3] {
+            let run = batch_fixpoint(&path(), parallelism, solution.clone(), workset.clone(), 100);
             assert!(run.converged);
             let rows: Vec<_> = run
                 .supersteps
@@ -342,27 +308,13 @@ mod tests {
         });
         step.comparator = Some(Arc::new(|a: &Record, b: &Record| b.long(1).cmp(&a.long(1))));
         let solution: Vec<Record> = (0..4).map(|v| Record::pair(v, 0)).collect();
-        let run = batch_fixpoint(
-            &step,
-            2,
-            Routing::Hash,
-            solution.clone(),
-            vec![Record::pair(2, 0)],
-            10,
-        );
+        let run = batch_fixpoint(&step, 2, solution.clone(), vec![Record::pair(2, 0)], 10);
         assert_eq!(run.solution, solution);
         assert_eq!(
             (run.supersteps[0].changed, run.supersteps[0].messages),
             (0, 0)
         );
-        let truncated = batch_fixpoint(
-            &path(),
-            2,
-            Routing::Hash,
-            Vec::new(),
-            vec![Record::pair(0, 0)],
-            2,
-        );
+        let truncated = batch_fixpoint(&path(), 2, Vec::new(), vec![Record::pair(0, 0)], 2);
         assert!(!truncated.converged);
         assert_eq!(truncated.supersteps.len(), 2);
     }

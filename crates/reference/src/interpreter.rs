@@ -20,7 +20,7 @@ use dataflow::key::Key;
 use dataflow::page::{RecordPage, RecordView};
 use dataflow::physical::{LocalStrategy, PhysicalPlan, ShipStrategy};
 use dataflow::plan::{Operator, OperatorId, OperatorKind};
-use dataflow::range::{sample_keys_into, PartitionRouter, RangeBounds};
+use dataflow::range::PartitionRouter;
 use dataflow::record::Record;
 use dataflow::value::Value;
 use std::cmp::Ordering;
@@ -58,13 +58,12 @@ impl Evaluation {
 
 /// Evaluates physical plans.  Like the executor's intermediate cache, one
 /// interpreter keeps what a repeated evaluation of the same plan reuses:
-/// the deliveries of edges marked `cache_inputs` and the range splitters of
-/// each operator, both frozen at their first evaluation.
+/// the deliveries of edges marked `cache_inputs`, frozen at their first
+/// evaluation.
 #[derive(Default)]
 pub struct Interpreter {
     cached: HashMap<(OperatorId, usize), Partitions>,
-    bounds: HashMap<OperatorId, Arc<RangeBounds>>,
-    /// The order of hash and range edges; [`source_major`] when unset.
+    /// The order of hash edges; [`source_major`] when unset.
     delivery: Option<Arc<Deliver>>,
 }
 
@@ -74,7 +73,7 @@ impl Interpreter {
         Self::default()
     }
 
-    /// An interpreter whose hash and range edges deliver in `delivery`'s
+    /// An interpreter whose hash edges deliver in `delivery`'s
     /// order instead of [`source_major`]'s.
     pub fn with_delivery(delivery: Arc<Deliver>) -> Self {
         Interpreter {
@@ -155,16 +154,6 @@ impl Interpreter {
                 delivery,
                 evaluation,
             ),
-            ShipStrategy::PartitionRange(keys) => {
-                let bounds = self
-                    .bounds
-                    .entry(op.id)
-                    .or_insert_with(|| range_bounds(physical, op, outputs));
-                let router = PartitionRouter::range(Arc::clone(bounds), parallelism);
-                let mut parts = route(producer, &router, keys, delivery, evaluation);
-                parts.iter_mut().for_each(|part| sort_by_key(part, keys));
-                parts
-            }
             ShipStrategy::Broadcast => {
                 let all = producer.concat();
                 let bytes: usize = all.iter().map(Record::estimated_bytes).sum();
@@ -265,27 +254,6 @@ fn route(
         }
     }
     delivery(keys, sent)
-}
-
-/// The splitters of `op`'s range edges: one histogram from a combined
-/// sample of every range-shipped input, slot by slot, partition by
-/// partition.
-fn range_bounds(
-    physical: &PhysicalPlan,
-    op: &Operator,
-    outputs: &HashMap<OperatorId, Partitions>,
-) -> Arc<RangeBounds> {
-    let mut sample = Vec::new();
-    for (slot, ship) in physical.choice(op.id).input_ships.iter().enumerate() {
-        if let (ShipStrategy::PartitionRange(keys), Some(producer)) =
-            (ship, outputs.get(&op.inputs[slot]))
-        {
-            for part in producer {
-                sample_keys_into(&mut sample, part, keys);
-            }
-        }
-    }
-    Arc::new(RangeBounds::from_sample(sample, physical.parallelism))
 }
 
 /// One operator's local work on one partition's inputs.

@@ -14,17 +14,31 @@
 //!   `update(key, cur, [fold(group)])` ([`check_update_folds`]).
 //!
 //! Both together cover partial folds: a group of folded batches folds, by
-//! the first law, to the fold of the whole group.  The checks draw their
-//! inputs from a caller's seeded generator and return the first
-//! counterexample, so a test names what broke.
+//! the first law, to the fold of the whole group.
+//!
+//! The microstep and asynchronous modes hand an update its candidates in
+//! another order, and in other groups, than batch supersteps do.  They
+//! reach the batch fixpoint only if
+//!
+//! * the update does not read its candidates' order: the delta for a group
+//!   equals the delta for the group reversed and for any shuffle of it
+//!   ([`check_update_order_insensitive`]); and
+//! * the comparator that decides which of two records for one key survives
+//!   is a total order — antisymmetric and transitive — so the surviving
+//!   record does not depend on the order deltas arrive in
+//!   ([`check_comparator_total`]).
+//!
+//! The checks draw their inputs from a caller's seeded generator and return
+//! the first counterexample, naming its trial, so a test names what broke.
 
-use crate::fixpoint::{UpdateFn, WorksetStep};
+use crate::fixpoint::{Comparator, UpdateFn, WorksetStep};
 use crate::{on_pages, views};
 use dataflow::contracts::CombineFunction;
 use dataflow::key::Key;
 use dataflow::page::RecordView;
 use dataflow::record::Record;
 use graphdata::SmallRng;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// `held ⊕ candidate`: what `combine` emits last when `candidate` folds
@@ -135,6 +149,94 @@ pub fn check_update_folds(
     Ok(())
 }
 
+/// Checks on `trials` draws of a stored record and a non-empty candidate
+/// group of one key (`draw`) that `update` emits the same delta for the
+/// group, for the group reversed and for a shuffle of it (drawn from the
+/// same seeded generator) — or no delta for all three.  `key` are the
+/// candidates' key fields.  Returns the first counterexample.
+pub fn check_update_order_insensitive(
+    update: &UpdateFn,
+    key: &[usize],
+    trials: usize,
+    seed: u64,
+    mut draw: impl FnMut(&mut SmallRng) -> (Option<Record>, Vec<Record>),
+) -> Result<(), String> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for trial in 0..trials {
+        let (current, group) = draw(&mut rng);
+        let Some(first) = group.first() else {
+            return Err("the draw gave an empty group".into());
+        };
+        let group_key = Key::extract(first, key);
+        let delta =
+            |candidates: &[Record]| delta_of(update, &group_key, current.as_ref(), candidates);
+        let in_order = delta(&group);
+        let mut reversed = group.clone();
+        reversed.reverse();
+        let mut shuffled = group.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_index(i + 1));
+        }
+        for (name, reordered) in [("reversed", reversed), ("shuffled", shuffled)] {
+            let other = delta(&reordered);
+            if other != in_order {
+                return Err(format!(
+                    "the update reads its candidates' order (trial {trial}): {in_order:?} \
+                     from {group:?}, {other:?} from the group {name} to {reordered:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Checks on `trials` triples `(a, b, c)` drawn by `candidate` — records of
+/// one key — that `comparator` is a total order: antisymmetric
+/// (`cmp(x, y)` is the reverse of `cmp(y, x)`) and transitive (`x ≤ y` and
+/// `y ≤ z` give `x ≤ z`) over every ordering of the triple.  Returns the
+/// first counterexample.
+pub fn check_comparator_total(
+    comparator: &Comparator,
+    trials: usize,
+    seed: u64,
+    mut candidate: impl FnMut(&mut SmallRng) -> Record,
+) -> Result<(), String> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for trial in 0..trials {
+        let triple = [
+            candidate(&mut rng),
+            candidate(&mut rng),
+            candidate(&mut rng),
+        ];
+        for (x, y) in [(0, 1), (1, 2), (0, 2)].map(|(i, j)| (&triple[i], &triple[j])) {
+            let (forward, backward) = (comparator(x, y), comparator(y, x));
+            if forward != backward.reverse() {
+                return Err(format!(
+                    "not antisymmetric (trial {trial}): cmp({x}, {y}) = {forward:?}, \
+                     cmp({y}, {x}) = {backward:?}"
+                ));
+            }
+        }
+        let orderings = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for [x, y, z] in orderings.map(|order| order.map(|i| &triple[i])) {
+            let at_most = |a: &Record, b: &Record| comparator(a, b) != Ordering::Greater;
+            if at_most(x, y) && at_most(y, z) && !at_most(x, z) {
+                return Err(format!(
+                    "not transitive (trial {trial}): {x} ≤ {y} and {y} ≤ {z}, but {x} > {z}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The delta `update` emits last for `candidates` against `current`.
 fn delta_of(
     update: &UpdateFn,
@@ -227,6 +329,50 @@ mod tests {
         let caught = check_update_folds(&counting, &min_combine(), &[0], 100, 4, draw);
         let message = caught.expect_err("a size-reading update passed");
         assert!(message.contains("does not fold"), "{message}");
+    }
+
+    /// Keeps the record with the smaller value (field 1).
+    fn prefer_min(a: &Record, b: &Record) -> Ordering {
+        b.long(1).cmp(&a.long(1))
+    }
+
+    #[test]
+    fn a_min_update_and_comparator_are_order_insensitive_and_total() {
+        assert_eq!(
+            check_update_order_insensitive(&min_update, &[0], 500, 5, draw),
+            Ok(())
+        );
+        assert_eq!(
+            check_comparator_total(&prefer_min, 500, 6, candidate),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn an_update_that_takes_the_first_candidate_is_caught() {
+        let first_wins = |key: &Key,
+                          current: Option<RecordView<'_>>,
+                          candidates: &[RecordView<'_>],
+                          delta: &mut dyn RecordSink| {
+            let first = candidates[0].long(1);
+            if current.is_none_or(|c| c.long(1) > first) {
+                delta.emit(&[key.values()[0].clone(), Value::Long(first)]);
+            }
+        };
+        let caught = check_update_order_insensitive(&first_wins, &[0], 100, 7, draw);
+        let message = caught.expect_err("a first-candidate-wins update passed");
+        assert!(
+            message.contains("reads its candidates' order (trial "),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_comparator_that_always_says_less_is_caught() {
+        let always_less = |_: &Record, _: &Record| Ordering::Less;
+        let caught = check_comparator_total(&always_less, 100, 8, candidate);
+        let message = caught.expect_err("an always-Less comparator passed");
+        assert!(message.contains("not antisymmetric (trial 0)"), "{message}");
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! * [`interpreter`] evaluates a [`dataflow::physical::PhysicalPlan`] one
 //!   operator at a time, one `Vec<Record>` per partition, following the
 //!   executor's documented contract where it fixes an order: source record
-//!   `i` goes to partition `i / ceil(n/p)`; hash and range edges route
-//!   through the public [`dataflow::range::PartitionRouter`] and deliver
-//!   what stayed in a partition first, then every other source partition's
-//!   records in source order; a range edge stably sorts each partition.
+//!   `i` goes to partition `i / ceil(n/p)`; hash edges route through the
+//!   public [`dataflow::range::PartitionRouter`] and deliver what stayed in
+//!   a partition first, then every other source partition's records in
+//!   source order.
 //!   Reduce, sort-merge Match and CoGroup hand out groups in key order with
 //!   ties in delivery order, a hash join emits the matches of each probe
 //!   record in build-insertion order, and Cross pairs left × right in

@@ -24,7 +24,7 @@
 use algorithms::{cc_workset_records, sssp_records, ComponentsConfig};
 use dataflow::prelude::{ClusterSpec, ExecConfig, TransportHandle};
 use graphdata::{rmat, RmatParams, VertexId};
-use spinning_core::prelude::{ExecutionMode, WorksetConfig, WorksetResult, WorksetRouting};
+use spinning_core::prelude::{ExecutionMode, WorksetConfig, WorksetResult};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -32,7 +32,6 @@ use std::process::ExitCode;
 struct WorkerArgs {
     algo: String,
     mode: ExecutionMode,
-    routing: WorksetRouting,
     parallelism: usize,
     processes: usize,
     index: usize,
@@ -61,7 +60,6 @@ fn parse_args() -> Result<WorkerArgs, String> {
     let mut args = WorkerArgs {
         algo: String::new(),
         mode: ExecutionMode::BatchIncremental,
-        routing: WorksetRouting::Hash,
         parallelism: 4,
         processes: match env_or("SPINNING_PROCESSES") {
             Some(v) => parse("SPINNING_PROCESSES", &v)?,
@@ -92,13 +90,6 @@ fn parse_args() -> Result<WorkerArgs, String> {
                     "batch" => ExecutionMode::BatchIncremental,
                     "microstep" => ExecutionMode::Microstep,
                     other => return Err(format!("unknown mode '{other}' (batch|microstep)")),
-                }
-            }
-            "--routing" => {
-                args.routing = match value.as_str() {
-                    "hash" => WorksetRouting::Hash,
-                    "range" => WorksetRouting::Range,
-                    other => return Err(format!("unknown routing '{other}' (hash|range)")),
                 }
             }
             "--parallelism" => args.parallelism = parse(&flag, &value)?,
@@ -145,7 +136,6 @@ fn run(args: &WorkerArgs) -> Result<WorksetResult, String> {
         "cc" => {
             let config = ComponentsConfig::new(args.parallelism)
                 .with_max_iterations(args.max_supersteps)
-                .with_routing(args.routing)
                 .with_exec(exec);
             cc_workset_records(&graph, &config, args.mode).map_err(|e| e.to_string())
         }
@@ -153,7 +143,6 @@ fn run(args: &WorkerArgs) -> Result<WorksetResult, String> {
             let config = WorksetConfig::new(args.parallelism)
                 .with_mode(args.mode)
                 .with_max_supersteps(args.max_supersteps)
-                .with_routing(args.routing)
                 .with_exec(exec);
             sssp_records(&graph, args.source, &config).map_err(|e| e.to_string())
         }

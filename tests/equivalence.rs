@@ -19,7 +19,7 @@ use baselines::{
 use dataflow::prelude::{ExecConfig, Key, MemoryBudget, Record, RecordSink, RecordView, Value};
 use graphdata::{chain, erdos_renyi, figure1_graph, rmat, star, DatasetProfile, Graph, RmatParams};
 use spinning_core::prelude::{
-    ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetResult, WorksetRouting,
+    ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetResult,
 };
 use spinning_core::ExecutionMode;
 use std::sync::Arc;
@@ -339,7 +339,7 @@ fn folded_cc_and_sssp_match_the_reference_and_the_unfolded_run() {
 /// the heap records `algorithms::common` returns (or, for SSSP and adaptive
 /// PageRank, records built here) must be indistinguishable from them — the
 /// same solution records in the same order and the same superstep counters —
-/// under every routing, superstep mode and memory regime.
+/// under every superstep mode and memory regime.
 #[test]
 fn source_equivalence() {
     let graph = rmat(400, 3200, RmatParams::default(), 61).symmetrize();
@@ -370,41 +370,34 @@ fn source_equivalence() {
     let cc_from_records = min_propagation_over(edge_records(&graph), 0);
     let sssp_from_records = min_propagation_over(edge_records(&graph), 1);
 
-    for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
-        for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
-            for (regime, exec) in regimes {
-                let label = format!("{routing:?}/{mode:?}/{regime}");
-                let config = WorksetConfig::new(4)
-                    .with_mode(mode)
-                    .with_routing(routing)
-                    .with_exec(exec());
-                let components = ComponentsConfig::new(4)
-                    .with_routing(routing)
-                    .with_exec(exec());
+    for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
+        for (regime, exec) in regimes {
+            let label = format!("{mode:?}/{regime}");
+            let config = WorksetConfig::new(4).with_mode(mode).with_exec(exec());
+            let components = ComponentsConfig::new(4).with_exec(exec());
 
-                let described = cc_workset_records(&graph, &components, mode).unwrap();
-                let records = cc_from_records
-                    .run(
-                        initial_components(&graph),
-                        initial_component_candidates(&graph),
-                        &config,
-                    )
-                    .unwrap();
-                assert!(described.converged, "cc {label}");
-                assert_eq!(described.solution, records.solution, "cc {label}");
-                assert_same_supersteps(&described, &records, &format!("cc {label}"));
-                if regime == "budget 0" {
-                    assert!(described.stats.total_spilled_bytes() > 0, "cc {label}");
-                }
-
-                let described = sssp_records(&graph, source, &config).unwrap();
-                let records = sssp_from_records
-                    .run(sssp_solution(), sssp_workset(), &config)
-                    .unwrap();
-                assert!(described.converged, "sssp {label}");
-                assert_eq!(described.solution, records.solution, "sssp {label}");
-                assert_same_supersteps(&described, &records, &format!("sssp {label}"));
+            let described = cc_workset_records(&graph, &components, mode).unwrap();
+            let records = cc_from_records
+                .run(
+                    initial_components(&graph),
+                    initial_component_candidates(&graph),
+                    &config,
+                )
+                .unwrap();
+            assert!(described.converged, "cc {label}");
+            assert_eq!(described.solution, records.solution, "cc {label}");
+            assert_same_supersteps(&described, &records, &format!("cc {label}"));
+            if regime == "budget 0" {
+                assert!(described.stats.total_spilled_bytes() > 0, "cc {label}");
             }
+
+            let described = sssp_records(&graph, source, &config).unwrap();
+            let records = sssp_from_records
+                .run(sssp_solution(), sssp_workset(), &config)
+                .unwrap();
+            assert!(described.converged, "sssp {label}");
+            assert_eq!(described.solution, records.solution, "sssp {label}");
+            assert_same_supersteps(&described, &records, &format!("sssp {label}"));
         }
     }
 

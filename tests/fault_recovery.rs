@@ -1,8 +1,7 @@
 //! Fault-injection and recovery equivalence: a run killed by a deterministic
 //! injected fault and recovered from a superstep checkpoint must produce the
 //! same result as the uninterrupted run — byte-identical per-vertex output —
-//! across execution modes (batch incremental, microstep, bulk) and both
-//! routing schemes (hash and range).
+//! across execution modes (batch incremental, microstep, bulk).
 //!
 //! Every oracle/baseline run pins `FaultInjector::disabled()` explicitly so
 //! the CI fault-smoke job (which enables environment-driven injection via
@@ -15,7 +14,7 @@ use algorithms::{
 };
 use dataflow::prelude::{DataflowError, ExecConfig, FaultInjector, FaultSite, MemoryBudget};
 use graphdata::{chain, DatasetProfile, Graph};
-use spinning_core::prelude::{CheckpointPolicy, ExecutionMode, WorksetConfig, WorksetRouting};
+use spinning_core::prelude::{CheckpointPolicy, ExecutionMode, WorksetConfig};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -112,37 +111,32 @@ fn cc_recovers_byte_identically_across_modes_and_routings() {
         fn(&Graph, &ComponentsConfig) -> dataflow::prelude::Result<algorithms::ComponentsResult>;
     let runs: [(CcRun, &str); 2] = [(cc_incremental, "incremental"), (cc_microstep, "microstep")];
     for (run, name) in runs {
-        for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
-            let base = ComponentsConfig::new(4)
-                .with_routing(routing)
-                .with_fault(FaultInjector::disabled());
-            let baseline = run(&graph, &base).unwrap();
-            assert_eq!(baseline.components, oracle, "{name} / {routing:?}");
+        let base = ComponentsConfig::new(4).with_fault(FaultInjector::disabled());
+        let baseline = run(&graph, &base).unwrap();
+        assert_eq!(baseline.components, oracle, "{name}");
 
-            let dir = ckpt_dir(&format!("cc-{name}-{routing:?}"));
-            let fault = FaultInjector::failing_nth(FaultSite::WorkerPanic, 21);
-            let config = ComponentsConfig::new(4)
-                .with_routing(routing)
-                .with_checkpoint_policy(policy(3, &dir))
-                .with_fault(fault.clone());
-            let recovered = run(&graph, &config).unwrap();
-            assert_eq!(
-                recovered.components, baseline.components,
-                "recovered run diverged ({name} / {routing:?})"
-            );
-            assert!(recovered.converged);
-            assert!(
-                fault.injected_total() > 0,
-                "the fault must actually fire ({name} / {routing:?})"
-            );
-            assert!(
-                recovered.stats.total_recoveries() >= 1,
-                "the run must have recovered ({name} / {routing:?})"
-            );
-            assert!(recovered.stats.total_checkpoints_written() >= 1);
-            assert!(recovered.stats.total_checkpoint_bytes() > 0);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let dir = ckpt_dir(&format!("cc-{name}"));
+        let fault = FaultInjector::failing_nth(FaultSite::WorkerPanic, 21);
+        let config = ComponentsConfig::new(4)
+            .with_checkpoint_policy(policy(3, &dir))
+            .with_fault(fault.clone());
+        let recovered = run(&graph, &config).unwrap();
+        assert_eq!(
+            recovered.components, baseline.components,
+            "recovered run diverged ({name})"
+        );
+        assert!(recovered.converged);
+        assert!(
+            fault.injected_total() > 0,
+            "the fault must actually fire ({name})"
+        );
+        assert!(
+            recovered.stats.total_recoveries() >= 1,
+            "the run must have recovered ({name})"
+        );
+        assert!(recovered.stats.total_checkpoints_written() >= 1);
+        assert!(recovered.stats.total_checkpoint_bytes() > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -204,26 +198,20 @@ fn sssp_recovers_in_every_superstep_mode_and_routing() {
     let source = 0;
     let oracle = oracles::sssp(&graph, source);
     for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
-        for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
-            let dir = ckpt_dir(&format!("sssp-{mode:?}-{routing:?}"));
-            // SSSP from this source converges in ~4 supersteps at
-            // parallelism 3 (12 worker events); event 5 kills superstep 2.
-            let fault = FaultInjector::failing_nth(FaultSite::WorkerPanic, 5);
-            let config = WorksetConfig::new(3)
-                .with_mode(mode)
-                .with_routing(routing)
-                .with_checkpoint_policy(policy(2, &dir))
-                .with_exec(ExecConfig::new().with_fault(fault.clone()));
-            let result = sssp_with_config(&graph, source, &config).unwrap();
-            assert_eq!(result.distances, oracle, "{mode:?} / {routing:?}");
-            assert!(result.converged);
-            assert!(fault.injected_total() > 0, "{mode:?} / {routing:?}");
-            assert!(
-                result.stats.total_recoveries() >= 1,
-                "{mode:?} / {routing:?}"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let dir = ckpt_dir(&format!("sssp-{mode:?}"));
+        // SSSP from this source converges in ~4 supersteps at
+        // parallelism 3 (12 worker events); event 5 kills superstep 2.
+        let fault = FaultInjector::failing_nth(FaultSite::WorkerPanic, 5);
+        let config = WorksetConfig::new(3)
+            .with_mode(mode)
+            .with_checkpoint_policy(policy(2, &dir))
+            .with_exec(ExecConfig::new().with_fault(fault.clone()));
+        let result = sssp_with_config(&graph, source, &config).unwrap();
+        assert_eq!(result.distances, oracle, "{mode:?}");
+        assert!(result.converged);
+        assert!(fault.injected_total() > 0, "{mode:?}");
+        assert!(result.stats.total_recoveries() >= 1, "{mode:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

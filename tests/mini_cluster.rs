@@ -178,11 +178,11 @@ fn three_process_cluster_matches_the_sssp_oracle() {
 }
 
 #[test]
-fn three_process_cluster_matches_the_oracle_in_microstep_and_range_modes() {
+fn three_process_cluster_matches_the_oracle_in_microstep_mode() {
     let dir = scratch_dir("modes");
     assert_cluster_matches_oracle(&dir, "cc", &["--mode", "microstep"]);
     assert_no_leaks_and_cleanup(&dir);
-    let dir = scratch_dir("range");
-    assert_cluster_matches_oracle(&dir, "sssp", &["--source", "5", "--routing", "range"]);
+    let dir = scratch_dir("sssp-microstep");
+    assert_cluster_matches_oracle(&dir, "sssp", &["--source", "5", "--mode", "microstep"]);
     assert_no_leaks_and_cleanup(&dir);
 }

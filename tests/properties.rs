@@ -15,7 +15,6 @@ use dataflow::page::{
     normalize_long, serialize_record, ExchangedPartition, PageHandle, PagePool, PageWriter,
 };
 use dataflow::prelude::*;
-use dataflow::range::sample_keys_into;
 use dataflow::spill::{write_sorted_records_in, write_sorted_run_in};
 use graphdata::{Graph, SmallRng, VertexId};
 use reference::{into_records, sort_by_key};
@@ -651,72 +650,6 @@ fn skewed_long_key(rng: &mut SmallRng) -> i64 {
     }
 }
 
-/// Range partitioning + per-partition stable sort delivers, concatenated in
-/// partition order, exactly the key order a global `sort_by_key` (the
-/// `Value`-comparison oracle) produces over the hash-exchanged multiset —
-/// for skewed Long-key datasets, every parallelism, boundary duplicates and
-/// the degenerate single-partition case.
-#[test]
-fn prop_range_exchange_equals_globally_sorted_hash_exchange() {
-    for seed in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(11_000 + seed);
-        for &parallelism in &[1usize, 2, 3, 8] {
-            let n = rng.gen_index(400);
-            let records: Vec<Record> = (0..n)
-                .map(|i| Record::pair(skewed_long_key(&mut rng), i as i64))
-                .collect();
-            // Producer partitions: round-robin chunks, as the executor sees
-            // them after a previous operator.
-            let mut producers: Vec<Vec<Record>> = vec![Vec::new(); parallelism];
-            for (i, r) in records.iter().enumerate() {
-                producers[i % parallelism].push(r.clone());
-            }
-            let mut sample = Vec::new();
-            for producer in &producers {
-                sample_keys_into(&mut sample, producer, &[0]);
-            }
-            let bounds = RangeBounds::from_sample(sample, parallelism);
-            assert!(bounds.effective_partitions() <= parallelism);
-
-            // Route by splitters, sort each partition.
-            let mut parts: Vec<Vec<Record>> = vec![Vec::new(); parallelism];
-            for record in &records {
-                parts[bounds.partition_for_record(record, &[0])].push(record.clone());
-            }
-            for part in parts.iter_mut() {
-                sort_by_key(part, &[0]);
-            }
-
-            // Oracle: the hash-exchanged output flattened back into one
-            // multiset (a hash exchange only moves records between
-            // partitions), globally sorted by the stable Value-comparison
-            // sort.
-            let mut hashed: Vec<Vec<Record>> = vec![Vec::new(); parallelism];
-            for record in &records {
-                hashed[partition_for(record, &[0], parallelism)].push(record.clone());
-            }
-            let mut oracle: Vec<Record> = hashed.into_iter().flatten().collect();
-            sort_by_key(&mut oracle, &[0]);
-
-            let concatenated: Vec<Record> = parts.into_iter().flatten().collect();
-            assert_eq!(concatenated.len(), oracle.len());
-            let keys: Vec<i64> = concatenated.iter().map(|r| r.long(0)).collect();
-            let oracle_keys: Vec<i64> = oracle.iter().map(|r| r.long(0)).collect();
-            assert_eq!(
-                keys, oracle_keys,
-                "key order diverged (seed {seed}, p {parallelism})"
-            );
-            // Same records overall (duplicates kept, none lost on splitter
-            // boundaries).
-            let mut a = concatenated;
-            let mut b = oracle;
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "multiset diverged (seed {seed}, p {parallelism})");
-        }
-    }
-}
-
 /// Histogram splitters are order-preserving: `partition_of` is monotone in
 /// the key order — and therefore in `normalized_long_prefix`, whose byte
 /// order equals the key order — including extremes, negatives, all-equal
@@ -990,8 +923,8 @@ fn prop_run_merger_matches_single_vector_sort() {
 
 /// Exchange-with-budget equals exchange-without-budget: the same plan run
 /// under random byte budgets (including "spill everything") produces the
-/// same sink contents, for hash- and range-shipped keyed aggregations at
-/// random parallelisms.
+/// same sink contents, for hash-shipped keyed aggregations at random
+/// parallelisms.
 #[test]
 fn prop_budgeted_execution_matches_unbudgeted() {
     for seed in 0..CASES {
@@ -1015,12 +948,7 @@ fn prop_budgeted_execution_matches_unbudgeted() {
             )),
         );
         plan.sink("sums", sum);
-        let mut phys = default_physical_plan(&plan, parallelism).unwrap();
-        if rng.gen_index(2) == 0 {
-            let choice = phys.choices.get_mut(&sum).unwrap();
-            choice.input_ships[0] = ShipStrategy::PartitionRange(vec![0]);
-            choice.local = LocalStrategy::SortGroup;
-        }
+        let phys = default_physical_plan(&plan, parallelism).unwrap();
         let mut unbudgeted = Executor::new()
             .execute(&phys)
             .unwrap()

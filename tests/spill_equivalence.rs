@@ -5,10 +5,10 @@
 //! budget small enough to force multi-run spills (including the `bytes(0)`
 //! "spill everything" extreme) — and pins the spilled run byte-for-byte to
 //! the in-memory run and to the sequential oracles, across execution modes
-//! (batch incremental, microstep, asynchronous, bulk) and both routing
-//! schemes (hash and range).  `spilled_bytes`/`spilled_runs` counters prove the out-of-core
-//! path actually ran; the in-memory runs prove an unlimited budget never
-//! touches disk.
+//! (batch incremental, microstep, asynchronous, bulk).
+//! `spilled_bytes`/`spilled_runs` counters prove the out-of-core path
+//! actually ran; the in-memory runs prove an unlimited budget never touches
+//! disk.
 //!
 //! The CI low-memory smoke job re-runs this suite with
 //! `SPINNING_MEMORY_BUDGET` overriding the forced budget and asserts the
@@ -26,11 +26,11 @@ use dataflow::prelude::{
 };
 use dataflow::transport::TransportHandle;
 use graphdata::{DatasetProfile, Graph};
-use reference::fixpoint::{batch_fixpoint_with, Routing, WorksetStep};
+use reference::fixpoint::{batch_fixpoint_with, WorksetStep};
 use reference::interpreter::Interpreter;
 use reference::{source_major, Deliver, Partitions};
 use spinning_core::prelude::{
-    ExecutionMode, ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetRouting,
+    ExecutionMode, ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration,
 };
 use std::sync::Arc;
 
@@ -63,30 +63,28 @@ fn cc_oracle(graph: &Graph) -> Vec<i64> {
 fn spilled_incremental_cc_is_byte_identical_to_in_memory() {
     let graph = webbase();
     let oracle = cc_oracle(&graph);
-    for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
-        let base = ComponentsConfig::new(4).with_routing(routing);
-        let in_memory = cc_incremental(&graph, &base).unwrap();
-        assert_eq!(in_memory.components, oracle);
-        assert_eq!(
-            in_memory.stats.total_spilled_bytes(),
-            0,
-            "unlimited budget must never spill ({routing:?})"
-        );
-        let spilled = cc_incremental(&graph, &base.with_memory_budget(forced_budget())).unwrap();
-        assert!(
-            spilled.stats.total_spilled_bytes() > 0,
-            "the forced budget must actually spill ({routing:?})"
-        );
-        assert_eq!(
-            spilled.components, in_memory.components,
-            "spilling changed the fixpoint ({routing:?})"
-        );
-        assert_eq!(
-            spilled.iterations, in_memory.iterations,
-            "spilling is invisible to the superstep structure ({routing:?})"
-        );
-        assert!(spilled.converged);
-    }
+    let base = ComponentsConfig::new(4);
+    let in_memory = cc_incremental(&graph, &base).unwrap();
+    assert_eq!(in_memory.components, oracle);
+    assert_eq!(
+        in_memory.stats.total_spilled_bytes(),
+        0,
+        "unlimited budget must never spill"
+    );
+    let spilled = cc_incremental(&graph, &base.with_memory_budget(forced_budget())).unwrap();
+    assert!(
+        spilled.stats.total_spilled_bytes() > 0,
+        "the forced budget must actually spill"
+    );
+    assert_eq!(
+        spilled.components, in_memory.components,
+        "spilling changed the fixpoint"
+    );
+    assert_eq!(
+        spilled.iterations, in_memory.iterations,
+        "spilling is invisible to the superstep structure"
+    );
+    assert!(spilled.converged);
 }
 
 #[test]
@@ -97,15 +95,11 @@ fn spilled_microstep_cc_matches_oracle_in_both_routings() {
     // state), which order cannot change.
     let graph = webbase();
     let oracle = cc_oracle(&graph);
-    for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
-        let config = ComponentsConfig::new(4)
-            .with_routing(routing)
-            .with_memory_budget(forced_budget());
-        let result = cc_microstep(&graph, &config).unwrap();
-        assert!(result.stats.total_spilled_bytes() > 0, "{routing:?}");
-        assert_eq!(result.components, oracle, "{routing:?}");
-        assert!(result.converged);
-    }
+    let config = ComponentsConfig::new(4).with_memory_budget(forced_budget());
+    let result = cc_microstep(&graph, &config).unwrap();
+    assert!(result.stats.total_spilled_bytes() > 0);
+    assert_eq!(result.components, oracle);
+    assert!(result.converged);
 }
 
 #[test]
@@ -155,24 +149,21 @@ fn spilled_sssp_matches_oracle_in_every_mode_and_routing() {
     let graph = webbase();
     let source = 0;
     let oracle = oracles::sssp(&graph, source);
-    for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
-        for mode in [
-            ExecutionMode::BatchIncremental,
-            ExecutionMode::Microstep,
-            ExecutionMode::AsynchronousMicrostep,
-        ] {
-            let config = WorksetConfig::new(3)
-                .with_mode(mode)
-                .with_routing(routing)
-                .with_exec(ExecConfig::new().with_memory_budget(forced_budget()));
-            let result = sssp_with_config(&graph, source, &config).unwrap();
-            assert_eq!(result.distances, oracle, "{mode:?} / {routing:?}");
-            assert!(result.converged);
-            assert!(
-                result.stats.total_spilled_bytes() > 0,
-                "every mode must spill under the forced budget ({mode:?} / {routing:?})"
-            );
-        }
+    for mode in [
+        ExecutionMode::BatchIncremental,
+        ExecutionMode::Microstep,
+        ExecutionMode::AsynchronousMicrostep,
+    ] {
+        let config = WorksetConfig::new(3)
+            .with_mode(mode)
+            .with_exec(ExecConfig::new().with_memory_budget(forced_budget()));
+        let result = sssp_with_config(&graph, source, &config).unwrap();
+        assert_eq!(result.distances, oracle, "{mode:?}");
+        assert!(result.converged);
+        assert!(
+            result.stats.total_spilled_bytes() > 0,
+            "every mode must spill under the forced budget ({mode:?})"
+        );
     }
 }
 
@@ -183,15 +174,12 @@ fn spilled_cc_and_sssp_rows_match_the_reference_fixpoint() {
     // unfolded ones, while the load step still folds the initial working
     // set.
     let graph = webbase();
-    for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
-        for parallelism in [2, 3] {
-            let config = WorksetConfig::new(parallelism)
-                .with_routing(routing)
-                .with_exec(ExecConfig::new().with_memory_budget(forced_budget()));
-            let label = format!("{routing:?}/p{parallelism}/forced budget");
-            support::assert_folded_runs_match_the_reference(&graph, 0, &config, &label);
-            support::assert_async_runs_reach_the_reference(&graph, 0, &config, &label);
-        }
+    for parallelism in [2, 3] {
+        let config = WorksetConfig::new(parallelism)
+            .with_exec(ExecConfig::new().with_memory_budget(forced_budget()));
+        let label = format!("p{parallelism}/forced budget");
+        support::assert_folded_runs_match_the_reference(&graph, 0, &config, &label);
+        support::assert_async_runs_reach_the_reference(&graph, 0, &config, &label);
     }
 }
 
@@ -329,9 +317,7 @@ fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths
     // then its peers' by partition).  Under 64 KiB and two credits the tail
     // of a peer's candidates stays in memory and goes first: there the
     // evaluator is handed the order the budgeted exchange delivers in.
-    // Either way the fingerprints must match it.  (Range routing keeps a
-    // ring's neighbours in their own partition, so only the zero budget
-    // spills enough of its few shipped candidates to test it.)
+    // Either way the fingerprints must match it.
     let (iteration, step, solution, workset) = order_recording_ring(512, 16, None);
     let mut unbounded = ExecConfig::new();
     unbounded.channel_credits = None;
@@ -346,15 +332,9 @@ fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths
     // (label, configuration, candidates spill, part of a peer's candidates
     // stays in memory)
     for (label, config, spills, partial) in [
-        ("hash, in memory", in_memory, false, false),
-        ("hash, budget 0", zero.clone(), true, false),
-        (
-            "range, budget 0",
-            zero.with_routing(WorksetRouting::Range),
-            true,
-            false,
-        ),
-        ("hash, 64 KiB, 2 credits", credits, true, true),
+        ("in memory", in_memory, false, false),
+        ("budget 0", zero, true, false),
+        ("64 KiB, 2 credits", credits, true, true),
     ] {
         let run = || {
             iteration
@@ -363,10 +343,6 @@ fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths
         };
         let (paged, again) = (run(), run());
         assert_eq!(paged.solution, again.solution, "{label}: rerun");
-        let routing = match config.routing {
-            WorksetRouting::Hash => Routing::Hash,
-            WorksetRouting::Range => Routing::Range,
-        };
         // The superstep exchange splits its budget over p × p writers.
         let delivery = match partial {
             true => budgeted_delivery(config.exec.clone(), 4),
@@ -374,7 +350,7 @@ fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths
         };
         let evaluate = |delivery: &Deliver| {
             let (solution, workset) = (solution.clone(), workset.clone());
-            batch_fixpoint_with(&step, 2, routing, solution, workset, usize::MAX, delivery)
+            batch_fixpoint_with(&step, 2, solution, workset, usize::MAX, delivery)
         };
         let reference = evaluate(&*delivery);
         assert!(paged.converged && reference.converged, "{label}");
@@ -431,54 +407,39 @@ fn folded_candidates_reach_the_update_in_the_reference_order() {
     let (plain, ..) = order_recording_ring(512, 16, None);
     let mut unbounded = ExecConfig::new();
     unbounded.channel_credits = None;
-    for (routing, reference_routing) in [
-        (WorksetRouting::Hash, Routing::Hash),
-        (WorksetRouting::Range, Routing::Range),
-    ] {
-        for parallelism in [2, 3] {
-            let label = format!("{routing:?}/p{parallelism}");
-            let config = WorksetConfig::new(parallelism)
-                .with_routing(routing)
-                .with_exec(unbounded.clone());
-            let folded = iteration
-                .run(solution.clone(), workset.clone(), &config)
-                .unwrap();
-            let (s0, w0) = (solution.clone(), workset.clone());
-            let reference = batch_fixpoint_with(
-                &step,
-                parallelism,
-                reference_routing,
-                s0,
-                w0,
-                usize::MAX,
-                &source_major,
-            );
-            let mut ours = folded.solution.clone();
-            ours.sort();
-            assert_eq!(ours, reference.solution, "{label}");
-            let rows = folded.stats.per_iteration.iter();
-            let rows: Vec<_> = rows
-                .map(|s| (s.messages_sent, s.messages_shipped, s.messages_delivered))
-                .collect();
-            let expected: Vec<_> = reference
-                .supersteps
-                .iter()
-                .map(|s| (s.messages, s.shipped, s.delivered))
-                .collect();
-            assert_eq!(rows, expected, "{label}");
-            // Folding changed which candidates the update saw.
-            let unfolded = plain
-                .run(solution.clone(), workset.clone(), &config)
-                .unwrap();
-            assert_ne!(folded.solution, unfolded.solution, "{label}");
-        }
+    for parallelism in [2, 3] {
+        let label = format!("p{parallelism}");
+        let config = WorksetConfig::new(parallelism).with_exec(unbounded.clone());
+        let folded = iteration
+            .run(solution.clone(), workset.clone(), &config)
+            .unwrap();
+        let (s0, w0) = (solution.clone(), workset.clone());
+        let reference = batch_fixpoint_with(&step, parallelism, s0, w0, usize::MAX, &source_major);
+        let mut ours = folded.solution.clone();
+        ours.sort();
+        assert_eq!(ours, reference.solution, "{label}");
+        let rows = folded.stats.per_iteration.iter();
+        let rows: Vec<_> = rows
+            .map(|s| (s.messages_sent, s.messages_shipped, s.messages_delivered))
+            .collect();
+        let expected: Vec<_> = reference
+            .supersteps
+            .iter()
+            .map(|s| (s.messages, s.shipped, s.delivered))
+            .collect();
+        assert_eq!(rows, expected, "{label}");
+        // Folding changed which candidates the update saw.
+        let unfolded = plain
+            .run(solution.clone(), workset.clone(), &config)
+            .unwrap();
+        assert_ne!(folded.solution, unfolded.solution, "{label}");
     }
 }
 
 #[test]
 fn spilled_executor_groupings_hand_records_over_in_delivery_order_on_both_paths() {
-    // The executor's Reduce under both local strategies and its sort-merge
-    // join, hash- and range-shipped, spilling: the page-native kernel must
+    // The executor's Reduce and its sort-merge join, hash-shipped,
+    // spilling: the page-native kernel must
     // hand every group over in the reference interpreter's order (each
     // input stably sorted on the key, ties in delivery order).  At budget 0
     // every shipped record spills, so that is the interpreter's own
@@ -530,46 +491,41 @@ fn spilled_executor_groupings_hand_records_over_in_delivery_order_on_both_paths(
     join.sink("out", joined);
     let cases = [
         (&reduce, grouped, LocalStrategy::HashGroup),
-        (&reduce, grouped, LocalStrategy::SortGroup),
         (&join, joined, LocalStrategy::SortMergeJoin),
     ];
     for (budget, partial) in [
         (MemoryBudget::bytes(0), false),
         (MemoryBudget::bytes(64 * 1024), true),
     ] {
-        for ship in [
-            ShipStrategy::PartitionHash(vec![0]),
-            ShipStrategy::PartitionRange(vec![0]),
-        ] {
-            for (plan, op, local) in &cases {
-                let label = format!("budget {:?}, {ship:?}, {local:?}", budget.limit());
-                let mut phys = default_physical_plan(plan, 2).unwrap();
-                let choice = phys.choices.get_mut(op).unwrap();
-                choice.input_ships.fill(ship.clone());
-                choice.local = *local;
-                let config = ExecConfig::new().with_memory_budget(budget);
-                let paged = Executor::with_config(config.clone())
-                    .execute(&phys)
-                    .unwrap();
-                // An exchange splits its budget over producer × target
-                // writers.
-                let mut interpreter = match partial {
-                    true => Interpreter::with_delivery(budgeted_delivery(config, 4)),
-                    false => Interpreter::new(),
-                };
-                let reference = interpreter.evaluate(&phys);
-                assert!(paged.stats.spilled_runs > 0, "{label}: no spill");
-                let out = paged.sink_partitions("out").unwrap();
-                assert!(out.iter().any(|part| !part.is_empty()), "{label}");
-                assert_eq!(&out, reference.sink_partitions("out"), "{label}");
-                if partial {
-                    let in_memory_order = Interpreter::new().evaluate(&phys);
-                    let unspilled = in_memory_order.sink_partitions("out");
-                    assert_ne!(
-                        &out, unspilled,
-                        "{label}: the budget kept no tail in memory"
-                    );
-                }
+        let ship = ShipStrategy::PartitionHash(vec![0]);
+        for (plan, op, local) in &cases {
+            let label = format!("budget {:?}, {ship:?}, {local:?}", budget.limit());
+            let mut phys = default_physical_plan(plan, 2).unwrap();
+            let choice = phys.choices.get_mut(op).unwrap();
+            choice.input_ships.fill(ship.clone());
+            choice.local = *local;
+            let config = ExecConfig::new().with_memory_budget(budget);
+            let paged = Executor::with_config(config.clone())
+                .execute(&phys)
+                .unwrap();
+            // An exchange splits its budget over producer × target
+            // writers.
+            let mut interpreter = match partial {
+                true => Interpreter::with_delivery(budgeted_delivery(config, 4)),
+                false => Interpreter::new(),
+            };
+            let reference = interpreter.evaluate(&phys);
+            assert!(paged.stats.spilled_runs > 0, "{label}: no spill");
+            let out = paged.sink_partitions("out").unwrap();
+            assert!(out.iter().any(|part| !part.is_empty()), "{label}");
+            assert_eq!(&out, reference.sink_partitions("out"), "{label}");
+            if partial {
+                let in_memory_order = Interpreter::new().evaluate(&phys);
+                let unspilled = in_memory_order.sink_partitions("out");
+                assert_ne!(
+                    &out, unspilled,
+                    "{label}: the budget kept no tail in memory"
+                );
             }
         }
     }

@@ -2,8 +2,8 @@
 //! edges into calls and whose operators run on pages, must be byte-identical
 //! to the reference operator interpreter (`reference::interpreter`, a
 //! materializing evaluation over heap records with none of the engine's
-//! pages, kernels or fusion) on every algorithm, routing scheme and memory
-//! budget, and across every contract that can consume a fused edge.  This is
+//! pages, kernels or fusion) on every algorithm and memory budget, and
+//! across every contract that can consume a fused edge.  This is
 //! the repository-level statement that chain fusion and the page-native
 //! kernels are pure cost optimizations: they change *when* a record reaches
 //! the next user function, never *which* records arrive or in what order.
@@ -251,36 +251,32 @@ fn the_pages_feedback_equals_the_heap_record_feedback() {
 }
 
 /// The workset modes do not run the chained executor, but they share sinks
-/// and fixpoints with the bulk variant that does: every mode × routing ×
-/// budget combination must still agree with the (now chained) bulk oracle.
+/// and fixpoints with the bulk variant that does: every mode × budget
+/// combination must still agree with the (now chained) bulk oracle.
 #[test]
 fn workset_modes_and_routings_agree_with_the_chained_bulk_oracle() {
     let graph = rmat(400, 2400, RmatParams::default(), 23).symmetrize();
     let bulk_oracle = cc_bulk(&graph, &ComponentsConfig::new(4))
         .unwrap()
         .components;
-    for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
-        for (budget_name, budget) in budgets() {
-            let config = ComponentsConfig::new(4)
-                .with_routing(routing)
-                .with_memory_budget(budget);
-            type CcRun = fn(&Graph, &ComponentsConfig) -> Result<algorithms::ComponentsResult>;
-            for (mode_name, run) in [
-                ("incremental", cc_incremental as CcRun),
-                ("microstep", cc_microstep as CcRun),
-                ("async", cc_async as CcRun),
-            ] {
-                let result = run(&graph, &config).unwrap();
-                assert_eq!(
-                    result.components, bulk_oracle,
-                    "{mode_name} with {routing:?} routing under the {budget_name} budget"
-                );
-            }
+    for (budget_name, budget) in budgets() {
+        let config = ComponentsConfig::new(4).with_memory_budget(budget);
+        type CcRun = fn(&Graph, &ComponentsConfig) -> Result<algorithms::ComponentsResult>;
+        for (mode_name, run) in [
+            ("incremental", cc_incremental as CcRun),
+            ("microstep", cc_microstep as CcRun),
+            ("async", cc_async as CcRun),
+        ] {
+            let result = run(&graph, &config).unwrap();
+            assert_eq!(
+                result.components, bulk_oracle,
+                "{mode_name} under the {budget_name} budget"
+            );
         }
     }
 }
 
-/// SSSP across modes × routings × budgets against the BFS oracle — the guard
+/// SSSP across modes × budgets against the BFS oracle — the guard
 /// that the streaming work left the workset runtimes untouched.
 #[test]
 fn sssp_modes_and_routings_match_the_bfs_oracle_under_budgets() {
@@ -291,18 +287,15 @@ fn sssp_modes_and_routings_match_the_bfs_oracle_under_budgets() {
         ExecutionMode::Microstep,
         ExecutionMode::AsynchronousMicrostep,
     ] {
-        for routing in [WorksetRouting::Hash, WorksetRouting::Range] {
-            for (budget_name, budget) in budgets() {
-                let config = WorksetConfig::new(4)
-                    .with_mode(mode)
-                    .with_routing(routing)
-                    .with_exec(ExecConfig::new().with_memory_budget(budget));
-                let result = sssp_with_config(&graph, 1, &config).unwrap();
-                assert_eq!(
-                    result.distances, oracle,
-                    "{mode:?} with {routing:?} routing under the {budget_name} budget"
-                );
-            }
+        for (budget_name, budget) in budgets() {
+            let config = WorksetConfig::new(4)
+                .with_mode(mode)
+                .with_exec(ExecConfig::new().with_memory_budget(budget));
+            let result = sssp_with_config(&graph, 1, &config).unwrap();
+            assert_eq!(
+                result.distances, oracle,
+                "{mode:?} under the {budget_name} budget"
+            );
         }
     }
 }
@@ -642,13 +635,12 @@ fn put(out: &mut dyn RecordSink, emit: bool, fields: Vec<Value>) {
 /// `scale` (Map, the head, fed by a hash exchange) → `enrich` (hash-join
 /// probe; the build side is its own hash exchange) → `sum` (Reduce) → `tag`
 /// (Cross against a broadcast side) → sink.  `build_left` picks which join
-/// argument is the build side, `group` the Reduce strategy, `shape` the key
-/// `sum` groups on, and `emit` whether the user functions hand their records
-/// over as fields or pass serialized records through.
+/// argument is the build side, `shape` the key `sum` groups on, and `emit`
+/// whether the user functions hand their records over as fields or pass
+/// serialized records through.
 fn all_contracts_pipeline(
     parallelism: usize,
     build_left: bool,
-    group: LocalStrategy,
     shape: KeyShape,
     emit: bool,
 ) -> PhysicalPlan {
@@ -759,7 +751,6 @@ fn all_contracts_pipeline(
     physical.choices.insert(enrich, enrich_choice);
     let sum_choice = physical.choices.get_mut(&sum).unwrap();
     sum_choice.input_ships = vec![ShipStrategy::Forward];
-    sum_choice.local = group;
     physical
 }
 
@@ -789,33 +780,30 @@ fn operator_rows(stats: &ExecutionStats) -> Vec<(String, usize, usize)> {
 fn every_streaming_contract_fuses_and_matches_the_oracle() {
     for parallelism in [1, 4] {
         for build_left in [false, true] {
-            for group in [LocalStrategy::HashGroup, LocalStrategy::SortGroup] {
-                for shape in KeyShape::ALL {
-                    for emit in [false, true] {
-                        for (budget_name, budget) in budgets() {
-                            let label = format!(
-                                "p={parallelism} build_left={build_left} {group} {shape:?} \
-                                 emit={emit} {budget_name}"
-                            );
-                            let physical =
-                                all_contracts_pipeline(parallelism, build_left, group, shape, emit);
-                            let config = ExecConfig::new().with_memory_budget(budget);
-                            let fused = Executor::with_config(config).execute(&physical).unwrap();
-                            let oracle = Interpreter::new().evaluate(&physical);
+            for shape in KeyShape::ALL {
+                for emit in [false, true] {
+                    for (budget_name, budget) in budgets() {
+                        let label = format!(
+                            "p={parallelism} build_left={build_left} {shape:?} \
+                             emit={emit} {budget_name}"
+                        );
+                        let physical = all_contracts_pipeline(parallelism, build_left, shape, emit);
+                        let config = ExecConfig::new().with_memory_budget(budget);
+                        let fused = Executor::with_config(config).execute(&physical).unwrap();
+                        let oracle = Interpreter::new().evaluate(&physical);
 
-                            assert_eq!(fused.stats.chained_operators, 5, "{label}");
-                            if parallelism > 1 && budget_name == "tight" {
-                                assert!(fused.stats.spilled_runs > 0, "nothing spilled: {label}");
-                            }
-                            assert_eq!(operator_rows(&fused.stats), oracle.operators, "{label}");
-                            let stats = &fused.stats;
-                            assert_eq!(stats.local_records, oracle.local_records, "{label}");
-                            assert_eq!(stats.shipped_records, oracle.shipped_records, "{label}");
-                            assert_eq!(stats.shipped_bytes, oracle.shipped_bytes, "{label}");
-                            let sink = fused.sink_partitions("out").unwrap();
-                            assert!(sink.iter().flatten().count() > 500, "{label}");
-                            assert_eq!(&sink, oracle.sink_partitions("out"), "{label}");
+                        assert_eq!(fused.stats.chained_operators, 5, "{label}");
+                        if parallelism > 1 && budget_name == "tight" {
+                            assert!(fused.stats.spilled_runs > 0, "nothing spilled: {label}");
                         }
+                        assert_eq!(operator_rows(&fused.stats), oracle.operators, "{label}");
+                        let stats = &fused.stats;
+                        assert_eq!(stats.local_records, oracle.local_records, "{label}");
+                        assert_eq!(stats.shipped_records, oracle.shipped_records, "{label}");
+                        assert_eq!(stats.shipped_bytes, oracle.shipped_bytes, "{label}");
+                        let sink = fused.sink_partitions("out").unwrap();
+                        assert!(sink.iter().flatten().count() > 500, "{label}");
+                        assert_eq!(&sink, oracle.sink_partitions("out"), "{label}");
                     }
                 }
             }
@@ -885,7 +873,7 @@ fn a_mid_chain_panic_is_one_typed_error_naming_the_segment() {
 /// execution is a build side's.
 #[test]
 fn a_spill_read_fault_on_a_fused_build_side_is_a_typed_error() {
-    let physical = all_contracts_pipeline(4, false, LocalStrategy::HashGroup, KeyShape::Long, true);
+    let physical = all_contracts_pipeline(4, false, KeyShape::Long, true);
     let fault = FaultInjector::failing_nth(FaultSite::SpillRead, 0);
     let config = ExecConfig::new()
         .with_memory_budget(MemoryBudget::bytes(1024))

@@ -7,10 +7,10 @@ use algorithms::common::{edge_records, initial_component_candidates, initial_com
 use algorithms::{cc_workset_records, sssp_records, ComponentsConfig, UNREACHABLE};
 use dataflow::prelude::{ExecConfig, Key, Record, RecordSink, RecordView, Value};
 use graphdata::Graph;
-use reference::fixpoint::{batch_fixpoint, Fixpoint, Routing, WorksetStep};
+use reference::fixpoint::{batch_fixpoint, Fixpoint, WorksetStep};
 use spinning_core::prelude::{
     ExecutionMode, ExpandClosure, RecordComparator, UpdateClosure, WorksetConfig, WorksetIteration,
-    WorksetResult, WorksetRouting,
+    WorksetResult,
 };
 use std::sync::Arc;
 
@@ -169,9 +169,7 @@ type AlgorithmRun = (&'static str, WorksetResult, i64, Vec<Record>, Vec<Record>)
 /// CC and SSSP (from `source`) on `graph`, run by the algorithms under
 /// `config`.
 fn algorithm_runs(graph: &Graph, source: u32, config: &WorksetConfig) -> [AlgorithmRun; 2] {
-    let components = ComponentsConfig::new(config.parallelism)
-        .with_routing(config.routing)
-        .with_exec(config.exec.clone());
+    let components = ComponentsConfig::new(config.parallelism).with_exec(config.exec.clone());
     let sssp_solution: Vec<Record> = graph
         .vertices()
         .map(|v| Record::pair(i64::from(v), if v == source { 0 } else { UNREACHABLE }))
@@ -208,13 +206,9 @@ fn reference_fixpoint(
     solution: &[Record],
     workset: &[Record],
 ) -> Fixpoint {
-    let routing = match config.routing {
-        WorksetRouting::Hash => Routing::Hash,
-        WorksetRouting::Range => Routing::Range,
-    };
     let step = reference_step(edges, hop_cost, &config.exec);
     let (s0, w0) = (solution.to_vec(), workset.to_vec());
-    batch_fixpoint(&step, config.parallelism, routing, s0, w0, usize::MAX)
+    batch_fixpoint(&step, config.parallelism, s0, w0, usize::MAX)
 }
 
 /// `run` took `reference`'s supersteps and reached its solution.
