@@ -210,9 +210,8 @@ mod tests {
     }
 
     /// The update and comparator of Connected Components and SSSP obey the
-    /// laws that let microstep and asynchronous runs reach the batch
-    /// fixpoint: the update ignores its candidates' order, and the
-    /// comparator is a total order.
+    /// laws that let microstep runs reach the batch fixpoint: the update
+    /// ignores its candidates' order, and the comparator is a total order.
     #[test]
     fn the_min_update_and_comparator_of_cc_and_sssp_are_order_insensitive_and_total() {
         use reference::laws::{check_comparator_total, check_update_order_insensitive};

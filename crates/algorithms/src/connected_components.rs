@@ -7,8 +7,6 @@
 //!   workset iteration with the `InnerCoGroup` update (batch incremental).
 //! * [`cc_microstep`] — the MICRO-CC variant using the record-at-a-time
 //!   `Match` update, executed in supersteps.
-//! * [`cc_async`] — the same microstep program executed asynchronously
-//!   without superstep barriers.
 //!
 //! All variants converge to the same fixpoint: every vertex is labelled with
 //! the smallest vertex id of its weakly connected component.
@@ -48,7 +46,7 @@ pub struct ComponentsConfig {
     pub max_iterations: usize,
     /// Checkpointing and recovery policy, passed through to the workset
     /// driver (superstep boundaries) or the bulk driver (iteration
-    /// boundaries).  The asynchronous variant ignores it.
+    /// boundaries).
     pub checkpoint: Option<CheckpointPolicy>,
     /// The execution settings, handed unchanged to the workset driver or
     /// the bulk driver.  A multi-process transport turns a superstep
@@ -332,12 +330,6 @@ pub fn cc_microstep(graph: &Graph, config: &ComponentsConfig) -> Result<Componen
     run_workset(graph, config, ExecutionMode::Microstep)
 }
 
-/// The microstep Connected Components algorithm executed asynchronously,
-/// without superstep barriers.
-pub fn cc_async(graph: &Graph, config: &ComponentsConfig) -> Result<ComponentsResult> {
-    run_workset(graph, config, ExecutionMode::AsynchronousMicrostep)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,7 +356,7 @@ mod tests {
     #[test]
     fn figure1_walkthrough_incremental_and_microstep() {
         let graph = figure1_graph();
-        for run in [cc_incremental, cc_microstep, cc_async] {
+        for run in [cc_incremental, cc_microstep] {
             let result = run(&graph, &ComponentsConfig::new(2)).unwrap();
             assert_eq!(
                 result.components,
@@ -385,7 +377,6 @@ mod tests {
             expected
         );
         assert_eq!(cc_microstep(&graph, &config).unwrap().components, expected);
-        assert_eq!(cc_async(&graph, &config).unwrap().components, expected);
     }
 
     #[test]

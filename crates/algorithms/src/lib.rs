@@ -3,10 +3,9 @@
 //! * [`mod@pagerank`] — bulk-iterative PageRank (Figure 3) with the two
 //!   physical plans of Figure 4 (broadcast vs. partition), selectable or left
 //!   to the optimizer.
-//! * [`connected_components`] — Connected Components in all four variants the
-//!   paper measures: bulk (FIXPOINT-CC), batch incremental (INCR-CC with an
-//!   `InnerCoGroup`), microstep (MICRO-CC with a `Match`), and asynchronous
-//!   microstep execution.
+//! * [`connected_components`] — Connected Components in the three variants
+//!   the paper measures: bulk (FIXPOINT-CC), batch incremental (INCR-CC with
+//!   an `InnerCoGroup`) and microstep (MICRO-CC with a `Match`).
 //! * [`mod@sssp`] — single-source shortest paths as an incremental iteration.
 //! * [`mod@adaptive_pagerank`] — the adaptive PageRank of the related-work
 //!   discussion, expressed as a workset iteration.
@@ -25,8 +24,7 @@ pub mod sssp;
 
 pub use crate::adaptive_pagerank::{adaptive_pagerank, AdaptiveConfig, AdaptivePageRankResult};
 pub use crate::connected_components::{
-    cc_async, cc_bulk, cc_incremental, cc_microstep, cc_workset_records, ComponentsConfig,
-    ComponentsResult,
+    cc_bulk, cc_incremental, cc_microstep, cc_workset_records, ComponentsConfig, ComponentsResult,
 };
 pub use crate::pagerank::{pagerank, PageRankConfig, PageRankPlan, PageRankResult};
 pub use crate::sssp::{sssp, sssp_records, sssp_with_config, SsspResult, UNREACHABLE};

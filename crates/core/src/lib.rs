@@ -15,9 +15,7 @@
 //!   that persists across supersteps; the step function produces a *delta
 //!   set* merged with the `∪̇` operator and the next working set (Section 5).
 //!   Supports the batch-incremental (`InnerCoGroup`) and microstep (`Match`)
-//!   variants.
-//! * [`microstep`] — asynchronous microstep execution without superstep
-//!   barriers, with counter-based termination detection (Sections 2.2, 5.3).
+//!   variants, both in supersteps separated by a barrier.
 //! * [`stats`] — per-iteration counters (runtime, working-set size, elements
 //!   inspected/changed, messages) backing the reproduction of the paper's
 //!   figures.
@@ -60,7 +58,6 @@
 pub mod bulk;
 pub mod checkpoint;
 mod load;
-pub mod microstep;
 pub mod solution_set;
 pub mod stats;
 pub mod workset;

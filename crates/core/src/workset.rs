@@ -24,10 +24,8 @@
 //! Because `S`, `W` and `N` are co-partitioned on the identifying key, both
 //! stages run locally inside each partition; only the newly produced workset
 //! records may cross partition boundaries, exactly as in the execution plan
-//! of Figure 6.  Execution proceeds in supersteps separated by a barrier, or
-//! — when the step function meets the conditions of Section 5.2 — fully
-//! asynchronously ([`ExecutionMode::AsynchronousMicrostep`], implemented in
-//! [`crate::microstep`]).
+//! of Figure 6.  Execution proceeds in supersteps separated by a barrier in
+//! both variants.
 //!
 //! # Set-up: the load step
 //!
@@ -45,8 +43,7 @@
 //! solution index, its constant-path index and the page writer that becomes
 //! its first queue.  Described inputs never exist as heap records; the
 //! working set is pending as `W0.len()` candidates, known on every process
-//! of a cluster without a barrier.  Every mode loads this way; the
-//! asynchronous mode's partition tasks start from the same pages.
+//! of a cluster without a barrier.  Both modes load this way.
 //!
 //! # Folding candidates at the sender
 //!
@@ -57,8 +54,8 @@
 //! step for `W0`, and in every superstep exchange that cannot spill (no
 //! memory budget, no page credits; a budget meters bytes, a fold table is
 //! bounded by keys).  The update function sees at most one candidate per key
-//! from each source partition.  The microstep modes update once per
-//! candidate and never fold.  The counters the paper plots —
+//! from each source partition.  The microstep mode updates once per
+//! candidate and never folds.  The counters the paper plots —
 //! `workset_size`, `elements_inspected`, `elements_changed`,
 //! `messages_sent` — count candidates as emitted, before the fold, so they
 //! read the same with and without a combine; `messages_shipped` and
@@ -67,7 +64,7 @@
 //! Neither user function sees a heap record: both read [`RecordView`]s of
 //! page bytes (the kernel's groups, the queue's pages and run frames, the
 //! stored solution record and delta, the [`JoinIndex`]'s matches), and a
-//! delta is emitted as a field slice the solution set serializes.  All three
+//! delta is emitted as a field slice the solution set serializes.  Both
 //! modes apply a delta through one path.
 //!
 //! # What this module owns, and what it does not
@@ -118,7 +115,7 @@ pub trait UpdateFunction: Send + Sync {
     /// straight into the solution set, so no heap record exists per delta.
     ///
     /// In batch-incremental mode `candidates` holds *all* workset records
-    /// for the key in this superstep; in microstep modes exactly one.
+    /// for the key in this superstep; in microstep mode exactly one.
     fn update(
         &self,
         key: &Key,
@@ -191,12 +188,6 @@ pub enum ExecutionMode {
     /// and applied deltas are visible immediately within the superstep
     /// (allowed because updates are partition-local, Section 5.3).
     Microstep,
-    /// The `Match` variant without superstep barriers: every partition runs
-    /// as a task on the shared pool that processes candidate pages as they
-    /// arrive and sends its own on through the ordinary exchange outboxes;
-    /// the run ends when no task runs and every inbox is empty (Section
-    /// 5.3's asynchronous execution, [`crate::microstep`]).
-    AsynchronousMicrostep,
 }
 
 /// Configuration of a workset iteration run.
@@ -210,17 +201,16 @@ pub struct WorksetConfig {
     pub max_supersteps: usize,
     /// Superstep checkpointing and recovery policy.  `None` (the default)
     /// disables checkpointing: a failed superstep surfaces as a typed
-    /// [`DataflowError`] immediately.  The asynchronous mode has no superstep
-    /// boundaries and ignores the policy.
+    /// [`DataflowError`] immediately.
     pub checkpoint: Option<CheckpointPolicy>,
     /// The execution settings of the run:
     ///
     /// * the memory budget of the candidate exchange — exceeding it spills
     ///   sealed candidate pages to disk as runs, sorted on the workset key
     ///   and merged in by the page-native kernel (batch), or unsorted and
-    ///   streamed (both microstep modes);
-    /// * the channel credits — sealed pages per outbox writer, in every
-    ///   mode;
+    ///   streamed (microstep);
+    /// * the channel credits — sealed pages per outbox writer, in both
+    ///   modes;
     /// * the fault injector of the spill, checkpoint and pool-dispatch
     ///   sites;
     /// * the transport of the superstep exchange.  With a multi-process
@@ -284,8 +274,7 @@ pub struct WorksetResult {
     /// The partial solution after the last superstep.  Only a fixpoint when
     /// [`WorksetResult::converged`] is `true`.
     pub solution: Vec<Record>,
-    /// Number of supersteps executed (1 for asynchronous execution, which has
-    /// no superstep structure).
+    /// Number of supersteps executed.
     pub supersteps: usize,
     /// `true` when the working set drained (the fixpoint was reached);
     /// `false` when the run was truncated by
@@ -383,13 +372,6 @@ impl<'a> WorksetIteration<'a> {
             // Contiguous equal partition blocks are what keeps ownership a
             // pure division; an uneven split is a configuration error.
             cluster.partitions_per_process(config.parallelism)?;
-            if config.mode == ExecutionMode::AsynchronousMicrostep {
-                return Err(DataflowError::InvalidPlan(
-                    "asynchronous microstep execution is single-process; cluster runs \
-                     synchronize through superstep barriers"
-                        .into(),
-                ));
-            }
             if config.checkpoint.is_some() {
                 return Err(DataflowError::InvalidPlan(
                     "superstep checkpointing is not supported in cluster mode; a failed \
@@ -421,15 +403,12 @@ impl<'a> WorksetIteration<'a> {
         let pending = initial_workset.len() as u64;
         // Sources that hold heap records have been read and can go.
         drop((initial_solution, initial_workset));
-        if config.mode == ExecutionMode::AsynchronousMicrostep {
-            return crate::microstep::run_async(self, loaded, &router, config, start);
-        }
         self.run_supersteps(loaded, pending, &router, config, start)
     }
 
     /// The combine candidates fold with in `config`'s mode: the declared
-    /// one in batch-incremental mode, none in the microstep modes, whose
-    /// update function runs once per candidate.
+    /// one in batch-incremental mode, none in microstep mode, whose update
+    /// function runs once per candidate.
     fn folds(&self, config: &WorksetConfig) -> Option<&Arc<dyn CombineFunction>> {
         self.combine
             .as_ref()
@@ -789,10 +768,8 @@ impl<'a> WorksetIteration<'a> {
 
 /// One partition's side of the step function — its solution partition and
 /// its constant-path index — with the buffers its update and expand calls
-/// reuse.  Every mode runs the join and the expansion through it: the
-/// superstep modes for one superstep, the asynchronous mode for one drain
-/// of a partition's inbox.
-pub(crate) struct PartitionStep<'p> {
+/// reuse.  Both modes run a superstep's join and expansion through it.
+struct PartitionStep<'p> {
     iteration: &'p WorksetIteration<'p>,
     solution: &'p mut PartitionIndex,
     constant: &'p JoinIndex,
@@ -805,11 +782,11 @@ pub(crate) struct PartitionStep<'p> {
     /// The constant records matching the delta being applied.
     matches: Vec<RecordView<'p>>,
     /// Deltas that changed the solution.
-    pub(crate) changed: usize,
+    changed: usize,
 }
 
 impl<'p> PartitionStep<'p> {
-    pub(crate) fn new(
+    fn new(
         iteration: &'p WorksetIteration<'p>,
         solution: &'p mut PartitionIndex,
         constant: &'p JoinIndex,
@@ -827,7 +804,7 @@ impl<'p> PartitionStep<'p> {
 
     /// Runs the update function on `key`'s candidates against the stored
     /// record, and returns whether it emitted a delta.
-    pub(crate) fn update(&mut self, key: &Key, candidates: &[RecordView<'_>]) -> bool {
+    fn update(&mut self, key: &Key, candidates: &[RecordView<'_>]) -> bool {
         self.delta.0.clear();
         let current = self.solution.get(key);
         self.iteration
@@ -836,14 +813,14 @@ impl<'p> PartitionStep<'p> {
         !self.delta.0.is_empty()
     }
 
-    /// The `Match` variant of the join, shared by both microstep modes:
+    /// The `Match` variant of the join, the microstep mode's superstep:
     /// one candidate at a time, each delta visible to the next candidate.
     /// Every candidate of `workset` is handed to the update function as a
     /// view of its queue page — or of its spilled run's frame buffer,
     /// streamed straight off disk — without being copied, and its delta is
     /// applied and expanded into `out` at once.  Returns the drained pages,
     /// whose buffers the caller recycles.
-    pub(crate) fn microsteps(
+    fn microsteps(
         &mut self,
         workset: ExchangedPartition,
         fault: &FaultInjector,
@@ -875,7 +852,7 @@ impl<'p> PartitionStep<'p> {
 
     /// Merges the emitted delta into the solution partition and, when it
     /// changed the solution, expands it from its stored bytes into `out`.
-    pub(crate) fn apply(&mut self, out: &mut dyn RecordSink) {
+    fn apply(&mut self, out: &mut dyn RecordSink) {
         let (iteration, delta, key) = (self.iteration, &self.delta.0, &mut self.delta_key);
         key.assign_fields(delta, &iteration.solution_key);
         if !self
@@ -898,7 +875,7 @@ impl<'p> PartitionStep<'p> {
 }
 
 /// A workset queue holding the pages `writer` wrote.
-pub(crate) fn paged_queue(writer: PageWriter) -> ExchangedPartition {
+fn paged_queue(writer: PageWriter) -> ExchangedPartition {
     ExchangedPartition::new(writer.finish())
 }
 
@@ -907,10 +884,10 @@ pub(crate) fn paged_queue(writer: PageWriter) -> ExchangedPartition {
 /// where it is serialized into the page of its target partition.  Emitted
 /// and forwarded candidates take the same road — the queues of a superstep
 /// run hold pages, never heap records.
-pub(crate) struct CandidateSink<'a> {
-    pub(crate) outbox: &'a mut Outbox,
-    pub(crate) router: &'a PartitionRouter,
-    pub(crate) workset_key: &'a [usize],
+struct CandidateSink<'a> {
+    outbox: &'a mut Outbox,
+    router: &'a PartitionRouter,
+    workset_key: &'a [usize],
 }
 
 impl RecordSink for CandidateSink<'_> {
@@ -1917,17 +1894,6 @@ mod tests {
                 }
             }
         }
-        // Asynchronous execution has no deterministic trace; the fixpoint
-        // is the same set of records.
-        let config = WorksetConfig::new(4).with_mode(ExecutionMode::AsynchronousMicrostep);
-        let mut emitted = emitting
-            .run(solution.clone(), workset.clone(), &config)
-            .unwrap()
-            .solution;
-        let mut forwarded = forwarding.run(solution, workset, &config).unwrap().solution;
-        emitted.sort();
-        forwarded.sort();
-        assert_eq!(emitted, forwarded);
     }
 
     /// `records` as the pages of a plan's sink, in order: the source a bulk
@@ -2080,17 +2046,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, DataflowError::CommSetup(_)), "{err}");
-        // Asynchronous execution has no superstep barrier to synchronize on.
-        let err = iteration
-            .run(
-                solution.clone(),
-                workset.clone(),
-                &WorksetConfig::new(4)
-                    .with_mode(ExecutionMode::AsynchronousMicrostep)
-                    .with_exec(distributed()),
-            )
-            .unwrap_err();
-        assert!(matches!(err, DataflowError::InvalidPlan(_)), "{err}");
         // Checkpointing is single-process.
         let err = iteration
             .run(
@@ -2138,7 +2093,6 @@ mod tests {
         let configs = [
             WorksetConfig::new(2),
             WorksetConfig::new(2).with_mode(ExecutionMode::Microstep),
-            WorksetConfig::new(2).with_mode(ExecutionMode::AsynchronousMicrostep),
         ];
         for config in &configs {
             let label = format!("{:?}", config.mode);

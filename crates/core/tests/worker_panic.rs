@@ -1,6 +1,7 @@
-//! An asynchronous run whose update function panics returns: the panic
+//! A run whose update function panics returns, in either mode: the panic
 //! surfaces as a typed `DataflowError::WorkerPanic`, the partitions that did
-//! not panic drain and stop, and every spilled run still queued is deleted.
+//! not panic finish their superstep, and every spilled run still queued is
+//! deleted.
 //!
 //! This file holds exactly one `#[test]`, so the run files of this process
 //! are this job's alone.
@@ -35,8 +36,9 @@ fn leftover_run_files() -> Vec<String> {
         .unwrap_or_default()
 }
 
-#[test]
-fn a_panicking_update_returns_a_typed_error_and_leaves_no_run_files() {
+/// Runs the ring under `mode` with an update that panics at its
+/// `PANICKING_CALL`th call, and checks the typed error.
+fn run_until_the_update_panics(mode: ExecutionMode) {
     let calls = Arc::new(AtomicUsize::new(0));
     let counted = Arc::clone(&calls);
     let update = Arc::new(UpdateClosure(
@@ -76,27 +78,38 @@ fn a_panicking_update_returns_a_typed_error_and_leaves_no_run_files() {
         .iter()
         .map(|e| Record::pair(e.long(1), e.long(0) + 1_000))
         .collect();
-    // Budget 0: every page a task ships to another partition is a spilled
-    // run until its consumer drains it.
+    // Budget 0: every page a partition ships to another is a spilled run
+    // until its consumer drains it in the next superstep.
     let config = WorksetConfig::new(4)
-        .with_mode(ExecutionMode::AsynchronousMicrostep)
+        .with_mode(mode)
         .with_exec(ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0)));
 
     let error = iteration.run(solution, workset, &config).unwrap_err();
     match &error {
         DataflowError::WorkerPanic { message, .. } => {
-            assert!(message.contains("update refused key"), "{error}")
+            assert!(message.contains("update refused key"), "{mode:?}: {error}")
         }
-        other => panic!("expected a worker panic, got {other}"),
+        other => panic!("{mode:?}: expected a worker panic, got {other}"),
     }
     assert!(
         calls.load(Ordering::SeqCst) > PANICKING_CALL,
-        "the panic fired"
+        "{mode:?}: the panic fired"
     );
-    assert!(run_files_created() > 0, "the run spilled before it failed");
-    let leftover = leftover_run_files();
-    assert!(
-        leftover.is_empty(),
-        "spilled runs left behind: {leftover:?}"
-    );
+}
+
+#[test]
+fn a_panicking_update_returns_a_typed_error_and_leaves_no_run_files() {
+    for mode in [ExecutionMode::Microstep, ExecutionMode::BatchIncremental] {
+        let created = run_files_created();
+        run_until_the_update_panics(mode);
+        assert!(
+            run_files_created() > created,
+            "{mode:?}: the run spilled before it failed"
+        );
+        let leftover = leftover_run_files();
+        assert!(
+            leftover.is_empty(),
+            "{mode:?}: spilled runs left behind: {leftover:?}"
+        );
+    }
 }

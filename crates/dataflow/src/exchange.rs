@@ -6,11 +6,9 @@
 //! switch (`spinning_core::workset`) each fill one [`Outbox`] per producer
 //! partition and hand them to [`ship`]; what differs between them — which
 //! router picks the target, how often the channel is reused, what happens to
-//! the delivered [`ExchangedPartition`]s — stays with the caller.  The
-//! asynchronous workset mode, which has no round to ship in, hands each
-//! sealed outbox straight to its consumers ([`Outbox::deliver`]): the same
-//! writers, the same budget and credits, the same pages and runs.  This is
-//! the paper's Figures 5–6: the loop body `Δ` is an ordinary dataflow on the
+//! the delivered [`ExchangedPartition`]s — stays with the caller.  Every
+//! exchange is a round of [`ship`]; there is no delivery outside one.  This
+//! is the paper's Figures 5–6: the loop body `Δ` is an ordinary dataflow on the
 //! ordinary runtime exchange, and only feedback and the constant-path cache
 //! are special.
 //!
@@ -73,7 +71,7 @@ use crate::contracts::{CombineFunction, LastEmitted};
 use crate::error::Result;
 use crate::key::{FxHashMap, Key, KeyFields};
 use crate::page::{ExchangedPartition, PageHandle, PagePool, PageWriter, RecordPage, RecordView};
-use crate::spill::{SpillManager, SpillOutput, SpilledRun, SpillingWriter};
+use crate::spill::{SpillManager, SpillOutput, SpillingWriter};
 use crate::transport::PageChannel;
 use crate::value::Value;
 use comm::ClusterSpec;
@@ -213,35 +211,6 @@ impl Outbox {
         }
         Ok(())
     }
-
-    /// Seals the outbox and hands every target what it addressed there,
-    /// with no channel and no round: `post(target, pages, runs)` gets the
-    /// pages the source kept for itself first, then each peer's sealed
-    /// pages and spilled runs in target order; a target that was addressed
-    /// nothing is skipped.  This is the exchange of a run without a barrier
-    /// — the asynchronous workset mode, whose consumers take what arrives
-    /// whenever it arrives.  Returns the outbox's counters, as [`ship`]
-    /// counts them.
-    pub fn deliver(
-        mut self,
-        mut post: impl FnMut(usize, Vec<Arc<RecordPage>>, Vec<SpilledRun>),
-    ) -> std::io::Result<ShipStats> {
-        self.seal()?;
-        let mut stats = ShipStats::default();
-        stats.count_routed(&self);
-        let local = self.local_pages.finish();
-        if !local.is_empty() {
-            post(self.source, local, Vec::new());
-        }
-        for (target, output) in self.sealed.into_iter().enumerate() {
-            stats.count_writer(&output);
-            stats.shipped_pages += output.pages.len();
-            if !output.pages.is_empty() || !output.runs.is_empty() {
-                post(target, output.pages, output.runs);
-            }
-        }
-        Ok(stats)
-    }
 }
 
 /// Folds records that share a key into one held record per key before any
@@ -362,18 +331,6 @@ pub struct ShipStats {
 }
 
 impl ShipStats {
-    /// Adds `other`'s counters: every counter sums, except the high-water
-    /// mark, which is a maximum.
-    pub fn merge(&mut self, other: &ShipStats) {
-        self.sent_records += other.sent_records;
-        self.shipped_records += other.shipped_records;
-        self.shipped_bytes += other.shipped_bytes;
-        self.shipped_pages += other.shipped_pages;
-        self.spilled_bytes += other.spilled_bytes;
-        self.spilled_runs += other.spilled_runs;
-        self.pages_high_water = self.pages_high_water.max(other.pages_high_water);
-    }
-
     /// Adds what a sealed outbox routed.
     fn count_routed(&mut self, outbox: &Outbox) {
         self.sent_records += outbox.sent_records;
@@ -712,36 +669,6 @@ mod tests {
             for dir in tcp_dirs.iter().chain([&dir]) {
                 assert_no_spill_files(dir);
             }
-        }
-    }
-
-    #[test]
-    fn a_delivered_outbox_posts_what_a_shipped_one_delivers() {
-        let router = hash_router();
-        let expected = sorted(reference(&router));
-        for regime in [Regime::Unlimited, Regime::BudgetZero, Regime::TwoCredits] {
-            let name = format!("deliver-{regime:?}");
-            let dir = spill_dir(&name);
-            let spill = spill_manager(regime, dir.clone());
-            let (_, shipped) = exchange_once(&router, &spill, &TransportHandle::local(), 0, true);
-            let mut parts = vec![ExchangedPartition::default(); PARTITIONS];
-            let mut stats = ShipStats::default();
-            for (source, records) in producer().into_iter().enumerate() {
-                let mut outbox = Outbox::new(source, PARTITIONS, &spill);
-                for record in &records {
-                    outbox.emit(router.route(record, &[0]), record.fields());
-                }
-                let posted = outbox.deliver(|target, pages, runs| {
-                    assert!(!pages.is_empty() || !runs.is_empty(), "{name}");
-                    parts[target].receive_pages(pages);
-                    parts[target].receive_runs(runs);
-                });
-                stats.merge(&posted.expect("sealed"));
-            }
-            assert_eq!(sorted(delivered(&parts)), expected, "{name}");
-            assert_eq!(stats, shipped, "{name}");
-            drop(parts);
-            assert_no_spill_files(&dir);
         }
     }
 

@@ -129,13 +129,12 @@ pub struct ExecConfig {
     /// [`crate::spill`]).  Unlimited by default — nothing ever spills.
     pub memory_budget: MemoryBudget,
     /// Credits of the exchange — the backpressure knob, in sealed pages.
-    /// Every exchange's outbox writer, in every mode (the executor's
-    /// repartitioning, the superstep exchange, the asynchronous workset
-    /// tasks' outboxes), flushes its sealed pages to disk once this many are
-    /// buffered, bounding exchange memory at `credits × page_size` per
-    /// writer whatever the byte budget.  Defaults to
-    /// [`CHANNEL_CREDITS_ENV`]; `None` leaves the byte budget alone in
-    /// charge.  Results are identical either way — backpressure changes
+    /// Every exchange's outbox writer (the executor's repartitioning and
+    /// the workset superstep exchange, in both modes) flushes its sealed
+    /// pages to disk once this many are buffered, bounding exchange memory
+    /// at `credits × page_size` per writer whatever the byte budget.
+    /// Defaults to [`CHANNEL_CREDITS_ENV`]; `None` leaves the byte budget
+    /// alone in charge.  Results are identical either way — backpressure changes
     /// *when* data moves, never *what* is computed.
     pub channel_credits: Option<usize>,
     /// Fault injector consulted at spill flushes, checkpoints and worker

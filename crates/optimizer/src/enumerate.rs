@@ -2,9 +2,9 @@
 //!
 //! The enumerator walks the logical plan in topological order and maintains,
 //! per operator, a set of candidate physical sub-plans (shipping strategy per
-//! input edge, local strategy, resulting global properties, accumulated
+//! input edge, local strategy, resulting output partitioning, accumulated
 //! cost).  Candidates whose cost is dominated by another candidate with the
-//! same output properties are pruned, following the classical Volcano-style
+//! same output partitioning are pruned, following the classical Volcano-style
 //! dynamic programming scheme the paper assumes.  Shipping options per edge
 //! include, besides the operator's own requirement, the *interesting*
 //! partitionings propagated from downstream operators — which is what allows
@@ -14,7 +14,7 @@
 use crate::cardinality::Cardinalities;
 use crate::cost::{Cost, CostModel};
 use crate::interesting::EdgeInterests;
-use crate::properties::{Annotations, GlobalProperties, Partitioning};
+use crate::properties::{Annotations, Partitioning};
 use dataflow::plan::{Operator, OperatorKind, Plan};
 use dataflow::prelude::{
     DataflowError, LocalStrategy, OperatorId, PhysicalChoice, PhysicalPlan, Result, ShipStrategy,
@@ -63,8 +63,8 @@ impl<'a> PlanningContext<'a> {
 struct Candidate {
     /// Physical choices for every operator in the sub-plan.
     choices: HashMap<OperatorId, PhysicalChoice>,
-    /// Global properties of the operator's output under these choices.
-    props: GlobalProperties,
+    /// Partitioning of the operator's output under these choices.
+    partitioning: Partitioning,
     /// Accumulated (weighted) cost of the sub-plan.
     cost: Cost,
 }
@@ -88,7 +88,7 @@ pub fn enumerate_best(ctx: &PlanningContext<'_>, parallelism: usize) -> Result<E
         let new_candidates = match op.kind {
             OperatorKind::Source { .. } => vec![Candidate {
                 choices: HashMap::from([(id, PhysicalChoice::forward(0))]),
-                props: GlobalProperties::any(),
+                partitioning: Partitioning::Any,
                 cost: Cost::zero(),
             }],
             _ => enumerate_operator(ctx, op, &candidates, parallelism),
@@ -291,8 +291,8 @@ fn build_candidate(
         }
     }
 
-    // Properties after shipping, and shipping cost.
-    let mut post_ship: Vec<GlobalProperties> = Vec::with_capacity(inputs.len());
+    // Partitioning after shipping, and shipping cost.
+    let mut post_ship: Vec<Partitioning> = Vec::with_capacity(inputs.len());
     let mut input_cards: Vec<f64> = Vec::with_capacity(inputs.len());
     for (slot, (candidate, ship)) in inputs.iter().enumerate() {
         let producer = op.inputs[slot];
@@ -300,12 +300,11 @@ fn build_candidate(
         input_cards.push(records);
         let weight = ctx.edge_weight(op.id, slot);
         cost = cost.add(ctx.model.ship_cost(ship, records).scale(weight));
-        let props = match ship {
-            ShipStrategy::Forward => candidate.props.clone(),
-            ShipStrategy::PartitionHash(key) => GlobalProperties::hashed(key.clone()),
-            ShipStrategy::Broadcast => GlobalProperties::replicated(),
-        };
-        post_ship.push(props);
+        post_ship.push(match ship {
+            ShipStrategy::Forward => candidate.partitioning.clone(),
+            ShipStrategy::PartitionHash(key) => Partitioning::Hash(key.clone()),
+            ShipStrategy::Broadcast => Partitioning::Replicated,
+        });
     }
 
     if !is_valid(op, &post_ship, parallelism) {
@@ -319,7 +318,7 @@ fn build_candidate(
             .scale(ctx.weight_of(op.id)),
     );
 
-    let props = output_properties(ctx.annotations, op, &post_ship);
+    let partitioning = output_partitioning(ctx.annotations, op, &post_ship);
     choices.insert(
         op.id,
         PhysicalChoice {
@@ -330,20 +329,20 @@ fn build_candidate(
     );
     Some(Candidate {
         choices,
-        props,
+        partitioning,
         cost,
     })
 }
 
-/// Checks that the post-shipping properties make the operator's parallel
+/// Checks that the post-shipping partitionings make the operator's parallel
 /// execution correct.
-fn is_valid(op: &Operator, post_ship: &[GlobalProperties], parallelism: usize) -> bool {
+fn is_valid(op: &Operator, post_ship: &[Partitioning], parallelism: usize) -> bool {
     if parallelism <= 1 {
         return true;
     }
     match &op.kind {
         // A Reduce needs equal keys collocated.
-        OperatorKind::Reduce { key } => post_ship[0].partitioning.satisfies_hash(key),
+        OperatorKind::Reduce { key } => post_ship[0].satisfies_hash(key),
         OperatorKind::Match {
             left_key,
             right_key,
@@ -356,15 +355,11 @@ fn is_valid(op: &Operator, post_ship: &[GlobalProperties], parallelism: usize) -
             // Hash routing is one global function, so hash co-partitioning
             // can be read off the properties regardless of where each side's
             // partitioning was established.
-            let hash_co = post_ship[0].partitioning.satisfies_hash(left_key)
-                && post_ship[1].partitioning.satisfies_hash(right_key);
-            hash_co
-                || post_ship[0].partitioning.is_replicated()
-                || post_ship[1].partitioning.is_replicated()
+            let hash_co =
+                post_ship[0].satisfies_hash(left_key) && post_ship[1].satisfies_hash(right_key);
+            hash_co || post_ship[0].is_replicated() || post_ship[1].is_replicated()
         }
-        OperatorKind::Cross => {
-            post_ship[0].partitioning.is_replicated() || post_ship[1].partitioning.is_replicated()
-        }
+        OperatorKind::Cross => post_ship[0].is_replicated() || post_ship[1].is_replicated(),
         _ => true,
     }
 }
@@ -374,15 +369,15 @@ fn is_valid(op: &Operator, post_ship: &[GlobalProperties], parallelism: usize) -
 fn choose_local_strategy(
     ctx: &PlanningContext<'_>,
     op: &Operator,
-    post_ship: &[GlobalProperties],
+    post_ship: &[Partitioning],
     input_cards: &[f64],
 ) -> LocalStrategy {
     match &op.kind {
         OperatorKind::Match { .. } => ctx.model.choose_join_strategy(
             input_cards[0],
             input_cards[1],
-            post_ship[0].partitioning.is_replicated(),
-            post_ship[1].partitioning.is_replicated(),
+            post_ship[0].is_replicated(),
+            post_ship[1].is_replicated(),
         ),
         OperatorKind::CoGroup { .. } => LocalStrategy::SortMergeJoin,
         OperatorKind::Reduce { .. } => LocalStrategy::HashGroup,
@@ -391,33 +386,32 @@ fn choose_local_strategy(
     }
 }
 
-/// Global properties of the operator's output under the given input
-/// properties, derived from the field-copy annotations.
+/// Partitioning of the operator's output under the given input
+/// partitionings, derived from the field-copy annotations.
 ///
 /// Partitioning survives an operator when the key fields are copied —
 /// collocation is a property of where records *live*, which local
 /// processing does not change.
-fn output_properties(
+fn output_partitioning(
     annotations: &Annotations,
     op: &Operator,
-    post_ship: &[GlobalProperties],
-) -> GlobalProperties {
+    post_ship: &[Partitioning],
+) -> Partitioning {
     // Maps the partitioning of input `slot` into the output field space; a
     // key that is not fully copied drops the property.
-    let preserve_from = |slot: usize| -> Option<GlobalProperties> {
-        let partitioning = match &post_ship[slot].partitioning {
-            Partitioning::Hash(key) => {
-                Partitioning::Hash(annotations.map_key_forward(op.id, slot, key)?)
-            }
-            Partitioning::Replicated => Partitioning::Replicated,
-            Partitioning::Any => return None,
-        };
-        Some(GlobalProperties { partitioning })
+    let preserve_from = |slot: usize| -> Option<Partitioning> {
+        match &post_ship[slot] {
+            Partitioning::Hash(key) => Some(Partitioning::Hash(
+                annotations.map_key_forward(op.id, slot, key)?,
+            )),
+            Partitioning::Replicated => Some(Partitioning::Replicated),
+            Partitioning::Any => None,
+        }
     };
     match &op.kind {
-        OperatorKind::Source { .. } => GlobalProperties::any(),
+        OperatorKind::Source { .. } => Partitioning::Any,
         OperatorKind::Map | OperatorKind::Reduce { .. } => {
-            preserve_from(0).unwrap_or_else(GlobalProperties::any)
+            preserve_from(0).unwrap_or(Partitioning::Any)
         }
         OperatorKind::Sink { .. } => post_ship[0].clone(),
         OperatorKind::Union => {
@@ -425,30 +419,30 @@ fn output_properties(
             if post_ship.iter().all(|p| p == first) {
                 first.clone()
             } else {
-                GlobalProperties::any()
+                Partitioning::Any
             }
         }
         OperatorKind::Match { .. } | OperatorKind::CoGroup { .. } | OperatorKind::Cross => {
             // Prefer preserving the partitioning of a non-replicated side: a
             // replicated side contributes every record everywhere, so the
             // output's distribution follows the partitioned side.
-            let left_repl = post_ship[0].partitioning.is_replicated();
-            let right_repl = post_ship[1].partitioning.is_replicated();
+            let left_repl = post_ship[0].is_replicated();
+            let right_repl = post_ship[1].is_replicated();
             if left_repl && right_repl {
-                return GlobalProperties::replicated();
+                return Partitioning::Replicated;
             }
             let slots = if left_repl { [1, 0] } else { [0, 1] };
             for slot in slots {
-                if post_ship[slot].partitioning.is_replicated() {
+                if post_ship[slot].is_replicated() {
                     continue;
                 }
-                if let Some(props) = preserve_from(slot) {
-                    if !props.partitioning.is_replicated() {
-                        return props;
+                if let Some(partitioning) = preserve_from(slot) {
+                    if !partitioning.is_replicated() {
+                        return partitioning;
                     }
                 }
             }
-            GlobalProperties::any()
+            Partitioning::Any
         }
     }
 }
@@ -462,7 +456,10 @@ fn prune(mut candidates: Vec<Candidate>) -> Vec<Candidate> {
         if kept.len() >= MAX_CANDIDATES_PER_OPERATOR {
             break;
         }
-        if kept.iter().any(|k| k.props == candidate.props) {
+        if kept
+            .iter()
+            .any(|k| k.partitioning == candidate.partitioning)
+        {
             continue;
         }
         kept.push(candidate);

@@ -32,7 +32,7 @@ pub use crate::cardinality::{estimate, Cardinalities};
 pub use crate::cost::{Cost, CostModel};
 pub use crate::enumerate::{enumerate_best, EnumeratedPlan, PlanningContext};
 pub use crate::interesting::{interesting_keys, EdgeInterests};
-pub use crate::properties::{Annotations, FieldCopy, GlobalProperties, Partitioning};
+pub use crate::properties::{Annotations, FieldCopy, Partitioning};
 
 use dataflow::prelude::{OperatorId, PhysicalPlan, Plan, Result};
 use std::collections::{HashMap, HashSet};

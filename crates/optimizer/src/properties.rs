@@ -1,12 +1,12 @@
 //! Physical data properties and operator annotations.
 //!
-//! The optimizer reasons about *global properties* of the data flowing along
-//! an edge — chiefly how it is partitioned across the parallel worker
-//! instances.  Properties are established by shipping strategies and either
-//! preserved or destroyed by operators, depending on how the user code treats
-//! the fields that the property is defined on.  The paper (Section 4.3)
-//! relies on *OutputContracts* for this; here the equivalent information is
-//! supplied as [`FieldCopy`] annotations.
+//! The optimizer reasons about the one *global property* of the data flowing
+//! along an edge that it tracks: how it is partitioned across the parallel
+//! worker instances ([`Partitioning`]).  A partitioning is established by a
+//! shipping strategy and either preserved or destroyed by operators,
+//! depending on how the user code treats the fields it is defined on.  The
+//! paper (Section 4.3) relies on *OutputContracts* for this; here the
+//! equivalent information is supplied as [`FieldCopy`] annotations.
 
 use dataflow::prelude::{KeyFields, OperatorId};
 use std::collections::HashMap;
@@ -38,42 +38,6 @@ impl Partitioning {
     /// True if every partition sees all records.
     pub fn is_replicated(&self) -> bool {
         matches!(self, Partitioning::Replicated)
-    }
-}
-
-/// The global properties of one edge's data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GlobalProperties {
-    /// The partitioning across parallel instances.
-    pub partitioning: Partitioning,
-}
-
-impl GlobalProperties {
-    /// Properties carrying no guarantees.
-    pub fn any() -> Self {
-        GlobalProperties {
-            partitioning: Partitioning::Any,
-        }
-    }
-
-    /// Hash-partitioned on `key`.
-    pub fn hashed(key: KeyFields) -> Self {
-        GlobalProperties {
-            partitioning: Partitioning::Hash(key),
-        }
-    }
-
-    /// Fully replicated.
-    pub fn replicated() -> Self {
-        GlobalProperties {
-            partitioning: Partitioning::Replicated,
-        }
-    }
-}
-
-impl Default for GlobalProperties {
-    fn default() -> Self {
-        GlobalProperties::any()
     }
 }
 
@@ -212,15 +176,5 @@ mod tests {
         }
         assert_eq!(ann.map_key_forward(op, 0, &[0, 2]), Some(vec![0, 1]));
         assert_eq!(ann.map_key_forward(op, 0, &[0, 1]), None);
-    }
-
-    #[test]
-    fn default_properties_are_any() {
-        assert_eq!(GlobalProperties::default(), GlobalProperties::any());
-        assert_eq!(
-            GlobalProperties::hashed(vec![2]).partitioning,
-            Partitioning::Hash(vec![2])
-        );
-        assert!(GlobalProperties::replicated().partitioning.is_replicated());
     }
 }

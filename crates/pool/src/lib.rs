@@ -46,9 +46,9 @@
 //!
 //! Every caller in the workspace uses [`global`], the shared process-wide
 //! pool sized to the available hardware parallelism.  No task blocks: a
-//! task that must wait for more input (an asynchronous microstep partition)
-//! returns instead, and whoever produces the input spawns it again on the
-//! same scope — a task may capture its [`Scope`] and spawn on it.
+//! task that would wait for more input returns instead, and whoever
+//! produces the input spawns it again on the same scope — a task may
+//! capture its [`Scope`] and spawn on it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -423,7 +423,7 @@ impl Drop for ThreadPool {
 /// available hardware parallelism.
 ///
 /// Every parallel region (operator local phases, superstep partitions,
-/// asynchronous microstep partitions, baseline-engine partitions) runs
+/// baseline-engine partitions) runs
 /// here, so its dispatch cost is a deque push regardless of how many
 /// drivers are active.  Tasks must not block waiting for one another: a
 /// task blocked on a sibling occupies a worker the sibling may need.

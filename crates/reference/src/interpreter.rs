@@ -101,7 +101,7 @@ impl Interpreter {
                 continue;
             }
             let inputs: Vec<Partitions> = (0..op.inputs.len())
-                .map(|slot| self.deliver(physical, op, slot, &outputs, &mut evaluation))
+                .map(|slot| self.input(physical, op, slot, &outputs, &mut evaluation))
                 .collect();
             let local = physical.choice(id).local;
             let output: Partitions = (0..physical.parallelism)
@@ -126,7 +126,7 @@ impl Interpreter {
 
     /// Delivers input `slot` of `op`: served from the cache, or shipped
     /// from its producer's output by the edge's strategy.
-    fn deliver(
+    fn input(
         &mut self,
         physical: &PhysicalPlan,
         op: &Operator,

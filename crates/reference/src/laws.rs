@@ -16,9 +16,9 @@
 //! Both together cover partial folds: a group of folded batches folds, by
 //! the first law, to the fold of the whole group.
 //!
-//! The microstep and asynchronous modes hand an update its candidates in
-//! another order, and in other groups, than batch supersteps do.  They
-//! reach the batch fixpoint only if
+//! The microstep mode hands an update its candidates in another order, and
+//! in other groups, than batch supersteps do.  It reaches the batch
+//! fixpoint only if
 //!
 //! * the update does not read its candidates' order: the delta for a group
 //!   equals the delta for the group reversed and for any shuffle of it

@@ -1,7 +1,7 @@
 //! Quickstart: the paper's Figure 1 walkthrough.
 //!
 //! Runs Connected Components on the 9-vertex sample graph of Figure 1 in all
-//! four variants (bulk, batch incremental, microstep, asynchronous) and shows
+//! three variants (bulk, batch incremental, microstep) and shows
 //! the per-superstep statistics that make the incremental variants cheap:
 //! after the first supersteps only the few still-changing vertices are
 //! touched.
@@ -10,7 +10,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use algorithms::{cc_async, cc_bulk, cc_incremental, cc_microstep, ComponentsConfig};
+use algorithms::{cc_bulk, cc_incremental, cc_microstep, ComponentsConfig};
 use graphdata::{figure1_expected_components, figure1_graph};
 
 fn main() {
@@ -41,10 +41,6 @@ fn main() {
         (
             "microstep (MICRO-CC, Match)",
             Box::new(|| cc_microstep(&graph, &config).unwrap()),
-        ),
-        (
-            "asynchronous microstep",
-            Box::new(|| cc_async(&graph, &config).unwrap()),
         ),
     ];
 

@@ -1,7 +1,7 @@
 //! Single-source shortest paths as an incremental iteration, showing that
 //! the working set tracks the BFS frontier rather than the whole graph, and
-//! that the asynchronous microstep execution produces the same distances
-//! without superstep barriers.
+//! that the batch-incremental and microstep executions produce the same
+//! distances.
 //!
 //! ```text
 //! cargo run --release --example sssp_frontier
@@ -28,10 +28,6 @@ fn main() {
             ExecutionMode::BatchIncremental,
         ),
         ("microstep (supersteps)", ExecutionMode::Microstep),
-        (
-            "asynchronous microstep",
-            ExecutionMode::AsynchronousMicrostep,
-        ),
     ] {
         let result = sssp(&graph, source, 4, mode).expect("SSSP run");
         assert_eq!(

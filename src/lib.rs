@@ -9,7 +9,7 @@
 //! * [`optimizer`] — the iteration-aware cost-based optimizer (interesting
 //!   properties, constant/dynamic data path, loop-invariant caching).
 //! * [`spinning_core`] — bulk iterations and incremental (workset)
-//!   iterations, including microstep and asynchronous execution.
+//!   iterations, batch-incremental and microstep.
 //! * [`graphdata`] — graphs, generators, and the Table 2 dataset profiles.
 //! * [`algorithms`] — PageRank, Connected Components, SSSP and adaptive
 //!   PageRank as iterative dataflows.

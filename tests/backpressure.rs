@@ -6,9 +6,9 @@
 //! label out to thousands of neighbours, so unbounded channels would buffer
 //! far more than two records per edge:
 //!
-//! * the asynchronous microstep engine in-process and the superstep engine
-//!   in-process, where each outbox writer flushes its sealed pages to a
-//!   spill run once it holds `credits` of them;
+//! * the superstep engine in-process, batch-incremental and microstep, where
+//!   each outbox writer flushes its sealed pages to a spill run once it
+//!   holds `credits` of them;
 //! * a 3-process TCP cluster (batch mode) with `SPINNING_CHANNEL_CREDITS=2`
 //!   in the workers' *and* the oracle's environment, pinning that the
 //!   credit knob leaves solutions and superstep traces byte-identical.
@@ -18,7 +18,7 @@
 //! under the credit bound: the paper's bounded-memory claim, observable end
 //! to end.
 
-use algorithms::{cc_async, cc_incremental, ComponentsConfig};
+use algorithms::{cc_incremental, cc_microstep, ComponentsConfig, ComponentsResult};
 use graphdata::{rmat, RmatParams};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -38,45 +38,33 @@ fn oracle_components(graph: &graphdata::Graph) -> Vec<i64> {
 }
 
 #[test]
-fn tight_credits_bound_async_queues_without_changing_the_fixpoint() {
-    let graph = rmat(600, 2400, RmatParams::default(), 17).symmetrize();
-    let config = ComponentsConfig::new(PARALLELISM).with_channel_credits(CREDITS);
-    let result = cc_async(&graph, &config).expect("async CC under tight credits");
-    assert!(result.converged, "async CC must reach the fixpoint");
-    assert_eq!(
-        result.components,
-        oracle_components(&graph),
-        "credits changed the async fixpoint"
-    );
-    let high_water = result.stats.max_queue_high_water();
-    assert!(
-        high_water <= CREDITS,
-        "an outbox held {high_water} sealed pages against {CREDITS} page credits"
-    );
-    assert!(high_water >= 1, "an expansion-heavy run must ship a page");
-}
-
-#[test]
 fn tight_credits_bound_superstep_outboxes_without_changing_the_fixpoint() {
     let graph = rmat(600, 2400, RmatParams::default(), 17).symmetrize();
     let expected = oracle_components(&graph);
-    let unbounded = cc_incremental(&graph, &ComponentsConfig::new(PARALLELISM))
-        .expect("incremental CC, unbounded");
-    let bounded = cc_incremental(
-        &graph,
-        &ComponentsConfig::new(PARALLELISM).with_channel_credits(CREDITS),
-    )
-    .expect("incremental CC under tight credits");
-    assert_eq!(bounded.components, expected, "credits changed the fixpoint");
-    assert_eq!(
-        bounded.iterations, unbounded.iterations,
-        "credits changed the superstep count"
-    );
-    let high_water = bounded.stats.max_queue_high_water();
-    assert!(
-        high_water <= CREDITS,
-        "an outbox held {high_water} sealed pages against {CREDITS} page credits"
-    );
+    type Run =
+        fn(&graphdata::Graph, &ComponentsConfig) -> dataflow::prelude::Result<ComponentsResult>;
+    let runs: [(&str, Run); 2] = [("incremental", cc_incremental), ("microstep", cc_microstep)];
+    for (name, run) in runs {
+        let unbounded = run(&graph, &ComponentsConfig::new(PARALLELISM)).expect("unbounded CC");
+        let bounded = run(
+            &graph,
+            &ComponentsConfig::new(PARALLELISM).with_channel_credits(CREDITS),
+        )
+        .expect("CC under tight credits");
+        assert_eq!(
+            bounded.components, expected,
+            "{name}: credits changed the fixpoint"
+        );
+        assert_eq!(
+            bounded.iterations, unbounded.iterations,
+            "{name}: credits changed the superstep count"
+        );
+        let high_water = bounded.stats.max_queue_high_water();
+        assert!(
+            high_water <= CREDITS,
+            "{name}: an outbox held {high_water} sealed pages against {CREDITS} page credits"
+        );
+    }
 }
 
 // --- 3-process cluster half (same harness idiom as tests/mini_cluster.rs) ---

@@ -1,17 +1,17 @@
 //! Cross-crate integration tests: all engines and all iteration variants must
 //! agree on the algorithm results, across graph shapes and parallelism
 //! degrees.  This is the repository-level statement of the paper's claim that
-//! incremental iterations, microsteps, asynchronous execution and the Pregel
-//! model all compute the same fixpoints — only their cost differs.
+//! incremental iterations, microsteps and the Pregel model all compute the
+//! same fixpoints — only their cost differs.
 
 use algorithms::common::{
     edge_records, edge_records_with_degree, initial_component_candidates, initial_components,
     min_combine,
 };
 use algorithms::{
-    adaptive_pagerank, cc_async, cc_bulk, cc_incremental, cc_microstep, cc_workset_records,
-    oracles, pagerank, sssp, sssp_records, AdaptiveConfig, ComponentsConfig, PageRankConfig,
-    PageRankPlan, UNREACHABLE,
+    adaptive_pagerank, cc_bulk, cc_incremental, cc_microstep, cc_workset_records, oracles,
+    pagerank, sssp, sssp_records, AdaptiveConfig, ComponentsConfig, PageRankConfig, PageRankPlan,
+    UNREACHABLE,
 };
 use baselines::{
     cc_pregel, cc_spark_bulk, pagerank_pregel, pagerank_spark, PregelConfig, SparkContext,
@@ -68,11 +68,6 @@ fn connected_components_all_engines_agree() {
             oracle,
             "microstep on {name}"
         );
-        assert_eq!(
-            cc_async(&graph, &config).unwrap().components,
-            oracle,
-            "async on {name}"
-        );
         let pregel = cc_pregel(&graph, &PregelConfig::new(4));
         assert_eq!(
             pregel
@@ -103,7 +98,7 @@ fn connected_components_result_is_independent_of_parallelism() {
     for parallelism in [1, 2, 3, 8, 16] {
         let config = ComponentsConfig::new(parallelism);
         assert_eq!(cc_incremental(&graph, &config).unwrap().components, oracle);
-        assert_eq!(cc_async(&graph, &config).unwrap().components, oracle);
+        assert_eq!(cc_microstep(&graph, &config).unwrap().components, oracle);
     }
 }
 
@@ -140,16 +135,12 @@ fn pagerank_all_engines_agree() {
 fn sssp_modes_agree_with_the_bfs_oracle() {
     let graph = DatasetProfile::foaf().generate(32_768);
     let oracle = oracles::sssp(&graph, 1);
-    for mode in [
-        ExecutionMode::BatchIncremental,
-        ExecutionMode::Microstep,
-        ExecutionMode::AsynchronousMicrostep,
-    ] {
+    for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
         assert_eq!(sssp(&graph, 1, 4, mode).unwrap().distances, oracle);
     }
 }
 
-/// All three workset execution modes must agree with the bulk iteration as
+/// Both workset execution modes must agree with the bulk iteration as
 /// the oracle, across parallelism degrees — the "no behavioral change"
 /// statement for the record-routing hot path (inline keys, Fx hashing,
 /// move-based exchanges) shared by every mode.
@@ -175,11 +166,6 @@ fn workset_modes_agree_with_bulk_oracle() {
                 cc_microstep(&graph, &config).unwrap().components,
                 bulk_oracle,
                 "microstep vs bulk on {name} at parallelism {parallelism}"
-            );
-            assert_eq!(
-                cc_async(&graph, &config).unwrap().components,
-                bulk_oracle,
-                "async vs bulk on {name} at parallelism {parallelism}"
             );
         }
     }
@@ -308,7 +294,7 @@ fn assert_same_supersteps(ours: &WorksetResult, theirs: &WorksetResult, label: &
 /// wherever it cannot spill: at parallelism 1, 2 and 3, unbudgeted (the
 /// default credits), at budget 0 and under one and two credits, every run
 /// equals the reference fixpoint (after the fold where the engine folds)
-/// and the run without a combine, and the asynchronous runs reach the
+/// and the run without a combine, and the microstep runs reach the
 /// reference's solution.
 #[test]
 fn folded_cc_and_sssp_match_the_reference_and_the_unfolded_run() {
@@ -329,7 +315,7 @@ fn folded_cc_and_sssp_match_the_reference_and_the_unfolded_run() {
             let config = WorksetConfig::new(parallelism).with_exec(exec.clone());
             let label = format!("p{parallelism}/{regime}");
             support::assert_folded_runs_match_the_reference(&graph, 3, &config, &label);
-            support::assert_async_runs_reach_the_reference(&graph, 3, &config, &label);
+            support::assert_microstep_runs_reach_the_reference(&graph, 3, &config, &label);
         }
     }
 }
@@ -400,28 +386,6 @@ fn source_equivalence() {
             assert_same_supersteps(&described, &records, &format!("sssp {label}"));
         }
     }
-
-    // Asynchronous microsteps have no superstep structure to compare; the
-    // fixpoints are the same set of records.
-    let config = WorksetConfig::new(4).with_mode(ExecutionMode::AsynchronousMicrostep);
-    let sorted = |mut records: Vec<Record>| {
-        records.sort();
-        records
-    };
-    let described = cc_workset_records(&graph, &ComponentsConfig::new(4), config.mode).unwrap();
-    let records = cc_from_records
-        .run(
-            initial_components(&graph),
-            initial_component_candidates(&graph),
-            &config,
-        )
-        .unwrap();
-    assert_eq!(sorted(described.solution), sorted(records.solution));
-    let described = sssp_records(&graph, source, &config).unwrap();
-    let records = sssp_from_records
-        .run(sssp_solution(), sssp_workset(), &config)
-        .unwrap();
-    assert_eq!(sorted(described.solution), sorted(records.solution));
 
     // Adaptive PageRank exposes its mode only; its ranks are the solution
     // densified, compared bit for bit.  (A small graph and a loose tolerance:

@@ -7,7 +7,7 @@
 //! execution produced.
 
 use algorithms::{
-    adaptive_pagerank, cc_async, cc_bulk, cc_incremental, cc_microstep, oracles, pagerank, sssp,
+    adaptive_pagerank, cc_bulk, cc_incremental, cc_microstep, oracles, pagerank, sssp,
     AdaptiveConfig, ComponentsConfig, PageRankConfig, PageRankPlan,
 };
 use graphdata::{chain, rmat, star, Graph, RmatParams};
@@ -40,7 +40,6 @@ fn pooled_cc_matches_oracle_in_every_mode_and_parallelism() {
                 ("bulk", cc_bulk as fn(&Graph, &ComponentsConfig) -> _),
                 ("incremental", cc_incremental),
                 ("microstep", cc_microstep),
-                ("async", cc_async),
             ] {
                 let result = run(&graph, &config).unwrap();
                 assert_eq!(
@@ -58,11 +57,7 @@ fn pooled_sssp_matches_oracle_in_every_mode() {
     let graph = rmat(300, 1500, RmatParams::default(), 31).symmetrize();
     let oracle = oracles::sssp(&graph, 5);
     for parallelism in [1, 3, 8] {
-        for mode in [
-            ExecutionMode::BatchIncremental,
-            ExecutionMode::Microstep,
-            ExecutionMode::AsynchronousMicrostep,
-        ] {
+        for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
             let result = sssp(&graph, 5, parallelism, mode).unwrap();
             assert_eq!(
                 result.distances, oracle,

@@ -7,9 +7,7 @@
 //! case is reproducible: the case index is part of the seed, and assertion
 //! messages name the seed of the failing case.
 
-use algorithms::{
-    cc_async, cc_bulk, cc_incremental, cc_microstep, oracles, sssp, ComponentsConfig,
-};
+use algorithms::{cc_bulk, cc_incremental, cc_microstep, oracles, sssp, ComponentsConfig};
 use dataflow::key::{hash_key, hash_values, partition_for, Key};
 use dataflow::page::{
     normalize_long, serialize_record, ExchangedPartition, PageHandle, PagePool, PageWriter,
@@ -103,8 +101,8 @@ fn arbitrary_record(rng: &mut SmallRng) -> Record {
     Record::new(fields)
 }
 
-/// Fixpoint equivalence: the bulk, incremental, microstep and asynchronous
-/// Connected Components all equal the sequential union-find oracle on
+/// Fixpoint equivalence: the bulk, incremental and microstep Connected
+/// Components all equal the sequential union-find oracle on
 /// arbitrary graphs.  Bulk runs through the executor's paged exchange and
 /// the incremental variants through the workset driver's paged superstep
 /// exchange, so this property pins the page path end-to-end against the
@@ -134,11 +132,6 @@ fn prop_connected_components_fixpoint_equivalence() {
             cc_microstep(&graph, &config).unwrap().components,
             oracle,
             "microstep CC diverged from oracle (seed {seed})"
-        );
-        assert_eq!(
-            cc_async(&graph, &config).unwrap().components,
-            oracle,
-            "async CC diverged from oracle (seed {seed})"
         );
     }
 }

@@ -5,7 +5,7 @@
 //! budget small enough to force multi-run spills (including the `bytes(0)`
 //! "spill everything" extreme) — and pins the spilled run byte-for-byte to
 //! the in-memory run and to the sequential oracles, across execution modes
-//! (batch incremental, microstep, asynchronous, bulk).
+//! (batch incremental, microstep, bulk).
 //! `spilled_bytes`/`spilled_runs` counters prove the out-of-core path
 //! actually ran; the in-memory runs prove an unlimited budget never touches
 //! disk.
@@ -149,11 +149,7 @@ fn spilled_sssp_matches_oracle_in_every_mode_and_routing() {
     let graph = webbase();
     let source = 0;
     let oracle = oracles::sssp(&graph, source);
-    for mode in [
-        ExecutionMode::BatchIncremental,
-        ExecutionMode::Microstep,
-        ExecutionMode::AsynchronousMicrostep,
-    ] {
+    for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
         let config = WorksetConfig::new(3)
             .with_mode(mode)
             .with_exec(ExecConfig::new().with_memory_budget(forced_budget()));
@@ -179,7 +175,7 @@ fn spilled_cc_and_sssp_rows_match_the_reference_fixpoint() {
             .with_exec(ExecConfig::new().with_memory_budget(forced_budget()));
         let label = format!("p{parallelism}/forced budget");
         support::assert_folded_runs_match_the_reference(&graph, 0, &config, &label);
-        support::assert_async_runs_reach_the_reference(&graph, 0, &config, &label);
+        support::assert_microstep_runs_reach_the_reference(&graph, 0, &config, &label);
     }
 }
 

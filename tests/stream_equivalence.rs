@@ -12,8 +12,8 @@ use algorithms::common::{initial_components, initial_ranks};
 use algorithms::connected_components::build_bulk_step_plan;
 use algorithms::pagerank::{build_step_plan, forced_physical_plan};
 use algorithms::{
-    cc_async, cc_bulk, cc_incremental, cc_microstep, oracles, pagerank, sssp_with_config,
-    ComponentsConfig, PageRankConfig, PageRankPlan,
+    cc_bulk, cc_incremental, cc_microstep, oracles, pagerank, sssp_with_config, ComponentsConfig,
+    PageRankConfig, PageRankPlan,
 };
 use dataflow::prelude::*;
 use graphdata::{chain, rmat, DatasetProfile, Graph, RmatParams};
@@ -265,7 +265,6 @@ fn workset_modes_and_routings_agree_with_the_chained_bulk_oracle() {
         for (mode_name, run) in [
             ("incremental", cc_incremental as CcRun),
             ("microstep", cc_microstep as CcRun),
-            ("async", cc_async as CcRun),
         ] {
             let result = run(&graph, &config).unwrap();
             assert_eq!(
@@ -282,11 +281,7 @@ fn workset_modes_and_routings_agree_with_the_chained_bulk_oracle() {
 fn sssp_modes_and_routings_match_the_bfs_oracle_under_budgets() {
     let graph = DatasetProfile::foaf().generate(8_192);
     let oracle = oracles::sssp(&graph, 1);
-    for mode in [
-        ExecutionMode::BatchIncremental,
-        ExecutionMode::Microstep,
-        ExecutionMode::AsynchronousMicrostep,
-    ] {
+    for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
         for (budget_name, budget) in budgets() {
             let config = WorksetConfig::new(4)
                 .with_mode(mode)

@@ -138,22 +138,21 @@ pub fn assert_folded_runs_match_the_reference(
     }
 }
 
-/// Asynchronous CC and SSSP (from `source`) on `graph` under `config` (its
-/// mode replaced by the asynchronous one) must reach the reference
-/// fixpoint: the same solution records, sorted, byte for byte.  An
-/// asynchronous run has no supersteps to compare.
-pub fn assert_async_runs_reach_the_reference(
+/// Microstep CC and SSSP (from `source`) on `graph` under `config` (its
+/// mode replaced by the microstep one) must reach the reference fixpoint:
+/// the same solution records, sorted, byte for byte.  A microstep run takes
+/// other supersteps than the batch reference, so only the solutions
+/// compare.
+pub fn assert_microstep_runs_reach_the_reference(
     graph: &Graph,
     source: u32,
     config: &WorksetConfig,
     label: &str,
 ) {
-    let config = config
-        .clone()
-        .with_mode(ExecutionMode::AsynchronousMicrostep);
+    let config = config.clone().with_mode(ExecutionMode::Microstep);
     let edges = edge_records(graph);
     for (algo, run, hop_cost, solution, workset) in algorithm_runs(graph, source, &config) {
-        let label = format!("async {algo} {label}");
+        let label = format!("microstep {algo} {label}");
         let reference = reference_fixpoint(&edges, hop_cost, &config, &solution, &workset);
         let mut reached = run.solution;
         reached.sort();
