@@ -13,8 +13,11 @@
 //! when the accumulated residual exceeds a threshold.  Vertices whose
 //! neighbourhood has converged therefore drop out of the computation — the
 //! same sparse-dependency effect the Connected Components experiments show.
+//! A run takes the one [`RunConfig`] — in either update mode — and the
+//! residual tolerance, the one setting of its own.
 
 use crate::common::{edge_with_degree_source, per_vertex, vid};
+use crate::DAMPING;
 use dataflow::prelude::*;
 use graphdata::Graph;
 use spinning_core::prelude::*;
@@ -35,50 +38,18 @@ pub struct AdaptivePageRankResult {
     pub stats: IterationRunStats,
 }
 
-/// Configuration of the adaptive PageRank computation.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveConfig {
-    /// Damping factor.
-    pub damping: f64,
-    /// Residual threshold below which a vertex stops propagating.
-    pub tolerance: f64,
-    /// Degree of parallelism.
-    pub parallelism: usize,
-    /// Execution mode (batch incremental by default).
-    pub mode: ExecutionMode,
-}
-
-impl AdaptiveConfig {
-    /// A configuration with the usual damping of 0.85 and a tolerance scaled
-    /// for graphs of a few hundred thousand vertices.
-    pub fn new(parallelism: usize) -> Self {
-        AdaptiveConfig {
-            damping: 0.85,
-            tolerance: 1e-9,
-            parallelism,
-            mode: ExecutionMode::BatchIncremental,
-        }
-    }
-
-    /// Sets the residual threshold.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// Sets the execution mode.
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-}
-
-/// Runs adaptive PageRank on `graph`.
+/// Runs adaptive PageRank on `graph` with damping [`DAMPING`] under
+/// `config`; a vertex stops propagating while its pending residual is below
+/// `tolerance` (1e-9 suits graphs of a few hundred thousand vertices).
 ///
 /// Solution records are `(pid, rank)`; delta records are `(pid, rank,
 /// pushed_residual)` so the expansion knows how much new mass to distribute;
 /// workset records are `(pid, residual share)`.
-pub fn adaptive_pagerank(graph: &Graph, config: &AdaptiveConfig) -> Result<AdaptivePageRankResult> {
+pub fn adaptive_pagerank(
+    graph: &Graph,
+    tolerance: f64,
+    config: &RunConfig,
+) -> Result<AdaptivePageRankResult> {
     let n = graph.num_vertices();
     if n == 0 {
         return Ok(AdaptivePageRankResult {
@@ -88,8 +59,6 @@ pub fn adaptive_pagerank(graph: &Graph, config: &AdaptiveConfig) -> Result<Adapt
             stats: IterationRunStats::default(),
         });
     }
-    let damping = config.damping;
-    let tolerance = config.tolerance;
 
     let update = Arc::new(UpdateClosure(
         move |key: &Key,
@@ -116,7 +85,7 @@ pub fn adaptive_pagerank(graph: &Graph, config: &AdaptiveConfig) -> Result<Adapt
             let residual = delta.double(2);
             // Edge records carry (source, target, out_degree(source)).
             let degree = edges[0].long(2) as f64;
-            let share = damping * residual / degree;
+            let share = DAMPING * residual / degree;
             for e in edges {
                 out.emit(&[Value::Long(e.long(1)), Value::Double(share)]);
             }
@@ -130,11 +99,10 @@ pub fn adaptive_pagerank(graph: &Graph, config: &AdaptiveConfig) -> Result<Adapt
     // Every vertex starts with rank 0 and a pending residual of (1 - d) / n
     // (the teleport mass), which seeds the initial working set.
     let initial_solution = per_vertex(graph, |v| [vid(v), Value::Double(0.0)]);
-    let seed = (1.0 - damping) / n as f64;
+    let seed = (1.0 - DAMPING) / n as f64;
     let initial_workset = per_vertex(graph, move |v| [vid(v), Value::Double(seed)]);
 
-    let workset_config = WorksetConfig::new(config.parallelism).with_mode(config.mode);
-    let result = iteration.run(initial_solution, initial_workset, &workset_config)?;
+    let result = iteration.run(initial_solution, initial_workset, config)?;
 
     let mut ranks = vec![0.0; n];
     for record in &result.solution {
@@ -167,7 +135,7 @@ mod tests {
     #[test]
     fn approximates_the_power_iteration_on_a_ring() {
         let graph = ring(32);
-        let result = adaptive_pagerank(&graph, &AdaptiveConfig::new(2)).unwrap();
+        let result = adaptive_pagerank(&graph, 1e-9, &RunConfig::new(2)).unwrap();
         let ranks = normalized(result.ranks);
         for &r in &ranks {
             assert!((r - 1.0 / 32.0).abs() < 1e-6);
@@ -177,9 +145,8 @@ mod tests {
     #[test]
     fn ranking_order_matches_the_oracle_on_a_power_law_graph() {
         let graph = rmat(200, 1400, RmatParams::default(), 77).symmetrize();
-        let exact = oracles::pagerank(&graph, 60, 0.85);
-        let adaptive =
-            adaptive_pagerank(&graph, &AdaptiveConfig::new(4).with_tolerance(1e-10)).unwrap();
+        let exact = oracles::pagerank(&graph, 60, DAMPING);
+        let adaptive = adaptive_pagerank(&graph, 1e-10, &RunConfig::new(4)).unwrap();
         let approx = normalized(adaptive.ranks);
         let exact = normalized(exact);
         // Compare the identity of the 10 highest-ranked vertices.
@@ -199,7 +166,7 @@ mod tests {
     #[test]
     fn hub_dominates_on_a_star() {
         let graph = star(64);
-        let result = adaptive_pagerank(&graph, &AdaptiveConfig::new(2)).unwrap();
+        let result = adaptive_pagerank(&graph, 1e-9, &RunConfig::new(2)).unwrap();
         let hub = result.ranks[0];
         assert!(result.ranks.iter().skip(1).all(|&r| r < hub));
     }
@@ -207,17 +174,15 @@ mod tests {
     #[test]
     fn looser_tolerance_means_less_work() {
         let graph = rmat(300, 2000, RmatParams::default(), 5).symmetrize();
-        let strict =
-            adaptive_pagerank(&graph, &AdaptiveConfig::new(2).with_tolerance(1e-12)).unwrap();
-        let loose =
-            adaptive_pagerank(&graph, &AdaptiveConfig::new(2).with_tolerance(1e-5)).unwrap();
+        let strict = adaptive_pagerank(&graph, 1e-12, &RunConfig::new(2)).unwrap();
+        let loose = adaptive_pagerank(&graph, 1e-5, &RunConfig::new(2)).unwrap();
         assert!(loose.stats.total_messages() < strict.stats.total_messages());
     }
 
     #[test]
     fn empty_graph_is_handled() {
         let graph = graphdata::Graph::from_edges(0, &[]);
-        let result = adaptive_pagerank(&graph, &AdaptiveConfig::new(1)).unwrap();
+        let result = adaptive_pagerank(&graph, 1e-9, &RunConfig::new(1)).unwrap();
         assert!(result.ranks.is_empty());
     }
 }

@@ -4,11 +4,12 @@
 //!   every iteration recomputes the full component mapping by joining it with
 //!   the neighbourhood table and taking the minimum per vertex.
 //! * [`cc_incremental`] — the incremental INCR-CC of Table 1 / Figure 5 as a
-//!   workset iteration with the `InnerCoGroup` update (batch incremental).
-//! * [`cc_microstep`] — the MICRO-CC variant using the record-at-a-time
-//!   `Match` update, executed in supersteps.
+//!   workset iteration, in the run's [`RunConfig::mode`]: the `InnerCoGroup`
+//!   update (batch incremental, the default) or the record-at-a-time `Match`
+//!   update (MICRO-CC, [`ExecutionMode::Microstep`]), both in supersteps.
 //!
-//! All variants converge to the same fixpoint: every vertex is labelled with
+//! Every variant runs under one [`RunConfig`]; its `max_steps` bounds
+//! iterations and supersteps alike.  All variants converge to the same fixpoint: every vertex is labelled with
 //! the smallest vertex id of its weakly connected component.
 
 use crate::common::{
@@ -29,96 +30,18 @@ pub struct ComponentsResult {
     pub components: Vec<i64>,
     /// Number of iterations (bulk) or supersteps (incremental) executed.
     pub iterations: usize,
-    /// `false` when the run was truncated by
-    /// [`ComponentsConfig::max_iterations`] before reaching the fixpoint, in
-    /// which case `components` holds a partial labelling.
+    /// `false` when the run was truncated by [`RunConfig::max_steps`]
+    /// before reaching the fixpoint, in which case `components` holds a
+    /// partial labelling.
     pub converged: bool,
     /// Per-iteration statistics.
     pub stats: IterationRunStats,
 }
 
-/// Configuration shared by all Connected Components variants.
-#[derive(Debug, Clone)]
-pub struct ComponentsConfig {
-    /// Degree of parallelism.
-    pub parallelism: usize,
-    /// Upper bound on iterations / supersteps.
-    pub max_iterations: usize,
-    /// Checkpointing and recovery policy, passed through to the workset
-    /// driver (superstep boundaries) or the bulk driver (iteration
-    /// boundaries).
-    pub checkpoint: Option<CheckpointPolicy>,
-    /// The execution settings, handed unchanged to the workset driver or
-    /// the bulk driver.  A multi-process transport turns a superstep
-    /// variant into one SPMD cluster worker (use [`cc_workset_records`],
-    /// which returns the worker's owned partitions instead of densifying);
-    /// the bulk variant's executor rejects it.
-    pub exec: ExecConfig,
-}
-
-impl ComponentsConfig {
-    /// Default configuration: effectively unbounded iterations.
-    pub fn new(parallelism: usize) -> Self {
-        ComponentsConfig {
-            parallelism,
-            max_iterations: 100_000,
-            checkpoint: None,
-            exec: ExecConfig::new(),
-        }
-    }
-
-    /// Bounds the number of iterations (used to reproduce the "first 20
-    /// iterations of Webbase" measurement of Figure 9).
-    pub fn with_max_iterations(mut self, max: usize) -> Self {
-        self.max_iterations = max;
-        self
-    }
-
-    /// Enables checkpointing every `interval` supersteps (workset variants)
-    /// or iterations (bulk variant) under `dir`, with recovery on failure.
-    pub fn with_checkpoint(self, interval: usize, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.with_checkpoint_policy(CheckpointPolicy::new(interval, dir))
-    }
-
-    /// Enables checkpointing with an explicit policy.
-    pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint = Some(policy);
-        self
-    }
-
-    /// Sets the execution settings.
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    // The four shorthands below are kept because `benchmark/src/engine.rs`
-    // calls them; everything else sets `exec`.
-
-    /// [`ExecConfig::with_memory_budget`] on [`ComponentsConfig::exec`].
-    pub fn with_memory_budget(mut self, budget: MemoryBudget) -> Self {
-        self.exec = self.exec.with_memory_budget(budget);
-        self
-    }
-
-    /// [`ExecConfig::with_fault`] on [`ComponentsConfig::exec`].
-    pub fn with_fault(mut self, fault: FaultInjector) -> Self {
-        self.exec = self.exec.with_fault(fault);
-        self
-    }
-
-    /// [`ExecConfig::with_transport`] on [`ComponentsConfig::exec`].
-    pub fn with_transport(mut self, transport: TransportHandle) -> Self {
-        self.exec = self.exec.with_transport(transport);
-        self
-    }
-
-    /// [`ExecConfig::with_channel_credits`] on [`ComponentsConfig::exec`].
-    pub fn with_channel_credits(mut self, credits: usize) -> Self {
-        self.exec = self.exec.with_channel_credits(credits);
-        self
-    }
-}
+/// The one [`RunConfig`] under the name `benchmark/src/engine.rs` uses,
+/// which also calls its `new` and four `ExecConfig` shorthands.  ROADMAP
+/// 1(e) ports that file and deletes the alias with the shorthands.
+pub type ComponentsConfig = RunConfig;
 
 /// Builds the bulk-iterative step plan: `S ⋈ N` produces a candidate per
 /// neighbour, the union with `S` keeps each vertex's own label, and a Reduce
@@ -189,7 +112,7 @@ pub fn build_bulk_step_plan(graph: &Graph) -> (Plan, OperatorId, Annotations) {
 }
 
 /// The bulk-iterative Connected Components algorithm (FIXPOINT-CC).
-pub fn cc_bulk(graph: &Graph, config: &ComponentsConfig) -> Result<ComponentsResult> {
+pub fn cc_bulk(graph: &Graph, config: &RunConfig) -> Result<ComponentsResult> {
     let (plan, solution, annotations) = build_bulk_step_plan(graph);
     let converged = Arc::new(|prev: &[Record], next: &[Record]| {
         let mut a = prev.to_vec();
@@ -202,30 +125,15 @@ pub fn cc_bulk(graph: &Graph, config: &ComponentsConfig) -> Result<ComponentsRes
         plan,
         solution,
         "next-components",
-        TerminationCriterion::Converged {
-            check: converged,
-            max_iterations: config.max_iterations,
-        },
+        TerminationCriterion::Converged { check: converged },
     );
-    let result = iteration.run(initial_components(graph), &bulk_config(config, annotations))?;
+    let result = iteration.run(initial_components(graph), &annotations, config)?;
     Ok(ComponentsResult {
         components: records_to_vec(&result.solution, graph.num_vertices()),
         iterations: result.iterations,
         converged: result.converged,
         stats: result.stats,
     })
-}
-
-/// The bulk driver's configuration for `config`, planned with the step
-/// plan's `annotations`.  A struct literal, so a field added to
-/// [`BulkConfig`] fails to compile here until it is forwarded.
-fn bulk_config(config: &ComponentsConfig, annotations: Annotations) -> BulkConfig {
-    BulkConfig {
-        parallelism: config.parallelism,
-        annotations,
-        checkpoint: config.checkpoint.clone(),
-        exec: config.exec.clone(),
-    }
 }
 
 /// Builds the workset iteration shared by the incremental variants: solution
@@ -268,66 +176,41 @@ fn build_workset_iteration(graph: &Graph, grouped: bool) -> WorksetIteration<'_>
         .build()
 }
 
-/// Runs the incremental Connected Components workset iteration and returns
-/// the raw [`WorksetResult`]: the solution as `(vid, cid)` records instead
-/// of a dense per-vertex vector.  This is the entry point for cluster
-/// workers — with a multi-process transport ([`ComponentsConfig::exec`])
-/// each process's result holds only the solution partitions it owns, and
-/// densifying per process would plant holes; concatenating the workers'
-/// records in index order reproduces the single-process record stream.
-/// `mode` selects the batch-incremental (`InnerCoGroup`) or microstep
-/// (`Match`) update.
+/// Runs the incremental Connected Components workset iteration in `mode`
+/// (whatever `config.mode` says) and returns the raw [`WorksetResult`]: the
+/// solution as `(vid, cid)` records instead of a dense per-vertex vector.
+/// This is the entry point for cluster workers — with a multi-process
+/// transport ([`RunConfig::exec`]) each process's result holds only the
+/// solution partitions it owns, and densifying per process would plant
+/// holes; concatenating the workers' records in index order reproduces the
+/// single-process record stream.
 pub fn cc_workset_records(
     graph: &Graph,
-    config: &ComponentsConfig,
+    config: &RunConfig,
     mode: ExecutionMode,
 ) -> Result<WorksetResult> {
     let grouped = mode == ExecutionMode::BatchIncremental;
-    let iteration = build_workset_iteration(graph, grouped);
-    iteration.run(
+    build_workset_iteration(graph, grouped).run(
         component_source(graph),
         component_candidate_source(graph),
-        &workset_config(config, mode),
+        &RunConfig {
+            mode,
+            ..config.clone()
+        },
     )
 }
 
-/// The workset driver's configuration for `config` in `mode`.  A struct
-/// literal, so a field added to [`WorksetConfig`] fails to compile here
-/// until it is forwarded.
-fn workset_config(config: &ComponentsConfig, mode: ExecutionMode) -> WorksetConfig {
-    WorksetConfig {
-        parallelism: config.parallelism,
-        mode,
-        max_supersteps: config.max_iterations,
-        checkpoint: config.checkpoint.clone(),
-        exec: config.exec.clone(),
-    }
-}
-
-fn run_workset(
-    graph: &Graph,
-    config: &ComponentsConfig,
-    mode: ExecutionMode,
-) -> Result<ComponentsResult> {
-    let result = cc_workset_records(graph, config, mode)?;
+/// The incremental Connected Components algorithm in `config.mode`:
+/// INCR-CC with the `InnerCoGroup` update (batch incremental) or MICRO-CC
+/// with the `Match` update (microstep), both superstep-synchronised.
+pub fn cc_incremental(graph: &Graph, config: &RunConfig) -> Result<ComponentsResult> {
+    let result = cc_workset_records(graph, config, config.mode)?;
     Ok(ComponentsResult {
         components: records_to_vec(&result.solution, graph.num_vertices()),
         iterations: result.supersteps,
         converged: result.converged,
         stats: result.stats,
     })
-}
-
-/// The batch-incremental Connected Components algorithm (INCR-CC, CoGroup
-/// variant).
-pub fn cc_incremental(graph: &Graph, config: &ComponentsConfig) -> Result<ComponentsResult> {
-    run_workset(graph, config, ExecutionMode::BatchIncremental)
-}
-
-/// The microstep Connected Components algorithm (MICRO-CC, Match variant)
-/// executed with superstep synchronisation.
-pub fn cc_microstep(graph: &Graph, config: &ComponentsConfig) -> Result<ComponentsResult> {
-    run_workset(graph, config, ExecutionMode::Microstep)
 }
 
 #[cfg(test)]
@@ -346,7 +229,7 @@ mod tests {
     #[test]
     fn figure1_walkthrough_bulk() {
         let graph = figure1_graph();
-        let result = cc_bulk(&graph, &ComponentsConfig::new(2)).unwrap();
+        let result = cc_bulk(&graph, &RunConfig::new(2)).unwrap();
         assert_eq!(result.components, oracle(&graph));
         // Figure 1 shows convergence of the assignments after two steps; the
         // bulk iteration needs one extra iteration to detect the fixpoint.
@@ -356,12 +239,12 @@ mod tests {
     #[test]
     fn figure1_walkthrough_incremental_and_microstep() {
         let graph = figure1_graph();
-        for run in [cc_incremental, cc_microstep] {
-            let result = run(&graph, &ComponentsConfig::new(2)).unwrap();
+        for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
+            let result = cc_incremental(&graph, &RunConfig::new(2).with_mode(mode)).unwrap();
             assert_eq!(
                 result.components,
                 oracle(&graph),
-                "variant disagrees with the oracle"
+                "{mode:?} disagrees with the oracle"
             );
         }
     }
@@ -370,13 +253,17 @@ mod tests {
     fn all_variants_agree_on_a_power_law_graph() {
         let graph = rmat(400, 1600, RmatParams::default(), 17).symmetrize();
         let expected = oracle(&graph);
-        let config = ComponentsConfig::new(4);
+        let config = RunConfig::new(4);
         assert_eq!(cc_bulk(&graph, &config).unwrap().components, expected);
         assert_eq!(
             cc_incremental(&graph, &config).unwrap().components,
             expected
         );
-        assert_eq!(cc_microstep(&graph, &config).unwrap().components, expected);
+        let microstep = config.with_mode(ExecutionMode::Microstep);
+        assert_eq!(
+            cc_incremental(&graph, &microstep).unwrap().components,
+            expected
+        );
     }
 
     #[test]
@@ -384,7 +271,7 @@ mod tests {
         // The chain reproduces the Webbase long-tail behaviour: the number of
         // supersteps grows with the diameter.
         let graph = chain(200);
-        let result = cc_incremental(&graph, &ComponentsConfig::new(2)).unwrap();
+        let result = cc_incremental(&graph, &RunConfig::new(2)).unwrap();
         assert_eq!(result.components, vec![0; 200]);
         assert!(
             result.iterations >= 100,
@@ -396,7 +283,7 @@ mod tests {
     #[test]
     fn star_converges_in_very_few_supersteps() {
         let graph = star(500);
-        let result = cc_incremental(&graph, &ComponentsConfig::new(4)).unwrap();
+        let result = cc_incremental(&graph, &RunConfig::new(4)).unwrap();
         assert_eq!(result.components, vec![0; 500]);
         assert!(result.iterations <= 3);
     }
@@ -404,7 +291,7 @@ mod tests {
     #[test]
     fn incremental_workset_shrinks_towards_convergence() {
         let graph = DatasetProfile::foaf().generate(4096);
-        let result = cc_incremental(&graph, &ComponentsConfig::new(4)).unwrap();
+        let result = cc_incremental(&graph, &RunConfig::new(4)).unwrap();
         let sizes: Vec<usize> = result
             .stats
             .per_iteration
@@ -424,8 +311,8 @@ mod tests {
     #[test]
     fn bulk_inspects_every_vertex_each_iteration_but_incremental_does_not() {
         let graph = rmat(600, 2400, RmatParams::default(), 23).symmetrize();
-        let bulk = cc_bulk(&graph, &ComponentsConfig::new(2)).unwrap();
-        let incr = cc_incremental(&graph, &ComponentsConfig::new(2)).unwrap();
+        let bulk = cc_bulk(&graph, &RunConfig::new(2)).unwrap();
+        let incr = cc_incremental(&graph, &RunConfig::new(2)).unwrap();
         // Bulk touches the whole partial solution in every iteration.
         for s in &bulk.stats.per_iteration {
             assert_eq!(s.workset_size, graph.num_vertices());
@@ -438,68 +325,14 @@ mod tests {
     #[test]
     fn max_iterations_truncates_the_run() {
         let graph = chain(300);
-        let result =
-            cc_incremental(&graph, &ComponentsConfig::new(2).with_max_iterations(5)).unwrap();
+        let result = cc_incremental(&graph, &RunConfig::new(2).with_max_steps(5)).unwrap();
         assert_eq!(result.iterations, 5);
         // Not converged yet: far vertices still carry their own id, and the
         // wrapper says so instead of presenting the truncation as a fixpoint.
         assert!(!result.converged);
         assert_ne!(result.components, vec![0; 300]);
-        let full = cc_incremental(&graph, &ComponentsConfig::new(2)).unwrap();
+        let full = cc_incremental(&graph, &RunConfig::new(2)).unwrap();
         assert!(full.converged);
-    }
-
-    /// A configuration with every field away from its default.  The
-    /// transport's channel-group counter is advanced to 3, so the handle that
-    /// arrives can be told apart from a fresh default one.
-    fn fully_configured() -> ComponentsConfig {
-        let transport = TransportHandle::local();
-        for _ in 0..3 {
-            transport.allocate();
-        }
-        ComponentsConfig::new(3)
-            .with_max_iterations(17)
-            .with_checkpoint_policy(CheckpointPolicy::new(5, "ckpt-dir").with_max_retries(7))
-            .with_memory_budget(MemoryBudget::bytes(4096))
-            .with_fault(FaultInjector::seeded(11))
-            .with_transport(transport)
-            .with_channel_credits(2)
-    }
-
-    /// Asserts a forwarded checkpoint policy and execution settings are
-    /// those of [`fully_configured`].
-    fn assert_forwarded(checkpoint: Option<CheckpointPolicy>, exec: &ExecConfig) {
-        let checkpoint = checkpoint.expect("checkpoint policy");
-        assert_eq!(
-            (checkpoint.interval, checkpoint.max_retries),
-            (5, 7),
-            "checkpoint policy"
-        );
-        assert_eq!(checkpoint.dir, std::path::PathBuf::from("ckpt-dir"));
-        assert_eq!(exec.memory_budget, MemoryBudget::bytes(4096));
-        assert_eq!(
-            format!("{:?}", exec.fault),
-            format!("{:?}", FaultInjector::seeded(11))
-        );
-        assert_eq!(exec.transport.allocate(), 3, "the configured transport");
-        assert_eq!(exec.channel_credits, Some(2));
-    }
-
-    #[test]
-    fn every_components_field_reaches_the_workset_config() {
-        let workset = workset_config(&fully_configured(), ExecutionMode::Microstep);
-        assert_eq!(workset.parallelism, 3);
-        assert_eq!(workset.mode, ExecutionMode::Microstep);
-        assert_eq!(workset.max_supersteps, 17);
-        assert_forwarded(workset.checkpoint, &workset.exec);
-    }
-
-    #[test]
-    fn every_components_field_reaches_the_bulk_config() {
-        let (_, _, annotations) = build_bulk_step_plan(&figure1_graph());
-        let bulk = bulk_config(&fully_configured(), annotations);
-        assert_eq!(bulk.parallelism, 3);
-        assert_forwarded(bulk.checkpoint, &bulk.exec);
     }
 
     /// A transport stub that reports a two-process cluster but is never
@@ -535,7 +368,7 @@ mod tests {
     #[test]
     fn bulk_cc_rejects_a_distributed_transport() {
         let transport = TransportHandle::from_transport(Arc::new(TwoProcessStub));
-        let config = ComponentsConfig::new(2).with_transport(transport);
+        let config = RunConfig::new(2).with_transport(transport);
         match cc_bulk(&figure1_graph(), &config) {
             Err(DataflowError::InvalidPlan(message)) => {
                 assert!(message.contains("single-process"), "{message}")
@@ -547,7 +380,7 @@ mod tests {
     #[test]
     fn truncated_bulk_run_reports_non_convergence() {
         let graph = chain(64);
-        let result = cc_bulk(&graph, &ComponentsConfig::new(2).with_max_iterations(3)).unwrap();
+        let result = cc_bulk(&graph, &RunConfig::new(2).with_max_steps(3)).unwrap();
         assert!(!result.converged);
         assert_ne!(result.components, vec![0; 64]);
     }

@@ -30,19 +30,19 @@ pub enum PageRankPlan {
     ForcePartition,
 }
 
-/// Configuration of a PageRank run.
+/// The damping factor of both PageRank variants, the paper's 0.85.
+pub const DAMPING: f64 = 0.85;
+
+/// Configuration of a PageRank run: what is particular to PageRank beside
+/// the [`RunConfig`] every iteration runs under.
 #[derive(Debug, Clone)]
 pub struct PageRankConfig {
     /// Number of bulk iterations (the paper uses 20).
     pub iterations: usize,
-    /// Degree of parallelism.
-    pub parallelism: usize,
-    /// Damping factor (0.85 unless stated otherwise).
-    pub damping: f64,
     /// Plan selection.
     pub plan: PageRankPlan,
-    /// The execution settings every iteration's executor runs under.
-    pub exec: ExecConfig,
+    /// The run's settings.  Its `max_steps` also bounds `iterations`.
+    pub run: RunConfig,
 }
 
 impl PageRankConfig {
@@ -51,10 +51,8 @@ impl PageRankConfig {
     pub fn new(parallelism: usize) -> Self {
         PageRankConfig {
             iterations: 20,
-            parallelism,
-            damping: 0.85,
             plan: PageRankPlan::Optimized,
-            exec: ExecConfig::new(),
+            run: RunConfig::new(parallelism),
         }
     }
 
@@ -69,12 +67,6 @@ impl PageRankConfig {
         self.plan = plan;
         self
     }
-
-    /// Sets the execution settings.
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
-        self.exec = exec;
-        self
-    }
 }
 
 /// The outcome of a PageRank run.
@@ -82,9 +74,8 @@ impl PageRankConfig {
 pub struct PageRankResult {
     /// Final ranks indexed by vertex id.
     pub ranks: Vec<f64>,
-    /// Whether the run completed its termination criterion.  PageRank runs a
-    /// fixed iteration count, so this is always `true`; the field mirrors the
-    /// other algorithm results so callers can check uniformly.
+    /// Whether the run completed its fixed iteration count: `false` only
+    /// when [`RunConfig::max_steps`] cut it short.
     pub converged: bool,
     /// Per-iteration statistics.
     pub stats: IterationRunStats,
@@ -166,7 +157,7 @@ pub fn build_step_plan(
 
 /// Runs PageRank on `graph`.
 pub fn pagerank(graph: &Graph, config: &PageRankConfig) -> Result<PageRankResult> {
-    let (plan, vector, join, reduce, annotations) = build_step_plan(graph, config.damping);
+    let (plan, vector, join, reduce, annotations) = build_step_plan(graph, DAMPING);
     let iteration = BulkIteration::new(
         plan.clone(),
         vector,
@@ -174,16 +165,14 @@ pub fn pagerank(graph: &Graph, config: &PageRankConfig) -> Result<PageRankResult
         TerminationCriterion::FixedIterations(config.iterations),
     );
 
-    let bulk_config = BulkConfig::new(config.parallelism)
-        .with_annotations(annotations)
-        .with_exec(config.exec.clone());
+    let run = &config.run;
     let result = match config.plan {
-        PageRankPlan::Optimized => iteration.run(initial_ranks(graph), &bulk_config)?,
+        PageRankPlan::Optimized => iteration.run(initial_ranks(graph), &annotations, run)?,
         forced => {
             // Build the forced physical plan by hand; the bulk driver runs
             // it through the same feedback loop as a planned one.
-            let physical = forced_physical_plan(&plan, join, reduce, config.parallelism, forced)?;
-            iteration.run_physical(physical, initial_ranks(graph), &bulk_config)?
+            let physical = forced_physical_plan(&plan, join, reduce, run.parallelism, forced)?;
+            iteration.run_physical(physical, initial_ranks(graph), run)?
         }
     };
 
@@ -253,7 +242,7 @@ mod tests {
     #[test]
     fn dataflow_pagerank_matches_the_oracle_on_a_small_web_graph() {
         let graph = rmat(200, 1600, RmatParams::default(), 3).symmetrize();
-        let expected = oracles::pagerank(&graph, 10, 0.85);
+        let expected = oracles::pagerank(&graph, 10, DAMPING);
         let config = PageRankConfig::new(4).with_iterations(10);
         let result = pagerank(&graph, &config).unwrap();
         assert_close(&result.ranks, &expected, 1e-9);
@@ -278,7 +267,7 @@ mod tests {
         )
         .unwrap();
         assert_close(&broadcast.ranks, &partition.ranks, 1e-12);
-        let oracle = oracles::pagerank(&graph, 8, 0.85);
+        let oracle = oracles::pagerank(&graph, 8, DAMPING);
         assert_close(&broadcast.ranks, &oracle, 1e-9);
     }
 
@@ -296,7 +285,9 @@ mod tests {
         ] {
             let config = PageRankConfig::new(4).with_iterations(6).with_plan(plan);
             let in_memory = pagerank(&graph, &config).unwrap();
-            let spilled = pagerank(&graph, &config.with_exec(spill_everything.clone())).unwrap();
+            let mut spilled = config;
+            spilled.run.exec = spill_everything.clone();
+            let spilled = pagerank(&graph, &spilled).unwrap();
             let bits = |ranks: &[f64]| ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&spilled.ranks), bits(&in_memory.ranks), "{plan:?}");
             let spilled_bytes: usize = spilled
@@ -366,7 +357,7 @@ mod tests {
     fn optimizer_choice_matches_one_of_the_forced_plans() {
         let graph = rmat(100, 1200, RmatParams::default(), 5).symmetrize();
         let auto = pagerank(&graph, &PageRankConfig::new(4).with_iterations(5)).unwrap();
-        let oracle = oracles::pagerank(&graph, 5, 0.85);
+        let oracle = oracles::pagerank(&graph, 5, DAMPING);
         assert_close(&auto.ranks, &oracle, 1e-9);
     }
 

@@ -5,7 +5,8 @@
 //! only affects its neighbours.  The workset iteration mirrors the Connected
 //! Components template: solution records `(vid, distance)`, workset records
 //! `(vid, candidate distance)`, and an expansion that sends `distance + 1`
-//! (unit edge weights) to the updated vertex's neighbours.
+//! (unit edge weights) to the updated vertex's neighbours.  A run takes
+//! the one [`RunConfig`], in either update mode.
 
 use crate::common::{adopt_min, edge_source, min_combine, per_vertex, prefer_min, vid};
 use dataflow::prelude::*;
@@ -51,28 +52,12 @@ fn build_iteration(graph: &Graph) -> WorksetIteration<'_> {
         .build()
 }
 
-/// Runs single-source shortest paths from `source` using the given execution
-/// mode.
-pub fn sssp(
-    graph: &Graph,
-    source: VertexId,
-    parallelism: usize,
-    mode: ExecutionMode,
-) -> Result<SsspResult> {
-    let config = WorksetConfig::new(parallelism).with_mode(mode);
-    sssp_with_config(graph, source, &config)
-}
-
-/// Runs single-source shortest paths under a fully explicit
-/// [`WorksetConfig`] — superstep bound and memory budget
-/// included.  A finite [`ExecConfig::memory_budget`] spills the frontier
-/// exchange's candidate pages to disk, so the traversal runs in bounded
-/// memory on long-tail graphs.
-pub fn sssp_with_config(
-    graph: &Graph,
-    source: VertexId,
-    config: &WorksetConfig,
-) -> Result<SsspResult> {
+/// Runs single-source shortest paths from `source` under `config` — its
+/// mode, superstep bound and execution settings.  A finite
+/// [`ExecConfig::memory_budget`] spills the frontier exchange's candidate
+/// pages to disk, so the traversal runs in bounded memory on long-tail
+/// graphs.
+pub fn sssp(graph: &Graph, source: VertexId, config: &RunConfig) -> Result<SsspResult> {
     let result = sssp_records(graph, source, config)?;
     let mut distances = vec![UNREACHABLE; graph.num_vertices()];
     for record in &result.solution {
@@ -86,18 +71,14 @@ pub fn sssp_with_config(
     })
 }
 
-/// Like [`sssp_with_config`] but returns the raw [`WorksetResult`]: the
+/// Like [`sssp`] but returns the raw [`WorksetResult`]: the
 /// solution as `(vid, distance)` records instead of a dense distance vector.
 /// This is the entry point for cluster workers — with a multi-process
 /// [`ExecConfig::transport`] each process's result holds only the
 /// solution partitions it owns, and densifying per process would plant
 /// holes; concatenating the workers' records in index order reproduces the
 /// single-process record stream.
-pub fn sssp_records(
-    graph: &Graph,
-    source: VertexId,
-    config: &WorksetConfig,
-) -> Result<WorksetResult> {
+pub fn sssp_records(graph: &Graph, source: VertexId, config: &RunConfig) -> Result<WorksetResult> {
     if source as usize >= graph.num_vertices() {
         return Err(DataflowError::InvalidPlan(format!(
             "SSSP source vertex {source} is out of range: the graph has {} vertices",
@@ -128,7 +109,7 @@ mod tests {
     #[test]
     fn matches_the_bfs_oracle_on_a_chain() {
         let graph = chain(64);
-        let result = sssp(&graph, 0, 2, ExecutionMode::BatchIncremental).unwrap();
+        let result = sssp(&graph, 0, &RunConfig::new(2)).unwrap();
         assert_eq!(result.distances, oracles::sssp(&graph, 0));
         // The number of supersteps tracks the eccentricity of the source.
         assert!(result.supersteps >= 63);
@@ -139,7 +120,7 @@ mod tests {
         let graph = rmat(300, 1500, RmatParams::default(), 31).symmetrize();
         let expected = oracles::sssp(&graph, 5);
         for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
-            let result = sssp(&graph, 5, 4, mode).unwrap();
+            let result = sssp(&graph, 5, &RunConfig::new(4).with_mode(mode)).unwrap();
             assert_eq!(
                 result.distances, expected,
                 "mode {mode:?} disagrees with the oracle"
@@ -150,7 +131,12 @@ mod tests {
     #[test]
     fn unreachable_vertices_keep_the_sentinel_distance() {
         let graph = Graph::undirected_from_edges(5, &[(0, 1), (1, 2)]);
-        let result = sssp(&graph, 0, 2, ExecutionMode::Microstep).unwrap();
+        let result = sssp(
+            &graph,
+            0,
+            &RunConfig::new(2).with_mode(ExecutionMode::Microstep),
+        )
+        .unwrap();
         assert_eq!(result.distances[3], UNREACHABLE);
         assert_eq!(result.distances[4], UNREACHABLE);
         assert_eq!(result.distances[..3], [0, 1, 2]);
@@ -160,7 +146,7 @@ mod tests {
     fn an_out_of_range_source_is_a_typed_error_naming_it() {
         let graph = chain(8);
         for source in [8, 9, VertexId::MAX] {
-            let error = sssp(&graph, source, 2, ExecutionMode::BatchIncremental).unwrap_err();
+            let error = sssp(&graph, source, &RunConfig::new(2)).unwrap_err();
             let DataflowError::InvalidPlan(message) = &error else {
                 panic!("expected InvalidPlan, got {error}");
             };
@@ -169,13 +155,13 @@ mod tests {
                 "{message}"
             );
         }
-        assert!(sssp(&graph, 7, 2, ExecutionMode::BatchIncremental).is_ok());
+        assert!(sssp(&graph, 7, &RunConfig::new(2)).is_ok());
     }
 
     #[test]
     fn workset_only_contains_the_frontier() {
         let graph = chain(100);
-        let result = sssp(&graph, 0, 1, ExecutionMode::BatchIncremental).unwrap();
+        let result = sssp(&graph, 0, &RunConfig::new(1)).unwrap();
         // On a chain the frontier is a single vertex, so every superstep
         // inspects exactly one or two candidates — never the whole graph.
         for s in &result.stats.per_iteration {

@@ -22,15 +22,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use algorithms::{cc_bulk, cc_incremental, cc_microstep, pagerank};
-use algorithms::{ComponentsConfig, ComponentsResult, PageRankConfig, PageRankPlan};
+use algorithms::{cc_bulk, cc_incremental, pagerank};
+use algorithms::{ComponentsResult, PageRankConfig, PageRankPlan};
 use baselines::pregellike::SuperstepStats;
 use baselines::{cc_pregel, cc_spark_simulated_incremental, pagerank_pregel, pagerank_spark};
 use baselines::{cc_spark_bulk, PregelConfig, SparkContext};
 use dataflow::credit::positive_from_env;
 use dataflow::prelude::ShipStrategy;
 use graphdata::{DatasetProfile, Graph, GraphSummary};
-use spinning_core::IterationStats;
+use spinning_core::{ExecutionMode, IterationStats, RunConfig};
 use std::fmt;
 use std::iter::once;
 use std::time::{Duration, Instant};
@@ -155,8 +155,8 @@ fn timed(system: &'static str, job: impl FnOnce() -> Vec<IterationStats>) -> Sys
 fn cc_run<E: fmt::Debug>(
     system: &'static str,
     graph: &Graph,
-    config: &ComponentsConfig,
-    driver: fn(&Graph, &ComponentsConfig) -> Result<ComponentsResult, E>,
+    config: &RunConfig,
+    driver: fn(&Graph, &RunConfig) -> Result<ComponentsResult, E>,
 ) -> SystemRun {
     timed(system, || {
         driver(graph, config).expect(system).stats.per_iteration
@@ -304,7 +304,7 @@ pub fn table2(scale: u64) -> Table2 {
 /// working-set size (the messages each superstep sends on) per superstep.
 pub fn fig2(scale: u64) -> Figure {
     let graph = DatasetProfile::foaf().generate(scale);
-    let config = ComponentsConfig::new(PARALLELISM);
+    let config = RunConfig::new(PARALLELISM);
     let run = cc_run("Stratosphere Incr.", &graph, &config, cc_incremental);
     Figure {
         title: format!(
@@ -505,7 +505,8 @@ pub fn fig8(scale: u64, iterations: usize) -> Figure {
 /// run per system, each bounded to `max_iterations` (the paper bounds
 /// Webbase to its first 20 iterations).
 pub fn cc_systems(graph: &Graph, max_iterations: usize) -> Vec<SystemRun> {
-    let config = ComponentsConfig::new(PARALLELISM).with_max_iterations(max_iterations);
+    let config = RunConfig::new(PARALLELISM).with_max_steps(max_iterations);
+    let micro = config.clone().with_mode(ExecutionMode::Microstep);
     let pregel_config = PregelConfig::new(PARALLELISM).with_max_supersteps(max_iterations);
     vec![
         spark("Spark", |ctx| {
@@ -513,7 +514,7 @@ pub fn cc_systems(graph: &Graph, max_iterations: usize) -> Vec<SystemRun> {
         }),
         timed("Giraph", || pregel(cc_pregel(graph, &pregel_config).stats)),
         cc_run("Stratosphere Full", graph, &config, cc_bulk),
-        cc_run("Stratosphere Micro", graph, &config, cc_microstep),
+        cc_run("Stratosphere Micro", graph, &micro, cc_incremental),
         cc_run("Stratosphere Incr.", graph, &config, cc_incremental),
     ]
 }
@@ -547,7 +548,7 @@ pub fn fig9(scale: u64) -> Figure {
 /// (the long tail caused by the huge-diameter component).
 pub fn fig10(scale: u64) -> Figure {
     let graph = DatasetProfile::webbase().generate(scale);
-    let config = ComponentsConfig::new(PARALLELISM);
+    let config = RunConfig::new(PARALLELISM);
     let run = cc_run("Stratosphere Incr.", &graph, &config, cc_incremental);
     Figure {
         title: format!(
@@ -592,11 +593,12 @@ pub fn fig11(scale: u64) -> Figure {
 /// Connected Components variants on the Wikipedia stand-in.
 pub fn fig12(scale: u64) -> Figure {
     let graph = DatasetProfile::wikipedia().generate(scale);
-    let config = ComponentsConfig::new(PARALLELISM);
+    let config = RunConfig::new(PARALLELISM);
+    let micro = config.clone().with_mode(ExecutionMode::Microstep);
     let systems = vec![
         cc_run("full", &graph, &config, cc_bulk),
         cc_run("incr", &graph, &config, cc_incremental),
-        cc_run("micro", &graph, &config, cc_microstep),
+        cc_run("micro", &graph, &micro, cc_incremental),
     ];
     Figure {
         title: format!(

@@ -4,7 +4,9 @@
 //! `G` that consumes the previous partial solution through the source `I`,
 //! produces the next partial solution at the sink `O`, and is repeated until
 //! the termination criterion `T` fires (or a fixed number of iterations `n`
-//! has run).
+//! has run).  A run takes the one [`RunConfig`] both iteration operators
+//! share; its `max_steps` bounds every criterion, and a run it cuts off
+//! reports `converged == false`.
 //!
 //! The runtime uses the *feedback-channel* execution strategy of Section 4.2:
 //! the same physical plan is reused for every iteration; the partial solution
@@ -15,14 +17,14 @@
 //! constant data path are shipped once and then served from the executor's
 //! intermediate cache, as decided by the optimizer (Section 4.3).
 
-use crate::checkpoint::{run_with_recovery, CheckpointPolicy};
+use crate::checkpoint::run_with_recovery;
+use crate::config::RunConfig;
 use crate::stats::{IterationRunStats, IterationStats};
 use dataflow::prelude::{
-    DataflowError, ExecConfig, ExecutionResult, Executor, IntermediateCache, OperatorId,
-    PhysicalPlan, Plan, Record, RecordSource, Result,
+    DataflowError, ExecutionResult, Executor, IntermediateCache, OperatorId, PhysicalPlan, Plan,
+    Record, RecordSource, Result,
 };
 use optimizer::{Annotations, IterationSpec, Optimizer};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -30,27 +32,24 @@ use std::time::Instant;
 /// solutions.
 pub type ConvergenceCheck = Arc<dyn Fn(&[Record], &[Record]) -> bool + Send + Sync>;
 
-/// When to stop iterating.
+/// When to stop iterating.  Every criterion also stops at the run's step
+/// bound, [`RunConfig::max_steps`].
 #[derive(Clone)]
 pub enum TerminationCriterion {
-    /// Run exactly `n` iterations — the `(G, I, O, n)` form.
+    /// Run `n` iterations — the `(G, I, O, n)` form.
     FixedIterations(usize),
     /// Stop after the iteration in which the named sink (the termination
-    /// criterion dataflow `T`) produces no records, or after `max_iterations`.
+    /// criterion dataflow `T`) produces no records.
     EmptySink {
         /// Name of the sink produced by `T`.
         sink: String,
-        /// Upper bound on the number of iterations.
-        max_iterations: usize,
     },
     /// Stop when a user-supplied convergence check on the previous and next
-    /// partial solutions returns `true`, or after `max_iterations`.
+    /// partial solutions returns `true`.
     Converged {
         /// Returns `true` when `previous` and `next` are considered equal
         /// (the fixpoint has been reached).
         check: ConvergenceCheck,
-        /// Upper bound on the number of iterations.
-        max_iterations: usize,
     },
 }
 
@@ -58,81 +57,9 @@ impl std::fmt::Debug for TerminationCriterion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TerminationCriterion::FixedIterations(n) => write!(f, "FixedIterations({n})"),
-            TerminationCriterion::EmptySink {
-                sink,
-                max_iterations,
-            } => {
-                write!(f, "EmptySink(sink={sink}, max={max_iterations})")
-            }
-            TerminationCriterion::Converged { max_iterations, .. } => {
-                write!(f, "Converged(max={max_iterations})")
-            }
+            TerminationCriterion::EmptySink { sink } => write!(f, "EmptySink(sink={sink})"),
+            TerminationCriterion::Converged { .. } => write!(f, "Converged"),
         }
-    }
-}
-
-impl TerminationCriterion {
-    fn max_iterations(&self) -> usize {
-        match self {
-            TerminationCriterion::FixedIterations(n) => *n,
-            TerminationCriterion::EmptySink { max_iterations, .. }
-            | TerminationCriterion::Converged { max_iterations, .. } => *max_iterations,
-        }
-    }
-}
-
-/// Configuration of a bulk iteration run.
-#[derive(Debug, Clone)]
-pub struct BulkConfig {
-    /// Degree of parallelism of the step dataflow.
-    pub parallelism: usize,
-    /// Field-copy annotations passed to the optimizer.
-    pub annotations: Annotations,
-    /// Iteration-boundary checkpointing and recovery policy.  `None` (the
-    /// default) disables checkpointing: a failed iteration surfaces as a
-    /// typed [`DataflowError`] immediately.
-    pub checkpoint: Option<CheckpointPolicy>,
-    /// The execution settings every step execution runs under, handed to
-    /// the [`Executor`] unchanged; its fault injector also drives the
-    /// checkpoint sites.
-    pub exec: ExecConfig,
-}
-
-impl BulkConfig {
-    /// Default configuration for the given parallelism.
-    pub fn new(parallelism: usize) -> Self {
-        BulkConfig {
-            parallelism,
-            annotations: Annotations::new(),
-            checkpoint: None,
-            exec: ExecConfig::new(),
-        }
-    }
-
-    /// Sets the execution settings of the step executions.
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Sets the optimizer annotations.
-    pub fn with_annotations(mut self, annotations: Annotations) -> Self {
-        self.annotations = annotations;
-        self
-    }
-
-    /// Enables iteration-boundary checkpointing: every `interval` iterations
-    /// the partial solution is snapshotted under `dir`, and a failed
-    /// iteration restores the newest valid checkpoint and retries instead of
-    /// failing the run.
-    pub fn with_checkpoint(self, interval: usize, dir: impl Into<PathBuf>) -> Self {
-        self.with_checkpoint_policy(CheckpointPolicy::new(interval, dir))
-    }
-
-    /// Enables checkpointing with an explicit policy.
-    pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint = Some(policy);
-        self
     }
 }
 
@@ -144,10 +71,11 @@ pub struct BulkIterationResult {
     pub solution: Vec<Record>,
     /// Number of iterations executed.
     pub iterations: usize,
-    /// `true` when the termination criterion fired ([`TerminationCriterion::
-    /// FixedIterations`] runs are always converged); `false` when the run was
-    /// cut off by `max_iterations` before `T` fired, in which case the
-    /// solution is truncated rather than a fixpoint.
+    /// `true` when the termination criterion fired (a
+    /// [`TerminationCriterion::FixedIterations`] run that ran its `n`
+    /// iterations); `false` when the run was cut off by
+    /// [`RunConfig::max_steps`] first, in which case the solution is
+    /// truncated rather than a fixpoint.
     pub converged: bool,
     /// Per-iteration statistics.
     pub stats: IterationRunStats,
@@ -187,11 +115,18 @@ impl BulkIteration {
     }
 
     /// Runs the iteration starting from the initial partial solution: plans
-    /// the step dataflow once with the iteration-aware optimizer — the
-    /// dynamic data path weighted by the termination criterion's maximum
-    /// number of iterations — and drives the plan through
+    /// the step dataflow once at `config.parallelism` with the
+    /// iteration-aware optimizer and the step plan's field-copy
+    /// `annotations` — the dynamic data path weighted by `n` for
+    /// [`TerminationCriterion::FixedIterations`], by
+    /// [`RunConfig::max_steps`] otherwise — and drives the plan through
     /// [`BulkIteration::run_physical`].
-    pub fn run(&self, initial: Vec<Record>, config: &BulkConfig) -> Result<BulkIterationResult> {
+    pub fn run(
+        &self,
+        initial: Vec<Record>,
+        annotations: &Annotations,
+        config: &RunConfig,
+    ) -> Result<BulkIterationResult> {
         let output_op = self
             .plan
             .sink_by_name(&self.output_sink)
@@ -199,10 +134,13 @@ impl BulkIteration {
         let spec = IterationSpec {
             dynamic_sources: vec![self.input],
             feedback: vec![(output_op, self.input)],
-            expected_iterations: self.termination.max_iterations() as f64,
+            expected_iterations: match self.termination {
+                TerminationCriterion::FixedIterations(n) => n,
+                _ => config.max_steps,
+            } as f64,
         };
         let physical = Optimizer::new(config.parallelism)
-            .optimize_iterative(&self.plan, &config.annotations, &spec)?
+            .optimize_iterative(&self.plan, annotations, &spec)?
             .physical;
         self.run_physical(physical, initial, config)
     }
@@ -215,13 +153,13 @@ impl BulkIteration {
     /// fires.  Everything a run does beyond planning lives here: the
     /// executor's budget and fault injector, checkpointing and recovery, the
     /// iteration number stamped on worker panics, the per-iteration stats.
-    /// The plan's own parallelism applies; `config.parallelism` and the
-    /// annotations only steer the planner.
+    /// The plan's own parallelism applies; `config.parallelism` only steers
+    /// the planner, and `config.mode` does not apply.
     pub fn run_physical(
         &self,
         mut physical: PhysicalPlan,
         initial: Vec<Record>,
-        config: &BulkConfig,
+        config: &RunConfig,
     ) -> Result<BulkIterationResult> {
         let start = Instant::now();
         // Checked here, not per iteration, so a bad plan or a typo fails the
@@ -308,11 +246,15 @@ impl BulkIteration {
             state.current = Arc::new(next);
             Ok(stats)
         };
+        let max_steps = match self.termination {
+            TerminationCriterion::FixedIterations(n) => n.min(config.max_steps),
+            _ => config.max_steps,
+        };
         let per_iteration = run_with_recovery(
             config.checkpoint.as_ref(),
             1,
             &config.exec.fault,
-            self.termination.max_iterations(),
+            max_steps,
             &mut state,
             |state| !state.converged,
             step,
@@ -342,6 +284,7 @@ impl BulkIteration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointPolicy;
     use dataflow::prelude::*;
 
     /// A step function that increments field 1 of every record by 1.
@@ -371,7 +314,8 @@ mod tests {
         let result = iteration
             .run(
                 vec![Record::pair(0, 0), Record::pair(1, 10)],
-                &BulkConfig::new(2),
+                &Annotations::new(),
+                &RunConfig::new(2),
             )
             .unwrap();
         assert_eq!(result.iterations, 5);
@@ -392,7 +336,11 @@ mod tests {
             TerminationCriterion::FixedIterations(0),
         );
         let result = iteration
-            .run(vec![Record::pair(7, 7)], &BulkConfig::new(2))
+            .run(
+                vec![Record::pair(7, 7)],
+                &Annotations::new(),
+                &RunConfig::new(2),
+            )
             .unwrap();
         assert_eq!(result.iterations, 0);
         assert!(result.converged);
@@ -423,13 +371,14 @@ mod tests {
             plan,
             input,
             "next",
-            TerminationCriterion::Converged {
-                check,
-                max_iterations: 100,
-            },
+            TerminationCriterion::Converged { check },
         );
         let result = iteration
-            .run(vec![Record::pair(0, 0)], &BulkConfig::new(2))
+            .run(
+                vec![Record::pair(0, 0)],
+                &Annotations::new(),
+                &RunConfig::new(2),
+            )
             .unwrap();
         // Reaches 8 after 8 iterations; the 9th confirms the fixpoint.
         assert_eq!(result.iterations, 9);
@@ -439,8 +388,8 @@ mod tests {
 
     #[test]
     fn hitting_max_iterations_reports_non_convergence() {
-        // Same capped-increment fixpoint as above, but the bound cuts the run
-        // off after 3 iterations — far from the fixpoint at 8.
+        // Same capped-increment fixpoint as above, but the step bound cuts
+        // the run off after 3 iterations — far from the fixpoint at 8.
         let mut plan = Plan::new();
         let input = plan.source("partial-solution", vec![]);
         let map = plan.map(
@@ -452,17 +401,15 @@ mod tests {
         );
         plan.sink("next", map);
         let check = Arc::new(|prev: &[Record], next: &[Record]| prev == next);
+        let bounded = RunConfig::new(2).with_max_steps(3);
         let iteration = BulkIteration::new(
             plan,
             input,
             "next",
-            TerminationCriterion::Converged {
-                check,
-                max_iterations: 3,
-            },
+            TerminationCriterion::Converged { check },
         );
         let result = iteration
-            .run(vec![Record::pair(0, 0)], &BulkConfig::new(2))
+            .run(vec![Record::pair(0, 0)], &Annotations::new(), &bounded)
             .unwrap();
         assert_eq!(result.iterations, 3);
         assert!(
@@ -470,6 +417,27 @@ mod tests {
             "truncated run must not report a fixpoint"
         );
         assert_eq!(result.solution, vec![Record::pair(0, 3)]);
+
+        // The same bound cuts a fixed count short, and says so; under the
+        // default bound the count runs out and the run is complete.
+        let (plan, input) = increment_plan();
+        let fixed = BulkIteration::new(
+            plan,
+            input,
+            "next",
+            TerminationCriterion::FixedIterations(5),
+        );
+        let run = |config: &RunConfig| {
+            fixed
+                .run(vec![Record::pair(0, 0)], &Annotations::new(), config)
+                .unwrap()
+        };
+        let cut = run(&bounded);
+        assert_eq!((cut.iterations, cut.converged), (3, false));
+        assert_eq!(cut.solution, vec![Record::pair(0, 3)]);
+        let full = run(&RunConfig::new(2));
+        assert_eq!((full.iterations, full.converged), (5, true));
+        assert_eq!(full.solution, vec![Record::pair(0, 5)]);
     }
 
     #[test]
@@ -502,11 +470,14 @@ mod tests {
             "next",
             TerminationCriterion::EmptySink {
                 sink: "termination".into(),
-                max_iterations: 50,
             },
         );
         let result = iteration
-            .run(vec![Record::pair(0, 0)], &BulkConfig::new(2))
+            .run(
+                vec![Record::pair(0, 0)],
+                &Annotations::new(),
+                &RunConfig::new(2),
+            )
             .unwrap();
         assert_eq!(result.iterations, 3);
         assert!(result.converged);
@@ -522,9 +493,11 @@ mod tests {
             "next",
             TerminationCriterion::FixedIterations(1),
         );
-        let mut config = BulkConfig::new(1);
+        let mut config = RunConfig::new(1);
         config.parallelism = 0;
-        assert!(iteration.run(vec![Record::pair(0, 0)], &config).is_err());
+        assert!(iteration
+            .run(vec![Record::pair(0, 0)], &Annotations::new(), &config)
+            .is_err());
     }
 
     #[test]
@@ -536,7 +509,9 @@ mod tests {
             "missing",
             TerminationCriterion::FixedIterations(1),
         );
-        assert!(iteration.run(vec![], &BulkConfig::new(1)).is_err());
+        assert!(iteration
+            .run(vec![], &Annotations::new(), &RunConfig::new(1))
+            .is_err());
     }
 
     #[test]
@@ -548,13 +523,16 @@ mod tests {
             "next",
             TerminationCriterion::EmptySink {
                 sink: "missing".into(),
-                max_iterations: 3,
             },
         );
         let dir = std::env::temp_dir().join(format!("spinning-bulk-sink-{}", std::process::id()));
         // Even with checkpointing on, the typo is not retried as a fault.
         let err = iteration
-            .run(vec![], &BulkConfig::new(1).with_checkpoint(1, &dir))
+            .run(
+                vec![],
+                &Annotations::new(),
+                &RunConfig::new(1).with_checkpoint(CheckpointPolicy::new(1, &dir)),
+            )
             .unwrap_err();
         assert!(matches!(err, DataflowError::UnknownSink(_)), "{err}");
         assert!(!dir.exists(), "nothing ran, nothing was checkpointed");
@@ -573,10 +551,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("spinning-bulk-ckpt-{}", std::process::id()));
         // The initial (iteration-0) checkpoint write fails; the run proceeds,
         // later checkpoints land, and the failure shows up in the stats.
-        let config = BulkConfig::new(2).with_checkpoint(1, &dir).with_exec(
-            ExecConfig::new().with_fault(FaultInjector::failing_nth(FaultSite::CheckpointWrite, 0)),
-        );
-        let result = iteration.run(vec![Record::pair(0, 0)], &config).unwrap();
+        let config = RunConfig::new(2)
+            .with_checkpoint(CheckpointPolicy::new(1, &dir))
+            .with_exec(
+                ExecConfig::new()
+                    .with_fault(FaultInjector::failing_nth(FaultSite::CheckpointWrite, 0)),
+            );
+        let result = iteration
+            .run(vec![Record::pair(0, 0)], &Annotations::new(), &config)
+            .unwrap();
         assert_eq!(result.solution, vec![Record::pair(0, 4)]);
         assert_eq!(result.stats.total_checkpoint_write_failures(), 1);
         // Iterations 1-3 checkpoint; the converging fourth does not.
@@ -617,9 +600,9 @@ mod tests {
         let exec = ExecConfig::new()
             .with_memory_budget(MemoryBudget::bytes(0))
             .with_fault(FaultInjector::disabled());
-        let config = BulkConfig::new(4).with_exec(exec.clone());
+        let config = RunConfig::new(4).with_exec(exec.clone());
         let run =
-            |config: &BulkConfig| iteration.run_physical(physical.clone(), initial.clone(), config);
+            |config: &RunConfig| iteration.run_physical(physical.clone(), initial.clone(), config);
 
         let unfaulted = run(&config).unwrap();
         assert_eq!(unfaulted.iterations, 4);
@@ -643,7 +626,8 @@ mod tests {
         }
 
         let dir = std::env::temp_dir().join(format!("spinning-bulk-hand-{}", std::process::id()));
-        let recovered = run(&failing_config().with_checkpoint(1, &dir)).unwrap();
+        let recovered =
+            run(&failing_config().with_checkpoint(CheckpointPolicy::new(1, &dir))).unwrap();
         assert_eq!(recovered.solution, unfaulted.solution);
         assert_eq!(recovered.iterations, 4);
         assert_eq!(recovered.stats.total_recoveries(), 1);
@@ -660,10 +644,12 @@ mod tests {
             TerminationCriterion::FixedIterations(3),
         );
         let initial: Vec<Record> = (0..20).map(|i| Record::pair(i, i)).collect();
-        let with_opt = iteration.run(initial.clone(), &BulkConfig::new(4)).unwrap();
+        let with_opt = iteration
+            .run(initial.clone(), &Annotations::new(), &RunConfig::new(4))
+            .unwrap();
         let default_plan = default_physical_plan(iteration.plan(), 4).unwrap();
         let without_opt = iteration
-            .run_physical(default_plan, initial, &BulkConfig::new(4))
+            .run_physical(default_plan, initial, &RunConfig::new(4))
             .unwrap();
         let mut a = with_opt.solution;
         let mut b = without_opt.solution;
@@ -684,7 +670,8 @@ mod tests {
         let result = iteration
             .run(
                 (0..10).map(|i| Record::pair(i, 0)).collect(),
-                &BulkConfig::new(2),
+                &Annotations::new(),
+                &RunConfig::new(2),
             )
             .unwrap();
         assert_eq!(result.stats.per_iteration.len(), 4);

@@ -16,6 +16,9 @@
 //!   set* merged with the `∪̇` operator and the next working set (Section 5).
 //!   Supports the batch-incremental (`InnerCoGroup`) and microstep (`Match`)
 //!   variants, both in supersteps separated by a barrier.
+//! * [`config`] — [`RunConfig`], the one run configuration of both
+//!   operators: parallelism, update variant, step bound, checkpointing and
+//!   the execution settings.
 //! * [`stats`] — per-iteration counters (runtime, working-set size, elements
 //!   inspected/changed, messages) backing the reproduction of the paper's
 //!   figures.
@@ -48,7 +51,7 @@
 //!     .build();
 //! let solution = vec![Record::pair(0, 7), Record::pair(1, 8), Record::pair(2, 9)];
 //! let workset = vec![Record::pair(1, 7), Record::pair(0, 8), Record::pair(2, 8), Record::pair(1, 9)];
-//! let result = iteration.run(solution, workset, &WorksetConfig::new(2)).unwrap();
+//! let result = iteration.run(solution, workset, &RunConfig::new(2)).unwrap();
 //! assert!(result.solution.iter().all(|r| r.long(1) == 7));
 //! ```
 
@@ -57,6 +60,7 @@
 
 pub mod bulk;
 pub mod checkpoint;
+pub mod config;
 mod load;
 pub mod solution_set;
 pub mod stats;
@@ -64,12 +68,13 @@ pub mod workset;
 
 /// Commonly used types for building iterative dataflow programs.
 pub mod prelude {
-    pub use crate::bulk::{BulkConfig, BulkIteration, BulkIterationResult, TerminationCriterion};
+    pub use crate::bulk::{BulkIteration, BulkIterationResult, TerminationCriterion};
     pub use crate::checkpoint::{CheckpointPolicy, CheckpointStore, RestoredCheckpoint};
+    pub use crate::config::RunConfig;
     pub use crate::solution_set::{MergeOutcome, RecordComparator, SolutionSet};
     pub use crate::stats::{IterationRunStats, IterationStats};
     pub use crate::workset::{
-        ExecutionMode, ExpandClosure, ExpandFunction, UpdateClosure, UpdateFunction, WorksetConfig,
+        ExecutionMode, ExpandClosure, ExpandFunction, UpdateClosure, UpdateFunction,
         WorksetIteration, WorksetIterationBuilder, WorksetResult,
     };
 }

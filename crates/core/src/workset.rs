@@ -83,9 +83,12 @@
 //! channel for the whole run, one fresh round per attempt, the per-superstep
 //! stats agreement that keeps a cluster in lockstep), the solution-set join
 //! and the cached constant path, termination (the working set drained
-//! cluster-wide), and what a consistent cut between supersteps consists of.
+//! cluster-wide, or [`RunConfig::max_steps`] supersteps run), and what a
+//! consistent cut between supersteps consists of.  A run's settings — the
+//! mode included — are the [`RunConfig`] the bulk driver takes too.
 
-use crate::checkpoint::{run_with_recovery, CheckpointPolicy};
+use crate::checkpoint::run_with_recovery;
+use crate::config::RunConfig;
 use crate::load::{load, Loaded};
 use crate::solution_set::{PartitionIndex, RecordComparator, SolutionSet};
 use crate::stats::{IterationRunStats, IterationStats};
@@ -97,10 +100,9 @@ use dataflow::page::{
     for_each_key_group, GroupScratch, PagePool, PageWriter, RecordPage, RecordView,
 };
 use dataflow::prelude::{
-    ChannelId, ClusterSpec, DataflowError, ExchangedPartition, ExecConfig, Key, KeyFields,
-    PartitionRouter, Record, Result, SharedPageChannel, SpillManager, Value,
+    ChannelId, ClusterSpec, DataflowError, ExchangedPartition, Key, KeyFields, PartitionRouter,
+    Record, Result, SharedPageChannel, SpillManager, Value,
 };
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -190,84 +192,6 @@ pub enum ExecutionMode {
     Microstep,
 }
 
-/// Configuration of a workset iteration run.
-#[derive(Debug, Clone)]
-pub struct WorksetConfig {
-    /// Number of worker partitions.
-    pub parallelism: usize,
-    /// Execution mode.
-    pub mode: ExecutionMode,
-    /// Safety bound on the number of supersteps.
-    pub max_supersteps: usize,
-    /// Superstep checkpointing and recovery policy.  `None` (the default)
-    /// disables checkpointing: a failed superstep surfaces as a typed
-    /// [`DataflowError`] immediately.
-    pub checkpoint: Option<CheckpointPolicy>,
-    /// The execution settings of the run:
-    ///
-    /// * the memory budget of the candidate exchange — exceeding it spills
-    ///   sealed candidate pages to disk as runs, sorted on the workset key
-    ///   and merged in by the page-native kernel (batch), or unsorted and
-    ///   streamed (microstep);
-    /// * the channel credits — sealed pages per outbox writer, in both
-    ///   modes;
-    /// * the fault injector of the spill, checkpoint and pool-dispatch
-    ///   sites;
-    /// * the transport of the superstep exchange.  With a multi-process
-    ///   transport the run becomes one SPMD worker of a cluster: every
-    ///   process must call [`WorksetIteration::run`] with the *same* initial
-    ///   solution, initial workset, constant input and configuration; each
-    ///   keeps only the partitions it owns and the supersteps stay in
-    ///   lockstep through the channel and a per-superstep stats barrier.
-    pub exec: ExecConfig,
-}
-
-impl WorksetConfig {
-    /// Batch-incremental execution with the given parallelism.
-    pub fn new(parallelism: usize) -> Self {
-        WorksetConfig {
-            parallelism,
-            mode: ExecutionMode::BatchIncremental,
-            max_supersteps: 100_000,
-            checkpoint: None,
-            exec: ExecConfig::new(),
-        }
-    }
-
-    /// Sets the execution settings of the run.
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Sets the execution mode.
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the superstep bound.
-    pub fn with_max_supersteps(mut self, max: usize) -> Self {
-        self.max_supersteps = max;
-        self
-    }
-
-    /// Enables superstep checkpointing: every `interval` supersteps the
-    /// solution set and the pending workset queues are snapshotted under
-    /// `dir`, and a failed superstep restores the newest valid checkpoint
-    /// and retries instead of failing the run.
-    pub fn with_checkpoint(self, interval: usize, dir: impl Into<PathBuf>) -> Self {
-        self.with_checkpoint_policy(CheckpointPolicy::new(interval, dir))
-    }
-
-    /// Enables superstep checkpointing with an explicit policy (interval,
-    /// directory, retry budget, backoff base).
-    pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint = Some(policy);
-        self
-    }
-}
-
 /// The result of a workset iteration.
 #[derive(Debug)]
 pub struct WorksetResult {
@@ -277,8 +201,8 @@ pub struct WorksetResult {
     /// Number of supersteps executed.
     pub supersteps: usize,
     /// `true` when the working set drained (the fixpoint was reached);
-    /// `false` when the run was truncated by
-    /// [`WorksetConfig::max_supersteps`] and the solution is partial.
+    /// `false` when the run was truncated by [`RunConfig::max_steps`] and
+    /// the solution is partial.
     pub converged: bool,
     /// Per-superstep statistics.
     pub stats: IterationRunStats,
@@ -350,7 +274,7 @@ impl<'a> WorksetIteration<'a> {
     /// the load step serializes straight into the partitions (see the module
     /// documentation).
     ///
-    /// With a multi-process transport ([`WorksetConfig::exec`]) this call is
+    /// With a multi-process transport ([`RunConfig::exec`]) this call is
     /// one SPMD worker of a cluster: every process passes the same inputs and
     /// configuration, keeps only the partitions it owns, and the returned
     /// solution holds this process's owned partitions (concatenating the
@@ -360,7 +284,7 @@ impl<'a> WorksetIteration<'a> {
         &self,
         initial_solution: impl RecordSource,
         initial_workset: impl RecordSource,
-        config: &WorksetConfig,
+        config: &RunConfig,
     ) -> Result<WorksetResult> {
         if config.parallelism == 0 {
             return Err(DataflowError::InvalidPlan(
@@ -409,7 +333,7 @@ impl<'a> WorksetIteration<'a> {
     /// The combine candidates fold with in `config`'s mode: the declared
     /// one in batch-incremental mode, none in microstep mode, whose update
     /// function runs once per candidate.
-    fn folds(&self, config: &WorksetConfig) -> Option<&Arc<dyn CombineFunction>> {
+    fn folds(&self, config: &RunConfig) -> Option<&Arc<dyn CombineFunction>> {
         self.combine
             .as_ref()
             .filter(|_| config.mode == ExecutionMode::BatchIncremental)
@@ -433,7 +357,7 @@ impl<'a> WorksetIteration<'a> {
         loaded: Loaded,
         pending: u64,
         router: &PartitionRouter,
-        config: &WorksetConfig,
+        config: &RunConfig,
         start: Instant,
     ) -> Result<WorksetResult> {
         let Loaded {
@@ -479,7 +403,7 @@ impl<'a> WorksetIteration<'a> {
             config.checkpoint.as_ref(),
             parallelism,
             &config.exec.fault,
-            config.max_supersteps,
+            config.max_steps,
             &mut state,
             |state| state.pending > 0,
             |state, superstep| {
@@ -567,7 +491,7 @@ impl<'a> WorksetIteration<'a> {
         constant_index: &[JoinIndex],
         router: &PartitionRouter,
         spill: &SpillManager,
-        config: &WorksetConfig,
+        config: &RunConfig,
     ) -> Result<IterationStats> {
         let parallelism = config.parallelism;
         let step_start = Instant::now();
@@ -689,7 +613,7 @@ impl<'a> WorksetIteration<'a> {
         constant: &JoinIndex,
         router: &PartitionRouter,
         spill: &SpillManager,
-        config: &WorksetConfig,
+        config: &RunConfig,
         scratch: &mut StepScratch,
     ) -> Result<PartitionOutput> {
         let StepScratch {
@@ -1069,7 +993,9 @@ impl<'a> WorksetIterationBuilder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointPolicy;
     use dataflow::contracts::SourceClosure;
+    use dataflow::prelude::ExecConfig;
     use dataflow::prelude::{
         default_physical_plan, Executor, MemoryBudget, Plan, SinkPages, TransportHandle,
     };
@@ -1141,7 +1067,7 @@ mod tests {
         let (solution, workset) = initial_state();
         let iteration = min_propagation();
         let result = iteration
-            .run(solution, workset, &WorksetConfig::new(2))
+            .run(solution, workset, &RunConfig::new(2))
             .unwrap();
         check_converged(&result);
         assert!(result.converged);
@@ -1159,7 +1085,7 @@ mod tests {
             .run(
                 solution,
                 workset,
-                &WorksetConfig::new(2).with_mode(ExecutionMode::Microstep),
+                &RunConfig::new(2).with_mode(ExecutionMode::Microstep),
             )
             .unwrap();
         check_converged(&result);
@@ -1171,7 +1097,7 @@ mod tests {
         for parallelism in [1, 2, 4, 8] {
             let (solution, workset) = initial_state();
             let result = iteration
-                .run(solution, workset, &WorksetConfig::new(parallelism))
+                .run(solution, workset, &RunConfig::new(parallelism))
                 .unwrap();
             check_converged(&result);
         }
@@ -1181,7 +1107,7 @@ mod tests {
     fn empty_workset_terminates_immediately() {
         let iteration = min_propagation();
         let result = iteration
-            .run(vec![Record::pair(0, 5)], vec![], &WorksetConfig::new(2))
+            .run(vec![Record::pair(0, 5)], vec![], &RunConfig::new(2))
             .unwrap();
         assert_eq!(result.supersteps, 0);
         assert!(result.converged);
@@ -1193,7 +1119,7 @@ mod tests {
         let (solution, workset) = initial_state();
         let iteration = min_propagation();
         let result = iteration
-            .run(solution, workset, &WorksetConfig::new(1))
+            .run(solution, workset, &RunConfig::new(1))
             .unwrap();
         let sizes: Vec<usize> = result
             .stats
@@ -1214,11 +1140,7 @@ mod tests {
         let (solution, workset) = initial_state();
         let iteration = min_propagation();
         let result = iteration
-            .run(
-                solution,
-                workset,
-                &WorksetConfig::new(2).with_max_supersteps(1),
-            )
+            .run(solution, workset, &RunConfig::new(2).with_max_steps(1))
             .unwrap();
         assert_eq!(result.supersteps, 1);
         // Hitting the superstep bound must be observable: the solution is
@@ -1231,7 +1153,7 @@ mod tests {
         let iteration = min_propagation();
         let (solution, workset) = initial_state();
         let full = iteration
-            .run(solution, workset, &WorksetConfig::new(2))
+            .run(solution, workset, &RunConfig::new(2))
             .unwrap();
         assert!(full.converged);
         // Bounding the run below the natural superstep count truncates it
@@ -1239,16 +1161,12 @@ mod tests {
         for max in 1..full.supersteps + 2 {
             let (solution, workset) = initial_state();
             let result = iteration
-                .run(
-                    solution,
-                    workset,
-                    &WorksetConfig::new(2).with_max_supersteps(max),
-                )
+                .run(solution, workset, &RunConfig::new(2).with_max_steps(max))
                 .unwrap();
             assert_eq!(
                 result.converged,
                 max >= full.supersteps,
-                "max_supersteps={max}: ran {} supersteps",
+                "max_steps={max}: ran {} supersteps",
                 result.supersteps
             );
             if result.converged {
@@ -1260,7 +1178,7 @@ mod tests {
     #[test]
     fn zero_parallelism_is_rejected() {
         let iteration = min_propagation();
-        let mut config = WorksetConfig::new(1);
+        let mut config = RunConfig::new(1);
         config.parallelism = 0;
         assert!(iteration.run(vec![], vec![], &config).is_err());
     }
@@ -1366,7 +1284,7 @@ mod tests {
     /// the same keys, constant input and user functions, and the combine
     /// where the superstep exchange folds with it (in batch mode, when it
     /// cannot spill).
-    fn reference_step(iteration: &WorksetIteration<'_>, config: &WorksetConfig) -> WorksetStep {
+    fn reference_step(iteration: &WorksetIteration<'_>, config: &RunConfig) -> WorksetStep {
         let folds =
             config.exec.memory_budget.is_unlimited() && config.exec.channel_credits.is_none();
         let (update, expand) = (Arc::clone(&iteration.update), Arc::clone(&iteration.expand));
@@ -1402,14 +1320,14 @@ mod tests {
         iteration: &WorksetIteration<'_>,
         solution: &[Record],
         workset: &[Record],
-        config: &WorksetConfig,
+        config: &RunConfig,
     ) -> Fixpoint {
         batch_fixpoint(
             &reference_step(iteration, config),
             config.parallelism,
             solution.to_vec(),
             workset.to_vec(),
-            config.max_supersteps,
+            config.max_steps,
         )
     }
 
@@ -1482,7 +1400,7 @@ mod tests {
             for parallelism in [1usize, 4] {
                 for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
                     let exec = ExecConfig::new().with_memory_budget(budget);
-                    let config = WorksetConfig::new(parallelism)
+                    let config = RunConfig::new(parallelism)
                         .with_mode(mode)
                         .with_exec(exec.clone());
                     let label = format!(
@@ -1610,7 +1528,7 @@ mod tests {
         label: &str,
         must_spill: bool,
     ) -> WorksetResult {
-        let config = WorksetConfig::new(2);
+        let config = RunConfig::new(2);
         let exec = &config.exec;
         let baseline = iteration
             .run(solution.to_vec(), workset.to_vec(), &config)
@@ -1710,9 +1628,12 @@ mod tests {
         // The very first checkpoint write (the superstep-0 snapshot) fails;
         // the run must proceed on no checkpoint, reach the fixpoint, and
         // report the failure in its stats instead of erroring out.
-        let config = WorksetConfig::new(2).with_checkpoint(1, &dir).with_exec(
-            ExecConfig::new().with_fault(FaultInjector::failing_nth(FaultSite::CheckpointWrite, 0)),
-        );
+        let config = RunConfig::new(2)
+            .with_checkpoint(CheckpointPolicy::new(1, &dir))
+            .with_exec(
+                ExecConfig::new()
+                    .with_fault(FaultInjector::failing_nth(FaultSite::CheckpointWrite, 0)),
+            );
         let result = iteration.run(solution, workset, &config).unwrap();
         check_converged(&result);
         assert_eq!(result.stats.total_checkpoint_write_failures(), 1);
@@ -1752,7 +1673,7 @@ mod tests {
         let (solution, workset) = initial_state();
         let iteration = min_propagation();
         let result = iteration
-            .run(solution, workset, &WorksetConfig::new(1))
+            .run(solution, workset, &RunConfig::new(1))
             .unwrap();
         let total_changed: usize = result
             .stats
@@ -1787,7 +1708,7 @@ mod tests {
     /// results in index order.
     fn run_tcp_cluster<S: RecordSource, W: RecordSource>(
         job: impl Fn() -> (WorksetIteration<'static>, S, W) + Send + Sync,
-        configure: impl Fn(WorksetConfig) -> WorksetConfig + Send + Sync,
+        configure: impl Fn(RunConfig) -> RunConfig + Send + Sync,
     ) -> Vec<WorksetResult> {
         let coordinator = free_coordinator_addr();
         let (job, configure) = (&job, &configure);
@@ -1809,7 +1730,7 @@ mod tests {
                                 solution,
                                 workset,
                                 &configure(
-                                    WorksetConfig::new(4)
+                                    RunConfig::new(4)
                                         .with_exec(ExecConfig::new().with_transport(transport)),
                                 ),
                             )
@@ -1849,7 +1770,7 @@ mod tests {
         let (forwarding, _, _) = dense_min_propagation_emitting(false);
         // The memory regimes: unlimited, every sealed page spilled, and two
         // page credits per writer.
-        let configure = |regime: &str, mut config: WorksetConfig| {
+        let configure = |regime: &str, mut config: RunConfig| {
             match regime {
                 "budget 0" => config.exec.memory_budget = MemoryBudget::bytes(0),
                 "2 credits" => config.exec.channel_credits = Some(2),
@@ -1861,7 +1782,7 @@ mod tests {
             for regime in ["unlimited", "budget 0", "2 credits"] {
                 let configure = |config| configure(regime, config);
                 let label = format!("{mode:?}/{regime}");
-                let config = configure(WorksetConfig::new(4).with_mode(mode));
+                let config = configure(RunConfig::new(4).with_mode(mode));
                 let emitted = emitting
                     .run(solution.clone(), workset.clone(), &config)
                     .unwrap();
@@ -1918,7 +1839,7 @@ mod tests {
         let from_pages = dense_iteration(Arc::new(sink_pages_of(edges)), true);
         for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
             let label = format!("{budget:?}");
-            let mut config = WorksetConfig::new(4);
+            let mut config = RunConfig::new(4);
             config.exec.memory_budget = budget;
             let expected = from_records
                 .run(solution.clone(), workset.clone(), &config)
@@ -1945,7 +1866,7 @@ mod tests {
     fn tcp_cluster_matches_the_single_process_run_superstep_for_superstep() {
         let (solution, workset) = initial_state();
         let oracle = min_propagation()
-            .run(solution, workset, &WorksetConfig::new(4))
+            .run(solution, workset, &RunConfig::new(4))
             .unwrap();
         let results = run_tcp_cluster(path_job, |config| config);
         assert_matches_oracle(&results, &oracle);
@@ -1955,7 +1876,7 @@ mod tests {
         // same inputs as records.
         let (iteration, solution, workset) = dense_min_propagation();
         let oracle = iteration
-            .run(solution, workset, &WorksetConfig::new(4))
+            .run(solution, workset, &RunConfig::new(4))
             .unwrap();
         let results = run_tcp_cluster(
             || {
@@ -1972,7 +1893,7 @@ mod tests {
         let mode = ExecutionMode::Microstep;
         let (solution, workset) = initial_state();
         let oracle = min_propagation()
-            .run(solution, workset, &WorksetConfig::new(4).with_mode(mode))
+            .run(solution, workset, &RunConfig::new(4).with_mode(mode))
             .unwrap();
         let results = run_tcp_cluster(path_job, |config| config.with_mode(mode));
         assert_matches_oracle(&results, &oracle);
@@ -1987,7 +1908,7 @@ mod tests {
             .run(
                 solution,
                 workset,
-                &WorksetConfig::new(4)
+                &RunConfig::new(4)
                     .with_exec(ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0))),
             )
             .unwrap();
@@ -2042,7 +1963,7 @@ mod tests {
             .run(
                 solution.clone(),
                 workset.clone(),
-                &WorksetConfig::new(3).with_exec(distributed()),
+                &RunConfig::new(3).with_exec(distributed()),
             )
             .unwrap_err();
         assert!(matches!(err, DataflowError::CommSetup(_)), "{err}");
@@ -2051,8 +1972,11 @@ mod tests {
             .run(
                 solution,
                 workset,
-                &WorksetConfig::new(4)
-                    .with_checkpoint(1, std::env::temp_dir().join("never-written"))
+                &RunConfig::new(4)
+                    .with_checkpoint(CheckpointPolicy::new(
+                        1,
+                        std::env::temp_dir().join("never-written"),
+                    ))
                     .with_exec(distributed()),
             )
             .unwrap_err();
@@ -2091,8 +2015,8 @@ mod tests {
         let solution: Vec<Record> = (0..8).map(|v| Record::pair(v, v)).collect();
         let workset: Vec<Record> = (0..8).map(|v| Record::pair(v, 0)).collect();
         let configs = [
-            WorksetConfig::new(2),
-            WorksetConfig::new(2).with_mode(ExecutionMode::Microstep),
+            RunConfig::new(2),
+            RunConfig::new(2).with_mode(ExecutionMode::Microstep),
         ];
         for config in &configs {
             let label = format!("{:?}", config.mode);

@@ -14,7 +14,7 @@
 
 use dataflow::prelude::{ExecConfig, Key, MemoryBudget, Record, RecordSink, RecordView, Value};
 use spinning_core::prelude::{
-    ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetResult,
+    ExpandClosure, RunConfig, UpdateClosure, WorksetIteration, WorksetResult,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -125,9 +125,9 @@ fn counted_run(width: usize, max_supersteps: usize) -> (WorksetResult, usize) {
     let exec = ExecConfig::new()
         .with_memory_budget(MemoryBudget::bytes(64 * 1024))
         .with_channel_credits(2);
-    let config = WorksetConfig::new(2)
+    let config = RunConfig::new(2)
         .with_exec(exec)
-        .with_max_supersteps(max_supersteps);
+        .with_max_steps(max_supersteps);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let result = iteration.run(solution, workset, &config).expect("run");
     (result, ALLOCATIONS.load(Ordering::Relaxed) - before)

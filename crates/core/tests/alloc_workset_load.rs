@@ -7,7 +7,7 @@
 //! concurrently inside the process and pollute the allocation counters.
 
 use dataflow::prelude::{Key, RecordSink, RecordSource, RecordView, SourceClosure, Value};
-use spinning_core::prelude::{ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration};
+use spinning_core::prelude::{ExpandClosure, RunConfig, UpdateClosure, WorksetIteration};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -67,7 +67,7 @@ fn loading_described_inputs_allocates_per_page_not_per_record() {
     let iteration = WorksetIteration::builder(vec![0], vec![0], update, expand)
         .constant_input(Arc::new(edges), vec![0], vec![0])
         .build();
-    let config = WorksetConfig::new(2).with_max_supersteps(0);
+    let config = RunConfig::new(2).with_max_steps(0);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let result = iteration.run(solution, workset, &config).expect("run");

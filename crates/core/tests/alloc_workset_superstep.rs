@@ -11,7 +11,7 @@
 
 use dataflow::prelude::{Key, Record, RecordSink, RecordView, Value};
 use spinning_core::prelude::{
-    ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetResult,
+    ExpandClosure, RunConfig, UpdateClosure, WorksetIteration, WorksetResult,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -88,7 +88,7 @@ fn dense_ring() -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
 /// allocations the run performed (inputs are built outside the count).
 fn counted_run(max_supersteps: usize) -> (WorksetResult, usize) {
     let (iteration, solution, workset) = dense_ring();
-    let config = WorksetConfig::new(2).with_max_supersteps(max_supersteps);
+    let config = RunConfig::new(2).with_max_steps(max_supersteps);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let result = iteration.run(solution, workset, &config).expect("run");
     (result, ALLOCATIONS.load(Ordering::Relaxed) - before)

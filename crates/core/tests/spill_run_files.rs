@@ -10,7 +10,7 @@
 
 use dataflow::prelude::{ExecConfig, Key, MemoryBudget, Record, RecordSink, RecordView, Value};
 use dataflow::spill::run_files_created;
-use spinning_core::prelude::{ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration};
+use spinning_core::prelude::{ExpandClosure, RunConfig, UpdateClosure, WorksetIteration};
 use std::sync::Arc;
 
 const PARALLELISM: usize = 2;
@@ -59,7 +59,7 @@ fn dense_ring() -> (WorksetIteration<'static>, Vec<Record>, Vec<Record>) {
 #[test]
 fn a_spilling_job_creates_one_run_file_per_writer_not_per_run() {
     let (iteration, solution, workset) = dense_ring();
-    let config = WorksetConfig::new(PARALLELISM).with_exec(
+    let config = RunConfig::new(PARALLELISM).with_exec(
         ExecConfig::new()
             .with_memory_budget(MemoryBudget::bytes(65_536))
             .with_channel_credits(2),

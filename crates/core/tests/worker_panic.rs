@@ -11,7 +11,7 @@ use dataflow::prelude::{
 };
 use dataflow::spill::{default_spill_dir, run_files_created};
 use spinning_core::prelude::{
-    ExecutionMode, ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration,
+    ExecutionMode, ExpandClosure, RunConfig, UpdateClosure, WorksetIteration,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -80,7 +80,7 @@ fn run_until_the_update_panics(mode: ExecutionMode) {
         .collect();
     // Budget 0: every page a partition ships to another is a spilled run
     // until its consumer drains it in the next superstep.
-    let config = WorksetConfig::new(4)
+    let config = RunConfig::new(4)
         .with_mode(mode)
         .with_exec(ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0)));
 

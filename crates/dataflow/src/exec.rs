@@ -119,9 +119,9 @@ type PagedPartitions = Vec<Vec<Arc<RecordPage>>>;
 pub const CHANNEL_CREDITS_ENV: &str = "SPINNING_CHANNEL_CREDITS";
 
 /// The execution settings of a run — the one declaration of them.  The
-/// [`Executor`] takes it directly; the iteration drivers' configurations
-/// (`BulkConfig`, `WorksetConfig`) and the algorithms' embed it and hand it
-/// down unchanged.
+/// [`Executor`] takes it directly; the one run configuration of both
+/// iteration drivers and every algorithm (`spinning_core::RunConfig`)
+/// embeds it as `exec` and hands it down unchanged.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Budget on the serialized bytes an exchange may buffer in memory:

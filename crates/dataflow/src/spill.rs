@@ -174,15 +174,6 @@ pub struct SpillStats {
     pub spilled_records: usize,
 }
 
-impl SpillStats {
-    /// Accumulates another writer's counters into this one.
-    pub fn merge(&mut self, other: &SpillStats) {
-        self.spilled_bytes += other.spilled_bytes;
-        self.spilled_runs += other.spilled_runs;
-        self.spilled_records += other.spilled_records;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The run file format
 // ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@
 //! crossed partition boundaries — the shared-memory stand-in for network
 //! traffic in the paper's cluster setup.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// Per-operator counters.
@@ -86,39 +85,6 @@ impl ExecutionStats {
             .sum()
     }
 
-    /// Merges the counters of another execution into this one.  The iteration
-    /// runtime uses this to accumulate per-superstep statistics into totals.
-    pub fn merge(&mut self, other: &ExecutionStats) {
-        let mut by_name: HashMap<String, usize> = self
-            .operators
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (o.name.clone(), i))
-            .collect();
-        for op in &other.operators {
-            match by_name.get(&op.name) {
-                Some(&i) => {
-                    self.operators[i].records_in += op.records_in;
-                    self.operators[i].records_out += op.records_out;
-                    self.operators[i].elapsed += op.elapsed;
-                }
-                None => {
-                    by_name.insert(op.name.clone(), self.operators.len());
-                    self.operators.push(op.clone());
-                }
-            }
-        }
-        self.shipped_records += other.shipped_records;
-        self.shipped_bytes += other.shipped_bytes;
-        self.shipped_pages += other.shipped_pages;
-        self.spilled_bytes += other.spilled_bytes;
-        self.spilled_runs += other.spilled_runs;
-        self.local_records += other.local_records;
-        self.cache_hits += other.cache_hits;
-        self.chained_operators += other.chained_operators;
-        self.elapsed += other.elapsed;
-    }
-
     /// Renders the statistics as an aligned table for harness output.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
@@ -175,29 +141,6 @@ mod tests {
             peak_chain_pages: 0,
             elapsed: Duration::from_millis(7),
         }
-    }
-
-    #[test]
-    fn merge_accumulates_matching_operators() {
-        let mut a = stats_with("scale", 4);
-        let b = stats_with("scale", 6);
-        a.merge(&b);
-        assert_eq!(a.records_out_of("scale"), 10);
-        assert_eq!(a.shipped_records, 20);
-        assert_eq!(a.spilled_bytes, 80);
-        assert_eq!(a.spilled_runs, 2);
-        assert_eq!(a.cache_hits, 2);
-        assert_eq!(a.chained_operators, 4);
-        assert_eq!(a.operators.len(), 1);
-    }
-
-    #[test]
-    fn merge_appends_new_operators() {
-        let mut a = stats_with("scale", 4);
-        let b = stats_with("sum", 6);
-        a.merge(&b);
-        assert_eq!(a.operators.len(), 2);
-        assert_eq!(a.records_out_of("sum"), 6);
     }
 
     #[test]

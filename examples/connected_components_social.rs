@@ -6,9 +6,10 @@
 //! cargo run --release --example connected_components_social
 //! ```
 
-use algorithms::{cc_bulk, cc_incremental, cc_microstep, ComponentsConfig};
+use algorithms::{cc_bulk, cc_incremental};
 use baselines::{cc_pregel, PregelConfig};
 use graphdata::DatasetProfile;
+use spinning_core::{ExecutionMode, RunConfig};
 use std::time::Instant;
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
         .into_iter()
         .map(i64::from)
         .collect();
-    let config = ComponentsConfig::new(4);
+    let config = RunConfig::new(4);
 
     let start = Instant::now();
     let bulk = cc_bulk(&graph, &config).expect("bulk CC");
@@ -38,7 +39,8 @@ fn main() {
     assert_eq!(incremental.components, oracle);
 
     let start = Instant::now();
-    let microstep = cc_microstep(&graph, &config).expect("microstep CC");
+    let microstep = config.with_mode(ExecutionMode::Microstep);
+    let microstep = cc_incremental(&graph, &microstep).expect("microstep CC");
     let microstep_time = start.elapsed();
     assert_eq!(microstep.components, oracle);
 

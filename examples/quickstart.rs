@@ -10,8 +10,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use algorithms::{cc_bulk, cc_incremental, cc_microstep, ComponentsConfig};
+use algorithms::{cc_bulk, cc_incremental};
 use graphdata::{figure1_expected_components, figure1_graph};
+use spinning_core::{ExecutionMode, RunConfig};
 
 fn main() {
     let graph = figure1_graph();
@@ -22,7 +23,10 @@ fn main() {
         graph.count_components()
     );
 
-    let config = ComponentsConfig::new(2);
+    // One run configuration for every variant; the microstep variant is the
+    // incremental one in another mode.
+    let config = RunConfig::new(2);
+    let microstep = config.clone().with_mode(ExecutionMode::Microstep);
     let expected: Vec<i64> = figure1_expected_components()
         .into_iter()
         .map(i64::from)
@@ -40,7 +44,7 @@ fn main() {
         ),
         (
             "microstep (MICRO-CC, Match)",
-            Box::new(|| cc_microstep(&graph, &config).unwrap()),
+            Box::new(|| cc_incremental(&graph, &microstep).unwrap()),
         ),
     ];
 

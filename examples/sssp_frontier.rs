@@ -9,7 +9,7 @@
 
 use algorithms::{oracles, sssp, UNREACHABLE};
 use graphdata::DatasetProfile;
-use spinning_core::ExecutionMode;
+use spinning_core::{ExecutionMode, RunConfig};
 
 fn main() {
     let graph = DatasetProfile::foaf().generate(2048);
@@ -29,7 +29,8 @@ fn main() {
         ),
         ("microstep (supersteps)", ExecutionMode::Microstep),
     ] {
-        let result = sssp(&graph, source, 4, mode).expect("SSSP run");
+        let config = RunConfig::new(4).with_mode(mode);
+        let result = sssp(&graph, source, &config).expect("SSSP run");
         assert_eq!(
             result.distances, oracle,
             "{label} disagrees with the BFS oracle"
@@ -53,7 +54,7 @@ fn main() {
     }
 
     println!("\nfrontier sizes per superstep (batch incremental):");
-    let result = sssp(&graph, source, 4, ExecutionMode::BatchIncremental).unwrap();
+    let result = sssp(&graph, source, &RunConfig::new(4)).unwrap();
     for s in &result.stats.per_iteration {
         println!(
             "  superstep {:>3}: {:>8} candidates inspected, {:>8} distances improved",

@@ -21,18 +21,19 @@
 //! `SPINNING_COORDINATOR`, `SPINNING_PROCESSES` and `SPINNING_INDEX`
 //! provide environment fallbacks for the cluster spec.
 
-use algorithms::{cc_workset_records, sssp_records, ComponentsConfig};
-use dataflow::prelude::{ClusterSpec, ExecConfig, TransportHandle};
+use algorithms::{cc_workset_records, sssp_records};
+use dataflow::prelude::{ClusterSpec, TransportHandle};
 use graphdata::{rmat, RmatParams, VertexId};
-use spinning_core::prelude::{ExecutionMode, WorksetConfig, WorksetResult};
+use spinning_core::prelude::{ExecutionMode, RunConfig, WorksetResult};
 use std::io::Write;
 use std::process::ExitCode;
 
 /// Command-line / environment configuration of one worker.
 struct WorkerArgs {
     algo: String,
-    mode: ExecutionMode,
-    parallelism: usize,
+    /// Parallelism, mode and superstep bound; the transport is set once the
+    /// cluster is connected.
+    run: RunConfig,
     processes: usize,
     index: usize,
     coordinator: Option<String>,
@@ -40,7 +41,6 @@ struct WorkerArgs {
     edges: usize,
     seed: u64,
     source: VertexId,
-    max_supersteps: usize,
     out: Option<String>,
     trace: Option<String>,
 }
@@ -59,8 +59,7 @@ where
 fn parse_args() -> Result<WorkerArgs, String> {
     let mut args = WorkerArgs {
         algo: String::new(),
-        mode: ExecutionMode::BatchIncremental,
-        parallelism: 4,
+        run: RunConfig::new(4),
         processes: match env_or("SPINNING_PROCESSES") {
             Some(v) => parse("SPINNING_PROCESSES", &v)?,
             None => 1,
@@ -74,7 +73,6 @@ fn parse_args() -> Result<WorkerArgs, String> {
         edges: 1600,
         seed: 17,
         source: 0,
-        max_supersteps: 100_000,
         out: None,
         trace: None,
     };
@@ -86,13 +84,13 @@ fn parse_args() -> Result<WorkerArgs, String> {
         match flag.as_str() {
             "--algo" => args.algo = value,
             "--mode" => {
-                args.mode = match value.as_str() {
+                args.run.mode = match value.as_str() {
                     "batch" => ExecutionMode::BatchIncremental,
                     "microstep" => ExecutionMode::Microstep,
                     other => return Err(format!("unknown mode '{other}' (batch|microstep)")),
                 }
             }
-            "--parallelism" => args.parallelism = parse(&flag, &value)?,
+            "--parallelism" => args.run.parallelism = parse(&flag, &value)?,
             "--processes" => args.processes = parse(&flag, &value)?,
             "--index" => args.index = parse(&flag, &value)?,
             "--coordinator" => args.coordinator = Some(value),
@@ -100,7 +98,7 @@ fn parse_args() -> Result<WorkerArgs, String> {
             "--edges" => args.edges = parse(&flag, &value)?,
             "--seed" => args.seed = parse(&flag, &value)?,
             "--source" => args.source = parse(&flag, &value)?,
-            "--max-supersteps" => args.max_supersteps = parse(&flag, &value)?,
+            "--max-supersteps" => args.run.max_steps = parse(&flag, &value)?,
             "--out" => args.out = Some(value),
             "--trace" => args.trace = Some(value),
             other => return Err(format!("unknown flag '{other}'")),
@@ -116,36 +114,22 @@ fn parse_args() -> Result<WorkerArgs, String> {
 }
 
 fn run(args: &WorkerArgs) -> Result<WorksetResult, String> {
-    let exec = ExecConfig::new();
-    let transport = if args.processes > 1 {
+    let mut config = args.run.clone();
+    if args.processes > 1 {
         let spec = ClusterSpec::new(args.processes, args.index).map_err(|e| e.to_string())?;
         let coordinator = args
             .coordinator
             .as_deref()
             .expect("validated in parse_args");
-        TransportHandle::tcp_cluster(spec, coordinator, &exec.fault)
-            .map_err(|e| format!("cluster rendezvous failed: {e}"))?
-    } else {
-        TransportHandle::local()
-    };
-    let exec = exec.with_transport(transport);
+        config.exec.transport = TransportHandle::tcp_cluster(spec, coordinator, &config.exec.fault)
+            .map_err(|e| format!("cluster rendezvous failed: {e}"))?;
+    }
     // Every process generates the identical graph from the same seed — the
     // SPMD contract that lets workers share nothing but their sockets.
     let graph = rmat(args.vertices, args.edges, RmatParams::default(), args.seed).symmetrize();
     match args.algo.as_str() {
-        "cc" => {
-            let config = ComponentsConfig::new(args.parallelism)
-                .with_max_iterations(args.max_supersteps)
-                .with_exec(exec);
-            cc_workset_records(&graph, &config, args.mode).map_err(|e| e.to_string())
-        }
-        "sssp" => {
-            let config = WorksetConfig::new(args.parallelism)
-                .with_mode(args.mode)
-                .with_max_supersteps(args.max_supersteps)
-                .with_exec(exec);
-            sssp_records(&graph, args.source, &config).map_err(|e| e.to_string())
-        }
+        "cc" => cc_workset_records(&graph, &config, config.mode).map_err(|e| e.to_string()),
+        "sssp" => sssp_records(&graph, args.source, &config).map_err(|e| e.to_string()),
         other => Err(format!("unknown algorithm '{other}' (cc|sssp)")),
     }
 }

@@ -18,8 +18,9 @@
 //! under the credit bound: the paper's bounded-memory claim, observable end
 //! to end.
 
-use algorithms::{cc_incremental, cc_microstep, ComponentsConfig, ComponentsResult};
+use algorithms::cc_incremental;
 use graphdata::{rmat, RmatParams};
+use spinning_core::{ExecutionMode, RunConfig};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
@@ -41,16 +42,12 @@ fn oracle_components(graph: &graphdata::Graph) -> Vec<i64> {
 fn tight_credits_bound_superstep_outboxes_without_changing_the_fixpoint() {
     let graph = rmat(600, 2400, RmatParams::default(), 17).symmetrize();
     let expected = oracle_components(&graph);
-    type Run =
-        fn(&graphdata::Graph, &ComponentsConfig) -> dataflow::prelude::Result<ComponentsResult>;
-    let runs: [(&str, Run); 2] = [("incremental", cc_incremental), ("microstep", cc_microstep)];
-    for (name, run) in runs {
-        let unbounded = run(&graph, &ComponentsConfig::new(PARALLELISM)).expect("unbounded CC");
-        let bounded = run(
-            &graph,
-            &ComponentsConfig::new(PARALLELISM).with_channel_credits(CREDITS),
-        )
-        .expect("CC under tight credits");
+    for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
+        let name = format!("{mode:?}");
+        let config = RunConfig::new(PARALLELISM).with_mode(mode);
+        let unbounded = cc_incremental(&graph, &config).expect("unbounded CC");
+        let bounded = cc_incremental(&graph, &config.with_channel_credits(CREDITS))
+            .expect("CC under tight credits");
         assert_eq!(
             bounded.components, expected,
             "{name}: credits changed the fixpoint"

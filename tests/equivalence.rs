@@ -9,9 +9,8 @@ use algorithms::common::{
     min_combine,
 };
 use algorithms::{
-    adaptive_pagerank, cc_bulk, cc_incremental, cc_microstep, cc_workset_records, oracles,
-    pagerank, sssp, sssp_records, AdaptiveConfig, ComponentsConfig, PageRankConfig, PageRankPlan,
-    UNREACHABLE,
+    adaptive_pagerank, cc_bulk, cc_incremental, cc_workset_records, oracles, pagerank, sssp,
+    sssp_records, PageRankConfig, PageRankPlan, DAMPING, UNREACHABLE,
 };
 use baselines::{
     cc_pregel, cc_spark_bulk, pagerank_pregel, pagerank_spark, PregelConfig, SparkContext,
@@ -19,9 +18,8 @@ use baselines::{
 use dataflow::prelude::{ExecConfig, Key, MemoryBudget, Record, RecordSink, RecordView, Value};
 use graphdata::{chain, erdos_renyi, figure1_graph, rmat, star, DatasetProfile, Graph, RmatParams};
 use spinning_core::prelude::{
-    ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration, WorksetResult,
+    ExecutionMode, ExpandClosure, RunConfig, UpdateClosure, WorksetIteration, WorksetResult,
 };
-use spinning_core::ExecutionMode;
 use std::sync::Arc;
 
 mod support;
@@ -52,7 +50,7 @@ fn connected_components_all_engines_agree() {
             .into_iter()
             .map(i64::from)
             .collect();
-        let config = ComponentsConfig::new(4);
+        let config = RunConfig::new(4);
         assert_eq!(
             cc_bulk(&graph, &config).unwrap().components,
             oracle,
@@ -64,7 +62,9 @@ fn connected_components_all_engines_agree() {
             "incremental on {name}"
         );
         assert_eq!(
-            cc_microstep(&graph, &config).unwrap().components,
+            cc_incremental(&graph, &config.clone().with_mode(ExecutionMode::Microstep))
+                .unwrap()
+                .components,
             oracle,
             "microstep on {name}"
         );
@@ -96,9 +96,14 @@ fn connected_components_result_is_independent_of_parallelism() {
         .map(i64::from)
         .collect();
     for parallelism in [1, 2, 3, 8, 16] {
-        let config = ComponentsConfig::new(parallelism);
+        let config = RunConfig::new(parallelism);
         assert_eq!(cc_incremental(&graph, &config).unwrap().components, oracle);
-        assert_eq!(cc_microstep(&graph, &config).unwrap().components, oracle);
+        assert_eq!(
+            cc_incremental(&graph, &config.clone().with_mode(ExecutionMode::Microstep))
+                .unwrap()
+                .components,
+            oracle
+        );
     }
 }
 
@@ -106,7 +111,7 @@ fn connected_components_result_is_independent_of_parallelism() {
 fn pagerank_all_engines_agree() {
     let graph = rmat(250, 2000, RmatParams::default(), 17).symmetrize();
     let iterations = 8;
-    let oracle = oracles::pagerank(&graph, iterations, 0.85);
+    let oracle = oracles::pagerank(&graph, iterations, DAMPING);
 
     let dataflow = pagerank(
         &graph,
@@ -116,7 +121,7 @@ fn pagerank_all_engines_agree() {
     )
     .unwrap();
     let spark = pagerank_spark(&graph, iterations, &SparkContext::new(4));
-    let pregel = pagerank_pregel(&graph, iterations, 0.85, &PregelConfig::new(4));
+    let pregel = pagerank_pregel(&graph, iterations, DAMPING, &PregelConfig::new(4));
 
     for v in 0..graph.num_vertices() {
         assert!(
@@ -136,7 +141,12 @@ fn sssp_modes_agree_with_the_bfs_oracle() {
     let graph = DatasetProfile::foaf().generate(32_768);
     let oracle = oracles::sssp(&graph, 1);
     for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
-        assert_eq!(sssp(&graph, 1, 4, mode).unwrap().distances, oracle);
+        assert_eq!(
+            sssp(&graph, 1, &RunConfig::new(4).with_mode(mode))
+                .unwrap()
+                .distances,
+            oracle
+        );
     }
 }
 
@@ -155,7 +165,7 @@ fn workset_modes_agree_with_bulk_oracle() {
     ];
     for (name, graph) in graphs {
         for parallelism in [1, 3, 8] {
-            let config = ComponentsConfig::new(parallelism);
+            let config = RunConfig::new(parallelism);
             let bulk_oracle = cc_bulk(&graph, &config).unwrap().components;
             assert_eq!(
                 cc_incremental(&graph, &config).unwrap().components,
@@ -163,7 +173,9 @@ fn workset_modes_agree_with_bulk_oracle() {
                 "batch-incremental vs bulk on {name} at parallelism {parallelism}"
             );
             assert_eq!(
-                cc_microstep(&graph, &config).unwrap().components,
+                cc_incremental(&graph, &config.clone().with_mode(ExecutionMode::Microstep))
+                    .unwrap()
+                    .components,
                 bulk_oracle,
                 "microstep vs bulk on {name} at parallelism {parallelism}"
             );
@@ -177,7 +189,7 @@ fn incremental_cc_does_asymptotically_less_work_than_bulk() {
     // variant inspects |V| elements per iteration while the incremental
     // variant's inspections collapse with the shrinking working set.
     let graph = DatasetProfile::wikipedia().generate(16_384);
-    let config = ComponentsConfig::new(4);
+    let config = RunConfig::new(4);
     let bulk = cc_bulk(&graph, &config).unwrap();
     let incremental = cc_incremental(&graph, &config).unwrap();
 
@@ -238,7 +250,7 @@ fn min_propagation_over(edges: Arc<Vec<Record>>, hop_cost: i64) -> WorksetIterat
 }
 
 /// Adaptive PageRank's residual push restated over heap records (damping
-/// 0.85, the tolerance of [`AdaptiveConfig::new`]).
+/// [`DAMPING`], residuals below `tolerance` held back).
 fn residual_push_over(edges: Arc<Vec<Record>>, tolerance: f64) -> WorksetIteration<'static> {
     let update = Arc::new(UpdateClosure(
         move |key: &Key,
@@ -260,7 +272,7 @@ fn residual_push_over(edges: Arc<Vec<Record>>, tolerance: f64) -> WorksetIterati
     let expand = Arc::new(ExpandClosure(
         |delta: RecordView<'_>, edges: &[RecordView<'_>], out: &mut dyn RecordSink| {
             let Some(first) = edges.first() else { return };
-            let share = 0.85 * delta.double(2) / first.long(2) as f64;
+            let share = DAMPING * delta.double(2) / first.long(2) as f64;
             for e in edges {
                 out.emit(&[Value::Long(e.long(1)), Value::Double(share)]);
             }
@@ -312,7 +324,7 @@ fn folded_cc_and_sssp_match_the_reference_and_the_unfolded_run() {
     ];
     for parallelism in [1, 2, 3] {
         for (regime, exec) in &regimes {
-            let config = WorksetConfig::new(parallelism).with_exec(exec.clone());
+            let config = RunConfig::new(parallelism).with_exec(exec.clone());
             let label = format!("p{parallelism}/{regime}");
             support::assert_folded_runs_match_the_reference(&graph, 3, &config, &label);
             support::assert_microstep_runs_reach_the_reference(&graph, 3, &config, &label);
@@ -359,10 +371,9 @@ fn source_equivalence() {
     for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
         for (regime, exec) in regimes {
             let label = format!("{mode:?}/{regime}");
-            let config = WorksetConfig::new(4).with_mode(mode).with_exec(exec());
-            let components = ComponentsConfig::new(4).with_exec(exec());
+            let config = RunConfig::new(4).with_mode(mode).with_exec(exec());
 
-            let described = cc_workset_records(&graph, &components, mode).unwrap();
+            let described = cc_workset_records(&graph, &config, mode).unwrap();
             let records = cc_from_records
                 .run(
                     initial_components(&graph),
@@ -392,10 +403,9 @@ fn source_equivalence() {
     // microsteps push every residual share on its own.)
     let graph = rmat(60, 240, RmatParams::default(), 5).symmetrize();
     let vertices = || graph.vertices().map(i64::from);
-    let adaptive = AdaptiveConfig::new(4).with_tolerance(1e-6);
-    let seed = (1.0 - adaptive.damping) / graph.num_vertices() as f64;
-    let push_from_records =
-        residual_push_over(edge_records_with_degree(&graph), adaptive.tolerance);
+    let tolerance = 1e-6;
+    let seed = (1.0 - DAMPING) / graph.num_vertices() as f64;
+    let push_from_records = residual_push_over(edge_records_with_degree(&graph), tolerance);
     let push_inputs = || -> (Vec<Record>, Vec<Record>) {
         (
             vertices().map(|v| Record::long_double(v, 0.0)).collect(),
@@ -403,11 +413,10 @@ fn source_equivalence() {
         )
     };
     for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
-        let described = adaptive_pagerank(&graph, &adaptive.with_mode(mode)).unwrap();
+        let config = RunConfig::new(4).with_mode(mode);
+        let described = adaptive_pagerank(&graph, tolerance, &config).unwrap();
         let (solution, workset) = push_inputs();
-        let records = push_from_records
-            .run(solution, workset, &WorksetConfig::new(4).with_mode(mode))
-            .unwrap();
+        let records = push_from_records.run(solution, workset, &config).unwrap();
         let mut ranks = vec![0.0f64; graph.num_vertices()];
         for record in &records.solution {
             ranks[record.long(0) as usize] = record.double(1);

@@ -9,12 +9,10 @@
 //! directories live under the spill directory, so the CI leak assertion also
 //! proves recovered runs clean up after themselves.
 
-use algorithms::{
-    cc_bulk, cc_incremental, cc_microstep, oracles, sssp_with_config, ComponentsConfig,
-};
+use algorithms::{cc_bulk, cc_incremental, oracles, sssp};
 use dataflow::prelude::{DataflowError, ExecConfig, FaultInjector, FaultSite, MemoryBudget};
 use graphdata::{chain, DatasetProfile, Graph};
-use spinning_core::prelude::{CheckpointPolicy, ExecutionMode, WorksetConfig};
+use spinning_core::prelude::{CheckpointPolicy, ExecutionMode, RunConfig};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -48,7 +46,7 @@ fn policy(interval: usize, dir: &PathBuf) -> CheckpointPolicy {
 fn worker_panic_without_checkpointing_surfaces_as_typed_error() {
     let graph = webbase();
     let config =
-        ComponentsConfig::new(4).with_fault(FaultInjector::failing_nth(FaultSite::WorkerPanic, 9));
+        RunConfig::new(4).with_fault(FaultInjector::failing_nth(FaultSite::WorkerPanic, 9));
     let err = cc_incremental(&graph, &config).expect_err("injected panic must fail the run");
     match err {
         DataflowError::WorkerPanic {
@@ -69,7 +67,7 @@ fn spill_read_fault_without_checkpointing_surfaces_as_typed_error() {
     // A tiny budget forces the superstep exchange to spill; the first
     // spilled-run read then faults.
     let graph = webbase();
-    let config = ComponentsConfig::new(4)
+    let config = RunConfig::new(4)
         .with_memory_budget(MemoryBudget::bytes(1024))
         .with_fault(FaultInjector::failing_nth(FaultSite::SpillRead, 0));
     let err = cc_incremental(&graph, &config).expect_err("injected read fault must fail the run");
@@ -90,7 +88,7 @@ fn bulk_spill_read_fault_on_executor_path_surfaces_as_typed_error() {
     // aborted the whole process via `.expect(...)`.
     let graph = webbase();
     let fault = FaultInjector::failing_nth(FaultSite::SpillRead, 0);
-    let config = ComponentsConfig::new(4)
+    let config = RunConfig::new(4)
         .with_memory_budget(MemoryBudget::bytes(1024))
         .with_fault(fault.clone());
     let err = cc_bulk(&graph, &config).expect_err("injected read fault must fail the run");
@@ -107,20 +105,23 @@ fn bulk_spill_read_fault_on_executor_path_surfaces_as_typed_error() {
 fn cc_recovers_byte_identically_across_modes_and_routings() {
     let graph = webbase();
     let oracle = cc_oracle(&graph);
-    type CcRun =
-        fn(&Graph, &ComponentsConfig) -> dataflow::prelude::Result<algorithms::ComponentsResult>;
-    let runs: [(CcRun, &str); 2] = [(cc_incremental, "incremental"), (cc_microstep, "microstep")];
-    for (run, name) in runs {
-        let base = ComponentsConfig::new(4).with_fault(FaultInjector::disabled());
-        let baseline = run(&graph, &base).unwrap();
+    for (mode, name) in [
+        (ExecutionMode::BatchIncremental, "incremental"),
+        (ExecutionMode::Microstep, "microstep"),
+    ] {
+        let base = RunConfig::new(4)
+            .with_mode(mode)
+            .with_fault(FaultInjector::disabled());
+        let baseline = cc_incremental(&graph, &base).unwrap();
         assert_eq!(baseline.components, oracle, "{name}");
 
         let dir = ckpt_dir(&format!("cc-{name}"));
         let fault = FaultInjector::failing_nth(FaultSite::WorkerPanic, 21);
-        let config = ComponentsConfig::new(4)
-            .with_checkpoint_policy(policy(3, &dir))
+        let config = RunConfig::new(4)
+            .with_mode(mode)
+            .with_checkpoint(policy(3, &dir))
             .with_fault(fault.clone());
-        let recovered = run(&graph, &config).unwrap();
+        let recovered = cc_incremental(&graph, &config).unwrap();
         assert_eq!(
             recovered.components, baseline.components,
             "recovered run diverged ({name})"
@@ -163,14 +164,14 @@ fn recovery_at_many_kill_points_matches_the_uninterrupted_run() {
         .collect()
     };
     let graph = webbase();
-    let base = ComponentsConfig::new(2).with_fault(FaultInjector::disabled());
+    let base = RunConfig::new(2).with_fault(FaultInjector::disabled());
     let baseline = cc_incremental(&graph, &base).unwrap();
     assert_eq!(baseline.components, cc_oracle(&graph));
     for kill_event in [0, 1, 7, 33, 101, 250] {
         let dir = ckpt_dir(&format!("kill-{kill_event}"));
         let fault = FaultInjector::failing_nth(FaultSite::WorkerPanic, kill_event);
-        let config = ComponentsConfig::new(2)
-            .with_checkpoint_policy(policy(4, &dir))
+        let config = RunConfig::new(2)
+            .with_checkpoint(policy(4, &dir))
             .with_fault(fault.clone());
         let recovered = cc_incremental(&graph, &config).unwrap();
         assert_eq!(
@@ -202,11 +203,11 @@ fn sssp_recovers_in_every_superstep_mode_and_routing() {
         // SSSP from this source converges in ~4 supersteps at
         // parallelism 3 (12 worker events); event 5 kills superstep 2.
         let fault = FaultInjector::failing_nth(FaultSite::WorkerPanic, 5);
-        let config = WorksetConfig::new(3)
+        let config = RunConfig::new(3)
             .with_mode(mode)
-            .with_checkpoint_policy(policy(2, &dir))
+            .with_checkpoint(policy(2, &dir))
             .with_exec(ExecConfig::new().with_fault(fault.clone()));
-        let result = sssp_with_config(&graph, source, &config).unwrap();
+        let result = sssp(&graph, source, &config).unwrap();
         assert_eq!(result.distances, oracle, "{mode:?}");
         assert!(result.converged);
         assert!(fault.injected_total() > 0, "{mode:?}");
@@ -220,15 +221,15 @@ fn bulk_cc_recovers_at_iteration_boundaries() {
     let graph = webbase();
     let baseline = cc_bulk(
         &graph,
-        &ComponentsConfig::new(2).with_fault(FaultInjector::disabled()),
+        &RunConfig::new(2).with_fault(FaultInjector::disabled()),
     )
     .unwrap();
     assert_eq!(baseline.components, cc_oracle(&graph));
 
     let dir = ckpt_dir("bulk-cc");
     let fault = FaultInjector::failing_nth(FaultSite::WorkerPanic, 5);
-    let config = ComponentsConfig::new(2)
-        .with_checkpoint_policy(policy(2, &dir))
+    let config = RunConfig::new(2)
+        .with_checkpoint(policy(2, &dir))
         .with_fault(fault.clone());
     let recovered = cc_bulk(&graph, &config).unwrap();
     assert_eq!(recovered.components, baseline.components);
@@ -246,8 +247,8 @@ fn retry_exhaustion_returns_recovery_exhausted() {
     let graph = chain(32);
     let dir = ckpt_dir("exhaustion");
     let fault = FaultInjector::disabled().with_rate(FaultSite::WorkerPanic, 1.0);
-    let config = ComponentsConfig::new(2)
-        .with_checkpoint_policy(policy(1, &dir).with_max_retries(2))
+    let config = RunConfig::new(2)
+        .with_checkpoint(policy(1, &dir).with_max_retries(2))
         .with_fault(fault);
     let err = cc_incremental(&graph, &config).expect_err("nothing can make progress");
     match err {
@@ -274,7 +275,7 @@ fn spill_read_fault_recovers_under_a_memory_budget() {
     // the fault hits while consuming a spilled candidate run, and recovery
     // replays from the checkpoint, re-spilling along the way.
     let graph = webbase();
-    let base = ComponentsConfig::new(4)
+    let base = RunConfig::new(4)
         .with_memory_budget(MemoryBudget::bytes(1024))
         .with_fault(FaultInjector::disabled());
     let baseline = cc_incremental(&graph, &base).unwrap();
@@ -285,9 +286,9 @@ fn spill_read_fault_recovers_under_a_memory_budget() {
 
     let dir = ckpt_dir("spill-read");
     let fault = FaultInjector::failing_nth(FaultSite::SpillRead, 2);
-    let config = ComponentsConfig::new(4)
+    let config = RunConfig::new(4)
         .with_memory_budget(MemoryBudget::bytes(1024))
-        .with_checkpoint_policy(policy(3, &dir))
+        .with_checkpoint(policy(3, &dir))
         .with_fault(fault.clone());
     let recovered = cc_incremental(&graph, &config).unwrap();
     assert_eq!(recovered.components, baseline.components);
@@ -311,16 +312,16 @@ fn env_driven_fault_smoke() {
     let graph = webbase();
     let baseline = cc_incremental(
         &graph,
-        &ComponentsConfig::new(4).with_fault(FaultInjector::disabled()),
+        &RunConfig::new(4).with_fault(FaultInjector::disabled()),
     )
     .unwrap();
     let dir = ckpt_dir("env-smoke");
-    // `ComponentsConfig::new` picks the injector up from the environment
+    // `RunConfig::new` picks the injector up from the environment
     // (through `ExecConfig::new`);
     // the budget makes the spill sites reachable too.
-    let config = ComponentsConfig::new(4)
+    let config = RunConfig::new(4)
         .with_memory_budget(MemoryBudget::from_env().unwrap_or(MemoryBudget::bytes(1024)))
-        .with_checkpoint_policy(policy(2, &dir).with_backoff(Duration::from_micros(100)));
+        .with_checkpoint(policy(2, &dir).with_backoff(Duration::from_micros(100)));
     let result = cc_incremental(&graph, &config).unwrap();
     assert_eq!(result.components, baseline.components);
     assert!(result.converged);
@@ -365,7 +366,7 @@ fn injected_connection_drop_fails_both_cluster_workers_with_typed_errors() {
                         .expect("cluster rendezvous");
                     // Pin compute faults off so the connection drop is the
                     // only injected failure even under the CI fault matrix.
-                    let config = ComponentsConfig::new(4)
+                    let config = RunConfig::new(4)
                         .with_fault(FaultInjector::disabled())
                         .with_transport(transport);
                     cc_workset_records(graph, &config, ExecutionMode::BatchIncremental)

@@ -7,11 +7,11 @@
 //! execution produced.
 
 use algorithms::{
-    adaptive_pagerank, cc_bulk, cc_incremental, cc_microstep, oracles, pagerank, sssp,
-    AdaptiveConfig, ComponentsConfig, PageRankConfig, PageRankPlan,
+    adaptive_pagerank, cc_bulk, cc_incremental, oracles, pagerank, sssp, PageRankConfig,
+    PageRankPlan, DAMPING,
 };
 use graphdata::{chain, rmat, star, Graph, RmatParams};
-use spinning_core::ExecutionMode;
+use spinning_core::{ExecutionMode, RunConfig};
 
 fn graphs() -> Vec<(&'static str, Graph)> {
     vec![
@@ -35,13 +35,14 @@ fn pooled_cc_matches_oracle_in_every_mode_and_parallelism() {
         // 8 and 16 partitions exceed the pool's worker count on small
         // machines — tasks must queue and still produce identical results.
         for parallelism in [1, 3, 8, 16] {
-            let config = ComponentsConfig::new(parallelism);
-            for (mode, run) in [
-                ("bulk", cc_bulk as fn(&Graph, &ComponentsConfig) -> _),
-                ("incremental", cc_incremental),
-                ("microstep", cc_microstep),
+            let config = RunConfig::new(parallelism);
+            let microstep = config.clone().with_mode(ExecutionMode::Microstep);
+            for (mode, run, config) in [
+                ("bulk", cc_bulk as fn(&Graph, &RunConfig) -> _, &config),
+                ("incremental", cc_incremental, &config),
+                ("microstep", cc_incremental, &microstep),
             ] {
-                let result = run(&graph, &config).unwrap();
+                let result = run(&graph, config).unwrap();
                 assert_eq!(
                     result.components, oracle,
                     "{mode} CC on {name} at parallelism {parallelism}"
@@ -58,7 +59,8 @@ fn pooled_sssp_matches_oracle_in_every_mode() {
     let oracle = oracles::sssp(&graph, 5);
     for parallelism in [1, 3, 8] {
         for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
-            let result = sssp(&graph, 5, parallelism, mode).unwrap();
+            let config = RunConfig::new(parallelism).with_mode(mode);
+            let result = sssp(&graph, 5, &config).unwrap();
             assert_eq!(
                 result.distances, oracle,
                 "SSSP {mode:?} at parallelism {parallelism}"
@@ -72,7 +74,7 @@ fn pooled_sssp_matches_oracle_in_every_mode() {
 fn pooled_pagerank_matches_oracle_for_all_plans() {
     let graph = rmat(250, 1800, RmatParams::default(), 17).symmetrize();
     let iterations = 8;
-    let oracle = oracles::pagerank(&graph, iterations, 0.85);
+    let oracle = oracles::pagerank(&graph, iterations, DAMPING);
     for parallelism in [1, 4, 8] {
         for plan in [
             PageRankPlan::Optimized,
@@ -118,24 +120,14 @@ fn pooled_adaptive_pagerank_converges_in_both_superstep_modes() {
         idx
     };
     for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
-        let reference = adaptive_pagerank(
-            &graph,
-            &AdaptiveConfig::new(1)
-                .with_mode(mode)
-                .with_tolerance(tolerance),
-        )
-        .unwrap();
+        let reference =
+            adaptive_pagerank(&graph, tolerance, &RunConfig::new(1).with_mode(mode)).unwrap();
         assert!(reference.converged);
         let reference_mass: f64 = reference.ranks.iter().sum();
         let reference_top = top10(&reference.ranks);
         for parallelism in [2, 8] {
-            let result = adaptive_pagerank(
-                &graph,
-                &AdaptiveConfig::new(parallelism)
-                    .with_mode(mode)
-                    .with_tolerance(tolerance),
-            )
-            .unwrap();
+            let config = RunConfig::new(parallelism).with_mode(mode);
+            let result = adaptive_pagerank(&graph, tolerance, &config).unwrap();
             assert!(result.converged);
             let mass: f64 = result.ranks.iter().sum();
             assert!(

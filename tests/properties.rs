@@ -7,7 +7,7 @@
 //! case is reproducible: the case index is part of the seed, and assertion
 //! messages name the seed of the failing case.
 
-use algorithms::{cc_bulk, cc_incremental, cc_microstep, oracles, sssp, ComponentsConfig};
+use algorithms::{cc_bulk, cc_incremental, oracles, sssp};
 use dataflow::key::{hash_key, hash_values, partition_for, Key};
 use dataflow::page::{
     normalize_long, serialize_record, ExchangedPartition, PageHandle, PagePool, PageWriter,
@@ -117,7 +117,7 @@ fn prop_connected_components_fixpoint_equivalence() {
             .into_iter()
             .map(i64::from)
             .collect();
-        let config = ComponentsConfig::new(3);
+        let config = RunConfig::new(3);
         assert_eq!(
             cc_bulk(&graph, &config).unwrap().components,
             oracle,
@@ -129,7 +129,9 @@ fn prop_connected_components_fixpoint_equivalence() {
             "incremental CC diverged from oracle (seed {seed})"
         );
         assert_eq!(
-            cc_microstep(&graph, &config).unwrap().components,
+            cc_incremental(&graph, &config.clone().with_mode(ExecutionMode::Microstep))
+                .unwrap()
+                .components,
             oracle,
             "microstep CC diverged from oracle (seed {seed})"
         );
@@ -143,12 +145,10 @@ fn prop_component_ids_never_increase() {
     for seed in 0..8 {
         let mut rng = SmallRng::seed_from_u64(2000 + seed);
         let graph = arbitrary_graph(&mut rng);
-        let full = cc_incremental(&graph, &ComponentsConfig::new(2)).unwrap();
+        let full = cc_incremental(&graph, &RunConfig::new(2)).unwrap();
         let mut previous: Vec<i64> = (0..graph.num_vertices() as i64).collect();
         for bound in 1..=full.iterations {
-            let partial =
-                cc_incremental(&graph, &ComponentsConfig::new(2).with_max_iterations(bound))
-                    .unwrap();
+            let partial = cc_incremental(&graph, &RunConfig::new(2).with_max_steps(bound)).unwrap();
             for (v, (new_cid, old_cid)) in partial.components.iter().zip(&previous).enumerate() {
                 assert!(
                     new_cid <= old_cid,
@@ -168,7 +168,7 @@ fn prop_sssp_matches_bfs() {
         let graph = arbitrary_graph(&mut rng);
         let source = rng.gen_index(graph.num_vertices()) as u32;
         let oracle = oracles::sssp(&graph, source);
-        let result = sssp(&graph, source, 2, ExecutionMode::BatchIncremental).unwrap();
+        let result = sssp(&graph, source, &RunConfig::new(2)).unwrap();
         assert_eq!(
             result.distances, oracle,
             "SSSP diverged from BFS (seed {seed})"

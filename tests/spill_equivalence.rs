@@ -15,9 +15,7 @@
 //! spill directory is empty afterwards (runs are deleted when their last
 //! handle drops).
 
-use algorithms::{
-    cc_bulk, cc_incremental, cc_microstep, oracles, sssp_with_config, ComponentsConfig,
-};
+use algorithms::{cc_bulk, cc_incremental, oracles, sssp};
 use dataflow::exchange::{ship, Outbox};
 use dataflow::prelude::{
     default_physical_plan, CombineClosure, CombineFunction, ExecConfig, Executor, Key,
@@ -30,7 +28,7 @@ use reference::fixpoint::{batch_fixpoint_with, WorksetStep};
 use reference::interpreter::Interpreter;
 use reference::{source_major, Deliver, Partitions};
 use spinning_core::prelude::{
-    ExecutionMode, ExpandClosure, UpdateClosure, WorksetConfig, WorksetIteration,
+    ExecutionMode, ExpandClosure, RunConfig, UpdateClosure, WorksetIteration,
 };
 use std::sync::Arc;
 
@@ -63,7 +61,7 @@ fn cc_oracle(graph: &Graph) -> Vec<i64> {
 fn spilled_incremental_cc_is_byte_identical_to_in_memory() {
     let graph = webbase();
     let oracle = cc_oracle(&graph);
-    let base = ComponentsConfig::new(4);
+    let base = RunConfig::new(4);
     let in_memory = cc_incremental(&graph, &base).unwrap();
     assert_eq!(in_memory.components, oracle);
     assert_eq!(
@@ -95,8 +93,10 @@ fn spilled_microstep_cc_matches_oracle_in_both_routings() {
     // state), which order cannot change.
     let graph = webbase();
     let oracle = cc_oracle(&graph);
-    let config = ComponentsConfig::new(4).with_memory_budget(forced_budget());
-    let result = cc_microstep(&graph, &config).unwrap();
+    let config = RunConfig::new(4)
+        .with_mode(ExecutionMode::Microstep)
+        .with_memory_budget(forced_budget());
+    let result = cc_incremental(&graph, &config).unwrap();
     assert!(result.stats.total_spilled_bytes() > 0);
     assert_eq!(result.components, oracle);
     assert!(result.converged);
@@ -107,7 +107,7 @@ fn budget_zero_spills_everything_and_forces_multiple_runs_per_partition() {
     let graph = webbase();
     let oracle = cc_oracle(&graph);
     let parallelism = 4;
-    let config = ComponentsConfig::new(parallelism).with_memory_budget(MemoryBudget::bytes(0));
+    let config = RunConfig::new(parallelism).with_memory_budget(MemoryBudget::bytes(0));
     let result = cc_incremental(&graph, &config).unwrap();
     assert_eq!(result.components, oracle);
     assert!(result.converged);
@@ -129,10 +129,10 @@ fn spilled_bulk_cc_matches_oracle_and_spills_through_the_executor() {
     // under the same budget.
     let graph = DatasetProfile::webbase().generate(262_144);
     let oracle = cc_oracle(&graph);
-    let in_memory = cc_bulk(&graph, &ComponentsConfig::new(3)).unwrap();
+    let in_memory = cc_bulk(&graph, &RunConfig::new(3)).unwrap();
     assert_eq!(in_memory.components, oracle);
     assert_eq!(in_memory.stats.total_spilled_bytes(), 0);
-    let config = ComponentsConfig::new(3).with_memory_budget(forced_budget());
+    let config = RunConfig::new(3).with_memory_budget(forced_budget());
     let spilled = cc_bulk(&graph, &config).unwrap();
     assert!(
         spilled.stats.total_spilled_bytes() > 0,
@@ -150,10 +150,10 @@ fn spilled_sssp_matches_oracle_in_every_mode_and_routing() {
     let source = 0;
     let oracle = oracles::sssp(&graph, source);
     for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
-        let config = WorksetConfig::new(3)
+        let config = RunConfig::new(3)
             .with_mode(mode)
             .with_exec(ExecConfig::new().with_memory_budget(forced_budget()));
-        let result = sssp_with_config(&graph, source, &config).unwrap();
+        let result = sssp(&graph, source, &config).unwrap();
         assert_eq!(result.distances, oracle, "{mode:?}");
         assert!(result.converged);
         assert!(
@@ -171,7 +171,7 @@ fn spilled_cc_and_sssp_rows_match_the_reference_fixpoint() {
     // set.
     let graph = webbase();
     for parallelism in [2, 3] {
-        let config = WorksetConfig::new(parallelism)
+        let config = RunConfig::new(parallelism)
             .with_exec(ExecConfig::new().with_memory_budget(forced_budget()));
         let label = format!("p{parallelism}/forced budget");
         support::assert_folded_runs_match_the_reference(&graph, 0, &config, &label);
@@ -317,10 +317,10 @@ fn spilled_batch_supersteps_hand_candidates_over_in_delivery_order_on_both_paths
     let (iteration, step, solution, workset) = order_recording_ring(512, 16, None);
     let mut unbounded = ExecConfig::new();
     unbounded.channel_credits = None;
-    let in_memory = WorksetConfig::new(2).with_exec(unbounded);
-    let zero = WorksetConfig::new(2)
-        .with_exec(ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0)));
-    let credits = WorksetConfig::new(2).with_exec(
+    let in_memory = RunConfig::new(2).with_exec(unbounded);
+    let zero =
+        RunConfig::new(2).with_exec(ExecConfig::new().with_memory_budget(MemoryBudget::bytes(0)));
+    let credits = RunConfig::new(2).with_exec(
         ExecConfig::new()
             .with_memory_budget(MemoryBudget::bytes(64 * 1024))
             .with_channel_credits(2),
@@ -405,7 +405,7 @@ fn folded_candidates_reach_the_update_in_the_reference_order() {
     unbounded.channel_credits = None;
     for parallelism in [2, 3] {
         let label = format!("p{parallelism}");
-        let config = WorksetConfig::new(parallelism).with_exec(unbounded.clone());
+        let config = RunConfig::new(parallelism).with_exec(unbounded.clone());
         let folded = iteration
             .run(solution.clone(), workset.clone(), &config)
             .unwrap();

@@ -12,8 +12,7 @@ use algorithms::common::{initial_components, initial_ranks};
 use algorithms::connected_components::build_bulk_step_plan;
 use algorithms::pagerank::{build_step_plan, forced_physical_plan};
 use algorithms::{
-    cc_bulk, cc_incremental, cc_microstep, oracles, pagerank, sssp_with_config, ComponentsConfig,
-    PageRankConfig, PageRankPlan,
+    cc_bulk, cc_incremental, oracles, pagerank, sssp, PageRankConfig, PageRankPlan, DAMPING,
 };
 use dataflow::prelude::*;
 use graphdata::{chain, rmat, DatasetProfile, Graph, RmatParams};
@@ -67,10 +66,10 @@ fn planned(
 #[test]
 fn bulk_cc_chained_matches_the_materializing_oracle() {
     for (graph_name, graph) in test_graphs() {
-        let base = ComponentsConfig::new(4);
+        let base = RunConfig::new(4);
         let (plan, solution, annotations) = build_bulk_step_plan(&graph);
         let sink = "next-components";
-        let max = base.max_iterations;
+        let max = base.max_steps;
         let physical = planned(&plan, &annotations, solution, sink, 4, max);
         let unchanged = |a: &[Record], b: &[Record]| {
             let (mut a, mut b) = (a.to_vec(), b.to_vec());
@@ -159,7 +158,7 @@ fn reference_trace(steps: &[BulkStep]) -> Vec<(usize, usize, usize, usize, usize
 fn pagerank_all_plans_chained_matches_materialized_bitwise() {
     const ITERATIONS: usize = 8;
     let graph = rmat(250, 2000, RmatParams::default(), 17).symmetrize();
-    let (plan, vector, join, reduce, annotations) = build_step_plan(&graph, 0.85);
+    let (plan, vector, join, reduce, annotations) = build_step_plan(&graph, DAMPING);
     for kind in [
         PageRankPlan::Optimized,
         PageRankPlan::ForceBroadcast,
@@ -185,10 +184,10 @@ fn pagerank_all_plans_chained_matches_materialized_bitwise() {
             ranks[record.long(0) as usize] = record.double(1).to_bits();
         }
         for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
-            let config = PageRankConfig::new(4)
+            let mut config = PageRankConfig::new(4)
                 .with_iterations(ITERATIONS)
-                .with_plan(kind)
-                .with_exec(ExecConfig::new().with_memory_budget(budget));
+                .with_plan(kind);
+            config.run.exec = ExecConfig::new().with_memory_budget(budget);
             let chained = pagerank(&graph, &config).unwrap();
             let bits: Vec<u64> = chained.ranks.iter().map(|rank| rank.to_bits()).collect();
             assert_eq!(bits, ranks, "ranks differ under {kind:?} at {budget:?}");
@@ -205,7 +204,7 @@ fn pagerank_all_plans_chained_matches_materialized_bitwise() {
 fn the_pages_feedback_equals_the_heap_record_feedback() {
     const ITERATIONS: usize = 6;
     let graph = rmat(250, 2000, RmatParams::default(), 17).symmetrize();
-    let (plan, vector, join, reduce, annotations) = build_step_plan(&graph, 0.85);
+    let (plan, vector, join, reduce, annotations) = build_step_plan(&graph, DAMPING);
     let output = plan.sink_by_name("next-ranks").unwrap();
     for parallelism in [1, 3] {
         for kind in [
@@ -225,7 +224,7 @@ fn the_pages_feedback_equals_the_heap_record_feedback() {
             for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
                 let label = format!("{kind:?}, p = {parallelism}, {budget:?}");
                 let exec = ExecConfig::new().with_memory_budget(budget);
-                let config = BulkConfig::new(parallelism).with_exec(exec.clone());
+                let config = RunConfig::new(parallelism).with_exec(exec.clone());
                 let fixed = TerminationCriterion::FixedIterations(ITERATIONS);
                 let iteration = BulkIteration::new(plan.clone(), vector, "next-ranks", fixed);
                 let driven = iteration
@@ -256,20 +255,14 @@ fn the_pages_feedback_equals_the_heap_record_feedback() {
 #[test]
 fn workset_modes_and_routings_agree_with_the_chained_bulk_oracle() {
     let graph = rmat(400, 2400, RmatParams::default(), 23).symmetrize();
-    let bulk_oracle = cc_bulk(&graph, &ComponentsConfig::new(4))
-        .unwrap()
-        .components;
+    let bulk_oracle = cc_bulk(&graph, &RunConfig::new(4)).unwrap().components;
     for (budget_name, budget) in budgets() {
-        let config = ComponentsConfig::new(4).with_memory_budget(budget);
-        type CcRun = fn(&Graph, &ComponentsConfig) -> Result<algorithms::ComponentsResult>;
-        for (mode_name, run) in [
-            ("incremental", cc_incremental as CcRun),
-            ("microstep", cc_microstep as CcRun),
-        ] {
-            let result = run(&graph, &config).unwrap();
+        for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
+            let config = RunConfig::new(4).with_mode(mode).with_memory_budget(budget);
+            let result = cc_incremental(&graph, &config).unwrap();
             assert_eq!(
                 result.components, bulk_oracle,
-                "{mode_name} under the {budget_name} budget"
+                "{mode:?} under the {budget_name} budget"
             );
         }
     }
@@ -283,10 +276,10 @@ fn sssp_modes_and_routings_match_the_bfs_oracle_under_budgets() {
     let oracle = oracles::sssp(&graph, 1);
     for mode in [ExecutionMode::BatchIncremental, ExecutionMode::Microstep] {
         for (budget_name, budget) in budgets() {
-            let config = WorksetConfig::new(4)
+            let config = RunConfig::new(4)
                 .with_mode(mode)
                 .with_exec(ExecConfig::new().with_memory_budget(budget));
-            let result = sssp_with_config(&graph, 1, &config).unwrap();
+            let result = sssp(&graph, 1, &config).unwrap();
             assert_eq!(
                 result.distances, oracle,
                 "{mode:?} under the {budget_name} budget"

@@ -4,12 +4,12 @@
 //! holds a folding run to both.
 
 use algorithms::common::{edge_records, initial_component_candidates, initial_components};
-use algorithms::{cc_workset_records, sssp_records, ComponentsConfig, UNREACHABLE};
+use algorithms::{cc_workset_records, sssp_records, UNREACHABLE};
 use dataflow::prelude::{ExecConfig, Key, Record, RecordSink, RecordView, Value};
 use graphdata::Graph;
 use reference::fixpoint::{batch_fixpoint, Fixpoint, WorksetStep};
 use spinning_core::prelude::{
-    ExecutionMode, ExpandClosure, RecordComparator, UpdateClosure, WorksetConfig, WorksetIteration,
+    ExecutionMode, ExpandClosure, RecordComparator, RunConfig, UpdateClosure, WorksetIteration,
     WorksetResult,
 };
 use std::sync::Arc;
@@ -108,7 +108,7 @@ fn unfolded_rows(run: &WorksetResult) -> Vec<[usize; 4]> {
 pub fn assert_folded_runs_match_the_reference(
     graph: &Graph,
     source: u32,
-    config: &WorksetConfig,
+    config: &RunConfig,
     label: &str,
 ) {
     let config = config.clone().with_mode(ExecutionMode::BatchIncremental);
@@ -146,7 +146,7 @@ pub fn assert_folded_runs_match_the_reference(
 pub fn assert_microstep_runs_reach_the_reference(
     graph: &Graph,
     source: u32,
-    config: &WorksetConfig,
+    config: &RunConfig,
     label: &str,
 ) {
     let config = config.clone().with_mode(ExecutionMode::Microstep);
@@ -167,8 +167,7 @@ type AlgorithmRun = (&'static str, WorksetResult, i64, Vec<Record>, Vec<Record>)
 
 /// CC and SSSP (from `source`) on `graph`, run by the algorithms under
 /// `config`.
-fn algorithm_runs(graph: &Graph, source: u32, config: &WorksetConfig) -> [AlgorithmRun; 2] {
-    let components = ComponentsConfig::new(config.parallelism).with_exec(config.exec.clone());
+fn algorithm_runs(graph: &Graph, source: u32, config: &RunConfig) -> [AlgorithmRun; 2] {
     let sssp_solution: Vec<Record> = graph
         .vertices()
         .map(|v| Record::pair(i64::from(v), if v == source { 0 } else { UNREACHABLE }))
@@ -181,7 +180,7 @@ fn algorithm_runs(graph: &Graph, source: u32, config: &WorksetConfig) -> [Algori
     [
         (
             "cc",
-            cc_workset_records(graph, &components, config.mode).unwrap(),
+            cc_workset_records(graph, config, config.mode).unwrap(),
             0,
             initial_components(graph),
             initial_component_candidates(graph),
@@ -201,7 +200,7 @@ fn algorithm_runs(graph: &Graph, source: u32, config: &WorksetConfig) -> [Algori
 fn reference_fixpoint(
     edges: &[Record],
     hop_cost: i64,
-    config: &WorksetConfig,
+    config: &RunConfig,
     solution: &[Record],
     workset: &[Record],
 ) -> Fixpoint {
