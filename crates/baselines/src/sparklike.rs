@@ -134,17 +134,9 @@ impl<T: Clone + Send + Sync> Rdd<T> {
         // persistent pool — the same dispatch path as the dataflow engine,
         // keeping the systems comparison about execution strategy, not
         // thread-spawn overhead.
-        let mut results: Vec<Option<Vec<U>>> = (0..self.partitions.len()).map(|_| None).collect();
-        spinning_pool::global().scope(|scope| {
-            for (partition, slot) in self.partitions.iter().zip(results.iter_mut()) {
-                let f = &f;
-                scope.spawn(move || *slot = Some(f(partition)));
-            }
-        });
-        let results: Vec<Vec<U>> = results
-            .into_iter()
-            .map(|slot| slot.expect("pool ran every spark partition task"))
-            .collect();
+        let results = spinning_pool::global()
+            .map(self.partitions.iter(), |partition| f(partition))
+            .unwrap_or_else(|panic| panic.resume());
         self.ctx.add_processed(self.count());
         Rdd {
             partitions: Arc::new(results),
@@ -208,31 +200,23 @@ where
         // overhead the paper's system comparison attributes to Spark, which
         // this baseline is meant to preserve.
         let parallelism = self.ctx.parallelism;
-        type RoutedChunks<K, V> = (Vec<Vec<(K, V)>>, usize);
-        let mut routed: Vec<Option<RoutedChunks<K, V>>> =
-            (0..self.partitions.len()).map(|_| None).collect();
-        spinning_pool::global().scope(|scope| {
-            for ((source, partition), slot) in
-                self.partitions.iter().enumerate().zip(routed.iter_mut())
-            {
-                scope.spawn(move || {
-                    let mut chunks: Vec<Vec<(K, V)>> = vec![Vec::new(); parallelism];
-                    let mut moved = 0usize;
-                    for (k, v) in partition {
-                        let target = (hash_of(k) % parallelism as u64) as usize;
-                        if target != source {
-                            moved += 1;
-                        }
-                        chunks[target].push((k.clone(), v.clone()));
+        let routed = spinning_pool::global()
+            .map(self.partitions.iter().enumerate(), |(source, partition)| {
+                let mut chunks: Vec<Vec<(K, V)>> = vec![Vec::new(); parallelism];
+                let mut moved = 0usize;
+                for (k, v) in partition {
+                    let target = (hash_of(k) % parallelism as u64) as usize;
+                    if target != source {
+                        moved += 1;
                     }
-                    *slot = Some((chunks, moved));
-                });
-            }
-        });
+                    chunks[target].push((k.clone(), v.clone()));
+                }
+                (chunks, moved)
+            })
+            .unwrap_or_else(|panic| panic.resume());
         let mut shuffled: Vec<Vec<(K, V)>> = vec![Vec::new(); parallelism];
         let mut moved_total = 0usize;
-        for slot in routed {
-            let (chunks, moved) = slot.expect("pool routed every shuffle partition");
+        for (chunks, moved) in routed {
             moved_total += moved;
             for (target, chunk) in chunks.into_iter().enumerate() {
                 if shuffled[target].is_empty() {
@@ -253,28 +237,20 @@ where
         F: Fn(&V, &V) -> V + Send + Sync,
     {
         let shuffled = self.shuffle_by_key();
-        let mut results: Vec<Option<Vec<(K, V)>>> = (0..shuffled.len()).map(|_| None).collect();
-        spinning_pool::global().scope(|scope| {
-            let f = &f;
-            for (partition, slot) in shuffled.iter().zip(results.iter_mut()) {
-                scope.spawn(move || {
-                    let mut groups: HashMap<K, V> = HashMap::new();
-                    for (k, v) in partition {
-                        match groups.get_mut(k) {
-                            Some(acc) => *acc = f(acc, v),
-                            None => {
-                                groups.insert(k.clone(), v.clone());
-                            }
+        let results = spinning_pool::global()
+            .map(&shuffled, |partition| {
+                let mut groups: HashMap<K, V> = HashMap::new();
+                for (k, v) in partition {
+                    match groups.get_mut(k) {
+                        Some(acc) => *acc = f(acc, v),
+                        None => {
+                            groups.insert(k.clone(), v.clone());
                         }
                     }
-                    *slot = Some(groups.into_iter().collect::<Vec<_>>());
-                });
-            }
-        });
-        let results: Vec<Vec<(K, V)>> = results
-            .into_iter()
-            .map(|slot| slot.expect("pool ran every spark reduce task"))
-            .collect();
+                }
+                groups.into_iter().collect::<Vec<_>>()
+            })
+            .unwrap_or_else(|panic| panic.resume());
         self.ctx.add_processed(self.count());
         Rdd {
             partitions: Arc::new(results),
@@ -299,32 +275,23 @@ where
             right.len(),
             "join requires both RDDs to share the same context parallelism"
         );
-        type JoinedPartition<K, V, W> = Vec<(K, (V, W))>;
-        let mut results: Vec<Option<JoinedPartition<K, V, W>>> =
-            (0..left.len()).map(|_| None).collect();
-        spinning_pool::global().scope(|scope| {
-            for ((l, r), slot) in left.iter().zip(right.iter()).zip(results.iter_mut()) {
-                scope.spawn(move || {
-                    let mut table: HashMap<&K, Vec<&V>> = HashMap::new();
-                    for (k, v) in l {
-                        table.entry(k).or_default().push(v);
-                    }
-                    let mut out = Vec::new();
-                    for (k, w) in r {
-                        if let Some(vs) = table.get(k) {
-                            for v in vs {
-                                out.push((k.clone(), ((*v).clone(), w.clone())));
-                            }
+        let results = spinning_pool::global()
+            .map(left.iter().zip(&right), |(l, r)| {
+                let mut table: HashMap<&K, Vec<&V>> = HashMap::new();
+                for (k, v) in l {
+                    table.entry(k).or_default().push(v);
+                }
+                let mut out = Vec::new();
+                for (k, w) in r {
+                    if let Some(vs) = table.get(k) {
+                        for v in vs {
+                            out.push((k.clone(), ((*v).clone(), w.clone())));
                         }
                     }
-                    *slot = Some(out);
-                });
-            }
-        });
-        let results: Vec<Vec<(K, (V, W))>> = results
-            .into_iter()
-            .map(|slot| slot.expect("pool ran every spark join task"))
-            .collect();
+                }
+                out
+            })
+            .unwrap_or_else(|panic| panic.resume());
         self.ctx.add_processed(self.count() + other.count());
         Rdd {
             partitions: Arc::new(results),

@@ -3,7 +3,9 @@
 //! their [`RecordSource`]s into the partitioned, serialized state the
 //! supersteps run on, and nothing else is built on the way.
 //!
-//! One pool task per partition this process owns pulls each source in full
+//! One task per partition this process owns — one
+//! [`spinning_pool::ThreadPool::map`] over them, so a process that owns one
+//! partition loads it on the calling thread — pulls each source in full
 //! through a sink that routes every record on its field slice
 //! ([`PartitionRouter::route_fields`]) and keeps only the partition's own
 //! share: a solution record is serialized into the partition's
@@ -31,7 +33,9 @@ use dataflow::contracts::CombineFunction;
 use dataflow::exchange::Combiner;
 use dataflow::join_index::JoinIndex;
 use dataflow::page::PageWriter;
-use dataflow::prelude::{ClusterSpec, Key, PartitionRouter, RecordSink, RecordSource, Value};
+use dataflow::prelude::{
+    ClusterSpec, DataflowError, Key, PartitionRouter, RecordSink, RecordSource, Result, Value,
+};
 use std::sync::Arc;
 
 /// What the load step builds, indexed by partition.  Partitions owned by
@@ -44,8 +48,11 @@ pub(crate) struct Loaded {
 }
 
 /// Loads `iteration`'s inputs into the partitions `cluster` assigns to this
-/// process.  With `fold`, each partition's initial candidates are folded per
-/// key before they reach its queue.
+/// process, one [`spinning_pool::ThreadPool::map`] task per owned partition.
+/// With `fold`, each partition's initial candidates are folded per key
+/// before they reach its queue.  A panicking source, comparator or combine
+/// returns a typed [`DataflowError::WorkerPanic`] of operator
+/// `workset-load`.
 pub(crate) fn load(
     iteration: &WorksetIteration<'_>,
     router: &PartitionRouter,
@@ -53,42 +60,43 @@ pub(crate) fn load(
     initial_solution: &dyn RecordSource,
     initial_workset: &dyn RecordSource,
     fold: Option<&Arc<dyn CombineFunction>>,
-) -> Loaded {
+) -> Result<Loaded> {
     let parallelism = router.parallelism();
     let mut solution = iteration.empty_solution(router.parallelism());
-    let mut solution_partitions = solution.take_partitions();
     let mut constant: Vec<JoinIndex> = (0..parallelism)
         .map(|_| JoinIndex::new(&iteration.constant_key))
         .collect();
     let mut workset: Vec<PageWriter> = (0..parallelism).map(|_| PageWriter::new()).collect();
 
-    spinning_pool::global().scope(|scope| {
-        let partitions = solution_partitions
-            .iter_mut()
-            .zip(constant.iter_mut())
-            .zip(workset.iter_mut())
-            .enumerate()
-            .filter(|(partition, _)| cluster.owns(*partition, parallelism));
-        for (partition, ((s_part, constant), queue)) in partitions {
-            scope.spawn_labeled("workset-load", move || {
-                load_partition(
-                    iteration,
-                    router,
-                    partition,
-                    (initial_solution, s_part),
-                    constant,
-                    (initial_workset, queue),
-                    fold,
-                );
-            });
-        }
-    });
-    solution.restore_partitions(solution_partitions);
-    Loaded {
+    let partitions = solution
+        .partitions_mut()
+        .iter_mut()
+        .zip(constant.iter_mut())
+        .zip(workset.iter_mut())
+        .enumerate()
+        .filter(|(partition, _)| cluster.owns(*partition, parallelism));
+    spinning_pool::global()
+        .map(partitions, |(partition, ((s_part, constant), queue))| {
+            load_partition(
+                iteration,
+                router,
+                partition,
+                (initial_solution, s_part),
+                constant,
+                (initial_workset, queue),
+                fold,
+            )
+        })
+        .map_err(|panic| DataflowError::WorkerPanic {
+            operator: "workset-load".into(),
+            superstep: 0,
+            message: panic.message(),
+        })?;
+    Ok(Loaded {
         solution,
         constant,
         workset,
-    }
+    })
 }
 
 /// Pulls the three sources through `partition`'s filter, one after the
@@ -209,7 +217,7 @@ mod tests {
         let iteration = iteration(Arc::new(edges.clone()));
         let router = PartitionRouter::hash(4);
         let cluster = ClusterSpec::single();
-        let loaded = load(&iteration, &router, &cluster, &solution, &workset, None);
+        let loaded = load(&iteration, &router, &cluster, &solution, &workset, None).unwrap();
         assert_eq!(loaded.solution.len(), solution.len());
         for (partition, queue) in loaded.workset.into_iter().enumerate() {
             let expected: Vec<Record> = workset
@@ -257,7 +265,7 @@ mod tests {
         let collected = iteration(Arc::new(described.constant_input.collect()));
         let router = PartitionRouter::hash(4);
         let cluster = ClusterSpec::single();
-        let a = load(&described, &router, &cluster, &solution, &workset, None);
+        let a = load(&described, &router, &cluster, &solution, &workset, None).unwrap();
         let b = load(
             &collected,
             &router,
@@ -265,7 +273,8 @@ mod tests {
             &solution.collect(),
             &workset.collect(),
             None,
-        );
+        )
+        .unwrap();
         // Same records in the same index order, same page bytes.
         assert_eq!(a.solution.records(), b.solution.records());
         for (a, b) in a.workset.into_iter().zip(b.workset) {
@@ -288,7 +297,7 @@ mod tests {
         let iteration = iteration(Arc::new(solution.clone()));
         let router = PartitionRouter::hash(4);
         let cluster = ClusterSpec::new(2, 1).expect("spec");
-        let loaded = load(&iteration, &router, &cluster, &solution, &solution, None);
+        let loaded = load(&iteration, &router, &cluster, &solution, &solution, None).unwrap();
         for partition in 0..4 {
             let owned = cluster.owns(partition, 4);
             assert_eq!(
@@ -322,7 +331,8 @@ mod tests {
             &none,
             &none,
             None,
-        );
+        )
+        .unwrap();
         // Every name is found, once, in the partition it routes to.
         for (i, name) in names.iter().enumerate() {
             let probe = Record::new(vec![Value::Text((*name).into())]);

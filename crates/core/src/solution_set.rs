@@ -342,15 +342,9 @@ impl SolutionSet {
         out
     }
 
-    /// Splits the solution set into its partitions for parallel superstep
-    /// processing; [`SolutionSet::reassemble`] puts them back together.
-    pub(crate) fn take_partitions(&mut self) -> Vec<PartitionIndex> {
-        std::mem::take(&mut self.partitions)
-    }
-
-    /// Restores partitions taken with [`SolutionSet::take_partitions`].
-    pub(crate) fn restore_partitions(&mut self, partitions: Vec<PartitionIndex>) {
-        self.partitions = partitions;
+    /// The partitions, for the partition-parallel load step and supersteps.
+    pub(crate) fn partitions_mut(&mut self) -> &mut [PartitionIndex] {
+        &mut self.partitions
     }
 }
 
@@ -452,8 +446,8 @@ mod tests {
         let mut s = SolutionSet::new(vec![0], 1).with_comparator(cid_comparator());
         s.merge(Record::pair(3, 30));
         s.merge(Record::pair(4, 40));
-        let mut partitions = s.take_partitions();
-        let p = &mut partitions[0];
+        let comparator = s.comparator.clone();
+        let p = &mut s.partitions_mut()[0];
         assert_eq!(p.get(&Key::long(3)).unwrap().long(1), 30);
         assert_eq!(p.get(&Key::long(4)).unwrap().long(1), 40);
         assert!(p.get(&Key::long(5)).is_none());
@@ -464,16 +458,15 @@ mod tests {
             [Value::Long(4), Value::Long(41)],
         );
         assert_eq!(
-            p.merge_fields(&s.comparator, &Key::long(3), &better),
+            p.merge_fields(&comparator, &Key::long(3), &better),
             MergeOutcome::Replaced
         );
         assert_eq!(
-            p.merge_fields(&s.comparator, &Key::long(4), &worse),
+            p.merge_fields(&comparator, &Key::long(4), &worse),
             MergeOutcome::Discarded
         );
         assert_eq!(p.get(&Key::long(3)).unwrap().payload(), payload_of(&better));
         assert_eq!(p.get(&Key::long(4)).unwrap().long(1), 40);
-        s.restore_partitions(partitions);
         assert_eq!(s.lookup(&Key::long(3)).unwrap().long(1), 9);
     }
 

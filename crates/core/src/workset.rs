@@ -37,9 +37,10 @@
 //! `(vid, neighbour)` pair per adjacency entry of this graph" — and
 //! [`WorksetIteration::run`] does exactly two things before superstep 1:
 //! build the one hash router every later step shares, and run the *load
-//! step* (`load.rs`): one pool task per partition this process owns pulls
-//! each source through a sink that routes on the emitted field slice and keeps
-//! the partition's own share, serialized straight into the partition's
+//! step* (`load.rs`): one task per partition this process owns, one
+//! [`spinning_pool::ThreadPool::map`] over them, pulls each source through
+//! a sink that routes on the emitted field slice and keeps the partition's
+//! own share, serialized straight into the partition's
 //! solution index, its constant-path index and the page writer that becomes
 //! its first queue.  Described inputs never exist as heap records; the
 //! working set is pending as `W0.len()` candidates, known on every process
@@ -317,7 +318,7 @@ impl<'a> WorksetIteration<'a> {
             &initial_solution,
             &initial_workset,
             self.folds(config),
-        );
+        )?;
         // Every process sees the full initial workset (the SPMD contract),
         // so the cluster-wide pending count is known up front without a
         // barrier — and it is what every process's loop condition starts
@@ -476,10 +477,9 @@ impl<'a> WorksetIteration<'a> {
     /// superstep's candidates back into `state.queues` through the run's
     /// channel (one fresh round per attempt).  Returns the superstep's
     /// cluster-agreed stats and leaves the cluster-wide count of pending
-    /// candidates in `state.pending`.  On failure the solution partitions
-    /// are restored (the pool waits for every sibling task), but the queue
-    /// contents of the failed superstep are consumed — the caller recovers
-    /// by restoring a checkpoint or surfacing the error.  (A failure
+    /// candidates in `state.pending`.  On failure the queue contents of the
+    /// failed superstep are consumed — the caller recovers by restoring a
+    /// checkpoint or surfacing the error.  (A failure
     /// mid-exchange abandons the round's partial channel state; the round
     /// is never reused, so a retry starts clean.)
     #[allow(clippy::too_many_arguments)]
@@ -501,48 +501,40 @@ impl<'a> WorksetIteration<'a> {
         // `SuperstepTotals`); the cluster-wide row is agreed on below.
         let mut local = SuperstepTotals::default();
 
-        let mut solution_partitions = state.solution.take_partitions();
-        // Run the step function locally in every partition, one task per
-        // partition on the persistent worker pool.  On the long tail
-        // (hundreds of tiny supersteps) this dispatch — a deque push per
+        // Run the step function locally in every partition: one `map` over
+        // the partitions, each task borrowing its solution partition and
+        // scratch `&mut`, on the persistent worker pool.  On the long tail
+        // (hundreds of tiny supersteps) this dispatch — a queue push per
         // partition — *is* the superstep cost, which is why the pool
         // replaced the former per-superstep `std::thread::scope` spawns.
         let fault = &config.exec.fault;
-        let mut output_slots: Vec<Option<Result<PartitionOutput>>> =
-            (0..parallelism).map(|_| None).collect();
-        let scope_result = spinning_pool::global().try_scope(|scope| {
-            for (partition, (((s_part, workset), scratch), slot)) in solution_partitions
-                .iter_mut()
-                .zip(worksets)
-                .zip(state.scratch.iter_mut())
-                .zip(output_slots.iter_mut())
-                .enumerate()
-            {
-                let constant = &constant_index[partition];
-                scope.spawn_labeled("workset-superstep", move || {
-                    fault.panic_check(FaultSite::WorkerPanic, "workset-superstep");
-                    *slot = Some(self.run_partition_superstep(
-                        partition, s_part, workset, constant, router, spill, config, scratch,
-                    ));
-                });
-            }
-        });
-        // The pool waits for every task before `try_scope` returns, so the
-        // partitions can always be handed back — even when a sibling task
-        // panicked or failed.
-        state.solution.restore_partitions(solution_partitions);
-        if let Err(panic) = scope_result {
-            return Err(DataflowError::WorkerPanic {
+        let partitions = state
+            .solution
+            .partitions_mut()
+            .iter_mut()
+            .zip(worksets)
+            .zip(state.scratch.iter_mut())
+            .enumerate();
+        let outputs = spinning_pool::global()
+            .map(partitions, |(partition, ((s_part, workset), scratch))| {
+                fault.panic_check(FaultSite::WorkerPanic, "workset-superstep");
+                self.run_partition_superstep(
+                    partition,
+                    s_part,
+                    workset,
+                    &constant_index[partition],
+                    router,
+                    spill,
+                    config,
+                    scratch,
+                )
+            })
+            .map_err(|panic| DataflowError::WorkerPanic {
                 operator: "workset-superstep".into(),
                 superstep,
                 message: panic.message(),
-            });
-        }
-        // `try_scope` waited for every task, and a panicking one already
-        // returned above: every slot is filled.
-        let outputs = output_slots
+            })?
             .into_iter()
-            .map(|slot| slot.expect("pool ran every superstep partition"))
             .collect::<Result<Vec<PartitionOutput>>>()?;
 
         // The superstep queue switch: every partition's outbox ships through

@@ -3,7 +3,7 @@
 //! The executor runs a [`PhysicalPlan`] on a shared-nothing set of worker
 //! partitions; each operator's local phase runs one task per partition on the
 //! process-wide persistent worker pool ([`spinning_pool::global`]), so
-//! scheduling a partition costs a deque push, not a thread spawn.  Each
+//! scheduling a partition costs a queue push, not a thread spawn.  Each
 //! worker partition plays the role of one cluster node in the paper's setup;
 //! records that move between partitions during an exchange are counted as
 //! "shipped" (network) records in the [`ExecutionStats`].
@@ -74,8 +74,9 @@
 //! every later execution at the parallelism it was filled at.
 //!
 //! Every parallel region — segment tasks, exchange routing —
-//! dispatches through one helper (`run_on_partitions`); a lone partition runs
-//! on the calling thread, and a panicking task is a typed
+//! dispatches through one helper (`run_on_partitions`), one
+//! [`spinning_pool::ThreadPool::map`] over the partitions: a lone partition
+//! runs on the calling thread, and a panicking task is a typed
 //! [`DataflowError::WorkerPanic`] either way.
 
 use crate::contracts::{
@@ -102,7 +103,6 @@ use crate::transport::TransportHandle;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -673,13 +673,11 @@ impl Executor {
 }
 
 /// Runs `task` on every partition's input — the executor's one parallel
-/// region: operator segments and exchange routing both dispatch through it.
-/// A lone partition has nothing to run beside and stays on the calling
-/// thread; otherwise each partition is one task of the shared worker pool,
-/// so a parallel region costs a deque push per partition instead of a round
-/// of thread spawns.  Either way a panicking task (user
-/// code, or the [`FaultSite::WorkerPanic`] injection each task consults
-/// under `label`) surfaces as one typed [`DataflowError::WorkerPanic`] naming
+/// region: operator segments and exchange routing both dispatch through it,
+/// one [`spinning_pool::ThreadPool::map`] over the partitions (a lone
+/// partition stays on the calling thread).  A panicking task (user code, or
+/// the [`FaultSite::WorkerPanic`] injection each task consults under
+/// `label`) surfaces as one typed [`DataflowError::WorkerPanic`] naming
 /// `operator`; otherwise the first task error in partition order is
 /// returned.
 fn run_on_partitions<I: Send, T: Send>(
@@ -689,37 +687,17 @@ fn run_on_partitions<I: Send, T: Send>(
     inputs: Vec<I>,
     task: impl Fn(I) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
-    let mut outcomes: Vec<Option<Result<T>>> = inputs.iter().map(|_| None).collect();
-    let work = inputs.into_iter().zip(outcomes.iter_mut());
-    let run = |(input, outcome): (I, &mut Option<Result<T>>)| {
-        fault.panic_check(FaultSite::WorkerPanic, label);
-        *outcome = Some(task(input));
-    };
-    let panicked = if work.len() <= 1 {
-        catch_unwind(AssertUnwindSafe(|| work.for_each(&run)))
-            .err()
-            .map(|payload| spinning_pool::panic_message(&*payload))
-    } else {
-        spinning_pool::global()
-            .try_scope(|scope| {
-                for item in work {
-                    let run = &run;
-                    scope.spawn_labeled(label, move || run(item));
-                }
-            })
-            .err()
-            .map(|panic| panic.message())
-    };
-    if let Some(message) = panicked {
-        return Err(DataflowError::WorkerPanic {
+    spinning_pool::global()
+        .map(inputs, |input| {
+            fault.panic_check(FaultSite::WorkerPanic, label);
+            task(input)
+        })
+        .map_err(|panic| DataflowError::WorkerPanic {
             operator: operator(),
             superstep: 0,
-            message,
-        });
-    }
-    outcomes
+            message: panic.message(),
+        })?
         .into_iter()
-        .map(|outcome| outcome.expect("without a panic, every partition task wrote its outcome"))
         .collect()
 }
 

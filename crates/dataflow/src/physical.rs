@@ -35,22 +35,6 @@ pub enum ShipStrategy {
     Broadcast,
 }
 
-impl ShipStrategy {
-    /// True if the strategy moves records between partitions (and therefore
-    /// counts towards "network" traffic in the execution statistics).
-    pub fn crosses_partitions(&self) -> bool {
-        !matches!(self, ShipStrategy::Forward)
-    }
-
-    /// The partitioning key this strategy establishes at the receiver, if any.
-    pub fn partition_key(&self) -> Option<&KeyFields> {
-        match self {
-            ShipStrategy::PartitionHash(k) => Some(k),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for ShipStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -78,21 +62,6 @@ pub enum LocalStrategy {
     HashGroup,
     /// Block nested-loop cross product.
     NestedLoop,
-}
-
-impl LocalStrategy {
-    /// True if the strategy materialises (dams) its first input before
-    /// producing output; relevant for where the iteration runtime must insert
-    /// extra dams (Section 4.2).
-    pub fn materializes_first_input(&self) -> bool {
-        matches!(
-            self,
-            LocalStrategy::HashJoinBuildLeft
-                | LocalStrategy::SortMergeJoin
-                | LocalStrategy::HashGroup
-                | LocalStrategy::NestedLoop
-        )
-    }
 }
 
 /// The input slot of `kind` that can be *streamed* (consumed record by
@@ -367,7 +336,6 @@ mod tests {
         plan.sink("out", m);
         let phys = default_physical_plan(&plan, 2).unwrap();
         assert_eq!(phys.choice(m).input_ships[0], ShipStrategy::Forward);
-        assert!(!phys.choice(m).input_ships[0].crosses_partitions());
     }
 
     #[test]
@@ -386,22 +354,5 @@ mod tests {
         let text = phys.explain();
         assert!(text.contains("hash-partition"));
         assert!(text.contains("hash-join"));
-    }
-
-    #[test]
-    fn ship_strategy_partition_key_accessor() {
-        assert_eq!(
-            ShipStrategy::PartitionHash(vec![1]).partition_key(),
-            Some(&vec![1])
-        );
-        assert_eq!(ShipStrategy::Broadcast.partition_key(), None);
-        assert!(ShipStrategy::Broadcast.crosses_partitions());
-    }
-
-    #[test]
-    fn local_strategy_materialization_flags() {
-        assert!(LocalStrategy::HashJoinBuildLeft.materializes_first_input());
-        assert!(!LocalStrategy::None.materializes_first_input());
-        assert!(!LocalStrategy::HashJoinBuildRight.materializes_first_input());
     }
 }

@@ -79,22 +79,6 @@ impl OperatorKind {
         }
     }
 
-    /// True for record-at-a-time operators (Map, Match, Cross).  Group-at-a-
-    /// time operators (Reduce, CoGroup) need a whole key group before they can
-    /// produce output; this distinction gates microstep execution
-    /// (Section 5.2 of the paper).
-    pub fn is_record_at_a_time(&self) -> bool {
-        matches!(
-            self,
-            OperatorKind::Map
-                | OperatorKind::Match { .. }
-                | OperatorKind::Cross
-                | OperatorKind::Union
-                | OperatorKind::Sink { .. }
-                | OperatorKind::Source { .. }
-        )
-    }
-
     /// A short human-readable contract name.
     pub fn contract_name(&self) -> &'static str {
         match self {
@@ -653,22 +637,5 @@ mod tests {
         let text = plan.explain();
         assert!(text.contains("scale [Map]"));
         assert!(text.contains("ranks [Source]"));
-    }
-
-    #[test]
-    fn record_at_a_time_classification() {
-        assert!(OperatorKind::Map.is_record_at_a_time());
-        assert!(OperatorKind::Match {
-            left_key: vec![0],
-            right_key: vec![0]
-        }
-        .is_record_at_a_time());
-        assert!(!OperatorKind::Reduce { key: vec![0] }.is_record_at_a_time());
-        assert!(!OperatorKind::CoGroup {
-            left_key: vec![0],
-            right_key: vec![0],
-            inner: true
-        }
-        .is_record_at_a_time());
     }
 }

@@ -1,4 +1,4 @@
-//! # spinning-pool — a persistent work-stealing worker pool
+//! # spinning-pool — a persistent worker pool with one task queue
 //!
 //! The iteration runtimes of this workspace execute many very small parallel
 //! regions: one per operator local phase, one per superstep.  On long-tail
@@ -6,55 +6,52 @@
 //! most of which process a tiny working set) the dominant cost of a late
 //! superstep is not the work but the `std::thread::spawn` round per
 //! partition.  This crate replaces those per-region spawns with a pool of
-//! persistent workers: scheduling a partition task becomes a deque push plus,
-//! at worst, one unpark.
+//! persistent workers: scheduling a partition task becomes a queue push
+//! plus, at worst, one unpark.
 //!
-//! The design is the classic work-stealing arrangement, hand-rolled on `std`
-//! only (the workspace builds offline with no external dependencies):
+//! The design is hand-rolled on `std` only (the workspace builds offline
+//! with no external dependencies):
 //!
-//! * one **deque per worker** — a worker pushes tasks it spawns (e.g. from a
-//!   nested scope) onto its own deque and pops from it first;
-//! * a **global injector** queue fed by threads outside the pool (the driver
-//!   thread submitting a superstep);
-//! * **stealing** — an idle worker drains the injector, then steals from its
-//!   siblings' deques before giving up;
+//! * **one FIFO queue** of tasks, shared by every worker and every thread
+//!   that submits work;
+//! * **help-while-wait** — a thread waiting for its tasks runs queued tasks
+//!   itself, which makes nested regions deadlock-free even on a
+//!   single-worker pool, and means a region over `N` partitions always has
+//!   `N + 1` threads available to run them;
 //! * **parking/unparking** — workers with nothing to do park on a condvar;
 //!   submitting a task unparks one worker iff any are sleeping, with a
 //!   SeqCst pending-counter handshake that makes lost wakeups impossible.
 //!
-//! The API mirrors `std::thread::scope`, so call sites migrate by swapping
-//! the scope constructor:
+//! Every partition-parallel region of the engine is one call of
+//! [`ThreadPool::map`]: it runs a task once per input and returns the
+//! outputs in input order.
 //!
 //! ```
 //! let pool = spinning_pool::ThreadPool::new(4);
-//! let mut results = vec![0u64; 8];
-//! pool.scope(|s| {
-//!     for (i, slot) in results.iter_mut().enumerate() {
-//!         s.spawn(move || *slot = (i as u64) * 2);
-//!     }
-//! });
-//! assert_eq!(results[7], 14);
+//! let doubled = pool.map(0..8u64, |i| i * 2).expect("no task panics");
+//! assert_eq!(doubled[7], 14);
 //! ```
 //!
-//! [`ThreadPool::scope`] blocks until every spawned task has finished — while
-//! waiting, the calling thread *helps* by executing queued tasks itself.
-//! That property makes nested scopes deadlock-free even on a single-worker
-//! pool, and means a scope over `N` partitions always has `N + 1` threads
-//! available to run them.  A panic in a task is caught, forwarded, and
-//! re-raised from `scope` on the submitting thread (the first panic wins, all
-//! other tasks still run to completion).
+//! A lone input runs on the calling thread: it has nothing to run beside.
+//! A panicking task is caught and returned as a [`ScopePanic`] once every
+//! other task has finished, so the caller can report it as a typed error or
+//! re-raise it ([`ScopePanic::resume`]).
+//!
+//! [`ThreadPool::scope`], modelled on `std::thread::scope`, is the general
+//! form `map` is built on, for a region whose tasks spawn further tasks on
+//! it: no task blocks, so a task that would wait for more input returns
+//! instead, and whoever produces the input spawns it again on the same
+//! scope — a task may capture its [`Scope`] and spawn on it.  A task panic
+//! is re-raised from `scope` on the calling thread (the first panic wins,
+//! all other tasks still run to completion).
 //!
 //! Every caller in the workspace uses [`global`], the shared process-wide
-//! pool sized to the available hardware parallelism.  No task blocks: a
-//! task that would wait for more input returns instead, and whoever
-//! produces the input spawns it again on the same scope — a task may
-//! capture its [`Scope`] and spawn on it.
+//! pool sized to the available hardware parallelism.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -79,23 +76,17 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 const PARK_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// How long a helping thread waits for scope completion before re-checking
-/// the queues for newly spawned tasks it could run itself.
+/// the queue for newly spawned tasks it could run itself.
 const HELP_POLL: Duration = Duration::from_micros(200);
 
-thread_local! {
-    /// `(pool id, worker index)` of the pool worker running on this thread,
-    /// if any.  Lets spawns from worker threads target their own deque and
-    /// lets a waiting scope pop from the right queues.
-    static CURRENT_WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-}
+/// Why the queue lock cannot be poisoned: it is held only for one push or
+/// pop, and tasks run after it is released.
+const QUEUE_LOCK: &str = "the pool queue lock is held only to push or pop a task";
 
 /// State shared between the pool handle and its workers.
 struct Shared {
-    /// Tasks submitted by threads outside the pool.
-    injector: Mutex<VecDeque<Job>>,
-    /// One deque per worker; workers push nested spawns here and siblings
-    /// steal from it.
-    deques: Vec<Mutex<VecDeque<Job>>>,
+    /// Tasks submitted and not yet picked up, oldest first.
+    queue: Mutex<VecDeque<Job>>,
     /// Tasks queued but not yet popped.  Incremented *before* the task is
     /// pushed, decremented when it is popped, so `pending == 0` while a
     /// worker holds the park lock proves there is nothing to pick up.
@@ -109,8 +100,6 @@ struct Shared {
     unpark: Condvar,
     /// Set by `Drop`; parked workers exit when they observe it.
     shutdown: AtomicBool,
-    /// Distinguishes the deques of different pools in `CURRENT_WORKER`.
-    id: usize,
 }
 
 impl Shared {
@@ -120,10 +109,7 @@ impl Shared {
         // under the park lock can safely sleep, because this increment is
         // SeqCst-ordered against its `sleepers` increment (see worker_loop).
         self.pending.fetch_add(1, Ordering::SeqCst);
-        match self.current_worker() {
-            Some(w) => self.deques[w].lock().unwrap().push_back(job),
-            None => self.injector.lock().unwrap().push_back(job),
-        }
+        self.queue.lock().expect(QUEUE_LOCK).push_back(job);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             // Taking the lock before notifying closes the window in which the
             // worker has advertised itself as a sleeper but has not entered
@@ -133,48 +119,17 @@ impl Shared {
         }
     }
 
-    /// Pops a task: own deque first (when called from a worker), then the
-    /// injector, then steal from sibling deques.
-    fn find_job(&self, worker: Option<usize>) -> Option<Job> {
-        if let Some(w) = worker {
-            if let Some(job) = self.deques[w].lock().unwrap().pop_front() {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
-            }
-        }
-        if let Some(job) = self.injector.lock().unwrap().pop_front() {
-            self.pending.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
-        }
-        let n = self.deques.len();
-        let first = worker.map(|w| w + 1).unwrap_or(0);
-        for offset in 0..n {
-            let victim = (first + offset) % n;
-            if Some(victim) == worker {
-                continue;
-            }
-            if let Some(job) = self.deques[victim].lock().unwrap().pop_front() {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// The calling thread's worker index in *this* pool, if it is one of this
-    /// pool's workers.
-    fn current_worker(&self) -> Option<usize> {
-        CURRENT_WORKER.with(|w| match w.get() {
-            Some((pool, index)) if pool == self.id => Some(index),
-            _ => None,
-        })
+    /// Pops the oldest queued task.
+    fn pop(&self) -> Option<Job> {
+        let job = self.queue.lock().expect(QUEUE_LOCK).pop_front()?;
+        self.pending.fetch_sub(1, Ordering::SeqCst);
+        Some(job)
     }
 
     /// The main loop of one pool worker.
-    fn worker_loop(self: &Arc<Self>, index: usize) {
-        CURRENT_WORKER.with(|w| w.set(Some((self.id, index))));
+    fn worker_loop(&self) {
         loop {
-            if let Some(job) = self.find_job(Some(index)) {
+            if let Some(job) = self.pop() {
                 job();
                 continue;
             }
@@ -198,37 +153,23 @@ impl Shared {
     }
 }
 
-/// The message of a caught panic payload (what `catch_unwind` returns), when
-/// it was a string — `panic!("...")` or a failed `expect`.
-pub fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// A caught task panic: the payload plus the static label the task was
-/// spawned with (see [`Scope::spawn_labeled`]), so callers of
-/// [`ThreadPool::try_scope`] can report *which* kind of task failed instead
-/// of re-raising an opaque unwind.
+/// A caught task panic, returned by [`ThreadPool::map`] so the caller can
+/// turn a worker crash into a typed error instead of an opaque unwind.
 pub struct ScopePanic {
-    label: Option<&'static str>,
     payload: Box<dyn Any + Send>,
 }
 
 impl ScopePanic {
-    /// The label passed at spawn, if the task was spawned with one.
-    pub fn label(&self) -> Option<&'static str> {
-        self.label
-    }
-
     /// The panic message, when the payload was a string (the overwhelmingly
     /// common case: `panic!("...")` or a failed `expect`).
     pub fn message(&self) -> String {
-        panic_message(&*self.payload)
+        if let Some(s) = self.payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = self.payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
     }
 
     /// Re-raises the panic on the calling thread.
@@ -240,7 +181,6 @@ impl ScopePanic {
 impl std::fmt::Debug for ScopePanic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScopePanic")
-            .field("label", &self.label)
             .field("message", &self.message())
             .finish()
     }
@@ -290,10 +230,10 @@ impl ScopeState {
 
     /// Records the first panic of the scope; later panics are dropped (they
     /// would otherwise abort the process during the unwind of the first).
-    fn store_panic(&self, label: Option<&'static str>, payload: Box<dyn Any + Send>) {
+    fn store_panic(&self, payload: Box<dyn Any + Send>) {
         let mut slot = self.panic.lock().unwrap();
         if slot.is_none() {
-            *slot = Some(ScopePanic { label, payload });
+            *slot = Some(ScopePanic { payload });
         }
     }
 }
@@ -318,24 +258,20 @@ impl std::fmt::Debug for ThreadPool {
 impl ThreadPool {
     /// Spawns a pool with `threads` persistent workers (at least one).
     pub fn new(threads: usize) -> Self {
-        static POOL_IDS: AtomicUsize = AtomicUsize::new(0);
-        let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queue: Mutex::new(VecDeque::new()),
             pending: AtomicUsize::new(0),
             sleepers: AtomicUsize::new(0),
             park: Mutex::new(()),
             unpark: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
         });
-        let handles = (0..threads)
+        let handles = (0..threads.max(1))
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("spinning-pool-{index}"))
-                    .spawn(move || shared.worker_loop(index))
+                    .spawn(move || shared.worker_loop())
                     .expect("spawn pool worker thread")
             })
             .collect();
@@ -345,6 +281,46 @@ impl ThreadPool {
     /// Number of persistent workers.
     pub fn threads(&self) -> usize {
         self.handles.len()
+    }
+
+    /// Runs `task` once per input and returns the outputs in input order.
+    ///
+    /// A single input runs inline on the calling thread; otherwise each
+    /// input is one task on the pool, and the calling thread helps run
+    /// queued tasks while it waits.  A panicking task is caught and returned
+    /// as a [`ScopePanic`] after every other task has finished (the first
+    /// panic wins); the pool keeps working afterwards.
+    pub fn map<I, T, F>(
+        &self,
+        inputs: impl IntoIterator<Item = I>,
+        task: F,
+    ) -> Result<Vec<T>, ScopePanic>
+    where
+        I: Send,
+        T: Send,
+        F: Fn(I) -> T + Sync,
+    {
+        let inputs: Vec<I> = inputs.into_iter().collect();
+        if inputs.len() <= 1 {
+            return inputs
+                .into_iter()
+                .map(|input| {
+                    catch_unwind(AssertUnwindSafe(|| task(input)))
+                        .map_err(|payload| ScopePanic { payload })
+                })
+                .collect();
+        }
+        let mut outputs: Vec<Option<T>> = inputs.iter().map(|_| None).collect();
+        self.try_scope(|scope| {
+            for (input, output) in inputs.into_iter().zip(outputs.iter_mut()) {
+                let task = &task;
+                scope.spawn(move || *output = Some(task(input)));
+            }
+        })?;
+        Ok(outputs
+            .into_iter()
+            .map(|output| output.expect("every task of a finished scope wrote its output"))
+            .collect())
     }
 
     /// Runs `f` with a [`Scope`] on which tasks borrowing `'env` data can be
@@ -365,12 +341,10 @@ impl ThreadPool {
         }
     }
 
-    /// Like [`ThreadPool::scope`], but a task panic is *returned* as a
-    /// [`ScopePanic`] (payload + spawn label) instead of re-raised — the hook
-    /// that lets an executor convert a worker crash into a typed error and
-    /// recover.  All tasks of the scope still run to completion first, and a
-    /// panic in the scope *body* (the caller's own code) is still re-raised.
-    pub fn try_scope<'env, F, R>(&'env self, f: F) -> Result<R, ScopePanic>
+    /// [`ThreadPool::scope`], with a task panic returned instead of
+    /// re-raised.  All tasks of the scope still run to completion first, and
+    /// a panic in the scope *body* (the caller's own code) is re-raised.
+    fn try_scope<'env, F, R>(&'env self, f: F) -> Result<R, ScopePanic>
     where
         F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
     {
@@ -385,9 +359,8 @@ impl ThreadPool {
         // already spawned — they borrow stack data of this frame.
         let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
 
-        let worker = self.shared.current_worker();
         while !state.is_done() {
-            match self.shared.find_job(worker) {
+            match self.shared.pop() {
                 Some(job) => job(),
                 None => state.wait_brief(),
             }
@@ -424,7 +397,7 @@ impl Drop for ThreadPool {
 ///
 /// Every parallel region (operator local phases, superstep partitions,
 /// baseline-engine partitions) runs
-/// here, so its dispatch cost is a deque push regardless of how many
+/// here, so its dispatch cost is a queue push regardless of how many
 /// drivers are active.  Tasks must not block waiting for one another: a
 /// task blocked on a sibling occupies a worker the sibling may need.
 pub fn global() -> &'static ThreadPool {
@@ -456,29 +429,11 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        self.spawn_inner(None, f)
-    }
-
-    /// Like [`Scope::spawn`] with a static label naming the kind of task; if
-    /// the task panics, the label travels with the payload in the
-    /// [`ScopePanic`] so the scope owner can report which dispatch site
-    /// failed.
-    pub fn spawn_labeled<F>(&self, label: &'static str, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        self.spawn_inner(Some(label), f)
-    }
-
-    fn spawn_inner<F>(&self, label: Option<&'static str>, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
         self.state.remaining.fetch_add(1, Ordering::SeqCst);
         let state = Arc::clone(self.state);
         let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
-                state.store_panic(label, payload);
+                state.store_panic(payload);
             }
             state.complete();
         });
@@ -572,13 +527,18 @@ mod tests {
     }
 
     #[test]
-    fn sibling_tasks_spawned_from_a_task_are_stolen() {
-        // Tasks spawned from a worker land on its own deque; with several
-        // workers the siblings steal them.  Assert they all run.
+    fn a_scope_opened_on_a_worker_runs_all_its_tasks() {
+        // The scope body waits until a worker has started the outer task,
+        // so the caller cannot run it: the inner scope is opened and waited
+        // for on a pool thread, and its tasks go through the one queue.
         let pool = ThreadPool::new(4);
+        let started = AtomicBool::new(false);
+        let outer_thread = Mutex::new(None);
         let counter = AtomicUsize::new(0);
         pool.scope(|s| {
             s.spawn(|| {
+                started.store(true, Ordering::SeqCst);
+                *outer_thread.lock().unwrap() = std::thread::current().name().map(str::to_owned);
                 pool.scope(|inner| {
                     for _ in 0..64 {
                         inner.spawn(|| {
@@ -587,7 +547,18 @@ mod tests {
                     }
                 });
             });
+            while !started.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
         });
+        let outer = outer_thread
+            .into_inner()
+            .unwrap()
+            .expect("pool threads are named");
+        assert!(
+            outer.starts_with("spinning-pool-"),
+            "outer task ran on {outer}"
+        );
         assert_eq!(counter.load(Ordering::Relaxed), 64);
     }
 
@@ -715,43 +686,43 @@ mod tests {
     }
 
     #[test]
-    fn try_scope_returns_the_panic_with_its_label() {
+    fn map_returns_a_task_panic_after_every_other_task_finished() {
         let pool = ThreadPool::new(2);
         let finished = AtomicUsize::new(0);
-        let result = pool.try_scope(|s| {
-            s.spawn_labeled("superstep-partition", || panic!("worker {} died", 3));
-            for _ in 0..8 {
-                s.spawn(|| {
-                    finished.fetch_add(1, Ordering::Relaxed);
-                });
+        let result = pool.map(0..9, |i| {
+            if i == 0 {
+                panic!("worker {} died", 3);
             }
+            finished.fetch_add(1, Ordering::Relaxed);
         });
-        let panic = result.expect_err("try_scope must surface the task panic");
-        assert_eq!(panic.label(), Some("superstep-partition"));
+        let panic = result.expect_err("map must surface the task panic");
         assert_eq!(panic.message(), "worker 3 died");
-        // A task panic does not cancel the scope's other tasks.
+        // A task panic does not cancel the other tasks.
         assert_eq!(finished.load(Ordering::Relaxed), 8);
         // And the pool keeps working afterwards.
-        assert!(pool.try_scope(|s| s.spawn(|| {})).is_ok());
+        assert_eq!(pool.map(0..3, |i| i).unwrap(), vec![0, 1, 2]);
     }
 
     #[test]
-    fn try_scope_without_panic_returns_the_body_result() {
+    fn map_returns_the_outputs_in_input_order() {
         let pool = ThreadPool::new(2);
-        let value = pool.try_scope(|s| {
-            s.spawn(|| {});
-            11
-        });
-        assert_eq!(value.unwrap(), 11);
+        let outputs = pool.map((0..100u64).map(|i| i * 3), |x| x + 1).unwrap();
+        assert_eq!(outputs, (0..100).map(|i| i * 3 + 1).collect::<Vec<_>>());
+        assert!(pool.map(Vec::<u8>::new(), |x| x).unwrap().is_empty());
+        // A lone input runs on the calling thread.
+        let caller = std::thread::current().id();
+        let ran_on = pool.map([()], |()| std::thread::current().id()).unwrap();
+        assert_eq!(ran_on, vec![caller]);
     }
 
     #[test]
     fn unlabeled_panics_have_no_label_but_keep_the_message() {
+        // The panic of a lone input, which runs on the calling thread, is
+        // caught there and keeps its message.
         let pool = ThreadPool::new(1);
         let panic = pool
-            .try_scope(|s| s.spawn(|| panic!("plain")))
+            .map([()], |()| panic!("plain"))
             .expect_err("panic expected");
-        assert_eq!(panic.label(), None);
         assert_eq!(panic.message(), "plain");
         // resume() re-raises the original payload.
         let raised = catch_unwind(AssertUnwindSafe(|| panic.resume())).unwrap_err();

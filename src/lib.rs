@@ -15,7 +15,7 @@
 //!   PageRank as iterative dataflows.
 //! * [`baselines`] — the Spark-like and Giraph/Pregel-like comparison
 //!   engines.
-//! * [`spinning_pool`] — the persistent work-stealing worker pool every
+//! * [`spinning_pool`] — the persistent one-queue worker pool every
 //!   parallel region (operator local phases, superstep partitions, baseline
 //!   engines) runs on.
 //!
