@@ -132,6 +132,20 @@ pub fn build_step_plan(
             },
         )),
     );
+    // The sum folds where the join emits: a fused Reduce adds each partial
+    // rank to its vertex's held one, in arrival order, so it sums exactly
+    // as the Reduce above would over the whole group.
+    plan.combine(
+        reduce,
+        Arc::new(CombineClosure(
+            |held: RecordView<'_>, candidate: &[Value], out: &mut dyn RecordSink| {
+                out.emit(&[
+                    Value::Long(held.long(0)),
+                    Value::Double(held.double(1) + candidate[1].as_double()),
+                ]);
+            },
+        )),
+    );
     plan.set_estimated_records(reduce, graph.num_vertices());
     plan.sink("next-ranks", reduce);
 
@@ -189,7 +203,8 @@ pub fn pagerank(graph: &Graph, config: &PageRankConfig) -> Result<PageRankResult
     })
 }
 
-/// Builds one of the two Figure 4 plans explicitly.
+/// Builds one of the two Figure 4 plans explicitly.  A `join` or `reduce`
+/// that is not an operator of `plan` is [`DataflowError::InvalidPlan`].
 pub fn forced_physical_plan(
     plan: &Plan,
     join: OperatorId,
@@ -202,21 +217,21 @@ pub fn forced_physical_plan(
         PageRankPlan::ForceBroadcast => {
             // Left-hand plan: broadcast p, keep A partitioned (and cached) by
             // tid so the aggregation needs no repartitioning.
-            let join_choice = physical.choices.get_mut(&join).expect("join choice");
+            let join_choice = choice(&mut physical, join, "join")?;
             join_choice.input_ships[0] = ShipStrategy::Broadcast;
             join_choice.input_ships[1] = ShipStrategy::PartitionHash(vec![0]);
             join_choice.local = LocalStrategy::HashJoinBuildLeft;
-            let reduce_choice = physical.choices.get_mut(&reduce).expect("reduce choice");
+            let reduce_choice = choice(&mut physical, reduce, "reduce")?;
             reduce_choice.input_ships[0] = ShipStrategy::Forward;
         }
         PageRankPlan::ForcePartition => {
             // Right-hand plan: partition p and A on the join key and
             // repartition the join result by tid for the aggregation.
-            let join_choice = physical.choices.get_mut(&join).expect("join choice");
+            let join_choice = choice(&mut physical, join, "join")?;
             join_choice.input_ships[0] = ShipStrategy::PartitionHash(vec![0]);
             join_choice.input_ships[1] = ShipStrategy::PartitionHash(vec![1]);
             join_choice.local = LocalStrategy::HashJoinBuildRight;
-            let reduce_choice = physical.choices.get_mut(&reduce).expect("reduce choice");
+            let reduce_choice = choice(&mut physical, reduce, "reduce")?;
             reduce_choice.input_ships[0] = ShipStrategy::PartitionHash(vec![0]);
         }
         PageRankPlan::Optimized => {}
@@ -224,6 +239,17 @@ pub fn forced_physical_plan(
     // The matrix edge lies on the constant data path in both variants.
     physical.cache_input(join, 1);
     Ok(physical)
+}
+
+/// The physical choice of `op`, the plan's `role` operator.
+fn choice<'p>(
+    physical: &'p mut PhysicalPlan,
+    op: OperatorId,
+    role: &str,
+) -> Result<&'p mut PhysicalChoice> {
+    physical.choices.get_mut(&op).ok_or_else(|| {
+        DataflowError::InvalidPlan(format!("the {role} operator {op:?} is not in the plan"))
+    })
 }
 
 #[cfg(test)]
@@ -370,6 +396,69 @@ mod tests {
             assert_eq!(s.iteration, i + 1);
             assert_eq!(s.workset_size, 50);
             assert!(s.execution.is_some());
+        }
+    }
+
+    /// The Reduce and the combine of the step plan: PageRank's sum of
+    /// partial ranks.
+    fn sum_functions() -> (Arc<dyn ReduceFunction>, Arc<dyn CombineFunction>) {
+        let (plan, _, _, reduce, _) = build_step_plan(&ring(4), DAMPING);
+        let reduce = plan.operator(reduce);
+        let Udf::Reduce(udf) = &reduce.udf else {
+            panic!("the sum is a Reduce");
+        };
+        let combine = reduce.combine.clone().expect("the sum declares a combine");
+        (Arc::clone(udf), combine)
+    }
+
+    /// One to eight partial ranks of vertex 5 in arrival order, drawn from
+    /// the range a rank times a damped transition probability spans.
+    fn partial_ranks(rng: &mut graphdata::SmallRng) -> Vec<Record> {
+        let size = 1 + rng.gen_index(8);
+        (0..size)
+            .map(|_| Record::long_double(5, rng.gen_f64() * 1e-3))
+            .collect()
+    }
+
+    /// The sum folds: reducing the partial ranks folded in arrival order
+    /// emits the bytes reducing them all does, although a float sum is not
+    /// associative — the law the fused Reduce's fold rests on.
+    #[test]
+    fn the_partial_rank_sum_folds_in_arrival_order() {
+        use reference::laws::check_reduce_folds;
+        let (reduce, combine) = sum_functions();
+        let folds = check_reduce_folds(&*reduce, &*combine, &[0], 1_000, 61, partial_ranks);
+        assert_eq!(folds, Ok(()));
+
+        let keeps_held =
+            CombineClosure(|_: RecordView<'_>, _: &[Value], _: &mut dyn RecordSink| {});
+        let caught = check_reduce_folds(&*reduce, &keeps_held, &[0], 1_000, 62, partial_ranks);
+        let message = caught.expect_err("a combine that keeps the held record passed");
+        assert!(message.contains("does not fold (trial "), "{message}");
+
+        let counts = ReduceClosure(
+            |key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
+                out.emit(&[key[0].clone(), Value::Long(group.len() as i64)]);
+            },
+        );
+        let caught = check_reduce_folds(&counts, &*combine, &[0], 1_000, 63, partial_ranks);
+        let message = caught.expect_err("a Reduce that reads the group size passed");
+        assert!(message.contains("does not fold (trial "), "{message}");
+    }
+
+    #[test]
+    fn a_forced_plan_rejects_an_operator_that_is_not_in_the_plan() {
+        let (plan, _, join, reduce, _) = build_step_plan(&ring(4), DAMPING);
+        let missing = OperatorId(plan.len());
+        for plan_variant in [PageRankPlan::ForceBroadcast, PageRankPlan::ForcePartition] {
+            for (join, reduce) in [(missing, reduce), (join, missing)] {
+                match forced_physical_plan(&plan, join, reduce, 2, plan_variant) {
+                    Err(DataflowError::InvalidPlan(message)) => {
+                        assert!(message.contains("is not in the plan"), "{message}")
+                    }
+                    other => panic!("{plan_variant:?}: expected InvalidPlan, got {other:?}"),
+                }
+            }
         }
     }
 }

@@ -2,15 +2,17 @@
 //! web graph at parallelism 2.  Past the first iteration the matrix edge is
 //! served from the loop-invariant cache as the pages it arrived on, the rank
 //! vector's pages are copied as bytes into the source split, the join reads
-//! both sides in place and emits its outputs as fields straight onto the
-//! fused Reduce's pages, and the Reduce emits the next ranks onto the sink's
+//! both sides in place and emits its outputs as fields straight into the
+//! fused Reduce, whose declared combine folds each into its vertex's held
+//! sum in place, and the Reduce emits the next ranks onto the sink's
 //! pages, which the driver feeds back as they are — no heap record per join
 //! output, per source record, per Reduce group or per vertex.  What is left
-//! is pages and per-execution bookkeeping: 398 allocations for 4 096
-//! vertices, under `vertices / 8`.  Reading the next rank vector out of the
-//! sink as one heap record per vertex made 4 491; a heap record per vertex
-//! in the source split and in the Reduce's output too made 10 680; one per
-//! join output made 120 440.
+//! is pages, the fold tables and per-execution bookkeeping: 349 allocations
+//! for 4 096 vertices, under `vertices / 8`.  Paging every join output for
+//! the Reduce to sort-group made 398; reading the next rank vector out of
+//! the sink as one heap record per vertex made 4 491; a heap record per
+//! vertex in the source split and in the Reduce's output too made 10 680;
+//! one per join output made 120 440.
 //!
 //! This file holds exactly one `#[test]` so no sibling test can run
 //! concurrently inside the process and pollute the allocation counters.

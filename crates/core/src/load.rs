@@ -138,8 +138,8 @@ fn load_partition(
     pull_share(initial_workset, router, workset_key, partition, |fields| {
         combiner.insert(fields)
     });
-    combiner.drain(|payload| {
-        queue.push_serialized(payload);
+    combiner.drain(|record| {
+        queue.push_serialized(record.payload());
     });
 }
 

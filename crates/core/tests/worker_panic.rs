@@ -147,7 +147,7 @@ fn run_until_the_load_panics(mode: ExecutionMode) {
 }
 
 #[test]
-fn a_panicking_update_returns_a_typed_error_and_leaves_no_run_files() {
+fn a_panicking_update_or_load_returns_a_typed_error_and_leaves_no_run_files() {
     for mode in [ExecutionMode::Microstep, ExecutionMode::BatchIncremental] {
         let created = run_files_created();
         run_until_the_update_panics(mode);

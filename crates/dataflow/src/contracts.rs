@@ -48,7 +48,7 @@ pub trait RecordSink: Send {
 
 /// A sink holding the fields of the last record emitted into it — how a
 /// runtime reads back a user function that emits at most one record (a
-/// workset update's delta, a fold); empty until one is emitted.
+/// workset update's delta); empty until one is emitted.
 #[derive(Debug, Default)]
 pub struct LastEmitted(pub Vec<Value>);
 
@@ -220,10 +220,26 @@ pub trait CoGroupFunction: Send + Sync {
 /// A declared combine must be associative and commutative, and the consumer
 /// must compute from a folded group what it computes from the whole group:
 /// the runtime folds as many or as few of a key's records as it sees fit.
+///
+/// A Reduce's combine ([`crate::plan::Plan::combine`]) may keep a weaker
+/// contract.  A fused Reduce folds each key's records into the first
+/// one in arrival order and reduces the one folded record, so the result is
+/// exact if folding left to right and then reducing equals reducing the
+/// whole group in that order.  A floating-point sum meets this weaker
+/// contract bit for bit, though it is not associative.  The exchange's
+/// fold (a workset iteration's combine, `WorksetIterationBuilder::combine`)
+/// batches a key's records per source and target and needs full
+/// associativity and commutativity.
 pub trait CombineFunction: Send + Sync {
     /// Folds `candidate` into `held`, the record kept so far for the same
     /// key: emits the folded record, or nothing to keep `held` as it is.
     fn combine(&self, held: RecordView<'_>, candidate: &[Value], out: &mut dyn RecordSink);
+}
+
+impl fmt::Debug for dyn CombineFunction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("CombineFunction")
+    }
 }
 
 // --- Closure adapters -------------------------------------------------------

@@ -67,10 +67,14 @@
 //!   producer narrower than the consumer still closes the round for the
 //!   sources it does not have.
 
-use crate::contracts::{CombineFunction, LastEmitted};
+use crate::contracts::{CombineFunction, RecordSink};
 use crate::error::Result;
-use crate::key::{FxHashMap, Key, KeyFields};
-use crate::page::{ExchangedPartition, PageHandle, PagePool, PageWriter, RecordPage, RecordView};
+use crate::key::{FxHashMap, KeyFields};
+use crate::page::{
+    key_matches_fields, key_prefix_of_fields, view_in, ExchangedPartition, PageHandle, PagePool,
+    PageWriter, RecordPage, RecordView,
+};
+use crate::record::Record;
 use crate::spill::{SpillManager, SpillOutput, SpillingWriter};
 use crate::transport::PageChannel;
 use crate::value::Value;
@@ -190,15 +194,15 @@ impl Outbox {
         let folded = self.combiners.iter_mut().enumerate();
         for (target, combiner) in folded.filter(|(_, combiner)| !combiner.is_empty()) {
             if target == self.source {
-                combiner.drain(|payload| {
+                combiner.drain(|record| {
                     local.refill_spare_from(spare);
-                    local.push_serialized(payload);
+                    local.push_serialized(record.payload());
                 });
             } else {
                 let writer = &mut writers[target];
-                combiner.drain(|payload| {
+                combiner.drain(|record| {
                     writer.refill_spare_from(spare);
-                    writer.push_serialized(payload);
+                    writer.push_serialized(record.payload());
                 });
             }
         }
@@ -213,29 +217,48 @@ impl Outbox {
     }
 }
 
-/// Folds records that share a key into one held record per key before any
-/// of them is serialized for the exchange, with a declared
-/// [`CombineFunction`]: an Fx hash table from the key to the held record's
-/// handle in a page store.  The held records drain in the order their keys
+/// Folds records that share a key into one held record per key, with a
+/// declared [`CombineFunction`]: an Fx hash table from the key's 8-byte
+/// prefix (the page kernel's: the key itself when it is one `Long` field,
+/// a hash of its bytes otherwise) to the held record's slot, whose handle
+/// addresses it in a record store.  It is the one fold table of the
+/// engine — the exchange folds a workset's candidates through it before
+/// serializing them, the load step its initial workset, and a fused Reduce
+/// its arriving records (`exec`).  A folded record as wide as the one it
+/// replaces (a sum of `Double`s, a `min` of `Long`s) is written over it in
+/// place, so a key's folds cost no store bytes; only a record of another
+/// width is appended.  The held records drain in the order their keys
 /// were first seen.  Draining empties the table but keeps its capacity, and
-/// keeps the page buffers the store filled as the store's spares — as many
-/// as the round just drained needed, so they follow the data down — so a
-/// combiner reused round after round allocates neither table nor pages once
-/// warm, and takes no buffer from the pages its outbox writes.
+/// keeps the store's buffer as its next one, so a combiner reused round
+/// after round allocates neither table nor store once warm, and takes no
+/// buffer from the pages its outbox writes.
 pub struct Combiner {
     combine: Arc<dyn CombineFunction>,
     key_fields: KeyFields,
-    /// Key → index of its held record in `held`.
-    table: FxHashMap<Key, u32>,
+    /// Key prefix → the last slot (index into `held`) holding a key with
+    /// that prefix.
+    table: FxHashMap<u64, u32>,
     /// The held record of every key, in first-seen order.
     held: Vec<PageHandle>,
-    /// The held records' bytes; a fold appends the folded record, and the
-    /// record it replaces stays dead on its page until the drain.
+    /// Per slot, the previous slot with the same key prefix, or
+    /// [`NO_SLOT`]: the chain a hashed prefix's colliding keys share.
+    chain: Vec<u32>,
+    /// Every key so far is one `Long` field, whose prefix is the whole key:
+    /// a prefix then finds its key without comparing key bytes.
+    exact: bool,
+    /// The held records' bytes, in one open page that never seals: only a
+    /// record on the open page is written over
+    /// ([`PageWriter::overwrite_fields`]).  A fold overwrites the held
+    /// record when the folded one has its width; otherwise it appends the
+    /// folded record, and the one it replaces stays dead until the drain.
     store: PageWriter,
-    /// The key of the record being inserted.
-    key: Key,
-    /// What the combine function emitted.
-    folded: LastEmitted,
+    /// The framed bytes of the held record being folded into, copied out
+    /// of `store` so the combine function reads them while its output is
+    /// written over them.
+    folding: Vec<u8>,
+    /// A record inserted as a view, read into fields
+    /// ([`Combiner::insert_view`]).
+    candidate: Record,
 }
 
 impl std::fmt::Debug for Combiner {
@@ -250,6 +273,9 @@ impl std::fmt::Debug for Combiner {
 /// The capacity below which a fold table is never shrunk.
 const MIN_FOLD_TABLE: usize = 256;
 
+/// The end of a [`Combiner`]'s prefix chain.
+const NO_SLOT: u32 = u32::MAX;
+
 impl Combiner {
     /// An empty combiner folding with `combine` records keyed on
     /// `key_fields`.
@@ -259,29 +285,58 @@ impl Combiner {
             key_fields,
             table: FxHashMap::default(),
             held: Vec::new(),
-            store: PageWriter::new(),
-            key: Key::Long(0),
-            folded: LastEmitted::default(),
+            chain: Vec::new(),
+            exact: true,
+            store: PageWriter::with_page_bytes(usize::MAX),
+            folding: Vec::new(),
+            candidate: Record::new(Vec::new()),
         }
     }
 
     /// Holds `fields` as its key's record, or folds it into the one held:
-    /// what the combine function emits replaces the held record.
+    /// what the combine function emits — a record of the same key —
+    /// replaces the held record, in place when it is as wide.
     #[inline]
     pub fn insert(&mut self, fields: &[Value]) {
-        self.key.assign_fields(fields, &self.key_fields);
-        let Some(&slot) = self.table.get(&self.key) else {
-            self.table.insert(self.key.clone(), self.held.len() as u32);
-            self.held.push(self.store.push_fields(fields));
-            return;
-        };
-        let held = &mut self.held[slot as usize];
-        self.folded.0.clear();
-        self.combine
-            .combine(self.store.view(*held), fields, &mut self.folded);
-        if !self.folded.0.is_empty() {
-            *held = self.store.push_fields(&self.folded.0);
+        let (prefix, exact) = key_prefix_of_fields(fields, &self.key_fields);
+        let whole_key = exact && self.exact;
+        let mut slot = self.table.get(&prefix).copied().unwrap_or(NO_SLOT);
+        while slot != NO_SLOT {
+            let held = self.store.view(self.held[slot as usize]);
+            if whole_key || key_matches_fields(held, &self.key_fields, fields, &self.key_fields) {
+                break;
+            }
+            slot = self.chain[slot as usize];
         }
+        if slot == NO_SLOT {
+            let slot = self.held.len() as u32;
+            self.chain
+                .push(self.table.insert(prefix, slot).unwrap_or(NO_SLOT));
+            self.held.push(self.store.push_fields(fields));
+            self.exact &= exact;
+            return;
+        }
+        let held = &mut self.held[slot as usize];
+        let view = self.store.view(*held);
+        self.folding.clear();
+        self.folding
+            .extend_from_slice(&(view.payload_len() as u32).to_le_bytes());
+        self.folding.extend_from_slice(view.payload());
+        let mut out = FoldSink {
+            store: &mut self.store,
+            held,
+        };
+        self.combine
+            .combine(view_in(&self.folding, 0), fields, &mut out);
+    }
+
+    /// [`Combiner::insert`] of a serialized record, read into a reused
+    /// field buffer.
+    pub fn insert_view(&mut self, record: RecordView<'_>) {
+        let mut candidate = std::mem::replace(&mut self.candidate, Record::new(Vec::new()));
+        record.read_into(&mut candidate);
+        self.insert(candidate.fields());
+        self.candidate = candidate;
     }
 
     /// True when nothing is held.
@@ -289,11 +344,11 @@ impl Combiner {
         self.held.is_empty()
     }
 
-    /// Hands `push` every held record's serialized bytes in first-seen key
-    /// order, then empties the combiner.
-    pub fn drain(&mut self, mut push: impl FnMut(&[u8])) {
+    /// Hands `push` every held record in first-seen key order, then
+    /// empties the combiner.
+    pub fn drain(&mut self, mut push: impl FnMut(RecordView<'_>)) {
         for &handle in &self.held {
-            push(self.store.view(handle).payload());
+            push(self.store.view(handle));
         }
         // Probing and clearing cost grow with the table's capacity, not its
         // keys: a table sized for a large round would slow every small round
@@ -305,9 +360,32 @@ impl Combiner {
             self.table.shrink_to(keys);
         }
         self.held.clear();
-        let pages = std::mem::take(&mut self.store).finish();
-        let buffers = pages.into_iter().filter_map(RecordPage::into_buffer);
+        self.chain.clear();
+        self.exact = true;
+        let open = std::mem::replace(&mut self.store, PageWriter::with_page_bytes(usize::MAX));
+        let buffers = open
+            .finish()
+            .into_iter()
+            .filter_map(RecordPage::into_buffer);
         self.store.add_spare_buffers(buffers);
+    }
+}
+
+/// Where a combine function emits: over the held record it folded into, in
+/// place when as wide, else appended with the held handle moved to it.  A
+/// function that emits nothing leaves the held record as it was; one that
+/// emits twice leaves the last.
+struct FoldSink<'a> {
+    store: &'a mut PageWriter,
+    held: &'a mut PageHandle,
+}
+
+impl RecordSink for FoldSink<'_> {
+    #[inline]
+    fn emit(&mut self, fields: &[Value]) {
+        if !self.store.overwrite_fields(*self.held, fields) {
+            *self.held = self.store.push_fields(fields);
+        }
     }
 }
 
@@ -405,10 +483,8 @@ pub fn ship(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contracts::RecordSink;
     use crate::fault::FaultInjector;
     use crate::range::PartitionRouter;
-    use crate::record::Record;
     use crate::spill::MemoryBudget;
     use crate::transport::TransportHandle;
     use std::path::PathBuf;
@@ -836,6 +912,129 @@ mod tests {
             assert_eq!(stats.shipped_records, expected[1].len(), "counted after it");
             drop(parts);
             assert_no_spill_files(&dir);
+        }
+    }
+
+    /// A fold as wide as the held record is written over it: 100 000 sums
+    /// over four keys leave four records on the store's one page.  A wider
+    /// fold still appends.  Either way the drain hands out what folding heap
+    /// records and serializing them gives.
+    #[test]
+    fn same_width_folds_write_in_place_and_wider_ones_append() {
+        let sum = Arc::new(crate::contracts::CombineClosure(
+            |held: RecordView<'_>, candidate: &[Value], out: &mut dyn RecordSink| {
+                out.emit(&[
+                    Value::Long(held.long(0)),
+                    Value::Long(held.long(1) + candidate[1].as_long()),
+                ])
+            },
+        ));
+        // Appends a `Null` per fold: every folded record is one byte wider.
+        let widen = Arc::new(crate::contracts::CombineClosure(
+            |held: RecordView<'_>, _: &[Value], out: &mut dyn RecordSink| {
+                let mut fields = held.materialize().fields().to_vec();
+                fields.push(Value::Null);
+                out.emit(&fields)
+            },
+        ));
+        let drained = |combiner: &mut Combiner| {
+            let mut bytes = Vec::new();
+            combiner.drain(|record| bytes.push(record.payload().to_vec()));
+            bytes
+        };
+        let serialized = |records: Vec<Record>| -> Vec<Vec<u8>> {
+            let pages = paged(&records);
+            let views = pages.iter().flat_map(|page| page.reader());
+            views.map(|view| view.payload().to_vec()).collect()
+        };
+
+        let mut combiner = Combiner::new(sum, vec![0]);
+        let (folds, keys) = (100_000i64, 4);
+        for i in 0..folds {
+            combiner.insert(Record::pair(i % keys, i).fields());
+        }
+        let width = Record::pair(0, 0).estimated_bytes();
+        assert_eq!(combiner.store.total_records(), keys as usize);
+        assert_eq!(combiner.store.total_bytes(), keys as usize * width);
+        assert_eq!(combiner.store.sealed_page_count(), 0, "one open page");
+        let sums: Vec<Record> = (0..keys)
+            .map(|k| Record::pair(k, (k..folds).step_by(4).sum::<i64>()))
+            .collect();
+        assert_eq!(drained(&mut combiner), serialized(sums.clone()));
+        // The same records inserted as views fold alike, into the buffer
+        // the drain kept.
+        let records: Vec<Record> = (0..folds).map(|i| Record::pair(i % keys, i)).collect();
+        for page in paged(&records) {
+            page.reader().for_each(|view| combiner.insert_view(view));
+        }
+        assert_eq!(drained(&mut combiner), serialized(sums));
+
+        let mut combiner = Combiner::new(widen, vec![0]);
+        for i in 0..8 {
+            combiner.insert(Record::pair(i % 2, i).fields());
+        }
+        // Two keys held, three folds each, every fold appended.
+        assert_eq!(combiner.store.total_records(), 8);
+        let widened = (0..2).map(|k| {
+            let mut fields = Record::pair(k, k).fields().to_vec();
+            fields.extend([Value::Null, Value::Null, Value::Null]);
+            Record::new(fields)
+        });
+        assert_eq!(drained(&mut combiner), serialized(widened.collect()));
+        assert!(combiner.is_empty());
+
+        // Keys that are not one `Long` are found by a hashed prefix and
+        // compared on their bytes, also beside `Long` keys of the same
+        // field.
+        let sum_last = Arc::new(crate::contracts::CombineClosure(
+            |held: RecordView<'_>, candidate: &[Value], out: &mut dyn RecordSink| {
+                let mut fields = held.materialize().fields().to_vec();
+                let last = fields.len() - 1;
+                fields[last] = Value::Long(fields[last].as_long() + candidate[last].as_long());
+                out.emit(&fields)
+            },
+        ));
+        let text = |s: &str| Value::Text(s.into());
+        let composite: Vec<Record> = (0..30)
+            .map(|i| {
+                Record::new(vec![
+                    Value::Long(i % 3),
+                    text(["a", "b"][i as usize % 2]),
+                    Value::Long(i),
+                ])
+            })
+            .collect();
+        let mixed: Vec<Record> = [
+            Value::Long(1),
+            text("1"),
+            Value::Long(1),
+            text("1"),
+            Value::Long(2),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| Record::new(vec![key, Value::Long(i as i64)]))
+        .collect();
+        for (records, key) in [(composite, vec![0, 1]), (mixed, vec![0])] {
+            let mut combiner = Combiner::new(sum_last.clone(), key.clone());
+            let mut model: Vec<Record> = Vec::new();
+            for record in &records {
+                combiner.insert(record.fields());
+                let same_key = |held: &&mut Record| {
+                    key.iter().all(|&f| held.fields()[f] == record.fields()[f])
+                };
+                match model.iter_mut().find(same_key) {
+                    Some(held) => {
+                        let mut fields = held.fields().to_vec();
+                        let last = fields.len() - 1;
+                        let sum = fields[last].as_long() + record.fields()[last].as_long();
+                        fields[last] = Value::Long(sum);
+                        *held = Record::new(fields);
+                    }
+                    None => model.push(record.clone()),
+                }
+            }
+            assert_eq!(drained(&mut combiner), serialized(model), "key {key:?}");
         }
     }
 

@@ -43,7 +43,11 @@
 //! to the user function as views.  When the next member of a segment is a
 //! Reduce, the records are serialized straight onto that Reduce's pages and
 //! grouped at end of stream by the same kernel, so a join feeding a fused
-//! aggregation — PageRank's step — builds no heap record per join output.
+//! aggregation builds no heap record per join output.  A fused Reduce that
+//! declares a combine ([`crate::plan::Plan::combine`]) — PageRank's sum —
+//! pages nothing per record: each arriving record folds, in place, into its
+//! key's held record in the engine's one fold table ([`Combiner`]), and only
+//! the one folded record per key is grouped at end of stream.
 //!
 //! # Exchanges
 //!
@@ -83,7 +87,7 @@ use crate::contracts::{
     CrossFunction, MapFunction, MatchFunction, RecordSink, RecordSource, ReduceFunction, Udf,
 };
 use crate::error::{DataflowError, Result};
-use crate::exchange::{self, Outbox};
+use crate::exchange::{self, Combiner, Outbox};
 use crate::fault::{FaultInjector, FaultSite};
 use crate::join_index::JoinIndex;
 use crate::key::{Key, KeyFields};
@@ -834,13 +838,19 @@ fn compute_chain_segments(physical: &PhysicalPlan) -> Vec<Vec<OperatorId>> {
 /// ties in arrival order (the stable key sort).
 /// It is a `PagedGroup`: records are serialized onto pages as they arrive and
 /// grouped at end of stream by the shared kernel ([`KeyGroups`]), whatever
-/// the key's shape.
+/// the key's shape.  A Reduce that declares a combine
+/// ([`crate::plan::Plan::combine`]) folds each arriving record into its
+/// key's held record in a [`Combiner`] instead, in arrival order, and at end
+/// of stream groups the one folded record per key.
 enum Stage {
     Map(Arc<dyn MapFunction>),
     Sink,
     PagedGroup {
         udf: Arc<dyn ReduceFunction>,
         groups: KeyGroups,
+        /// The declared combine's fold table, which takes every arriving
+        /// record in place of `groups` until end of stream.
+        fold: Option<Box<Combiner>>,
     },
     /// Probes the join index over the build side; matches are emitted in
     /// build insertion order.
@@ -869,6 +879,10 @@ impl Stage {
             (OperatorKind::Reduce { key }, Udf::Reduce(udf)) => Stage::PagedGroup {
                 udf: Arc::clone(udf),
                 groups: KeyGroups::new(key.clone()),
+                fold: op
+                    .combine
+                    .as_ref()
+                    .map(|combine| Box::new(Combiner::new(Arc::clone(combine), key.clone()))),
             },
             (
                 OperatorKind::Match {
@@ -912,6 +926,9 @@ impl Stage {
     #[inline]
     fn accept_fields(&mut self, fields: &[Value], scratch: &mut Vec<u8>, out: &mut MemberOut) {
         match self {
+            Stage::PagedGroup {
+                fold: Some(fold), ..
+            } => fold.insert(fields),
             Stage::PagedGroup { groups, .. } => groups.append_fields(fields),
             Stage::Sink => out.emit(fields),
             stage => {
@@ -928,6 +945,9 @@ impl Stage {
         match self {
             Stage::Map(udf) => udf.map(record, out),
             Stage::Sink => out.forward(record),
+            Stage::PagedGroup {
+                fold: Some(fold), ..
+            } => fold.insert_view(record),
             Stage::PagedGroup { groups, .. } => groups.append_view(record),
             Stage::HashProbe {
                 udf,
@@ -951,9 +971,18 @@ impl Stage {
         }
     }
 
-    /// End of stream: the grouping stage emits its groups.
+    /// End of stream: the grouping stage emits its groups, a folding one
+    /// after draining its held records into them.
     fn finish(self, out: &mut MemberOut) {
-        if let Stage::PagedGroup { udf, groups } = self {
+        if let Stage::PagedGroup {
+            udf,
+            mut groups,
+            fold,
+        } = self
+        {
+            if let Some(mut fold) = fold {
+                fold.drain(|record| groups.append_view(record));
+            }
             groups.for_each_group(|k, group| udf.reduce(&k.values(), group, out))
         }
     }
@@ -1976,6 +2005,106 @@ mod tests {
         );
         plan.sink("out", red);
         (plan, red)
+    }
+
+    /// A PageRank-shaped step: ranks broadcast into a hash join with edges
+    /// partitioned on their target, whose outputs a Reduce sums per target,
+    /// fused behind the join; with `fold`, the Reduce declares the sum as
+    /// its combine.  The partial values span six orders of magnitude, so
+    /// summing them in another order than arrival order can change bits.
+    fn fused_sum_plan(parallelism: usize, fold: bool) -> PhysicalPlan {
+        let mut plan = Plan::new();
+        let ranks: Vec<Record> = (0..60)
+            .map(|v| Record::long_double(v, 1.0 / (1 + v * v) as f64))
+            .collect();
+        let edges: Vec<Record> = (0..3000i64)
+            .map(|e| Record::triple((e * 7919) % 97, e % 60, 1.0 + (e % 13) as f64 * 1e6))
+            .collect();
+        let (ranks, edges) = (plan.source("ranks", ranks), plan.source("edges", edges));
+        let join = plan.match_join(
+            "spread",
+            ranks,
+            edges,
+            vec![0],
+            vec![1],
+            Arc::new(MatchClosure(
+                |rank: RecordView<'_>, edge: RecordView<'_>, out: &mut dyn RecordSink| {
+                    out.emit(&[
+                        Value::Long(edge.long(0)),
+                        Value::Double(rank.double(1) * edge.double(2)),
+                    ])
+                },
+            )),
+        );
+        let sum = plan.reduce(
+            "sum",
+            join,
+            vec![0],
+            Arc::new(ReduceClosure(
+                |key: &[Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
+                    let total: f64 = group.iter().map(|r| r.double(1)).sum();
+                    out.emit(&[key[0].clone(), Value::Double(total)]);
+                },
+            )),
+        );
+        if fold {
+            plan.combine(
+                sum,
+                Arc::new(crate::contracts::CombineClosure(
+                    |held: RecordView<'_>, partial: &[Value], out: &mut dyn RecordSink| {
+                        out.emit(&[
+                            Value::Long(held.long(0)),
+                            Value::Double(held.double(1) + partial[1].as_double()),
+                        ])
+                    },
+                )),
+            );
+        }
+        plan.sink("out", sum);
+        let mut physical = default_physical_plan(&plan, parallelism).unwrap();
+        let join_choice = physical.choices.get_mut(&join).unwrap();
+        join_choice.input_ships = vec![
+            ShipStrategy::Broadcast,
+            ShipStrategy::PartitionHash(vec![0]),
+        ];
+        join_choice.local = LocalStrategy::HashJoinBuildLeft;
+        physical.choices.get_mut(&sum).unwrap().input_ships = vec![ShipStrategy::Forward];
+        physical
+    }
+
+    /// A fused Reduce that folds through its declared combine emits the
+    /// sink pages the paging one does, byte for byte, in memory and under a
+    /// zero budget, on one partition and on three.
+    #[test]
+    fn a_declared_combine_leaves_the_fused_reduces_pages_byte_identical() {
+        let bytes = |result: ExecutionResult| -> Vec<Vec<Vec<u8>>> {
+            let pages = result.into_sink_pages("out").unwrap().0;
+            let page_bytes = |parts: &Vec<Arc<RecordPage>>| {
+                parts.iter().map(|page| page.bytes().to_vec()).collect()
+            };
+            pages.iter().map(page_bytes).collect()
+        };
+        for parallelism in [1, 3] {
+            for budget in [MemoryBudget::unlimited(), MemoryBudget::bytes(0)] {
+                let executor = Executor::with_config(ExecConfig::new().with_memory_budget(budget));
+                let run = |fold| {
+                    executor
+                        .execute(&fused_sum_plan(parallelism, fold))
+                        .unwrap()
+                };
+                let (paged, folded) = (run(false), run(true));
+                let label = format!("p{parallelism}, budget {budget:?}");
+                // Join, Reduce and sink run as one segment.
+                assert_eq!(folded.stats.chained_operators, 3, "{label}");
+                assert_eq!(
+                    folded.stats.local_records, paged.stats.local_records,
+                    "{label}"
+                );
+                let (paged, folded) = (bytes(paged), bytes(folded));
+                assert_eq!(folded.iter().flatten().count(), parallelism, "{label}");
+                assert_eq!(folded, paged, "{label}");
+            }
+        }
     }
 
     /// The constant-path cache is the ordinary exchange's delivery, retained:

@@ -482,6 +482,26 @@ impl PageWriter {
         })
     }
 
+    /// Overwrites the record at `handle` on the open page with `fields` when
+    /// they serialize to exactly its width, and returns whether it did.  A
+    /// record of another width, or on a sealed page (sealed pages are
+    /// shared by pointer), stays as it is.  Counters and handles are
+    /// unchanged: the page still holds as many records of as many bytes.
+    #[inline]
+    pub fn overwrite_fields(&mut self, handle: PageHandle, fields: &[Value]) -> bool {
+        if handle.page as usize != self.sealed.len() {
+            return false;
+        }
+        let (offset, mut frame) = (handle.offset as usize, handle.offset as usize);
+        let width =
+            RECORD_FRAME_BYTES + u32::from_le_bytes(read_array(&self.buf, &mut frame)) as usize;
+        if serialized_width(fields) != width {
+            return false;
+        }
+        frame_fields_into(fields, &mut self.buf[offset..offset + width]);
+        true
+    }
+
     /// Frames one `width`-byte record that `write` appends to the open page:
     /// seals first if it would overflow, and seals the record alone if it is
     /// oversized.

@@ -7,7 +7,8 @@
 //! naive planner in [`crate::physical`] or by the cost-based optimizer crate.
 
 use crate::contracts::{
-    CoGroupFunction, CrossFunction, MapFunction, MatchFunction, RecordSource, ReduceFunction, Udf,
+    CoGroupFunction, CombineFunction, CrossFunction, MapFunction, MatchFunction, RecordSource,
+    ReduceFunction, Udf,
 };
 use crate::error::{DataflowError, Result};
 use crate::key::KeyFields;
@@ -110,6 +111,9 @@ pub struct Operator {
     pub inputs: Vec<OperatorId>,
     /// Optional cardinality hint for the optimizer (records produced).
     pub estimated_records: Option<usize>,
+    /// The combine a Reduce declared ([`Plan::combine`]); `None` for every
+    /// other operator.
+    pub combine: Option<Arc<dyn CombineFunction>>,
 }
 
 /// A logical dataflow plan: a DAG of [`Operator`]s.
@@ -141,6 +145,7 @@ impl Plan {
             udf,
             inputs,
             estimated_records: None,
+            combine: None,
         });
         id
     }
@@ -174,6 +179,17 @@ impl Plan {
             Udf::Reduce(udf),
             vec![input],
         )
+    }
+
+    /// Declares the combine of the Reduce `reduce`, as
+    /// `WorksetIterationBuilder::combine` declares a workset iteration's:
+    /// where the Reduce runs fused behind its producer, each arriving record
+    /// folds into its key's held record, and the Reduce sees one record per
+    /// key.  `combine` must keep the contract [`CombineFunction`] states for
+    /// a Reduce.  [`Plan::validate`] rejects a combine on any other
+    /// operator.
+    pub fn combine(&mut self, reduce: OperatorId, combine: Arc<dyn CombineFunction>) {
+        self.operators[reduce.0].combine = Some(combine);
     }
 
     /// Adds a `Match` (equi-join) operator.
@@ -370,6 +386,13 @@ impl Plan {
                     actual: 0,
                 });
             }
+            if op.combine.is_some() && !matches!(op.kind, OperatorKind::Reduce { .. }) {
+                return Err(DataflowError::InvalidPlan(format!(
+                    "{} '{}' declares a combine; only a Reduce may",
+                    op.kind.contract_name(),
+                    op.name
+                )));
+            }
             for input in &op.inputs {
                 if input.0 >= self.operators.len() {
                     return Err(DataflowError::UnknownOperator(input.0));
@@ -514,6 +537,41 @@ mod tests {
         let _ = bad;
         let err = plan.validate().unwrap_err();
         assert!(matches!(err, DataflowError::InvalidArity { .. }));
+    }
+
+    #[test]
+    fn only_a_reduce_declares_a_combine() {
+        let keep_held = Arc::new(crate::contracts::CombineClosure(
+            |_: RecordView<'_>, _: &[crate::value::Value], _: &mut dyn RecordSink| {},
+        ));
+        let mut plan = Plan::new();
+        let src = plan.source("src", vec![Record::pair(1, 2)]);
+        let map = plan.map("id", src, identity_map());
+        plan.sink("out", map);
+        plan.combine(map, keep_held.clone());
+        match plan.validate() {
+            Err(DataflowError::InvalidPlan(message)) => {
+                assert!(message.contains("Map 'id' declares a combine"), "{message}")
+            }
+            other => panic!("expected InvalidPlan, got {other:?}"),
+        }
+
+        let mut plan = Plan::new();
+        let src = plan.source("src", vec![Record::pair(1, 2)]);
+        let reduce = plan.reduce(
+            "first",
+            src,
+            vec![0],
+            Arc::new(crate::contracts::ReduceClosure(
+                |_: &[crate::value::Value], group: &[RecordView<'_>], out: &mut dyn RecordSink| {
+                    out.forward(group[0])
+                },
+            )),
+        );
+        plan.sink("out", reduce);
+        plan.combine(reduce, keep_held);
+        assert!(plan.validate().is_ok());
+        assert!(plan.operator(reduce).combine.is_some());
     }
 
     #[test]

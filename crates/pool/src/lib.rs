@@ -716,7 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn unlabeled_panics_have_no_label_but_keep_the_message() {
+    fn a_lone_inputs_panic_keeps_its_message_and_resumes_its_payload() {
         // The panic of a lone input, which runs on the calling thread, is
         // caught there and keeps its message.
         let pool = ThreadPool::new(1);

@@ -16,6 +16,13 @@
 //! Both together cover partial folds: a group of folded batches folds, by
 //! the first law, to the fold of the whole group.
 //!
+//! A Reduce's combine ([`dataflow::plan::Plan::combine`]) is held to less.
+//! A fused Reduce folds each key's records into the first, in arrival
+//! order, and reduces the one folded record.  That is exact if the Reduce
+//! emits the same bytes for the folded record as for the whole group in
+//! arrival order ([`check_reduce_folds`]) — a law a floating-point sum
+//! keeps, though it is not associative.
+//!
 //! The microstep mode hands an update its candidates in another order, and
 //! in other groups, than batch supersteps do.  It reaches the batch
 //! fixpoint only if
@@ -33,9 +40,9 @@
 
 use crate::fixpoint::{Comparator, UpdateFn, WorksetStep};
 use crate::{on_pages, views};
-use dataflow::contracts::CombineFunction;
+use dataflow::contracts::{CombineFunction, ReduceFunction};
 use dataflow::key::Key;
-use dataflow::page::RecordView;
+use dataflow::page::{serialize_record, RecordView};
 use dataflow::record::Record;
 use graphdata::SmallRng;
 use std::cmp::Ordering;
@@ -149,6 +156,43 @@ pub fn check_update_folds(
     Ok(())
 }
 
+/// Checks on `trials` draws of a non-empty group of one key in arrival
+/// order (`draw`) that `reduce` emits the same bytes for the group as for
+/// the one record `combine` folds it to — each record folded into the
+/// first, in arrival order, as a fused Reduce with a declared combine
+/// folds.  `key` are the group's key fields.  Returns the first
+/// counterexample.
+pub fn check_reduce_folds(
+    reduce: &dyn ReduceFunction,
+    combine: &dyn CombineFunction,
+    key: &[usize],
+    trials: usize,
+    seed: u64,
+    mut draw: impl FnMut(&mut SmallRng) -> Vec<Record>,
+) -> Result<(), String> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for trial in 0..trials {
+        let group = draw(&mut rng);
+        let Some((first, rest)) = group.split_first() else {
+            return Err("the draw gave an empty group".into());
+        };
+        let folded = rest.iter().fold(first.clone(), |held, next| {
+            combine_pair(combine, &held, next)
+        });
+        let group_key = Key::extract(first, key);
+        let whole = reduced(reduce, &group_key, &group);
+        let of_folded = reduced(reduce, &group_key, std::slice::from_ref(&folded));
+        if bytes(&whole) != bytes(&of_folded) {
+            return Err(format!(
+                "the Reduce does not fold (trial {trial}): {whole:?} from {} records, \
+                 {of_folded:?} from their fold {folded}",
+                group.len()
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Checks on `trials` draws of a stored record and a non-empty candidate
 /// group of one key (`draw`) that `update` emits the same delta for the
 /// group, for the group reversed and for a shuffle of it (drawn from the
@@ -235,6 +279,25 @@ pub fn check_comparator_total(
         }
     }
     Ok(())
+}
+
+/// The records `reduce` emits for the group `records` of `key`, in
+/// emission order.
+fn reduced(reduce: &dyn ReduceFunction, key: &Key, records: &[Record]) -> Vec<Record> {
+    let pages = on_pages(records);
+    let group: Vec<RecordView<'_>> = views(&pages).collect();
+    let mut emitted: Vec<Record> = Vec::new();
+    reduce.reduce(&key.values(), &group, &mut emitted);
+    emitted
+}
+
+/// `records` serialized back to back.
+fn bytes(records: &[Record]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for record in records {
+        serialize_record(record, &mut bytes);
+    }
+    bytes
 }
 
 /// The delta `update` emits last for `candidates` against `current`.
